@@ -28,10 +28,6 @@ fn bench_e7(c: &mut Criterion) {
     group
         .sample_size(10)
         .measurement_time(Duration::from_secs(5));
-    // Streamed (arena) vs collected (legacy `from_runs`) system builds on
-    // the same context: regressions in either path — the interning sink
-    // and single-sort classes, or the compatibility classifier — show up
-    // side by side in the `--smoke` sweep.
     group.bench_function("build_system_streamed_min_n4_t2", |b| {
         let params = Params::new(4, 2).unwrap();
         b.iter(|| {
@@ -43,24 +39,6 @@ fn bench_e7(c: &mut Criterion) {
             )
             .unwrap();
             black_box((sys.point_count(), sys.distinct_states()))
-        })
-    });
-    group.bench_function("build_system_collected_min_n4_t2", |b| {
-        let params = Params::new(4, 2).unwrap();
-        b.iter(|| {
-            let ctx = Context::minimal(params);
-            let runs = eba_sim::enumerate::enumerate_runs(
-                ctx.exchange(),
-                ctx.protocol(),
-                params.default_horizon(),
-                10_000_000,
-            )
-            .unwrap();
-            let sys = InterpretedSystem::from_runs(MinExchange::new(params), runs, {
-                params.default_horizon()
-            })
-            .unwrap();
-            black_box(sys.point_count())
         })
     });
     group.bench_function("check_p0_min_n3_t1", |b| {

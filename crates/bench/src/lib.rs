@@ -3,8 +3,8 @@
 //! Shared scenario builders for the criterion benches.
 //!
 //! Each bench in `benches/` regenerates one of the paper's tables/figures
-//! (E1–E7) or measures engineering performance (`perf_scaling`); this
-//! little library keeps the scenario construction in one place so the
+//! (E1–E7) or sweeps the scenario corpus (engineering performance is
+//! measured by the repo's benchmark under `bench/`); this little library keeps the scenario construction in one place so the
 //! benches measure protocol work, not setup boilerplate. Everything runs
 //! through the first-class `Context`/`Scenario` API, so a bench can
 //! select any registered stack — model-qualified or not — by name:

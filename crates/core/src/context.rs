@@ -295,19 +295,13 @@ impl NamedStack {
     }
 }
 
-/// Validates the shape of scenario inputs against a context's parameters,
-/// reporting **every** problem at once (not just the first).
-///
-/// Shared by the lockstep runner, the `Scenario` builder, and the
-/// transport cluster so all entry points reject malformed inputs with the
-/// same message: each problem names the offending argument and states the
-/// expected shape. Besides the shapes, the pattern's recorded drops are
-/// checked against the pattern's **own** [`FailureModel`] — catching, for
-/// example, a hand-built crash pattern whose sender resumes sending after
-/// its crash round (a discipline [`FailurePattern::drop_message`] cannot
-/// enforce per drop). Entry points that pin a *scenario* model (the
-/// `Scenario` builder, the transport cluster) additionally check the
-/// pattern against that model via [`FailureModel::admits_pattern`].
+/// Validates the shape of scenario inputs against a context's parameters
+/// in O(1), reporting **every** problem at once (not just the first):
+/// each problem names the offending argument and states the expected
+/// shape. This is the whole check of the run kernel (`eba-sim`'s
+/// `run_rounds`), whose callers sample or build their own patterns;
+/// entry points that accept a pattern from outside go through
+/// [`admit_scenario`], which starts with it.
 ///
 /// # Errors
 ///
@@ -332,12 +326,56 @@ pub fn validate_scenario_shape(
             pattern.params(),
             params
         ));
-    } else if let Err(e) = pattern.model().admits_pattern(pattern) {
-        problems.push(format!(
-            "pattern: inadmissible under its own {} model ({})",
-            pattern.model(),
-            error_message(&e)
-        ));
+    }
+    if problems.is_empty() {
+        Ok(())
+    } else {
+        Err(EbaError::InvalidInput(problems.join("; ")))
+    }
+}
+
+/// The one admission check every entry point that takes a pattern from
+/// outside applies (the `Scenario` builder, the transport cluster, the
+/// service's engine compiler): [`validate_scenario_shape`], then the
+/// pattern's recorded drops against its **own** [`FailureModel`] —
+/// catching, for example, a hand-built crash pattern whose sender resumes
+/// sending after its crash round (a discipline
+/// [`FailurePattern::drop_message`] cannot enforce per drop) — and
+/// against `model`, the model of the context it is to run in, through
+/// the whole `horizon`, so a crash pattern whose recorded silence ends
+/// before the run does is rejected rather than silently reviving.
+///
+/// # Errors
+///
+/// Returns [`EbaError::InvalidInput`] listing every problem found,
+/// `; `-separated (the two model checks need a pattern of the right
+/// parameters, so a parameter mismatch is reported without them).
+pub fn admit_scenario(
+    params: Params,
+    model: FailureModel,
+    pattern: &FailurePattern,
+    inits: &[Value],
+    horizon: u32,
+) -> Result<(), EbaError> {
+    let mut problems: Vec<String> = validate_scenario_shape(params, pattern, inits)
+        .err()
+        .iter()
+        .map(error_message)
+        .collect();
+    if pattern.params() == params {
+        if let Err(e) = pattern.model().admits_pattern(pattern) {
+            problems.push(format!(
+                "pattern: inadmissible under its own {} model ({})",
+                pattern.model(),
+                error_message(&e)
+            ));
+        }
+        if let Err(e) = model.admits_pattern_up_to(pattern, horizon) {
+            problems.push(format!(
+                "pattern: not admissible under the context's {model} model ({})",
+                error_message(&e)
+            ));
+        }
     }
     if problems.is_empty() {
         Ok(())
@@ -466,7 +504,8 @@ mod tests {
             crate::types::AgentId::new(1),
         )
         .unwrap();
-        let err = validate_scenario_shape(p, &pat, &[Value::One; 4]).unwrap_err();
+        let err = admit_scenario(p, FailureModel::SendingOmission, &pat, &[Value::One; 4], 4)
+            .unwrap_err();
         let msg = err.to_string();
         assert!(
             msg.contains("inadmissible under its own crash model"),

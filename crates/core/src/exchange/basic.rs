@@ -186,7 +186,7 @@ impl InformationExchange for BasicExchange {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::step;
+    use super::super::step_round as step;
     use super::*;
 
     fn ex() -> BasicExchange {

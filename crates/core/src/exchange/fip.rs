@@ -137,7 +137,7 @@ impl InformationExchange for FipExchange {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::step;
+    use super::super::step_round as step;
     use super::*;
     use crate::graph::{EdgeLabel, PrefLabel};
 

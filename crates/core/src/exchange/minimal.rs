@@ -150,7 +150,7 @@ impl InformationExchange for MinExchange {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::step;
+    use super::super::step_round as step;
     use super::*;
 
     fn ex() -> MinExchange {

@@ -97,14 +97,19 @@ pub trait InformationExchange {
     fn message_bits(&self, msg: &Self::Message) -> u64;
 }
 
-/// Observes the message traffic of one [`step_round`]: the hooks are
-/// called for every non-`⊥` message selected by `μ` (`on_send`) and for
-/// every message that survives the delivery filter (`on_deliver`).
+/// Observes the message traffic of a round of the global transition: the
+/// hooks fire once per round when the actions are fixed (`on_round`), for
+/// every non-`⊥` message selected by `μ` (`on_send`), and for every
+/// message that survives the delivery filter (`on_deliver`).
 ///
 /// This is how the lockstep runner hangs its metrics accounting and
 /// delivery recording off the shared round-step routine without the
 /// routine knowing about traces.
 pub trait RoundObserver<E: InformationExchange> {
+    /// A round begins with these actions, one per agent; fired before any
+    /// of the round's `on_send`s.
+    fn on_round(&mut self, _actions: &[Action]) {}
+
     /// A non-`⊥` message was selected for sending.
     fn on_send(&mut self, _from: AgentId, _to: AgentId, _msg: &E::Message) {}
 
@@ -119,41 +124,53 @@ pub struct NoObserver;
 
 impl<E: InformationExchange> RoundObserver<E> for NoObserver {}
 
-/// Applies one synchronous round of the global transition of Section 3:
-/// every agent performs `actions[i]`, messages are selected by `μ_i`,
-/// filtered by `delivers`, and all states are updated by `δ_i`.
+/// The selection half of the global transition of Section 3: every agent
+/// performs `actions[i]` and `μ_i` selects its messages. Entry `[i][j]` of
+/// the result is the message from agent `i` to agent `j` (`None` is `⊥`).
 ///
-/// This is the **single** round-step routine shared by the lockstep
-/// runner (`eba-sim`) and the in-crate exchange tests; both drive the same
-/// code path, so they cannot drift apart.
-///
-/// Send events fire sender-major (`on_send(i, j, …)` for each recipient
-/// `j` of each sender `i`); delivery events fire receiver-major
-/// (`on_deliver(i, j, …)` for each sender `i` into each receiver `j`).
-pub fn step_round_observed<E: InformationExchange>(
+/// Fires `on_round` once, then `on_send(i, j, …)` sender-major for every
+/// non-`⊥` message.
+pub fn select_round<E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
-    delivers: impl Fn(AgentId, AgentId) -> bool,
     observer: &mut impl RoundObserver<E>,
-) -> Vec<E::State> {
+) -> Vec<Vec<Option<E::Message>>> {
     let n = ex.params().n();
     debug_assert_eq!(states.len(), n, "one state per agent");
     debug_assert_eq!(actions.len(), n, "one action per agent");
-    let outgoing: Vec<Vec<Option<E::Message>>> = (0..n)
+    observer.on_round(actions);
+    (0..n)
         .map(|i| {
-            let out = ex.outgoing(AgentId::new(i), &states[i], actions[i]);
+            let from = AgentId::new(i);
+            let out = ex.outgoing(from, &states[i], actions[i]);
             debug_assert_eq!(out.len(), n, "μ must address every agent");
+            for (j, msg) in out.iter().enumerate() {
+                if let Some(msg) = msg {
+                    observer.on_send(from, AgentId::new(j), msg);
+                }
+            }
             out
         })
-        .collect();
-    for (i, row) in outgoing.iter().enumerate() {
-        for (j, msg) in row.iter().enumerate() {
-            if let Some(msg) = msg {
-                observer.on_send(AgentId::new(i), AgentId::new(j), msg);
-            }
-        }
-    }
+        .collect()
+}
+
+/// The delivery half of the global transition: the messages selected by
+/// [`select_round`] are filtered by `delivers` (the failure pattern `F`)
+/// and every state is updated by `δ_i`.
+///
+/// Fires `on_deliver(i, j, …)` receiver-major for every message that
+/// passes the filter. The exhaustive enumerator calls this half once per
+/// adversary choice over one shared selection.
+pub fn deliver_round<E: InformationExchange>(
+    ex: &E,
+    states: &[E::State],
+    actions: &[Action],
+    outgoing: &[Vec<Option<E::Message>>],
+    delivers: impl Fn(AgentId, AgentId) -> bool,
+    observer: &mut impl RoundObserver<E>,
+) -> Vec<E::State> {
+    let n = states.len();
     (0..n)
         .map(|j| {
             let to = AgentId::new(j);
@@ -174,6 +191,22 @@ pub fn step_round_observed<E: InformationExchange>(
         .collect()
 }
 
+/// Applies one synchronous round of the global transition of Section 3:
+/// [`select_round`] then [`deliver_round`]. Every lockstep execution in
+/// the workspace — the simulator's run loop, the estimator's trials, the
+/// enumerator's branches, the in-crate exchange tests — goes through
+/// these two halves, so they cannot drift apart.
+pub fn step_round_observed<E: InformationExchange>(
+    ex: &E,
+    states: &[E::State],
+    actions: &[Action],
+    delivers: impl Fn(AgentId, AgentId) -> bool,
+    observer: &mut impl RoundObserver<E>,
+) -> Vec<E::State> {
+    let outgoing = select_round(ex, states, actions, observer);
+    deliver_round(ex, states, actions, &outgoing, delivers, observer)
+}
+
 /// [`step_round_observed`] without observation: just the successor states.
 pub fn step_round<E: InformationExchange>(
     ex: &E,
@@ -182,23 +215,4 @@ pub fn step_round<E: InformationExchange>(
     delivers: impl Fn(AgentId, AgentId) -> bool,
 ) -> Vec<E::State> {
     step_round_observed(ex, states, actions, delivers, &mut NoObserver)
-}
-
-#[cfg(test)]
-pub(crate) mod test_support {
-    //! Shared micro-harness: drives a single exchange round without the
-    //! simulator crate (which depends on this one).
-
-    use super::*;
-
-    /// Applies one synchronous round via the shared [`step_round`]
-    /// routine — the same code path the lockstep runner uses.
-    pub fn step<E: InformationExchange>(
-        ex: &E,
-        states: &[E::State],
-        actions: &[Action],
-        delivers: impl Fn(AgentId, AgentId) -> bool,
-    ) -> Vec<E::State> {
-        step_round(ex, states, actions, delivers)
-    }
 }

@@ -142,7 +142,7 @@ impl InformationExchange for NaiveExchange {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::step;
+    use super::super::step_round as step;
     use super::*;
 
     fn ex() -> NaiveExchange {

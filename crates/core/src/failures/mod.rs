@@ -18,5 +18,5 @@ pub use model::{FailureModel, MODEL_NAMES};
 pub use pattern::{FailurePattern, PatternClass};
 pub use sampler::{
     crash_pattern, crashed_from_start_pattern, isolation_pattern, random_faulty_set,
-    silent_pattern, AdversarySampler, OmissionSampler,
+    silent_pattern, AdversarySampler,
 };

@@ -133,8 +133,7 @@ pub fn crash_pattern<R: Rng + ?Sized>(
 /// whatever the model admits:
 ///
 /// * `SendingOmission` — each message *from* a faulty agent,
-///   independently with probability `drop_prob` (the legacy
-///   [`OmissionSampler`] behavior);
+///   independently with probability `drop_prob`;
 /// * `GeneralOmission` — each message with a faulty endpoint,
 ///   independently with probability `drop_prob`;
 /// * `Crash` — each faulty agent picks a uniform crashing round, drops
@@ -284,69 +283,6 @@ impl AdversarySampler {
     }
 }
 
-/// The legacy randomized sending-omissions adversary: a thin veneer over
-/// [`AdversarySampler`] with [`FailureModel::SendingOmission`], kept so
-/// pre-model call sites read unchanged.
-///
-/// ```
-/// use eba_core::prelude::*;
-/// use rand::SeedableRng;
-///
-/// # fn main() -> Result<(), EbaError> {
-/// let params = Params::new(6, 2)?;
-/// let sampler = OmissionSampler::new(params, 5, 0.5);
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let pat = sampler.sample(&mut rng);
-/// assert!(pat.faulty().len() <= 2);
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug)]
-pub struct OmissionSampler(AdversarySampler);
-
-impl OmissionSampler {
-    /// Creates a sending-omissions sampler over rounds `1..=horizon` with
-    /// the given per-message drop probability.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `drop_prob` is not within `[0, 1]`.
-    pub fn new(params: Params, horizon: u32, drop_prob: f64) -> Self {
-        OmissionSampler(AdversarySampler::new(
-            FailureModel::SendingOmission,
-            params,
-            horizon,
-            drop_prob,
-        ))
-    }
-
-    /// Also drop faulty agents' messages to themselves (off by default).
-    #[must_use]
-    pub fn drop_self(self, yes: bool) -> Self {
-        OmissionSampler(self.0.drop_self(yes))
-    }
-
-    /// Samples a failure pattern. The faulty set size is uniform in
-    /// `0..=t`; faulty membership is uniform among agents.
-    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> FailurePattern {
-        self.0.sample(rng)
-    }
-
-    /// Samples drops for a fixed faulty set.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `faulty` has more than `t` members (an internal contract
-    /// violation; use [`FailurePattern::new`] for fallible construction).
-    pub fn sample_with_faulty<R: Rng + ?Sized>(
-        &self,
-        faulty: AgentSet,
-        rng: &mut R,
-    ) -> FailurePattern {
-        self.0.sample_with_faulty(faulty, rng)
-    }
-}
-
 /// Samples a uniformly random faulty set of exactly `k` agents.
 ///
 /// # Panics
@@ -426,7 +362,7 @@ mod tests {
     #[test]
     fn omission_sampler_respects_t_and_prob_bounds() {
         let mut rng = StdRng::seed_from_u64(42);
-        let sampler = OmissionSampler::new(params(), 4, 0.3);
+        let sampler = AdversarySampler::new(FailureModel::SendingOmission, params(), 4, 0.3);
         for _ in 0..200 {
             let pat = sampler.sample(&mut rng);
             assert!(pat.faulty().len() <= 2);
@@ -448,15 +384,17 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let faulty = AgentSet::singleton(AgentId::new(0));
 
-        let never = OmissionSampler::new(params(), 3, 0.0);
+        let sampler =
+            |prob| AdversarySampler::new(FailureModel::SendingOmission, params(), 3, prob);
+        let never = sampler(0.0);
         assert_eq!(never.sample_with_faulty(faulty, &mut rng).count_drops(), 0);
 
-        let always = OmissionSampler::new(params(), 3, 1.0);
+        let always = sampler(1.0);
         let pat = always.sample_with_faulty(faulty, &mut rng);
         // 4 receivers (self excluded) × 3 rounds.
         assert_eq!(pat.count_drops(), 12);
 
-        let with_self = OmissionSampler::new(params(), 3, 1.0).drop_self(true);
+        let with_self = sampler(1.0).drop_self(true);
         assert_eq!(
             with_self.sample_with_faulty(faulty, &mut rng).count_drops(),
             15

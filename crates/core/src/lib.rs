@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use crate::failures::{
         crash_pattern, crashed_from_start_pattern, isolation_pattern, silent_pattern,
-        AdversarySampler, FailureModel, FailurePattern, OmissionSampler, PatternClass, MODEL_NAMES,
+        AdversarySampler, FailureModel, FailurePattern, PatternClass, MODEL_NAMES,
     };
     pub use crate::graph::{CommGraph, EdgeLabel, FipAnalysis, PrefLabel};
     pub use crate::protocols::{ActionProtocol, NaiveZeroBiased, PBasic, PMin, POpt};

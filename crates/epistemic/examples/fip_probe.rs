@@ -6,10 +6,9 @@ use eba_sim::runner::Parallelism;
 fn main() {
     let t0 = std::time::Instant::now();
     let params = Params::new(3, 1).unwrap();
-    let ex = FipExchange::new(params);
-    let proto = POpt::new(params);
-    let sys =
-        InterpretedSystem::build_parallel(ex, &proto, 4, 10_000_000, Parallelism::Auto).unwrap();
+    let ctx = Context::fip(params);
+    let proto = *ctx.protocol();
+    let sys = InterpretedSystem::from_context(ctx, 4, 10_000_000, Parallelism::Auto).unwrap();
     println!(
         "built: {} runs, {} points, {} distinct states in {:?}",
         sys.run_count(),

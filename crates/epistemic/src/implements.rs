@@ -125,6 +125,7 @@ mod tests {
     use super::*;
     use eba_core::prelude::*;
     use eba_core::types::{Params, Value};
+    use eba_sim::runner::Parallelism;
 
     /// Theorem 6.5 at (3, 1): P_min implements P0 in γ_min.
     #[test]
@@ -132,7 +133,13 @@ mod tests {
         let params = Params::new(3, 1).unwrap();
         let ex = MinExchange::new(params);
         let proto = PMin::new(params);
-        let sys = InterpretedSystem::build(ex, &proto, 4, 5_000_000).unwrap();
+        let sys = InterpretedSystem::from_context(
+            Context::new(ex, &proto),
+            4,
+            5_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap();
         let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P0);
         assert!(
             report.is_ok(),
@@ -148,7 +155,13 @@ mod tests {
         let params = Params::new(3, 1).unwrap();
         let ex = BasicExchange::new(params);
         let proto = PBasic::new(params);
-        let sys = InterpretedSystem::build(ex, &proto, 4, 5_000_000).unwrap();
+        let sys = InterpretedSystem::from_context(
+            Context::new(ex, &proto),
+            4,
+            5_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap();
         let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P0);
         assert!(
             report.is_ok(),
@@ -165,13 +178,25 @@ mod tests {
         {
             let ex = MinExchange::new(params);
             let proto = PMin::new(params);
-            let sys = InterpretedSystem::build(ex, &proto, 4, 5_000_000).unwrap();
+            let sys = InterpretedSystem::from_context(
+                Context::new(ex, &proto),
+                4,
+                5_000_000,
+                Parallelism::Sequential,
+            )
+            .unwrap();
             assert!(check_implements(&sys, &proto, KnowledgeBasedProgram::P1).is_ok());
         }
         {
             let ex = BasicExchange::new(params);
             let proto = PBasic::new(params);
-            let sys = InterpretedSystem::build(ex, &proto, 4, 5_000_000).unwrap();
+            let sys = InterpretedSystem::from_context(
+                Context::new(ex, &proto),
+                4,
+                5_000_000,
+                Parallelism::Sequential,
+            )
+            .unwrap();
             assert!(check_implements(&sys, &proto, KnowledgeBasedProgram::P1).is_ok());
         }
     }
@@ -203,7 +228,13 @@ mod tests {
         let params = Params::new(3, 1).unwrap();
         let ex = MinExchange::new(params);
         let proto = EagerMin(params);
-        let sys = InterpretedSystem::build(ex, &proto, 4, 5_000_000).unwrap();
+        let sys = InterpretedSystem::from_context(
+            Context::new(ex, &proto),
+            4,
+            5_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap();
         let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P0);
         assert!(!report.is_ok(), "the eager mutant must not implement P0");
         // Every mismatch is an early/illegal 1-decision.
@@ -221,7 +252,13 @@ mod tests {
         let params = Params::new(3, 1).unwrap();
         let ex = FipExchange::new(params);
         let proto = POpt::new(params);
-        let sys = InterpretedSystem::build(ex, &proto, 4, 10_000_000).unwrap();
+        let sys = InterpretedSystem::from_context(
+            Context::new(ex, &proto),
+            4,
+            10_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap();
         assert!(
             sys.run_count() > 90_000,
             "FIP enumeration covers all patterns"
@@ -248,7 +285,13 @@ mod tests {
         let params = Params::new(3, 1).unwrap();
         let ex = FipExchange::new(params);
         let proto = POpt::new(params);
-        let sys = InterpretedSystem::build(ex, &proto, 4, 10_000_000).unwrap();
+        let sys = InterpretedSystem::from_context(
+            Context::new(ex, &proto),
+            4,
+            10_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap();
         let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P0);
         assert!(
             report.is_ok(),
@@ -264,7 +307,13 @@ mod tests {
         let params = Params::new(4, 1).unwrap();
         let ex = MinExchange::new(params);
         let proto = PMin::new(params);
-        let sys = InterpretedSystem::build(ex, &proto, 4, 5_000_000).unwrap();
+        let sys = InterpretedSystem::from_context(
+            Context::new(ex, &proto),
+            4,
+            5_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap();
         let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P0);
         assert!(
             report.is_ok(),

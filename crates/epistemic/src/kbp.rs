@@ -157,12 +157,19 @@ pub fn prescriptions<E: InformationExchange>(
 mod tests {
     use super::*;
     use eba_core::prelude::*;
+    use eba_sim::runner::Parallelism;
 
     fn min_system(n: usize, t: usize) -> InterpretedSystem<MinExchange> {
         let params = Params::new(n, t).unwrap();
         let ex = MinExchange::new(params);
         let proto = PMin::new(params);
-        InterpretedSystem::build(ex, &proto, params.default_horizon(), 5_000_000).unwrap()
+        InterpretedSystem::from_context(
+            Context::new(ex, &proto),
+            params.default_horizon(),
+            5_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap()
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //! * [`implements`] — the implements-check: does a concrete action
 //!   protocol agree with a knowledge-based program at every reachable
 //!   local state? This is the machine-checked form of Theorems 6.5, 6.6,
-//!   and A.21 on small instances.
+//!   and A.21 on small instances;
+//! * [`oracle`] — test support: the collect-then-classify reference
+//!   construction the interned systems are verified against.
 //!
 //! Knowledge is always relative to a context — including its failure
 //! model: systems are built from a first-class
@@ -50,6 +52,7 @@
 pub mod formula;
 pub mod implements;
 pub mod kbp;
+pub mod oracle;
 pub mod query;
 pub mod spec;
 pub mod system;

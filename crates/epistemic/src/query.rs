@@ -770,12 +770,19 @@ pub fn standard_battery(n: usize) -> Vec<Formula> {
 mod tests {
     use super::*;
     use eba_core::prelude::*;
+    use eba_sim::runner::Parallelism;
 
     fn sys() -> InterpretedSystem<MinExchange> {
         let params = Params::new(3, 1).unwrap();
         let ex = MinExchange::new(params);
         let proto = PMin::new(params);
-        InterpretedSystem::build(ex, &proto, 4, 1_000_000).unwrap()
+        InterpretedSystem::from_context(
+            Context::new(ex, &proto),
+            4,
+            1_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap()
     }
 
     #[test]

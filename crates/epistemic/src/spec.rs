@@ -1,16 +1,20 @@
 //! The EBA correctness spec as named formulas, checked through the
 //! compiled query engine.
 //!
-//! This is the formula-level counterpart of `eba-sim`'s trace predicate
-//! `check_eba`: Agreement posed as one clause per ordered nonfaulty pair,
-//! strong Validity per agent and value, and bounded Termination per agent
-//! — all interned into a single [`FormulaArena`] batch so one
-//! [`EvalSession`] answers the whole spec with witnessing `(run, time)`
-//! counterexamples. Every engine-produced witness is re-checked through
-//! the independent recursive evaluator ([`InterpretedSystem::satisfied_at`],
-//! which routes through `eval_recursive`), so downstream consumers (the
-//! `--explain` reports, the adversary fuzzer's [`EngineOracle`]) get
-//! oracle-confirmed verdicts for free.
+//! This is the formula-level statement of the spec, kept independent of
+//! `eba-sim`'s trajectory-level judge (`judge_run`, behind `check_eba`) so
+//! that each cross-checks the other: the two share no code, and
+//! `tests/spec_judges_agree.rs` and the fuzzer's oracle comparison hold
+//! them to the same verdicts. Agreement is posed as one clause per
+//! ordered nonfaulty pair, strong Validity per agent and value, and
+//! bounded Termination per agent — all interned into a single
+//! [`FormulaArena`] batch so one [`EvalSession`] answers the whole spec
+//! with witnessing `(run, time)` counterexamples. Every engine-produced
+//! witness is re-checked through the independent recursive evaluator
+//! ([`InterpretedSystem::satisfied_at`], which routes through
+//! `eval_recursive`), so downstream consumers (the `--explain` reports,
+//! the adversary fuzzer's [`EngineOracle`]) get oracle-confirmed verdicts
+//! for free.
 
 use eba_core::context::Context;
 use eba_core::exchange::InformationExchange;
@@ -19,6 +23,7 @@ use eba_core::types::{Action, AgentId, EbaError, Value};
 use eba_sim::enumerate::EnumRun;
 use eba_sim::fuzz::{CaseOracle, CaseOutcome, FuzzCase, Violation};
 use eba_sim::scenario::Scenario;
+use eba_sim::store::RunStore;
 
 use crate::formula::Formula;
 use crate::query::{EvalSession, FormulaArena, NodeId, QueryPlan};
@@ -184,7 +189,9 @@ where
             states: trace.states,
             actions: trace.actions,
         };
-        InterpretedSystem::from_runs(self.ctx.exchange().clone(), vec![run], case.horizon)
+        let mut store = RunStore::new(self.ctx.params().n(), case.horizon);
+        store.push_run(&run)?;
+        InterpretedSystem::from_store(self.ctx.exchange().clone(), store)
     }
 
     /// Re-checks a case's first violation directly through the

@@ -8,34 +8,25 @@
 //! streams the enumeration straight into deduplicated storage — the full
 //! `Vec<EnumRun<E>>` never materializes — and indistinguishability
 //! classes fall out of a single integer sort per agent (equal ids ⟺
-//! equal states). The legacy [`InterpretedSystem::from_runs`] path keeps
-//! the original hash-then-group classifier over a collected run vector as
-//! a compatibility wrapper and as the independent oracle the arena
-//! **classes** are verified against; state storage is shared with the
-//! streamed path, so the equivalence suite
-//! (`tests/run_store_equivalence.rs`) additionally checks every
-//! arena-resolved state and action against the raw collected
-//! trajectories.
-
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+//! equal states). The [`oracle`](crate::oracle) module keeps the original
+//! hash-then-group classifier over a collected run vector as the
+//! independent reference the arena **classes** are verified against.
 
 use eba_core::context::Context;
 use eba_core::exchange::InformationExchange;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{Action, AgentId, AgentSet, BitSet, EbaError, Params, Value};
-use eba_sim::enumerate::{enumerate_runs, EnumRun};
 use eba_sim::runner::Parallelism;
 use eba_sim::scenario::Scenario;
-use eba_sim::store::{ensure_point_capacity, RunStore, StateId};
+use eba_sim::store::{RunStore, StateId};
 
 pub use eba_sim::store::PointId;
 
 /// Per-agent indistinguishability classes, stored flat: `points` holds all
 /// point ids grouped by class; `starts[c]..starts[c+1]` is class `c`.
-struct AgentClasses {
-    points: Vec<PointId>,
-    starts: Vec<u32>,
+pub(crate) struct AgentClasses {
+    pub(crate) points: Vec<PointId>,
+    pub(crate) starts: Vec<u32>,
 }
 
 /// An interpreted system: the complete set of runs of `(E, F, P)` up to a
@@ -60,49 +51,6 @@ pub struct InterpretedSystem<E: InformationExchange> {
 }
 
 impl<E: InformationExchange> InterpretedSystem<E> {
-    /// Builds the system for the context `(E, SO(t), π)` and action
-    /// protocol `proto` by exhaustive run enumeration, through the legacy
-    /// collect-then-classify path (see [`InterpretedSystem::from_runs`]).
-    /// Prefer [`InterpretedSystem::from_context`], which streams.
-    ///
-    /// # Errors
-    ///
-    /// Propagates enumeration failures (instance too large; see
-    /// [`enumerate_runs`]) and [`InterpretedSystem::from_runs`] failures.
-    pub fn build<P>(ex: E, proto: &P, horizon: u32, limit: usize) -> Result<Self, EbaError>
-    where
-        P: ActionProtocol<E>,
-    {
-        let runs = enumerate_runs(&ex, proto, horizon, limit)?;
-        Self::from_runs(ex, runs, horizon)
-    }
-
-    /// Like [`InterpretedSystem::build`], but shards the run enumeration —
-    /// the dominant cost of building a system — across threads according
-    /// to `parallelism`, streaming into the interned store. The resulting
-    /// system is identical: the parallel enumerator feeds the same runs
-    /// in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Propagates enumeration failures (instance too large; see
-    /// [`enumerate_runs`]).
-    pub fn build_parallel<P>(
-        ex: E,
-        proto: &P,
-        horizon: u32,
-        limit: usize,
-        parallelism: Parallelism,
-    ) -> Result<Self, EbaError>
-    where
-        E: Sync,
-        P: ActionProtocol<E> + Sync,
-    {
-        // `&P` is itself an action protocol, so the borrowed pair forms a
-        // context the `Scenario` machinery can drive.
-        Self::from_context(Context::new(ex, proto), horizon, limit, parallelism)
-    }
-
     /// Builds the system for a first-class [`Context`] — the registry- and
     /// `Scenario`-friendly entry point: the context supplies both halves
     /// of the stack *and its failure model* (knowledge is quantified over
@@ -132,8 +80,8 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// # Errors
     ///
     /// Propagates enumeration failures (instance too large; see
-    /// [`enumerate_runs`]), and rejects run sets that overflow the `u32`
-    /// point-id space with [`EbaError::InvalidInput`].
+    /// [`Scenario::enumerate`]), and rejects run sets that overflow the
+    /// `u32` point-id space with [`EbaError::InvalidInput`].
     pub fn from_context<P>(
         ctx: Context<E, P>,
         horizon: u32,
@@ -173,60 +121,25 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         }
         // `RunStore::push_run` enforced point capacity run by run.
         let classes = classes_from_store(&store);
-        let decided_by_state = store
-            .arena()
-            .states()
-            .iter()
-            .map(|s| ex.decided(s))
-            .collect();
-        Ok(InterpretedSystem {
-            ex,
-            store,
-            classes,
-            decided_by_state,
-        })
+        Ok(Self::from_classes(ex, store, classes))
     }
 
-    /// Builds a system from pre-enumerated runs (they must all have the
-    /// given horizon) — the legacy compatibility path: classes are
-    /// computed by the original hash-then-group classifier over the
-    /// collected run vector, independently of the arena sort, which makes
-    /// this constructor the oracle the streamed path is verified against.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EbaError::InvalidInput`] if some run's trajectory length
-    /// disagrees with `horizon`, or if `runs.len() * (horizon + 1)`
-    /// overflows the `u32` point-id space.
-    pub fn from_runs(ex: E, runs: Vec<EnumRun<E>>, horizon: u32) -> Result<Self, EbaError> {
-        ensure_point_capacity(runs.len(), horizon)?;
-        for run in &runs {
-            if run.states.len() as u32 != horizon + 1 {
-                return Err(EbaError::InvalidInput(format!(
-                    "run horizon mismatch: got {} states, expected horizon {} + 1",
-                    run.states.len(),
-                    horizon
-                )));
-            }
-        }
-        let n = ex.params().n();
-        let classes = classes_from_runs(&runs, horizon, n);
-        let mut store = RunStore::new(n, horizon);
-        for run in &runs {
-            store.push_run(run)?;
-        }
+    /// Assembles a system from a store and the class partition computed
+    /// for it (by [`from_store`](Self::from_store)'s sort, or by the
+    /// [`oracle`](crate::oracle)'s classifier).
+    pub(crate) fn from_classes(ex: E, store: RunStore<E>, classes: Vec<AgentClasses>) -> Self {
         let decided_by_state = store
             .arena()
             .states()
             .iter()
             .map(|s| ex.decided(s))
             .collect();
-        Ok(InterpretedSystem {
+        InterpretedSystem {
             ex,
             store,
             classes,
             decided_by_state,
-        })
+        }
     }
 
     /// The exchange protocol of the context.
@@ -336,7 +249,7 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// The canonical class partition of `agent`: every class sorted
     /// ascending, classes ordered by their smallest point. Class storage
     /// order is an implementation detail (the arena path orders classes
-    /// by `StateId`, the legacy path by state hash), so equivalence
+    /// by `StateId`, the oracle by state hash), so equivalence
     /// checks compare this canonical form.
     pub fn class_partition(&self, agent: AgentId) -> Vec<Vec<PointId>> {
         let cls = &self.classes[agent.index()];
@@ -430,85 +343,30 @@ fn classes_from_store<E: InformationExchange>(store: &RunStore<E>) -> Vec<AgentC
         .collect()
 }
 
-/// The legacy classifier over a collected run vector: group points by
-/// agent-local state via hash-sort, then split hash-equal spans by exact
-/// equality. Kept as the independent oracle for the arena classes.
-///
-/// Two hot-loop fixes over the original: each state is hashed exactly
-/// once, in one pass hoisted out of the grouping loop, and hash-equal
-/// spans are grouped by a single linear bucket walk instead of repeatedly
-/// `partition`ing the remainder (which was quadratic in span size and
-/// allocated two fresh vectors per class).
-fn classes_from_runs<E: InformationExchange>(
-    runs: &[EnumRun<E>],
-    horizon: u32,
-    n: usize,
-) -> Vec<AgentClasses> {
-    let per_run = horizon as usize + 1;
-    let point_count = runs.len() * per_run;
-    (0..n)
-        .map(|i| {
-            let mut hashed: Vec<(u64, PointId)> = Vec::with_capacity(point_count);
-            for (r, run) in runs.iter().enumerate() {
-                for (m, row) in run.states.iter().enumerate() {
-                    let mut h = DefaultHasher::new();
-                    row[i].hash(&mut h);
-                    hashed.push((h.finish(), (r * per_run + m) as PointId));
-                }
-            }
-            hashed.sort_unstable();
-            let state_of =
-                |pid: PointId| &runs[pid as usize / per_run].states[pid as usize % per_run][i];
-            let mut points = Vec::with_capacity(point_count);
-            let mut starts = vec![0u32];
-            let mut span_start = 0usize;
-            while span_start < hashed.len() {
-                let hash = hashed[span_start].0;
-                let mut span_end = span_start;
-                while span_end < hashed.len() && hashed[span_end].0 == hash {
-                    span_end += 1;
-                }
-                // Group the (almost always single-state) span in one
-                // linear walk over per-state buckets.
-                let mut buckets: Vec<Vec<PointId>> = Vec::with_capacity(1);
-                'points: for &(_, pid) in &hashed[span_start..span_end] {
-                    for bucket in &mut buckets {
-                        if state_of(bucket[0]) == state_of(pid) {
-                            bucket.push(pid);
-                            continue 'points;
-                        }
-                    }
-                    buckets.push(vec![pid]);
-                }
-                for bucket in buckets {
-                    points.extend_from_slice(&bucket);
-                    starts.push(points.len() as u32);
-                }
-                span_start = span_end;
-            }
-            AgentClasses { points, starts }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use eba_core::prelude::*;
 
     fn small_system() -> InterpretedSystem<MinExchange> {
-        let params = Params::new(3, 1).unwrap();
-        let ex = MinExchange::new(params);
-        let proto = PMin::new(params);
-        InterpretedSystem::build(ex, &proto, 4, 1_000_000).unwrap()
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
+        InterpretedSystem::from_context(ctx, 4, 1_000_000, Parallelism::Sequential).unwrap()
+    }
+
+    /// The collect-then-classify reference for `ctx` at horizon 4.
+    fn reference<E, P>(ctx: Context<E, P>) -> InterpretedSystem<E>
+    where
+        E: InformationExchange + Sync,
+        P: ActionProtocol<E> + Sync,
+    {
+        let runs = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
+        crate::oracle::from_runs(ctx.into_parts().0, runs, 4).unwrap()
     }
 
     #[test]
     fn from_context_matches_build() {
         let params = Params::new(3, 1).unwrap();
-        let proto = PMin::new(params);
-        let legacy =
-            InterpretedSystem::build(MinExchange::new(params), &proto, 4, 1_000_000).unwrap();
+        let legacy = reference(Context::minimal(params));
         for parallelism in [Parallelism::Sequential, Parallelism::Fixed(4)] {
             let via_ctx = InterpretedSystem::from_context(
                 Context::minimal(params),
@@ -544,9 +402,7 @@ mod tests {
             Parallelism::Sequential,
         )
         .unwrap();
-        let ctx = Context::basic(params);
-        let runs = enumerate_runs(ctx.exchange(), ctx.protocol(), 4, 1_000_000).unwrap();
-        let legacy = InterpretedSystem::from_runs(BasicExchange::new(params), runs, 4).unwrap();
+        let legacy = reference(Context::basic(params));
         for i in 0..3 {
             let agent = AgentId::new(i);
             assert_eq!(
@@ -687,11 +543,9 @@ mod tests {
 
     #[test]
     fn from_runs_rejects_horizon_mismatches() {
-        let params = Params::new(3, 1).unwrap();
-        let ex = MinExchange::new(params);
-        let proto = PMin::new(params);
-        let runs = enumerate_runs(&ex, &proto, 4, 1_000_000).unwrap();
-        let err = match InterpretedSystem::from_runs(MinExchange::new(params), runs, 3) {
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
+        let runs = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
+        let err = match crate::oracle::from_runs(ctx.into_parts().0, runs, 3) {
             Err(e) => e,
             Ok(_) => panic!("horizon mismatch must be rejected"),
         };

@@ -18,12 +18,19 @@ use eba_core::graph::FipAnalysis;
 use eba_core::prelude::*;
 use eba_core::types::subsets_of_size;
 use eba_epistemic::prelude::*;
+use eba_sim::prelude::Parallelism;
 
 fn fip_system() -> (Params, InterpretedSystem<FipExchange>) {
     let params = Params::new(3, 1).unwrap();
     let ex = FipExchange::new(params);
     let proto = POpt::new(params);
-    let sys = InterpretedSystem::build(ex, &proto, 4, 10_000_000).unwrap();
+    let sys = InterpretedSystem::from_context(
+        Context::new(ex, &proto),
+        4,
+        10_000_000,
+        Parallelism::Sequential,
+    )
+    .unwrap();
     (params, sys)
 }
 

@@ -7,6 +7,7 @@ use eba_core::exchange::InformationExchange;
 use eba_core::prelude::*;
 use eba_core::protocols::ActionProtocol;
 use eba_epistemic::prelude::*;
+use eba_sim::prelude::Parallelism;
 
 /// Checks the four EBA validities of Section 5 on a system.
 fn check_spec_validities<E: InformationExchange>(sys: &InterpretedSystem<E>) {
@@ -54,11 +55,17 @@ fn check_spec_validities<E: InformationExchange>(sys: &InterpretedSystem<E>) {
 
 fn build<E, P>(ex: E, proto: P) -> InterpretedSystem<E>
 where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
+    E: InformationExchange + Sync,
+    P: ActionProtocol<E> + Sync,
 {
     let horizon = ex.params().default_horizon();
-    InterpretedSystem::build(ex, &proto, horizon, 10_000_000).expect("enumerable")
+    InterpretedSystem::from_context(
+        Context::new(ex, proto),
+        horizon,
+        10_000_000,
+        Parallelism::Sequential,
+    )
+    .expect("enumerable")
 }
 
 #[test]

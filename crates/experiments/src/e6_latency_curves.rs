@@ -39,7 +39,12 @@ pub fn run(n: usize, t: usize, probs: &[f64], trials: u32, seed: u64) -> (Vec<E6
     let fip_ctx = Context::fip(params);
     let mut rows = Vec::new();
     for &p in probs {
-        let sampler = OmissionSampler::new(params, params.default_horizon(), p);
+        let sampler = AdversarySampler::new(
+            FailureModel::SendingOmission,
+            params,
+            params.default_horizon(),
+            p,
+        );
         let mut means = [0f64; 3];
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..trials {

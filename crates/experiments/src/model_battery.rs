@@ -16,7 +16,6 @@
 use eba_core::prelude::*;
 use eba_sim::prelude::*;
 
-use crate::stack_summary::enum_run_satisfies_eba;
 use crate::table::{cell, Table};
 
 /// Default run cap for the streamed exhaustive check. Large enough to
@@ -127,9 +126,14 @@ where
         .parallelism(Parallelism::Auto)
         .limit(limit)
         .enumerate_into(&mut |run: EnumRun<E>| {
-            if enum_run_satisfies_eba(ctx.exchange(), &run) {
-                spec_ok += 1;
-            }
+            let verdict = judge_run(
+                ctx.exchange(),
+                run.nonfaulty,
+                &run.inits,
+                &run.states,
+                &run.actions,
+            );
+            spec_ok += usize::from(verdict.is_ok());
             Ok(())
         });
     CoreMeasurements {

@@ -7,12 +7,11 @@
 //! representative adversary, a threaded transport execution, and a
 //! **streamed** exhaustive spec check over every run of the context
 //! under its failure model — and renders the results as a table. The
-//! exhaustive check folds each run through a counting [`RunSink`], so
+//! exhaustive check folds each run through a counting `RunSink`, so
 //! even the ~100k-run `E_fip/P_opt` context is checked without
 //! materializing a `Vec` of trajectories.
 
 use eba_core::prelude::*;
-use eba_sim::prelude::*;
 use eba_transport::run_named_cluster;
 
 use crate::model_battery::{measure_stack, CoreMeasurements};
@@ -65,22 +64,6 @@ impl StackVisitor for Battery {
     {
         measure_stack(ctx, crate::model_battery::DEFAULT_ENUM_LIMIT)
     }
-}
-
-/// Whether an enumerated run satisfies Agreement, strong Validity, and
-/// Termination-of-nonfaulty at the horizon.
-pub fn enum_run_satisfies_eba<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> bool {
-    let final_states = run.states.last().expect("nonempty trajectory");
-    let decided: Vec<Option<Value>> = final_states.iter().map(|s| ex.decided(s)).collect();
-    let nonfaulty_values: Vec<Value> = run
-        .nonfaulty
-        .iter()
-        .filter_map(|a| decided[a.index()])
-        .collect();
-    let agreement = nonfaulty_values.windows(2).all(|w| w[0] == w[1]);
-    let validity = decided.iter().flatten().all(|v| run.inits.contains(v));
-    let termination = run.nonfaulty.iter().all(|a| decided[a.index()].is_some());
-    agreement && validity && termination
 }
 
 /// Runs the battery for the stack registered under `name` at `(n, t)`.

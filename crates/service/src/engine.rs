@@ -4,7 +4,7 @@
 //! synchronous round at a time over **encoded** wire frames, so sessions
 //! running different stacks multiplex over the same byte-level router.
 
-use eba_core::context::{validate_scenario_shape, Context, NamedStack};
+use eba_core::context::{admit_scenario, Context, NamedStack};
 use eba_core::corpus::ScenarioSpec;
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::FailurePattern;
@@ -77,27 +77,20 @@ impl SessionSpec {
     /// model — every message prefixed with the qualified stack name.
     pub fn build_engine(&self) -> Result<Box<dyn SessionEngine>, EbaError> {
         let stack = NamedStack::by_name(&self.stack, self.params)?;
-        let qualified = stack.qualified_name();
-        let prefixed = |e: &EbaError| {
+        admit_scenario(
+            self.params,
+            stack.model(),
+            &self.pattern,
+            &self.inits,
+            self.horizon,
+        )
+        .map_err(|e| {
             EbaError::InvalidInput(format!(
-                "{qualified}: {}",
-                eba_core::context::error_message(e)
+                "{}: {}",
+                stack.qualified_name(),
+                eba_core::context::error_message(&e)
             ))
-        };
-        validate_scenario_shape(self.params, &self.pattern, &self.inits)
-            .map_err(|e| prefixed(&e))?;
-        if self.pattern.params() == self.params {
-            if let Err(e) = stack
-                .model()
-                .admits_pattern_up_to(&self.pattern, self.horizon)
-            {
-                return Err(EbaError::InvalidInput(format!(
-                    "{qualified}: pattern: not admissible under the context's {} model ({})",
-                    stack.model(),
-                    eba_core::context::error_message(&e)
-                )));
-            }
-        }
+        })?;
         Ok(match stack {
             NamedStack::Min(ctx) => {
                 Box::new(TypedEngine::new(ctx, MinCodec, &self.inits, self.horizon))

@@ -47,14 +47,11 @@ use crate::table::{SessionId, SessionTable};
 /// Tuning knobs for [`run_service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads in the pool (`0` = one per available core).
+    /// Worker threads in the pool (`0` = one per available core); the
+    /// service runs one router task per worker.
     pub workers: usize,
-    /// Router tasks (`0` = one per worker).
-    pub routers: usize,
     /// Session table capacity — the maximum concurrently live sessions.
     pub capacity: usize,
-    /// Per-router mailbox capacity, in envelopes.
-    pub mailbox_capacity: usize,
     /// How long the driver waits on a completion before declaring the
     /// service stalled.
     pub stall_timeout: Duration,
@@ -68,9 +65,7 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             workers: 0,
-            routers: 0,
             capacity: 1024,
-            mailbox_capacity: 256,
             stall_timeout: Duration::from_secs(30),
             oracle_stride: None,
         }
@@ -87,6 +82,9 @@ impl ServiceConfig {
             .unwrap_or(4)
     }
 }
+
+/// Capacity of each router's mailbox, in envelopes.
+const ROUTER_MAILBOX: usize = 256;
 
 /// One session's round, in flight to a router.
 struct Envelope {
@@ -219,18 +217,13 @@ pub fn run_service(
     config: &ServiceConfig,
 ) -> Result<ServiceReport, EbaError> {
     let workers = config.resolved_workers();
-    let routers = if config.routers > 0 {
-        config.routers
-    } else {
-        workers
-    };
     let capacity = config.capacity.max(1);
     let pool = Executor::new(workers);
 
-    let mut router_txs = Vec::with_capacity(routers);
-    let mut router_handles = Vec::with_capacity(routers);
-    for _ in 0..routers {
-        let (tx, rx) = mailbox::<Envelope>(config.mailbox_capacity.max(1));
+    let mut router_txs = Vec::with_capacity(workers);
+    let mut router_handles = Vec::with_capacity(workers);
+    for _ in 0..workers {
+        let (tx, rx) = mailbox::<Envelope>(ROUTER_MAILBOX);
         router_txs.push(tx);
         router_handles.push(pool.spawn(route(rx)));
     }

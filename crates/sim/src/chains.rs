@@ -96,11 +96,20 @@ pub fn verify_zero_chains<E: InformationExchange>(trace: &Trace<E>) -> Result<()
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run, SimOptions};
+    use crate::scenario::Scenario;
     use eba_core::prelude::*;
 
     fn params() -> Params {
         Params::new(4, 2).unwrap()
+    }
+
+    /// One `E_min/P_min` run at the default horizon.
+    fn run_min(pattern: FailurePattern, inits: &[Value]) -> Trace<MinExchange> {
+        Scenario::of(&Context::minimal(params()))
+            .pattern(pattern)
+            .inits(inits)
+            .run()
+            .unwrap()
     }
 
     fn a(i: usize) -> AgentId {
@@ -109,11 +118,9 @@ mod tests {
 
     #[test]
     fn failure_free_chains_have_length_one_hop() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
         let pat = FailurePattern::failure_free(params());
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
+        let trace = run_min(pat, &inits);
         assert_eq!(zero_chain_ending_at(&trace, a(0)), Some(vec![a(0)]));
         for i in 1..4 {
             let chain = zero_chain_ending_at(&trace, a(i)).unwrap();
@@ -126,8 +133,6 @@ mod tests {
     fn relayed_chain_through_faulty_agents() {
         // a0 (faulty, init 0) reveals its decision only to a1 (faulty),
         // which reveals only to a2: chain a0 → a1 → a2 of length 2.
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
         let faulty: AgentSet = [0, 1].into_iter().map(a).collect();
         let mut pat = FailurePattern::new(params(), faulty.complement(4)).unwrap();
         for to in [0, 2, 3] {
@@ -137,7 +142,7 @@ mod tests {
             pat.drop_message(1, a(1), a(to)).unwrap();
         }
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
+        let trace = run_min(pat, &inits);
         let chain = zero_chain_ending_at(&trace, a(2)).unwrap();
         assert_eq!(chain, vec![a(0), a(1), a(2)]);
         // a3 hears a2's (nonfaulty) round-3 announcement: length-3 chain.
@@ -148,10 +153,7 @@ mod tests {
 
     #[test]
     fn one_decisions_have_no_chain() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
-        let pat = FailurePattern::failure_free(params());
-        let trace = run(&ex, &p, &pat, &[Value::One; 4], &SimOptions::default()).unwrap();
+        let trace = run_min(FailurePattern::failure_free(params()), &[Value::One; 4]);
         for i in 0..4 {
             assert_eq!(zero_chain_ending_at(&trace, a(i)), None);
         }
@@ -162,9 +164,8 @@ mod tests {
     fn pbasic_zero_decisions_are_chain_backed_under_random_adversaries() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let ex = BasicExchange::new(params());
-        let p = PBasic::new(params());
-        let sampler = OmissionSampler::new(params(), 5, 0.4);
+        let ctx = Context::basic(params());
+        let sampler = AdversarySampler::new(FailureModel::SendingOmission, params(), 5, 0.4);
         let mut rng = StdRng::seed_from_u64(2024);
         for trial in 0..300 {
             let pat = sampler.sample(&mut rng);
@@ -172,7 +173,7 @@ mod tests {
             let inits: Vec<Value> = (0..4)
                 .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
                 .collect();
-            let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
+            let trace = Scenario::of(&ctx).pattern(pat).inits(&inits).run().unwrap();
             verify_zero_chains(&trace).unwrap_or_else(|agent| {
                 panic!("trial {trial}: {agent} decided 0 without a 0-chain")
             });

@@ -134,11 +134,20 @@ pub fn decision_deltas<E: InformationExchange>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run, SimOptions};
+    use crate::scenario::Scenario;
     use eba_core::prelude::*;
 
     fn params() -> Params {
         Params::new(4, 2).unwrap()
+    }
+
+    /// One failure-free run of `proto` on `E_basic`.
+    fn run_on_basic<P>(proto: P, inits: &[Value]) -> Trace<BasicExchange>
+    where
+        P: ActionProtocol<BasicExchange>,
+    {
+        let ctx = Context::new(BasicExchange::new(params()), proto);
+        Scenario::of(&ctx).inits(inits).run().unwrap()
     }
 
     /// P_basic against a deliberately slowed variant of itself: ignore the
@@ -167,13 +176,9 @@ mod tests {
 
     #[test]
     fn pbasic_dominates_its_slow_variant_on_all_ones() {
-        let ex = BasicExchange::new(params());
-        let fast = PBasic::new(params());
-        let slow = SlowBasic(params());
-        let pat = FailurePattern::failure_free(params());
         let inits = vec![Value::One; 4];
-        let l = run(&ex, &fast, &pat, &inits, &SimOptions::default()).unwrap();
-        let r = run(&ex, &slow, &pat, &inits, &SimOptions::default()).unwrap();
+        let l = run_on_basic(PBasic::new(params()), &inits);
+        let r = run_on_basic(SlowBasic(params()), &inits);
         assert_eq!(compare_corresponding(&l, &r), RunComparison::LeftEarlier);
         let deltas = decision_deltas(&l, &r);
         // Round 2 vs round t + 2 = 4.
@@ -182,12 +187,9 @@ mod tests {
 
     #[test]
     fn identical_protocols_compare_equal() {
-        let ex = BasicExchange::new(params());
-        let p = PBasic::new(params());
-        let pat = FailurePattern::failure_free(params());
         let inits = vec![Value::Zero, Value::One, Value::One, Value::One];
-        let l = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
-        let r = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
+        let l = run_on_basic(PBasic::new(params()), &inits);
+        let r = run_on_basic(PBasic::new(params()), &inits);
         assert_eq!(compare_corresponding(&l, &r), RunComparison::Equal);
     }
 
@@ -207,18 +209,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "do not correspond")]
     fn mismatched_runs_panic() {
-        let ex = BasicExchange::new(params());
-        let p = PBasic::new(params());
-        let pat = FailurePattern::failure_free(params());
-        let l = run(&ex, &p, &pat, &[Value::One; 4], &SimOptions::default()).unwrap();
-        let r = run(
-            &ex,
-            &p,
-            &pat,
+        let l = run_on_basic(PBasic::new(params()), &[Value::One; 4]);
+        let r = run_on_basic(
+            PBasic::new(params()),
             &[Value::Zero, Value::One, Value::One, Value::One],
-            &SimOptions::default(),
-        )
-        .unwrap();
+        );
         let _ = compare_corresponding(&l, &r);
     }
 }

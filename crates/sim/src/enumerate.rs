@@ -1,7 +1,11 @@
 //! Exhaustive enumeration of `R_{E,F,P}`: **all** runs of a context, for
 //! small instances, under any [`FailureModel`] (the paper's `SO(t)` by
-//! default; crash, general-omission, and failure-free environments via
-//! [`enumerate_model_into`] or a model-carrying [`Context`]).
+//! default; crash, general-omission, and failure-free environments via a
+//! model-carrying [`Context`] or
+//! [`Scenario::model`](crate::scenario::Scenario::model)). The entry
+//! points are the [`Scenario`](crate::scenario::Scenario) methods
+//! `enumerate`, `enumerate_into` and `enumerate_store`; this module is
+//! the engine behind them.
 //!
 //! Knowledge is quantified over every run of the system, so the epistemic
 //! model checker needs the complete set. Enumerating raw failure patterns
@@ -25,23 +29,21 @@
 //! `(N, initial preferences)` pair — because deduplication can never merge
 //! runs across items: the dedup key contains `N`, and every exchange
 //! records the initial value in its time-0 state, so runs from different
-//! initial configurations differ in `states[0]`. [`enumerate_parallel`]
-//! exploits this: it shards the items across threads and concatenates the
-//! per-item results in item order, which reproduces the sequential
-//! [`enumerate_runs`] output **bit for bit**. (When several failure
-//! conditions coincide — e.g. the run limit is exceeded *and* a later item
-//! is too branchy — the two entry points are guaranteed to agree that the
-//! enumeration fails, but may report different error messages.)
+//! initial configurations differ in `states[0]`. With more than one
+//! worker the items are sharded across threads and the per-item results
+//! concatenated in item order, which reproduces the sequential output
+//! **bit for bit**. (When several failure conditions coincide — e.g. the
+//! run limit is exceeded *and* a later item is too branchy — sequential
+//! and sharded enumeration are guaranteed to agree that the enumeration
+//! fails, but may report different error messages.)
 //!
 //! # Streaming
 //!
-//! [`enumerate_into`] is the primitive the collecting entry points are
-//! built on: it feeds every run to a [`RunSink`] in the deterministic
-//! enumeration order and never holds the whole run set in memory — peak
+//! Every run is fed to a [`RunSink`] in the deterministic enumeration
+//! order and the engine never holds the whole run set in memory — peak
 //! residency is one work item (sequential) or the out-of-order reorder
-//! window (parallel), instead of all `O(runs)` trajectories.
-//! [`enumerate_runs`] and [`enumerate_parallel`] are thin wrappers that
-//! stream into a `Vec`.
+//! window (parallel), instead of all `O(runs)` trajectories. Collecting
+//! is just streaming into a `Vec`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -50,13 +52,13 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 
 use eba_core::context::Context;
-use eba_core::exchange::InformationExchange;
+use eba_core::exchange::{deliver_round, select_round, InformationExchange, NoObserver};
 use eba_core::failures::FailureModel;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{Action, AgentId, AgentSet, EbaError, Value};
 
-pub use crate::runner::{Parallelism, SimOptions};
-pub use crate::sink::RunSink;
+use crate::runner::Parallelism;
+use crate::sink::RunSink;
 
 /// One enumerated run: the nonfaulty set plus the full trajectory.
 #[derive(Clone, Debug)]
@@ -71,87 +73,9 @@ pub struct EnumRun<E: InformationExchange> {
     pub actions: Vec<Vec<Action>>,
 }
 
-/// Enumerates every run of `(E, P)` under `SO(t)` up to `horizon` rounds,
-/// deduplicated by `(N, trajectory)`, on the calling thread. (The legacy
-/// positional entry point is pinned to the paper's sending-omissions
-/// model; enumerate a [`Context`] to select another [`FailureModel`].)
-///
-/// # Errors
-///
-/// Returns [`EbaError::InvalidInput`] if a single round offers more than
-/// 24 independent delivery choices (the instance is too large to
-/// enumerate), or if the deduplicated run count exceeds `limit`.
-pub fn enumerate_runs<E, P>(
-    ex: &E,
-    proto: &P,
-    horizon: u32,
-    limit: usize,
-) -> Result<Vec<EnumRun<E>>, EbaError>
-where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
-{
-    let model = FailureModel::SendingOmission;
-    let items = WorkItems::new(ex.params(), model, limit)?;
-    let mut runs: Vec<EnumRun<E>> = Vec::new();
-    stream_sequential(ex, proto, model, horizon, limit, &items, &mut runs)?;
-    Ok(runs)
-}
-
-/// Streams every run of the context into `sink` in the deterministic
-/// enumeration order, returning the number of runs delivered.
-///
-/// This is the memory-lean primitive behind [`enumerate_runs`] and
-/// [`enumerate_parallel`]: the sink sees the exact same runs in the exact
-/// same order the collecting entry points would return, but nothing
-/// retains them — spec checks, metric folds, and dominance sweeps run in
-/// `O(work item)` memory instead of `O(runs)`.
-///
-/// ```
-/// use eba_core::prelude::*;
-/// use eba_sim::prelude::*;
-///
-/// # fn main() -> Result<(), EbaError> {
-/// let ctx = Context::minimal(Params::new(3, 0)?);
-/// let mut count = 0usize;
-/// let total = enumerate_into(
-///     &ctx,
-///     3,
-///     100_000,
-///     Parallelism::Sequential,
-///     &mut |_run: EnumRun<MinExchange>| {
-///         count += 1;
-///         Ok(())
-///     },
-/// )?;
-/// assert_eq!((count, total), (8, 8)); // 2^3 initial configurations
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Errors
-///
-/// Fails exactly when [`enumerate_runs`] fails (over-branchy round, or
-/// more than `limit` deduplicated runs), and additionally propagates any
-/// error the sink returns; on error the sink may have received a prefix
-/// of the run set.
-pub fn enumerate_into<E, P, S>(
-    ctx: &Context<E, P>,
-    horizon: u32,
-    limit: usize,
-    parallelism: Parallelism,
-    sink: &mut S,
-) -> Result<usize, EbaError>
-where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Sync,
-    S: RunSink<E>,
-{
-    enumerate_model_into(ctx, ctx.model(), horizon, limit, parallelism, sink)
-}
-
-/// [`enumerate_into`] with an explicit [`FailureModel`] overriding the
-/// context's: the per-round adversary choice space the depth-first search
+/// Streams every run of `ctx` under `model` into `sink` in the
+/// deterministic enumeration order, returning the number of runs
+/// delivered. The per-round adversary choice space the depth-first search
 /// explores is the model's — sending-side drop subsets under `SO(t)`,
 /// additionally receive-side drops under `GO(t)`, crash-consistent
 /// silence suffixes under `CR(t)`, and nothing at all in the failure-free
@@ -162,11 +86,11 @@ where
 /// run under `SendingOmission`, and every `SendingOmission` run under
 /// `GeneralOmission`.
 ///
-/// # Errors
-///
-/// Fails exactly when [`enumerate_into`] fails, with the branch-width
-/// guard applied to the chosen model's choice space.
-pub fn enumerate_model_into<E, P, S>(
+/// Fails with [`EbaError::InvalidInput`] if a single round offers more
+/// than 24 independent delivery choices (the instance is too large to
+/// enumerate) or the deduplicated run count exceeds `limit`, and
+/// propagates any error the sink returns.
+pub(crate) fn stream_runs<E, P, S>(
     ctx: &Context<E, P>,
     model: FailureModel,
     horizon: u32,
@@ -179,33 +103,7 @@ where
     P: ActionProtocol<E> + Sync,
     S: RunSink<E>,
 {
-    stream_runs(
-        ctx.exchange(),
-        ctx.protocol(),
-        model,
-        horizon,
-        limit,
-        parallelism,
-        sink,
-    )
-}
-
-/// Positional-argument core of [`enumerate_into`]; also backs the legacy
-/// collecting wrappers.
-fn stream_runs<E, P, S>(
-    ex: &E,
-    proto: &P,
-    model: FailureModel,
-    horizon: u32,
-    limit: usize,
-    parallelism: Parallelism,
-    sink: &mut S,
-) -> Result<usize, EbaError>
-where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Sync,
-    S: RunSink<E>,
-{
+    let (ex, proto) = (ctx.exchange(), ctx.protocol());
     let items = WorkItems::new(ex.params(), model, limit)?;
     let workers = parallelism.worker_count().min(items.len().max(1));
     if workers <= 1 {
@@ -347,65 +245,6 @@ where
     })
 }
 
-/// Enumerates every run of `(E, P)` exactly as [`enumerate_runs`] does,
-/// sharding the independent `(N, inits)` work items across threads.
-///
-/// Successful results are **bit-for-bit identical** to the sequential
-/// enumerator: each work item is explored by the same depth-first search,
-/// and the per-item results are concatenated in deterministic item order
-/// regardless of which thread finished first.
-///
-/// # Errors
-///
-/// Fails exactly when [`enumerate_runs`] fails (over-branchy round, or
-/// more than `limit` deduplicated runs), though when *several* failure
-/// conditions coincide the reported message may name a different one.
-pub fn enumerate_parallel<E, P>(
-    ex: &E,
-    proto: &P,
-    horizon: u32,
-    limit: usize,
-    parallelism: Parallelism,
-) -> Result<Vec<EnumRun<E>>, EbaError>
-where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Sync,
-{
-    let mut runs: Vec<EnumRun<E>> = Vec::new();
-    stream_runs(
-        ex,
-        proto,
-        FailureModel::SendingOmission,
-        horizon,
-        limit,
-        parallelism,
-        &mut runs,
-    )?;
-    Ok(runs)
-}
-
-/// Enumerates every run of `(E, P)` with the [`Parallelism`] carried by
-/// `opts` (see [`SimOptions::with_parallelism`]); otherwise identical to
-/// [`enumerate_parallel`].
-///
-/// # Errors
-///
-/// Fails exactly when [`enumerate_runs`] fails (over-branchy round, or
-/// more than `limit` deduplicated runs).
-pub fn enumerate_with<E, P>(
-    ex: &E,
-    proto: &P,
-    horizon: u32,
-    limit: usize,
-    opts: &SimOptions,
-) -> Result<Vec<EnumRun<E>>, EbaError>
-where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Sync,
-{
-    enumerate_parallel(ex, proto, horizon, limit, opts.parallelism)
-}
-
 /// The independent shards of the search space, addressed by index in the
 /// deterministic order the sequential enumerator visits them: nonfaulty
 /// sets in [`FailureModel::nonfaulty_choices`] order, then initial
@@ -545,9 +384,7 @@ where
         let actions: Vec<Action> = (0..n)
             .map(|i| proto.act(AgentId::new(i), &current[i]))
             .collect();
-        let outgoing: Vec<Vec<Option<E::Message>>> = (0..n)
-            .map(|i| ex.outgoing(AgentId::new(i), &current[i], actions[i]))
-            .collect();
+        let outgoing = select_round(ex, current, &actions, &mut NoObserver);
         if model == FailureModel::Crash {
             expand_crash_round(
                 ex, faulty, &partial, current, &actions, &outgoing, m, &mut stack,
@@ -688,21 +525,14 @@ impl<E: InformationExchange> Partial<E> {
     where
         F: Fn(usize, usize) -> bool,
     {
-        let n = current.len();
-        let next: Vec<E::State> = (0..n)
-            .map(|j| {
-                let received: Vec<Option<E::Message>> = (0..n)
-                    .map(|i| {
-                        if dropped(i, j) {
-                            None
-                        } else {
-                            outgoing[i][j].clone()
-                        }
-                    })
-                    .collect();
-                ex.update(AgentId::new(j), &current[j], actions[j], &received)
-            })
-            .collect();
+        let next = deliver_round(
+            ex,
+            current,
+            actions,
+            outgoing,
+            |from, to| !dropped(from.index(), to.index()),
+            &mut NoObserver,
+        );
         let mut branch = self.clone();
         branch.states.push(next);
         branch.actions.push(actions.to_vec());
@@ -764,15 +594,37 @@ fn commit<E: InformationExchange>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
     use eba_core::prelude::*;
+
+    /// Collects every run of `ctx` at `horizon` on `parallelism` workers.
+    fn collect<E, P>(ctx: &Context<E, P>, horizon: u32, parallelism: Parallelism) -> Vec<EnumRun<E>>
+    where
+        E: InformationExchange + Sync,
+        P: ActionProtocol<E> + Sync,
+    {
+        Scenario::of(ctx)
+            .horizon(horizon)
+            .parallelism(parallelism)
+            .enumerate()
+            .unwrap()
+    }
+
+    fn assert_same_runs<E: InformationExchange>(a: &[EnumRun<E>], b: &[EnumRun<E>], what: &str) {
+        assert_eq!(a.len(), b.len(), "{what}");
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.nonfaulty, y.nonfaulty, "{what}");
+            assert_eq!(x.inits, y.inits, "{what}");
+            assert_eq!(x.states, y.states, "{what}");
+            assert_eq!(x.actions, y.actions, "{what}");
+        }
+    }
 
     #[test]
     fn failure_free_only_when_t_zero() {
         // t = 0: one nonfaulty choice, no drops: exactly 2^n runs.
-        let params = Params::new(3, 0).unwrap();
-        let ex = MinExchange::new(params);
-        let p = PMin::new(params);
-        let runs = enumerate_runs(&ex, &p, 3, 100_000).unwrap();
+        let ctx = Context::minimal(Params::new(3, 0).unwrap());
+        let runs = collect(&ctx, 3, Parallelism::Sequential);
         assert_eq!(runs.len(), 8);
         for run in &runs {
             assert_eq!(run.nonfaulty, AgentSet::full(3));
@@ -783,10 +635,8 @@ mod tests {
 
     #[test]
     fn all_inits_appear() {
-        let params = Params::new(2, 0).unwrap();
-        let ex = MinExchange::new(params);
-        let p = PMin::new(params);
-        let runs = enumerate_runs(&ex, &p, 2, 100_000).unwrap();
+        let ctx = Context::minimal(Params::new(2, 0).unwrap());
+        let runs = collect(&ctx, 2, Parallelism::Sequential);
         let mut inits: Vec<Vec<Value>> = runs.iter().map(|r| r.inits.clone()).collect();
         inits.sort();
         inits.dedup();
@@ -797,10 +647,8 @@ mod tests {
     fn min_exchange_enumeration_is_compact() {
         // With E_min, agents send only in their deciding round, so the
         // branch factor is tiny compared to raw pattern enumeration.
-        let params = Params::new(3, 1).unwrap();
-        let ex = MinExchange::new(params);
-        let p = PMin::new(params);
-        let runs = enumerate_runs(&ex, &p, 4, 1_000_000).unwrap();
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
+        let runs = collect(&ctx, 4, Parallelism::Sequential);
         // Sanity: more runs than the failure-free 8 × 4 nonfaulty choices,
         // far fewer than raw pattern enumeration (3 × 2^12 × 8 ≈ 98k).
         assert!(runs.len() > 32, "got {}", runs.len());
@@ -811,10 +659,8 @@ mod tests {
     fn faulty_but_clean_runs_are_distinct_from_nonfaulty() {
         // Footnote 3: for every trajectory with zero drops there is one run
         // per admissible nonfaulty set.
-        let params = Params::new(2, 1).unwrap();
-        let ex = MinExchange::new(params);
-        let p = PMin::new(params);
-        let runs = enumerate_runs(&ex, &p, 3, 100_000).unwrap();
+        let ctx = Context::minimal(Params::new(2, 1).unwrap());
+        let runs = collect(&ctx, 3, Parallelism::Sequential);
         let all_ones: Vec<&EnumRun<_>> = runs
             .iter()
             .filter(|r| r.inits == vec![Value::One, Value::One])
@@ -828,19 +674,24 @@ mod tests {
 
     #[test]
     fn run_limit_is_enforced() {
-        let params = Params::new(3, 1).unwrap();
-        let ex = MinExchange::new(params);
-        let p = PMin::new(params);
-        let err = enumerate_runs(&ex, &p, 4, 10).unwrap_err();
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
+        let err = Scenario::of(&ctx)
+            .horizon(4)
+            .limit(10)
+            .enumerate()
+            .unwrap_err();
         assert!(err.to_string().contains("limit"));
     }
 
     #[test]
     fn parallel_run_limit_is_enforced() {
-        let params = Params::new(3, 1).unwrap();
-        let ex = MinExchange::new(params);
-        let p = PMin::new(params);
-        let err = enumerate_parallel(&ex, &p, 4, 10, Parallelism::Fixed(4)).unwrap_err();
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
+        let err = Scenario::of(&ctx)
+            .horizon(4)
+            .limit(10)
+            .parallelism(Parallelism::Fixed(4))
+            .enumerate()
+            .unwrap_err();
         assert!(err.to_string().contains("limit"));
     }
 
@@ -849,20 +700,10 @@ mod tests {
         // Every enumerated run must replay exactly under the lockstep
         // runner with a pattern reconstructed from its drops. Spot-check
         // the failure-free member.
-        let params = Params::new(3, 1).unwrap();
-        let ex = BasicExchange::new(params);
-        let p = PBasic::new(params);
-        let runs = enumerate_runs(&ex, &p, 4, 1_000_000).unwrap();
-        let pat = FailurePattern::failure_free(params);
+        let ctx = Context::basic(Params::new(3, 1).unwrap());
+        let runs = collect(&ctx, 4, Parallelism::Sequential);
         let inits = vec![Value::One; 3];
-        let trace = crate::runner::run(
-            &ex,
-            &p,
-            &pat,
-            &inits,
-            &crate::runner::SimOptions::default().with_horizon(4),
-        )
-        .unwrap();
+        let trace = Scenario::of(&ctx).inits(&inits).horizon(4).run().unwrap();
         let found = runs.iter().any(|r| {
             r.nonfaulty == AgentSet::full(3) && r.inits == inits && r.states == trace.states
         });
@@ -873,99 +714,74 @@ mod tests {
     fn streaming_parallel_preserves_sequential_order() {
         // The reorder buffer must deliver runs to the sink in the exact
         // sequential order even when workers finish out of order.
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::basic(params);
-        let sequential = enumerate_runs(ctx.exchange(), ctx.protocol(), 4, 1_000_000).unwrap();
+        let ctx = Context::basic(Params::new(3, 1).unwrap());
+        let sequential = collect(&ctx, 4, Parallelism::Sequential);
         let mut streamed: Vec<EnumRun<BasicExchange>> = Vec::new();
-        let total =
-            enumerate_into(&ctx, 4, 1_000_000, Parallelism::Fixed(4), &mut streamed).unwrap();
+        let total = Scenario::of(&ctx)
+            .horizon(4)
+            .parallelism(Parallelism::Fixed(4))
+            .enumerate_into(&mut streamed)
+            .unwrap();
         assert_eq!(total, sequential.len());
-        for (s, p) in sequential.iter().zip(&streamed) {
-            assert_eq!(s.nonfaulty, p.nonfaulty);
-            assert_eq!(s.states, p.states);
-        }
+        assert_same_runs(&sequential, &streamed, "Fixed(4) stream");
     }
 
     #[test]
     fn streaming_parallel_propagates_sink_errors() {
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::minimal(params);
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
         let mut seen = 0usize;
-        let err = enumerate_into(
-            &ctx,
-            4,
-            1_000_000,
-            Parallelism::Fixed(4),
-            &mut |_run: EnumRun<MinExchange>| {
+        let err = Scenario::of(&ctx)
+            .horizon(4)
+            .parallelism(Parallelism::Fixed(4))
+            .enumerate_into(&mut |_run: EnumRun<MinExchange>| {
                 seen += 1;
                 if seen >= 3 {
                     Err(EbaError::InvalidInput("sink aborted".into()))
                 } else {
                     Ok(())
                 }
-            },
-        )
-        .unwrap_err();
+            })
+            .unwrap_err();
         assert!(err.to_string().contains("sink aborted"));
     }
 
     /// Collects the `(N, trajectory)` dedup keys of a model's run set.
-    fn model_keys<E, P>(
-        ctx: &eba_core::context::Context<E, P>,
-        model: FailureModel,
-    ) -> Vec<(u128, Vec<Vec<E::State>>)>
+    fn model_keys<E, P>(ctx: &Context<E, P>, model: FailureModel) -> Vec<(u128, Vec<Vec<E::State>>)>
     where
         E: InformationExchange + Sync,
         P: ActionProtocol<E> + Sync,
     {
         let mut keys = Vec::new();
-        enumerate_model_into(
-            ctx,
-            model,
-            4,
-            1_000_000,
-            Parallelism::Sequential,
-            &mut |run: EnumRun<E>| {
+        Scenario::of(ctx)
+            .model(model)
+            .horizon(4)
+            .enumerate_into(&mut |run: EnumRun<E>| {
                 keys.push((run.nonfaulty.bits(), run.states));
                 Ok(())
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         keys
     }
 
     #[test]
     fn sending_omission_model_reproduces_the_legacy_enumeration() {
-        // The pre-model default must be bit-for-bit reproducible through
-        // the model-parameterized engine.
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::basic(params);
-        let legacy = enumerate_runs(ctx.exchange(), ctx.protocol(), 4, 1_000_000).unwrap();
-        let mut modeled: Vec<EnumRun<BasicExchange>> = Vec::new();
-        enumerate_model_into(
-            &ctx,
-            FailureModel::SendingOmission,
-            4,
-            1_000_000,
-            Parallelism::Sequential,
-            &mut modeled,
-        )
-        .unwrap();
-        assert_eq!(legacy.len(), modeled.len());
-        for (a, b) in legacy.iter().zip(&modeled) {
-            assert_eq!(a.nonfaulty, b.nonfaulty);
-            assert_eq!(a.inits, b.inits);
-            assert_eq!(a.states, b.states);
-            assert_eq!(a.actions, b.actions);
-        }
+        // A context's default model is the paper's SO(t): selecting it
+        // explicitly changes nothing, run for run.
+        let ctx = Context::basic(Params::new(3, 1).unwrap());
+        let default = collect(&ctx, 4, Parallelism::Sequential);
+        let explicit = Scenario::of(&ctx)
+            .model(FailureModel::SendingOmission)
+            .horizon(4)
+            .enumerate()
+            .unwrap();
+        assert_same_runs(&default, &explicit, "explicit SO(t)");
     }
 
     #[test]
     fn failure_free_model_enumerates_exactly_the_initial_configs() {
         // Only N = Agt and no drops: one run per initial configuration,
         // even though t > 0 admits faulty sets in the other models.
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::minimal(params);
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
         let keys = model_keys(&ctx, FailureModel::FailureFree);
         assert_eq!(keys.len(), 8);
         for (nf, _) in &keys {
@@ -979,8 +795,7 @@ mod tests {
         // (N, trajectory) sets, strictly at (3, 1) for E_basic/P_basic
         // (strictness of FF ⊂ Crash needs a faulty-but-clean run, which
         // FF's single nonfaulty choice cannot produce).
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::basic(params);
+        let ctx = Context::basic(Params::new(3, 1).unwrap());
         let chain = [
             FailureModel::FailureFree,
             FailureModel::Crash,
@@ -1003,8 +818,7 @@ mod tests {
         // expansion must at least stay within the SO run set and below
         // its cardinality (the crash adversary is strictly weaker for
         // E_basic at (3, 1), where senders can usefully revive).
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::basic(params);
+        let ctx = Context::basic(Params::new(3, 1).unwrap());
         let crash: std::collections::HashSet<_> =
             model_keys(&ctx, FailureModel::Crash).into_iter().collect();
         let so: std::collections::HashSet<_> = model_keys(&ctx, FailureModel::SendingOmission)
@@ -1019,8 +833,7 @@ mod tests {
     fn general_omission_adds_receive_side_runs() {
         // Under GO a faulty *receiver* can miss a nonfaulty sender's
         // announcement — trajectories SO cannot produce.
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::minimal(params);
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
         let so: std::collections::HashSet<_> = model_keys(&ctx, FailureModel::SendingOmission)
             .into_iter()
             .collect();
@@ -1034,57 +847,30 @@ mod tests {
     #[test]
     fn context_model_steers_enumerate_into() {
         // `enumerate_into` follows the model carried by the context.
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::minimal(params).with_model(FailureModel::FailureFree);
+        let ctx =
+            Context::minimal(Params::new(3, 1).unwrap()).with_model(FailureModel::FailureFree);
         let mut count = 0usize;
-        let total = enumerate_into(
-            &ctx,
-            4,
-            1_000_000,
-            Parallelism::Sequential,
-            &mut |_run: EnumRun<MinExchange>| {
+        let total = Scenario::of(&ctx)
+            .horizon(4)
+            .enumerate_into(&mut |_run: EnumRun<MinExchange>| {
                 count += 1;
                 Ok(())
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         assert_eq!((count, total), (8, 8));
     }
 
     #[test]
     fn parallel_matches_sequential_for_every_model() {
-        let params = Params::new(3, 1).unwrap();
-        let ctx = eba_core::context::Context::basic(params);
         for model in [
             FailureModel::FailureFree,
             FailureModel::Crash,
             FailureModel::GeneralOmission,
         ] {
-            let mut sequential: Vec<EnumRun<BasicExchange>> = Vec::new();
-            enumerate_model_into(
-                &ctx,
-                model,
-                4,
-                1_000_000,
-                Parallelism::Sequential,
-                &mut sequential,
-            )
-            .unwrap();
-            let mut parallel: Vec<EnumRun<BasicExchange>> = Vec::new();
-            enumerate_model_into(
-                &ctx,
-                model,
-                4,
-                1_000_000,
-                Parallelism::Fixed(4),
-                &mut parallel,
-            )
-            .unwrap();
-            assert_eq!(sequential.len(), parallel.len(), "{model:?}");
-            for (s, p) in sequential.iter().zip(&parallel) {
-                assert_eq!(s.nonfaulty, p.nonfaulty, "{model:?}");
-                assert_eq!(s.states, p.states, "{model:?}");
-            }
+            let ctx = Context::basic(Params::new(3, 1).unwrap()).with_model(model);
+            let sequential = collect(&ctx, 4, Parallelism::Sequential);
+            let parallel = collect(&ctx, 4, Parallelism::Fixed(4));
+            assert_same_runs(&sequential, &parallel, &format!("{model:?}"));
         }
     }
 
@@ -1092,10 +878,8 @@ mod tests {
     fn parallel_matches_sequential_exactly() {
         // The headline guarantee: same runs, same order, for every
         // worker count, including more workers than items.
-        let params = Params::new(3, 1).unwrap();
-        let ex = BasicExchange::new(params);
-        let p = PBasic::new(params);
-        let sequential = enumerate_runs(&ex, &p, 4, 1_000_000).unwrap();
+        let ctx = Context::basic(Params::new(3, 1).unwrap());
+        let sequential = collect(&ctx, 4, Parallelism::Sequential);
         for parallelism in [
             Parallelism::Sequential,
             Parallelism::Auto,
@@ -1103,14 +887,8 @@ mod tests {
             Parallelism::Fixed(3),
             Parallelism::Fixed(64),
         ] {
-            let parallel = enumerate_parallel(&ex, &p, 4, 1_000_000, parallelism).unwrap();
-            assert_eq!(sequential.len(), parallel.len(), "{parallelism:?}");
-            for (s, q) in sequential.iter().zip(&parallel) {
-                assert_eq!(s.nonfaulty, q.nonfaulty, "{parallelism:?}");
-                assert_eq!(s.inits, q.inits, "{parallelism:?}");
-                assert_eq!(s.states, q.states, "{parallelism:?}");
-                assert_eq!(s.actions, q.actions, "{parallelism:?}");
-            }
+            let parallel = collect(&ctx, 4, parallelism);
+            assert_same_runs(&sequential, &parallel, &format!("{parallelism:?}"));
         }
     }
 }

@@ -4,26 +4,27 @@
 //! Section 3 of *Optimal Eventual Byzantine Agreement Protocols with
 //! Omission Failures* (PODC 2023), plus everything needed to evaluate runs:
 //!
-//! * [`runner`] — executes `(E, P, failure pattern, initial preferences)`
-//!   round by round, producing a [`trace::Trace`];
+//! * [`scenario`] — the [`scenario::Scenario`] builder over a first-class
+//!   [`Context`](eba_core::context::Context): the one way to run or
+//!   enumerate a stack;
+//! * [`runner`] — the run kernel [`runner::run_rounds`]: the single loop
+//!   that executes `(context, failure pattern, initial preferences)`
+//!   round by round, observed or not;
 //! * [`trace`] — full run records: states, actions, deliveries;
 //! * [`metrics`] — decision rounds and exact message/bit accounting
 //!   (the quantities of Prop 8.1 / 8.2);
-//! * [`spec`] — the four EBA correctness properties of Section 5;
+//! * [`spec`] — the four EBA correctness properties of Section 5, stated
+//!   once over trajectories ([`spec::judge_run`]);
 //! * [`dominance`] — the `≤_γ` comparison between action protocols over
 //!   corresponding runs;
 //! * [`chains`] — 0-chain reconstruction (Section 6);
-//! * [`scenario`] — the [`scenario::Scenario`] builder: the fluent entry
-//!   point over a first-class [`Context`](eba_core::context::Context),
-//!   replacing the positional `(&exchange, &protocol, …)` signatures;
-//! * [`enumerate`] — exhaustive generation of **all** runs `R_{E,F,P}` of
-//!   a context for small `(n, t)`, under any
-//!   [`FailureModel`](eba_core::failures::FailureModel) (the context's,
-//!   or [`enumerate::enumerate_model_into`]'s explicit override), used by
+//! * [`enumerate`] — the engine behind `Scenario`'s exhaustive
+//!   generation of **all** runs `R_{E,F,P}` of a context for small
+//!   `(n, t)`, under any
+//!   [`FailureModel`](eba_core::failures::FailureModel), used by
 //!   `eba-epistemic` to build interpreted systems; sequential or sharded
-//!   across threads ([`enumerate::enumerate_parallel`]) with bit-for-bit
-//!   identical output, or streamed through a [`sink::RunSink`] without
-//!   collecting ([`enumerate::enumerate_into`]);
+//!   across threads with bit-for-bit identical output, collected or
+//!   streamed through a [`sink::RunSink`];
 //! * [`store`] — the interned, columnar [`store::RunStore`]: a
 //!   [`store::StateArena`] keeps each distinct local state once behind a
 //!   [`store::StateId`], and the store is itself a [`sink::RunSink`], so
@@ -63,20 +64,17 @@ pub mod trace;
 pub mod prelude {
     pub use crate::chains::{verify_zero_chains, zero_chain_ending_at};
     pub use crate::dominance::{compare_corresponding, DominanceSummary, RunComparison};
-    pub use crate::enumerate::{
-        enumerate_into, enumerate_model_into, enumerate_parallel, enumerate_runs, enumerate_with,
-        EnumRun,
-    };
+    pub use crate::enumerate::EnumRun;
     pub use crate::fuzz::{
         fuzz, shrink_candidates, shrink_case, violation_kind, CaseOracle, CaseOutcome, FuzzCase,
         FuzzConfig, FuzzReport, TraceOracle, Violation,
     };
     pub use crate::metrics::Metrics;
     pub use crate::render::{render_round_deliveries, render_timeline};
-    pub use crate::runner::{run, Parallelism, SimOptions};
+    pub use crate::runner::{run_rounds, Parallelism};
     pub use crate::scenario::Scenario;
     pub use crate::sink::RunSink;
-    pub use crate::spec::{check_decides_by, check_eba, check_validity_all, SpecViolation};
+    pub use crate::spec::{check_decides_by, check_eba, judge_run, SpecViolation};
     pub use crate::store::{PointId, RunStore, StateArena, StateId};
     pub use crate::trace::{Delivery, MsgClass, Trace};
 }

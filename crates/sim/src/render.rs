@@ -81,17 +81,17 @@ pub fn render_round_deliveries<E: InformationExchange>(trace: &Trace<E>, round: 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run, SimOptions};
+    use crate::scenario::Scenario;
     use eba_core::prelude::*;
 
     fn sample_trace() -> Trace<MinExchange> {
         let params = Params::new(3, 1).unwrap();
-        let ex = MinExchange::new(params);
-        let proto = PMin::new(params);
         let faulty = AgentSet::singleton(AgentId::new(0));
-        let pattern = silent_pattern(params, faulty, 4).unwrap();
-        let inits = [Value::Zero, Value::One, Value::One];
-        run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap()
+        Scenario::of(&Context::minimal(params))
+            .pattern(silent_pattern(params, faulty, 4).unwrap())
+            .inits(&[Value::Zero, Value::One, Value::One])
+            .run()
+            .unwrap()
     }
 
     #[test]
@@ -113,18 +113,11 @@ mod tests {
 
     #[test]
     fn undecided_agents_are_marked() {
-        let params = Params::new(3, 1).unwrap();
-        let ex = MinExchange::new(params);
-        let proto = PMin::new(params);
-        let pattern = FailurePattern::failure_free(params);
-        let trace = run(
-            &ex,
-            &proto,
-            &pattern,
-            &[Value::One; 3],
-            &SimOptions::default().with_horizon(1),
-        )
-        .unwrap();
+        let trace = Scenario::of(&Context::minimal(Params::new(3, 1).unwrap()))
+            .inits(&[Value::One; 3])
+            .horizon(1)
+            .run()
+            .unwrap();
         let s = render_timeline(&trace);
         assert_eq!(s.matches("undecided").count(), 3);
     }

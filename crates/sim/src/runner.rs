@@ -1,20 +1,22 @@
-//! The lockstep runner: executes one run of `(E, P)` against a failure
-//! pattern, following the global-transition semantics of Section 3.
+//! The run kernel: the one loop that executes a run of a context against
+//! a failure pattern, following the global-transition semantics of
+//! Section 3.
 
-use eba_core::context::validate_scenario_shape;
+use eba_core::context::{validate_scenario_shape, Context};
 use eba_core::exchange::{step_round_observed, InformationExchange, RoundObserver};
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{Action, AgentId, EbaError, Value};
 
+use crate::enumerate::EnumRun;
 use crate::metrics::Metrics;
-use crate::trace::{Delivery, MsgClass, Trace};
+use crate::trace::{Delivery, MsgClass};
 
 /// How much hardware parallelism batch work (exhaustive run enumeration,
 /// sweeps) may use. A single simulated run is always sequential — rounds
 /// are causally ordered — so this only affects APIs that process many
 /// independent runs, such as
-/// [`enumerate_parallel`](crate::enumerate::enumerate_parallel).
+/// [`Scenario::enumerate`](crate::scenario::Scenario::enumerate).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Everything on the calling thread (the default).
@@ -42,60 +44,114 @@ impl Parallelism {
     }
 }
 
-/// Options for a simulation run.
-#[derive(Clone, Copy, Debug)]
-pub struct SimOptions {
-    /// Number of rounds to simulate; `None` uses `params.default_horizon()`
-    /// (`t + 3`, enough to see every decision plus one quiescent round).
-    pub horizon: Option<u32>,
-    /// Record per-round [`Delivery`] entries (needed for 0-chain
-    /// reconstruction; cheap, on by default).
-    pub record_deliveries: bool,
-    /// Worker threads for batch APIs that consume these options, such as
-    /// [`enumerate_with`](crate::enumerate::enumerate_with); a single
-    /// [`run`] ignores it (rounds are causally ordered).
-    pub parallelism: Parallelism,
+/// Executes one run of `ctx` for `horizon` rounds and returns its
+/// trajectory. Each round applies, in order: the action protocol
+/// (`P_i(s_i)`), message selection (`μ_i`), the failure pattern
+/// (`F(m, i, j)`), and the state update (`δ_i`) — exactly the global
+/// transition of Section 3, through the shared
+/// [`step_round_observed`] routine.
+///
+/// This is the only loop over the rounds of a lockstep run in the
+/// workspace: [`Scenario::run`](crate::scenario::Scenario::run) drives it
+/// with the observer that fills a [`Trace`](crate::trace::Trace)'s
+/// metrics and deliveries, the statistical estimator's `judge_case` with
+/// [`NoObserver`](eba_core::exchange::NoObserver). It checks the input
+/// shapes only ([`validate_scenario_shape`], O(1)); whether the
+/// context's failure model admits the pattern is the caller's business
+/// (`Scenario` checks it, the estimator samples admissible patterns).
+///
+/// # Errors
+///
+/// Returns [`EbaError::InvalidInput`] if `inits.len() != n` or the
+/// pattern was built for different parameters.
+pub fn run_rounds<E, P>(
+    ctx: &Context<E, P>,
+    pattern: &FailurePattern,
+    inits: &[Value],
+    horizon: u32,
+    observer: &mut impl RoundObserver<E>,
+) -> Result<EnumRun<E>, EbaError>
+where
+    E: InformationExchange,
+    P: ActionProtocol<E>,
+{
+    let (ex, proto) = (ctx.exchange(), ctx.protocol());
+    validate_scenario_shape(ctx.params(), pattern, inits)?;
+    let mut states: Vec<Vec<E::State>> = Vec::with_capacity(horizon as usize + 1);
+    let mut actions: Vec<Vec<Action>> = Vec::with_capacity(horizon as usize);
+    states.push(
+        inits
+            .iter()
+            .enumerate()
+            .map(|(i, init)| ex.initial_state(AgentId::new(i), *init))
+            .collect(),
+    );
+    for m in 0..horizon {
+        let current = &states[m as usize];
+        let round_actions: Vec<Action> = current
+            .iter()
+            .enumerate()
+            .map(|(i, state)| proto.act(AgentId::new(i), state))
+            .collect();
+        let next = step_round_observed(
+            ex,
+            current,
+            &round_actions,
+            |from, to| pattern.delivers(m, from, to),
+            observer,
+        );
+        states.push(next);
+        actions.push(round_actions);
+    }
+    Ok(EnumRun {
+        nonfaulty: pattern.nonfaulty(),
+        inits: inits.to_vec(),
+        states,
+        actions,
+    })
 }
 
-impl Default for SimOptions {
-    fn default() -> Self {
-        SimOptions {
-            horizon: None,
-            record_deliveries: true,
-            parallelism: Parallelism::Sequential,
+/// The [`RoundObserver`] behind [`Scenario::run`](crate::scenario::Scenario::run):
+/// accumulates a trace's [`Metrics`] and per-round [`Delivery`] records
+/// while [`run_rounds`] executes.
+pub(crate) struct TraceObserver<'a, E: InformationExchange> {
+    ex: &'a E,
+    /// The current round's message class per sender.
+    classes: Vec<MsgClass>,
+    pub(crate) metrics: Metrics,
+    pub(crate) deliveries: Vec<Vec<Delivery>>,
+}
+
+impl<'a, E: InformationExchange> TraceObserver<'a, E> {
+    pub(crate) fn new(ex: &'a E) -> Self {
+        TraceObserver {
+            ex,
+            classes: Vec::new(),
+            metrics: Metrics::new(ex.params().n()),
+            deliveries: Vec::new(),
         }
     }
 }
 
-impl SimOptions {
-    /// Overrides the horizon.
-    #[must_use]
-    pub fn with_horizon(mut self, rounds: u32) -> Self {
-        self.horizon = Some(rounds);
-        self
-    }
-
-    /// Overrides the parallelism used by batch APIs.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.parallelism = parallelism;
-        self
-    }
-}
-
-/// Hangs the trace bookkeeping — metrics accounting and per-round
-/// delivery records — off the shared
-/// [`step_round_observed`] routine, so the runner and every other
-/// round-stepper drive the exact same global transition.
-struct TraceObserver<'a, E: InformationExchange> {
-    ex: &'a E,
-    actions: &'a [Action],
-    record_deliveries: bool,
-    metrics: &'a mut Metrics,
-    round_deliveries: &'a mut Vec<Delivery>,
-}
-
 impl<E: InformationExchange> RoundObserver<E> for TraceObserver<'_, E> {
+    fn on_round(&mut self, actions: &[Action]) {
+        self.metrics.rounds += 1;
+        for (i, action) in actions.iter().enumerate() {
+            if let Action::Decide(v) = action {
+                // First decision wins; a second Decide would be a protocol
+                // bug, surfaced by the spec checker rather than here.
+                if self.metrics.decision_rounds[i].is_none() {
+                    self.metrics.decision_rounds[i] = Some(self.metrics.rounds);
+                    self.metrics.decision_values[i] = Some(*v);
+                }
+            }
+        }
+        self.classes.clear();
+        self.classes
+            .extend(actions.iter().map(|a| MsgClass::of_action(*a)));
+        self.deliveries.push(Vec::new());
+    }
+
     fn on_send(&mut self, _from: AgentId, _to: AgentId, msg: &E::Message) {
         self.metrics.messages_sent += 1;
         self.metrics.bits_sent += self.ex.message_bits(msg);
@@ -104,117 +160,39 @@ impl<E: InformationExchange> RoundObserver<E> for TraceObserver<'_, E> {
     fn on_deliver(&mut self, from: AgentId, to: AgentId, msg: &E::Message) {
         self.metrics.messages_delivered += 1;
         self.metrics.bits_delivered += self.ex.message_bits(msg);
-        if self.record_deliveries {
-            self.round_deliveries.push(Delivery {
+        self.deliveries
+            .last_mut()
+            .expect("on_round precedes the round's deliveries")
+            .push(Delivery {
                 from,
                 to,
-                class: MsgClass::of_action(self.actions[from.index()]),
+                class: self.classes[from.index()],
             });
-        }
     }
-}
-
-/// Executes one run and returns its trace.
-///
-/// Each round applies, in order: the action protocol (`P_i(s_i)`), message
-/// selection (`μ_i`), the failure pattern (`F(m, i, j)`), and the state
-/// update (`δ_i`) — exactly the global transition of Section 3.
-///
-/// # Errors
-///
-/// Returns [`EbaError::InvalidInput`] if `inits.len() != n` or the pattern
-/// was built for different parameters; the message lists **every** shape
-/// problem, each naming the offending argument (the same validation the
-/// [`Scenario`](crate::scenario::Scenario) builder performs).
-pub fn run<E, P>(
-    ex: &E,
-    proto: &P,
-    pattern: &FailurePattern,
-    inits: &[Value],
-    opts: &SimOptions,
-) -> Result<Trace<E>, EbaError>
-where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
-{
-    let params = ex.params();
-    let n = params.n();
-    validate_scenario_shape(params, pattern, inits)?;
-    let horizon = opts.horizon.unwrap_or_else(|| params.default_horizon());
-
-    let mut states: Vec<E::State> = (0..n)
-        .map(|i| ex.initial_state(AgentId::new(i), inits[i]))
-        .collect();
-    let mut trace_states = vec![states.clone()];
-    let mut trace_actions = Vec::with_capacity(horizon as usize);
-    let mut deliveries = Vec::with_capacity(horizon as usize);
-    let mut metrics = Metrics::new(n);
-
-    for m in 0..horizon {
-        // 1. Actions.
-        let actions: Vec<Action> = (0..n)
-            .map(|i| proto.act(AgentId::new(i), &states[i]))
-            .collect();
-        for (i, action) in actions.iter().enumerate() {
-            if let Action::Decide(v) = action {
-                // First decision wins; a second Decide would be a protocol
-                // bug, surfaced by the spec checker rather than here.
-                if metrics.decision_rounds[i].is_none() {
-                    metrics.decision_rounds[i] = Some(m + 1);
-                    metrics.decision_values[i] = Some(*v);
-                }
-            }
-        }
-
-        // 2.–4. Message selection, failure pattern, state update: the
-        // shared round-step routine, observed for metrics and deliveries.
-        let mut round_deliveries = Vec::new();
-        let mut observer = TraceObserver {
-            ex,
-            actions: &actions,
-            record_deliveries: opts.record_deliveries,
-            metrics: &mut metrics,
-            round_deliveries: &mut round_deliveries,
-        };
-        states = step_round_observed(
-            ex,
-            &states,
-            &actions,
-            |from, to| pattern.delivers(m, from, to),
-            &mut observer,
-        );
-        trace_states.push(states.clone());
-        trace_actions.push(actions);
-        deliveries.push(round_deliveries);
-        metrics.rounds = m + 1;
-    }
-
-    Ok(Trace {
-        params,
-        pattern: pattern.clone(),
-        inits: inits.to_vec(),
-        states: trace_states,
-        actions: trace_actions,
-        deliveries,
-        metrics,
-    })
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::scenario::Scenario;
+    use crate::trace::{MsgClass, Trace};
     use eba_core::prelude::*;
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
     }
 
+    /// One `E_min/P_min` run at the default horizon.
+    fn run_min(pattern: FailurePattern, inits: &[Value]) -> Result<Trace<MinExchange>, EbaError> {
+        Scenario::of(&Context::minimal(params()))
+            .pattern(pattern)
+            .inits(inits)
+            .run()
+    }
+
     #[test]
     fn rejects_wrong_init_length() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
         let pat = FailurePattern::failure_free(params());
-        let err = run(&ex, &p, &pat, &[Value::One; 3], &SimOptions::default()).unwrap_err();
+        let err = run_min(pat, &[Value::One; 3]).unwrap_err();
         // The message names the argument and the expected length, in the
         // same format as the pattern-mismatch error.
         let msg = err.to_string();
@@ -224,11 +202,9 @@ mod tests {
 
     #[test]
     fn reports_all_shape_errors_at_once() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
         let other = Params::new(5, 1).unwrap();
         let pat = FailurePattern::failure_free(other);
-        let err = run(&ex, &p, &pat, &[Value::One; 3], &SimOptions::default()).unwrap_err();
+        let err = run_min(pat, &[Value::One; 3]).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("inits: got 3"), "{msg}");
         assert!(msg.contains("pattern: got a pattern built for"), "{msg}");
@@ -236,20 +212,28 @@ mod tests {
 
     #[test]
     fn rejects_mismatched_pattern() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
-        let other = Params::new(5, 1).unwrap();
-        let pat = FailurePattern::failure_free(other);
-        assert!(run(&ex, &p, &pat, &[Value::One; 4], &SimOptions::default()).is_err());
+        // The kernel's own O(1) shape check, without the builder in front.
+        let ctx = Context::minimal(params());
+        let other = FailurePattern::failure_free(Params::new(5, 1).unwrap());
+        let err = super::run_rounds(
+            &ctx,
+            &other,
+            &[Value::One; 4],
+            4,
+            &mut eba_core::exchange::NoObserver,
+        )
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("pattern: got a pattern built for"),
+            "{err}"
+        );
     }
 
     #[test]
     fn pmin_failure_free_all_ones_decides_at_deadline() {
         // Prop 8.2(b): P_min waits until round t + 2.
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
         let pat = FailurePattern::failure_free(params());
-        let trace = run(&ex, &p, &pat, &[Value::One; 4], &SimOptions::default()).unwrap();
+        let trace = run_min(pat, &[Value::One; 4]).unwrap();
         for i in 0..4 {
             assert_eq!(trace.decision_round(AgentId::new(i)), Some(3)); // t + 2
             assert_eq!(trace.decision_value(AgentId::new(i)), Some(Value::One));
@@ -259,11 +243,9 @@ mod tests {
     #[test]
     fn pmin_zero_spreads_in_two_rounds() {
         // Prop 8.2(a).
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
         let pat = FailurePattern::failure_free(params());
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
+        let trace = run_min(pat, &inits).unwrap();
         assert_eq!(trace.decision_round(AgentId::new(0)), Some(1));
         for i in 1..4 {
             assert_eq!(trace.decision_round(AgentId::new(i)), Some(2));
@@ -274,11 +256,8 @@ mod tests {
     #[test]
     fn pmin_bit_count_is_n_squared() {
         // Prop 8.1: every agent broadcasts exactly one 1-bit message round.
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
-        let pat = FailurePattern::failure_free(params());
         for inits in [[Value::One; 4], [Value::Zero; 4]] {
-            let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
+            let trace = run_min(FailurePattern::failure_free(params()), &inits).unwrap();
             assert_eq!(trace.metrics.bits_sent, 16, "n² bits");
             assert_eq!(trace.metrics.messages_sent, 16);
         }
@@ -286,8 +265,6 @@ mod tests {
 
     #[test]
     fn deliveries_respect_the_pattern() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
         let faulty = AgentSet::singleton(AgentId::new(0));
         let mut pat = FailurePattern::new(params(), faulty.complement(4)).unwrap();
         // Agent 0 has init 0, decides round 1, but its announcement reaches
@@ -299,7 +276,7 @@ mod tests {
         pat.drop_message(0, AgentId::new(0), AgentId::new(0))
             .unwrap();
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
+        let trace = run_min(pat, &inits).unwrap();
         // Agent 1 hears the 0 and decides in round 2; 2 and 3 only hear
         // agent 1's announcement and decide in round 3.
         assert_eq!(trace.decision_round(AgentId::new(1)), Some(2));
@@ -315,40 +292,34 @@ mod tests {
 
     #[test]
     fn delivered_bits_exclude_drops() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
         let faulty = AgentSet::singleton(AgentId::new(0));
         let mut pat = FailurePattern::new(params(), faulty.complement(4)).unwrap();
         pat.silence_agent(AgentId::new(0), 0..4, true).unwrap();
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
+        let trace = run_min(pat, &inits).unwrap();
         // Agent 0's 4 sent bits never arrive.
         assert_eq!(trace.metrics.bits_sent - trace.metrics.bits_delivered, 4);
     }
 
     #[test]
     fn horizon_override() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
-        let pat = FailurePattern::failure_free(params());
-        let trace = run(
-            &ex,
-            &p,
-            &pat,
-            &[Value::One; 4],
-            &SimOptions::default().with_horizon(6),
-        )
-        .unwrap();
+        let trace = Scenario::of(&Context::minimal(params()))
+            .inits(&[Value::One; 4])
+            .horizon(6)
+            .run()
+            .unwrap();
         assert_eq!(trace.horizon(), 6);
         assert_eq!(trace.states.len(), 7);
+        assert_eq!(trace.metrics.rounds, 6);
+        assert_eq!(trace.deliveries.len(), 6);
     }
 
     #[test]
     fn fip_popt_runs_through_the_runner() {
-        let ex = FipExchange::new(params());
-        let p = POpt::new(params());
-        let pat = FailurePattern::failure_free(params());
-        let trace = run(&ex, &p, &pat, &[Value::One; 4], &SimOptions::default()).unwrap();
+        let trace = Scenario::of(&Context::fip(params()))
+            .inits(&[Value::One; 4])
+            .run()
+            .unwrap();
         for i in 0..4 {
             assert_eq!(trace.decision_round(AgentId::new(i)), Some(2));
         }

@@ -1,25 +1,23 @@
 //! The [`Scenario`] builder: one fluent entry point for running and
 //! exhaustively enumerating a context.
 //!
-//! Historically every call site threaded `(&exchange, &protocol,
-//! &pattern, &inits, &opts)` positionally through [`crate::runner::run`]
-//! and the enumerators. `Scenario` replaces that with a builder over a
-//! first-class [`Context`]: configure what differs from the defaults,
-//! then [`run`](Scenario::run), [`enumerate`](Scenario::enumerate), or
-//! stream with [`enumerate_into`](Scenario::enumerate_into).
+//! `Scenario` is a builder over a first-class [`Context`]: configure what
+//! differs from the defaults, then [`run`](Scenario::run),
+//! [`enumerate`](Scenario::enumerate), or stream with
+//! [`enumerate_into`](Scenario::enumerate_into).
 //!
-//! Validation is centralized here (and shared with the runner and the
-//! transport cluster via [`validate_scenario_shape`]), so shape errors
-//! report **every** problem at once, each naming the offending argument.
+//! Validation is [`admit_scenario`], the admission check shared with the
+//! transport cluster and the service, so errors report **every** problem
+//! at once, each naming the offending argument.
 
-use eba_core::context::{error_message, validate_scenario_shape, Context};
+use eba_core::context::{admit_scenario, error_message, Context};
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::{FailureModel, FailurePattern};
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{EbaError, Value};
 
-use crate::enumerate::{enumerate_model_into, EnumRun};
-use crate::runner::{run, Parallelism, SimOptions};
+use crate::enumerate::{stream_runs, EnumRun};
+use crate::runner::{run_rounds, Parallelism, TraceObserver};
 use crate::sink::RunSink;
 use crate::store::RunStore;
 use crate::trace::Trace;
@@ -56,7 +54,8 @@ pub struct Scenario<'c, E, P> {
     model: Option<FailureModel>,
     pattern: Option<FailurePattern>,
     inits: Option<Vec<Value>>,
-    opts: SimOptions,
+    horizon: Option<u32>,
+    parallelism: Parallelism,
     limit: usize,
 }
 
@@ -76,7 +75,8 @@ where
             model: None,
             pattern: None,
             inits: None,
-            opts: SimOptions::default(),
+            horizon: None,
+            parallelism: Parallelism::Sequential,
             limit: DEFAULT_ENUM_LIMIT,
         }
     }
@@ -115,7 +115,7 @@ where
     /// i.e. `t + 3`).
     #[must_use]
     pub fn horizon(mut self, rounds: u32) -> Self {
-        self.opts.horizon = Some(rounds);
+        self.horizon = Some(rounds);
         self
     }
 
@@ -124,14 +124,7 @@ where
     /// [`run`](Scenario::run) is always sequential).
     #[must_use]
     pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.opts.parallelism = parallelism;
-        self
-    }
-
-    /// Enables or disables per-round delivery recording (defaults to on).
-    #[must_use]
-    pub fn record_deliveries(mut self, record: bool) -> Self {
-        self.opts.record_deliveries = record;
+        self.parallelism = parallelism;
         self
     }
 
@@ -143,16 +136,11 @@ where
         self
     }
 
-    /// The underlying simulation options this builder has accumulated.
-    #[must_use]
-    pub fn options(&self) -> &SimOptions {
-        &self.opts
-    }
-
-    /// Validates every shape constraint [`run`](Scenario::run) relies on,
-    /// reporting **all** violations at once: missing or wrong-length
-    /// initial preferences, and a failure pattern built for different
-    /// parameters.
+    /// Validates everything [`run`](Scenario::run) relies on, reporting
+    /// **all** violations at once: missing or wrong-length initial
+    /// preferences, a failure pattern built for different parameters, and
+    /// a pattern the scenario's effective failure model does not admit
+    /// through the whole horizon (see [`admit_scenario`]).
     ///
     /// # Errors
     ///
@@ -166,39 +154,28 @@ where
     /// pattern, so callers that need the pattern afterwards build it once.
     fn validate_with(&self, pattern: &FailurePattern) -> Result<(), EbaError> {
         let params = self.ctx.params();
-        let shape = match &self.inits {
+        let admit = |inits: &[Value]| {
+            admit_scenario(
+                params,
+                self.effective_model(),
+                pattern,
+                inits,
+                self.effective_horizon(),
+            )
+        };
+        match &self.inits {
+            Some(inits) => admit(inits),
             None => {
                 let mut problems = vec![format!(
                     "inits: not set (expected n = {} initial preferences)",
                     params.n()
                 )];
-                if let Err(e) =
-                    validate_scenario_shape(params, pattern, &vec![Value::One; params.n()])
-                {
+                if let Err(e) = admit(&vec![Value::One; params.n()]) {
                     problems.push(error_message(&e));
                 }
                 Err(EbaError::InvalidInput(problems.join("; ")))
             }
-            Some(inits) => validate_scenario_shape(params, pattern, inits),
-        };
-        // The scenario's model must admit the pattern's drops — through
-        // the whole run, so a crash pattern whose recorded silence ends
-        // before the horizon is rejected rather than silently reviving —
-        // whatever model the pattern itself was built under.
-        let model = self.effective_model();
-        if pattern.params() == params {
-            if let Err(e) = model.admits_pattern_up_to(pattern, self.effective_horizon()) {
-                let model_problem = format!(
-                    "pattern: not admissible under the scenario's {model} model ({})",
-                    error_message(&e)
-                );
-                return Err(EbaError::InvalidInput(match shape {
-                    Err(prior) => format!("{}; {model_problem}", error_message(&prior)),
-                    Ok(()) => model_problem,
-                }));
-            }
         }
-        shape
     }
 
     /// Executes one run of the scenario on the calling thread.
@@ -206,24 +183,34 @@ where
     /// # Errors
     ///
     /// Returns [`EbaError::InvalidInput`] (via [`validate`](Scenario::validate))
-    /// listing every shape problem if the inputs disagree with the
-    /// context's parameters.
+    /// listing every problem if the inputs disagree with the context's
+    /// parameters or failure model.
     pub fn run(&self) -> Result<Trace<E>, EbaError> {
         let pattern = self.effective_pattern();
         self.validate_with(&pattern)?;
         let inits = self.inits.as_ref().expect("validated above");
-        run(
-            self.ctx.exchange(),
-            self.ctx.protocol(),
+        let mut observer = TraceObserver::new(self.ctx.exchange());
+        let run = run_rounds(
+            self.ctx,
             &pattern,
             inits,
-            &self.opts,
-        )
+            self.effective_horizon(),
+            &mut observer,
+        )?;
+        Ok(Trace {
+            params: self.ctx.params(),
+            pattern,
+            inits: run.inits,
+            states: run.states,
+            actions: run.actions,
+            deliveries: observer.deliveries,
+            metrics: observer.metrics,
+        })
     }
 
     /// Collects every run of the context up to the horizon, deduplicated
-    /// by `(N, trajectory)` — the builder-facing face of
-    /// [`crate::enumerate::enumerate_parallel`].
+    /// by `(N, trajectory)`, in the deterministic order described in
+    /// [`crate::enumerate`] whatever the [`parallelism`](Scenario::parallelism).
     ///
     /// # Errors
     ///
@@ -240,25 +227,47 @@ where
     }
 
     /// Streams every run of the context through `sink` in deterministic
-    /// enumeration order without collecting them — the builder-facing
-    /// face of [`crate::enumerate::enumerate_into`].
+    /// enumeration order without collecting them, returning the number of
+    /// runs delivered: the sink sees exactly the runs
+    /// [`enumerate`](Scenario::enumerate) would return, in the same
+    /// order, but nothing retains them — spec checks, metric folds, and
+    /// dominance sweeps run in `O(work item)` memory instead of `O(runs)`.
+    ///
+    /// ```
+    /// use eba_core::prelude::*;
+    /// use eba_sim::prelude::*;
+    ///
+    /// # fn main() -> Result<(), EbaError> {
+    /// let ctx = Context::minimal(Params::new(3, 0)?);
+    /// let mut count = 0usize;
+    /// let total = Scenario::of(&ctx)
+    ///     .horizon(3)
+    ///     .enumerate_into(&mut |_run: EnumRun<MinExchange>| {
+    ///         count += 1;
+    ///         Ok(())
+    ///     })?;
+    /// assert_eq!((count, total), (8, 8)); // 2^3 initial configurations
+    /// # Ok(())
+    /// # }
+    /// ```
     ///
     /// # Errors
     ///
     /// Fails exactly when [`enumerate`](Scenario::enumerate) fails, and
-    /// additionally propagates any error the sink returns.
+    /// additionally propagates any error the sink returns; on error the
+    /// sink may have received a prefix of the run set.
     pub fn enumerate_into<S>(&self, sink: &mut S) -> Result<usize, EbaError>
     where
         E: Sync,
         P: Sync,
         S: RunSink<E>,
     {
-        enumerate_model_into(
+        stream_runs(
             self.ctx,
             self.effective_model(),
             self.effective_horizon(),
             self.limit,
-            self.opts.parallelism,
+            self.parallelism,
             sink,
         )
     }
@@ -297,8 +306,7 @@ where
     }
 
     fn effective_horizon(&self) -> u32 {
-        self.opts
-            .horizon
+        self.horizon
             .unwrap_or_else(|| self.ctx.params().default_horizon())
     }
 }
@@ -310,32 +318,6 @@ mod tests {
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
-    }
-
-    #[test]
-    fn scenario_run_matches_positional_run() {
-        let ctx = Context::basic(params());
-        let pattern = FailurePattern::failure_free(params());
-        let inits = vec![Value::Zero, Value::One, Value::One, Value::One];
-        let via_builder = Scenario::of(&ctx)
-            .pattern(pattern.clone())
-            .inits(&inits)
-            .run()
-            .unwrap();
-        let via_positional = run(
-            ctx.exchange(),
-            ctx.protocol(),
-            &pattern,
-            &inits,
-            &SimOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(via_builder.states, via_positional.states);
-        assert_eq!(via_builder.actions, via_positional.actions);
-        assert_eq!(
-            via_builder.metrics.decision_rounds,
-            via_positional.metrics.decision_rounds
-        );
     }
 
     #[test]
@@ -376,26 +358,13 @@ mod tests {
         let trace = Scenario::of(&ctx)
             .inits(&[Value::One; 4])
             .horizon(6)
-            .record_deliveries(false)
             .run()
             .unwrap();
         assert_eq!(trace.horizon(), 6);
-        assert!(trace.deliveries.iter().all(|d| d.is_empty()));
-    }
-
-    #[test]
-    fn enumerate_matches_the_legacy_enumerator() {
-        let ctx = Context::minimal(Params::new(3, 1).unwrap());
-        let via_builder = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
-        let legacy =
-            crate::enumerate::enumerate_runs(ctx.exchange(), ctx.protocol(), 4, DEFAULT_ENUM_LIMIT)
-                .unwrap();
-        assert_eq!(via_builder.len(), legacy.len());
-        for (a, b) in via_builder.iter().zip(&legacy) {
-            assert_eq!(a.nonfaulty, b.nonfaulty);
-            assert_eq!(a.states, b.states);
-            assert_eq!(a.actions, b.actions);
-        }
+        // One delivery record per round; all 16 messages arrive in the
+        // round everyone decides (t + 2 = 3), none in any other.
+        let per_round: Vec<usize> = trace.deliveries.iter().map(Vec::len).collect();
+        assert_eq!(per_round, [0, 0, 16, 0, 0, 0]);
     }
 
     #[test]

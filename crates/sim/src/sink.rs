@@ -1,7 +1,7 @@
 //! Streaming consumers for exhaustive run enumeration.
 //!
-//! The exhaustive enumerators historically returned `Vec<EnumRun<E>>`,
-//! which makes peak memory proportional to the *total* number of runs —
+//! Collecting an enumeration into a `Vec<EnumRun<E>>` makes peak memory
+//! proportional to the *total* number of runs —
 //! ~100k trajectories for the full `E_fip/P_opt` `(3, 1)` context. Most
 //! consumers (spec checking, metrics aggregation, dominance sweeps) only
 //! *fold* over the runs, so [`RunSink`] lets them receive each run as it
@@ -22,20 +22,16 @@
 //! let ctx = Context::minimal(Params::new(3, 1)?);
 //! // Count decided agents at the horizon without keeping any run alive.
 //! let mut decided = 0usize;
-//! let total = enumerate_into(
-//!     &ctx,
-//!     4,
-//!     1_000_000,
-//!     Parallelism::Sequential,
-//!     &mut |run: EnumRun<MinExchange>| {
+//! let total = Scenario::of(&ctx)
+//!     .horizon(4)
+//!     .enumerate_into(&mut |run: EnumRun<MinExchange>| {
 //!         let last = run.states.last().expect("nonempty");
 //!         decided += last
 //!             .iter()
 //!             .filter(|s| ctx.exchange().decided(s).is_some())
 //!             .count();
 //!         Ok(())
-//!     },
-//! )?;
+//!     })?;
 //! assert!(total > 0 && decided > 0);
 //! # Ok(())
 //! # }
@@ -48,10 +44,11 @@ use crate::enumerate::EnumRun;
 
 /// A streaming consumer of enumerated runs.
 ///
-/// [`enumerate_into`](crate::enumerate::enumerate_into) feeds every run of
-/// the context to the sink **in the deterministic enumeration order** (the
-/// same order `enumerate_runs` returns them in), even when the search is
-/// sharded across threads.
+/// [`Scenario::enumerate_into`](crate::scenario::Scenario::enumerate_into)
+/// feeds every run of the context to the sink **in the deterministic
+/// enumeration order** (the order
+/// [`Scenario::enumerate`](crate::scenario::Scenario::enumerate) returns
+/// them in), even when the search is sharded across threads.
 ///
 /// Returning an error from [`accept`](RunSink::accept) aborts the
 /// enumeration and propagates the error; the sink may by then have
@@ -65,8 +62,7 @@ pub trait RunSink<E: InformationExchange> {
     fn accept(&mut self, run: EnumRun<E>) -> Result<(), EbaError>;
 }
 
-/// Collecting sink: `Vec` gathers every run, reproducing the legacy
-/// `enumerate_runs` output exactly.
+/// Collecting sink: `Vec` gathers every run.
 impl<E: InformationExchange> RunSink<E> for Vec<EnumRun<E>> {
     fn accept(&mut self, run: EnumRun<E>) -> Result<(), EbaError> {
         self.push(run);
@@ -89,20 +85,19 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::{enumerate_into, enumerate_runs};
-    use crate::runner::Parallelism;
+    use crate::scenario::Scenario;
     use eba_core::prelude::*;
 
     #[test]
     fn vec_sink_reproduces_enumerate_runs() {
         let ctx = Context::minimal(Params::new(3, 1).unwrap());
-        let legacy = enumerate_runs(ctx.exchange(), ctx.protocol(), 4, 100_000).unwrap();
+        let scenario = Scenario::of(&ctx).horizon(4).limit(100_000);
+        let enumerated = scenario.enumerate().unwrap();
         let mut collected = Vec::new();
-        let total =
-            enumerate_into(&ctx, 4, 100_000, Parallelism::Sequential, &mut collected).unwrap();
-        assert_eq!(total, legacy.len());
-        assert_eq!(collected.len(), legacy.len());
-        for (a, b) in collected.iter().zip(&legacy) {
+        let total = scenario.enumerate_into(&mut collected).unwrap();
+        assert_eq!(total, enumerated.len());
+        assert_eq!(collected.len(), enumerated.len());
+        for (a, b) in collected.iter().zip(&enumerated) {
             assert_eq!(a.states, b.states);
         }
     }
@@ -111,21 +106,17 @@ mod tests {
     fn closure_sink_errors_abort_the_enumeration() {
         let ctx = Context::minimal(Params::new(3, 1).unwrap());
         let mut seen = 0usize;
-        let err = enumerate_into(
-            &ctx,
-            4,
-            100_000,
-            Parallelism::Sequential,
-            &mut |_run: EnumRun<MinExchange>| {
+        let err = Scenario::of(&ctx)
+            .horizon(4)
+            .enumerate_into(&mut |_run: EnumRun<MinExchange>| {
                 seen += 1;
                 if seen == 5 {
                     Err(EbaError::InvalidInput("sink full".into()))
                 } else {
                     Ok(())
                 }
-            },
-        )
-        .unwrap_err();
+            })
+            .unwrap_err();
         assert!(err.to_string().contains("sink full"));
         assert_eq!(seen, 5);
     }

@@ -3,7 +3,7 @@
 use std::fmt;
 
 use eba_core::exchange::InformationExchange;
-use eba_core::types::{Action, AgentId, Value};
+use eba_core::types::{Action, AgentId, AgentSet, Value};
 
 use crate::trace::Trace;
 
@@ -24,7 +24,7 @@ pub enum SpecViolation {
         /// Another nonfaulty agent and its conflicting value.
         second: (AgentId, Value),
     },
-    /// An agent decided a value nobody started with.
+    /// An agent (faulty or not) decided a value nobody started with.
     Validity {
         /// The offending agent.
         agent: AgentId,
@@ -82,99 +82,106 @@ impl fmt::Display for SpecViolation {
 
 impl std::error::Error for SpecViolation {}
 
-/// Checks the four EBA properties on a trace:
+/// The one trajectory-level statement of the EBA specification, over the
+/// borrowed parts of a run (a [`Trace`] and an
+/// [`EnumRun`](crate::enumerate::EnumRun) both have them). The clauses
+/// are checked in this order and the first violated one is returned:
 ///
-/// * **Unique Decision** — no agent performs a second `decide`;
-/// * **Agreement** — all nonfaulty decisions agree;
-/// * **Validity** — a nonfaulty agent's decision matches some initial
-///   preference;
-/// * **Termination** — every nonfaulty agent decides within the trace.
+/// 1. **Unique Decision** — no agent performs a second `decide`, and a
+///    `decided` component, once set, never changes;
+/// 2. **Agreement** — all nonfaulty decisions agree;
+/// 3. **Validity**, in its strong form — *every* agent's decision, faulty
+///    agents included, matches some initial preference (Prop 6.1 shows
+///    the paper's protocols satisfy it);
+/// 4. **Termination** — every nonfaulty agent decides within the run.
+///
+/// An agent's decision is the value of its first `decide` action.
+/// [`check_eba`], the estimator's `judge_case` and the fuzzer's
+/// [`TraceOracle`](crate::fuzz::TraceOracle) all judge through this
+/// function; `eba-epistemic`'s `check_spec` states the same clauses as
+/// formulas and is kept independent of it as the cross-check.
 ///
 /// # Errors
 ///
 /// Returns the first violation found.
-pub fn check_eba<E: InformationExchange>(ex: &E, trace: &Trace<E>) -> Result<(), SpecViolation> {
-    let n = trace.params.n();
-    // Unique decision: at most one Decide action per agent, and the state's
-    // decided component must never change once set.
-    for i in 0..n {
+pub fn judge_run<E: InformationExchange>(
+    ex: &E,
+    nonfaulty: AgentSet,
+    inits: &[Value],
+    states: &[Vec<E::State>],
+    actions: &[Vec<Action>],
+) -> Result<(), SpecViolation> {
+    let mut decisions: Vec<Option<Value>> = vec![None; inits.len()];
+    for (i, decision) in decisions.iter_mut().enumerate() {
         let agent = AgentId::new(i);
-        let mut decided_at: Option<u32> = None;
-        for (m, acts) in trace.actions.iter().enumerate() {
-            if let Action::Decide(_) = acts[i] {
-                if decided_at.is_some() {
+        for (m, acts) in actions.iter().enumerate() {
+            if let Action::Decide(v) = acts[i] {
+                if decision.is_some() {
                     return Err(SpecViolation::UniqueDecision {
                         agent,
                         round: m as u32 + 1,
                     });
                 }
-                decided_at = Some(m as u32 + 1);
+                *decision = Some(v);
             }
         }
         let mut prev: Option<Value> = None;
-        for (m, states) in trace.states.iter().enumerate() {
-            let now = ex.decided(&states[i]);
-            if let (Some(p), now_val) = (prev, now) {
-                if now_val != Some(p) {
-                    return Err(SpecViolation::UniqueDecision {
-                        agent,
-                        round: m as u32,
-                    });
-                }
+        for (m, round) in states.iter().enumerate() {
+            let now = ex.decided(&round[i]);
+            if prev.is_some() && now != prev {
+                return Err(SpecViolation::UniqueDecision {
+                    agent,
+                    round: m as u32,
+                });
             }
-            prev = now.or(prev);
+            prev = now;
         }
     }
-    // Agreement among nonfaulty agents.
-    let nonfaulty = trace.nonfaulty();
     let mut first: Option<(AgentId, Value)> = None;
     for a in nonfaulty.iter() {
-        if let Some(v) = trace.decision_value(a) {
-            match first {
-                None => first = Some((a, v)),
-                Some((fa, fv)) if fv != v => {
-                    return Err(SpecViolation::Agreement {
-                        first: (fa, fv),
-                        second: (a, v),
-                    });
-                }
-                _ => {}
+        match (first, decisions[a.index()]) {
+            (None, Some(v)) => first = Some((a, v)),
+            (Some((fa, fv)), Some(v)) if fv != v => {
+                return Err(SpecViolation::Agreement {
+                    first: (fa, fv),
+                    second: (a, v),
+                });
+            }
+            _ => {}
+        }
+    }
+    for (i, decision) in decisions.iter().enumerate() {
+        if let Some(value) = *decision {
+            if !inits.contains(&value) {
+                return Err(SpecViolation::Validity {
+                    agent: AgentId::new(i),
+                    value,
+                });
             }
         }
     }
-    // Validity for nonfaulty agents.
     for a in nonfaulty.iter() {
-        if let Some(v) = trace.decision_value(a) {
-            if !trace.inits.contains(&v) {
-                return Err(SpecViolation::Validity { agent: a, value: v });
-            }
-        }
-    }
-    // Termination for nonfaulty agents.
-    for a in nonfaulty.iter() {
-        if trace.decision_round(a).is_none() {
+        if decisions[a.index()].is_none() {
             return Err(SpecViolation::Termination { agent: a });
         }
     }
     Ok(())
 }
 
-/// Checks Validity for *all* agents, including faulty ones. Prop 6.1 shows
-/// the paper's protocols satisfy this stronger form.
+/// Checks the EBA specification on a trace: [`judge_run`] over the
+/// trace's nonfaulty set, initial preferences, states and actions.
 ///
 /// # Errors
 ///
-/// Returns [`SpecViolation::Validity`] for the first offending agent.
-pub fn check_validity_all<E: InformationExchange>(trace: &Trace<E>) -> Result<(), SpecViolation> {
-    for i in 0..trace.params.n() {
-        let agent = AgentId::new(i);
-        if let Some(v) = trace.decision_value(agent) {
-            if !trace.inits.contains(&v) {
-                return Err(SpecViolation::Validity { agent, value: v });
-            }
-        }
-    }
-    Ok(())
+/// Returns the first violation found.
+pub fn check_eba<E: InformationExchange>(ex: &E, trace: &Trace<E>) -> Result<(), SpecViolation> {
+    judge_run(
+        ex,
+        trace.nonfaulty(),
+        &trace.inits,
+        &trace.states,
+        &trace.actions,
+    )
 }
 
 /// Checks that every agent (faulty included — Prop 6.1 covers them)
@@ -208,7 +215,7 @@ pub fn check_decides_by<E: InformationExchange>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::{run, SimOptions};
+    use crate::scenario::Scenario;
     use eba_core::prelude::*;
 
     fn params() -> Params {
@@ -217,16 +224,13 @@ mod tests {
 
     #[test]
     fn failure_free_runs_satisfy_eba() {
-        let ex = BasicExchange::new(params());
-        let p = PBasic::new(params());
-        let pat = FailurePattern::failure_free(params());
+        let ctx = Context::basic(params());
         for bits in 0..16u32 {
             let inits: Vec<Value> = (0..4)
                 .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
                 .collect();
-            let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
-            check_eba(&ex, &trace).unwrap();
-            check_validity_all(&trace).unwrap();
+            let trace = Scenario::of(&ctx).inits(&inits).run().unwrap();
+            check_eba(ctx.exchange(), &trace).unwrap();
             check_decides_by(&trace, 3).unwrap();
         }
     }
@@ -236,8 +240,7 @@ mod tests {
         // The introduction's r' run, at n = 3, t = 1: agent 0 is faulty
         // with init 0, silent except for one message to agent 2 in round 2.
         let p3 = Params::new(3, 1).unwrap();
-        let ex = NaiveExchange::new(p3);
-        let p = NaiveZeroBiased::new(p3);
+        let ctx = Context::naive(p3);
         let faulty = AgentSet::singleton(AgentId::new(0));
         let mut pat = FailurePattern::new(p3, faulty.complement(3)).unwrap();
         pat.silence_agent(AgentId::new(0), 0..1, true).unwrap();
@@ -248,35 +251,28 @@ mod tests {
             .unwrap();
         pat.silence_agent(AgentId::new(0), 2..4, true).unwrap();
         let inits = [Value::Zero, Value::One, Value::One];
-        let trace = run(&ex, &p, &pat, &inits, &SimOptions::default()).unwrap();
-        let err = check_eba(&ex, &trace).unwrap_err();
+        let trace = Scenario::of(&ctx).pattern(pat).inits(&inits).run().unwrap();
+        let err = check_eba(ctx.exchange(), &trace).unwrap_err();
         assert!(matches!(err, SpecViolation::Agreement { .. }), "got {err}");
     }
 
     #[test]
     fn termination_violation_detected() {
         // P_min with a horizon too short to reach the deadline round.
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
-        let pat = FailurePattern::failure_free(params());
-        let trace = run(
-            &ex,
-            &p,
-            &pat,
-            &[Value::One; 4],
-            &SimOptions::default().with_horizon(1),
-        )
-        .unwrap();
-        let err = check_eba(&ex, &trace).unwrap_err();
+        let ctx = Context::minimal(params());
+        let trace = Scenario::of(&ctx)
+            .inits(&[Value::One; 4])
+            .horizon(1)
+            .run()
+            .unwrap();
+        let err = check_eba(ctx.exchange(), &trace).unwrap_err();
         assert!(matches!(err, SpecViolation::Termination { .. }));
     }
 
     #[test]
     fn decision_bound_violation_detected() {
-        let ex = MinExchange::new(params());
-        let p = PMin::new(params());
-        let pat = FailurePattern::failure_free(params());
-        let trace = run(&ex, &p, &pat, &[Value::One; 4], &SimOptions::default()).unwrap();
+        let ctx = Context::minimal(params());
+        let trace = Scenario::of(&ctx).inits(&[Value::One; 4]).run().unwrap();
         // Everyone decides in round t + 2 = 3; a bound of 2 must fail.
         let err = check_decides_by(&trace, 2).unwrap_err();
         assert!(matches!(err, SpecViolation::DecisionBound { .. }));

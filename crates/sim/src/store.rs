@@ -16,7 +16,7 @@
 //!
 //! `RunStore` is a [`RunSink`], so it can be fed **incrementally** by the
 //! streaming enumeration engine
-//! ([`enumerate_into`](crate::enumerate::enumerate_into), or
+//! ([`Scenario::enumerate_into`](crate::scenario::Scenario::enumerate_into), or
 //! [`Scenario::enumerate_store`](crate::scenario::Scenario::enumerate_store)):
 //! each [`EnumRun`] is interned on arrival and dropped, so the full
 //! `Vec<EnumRun<E>>` never exists. Peak memory is the arena (distinct
@@ -322,14 +322,13 @@ impl<E: InformationExchange> RunSink<E> for RunStore<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::enumerate::enumerate_runs;
     use crate::runner::Parallelism;
     use crate::scenario::Scenario;
     use eba_core::prelude::*;
 
     fn collected_and_stored() -> (Vec<EnumRun<MinExchange>>, RunStore<MinExchange>) {
         let ctx = Context::minimal(Params::new(3, 1).unwrap());
-        let runs = enumerate_runs(ctx.exchange(), ctx.protocol(), 4, 100_000).unwrap();
+        let runs = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
         let store = Scenario::of(&ctx)
             .horizon(4)
             .parallelism(Parallelism::Fixed(3))
@@ -403,7 +402,7 @@ mod tests {
     #[test]
     fn push_run_rejects_shape_mismatches() {
         let ctx = Context::minimal(Params::new(3, 1).unwrap());
-        let runs = enumerate_runs(ctx.exchange(), ctx.protocol(), 4, 100_000).unwrap();
+        let runs = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
         // A horizon-4 run cannot enter a horizon-3 store.
         let mut store: RunStore<MinExchange> = RunStore::new(3, 3);
         let err = store.push_run(&runs[0]).unwrap_err();

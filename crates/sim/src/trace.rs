@@ -55,8 +55,7 @@ pub struct Trace<E: InformationExchange> {
     /// `actions[m][i]` — the action agent `i` performed at time `m`, i.e.
     /// in round `m + 1` (`0 .. horizon`).
     pub actions: Vec<Vec<Action>>,
-    /// `deliveries[m]` — the non-`⊥` messages delivered in round `m + 1`
-    /// (empty vectors when delivery recording is disabled).
+    /// `deliveries[m]` — the non-`⊥` messages delivered in round `m + 1`.
     pub deliveries: Vec<Vec<Delivery>>,
     /// Aggregate measurements of the run.
     pub metrics: Metrics,

@@ -1,14 +1,13 @@
-//! The Monte Carlo estimator: i.i.d. sampled runs, streamed spec
-//! verdicts, deterministic block-sharded parallelism.
+//! The Monte Carlo estimator: i.i.d. sampled runs, one verdict per run,
+//! deterministic block-sharded parallelism.
 //!
 //! Each trial draws a stratum from the plan's mixture, a faulty set, a
-//! failure pattern (via [`AdversarySampler`] — promoted here from a test
-//! helper to the first-class sampling backend), and uniform initial
-//! preferences; executes the stack one round at a time through the shared
-//! [`step_round`] transition; and streams the finished trajectory as an
-//! [`EnumRun`] into a [`RunSink`] — the same streaming machinery the
-//! exhaustive enumerators use, so a trial never outlives its verdict and
-//! memory stays flat at any trial count or `n`.
+//! failure pattern (via [`AdversarySampler`]), and uniform initial
+//! preferences; executes the stack through the simulator's run kernel
+//! ([`run_rounds`], unobserved); and judges the finished trajectory with
+//! the simulator's trajectory-level spec ([`judge_run`]) — so a trial
+//! never outlives its verdict and memory stays flat at any trial count
+//! or `n`.
 //!
 //! **Bit-reproducibility.** Trials are partitioned into fixed-size blocks
 //! of [`TRIAL_BLOCK`]; block `b` runs on its own `StdRng` seeded
@@ -26,14 +25,15 @@
 //! predicate's word.
 //!
 //! [`AdversarySampler`]: eba_core::prelude::AdversarySampler
-//! [`step_round`]: eba_core::exchange::step_round
+//! [`run_rounds`]: eba_sim::runner::run_rounds
+//! [`judge_run`]: eba_sim::spec::judge_run
 //! [`check_spec`]: eba_epistemic::spec::check_spec
 //! [`EngineOracle`]: eba_epistemic::spec::EngineOracle
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use eba_core::exchange::step_round;
+use eba_core::exchange::NoObserver;
 use eba_core::failures::random_faulty_set;
 use eba_core::prelude::*;
 use eba_epistemic::spec::{check_spec, EngineOracle};
@@ -54,127 +54,47 @@ pub const TRIAL_BLOCK: u64 = 1024;
 /// signatures per estimate.
 pub const MAX_REPROS: usize = 8;
 
-/// The violated-clause names, in check priority order. Identical to the
-/// fuzzer's [`violation_kind`] vocabulary
-/// so statistical repros and fuzz repros share one taxonomy.
+/// The violated-clause names, in the order [`judge_run`] checks them — the
+/// fuzzer's [`violation_kind`] vocabulary, so statistical repros and fuzz
+/// repros share one taxonomy.
 pub const VIOLATION_KINDS: [&str; 4] = ["unique_decision", "agreement", "validity", "termination"];
 
-/// Streams one concrete case — executed round by round through
-/// [`step_round`] — into `sink` as an [`EnumRun`].
-///
-/// This is the statistical checker's producer half: the consumer is any
-/// [`RunSink`], e.g. the spec-judging sink inside [`estimate`] or an
-/// interning `RunStore` in a cross-validation test.
-///
-/// # Errors
-///
-/// Propagates sink errors; returns [`EbaError::InvalidInput`] when
-/// `inits` has the wrong length.
-pub fn stream_case_into<E, P, S>(
+/// Executes one concrete case on the run kernel and judges it: the run,
+/// and its first violated clause (named as the fuzzer's
+/// [`violation_kind`] names it) if it has one.
+fn run_and_judge<E, P>(
     ctx: &Context<E, P>,
     pattern: &FailurePattern,
     inits: &[Value],
     horizon: u32,
-    sink: &mut S,
-) -> Result<(), EbaError>
+) -> Result<(EnumRun<E>, Option<&'static str>), EbaError>
 where
     E: InformationExchange,
     P: ActionProtocol<E>,
-    S: RunSink<E>,
 {
-    let ex = ctx.exchange();
-    let proto = ctx.protocol();
-    let n = ctx.params().n();
-    if inits.len() != n {
-        return Err(EbaError::InvalidInput(format!(
-            "{} initial preferences for n = {n}",
-            inits.len()
-        )));
-    }
-    let mut states: Vec<E::State> = ctx
-        .params()
-        .agents()
-        .map(|a| ex.initial_state(a, inits[a.index()]))
-        .collect();
-    let mut run_states = Vec::with_capacity(horizon as usize + 1);
-    let mut run_actions = Vec::with_capacity(horizon as usize);
-    run_states.push(states.clone());
-    for m in 0..horizon {
-        let actions: Vec<Action> = states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| proto.act(AgentId::new(i), s))
-            .collect();
-        states = step_round(ex, &states, &actions, |from, to| {
-            pattern.delivers(m, from, to)
-        });
-        run_actions.push(actions);
-        run_states.push(states.clone());
-    }
-    sink.accept(EnumRun {
-        nonfaulty: pattern.nonfaulty(),
-        inits: inits.to_vec(),
-        states: run_states,
-        actions: run_actions,
-    })
+    let run = run_rounds(ctx, pattern, inits, horizon, &mut NoObserver)?;
+    let verdict = judge_run(
+        ctx.exchange(),
+        run.nonfaulty,
+        &run.inits,
+        &run.states,
+        &run.actions,
+    )
+    .err()
+    .map(|v| violation_kind(&v));
+    Ok((run, verdict))
 }
 
-/// The first violated EBA clause of a finished run, or `None` when the
-/// run satisfies the spec: Unique Decision over the whole trajectory,
-/// then Agreement, strong Validity, and Termination-of-nonfaulty at the
-/// horizon — the same clauses (and verdicts) as the exhaustive checker's
-/// [`check_eba`], read off the trajectory.
-pub fn run_violation<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> Option<&'static str> {
-    // Unique Decision: once decided, an agent never changes or clears.
-    for agent in 0..run.inits.len() {
-        let mut seen: Option<Value> = None;
-        for round in &run.states {
-            let now = ex.decided(&round[agent]);
-            match (seen, now) {
-                (Some(v), other) if other != Some(v) => return Some(VIOLATION_KINDS[0]),
-                (None, Some(v)) => seen = Some(v),
-                _ => {}
-            }
-        }
-    }
-    let final_states = run.states.last().expect("nonempty trajectory");
-    let decided: Vec<Option<Value>> = final_states.iter().map(|s| ex.decided(s)).collect();
-    let nonfaulty_values: Vec<Value> = run
-        .nonfaulty
-        .iter()
-        .filter_map(|a| decided[a.index()])
-        .collect();
-    if !nonfaulty_values.windows(2).all(|w| w[0] == w[1]) {
-        return Some(VIOLATION_KINDS[1]);
-    }
-    if !decided.iter().flatten().all(|v| run.inits.contains(v)) {
-        return Some(VIOLATION_KINDS[2]);
-    }
-    if !run.nonfaulty.iter().all(|a| decided[a.index()].is_some()) {
-        return Some(VIOLATION_KINDS[3]);
-    }
-    None
-}
-
-/// A [`RunSink`] that judges each run against the EBA spec as it streams
-/// past, keeping only the verdict.
-struct SpecJudge<'a, E: InformationExchange> {
-    ex: &'a E,
-    verdict: Option<&'static str>,
-}
-
-impl<E: InformationExchange> RunSink<E> for SpecJudge<'_, E> {
-    fn accept(&mut self, run: EnumRun<E>) -> Result<(), EbaError> {
-        self.verdict = run_violation(self.ex, &run);
-        Ok(())
-    }
-}
-
-/// Executes one concrete case and returns its violated clause, if any.
+/// Executes one concrete case and returns its violated clause, if any —
+/// one of [`VIOLATION_KINDS`].
+///
+/// The pattern is taken as sampled: only its shape is checked, not its
+/// admissibility under the context's failure model.
 ///
 /// # Errors
 ///
-/// Returns [`EbaError::InvalidInput`] when `inits` has the wrong length.
+/// Returns [`EbaError::InvalidInput`] when `inits` has the wrong length
+/// or the pattern was built for other parameters.
 pub fn judge_case<E, P>(
     ctx: &Context<E, P>,
     pattern: &FailurePattern,
@@ -185,12 +105,7 @@ where
     E: InformationExchange,
     P: ActionProtocol<E>,
 {
-    let mut judge = SpecJudge {
-        ex: ctx.exchange(),
-        verdict: None,
-    };
-    stream_case_into(ctx, pattern, inits, horizon, &mut judge)?;
-    Ok(judge.verdict)
+    Ok(run_and_judge(ctx, pattern, inits, horizon)?.1)
 }
 
 /// Per-stratum trial/violation tallies of a finished estimate.
@@ -371,36 +286,24 @@ impl EstimateVisitor<'_> {
                 .map(|_| Value::from_bit(rng.random_range(0..2u8)))
                 .collect();
             result.stratum_trials[s] += 1;
-            if let Some(kind) = judge_case(ctx, &pattern, &inits, self.plan.horizon)? {
+            let (run, verdict) = run_and_judge(ctx, &pattern, &inits, self.plan.horizon)?;
+            if let Some(kind) = verdict {
                 result.violations += 1;
                 result.stratum_violations[s] += 1;
                 let kind_idx = kind_index(kind);
                 result.kind_counts[kind_idx as usize] += 1;
                 if result.candidates.len() < BLOCK_CANDIDATES {
-                    let ex = ctx.exchange();
-                    let mut judge = SpecJudge { ex, verdict: None };
-                    // Re-derive the decision vector for the signature by
-                    // streaming the case once more (violations are rare;
-                    // clarity over micro-optimization here).
-                    let mut decisions = vec![2u8; n];
-                    let mut capture = |run: EnumRun<E>| -> Result<(), EbaError> {
-                        let last = run.states.last().expect("nonempty");
-                        for (i, s) in last.iter().enumerate() {
-                            decisions[i] = match ex.decided(s) {
-                                Some(Value::Zero) => 0,
-                                Some(Value::One) => 1,
-                                None => 2,
-                            };
-                        }
-                        judge.accept(run)
-                    };
-                    stream_case_into(ctx, &pattern, &inits, self.plan.horizon, &mut capture)?;
-                    let bits = pattern
-                        .nonfaulty()
+                    let last = run.states.last().expect("nonempty trajectory");
+                    let decisions = last
                         .iter()
-                        .fold(0u128, |acc, a| acc | (1 << a.index()));
+                        .map(|state| match ctx.exchange().decided(state) {
+                            Some(Value::Zero) => 0,
+                            Some(Value::One) => 1,
+                            None => 2,
+                        })
+                        .collect();
                     result.candidates.push(Candidate {
-                        signature: (bits, decisions, kind_idx),
+                        signature: (pattern.nonfaulty().bits(), decisions, kind_idx),
                         pattern,
                         inits,
                         kind_idx,
@@ -692,8 +595,8 @@ mod tests {
 
     #[test]
     fn streamed_trials_agree_with_the_scenario_runner() {
-        // The streaming executor must produce the exact trajectory the
-        // lockstep Scenario runner produces, for every stack.
+        // A trial's trajectory is exactly the one the Scenario runner
+        // produces (and judges clean) for the same case.
         let params = Params::new(3, 1).unwrap();
         let faulty = AgentSet::singleton(AgentId::new(1));
         let pattern = silent_pattern(params, faulty, 4).unwrap();
@@ -705,10 +608,37 @@ mod tests {
             .horizon(4)
             .run()
             .unwrap();
-        let mut collected: Vec<EnumRun<BasicExchange>> = Vec::new();
-        stream_case_into(&ctx, &pattern, &inits, 4, &mut collected).unwrap();
-        assert_eq!(collected.len(), 1);
-        assert_eq!(collected[0].states, trace.states);
+        let (run, verdict) = run_and_judge(&ctx, &pattern, &inits, 4).unwrap();
+        assert_eq!(verdict, None);
+        assert_eq!(run.nonfaulty, trace.nonfaulty());
+        assert_eq!(run.states, trace.states);
+        assert_eq!(run.actions, trace.actions);
+    }
+
+    #[test]
+    fn judge_case_rejects_a_pattern_built_for_other_parameters() {
+        // Indexing a (5, 2) pattern's drop rows with n = 3 would judge
+        // some other run; the kernel's shape check refuses, with the
+        // message `Scenario::run` gives.
+        let ctx = Context::basic(Params::new(3, 1).unwrap());
+        let other = Params::new(5, 2).unwrap();
+        let faulty: AgentSet = [3, 4].into_iter().map(AgentId::new).collect();
+        let pattern = silent_pattern(other, faulty, 4).unwrap();
+        let inits = vec![Value::One; 3];
+        let err = judge_case(&ctx, &pattern, &inits, 4).unwrap_err();
+        let via_scenario = Scenario::of(&ctx)
+            .pattern(pattern)
+            .inits(&inits)
+            .horizon(4)
+            .run()
+            .unwrap_err();
+        assert_eq!(err, via_scenario);
+        assert_eq!(
+            err,
+            EbaError::InvalidInput(
+                "pattern: got a pattern built for (n = 5, t = 2) (expected (n = 3, t = 1))".into()
+            )
+        );
     }
 
     #[test]

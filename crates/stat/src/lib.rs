@@ -15,9 +15,9 @@
 //!   TrialPlan ──► SampleScheme strata ──► AdversarySampler + inits
 //!       │               (mixture)             (one trial)
 //!       │                                        │
-//!       │                              step_round execution
+//!       │                           run_rounds (the sim kernel)
 //!       │                                        │
-//!       │                              EnumRun ──► RunSink judge
+//!       │                              EnumRun ──► judge_run
 //!       │                                        │
 //!       └──► blocks × workers ──► deterministic merge ──► Estimate
 //!                                        │
@@ -61,8 +61,8 @@ pub mod reference;
 /// The crate's commonly used types and entry points.
 pub mod prelude {
     pub use crate::estimate::{
-        estimate, judge_case, run_violation, stream_case_into, Estimate, StratumCount,
-        ViolatingSample, MAX_REPROS, TRIAL_BLOCK, VIOLATION_KINDS,
+        estimate, judge_case, Estimate, StratumCount, ViolatingSample, MAX_REPROS, TRIAL_BLOCK,
+        VIOLATION_KINDS,
     };
     pub use crate::interval::{clopper_pearson, wilson, Interval};
     pub use crate::plan::{SampleScheme, Stratum, TrialPlan};

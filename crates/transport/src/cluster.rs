@@ -3,7 +3,7 @@
 
 use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
 
-use eba_core::context::{validate_scenario_shape, Context, NamedStack};
+use eba_core::context::{admit_scenario, Context, NamedStack};
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
@@ -80,7 +80,10 @@ pub struct TransportReport<E: InformationExchange> {
     pub rounds: u32,
 }
 
-/// Runs `(E, P)` on one thread per agent for `horizon` rounds.
+/// Runs a [`Context`] on one thread per agent for `horizon` rounds: the
+/// context supplies both halves of the stack (and its failure model,
+/// which the injected pattern must be admissible under), the caller
+/// supplies the wire codec.
 ///
 /// The router collects every agent's outgoing frames before delivering
 /// any — rounds are strictly synchronous, matching the model of Section 3.
@@ -89,15 +92,19 @@ pub struct TransportReport<E: InformationExchange> {
 ///
 /// # Errors
 ///
-/// Returns [`EbaError::InvalidInput`] on shape mismatches (wrong number of
-/// initial preferences, pattern built for other parameters).
+/// Returns [`EbaError::InvalidInput`] listing every problem
+/// [`admit_scenario`] finds: shape mismatches (wrong number of initial
+/// preferences, pattern built for other parameters) and drops that are
+/// not admissible under the context's
+/// [`FailureModel`](eba_core::failures::FailureModel) through the whole
+/// horizon — e.g. a silent sending-omission adversary injected into an
+/// `@failure_free` context.
 ///
 /// # Panics
 ///
 /// Panics if an agent thread panics (e.g. a protocol bug).
-pub fn run_cluster<E, P, C>(
-    ex: &E,
-    proto: &P,
+pub fn run_context_cluster<E, P, C>(
+    ctx: &Context<E, P>,
     codec: &C,
     pattern: &FailurePattern,
     inits: &[Value],
@@ -108,11 +115,9 @@ where
     P: ActionProtocol<E> + Sync,
     C: WireCodec<E::Message>,
 {
-    let params = ex.params();
-    let n = params.n();
-    // Same shape validation as the lockstep runner and the `Scenario`
-    // builder: every problem reported at once, each naming its argument.
-    validate_scenario_shape(params, pattern, inits)?;
+    let (ex, proto) = (ctx.exchange(), ctx.protocol());
+    let n = ctx.params().n();
+    admit_scenario(ctx.params(), ctx.model(), pattern, inits, horizon)?;
 
     // Agents → router (shared), router → each agent (private), agents →
     // collector for final reports.
@@ -257,50 +262,6 @@ where
     })
 }
 
-/// Runs a first-class [`Context`] on the threaded cluster — the
-/// `Scenario`-era face of [`run_cluster`]: the context supplies both
-/// halves of the stack (and its failure model, which the injected
-/// pattern must be admissible under), the caller supplies the wire
-/// codec.
-///
-/// # Errors
-///
-/// As [`run_cluster`], and additionally
-/// [`EbaError::InvalidInput`] when the pattern's drops are not
-/// admissible under the context's
-/// [`FailureModel`](eba_core::failures::FailureModel) — e.g. a silent
-/// sending-omission adversary injected into an `@failure_free` context.
-pub fn run_context_cluster<E, P, C>(
-    ctx: &Context<E, P>,
-    codec: &C,
-    pattern: &FailurePattern,
-    inits: &[Value],
-    horizon: u32,
-) -> Result<TransportReport<E>, EbaError>
-where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Sync,
-    C: WireCodec<E::Message>,
-{
-    if pattern.params() == ctx.params() {
-        if let Err(e) = ctx.model().admits_pattern_up_to(pattern, horizon) {
-            return Err(EbaError::InvalidInput(format!(
-                "pattern: not admissible under the context's {} model ({})",
-                ctx.model(),
-                eba_core::context::error_message(&e)
-            )));
-        }
-    }
-    run_cluster(
-        ctx.exchange(),
-        ctx.protocol(),
-        codec,
-        pattern,
-        inits,
-        horizon,
-    )
-}
-
 /// A name-erased cluster outcome, for stacks selected from the registry
 /// at runtime (final states are stack-specific and therefore dropped).
 #[derive(Clone, Debug)]
@@ -356,7 +317,7 @@ impl<E: InformationExchange> From<TransportReport<E>> for ClusterSummary {
 ///
 /// # Errors
 ///
-/// Exactly as [`run_cluster`], with every message prefixed by the
+/// Exactly as [`run_context_cluster`], with every message prefixed by the
 /// qualified stack name (`E_fip/P_opt@crash`) so a battery over many
 /// registry stacks reports which one failed.
 pub fn run_named_cluster(
@@ -401,10 +362,9 @@ mod tests {
 
     #[test]
     fn failure_free_pbasic_matches_prop82() {
-        let ex = BasicExchange::new(params());
-        let proto = PBasic::new(params());
+        let ctx = Context::basic(params());
         let pattern = FailurePattern::failure_free(params());
-        let report = run_cluster(&ex, &proto, &BasicCodec, &pattern, &[Value::One; 4], 4).unwrap();
+        let report = run_context_cluster(&ctx, &BasicCodec, &pattern, &[Value::One; 4], 4).unwrap();
         assert!(report.decision_rounds.iter().all(|r| *r == Some(2)));
         assert!(report
             .decision_values
@@ -416,9 +376,8 @@ mod tests {
     fn cluster_matches_lockstep_simulator_exactly() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
-        let ex = BasicExchange::new(params());
-        let proto = PBasic::new(params());
-        let sampler = OmissionSampler::new(params(), 4, 0.35);
+        let ctx = Context::basic(params());
+        let sampler = AdversarySampler::new(FailureModel::SendingOmission, params(), 4, 0.35);
         let mut rng = StdRng::seed_from_u64(77);
         for _ in 0..40 {
             let pattern = sampler.sample(&mut rng);
@@ -426,9 +385,13 @@ mod tests {
             let inits: Vec<Value> = (0..4)
                 .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
                 .collect();
-            let trace = run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap();
+            let trace = Scenario::of(&ctx)
+                .pattern(pattern.clone())
+                .inits(&inits)
+                .run()
+                .unwrap();
             let report =
-                run_cluster(&ex, &proto, &BasicCodec, &pattern, &inits, trace.horizon()).unwrap();
+                run_context_cluster(&ctx, &BasicCodec, &pattern, &inits, trace.horizon()).unwrap();
             assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
             assert_eq!(report.decision_values, trace.metrics.decision_values);
             // Final states agree bit for bit (codecs are loss-free).
@@ -439,14 +402,17 @@ mod tests {
 
     #[test]
     fn fip_over_the_wire_matches_simulator() {
-        let ex = FipExchange::new(params());
-        let proto = POpt::new(params());
+        let ctx = Context::fip(params());
         let faulty = AgentSet::singleton(AgentId::new(3));
         let pattern = silent_pattern(params(), faulty, 4).unwrap();
         let inits = [Value::One, Value::One, Value::Zero, Value::One];
-        let trace = run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap();
+        let trace = Scenario::of(&ctx)
+            .pattern(pattern.clone())
+            .inits(&inits)
+            .run()
+            .unwrap();
         let report =
-            run_cluster(&ex, &proto, &FipCodec, &pattern, &inits, trace.horizon()).unwrap();
+            run_context_cluster(&ctx, &FipCodec, &pattern, &inits, trace.horizon()).unwrap();
         assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
         assert_eq!(&report.final_states, trace.states.last().unwrap());
     }
@@ -454,10 +420,9 @@ mod tests {
     #[test]
     fn min_wire_bytes_equal_message_count() {
         // E_min frames are exactly one byte, so wire bytes = messages = n².
-        let ex = MinExchange::new(params());
-        let proto = PMin::new(params());
+        let ctx = Context::minimal(params());
         let pattern = FailurePattern::failure_free(params());
-        let report = run_cluster(&ex, &proto, &MinCodec, &pattern, &[Value::One; 4], 4).unwrap();
+        let report = run_context_cluster(&ctx, &MinCodec, &pattern, &[Value::One; 4], 4).unwrap();
         assert_eq!(report.wire_bytes_sent, 16);
         assert_eq!(report.frames_sent, 16);
         assert_eq!(report.wire_bytes_delivered, 16);
@@ -465,25 +430,23 @@ mod tests {
 
     #[test]
     fn dropped_frames_are_not_delivered() {
-        let ex = MinExchange::new(params());
-        let proto = PMin::new(params());
+        let ctx = Context::minimal(params());
         let faulty = AgentSet::singleton(AgentId::new(0));
         let pattern = silent_pattern(params(), faulty, 4).unwrap();
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let report = run_cluster(&ex, &proto, &MinCodec, &pattern, &inits, 4).unwrap();
+        let report = run_context_cluster(&ctx, &MinCodec, &pattern, &inits, 4).unwrap();
         // a0's 3 frames to others are dropped (self-delivery kept).
         assert_eq!(report.wire_bytes_sent - report.wire_bytes_delivered, 3);
     }
 
     #[test]
     fn shape_errors_are_reported() {
-        let ex = MinExchange::new(params());
-        let proto = PMin::new(params());
+        let ctx = Context::minimal(params());
         let pattern = FailurePattern::failure_free(params());
-        let err = run_cluster(&ex, &proto, &MinCodec, &pattern, &[Value::One; 3], 4).unwrap_err();
+        let err = run_context_cluster(&ctx, &MinCodec, &pattern, &[Value::One; 3], 4).unwrap_err();
         assert!(err.to_string().contains("inits: got 3"), "{err}");
         let other = FailurePattern::failure_free(Params::new(5, 1).unwrap());
-        let err = run_cluster(&ex, &proto, &MinCodec, &other, &[Value::One; 4], 4).unwrap_err();
+        let err = run_context_cluster(&ctx, &MinCodec, &other, &[Value::One; 4], 4).unwrap_err();
         assert!(
             err.to_string().contains("pattern: got a pattern built for"),
             "{err}"
@@ -555,12 +518,11 @@ mod tests {
 
     #[test]
     fn round_traffic_accounts_for_every_frame() {
-        let ex = MinExchange::new(params());
-        let proto = PMin::new(params());
+        let ctx = Context::minimal(params());
         let faulty = AgentSet::singleton(AgentId::new(0));
         let pattern = silent_pattern(params(), faulty, 4).unwrap();
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let report = run_cluster(&ex, &proto, &MinCodec, &pattern, &inits, 4).unwrap();
+        let report = run_context_cluster(&ctx, &MinCodec, &pattern, &inits, 4).unwrap();
         assert_eq!(report.round_traffic.len(), 4);
         // Per-round counters sum to the run totals…
         let sent: u64 = report.round_traffic.iter().map(|t| t.sent).sum();
@@ -599,25 +561,5 @@ mod tests {
         let err =
             run_context_cluster(&ctx, &BasicCodec, &pattern, &[Value::One; 4], 4).unwrap_err();
         assert!(err.to_string().contains("sending_omission model"), "{err}");
-    }
-
-    #[test]
-    fn context_cluster_matches_positional_cluster() {
-        let ctx = Context::basic(params());
-        let pattern = FailurePattern::failure_free(params());
-        let via_ctx =
-            run_context_cluster(&ctx, &BasicCodec, &pattern, &[Value::One; 4], 4).unwrap();
-        let via_positional = run_cluster(
-            ctx.exchange(),
-            ctx.protocol(),
-            &BasicCodec,
-            &pattern,
-            &[Value::One; 4],
-            4,
-        )
-        .unwrap();
-        assert_eq!(via_ctx.decision_rounds, via_positional.decision_rounds);
-        assert_eq!(via_ctx.final_states, via_positional.final_states);
-        assert_eq!(via_ctx.wire_bytes_sent, via_positional.wire_bytes_sent);
     }
 }

@@ -38,7 +38,6 @@ mod cluster;
 mod codec;
 
 pub use cluster::{
-    run_cluster, run_context_cluster, run_named_cluster, ClusterSummary, RoundTraffic,
-    TransportReport,
+    run_context_cluster, run_named_cluster, ClusterSummary, RoundTraffic, TransportReport,
 };
 pub use codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};

@@ -1,4 +1,4 @@
-//! Times the sequential vs parallel exhaustive enumerators on the largest
+//! Times sequential vs sharded exhaustive enumeration on the largest
 //! instance the tier-1 suite exhausts (`E_fip/P_opt`, n = 3, t = 1,
 //! horizon 4 — ~10⁵ deduplicated runs), verifies they agree, and then
 //! spec-checks the same context through a streaming `RunSink` (no
@@ -11,15 +11,14 @@
 use std::time::Instant;
 
 use eba::prelude::*;
-use eba::sim::enumerate::EnumRun;
 
 fn main() {
     let params = Params::new(3, 1).unwrap();
     let ctx = Context::fip(params);
-    let (horizon, limit) = (4, 10_000_000);
+    let scenario = Scenario::of(&ctx).horizon(4);
 
     let t0 = Instant::now();
-    let sequential = enumerate_runs(ctx.exchange(), ctx.protocol(), horizon, limit).unwrap();
+    let sequential = scenario.enumerate().unwrap();
     let sequential_time = t0.elapsed();
     println!(
         "sequential:        {} runs in {sequential_time:.2?}",
@@ -32,9 +31,11 @@ fn main() {
         Parallelism::Auto,
     ] {
         let t0 = Instant::now();
-        let parallel =
-            enumerate_parallel(ctx.exchange(), ctx.protocol(), horizon, limit, parallelism)
-                .unwrap();
+        let parallel = scenario
+            .clone()
+            .parallelism(parallelism)
+            .enumerate()
+            .unwrap();
         let elapsed = t0.elapsed();
         assert_eq!(sequential.len(), parallel.len());
         assert!(
@@ -60,12 +61,9 @@ fn main() {
     // deterministic order, but nothing retains the ~10⁵ trajectories.
     let t0 = Instant::now();
     let mut decided_everywhere = 0usize;
-    let total = enumerate_into(
-        &ctx,
-        horizon,
-        limit,
-        Parallelism::Auto,
-        &mut |run: EnumRun<FipExchange>| {
+    let total = scenario
+        .parallelism(Parallelism::Auto)
+        .enumerate_into(&mut |run: EnumRun<FipExchange>| {
             let last = run.states.last().expect("nonempty");
             if run
                 .nonfaulty
@@ -75,9 +73,8 @@ fn main() {
                 decided_everywhere += 1;
             }
             Ok(())
-        },
-    )
-    .unwrap();
+        })
+        .unwrap();
     println!(
         "streamed (sink):   {total} runs folded in {:.2?}; nonfaulty all decided in {decided_everywhere}",
         t0.elapsed()

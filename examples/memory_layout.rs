@@ -1,5 +1,5 @@
-//! Measures the interned-arena memory layout against the legacy
-//! collected path on the full `E_fip/P_opt` `(3, 1)` system — the
+//! Measures the interned-arena memory layout against the collected
+//! reference path (`eba::epistemic::oracle`) on the full `E_fip/P_opt` `(3, 1)` system — the
 //! numbers behind the "memory layout & scaling" section of
 //! `docs/GUIDE.md`.
 //!
@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run --release --example memory_layout -- streamed    # arena build
-//! cargo run --release --example memory_layout -- collected   # legacy build
+//! cargo run --release --example memory_layout -- collected   # reference build
 //! cargo run --release --example memory_layout -- fip41       # (4,1) reach
 //! ```
 
@@ -61,7 +61,7 @@ fn main() {
             report("streamed  fip(3,1)", &sys, t0.elapsed().as_secs_f64());
             assert!(sys.run_count() > 90_000);
         }
-        // The legacy path: collect every trajectory, then classify.
+        // The reference path: collect every trajectory, then classify.
         "collected" => {
             let ctx = Context::fip(params);
             // Same enumeration parallelism as the streamed mode, so the
@@ -71,7 +71,7 @@ fn main() {
                 .parallelism(Parallelism::Auto)
                 .enumerate()
                 .unwrap();
-            let sys = InterpretedSystem::from_runs(FipExchange::new(params), runs, 4).unwrap();
+            let sys = eba::epistemic::oracle::from_runs(FipExchange::new(params), runs, 4).unwrap();
             report("collected fip(3,1)", &sys, t0.elapsed().as_secs_f64());
         }
         // Newly reachable scale: the (4, 1) full-information system.

@@ -10,12 +10,11 @@
 //! ```
 
 use eba::prelude::*;
-use eba::transport::{run_cluster, FipCodec};
+use eba::transport::{run_context_cluster, FipCodec};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = Params::new(8, 3)?;
-    let exchange = FipExchange::new(params);
-    let protocol = POpt::new(params);
+    let ctx = Context::fip(params);
 
     // Three faulty agents, silent for the first two rounds.
     let faulty: AgentSet = (0..3).map(AgentId::new).collect();
@@ -36,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let horizon = params.default_horizon();
 
     println!("== 8 agent threads, 3 faulty, full-information exchange ==\n");
-    let report = run_cluster(&exchange, &protocol, &FipCodec, &pattern, &inits, horizon)?;
+    let report = run_context_cluster(&ctx, &FipCodec, &pattern, &inits, horizon)?;
     for agent in params.agents() {
         println!(
             "  {agent}: decided {} in round {}",
@@ -50,13 +49,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Cross-check against the lockstep simulator.
-    let trace = run(
-        &exchange,
-        &protocol,
-        &pattern,
-        &inits,
-        &SimOptions::default().with_horizon(horizon),
-    )?;
+    let trace = Scenario::of(&ctx)
+        .pattern(pattern)
+        .inits(&inits)
+        .horizon(horizon)
+        .run()?;
     assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
     assert_eq!(report.decision_values, trace.metrics.decision_values);
     assert_eq!(&report.final_states, trace.states.last().unwrap());

@@ -7,7 +7,6 @@
 use eba::core::exchange::InformationExchange;
 use eba::core::protocols::ActionProtocol;
 use eba::prelude::*;
-use eba::sim::enumerate::EnumRun;
 
 /// Checks the four EBA properties plus strong Validity and the `t + 2`
 /// bound directly on an enumerated run.
@@ -68,17 +67,14 @@ where
     P: ActionProtocol<E> + Sync,
 {
     let mut checked = 0usize;
-    let total = enumerate_into(
-        &ctx,
-        horizon,
-        10_000_000,
-        Parallelism::Auto,
-        &mut |run: EnumRun<E>| {
+    let total = Scenario::of(&ctx)
+        .horizon(horizon)
+        .parallelism(Parallelism::Auto)
+        .enumerate_into(&mut |run: EnumRun<E>| {
             checked += 1;
             check_enum_run(ctx.exchange(), &run).map_err(eba::core::types::EbaError::InvalidInput)
-        },
-    )
-    .unwrap_or_else(|e| panic!("{e}"));
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(total, checked);
     assert!(total > 0);
     total

@@ -2,22 +2,22 @@
 //!
 //! The load-bearing guarantee: selecting
 //! `FailureModel::SendingOmission` — explicitly, through a context, or by
-//! not selecting anything — reproduces the pre-model behavior **bit for
-//! bit**, for every registered stack, including the full ~98k-run
-//! `E_fip/P_opt` `(3, 1)` context. On top of that, `Crash` and
+//! not selecting anything — yields one and the same run set, **bit for
+//! bit** and for any worker count, for every registered stack, including
+//! the full ~98k-run `E_fip/P_opt` `(3, 1)` context. On top of that, `Crash` and
 //! `GeneralOmission` open genuinely new scenario families: non-empty run
 //! sets, distinct from (and nested around) the sending-omission one.
 
 use eba::core::exchange::InformationExchange;
 use eba::core::protocols::ActionProtocol;
 use eba::prelude::*;
-use eba::sim::enumerate::EnumRun;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Asserts that enumerating a stack through `Scenario` with an explicit
-/// `SendingOmission` model reproduces both legacy enumerators bit for bit.
+/// Asserts that enumerating a stack with an explicit `SendingOmission`
+/// model reproduces the default enumeration, sequential and sharded, bit
+/// for bit.
 struct ModeledSoEqualsLegacy<'a> {
     horizon: u32,
     label: &'a str,
@@ -31,16 +31,12 @@ impl StackVisitor for ModeledSoEqualsLegacy<'_> {
         E: InformationExchange + Clone + Sync + 'static,
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
-        let legacy_sequential =
-            enumerate_runs(ctx.exchange(), ctx.protocol(), self.horizon, 10_000_000).unwrap();
-        let legacy_parallel = enumerate_parallel(
-            ctx.exchange(),
-            ctx.protocol(),
-            self.horizon,
-            10_000_000,
-            Parallelism::Fixed(3),
-        )
-        .unwrap();
+        let default = Scenario::of(ctx).horizon(self.horizon);
+        let legacy_sequential = default.enumerate().unwrap();
+        let legacy_parallel = default
+            .parallelism(Parallelism::Fixed(3))
+            .enumerate()
+            .unwrap();
         let modeled = Scenario::of(ctx)
             .model(FailureModel::SendingOmission)
             .horizon(self.horizon)
@@ -62,9 +58,8 @@ impl StackVisitor for ModeledSoEqualsLegacy<'_> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The sending-omission model through the new `FailureModel` path is
-    /// the legacy enumeration, for every registered stack and a grid of
-    /// horizons. (`E_fip` is excluded here and pinned by the dedicated
+    /// The explicitly selected sending-omission model is the default
+    /// enumeration, for every registered stack and a grid of horizons. (`E_fip` is excluded here and pinned by the dedicated
     /// acceptance test below — its full context is too heavy for a
     /// proptest case.)
     #[test]
@@ -82,12 +77,12 @@ proptest! {
 
 /// The acceptance criterion verbatim: on the `(3, 1)` `E_fip/P_opt`
 /// context, `Scenario::of(&ctx).model(FailureModel::SendingOmission)`
-/// enumeration is bit-for-bit identical to the pre-PR default.
+/// enumeration is bit-for-bit identical to the default.
 #[test]
 fn fip_sending_omission_context_is_bit_for_bit_identical() {
     let params = Params::new(3, 1).unwrap();
     let ctx = Context::fip(params);
-    let legacy = enumerate_runs(ctx.exchange(), ctx.protocol(), 4, 10_000_000).unwrap();
+    let legacy = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
     // Stream the modeled enumeration so the two run sets are never
     // resident at once.
     let mut idx = 0usize;

@@ -9,7 +9,6 @@
 //! * protocols that decide **later** remain correct but are strictly
 //!   dominated on corresponding runs.
 
-use eba::core::exchange::InformationExchange;
 use eba::core::protocols::ActionProtocol;
 use eba::prelude::*;
 
@@ -87,41 +86,24 @@ impl ActionProtocol<MinExchange> for ContrarianMin {
 /// Searches all enumerated runs for an EBA violation; returns how many
 /// runs violate.
 fn count_violations<P: ActionProtocol<MinExchange> + Sync>(params: Params, proto: P) -> usize {
-    let ex = MinExchange::new(params);
-    let runs = enumerate_parallel(
-        &ex,
-        &proto,
-        params.default_horizon() + 1,
-        10_000_000,
-        Parallelism::Auto,
-    )
-    .expect("enumerable");
-    let mut violations = 0;
-    for run in &runs {
-        let final_states = run.states.last().unwrap();
-        // Agreement among nonfaulty.
-        let values: Vec<Value> = run
-            .nonfaulty
-            .iter()
-            .filter_map(|a| ex.decided(&final_states[a.index()]))
-            .collect();
-        let agreement = values.windows(2).all(|w| w[0] == w[1]);
-        // Strong validity.
-        let validity = (0..params.n()).all(|i| {
-            ex.decided(&final_states[i])
-                .map(|v| run.inits.contains(&v))
-                .unwrap_or(true)
-        });
-        // Termination of nonfaulty agents.
-        let termination = run
-            .nonfaulty
-            .iter()
-            .all(|a| ex.decided(&final_states[a.index()]).is_some());
-        if !(agreement && validity && termination) {
-            violations += 1;
-        }
-    }
-    violations
+    let ctx = Context::new(MinExchange::new(params), proto);
+    let runs = Scenario::of(&ctx)
+        .horizon(params.default_horizon() + 1)
+        .parallelism(Parallelism::Auto)
+        .enumerate()
+        .expect("enumerable");
+    runs.iter()
+        .filter(|run| {
+            judge_run(
+                ctx.exchange(),
+                run.nonfaulty,
+                &run.inits,
+                &run.states,
+                &run.actions,
+            )
+            .is_err()
+        })
+        .count()
 }
 
 #[test]
@@ -151,16 +133,25 @@ fn lazy_mutant_is_correct_but_strictly_dominated() {
     // Correct on every enumerated run…
     assert_eq!(count_violations(params, LazyMin(params)), 0);
     // …but strictly dominated by P_min over corresponding runs.
-    let ex = MinExchange::new(params);
-    let pmin = PMin::new(params);
-    let lazy = LazyMin(params);
+    let pmin = Context::minimal(params);
+    let lazy = Context::new(MinExchange::new(params), LazyMin(params));
+    let horizon = params.default_horizon() + 1;
     let mut summary = DominanceSummary::default();
     for nonfaulty in eba::core::failures::nonfaulty_choices(params) {
         let pattern = FailurePattern::new(params, nonfaulty).unwrap();
         for inits in eba::core::failures::init_configs(4) {
-            let opts = SimOptions::default().with_horizon(params.default_horizon() + 1);
-            let a = run(&ex, &pmin, &pattern, &inits, &opts).unwrap();
-            let b = run(&ex, &lazy, &pattern, &inits, &opts).unwrap();
+            let a = Scenario::of(&pmin)
+                .pattern(pattern.clone())
+                .inits(&inits)
+                .horizon(horizon)
+                .run()
+                .unwrap();
+            let b = Scenario::of(&lazy)
+                .pattern(pattern.clone())
+                .inits(&inits)
+                .horizon(horizon)
+                .run()
+                .unwrap();
             summary.record(compare_corresponding(&a, &b));
         }
     }
@@ -176,16 +167,20 @@ fn pmin_and_pbasic_are_incomparable_only_in_speed_never_in_safety() {
     // never later anywhere — observed over a sweep of drop-free patterns
     // with every faulty-set choice.
     let params = Params::new(4, 2).unwrap();
-    let exm = MinExchange::new(params);
-    let exb = BasicExchange::new(params);
-    let pmin = PMin::new(params);
-    let pbasic = PBasic::new(params);
-    let opts = SimOptions::default();
+    let (min_ctx, basic_ctx) = (Context::minimal(params), Context::basic(params));
     for nonfaulty in eba::core::failures::nonfaulty_choices(params) {
         let pattern = FailurePattern::new(params, nonfaulty).unwrap();
         for inits in eba::core::failures::init_configs(4) {
-            let a = run(&exm, &pmin, &pattern, &inits, &opts).unwrap();
-            let b = run(&exb, &pbasic, &pattern, &inits, &opts).unwrap();
+            let a = Scenario::of(&min_ctx)
+                .pattern(pattern.clone())
+                .inits(&inits)
+                .run()
+                .unwrap();
+            let b = Scenario::of(&basic_ctx)
+                .pattern(pattern.clone())
+                .inits(&inits)
+                .run()
+                .unwrap();
             for agent in nonfaulty.iter() {
                 let ra = a.decision_round(agent).unwrap();
                 let rb = b.decision_round(agent).unwrap();

@@ -13,16 +13,24 @@ fn prop_8_1_pmin_sends_exactly_n_squared_bits() {
     for n in [3usize, 5, 8, 13] {
         let t = (n - 1) / 2;
         let params = Params::new(n, t).unwrap();
-        let ex = MinExchange::new(params);
-        let proto = PMin::new(params);
-        let sampler = OmissionSampler::new(params, params.default_horizon(), 0.5);
+        let ctx = Context::minimal(params);
+        let sampler = AdversarySampler::new(
+            FailureModel::SendingOmission,
+            params,
+            params.default_horizon(),
+            0.5,
+        );
         for _ in 0..25 {
             let pattern = sampler.sample(&mut rng);
             let bits: u64 = rng.random();
             let inits: Vec<Value> = (0..n)
                 .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
                 .collect();
-            let trace = run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap();
+            let trace = Scenario::of(&ctx)
+                .pattern(pattern)
+                .inits(&inits)
+                .run()
+                .unwrap();
             assert_eq!(trace.metrics.bits_sent, (n * n) as u64);
             assert_eq!(trace.metrics.messages_sent, (n * n) as u64);
         }

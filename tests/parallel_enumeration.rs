@@ -1,47 +1,37 @@
-//! The parallel enumerator is a drop-in replacement for the sequential
-//! one: on a grid of small `(n, t)` instances and several worker counts,
-//! `enumerate_parallel` must return the **same runs in the same order** as
-//! `enumerate_runs`, and every run must receive the same EBA verdict.
+//! Sharded enumeration is a drop-in replacement for sequential
+//! enumeration: on a grid of small `(n, t)` instances and several worker
+//! counts, `Scenario::enumerate` under `Parallelism::Fixed(k)` must return
+//! the **same runs in the same order** as under `Parallelism::Sequential`,
+//! and every run must receive the same EBA verdict.
 
 use eba::core::exchange::InformationExchange;
 use eba::core::protocols::ActionProtocol;
 use eba::prelude::*;
-use eba::sim::enumerate::EnumRun;
 
-/// The per-run verdict compared across enumerators: whether the run
-/// satisfies Agreement + strong Validity + Termination of nonfaulty
-/// agents at the horizon.
+/// The per-run verdict compared across enumerations: whether the run
+/// satisfies the EBA spec (`judge_run`).
 fn eba_verdict<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> bool {
-    let final_states = run.states.last().expect("nonempty trajectory");
-    let decided: Vec<Option<Value>> = final_states.iter().map(|s| ex.decided(s)).collect();
-    let nonfaulty_values: Vec<Value> = run
-        .nonfaulty
-        .iter()
-        .filter_map(|a| decided[a.index()])
-        .collect();
-    let agreement = nonfaulty_values.windows(2).all(|w| w[0] == w[1]);
-    let validity = decided.iter().flatten().all(|v| run.inits.contains(v));
-    let termination = run.nonfaulty.iter().all(|a| decided[a.index()].is_some());
-    agreement && validity && termination
+    judge_run(ex, run.nonfaulty, &run.inits, &run.states, &run.actions).is_ok()
 }
 
-/// Asserts run-count, order, trajectory, and verdict equality between the
-/// sequential and parallel enumerators for one stack.
-fn assert_identical<E, P>(ex: E, proto: P, horizon: u32, label: &str)
+/// Asserts run-count, order, trajectory, and verdict equality between
+/// sequential and sharded enumeration of one stack.
+fn assert_identical<E, P>(ctx: &Context<E, P>, horizon: u32, label: &str)
 where
     E: InformationExchange + Sync,
     P: ActionProtocol<E> + Sync,
 {
-    let sequential = enumerate_runs(&ex, &proto, horizon, 10_000_000).expect("sequential");
+    let ex = ctx.exchange();
+    let sequential = Scenario::of(ctx)
+        .horizon(horizon)
+        .enumerate()
+        .expect("sequential");
     for workers in [2usize, 4, 16] {
-        let parallel = enumerate_parallel(
-            &ex,
-            &proto,
-            horizon,
-            10_000_000,
-            Parallelism::Fixed(workers),
-        )
-        .expect("parallel");
+        let parallel = Scenario::of(ctx)
+            .horizon(horizon)
+            .parallelism(Parallelism::Fixed(workers))
+            .enumerate()
+            .expect("parallel");
         assert_eq!(
             sequential.len(),
             parallel.len(),
@@ -53,8 +43,8 @@ where
             assert_eq!(s.states, p.states, "{label}: run {i} trajectory");
             assert_eq!(s.actions, p.actions, "{label}: run {i} actions");
             assert_eq!(
-                eba_verdict(&ex, s),
-                eba_verdict(&ex, p),
+                eba_verdict(ex, s),
+                eba_verdict(ex, p),
                 "{label}: run {i} verdict"
             );
         }
@@ -65,11 +55,9 @@ where
 fn pmin_parallel_equals_sequential_on_nt_grid() {
     for (n, t) in [(2, 1), (3, 0), (3, 1), (4, 1), (4, 2)] {
         let params = Params::new(n, t).unwrap();
-        let horizon = params.default_horizon();
         assert_identical(
-            MinExchange::new(params),
-            PMin::new(params),
-            horizon,
+            &Context::minimal(params),
+            params.default_horizon(),
             &format!("P_min n={n} t={t}"),
         );
     }
@@ -79,11 +67,9 @@ fn pmin_parallel_equals_sequential_on_nt_grid() {
 fn pbasic_parallel_equals_sequential_on_nt_grid() {
     for (n, t) in [(3, 1), (4, 1)] {
         let params = Params::new(n, t).unwrap();
-        let horizon = params.default_horizon();
         assert_identical(
-            BasicExchange::new(params),
-            PBasic::new(params),
-            horizon,
+            &Context::basic(params),
+            params.default_horizon(),
             &format!("P_basic n={n} t={t}"),
         );
     }
@@ -94,48 +80,24 @@ fn popt_parallel_equals_sequential() {
     // The FIP branches hardest (every agent sends every round), so keep
     // the instance small; it still covers thousands of runs.
     let params = Params::new(3, 1).unwrap();
-    assert_identical(
-        FipExchange::new(params),
-        POpt::new(params),
-        3,
-        "P_opt n=3 t=1",
-    );
-}
-
-#[test]
-fn simoptions_parallelism_is_consumed_by_enumerate_with() {
-    // `SimOptions::with_parallelism` must actually steer the enumerator
-    // (not be dead configuration) and preserve the sequential output.
-    let params = Params::new(3, 1).unwrap();
-    let ex = MinExchange::new(params);
-    let proto = PMin::new(params);
-    let opts = SimOptions::default().with_parallelism(Parallelism::Fixed(3));
-    let via_opts = enumerate_with(&ex, &proto, 4, 10_000_000, &opts).unwrap();
-    let sequential = enumerate_runs(&ex, &proto, 4, 10_000_000).unwrap();
-    assert_eq!(via_opts.len(), sequential.len());
-    assert!(via_opts
-        .iter()
-        .zip(&sequential)
-        .all(|(a, b)| a.states == b.states));
+    assert_identical(&Context::fip(params), 3, "P_opt n=3 t=1");
 }
 
 #[test]
 fn parallel_all_verdicts_pass_for_correct_protocols() {
     // Sanity on top of equality: the paper's protocols are correct on
     // every enumerated run, so every verdict must be positive.
-    let params = Params::new(3, 1).unwrap();
-    let ex = MinExchange::new(params);
-    let proto = PMin::new(params);
-    let runs = enumerate_parallel(
-        &ex,
-        &proto,
-        params.default_horizon(),
-        10_000_000,
-        Parallelism::Fixed(4),
-    )
-    .unwrap();
+    let ctx = Context::minimal(Params::new(3, 1).unwrap());
+    let runs = Scenario::of(&ctx)
+        .parallelism(Parallelism::Fixed(4))
+        .enumerate()
+        .unwrap();
     assert!(!runs.is_empty());
     for run in &runs {
-        assert!(eba_verdict(&ex, run), "violation in N = {}", run.nonfaulty);
+        assert!(
+            eba_verdict(ctx.exchange(), run),
+            "violation in N = {}",
+            run.nonfaulty
+        );
     }
 }

@@ -3,7 +3,7 @@
 //! threaded transport against the lockstep simulator.
 
 use eba::prelude::*;
-use eba::transport::{run_cluster, BasicCodec, MinCodec};
+use eba::transport::{run_context_cluster, BasicCodec, MinCodec};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,13 +17,36 @@ fn instance(
     init_bits: u64,
 ) -> (Params, FailurePattern, Vec<Value>) {
     let params = Params::new(n, t).unwrap();
-    let sampler = OmissionSampler::new(params, params.default_horizon(), drop_prob);
+    let sampler = so_sampler(params, drop_prob);
     let mut rng = StdRng::seed_from_u64(seed);
     let pattern = sampler.sample(&mut rng);
     let inits = (0..n)
         .map(|i| Value::from_bit(((init_bits >> i) & 1) as u8))
         .collect();
     (params, pattern, inits)
+}
+
+/// The random sending-omissions adversary over the default horizon.
+fn so_sampler(params: Params, drop_prob: f64) -> AdversarySampler {
+    AdversarySampler::new(
+        FailureModel::SendingOmission,
+        params,
+        params.default_horizon(),
+        drop_prob,
+    )
+}
+
+/// One run of `ctx` against `pattern` from `inits`, at the default horizon.
+fn run_on<E, P>(ctx: &Context<E, P>, pattern: &FailurePattern, inits: &[Value]) -> Trace<E>
+where
+    E: InformationExchange,
+    P: ActionProtocol<E>,
+{
+    Scenario::of(ctx)
+        .pattern(pattern.clone())
+        .inits(inits)
+        .run()
+        .unwrap()
 }
 
 proptest! {
@@ -39,24 +62,22 @@ proptest! {
     ) {
         let t = (n - 1) / 2;
         let (params, pattern, inits) = instance(n, t, drop_prob, seed, init_bits);
-        let opts = SimOptions::default();
 
-        let ex = MinExchange::new(params);
-        let trace = run(&ex, &PMin::new(params), &pattern, &inits, &opts).unwrap();
-        prop_assert!(check_eba(&ex, &trace).is_ok());
-        prop_assert!(check_validity_all(&trace).is_ok());
+        let ctx = Context::minimal(params);
+        let trace = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok());
         prop_assert!(check_decides_by(&trace, params.decide_by_round()).is_ok());
         prop_assert!(verify_zero_chains(&trace).is_ok());
 
-        let exb = BasicExchange::new(params);
-        let trace = run(&exb, &PBasic::new(params), &pattern, &inits, &opts).unwrap();
-        prop_assert!(check_eba(&exb, &trace).is_ok());
+        let ctx = Context::basic(params);
+        let trace = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok());
         prop_assert!(check_decides_by(&trace, params.decide_by_round()).is_ok());
         prop_assert!(verify_zero_chains(&trace).is_ok());
 
-        let exf = FipExchange::new(params);
-        let trace = run(&exf, &POpt::new(params), &pattern, &inits, &opts).unwrap();
-        prop_assert!(check_eba(&exf, &trace).is_ok());
+        let ctx = Context::fip(params);
+        let trace = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok());
         prop_assert!(check_decides_by(&trace, params.decide_by_round()).is_ok());
     }
 
@@ -72,13 +93,8 @@ proptest! {
     ) {
         let t = (n - 1) / 2;
         let (params, pattern, inits) = instance(n, t, drop_prob, seed, init_bits);
-        let opts = SimOptions::default();
-        let min_trace = run(
-            &MinExchange::new(params), &PMin::new(params), &pattern, &inits, &opts,
-        ).unwrap();
-        let fip_trace = run(
-            &FipExchange::new(params), &POpt::new(params), &pattern, &inits, &opts,
-        ).unwrap();
+        let min_trace = run_on(&Context::minimal(params), &pattern, &inits);
+        let fip_trace = run_on(&Context::fip(params), &pattern, &inits);
         for a in pattern.nonfaulty().iter() {
             let pmin = min_trace.decision_round(a).unwrap();
             let popt = fip_trace.decision_round(a).unwrap();
@@ -96,10 +112,9 @@ proptest! {
         init_bits in any::<u64>(),
     ) {
         let (params, pattern, inits) = instance(5, 2, 0.5, seed, init_bits);
-        let ex = BasicExchange::new(params);
-        let proto = PBasic::new(params);
-        let a = run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap();
-        let b = run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap();
+        let ctx = Context::basic(params);
+        let a = run_on(&ctx, &pattern, &inits);
+        let b = run_on(&ctx, &pattern, &inits);
         prop_assert_eq!(a.states, b.states);
         prop_assert_eq!(a.actions, b.actions);
     }
@@ -112,20 +127,18 @@ proptest! {
         drop_prob in 0.0f64..1.0,
     ) {
         let (params, pattern, inits) = instance(4, 1, drop_prob, seed, init_bits);
-        let ex = MinExchange::new(params);
-        let proto = PMin::new(params);
-        let trace = run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap();
-        let report = run_cluster(
-            &ex, &proto, &MinCodec, &pattern, &inits, trace.horizon(),
+        let ctx = Context::minimal(params);
+        let trace = run_on(&ctx, &pattern, &inits);
+        let report = run_context_cluster(
+            &ctx, &MinCodec, &pattern, &inits, trace.horizon(),
         ).unwrap();
         prop_assert_eq!(&report.decision_rounds, &trace.metrics.decision_rounds);
         prop_assert_eq!(&report.final_states, trace.states.last().unwrap());
 
-        let exb = BasicExchange::new(params);
-        let protob = PBasic::new(params);
-        let trace = run(&exb, &protob, &pattern, &inits, &SimOptions::default()).unwrap();
-        let report = run_cluster(
-            &exb, &protob, &BasicCodec, &pattern, &inits, trace.horizon(),
+        let ctx = Context::basic(params);
+        let trace = run_on(&ctx, &pattern, &inits);
+        let report = run_context_cluster(
+            &ctx, &BasicCodec, &pattern, &inits, trace.horizon(),
         ).unwrap();
         prop_assert_eq!(&report.decision_rounds, &trace.metrics.decision_rounds);
         prop_assert_eq!(&report.final_states, trace.states.last().unwrap());
@@ -149,15 +162,14 @@ proptest! {
         let inits: Vec<Value> = (0..n)
             .map(|i| Value::from_bit(((init_bits >> i) & 1) as u8))
             .collect();
-        let opts = SimOptions::default();
 
-        let exn = NaiveExchange::new(params);
-        let trace = run(&exn, &NaiveZeroBiased::new(params), &pattern, &inits, &opts).unwrap();
-        prop_assert!(check_eba(&exn, &trace).is_ok(), "naive under crash");
+        let ctx = Context::naive(params);
+        let trace = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok(), "naive under crash");
 
-        let ex = MinExchange::new(params);
-        let trace = run(&ex, &PMin::new(params), &pattern, &inits, &opts).unwrap();
-        prop_assert!(check_eba(&ex, &trace).is_ok(), "P_min under crash");
+        let ctx = Context::minimal(params);
+        let trace = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok(), "P_min under crash");
     }
 
     /// Metrics bookkeeping: delivered ≤ sent, and they agree exactly on
@@ -168,13 +180,10 @@ proptest! {
         n in 3usize..8,
     ) {
         let params = Params::new(n, 1).unwrap();
-        let ex = BasicExchange::new(params);
-        let proto = PBasic::new(params);
         let inits: Vec<Value> = (0..n)
             .map(|i| Value::from_bit(((init_bits >> i) & 1) as u8))
             .collect();
-        let pattern = FailurePattern::failure_free(params);
-        let trace = run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap();
+        let trace = Scenario::of(&Context::basic(params)).inits(&inits).run().unwrap();
         prop_assert_eq!(trace.metrics.bits_sent, trace.metrics.bits_delivered);
         prop_assert_eq!(trace.metrics.messages_sent, trace.metrics.messages_delivered);
         let delivered: u64 = trace.deliveries.iter().map(|d| d.len() as u64).sum();
@@ -190,9 +199,8 @@ fn fip_decision_matrix_matches_reality_on_random_runs() {
     use eba::core::graph::FipAnalysis;
     use rand::Rng;
     let params = Params::new(5, 2).unwrap();
-    let ex = FipExchange::new(params);
-    let proto = POpt::new(params);
-    let sampler = OmissionSampler::new(params, params.default_horizon(), 0.4);
+    let ctx = Context::fip(params);
+    let sampler = so_sampler(params, 0.4);
     let mut rng = StdRng::seed_from_u64(1234);
     for _ in 0..60 {
         let pattern = sampler.sample(&mut rng);
@@ -200,7 +208,7 @@ fn fip_decision_matrix_matches_reality_on_random_runs() {
         let inits: Vec<Value> = (0..5)
             .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
             .collect();
-        let trace = run(&ex, &proto, &pattern, &inits, &SimOptions::default()).unwrap();
+        let trace = run_on(&ctx, &pattern, &inits);
         // For every agent and time: every in-cone entry of the re-simulated
         // decision matrix equals the action actually taken.
         for observer in params.agents() {

@@ -1,8 +1,8 @@
 //! The interned `RunStore` backbone must be a *refactor*, not a semantic
 //! change: for every registered stack, failure model, and horizon, the
 //! streamed arena-backed `InterpretedSystem::from_context` produces
-//! **bit-for-bit** the same interpreted system as the legacy
-//! collect-then-classify `from_runs` path — same run metadata, same
+//! **bit-for-bit** the same interpreted system as the reference
+//! collect-then-classify `oracle::from_runs` path — same run metadata, same
 //! indistinguishability-class partition, same `eval` bitsets, same
 //! implements-check verdicts — and every arena-resolved state/action is
 //! additionally compared against the **raw** collected trajectories, a
@@ -14,9 +14,9 @@
 use eba::core::exchange::InformationExchange;
 use eba::core::kbp::KnowledgeBasedProgram;
 use eba::core::protocols::ActionProtocol;
+use eba::epistemic::oracle;
 use eba::epistemic::prelude::*;
 use eba::prelude::*;
-use eba::sim::enumerate::{enumerate_model_into, EnumRun};
 use proptest::prelude::*;
 
 /// Builds one stack's system both ways and asserts bit-for-bit equality
@@ -39,16 +39,10 @@ impl StackVisitor for StoreEqualsLegacy {
         let n = ctx.params().n();
 
         // Legacy oracle input: collect the run vector.
-        let mut runs: Vec<EnumRun<E>> = Vec::new();
-        enumerate_model_into(
-            ctx,
-            ctx.model(),
-            self.horizon,
-            10_000_000,
-            Parallelism::Sequential,
-            &mut runs,
-        )
-        .expect("collectable");
+        let runs: Vec<EnumRun<E>> = Scenario::of(ctx)
+            .horizon(self.horizon)
+            .enumerate()
+            .expect("collectable");
 
         // Streamed arena path: never materializes the run vector.
         let streamed = InterpretedSystem::from_context(ctx.clone(), self.horizon, 10_000_000, {
@@ -85,8 +79,8 @@ impl StackVisitor for StoreEqualsLegacy {
 
         // Legacy oracle: classes computed by the original hash-then-group
         // classifier directly over the raw run vector.
-        let legacy = InterpretedSystem::from_runs(ctx.exchange().clone(), runs, self.horizon)
-            .expect("legacy build");
+        let legacy =
+            oracle::from_runs(ctx.exchange().clone(), runs, self.horizon).expect("legacy build");
         assert_eq!(streamed.point_count(), legacy.point_count(), "{label}");
 
         // Same indistinguishability-class partition, canonically.
@@ -181,8 +175,7 @@ fn full_fip_system_streams_with_identical_verdicts() {
         .horizon(4)
         .enumerate()
         .expect("collectable");
-    let legacy =
-        InterpretedSystem::from_runs(FipExchange::new(params), runs, 4).expect("legacy build");
+    let legacy = oracle::from_runs(FipExchange::new(params), runs, 4).expect("legacy build");
     for i in 0..3 {
         let agent = AgentId::new(i);
         assert_eq!(

@@ -1,125 +1,38 @@
-//! The `Context`/`Scenario`/`RunSink` redesign must be a *refactor*, not a
-//! semantic change: for every registered stack the builder-driven entry
-//! points reproduce the legacy positional APIs bit for bit, and the
-//! streaming enumeration reproduces the collecting one across worker
-//! counts. The acceptance check at the bottom spec-checks the full
-//! `E_fip/P_opt` `(3, 1)` context through a counting sink without ever
-//! materializing the run set.
+//! Streaming and the registry: for every worker count the streaming
+//! enumeration reproduces the collecting one bit for bit, and the
+//! acceptance check at the bottom spec-checks the full `E_fip/P_opt`
+//! `(3, 1)` context through a counting sink without ever materializing the
+//! run set.
 
 use eba::core::exchange::InformationExchange;
 use eba::core::protocols::ActionProtocol;
-// The one shared EnumRun spec checker (Agreement + strong Validity +
-// Termination of nonfaulty agents at the horizon) — the same predicate
-// the `--stack` CLI battery folds over its streamed enumeration.
-use eba::experiments::stack_summary::enum_run_satisfies_eba as eba_verdict;
 use eba::prelude::*;
-use eba::sim::enumerate::EnumRun;
-use proptest::prelude::*;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-/// Asserts `Scenario::run` ≡ the legacy positional `run` on one stack.
-struct BuilderEqualsLegacy<'a> {
-    pattern: &'a FailurePattern,
-    inits: &'a [Value],
-    label: &'a str,
+/// The one trajectory-level spec judge, as a per-run verdict — the same
+/// predicate the `--stack` CLI battery folds over its streamed
+/// enumeration.
+fn eba_verdict<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> bool {
+    judge_run(ex, run.nonfaulty, &run.inits, &run.states, &run.actions).is_ok()
 }
 
-impl StackVisitor for BuilderEqualsLegacy<'_> {
-    type Output = ();
-
-    fn visit<E, P>(self, ctx: &Context<E, P>)
-    where
-        E: InformationExchange + Clone + Sync + 'static,
-        P: ActionProtocol<E> + Clone + Sync + 'static,
-    {
-        let via_builder = Scenario::of(ctx)
-            .pattern(self.pattern.clone())
-            .inits(self.inits)
-            .run()
-            .expect("builder run");
-        let via_legacy = run(
-            ctx.exchange(),
-            ctx.protocol(),
-            self.pattern,
-            self.inits,
-            &SimOptions::default(),
-        )
-        .expect("legacy run");
-        assert_eq!(via_builder.states, via_legacy.states, "{}", self.label);
-        assert_eq!(via_builder.actions, via_legacy.actions, "{}", self.label);
-        assert_eq!(
-            via_builder.deliveries, via_legacy.deliveries,
-            "{}",
-            self.label
-        );
-        assert_eq!(
-            via_builder.metrics.decision_rounds, via_legacy.metrics.decision_rounds,
-            "{}",
-            self.label
-        );
-        assert_eq!(
-            via_builder.metrics.bits_sent, via_legacy.metrics.bits_sent,
-            "{}",
-            self.label
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// For every registered stack name, the `Scenario` builder reproduces
-    /// the legacy positional `run` on random adversaries and inputs.
-    #[test]
-    fn scenario_run_equals_legacy_run_for_every_registered_stack(
-        seed in any::<u64>(),
-        init_bits in any::<u64>(),
-        drop_prob in 0.0f64..1.0,
-    ) {
-        let params = Params::new(4, 1).unwrap();
-        let sampler = OmissionSampler::new(params, params.default_horizon(), drop_prob);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let pattern = sampler.sample(&mut rng);
-        let inits: Vec<Value> = (0..4)
-            .map(|i| Value::from_bit(((init_bits >> i) & 1) as u8))
-            .collect();
-        for name in STACK_NAMES {
-            let stack = NamedStack::by_name(name, params).unwrap();
-            stack.visit(BuilderEqualsLegacy {
-                pattern: &pattern,
-                inits: &inits,
-                label: name,
-            });
-        }
-    }
-}
-
-/// `enumerate_into` with a collecting sink reproduces `enumerate_parallel`
-/// byte for byte, for every worker count.
+/// `Scenario::enumerate_into` with a collecting sink reproduces
+/// `Scenario::enumerate` byte for byte, for every worker count.
 fn assert_streaming_equals_collecting<E, P>(ctx: &Context<E, P>, horizon: u32, label: &str)
 where
     E: InformationExchange + Sync,
     P: ActionProtocol<E> + Sync,
 {
-    let reference = enumerate_parallel(
-        ctx.exchange(),
-        ctx.protocol(),
-        horizon,
-        10_000_000,
-        Parallelism::Sequential,
-    )
-    .expect("reference enumeration");
+    let reference = Scenario::of(ctx)
+        .horizon(horizon)
+        .enumerate()
+        .expect("reference enumeration");
     for workers in [1usize, 2, 3, 16] {
         let mut streamed: Vec<EnumRun<E>> = Vec::new();
-        let total = enumerate_into(
-            ctx,
-            horizon,
-            10_000_000,
-            Parallelism::Fixed(workers),
-            &mut streamed,
-        )
-        .expect("streaming enumeration");
+        let total = Scenario::of(ctx)
+            .horizon(horizon)
+            .parallelism(Parallelism::Fixed(workers))
+            .enumerate_into(&mut streamed)
+            .expect("streaming enumeration");
         assert_eq!(
             total,
             reference.len(),
@@ -166,29 +79,20 @@ fn counting_sink_spec_checks_full_fip_context_without_collecting() {
 
     let mut streamed_count = 0usize;
     let mut streamed_ok = 0usize;
-    let total = enumerate_into(
-        &ctx,
-        horizon,
-        10_000_000,
-        Parallelism::Auto,
-        &mut |run: EnumRun<FipExchange>| {
+    let scenario = Scenario::of(&ctx)
+        .horizon(horizon)
+        .parallelism(Parallelism::Auto);
+    let total = scenario
+        .enumerate_into(&mut |run: EnumRun<FipExchange>| {
             streamed_count += 1;
             if eba_verdict(ctx.exchange(), &run) {
                 streamed_ok += 1;
             }
             Ok(())
-        },
-    )
-    .expect("streamed enumeration");
+        })
+        .expect("streamed enumeration");
 
-    let collected = enumerate_parallel(
-        ctx.exchange(),
-        ctx.protocol(),
-        horizon,
-        10_000_000,
-        Parallelism::Auto,
-    )
-    .expect("collecting enumeration");
+    let collected = scenario.enumerate().expect("collecting enumeration");
     let collected_ok = collected
         .iter()
         .filter(|r| eba_verdict(ctx.exchange(), r))

@@ -6,7 +6,7 @@
 //! (fixed by [`Params`]), and the interpretation `π` (fixed by the state
 //! components every EBA exchange exposes). [`Context`] bundles the two
 //! free choices — the exchange and the action protocol living on it — so
-//! that simulators, model checkers, experiments, and benches take *one*
+//! that simulators, model checkers, experiments, and the benchmark take *one*
 //! value instead of re-threading `(&exchange, &protocol, …)` positionally.
 //!
 //! The four stacks studied by the paper are registered by name
@@ -14,8 +14,8 @@
 //! `"E_fip/P_opt"`, and `"E_naive/P_naive"`. [`NamedStack::by_name`]
 //! builds any of them at given parameters, and [`NamedStack::visit`]
 //! dispatches a generic computation ([`StackVisitor`]) to the concrete
-//! monomorphized types — this is how the experiments CLI, the benches, and
-//! the transport cluster select stacks from strings.
+//! monomorphized types — this is how the experiments CLI, the benchmark,
+//! and the transport cluster select stacks from strings.
 
 use crate::exchange::{
     BasicExchange, FipExchange, InformationExchange, MinExchange, NaiveExchange,

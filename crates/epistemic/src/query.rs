@@ -734,8 +734,8 @@ impl<E: InformationExchange> InterpretedSystem<E> {
 
 /// The standard regression battery: every proposition kind, the
 /// knowledge operators, and the temporal operators — 33 formulas at
-/// `n = 3`. Shared by the equivalence suites, the benches, and the
-/// `--bench-json` battery timings, so "the 33-formula battery" means the
+/// `n = 3`. Shared by the equivalence suites and the benchmark's
+/// `epistemic.battery_*` probes, so "the 33-formula battery" means the
 /// same thing everywhere.
 #[must_use]
 pub fn standard_battery(n: usize) -> Vec<Formula> {

@@ -186,3 +186,24 @@ pub fn run(dir: &Path) -> Result<(Vec<CorpusRow>, Table), EbaError> {
     }
     Ok((rows, table))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_committed_corpus_violates_agreement_on_exactly_the_whisper_scenarios() {
+        let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
+        let (rows, _) = run(&dir).unwrap();
+        for row in &rows {
+            assert_eq!(
+                row.violation.as_ref().map(|v| v.kind.as_str()),
+                row.file.contains("whisper").then_some("agreement"),
+                "{}",
+                row.file
+            );
+        }
+        let violating = rows.iter().filter(|r| r.violation.is_some()).count();
+        assert_eq!(violating, 2, "both whisper scenarios are committed");
+    }
+}

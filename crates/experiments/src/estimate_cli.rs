@@ -12,14 +12,11 @@
 //! instances the exact violation probability of the very same mixture is
 //! computed by weighted enumeration
 //! ([`exact_violation_probability`]) and the report states whether the
-//! interval brackets it. `--bench-json` writes the `eba-bench-v1`
-//! `stat_estimate` document (`BENCH_stat.json` in CI), and
-//! `--estimate-out` exports the highest-novelty violating samples as
-//! `.eba` repros — the same corpus format `--fuzz` seeds from, so the
-//! fuzzer and the estimator share one repro path.
+//! interval brackets it. `--estimate-out` exports the highest-novelty
+//! violating samples as `.eba` repros — the same corpus format `--fuzz`
+//! seeds from, so the fuzzer and the estimator share one repro path.
 
 use std::fmt::Write as _;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use eba_core::prelude::*;
@@ -354,111 +351,6 @@ pub fn run_corpus(dir: &Path, config: &EstimateCliConfig) -> Result<Table, EbaEr
     Ok(table)
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Renders the report as the `eba-bench-v1` `stat_estimate` JSON
-/// document (`BENCH_stat.json` in CI).
-pub fn render_json(report: &EstimateCliReport) -> String {
-    let est = &report.estimate;
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"eba-bench-v1\",\n");
-    out.push_str("  \"kind\": \"stat_estimate\",\n");
-    out.push_str(&format!("  \"stack\": \"{}\",\n", json_escape(&est.stack)));
-    out.push_str(&format!(
-        "  \"n\": {},\n  \"t\": {},\n  \"horizon\": {},\n",
-        est.n, est.t, est.horizon
-    ));
-    out.push_str(&format!(
-        "  \"scheme\": \"{}\",\n  \"seed\": {},\n  \"confidence\": {},\n",
-        est.scheme, est.seed, est.confidence
-    ));
-    out.push_str(&format!(
-        "  \"trials\": {},\n  \"violations\": {},\n  \"violation_rate\": {},\n",
-        est.trials,
-        est.violations,
-        est.violation_rate()
-    ));
-    out.push_str(&format!(
-        "  \"wilson\": {{ \"lo\": {}, \"hi\": {} }},\n",
-        est.wilson.lo, est.wilson.hi
-    ));
-    out.push_str(&format!(
-        "  \"clopper_pearson\": {{ \"lo\": {}, \"hi\": {} }},\n",
-        est.clopper_pearson.lo, est.clopper_pearson.hi
-    ));
-    let validity = est.validity_interval();
-    out.push_str(&format!(
-        "  \"validity\": {{ \"estimate\": {}, \"lo\": {}, \"hi\": {} }},\n",
-        est.validity(),
-        validity.lo,
-        validity.hi
-    ));
-    let kinds: Vec<String> = VIOLATION_KINDS
-        .iter()
-        .zip(&est.kind_counts)
-        .map(|(k, c)| format!("\"{k}\": {c}"))
-        .collect();
-    out.push_str(&format!("  \"kinds\": {{ {} }},\n", kinds.join(", ")));
-    out.push_str("  \"strata\": [\n");
-    for (k, s) in est.strata.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"faulty\": {}, \"drop_prob\": {}, \"weight\": {}, \
-             \"trials\": {}, \"violations\": {} }}{}\n",
-            s.stratum.faulty,
-            s.stratum.drop_prob,
-            s.stratum.weight,
-            s.trials,
-            s.violations,
-            if k + 1 < est.strata.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"repros\": [\n");
-    for (k, r) in est.repros.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{ \"kind\": \"{}\", \"engine_confirmed\": {}, \"drops\": {}, \
-             \"faulty\": {} }}{}\n",
-            r.kind,
-            r.engine_confirmed,
-            r.pattern.count_drops(),
-            est.n - r.pattern.nonfaulty().len(),
-            if k + 1 < est.repros.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ],\n");
-    match &report.self_check {
-        Some(sc) => out.push_str(&format!(
-            "  \"self_check\": {{ \"exact\": {}, \"within\": {} }},\n",
-            sc.exact, sc.within
-        )),
-        None => out.push_str("  \"self_check\": null,\n"),
-    }
-    out.push_str(&format!("  \"workers\": {},\n", est.workers));
-    out.push_str(&format!(
-        "  \"elapsed_seconds\": {:.3},\n  \"trials_per_sec\": {:.0}\n",
-        est.elapsed_seconds,
-        est.trials_per_sec()
-    ));
-    out.push_str("}\n");
-    out
-}
-
-/// Writes the rendered `stat_estimate` document to `path`.
-///
-/// # Errors
-///
-/// Returns [`EbaError::InvalidInput`] if the file cannot be written.
-pub fn write_json(path: &str, report: &EstimateCliReport) -> Result<(), EbaError> {
-    let doc = render_json(report);
-    let mut file = std::fs::File::create(path)
-        .map_err(|e| EbaError::InvalidInput(format!("--bench-json {path}: {e}")))?;
-    file.write_all(doc.as_bytes())
-        .map_err(|e| EbaError::InvalidInput(format!("--bench-json {path}: {e}")))?;
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -520,29 +412,6 @@ mod tests {
         let table = run_corpus(&dir, &tiny("E_naive/P_naive@general_omission")).unwrap();
         assert_eq!(table.rows.len(), rows.len());
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn the_json_document_is_well_formed() {
-        let config = EstimateCliConfig {
-            self_check: true,
-            scheme: SampleScheme::Uniform,
-            ..tiny("E_naive/P_naive@sending_omission")
-        };
-        let report = run(&config).unwrap();
-        let doc = render_json(&report);
-        assert!(doc.contains("\"schema\": \"eba-bench-v1\""));
-        assert!(doc.contains("\"kind\": \"stat_estimate\""));
-        // Sending omission is the default model, so the qualified name
-        // carries no suffix.
-        assert!(doc.contains("\"stack\": \"E_naive/P_naive\""));
-        assert!(doc.contains("\"wilson\""));
-        assert!(doc.contains("\"clopper_pearson\""));
-        assert!(doc.contains("\"strata\""));
-        assert!(doc.contains("\"self_check\": { \"exact\": "));
-        assert!(doc.contains("\"trials_per_sec\""));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count(), "{doc}");
-        assert_eq!(doc.matches('[').count(), doc.matches(']').count());
     }
 
     #[test]

@@ -17,6 +17,12 @@ use eba_core::prelude::*;
 use eba_epistemic::prelude::*;
 use eba_sim::prelude::*;
 
+/// Run-count ceiling the CLI passes to [`explain`] as `limit`: a failing
+/// row with more runs keeps its streamed verdict but is not rebuilt as
+/// an interpreted system (the 25.2M-run `E_fip/P_opt@general_omission`
+/// set would be a 126M-point system).
+pub const SYSTEM_BUILD_LIMIT: usize = 2_000_000;
+
 /// One failing spec property with its witnessing point and the
 /// witnessing run's visible configuration.
 #[derive(Clone, Debug)]

@@ -27,12 +27,11 @@
 //! measures decision time and validity of all four stacks under a
 //! selected [`FailureModel`](eba_core::failures::FailureModel). The two
 //! flags compose: `-- --stack E_fip/P_opt --model general` summarizes one
-//! stack in one model. `-- --model <m> --bench-json <path>` additionally
-//! writes machine-readable build/check timings and point counts (see
-//! [`bench_json`]), seeding the `BENCH_*.json` trajectory. `--explain`
-//! re-examines failing spec rows through the compiled query engine and
-//! prints a witnessing `(run, time)` counterexample per violated
-//! property (see [`explain`]).
+//! stack in one model. `--explain` re-examines failing spec rows through
+//! the compiled query engine and prints a witnessing `(run, time)`
+//! counterexample per violated property (see [`explain`]). The binary's
+//! output is verdicts and counts; performance is measured in one place,
+//! the repo's benchmark under `bench/`.
 //!
 //! Every experiment drives the protocols through the first-class
 //! `Context`/`Scenario` API:
@@ -53,7 +52,6 @@
 //! # }
 //! ```
 
-pub mod bench_json;
 pub mod corpus;
 pub mod e1_bits;
 pub mod e2_failure_free_zero;

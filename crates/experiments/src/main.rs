@@ -3,13 +3,18 @@
 //!
 //! Usage: `cargo run --release -p eba-experiments [--quick]`
 //!        `cargo run --release -p eba-experiments -- --stack <name> [--model <model>] [--n N] [--t T] [--explain]`
-//!        `cargo run --release -p eba-experiments -- --model <model> [--n N] [--t T] [--bench-json <path>] [--explain]`
+//!        `cargo run --release -p eba-experiments -- --model <model> [--n N] [--t T] [--explain]`
 //!        `cargo run --release -p eba-experiments -- --corpus <dir>`
 //!        `cargo run --release -p eba-experiments -- --fuzz --stack <name> [--model <model>] [--n N] [--t T] [--fuzz-seed S] [--fuzz-iters K] [--corpus <dir>] [--fuzz-out <path>]`
-//!        `cargo run --release -p eba-experiments -- --estimate --stack <name> [--model <model>] [--n N] [--t T] [--trials K] [--confidence C] [--strata SCHEME] [--seed S] [--horizon H] [--workers W] [--self-check] [--estimate-out <dir>] [--bench-json <path>]`
+//!        `cargo run --release -p eba-experiments -- --estimate --stack <name> [--model <model>] [--n N] [--t T] [--trials K] [--confidence C] [--strata SCHEME] [--seed S] [--horizon H] [--workers W] [--self-check] [--estimate-out <dir>]`
 //!        `cargo run --release -p eba-experiments -- --estimate --corpus <dir> [--trials K] [--confidence C] [--strata SCHEME] [--seed S] [--workers W]`
-//!        `cargo run --release -p eba-experiments -- --load [--sessions K] [--capacity C] [--workers W] [--seed S] [--n N] [--t T] [--bench-json <path>]`
+//!        `cargo run --release -p eba-experiments -- --load [--sessions K] [--capacity C] [--workers W] [--seed S] [--n N] [--t T] [--oracle-stride K]`
 //!        `cargo run --release -p eba-experiments -- --serve <dir> [--capacity C] [--workers W]`
+//!
+//! Each line above is one mode with its complete flag list: a flag the
+//! selected mode does not accept (a typo, or another mode's flag) is
+//! `error: unknown flag <f> for <mode>`, exit 2, and a valued flag
+//! followed by another flag is `error: <flag> expects a value`.
 //!
 //! `--quick` shrinks the sweeps and skips the heavyweight full-information
 //! model check (E7's γ_fip row). `--stack` selects one registered stack by
@@ -19,10 +24,7 @@
 //! `crash`, `sending_omission`, `general_omission`): combined with
 //! `--stack` it qualifies that stack; alone it runs the four-stack
 //! failure-model comparison battery. `--n`/`--t` pick the instance
-//! (default `(3, 1)`). `--bench-json <path>` (battery mode only) writes
-//! machine-readable build/check timings and point counts: the battery's
-//! streamed exhaustive-check measurements plus a streamed
-//! interpreted-system build per stack where the run set fits.
+//! (default `(3, 1)`).
 //! `--explain` (either selected mode) re-examines rows whose spec check
 //! failed through the compiled query engine and prints one witnessing
 //! `(run, time)` counterexample per violated EBA property, with the
@@ -41,29 +43,294 @@
 //! estimate with Wilson/Clopper–Pearson intervals at `--confidence`.
 //! `--self-check` cross-validates the interval against the exact mixture
 //! probability (small instances only); `--estimate-out <dir>` exports
-//! violating samples as `.eba` repros; `--bench-json <path>` writes the
-//! `eba-bench-v1` `stat_estimate` document (`BENCH_stat.json` in CI).
+//! violating samples as `.eba` repros.
 //! `--load` pushes a deterministic seeded session mix (all stacks × all
 //! failure models, default 4096 sessions at capacity 1024) through the
-//! async multiplexed consensus service and prints throughput; with
-//! `--bench-json <path>` it also writes the `eba-bench-v1` service
-//! document (`BENCH_service.json` in CI). `--serve <dir>` runs every
-//! `.eba` scenario in a directory as a concurrent service session with
-//! every decision oracle-checked against the lockstep cluster.
+//! async multiplexed consensus service and prints its counts, wall time
+//! and session-latency percentiles, oracle-checking every
+//! `--oracle-stride`-th session against the lockstep cluster.
+//! `--serve <dir>` runs every `.eba` scenario in a directory as a
+//! concurrent service session with every decision oracle-checked.
+//!
+//! The binary's output is verdicts and counts. Performance is measured
+//! in one place, the repo's benchmark under `bench/` (see
+//! `bench/README.md`), not here.
+
+use std::fmt::Display;
+use std::path::PathBuf;
+use std::str::FromStr;
 
 use eba_experiments as ex;
 
-/// Reads the value following a `--flag`. Present-but-valueless flags are
-/// an error (exit 2), not a silent fallback.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    let i = args.iter().position(|a| a == flag)?;
-    match args.get(i + 1) {
-        Some(v) => Some(v.clone()),
-        None => {
-            eprintln!("error: {flag} expects a value");
-            std::process::exit(2);
+/// Prints `error: <msg>` and exits 2 (the CLI's usage-error code).
+fn die(msg: impl Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2)
+}
+
+fn or_die<T, E: Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| die(e))
+}
+
+/// One CLI mode: how it is selected, the complete list of flags it
+/// accepts, and the code that runs it.
+struct Mode {
+    /// The mode's name in error messages.
+    name: &'static str,
+    /// Any of these on the command line selects the mode.
+    selectors: &'static [&'static str],
+    /// Accepted flags that are followed by a value.
+    valued: &'static [&'static str],
+    /// Accepted flags that stand alone.
+    switches: &'static [&'static str],
+    run: fn(&Flags),
+}
+
+/// The modes in selection order: the first one with a selector on the
+/// command line runs; the full sweep, which needs none, is the fallback.
+const MODES: &[Mode] = &[
+    Mode {
+        name: "--fuzz",
+        selectors: &["--fuzz"],
+        valued: &[
+            "--stack",
+            "--model",
+            "--n",
+            "--t",
+            "--fuzz-seed",
+            "--fuzz-iters",
+            "--corpus",
+            "--fuzz-out",
+        ],
+        switches: &["--fuzz"],
+        run: fuzz,
+    },
+    Mode {
+        name: "--estimate",
+        selectors: &["--estimate"],
+        valued: &[
+            "--stack",
+            "--model",
+            "--corpus",
+            "--n",
+            "--t",
+            "--trials",
+            "--confidence",
+            "--strata",
+            "--seed",
+            "--horizon",
+            "--workers",
+            "--estimate-out",
+        ],
+        switches: &["--estimate", "--self-check"],
+        run: estimate,
+    },
+    Mode {
+        name: "--load",
+        selectors: &["--load"],
+        valued: &[
+            "--sessions",
+            "--capacity",
+            "--workers",
+            "--seed",
+            "--n",
+            "--t",
+            "--oracle-stride",
+        ],
+        switches: &["--load"],
+        run: load,
+    },
+    Mode {
+        name: "--serve",
+        selectors: &["--serve"],
+        valued: &["--serve", "--capacity", "--workers"],
+        switches: &[],
+        run: serve,
+    },
+    Mode {
+        name: "--corpus",
+        selectors: &["--corpus"],
+        valued: &["--corpus"],
+        switches: &[],
+        run: corpus,
+    },
+    Mode {
+        name: "--stack/--model",
+        selectors: &["--stack", "--model"],
+        valued: &["--stack", "--model", "--n", "--t"],
+        switches: &["--explain"],
+        run: stack_or_battery,
+    },
+    Mode {
+        name: "the full sweep",
+        selectors: &[],
+        valued: &[],
+        switches: &["--quick"],
+        run: sweep,
+    },
+];
+
+/// The command line, checked against its mode's flag list.
+struct Flags {
+    values: Vec<(&'static str, String)>,
+    switches: Vec<&'static str>,
+}
+
+impl Flags {
+    /// Exits 2 on a flag `mode` does not accept and on a valued flag
+    /// whose value is missing or is itself a flag.
+    fn parse(args: &[String], mode: &Mode) -> Flags {
+        let mut flags = Flags {
+            values: Vec::new(),
+            switches: Vec::new(),
+        };
+        let mut args = args.iter();
+        while let Some(arg) = args.next() {
+            if let Some(flag) = mode.switches.iter().find(|f| *f == arg) {
+                flags.switches.push(*flag);
+            } else if let Some(flag) = mode.valued.iter().find(|f| *f == arg) {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => {
+                        flags.values.push((*flag, value.clone()));
+                    }
+                    _ => die(format_args!("{flag} expects a value")),
+                }
+            } else {
+                die(format_args!("unknown flag {arg} for {}", mode.name));
+            }
         }
+        flags
     }
+
+    fn has(&self, switch: &str) -> bool {
+        self.switches.contains(&switch)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        let (_, value) = self.values.iter().find(|(f, _)| *f == flag)?;
+        Some(value)
+    }
+
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// The flag's value parsed as `T`; a value that does not parse exits 2
+    /// saying what the flag `expects`.
+    fn parsed<T: FromStr>(&self, flag: &str, expects: &str) -> Option<T> {
+        self.value(flag).map(|v| {
+            v.parse()
+                .unwrap_or_else(|_| die(format_args!("{flag} expects {expects}, got {v:?}")))
+        })
+    }
+
+    fn num<T: FromStr>(&self, flag: &str, default: T) -> T {
+        self.parsed(flag, "an unsigned integer").unwrap_or(default)
+    }
+
+    /// `--stack` qualified by `--model`, when the mode was given a stack.
+    fn qualified_stack(&self) -> Option<String> {
+        let stack = self.value("--stack")?;
+        Some(match self.value("--model") {
+            Some(model) if stack.contains('@') => die(format_args!(
+                "--stack {stack} is already model-qualified; \
+                 drop --model {model} or the @qualifier"
+            )),
+            Some(model) => format!("{stack}@{model}"),
+            None => stack.to_string(),
+        })
+    }
+}
+
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let given = |flag: &&str| args.iter().any(|a| a == flag);
+    let mode = MODES
+        .iter()
+        .find(|m| m.selectors.is_empty() || m.selectors.iter().any(given))
+        .expect("the full sweep needs no selector");
+    (mode.run)(&Flags::parse(&args, mode));
+}
+
+fn fuzz(flags: &Flags) {
+    let Some(stack) = flags.qualified_stack() else {
+        die("--fuzz requires --stack");
+    };
+    let config = ex::fuzz_cli::FuzzCliConfig {
+        stack,
+        n: flags.num("--n", 3),
+        t: flags.num("--t", 1),
+        seed: flags.num("--fuzz-seed", 0xEBA),
+        iterations: flags.num("--fuzz-iters", 2000),
+        corpus: flags.path("--corpus"),
+        out: flags.path("--fuzz-out"),
+    };
+    println!("{}", or_die(ex::fuzz_cli::run(&config)).text);
+}
+
+fn estimate(flags: &Flags) {
+    let defaults = ex::estimate_cli::EstimateCliConfig::default();
+    let config = ex::estimate_cli::EstimateCliConfig {
+        stack: String::new(), // filled below in single-stack mode
+        n: flags.num("--n", defaults.n),
+        t: flags.num("--t", defaults.t),
+        trials: flags.num("--trials", defaults.trials),
+        seed: flags.num("--seed", defaults.seed),
+        confidence: flags
+            .parsed("--confidence", "a number in (0, 1)")
+            .unwrap_or(defaults.confidence),
+        scheme: flags.value("--strata").map_or(defaults.scheme, |v| {
+            or_die(eba_stat::plan::SampleScheme::by_name(v))
+        }),
+        horizon: flags.parsed("--horizon", "an unsigned integer"),
+        workers: flags.num("--workers", defaults.workers),
+        self_check: flags.has("--self-check"),
+        out: flags.path("--estimate-out"),
+    };
+    if let Some(dir) = flags.path("--corpus") {
+        println!("{}", or_die(ex::estimate_cli::run_corpus(&dir, &config)));
+        return;
+    }
+    let Some(stack) = flags.qualified_stack() else {
+        die("--estimate requires --stack or --corpus");
+    };
+    let config = ex::estimate_cli::EstimateCliConfig { stack, ..config };
+    let report = or_die(ex::estimate_cli::run(&config));
+    println!("{}", report.text);
+    if report.self_check.is_some_and(|sc| !sc.within) {
+        eprintln!("error: self-check failed: estimate interval misses the exact probability");
+        std::process::exit(1);
+    }
+}
+
+fn load(flags: &Flags) {
+    let defaults = ex::service_cli::LoadConfig::default();
+    let config = ex::service_cli::LoadConfig {
+        sessions: flags.num("--sessions", defaults.sessions),
+        n: flags.num("--n", defaults.n),
+        t: flags.num("--t", defaults.t),
+        seed: flags.num("--seed", defaults.seed),
+        workers: flags.num("--workers", defaults.workers),
+        capacity: flags.num("--capacity", defaults.capacity),
+        oracle_stride: flags.num("--oracle-stride", defaults.oracle_stride),
+        ..defaults
+    };
+    println!("{}", or_die(ex::service_cli::run_load(&config)).1);
+}
+
+fn serve(flags: &Flags) {
+    let dir = flags.path("--serve").expect("--serve selected this mode");
+    let workers = flags.num("--workers", 0);
+    let capacity = flags.num("--capacity", 1024);
+    println!(
+        "{}",
+        or_die(ex::service_cli::run_serve(&dir, workers, capacity)).1
+    );
+}
+
+fn corpus(flags: &Flags) {
+    let dir = flags.path("--corpus").expect("--corpus selected this mode");
+    println!("{}", or_die(ex::corpus::run(&dir)).1);
 }
 
 /// Whether a battery/summary row's streamed spec check found violating
@@ -76,294 +343,41 @@ fn spec_check_failed(enumerated: &Result<usize, eba_core::types::EbaError>, ok: 
 /// prints its counterexample report (skipping, with a note, rows whose
 /// run set is too large to build as an interpreted system).
 fn print_explanation(stack: &str, n: usize, t: usize) {
-    match ex::explain::explain(stack, n, t, ex::bench_json::SYSTEM_BUILD_LIMIT) {
+    match ex::explain::explain(stack, n, t, ex::explain::SYSTEM_BUILD_LIMIT) {
         Ok(report) => println!("{report}"),
         Err(e) => eprintln!("--explain {stack}: skipped ({e})"),
     }
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-
-    let stack = flag_value(&args, "--stack");
-    let model = flag_value(&args, "--model");
-    let bench_json = flag_value(&args, "--bench-json");
-    let explain = args.iter().any(|a| a == "--explain");
-    let corpus = flag_value(&args, "--corpus");
-    let fuzz = args.iter().any(|a| a == "--fuzz");
-
-    if fuzz {
-        let Some(stack) = stack else {
-            eprintln!("error: --fuzz requires --stack");
-            std::process::exit(2);
-        };
-        let qualified = match &model {
-            Some(model) if stack.contains('@') => {
-                eprintln!(
-                    "error: --stack {stack} is already model-qualified; \
-                     drop --model {model} or the @qualifier"
-                );
-                std::process::exit(2);
-            }
-            Some(model) => format!("{stack}@{model}"),
-            None => stack,
-        };
-        let parse_num = |flag: &str, default: u64| {
-            flag_value(&args, flag).map_or(default, |v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("error: {flag} expects an unsigned integer, got {v:?}");
-                    std::process::exit(2);
-                })
-            })
-        };
-        let config = ex::fuzz_cli::FuzzCliConfig {
-            stack: qualified,
-            n: parse_num("--n", 3) as usize,
-            t: parse_num("--t", 1) as usize,
-            seed: parse_num("--fuzz-seed", 0xEBA),
-            iterations: parse_num("--fuzz-iters", 2000) as usize,
-            corpus: corpus.map(std::path::PathBuf::from),
-            out: flag_value(&args, "--fuzz-out").map(std::path::PathBuf::from),
-        };
-        match ex::fuzz_cli::run(&config) {
-            Ok(report) => println!("{}", report.text),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
+fn stack_or_battery(flags: &Flags) {
+    let n = flags.num("--n", 3);
+    let t = flags.num("--t", 1);
+    let explain = flags.has("--explain");
+    // One stack, optionally qualified by --model.
+    if let Some(stack) = flags.qualified_stack() {
+        let (summary, table) = or_die(ex::stack_summary::run(&stack, n, t));
+        println!("{table}");
+        if explain && spec_check_failed(&summary.enumerated_runs, summary.spec_ok_runs) {
+            print_explanation(&summary.stack, n, t);
         }
         return;
     }
-
-    let parse_num = |flag: &str, default: u64| {
-        flag_value(&args, flag).map_or(default, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: {flag} expects an unsigned integer, got {v:?}");
-                std::process::exit(2);
-            })
-        })
-    };
-
-    if args.iter().any(|a| a == "--estimate") {
-        let defaults = ex::estimate_cli::EstimateCliConfig::default();
-        let confidence = flag_value(&args, "--confidence").map_or(defaults.confidence, |v| {
-            v.parse().unwrap_or_else(|_| {
-                eprintln!("error: --confidence expects a number in (0, 1), got {v:?}");
-                std::process::exit(2);
-            })
-        });
-        let scheme = flag_value(&args, "--strata").map_or(defaults.scheme, |v| {
-            eba_stat::plan::SampleScheme::by_name(&v).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            })
-        });
-        let config = ex::estimate_cli::EstimateCliConfig {
-            stack: String::new(), // filled below in single-stack mode
-            n: parse_num("--n", defaults.n as u64) as usize,
-            t: parse_num("--t", defaults.t as u64) as usize,
-            trials: parse_num("--trials", defaults.trials),
-            seed: parse_num("--seed", defaults.seed),
-            confidence,
-            scheme,
-            horizon: flag_value(&args, "--horizon").map(|v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("error: --horizon expects an unsigned integer, got {v:?}");
-                    std::process::exit(2);
-                })
-            }),
-            workers: parse_num("--workers", defaults.workers as u64) as usize,
-            self_check: args.iter().any(|a| a == "--self-check"),
-            out: flag_value(&args, "--estimate-out").map(std::path::PathBuf::from),
-        };
-        if let Some(dir) = corpus {
-            match ex::estimate_cli::run_corpus(std::path::Path::new(&dir), &config) {
-                Ok(table) => println!("{table}"),
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    std::process::exit(2);
-                }
-            }
-            return;
-        }
-        let Some(stack) = stack else {
-            eprintln!("error: --estimate requires --stack or --corpus");
-            std::process::exit(2);
-        };
-        let qualified = match &model {
-            Some(model) if stack.contains('@') => {
-                eprintln!(
-                    "error: --stack {stack} is already model-qualified; \
-                     drop --model {model} or the @qualifier"
-                );
-                std::process::exit(2);
-            }
-            Some(model) => format!("{stack}@{model}"),
-            None => stack,
-        };
-        let config = ex::estimate_cli::EstimateCliConfig {
-            stack: qualified,
-            ..config
-        };
-        match ex::estimate_cli::run(&config) {
-            Ok(report) => {
-                println!("{}", report.text);
-                if let Some(sc) = &report.self_check {
-                    if !sc.within {
-                        eprintln!("error: self-check failed: estimate interval misses the exact probability");
-                        std::process::exit(1);
-                    }
-                }
-                if let Some(path) = bench_json {
-                    if let Err(e) = ex::estimate_cli::write_json(&path, &report) {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                    eprintln!("wrote stat estimate record to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
+    // The four-stack comparison battery for one failure model.
+    let model = flags.value("--model").expect("--model selected this mode");
+    let model = or_die(eba_core::failures::FailureModel::by_name(model));
+    let (rows, table) = or_die(ex::model_battery::run(model, n, t));
+    println!("{table}");
+    if explain {
+        for row in &rows {
+            if spec_check_failed(&row.enumerated_runs, row.spec_ok_runs) {
+                print_explanation(&row.stack, n, t);
             }
         }
-        return;
     }
+}
 
-    if args.iter().any(|a| a == "--load") {
-        let defaults = ex::service_cli::LoadConfig::default();
-        let config = ex::service_cli::LoadConfig {
-            sessions: parse_num("--sessions", defaults.sessions as u64) as usize,
-            n: parse_num("--n", defaults.n as u64) as usize,
-            t: parse_num("--t", defaults.t as u64) as usize,
-            seed: parse_num("--seed", defaults.seed),
-            workers: parse_num("--workers", defaults.workers as u64) as usize,
-            capacity: parse_num("--capacity", defaults.capacity as u64) as usize,
-            oracle_stride: parse_num("--oracle-stride", defaults.oracle_stride as u64) as usize,
-            ..defaults
-        };
-        match ex::service_cli::run_load(&config) {
-            Ok((summary, table)) => {
-                println!("{table}");
-                if let Some(path) = bench_json {
-                    if let Err(e) = ex::service_cli::write_json(&path, &config, &summary) {
-                        eprintln!("error: {e}");
-                        std::process::exit(2);
-                    }
-                    eprintln!("wrote service bench record to {path}");
-                }
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    if let Some(dir) = flag_value(&args, "--serve") {
-        let workers = parse_num("--workers", 0) as usize;
-        let capacity = parse_num("--capacity", 1024) as usize;
-        match ex::service_cli::run_serve(std::path::Path::new(&dir), workers, capacity) {
-            Ok((_, table)) => println!("{table}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-
-    if let Some(dir) = corpus {
-        match ex::corpus::run(std::path::Path::new(&dir)) {
-            Ok((_, table)) => println!("{table}"),
-            Err(e) => {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if bench_json.is_some() && (model.is_none() || stack.is_some()) {
-        eprintln!("error: --bench-json requires battery mode (--model without --stack)");
-        std::process::exit(2);
-    }
-    if explain && stack.is_none() && model.is_none() {
-        eprintln!("error: --explain requires --stack or --model");
-        std::process::exit(2);
-    }
-    if stack.is_some() || model.is_some() {
-        let parse = |flag: &str, default: usize| {
-            flag_value(&args, flag).map_or(default, |v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("error: {flag} expects an unsigned integer, got {v:?}");
-                    std::process::exit(2);
-                })
-            })
-        };
-        let n = parse("--n", 3);
-        let t = parse("--t", 1);
-        let fail = |e: eba_core::types::EbaError| -> ! {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        };
-        match (stack, model) {
-            // One stack, optionally qualified by --model.
-            (Some(stack), model) => {
-                let qualified = match model {
-                    Some(model) if stack.contains('@') => {
-                        eprintln!(
-                            "error: --stack {stack} is already model-qualified; \
-                             drop --model {model} or the @qualifier"
-                        );
-                        std::process::exit(2);
-                    }
-                    Some(model) => format!("{stack}@{model}"),
-                    None => stack,
-                };
-                match ex::stack_summary::run(&qualified, n, t) {
-                    Ok((summary, table)) => {
-                        println!("{table}");
-                        let failed =
-                            spec_check_failed(&summary.enumerated_runs, summary.spec_ok_runs);
-                        if explain && failed {
-                            print_explanation(&summary.stack, n, t);
-                        }
-                    }
-                    Err(e) => fail(e),
-                }
-            }
-            // The four-stack comparison battery for one failure model.
-            (None, Some(model)) => {
-                let model =
-                    eba_core::failures::FailureModel::by_name(&model).unwrap_or_else(|e| fail(e));
-                match ex::model_battery::run(model, n, t) {
-                    Ok((rows, table)) => {
-                        println!("{table}");
-                        if explain {
-                            for row in &rows {
-                                if spec_check_failed(&row.enumerated_runs, row.spec_ok_runs) {
-                                    print_explanation(&row.stack, n, t);
-                                }
-                            }
-                        }
-                        if let Some(path) = bench_json {
-                            let records = ex::bench_json::collect(model, n, t, &rows)
-                                .unwrap_or_else(|e| fail(e));
-                            ex::bench_json::write(&path, model, n, t, &records)
-                                .unwrap_or_else(|e| fail(e));
-                            eprintln!("wrote bench records to {path}");
-                        }
-                    }
-                    Err(e) => fail(e),
-                }
-            }
-            (None, None) => unreachable!("guarded above"),
-        }
-        return;
-    }
-
-    let quick = args.iter().any(|a| a == "--quick");
+fn sweep(flags: &Flags) {
+    let quick = flags.has("--quick");
     let t0 = std::time::Instant::now();
 
     println!("# Reproduced evaluation\n");

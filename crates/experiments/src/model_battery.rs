@@ -42,9 +42,6 @@ pub struct ModelBatteryRow {
     pub enumerated_runs: Result<usize, EbaError>,
     /// How many of those runs satisfy the EBA spec at the horizon.
     pub spec_ok_runs: usize,
-    /// Wall-clock seconds the streamed exhaustive check took (also set
-    /// when the enumeration aborted — the time until the abort).
-    pub enum_seconds: f64,
 }
 
 /// The model's representative worst-case adversary with `t` faulty
@@ -84,8 +81,6 @@ pub(crate) struct CoreMeasurements {
     pub(crate) adversary_round: Option<u32>,
     pub(crate) enumerated_runs: Result<usize, EbaError>,
     pub(crate) spec_ok_runs: usize,
-    /// Wall-clock seconds of the streamed exhaustive check.
-    pub(crate) enum_seconds: f64,
 }
 
 /// Runs the shared battery core on one concrete stack, streaming the
@@ -121,7 +116,6 @@ where
     // without collecting a single trajectory. On error the partial
     // verdict tally is meaningless, so it is discarded with the count.
     let mut spec_ok = 0usize;
-    let t0 = std::time::Instant::now();
     let streamed = Scenario::of(ctx)
         .parallelism(Parallelism::Auto)
         .limit(limit)
@@ -142,7 +136,6 @@ where
         adversary_round,
         spec_ok_runs: if streamed.is_ok() { spec_ok } else { 0 },
         enumerated_runs: streamed,
-        enum_seconds: t0.elapsed().as_secs_f64(),
     }
 }
 
@@ -165,7 +158,6 @@ impl StackVisitor for Battery {
             adversary_round: core.adversary_round,
             spec_ok_runs: core.spec_ok_runs,
             enumerated_runs: core.enumerated_runs,
-            enum_seconds: core.enum_seconds,
         }
     }
 }

@@ -5,15 +5,14 @@
 //! workload instead of a lockstep battery). `--load` generates a
 //! deterministic seeded mix — all four stacks crossed with all four
 //! failure models, adversary patterns sampled per session — and pushes it
-//! through the service at a fixed table capacity, reporting sessions/sec
-//! and decisions/sec. Both modes oracle-confirm a sampled subset of
-//! decision vectors against the lockstep `run_named_cluster` path.
-//!
-//! `--load --bench-json <path>` writes the measurements as an
-//! `eba-bench-v1` JSON document (`BENCH_service.json` in CI), the service
-//! counterpart of the model-battery trajectory artifact.
+//! through the service at a fixed table capacity. Both modes print the
+//! run's counts, wall time and session-latency percentiles, and
+//! oracle-confirm a sampled subset of decision vectors against the
+//! lockstep `run_named_cluster` path. Neither prints a rate: one run's
+//! multiplexed phase lasts tens of milliseconds, too short a window to
+//! divide by. The service's throughput is the `ops_per_s` of the
+//! `service_mixed_n3` and `service_fip_n8` workloads under `bench/`.
 
-use std::io::Write as _;
 use std::path::Path;
 
 use eba_core::prelude::*;
@@ -60,30 +59,6 @@ impl Default for LoadConfig {
     }
 }
 
-/// The outcome of a service run plus its derived throughput numbers.
-#[derive(Clone, Debug)]
-pub struct ServiceRunSummary {
-    /// The service's own report.
-    pub report: ServiceReport,
-    /// Completed sessions per second of the multiplexed phase.
-    pub sessions_per_sec: f64,
-    /// Fully-decided sessions per second of the multiplexed phase.
-    pub decisions_per_sec: f64,
-}
-
-impl ServiceRunSummary {
-    fn derive(report: ServiceReport) -> Self {
-        let secs = report.service_seconds.max(f64::EPSILON);
-        let sessions_per_sec = report.outcomes.len() as f64 / secs;
-        let decisions_per_sec = report.decided_sessions() as f64 / secs;
-        ServiceRunSummary {
-            report,
-            sessions_per_sec,
-            decisions_per_sec,
-        }
-    }
-}
-
 /// Generates the deterministic `--load` session mix: stacks and models in
 /// round-robin, adversary patterns and initial preferences drawn from the
 /// seeded RNG (admissible under each session's model by construction).
@@ -125,8 +100,7 @@ fn service_config(workers: usize, capacity: usize, oracle_stride: usize) -> Serv
     }
 }
 
-fn summary_table(title: &str, caption: &str, summary: &ServiceRunSummary) -> Table {
-    let report = &summary.report;
+fn summary_table(title: &str, caption: &str, report: &ServiceReport) -> Table {
     let traffic = report.total_traffic();
     let mut table = Table::new(
         title,
@@ -138,8 +112,7 @@ fn summary_table(title: &str, caption: &str, summary: &ServiceRunSummary) -> Tab
             "deferrals",
             "frames sent",
             "frames dropped",
-            "sessions/s",
-            "decisions/s",
+            "wall s",
             "p50/p90/p99 ms",
             "oracle",
         ],
@@ -164,8 +137,7 @@ fn summary_table(title: &str, caption: &str, summary: &ServiceRunSummary) -> Tab
         report.deferrals.to_string(),
         traffic.sent.to_string(),
         traffic.dropped().to_string(),
-        format!("{:.0}", summary.sessions_per_sec),
-        format!("{:.0}", summary.decisions_per_sec),
+        format!("{:.3}", report.service_seconds),
         latency,
         oracle,
     ]);
@@ -178,11 +150,10 @@ fn summary_table(title: &str, caption: &str, summary: &ServiceRunSummary) -> Tab
 ///
 /// Propagates [`run_service`] errors (bad spec, stalled runtime) and
 /// invalid `(n, t)`.
-pub fn run_load(config: &LoadConfig) -> Result<(ServiceRunSummary, Table), EbaError> {
+pub fn run_load(config: &LoadConfig) -> Result<(ServiceReport, Table), EbaError> {
     let specs = synthetic_mix(config)?;
     let service = service_config(config.workers, config.capacity, config.oracle_stride);
     let report = run_service(&specs, &service)?;
-    let summary = ServiceRunSummary::derive(report);
     let table = summary_table(
         "Service load",
         &format!(
@@ -193,9 +164,9 @@ pub fn run_load(config: &LoadConfig) -> Result<(ServiceRunSummary, Table), EbaEr
             config.seed,
             config.capacity,
         ),
-        &summary,
+        &report,
     );
-    Ok((summary, table))
+    Ok((report, table))
 }
 
 /// Runs every `.eba` scenario of a corpus directory as a service session.
@@ -208,7 +179,7 @@ pub fn run_serve(
     dir: &Path,
     workers: usize,
     capacity: usize,
-) -> Result<(ServiceRunSummary, Table), EbaError> {
+) -> Result<(ServiceReport, Table), EbaError> {
     let scenarios = load_dir(dir)?;
     let specs: Vec<SessionSpec> = scenarios
         .iter()
@@ -224,7 +195,6 @@ pub fn run_serve(
         .collect::<Result<_, _>>()?;
     let service = service_config(workers, capacity, 1);
     let report = run_service(&specs, &service)?;
-    let summary = ServiceRunSummary::derive(report);
     let table = summary_table(
         "Service corpus run",
         &format!(
@@ -232,82 +202,9 @@ pub fn run_serve(
             specs.len(),
             dir.display(),
         ),
-        &summary,
+        &report,
     );
-    Ok((summary, table))
-}
-
-/// Renders a `--load` run as the `eba-bench-v1` service document.
-pub fn render_json(config: &LoadConfig, summary: &ServiceRunSummary) -> String {
-    let report = &summary.report;
-    let traffic = report.total_traffic();
-    let histogram = report.rounds_to_decide_histogram();
-    let histogram = histogram
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    let mut out = String::from("{\n");
-    out.push_str("  \"schema\": \"eba-bench-v1\",\n");
-    out.push_str("  \"kind\": \"service_load\",\n");
-    out.push_str(&format!(
-        "  \"n\": {},\n  \"t\": {},\n  \"seed\": {},\n  \"sessions\": {},\n",
-        config.n, config.t, config.seed, config.sessions
-    ));
-    // `workers` is the executor's *resolved* count from the report — a
-    // defaulted `--workers` (config 0) used to render here as 0.
-    out.push_str(&format!(
-        "  \"capacity\": {},\n  \"workers\": {},\n  \"drop_prob\": {},\n",
-        config.capacity, report.workers, config.drop_prob
-    ));
-    out.push_str(&format!(
-        "  \"service_seconds\": {:.3},\n  \"sessions_per_sec\": {:.1},\n  \"decisions_per_sec\": {:.1},\n",
-        report.service_seconds, summary.sessions_per_sec, summary.decisions_per_sec
-    ));
-    out.push_str(&format!(
-        "  \"admitted\": {},\n  \"decided_sessions\": {},\n  \"peak_in_flight\": {},\n  \"deferrals\": {},\n",
-        report.admitted,
-        report.decided_sessions(),
-        report.peak_in_flight,
-        report.deferrals
-    ));
-    out.push_str(&format!(
-        "  \"frames\": {{ \"sent\": {}, \"delivered\": {}, \"dropped\": {} }},\n",
-        traffic.sent,
-        traffic.delivered,
-        traffic.dropped()
-    ));
-    out.push_str(&format!(
-        "  \"oracle\": {{ \"checked\": {}, \"mismatches\": {} }},\n",
-        report.oracle_checked, report.oracle_mismatches
-    ));
-    match report.latency_percentiles() {
-        Some((p50, p90, p99)) => out.push_str(&format!(
-            "  \"latency_seconds\": {{ \"p50\": {p50:.6}, \"p90\": {p90:.6}, \"p99\": {p99:.6} }},\n"
-        )),
-        None => out.push_str("  \"latency_seconds\": null,\n"),
-    }
-    out.push_str(&format!("  \"rounds_to_decide\": [{histogram}]\n"));
-    out.push_str("}\n");
-    out
-}
-
-/// Writes the rendered service document to `path`.
-///
-/// # Errors
-///
-/// Returns [`EbaError::InvalidInput`] if the file cannot be written.
-pub fn write_json(
-    path: &str,
-    config: &LoadConfig,
-    summary: &ServiceRunSummary,
-) -> Result<(), EbaError> {
-    let doc = render_json(config, summary);
-    let mut file = std::fs::File::create(path)
-        .map_err(|e| EbaError::InvalidInput(format!("--bench-json {path}: {e}")))?;
-    file.write_all(doc.as_bytes())
-        .map_err(|e| EbaError::InvalidInput(format!("--bench-json {path}: {e}")))?;
-    Ok(())
+    Ok((report, table))
 }
 
 #[cfg(test)]
@@ -339,61 +236,56 @@ mod tests {
             a.iter().map(|s| s.stack.as_str()).collect();
         assert_eq!(distinct.len(), 16);
 
-        let (summary, table) = run_load(&config).unwrap();
-        assert_eq!(summary.report.outcomes.len(), 64);
-        assert_eq!(summary.report.decided_sessions(), 64);
-        assert!(summary.report.oracle_checked >= 64 / 8);
-        assert_eq!(summary.report.oracle_mismatches, 0);
-        assert!(summary.sessions_per_sec > 0.0);
-        assert!(table.to_markdown().contains("sessions/s"));
+        let (report, _) = run_load(&config).unwrap();
+        assert_eq!(report.outcomes.len(), 64);
+        assert_eq!(report.decided_sessions(), 64);
+        assert!(report.oracle_checked >= 64 / 8);
+        assert_eq!(report.oracle_mismatches, 0);
     }
 
     #[test]
-    fn the_json_document_carries_the_throughput_fields() {
-        let config = tiny_config();
-        let (summary, _) = run_load(&config).unwrap();
-        let doc = render_json(&config, &summary);
-        assert!(doc.contains("\"schema\": \"eba-bench-v1\""));
-        assert!(doc.contains("\"kind\": \"service_load\""));
-        assert!(doc.contains("\"sessions_per_sec\""));
-        assert!(doc.contains("\"decisions_per_sec\""));
-        assert!(doc.contains("\"rounds_to_decide\""));
-        assert!(doc.contains("\"latency_seconds\": { \"p50\": "));
-        assert!(doc.contains("\"workers\": 2"));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        assert_eq!(doc.matches('[').count(), doc.matches(']').count());
+    fn the_load_table_shows_the_cells_ci_greps() {
+        // CI's load smoke reads the verdicts off the printed row: sessions
+        // and decided side by side, the saturated table, and a clean
+        // oracle cell.
+        let (report, table) = run_load(&tiny_config()).unwrap();
+        let markdown = table.to_markdown();
+        assert!(
+            markdown.contains("| sessions | decided | peak in-flight |"),
+            "{markdown}"
+        );
+        assert!(markdown.contains("\n| 64 | 64 | 16 |"), "{markdown}");
+        assert!(report.oracle_checked > 0);
+        let k = report.oracle_checked;
+        assert!(markdown.contains(&format!("| {k}/{k} ok |")), "{markdown}");
     }
 
     #[test]
-    fn defaulted_workers_render_as_the_resolved_count() {
-        // The regression: `--workers` left at its 0 default used to be
-        // echoed verbatim into the JSON as `"workers": 0`.
+    fn defaulted_workers_resolve_and_session_walls_are_measured() {
+        // `--workers` left at its 0 default resolves to the executor's
+        // real thread count in the report.
         let config = LoadConfig {
             workers: 0,
             ..tiny_config()
         };
-        let (summary, _) = run_load(&config).unwrap();
-        assert!(summary.report.workers > 0);
-        let doc = render_json(&config, &summary);
-        assert!(!doc.contains("\"workers\": 0"), "{doc}");
-        assert!(doc.contains(&format!("\"workers\": {}", summary.report.workers)));
-        // Session wall times were measured.
-        assert!(summary.report.outcomes.iter().all(|o| o.wall_seconds > 0.0));
-        let (p50, p90, p99) = summary.report.latency_percentiles().unwrap();
+        let (report, _) = run_load(&config).unwrap();
+        assert!(report.workers > 0);
+        assert!(report.outcomes.iter().all(|o| o.wall_seconds > 0.0));
+        let (p50, p90, p99) = report.latency_percentiles().unwrap();
         assert!(p50 <= p90 && p90 <= p99);
     }
 
     #[test]
     fn serve_runs_the_committed_corpus() {
         let dir = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-        let (summary, table) = run_serve(&dir, 2, 8).unwrap();
-        assert!(summary.report.outcomes.len() >= 10);
+        let (report, table) = run_serve(&dir, 2, 8).unwrap();
+        assert!(report.outcomes.len() >= 10);
         assert_eq!(
-            summary.report.oracle_checked,
-            summary.report.outcomes.len(),
+            report.oracle_checked,
+            report.outcomes.len(),
             "--serve oracle-checks every scenario"
         );
-        assert_eq!(summary.report.oracle_mismatches, 0);
+        assert_eq!(report.oracle_mismatches, 0);
         assert!(table.to_markdown().contains("Service corpus run"));
     }
 }

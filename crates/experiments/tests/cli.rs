@@ -1,0 +1,75 @@
+//! The `eba-experiments` command line checks every flag against the
+//! selected mode's list: nothing is silently ignored.
+
+use std::process::{Command, Output};
+
+fn run(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_eba-experiments"))
+        .args(args)
+        .output()
+        .expect("the binary runs")
+}
+
+/// Asserts a usage error: exit 2, nothing on stdout, `message` on stderr.
+fn assert_rejected(args: &[&str], message: &str) {
+    let out = run(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+    assert!(stderr.contains(message), "{args:?}: {stderr}");
+    assert!(out.stdout.is_empty(), "{args:?} ran before failing");
+}
+
+#[test]
+fn a_removed_flag_is_an_error_not_a_silent_full_sweep() {
+    assert_rejected(
+        &["--bench-json", "out.json"],
+        "error: unknown flag --bench-json for the full sweep",
+    );
+    assert_rejected(
+        &["--load", "--bench-json", "out.json"],
+        "error: unknown flag --bench-json for --load",
+    );
+}
+
+#[test]
+fn a_misspelt_flag_names_itself_and_the_mode() {
+    assert_rejected(
+        &["--estimate", "--stack", "E_basic/P_basic", "--trails", "10"],
+        "error: unknown flag --trails for --estimate",
+    );
+}
+
+#[test]
+fn another_modes_flag_is_rejected() {
+    assert_rejected(
+        &["--load", "--trials", "10"],
+        "error: unknown flag --trials for --load",
+    );
+    assert_rejected(
+        &["--model", "crash", "--quick"],
+        "error: unknown flag --quick for --stack/--model",
+    );
+}
+
+#[test]
+fn a_flag_is_not_taken_as_another_flags_value() {
+    assert_rejected(
+        &[
+            "--fuzz",
+            "--stack",
+            "E_naive/P_naive",
+            "--fuzz-out",
+            "--n",
+            "3",
+        ],
+        "error: --fuzz-out expects a value",
+    );
+    assert_rejected(&["--stack"], "error: --stack expects a value");
+}
+
+#[test]
+fn a_documented_command_line_still_runs() {
+    let out = run(&["--stack", "E_min/P_min", "--n", "3", "--t", "1"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("E_min/P_min"));
+}

@@ -57,8 +57,7 @@ pub struct ServiceReport {
     /// `TransportReport` reports per cluster.
     pub round_traffic: Vec<RoundTraffic>,
     /// Wall-clock seconds of the multiplexed phase (admission through
-    /// teardown), excluding the optional oracle pass — the denominator
-    /// for sessions/sec and decisions/sec.
+    /// teardown), excluding the optional oracle pass.
     pub service_seconds: f64,
     /// Sessions cross-checked against the lockstep oracle.
     pub oracle_checked: usize,
@@ -78,24 +77,6 @@ impl ServiceReport {
             .iter()
             .filter(|o| o.decided_round.is_some())
             .count()
-    }
-
-    /// Histogram of rounds-to-decide: entry `r` counts sessions whose
-    /// [`SessionOutcome::decided_round`] is `r`. Undecided sessions are
-    /// not counted (compare [`decided_sessions`](Self::decided_sessions)
-    /// with [`ServiceReport::admitted`]).
-    pub fn rounds_to_decide_histogram(&self) -> Vec<u64> {
-        let mut histogram = Vec::new();
-        for outcome in &self.outcomes {
-            if let Some(r) = outcome.decided_round {
-                let r = r as usize;
-                if histogram.len() <= r {
-                    histogram.resize(r + 1, 0);
-                }
-                histogram[r] += 1;
-            }
-        }
-        histogram
     }
 
     /// Total frames sent/delivered across all sessions and rounds.
@@ -145,7 +126,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_decided_sessions_by_round() {
+    fn decided_sessions_skips_sessions_without_a_decided_round() {
         let report = ServiceReport {
             outcomes: vec![
                 outcome(0, Some(2)),
@@ -157,7 +138,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(report.decided_sessions(), 3);
-        assert_eq!(report.rounds_to_decide_histogram(), vec![0, 0, 2, 1]);
     }
 
     #[test]

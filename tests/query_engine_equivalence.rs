@@ -135,8 +135,8 @@ proptest! {
 /// plan evaluates strictly fewer nodes than 33 independent `eval` calls
 /// would — the shared `K_i` bodies, decided-disjunctions, and `C_N`
 /// towers exist once. (The bound is a property of the plan alone, so no
-/// system build is needed; the fip `(3, 1)` battery *timings* are
-/// tracked by `--bench-json`.)
+/// system build is needed; the fip `(3, 1)` battery *timing* is the
+/// benchmark's `epistemic.battery_eval_s`.)
 #[test]
 fn battery_plan_dedups_shared_subformulas() {
     for n in [3usize, 4, 5] {

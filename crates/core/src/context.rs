@@ -166,7 +166,7 @@ pub const STACK_NAMES: [&str; 4] = [
 /// dispatch: implement `visit` once, generically, and `NamedStack` calls
 /// it with the concrete monomorphized exchange/protocol pair. The bounds
 /// cover everything the batch APIs need (threaded enumeration, the
-/// transport cluster, interpreted-system construction).
+/// transport's round engine, interpreted-system construction).
 pub trait StackVisitor {
     /// The result of the computation.
     type Output;
@@ -335,8 +335,8 @@ pub fn validate_scenario_shape(
 }
 
 /// The one admission check every entry point that takes a pattern from
-/// outside applies (the `Scenario` builder, the transport cluster, the
-/// service's engine compiler): [`validate_scenario_shape`], then the
+/// outside applies (the `Scenario` builder, the `.eba` validator, the
+/// transport's engine compiler and loopback): [`validate_scenario_shape`], then the
 /// pattern's recorded drops against its **own** [`FailureModel`] —
 /// catching, for example, a hand-built crash pattern whose sender resumes
 /// sending after its crash round (a discipline

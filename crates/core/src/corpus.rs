@@ -26,12 +26,13 @@
 //!
 //! Parse errors ([`ParseError`]) carry the 1-based source line and the
 //! offending field; [`FieldLines`] records where each field was defined so
-//! downstream shape validation ([`validate_scenario_shape`]) can be
-//! reported against the source file (see [`FieldLines::locate`]).
+//! downstream admission ([`admit_scenario`], behind
+//! [`ScenarioSpec::validate`]) can be reported against the source file
+//! (see [`FieldLines::locate`]).
 
 use std::fmt;
 
-use crate::context::{validate_scenario_shape, NamedStack, STACK_NAMES};
+use crate::context::{admit_scenario, NamedStack, STACK_NAMES};
 use crate::failures::{FailureModel, FailurePattern};
 use crate::types::{AgentId, AgentSet, EbaError, Params, Value};
 
@@ -73,7 +74,7 @@ pub struct FieldLines {
 
 impl FieldLines {
     /// Best-effort source line for one problem reported by
-    /// [`validate_scenario_shape`] or a model-admissibility check: the
+    /// [`ScenarioSpec::validate`]: the
     /// problems are prefixed by the argument they concern (`inits:`,
     /// `pattern:`) or mention the pattern's drops. Returns 0 when the
     /// field never appeared in the file.
@@ -448,17 +449,20 @@ impl ScenarioSpec {
         }
     }
 
-    /// Checks the scenario's semantic admissibility: input shapes versus
-    /// `(n, t)` and the pattern versus the model up to the horizon.
+    /// Checks the scenario's semantic admissibility with the one
+    /// admission check every entry point applies ([`admit_scenario`]):
+    /// input shapes versus `(n, t)` and the pattern versus the model up
+    /// to the horizon.
     ///
     /// # Errors
     ///
-    /// Returns the first failing check's [`EbaError`]; use
-    /// [`FieldLines::locate`] to report it against the source file.
+    /// Returns [`to_pattern`](Self::to_pattern)'s error if the pattern
+    /// cannot be built, otherwise [`EbaError::InvalidInput`] listing
+    /// every problem found, `; `-separated; use [`FieldLines::locate`]
+    /// to report each against the source file.
     pub fn validate(&self) -> Result<(), EbaError> {
         let pattern = self.to_pattern()?;
-        validate_scenario_shape(self.params, &pattern, &self.inits)?;
-        self.model.admits_pattern_up_to(&pattern, self.horizon)
+        admit_scenario(self.params, self.model, &pattern, &self.inits, self.horizon)
     }
 
     /// Prints the canonical `.eba` form: fixed key order, drops sorted and

@@ -54,21 +54,18 @@ pub fn load_dir(dir: &Path) -> Result<Vec<LoadedScenario>, EbaError> {
         let parsed = eba_core::corpus::parse_scenario(&text).map_err(|e| {
             EbaError::InvalidInput(format!("{}:{}", path.display(), relocate_parse(&e)))
         })?;
-        // Semantic admissibility, relocated to the file via the recorded
-        // field lines: shape problems name `inits:`/`pattern:`; model
-        // problems mention the drops.
+        // Semantic admissibility, every problem relocated to the file
+        // via the recorded field lines: shape problems name
+        // `inits:`/`pattern:`; model problems mention the drops.
         if let Err(e) = parsed.spec.validate() {
-            let msg = eba_core::context::error_message(&e);
-            let line = parsed.lines.locate(strip_error_prefix(&msg));
-            let at = if line == 0 {
-                String::new()
-            } else {
-                format!("{line}:")
-            };
-            return Err(EbaError::InvalidInput(format!(
-                "{}:{at} {msg}",
-                path.display()
-            )));
+            let located: Vec<String> = eba_core::context::error_message(&e)
+                .split("; ")
+                .map(|problem| match parsed.lines.locate(problem) {
+                    0 => format!("{}: {problem}", path.display()),
+                    line => format!("{}:{line}: {problem}", path.display()),
+                })
+                .collect();
+            return Err(EbaError::InvalidInput(located.join("; ")));
         }
         out.push(LoadedScenario {
             path,
@@ -86,12 +83,6 @@ fn relocate_parse(e: &eba_core::corpus::ParseError) -> String {
     } else {
         format!("{}: field `{}`: {}", e.line, e.field, e.message)
     }
-}
-
-/// Strips the generic `invalid input:`/`invalid failure pattern:` prefix
-/// so [`eba_core::corpus::FieldLines::locate`] sees the argument-prefixed problem text.
-fn strip_error_prefix(msg: &str) -> &str {
-    msg.split_once(": ").map_or(msg, |(_, rest)| rest)
 }
 
 /// One battery row: a scenario's single-run outcome.

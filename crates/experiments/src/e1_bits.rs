@@ -3,8 +3,8 @@
 //! Measures the total bits sent per run: `P_min` sends exactly `n²` bits,
 //! `P_basic` at most `O(n² t)`, and the communication-graph FIP `O(n⁴ t²)`.
 //! Logical bits come from the simulator's `μ`-level accounting; wire bytes
-//! from running the same scenario over the threaded transport with real
-//! codecs.
+//! from running the same scenario through the transport's round engine,
+//! counted on the frames the real codecs encode.
 
 use eba_core::prelude::*;
 use eba_sim::prelude::*;
@@ -27,7 +27,7 @@ pub struct E1Row {
     pub basic_bits: u64,
     /// Logical bits sent by `P_opt` over the FIP.
     pub fip_bits: u64,
-    /// Wire bytes for the FIP run over the threaded transport.
+    /// Wire bytes of the FIP run's encoded frames.
     pub fip_wire_bytes: u64,
 }
 
@@ -80,7 +80,7 @@ pub fn run(configs: &[(usize, usize)]) -> (Vec<E1Row>, Table) {
                 &inits,
                 params.default_horizon(),
             )
-            .expect("cluster");
+            .expect("wire run");
 
             rows.push(E1Row {
                 n,

@@ -21,8 +21,8 @@
 //!
 //! The binary can also run a single registry-selected stack
 //! (`-- --stack E_basic/P_basic`, see [`stack_summary`]), exercising the
-//! string-keyed stack registry end to end: lockstep runs, the threaded
-//! transport, and a streamed exhaustive spec check — and a failure-model
+//! string-keyed stack registry end to end: lockstep runs, the wire
+//! loopback, and a streamed exhaustive spec check — and a failure-model
 //! comparison battery (`-- --model crash`, see [`model_battery`]) that
 //! measures decision time and validity of all four stacks under a
 //! selected [`FailureModel`](eba_core::failures::FailureModel). The two

@@ -48,7 +48,7 @@
 //! failure models, default 4096 sessions at capacity 1024) through the
 //! async multiplexed consensus service and prints its counts, wall time
 //! and session-latency percentiles, oracle-checking every
-//! `--oracle-stride`-th session against the lockstep cluster.
+//! `--oracle-stride`-th session against the lockstep simulator.
 //! `--serve <dir>` runs every `.eba` scenario in a directory as a
 //! concurrent service session with every decision oracle-checked.
 //!

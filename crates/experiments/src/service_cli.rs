@@ -8,7 +8,7 @@
 //! through the service at a fixed table capacity. Both modes print the
 //! run's counts, wall time and session-latency percentiles, and
 //! oracle-confirm a sampled subset of decision vectors against the
-//! lockstep `run_named_cluster` path. Neither prints a rate: one run's
+//! lockstep simulator (`Scenario::run`). Neither prints a rate: one run's
 //! multiplexed phase lasts tens of milliseconds, too short a window to
 //! divide by. The service's throughput is the `ops_per_s` of the
 //! `service_mixed_n3` and `service_fip_n8` workloads under `bench/`.

@@ -4,7 +4,7 @@
 //! Given a registered stack name (see [`STACK_NAMES`]), optionally
 //! model-qualified (`E_basic/P_basic@crash`), this runs one standard
 //! battery — a failure-free run, a run against the model's
-//! representative adversary, a threaded transport execution, and a
+//! representative adversary, the same run over encoded frames, and a
 //! **streamed** exhaustive spec check over every run of the context
 //! under its failure model — and renders the results as a table. The
 //! exhaustive check folds each run through a counting `RunSink`, so
@@ -30,7 +30,7 @@ pub struct StackSummary {
     pub failure_free_round: Option<u32>,
     /// Logical bits sent on that run.
     pub bits_sent: u64,
-    /// Wire bytes sent by the threaded cluster on the same scenario.
+    /// Bytes of the encoded frames sent on the same scenario.
     pub wire_bytes: u64,
     /// Max nonfaulty decision round against the model's representative
     /// adversary with `t` faulty agents — silence under sending
@@ -102,7 +102,7 @@ pub fn run(name: &str, n: usize, t: usize) -> Result<(StackSummary, Table), EbaE
     let mut table = Table::new(
         format!("Stack summary: {} at (n = {n}, t = {t})", summary.stack),
         "Registry-selected stack battery: failure-free and silent-faulty \
-         runs, wire bytes over the threaded cluster, and a streamed \
+         runs, wire bytes of the encoded frames, and a streamed \
          exhaustive EBA spec check over every run of the context (no run \
          set is ever materialized).",
         &["measurement", "value"],
@@ -116,7 +116,7 @@ pub fn run(name: &str, n: usize, t: usize) -> Result<(StackSummary, Table), EbaE
         cell(summary.bits_sent),
     ]);
     table.push(vec![
-        cell("failure-free all-ones: wire bytes (threaded cluster)"),
+        cell("failure-free all-ones: wire bytes (encoded frames)"),
         cell(summary.wire_bytes),
     ]);
     table.push(vec![

@@ -1,19 +1,18 @@
-//! Per-session protocol engines: a [`SessionSpec`] describes one EBA
-//! session (stack, pattern, inits, horizon); [`SessionSpec::build_engine`]
-//! compiles it into a type-erased [`SessionEngine`] that advances one
-//! synchronous round at a time over **encoded** wire frames, so sessions
-//! running different stacks multiplex over the same byte-level router.
+//! Session specs: a [`SessionSpec`] describes one EBA session (stack,
+//! pattern, inits, horizon); [`SessionSpec::build_engine`] compiles it
+//! into `eba-transport`'s type-erased [`SessionEngine`], which advances
+//! one synchronous round at a time over **encoded** wire frames, so
+//! sessions running different stacks multiplex over the same byte-level
+//! router.
 
-use eba_core::context::{admit_scenario, Context, NamedStack};
+use eba_core::context::{Context, NamedStack, StackVisitor};
 use eba_core::corpus::ScenarioSpec;
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
-use eba_core::types::{Action, AgentId, EbaError, Params, Value};
-use eba_transport::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
-
-/// One round's encoded frames, indexed `[from][to]` (`None` = no message).
-pub type RoundFrames = Vec<Vec<Option<Vec<u8>>>>;
+use eba_core::types::{EbaError, Params, Value};
+use eba_sim::scenario::Scenario;
+use eba_transport::{named_engine, SessionEngine};
 
 /// Everything needed to run one consensus session on the service: a
 /// qualified registry stack name, the `(n, t)` parameters, the failure
@@ -67,8 +66,9 @@ impl SessionSpec {
         })
     }
 
-    /// Compiles the spec into a runnable engine, pairing the registry
-    /// stack with its wire codec exactly like `run_named_cluster`.
+    /// Compiles the spec into a runnable engine: registry lookup, then
+    /// `eba-transport`'s [`named_engine`] (admission plus the stack's
+    /// wire codec).
     ///
     /// # Errors
     ///
@@ -77,220 +77,59 @@ impl SessionSpec {
     /// model — every message prefixed with the qualified stack name.
     pub fn build_engine(&self) -> Result<Box<dyn SessionEngine>, EbaError> {
         let stack = NamedStack::by_name(&self.stack, self.params)?;
-        admit_scenario(
-            self.params,
-            stack.model(),
-            &self.pattern,
-            &self.inits,
-            self.horizon,
-        )
-        .map_err(|e| {
-            EbaError::InvalidInput(format!(
-                "{}: {}",
-                stack.qualified_name(),
-                eba_core::context::error_message(&e)
-            ))
-        })?;
-        Ok(match stack {
-            NamedStack::Min(ctx) => {
-                Box::new(TypedEngine::new(ctx, MinCodec, &self.inits, self.horizon))
-            }
-            NamedStack::Basic(ctx) => {
-                Box::new(TypedEngine::new(ctx, BasicCodec, &self.inits, self.horizon))
-            }
-            NamedStack::Fip(ctx) => {
-                Box::new(TypedEngine::new(ctx, FipCodec, &self.inits, self.horizon))
-            }
-            NamedStack::Naive(ctx) => {
-                Box::new(TypedEngine::new(ctx, NaiveCodec, &self.inits, self.horizon))
-            }
-        })
+        named_engine(&stack, &self.pattern, &self.inits, self.horizon)
     }
-}
 
-/// A type-erased, resumable EBA session advancing one synchronous round
-/// per [`outgoing`](SessionEngine::outgoing) /
-/// [`deliver`](SessionEngine::deliver) pair.
-///
-/// The engine does **not** apply the failure pattern — omission injection
-/// happens at the service router, exactly where the lockstep cluster
-/// injects it, so the two paths drop the same frames in the same place.
-pub trait SessionEngine: Send {
-    /// Number of agents.
-    fn n(&self) -> usize;
-
-    /// The current (0-based) message round.
-    fn round(&self) -> u32;
-
-    /// Whether the horizon has been reached.
-    fn finished(&self) -> bool;
-
-    /// Computes every agent's action for the current round and returns
-    /// the encoded outgoing frames `[from][to]`. Must be followed by
-    /// [`deliver`](SessionEngine::deliver) for the same round.
-    fn outgoing(&mut self) -> RoundFrames;
-
-    /// Delivers the round's post-omission frames `[from][to]` and
-    /// advances every agent's state, ending the round.
-    fn deliver(&mut self, frames: RoundFrames);
-
-    /// Per-agent first decision round (the round *after* the acting
-    /// round, matching the lockstep runner's convention).
-    fn decision_rounds(&self) -> &[Option<u32>];
-
-    /// Per-agent decision value.
-    fn decision_values(&self) -> &[Option<Value>];
-}
-
-/// The monomorphic engine behind [`SessionSpec::build_engine`]: one
-/// `(E, P)` stack plus its codec, holding every agent's state in lockstep.
-struct TypedEngine<E: InformationExchange, P, C> {
-    ctx: Context<E, P>,
-    codec: C,
-    states: Vec<E::State>,
-    /// Actions computed by `outgoing`, consumed by `deliver`.
-    actions: Vec<Action>,
-    awaiting_delivery: bool,
-    decision_rounds: Vec<Option<u32>>,
-    decision_values: Vec<Option<Value>>,
-    round: u32,
-    horizon: u32,
-}
-
-impl<E, P, C> TypedEngine<E, P, C>
-where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
-    C: WireCodec<E::Message>,
-{
-    fn new(ctx: Context<E, P>, codec: C, inits: &[Value], horizon: u32) -> Self {
-        let n = ctx.params().n();
-        let states = (0..n)
-            .map(|i| ctx.exchange().initial_state(AgentId::new(i), inits[i]))
-            .collect();
-        TypedEngine {
-            ctx,
-            codec,
-            states,
-            actions: vec![Action::Noop; n],
-            awaiting_delivery: false,
-            decision_rounds: vec![None; n],
-            decision_values: vec![None; n],
-            round: 0,
-            horizon,
+    /// The decision vectors (rounds, values) the lockstep kernel
+    /// (`Scenario::run`) derives for this spec — the reference the wire
+    /// path is judged against: it shares neither codec nor engine with it.
+    pub(crate) fn lockstep_decisions(&self) -> Result<DecisionVectors, EbaError> {
+        struct Lockstep<'a>(&'a SessionSpec);
+        impl StackVisitor for Lockstep<'_> {
+            type Output = Result<DecisionVectors, EbaError>;
+            fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
+            where
+                E: InformationExchange + Clone + Sync + 'static,
+                P: ActionProtocol<E> + Clone + Sync + 'static,
+            {
+                let trace = Scenario::of(ctx)
+                    .pattern(self.0.pattern.clone())
+                    .inits(&self.0.inits)
+                    .horizon(self.0.horizon)
+                    .run()?;
+                Ok((trace.metrics.decision_rounds, trace.metrics.decision_values))
+            }
         }
+        NamedStack::by_name(&self.stack, self.params)?.visit(Lockstep(self))
     }
 }
 
-impl<E, P, C> SessionEngine for TypedEngine<E, P, C>
-where
-    E: InformationExchange + Send + Sync + 'static,
-    P: ActionProtocol<E> + Send + Sync + 'static,
-    C: WireCodec<E::Message> + Send + 'static,
-    E::State: Send,
-{
-    fn n(&self) -> usize {
-        self.ctx.params().n()
-    }
-
-    fn round(&self) -> u32 {
-        self.round
-    }
-
-    fn finished(&self) -> bool {
-        self.round >= self.horizon
-    }
-
-    fn outgoing(&mut self) -> RoundFrames {
-        assert!(!self.finished(), "outgoing() past the horizon");
-        assert!(
-            !self.awaiting_delivery,
-            "outgoing() called twice in a round"
-        );
-        self.awaiting_delivery = true;
-        let n = self.n();
-        let mut frames = Vec::with_capacity(n);
-        for i in 0..n {
-            let me = AgentId::new(i);
-            let action = self.ctx.protocol().act(me, &self.states[i]);
-            if let Action::Decide(v) = action {
-                if self.decision_rounds[i].is_none() {
-                    self.decision_rounds[i] = Some(self.round + 1);
-                    self.decision_values[i] = Some(v);
-                }
-            }
-            self.actions[i] = action;
-            let outgoing = self.ctx.exchange().outgoing(me, &self.states[i], action);
-            frames.push(
-                outgoing
-                    .iter()
-                    .map(|msg| msg.as_ref().map(|msg| self.codec.encode(msg)))
-                    .collect(),
-            );
-        }
-        frames
-    }
-
-    fn deliver(&mut self, frames: RoundFrames) {
-        assert!(self.awaiting_delivery, "deliver() without outgoing()");
-        let n = self.n();
-        assert_eq!(frames.len(), n, "delivery shape mismatch");
-        #[allow(clippy::needless_range_loop)] // `to` is a receiver id
-        for to in 0..n {
-            let me = AgentId::new(to);
-            let received: Vec<Option<E::Message>> = (0..n)
-                .map(|from| {
-                    frames[from][to]
-                        .as_deref()
-                        .map(|bytes| self.codec.decode(bytes))
-                })
-                .collect();
-            self.states[to] =
-                self.ctx
-                    .exchange()
-                    .update(me, &self.states[to], self.actions[to], &received);
-        }
-        self.round += 1;
-        self.awaiting_delivery = false;
-    }
-
-    fn decision_rounds(&self) -> &[Option<u32>] {
-        &self.decision_rounds
-    }
-
-    fn decision_values(&self) -> &[Option<Value>] {
-        &self.decision_values
-    }
-}
+/// Per-agent first decision rounds and decision values.
+type DecisionVectors = (Vec<Option<u32>>, Vec<Option<Value>>);
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use eba_core::prelude::*;
+    use eba_transport::apply_pattern;
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
     }
 
-    /// Runs an engine to its horizon, applying `pattern` by hand exactly
-    /// as the service router would.
+    /// Runs an engine to its horizon, injecting `pattern` between the two
+    /// steps as the service router does.
     fn drive(engine: &mut dyn SessionEngine, pattern: &FailurePattern) {
         while !engine.finished() {
-            let round = engine.round();
-            let mut frames = engine.outgoing();
-            for (from, row) in frames.iter_mut().enumerate() {
-                for (to, frame) in row.iter_mut().enumerate() {
-                    if !pattern.delivers(round, AgentId::new(from), AgentId::new(to)) {
-                        *frame = None;
-                    }
-                }
-            }
-            engine.deliver(frames);
+            let (delivered, _) = apply_pattern(engine.round(), engine.outgoing(), pattern);
+            engine.deliver(delivered);
         }
     }
 
     #[test]
     fn engine_matches_the_lockstep_cluster_on_every_stack() {
+        // The reference is the lockstep simulator (`Scenario::run`), not
+        // the transport's loopback, which would be this engine again.
         let faulty = AgentSet::singleton(AgentId::new(0));
         let pattern = silent_pattern(params(), faulty, 4).unwrap();
         let inits = vec![Value::Zero, Value::One, Value::One, Value::One];
@@ -298,10 +137,9 @@ mod tests {
             let spec = SessionSpec::new(name, params(), pattern.clone(), inits.clone(), 4);
             let mut engine = spec.build_engine().unwrap();
             drive(engine.as_mut(), &pattern);
-            let stack = NamedStack::by_name(name, params()).unwrap();
-            let oracle = eba_transport::run_named_cluster(&stack, &pattern, &inits, 4).unwrap();
-            assert_eq!(engine.decision_rounds(), oracle.decision_rounds, "{name}");
-            assert_eq!(engine.decision_values(), oracle.decision_values, "{name}");
+            let (rounds, values) = spec.lockstep_decisions().unwrap();
+            assert_eq!(engine.decision_rounds(), rounds, "{name}");
+            assert_eq!(engine.decision_values(), values, "{name}");
         }
     }
 

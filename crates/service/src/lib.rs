@@ -3,27 +3,28 @@
 //! Async multiplexed consensus service: thousands of concurrent EBA
 //! sessions over a fixed worker pool.
 //!
-//! The lockstep transport (`eba-transport`) runs one thread-per-agent
-//! cluster at a time; this crate multiplexes arbitrarily many sessions —
-//! each its own stack, failure pattern, and horizon — over the vendored
-//! `exec` runtime (worker-pool executor, timers, bounded async
+//! `eba-transport` holds the round engine and drives one session at a
+//! time in a loop; this crate multiplexes arbitrarily many of the same
+//! engines — each its own stack, failure pattern, and horizon — over the
+//! vendored `exec` runtime (worker-pool executor, timers, bounded async
 //! mailboxes):
 //!
 //! * [`SessionSpec`] describes one session and compiles
-//!   ([`SessionSpec::build_engine`]) into a type-erased [`SessionEngine`]
-//!   stepping the stack one synchronous round at a time over encoded wire
-//!   frames.
+//!   ([`SessionSpec::build_engine`]) into `eba-transport`'s type-erased
+//!   [`SessionEngine`] (re-exported here), stepping the stack one
+//!   synchronous round at a time over encoded wire frames.
 //! * [`SessionTable`] is the dense `SessionId(u32)` arena bounding how
 //!   many sessions are live — admission control blocks (and counts a
 //!   deferral) when it is full.
 //! * [`run_service`] drives a batch: session tasks exchange per-round
 //!   envelopes with router tasks that drain their mailbox in one batch,
-//!   inject each session's omissions, and count
+//!   inject each session's omissions
+//!   ([`apply_pattern`](eba_transport::apply_pattern)), and count
 //!   [`RoundTraffic`](eba_transport::RoundTraffic) — the same counters
-//!   the lockstep `TransportReport` carries.
-//! * [`ServiceReport`] aggregates decisions, rounds-to-decide histograms,
-//!   drop counts, backpressure deferrals, and the verdict of sampled
-//!   oracle cross-checks against the lockstep cluster.
+//!   the loopback `TransportReport` carries.
+//! * [`ServiceReport`] aggregates decisions, drop counts, backpressure
+//!   deferrals, and the verdict of sampled oracle cross-checks against
+//!   the lockstep simulator (`Scenario::run`).
 //!
 //! ```
 //! use eba_core::prelude::*;
@@ -61,7 +62,8 @@ mod report;
 mod service;
 mod table;
 
-pub use engine::{RoundFrames, SessionEngine, SessionSpec};
+pub use eba_transport::{RoundFrames, SessionEngine};
+pub use engine::SessionSpec;
 pub use report::{ServiceReport, SessionOutcome};
 pub use service::{run_service, ServiceConfig};
 pub use table::{SessionId, SessionTable};

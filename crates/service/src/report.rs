@@ -1,6 +1,7 @@
 //! Service-level observability: per-session outcomes and the aggregate
-//! [`ServiceReport`], sharing [`RoundTraffic`] with the lockstep
-//! transport so both execution paths report comparable counters.
+//! [`ServiceReport`], sharing [`RoundTraffic`] with the transport's
+//! loopback so both drivers of the round engine report comparable
+//! counters.
 
 use eba_transport::RoundTraffic;
 
@@ -33,10 +34,11 @@ pub struct SessionOutcome {
     pub frames_sent: u64,
     /// Frames the session's failure pattern suppressed.
     pub frames_dropped: u64,
-    /// Wall-clock seconds from session start to graceful teardown —
-    /// includes time spent parked on the barrier behind slower cohort
-    /// members, so the percentiles over these reflect observed service
-    /// latency, not isolated session cost.
+    /// Wall-clock seconds from the session task's first poll to its
+    /// completion report — includes every round's wait for a worker and
+    /// for its router to reach the envelope behind other sessions', so
+    /// the percentiles over these reflect observed service latency, not
+    /// isolated session cost.
     pub wall_seconds: f64,
 }
 
@@ -53,8 +55,8 @@ pub struct ServiceReport {
     /// Highest number of concurrently live sessions observed.
     pub peak_in_flight: usize,
     /// Service-wide per-round sent/delivered counters (index = round),
-    /// merged across every router — the same shape the lockstep
-    /// `TransportReport` reports per cluster.
+    /// merged across every router — the same shape the loopback
+    /// `TransportReport` reports per run.
     pub round_traffic: Vec<RoundTraffic>,
     /// Wall-clock seconds of the multiplexed phase (admission through
     /// teardown), excluding the optional oracle pass.

@@ -37,10 +37,11 @@ use exec::{block_on, mailbox, timeout, Executor, Mailbox, MailboxSender};
 
 use eba_core::context::error_message;
 use eba_core::failures::FailurePattern;
-use eba_core::types::{AgentId, EbaError};
-use eba_transport::{run_named_cluster, RoundTraffic};
+use eba_core::types::EbaError;
+use eba_sim::runner::Parallelism;
+use eba_transport::{apply_pattern, RoundFrames, RoundTraffic, SessionEngine};
 
-use crate::engine::{RoundFrames, SessionEngine, SessionSpec};
+use crate::engine::SessionSpec;
 use crate::report::{ServiceReport, SessionOutcome};
 use crate::table::{SessionId, SessionTable};
 
@@ -56,8 +57,9 @@ pub struct ServiceConfig {
     /// service stalled.
     pub stall_timeout: Duration,
     /// Cross-check every `k`-th admitted session's decision vector
-    /// against the lockstep `run_named_cluster` oracle (`None` = no
-    /// checks, `Some(1)` = every session).
+    /// against the lockstep simulator (`Scenario::run`, which shares
+    /// neither codec nor engine with the service; `None` = no checks,
+    /// `Some(1)` = every session).
     pub oracle_stride: Option<usize>,
 }
 
@@ -72,17 +74,6 @@ impl Default for ServiceConfig {
     }
 }
 
-impl ServiceConfig {
-    fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(4)
-    }
-}
-
 /// Capacity of each router's mailbox, in envelopes.
 const ROUTER_MAILBOX: usize = 256;
 
@@ -92,29 +83,6 @@ struct Envelope {
     frames: RoundFrames,
     pattern: Arc<FailurePattern>,
     reply: MailboxSender<(RoundFrames, RoundTraffic)>,
-}
-
-/// Applies `pattern` to one round of frames, counting traffic. Frames are
-/// moved, not cloned — a dropped frame is simply not forwarded.
-fn apply_pattern(
-    round: u32,
-    frames: RoundFrames,
-    pattern: &FailurePattern,
-) -> (RoundFrames, RoundTraffic) {
-    let n = frames.len();
-    let mut traffic = RoundTraffic::default();
-    let mut delivered: RoundFrames = (0..n).map(|_| vec![None; n]).collect();
-    for (from, row) in frames.into_iter().enumerate() {
-        for (to, frame) in row.into_iter().enumerate() {
-            let Some(frame) = frame else { continue };
-            traffic.sent += 1;
-            if pattern.delivers(round, AgentId::new(from), AgentId::new(to)) {
-                traffic.delivered += 1;
-                delivered[from][to] = Some(frame);
-            }
-        }
-    }
-    (delivered, traffic)
 }
 
 /// A router task: drain every queued envelope in one wakeup, inject
@@ -202,8 +170,8 @@ async fn drive_session(
 /// [`ServiceConfig::capacity`] in flight; each runs its stack over
 /// encoded wire frames with omissions injected at the router from its own
 /// [`FailurePattern`]. With [`ServiceConfig::oracle_stride`] set, every
-/// `k`-th admitted session's decision vector is re-derived on the
-/// lockstep thread-per-agent cluster and compared — the same
+/// `k`-th admitted session's decision vector is re-derived by the
+/// lockstep simulator (`Scenario::run`) and compared — the same
 /// oracle-confirmation discipline the fuzzer and query engine use.
 ///
 /// # Errors
@@ -216,7 +184,10 @@ pub fn run_service(
     specs: &[SessionSpec],
     config: &ServiceConfig,
 ) -> Result<ServiceReport, EbaError> {
-    let workers = config.resolved_workers();
+    let workers = match config.workers {
+        0 => Parallelism::Auto.worker_count(),
+        workers => workers,
+    };
     let capacity = config.capacity.max(1);
     let pool = Executor::new(workers);
 
@@ -306,13 +277,9 @@ pub fn run_service(
             if outcome.spec_index % stride != 0 {
                 continue;
             }
-            let spec = &specs[outcome.spec_index];
-            let stack = eba_core::context::NamedStack::by_name(&spec.stack, spec.params)?;
-            let oracle = run_named_cluster(&stack, &spec.pattern, &spec.inits, spec.horizon)?;
+            let (rounds, values) = specs[outcome.spec_index].lockstep_decisions()?;
             report.oracle_checked += 1;
-            if oracle.decision_rounds != outcome.decision_rounds
-                || oracle.decision_values != outcome.decision_values
-            {
+            if rounds != outcome.decision_rounds || values != outcome.decision_values {
                 report.oracle_mismatches += 1;
             }
         }

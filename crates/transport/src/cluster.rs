@@ -1,64 +1,18 @@
-//! The threaded cluster: one OS thread per agent, a router enforcing
-//! synchronous rounds and injecting omission faults.
-
-use crossbeam_channel::{bounded, unbounded, Receiver, Sender};
+//! The loopback drivers: run a stack to its horizon over encoded frames
+//! on the calling thread, `outgoing → apply_pattern → deliver` per round
+//! (the synchronous rounds of Section 3), and report decisions plus the
+//! wire accounting.
 
 use eba_core::context::{admit_scenario, Context, NamedStack};
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
-use eba_core::types::{Action, AgentId, EbaError, Value};
+use eba_core::types::{EbaError, Value};
 
-use crate::codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
+use crate::codec::WireCodec;
+use crate::engine::{apply_pattern, named_engine, EngineState, RoundFrames, RoundTraffic};
 
-/// What one agent sends to the router in a round: one optional frame per
-/// recipient.
-struct Batch {
-    from: usize,
-    round: u32,
-    frames: Vec<Option<Vec<u8>>>,
-}
-
-/// What the router delivers to one agent: one optional frame per sender.
-struct Inbox {
-    frames: Vec<Option<Vec<u8>>>,
-}
-
-/// Per-agent final report.
-struct AgentReport<S> {
-    agent: usize,
-    decision_round: Option<u32>,
-    decision_value: Option<Value>,
-    final_state: S,
-}
-
-/// Per-round message counters, shared by the lockstep cluster
-/// ([`TransportReport`]) and the multiplexed service (`ServiceReport` in
-/// `eba-service`), so both paths report comparable observability data.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundTraffic {
-    /// Frames handed to the router in this round (dropped frames
-    /// included — the sender did the work).
-    pub sent: u64,
-    /// Frames actually delivered in this round.
-    pub delivered: u64,
-}
-
-impl RoundTraffic {
-    /// Frames the failure pattern suppressed in this round.
-    pub fn dropped(&self) -> u64 {
-        self.sent - self.delivered
-    }
-
-    /// Accumulates another counter into this one (used when folding
-    /// per-session traffic into a service-wide total).
-    pub fn absorb(&mut self, other: &RoundTraffic) {
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-    }
-}
-
-/// The outcome of a cluster execution.
+/// The outcome of a loopback execution.
 #[derive(Clone, Debug)]
 pub struct TransportReport<E: InformationExchange> {
     /// Per-agent first decision round.
@@ -67,12 +21,12 @@ pub struct TransportReport<E: InformationExchange> {
     pub decision_values: Vec<Option<Value>>,
     /// Per-agent final state after the last round.
     pub final_states: Vec<E::State>,
-    /// Total bytes of encoded frames handed to the router (dropped frames
+    /// Total bytes of encoded frames the agents sent (dropped frames
     /// included — the sender did the work).
     pub wire_bytes_sent: u64,
     /// Total bytes actually delivered.
     pub wire_bytes_delivered: u64,
-    /// Frames handed to the router.
+    /// Frames the agents sent.
     pub frames_sent: u64,
     /// Per-round sent/delivered frame counters (index = round).
     pub round_traffic: Vec<RoundTraffic>,
@@ -80,15 +34,39 @@ pub struct TransportReport<E: InformationExchange> {
     pub rounds: u32,
 }
 
-/// Runs a [`Context`] on one thread per agent for `horizon` rounds: the
+/// What a loopback run counted on the wire.
+#[derive(Default)]
+struct WireCount {
+    bytes_sent: u64,
+    bytes_delivered: u64,
+    frames_sent: u64,
+    round_traffic: Vec<RoundTraffic>,
+}
+
+impl WireCount {
+    /// Carries one round's frames from `outgoing` to `deliver`: counts
+    /// what the agents sent, injects `pattern`'s omissions — the frames
+    /// are lost exactly where a lossy network would lose them — and
+    /// counts what survived.
+    fn carry(&mut self, round: u32, sent: RoundFrames, pattern: &FailurePattern) -> RoundFrames {
+        let bytes = |frames: &RoundFrames| -> u64 {
+            let frames = frames.iter().flatten().flatten();
+            frames.map(|frame| frame.len() as u64).sum()
+        };
+        self.bytes_sent += bytes(&sent);
+        let (delivered, traffic) = apply_pattern(round, sent, pattern);
+        self.bytes_delivered += bytes(&delivered);
+        self.frames_sent += traffic.sent;
+        self.round_traffic.push(traffic);
+        delivered
+    }
+}
+
+/// Runs a [`Context`] over encoded frames for `horizon` rounds: the
 /// context supplies both halves of the stack (and its failure model,
 /// which the injected pattern must be admissible under), the caller
-/// supplies the wire codec.
-///
-/// The router collects every agent's outgoing frames before delivering
-/// any — rounds are strictly synchronous, matching the model of Section 3.
-/// Omissions are injected at the router according to `pattern`, exactly
-/// where a real lossy network would lose them.
+/// supplies the wire codec. Single-threaded and deterministic: the same
+/// round engine the service multiplexes, driven in a loop.
 ///
 /// # Errors
 ///
@@ -99,10 +77,6 @@ pub struct TransportReport<E: InformationExchange> {
 /// [`FailureModel`](eba_core::failures::FailureModel) through the whole
 /// horizon — e.g. a silent sending-omission adversary injected into an
 /// `@failure_free` context.
-///
-/// # Panics
-///
-/// Panics if an agent thread panics (e.g. a protocol bug).
 pub fn run_context_cluster<E, P, C>(
     ctx: &Context<E, P>,
     codec: &C,
@@ -111,158 +85,30 @@ pub fn run_context_cluster<E, P, C>(
     horizon: u32,
 ) -> Result<TransportReport<E>, EbaError>
 where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Sync,
+    E: InformationExchange,
+    P: ActionProtocol<E>,
     C: WireCodec<E::Message>,
 {
-    let (ex, proto) = (ctx.exchange(), ctx.protocol());
-    let n = ctx.params().n();
     admit_scenario(ctx.params(), ctx.model(), pattern, inits, horizon)?;
-
-    // Agents → router (shared), router → each agent (private), agents →
-    // collector for final reports.
-    let (batch_tx, batch_rx): (Sender<Batch>, Receiver<Batch>) = unbounded();
-    let mut inbox_txs: Vec<Sender<Inbox>> = Vec::with_capacity(n);
-    let mut inbox_rxs: Vec<Option<Receiver<Inbox>>> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = bounded(1);
-        inbox_txs.push(tx);
-        inbox_rxs.push(Some(rx));
+    let mut state = EngineState::new(ctx.exchange(), inits, horizon);
+    let mut wire = WireCount::default();
+    for round in 0..horizon {
+        let sent = state.outgoing(ctx, codec);
+        state.deliver(ctx, codec, wire.carry(round, sent, pattern));
     }
-    let (report_tx, report_rx) = unbounded::<AgentReport<E::State>>();
-
-    let mut wire_bytes_sent = 0u64;
-    let mut wire_bytes_delivered = 0u64;
-    let mut frames_sent = 0u64;
-    let mut round_traffic: Vec<RoundTraffic> = Vec::with_capacity(horizon as usize);
-
-    std::thread::scope(|scope| {
-        // Agent threads.
-        for i in 0..n {
-            let inbox_rx = inbox_rxs[i].take().expect("one receiver per agent");
-            let batch_tx = batch_tx.clone();
-            let report_tx = report_tx.clone();
-            let init = inits[i];
-            scope.spawn(move || {
-                let me = AgentId::new(i);
-                let mut state = ex.initial_state(me, init);
-                let mut decision_round = None;
-                let mut decision_value = None;
-                for m in 0..horizon {
-                    let action = proto.act(me, &state);
-                    if let Action::Decide(v) = action {
-                        if decision_round.is_none() {
-                            decision_round = Some(m + 1);
-                            decision_value = Some(v);
-                        }
-                    }
-                    let outgoing = ex.outgoing(me, &state, action);
-                    let frames: Vec<Option<Vec<u8>>> = outgoing
-                        .iter()
-                        .map(|msg| msg.as_ref().map(|msg| codec.encode(msg)))
-                        .collect();
-                    batch_tx
-                        .send(Batch {
-                            from: i,
-                            round: m,
-                            frames,
-                        })
-                        .expect("router alive");
-                    let inbox = inbox_rx.recv().expect("router delivers every round");
-                    let received: Vec<Option<E::Message>> = inbox
-                        .frames
-                        .iter()
-                        .map(|f| f.as_deref().map(|bytes| codec.decode(bytes)))
-                        .collect();
-                    state = ex.update(me, &state, action, &received);
-                }
-                report_tx
-                    .send(AgentReport {
-                        agent: i,
-                        decision_round,
-                        decision_value,
-                        final_state: state,
-                    })
-                    .expect("collector alive");
-            });
-        }
-        drop(batch_tx);
-        drop(report_tx);
-
-        // Router: collect all n batches, apply the failure pattern,
-        // deliver.
-        for m in 0..horizon {
-            let mut frames: Vec<Option<Vec<Option<Vec<u8>>>>> = (0..n).map(|_| None).collect();
-            for _ in 0..n {
-                let batch = batch_rx.recv().expect("agents alive");
-                assert_eq!(batch.round, m, "agent raced ahead of the round barrier");
-                assert!(frames[batch.from].is_none(), "duplicate batch");
-                frames[batch.from] = Some(batch.frames);
-            }
-            let frames: Vec<Vec<Option<Vec<u8>>>> = frames
-                .into_iter()
-                .map(|f| f.expect("all agents sent"))
-                .collect();
-            let mut traffic = RoundTraffic::default();
-            for row in frames.iter() {
-                for frame in row.iter().flatten() {
-                    frames_sent += 1;
-                    traffic.sent += 1;
-                    wire_bytes_sent += frame.len() as u64;
-                }
-            }
-            for to in 0..n {
-                let inbox_frames: Vec<Option<Vec<u8>>> = (0..n)
-                    .map(|from| {
-                        let frame = frames[from][to].clone();
-                        match frame {
-                            Some(f)
-                                if pattern.delivers(m, AgentId::new(from), AgentId::new(to)) =>
-                            {
-                                wire_bytes_delivered += f.len() as u64;
-                                traffic.delivered += 1;
-                                Some(f)
-                            }
-                            _ => None,
-                        }
-                    })
-                    .collect();
-                inbox_txs[to]
-                    .send(Inbox {
-                        frames: inbox_frames,
-                    })
-                    .expect("agent alive");
-            }
-            round_traffic.push(traffic);
-        }
-
-        // Collect reports.
-        let mut decision_rounds = vec![None; n];
-        let mut decision_values = vec![None; n];
-        let mut final_states: Vec<Option<E::State>> = (0..n).map(|_| None).collect();
-        for _ in 0..n {
-            let r = report_rx.recv().expect("every agent reports");
-            decision_rounds[r.agent] = r.decision_round;
-            decision_values[r.agent] = r.decision_value;
-            final_states[r.agent] = Some(r.final_state);
-        }
-        Ok(TransportReport {
-            decision_rounds,
-            decision_values,
-            final_states: final_states
-                .into_iter()
-                .map(|s| s.expect("every agent reported"))
-                .collect(),
-            wire_bytes_sent,
-            wire_bytes_delivered,
-            frames_sent,
-            round_traffic,
-            rounds: horizon,
-        })
+    Ok(TransportReport {
+        decision_rounds: state.decision_rounds,
+        decision_values: state.decision_values,
+        final_states: state.states,
+        wire_bytes_sent: wire.bytes_sent,
+        wire_bytes_delivered: wire.bytes_delivered,
+        frames_sent: wire.frames_sent,
+        round_traffic: wire.round_traffic,
+        rounds: horizon,
     })
 }
 
-/// A name-erased cluster outcome, for stacks selected from the registry
+/// A name-erased loopback outcome, for stacks selected from the registry
 /// at runtime (final states are stack-specific and therefore dropped).
 #[derive(Clone, Debug)]
 pub struct ClusterSummary {
@@ -270,11 +116,11 @@ pub struct ClusterSummary {
     pub decision_rounds: Vec<Option<u32>>,
     /// Per-agent decision value.
     pub decision_values: Vec<Option<Value>>,
-    /// Total bytes of encoded frames handed to the router.
+    /// Total bytes of encoded frames the agents sent.
     pub wire_bytes_sent: u64,
     /// Total bytes actually delivered.
     pub wire_bytes_delivered: u64,
-    /// Frames handed to the router.
+    /// Frames the agents sent.
     pub frames_sent: u64,
     /// Per-round sent/delivered frame counters (index = round).
     pub round_traffic: Vec<RoundTraffic>,
@@ -282,24 +128,12 @@ pub struct ClusterSummary {
     pub rounds: u32,
 }
 
-impl<E: InformationExchange> From<TransportReport<E>> for ClusterSummary {
-    fn from(report: TransportReport<E>) -> Self {
-        ClusterSummary {
-            decision_rounds: report.decision_rounds,
-            decision_values: report.decision_values,
-            wire_bytes_sent: report.wire_bytes_sent,
-            wire_bytes_delivered: report.wire_bytes_delivered,
-            frames_sent: report.frames_sent,
-            round_traffic: report.round_traffic,
-            rounds: report.rounds,
-        }
-    }
-}
-
-/// Runs a registry-selected stack ([`NamedStack`]) on the threaded
-/// cluster, pairing each exchange with its wire codec — this is how
-/// string-keyed stack selection (`-- --stack E_basic/P_basic`) reaches
-/// the transport layer.
+/// Runs a registry-selected stack ([`NamedStack`]) over encoded frames,
+/// through the engine [`named_engine`] pairs with its wire codec — this
+/// is how string-keyed stack selection (`-- --stack E_basic/P_basic`)
+/// reaches the transport layer. "Cluster" is a historical name, from
+/// when this ran one OS thread per agent; it is kept because `bench/`
+/// imports it.
 ///
 /// ```
 /// use eba_core::prelude::*;
@@ -326,26 +160,20 @@ pub fn run_named_cluster(
     inits: &[Value],
     horizon: u32,
 ) -> Result<ClusterSummary, EbaError> {
-    let summary = match stack {
-        NamedStack::Min(ctx) => {
-            run_context_cluster(ctx, &MinCodec, pattern, inits, horizon).map(Into::into)
-        }
-        NamedStack::Basic(ctx) => {
-            run_context_cluster(ctx, &BasicCodec, pattern, inits, horizon).map(Into::into)
-        }
-        NamedStack::Fip(ctx) => {
-            run_context_cluster(ctx, &FipCodec, pattern, inits, horizon).map(Into::into)
-        }
-        NamedStack::Naive(ctx) => {
-            run_context_cluster(ctx, &NaiveCodec, pattern, inits, horizon).map(Into::into)
-        }
-    };
-    summary.map_err(|e| {
-        EbaError::InvalidInput(format!(
-            "{}: {}",
-            stack.qualified_name(),
-            eba_core::context::error_message(&e)
-        ))
+    let mut engine = named_engine(stack, pattern, inits, horizon)?;
+    let mut wire = WireCount::default();
+    for round in 0..horizon {
+        let sent = engine.outgoing();
+        engine.deliver(wire.carry(round, sent, pattern));
+    }
+    Ok(ClusterSummary {
+        decision_rounds: engine.decision_rounds().to_vec(),
+        decision_values: engine.decision_values().to_vec(),
+        wire_bytes_sent: wire.bytes_sent,
+        wire_bytes_delivered: wire.bytes_delivered,
+        frames_sent: wire.frames_sent,
+        round_traffic: wire.round_traffic,
+        rounds: horizon,
     })
 }
 

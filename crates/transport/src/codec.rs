@@ -16,7 +16,7 @@ use eba_core::types::Value;
 ///
 /// Codecs must be loss-free: `decode(encode(m)) == m` for every message
 /// the exchange can produce.
-pub trait WireCodec<M>: Sync {
+pub trait WireCodec<M> {
     /// Encodes a message into a frame.
     fn encode(&self, msg: &M) -> Vec<u8>;
 

@@ -1,16 +1,23 @@
 #![warn(missing_docs)]
 
-//! A threaded message-passing runtime for the EBA protocols.
+//! The EBA protocols over encoded frames: wire codecs, the round engine,
+//! and single-threaded loopback drivers.
 //!
-//! The paper's protocols are round-synchronous; this crate realizes them
-//! over real OS threads and channels: one thread per agent, a router
-//! enforcing round boundaries, omission-fault injection at the router, and
-//! hand-rolled wire codecs so the byte counts of Prop 8.1 are measured on
-//! actual encoded frames rather than estimated.
+//! The paper's protocols are round-synchronous; this crate realizes one
+//! round at the byte level — every agent acts and its messages are
+//! encoded ([`SessionEngine::outgoing`]), the failure pattern drops
+//! frames ([`apply_pattern`]), the survivors are decoded and every state
+//! updates ([`SessionEngine::deliver`]) — with hand-rolled wire codecs so
+//! the byte counts of Prop 8.1 are measured on actual encoded frames
+//! rather than estimated. [`run_context_cluster`] and
+//! [`run_named_cluster`] drive that engine in a loop on the calling
+//! thread; `eba-service` multiplexes many of the same engines over a
+//! worker pool.
 //!
-//! The runtime must agree exactly with the lockstep simulator (`eba-sim`)
-//! on every run — decision rounds, decision values, final states — which
-//! the cross-check tests enforce.
+//! The engine must agree exactly with the lockstep simulator (`eba-sim`),
+//! which shares neither codec nor engine with it, on every run — decision
+//! rounds, decision values, final states — which the cross-check tests
+//! enforce.
 //!
 //! Contexts carry their failure model onto the wire too: the injected
 //! pattern must be admissible under the context's
@@ -36,8 +43,8 @@
 
 mod cluster;
 mod codec;
+mod engine;
 
-pub use cluster::{
-    run_context_cluster, run_named_cluster, ClusterSummary, RoundTraffic, TransportReport,
-};
+pub use cluster::{run_context_cluster, run_named_cluster, ClusterSummary, TransportReport};
 pub use codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
+pub use engine::{apply_pattern, named_engine, RoundFrames, RoundTraffic, SessionEngine};

@@ -1,12 +1,14 @@
-//! Run the full-information protocol over real OS threads and a byte-level
-//! wire protocol, with omission faults injected at the router.
+//! Run the full-information protocol over a byte-level wire protocol,
+//! with omission faults injected between encode and decode.
 //!
-//! One thread per agent, crossbeam channels, hand-rolled codecs; the
-//! outcome is cross-checked against the lockstep simulator — same rounds,
-//! same decisions, same final states.
+//! Every message is encoded by a hand-rolled codec, dropped or delivered
+//! by the failure pattern, and decoded again — the same round engine the
+//! service multiplexes, looped on this thread; the outcome is
+//! cross-checked against the lockstep simulator — same rounds, same
+//! decisions, same final states.
 //!
 //! ```text
-//! cargo run --release --example threaded_cluster
+//! cargo run --release --example wire_loopback
 //! ```
 
 use eba::prelude::*;
@@ -34,7 +36,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
     let horizon = params.default_horizon();
 
-    println!("== 8 agent threads, 3 faulty, full-information exchange ==\n");
+    println!("== 8 agents over encoded frames, 3 faulty, full-information exchange ==\n");
     let report = run_context_cluster(&ctx, &FipCodec, &pattern, &inits, horizon)?;
     for agent in params.agents() {
         println!(

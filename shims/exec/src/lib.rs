@@ -1,7 +1,7 @@
 //! Vendored mini async runtime for the EBA workspace.
 //!
 //! The build environment has no registry access, so — in the spirit of the
-//! `crossbeam-channel` shim — this workspace-local crate provides the
+//! `rand` and `proptest` shims — this workspace-local crate provides the
 //! minimal executor/reactor surface the consensus service (`eba-service`)
 //! multiplexes sessions on. Three pieces, all over `std` only:
 //!

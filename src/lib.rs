@@ -11,8 +11,8 @@
 //!   checking, and exhaustive run enumeration;
 //! * [`epistemic`] — interpreted systems, the epistemic model checker, and
 //!   the knowledge-based-program implements-checker;
-//! * [`transport`] — a threaded message-passing runtime with omission
-//!   fault injection;
+//! * [`transport`] — wire codecs and the round engine that runs a stack
+//!   over encoded frames, with omission fault injection;
 //! * [`service`] — the async multiplexed consensus service (thousands of
 //!   concurrent sessions over a worker pool);
 //! * [`stat`] — the Monte Carlo statistical model checker (estimated

@@ -1,8 +1,9 @@
 //! Integration tests for the async multiplexed consensus service:
 //!
 //! * on random instances, every multiplexed session's decision vector
-//!   equals the lockstep threaded cluster's (all four stacks, all four
-//!   failure models, adversary-sampled patterns);
+//!   equals the lockstep simulator's and the single-threaded loopback's
+//!   (all four stacks, all four failure models, adversary-sampled
+//!   patterns);
 //! * backpressure admits a large batch through a tiny session table
 //!   without losing or stalling anything;
 //! * the deterministic seeded `--load` mix decides every admitted
@@ -69,9 +70,13 @@ fn decisions_by_spec(report: &ServiceReport) -> Vec<SessionDecisions> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The multiplexed path is decision-equivalent to the lockstep
-    /// cluster: the service's built-in oracle pass agrees, and so does an
-    /// independent re-run of every session through `run_named_cluster`.
+    /// The multiplexed path is decision-equivalent to lockstep execution,
+    /// checked twice. The service's built-in oracle pass compares every
+    /// session with `Scenario::run` — a different kernel with no codec,
+    /// which catches an engine or codec bug. The `run_named_cluster`
+    /// re-run below is the *same* engine under a different driver (a
+    /// loop on this thread instead of tasks, routers and mailboxes),
+    /// which is exactly what catches a router or mailbox reordering bug.
     #[test]
     fn multiplexed_sessions_match_the_lockstep_cluster(
         n in 3usize..6,
@@ -97,10 +102,10 @@ proptest! {
         for outcome in &report.outcomes {
             let spec = &specs[outcome.spec_index];
             let stack = NamedStack::by_name(&spec.stack, spec.params).unwrap();
-            let oracle =
+            let loopback =
                 run_named_cluster(&stack, &spec.pattern, &spec.inits, spec.horizon).unwrap();
-            prop_assert_eq!(&outcome.decision_rounds, &oracle.decision_rounds);
-            prop_assert_eq!(&outcome.decision_values, &oracle.decision_values);
+            prop_assert_eq!(&outcome.decision_rounds, &loopback.decision_rounds);
+            prop_assert_eq!(&outcome.decision_values, &loopback.decision_values);
         }
     }
 }

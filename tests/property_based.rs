@@ -1,6 +1,6 @@
 //! Property-based tests (proptest) across the whole stack: random
 //! adversaries, random inputs, all three protocol stacks, and the
-//! threaded transport against the lockstep simulator.
+//! wire loopback against the lockstep simulator.
 
 use eba::prelude::*;
 use eba::transport::{run_context_cluster, BasicCodec, MinCodec};
@@ -119,7 +119,7 @@ proptest! {
         prop_assert_eq!(a.actions, b.actions);
     }
 
-    /// The threaded transport agrees with the lockstep simulator exactly.
+    /// The wire loopback agrees with the lockstep simulator exactly.
     #[test]
     fn transport_equals_lockstep(
         seed in any::<u64>(),

@@ -218,5 +218,28 @@ fn corpus_loader_relocates_semantic_errors_to_file_and_line() {
         msg.contains(&format!("{}:6:", path.display())),
         "error must carry path and nonfaulty line: {msg}"
     );
+
+    // Two problems in one file — one bit short on line 7, and a crash
+    // whose recorded silence (line 8) ends before the horizon: the one
+    // admission check reports both, each against its own line.
+    let bad = "stack = E_min/P_min\n\
+               model = crash\n\
+               n = 3\n\
+               t = 1\n\
+               horizon = 4\n\
+               nonfaulty = 1 2\n\
+               inits = 0 1\n\
+               drop = round 0 from 0 to 0 1 2\n";
+    std::fs::write(&path, bad).unwrap();
+    let err = eba::experiments::corpus::load_dir(&dir).expect_err("inadmissible corpus");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("{}:7: inits: got 2", path.display())),
+        "{msg}"
+    );
+    assert!(
+        msg.contains(&format!("{}:8: pattern: not admissible", path.display())),
+        "{msg}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -51,6 +51,7 @@
 //! `--oracle-stride`-th session against the lockstep simulator.
 //! `--serve <dir>` runs every `.eba` scenario in a directory as a
 //! concurrent service session with every decision oracle-checked.
+//! Both exit 1, after the table, if a checked session disagrees.
 //!
 //! The binary's output is verdicts and counts. Performance is measured
 //! in one place, the repo's benchmark under `bench/` (see
@@ -315,17 +316,23 @@ fn load(flags: &Flags) {
         oracle_stride: flags.num("--oracle-stride", defaults.oracle_stride),
         ..defaults
     };
-    println!("{}", or_die(ex::service_cli::run_load(&config)).1);
+    print_service_run(or_die(ex::service_cli::run_load(&config)));
 }
 
 fn serve(flags: &Flags) {
     let dir = flags.path("--serve").expect("--serve selected this mode");
     let workers = flags.num("--workers", 0);
     let capacity = flags.num("--capacity", 1024);
-    println!(
-        "{}",
-        or_die(ex::service_cli::run_serve(&dir, workers, capacity)).1
-    );
+    print_service_run(or_die(ex::service_cli::run_serve(&dir, workers, capacity)));
+}
+
+/// Prints a service run's table, then exits 1 if its oracle check failed.
+fn print_service_run((report, table): (eba_service::ServiceReport, ex::table::Table)) {
+    println!("{table}");
+    if let Err(msg) = ex::service_cli::oracle_verdict(&report) {
+        eprintln!("error: {msg}");
+        std::process::exit(1);
+    }
 }
 
 fn corpus(flags: &Flags) {

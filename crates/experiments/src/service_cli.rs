@@ -8,7 +8,8 @@
 //! through the service at a fixed table capacity. Both modes print the
 //! run's counts, wall time and session-latency percentiles, and
 //! oracle-confirm a sampled subset of decision vectors against the
-//! lockstep simulator (`Scenario::run`). Neither prints a rate: one run's
+//! lockstep simulator (`Scenario::run`), exiting 1 if any of them
+//! disagrees ([`oracle_verdict`]). Neither prints a rate: one run's
 //! multiplexed phase lasts tens of milliseconds, too short a window to
 //! divide by. The service's throughput is the `ops_per_s` of the
 //! `service_mixed_n3` and `service_fip_n8` workloads under `bench/`.
@@ -144,6 +145,24 @@ fn summary_table(title: &str, caption: &str, report: &ServiceReport) -> Table {
     table
 }
 
+/// The check `--load` and `--serve` advertise, as the exit verdict: a run
+/// fails when any oracle-checked session's decision vector disagrees
+/// with the lockstep simulator. Undecided sessions are not an error — a
+/// stack may legitimately not decide under a pattern.
+///
+/// # Errors
+///
+/// Returns the message the CLI prints before exiting 1.
+pub fn oracle_verdict(report: &ServiceReport) -> Result<(), String> {
+    match report.oracle_mismatches {
+        0 => Ok(()),
+        k => Err(format!(
+            "{k} of {} oracle-checked sessions disagree with the lockstep simulator",
+            report.oracle_checked
+        )),
+    }
+}
+
 /// Runs the synthetic seeded load mix through the service.
 ///
 /// # Errors
@@ -258,6 +277,20 @@ mod tests {
         assert!(report.oracle_checked > 0);
         let k = report.oracle_checked;
         assert!(markdown.contains(&format!("| {k}/{k} ok |")), "{markdown}");
+    }
+
+    #[test]
+    fn an_oracle_mismatch_is_the_failing_verdict() {
+        assert_eq!(oracle_verdict(&ServiceReport::default()), Ok(()));
+        let doctored = ServiceReport {
+            oracle_checked: 3,
+            oracle_mismatches: 1,
+            ..Default::default()
+        };
+        assert_eq!(
+            oracle_verdict(&doctored).unwrap_err(),
+            "1 of 3 oracle-checked sessions disagree with the lockstep simulator"
+        );
     }
 
     #[test]

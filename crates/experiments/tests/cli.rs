@@ -73,3 +73,14 @@ fn a_documented_command_line_still_runs() {
     assert_eq!(out.status.code(), Some(0));
     assert!(String::from_utf8_lossy(&out.stdout).contains("E_min/P_min"));
 }
+
+#[test]
+fn serve_exits_zero_on_the_oracle_clean_corpus() {
+    // `--load`/`--serve` exit 1 on an oracle mismatch; the committed
+    // corpus has none, and says so in the last cell of its row.
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+    let out = run(&["--serve", corpus]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert!(stdout.contains("| 10/10 ok |"), "{stdout}");
+}

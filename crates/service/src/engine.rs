@@ -2,8 +2,8 @@
 //! pattern, inits, horizon); [`SessionSpec::build_engine`] compiles it
 //! into `eba-transport`'s type-erased [`SessionEngine`], which advances
 //! one synchronous round at a time over **encoded** wire frames, so
-//! sessions running different stacks multiplex over the same byte-level
-//! router.
+//! sessions running different stacks run through the same byte-level
+//! loop (`eba_transport::run_engine`).
 
 use eba_core::context::{Context, NamedStack, StackVisitor};
 use eba_core::corpus::ScenarioSpec;
@@ -23,7 +23,7 @@ pub struct SessionSpec {
     pub stack: String,
     /// The `(n, t)` parameters.
     pub params: Params,
-    /// The failure pattern injected at the service router.
+    /// The failure pattern whose omissions the session's frames suffer.
     pub pattern: FailurePattern,
     /// Initial preferences, one per agent.
     pub inits: Vec<Value>,
@@ -111,19 +111,10 @@ type DecisionVectors = (Vec<Option<u32>>, Vec<Option<Value>>);
 mod tests {
     use super::*;
     use eba_core::prelude::*;
-    use eba_transport::apply_pattern;
+    use eba_transport::run_engine;
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
-    }
-
-    /// Runs an engine to its horizon, injecting `pattern` between the two
-    /// steps as the service router does.
-    fn drive(engine: &mut dyn SessionEngine, pattern: &FailurePattern) {
-        while !engine.finished() {
-            let (delivered, _) = apply_pattern(engine.round(), engine.outgoing(), pattern);
-            engine.deliver(delivered);
-        }
     }
 
     #[test]
@@ -136,10 +127,10 @@ mod tests {
         for name in STACK_NAMES {
             let spec = SessionSpec::new(name, params(), pattern.clone(), inits.clone(), 4);
             let mut engine = spec.build_engine().unwrap();
-            drive(engine.as_mut(), &pattern);
+            let run = run_engine(engine.as_mut(), &pattern);
             let (rounds, values) = spec.lockstep_decisions().unwrap();
-            assert_eq!(engine.decision_rounds(), rounds, "{name}");
-            assert_eq!(engine.decision_values(), values, "{name}");
+            assert_eq!(run.decision_rounds, rounds, "{name}");
+            assert_eq!(run.decision_values, values, "{name}");
         }
     }
 
@@ -184,7 +175,7 @@ mod tests {
         assert_eq!(spec.stack, "E_naive/P_naive@general_omission");
         assert_eq!(spec.horizon, 4);
         let mut engine = spec.build_engine().unwrap();
-        drive(engine.as_mut(), &spec.pattern);
+        run_engine(engine.as_mut(), &spec.pattern);
         assert!(engine.finished());
     }
 }

@@ -1,13 +1,13 @@
 #![warn(missing_docs)]
 
-//! Async multiplexed consensus service: thousands of concurrent EBA
-//! sessions over a fixed worker pool.
+//! Multiplexed consensus service: thousands of concurrent EBA sessions,
+//! each a run-to-completion task on a fixed worker pool.
 //!
-//! `eba-transport` holds the round engine and drives one session at a
-//! time in a loop; this crate multiplexes arbitrarily many of the same
-//! engines — each its own stack, failure pattern, and horizon — over the
-//! vendored `exec` runtime (worker-pool executor, timers, bounded async
-//! mailboxes):
+//! `eba-transport` holds the round engine and the loop that drives one
+//! session to its horizon; this crate runs arbitrarily many of those
+//! loops — each its own stack, failure pattern, and horizon — as tasks
+//! on the vendored `exec` runtime (worker-pool executor, timers, bounded
+//! async mailboxes), bounded by a session table:
 //!
 //! * [`SessionSpec`] describes one session and compiles
 //!   ([`SessionSpec::build_engine`]) into `eba-transport`'s type-erased
@@ -16,10 +16,10 @@
 //! * [`SessionTable`] is the dense `SessionId(u32)` arena bounding how
 //!   many sessions are live — admission control blocks (and counts a
 //!   deferral) when it is full.
-//! * [`run_service`] drives a batch: session tasks exchange per-round
-//!   envelopes with router tasks that drain their mailbox in one batch,
-//!   inject each session's omissions
-//!   ([`apply_pattern`](eba_transport::apply_pattern)), and count
+//! * [`run_service`] drives a batch: each admitted session is one task
+//!   that runs its engine to the horizon on a pool worker
+//!   ([`run_engine`](eba_transport::run_engine), its omissions injected
+//!   inline) and reports once; the driver folds every session's
 //!   [`RoundTraffic`](eba_transport::RoundTraffic) — the same counters
 //!   the loopback `TransportReport` carries.
 //! * [`ServiceReport`] aggregates decisions, drop counts, backpressure

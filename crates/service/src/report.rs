@@ -30,15 +30,15 @@ pub struct SessionOutcome {
     pub decided_round: Option<u32>,
     /// Rounds executed.
     pub rounds: u32,
-    /// Frames this session handed to its router.
+    /// Frames this session's agents sent (dropped frames included).
     pub frames_sent: u64,
     /// Frames the session's failure pattern suppressed.
     pub frames_dropped: u64,
-    /// Wall-clock seconds from the session task's first poll to its
-    /// completion report — includes every round's wait for a worker and
-    /// for its router to reach the envelope behind other sessions', so
-    /// the percentiles over these reflect observed service latency, not
-    /// isolated session cost.
+    /// Wall-clock seconds from the session's admission (the driver's
+    /// clock, taken as it enters the table) to its completion report —
+    /// includes the wait for a worker behind the sessions admitted
+    /// before it, so the percentiles over these reflect observed service
+    /// latency, not isolated session cost.
     pub wall_seconds: f64,
 }
 
@@ -55,8 +55,8 @@ pub struct ServiceReport {
     /// Highest number of concurrently live sessions observed.
     pub peak_in_flight: usize,
     /// Service-wide per-round sent/delivered counters (index = round),
-    /// merged across every router — the same shape the loopback
-    /// `TransportReport` reports per run.
+    /// folded from every session as the driver retires it — the same
+    /// shape the loopback `TransportReport` reports per run.
     pub round_traffic: Vec<RoundTraffic>,
     /// Wall-clock seconds of the multiplexed phase (admission through
     /// teardown), excluding the optional oracle pass.

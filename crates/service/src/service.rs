@@ -1,45 +1,42 @@
-//! The multiplexed service runtime: sessions as tasks, routers as
-//! batch-draining tasks, admission control at the driver.
+//! The multiplexed service runtime: sessions as run-to-completion tasks
+//! on a worker pool, admission control at the driver.
 //!
 //! Topology for a batch of specs on a pool of `workers` threads:
 //!
 //! ```text
-//!   driver (block_on) ──admits──▶ session tasks ──envelopes──▶ routers
-//!        ▲                            ▲  │                        │
-//!        └────── completions ─────────┘  └──── delivered frames ──┘
+//!   driver (block_on) ──admits──▶ session tasks (one `run_engine` each)
+//!        ▲                                  │
+//!        └──── (outcome, round traffic) ────┘
 //! ```
 //!
-//! * Every admitted session runs as one task holding its
-//!   [`SessionEngine`]; each round it sends its encoded frames to its
-//!   router (assignment: table slot mod router count) and awaits the
-//!   post-omission delivery.
-//! * Each router drains its bounded mailbox with `recv_batch` — all
-//!   pending round messages for that router's sessions in one wakeup —
-//!   applies each session's [`FailurePattern`], counts
-//!   [`RoundTraffic`], and replies with the delivered frames.
+//! * A failure pattern is fixed before round 1 and a stack is
+//!   deterministic, so a session has nothing to wait for between rounds:
+//!   every admitted session is one task that runs its [`SessionEngine`]
+//!   to the horizon with [`run_engine`] — omissions injected inline from
+//!   its own [`FailurePattern`] — and then makes its single send, the
+//!   [`SessionOutcome`] and its per-round [`RoundTraffic`], on the
+//!   completion mailbox.
 //! * The driver admits specs while the [`SessionTable`] has room; when it
 //!   is full it waits for a completion (counted as a *deferral* — the
-//!   backpressure signal) before admitting more. Bounded mailboxes
-//!   backpressure the routers the same way.
+//!   backpressure signal) before admitting more, and folds each retired
+//!   session's traffic into [`ServiceReport::round_traffic`].
 //!
 //! Deadlock freedom: the completion mailbox's capacity equals the table
-//! capacity, so at most `capacity` in-flight sessions can never block on
-//! reporting; reply mailboxes hold one round each and their receiver is
-//! always awaiting; router mailboxes are drained unconditionally. The
+//! capacity, so the at most `capacity` in-flight sessions can never
+//! block on reporting — a worker never parks inside a session. The
 //! driver additionally guards every wait with
 //! [`ServiceConfig::stall_timeout`], so a runtime bug surfaces as an
 //! error instead of a hang.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use exec::{block_on, mailbox, timeout, Executor, Mailbox, MailboxSender};
+use exec::{block_on, mailbox, timeout, Executor, MailboxSender};
 
 use eba_core::context::error_message;
 use eba_core::failures::FailurePattern;
 use eba_core::types::EbaError;
 use eba_sim::runner::Parallelism;
-use eba_transport::{apply_pattern, RoundFrames, RoundTraffic, SessionEngine};
+use eba_transport::{run_engine, RoundTraffic, SessionEngine};
 
 use crate::engine::SessionSpec;
 use crate::report::{ServiceReport, SessionOutcome};
@@ -48,8 +45,7 @@ use crate::table::{SessionId, SessionTable};
 /// Tuning knobs for [`run_service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads in the pool (`0` = one per available core); the
-    /// service runs one router task per worker.
+    /// Worker threads in the pool (`0` = one per available core).
     pub workers: usize,
     /// Session table capacity — the maximum concurrently live sessions.
     pub capacity: usize,
@@ -74,93 +70,85 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Capacity of each router's mailbox, in envelopes.
-const ROUTER_MAILBOX: usize = 256;
+/// What a session task reports when it is done: its outcome and its
+/// per-round traffic (index = round).
+type Completion = (SessionOutcome, Vec<RoundTraffic>);
 
-/// One session's round, in flight to a router.
-struct Envelope {
-    round: u32,
-    frames: RoundFrames,
-    pattern: Arc<FailurePattern>,
-    reply: MailboxSender<(RoundFrames, RoundTraffic)>,
-}
-
-/// A router task: drain every queued envelope in one wakeup, inject
-/// omissions, reply. Returns its per-round traffic totals when every
-/// envelope sender (the driver and all its sessions) has hung up.
-async fn route(mut rx: Mailbox<Envelope>) -> Vec<RoundTraffic> {
-    let mut per_round: Vec<RoundTraffic> = Vec::new();
-    loop {
-        let batch = rx.recv_batch().await;
-        if batch.is_empty() {
-            return per_round;
-        }
-        for envelope in batch {
-            let (delivered, traffic) =
-                apply_pattern(envelope.round, envelope.frames, &envelope.pattern);
-            let round = envelope.round as usize;
-            if per_round.len() <= round {
-                per_round.resize(round + 1, RoundTraffic::default());
-            }
-            per_round[round].absorb(&traffic);
-            // A dead session (teardown path) just loses its reply.
-            let _ = envelope.reply.send((delivered, traffic)).await;
-        }
-    }
-}
-
-/// A session task: run the engine to its horizon round by round through
-/// the router, then report the outcome. Exits quietly if the service is
-/// tearing down (router or completion mailbox gone).
-async fn drive_session(
-    id: SessionId,
-    spec_index: usize,
-    stack: String,
-    mut engine: Box<dyn SessionEngine>,
-    pattern: Arc<FailurePattern>,
-    router: MailboxSender<Envelope>,
-    completions: MailboxSender<SessionOutcome>,
-) {
-    let t0 = std::time::Instant::now();
-    let (reply_tx, mut reply_rx) = mailbox::<(RoundFrames, RoundTraffic)>(1);
-    let mut frames_sent = 0u64;
-    let mut frames_dropped = 0u64;
-    while !engine.finished() {
-        let envelope = Envelope {
-            round: engine.round(),
-            frames: engine.outgoing(),
-            pattern: Arc::clone(&pattern),
-            reply: reply_tx.clone(),
-        };
-        if router.send(envelope).await.is_err() {
-            return;
-        }
-        let Some((delivered, traffic)) = reply_rx.recv().await else {
-            return;
-        };
-        frames_sent += traffic.sent;
-        frames_dropped += traffic.dropped();
-        engine.deliver(delivered);
-    }
-    let nonfaulty = pattern.nonfaulty();
-    let decision_rounds = engine.decision_rounds().to_vec();
-    let decided_round = nonfaulty
-        .iter()
-        .map(|a| decision_rounds[a.index()])
-        .try_fold(0u32, |acc, r| r.map(|r| acc.max(r)));
+/// Opens a session's record at admission. Every heap buffer that outlives
+/// the task — the decision vectors here, the traffic vector beside it —
+/// is allocated by the driver and only filled by the task, so the thread
+/// that frees it (the driver at retirement, the caller with the report)
+/// is the thread that allocated it. Under an allocator with per-thread
+/// arenas (glibc), buffers allocated on a worker and freed by the caller
+/// seed the caller's free lists with chunks of the worker's arena, and
+/// the caller's next growing `Vec`s then grow there instead of reusing
+/// its own freed memory: the process's peak RSS swung by 5 MiB from one
+/// run to the next.
+fn open_outcome(id: SessionId, spec_index: usize, spec: &SessionSpec) -> Completion {
+    let n = spec.params.n();
     let outcome = SessionOutcome {
         id,
         spec_index,
-        stack,
-        decision_values: engine.decision_values().to_vec(),
-        decision_rounds,
-        decided_round,
-        rounds: engine.round(),
-        frames_sent,
-        frames_dropped,
-        wall_seconds: t0.elapsed().as_secs_f64(),
+        stack: spec.stack.clone(),
+        decision_values: Vec::with_capacity(n),
+        decision_rounds: Vec::with_capacity(n),
+        decided_round: None,
+        rounds: 0,
+        frames_sent: 0,
+        frames_dropped: 0,
+        wall_seconds: 0.0,
     };
-    let _ = completions.send(outcome).await;
+    (outcome, Vec::with_capacity(spec.horizon as usize))
+}
+
+/// A session task: run the engine to its horizon, fill in the record the
+/// driver opened, then report. The send fails only if the driver has
+/// already returned (an earlier spec failed to build, or the service
+/// stalled); the session is then simply dropped.
+async fn run_session(
+    (mut outcome, mut traffic): Completion,
+    mut engine: Box<dyn SessionEngine>,
+    pattern: FailurePattern,
+    admitted: Instant,
+    completions: MailboxSender<Completion>,
+) {
+    let run = run_engine(engine.as_mut(), &pattern);
+    outcome.decided_round = pattern
+        .nonfaulty()
+        .iter()
+        .map(|a| run.decision_rounds[a.index()])
+        .try_fold(0u32, |acc, r| r.map(|r| acc.max(r)));
+    outcome
+        .decision_values
+        .extend_from_slice(&run.decision_values);
+    outcome
+        .decision_rounds
+        .extend_from_slice(&run.decision_rounds);
+    outcome.rounds = run.rounds;
+    outcome.frames_sent = run.frames_sent;
+    outcome.frames_dropped = run.round_traffic.iter().map(RoundTraffic::dropped).sum();
+    traffic.extend_from_slice(&run.round_traffic);
+    outcome.wall_seconds = admitted.elapsed().as_secs_f64();
+    let _ = completions.send((outcome, traffic)).await;
+}
+
+/// Retires one completed session: frees its slot, folds its per-round
+/// traffic into the service-wide counters and files its outcome.
+fn retire(
+    (outcome, traffic): Completion,
+    table: &mut SessionTable<usize>,
+    report: &mut ServiceReport,
+) {
+    table.remove(outcome.id);
+    if report.round_traffic.len() < traffic.len() {
+        report
+            .round_traffic
+            .resize(traffic.len(), RoundTraffic::default());
+    }
+    for (total, round) in report.round_traffic.iter_mut().zip(&traffic) {
+        total.absorb(round);
+    }
+    report.outcomes.push(outcome);
 }
 
 /// Runs every spec to completion on a multiplexed worker pool and returns
@@ -168,7 +156,7 @@ async fn drive_session(
 ///
 /// Sessions are admitted in spec order, at most
 /// [`ServiceConfig::capacity`] in flight; each runs its stack over
-/// encoded wire frames with omissions injected at the router from its own
+/// encoded wire frames with omissions injected from its own
 /// [`FailurePattern`]. With [`ServiceConfig::oracle_stride`] set, every
 /// `k`-th admitted session's decision vector is re-derived by the
 /// lockstep simulator (`Scenario::run`) and compared — the same
@@ -190,17 +178,9 @@ pub fn run_service(
     };
     let capacity = config.capacity.max(1);
     let pool = Executor::new(workers);
-
-    let mut router_txs = Vec::with_capacity(workers);
-    let mut router_handles = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = mailbox::<Envelope>(ROUTER_MAILBOX);
-        router_txs.push(tx);
-        router_handles.push(pool.spawn(route(rx)));
-    }
     // Capacity = table capacity: at most `capacity` sessions are ever
     // in flight, so completion sends can never block (deadlock freedom).
-    let (completion_tx, mut completion_rx) = mailbox::<SessionOutcome>(capacity);
+    let (completion_tx, mut completion_rx) = mailbox::<Completion>(capacity);
 
     let stall = config.stall_timeout;
     let driver = async {
@@ -220,19 +200,17 @@ pub fn run_service(
                     ))
                 })?;
                 let done = done.expect("driver still holds a completion sender");
-                table.remove(done.id);
-                report.outcomes.push(done);
+                retire(done, &mut table, &mut report);
             }
             let id = table.insert(spec_index).expect("table has room");
+            let admitted = Instant::now();
             report.admitted += 1;
             report.peak_in_flight = report.peak_in_flight.max(table.len());
-            let _detached = pool.spawn(drive_session(
-                id,
-                spec_index,
-                spec.stack.clone(),
+            let _detached = pool.spawn(run_session(
+                open_outcome(id, spec_index, spec),
                 engine,
-                Arc::new(spec.pattern.clone()),
-                router_txs[id.index() % router_txs.len()].clone(),
+                spec.pattern.clone(),
+                admitted,
                 completion_tx.clone(),
             ));
         }
@@ -245,31 +223,14 @@ pub fn run_service(
                 ))
             })?;
             let done = done.expect("driver still holds a completion sender");
-            table.remove(done.id);
-            report.outcomes.push(done);
+            retire(done, &mut table, &mut report);
         }
         Ok::<ServiceReport, EbaError>(report)
     };
-    let t0 = std::time::Instant::now();
+    let t0 = Instant::now();
     let mut report = block_on(driver)?;
-    report.workers = workers;
-
-    // Graceful teardown: hang up the envelope senders so the routers
-    // drain and return their traffic, then merge it.
-    drop(router_txs);
-    drop(completion_tx);
-    for handle in router_handles {
-        let per_round = block_on(handle);
-        for (round, traffic) in per_round.iter().enumerate() {
-            if report.round_traffic.len() <= round {
-                report
-                    .round_traffic
-                    .resize(round + 1, RoundTraffic::default());
-            }
-            report.round_traffic[round].absorb(traffic);
-        }
-    }
     report.service_seconds = t0.elapsed().as_secs_f64();
+    report.workers = workers;
 
     if let Some(stride) = config.oracle_stride {
         let stride = stride.max(1);
@@ -359,6 +320,33 @@ mod tests {
         let err = run_service(&specs, &ServiceConfig::default()).unwrap_err();
         let msg = error_message(&err);
         assert!(msg.starts_with("session 1: "), "{msg}");
+    }
+
+    #[test]
+    fn session_walls_are_clocked_from_admission() {
+        // One worker and a table as large as the batch: the driver admits
+        // all 256 sessions before the first completion, so the last
+        // session to run waited behind most of the batch. A clock started
+        // at the task's first poll would read the ~10 µs a session takes
+        // to run — a hundredth of the service time, not a quarter.
+        let specs: Vec<SessionSpec> = (0..256).map(|_| spec_for("E_fip/P_opt", false)).collect();
+        let config = ServiceConfig {
+            workers: 1,
+            capacity: specs.len(),
+            ..Default::default()
+        };
+        let report = run_service(&specs, &config).unwrap();
+        assert_eq!(report.deferrals, 0);
+        let slowest = report
+            .outcomes
+            .iter()
+            .map(|o| o.wall_seconds)
+            .fold(0.0, f64::max);
+        assert!(
+            slowest >= report.service_seconds / 4.0,
+            "slowest session {slowest} s of {} s",
+            report.service_seconds
+        );
     }
 
     #[test]

@@ -10,8 +10,7 @@
 pub struct SessionId(u32);
 
 impl SessionId {
-    /// The table slot, for indexing per-session side tables (and for the
-    /// service's worker assignment `slot % routers`).
+    /// The table slot, for indexing per-session side tables.
     pub fn index(self) -> usize {
         self.0 as usize
     }

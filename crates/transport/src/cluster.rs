@@ -10,7 +10,9 @@ use eba_core::protocols::ActionProtocol;
 use eba_core::types::{EbaError, Value};
 
 use crate::codec::WireCodec;
-use crate::engine::{apply_pattern, named_engine, EngineState, RoundFrames, RoundTraffic};
+use crate::engine::{
+    apply_pattern, named_engine, EngineState, RoundFrames, RoundTraffic, SessionEngine,
+};
 
 /// The outcome of a loopback execution.
 #[derive(Clone, Debug)]
@@ -128,6 +130,30 @@ pub struct ClusterSummary {
     pub rounds: u32,
 }
 
+/// Runs a freshly built engine to its horizon on the calling thread,
+/// carrying each round's frames from [`outgoing`](SessionEngine::outgoing)
+/// through `pattern`'s omissions to [`deliver`](SessionEngine::deliver) —
+/// the one loop over a type-erased engine: [`run_named_cluster`] is
+/// [`named_engine`] plus this, and every `eba-service` session is one
+/// call of it on a pool worker.
+pub fn run_engine(engine: &mut dyn SessionEngine, pattern: &FailurePattern) -> ClusterSummary {
+    let mut wire = WireCount::default();
+    while !engine.finished() {
+        let round = engine.round();
+        let sent = engine.outgoing();
+        engine.deliver(wire.carry(round, sent, pattern));
+    }
+    ClusterSummary {
+        decision_rounds: engine.decision_rounds().to_vec(),
+        decision_values: engine.decision_values().to_vec(),
+        wire_bytes_sent: wire.bytes_sent,
+        wire_bytes_delivered: wire.bytes_delivered,
+        frames_sent: wire.frames_sent,
+        round_traffic: wire.round_traffic,
+        rounds: engine.round(),
+    }
+}
+
 /// Runs a registry-selected stack ([`NamedStack`]) over encoded frames,
 /// through the engine [`named_engine`] pairs with its wire codec — this
 /// is how string-keyed stack selection (`-- --stack E_basic/P_basic`)
@@ -161,20 +187,7 @@ pub fn run_named_cluster(
     horizon: u32,
 ) -> Result<ClusterSummary, EbaError> {
     let mut engine = named_engine(stack, pattern, inits, horizon)?;
-    let mut wire = WireCount::default();
-    for round in 0..horizon {
-        let sent = engine.outgoing();
-        engine.deliver(wire.carry(round, sent, pattern));
-    }
-    Ok(ClusterSummary {
-        decision_rounds: engine.decision_rounds().to_vec(),
-        decision_values: engine.decision_values().to_vec(),
-        wire_bytes_sent: wire.bytes_sent,
-        wire_bytes_delivered: wire.bytes_delivered,
-        frames_sent: wire.frames_sent,
-        round_traffic: wire.round_traffic,
-        rounds: horizon,
-    })
+    Ok(run_engine(engine.as_mut(), pattern))
 }
 
 #[cfg(test)]

@@ -73,8 +73,10 @@ pub fn apply_pattern(
 /// [`deliver`](SessionEngine::deliver) pair.
 ///
 /// The engine does **not** apply the failure pattern — whoever carries
-/// the frames between the two calls does, with [`apply_pattern`]: the
-/// loopback drivers inline, the service at its routers.
+/// the frames between the two calls does, with [`apply_pattern`]:
+/// [`run_engine`](crate::run_engine), which the loopback and every
+/// service session call, and the typed loop of
+/// [`run_context_cluster`](crate::run_context_cluster).
 pub trait SessionEngine: Send {
     /// The current (0-based) message round.
     fn round(&self) -> u32;

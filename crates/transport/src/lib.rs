@@ -9,10 +9,11 @@
 //! frames ([`apply_pattern`]), the survivors are decoded and every state
 //! updates ([`SessionEngine::deliver`]) — with hand-rolled wire codecs so
 //! the byte counts of Prop 8.1 are measured on actual encoded frames
-//! rather than estimated. [`run_context_cluster`] and
-//! [`run_named_cluster`] drive that engine in a loop on the calling
-//! thread; `eba-service` multiplexes many of the same engines over a
-//! worker pool.
+//! rather than estimated. [`run_engine`] is the one loop over a
+//! type-erased engine: [`run_named_cluster`] calls it on the calling
+//! thread, `eba-service` once per session on a worker pool.
+//! [`run_context_cluster`] loops the typed engine the same way, to
+//! return final states as well.
 //!
 //! The engine must agree exactly with the lockstep simulator (`eba-sim`),
 //! which shares neither codec nor engine with it, on every run — decision
@@ -45,6 +46,8 @@ mod cluster;
 mod codec;
 mod engine;
 
-pub use cluster::{run_context_cluster, run_named_cluster, ClusterSummary, TransportReport};
+pub use cluster::{
+    run_context_cluster, run_engine, run_named_cluster, ClusterSummary, TransportReport,
+};
 pub use codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
 pub use engine::{apply_pattern, named_engine, RoundFrames, RoundTraffic, SessionEngine};

@@ -17,8 +17,9 @@
 //! * [`mailbox`] — a **bounded async MPSC mailbox**:
 //!   [`MailboxSender::send`] waits (backpressure) while the mailbox is
 //!   full, [`Mailbox::recv`] waits while it is empty, and
-//!   [`Mailbox::recv_batch`] drains everything queued in one wakeup —
-//!   the batching primitive the service's per-round routers are built on.
+//!   [`Mailbox::recv_batch`] drains everything queued in one wakeup; it
+//!   has no caller under `crates/` and stays because `bench/` probes it
+//!   (`exec.mailbox.batch_msg_ns`, `exec.mailbox.mean_batch`).
 //!
 //! ```
 //! use exec::{block_on, mailbox, Executor};

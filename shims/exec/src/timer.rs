@@ -11,7 +11,8 @@ use std::time::{Duration, Instant};
 
 struct ReactorState {
     /// Min-heap of (deadline, timer id). Cancelled entries are detected
-    /// lazily: an id absent from `wakers` is skipped when it surfaces.
+    /// lazily: an id absent from `wakers` is skipped when it surfaces,
+    /// or swept by `cancel` once such entries are the majority.
     heap: BinaryHeap<Reverse<(Instant, u64)>>,
     wakers: HashMap<u64, Waker>,
     next_id: u64,
@@ -80,10 +81,20 @@ impl Reactor {
         let mut state = self.state.lock().unwrap();
         let id = state.next_id;
         state.next_id += 1;
+        // The reactor thread sleeps until the earliest deadline, so it
+        // needs a nudge only when this one is earlier still. A caller
+        // that arms one far-off timeout per wait (the service driver)
+        // would otherwise wake this thread once per wait, for nothing.
+        let earlier = state
+            .heap
+            .peek()
+            .is_none_or(|&Reverse((first, _))| deadline < first);
         state.heap.push(Reverse((deadline, id)));
         state.wakers.insert(id, waker);
         drop(state);
-        self.changed.notify_one();
+        if earlier {
+            self.changed.notify_one();
+        }
         id
     }
 
@@ -95,8 +106,17 @@ impl Reactor {
     }
 
     fn cancel(&self, id: u64) {
-        // The heap entry is left in place and skipped when it surfaces.
-        self.state.lock().unwrap().wakers.remove(&id);
+        // The heap entry is left in place and skipped when it surfaces —
+        // or swept here once cancelled entries outnumber the live ones,
+        // so a caller that arms and cancels a far-off timeout per wait
+        // keeps the heap at a few dozen entries instead of growing it
+        // (and waking this thread per stale entry) for the whole timeout.
+        let mut state = self.state.lock().unwrap();
+        state.wakers.remove(&id);
+        if state.heap.len() > 2 * state.wakers.len() + 64 {
+            let ReactorState { heap, wakers, .. } = &mut *state;
+            heap.retain(|Reverse((_, id))| wakers.contains_key(id));
+        }
     }
 }
 
@@ -224,6 +244,24 @@ mod tests {
     fn timeout_passes_through_a_prompt_future() {
         let value = block_on(timeout(Duration::from_millis(100), async { 5 }));
         assert_eq!(value, Ok(5));
+    }
+
+    #[test]
+    fn cancelled_timeouts_do_not_pile_up_in_the_heap() {
+        // Arm a far-off timeout (one pending poll) and drop it, the way a
+        // driver waiting on a mailbox does once per wait.
+        let mut cx = Context::from_waker(Waker::noop());
+        for _ in 0..10_000 {
+            let armed = timeout(Duration::from_secs(3600), std::future::pending::<()>());
+            assert!(std::pin::pin!(armed).poll(&mut cx).is_pending());
+        }
+        let state = Reactor::global().state.lock().unwrap();
+        assert!(
+            state.heap.len() <= 2 * state.wakers.len() + 65,
+            "{} heap entries for {} live timers",
+            state.heap.len(),
+            state.wakers.len()
+        );
     }
 
     #[test]

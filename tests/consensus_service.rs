@@ -1,9 +1,9 @@
 //! Integration tests for the async multiplexed consensus service:
 //!
-//! * on random instances, every multiplexed session's decision vector
-//!   equals the lockstep simulator's and the single-threaded loopback's
-//!   (all four stacks, all four failure models, adversary-sampled
-//!   patterns);
+//! * on random instances (all four stacks, all four failure models,
+//!   adversary-sampled patterns), every multiplexed session's decision
+//!   vector equals the lockstep simulator's, and what the service derives
+//!   per session and folds per round equals a loopback run of each spec;
 //! * backpressure admits a large batch through a tiny session table
 //!   without losing or stalling anything;
 //! * the deterministic seeded `--load` mix decides every admitted
@@ -12,7 +12,7 @@
 use eba::experiments::service_cli::{self, LoadConfig};
 use eba::prelude::*;
 use eba::service::{run_service, ServiceConfig, ServiceReport, SessionSpec};
-use eba::transport::run_named_cluster;
+use eba::transport::{run_named_cluster, RoundTraffic};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,13 +70,16 @@ fn decisions_by_spec(report: &ServiceReport) -> Vec<SessionDecisions> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The multiplexed path is decision-equivalent to lockstep execution,
-    /// checked twice. The service's built-in oracle pass compares every
-    /// session with `Scenario::run` — a different kernel with no codec,
-    /// which catches an engine or codec bug. The `run_named_cluster`
-    /// re-run below is the *same* engine under a different driver (a
-    /// loop on this thread instead of tasks, routers and mailboxes),
-    /// which is exactly what catches a router or mailbox reordering bug.
+    /// The service's built-in oracle pass compares every session with
+    /// `Scenario::run` — a different kernel with no codec, which catches
+    /// an engine or codec bug. The `run_named_cluster` re-run below is
+    /// the *same* `run_engine` loop each session ran, so it cannot catch
+    /// those; it is the reference for what the service derives around
+    /// that loop. Decisions: a completion filed under the wrong spec when
+    /// slots recycle. `frames_sent`, `frames_dropped`, `rounds`: the
+    /// outcome built from the session's summary. `round_traffic`: the
+    /// driver's fold over retired sessions, against the per-round sum of
+    /// the loopbacks'.
     #[test]
     fn multiplexed_sessions_match_the_lockstep_cluster(
         n in 3usize..6,
@@ -99,6 +102,7 @@ proptest! {
         prop_assert_eq!(report.oracle_checked, specs.len());
         prop_assert_eq!(report.oracle_mismatches, 0);
 
+        let mut folded: Vec<RoundTraffic> = Vec::new();
         for outcome in &report.outcomes {
             let spec = &specs[outcome.spec_index];
             let stack = NamedStack::by_name(&spec.stack, spec.params).unwrap();
@@ -106,7 +110,18 @@ proptest! {
                 run_named_cluster(&stack, &spec.pattern, &spec.inits, spec.horizon).unwrap();
             prop_assert_eq!(&outcome.decision_rounds, &loopback.decision_rounds);
             prop_assert_eq!(&outcome.decision_values, &loopback.decision_values);
+            prop_assert_eq!(outcome.rounds, loopback.rounds);
+            prop_assert_eq!(outcome.frames_sent, loopback.frames_sent);
+            let dropped: u64 = loopback.round_traffic.iter().map(|t| t.dropped()).sum();
+            prop_assert_eq!(outcome.frames_dropped, dropped);
+            if folded.len() < loopback.round_traffic.len() {
+                folded.resize(loopback.round_traffic.len(), RoundTraffic::default());
+            }
+            for (total, round) in folded.iter_mut().zip(&loopback.round_traffic) {
+                total.absorb(round);
+            }
         }
+        prop_assert_eq!(&report.round_traffic, &folded);
     }
 }
 
@@ -140,8 +155,8 @@ fn backpressure_admits_a_large_batch_through_a_tiny_table() {
 
 /// The seeded `--load` mix is a smoke of the whole CLI path: every
 /// admitted session decides, the sampled oracle subset is clean, and the
-/// same seed reproduces the same decision vectors despite scheduling
-/// nondeterminism.
+/// same seed reproduces the same decision vectors whatever order the
+/// workers pick the sessions up and report them in.
 #[test]
 fn seeded_load_smoke_decides_every_admitted_session() {
     let config = LoadConfig {

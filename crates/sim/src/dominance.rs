@@ -8,7 +8,8 @@
 //!
 //! Dominance over *all* runs cannot be established by testing; this module
 //! provides the per-run comparison and aggregation used by the
-//! mutant-based optimality experiments (DESIGN.md §6).
+//! mutant-based optimality experiments (`tests/optimality_mutants.rs`;
+//! `docs/GUIDE.md` §1, the Thm 6.5 / 6.6 row).
 
 use eba_core::exchange::InformationExchange;
 use eba_core::types::AgentId;

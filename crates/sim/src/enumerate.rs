@@ -9,7 +9,7 @@
 //!
 //! Knowledge is quantified over every run of the system, so the epistemic
 //! model checker needs the complete set. Enumerating raw failure patterns
-//! is hopeless (`2^{t·n·horizon}` drop sets), but two observations make
+//! is hopeless (`2^{t·n·horizon}` drop sets), but three observations make
 //! small instances tractable:
 //!
 //! 1. Dropping a `⊥` message changes nothing — only deliveries of *actual*
@@ -18,6 +18,10 @@
 //! 2. Runs that agree on the nonfaulty set and the entire state trajectory
 //!    are indistinguishable to every formula of the logic (the
 //!    propositions read states and `N` only), so duplicates can be merged.
+//! 3. Most duplicates are born as *siblings*: two drop sets of one round
+//!    that leave every agent in the same successor state (see "Sibling
+//!    dedup" below), so they are merged where they arise instead of at the
+//!    leaves of two equal subtrees.
 //!
 //! The faulty *set* remains a free choice even with zero drops: a faulty
 //! agent that acts nonfaulty (footnote 3 of the paper) yields a different
@@ -30,26 +34,55 @@
 //! runs across items: the dedup key contains `N`, and every exchange
 //! records the initial value in its time-0 state, so runs from different
 //! initial configurations differ in `states[0]`. With more than one
-//! worker the items are sharded across threads and the per-item results
-//! concatenated in item order, which reproduces the sequential output
-//! **bit for bit**. (When several failure conditions coincide — e.g. the
-//! run limit is exceeded *and* a later item is too branchy — sequential
-//! and sharded enumeration are guaranteed to agree that the enumeration
-//! fails, but may report different error messages.)
+//! worker the items are sharded across threads and handed to the sink in
+//! item order, which reproduces the sequential stream **bit for bit** —
+//! errors included: the consumer meets item errors, the run limit and
+//! sink errors at the same point of the stream as the sequential loop.
+//!
+//! # Sibling dedup
+//!
+//! One item is a depth-first search over a single mutable prefix (push a
+//! round, recurse, pop). Every successor local state is interned into an
+//! item-local [`StateArena`] as it is produced, so a global state is a
+//! vector of `n` small ids, and a child is skipped when an
+//! **earlier-visited** sibling under the same parent has the same
+//! successor vector (under `Crash`: the same vector *and* the same set of
+//! not-yet-crashed agents, which is the rest of that model's search
+//! state). This is sound: siblings share their prefix, and the subtree
+//! below a node is a function of its global state, so equal successors
+//! have equal subtrees and the later one could only re-emit runs the
+//! earlier one already produced. Children are visited in descending drop
+//! mask order and the first-visited representative is kept, which is the
+//! order the leaf-level dedup this replaces kept them in.
+//!
+//! Under `SendingOmission`, `GeneralOmission` and `FailureFree` no
+//! leaf-level dedup is left to do: by induction over the depth, siblings
+//! with pairwise distinct successors make every root-to-leaf path a
+//! distinct trajectory. `Crash` keeps a leaf table, because two siblings
+//! with equal successors but different crashed sets both survive and
+//! their subtrees overlap.
+//!
+//! Merging equal global states reached along *different* prefixes is not
+//! done, and would not be sound for the run set: a run is the whole
+//! trajectory, so two prefixes that meet in one global state contribute
+//! one run per prefix for every continuation. (Sharing the *work* of such
+//! subtrees — a memo DAG — is a separate matter; see ROADMAP.)
 //!
 //! # Streaming
 //!
-//! Every run is fed to a [`RunSink`] in the deterministic enumeration
-//! order and the engine never holds the whole run set in memory — peak
-//! residency is one work item (sequential) or the out-of-order reorder
-//! window (parallel), instead of all `O(runs)` trajectories. Collecting
-//! is just streaming into a `Vec`.
+//! A finished item travels to the [`RunSink`] as an [`ItemRuns`]: id rows
+//! plus the item's arena. The interning [`RunStore`](crate::store::RunStore)
+//! takes it as is; every other sink receives the runs one at a time,
+//! materialised into [`EnumRun`]s as they are handed over. The engine
+//! never holds the whole run set: peak residency is one item
+//! (sequential) or the reorder window (parallel) — a worker may only
+//! start item `idx` while `idx < next undelivered + window`, with
+//! `window` a fixed `WINDOW_PER_WORKER` × workers, so at most `window` items
+//! are in flight or waiting, and the lowest unclaimed item is always
+//! startable. Collecting is just streaming into a `Vec`.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::collections::HashSet;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use eba_core::context::Context;
 use eba_core::exchange::{deliver_round, select_round, InformationExchange, NoObserver};
@@ -59,6 +92,7 @@ use eba_core::types::{Action, AgentId, AgentSet, EbaError, Value};
 
 use crate::runner::Parallelism;
 use crate::sink::RunSink;
+use crate::store::{StateArena, StateId};
 
 /// One enumerated run: the nonfaulty set plus the full trajectory.
 #[derive(Clone, Debug)]
@@ -71,6 +105,52 @@ pub struct EnumRun<E: InformationExchange> {
     pub states: Vec<Vec<E::State>>,
     /// `actions[m][i]` for `m ∈ 0..horizon`.
     pub actions: Vec<Vec<Action>>,
+}
+
+/// The runs of one `(N, inits)` work item, as the engine hands them to
+/// [`RunSink::accept_item`]: trajectories are rows of ids into the
+/// item's own arena, so a state that recurs across the item's runs is
+/// stored (and was hashed) once.
+#[derive(Debug)]
+pub struct ItemRuns<E: InformationExchange> {
+    pub(crate) nonfaulty: AgentSet,
+    pub(crate) inits: Vec<Value>,
+    pub(crate) horizon: u32,
+    /// Ids in `state_ids` index this arena; first-occurrence order.
+    pub(crate) arena: StateArena<E::State>,
+    /// `(horizon + 1) · n` ids per run: run-major, then time, then agent.
+    pub(crate) state_ids: Vec<StateId>,
+    /// `horizon · n` actions per run: run-major, then round, then agent.
+    pub(crate) actions: Vec<Action>,
+}
+
+impl<E: InformationExchange> ItemRuns<E> {
+    fn ids_per_run(&self) -> usize {
+        (self.horizon as usize + 1) * self.inits.len()
+    }
+
+    /// Number of runs in the item.
+    pub(crate) fn len(&self) -> usize {
+        self.state_ids.len() / self.ids_per_run()
+    }
+
+    /// Materialises the runs one at a time, in enumeration order.
+    pub(crate) fn into_runs(self) -> impl Iterator<Item = EnumRun<E>> {
+        let n = self.inits.len();
+        let (ids_per_run, actions_per_run) = (self.ids_per_run(), self.horizon as usize * n);
+        (0..self.len()).map(move |r| EnumRun {
+            nonfaulty: self.nonfaulty,
+            inits: self.inits.clone(),
+            states: self.state_ids[r * ids_per_run..][..ids_per_run]
+                .chunks(n)
+                .map(|row| row.iter().map(|id| self.arena.get(*id).clone()).collect())
+                .collect(),
+            actions: self.actions[r * actions_per_run..][..actions_per_run]
+                .chunks(n)
+                .map(<[Action]>::to_vec)
+                .collect(),
+        })
+    }
 }
 
 /// Streams every run of `ctx` under `model` into `sink` in the
@@ -105,143 +185,188 @@ where
 {
     let (ex, proto) = (ctx.exchange(), ctx.protocol());
     let items = WorkItems::new(ex.params(), model, limit)?;
-    let workers = parallelism.worker_count().min(items.len().max(1));
-    if workers <= 1 {
-        stream_sequential(ex, proto, model, horizon, limit, &items, sink)
-    } else {
-        stream_parallel(ex, proto, model, horizon, limit, &items, workers, sink)
-    }
-}
-
-/// Single-threaded streaming engine: explores the work items in index
-/// order and delivers each item's runs to the sink as soon as the item
-/// finishes.
-fn stream_sequential<E, P, S>(
-    ex: &E,
-    proto: &P,
-    model: FailureModel,
-    horizon: u32,
-    limit: usize,
-    items: &WorkItems,
-    sink: &mut S,
-) -> Result<usize, EbaError>
-where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
-    S: RunSink<E>,
-{
-    let mut total = 0usize;
-    for idx in 0..items.len() {
+    let item = |idx: usize| {
         let (nonfaulty, inits) = items.get(idx);
-        let item_runs = enumerate_item(ex, proto, model, horizon, nonfaulty, &inits, limit)?;
-        total = deliver_item(sink, item_runs, total, limit)?;
+        enumerate_item(ex, proto, model, horizon, nonfaulty, inits, limit)
+    };
+    let mut total = 0usize;
+    let mut deliver = |item_runs: Result<ItemRuns<E>, EbaError>| {
+        // Deduplication is *not* needed across items: see the module
+        // docs — their runs always differ in `N` or `states[0]`.
+        let item_runs = item_runs?;
+        total += item_runs.len();
+        if total > limit {
+            return Err(limit_error(limit));
+        }
+        sink.accept_item(item_runs)
+    };
+    let workers = parallelism.worker_count().min(items.len());
+    if workers <= 1 {
+        (0..items.len()).try_for_each(|idx| deliver(item(idx)))?;
+    } else {
+        let reorder = Reorder::new(workers * WINDOW_PER_WORKER);
+        run_reordered(&reorder, items.len(), workers, item, deliver)?;
     }
     Ok(total)
 }
 
-/// Threaded streaming engine: workers pull items off a shared cursor and
-/// send each finished item over a channel; the calling thread reorders
-/// them back into item-index order and feeds the sink, so the stream is
-/// bit-for-bit identical to the sequential one. Only the out-of-order
-/// window is ever buffered.
-#[allow(clippy::too_many_arguments)] // internal engine plumbing
-fn stream_parallel<E, P, S>(
-    ex: &E,
-    proto: &P,
-    model: FailureModel,
-    horizon: u32,
-    limit: usize,
-    items: &WorkItems,
-    workers: usize,
-    sink: &mut S,
-) -> Result<usize, EbaError>
-where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Sync,
-    S: RunSink<E>,
-{
-    let cursor = AtomicUsize::new(0);
-    let committed = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    type ItemResult<E> = Result<Vec<EnumRun<E>>, EbaError>;
-    let (tx, rx) = mpsc::channel::<(usize, ItemResult<E>)>();
+/// Reorder-window slots per worker: enough slack that a worker which
+/// finishes early has a next item to start while a slow neighbour holds
+/// the window's low end, small enough that the window stays a handful of
+/// items.
+const WINDOW_PER_WORKER: usize = 2;
 
-    // Shadow the shared counters with references so the `move` closures
-    // capture `tx` by value but everything else by reference.
-    let (cursor, committed, failed) = (&cursor, &committed, &failed);
+/// The bounded reorder buffer of the threaded engine: workers claim item
+/// indices in order, but only inside the window
+/// `undelivered..undelivered + slots.len()`, and park finished items in
+/// the slot `idx % slots.len()` until the consumer has taken every
+/// earlier one.
+struct Reorder<T> {
+    state: Mutex<ReorderState<T>>,
+    changed: Condvar,
+}
+
+struct ReorderState<T> {
+    /// The lowest index no worker has started.
+    unclaimed: usize,
+    /// The lowest index the consumer has not taken.
+    undelivered: usize,
+    slots: Vec<Option<T>>,
+    /// Set when the consumer is done (finished or failed) or any thread
+    /// panicked: nobody waits or claims past it.
+    stopped: bool,
+    /// Most items ever started but not yet taken by the consumer.
+    #[cfg(test)]
+    high_water: usize,
+}
+
+impl<T> Reorder<T> {
+    fn new(window: usize) -> Self {
+        Reorder {
+            state: Mutex::new(ReorderState {
+                unclaimed: 0,
+                undelivered: 0,
+                slots: (0..window).map(|_| None).collect(),
+                stopped: false,
+                #[cfg(test)]
+                high_water: 0,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// The state is a few counters updated in single assignments, valid
+    /// at every step, so a poisoned lock (a panic elsewhere, already on
+    /// its way out through the scope) is still safe to read and stop.
+    fn lock(&self) -> MutexGuard<'_, ReorderState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn wait<'a>(&self, guard: MutexGuard<'a, ReorderState<T>>) -> MutexGuard<'a, ReorderState<T>> {
+        self.changed
+            .wait(guard)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the lowest unstarted of `count` items once it is inside the
+    /// window; `None` when all are claimed or the stream stopped.
+    fn claim(&self, count: usize) -> Option<usize> {
+        let mut state = self.lock();
+        loop {
+            if state.stopped || state.unclaimed >= count {
+                return None;
+            }
+            if state.unclaimed < state.undelivered + state.slots.len() {
+                break;
+            }
+            state = self.wait(state);
+        }
+        state.unclaimed += 1;
+        #[cfg(test)]
+        {
+            state.high_water = state.high_water.max(state.unclaimed - state.undelivered);
+        }
+        Some(state.unclaimed - 1)
+    }
+
+    fn deposit(&self, idx: usize, item: T) {
+        let mut state = self.lock();
+        let window = state.slots.len();
+        // Losing an item here would silently drop runs from the stream.
+        assert!(
+            (state.undelivered..state.undelivered + window).contains(&idx),
+            "item {idx} finished outside the reorder window"
+        );
+        state.slots[idx % window] = Some(item);
+        self.changed.notify_all();
+    }
+
+    /// Blocks until the next item in index order is there and takes it,
+    /// which moves the window up by one; `None` if a worker panicked.
+    fn take_next(&self) -> Option<T> {
+        let mut state = self.lock();
+        loop {
+            let slot = state.undelivered % state.slots.len();
+            if let Some(item) = state.slots[slot].take() {
+                state.undelivered += 1;
+                self.changed.notify_all();
+                return Some(item);
+            }
+            if state.stopped {
+                return None;
+            }
+            state = self.wait(state);
+        }
+    }
+
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Stops the stream when its thread unwinds, so a panicking sink or
+/// exchange fails the enumeration instead of leaving the other threads
+/// parked on the window forever (the scope re-raises the panic).
+struct StopOnPanic<'a, T>(&'a Reorder<T>);
+
+impl<T> Drop for StopOnPanic<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
+        }
+    }
+}
+
+/// Threaded streaming engine: `workers` threads `produce` the items
+/// `0..count` inside `reorder`'s window and the calling thread feeds them
+/// to `consume` in index order, stopping at its first error — the stream
+/// `(0..count).map(produce).try_for_each(consume)` yields sequentially.
+fn run_reordered<T: Send>(
+    reorder: &Reorder<T>,
+    count: usize,
+    workers: usize,
+    produce: impl Fn(usize) -> T + Sync,
+    mut consume: impl FnMut(T) -> Result<(), EbaError>,
+) -> Result<(), EbaError> {
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                loop {
-                    let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                    if idx >= items.len() {
-                        break;
-                    }
-                    // Cheap early exit once any item errored, the sink
-                    // refused a run, or the run limit is globally blown;
-                    // the consumer reports the error either way.
-                    if failed.load(Ordering::Relaxed) || committed.load(Ordering::Relaxed) > limit {
-                        break;
-                    }
-                    let (nonfaulty, inits) = items.get(idx);
-                    let result =
-                        enumerate_item(ex, proto, model, horizon, nonfaulty, &inits, limit);
-                    match &result {
-                        Ok(item_runs) => {
-                            committed.fetch_add(item_runs.len(), Ordering::Relaxed);
-                        }
-                        Err(_) => failed.store(true, Ordering::Relaxed),
-                    }
-                    if tx.send((idx, result)).is_err() {
-                        break;
-                    }
+            scope.spawn(|| {
+                let _stop = StopOnPanic(reorder);
+                while let Some(idx) = reorder.claim(count) {
+                    reorder.deposit(idx, produce(idx));
                 }
             });
         }
-        drop(tx);
-
-        // Consumer: reorder finished items into index order and stream
-        // them out, releasing each item's memory as soon as it is sunk.
-        let mut pending: HashMap<usize, ItemResult<E>> = HashMap::new();
-        let mut next = 0usize;
-        let mut total = 0usize;
-        let mut first_error: Option<EbaError> = None;
-        for (idx, result) in rx {
-            pending.insert(idx, result);
-            while let Some(result) = pending.remove(&next) {
-                next += 1;
-                if first_error.is_some() {
-                    continue;
-                }
-                match result {
-                    Ok(item_runs) => match deliver_item(sink, item_runs, total, limit) {
-                        Ok(new_total) => total = new_total,
-                        Err(e) => {
-                            failed.store(true, Ordering::Relaxed);
-                            first_error = Some(e);
-                        }
-                    },
-                    Err(e) => {
-                        failed.store(true, Ordering::Relaxed);
-                        first_error = Some(e);
-                    }
-                }
-            }
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-        if next < items.len() {
-            // Aborted: some worker bailed before producing every item.
-            // Report a recorded item error if there is one, else it was
-            // the run limit.
-            for (_, result) in pending {
-                result?;
-            }
-            return Err(limit_error(limit));
-        }
-        Ok(total)
+        let _stop = StopOnPanic(reorder);
+        let result = (0..count).try_for_each(|_| match reorder.take_next() {
+            Some(item) => consume(item),
+            None => Err(EbaError::InvalidInput(
+                "an enumeration worker panicked".into(),
+            )),
+        });
+        reorder.stop();
+        result
     })
 }
 
@@ -297,26 +422,6 @@ impl WorkItems {
     }
 }
 
-/// Streams one item's runs into the sink, enforcing the global run limit;
-/// returns the updated delivered-run count. Deduplication is *not* needed
-/// here: see the module docs — runs from different items always differ in
-/// `N` or `states[0]`.
-fn deliver_item<E: InformationExchange, S: RunSink<E>>(
-    sink: &mut S,
-    item_runs: Vec<EnumRun<E>>,
-    total: usize,
-    limit: usize,
-) -> Result<usize, EbaError> {
-    if total + item_runs.len() > limit {
-        return Err(limit_error(limit));
-    }
-    let new_total = total + item_runs.len();
-    for run in item_runs {
-        sink.accept(run)?;
-    }
-    Ok(new_total)
-}
-
 fn limit_error(limit: usize) -> EbaError {
     EbaError::InvalidInput(format!(
         "run enumeration exceeded the limit of {limit} runs"
@@ -324,271 +429,194 @@ fn limit_error(limit: usize) -> EbaError {
 }
 
 /// Depth-first enumeration of one `(N, inits)` work item, deduplicated by
-/// `(N, trajectory)` within the item. The per-round adversary choice
-/// space is the model's:
+/// `(N, trajectory)` within the item (see the module docs, "Sibling
+/// dedup"). A round's branch points are the non-⊥ messages the model lets
+/// the adversary drop, and its children all subsets of them:
 ///
-/// * `FailureFree` / `SendingOmission` — every subset of the non-⊥
-///   messages from faulty senders may be dropped (no faulty senders exist
-///   under `FailureFree`, so that model's rounds never branch);
-/// * `GeneralOmission` — every subset of the non-⊥ messages with a
-///   faulty endpoint (sender *or* receiver) may be dropped;
-/// * `Crash` — each not-yet-crashed faulty agent either stays alive
-///   (delivering everything) or crashes now, dropping a nonempty subset
-///   of this round's messages and everything — self-delivery included —
-///   afterwards. A crash that delivers its full final round is not
-///   enumerated separately: it yields the same deliveries as staying
-///   alive one more round and crashing with a full drop, so the
-///   trajectory set is unchanged.
+/// * `FailureFree` / `SendingOmission` — the messages from faulty senders
+///   (there are none under `FailureFree`, so its rounds never branch);
+/// * `GeneralOmission` — the messages with a faulty endpoint (sender *or*
+///   receiver);
+/// * `Crash` — the messages from faulty senders that have not crashed
+///   yet. A sender with a dropped message crashes now, and a crashed
+///   sender loses everything — self-delivery included — in every later
+///   round. A crash that delivers its full final round is not enumerated
+///   separately: it yields the same deliveries as staying alive one more
+///   round and crashing with a full drop, so the trajectory set is
+///   unchanged.
 fn enumerate_item<E, P>(
     ex: &E,
     proto: &P,
     model: FailureModel,
     horizon: u32,
     nonfaulty: AgentSet,
-    inits: &[Value],
+    inits: Vec<Value>,
     limit: usize,
-) -> Result<Vec<EnumRun<E>>, EbaError>
+) -> Result<ItemRuns<E>, EbaError>
 where
     E: InformationExchange,
     P: ActionProtocol<E>,
 {
-    let params = ex.params();
-    let n = params.n();
-    let faulty = nonfaulty.complement(n);
-    let mut runs: Vec<EnumRun<E>> = Vec::new();
-    // Dedup buckets: hash(N, states) → indices into `runs`.
-    let mut seen: HashMap<u64, Vec<usize>> = HashMap::new();
-
+    let n = ex.params().n();
     let init_states: Vec<E::State> = (0..n)
         .map(|i| ex.initial_state(AgentId::new(i), inits[i]))
         .collect();
-    let mut stack = vec![Partial {
-        states: vec![init_states],
-        actions: Vec::new(),
-        alive: faulty,
-    }];
-    while let Some(partial) = stack.pop() {
-        let m = partial.actions.len() as u32;
-        if m == horizon {
-            commit(
-                &mut runs,
-                &mut seen,
-                nonfaulty,
-                inits.to_vec(),
-                partial,
-                limit,
-            )?;
-            continue;
-        }
-        let current = partial.states.last().expect("nonempty");
-        let actions: Vec<Action> = (0..n)
-            .map(|i| proto.act(AgentId::new(i), &current[i]))
-            .collect();
-        let outgoing = select_round(ex, current, &actions, &mut NoObserver);
-        if model == FailureModel::Crash {
-            expand_crash_round(
-                ex, faulty, &partial, current, &actions, &outgoing, m, &mut stack,
-            )?;
-            continue;
-        }
-        // Branch points: non-⊥ messages the model lets the adversary drop.
-        let mut slots: Vec<(usize, usize)> = Vec::new();
-        match model {
-            FailureModel::GeneralOmission => {
-                #[allow(clippy::needless_range_loop)] // `to` is a receiver id
-                for from in 0..n {
-                    for to in 0..n {
-                        let endpoint_faulty = faulty.contains(AgentId::new(from))
-                            || faulty.contains(AgentId::new(to));
-                        if endpoint_faulty && outgoing[from][to].is_some() {
-                            slots.push((from, to));
-                        }
-                    }
-                }
-            }
-            _ => {
-                #[allow(clippy::needless_range_loop)] // `to` is a receiver id
-                for from in faulty.iter() {
-                    for to in 0..n {
-                        if outgoing[from.index()][to].is_some() {
-                            slots.push((from.index(), to));
-                        }
-                    }
-                }
-            }
-        }
-        if slots.len() > 24 {
-            return Err(over_branchy_error(m, slots.len()));
-        }
-        for mask in 0u32..(1 << slots.len()) {
-            let dropped = |from: usize, to: usize| {
-                slots
-                    .iter()
-                    .position(|s| *s == (from, to))
-                    .is_some_and(|idx| mask & (1 << idx) != 0)
-            };
-            stack.push(partial.branch(ex, current, &actions, &outgoing, dropped));
-        }
-    }
-    Ok(runs)
+    let mut search = ItemSearch {
+        ex,
+        proto,
+        model,
+        faulty: nonfaulty.complement(n),
+        limit,
+        item: ItemRuns {
+            nonfaulty,
+            inits,
+            horizon,
+            arena: StateArena::new(),
+            state_ids: Vec::new(),
+            actions: Vec::new(),
+        },
+        path: Vec::new(),
+        acts: Vec::new(),
+        seen: HashSet::new(),
+    };
+    search.push_states(&init_states)?;
+    search.expand(&init_states, search.faulty)?;
+    Ok(search.item)
 }
 
-/// Expands one round of the crash model: each still-alive faulty agent
-/// independently chooses to stay alive or to crash now with a nonempty
-/// dropped subset of its current messages; agents that crashed in an
-/// earlier round are forced silent (self-delivery included).
-#[allow(clippy::too_many_arguments)] // internal DFS plumbing
-fn expand_crash_round<E>(
-    ex: &E,
+/// The depth-first search of one work item: the prefix under exploration
+/// as two stacks, the runs found so far, and the leaf table.
+struct ItemSearch<'a, E: InformationExchange, P> {
+    ex: &'a E,
+    proto: &'a P,
+    model: FailureModel,
     faulty: AgentSet,
-    partial: &Partial<E>,
-    current: &[E::State],
-    actions: &[Action],
-    outgoing: &[Vec<Option<E::Message>>],
-    m: u32,
-    stack: &mut Vec<Partial<E>>,
-) -> Result<(), EbaError>
-where
-    E: InformationExchange,
-{
-    let n = ex.params().n();
-    let crashed = faulty.difference(partial.alive);
-    // Per alive faulty agent: the receiver slots of its non-⊥ messages.
-    let groups: Vec<(usize, Vec<usize>)> = partial
-        .alive
-        .iter()
-        .map(|a| {
-            let from = a.index();
-            let receivers = (0..n).filter(|&to| outgoing[from][to].is_some()).collect();
-            (from, receivers)
-        })
-        .collect();
-    let total_bits: usize = groups.iter().map(|(_, g)| g.len()).sum();
-    if total_bits > 24 {
-        return Err(over_branchy_error(m, total_bits));
-    }
-    // Choice digit per alive agent: 0 = stay alive (deliver everything);
-    // c > 0 = crash now, dropping exactly the messages in bitmask `c`
-    // over its receiver slots. Iterate the mixed-radix product.
-    let radices: Vec<u64> = groups.iter().map(|(_, g)| 1u64 << g.len()).collect();
-    let combos: u64 = radices.iter().product();
-    for combo in 0..combos {
-        let mut digits: Vec<u32> = Vec::with_capacity(groups.len());
-        let mut rest = combo;
-        for r in &radices {
-            digits.push((rest % r) as u32);
-            rest /= r;
-        }
-        let dropped = |from: usize, to: usize| {
-            if crashed.contains(AgentId::new(from)) {
-                return true;
-            }
-            groups.iter().zip(&digits).any(|((agent, g), digit)| {
-                *agent == from
-                    && *digit != 0
-                    && g.iter()
-                        .position(|&t| t == to)
-                        .is_some_and(|idx| digit & (1 << idx) != 0)
-            })
-        };
-        let mut branch = partial.branch(ex, current, actions, outgoing, dropped);
-        for ((agent, _), digit) in groups.iter().zip(&digits) {
-            if *digit != 0 {
-                branch.alive.remove(AgentId::new(*agent));
-            }
-        }
-        stack.push(branch);
-    }
-    Ok(())
-}
-
-struct Partial<E: InformationExchange> {
-    states: Vec<Vec<E::State>>,
-    actions: Vec<Vec<Action>>,
-    /// Faulty agents that have not crashed yet — only consulted (and only
-    /// shrinks) under [`FailureModel::Crash`].
-    alive: AgentSet,
-}
-
-impl<E: InformationExchange> Partial<E> {
-    /// Extends this prefix by one round in which every message with
-    /// `dropped(from, to)` is lost; `alive` carries over unchanged (the
-    /// crash expansion adjusts it on the returned branch).
-    fn branch<F>(
-        &self,
-        ex: &E,
-        current: &[E::State],
-        actions: &[Action],
-        outgoing: &[Vec<Option<E::Message>>],
-        dropped: F,
-    ) -> Self
-    where
-        F: Fn(usize, usize) -> bool,
-    {
-        let next = deliver_round(
-            ex,
-            current,
-            actions,
-            outgoing,
-            |from, to| !dropped(from.index(), to.index()),
-            &mut NoObserver,
-        );
-        let mut branch = self.clone();
-        branch.states.push(next);
-        branch.actions.push(actions.to_vec());
-        branch
-    }
-}
-
-// Manual impl: `derive(Clone)` would wrongly require `E: Clone`.
-impl<E: InformationExchange> Clone for Partial<E> {
-    fn clone(&self) -> Self {
-        Partial {
-            states: self.states.clone(),
-            actions: self.actions.clone(),
-            alive: self.alive,
-        }
-    }
-}
-
-fn over_branchy_error(m: u32, choices: usize) -> EbaError {
-    EbaError::InvalidInput(format!(
-        "round {} offers {} delivery choices; instance too \
-         large to enumerate",
-        m + 1,
-        choices
-    ))
-}
-
-fn commit<E: InformationExchange>(
-    runs: &mut Vec<EnumRun<E>>,
-    seen: &mut HashMap<u64, Vec<usize>>,
-    nonfaulty: AgentSet,
-    inits: Vec<Value>,
-    partial: Partial<E>,
     limit: usize,
-) -> Result<(), EbaError> {
-    let mut hasher = DefaultHasher::new();
-    nonfaulty.bits().hash(&mut hasher);
-    partial.states.hash(&mut hasher);
-    let key = hasher.finish();
-    let bucket = seen.entry(key).or_default();
-    for &idx in bucket.iter() {
-        if runs[idx].nonfaulty == nonfaulty && runs[idx].states == partial.states {
-            return Ok(()); // exact duplicate
+    /// The runs found so far; its arena interns the prefix's states too.
+    item: ItemRuns<E>,
+    /// Ids of the prefix's global states, `n` per time step.
+    path: Vec<StateId>,
+    /// Actions of the prefix's rounds, `n` per round.
+    acts: Vec<Action>,
+    /// Trajectories already emitted (only consulted under `Crash`, and as
+    /// a check of the sibling-dedup argument in debug builds).
+    seen: HashSet<Vec<StateId>>,
+}
+
+impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
+    /// Interns one global state and pushes its ids onto the prefix.
+    fn push_states(&mut self, states: &[E::State]) -> Result<(), EbaError> {
+        for state in states {
+            let id = self.item.arena.intern(state)?;
+            self.path.push(id);
         }
+        Ok(())
     }
-    if runs.len() >= limit {
-        return Err(limit_error(limit));
+
+    /// Explores every continuation of the prefix, whose last global
+    /// state is `current`; `alive` is the set of faulty agents that have
+    /// not crashed (only shrinks under [`FailureModel::Crash`]).
+    fn expand(&mut self, current: &[E::State], alive: AgentSet) -> Result<(), EbaError> {
+        let n = current.len();
+        let m = (self.acts.len() / n) as u32;
+        if m == self.item.horizon {
+            return self.commit();
+        }
+        let actions: Vec<Action> = (0..n)
+            .map(|i| self.proto.act(AgentId::new(i), &current[i]))
+            .collect();
+        let outgoing = select_round(self.ex, current, &actions, &mut NoObserver);
+
+        // Branch points, sender-major: bit `b` of a child's mask drops
+        // `slots[b]`.
+        let agents = || (0..n).map(AgentId::new);
+        let droppable = |from: AgentId, to: AgentId| match self.model {
+            FailureModel::GeneralOmission => self.faulty.contains(from) || self.faulty.contains(to),
+            FailureModel::Crash => alive.contains(from),
+            FailureModel::FailureFree | FailureModel::SendingOmission => self.faulty.contains(from),
+        };
+        let slots: Vec<(AgentId, AgentId)> = agents()
+            .flat_map(|from| agents().map(move |to| (from, to)))
+            .filter(|&(from, to)| {
+                droppable(from, to) && outgoing[from.index()][to.index()].is_some()
+            })
+            .collect();
+        if slots.len() > 24 {
+            return Err(EbaError::InvalidInput(format!(
+                "round {} offers {} delivery choices; instance too \
+                 large to enumerate",
+                m + 1,
+                slots.len()
+            )));
+        }
+        // This round's drops as an `n × n` bit matrix, `lost[from]` the
+        // receivers that miss `from`'s message; a crashed sender's row is
+        // full in every child.
+        let crashed = self.faulty.difference(alive);
+        let silent: Vec<AgentSet> = agents()
+            .map(|from| {
+                if crashed.contains(from) {
+                    AgentSet::full(n)
+                } else {
+                    AgentSet::empty()
+                }
+            })
+            .collect();
+        let mut lost = silent.clone();
+
+        self.acts.extend_from_slice(&actions);
+        let mut visited: HashSet<(Vec<StateId>, AgentSet)> = HashSet::new();
+        for mask in (0u32..1 << slots.len()).rev() {
+            lost.copy_from_slice(&silent);
+            let mut still_alive = alive;
+            for (bit, &(from, to)) in slots.iter().enumerate() {
+                if mask & (1 << bit) != 0 {
+                    lost[from.index()].insert(to);
+                    if self.model == FailureModel::Crash {
+                        still_alive.remove(from);
+                    }
+                }
+            }
+            let next = deliver_round(
+                self.ex,
+                current,
+                &actions,
+                &outgoing,
+                |from, to| !lost[from.index()].contains(to),
+                &mut NoObserver,
+            );
+            self.push_states(&next)?;
+            let ids = self.path[self.path.len() - n..].to_vec();
+            if visited.insert((ids, still_alive)) {
+                self.expand(&next, still_alive)?;
+            }
+            self.path.truncate(self.path.len() - n);
+        }
+        self.acts.truncate(self.acts.len() - n);
+        Ok(())
     }
-    bucket.push(runs.len());
-    runs.push(EnumRun {
-        nonfaulty,
-        inits,
-        states: partial.states,
-        actions: partial.actions,
-    });
-    Ok(())
+
+    /// Emits the prefix, which has reached the horizon, as a run.
+    fn commit(&mut self) -> Result<(), EbaError> {
+        // Sibling dedup leaves duplicates only under `Crash` (module
+        // docs); elsewhere the table is the debug-build check of that.
+        if self.model == FailureModel::Crash || cfg!(debug_assertions) {
+            let fresh = self.seen.insert(self.path.clone());
+            debug_assert!(
+                fresh || self.model == FailureModel::Crash,
+                "sibling dedup let a duplicate trajectory through"
+            );
+            if !fresh {
+                return Ok(());
+            }
+        }
+        if self.item.len() >= self.limit {
+            return Err(limit_error(self.limit));
+        }
+        self.item.state_ids.extend_from_slice(&self.path);
+        self.item.actions.extend_from_slice(&self.acts);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -596,6 +624,8 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use eba_core::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     /// Collects every run of `ctx` at `horizon` on `parallelism` workers.
     fn collect<E, P>(ctx: &Context<E, P>, horizon: u32, parallelism: Parallelism) -> Vec<EnumRun<E>>
@@ -889,6 +919,111 @@ mod tests {
         ] {
             let parallel = collect(&ctx, 4, parallelism);
             assert_same_runs(&sequential, &parallel, &format!("{parallelism:?}"));
+        }
+    }
+
+    /// Runs 64 unit items through a 4-worker, 8-slot window with a
+    /// `produce` that reports every start; returns the delivery order
+    /// and the window's high-water mark.
+    fn reordered(
+        produce: impl Fn(usize) + Sync,
+        mut consume: impl FnMut(usize) -> Result<(), EbaError>,
+    ) -> (Result<(), EbaError>, Vec<usize>, usize) {
+        let reorder = Reorder::new(8);
+        let mut order = Vec::new();
+        let result = run_reordered(
+            &reorder,
+            64,
+            4,
+            |idx| {
+                produce(idx);
+                idx
+            },
+            |idx| {
+                order.push(idx);
+                consume(idx)
+            },
+        );
+        let high_water = reorder.lock().high_water;
+        (result, order, high_water)
+    }
+
+    #[test]
+    fn reorder_window_bounds_the_items_in_flight() {
+        // Skewed items and a slow sink, forced with channels: item 0 does
+        // not finish before items 1..8 — all the window admits — have
+        // started, and the sink does not return from item 0 before item
+        // 8 — admitted by taking item 0 — has. So the producers do run
+        // into the window, and must never get past it.
+        let (early_tx, early_rx) = mpsc::channel();
+        let (late_tx, late_rx) = mpsc::channel();
+        let early_rx = Mutex::new(early_rx);
+        let (result, order, high_water) = reordered(
+            |idx| match idx {
+                0 => (0..7).for_each(|_| early_rx.lock().unwrap().recv().unwrap()),
+                1..=7 => early_tx.send(()).unwrap(),
+                8 => late_tx.send(()).unwrap(),
+                _ => {}
+            },
+            |idx| {
+                if idx == 0 {
+                    late_rx.recv().unwrap();
+                }
+                Ok(())
+            },
+        );
+        result.unwrap();
+        assert_eq!(order, (0..64).collect::<Vec<_>>());
+        assert_eq!(high_water, 8, "the window is reached, never exceeded");
+    }
+
+    #[test]
+    fn reorder_stops_within_one_window_of_a_sink_error() {
+        let started = AtomicUsize::new(0);
+        let (result, order, high_water) = reordered(
+            |_| {
+                started.fetch_add(1, Ordering::Relaxed);
+            },
+            |idx| match idx {
+                3 => Err(EbaError::InvalidInput("sink aborted".into())),
+                _ => Ok(()),
+            },
+        );
+        assert!(result.unwrap_err().to_string().contains("sink aborted"));
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert!(high_water <= 8);
+        // Items 0..=3 were taken, so at most 4..12 were ever admitted.
+        assert!(started.into_inner() <= 12);
+    }
+
+    #[test]
+    #[should_panic(expected = "sink panicked")]
+    fn reorder_survives_a_panicking_sink() {
+        // The workers parked on the full window must be released, or the
+        // scope never joins and the panic never surfaces.
+        let _ = reordered(|_| {}, |_| panic!("sink panicked"));
+    }
+
+    #[test]
+    fn parallel_limit_and_item_errors_read_like_the_sequential_ones() {
+        // 32 items on 64 requested workers (one each), a limit that
+        // breaks inside the stream, and a limit that breaks inside one
+        // item: the same messages as the sequential loop.
+        let ctx =
+            Context::basic(Params::new(3, 1).unwrap()).with_model(FailureModel::GeneralOmission);
+        for limit in [3_000, 40] {
+            let error = |parallelism| {
+                Scenario::of(&ctx)
+                    .horizon(4)
+                    .limit(limit)
+                    .parallelism(parallelism)
+                    .enumerate()
+                    .unwrap_err()
+                    .to_string()
+            };
+            let sequential = error(Parallelism::Sequential);
+            assert!(sequential.contains(&format!("limit of {limit} runs")));
+            assert_eq!(error(Parallelism::Fixed(64)), sequential);
         }
     }
 }

@@ -6,8 +6,8 @@
 //! consumers (spec checking, metrics aggregation, dominance sweeps) only
 //! *fold* over the runs, so [`RunSink`] lets them receive each run as it
 //! is produced and drop it immediately: peak memory falls from the whole
-//! run set to the largest single work item (one `(N, inits)` shard of the
-//! search space).
+//! run set to a few work items (`(N, inits)` shards of the search space)
+//! held as rows of interned state ids, plus the one run being consumed.
 //!
 //! `Vec<EnumRun<E>>` itself is a sink (it collects), so is any
 //! `FnMut(EnumRun<E>) -> Result<(), EbaError>` closure, and so is the
@@ -40,7 +40,7 @@
 use eba_core::exchange::InformationExchange;
 use eba_core::types::EbaError;
 
-use crate::enumerate::EnumRun;
+use crate::enumerate::{EnumRun, ItemRuns};
 
 /// A streaming consumer of enumerated runs.
 ///
@@ -60,6 +60,20 @@ pub trait RunSink<E: InformationExchange> {
     ///
     /// Any error aborts the enumeration and is propagated to the caller.
     fn accept(&mut self, run: EnumRun<E>) -> Result<(), EbaError>;
+
+    /// Consumes the runs of one finished work item, in order. This is the
+    /// method the engine calls; by default it materialises the runs one
+    /// at a time and hands each to [`accept`](RunSink::accept). A sink
+    /// that stores ids rather than states
+    /// ([`RunStore`](crate::store::RunStore)) overrides it to take the
+    /// item's id rows as they are.
+    ///
+    /// # Errors
+    ///
+    /// Any error aborts the enumeration and is propagated to the caller.
+    fn accept_item(&mut self, item: ItemRuns<E>) -> Result<(), EbaError> {
+        item.into_runs().try_for_each(|run| self.accept(run))
+    }
 }
 
 /// Collecting sink: `Vec` gathers every run.

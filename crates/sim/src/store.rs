@@ -18,12 +18,14 @@
 //! streaming enumeration engine
 //! ([`Scenario::enumerate_into`](crate::scenario::Scenario::enumerate_into), or
 //! [`Scenario::enumerate_store`](crate::scenario::Scenario::enumerate_store)):
-//! each [`EnumRun`] is interned on arrival and dropped, so the full
-//! `Vec<EnumRun<E>>` never exists. Peak memory is the arena (distinct
+//! each finished work item arrives as rows of ids over the item's own
+//! small arena ([`ItemRuns`]) and only its distinct states are interned,
+//! so neither the full `Vec<EnumRun<E>>` nor any single `EnumRun` ever
+//! exists. Peak memory is the arena (distinct
 //! states) plus `4`-byte ids per `(agent, point)` — for the ~98k-run
 //! `E_fip/P_opt` `(3, 1)` context that replaces ~1.47M stored
-//! full-information states with ~68k distinct ones (measured: 47 MiB
-//! peak RSS streamed vs 290 MiB collected; see
+//! full-information states with ~68k distinct ones (measured: 37 MiB
+//! peak RSS streamed vs 274 MiB collected; see
 //! `examples/memory_layout.rs`).
 //!
 //! Interned ids also make downstream work cheaper: two points have equal
@@ -39,7 +41,7 @@ use std::hash::{Hash, Hasher};
 use eba_core::exchange::InformationExchange;
 use eba_core::types::{Action, AgentSet, EbaError, Value};
 
-use crate::enumerate::EnumRun;
+use crate::enumerate::{EnumRun, ItemRuns};
 use crate::sink::RunSink;
 
 /// Identifier of a point `(r, m)`: `r * (horizon + 1) + m`.
@@ -164,8 +166,8 @@ pub fn ensure_point_capacity(runs: usize, horizon: u32) -> Result<(), EbaError> 
 /// An interned, columnar run set: the streaming-friendly backbone the
 /// epistemic layer builds interpreted systems on.
 ///
-/// Feed it runs through [`RunSink`] (it accepts each [`EnumRun`] and
-/// drops it after interning) or [`RunStore::push_run`], then read points
+/// Feed it runs through [`RunSink`] (the enumeration engine's items, or
+/// one [`EnumRun`] at a time) or [`RunStore::push_run`], then read points
 /// back through the accessors. Point ids follow the usual layout
 /// `run * (horizon + 1) + time`.
 ///
@@ -229,15 +231,11 @@ impl<E: InformationExchange> RunStore<E> {
             || run.actions.iter().any(|row| row.len() != self.n)
             || run.inits.len() != self.n
         {
-            return Err(EbaError::InvalidInput(format!(
-                "run shape mismatch: expected {per_run} state rows x {n} \
-                 agents and {h} action rows, got {} x {} and {}",
+            return Err(self.shape_mismatch(
                 run.states.len(),
                 run.states.first().map_or(0, Vec::len),
                 run.actions.len(),
-                n = self.n,
-                h = self.horizon,
-            )));
+            ));
         }
         ensure_point_capacity(self.run_count() + 1, self.horizon)?;
         for row in &run.states {
@@ -252,6 +250,16 @@ impl<E: InformationExchange> RunStore<E> {
             self.actions.extend_from_slice(row);
         }
         Ok(())
+    }
+
+    fn shape_mismatch(&self, state_rows: usize, agents: usize, action_rows: usize) -> EbaError {
+        EbaError::InvalidInput(format!(
+            "run shape mismatch: expected {} state rows x {} agents and {} \
+             action rows, got {state_rows} x {agents} and {action_rows}",
+            self.horizon as usize + 1,
+            self.n,
+            self.horizon,
+        ))
     }
 
     /// Number of agents.
@@ -311,11 +319,44 @@ impl<E: InformationExchange> RunStore<E> {
     }
 }
 
-/// Interning sink: the streaming enumeration engine feeds each run
-/// straight into the arena/columns; the run itself is dropped on return.
+/// Interning sink: the streaming enumeration engine feeds each finished
+/// work item straight into the arena/columns.
 impl<E: InformationExchange> RunSink<E> for RunStore<E> {
     fn accept(&mut self, run: EnumRun<E>) -> Result<(), EbaError> {
         self.push_run(&run)
+    }
+
+    /// Takes the item's id rows without re-hashing every point: each
+    /// item-local id is mapped to a global [`StateId`] once, at its first
+    /// occurrence in run-major/time/agent order — the order
+    /// [`push_run`](RunStore::push_run) interns in, so ids, arena order
+    /// and columns are exactly what pushing the item's runs would build.
+    fn accept_item(&mut self, item: ItemRuns<E>) -> Result<(), EbaError> {
+        if item.horizon != self.horizon || item.inits.len() != self.n {
+            let rows = item.horizon as usize;
+            return Err(self.shape_mismatch(rows + 1, item.inits.len(), rows));
+        }
+        ensure_point_capacity(self.run_count() + item.len(), self.horizon)?;
+        let mut global: Vec<Option<StateId>> = vec![None; item.arena.len()];
+        for row in item.state_ids.chunks_exact(self.n) {
+            for (column, local) in self.state_ids.iter_mut().zip(row) {
+                let id = match global[local.index()] {
+                    Some(id) => id,
+                    None => {
+                        let id = self.arena.intern(item.arena.get(*local))?;
+                        global[local.index()] = Some(id);
+                        id
+                    }
+                };
+                column.push(id);
+            }
+        }
+        for _ in 0..item.len() {
+            self.nonfaulty.push(item.nonfaulty);
+            self.inits.extend_from_slice(&item.inits);
+        }
+        self.actions.extend_from_slice(&item.actions);
+        Ok(())
     }
 }
 

@@ -7,6 +7,7 @@
 use eba::core::exchange::InformationExchange;
 use eba::core::protocols::ActionProtocol;
 use eba::prelude::*;
+use std::hash::{Hash, Hasher};
 
 /// The per-run verdict compared across enumerations: whether the run
 /// satisfies the EBA spec (`judge_run`).
@@ -100,4 +101,127 @@ fn parallel_all_verdicts_pass_for_correct_protocols() {
             run.nonfaulty
         );
     }
+}
+
+/// FNV-1a over whatever `Hash` feeds it. Hand-rolled because the pinned
+/// digests below must not move with the standard library's
+/// `DefaultHasher`; they do assume a 64-bit little-endian host (`Hash`
+/// writes lengths as native `usize`s).
+struct Fnv1a(u64);
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for byte in bytes {
+            self.0 = (self.0 ^ u64::from(*byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+}
+
+/// Run count and order-sensitive digest of one stack's run stream:
+/// `nonfaulty, inits, states, actions` of every run, in emission order.
+struct StreamDigest {
+    horizon: u32,
+    parallelism: Parallelism,
+}
+
+impl StackVisitor for StreamDigest {
+    type Output = (usize, u64);
+
+    fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
+    where
+        E: InformationExchange + Clone + Sync + 'static,
+        P: ActionProtocol<E> + Clone + Sync + 'static,
+    {
+        let mut hasher = Fnv1a(0xcbf2_9ce4_8422_2325);
+        let runs = Scenario::of(ctx)
+            .horizon(self.horizon)
+            .parallelism(self.parallelism)
+            .enumerate_into(&mut |run: EnumRun<E>| {
+                run.nonfaulty.bits().hash(&mut hasher);
+                run.inits.hash(&mut hasher);
+                run.states.hash(&mut hasher);
+                run.actions.hash(&mut hasher);
+                Ok(())
+            })
+            .expect("enumerable");
+        (runs, hasher.finish())
+    }
+}
+
+/// `(stack, n, runs, digest)` at `t = 1`, horizon 4, recorded on the
+/// commit before the enumerator's DFS was rewritten (PR 21's parent,
+/// release build, sequential). Equality with the sequential stream is
+/// not enough to protect the emission order — a rewrite that reorders
+/// both passes that — so the order itself is pinned here.
+const PINNED_STREAMS: [(&str, usize, usize, u64); 22] = [
+    ("E_min/P_min@failure_free", 3, 8, 0xe712fee7a5a15054),
+    ("E_min/P_min@crash", 3, 74, 0x241bc18610dada84),
+    ("E_min/P_min", 3, 74, 0x241bc18610dada84),
+    ("E_min/P_min@general_omission", 3, 272, 0x63edd69e8cbdd8e5),
+    ("E_min/P_min@failure_free", 4, 16, 0xdaf8a8319694cb65),
+    ("E_min/P_min@crash", 4, 200, 0x7092fe6f363ce625),
+    ("E_min/P_min", 4, 200, 0x7092fe6f363ce625),
+    ("E_min/P_min@general_omission", 4, 1296, 0xc3d27f3a8cc9f4a5),
+    ("E_basic/P_basic@failure_free", 3, 8, 0xabfb5b91dbb64207),
+    ("E_basic/P_basic@crash", 3, 95, 0x8a5d3512973f5b88),
+    ("E_basic/P_basic", 3, 158, 0xf1ff0c7a64e7358c),
+    (
+        "E_basic/P_basic@general_omission",
+        3,
+        3260,
+        0x52b36c0aebbf8156,
+    ),
+    ("E_basic/P_basic@failure_free", 4, 16, 0x269fa8364e3ffd25),
+    ("E_basic/P_basic@crash", 4, 260, 0x80e3d0ded1e6e67a),
+    ("E_basic/P_basic", 4, 440, 0x1356af0c6f3225c5),
+    (
+        "E_basic/P_basic@general_omission",
+        4,
+        17392,
+        0x82613e9fb55882c5,
+    ),
+    ("E_fip/P_opt@crash", 3, 704, 0x6f054c7262cdfcf5),
+    ("E_fip/P_opt", 3, 98312, 0x48af85516ebfcc8d),
+    ("E_naive/P_naive@failure_free", 3, 8, 0x8379c137e682ff9f),
+    ("E_naive/P_naive@crash", 3, 41, 0x991aa8cb85665c26),
+    ("E_naive/P_naive", 3, 68, 0x4b5d119f156a00a1),
+    (
+        "E_naive/P_naive@general_omission",
+        3,
+        104,
+        0x9fd458d266a5f27c,
+    ),
+];
+
+#[test]
+fn run_stream_order_is_pinned_for_every_worker_count() {
+    let mut actual = String::new();
+    let mut moved = Vec::new();
+    for (name, n, runs, digest) in PINNED_STREAMS {
+        let stack = NamedStack::by_name(name, Params::new(n, 1).unwrap()).unwrap();
+        for parallelism in [
+            Parallelism::Sequential,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(16),
+        ] {
+            let got = stack.visit(StreamDigest {
+                horizon: 4,
+                parallelism,
+            });
+            if parallelism == Parallelism::Sequential {
+                actual += &format!("    ({name:?}, {n}, {}, {:#018x}),\n", got.0, got.1);
+            }
+            if got != (runs, digest) {
+                moved.push(format!("{name} n={n} {parallelism:?}"));
+            }
+        }
+    }
+    assert!(
+        moved.is_empty(),
+        "run streams moved: {moved:?}\nsequential streams now read:\n{actual}"
+    );
 }

@@ -146,6 +146,89 @@ proptest! {
     }
 }
 
+/// The store `enumerate_store` builds from the engine's id rows against
+/// the store `push_run` builds from `enumerate()`'s materialised runs.
+struct StoreIdentity {
+    horizon: u32,
+    label: String,
+}
+
+impl StackVisitor for StoreIdentity {
+    type Output = ();
+
+    fn visit<E, P>(self, ctx: &Context<E, P>)
+    where
+        E: InformationExchange + Clone + Sync + 'static,
+        P: ActionProtocol<E> + Clone + Sync + 'static,
+    {
+        let label = &self.label;
+        let n = ctx.params().n();
+        let scenario = Scenario::of(ctx).horizon(self.horizon);
+        let streamed = scenario
+            .clone()
+            .parallelism(Parallelism::Fixed(2))
+            .enumerate_store()
+            .expect("streamed store");
+        let mut pushed: RunStore<E> = RunStore::new(n, self.horizon);
+        for run in scenario.enumerate().expect("collectable") {
+            pushed.push_run(&run).expect("pushed store");
+        }
+
+        assert_eq!(streamed.run_count(), pushed.run_count(), "{label}");
+        assert_eq!(
+            streamed.arena().states(),
+            pushed.arena().states(),
+            "{label}: arena order"
+        );
+        for agent in 0..n {
+            for point in 0..pushed.point_count() {
+                assert_eq!(
+                    streamed.state_id(agent, point),
+                    pushed.state_id(agent, point),
+                    "{label}: agent {agent} point {point}"
+                );
+            }
+        }
+        for run in 0..pushed.run_count() {
+            assert_eq!(streamed.nonfaulty(run), pushed.nonfaulty(run), "{label}");
+            assert_eq!(streamed.inits(run), pushed.inits(run), "{label}");
+            for round in 0..self.horizon {
+                for agent in 0..n {
+                    assert_eq!(
+                        streamed.action(run, round, agent),
+                        pushed.action(run, round, agent),
+                        "{label}: run {run} round {round} agent {agent}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// `RunStore` takes the enumerator's items without re-interning every
+/// point; `push_run` over the collected runs is the independent oracle
+/// that it assigns the same ids, in the same arena order, to every slot.
+#[test]
+fn streamed_store_is_identical_to_the_pushed_store() {
+    let params = Params::new(3, 1).unwrap();
+    for base in STACK_NAMES {
+        for model in MODEL_NAMES {
+            // As above: the fip run set is only affordable in debug
+            // builds at horizon 2.
+            let horizons = if base == "E_fip/P_opt" { 2..=2 } else { 2..=4 };
+            for horizon in horizons {
+                let name = format!("{base}@{model}");
+                NamedStack::by_name(&name, params)
+                    .unwrap()
+                    .visit(StoreIdentity {
+                        horizon,
+                        label: format!("{name} h={horizon}"),
+                    });
+            }
+        }
+    }
+}
+
 /// Acceptance: the full `E_fip/P_opt` `(3, 1)` system — every sending-
 /// omission failure pattern, ~98k runs — builds through the streaming
 /// arena path with verdicts identical to the legacy oracle, and the

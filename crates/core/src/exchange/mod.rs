@@ -24,6 +24,7 @@ pub use naive::{NaiveExchange, NaiveMsg, NaiveState};
 use std::fmt::Debug;
 use std::hash::Hash;
 
+use crate::protocols::ActionProtocol;
 use crate::types::{Action, AgentId, Params, Value};
 
 /// An information-exchange protocol for `n` agents (the `E` of a context
@@ -124,50 +125,112 @@ pub struct NoObserver;
 
 impl<E: InformationExchange> RoundObserver<E> for NoObserver {}
 
-/// The selection half of the global transition of Section 3: every agent
-/// performs `actions[i]` and `μ_i` selects its messages. Entry `[i][j]` of
-/// the result is the message from agent `i` to agent `j` (`None` is `⊥`).
-///
-/// Fires `on_round` once, then `on_send(i, j, …)` sender-major for every
-/// non-`⊥` message.
+/// The initial global state: agent `i` starts in `⟨0, inits[i], ⊥, …⟩`.
+pub fn initial_states<E: InformationExchange>(ex: &E, inits: &[Value]) -> Vec<E::State> {
+    inits
+        .iter()
+        .enumerate()
+        .map(|(i, init)| ex.initial_state(AgentId::new(i), *init))
+        .collect()
+}
+
+/// `P` picks the round's actions: one `P_i(s_i)` per agent.
+pub fn choose_actions<E, P>(proto: &P, states: &[E::State]) -> Vec<Action>
+where
+    E: InformationExchange,
+    P: ActionProtocol<E> + ?Sized,
+{
+    states
+        .iter()
+        .enumerate()
+        .map(|(i, state)| proto.act(AgentId::new(i), state))
+        .collect()
+}
+
+/// Folds the actions chosen in the 0-based `round` into per-agent first
+/// decisions: an agent's decision is its first `Decide`, dated the round
+/// *after* the one it was chosen in (the state only records it then). A
+/// second `Decide` would be a protocol bug, surfaced by the spec checker
+/// rather than here.
+pub fn record_decisions(
+    round: u32,
+    actions: &[Action],
+    rounds: &mut [Option<u32>],
+    values: &mut [Option<Value>],
+) {
+    for (i, action) in actions.iter().enumerate() {
+        if let (Action::Decide(v), None) = (action, rounds[i]) {
+            rounds[i] = Some(round + 1);
+            values[i] = Some(*v);
+        }
+    }
+}
+
+/// One sender's `μ_i`: the messages `from` sends while performing
+/// `action`, entry `j` addressed to agent `j` (`None` is `⊥`). Fires
+/// `on_send(from, j, …)` for every non-`⊥` message.
+pub fn select_messages<E: InformationExchange>(
+    ex: &E,
+    from: AgentId,
+    state: &E::State,
+    action: Action,
+    observer: &mut impl RoundObserver<E>,
+) -> Vec<Option<E::Message>> {
+    let out = ex.outgoing(from, state, action);
+    debug_assert_eq!(out.len(), ex.params().n(), "μ must address every agent");
+    for (j, msg) in out.iter().enumerate() {
+        if let Some(msg) = msg {
+            observer.on_send(from, AgentId::new(j), msg);
+        }
+    }
+    out
+}
+
+/// The selection half of the global transition of Section 3 for all
+/// senders at once: entry `[i][j]` is the message from agent `i` to agent
+/// `j`. Fires `on_round` once, then [`select_messages`] sender by sender.
 pub fn select_round<E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
     observer: &mut impl RoundObserver<E>,
 ) -> Vec<Vec<Option<E::Message>>> {
-    let n = ex.params().n();
-    debug_assert_eq!(states.len(), n, "one state per agent");
-    debug_assert_eq!(actions.len(), n, "one action per agent");
+    debug_assert_eq!(states.len(), ex.params().n(), "one state per agent");
+    debug_assert_eq!(actions.len(), states.len(), "one action per agent");
     observer.on_round(actions);
-    (0..n)
-        .map(|i| {
-            let from = AgentId::new(i);
-            let out = ex.outgoing(from, &states[i], actions[i]);
-            debug_assert_eq!(out.len(), n, "μ must address every agent");
-            for (j, msg) in out.iter().enumerate() {
-                if let Some(msg) = msg {
-                    observer.on_send(from, AgentId::new(j), msg);
-                }
-            }
-            out
-        })
+    states
+        .iter()
+        .zip(actions)
+        .enumerate()
+        .map(|(i, (state, action))| select_messages(ex, AgentId::new(i), state, *action, observer))
         .collect()
 }
 
-/// The delivery half of the global transition: the messages selected by
-/// [`select_round`] are filtered by `delivers` (the failure pattern `F`)
-/// and every state is updated by `δ_i`.
+/// The lockstep channel over one round's selection: `to` receives what
+/// `from` selected for it, cloned, if the failure pattern `delivers` it.
+pub fn lockstep_channel<'a, M: Clone>(
+    outgoing: &'a [Vec<Option<M>>],
+    delivers: impl Fn(AgentId, AgentId) -> bool + 'a,
+) -> impl FnMut(AgentId, AgentId) -> Option<M> + 'a {
+    move |from, to| {
+        let msg = outgoing[from.index()][to.index()].as_ref()?;
+        delivers(from, to).then(|| msg.clone())
+    }
+}
+
+/// The delivery half of the global transition: agent `to` receives
+/// `receive(from, to)` from every `from` — the channel, which has already
+/// applied the failure pattern `F` — and `δ_to` updates its state.
 ///
-/// Fires `on_deliver(i, j, …)` receiver-major for every message that
-/// passes the filter. The exhaustive enumerator calls this half once per
-/// adversary choice over one shared selection.
+/// Fires `on_deliver(from, to, …)` receiver-major for every message the
+/// channel yields. The exhaustive enumerator calls this half once per
+/// adversary choice over one shared selection ([`lockstep_channel`]); the
+/// wire engine's channel decodes the surviving frames.
 pub fn deliver_round<E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
-    outgoing: &[Vec<Option<E::Message>>],
-    delivers: impl Fn(AgentId, AgentId) -> bool,
+    mut receive: impl FnMut(AgentId, AgentId) -> Option<E::Message>,
     observer: &mut impl RoundObserver<E>,
 ) -> Vec<E::State> {
     let n = states.len();
@@ -177,13 +240,11 @@ pub fn deliver_round<E: InformationExchange>(
             let received: Vec<Option<E::Message>> = (0..n)
                 .map(|i| {
                     let from = AgentId::new(i);
-                    match &outgoing[i][j] {
-                        Some(msg) if delivers(from, to) => {
-                            observer.on_deliver(from, to, msg);
-                            Some(msg.clone())
-                        }
-                        _ => None,
+                    let msg = receive(from, to);
+                    if let Some(msg) = &msg {
+                        observer.on_deliver(from, to, msg);
                     }
+                    msg
                 })
                 .collect();
             ex.update(to, &states[j], actions[j], &received)
@@ -192,10 +253,11 @@ pub fn deliver_round<E: InformationExchange>(
 }
 
 /// Applies one synchronous round of the global transition of Section 3:
-/// [`select_round`] then [`deliver_round`]. Every lockstep execution in
-/// the workspace — the simulator's run loop, the estimator's trials, the
-/// enumerator's branches, the in-crate exchange tests — goes through
-/// these two halves, so they cannot drift apart.
+/// [`select_round`], then [`deliver_round`] over the [`lockstep_channel`].
+/// Every execution in the workspace — the simulator's run loop, the
+/// estimator's trials, the enumerator's branches, the wire engine's
+/// sessions, the in-crate exchange tests — goes through these halves, so
+/// they cannot drift apart.
 pub fn step_round_observed<E: InformationExchange>(
     ex: &E,
     states: &[E::State],
@@ -204,7 +266,8 @@ pub fn step_round_observed<E: InformationExchange>(
     observer: &mut impl RoundObserver<E>,
 ) -> Vec<E::State> {
     let outgoing = select_round(ex, states, actions, observer);
-    deliver_round(ex, states, actions, &outgoing, delivers, observer)
+    let channel = lockstep_channel(&outgoing, delivers);
+    deliver_round(ex, states, actions, channel, observer)
 }
 
 /// [`step_round_observed`] without observation: just the successor states.

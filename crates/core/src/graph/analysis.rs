@@ -8,7 +8,7 @@
 //! vertex. The analysis computes this *decision matrix* bottom-up over the
 //! owner's cone, then evaluates the owner's own action at the current time.
 //!
-//! Fidelity notes (see DESIGN.md §5): the paper's Definition A.19 contains
+//! Fidelity notes (see `docs/GUIDE.md` §1): the paper's Definition A.19 contains
 //! two typos that we resolve in the direction dictated by the surrounding
 //! lemmas — `cond_1` follows Prop A.7 (it holds iff the hidden-0-chain
 //! counting condition *fails*), and `common_v`'s distributed-knowledge test

@@ -88,10 +88,6 @@ impl Formula {
     }
 
     /// `⋁_{j ∈ Agt} jdecided_j = v`.
-    ///
-    /// Allocates a fresh `O(n)` disjunction tree per call; inside the
-    /// query engine use [`FormulaArena::someone_just_decided`], which
-    /// interns the disjunction once per arena.
     #[must_use]
     pub fn someone_just_decided(n: usize, v: Value) -> Formula {
         Formula::Or(
@@ -102,9 +98,6 @@ impl Formula {
     }
 
     /// `⋀_{j ∈ Agt} ¬(deciding_j = v)`.
-    ///
-    /// Allocates per call; the interned counterpart is
-    /// [`FormulaArena::nobody_deciding`].
     #[must_use]
     pub fn nobody_deciding(n: usize, v: Value) -> Formula {
         Formula::And(
@@ -115,9 +108,6 @@ impl Formula {
     }
 
     /// `no-decided_N(v) ≡ ⋀_j (j ∈ N ⇒ ¬(decided_j = v))`.
-    ///
-    /// Allocates per call; the interned counterpart is
-    /// [`FormulaArena::no_nonfaulty_decided`].
     #[must_use]
     pub fn no_nonfaulty_decided(n: usize, v: Value) -> Formula {
         Formula::And(

@@ -71,43 +71,32 @@ pub fn prescriptions<E: InformationExchange>(
     let n = params.n();
     let points = sys.point_count();
 
-    // Compile the guard batch: shared bodies interned once, one K_i
-    // root per agent per guard.
+    // Compile the guard batch: one `K_i` root per agent per guard; the
+    // arena hash-conses the bodies the roots share.
+    let agents: Vec<AgentId> = AgentId::all(n).collect();
     let mut arena = FormulaArena::new();
-    let jdec0 = arena.someone_just_decided(n, Value::Zero);
-    let nodec0 = arena.nobody_deciding(n, Value::Zero);
-    let cks = match program {
+    let mut known = |body: Formula| -> Vec<NodeId> {
+        let root = |i: &AgentId| arena.intern(&Formula::knows(*i, body.clone()));
+        agents.iter().map(root).collect()
+    };
+    let k_jdec0 = known(Formula::someone_just_decided(n, Value::Zero));
+    let k_nodec0 = known(Formula::nobody_deciding(n, Value::Zero));
+    let k_cks = match program {
         KnowledgeBasedProgram::P0 => None,
         KnowledgeBasedProgram::P1 => {
-            let ck0 = {
-                let nd1 = arena.no_nonfaulty_decided(n, Value::One);
-                let e0 = arena.exists_init(Value::Zero);
-                let body = arena.and(vec![nd1, e0]);
-                arena.ck_t_faulty_and(params, body)
+            let ck = |v: Value| {
+                let undecided = Formula::no_nonfaulty_decided(n, v.other());
+                ck_t_faulty_and(
+                    params,
+                    Formula::And(vec![undecided, Formula::ExistsInit(v)]),
+                )
             };
-            let ck1 = {
-                let nd0 = arena.no_nonfaulty_decided(n, Value::Zero);
-                let e1 = arena.exists_init(Value::One);
-                let body = arena.and(vec![nd0, e1]);
-                arena.ck_t_faulty_and(params, body)
-            };
-            Some((ck0, ck1))
+            Some((known(ck(Value::Zero)), known(ck(Value::One))))
         }
     };
-    let agents: Vec<AgentId> = AgentId::all(n).collect();
-    let k_jdec0: Vec<NodeId> = agents.iter().map(|i| arena.knows(*i, jdec0)).collect();
-    let k_nodec0: Vec<NodeId> = agents.iter().map(|i| arena.knows(*i, nodec0)).collect();
-    let k_cks: Option<Vec<(NodeId, NodeId)>> = cks.map(|(ck0, ck1)| {
-        agents
-            .iter()
-            .map(|i| (arena.knows(*i, ck0), arena.knows(*i, ck1)))
-            .collect()
-    });
-    let mut roots: Vec<NodeId> = Vec::new();
-    roots.extend_from_slice(&k_jdec0);
-    roots.extend_from_slice(&k_nodec0);
-    if let Some(ks) = &k_cks {
-        roots.extend(ks.iter().flat_map(|(a, b)| [*a, *b]));
+    let mut roots = [&k_jdec0[..], &k_nodec0[..]].concat();
+    if let Some((k0, k1)) = &k_cks {
+        roots.extend(k0.iter().chain(k1));
     }
     let plan = QueryPlan::new(&arena, &roots);
     let session = EvalSession::evaluate(sys, &arena, &plan);
@@ -126,7 +115,7 @@ pub fn prescriptions<E: InformationExchange>(
         let k_nodec0 = session.bitset(k_nodec0[i]);
         let k_cks = k_cks
             .as_ref()
-            .map(|ks| (session.bitset(ks[i].0), session.bitset(ks[i].1)));
+            .map(|(k0, k1)| (session.bitset(k0[i]), session.bitset(k1[i])));
         for pid in 0..points {
             let sid = sys.state_id(pid as PointId, agent).index();
             let act = if decided[sid].is_some() {

@@ -45,9 +45,10 @@
 //! let roots: Vec<NodeId> = AgentId::all(3)
 //!     .map(|i| {
 //!         // Strong Validity for agent i: decided_i = 0 ⇒ ∃0.
-//!         let decided = arena.decided_is(i, Some(Value::Zero));
-//!         let exists = arena.exists_init(Value::Zero);
-//!         arena.implies(decided, exists)
+//!         arena.intern(&Formula::implies(
+//!             Formula::DecidedIs(i, Some(Value::Zero)),
+//!             Formula::ExistsInit(Value::Zero),
+//!         ))
 //!     })
 //!     .collect();
 //! let plan = QueryPlan::new(&arena, &roots);
@@ -66,7 +67,7 @@
 use std::collections::HashMap;
 
 use eba_core::exchange::InformationExchange;
-use eba_core::types::{subsets_of_size, AgentId, BitSet, Params, Value};
+use eba_core::types::{AgentId, BitSet, Value};
 
 use crate::formula::Formula;
 use crate::system::{InterpretedSystem, PointId};
@@ -156,12 +157,8 @@ impl Node {
 /// A hash-consing arena of formula nodes: structurally equal subformulas
 /// are interned exactly once and shared by id.
 ///
-/// Build queries either by [`intern`](FormulaArena::intern)ing an
-/// existing [`Formula`] tree or directly through the combinator
-/// constructors ([`and`](FormulaArena::and),
-/// [`knows`](FormulaArena::knows),
-/// [`someone_just_decided`](FormulaArena::someone_just_decided), …),
-/// which never materialize an intermediate `Formula` allocation.
+/// [`intern`](FormulaArena::intern) is the one way in: write the query as
+/// a [`Formula`] and intern it.
 #[derive(Clone, Debug)]
 pub struct FormulaArena {
     nodes: Vec<Node>,
@@ -245,160 +242,6 @@ impl FormulaArena {
             Formula::Eventually(g) => Node::Eventually(self.intern(g)),
         };
         self.add(node)
-    }
-
-    /// Truth.
-    pub fn tt(&mut self) -> NodeId {
-        self.add(Node::True)
-    }
-
-    /// `init_i = v`.
-    pub fn init_is(&mut self, agent: AgentId, v: Value) -> NodeId {
-        self.add(Node::InitIs(agent, v))
-    }
-
-    /// `decided_i = v` (`None` is `⊥`).
-    pub fn decided_is(&mut self, agent: AgentId, v: Option<Value>) -> NodeId {
-        self.add(Node::DecidedIs(agent, v))
-    }
-
-    /// `time = k`.
-    pub fn time_is(&mut self, k: u32) -> NodeId {
-        self.add(Node::TimeIs(k))
-    }
-
-    /// `i ∈ N`.
-    pub fn nonfaulty(&mut self, agent: AgentId) -> NodeId {
-        self.add(Node::Nonfaulty(agent))
-    }
-
-    /// `∃v`.
-    pub fn exists_init(&mut self, v: Value) -> NodeId {
-        self.add(Node::ExistsInit(v))
-    }
-
-    /// `jdecided_i = v`.
-    pub fn just_decided(&mut self, agent: AgentId, v: Value) -> NodeId {
-        self.add(Node::JustDecided(agent, v))
-    }
-
-    /// `deciding_i = v`.
-    pub fn deciding(&mut self, agent: AgentId, v: Value) -> NodeId {
-        self.add(Node::Deciding(agent, v))
-    }
-
-    /// `¬φ`.
-    pub fn not(&mut self, f: NodeId) -> NodeId {
-        self.add(Node::Not(f))
-    }
-
-    /// `⋀ fs` (empty = true).
-    pub fn and(&mut self, fs: Vec<NodeId>) -> NodeId {
-        self.add(Node::And(fs))
-    }
-
-    /// `⋁ fs` (empty = false).
-    pub fn or(&mut self, fs: Vec<NodeId>) -> NodeId {
-        self.add(Node::Or(fs))
-    }
-
-    /// `φ ⇒ ψ`, interned with the same `Or(¬φ, ψ)` shape as
-    /// [`Formula::implies`].
-    pub fn implies(&mut self, f: NodeId, g: NodeId) -> NodeId {
-        let nf = self.not(f);
-        self.or(vec![nf, g])
-    }
-
-    /// `K_i φ`.
-    pub fn knows(&mut self, agent: AgentId, f: NodeId) -> NodeId {
-        self.add(Node::Knows(agent, f))
-    }
-
-    /// `E_N φ`.
-    pub fn everyone_nonfaulty(&mut self, f: NodeId) -> NodeId {
-        self.add(Node::EveryoneNonfaulty(f))
-    }
-
-    /// `C_N φ`.
-    pub fn common_nonfaulty(&mut self, f: NodeId) -> NodeId {
-        self.add(Node::CommonNonfaulty(f))
-    }
-
-    /// `◯φ`.
-    pub fn next(&mut self, f: NodeId) -> NodeId {
-        self.add(Node::Next(f))
-    }
-
-    /// `⊖φ`.
-    pub fn prev(&mut self, f: NodeId) -> NodeId {
-        self.add(Node::Prev(f))
-    }
-
-    /// `□φ`.
-    pub fn henceforth(&mut self, f: NodeId) -> NodeId {
-        self.add(Node::Henceforth(f))
-    }
-
-    /// `♦φ`.
-    pub fn eventually(&mut self, f: NodeId) -> NodeId {
-        self.add(Node::Eventually(f))
-    }
-
-    /// `⋁_{j ∈ Agt} jdecided_j = v` — the interned counterpart of
-    /// [`Formula::someone_just_decided`]: the `O(n)` disjunction exists
-    /// once per arena instead of once per call site.
-    pub fn someone_just_decided(&mut self, n: usize, v: Value) -> NodeId {
-        let js: Vec<NodeId> = AgentId::all(n).map(|j| self.just_decided(j, v)).collect();
-        self.or(js)
-    }
-
-    /// `⋀_{j ∈ Agt} ¬(deciding_j = v)` — interned
-    /// [`Formula::nobody_deciding`].
-    pub fn nobody_deciding(&mut self, n: usize, v: Value) -> NodeId {
-        let js: Vec<NodeId> = AgentId::all(n)
-            .map(|j| {
-                let d = self.deciding(j, v);
-                self.not(d)
-            })
-            .collect();
-        self.and(js)
-    }
-
-    /// `⋀_j (j ∈ N ⇒ ¬(decided_j = v))` — interned
-    /// [`Formula::no_nonfaulty_decided`].
-    pub fn no_nonfaulty_decided(&mut self, n: usize, v: Value) -> NodeId {
-        let js: Vec<NodeId> = AgentId::all(n)
-            .map(|j| {
-                let nf = self.nonfaulty(j);
-                let d = self.decided_is(j, Some(v));
-                let nd = self.not(d);
-                self.implies(nf, nd)
-            })
-            .collect();
-        self.and(js)
-    }
-
-    /// The paper's `C_N(t-faulty ∧ φ)` abbreviation, interned — the
-    /// engine counterpart of [`crate::kbp::ck_t_faulty_and`]. The
-    /// `¬(i ∈ N)` leaves are shared across all `C(n, t)` faulty-set
-    /// candidates (and with any other query in the arena).
-    pub fn ck_t_faulty_and(&mut self, params: Params, phi: NodeId) -> NodeId {
-        let disjuncts: Vec<NodeId> = subsets_of_size(params.n(), params.t())
-            .into_iter()
-            .map(|a| {
-                let mut conj: Vec<NodeId> = a
-                    .iter()
-                    .map(|i| {
-                        let nf = self.nonfaulty(i);
-                        self.not(nf)
-                    })
-                    .collect();
-                conj.push(phi);
-                let body = self.and(conj);
-                self.common_nonfaulty(body)
-            })
-            .collect();
-        self.or(disjuncts)
     }
 
     /// Number of **distinct** nodes reachable from `root` — the node
@@ -788,8 +631,8 @@ mod tests {
     #[test]
     fn interning_dedups_structural_equality() {
         let mut arena = FormulaArena::new();
-        let a = arena.exists_init(Value::Zero);
-        let b = arena.exists_init(Value::Zero);
+        let a = arena.intern(&Formula::ExistsInit(Value::Zero));
+        let b = arena.intern(&Formula::ExistsInit(Value::Zero));
         assert_eq!(a, b);
         let f = Formula::implies(
             Formula::ExistsInit(Value::Zero),
@@ -823,9 +666,8 @@ mod tests {
     #[test]
     fn plan_schedules_only_reachable_nodes() {
         let mut arena = FormulaArena::new();
-        let used = arena.exists_init(Value::One);
-        let _unused = arena.exists_init(Value::Zero);
-        let root = arena.not(used);
+        let _unused = arena.intern(&Formula::ExistsInit(Value::Zero));
+        let root = arena.intern(&Formula::not(Formula::ExistsInit(Value::One)));
         let plan = QueryPlan::new(&arena, &[root]);
         assert_eq!(plan.evaluated_node_count(), 2);
         assert_eq!(plan.naive_node_count(), 2);
@@ -881,46 +723,16 @@ mod tests {
     }
 
     #[test]
-    fn arena_combinators_match_interned_formula_helpers() {
-        // The interning constructors must produce the exact node
-        // structure `intern(&Formula::helper(..))` would.
-        let params = Params::new(4, 2).unwrap();
-        let mut via_formula = FormulaArena::new();
-        let mut direct = FormulaArena::new();
-        for v in Value::ALL {
-            assert_eq!(
-                via_formula.intern(&Formula::someone_just_decided(4, v)),
-                direct.someone_just_decided(4, v)
-            );
-            assert_eq!(
-                via_formula.intern(&Formula::nobody_deciding(4, v)),
-                direct.nobody_deciding(4, v)
-            );
-            assert_eq!(
-                via_formula.intern(&Formula::no_nonfaulty_decided(4, v)),
-                direct.no_nonfaulty_decided(4, v)
-            );
-            let phi = crate::kbp::ck_t_faulty_and(params, Formula::ExistsInit(v));
-            let phi_id = direct.exists_init(v);
-            assert_eq!(
-                via_formula.intern(&phi),
-                direct.ck_t_faulty_and(params, phi_id)
-            );
-        }
-        assert_eq!(via_formula.node_count(), direct.node_count());
-    }
-
-    #[test]
     #[should_panic(expected = "different arena")]
     fn sessions_reject_plans_from_unrelated_arenas() {
         let s = sys();
         let mut a = FormulaArena::new();
-        let root = a.exists_init(Value::One);
+        let root = a.intern(&Formula::ExistsInit(Value::One));
         let plan = QueryPlan::new(&a, &[root]);
         // Same node count, entirely different arena: must panic, not
         // silently resolve the plan's ids against the wrong table.
         let mut b = FormulaArena::new();
-        let _ = b.exists_init(Value::Zero);
+        let _ = b.intern(&Formula::ExistsInit(Value::Zero));
         let _ = EvalSession::evaluate(&s, &b, &plan);
     }
 

@@ -34,8 +34,8 @@ pub struct LoadedScenario {
 /// `<path>:<line>:` for parse errors and relocatable shape/admissibility
 /// errors, or `<path>:` when no line applies.
 pub fn load_dir(dir: &Path) -> Result<Vec<LoadedScenario>, EbaError> {
-    let entries = fs::read_dir(dir)
-        .map_err(|e| EbaError::InvalidInput(format!("--corpus {}: {e}", dir.display())))?;
+    let entries =
+        fs::read_dir(dir).map_err(|e| EbaError::InvalidInput(format!("{}: {e}", dir.display())))?;
     let mut paths: Vec<PathBuf> = entries
         .filter_map(|e| e.ok().map(|e| e.path()))
         .filter(|p| p.extension().is_some_and(|ext| ext == "eba"))
@@ -43,7 +43,7 @@ pub fn load_dir(dir: &Path) -> Result<Vec<LoadedScenario>, EbaError> {
     paths.sort();
     if paths.is_empty() {
         return Err(EbaError::InvalidInput(format!(
-            "--corpus {}: no .eba files found",
+            "{}: no .eba files found",
             dir.display()
         )));
     }

@@ -8,7 +8,7 @@
 
 use eba_core::prelude::*;
 use eba_sim::prelude::*;
-use eba_transport::{run_context_cluster, FipCodec};
+use eba_transport::run_named_cluster;
 
 use crate::table::{cell, Table};
 
@@ -73,9 +73,8 @@ pub fn run(configs: &[(usize, usize)]) -> (Vec<E1Row>, Table) {
                 .inits(&inits)
                 .run()
                 .expect("run");
-            let fip_report = run_context_cluster(
-                &fip_ctx,
-                &FipCodec,
+            let fip_report = run_named_cluster(
+                &NamedStack::Fip(fip_ctx),
                 &pattern,
                 &inits,
                 params.default_horizon(),

@@ -103,14 +103,15 @@ pub fn model_checked_ck_onset(params: Params) -> Result<u32, EbaError> {
             EbaError::InvalidInput("silent run not found in the enumerated system".into())
         })?;
 
+    let guard = ck_t_faulty_and(
+        params,
+        Formula::And(vec![
+            Formula::no_nonfaulty_decided(n, Value::Zero),
+            Formula::ExistsInit(Value::One),
+        ]),
+    );
     let mut arena = FormulaArena::new();
-    let guard = {
-        let nd0 = arena.no_nonfaulty_decided(n, Value::Zero);
-        let e1 = arena.exists_init(Value::One);
-        let body = arena.and(vec![nd0, e1]);
-        arena.ck_t_faulty_and(params, body)
-    };
-    let root = arena.knows(observer, guard);
+    let root = arena.intern(&Formula::knows(observer, guard));
     let plan = QueryPlan::new(&arena, &[root]);
     let session = EvalSession::evaluate(&sys, &arena, &plan);
     (0..=horizon)

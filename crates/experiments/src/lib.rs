@@ -1,7 +1,7 @@
 #![warn(missing_docs)]
 
 //! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (see DESIGN.md §3 for the experiment index).
+//! evaluation (`docs/GUIDE.md` §1 maps paper sections to modules).
 //!
 //! | Id | Paper source | Claim reproduced |
 //! |----|--------------|------------------|

@@ -216,6 +216,16 @@ impl Flags {
         self.value(flag).map(PathBuf::from)
     }
 
+    /// The scenario directory `flag` names; one that cannot be read exits
+    /// 2 naming the flag it was given to.
+    fn dir(&self, flag: &str) -> Option<PathBuf> {
+        let dir = self.path(flag)?;
+        if let Err(e) = std::fs::read_dir(&dir) {
+            die(format_args!("{flag} {}: {e}", dir.display()));
+        }
+        Some(dir)
+    }
+
     /// The flag's value parsed as `T`; a value that does not parse exits 2
     /// saying what the flag `expects`.
     fn parsed<T: FromStr>(&self, flag: &str, expects: &str) -> Option<T> {
@@ -263,7 +273,7 @@ fn fuzz(flags: &Flags) {
         t: flags.num("--t", 1),
         seed: flags.num("--fuzz-seed", 0xEBA),
         iterations: flags.num("--fuzz-iters", 2000),
-        corpus: flags.path("--corpus"),
+        corpus: flags.dir("--corpus"),
         out: flags.path("--fuzz-out"),
     };
     println!("{}", or_die(ex::fuzz_cli::run(&config)).text);
@@ -288,7 +298,7 @@ fn estimate(flags: &Flags) {
         self_check: flags.has("--self-check"),
         out: flags.path("--estimate-out"),
     };
-    if let Some(dir) = flags.path("--corpus") {
+    if let Some(dir) = flags.dir("--corpus") {
         println!("{}", or_die(ex::estimate_cli::run_corpus(&dir, &config)));
         return;
     }
@@ -320,7 +330,7 @@ fn load(flags: &Flags) {
 }
 
 fn serve(flags: &Flags) {
-    let dir = flags.path("--serve").expect("--serve selected this mode");
+    let dir = flags.dir("--serve").expect("--serve selected this mode");
     let workers = flags.num("--workers", 0);
     let capacity = flags.num("--capacity", 1024);
     print_service_run(or_die(ex::service_cli::run_serve(&dir, workers, capacity)));
@@ -336,7 +346,7 @@ fn print_service_run((report, table): (eba_service::ServiceReport, ex::table::Ta
 }
 
 fn corpus(flags: &Flags) {
-    let dir = flags.path("--corpus").expect("--corpus selected this mode");
+    let dir = flags.dir("--corpus").expect("--corpus selected this mode");
     println!("{}", or_die(ex::corpus::run(&dir)).1);
 }
 

@@ -68,6 +68,18 @@ fn a_flag_is_not_taken_as_another_flags_value() {
 }
 
 #[test]
+fn an_unreadable_directory_names_the_flag_it_was_given_to() {
+    assert_rejected(
+        &["--serve", "/nonexistent-eba-corpus"],
+        "error: --serve /nonexistent-eba-corpus: ",
+    );
+    assert_rejected(
+        &["--corpus", "/nonexistent-eba-corpus"],
+        "error: --corpus /nonexistent-eba-corpus: ",
+    );
+}
+
+#[test]
 fn a_documented_command_line_still_runs() {
     let out = run(&["--stack", "E_min/P_min", "--n", "3", "--t", "1"]);
     assert_eq!(out.status.code(), Some(0));

@@ -80,9 +80,11 @@ impl SessionSpec {
         named_engine(&stack, &self.pattern, &self.inits, self.horizon)
     }
 
-    /// The decision vectors (rounds, values) the lockstep kernel
+    /// The decision vectors (rounds, values) the lockstep simulator
     /// (`Scenario::run`) derives for this spec — the reference the wire
-    /// path is judged against: it shares neither codec nor engine with it.
+    /// path is judged against. The two share `eba-core`'s round kernel;
+    /// codecs, frame routing, omission injection on bytes and the session
+    /// loop are the wire path's alone.
     pub(crate) fn lockstep_decisions(&self) -> Result<DecisionVectors, EbaError> {
         struct Lockstep<'a>(&'a SessionSpec);
         impl StackVisitor for Lockstep<'_> {

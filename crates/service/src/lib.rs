@@ -21,7 +21,7 @@
 //!   ([`run_engine`](eba_transport::run_engine), its omissions injected
 //!   inline) and reports once; the driver folds every session's
 //!   [`RoundTraffic`](eba_transport::RoundTraffic) — the same counters
-//!   the loopback `TransportReport` carries.
+//!   the loopback `ClusterSummary` carries.
 //! * [`ServiceReport`] aggregates decisions, drop counts, backpressure
 //!   deferrals, and the verdict of sampled oracle cross-checks against
 //!   the lockstep simulator (`Scenario::run`).

@@ -56,7 +56,7 @@ pub struct ServiceReport {
     pub peak_in_flight: usize,
     /// Service-wide per-round sent/delivered counters (index = round),
     /// folded from every session as the driver retires it — the same
-    /// shape the loopback `TransportReport` reports per run.
+    /// shape the loopback `ClusterSummary` reports per run.
     pub round_traffic: Vec<RoundTraffic>,
     /// Wall-clock seconds of the multiplexed phase (admission through
     /// teardown), excluding the optional oracle pass.

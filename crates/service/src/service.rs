@@ -53,9 +53,9 @@ pub struct ServiceConfig {
     /// service stalled.
     pub stall_timeout: Duration,
     /// Cross-check every `k`-th admitted session's decision vector
-    /// against the lockstep simulator (`Scenario::run`, which shares
-    /// neither codec nor engine with the service; `None` = no checks,
-    /// `Some(1)` = every session).
+    /// against the lockstep simulator (`Scenario::run`: same round kernel,
+    /// but no codec, frame routing, byte-level omission or session loop;
+    /// `None` = no checks, `Some(1)` = every session).
     pub oracle_stride: Option<usize>,
 }
 

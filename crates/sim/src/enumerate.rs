@@ -85,7 +85,10 @@ use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use eba_core::context::Context;
-use eba_core::exchange::{deliver_round, select_round, InformationExchange, NoObserver};
+use eba_core::exchange::{
+    choose_actions, deliver_round, initial_states, lockstep_channel, select_round,
+    InformationExchange, NoObserver,
+};
 use eba_core::failures::FailureModel;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{Action, AgentId, AgentSet, EbaError, Value};
@@ -458,9 +461,7 @@ where
     P: ActionProtocol<E>,
 {
     let n = ex.params().n();
-    let init_states: Vec<E::State> = (0..n)
-        .map(|i| ex.initial_state(AgentId::new(i), inits[i]))
-        .collect();
+    let init_states = initial_states(ex, &inits);
     let mut search = ItemSearch {
         ex,
         proto,
@@ -522,9 +523,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         if m == self.item.horizon {
             return self.commit();
         }
-        let actions: Vec<Action> = (0..n)
-            .map(|i| self.proto.act(AgentId::new(i), &current[i]))
-            .collect();
+        let actions = choose_actions(self.proto, current);
         let outgoing = select_round(self.ex, current, &actions, &mut NoObserver);
 
         // Branch points, sender-major: bit `b` of a child's mask drops
@@ -581,8 +580,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
                 self.ex,
                 current,
                 &actions,
-                &outgoing,
-                |from, to| !lost[from.index()].contains(to),
+                lockstep_channel(&outgoing, |from, to| !lost[from.index()].contains(to)),
                 &mut NoObserver,
             );
             self.push_states(&next)?;

@@ -3,7 +3,10 @@
 //! Section 3.
 
 use eba_core::context::{validate_scenario_shape, Context};
-use eba_core::exchange::{step_round_observed, InformationExchange, RoundObserver};
+use eba_core::exchange::{
+    choose_actions, initial_states, record_decisions, step_round_observed, InformationExchange,
+    RoundObserver,
+};
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{Action, AgentId, EbaError, Value};
@@ -79,20 +82,10 @@ where
     validate_scenario_shape(ctx.params(), pattern, inits)?;
     let mut states: Vec<Vec<E::State>> = Vec::with_capacity(horizon as usize + 1);
     let mut actions: Vec<Vec<Action>> = Vec::with_capacity(horizon as usize);
-    states.push(
-        inits
-            .iter()
-            .enumerate()
-            .map(|(i, init)| ex.initial_state(AgentId::new(i), *init))
-            .collect(),
-    );
+    states.push(initial_states(ex, inits));
     for m in 0..horizon {
         let current = &states[m as usize];
-        let round_actions: Vec<Action> = current
-            .iter()
-            .enumerate()
-            .map(|(i, state)| proto.act(AgentId::new(i), state))
-            .collect();
+        let round_actions = choose_actions(proto, current);
         let next = step_round_observed(
             ex,
             current,
@@ -135,17 +128,13 @@ impl<'a, E: InformationExchange> TraceObserver<'a, E> {
 
 impl<E: InformationExchange> RoundObserver<E> for TraceObserver<'_, E> {
     fn on_round(&mut self, actions: &[Action]) {
+        record_decisions(
+            self.metrics.rounds,
+            actions,
+            &mut self.metrics.decision_rounds,
+            &mut self.metrics.decision_values,
+        );
         self.metrics.rounds += 1;
-        for (i, action) in actions.iter().enumerate() {
-            if let Action::Decide(v) = action {
-                // First decision wins; a second Decide would be a protocol
-                // bug, surfaced by the spec checker rather than here.
-                if self.metrics.decision_rounds[i].is_none() {
-                    self.metrics.decision_rounds[i] = Some(self.metrics.rounds);
-                    self.metrics.decision_values[i] = Some(*v);
-                }
-            }
-        }
         self.classes.clear();
         self.classes
             .extend(actions.iter().map(|a| MsgClass::of_action(*a)));

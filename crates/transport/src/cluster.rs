@@ -1,117 +1,15 @@
-//! The loopback drivers: run a stack to its horizon over encoded frames
+//! The loopback driver: run an engine to its horizon over encoded frames
 //! on the calling thread, `outgoing → apply_pattern → deliver` per round
 //! (the synchronous rounds of Section 3), and report decisions plus the
 //! wire accounting.
 
-use eba_core::context::{admit_scenario, Context, NamedStack};
-use eba_core::exchange::InformationExchange;
+use eba_core::context::NamedStack;
 use eba_core::failures::FailurePattern;
-use eba_core::protocols::ActionProtocol;
 use eba_core::types::{EbaError, Value};
 
-use crate::codec::WireCodec;
-use crate::engine::{
-    apply_pattern, named_engine, EngineState, RoundFrames, RoundTraffic, SessionEngine,
-};
+use crate::engine::{apply_pattern, named_engine, RoundFrames, RoundTraffic, SessionEngine};
 
-/// The outcome of a loopback execution.
-#[derive(Clone, Debug)]
-pub struct TransportReport<E: InformationExchange> {
-    /// Per-agent first decision round.
-    pub decision_rounds: Vec<Option<u32>>,
-    /// Per-agent decision value.
-    pub decision_values: Vec<Option<Value>>,
-    /// Per-agent final state after the last round.
-    pub final_states: Vec<E::State>,
-    /// Total bytes of encoded frames the agents sent (dropped frames
-    /// included — the sender did the work).
-    pub wire_bytes_sent: u64,
-    /// Total bytes actually delivered.
-    pub wire_bytes_delivered: u64,
-    /// Frames the agents sent.
-    pub frames_sent: u64,
-    /// Per-round sent/delivered frame counters (index = round).
-    pub round_traffic: Vec<RoundTraffic>,
-    /// Rounds executed.
-    pub rounds: u32,
-}
-
-/// What a loopback run counted on the wire.
-#[derive(Default)]
-struct WireCount {
-    bytes_sent: u64,
-    bytes_delivered: u64,
-    frames_sent: u64,
-    round_traffic: Vec<RoundTraffic>,
-}
-
-impl WireCount {
-    /// Carries one round's frames from `outgoing` to `deliver`: counts
-    /// what the agents sent, injects `pattern`'s omissions — the frames
-    /// are lost exactly where a lossy network would lose them — and
-    /// counts what survived.
-    fn carry(&mut self, round: u32, sent: RoundFrames, pattern: &FailurePattern) -> RoundFrames {
-        let bytes = |frames: &RoundFrames| -> u64 {
-            let frames = frames.iter().flatten().flatten();
-            frames.map(|frame| frame.len() as u64).sum()
-        };
-        self.bytes_sent += bytes(&sent);
-        let (delivered, traffic) = apply_pattern(round, sent, pattern);
-        self.bytes_delivered += bytes(&delivered);
-        self.frames_sent += traffic.sent;
-        self.round_traffic.push(traffic);
-        delivered
-    }
-}
-
-/// Runs a [`Context`] over encoded frames for `horizon` rounds: the
-/// context supplies both halves of the stack (and its failure model,
-/// which the injected pattern must be admissible under), the caller
-/// supplies the wire codec. Single-threaded and deterministic: the same
-/// round engine the service multiplexes, driven in a loop.
-///
-/// # Errors
-///
-/// Returns [`EbaError::InvalidInput`] listing every problem
-/// [`admit_scenario`] finds: shape mismatches (wrong number of initial
-/// preferences, pattern built for other parameters) and drops that are
-/// not admissible under the context's
-/// [`FailureModel`](eba_core::failures::FailureModel) through the whole
-/// horizon — e.g. a silent sending-omission adversary injected into an
-/// `@failure_free` context.
-pub fn run_context_cluster<E, P, C>(
-    ctx: &Context<E, P>,
-    codec: &C,
-    pattern: &FailurePattern,
-    inits: &[Value],
-    horizon: u32,
-) -> Result<TransportReport<E>, EbaError>
-where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
-    C: WireCodec<E::Message>,
-{
-    admit_scenario(ctx.params(), ctx.model(), pattern, inits, horizon)?;
-    let mut state = EngineState::new(ctx.exchange(), inits, horizon);
-    let mut wire = WireCount::default();
-    for round in 0..horizon {
-        let sent = state.outgoing(ctx, codec);
-        state.deliver(ctx, codec, wire.carry(round, sent, pattern));
-    }
-    Ok(TransportReport {
-        decision_rounds: state.decision_rounds,
-        decision_values: state.decision_values,
-        final_states: state.states,
-        wire_bytes_sent: wire.bytes_sent,
-        wire_bytes_delivered: wire.bytes_delivered,
-        frames_sent: wire.frames_sent,
-        round_traffic: wire.round_traffic,
-        rounds: horizon,
-    })
-}
-
-/// A name-erased loopback outcome, for stacks selected from the registry
-/// at runtime (final states are stack-specific and therefore dropped).
+/// What a loopback run decided and what it put on the wire.
 #[derive(Clone, Debug)]
 pub struct ClusterSummary {
     /// Per-agent first decision round.
@@ -132,24 +30,33 @@ pub struct ClusterSummary {
 
 /// Runs a freshly built engine to its horizon on the calling thread,
 /// carrying each round's frames from [`outgoing`](SessionEngine::outgoing)
-/// through `pattern`'s omissions to [`deliver`](SessionEngine::deliver) —
-/// the one loop over a type-erased engine: [`run_named_cluster`] is
-/// [`named_engine`] plus this, and every `eba-service` session is one
-/// call of it on a pool worker.
+/// through `pattern`'s omissions ([`apply_pattern`]) to
+/// [`deliver`](SessionEngine::deliver) and counting them on both sides —
+/// the one loop over an engine: [`run_named_cluster`] is [`named_engine`]
+/// plus this, and every `eba-service` session is one call of it on a pool
+/// worker.
 pub fn run_engine(engine: &mut dyn SessionEngine, pattern: &FailurePattern) -> ClusterSummary {
-    let mut wire = WireCount::default();
+    let bytes = |frames: &RoundFrames| -> u64 {
+        let frames = frames.iter().flatten().flatten();
+        frames.map(|frame| frame.len() as u64).sum()
+    };
+    let (mut wire_bytes_sent, mut wire_bytes_delivered) = (0, 0);
+    let mut round_traffic = Vec::new();
     while !engine.finished() {
         let round = engine.round();
-        let sent = engine.outgoing();
-        engine.deliver(wire.carry(round, sent, pattern));
+        let mut frames = engine.outgoing();
+        wire_bytes_sent += bytes(&frames);
+        round_traffic.push(apply_pattern(round, &mut frames, pattern));
+        wire_bytes_delivered += bytes(&frames);
+        engine.deliver(frames);
     }
     ClusterSummary {
         decision_rounds: engine.decision_rounds().to_vec(),
         decision_values: engine.decision_values().to_vec(),
-        wire_bytes_sent: wire.bytes_sent,
-        wire_bytes_delivered: wire.bytes_delivered,
-        frames_sent: wire.frames_sent,
-        round_traffic: wire.round_traffic,
+        wire_bytes_sent,
+        wire_bytes_delivered,
+        frames_sent: round_traffic.iter().map(|t| t.sent).sum(),
+        round_traffic,
         rounds: engine.round(),
     }
 }
@@ -177,9 +84,8 @@ pub fn run_engine(engine: &mut dyn SessionEngine, pattern: &FailurePattern) -> C
 ///
 /// # Errors
 ///
-/// Exactly as [`run_context_cluster`], with every message prefixed by the
-/// qualified stack name (`E_fip/P_opt@crash`) so a battery over many
-/// registry stacks reports which one failed.
+/// As [`named_engine`]: every shape mismatch and every drop the stack's
+/// failure model does not admit, prefixed by the qualified stack name.
 pub fn run_named_cluster(
     stack: &NamedStack,
     pattern: &FailurePattern,
@@ -193,7 +99,6 @@ pub fn run_named_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{BasicCodec, FipCodec, MinCodec};
     use eba_core::prelude::*;
     use eba_sim::prelude::*;
 
@@ -201,11 +106,19 @@ mod tests {
         Params::new(4, 1).unwrap()
     }
 
+    /// One loopback run of the registry stack `name`.
+    fn wire(
+        name: &str,
+        pattern: &FailurePattern,
+        inits: &[Value],
+    ) -> Result<ClusterSummary, EbaError> {
+        run_named_cluster(&NamedStack::by_name(name, params())?, pattern, inits, 4)
+    }
+
     #[test]
     fn failure_free_pbasic_matches_prop82() {
-        let ctx = Context::basic(params());
         let pattern = FailurePattern::failure_free(params());
-        let report = run_context_cluster(&ctx, &BasicCodec, &pattern, &[Value::One; 4], 4).unwrap();
+        let report = wire("E_basic/P_basic", &pattern, &[Value::One; 4]).unwrap();
         assert!(report.decision_rounds.iter().all(|r| *r == Some(2)));
         assert!(report
             .decision_values
@@ -215,6 +128,8 @@ mod tests {
 
     #[test]
     fn cluster_matches_lockstep_simulator_exactly() {
+        // Decisions here; the final states are compared in
+        // `engine::tests::final_states_equal_the_lockstep_trace`.
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
         let ctx = Context::basic(params());
@@ -229,15 +144,12 @@ mod tests {
             let trace = Scenario::of(&ctx)
                 .pattern(pattern.clone())
                 .inits(&inits)
+                .horizon(4)
                 .run()
                 .unwrap();
-            let report =
-                run_context_cluster(&ctx, &BasicCodec, &pattern, &inits, trace.horizon()).unwrap();
+            let report = wire("E_basic/P_basic", &pattern, &inits).unwrap();
             assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
             assert_eq!(report.decision_values, trace.metrics.decision_values);
-            // Final states agree bit for bit (codecs are loss-free).
-            let last = trace.states.last().unwrap();
-            assert_eq!(&report.final_states, last);
         }
     }
 
@@ -250,20 +162,19 @@ mod tests {
         let trace = Scenario::of(&ctx)
             .pattern(pattern.clone())
             .inits(&inits)
+            .horizon(4)
             .run()
             .unwrap();
-        let report =
-            run_context_cluster(&ctx, &FipCodec, &pattern, &inits, trace.horizon()).unwrap();
+        let report = wire("E_fip/P_opt", &pattern, &inits).unwrap();
         assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
-        assert_eq!(&report.final_states, trace.states.last().unwrap());
+        assert_eq!(report.decision_values, trace.metrics.decision_values);
     }
 
     #[test]
     fn min_wire_bytes_equal_message_count() {
         // E_min frames are exactly one byte, so wire bytes = messages = n².
-        let ctx = Context::minimal(params());
         let pattern = FailurePattern::failure_free(params());
-        let report = run_context_cluster(&ctx, &MinCodec, &pattern, &[Value::One; 4], 4).unwrap();
+        let report = wire("E_min/P_min", &pattern, &[Value::One; 4]).unwrap();
         assert_eq!(report.wire_bytes_sent, 16);
         assert_eq!(report.frames_sent, 16);
         assert_eq!(report.wire_bytes_delivered, 16);
@@ -271,23 +182,21 @@ mod tests {
 
     #[test]
     fn dropped_frames_are_not_delivered() {
-        let ctx = Context::minimal(params());
         let faulty = AgentSet::singleton(AgentId::new(0));
         let pattern = silent_pattern(params(), faulty, 4).unwrap();
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let report = run_context_cluster(&ctx, &MinCodec, &pattern, &inits, 4).unwrap();
+        let report = wire("E_min/P_min", &pattern, &inits).unwrap();
         // a0's 3 frames to others are dropped (self-delivery kept).
         assert_eq!(report.wire_bytes_sent - report.wire_bytes_delivered, 3);
     }
 
     #[test]
     fn shape_errors_are_reported() {
-        let ctx = Context::minimal(params());
         let pattern = FailurePattern::failure_free(params());
-        let err = run_context_cluster(&ctx, &MinCodec, &pattern, &[Value::One; 3], 4).unwrap_err();
+        let err = wire("E_min/P_min", &pattern, &[Value::One; 3]).unwrap_err();
         assert!(err.to_string().contains("inits: got 3"), "{err}");
         let other = FailurePattern::failure_free(Params::new(5, 1).unwrap());
-        let err = run_context_cluster(&ctx, &MinCodec, &other, &[Value::One; 4], 4).unwrap_err();
+        let err = wire("E_min/P_min", &other, &[Value::One; 4]).unwrap_err();
         assert!(
             err.to_string().contains("pattern: got a pattern built for"),
             "{err}"
@@ -359,11 +268,10 @@ mod tests {
 
     #[test]
     fn round_traffic_accounts_for_every_frame() {
-        let ctx = Context::minimal(params());
         let faulty = AgentSet::singleton(AgentId::new(0));
         let pattern = silent_pattern(params(), faulty, 4).unwrap();
         let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let report = run_context_cluster(&ctx, &MinCodec, &pattern, &inits, 4).unwrap();
+        let report = wire("E_min/P_min", &pattern, &inits).unwrap();
         assert_eq!(report.round_traffic.len(), 4);
         // Per-round counters sum to the run totals…
         let sent: u64 = report.round_traffic.iter().map(|t| t.sent).sum();
@@ -398,9 +306,7 @@ mod tests {
         // context: receive-side drops are not sending omissions.
         let faulty = AgentSet::singleton(AgentId::new(0));
         let pattern = isolation_pattern(params(), faulty, 4).unwrap();
-        let ctx = Context::basic(params());
-        let err =
-            run_context_cluster(&ctx, &BasicCodec, &pattern, &[Value::One; 4], 4).unwrap_err();
+        let err = wire("E_basic/P_basic", &pattern, &[Value::One; 4]).unwrap_err();
         assert!(err.to_string().contains("sending_omission model"), "{err}");
     }
 }

@@ -1,13 +1,17 @@
 //! The round engine: the one place a stack runs over **encoded** frames.
 //!
-//! Section 3's global transition, at the byte level: `P_i` picks each
+//! Section 3's global transition, at the byte level, stepped by
+//! `eba-core`'s round kernel ([`eba_core::exchange`]): `P_i` picks each
 //! agent's action, `μ_i` selects its messages and the codec encodes them
 //! ([`SessionEngine::outgoing`]); the failure pattern filters the frames
-//! ([`apply_pattern`]); the codec decodes the survivors and `δ_i` updates
-//! every state ([`SessionEngine::deliver`]).
+//! ([`apply_pattern`]); the kernel's channel is the surviving frames,
+//! decoded, and `δ_i` updates every state ([`SessionEngine::deliver`]).
 
 use eba_core::context::{admit_scenario, error_message, Context, NamedStack};
-use eba_core::exchange::InformationExchange;
+use eba_core::exchange::{
+    choose_actions, deliver_round, initial_states, record_decisions, select_messages,
+    InformationExchange, NoObserver,
+};
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{Action, AgentId, EbaError, Value};
@@ -17,8 +21,8 @@ use crate::codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
 /// One round's encoded frames, indexed `[from][to]` (`None` = no message).
 pub type RoundFrames = Vec<Vec<Option<Vec<u8>>>>;
 
-/// Per-round message counters, shared by the loopback drivers
-/// ([`TransportReport`](crate::TransportReport)) and the multiplexed
+/// Per-round message counters, shared by the loopback driver
+/// ([`ClusterSummary`](crate::ClusterSummary)) and the multiplexed
 /// service (`ServiceReport` in `eba-service`), so both report comparable
 /// observability data.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -44,28 +48,29 @@ impl RoundTraffic {
     }
 }
 
-/// Applies `pattern` to one round of frames, counting traffic — the one
-/// place omissions are injected into encoded frames. Frames are moved,
-/// not cloned: a dropped frame is simply not forwarded.
+/// Applies `pattern` to one round of frames in place — the one place
+/// omissions are injected into encoded frames: a dropped frame becomes
+/// `None`, exactly where a lossy network would lose it.
 pub fn apply_pattern(
     round: u32,
-    frames: RoundFrames,
+    frames: &mut RoundFrames,
     pattern: &FailurePattern,
-) -> (RoundFrames, RoundTraffic) {
-    let n = frames.len();
+) -> RoundTraffic {
     let mut traffic = RoundTraffic::default();
-    let mut delivered: RoundFrames = (0..n).map(|_| vec![None; n]).collect();
-    for (from, row) in frames.into_iter().enumerate() {
-        for (to, frame) in row.into_iter().enumerate() {
-            let Some(frame) = frame else { continue };
+    for (from, row) in frames.iter_mut().enumerate() {
+        for (to, frame) in row.iter_mut().enumerate() {
+            if frame.is_none() {
+                continue;
+            }
             traffic.sent += 1;
             if pattern.delivers(round, AgentId::new(from), AgentId::new(to)) {
                 traffic.delivered += 1;
-                delivered[from][to] = Some(frame);
+            } else {
+                *frame = None;
             }
         }
     }
-    (delivered, traffic)
+    traffic
 }
 
 /// A type-erased, resumable EBA session advancing one synchronous round
@@ -75,8 +80,7 @@ pub fn apply_pattern(
 /// The engine does **not** apply the failure pattern — whoever carries
 /// the frames between the two calls does, with [`apply_pattern`]:
 /// [`run_engine`](crate::run_engine), which the loopback and every
-/// service session call, and the typed loop of
-/// [`run_context_cluster`](crate::run_context_cluster).
+/// service session call.
 pub trait SessionEngine: Send {
     /// The current (0-based) message round.
     fn round(&self) -> u32;
@@ -128,108 +132,36 @@ pub fn named_engine(
     })
 }
 
-/// Every agent's state in lockstep, plus the first-`Decide` bookkeeping.
-/// The stack and codec are passed to each step rather than owned, so a
-/// driver holding only a borrowed [`Context`] steps the same code as the
-/// owning [`TypedEngine`].
-pub(crate) struct EngineState<E: InformationExchange> {
-    pub(crate) states: Vec<E::State>,
-    /// Actions computed by `outgoing`, consumed by `deliver`.
+/// The monomorphic engine behind [`named_engine`]: one `(E, P)` stack, its
+/// codec and every agent's state, stepped by `eba-core`'s round kernel.
+struct TypedEngine<E: InformationExchange, P, C> {
+    ctx: Context<E, P>,
+    codec: C,
+    states: Vec<E::State>,
+    /// Chosen by `outgoing`, consumed by `deliver`.
     actions: Vec<Action>,
     awaiting_delivery: bool,
-    pub(crate) decision_rounds: Vec<Option<u32>>,
-    pub(crate) decision_values: Vec<Option<Value>>,
+    decision_rounds: Vec<Option<u32>>,
+    decision_values: Vec<Option<Value>>,
     round: u32,
     horizon: u32,
 }
 
-impl<E: InformationExchange> EngineState<E> {
+impl<E: InformationExchange, P: ActionProtocol<E>, C> TypedEngine<E, P, C> {
     /// Initial states for an admitted scenario (`inits.len() == n`).
-    pub(crate) fn new(exchange: &E, inits: &[Value], horizon: u32) -> Self {
+    fn new(ctx: Context<E, P>, codec: C, inits: &[Value], horizon: u32) -> Self {
         let n = inits.len();
-        EngineState {
-            states: (0..n)
-                .map(|i| exchange.initial_state(AgentId::new(i), inits[i]))
-                .collect(),
-            actions: vec![Action::Noop; n],
+        TypedEngine {
+            states: initial_states(ctx.exchange(), inits),
+            ctx,
+            codec,
+            actions: Vec::new(),
             awaiting_delivery: false,
             decision_rounds: vec![None; n],
             decision_values: vec![None; n],
             round: 0,
             horizon,
         }
-    }
-
-    pub(crate) fn outgoing<P, C>(&mut self, ctx: &Context<E, P>, codec: &C) -> RoundFrames
-    where
-        P: ActionProtocol<E>,
-        C: WireCodec<E::Message>,
-    {
-        assert!(self.round < self.horizon, "outgoing() past the horizon");
-        assert!(
-            !self.awaiting_delivery,
-            "outgoing() called twice in a round"
-        );
-        self.awaiting_delivery = true;
-        let mut frames = Vec::with_capacity(self.states.len());
-        for (i, state) in self.states.iter().enumerate() {
-            let me = AgentId::new(i);
-            let action = ctx.protocol().act(me, state);
-            if let Action::Decide(v) = action {
-                if self.decision_rounds[i].is_none() {
-                    self.decision_rounds[i] = Some(self.round + 1);
-                    self.decision_values[i] = Some(v);
-                }
-            }
-            self.actions[i] = action;
-            let outgoing = ctx.exchange().outgoing(me, state, action);
-            frames.push(
-                outgoing
-                    .iter()
-                    .map(|msg| msg.as_ref().map(|msg| codec.encode(msg)))
-                    .collect(),
-            );
-        }
-        frames
-    }
-
-    pub(crate) fn deliver<P, C>(&mut self, ctx: &Context<E, P>, codec: &C, frames: RoundFrames)
-    where
-        P: ActionProtocol<E>,
-        C: WireCodec<E::Message>,
-    {
-        assert!(self.awaiting_delivery, "deliver() without outgoing()");
-        let n = self.states.len();
-        assert_eq!(frames.len(), n, "delivery shape mismatch");
-        for to in 0..n {
-            let received: Vec<Option<E::Message>> = frames
-                .iter()
-                .map(|row| row[to].as_deref().map(|bytes| codec.decode(bytes)))
-                .collect();
-            self.states[to] = ctx.exchange().update(
-                AgentId::new(to),
-                &self.states[to],
-                self.actions[to],
-                &received,
-            );
-        }
-        self.round += 1;
-        self.awaiting_delivery = false;
-    }
-}
-
-/// The monomorphic engine behind [`named_engine`]: one `(E, P)` stack
-/// plus its codec, owning the [`EngineState`] it steps.
-struct TypedEngine<E: InformationExchange, P, C> {
-    ctx: Context<E, P>,
-    codec: C,
-    state: EngineState<E>,
-}
-
-impl<E: InformationExchange, P: ActionProtocol<E>, C> TypedEngine<E, P, C> {
-    fn new(ctx: Context<E, P>, codec: C, inits: &[Value], horizon: u32) -> Self {
-        let state = EngineState::new(ctx.exchange(), inits, horizon);
-        TypedEngine { ctx, codec, state }
     }
 }
 
@@ -240,26 +172,184 @@ where
     C: WireCodec<E::Message> + Send,
 {
     fn round(&self) -> u32 {
-        self.state.round
+        self.round
     }
 
     fn finished(&self) -> bool {
-        self.state.round >= self.state.horizon
+        self.round >= self.horizon
     }
 
     fn outgoing(&mut self) -> RoundFrames {
-        self.state.outgoing(&self.ctx, &self.codec)
+        assert!(self.round < self.horizon, "outgoing() past the horizon");
+        assert!(
+            !self.awaiting_delivery,
+            "outgoing() called twice in a round"
+        );
+        self.awaiting_delivery = true;
+        self.actions = choose_actions(self.ctx.protocol(), &self.states);
+        record_decisions(
+            self.round,
+            &self.actions,
+            &mut self.decision_rounds,
+            &mut self.decision_values,
+        );
+        // Sender by sender, so one row of messages is alive at a time.
+        (self.states.iter().zip(&self.actions).enumerate())
+            .map(|(i, (state, action))| {
+                let from = AgentId::new(i);
+                select_messages(self.ctx.exchange(), from, state, *action, &mut NoObserver)
+                    .iter()
+                    .map(|msg| msg.as_ref().map(|msg| self.codec.encode(msg)))
+                    .collect()
+            })
+            .collect()
     }
 
     fn deliver(&mut self, frames: RoundFrames) {
-        self.state.deliver(&self.ctx, &self.codec, frames)
+        assert!(self.awaiting_delivery, "deliver() without outgoing()");
+        assert_eq!(frames.len(), self.states.len(), "delivery shape mismatch");
+        self.states = deliver_round(
+            self.ctx.exchange(),
+            &self.states,
+            &self.actions,
+            |from, to| {
+                let frame = frames[from.index()][to.index()].as_deref()?;
+                Some(self.codec.decode(frame))
+            },
+            &mut NoObserver,
+        );
+        self.round += 1;
+        self.awaiting_delivery = false;
     }
 
     fn decision_rounds(&self) -> &[Option<u32>] {
-        &self.state.decision_rounds
+        &self.decision_rounds
     }
 
     fn decision_values(&self) -> &[Option<Value>] {
-        &self.state.decision_values
+        &self.decision_values
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{run_engine, ClusterSummary};
+    use eba_core::exchange::BasicMsg;
+    use eba_core::failures::{AdversarySampler, FailureModel};
+    use eba_core::types::Params;
+    use eba_sim::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const HORIZON: u32 = 4;
+
+    fn params() -> Params {
+        Params::new(4, 1).unwrap()
+    }
+
+    /// `cases` sampled `(pattern, inits)` pairs under `model`.
+    fn sampled(model: FailureModel, seed: u64, cases: usize) -> Vec<(FailurePattern, Vec<Value>)> {
+        let sampler = AdversarySampler::new(model, params(), HORIZON, 0.35);
+        let mut rng = StdRng::seed_from_u64(seed);
+        (0..cases)
+            .map(|_| {
+                let pattern = sampler.sample(&mut rng);
+                let bits: u32 = rng.random_range(0..16);
+                let inits = (0..4)
+                    .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
+                    .collect();
+                (pattern, inits)
+            })
+            .collect()
+    }
+
+    /// One run of `ctx` through a [`TypedEngine`] over `codec`, next to
+    /// the lockstep trace of the same scenario.
+    fn wire_and_lockstep<E, P, C>(
+        ctx: &Context<E, P>,
+        codec: C,
+        pattern: &FailurePattern,
+        inits: &[Value],
+    ) -> (ClusterSummary, Vec<E::State>, Trace<E>)
+    where
+        E: InformationExchange + Clone + Send,
+        P: ActionProtocol<E> + Clone + Send,
+        C: WireCodec<E::Message> + Send,
+    {
+        let mut engine = TypedEngine::new(ctx.clone(), codec, inits, HORIZON);
+        let summary = run_engine(&mut engine, pattern);
+        let trace = Scenario::of(ctx)
+            .pattern(pattern.clone())
+            .inits(inits)
+            .horizon(HORIZON)
+            .run()
+            .unwrap();
+        (summary, engine.states, trace)
+    }
+
+    fn assert_equals_lockstep<E, P, C>(ctx: Context<E, P>, codec: C)
+    where
+        E: InformationExchange + Clone + Send,
+        P: ActionProtocol<E> + Clone + Send,
+        C: WireCodec<E::Message> + Copy + Send,
+    {
+        let ctx = ctx.with_model(FailureModel::GeneralOmission);
+        for (pattern, inits) in sampled(FailureModel::GeneralOmission, 77, 40) {
+            let (summary, states, trace) = wire_and_lockstep(&ctx, codec, &pattern, &inits);
+            let what = format!("{} {inits:?} {pattern:?}", ctx.name());
+            assert_eq!(&states, trace.states.last().unwrap(), "{what}");
+            assert_eq!(
+                summary.decision_rounds, trace.metrics.decision_rounds,
+                "{what}"
+            );
+            assert_eq!(
+                summary.decision_values, trace.metrics.decision_values,
+                "{what}"
+            );
+            assert_eq!(summary.frames_sent, trace.metrics.messages_sent, "{what}");
+        }
+    }
+
+    #[test]
+    fn final_states_equal_the_lockstep_trace() {
+        // Bit for bit, for every codec: the codecs lose nothing and the
+        // loop routes every surviving frame to its receiver.
+        assert_equals_lockstep(Context::minimal(params()), MinCodec);
+        assert_equals_lockstep(Context::basic(params()), BasicCodec);
+        assert_equals_lockstep(Context::fip(params()), FipCodec);
+        assert_equals_lockstep(Context::naive(params()), NaiveCodec);
+    }
+
+    /// [`BasicCodec`], except that a `Decide(1)` arrives as `Decide(0)`.
+    #[derive(Clone, Copy)]
+    struct LossyBasicCodec;
+
+    impl WireCodec<BasicMsg> for LossyBasicCodec {
+        fn encode(&self, msg: &BasicMsg) -> Vec<u8> {
+            BasicCodec.encode(msg)
+        }
+
+        fn decode(&self, bytes: &[u8]) -> BasicMsg {
+            match BasicCodec.decode(bytes) {
+                BasicMsg::Decide(Value::One) => BasicMsg::Decide(Value::Zero),
+                msg => msg,
+            }
+        }
+    }
+
+    #[test]
+    fn a_lossy_codec_is_caught_by_the_differential() {
+        // The canary: sharing the kernel with the oracle must not blind
+        // the wire-vs-lockstep comparison to what the wire path owns.
+        let ctx = Context::basic(params());
+        let caught = sampled(FailureModel::SendingOmission, 77, 40)
+            .iter()
+            .filter(|(pattern, inits)| {
+                let (summary, _, trace) = wire_and_lockstep(&ctx, LossyBasicCodec, pattern, inits);
+                summary.decision_values != trace.metrics.decision_values
+            })
+            .count();
+        assert!(caught > 0, "no sampled case exposes the lossy codec");
     }
 }

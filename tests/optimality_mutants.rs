@@ -1,4 +1,4 @@
-//! Mutant-based optimality evidence (DESIGN.md §6).
+//! Mutant-based optimality evidence (`docs/GUIDE.md` §1, fidelity notes).
 //!
 //! Full optimality is a theorem (Cor 6.7 / 7.8, obtained via the
 //! implements-checks of E7 plus Thms 6.3 / 7.6); what testing *can* show

@@ -3,7 +3,7 @@
 //! wire loopback against the lockstep simulator.
 
 use eba::prelude::*;
-use eba::transport::{run_context_cluster, BasicCodec, MinCodec};
+use eba::transport::run_named_cluster;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -119,7 +119,9 @@ proptest! {
         prop_assert_eq!(a.actions, b.actions);
     }
 
-    /// The wire loopback agrees with the lockstep simulator exactly.
+    /// The wire loopback agrees with the lockstep simulator exactly (on
+    /// final states too: `eba-transport`'s
+    /// `final_states_equal_the_lockstep_trace`).
     #[test]
     fn transport_equals_lockstep(
         seed in any::<u64>(),
@@ -129,19 +131,21 @@ proptest! {
         let (params, pattern, inits) = instance(4, 1, drop_prob, seed, init_bits);
         let ctx = Context::minimal(params);
         let trace = run_on(&ctx, &pattern, &inits);
-        let report = run_context_cluster(
-            &ctx, &MinCodec, &pattern, &inits, trace.horizon(),
+        let report = run_named_cluster(
+            &NamedStack::Min(ctx), &pattern, &inits, trace.horizon(),
         ).unwrap();
         prop_assert_eq!(&report.decision_rounds, &trace.metrics.decision_rounds);
-        prop_assert_eq!(&report.final_states, trace.states.last().unwrap());
+        prop_assert_eq!(&report.decision_values, &trace.metrics.decision_values);
+        prop_assert_eq!(report.frames_sent, trace.metrics.messages_sent);
 
         let ctx = Context::basic(params);
         let trace = run_on(&ctx, &pattern, &inits);
-        let report = run_context_cluster(
-            &ctx, &BasicCodec, &pattern, &inits, trace.horizon(),
+        let report = run_named_cluster(
+            &NamedStack::Basic(ctx), &pattern, &inits, trace.horizon(),
         ).unwrap();
         prop_assert_eq!(&report.decision_rounds, &trace.metrics.decision_rounds);
-        prop_assert_eq!(&report.final_states, trace.states.last().unwrap());
+        prop_assert_eq!(&report.decision_values, &trace.metrics.decision_values);
+        prop_assert_eq!(report.frames_sent, trace.metrics.messages_sent);
     }
 
     /// Crash patterns are a special case of omission patterns: the naive

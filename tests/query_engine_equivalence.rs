@@ -167,12 +167,13 @@ fn p1_guard_family_dedups_across_values_and_agents() {
     let mut arena = FormulaArena::new();
     let mut roots = Vec::new();
     for v in Value::ALL {
-        let nd = arena.no_nonfaulty_decided(n, v.other());
-        let e = arena.exists_init(v);
-        let body = arena.and(vec![nd, e]);
-        let ck = arena.ck_t_faulty_and(params, body);
+        let body = Formula::And(vec![
+            Formula::no_nonfaulty_decided(n, v.other()),
+            Formula::ExistsInit(v),
+        ]);
+        let ck = ck_t_faulty_and(params, body);
         for i in AgentId::all(n) {
-            roots.push(arena.knows(i, ck));
+            roots.push(arena.intern(&Formula::knows(i, ck.clone())));
         }
     }
     let plan = QueryPlan::new(&arena, &roots);

@@ -314,9 +314,9 @@ fn cond0(g: &CommGraph, decisions: &[Option<Action>], params: Params, j: AgentId
         return g.pref(j).value() == Some(Value::Zero);
     }
     let n = params.n();
-    params.agents().any(|k| {
-        g.edge(m, k, j) == EdgeLabel::Delivered
-            && decisions[(m as usize - 1) * n + k.index()] == Some(Action::Decide(Value::Zero))
+    g.incoming(m, j).enumerate().any(|(k, label)| {
+        label == EdgeLabel::Delivered
+            && decisions[(m as usize - 1) * n + k] == Some(Action::Decide(Value::Zero))
     })
 }
 

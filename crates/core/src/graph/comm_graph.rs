@@ -6,6 +6,11 @@ use crate::types::{AgentId, Value};
 
 use super::{EdgeLabel, PrefLabel};
 
+/// Labels per `u64` word: 2 bits each.
+const LABELS_PER_WORD: usize = 32;
+/// The low bit of every 2-bit symbol in a word.
+const LOW_BITS: u64 = 0x5555_5555_5555_5555;
+
 /// A communication graph `G_{i,m}`: agent `i`'s compact view of the message
 /// pattern up to time `m` under the full-information exchange.
 ///
@@ -13,6 +18,13 @@ use super::{EdgeLabel, PrefLabel};
 /// `m' ∈ 1..=m` and ordered agent pair `(from, to)` there is an edge
 /// `(from, m'-1) → (to, m')` carrying an [`EdgeLabel`]; every agent has a
 /// [`PrefLabel`] (a label on its time-0 vertex).
+///
+/// Labels are stored as the wire format stores them: 2-bit symbols
+/// ([`EdgeLabel::bits`], [`PrefLabel::bits`]) packed 32 to a word, low
+/// bits first — `⌈n/32⌉` preference words, then `⌈time·n²/32⌉` edge words
+/// indexed `(round - 1) * n² + from * n + to`. Padding bits are always
+/// zero, so graphs with equal labels are `==` and hash alike, and merging
+/// knowledge ([`EdgeLabel::merge`] label by label) is a word-wise OR.
 ///
 /// ```
 /// use eba_core::graph::{CommGraph, EdgeLabel, PrefLabel};
@@ -27,24 +39,74 @@ use super::{EdgeLabel, PrefLabel};
 pub struct CommGraph {
     n: u16,
     time: u32,
-    /// Initial-preference labels, one per agent.
-    prefs: Vec<PrefLabel>,
-    /// Edge labels, indexed `(round - 1) * n² + from * n + to` for rounds
-    /// `1..=time`.
-    edges: Vec<EdgeLabel>,
+    /// Preference words, then edge words.
+    words: Vec<u64>,
+}
+
+/// The words that hold `labels` labels.
+fn words_for(labels: usize) -> usize {
+    labels.div_ceil(LABELS_PER_WORD)
+}
+
+/// The word of its section, and the shift within it, of label `idx`.
+fn slot(idx: usize) -> (usize, usize) {
+    (idx / LABELS_PER_WORD, 2 * (idx % LABELS_PER_WORD))
+}
+
+/// Edge label `idx` of the edge words.
+fn label_at(edge_words: &[u64], idx: usize) -> EdgeLabel {
+    let (word, shift) = slot(idx);
+    EdgeLabel::from_bits(edge_words[word] >> shift & 0b11)
+}
+
+/// Whether a word holds the symbol `0b11`, which no label has: what two
+/// known labels that disagree OR to.
+fn has_invalid_symbol(word: u64) -> bool {
+    word & (word >> 1) & LOW_BITS != 0
 }
 
 impl CommGraph {
     /// The graph `G_{i,0}`: agent `owner` knows only its own preference.
     pub fn initial(n: usize, owner: AgentId, init: Value) -> Self {
         assert!(owner.index() < n);
-        let mut prefs = vec![PrefLabel::Unknown; n];
-        prefs[owner.index()] = PrefLabel::Known(init);
+        let mut words = vec![0; words_for(n)];
+        let (word, shift) = slot(owner.index());
+        words[word] = PrefLabel::Known(init).bits() << shift;
         CommGraph {
             n: n as u16,
             time: 0,
-            prefs,
-            edges: Vec::new(),
+            words,
+        }
+    }
+
+    /// Reassembles a graph from its words ([`CommGraph::pref_words`]
+    /// followed by [`CommGraph::edge_words`]), used by wire codecs. Padding
+    /// bits are cleared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word count is not that of an `(n, time)` graph or a
+    /// label's symbol is `0b11`.
+    pub fn from_words(n: usize, time: u32, mut words: Vec<u64>) -> CommGraph {
+        let edges = time as usize * n * n;
+        assert_eq!(
+            words.len(),
+            words_for(n) + words_for(edges),
+            "label word count"
+        );
+        let (pref_words, edge_words) = words.split_at_mut(words_for(n));
+        for (section, labels, what) in [(pref_words, n, "preference"), (edge_words, edges, "edge")]
+        {
+            if let Some(last) = section.last_mut().filter(|_| slot(labels).1 != 0) {
+                *last &= (1 << slot(labels).1) - 1;
+            }
+            let invalid = section.iter().any(|w| has_invalid_symbol(*w));
+            assert!(!invalid, "invalid {what} label bits 3");
+        }
+        CommGraph {
+            n: n as u16,
+            time,
+            words,
         }
     }
 
@@ -58,6 +120,18 @@ impl CommGraph {
         self.time
     }
 
+    /// The packed preference labels: label `agent` is bits
+    /// `2·(agent % 32)..` of word `agent / 32`.
+    pub fn pref_words(&self) -> &[u64] {
+        &self.words[..words_for(self.n())]
+    }
+
+    /// The packed edge labels, laid out like the preference words over the
+    /// index `(round - 1) * n² + from * n + to`.
+    pub fn edge_words(&self) -> &[u64] {
+        &self.words[words_for(self.n())..]
+    }
+
     fn edge_index(&self, round: u32, from: AgentId, to: AgentId) -> usize {
         debug_assert!(
             round >= 1 && round <= self.time,
@@ -68,24 +142,42 @@ impl CommGraph {
         (round as usize - 1) * n * n + from.index() * n + to.index()
     }
 
+    fn edge_at(&self, idx: usize) -> EdgeLabel {
+        label_at(self.edge_words(), idx)
+    }
+
     /// The label of the edge `(from, round-1) → (to, round)`.
     ///
     /// # Panics
     ///
     /// Panics (in debug builds) if `round` is not in `1..=time`.
     pub fn edge(&self, round: u32, from: AgentId, to: AgentId) -> EdgeLabel {
-        self.edges[self.edge_index(round, from, to)]
+        self.edge_at(self.edge_index(round, from, to))
+    }
+
+    /// The labels of the `n` round-`round` edges into `to`, by sender: the
+    /// column `edge(round, ·, to)`, located once.
+    pub fn incoming(&self, round: u32, to: AgentId) -> impl Iterator<Item = EdgeLabel> + '_ {
+        let (n, words) = (self.n(), self.edge_words());
+        let first = self.edge_index(round, AgentId::new(0), to);
+        (0..n).map(move |from| label_at(words, first + from * n))
     }
 
     /// Sets an edge label (merging with any existing knowledge).
     pub fn set_edge(&mut self, round: u32, from: AgentId, to: AgentId, label: EdgeLabel) {
-        let idx = self.edge_index(round, from, to);
-        self.edges[idx] = self.edges[idx].merge(label);
+        let (word, shift) = slot(self.edge_index(round, from, to));
+        let at = words_for(self.n()) + word;
+        self.words[at] |= label.bits() << shift;
+        debug_assert!(
+            !has_invalid_symbol(self.words[at]),
+            "inconsistent edge labels from one run"
+        );
     }
 
     /// The preference label of `agent`.
     pub fn pref(&self, agent: AgentId) -> PrefLabel {
-        self.prefs[agent.index()]
+        let (word, shift) = slot(agent.index());
+        PrefLabel::from_bits(self.pref_words()[word] >> shift & 0b11)
     }
 
     /// Merges all knowledge from `other` into `self`.
@@ -93,7 +185,8 @@ impl CommGraph {
     /// # Panics
     ///
     /// Panics if `other` covers more rounds than `self` or describes a
-    /// different number of agents.
+    /// different number of agents, and (in debug builds) if two known
+    /// labels disagree, which cannot happen for graphs from a single run.
     pub fn merge_from(&mut self, other: &CommGraph) {
         assert_eq!(self.n, other.n, "agent-count mismatch in graph merge");
         assert!(
@@ -102,12 +195,19 @@ impl CommGraph {
             other.time,
             self.time
         );
-        for (p, o) in self.prefs.iter_mut().zip(&other.prefs) {
-            *p = p.merge(*o);
-        }
-        for (idx, o) in other.edges.iter().enumerate() {
-            // `other`'s edge layout is a prefix of `self`'s.
-            self.edges[idx] = self.edges[idx].merge(*o);
+        let pref_words = words_for(self.n());
+        // `other`'s word layout is a prefix of `self`'s.
+        for (idx, (w, o)) in self.words.iter_mut().zip(&other.words).enumerate() {
+            *w |= o;
+            let what = if idx < pref_words {
+                "preference"
+            } else {
+                "edge"
+            };
+            debug_assert!(
+                !has_invalid_symbol(*w),
+                "inconsistent {what} labels from one run"
+            );
         }
     }
 
@@ -123,17 +223,16 @@ impl CommGraph {
     pub fn receive_round(&self, owner: AgentId, received: &[Option<&CommGraph>]) -> CommGraph {
         let n = self.n();
         assert_eq!(received.len(), n, "expected one slot per agent");
+        let time = self.time + 1;
+        let len = words_for(n) + words_for(time as usize * n * n);
+        let mut words = Vec::with_capacity(len);
+        words.extend_from_slice(&self.words);
+        words.resize(len, 0);
         let mut next = CommGraph {
             n: self.n,
-            time: self.time + 1,
-            prefs: self.prefs.clone(),
-            edges: {
-                let mut e = self.edges.clone();
-                e.extend(std::iter::repeat_n(EdgeLabel::Unknown, n * n));
-                e
-            },
+            time,
+            words,
         };
-        let new_round = next.time;
         #[allow(clippy::needless_range_loop)] // j is a sender id, used both as index and AgentId
         for j in 0..n {
             let from = AgentId::new(j);
@@ -141,10 +240,10 @@ impl CommGraph {
                 Some(g) => {
                     assert_eq!(g.time, self.time, "received a graph from a different round");
                     next.merge_from(g);
-                    next.set_edge(new_round, from, owner, EdgeLabel::Delivered);
+                    next.set_edge(time, from, owner, EdgeLabel::Delivered);
                 }
                 None => {
-                    next.set_edge(new_round, from, owner, EdgeLabel::Dropped);
+                    next.set_edge(time, from, owner, EdgeLabel::Dropped);
                 }
             }
         }
@@ -156,53 +255,20 @@ impl CommGraph {
     /// This is the `O(n² t)`-per-message / `O(n⁴ t²)`-per-run accounting
     /// that Section 8 compares against.
     pub fn size_bits(&self) -> u64 {
-        2 * (self.prefs.len() as u64 + self.edges.len() as u64)
-    }
-
-    /// Reassembles a graph from raw parts (the inverse of
-    /// [`CommGraph::pref_labels`] / [`CommGraph::edge_labels`]), used by
-    /// wire codecs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prefs.len() != n` or `edges.len() != time * n²`.
-    pub fn from_parts(
-        n: usize,
-        time: u32,
-        prefs: Vec<PrefLabel>,
-        edges: Vec<EdgeLabel>,
-    ) -> CommGraph {
-        assert_eq!(prefs.len(), n, "preference label count");
-        assert_eq!(edges.len(), time as usize * n * n, "edge label count");
-        CommGraph {
-            n: n as u16,
-            time,
-            prefs,
-            edges,
-        }
-    }
-
-    /// The raw preference labels, one per agent.
-    pub fn pref_labels(&self) -> &[PrefLabel] {
-        &self.prefs
-    }
-
-    /// The raw edge labels, laid out `(round - 1) * n² + from * n + to`.
-    pub fn edge_labels(&self) -> &[EdgeLabel] {
-        &self.edges
+        let n = self.n() as u64;
+        2 * (n + u64::from(self.time) * n * n)
     }
 
     /// Iterates over all `(round, from, to)` triples with a known label.
     pub fn known_edges(&self) -> impl Iterator<Item = (u32, AgentId, AgentId, EdgeLabel)> + '_ {
         let n = self.n();
-        self.edges.iter().enumerate().filter_map(move |(idx, &l)| {
-            if l.is_known() {
-                let round = (idx / (n * n)) as u32 + 1;
+        (0..self.time as usize * n * n).filter_map(move |idx| {
+            let l = self.edge_at(idx);
+            l.is_known().then(|| {
                 let rem = idx % (n * n);
-                Some((round, AgentId::new(rem / n), AgentId::new(rem % n), l))
-            } else {
-                None
-            }
+                let round = (idx / (n * n)) as u32 + 1;
+                (round, AgentId::new(rem / n), AgentId::new(rem % n), l)
+            })
         })
     }
 }
@@ -211,11 +277,11 @@ impl fmt::Debug for CommGraph {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "CommGraph(n={}, time={})", self.n, self.time)?;
         write!(f, "  prefs: [")?;
-        for (i, p) in self.prefs.iter().enumerate() {
-            if i > 0 {
+        for agent in AgentId::all(self.n()) {
+            if agent.index() > 0 {
                 write!(f, " ")?;
             }
-            write!(f, "{p}")?;
+            write!(f, "{}", self.pref(agent))?;
         }
         writeln!(f, "]")?;
         for round in 1..=self.time {

@@ -46,8 +46,8 @@ impl ConeTable {
                 };
                 cone.insert(vid);
                 if m >= 1 {
-                    for k in 0..n {
-                        if graph.edge(m, AgentId::new(k), AgentId::new(j)) == EdgeLabel::Delivered {
+                    for (k, label) in graph.incoming(m, AgentId::new(j)).enumerate() {
+                        if label == EdgeLabel::Delivered {
                             let prev = Self::vid_raw(n, AgentId::new(k), m - 1);
                             cone.union_with(&cones[prev]);
                         }

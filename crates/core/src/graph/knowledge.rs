@@ -48,8 +48,8 @@ impl KnowledgeTables {
                 // Persistence.
                 let mut f = faulty[prev];
                 let mut vals = values[prev];
-                for k in 0..n {
-                    match graph.edge(m, AgentId::new(k), AgentId::new(j)) {
+                for (k, label) in graph.incoming(m, AgentId::new(j)).enumerate() {
+                    match label {
                         EdgeLabel::Dropped => {
                             // Under sending omissions, a missing message
                             // proves the sender faulty.

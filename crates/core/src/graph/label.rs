@@ -41,6 +41,33 @@ impl EdgeLabel {
     pub fn is_known(self) -> bool {
         self != EdgeLabel::Unknown
     }
+
+    /// The label's 2-bit symbol, in memory and on the wire: `?` = 0,
+    /// delivered = 1, dropped = 2 — so [`EdgeLabel::merge`] of two
+    /// consistent labels is the OR of their symbols, and `0b11` is what
+    /// two contradicting labels would OR to.
+    pub fn bits(self) -> u64 {
+        match self {
+            EdgeLabel::Unknown => 0,
+            EdgeLabel::Delivered => 1,
+            EdgeLabel::Dropped => 2,
+        }
+    }
+
+    /// The label a 2-bit symbol stands for (the inverse of
+    /// [`EdgeLabel::bits`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is not 0, 1 or 2.
+    pub fn from_bits(bits: u64) -> EdgeLabel {
+        match bits {
+            0 => EdgeLabel::Unknown,
+            1 => EdgeLabel::Delivered,
+            2 => EdgeLabel::Dropped,
+            other => panic!("invalid edge label bits {other}"),
+        }
+    }
 }
 
 impl fmt::Display for EdgeLabel {
@@ -81,6 +108,31 @@ impl PrefLabel {
         match self {
             PrefLabel::Unknown => None,
             PrefLabel::Known(v) => Some(v),
+        }
+    }
+
+    /// The label's 2-bit symbol: `?` = 0, preference 0 = 1, preference
+    /// 1 = 2 (see [`EdgeLabel::bits`]).
+    pub fn bits(self) -> u64 {
+        match self {
+            PrefLabel::Unknown => 0,
+            PrefLabel::Known(Value::Zero) => 1,
+            PrefLabel::Known(Value::One) => 2,
+        }
+    }
+
+    /// The label a 2-bit symbol stands for (the inverse of
+    /// [`PrefLabel::bits`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` is not 0, 1 or 2.
+    pub fn from_bits(bits: u64) -> PrefLabel {
+        match bits {
+            0 => PrefLabel::Unknown,
+            1 => PrefLabel::Known(Value::Zero),
+            2 => PrefLabel::Known(Value::One),
+            other => panic!("invalid preference label bits {other}"),
         }
     }
 }
@@ -125,6 +177,25 @@ mod tests {
         assert_eq!(k0.merge(PrefLabel::Unknown), k0);
         assert_eq!(k0.value(), Some(Value::Zero));
         assert_eq!(PrefLabel::Unknown.value(), None);
+    }
+
+    #[test]
+    fn merging_consistent_labels_is_the_or_of_their_symbols() {
+        let edges = [EdgeLabel::Unknown, EdgeLabel::Delivered, EdgeLabel::Dropped];
+        let [zero, one] = Value::ALL.map(PrefLabel::Known);
+        let prefs = [PrefLabel::Unknown, zero, one];
+        for symbol in 0..3 {
+            let (a, p) = (edges[symbol], prefs[symbol]);
+            assert_eq!((a.bits(), p.bits()), (symbol as u64, symbol as u64));
+            assert_eq!(EdgeLabel::from_bits(a.bits()), a);
+            assert_eq!(PrefLabel::from_bits(p.bits()), p);
+            // Every pair but the contradicting one, which ORs to 0b11.
+            for other in (0..3).filter(|other| symbol | other != 0b11) {
+                let merged = (symbol | other) as u64;
+                assert_eq!(a.merge(edges[other]).bits(), merged);
+                assert_eq!(p.merge(prefs[other]).bits(), merged);
+            }
+        }
     }
 
     #[test]

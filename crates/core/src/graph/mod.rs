@@ -24,6 +24,8 @@ mod cone;
 mod knowledge;
 mod label;
 #[cfg(test)]
+mod reference;
+#[cfg(test)]
 pub(crate) mod test_util;
 
 pub use analysis::FipAnalysis;

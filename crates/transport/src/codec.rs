@@ -6,10 +6,11 @@
 //! * `E_min` — 1 byte per message (1 logical bit);
 //! * `E_basic` / `E_naive` — 1–2 bytes (2 logical bits);
 //! * `E_fip` — a 6-byte header plus 2 bits per label, packed 4 per byte
-//!   (`O(n² t)` bits per message, matching the communication-graph bound).
+//!   (`O(n² t)` bits per message, matching the communication-graph bound);
+//!   the graph keeps its labels in that layout, so a frame is a copy.
 
 use eba_core::exchange::{BasicMsg, FipMsg, MinMsg, NaiveMsg};
-use eba_core::graph::{CommGraph, EdgeLabel, PrefLabel};
+use eba_core::graph::CommGraph;
 use eba_core::types::Value;
 
 /// Encodes and decodes one exchange's messages to/from bytes.
@@ -86,100 +87,46 @@ impl WireCodec<NaiveMsg> for NaiveCodec {
     }
 }
 
-/// Codec for `E_fip`: communication graphs with 2-bit labels packed four
-/// to a byte, after a 6-byte header (`n: u16 LE`, `time: u32 LE`).
+/// Codec for `E_fip`: a 6-byte header (`n: u16 LE`, `time: u32 LE`), then
+/// the little-endian image of the graph's preference words and of its
+/// edge words ([`CommGraph::pref_words`], [`CommGraph::edge_words`]), each
+/// cut to whole label bytes — 2-bit labels, four to a byte.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FipCodec;
-
-const LABEL_UNKNOWN: u8 = 0;
-const LABEL_DELIVERED: u8 = 1;
-const LABEL_DROPPED: u8 = 2;
-const PREF_UNKNOWN: u8 = 0;
-const PREF_ZERO: u8 = 1;
-const PREF_ONE: u8 = 2;
-
-fn edge_to_bits(l: EdgeLabel) -> u8 {
-    match l {
-        EdgeLabel::Unknown => LABEL_UNKNOWN,
-        EdgeLabel::Delivered => LABEL_DELIVERED,
-        EdgeLabel::Dropped => LABEL_DROPPED,
-    }
-}
-
-fn edge_from_bits(b: u8) -> EdgeLabel {
-    match b {
-        LABEL_UNKNOWN => EdgeLabel::Unknown,
-        LABEL_DELIVERED => EdgeLabel::Delivered,
-        LABEL_DROPPED => EdgeLabel::Dropped,
-        other => panic!("invalid edge label bits {other}"),
-    }
-}
-
-fn pref_to_bits(p: PrefLabel) -> u8 {
-    match p {
-        PrefLabel::Unknown => PREF_UNKNOWN,
-        PrefLabel::Known(Value::Zero) => PREF_ZERO,
-        PrefLabel::Known(Value::One) => PREF_ONE,
-    }
-}
-
-fn pref_from_bits(b: u8) -> PrefLabel {
-    match b {
-        PREF_UNKNOWN => PrefLabel::Unknown,
-        PREF_ZERO => PrefLabel::Known(Value::Zero),
-        PREF_ONE => PrefLabel::Known(Value::One),
-        other => panic!("invalid preference label bits {other}"),
-    }
-}
-
-/// Packs a stream of 2-bit symbols into bytes (low bits first).
-fn pack2(symbols: impl Iterator<Item = u8>, out: &mut Vec<u8>) {
-    let mut acc = 0u8;
-    let mut filled = 0u8;
-    for s in symbols {
-        debug_assert!(s < 4);
-        acc |= s << (2 * filled);
-        filled += 1;
-        if filled == 4 {
-            out.push(acc);
-            acc = 0;
-            filled = 0;
-        }
-    }
-    if filled > 0 {
-        out.push(acc);
-    }
-}
-
-/// Unpacks `count` 2-bit symbols from bytes.
-fn unpack2(bytes: &[u8], count: usize) -> impl Iterator<Item = u8> + '_ {
-    (0..count).map(move |i| (bytes[i / 4] >> (2 * (i % 4))) & 0b11)
-}
 
 impl WireCodec<FipMsg> for FipCodec {
     fn encode(&self, msg: &FipMsg) -> Vec<u8> {
         let g = &msg.0;
-        let n = g.n();
-        let mut out = Vec::with_capacity(8 + (n + g.edge_labels().len()) / 4 + 2);
+        let (n, edges) = (g.n(), g.time() as usize * g.n() * g.n());
+        let mut out = Vec::with_capacity(6 + 8 * (g.pref_words().len() + g.edge_words().len()));
         out.extend_from_slice(&(n as u16).to_le_bytes());
         out.extend_from_slice(&g.time().to_le_bytes());
-        pack2(g.pref_labels().iter().map(|p| pref_to_bits(*p)), &mut out);
-        pack2(g.edge_labels().iter().map(|e| edge_to_bits(*e)), &mut out);
+        for (words, labels) in [(g.pref_words(), n), (g.edge_words(), edges)] {
+            let end = out.len() + labels.div_ceil(4);
+            for word in words {
+                out.extend_from_slice(&word.to_le_bytes());
+            }
+            out.truncate(end);
+        }
         out
     }
 
     fn decode(&self, bytes: &[u8]) -> FipMsg {
         let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
         let time = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]);
-        let pref_bytes = n.div_ceil(4);
-        let prefs: Vec<PrefLabel> = unpack2(&bytes[6..6 + pref_bytes], n)
-            .map(pref_from_bits)
-            .collect();
-        let edge_count = time as usize * n * n;
-        let edges: Vec<EdgeLabel> = unpack2(&bytes[6 + pref_bytes..], edge_count)
-            .map(edge_from_bits)
-            .collect();
-        FipMsg(CommGraph::from_parts(n, time, prefs, edges))
+        let edges = time as usize * n * n;
+        let mut words = Vec::with_capacity((n + edges) / 32 + 2);
+        let mut at = 6;
+        for labels in [n, edges] {
+            let section = &bytes[at..at + labels.div_ceil(4)];
+            at += section.len();
+            words.extend(section.chunks(8).map(|chunk| {
+                let mut word = [0; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            }));
+        }
+        FipMsg(CommGraph::from_words(n, time, words))
     }
 }
 
@@ -188,6 +135,97 @@ mod tests {
     use super::*;
     use eba_core::exchange::InformationExchange;
     use eba_core::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::hash::{BuildHasher, RandomState};
+
+    // The label-at-a-time encoder `FipCodec` was before the graph became
+    // its own wire image, with its own symbol tables: the oracle for the
+    // frame bytes.
+
+    fn edge_to_bits(l: EdgeLabel) -> u8 {
+        match l {
+            EdgeLabel::Unknown => 0,
+            EdgeLabel::Delivered => 1,
+            EdgeLabel::Dropped => 2,
+        }
+    }
+
+    fn pref_to_bits(p: PrefLabel) -> u8 {
+        match p {
+            PrefLabel::Unknown => 0,
+            PrefLabel::Known(Value::Zero) => 1,
+            PrefLabel::Known(Value::One) => 2,
+        }
+    }
+
+    /// Packs a stream of 2-bit symbols into bytes (low bits first).
+    fn pack2(symbols: impl Iterator<Item = u8>, out: &mut Vec<u8>) {
+        let mut acc = 0u8;
+        let mut filled = 0u8;
+        for s in symbols {
+            debug_assert!(s < 4);
+            acc |= s << (2 * filled);
+            filled += 1;
+            if filled == 4 {
+                out.push(acc);
+                acc = 0;
+                filled = 0;
+            }
+        }
+        if filled > 0 {
+            out.push(acc);
+        }
+    }
+
+    /// Unpacks `count` 2-bit symbols from bytes.
+    fn unpack2(bytes: &[u8], count: usize) -> impl Iterator<Item = u8> + '_ {
+        (0..count).map(move |i| (bytes[i / 4] >> (2 * (i % 4))) & 0b11)
+    }
+
+    fn encode_label_by_label(g: &CommGraph) -> Vec<u8> {
+        let agents = || AgentId::all(g.n());
+        let mut out = (g.n() as u16).to_le_bytes().to_vec();
+        out.extend_from_slice(&g.time().to_le_bytes());
+        pack2(agents().map(|a| pref_to_bits(g.pref(a))), &mut out);
+        let edges = (1..=g.time()).flat_map(|round| {
+            agents().flat_map(move |from| agents().map(move |to| g.edge(round, from, to)))
+        });
+        pack2(edges.map(edge_to_bits), &mut out);
+        out
+    }
+
+    /// Every agent's graph after each of `rounds` full-information rounds
+    /// in which any message is lost with probability 0.3.
+    fn lossy_graphs(n: usize, rounds: u32, rng: &mut StdRng) -> Vec<CommGraph> {
+        let mut graphs: Vec<CommGraph> = (0..n)
+            .map(|i| {
+                CommGraph::initial(n, AgentId::new(i), Value::from_bit(rng.random_range(0..2)))
+            })
+            .collect();
+        let mut seen = graphs.clone();
+        for _ in 0..rounds {
+            graphs = (0..n)
+                .map(|to| {
+                    let received: Vec<Option<&CommGraph>> =
+                        (graphs.iter().map(|g| rng.random_bool(0.7).then_some(g))).collect();
+                    graphs[to].receive_round(AgentId::new(to), &received)
+                })
+                .collect();
+            seen.extend(graphs.iter().cloned());
+        }
+        seen
+    }
+
+    /// `(n, time)` = (3, 1): three preference labels in one byte (one
+    /// padding symbol), nine edge labels in three (three padding symbols).
+    fn small_frame() -> (FipMsg, Vec<u8>) {
+        let graphs = lossy_graphs(3, 1, &mut StdRng::seed_from_u64(5));
+        let msg = FipMsg(graphs.last().unwrap().clone());
+        let frame = FipCodec.encode(&msg);
+        assert_eq!(frame.len(), 6 + 1 + 3);
+        (msg, frame)
+    }
 
     #[test]
     fn min_roundtrip() {
@@ -270,6 +308,61 @@ mod tests {
                 assert_eq!(rt, msg, "graph roundtrip at time {}", s.time);
             }
         }
+    }
+
+    #[test]
+    fn fip_frames_are_the_label_at_a_time_frames() {
+        // Word-aligned label counts, straddling ones, and n > 32, where
+        // the preferences span two words.
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in [1, 3, 4, 5, 8, 9, 33] {
+            for g in lossy_graphs(n, 4, &mut rng) {
+                let frame = FipCodec.encode(&FipMsg(g.clone()));
+                assert_eq!(frame, encode_label_by_label(&g), "n = {n}, {g:?}");
+                assert_eq!(FipCodec.decode(&frame).0, g, "n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn fip_decode_clears_padding_and_ignores_trailing_bytes() {
+        // Graphs are compared and interned by their words: a frame that
+        // differs from the clean one only where no label lives must
+        // decode to the same graph, not to a logically equal twin.
+        let (msg, clean) = small_frame();
+        let mut junk = clean.clone();
+        junk[6] |= 0b11 << 6;
+        junk[9] |= 0b10_01_11 << 2;
+        junk.extend_from_slice(&[0xff; 11]);
+        assert_ne!(junk[..10], clean[..]);
+        let decoded = FipCodec.decode(&junk);
+        assert_eq!(decoded, msg);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&decoded), hasher.hash_one(&msg));
+        assert_eq!(FipCodec.encode(&decoded), clean);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid edge label bits")]
+    fn fip_decode_rejects_an_invalid_edge_symbol() {
+        let (_, mut frame) = small_frame();
+        frame[8] |= 0b11 << 4;
+        FipCodec.decode(&frame);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid preference label bits")]
+    fn fip_decode_rejects_an_invalid_preference_symbol() {
+        let (_, mut frame) = small_frame();
+        frame[6] |= 0b11 << 2;
+        FipCodec.decode(&frame);
+    }
+
+    #[test]
+    #[should_panic]
+    fn fip_decode_rejects_a_truncated_frame() {
+        let (_, frame) = small_frame();
+        FipCodec.decode(&frame[..frame.len() - 1]);
     }
 
     #[test]

@@ -193,14 +193,23 @@ where
             &mut self.decision_rounds,
             &mut self.decision_values,
         );
-        // Sender by sender, so one row of messages is alive at a time.
+        // Sender by sender, so one row of messages is alive at a time; a
+        // run of equal messages in a row (`E_fip`'s `μ_ij` is one graph
+        // for every `j`) is encoded once and its frame cloned.
         (self.states.iter().zip(&self.actions).enumerate())
             .map(|(i, (state, action))| {
                 let from = AgentId::new(i);
-                select_messages(self.ctx.exchange(), from, state, *action, &mut NoObserver)
-                    .iter()
-                    .map(|msg| msg.as_ref().map(|msg| self.codec.encode(msg)))
-                    .collect()
+                let row =
+                    select_messages(self.ctx.exchange(), from, state, *action, &mut NoObserver);
+                let mut frames: Vec<Option<Vec<u8>>> = Vec::with_capacity(row.len());
+                for (j, msg) in row.iter().enumerate() {
+                    let frame = match msg {
+                        Some(_) if j > 0 && row[j - 1] == *msg => frames[j - 1].clone(),
+                        msg => msg.as_ref().map(|msg| self.codec.encode(msg)),
+                    };
+                    frames.push(frame);
+                }
+                frames
             })
             .collect()
     }

@@ -243,3 +243,59 @@ fn corpus_loader_relocates_semantic_errors_to_file_and_line() {
     );
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// One lockstep run of a scenario, reduced to its traffic counters.
+struct TrafficOf<'s>(&'s ScenarioSpec);
+
+impl StackVisitor for TrafficOf<'_> {
+    type Output = [u64; 4];
+
+    fn visit<E, P>(self, ctx: &Context<E, P>) -> [u64; 4]
+    where
+        E: InformationExchange + Clone + Sync + 'static,
+        P: ActionProtocol<E> + Clone + Sync + 'static,
+    {
+        let m = Scenario::of(ctx)
+            .pattern(self.0.to_pattern().unwrap())
+            .inits(&self.0.inits)
+            .horizon(self.0.horizon)
+            .run()
+            .unwrap()
+            .metrics;
+        [
+            m.messages_sent,
+            m.bits_sent,
+            m.messages_delivered,
+            m.bits_delivered,
+        ]
+    }
+}
+
+/// The message accounting of Prop 8.1 — every recipient of a non-`⊥`
+/// message is one message sent, every delivery one delivered — pinned per
+/// corpus scenario as `[messages_sent, bits_sent, messages_delivered,
+/// bits_delivered]`, so the kernel's shape can change and the numbers
+/// cannot.
+#[test]
+fn corpus_traffic_is_pinned() {
+    const PINNED: [(&str, [u64; 4]); 10] = [
+        ("01_basic_failure_free.eba", [24, 48, 24, 48]),
+        ("02_basic_silent_so.eba", [44, 88, 38, 76]),
+        ("03_min_crash_from_start.eba", [9, 9, 6, 6]),
+        ("04_fip_isolation_go.eba", [64, 3584, 52, 3296]),
+        ("05_naive_whisper_go.eba", [24, 48, 17, 34]),
+        ("06_naive_whisper_so.eba", [24, 48, 17, 34]),
+        ("07_min_so_partial.eba", [16, 16, 14, 14]),
+        ("08_basic_go_receive.eba", [21, 42, 17, 34]),
+        ("09_fip_so_two_faulty.eba", [125, 13750, 121, 13560]),
+        ("10_naive_failure_free.eba", [30, 60, 30, 60]),
+    ];
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let loaded = eba::experiments::corpus::load_dir(&corpus).unwrap();
+    assert_eq!(loaded.len(), PINNED.len());
+    for (scenario, (file, traffic)) in loaded.iter().zip(PINNED) {
+        assert_eq!(scenario.path.file_name().unwrap(), file);
+        let stack = scenario.spec.to_stack().unwrap();
+        assert_eq!(stack.visit(TrafficOf(&scenario.spec)), traffic, "{file}");
+    }
+}

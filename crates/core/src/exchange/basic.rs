@@ -21,8 +21,8 @@ use super::InformationExchange;
 /// let ex = BasicExchange::new(Params::new(4, 1)?);
 /// let s = ex.initial_state(AgentId::new(2), Value::One);
 /// // An undecided 1-preferring agent broadcasts (init, 1) on a noop:
-/// let out = ex.outgoing(AgentId::new(2), &s, Action::Noop);
-/// assert!(out.iter().all(|m| *m == Some(BasicMsg::Init1)));
+/// let out = ex.broadcast(AgentId::new(2), &s, Action::Noop);
+/// assert_eq!(out, Some(BasicMsg::Init1));
 /// # Ok(())
 /// # }
 /// ```
@@ -100,24 +100,15 @@ impl InformationExchange for BasicExchange {
         }
     }
 
-    fn outgoing(
-        &self,
-        _agent: AgentId,
-        state: &BasicState,
-        action: Action,
-    ) -> Vec<Option<BasicMsg>> {
-        let n = self.params.n();
+    fn broadcast(&self, _agent: AgentId, state: &BasicState, action: Action) -> Option<BasicMsg> {
         match action {
-            Action::Decide(v) => vec![Some(BasicMsg::Decide(v)); n],
+            Action::Decide(v) => Some(BasicMsg::Decide(v)),
+            // μ: broadcast (init, 1) iff the state has the form
+            // ⟨m, 1, ⊥, ⊥, k⟩ — initial preference 1, undecided, no
+            // decision heard.
             Action::Noop => {
-                // μ: broadcast (init, 1) iff the state has the form
-                // ⟨m, 1, ⊥, ⊥, k⟩ — initial preference 1, undecided, no
-                // decision heard.
-                if state.init == Value::One && state.decided.is_none() && state.jd.is_none() {
-                    vec![Some(BasicMsg::Init1); n]
-                } else {
-                    vec![None; n]
-                }
+                (state.init == Value::One && state.decided.is_none() && state.jd.is_none())
+                    .then_some(BasicMsg::Init1)
             }
         }
     }
@@ -127,7 +118,7 @@ impl InformationExchange for BasicExchange {
         _agent: AgentId,
         state: &BasicState,
         action: Action,
-        received: &[Option<BasicMsg>],
+        received: &[Option<&BasicMsg>],
     ) -> BasicState {
         debug_assert_eq!(received.len(), self.params.n());
         let mut jd = None;
@@ -221,10 +212,7 @@ mod tests {
     fn zero_preferrer_stays_silent_on_noop() {
         let e = ex();
         let s = e.initial_state(a(0), Value::Zero);
-        assert!(e
-            .outgoing(a(0), &s, Action::Noop)
-            .iter()
-            .all(|m| m.is_none()));
+        assert_eq!(e.broadcast(a(0), &s, Action::Noop), None);
     }
 
     #[test]
@@ -274,10 +262,7 @@ mod tests {
             jd: None,
             ones: 0,
         };
-        assert!(e
-            .outgoing(a(0), &s, Action::Noop)
-            .iter()
-            .all(|m| m.is_none()));
+        assert_eq!(e.broadcast(a(0), &s, Action::Noop), None);
     }
 
     #[test]
@@ -291,10 +276,7 @@ mod tests {
             jd: Some(Value::One),
             ones: 0,
         };
-        assert!(e
-            .outgoing(a(0), &s, Action::Noop)
-            .iter()
-            .all(|m| m.is_none()));
+        assert_eq!(e.broadcast(a(0), &s, Action::Noop), None);
     }
 
     #[test]

@@ -21,8 +21,8 @@ use super::InformationExchange;
 /// let ex = FipExchange::new(Params::new(3, 1)?);
 /// let s = ex.initial_state(AgentId::new(0), Value::One);
 /// // A full-information agent broadcasts its graph even on a noop:
-/// let out = ex.outgoing(AgentId::new(0), &s, Action::Noop);
-/// assert!(out.iter().all(|m| m.is_some()));
+/// let out = ex.broadcast(AgentId::new(0), &s, Action::Noop);
+/// assert_eq!(out, Some(FipMsg(s.graph.clone())));
 /// # Ok(())
 /// # }
 /// ```
@@ -93,9 +93,9 @@ impl InformationExchange for FipExchange {
         }
     }
 
-    fn outgoing(&self, _agent: AgentId, state: &FipState, _action: Action) -> Vec<Option<FipMsg>> {
+    fn broadcast(&self, _agent: AgentId, state: &FipState, _action: Action) -> Option<FipMsg> {
         // μ_ij(s, a) = G_{i, time_i} for every action a.
-        vec![Some(FipMsg(state.graph.clone())); self.params.n()]
+        Some(FipMsg(state.graph.clone()))
     }
 
     fn update(
@@ -103,13 +103,10 @@ impl InformationExchange for FipExchange {
         agent: AgentId,
         state: &FipState,
         action: Action,
-        received: &[Option<FipMsg>],
+        received: &[Option<&FipMsg>],
     ) -> FipState {
         debug_assert_eq!(received.len(), self.params.n());
-        let refs: Vec<Option<&CommGraph>> = received
-            .iter()
-            .map(|m| m.as_ref().map(|FipMsg(g)| g))
-            .collect();
+        let refs: Vec<Option<&CommGraph>> = received.iter().map(|m| m.map(|FipMsg(g)| g)).collect();
         FipState {
             time: state.time + 1,
             init: state.init,
@@ -201,8 +198,7 @@ mod tests {
     fn message_bits_match_graph_size() {
         let e = ex();
         let s = e.initial_state(a(0), Value::One);
-        let out = e.outgoing(a(0), &s, Action::Noop);
-        let msg = out[0].as_ref().unwrap();
-        assert_eq!(e.message_bits(msg), s.graph.size_bits());
+        let msg = e.broadcast(a(0), &s, Action::Noop).unwrap();
+        assert_eq!(e.message_bits(&msg), s.graph.size_bits());
     }
 }

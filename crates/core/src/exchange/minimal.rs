@@ -19,11 +19,10 @@ use super::InformationExchange;
 /// let ex = MinExchange::new(Params::new(3, 1)?);
 /// let s = ex.initial_state(AgentId::new(0), Value::Zero);
 /// // Deciding 0 broadcasts the bit 0 to every agent (including itself):
-/// let out = ex.outgoing(AgentId::new(0), &s, Action::Decide(Value::Zero));
-/// assert!(out.iter().all(|m| *m == Some(MinMsg(Value::Zero))));
+/// let out = ex.broadcast(AgentId::new(0), &s, Action::Decide(Value::Zero));
+/// assert_eq!(out, Some(MinMsg(Value::Zero)));
 /// // A noop sends nothing:
-/// let silent = ex.outgoing(AgentId::new(0), &s, Action::Noop);
-/// assert!(silent.iter().all(|m| m.is_none()));
+/// assert_eq!(ex.broadcast(AgentId::new(0), &s, Action::Noop), None);
 /// # Ok(())
 /// # }
 /// ```
@@ -107,12 +106,8 @@ impl InformationExchange for MinExchange {
         }
     }
 
-    fn outgoing(&self, _agent: AgentId, _state: &MinState, action: Action) -> Vec<Option<MinMsg>> {
-        let n = self.params.n();
-        match action {
-            Action::Decide(v) => vec![Some(MinMsg(v)); n],
-            Action::Noop => vec![None; n],
-        }
+    fn broadcast(&self, _agent: AgentId, _state: &MinState, action: Action) -> Option<MinMsg> {
+        action.decided_value().map(MinMsg)
     }
 
     fn update(
@@ -120,14 +115,14 @@ impl InformationExchange for MinExchange {
         _agent: AgentId,
         state: &MinState,
         action: Action,
-        received: &[Option<MinMsg>],
+        received: &[Option<&MinMsg>],
     ) -> MinState {
         debug_assert_eq!(received.len(), self.params.n());
         MinState {
             time: state.time + 1,
             init: state.init,
             decided: action.decided_value().or(state.decided),
-            jd: jd_from(received, |MinMsg(v)| v),
+            jd: jd_from(received, |&MinMsg(v)| v),
         }
     }
 

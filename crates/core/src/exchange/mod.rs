@@ -55,22 +55,23 @@ pub trait InformationExchange {
     /// preference `init`.
     fn initial_state(&self, agent: AgentId, init: Value) -> Self::State;
 
-    /// The message-selection function `μ_i`: the messages `agent` sends in
-    /// the current round, given its state and the action it is performing.
-    /// Entry `j` is the message to agent `j`; `None` is `⊥` (no message).
+    /// The message-selection function `μ_i`: the message `agent` sends to
+    /// every agent (itself included) in the current round, given its state
+    /// and the action it is performing; `None` is `⊥` (no message).
     ///
-    /// The returned vector always has length `n` (agents may send to
-    /// themselves; failure patterns may drop such messages).
-    fn outgoing(
+    /// The paper writes `μ_ij`, but in every exchange it defines `μ_ij`
+    /// does not depend on `j`, so the selection is stated as what it is: a
+    /// broadcast. Failure patterns may still drop it per recipient.
+    fn broadcast(
         &self,
         agent: AgentId,
         state: &Self::State,
         action: Action,
-    ) -> Vec<Option<Self::Message>>;
+    ) -> Option<Self::Message>;
 
     /// The state-update function `δ_i`: the successor state given the
-    /// action performed and the tuple of received messages (entry `j` is
-    /// the message received from agent `j`, `None` if none).
+    /// action performed and the tuple of received messages (entry `j`
+    /// borrows the message received from agent `j`, `None` if none).
     ///
     /// Implementations must increment the `time` component by exactly 1 and
     /// record a `decide` action in the `decided` component.
@@ -79,7 +80,7 @@ pub trait InformationExchange {
         agent: AgentId,
         state: &Self::State,
         action: Action,
-        received: &[Option<Self::Message>],
+        received: &[Option<&Self::Message>],
     ) -> Self::State;
 
     /// The `time_i` component of a local state.
@@ -100,8 +101,8 @@ pub trait InformationExchange {
 
 /// Observes the message traffic of a round of the global transition: the
 /// hooks fire once per round when the actions are fixed (`on_round`), for
-/// every non-`⊥` message selected by `μ` (`on_send`), and for every
-/// message that survives the delivery filter (`on_deliver`).
+/// every recipient of a non-`⊥` message selected by `μ` (`on_send`), and
+/// for every message that survives the delivery filter (`on_deliver`).
 ///
 /// This is how the lockstep runner hangs its metrics accounting and
 /// delivery recording off the shared round-step routine without the
@@ -111,7 +112,7 @@ pub trait RoundObserver<E: InformationExchange> {
     /// of the round's `on_send`s.
     fn on_round(&mut self, _actions: &[Action]) {}
 
-    /// A non-`⊥` message was selected for sending.
+    /// A non-`⊥` message was selected for sending to `_to`.
     fn on_send(&mut self, _from: AgentId, _to: AgentId, _msg: &E::Message) {}
 
     /// A message passed the delivery filter and will reach `_to`.
@@ -166,94 +167,76 @@ pub fn record_decisions(
     }
 }
 
-/// One sender's `μ_i`: the messages `from` sends while performing
-/// `action`, entry `j` addressed to agent `j` (`None` is `⊥`). Fires
-/// `on_send(from, j, …)` for every non-`⊥` message.
-pub fn select_messages<E: InformationExchange>(
-    ex: &E,
-    from: AgentId,
-    state: &E::State,
-    action: Action,
-    observer: &mut impl RoundObserver<E>,
-) -> Vec<Option<E::Message>> {
-    let out = ex.outgoing(from, state, action);
-    debug_assert_eq!(out.len(), ex.params().n(), "μ must address every agent");
-    for (j, msg) in out.iter().enumerate() {
-        if let Some(msg) = msg {
-            observer.on_send(from, AgentId::new(j), msg);
-        }
-    }
-    out
-}
-
-/// The selection half of the global transition of Section 3 for all
-/// senders at once: entry `[i][j]` is the message from agent `i` to agent
-/// `j`. Fires `on_round` once, then [`select_messages`] sender by sender.
+/// The selection half of the global transition of Section 3: entry `i` is
+/// the message agent `i` broadcasts (`None` is `⊥`). Fires `on_round` once,
+/// then `on_send(i, j, …)` for every recipient `j` of a non-`⊥` message.
 pub fn select_round<E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
     observer: &mut impl RoundObserver<E>,
-) -> Vec<Vec<Option<E::Message>>> {
-    debug_assert_eq!(states.len(), ex.params().n(), "one state per agent");
-    debug_assert_eq!(actions.len(), states.len(), "one action per agent");
+) -> Vec<Option<E::Message>> {
+    let n = ex.params().n();
+    debug_assert_eq!(states.len(), n, "one state per agent");
+    debug_assert_eq!(actions.len(), n, "one action per agent");
     observer.on_round(actions);
     states
         .iter()
         .zip(actions)
         .enumerate()
-        .map(|(i, (state, action))| select_messages(ex, AgentId::new(i), state, *action, observer))
+        .map(|(i, (state, action))| {
+            let from = AgentId::new(i);
+            let msg = ex.broadcast(from, state, *action);
+            if let Some(msg) = &msg {
+                for j in 0..n {
+                    observer.on_send(from, AgentId::new(j), msg);
+                }
+            }
+            msg
+        })
         .collect()
 }
 
-/// The lockstep channel over one round's selection: `to` receives what
-/// `from` selected for it, cloned, if the failure pattern `delivers` it.
-pub fn lockstep_channel<'a, M: Clone>(
-    outgoing: &'a [Vec<Option<M>>],
-    delivers: impl Fn(AgentId, AgentId) -> bool + 'a,
-) -> impl FnMut(AgentId, AgentId) -> Option<M> + 'a {
-    move |from, to| {
-        let msg = outgoing[from.index()][to.index()].as_ref()?;
-        delivers(from, to).then(|| msg.clone())
-    }
-}
-
-/// The delivery half of the global transition: agent `to` receives
-/// `receive(from, to)` from every `from` — the channel, which has already
+/// The delivery half of the global transition: agent `to` hears
+/// `heard(from, to)` from every `from` — the channel, which has already
 /// applied the failure pattern `F` — and `δ_to` updates its state.
 ///
 /// Fires `on_deliver(from, to, …)` receiver-major for every message the
-/// channel yields. The exhaustive enumerator calls this half once per
-/// adversary choice over one shared selection ([`lockstep_channel`]); the
-/// wire engine's channel decodes the surviving frames.
-pub fn deliver_round<E: InformationExchange>(
+/// channel yields. The lockstep channel lends what `from` selected if the
+/// pattern delivers it — the exhaustive enumerator calls this half once
+/// per adversary choice over one shared selection; the wire engine's
+/// lends the surviving frames, decoded.
+pub fn deliver_round<'m, E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
-    mut receive: impl FnMut(AgentId, AgentId) -> Option<E::Message>,
+    mut heard: impl FnMut(AgentId, AgentId) -> Option<&'m E::Message>,
     observer: &mut impl RoundObserver<E>,
-) -> Vec<E::State> {
+) -> Vec<E::State>
+where
+    E::Message: 'm,
+{
     let n = states.len();
+    let mut received = Vec::with_capacity(n);
     (0..n)
         .map(|j| {
             let to = AgentId::new(j);
-            let received: Vec<Option<E::Message>> = (0..n)
-                .map(|i| {
-                    let from = AgentId::new(i);
-                    let msg = receive(from, to);
-                    if let Some(msg) = &msg {
-                        observer.on_deliver(from, to, msg);
-                    }
-                    msg
-                })
-                .collect();
+            received.clear();
+            received.extend((0..n).map(|i| {
+                let from = AgentId::new(i);
+                let msg = heard(from, to);
+                if let Some(msg) = msg {
+                    observer.on_deliver(from, to, msg);
+                }
+                msg
+            }));
             ex.update(to, &states[j], actions[j], &received)
         })
         .collect()
 }
 
 /// Applies one synchronous round of the global transition of Section 3:
-/// [`select_round`], then [`deliver_round`] over the [`lockstep_channel`].
+/// [`select_round`], then [`deliver_round`] over the lockstep channel.
 /// Every execution in the workspace — the simulator's run loop, the
 /// estimator's trials, the enumerator's branches, the wire engine's
 /// sessions, the in-crate exchange tests — goes through these halves, so
@@ -266,8 +249,17 @@ pub fn step_round_observed<E: InformationExchange>(
     observer: &mut impl RoundObserver<E>,
 ) -> Vec<E::State> {
     let outgoing = select_round(ex, states, actions, observer);
-    let channel = lockstep_channel(&outgoing, delivers);
-    deliver_round(ex, states, actions, channel, observer)
+    deliver_round(
+        ex,
+        states,
+        actions,
+        |from, to| {
+            outgoing[from.index()]
+                .as_ref()
+                .filter(|_| delivers(from, to))
+        },
+        observer,
+    )
 }
 
 /// [`step_round_observed`] without observation: just the successor states.

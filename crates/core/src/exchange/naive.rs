@@ -84,22 +84,10 @@ impl InformationExchange for NaiveExchange {
         }
     }
 
-    fn outgoing(
-        &self,
-        _agent: AgentId,
-        state: &NaiveState,
-        action: Action,
-    ) -> Vec<Option<NaiveMsg>> {
-        let n = self.params.n();
+    fn broadcast(&self, _agent: AgentId, state: &NaiveState, action: Action) -> Option<NaiveMsg> {
         match action {
-            Action::Decide(v) => vec![Some(NaiveMsg::Decide(v)); n],
-            Action::Noop => {
-                if state.knows_zero {
-                    vec![Some(NaiveMsg::ZeroExists); n]
-                } else {
-                    vec![None; n]
-                }
-            }
+            Action::Decide(v) => Some(NaiveMsg::Decide(v)),
+            Action::Noop => state.knows_zero.then_some(NaiveMsg::ZeroExists),
         }
     }
 
@@ -108,7 +96,7 @@ impl InformationExchange for NaiveExchange {
         _agent: AgentId,
         state: &NaiveState,
         action: Action,
-        received: &[Option<NaiveMsg>],
+        received: &[Option<&NaiveMsg>],
     ) -> NaiveState {
         debug_assert_eq!(received.len(), self.params.n());
         let heard_zero = received

@@ -86,8 +86,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use eba_core::context::Context;
 use eba_core::exchange::{
-    choose_actions, deliver_round, initial_states, lockstep_channel, select_round,
-    InformationExchange, NoObserver,
+    choose_actions, deliver_round, initial_states, select_round, InformationExchange, NoObserver,
 };
 use eba_core::failures::FailureModel;
 use eba_core::protocols::ActionProtocol;
@@ -536,9 +535,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         };
         let slots: Vec<(AgentId, AgentId)> = agents()
             .flat_map(|from| agents().map(move |to| (from, to)))
-            .filter(|&(from, to)| {
-                droppable(from, to) && outgoing[from.index()][to.index()].is_some()
-            })
+            .filter(|&(from, to)| droppable(from, to) && outgoing[from.index()].is_some())
             .collect();
         if slots.len() > 24 {
             return Err(EbaError::InvalidInput(format!(
@@ -580,7 +577,10 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
                 self.ex,
                 current,
                 &actions,
-                lockstep_channel(&outgoing, |from, to| !lost[from.index()].contains(to)),
+                |from, to| {
+                    let msg = outgoing[from.index()].as_ref();
+                    msg.filter(|_| !lost[from.index()].contains(to))
+                },
                 &mut NoObserver,
             );
             self.push_states(&next)?;

@@ -133,7 +133,7 @@ impl WireCodec<FipMsg> for FipCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eba_core::exchange::InformationExchange;
+    use eba_core::exchange::{initial_states, step_round};
     use eba_core::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -274,34 +274,14 @@ mod tests {
         // Build nontrivial graphs by running a few lossy FIP rounds.
         let params = Params::new(4, 2).unwrap();
         let ex = FipExchange::new(params);
-        let mut states: Vec<FipState> = (0..4)
-            .map(|i| {
-                ex.initial_state(
-                    AgentId::new(i),
-                    if i == 0 { Value::Zero } else { Value::One },
-                )
-            })
-            .collect();
-        for round in 0..3u32 {
-            let outgoing: Vec<Vec<Option<FipMsg>>> = (0..4)
-                .map(|i| ex.outgoing(AgentId::new(i), &states[i], Action::Noop))
-                .collect();
-            states = (0..4)
-                .map(|j| {
-                    let received: Vec<Option<FipMsg>> = (0..4)
-                        .map(|i| {
-                            // a0 and a1 drop to some receivers depending on
-                            // the round, for label variety.
-                            if i < 2 && (j + i + round as usize).is_multiple_of(3) {
-                                None
-                            } else {
-                                outgoing[i][j].clone()
-                            }
-                        })
-                        .collect();
-                    ex.update(AgentId::new(j), &states[j], Action::Noop, &received)
-                })
-                .collect();
+        let mut states = initial_states(&ex, &[Value::Zero, Value::One, Value::One, Value::One]);
+        for round in 0..3usize {
+            // a0 and a1 drop to some receivers depending on the round,
+            // for label variety.
+            states = step_round(&ex, &states, &[Action::Noop; 4], |from, to| {
+                let (i, j) = (from.index(), to.index());
+                !(i < 2 && (j + i + round).is_multiple_of(3))
+            });
             for s in &states {
                 let msg = FipMsg(s.graph.clone());
                 let rt = FipCodec.decode(&FipCodec.encode(&msg));

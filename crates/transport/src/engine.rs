@@ -2,14 +2,14 @@
 //!
 //! Section 3's global transition, at the byte level, stepped by
 //! `eba-core`'s round kernel ([`eba_core::exchange`]): `P_i` picks each
-//! agent's action, `μ_i` selects its messages and the codec encodes them
-//! ([`SessionEngine::outgoing`]); the failure pattern filters the frames
+//! agent's action, `μ_i` selects its broadcast and the codec encodes it
+//! once ([`SessionEngine::outgoing`]); the failure pattern filters the frames
 //! ([`apply_pattern`]); the kernel's channel is the surviving frames,
 //! decoded, and `δ_i` updates every state ([`SessionEngine::deliver`]).
 
 use eba_core::context::{admit_scenario, error_message, Context, NamedStack};
 use eba_core::exchange::{
-    choose_actions, deliver_round, initial_states, record_decisions, select_messages,
+    choose_actions, deliver_round, initial_states, record_decisions, select_round,
     InformationExchange, NoObserver,
 };
 use eba_core::failures::FailurePattern;
@@ -193,38 +193,44 @@ where
             &mut self.decision_rounds,
             &mut self.decision_values,
         );
-        // Sender by sender, so one row of messages is alive at a time; a
-        // run of equal messages in a row (`E_fip`'s `μ_ij` is one graph
-        // for every `j`) is encoded once and its frame cloned.
-        (self.states.iter().zip(&self.actions).enumerate())
-            .map(|(i, (state, action))| {
-                let from = AgentId::new(i);
-                let row =
-                    select_messages(self.ctx.exchange(), from, state, *action, &mut NoObserver);
-                let mut frames: Vec<Option<Vec<u8>>> = Vec::with_capacity(row.len());
-                for (j, msg) in row.iter().enumerate() {
-                    let frame = match msg {
-                        Some(_) if j > 0 && row[j - 1] == *msg => frames[j - 1].clone(),
-                        msg => msg.as_ref().map(|msg| self.codec.encode(msg)),
-                    };
-                    frames.push(frame);
-                }
-                frames
-            })
-            .collect()
+        // `μ` is a broadcast: one encode per sender, its frame cloned for
+        // every recipient.
+        let n = self.states.len();
+        select_round(
+            self.ctx.exchange(),
+            &self.states,
+            &self.actions,
+            &mut NoObserver,
+        )
+        .iter()
+        .map(|msg| vec![msg.as_ref().map(|msg| self.codec.encode(msg)); n])
+        .collect()
     }
 
     fn deliver(&mut self, frames: RoundFrames) {
         assert!(self.awaiting_delivery, "deliver() without outgoing()");
-        assert_eq!(frames.len(), self.states.len(), "delivery shape mismatch");
+        let n = self.states.len();
+        assert!(
+            frames.len() == n && frames.iter().all(|row| row.len() == n),
+            "delivery shape mismatch"
+        );
+        // Row by row like `frames`, each row sized exactly. Measured on the
+        // service's pool workers: one flat buffer grown by `collect` cost
+        // `service_mixed_n3` a quarter of its throughput, and sized up
+        // front (2.5 KiB of graphs at n = 8) gave `service_fip_n8` nothing.
+        let decoded: Vec<Vec<Option<E::Message>>> = frames
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|frame| frame.as_deref().map(|bytes| self.codec.decode(bytes)))
+                    .collect()
+            })
+            .collect();
         self.states = deliver_round(
             self.ctx.exchange(),
             &self.states,
             &self.actions,
-            |from, to| {
-                let frame = frames[from.index()][to.index()].as_deref()?;
-                Some(self.codec.decode(frame))
-            },
+            |from, to| decoded[from.index()][to.index()].as_ref(),
             &mut NoObserver,
         );
         self.round += 1;
@@ -328,6 +334,16 @@ mod tests {
         assert_equals_lockstep(Context::basic(params()), BasicCodec);
         assert_equals_lockstep(Context::fip(params()), FipCodec);
         assert_equals_lockstep(Context::naive(params()), NaiveCodec);
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery shape mismatch")]
+    fn a_short_row_is_a_shape_mismatch() {
+        let inits = [Value::One; 4];
+        let mut engine = TypedEngine::new(Context::basic(params()), BasicCodec, &inits, HORIZON);
+        let mut frames = engine.outgoing();
+        frames[2].pop();
+        engine.deliver(frames);
     }
 
     /// [`BasicCodec`], except that a `Decide(1)` arrives as `Decide(0)`.

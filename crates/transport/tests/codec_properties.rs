@@ -2,7 +2,7 @@
 //! survives an encode/decode roundtrip, including communication graphs
 //! from arbitrary lossy schedules.
 
-use eba_core::exchange::{FipMsg, InformationExchange};
+use eba_core::exchange::{initial_states, step_round, FipMsg, InformationExchange};
 use eba_core::prelude::*;
 use eba_transport::{FipCodec, WireCodec};
 use proptest::prelude::*;
@@ -30,27 +30,14 @@ fn roundtrip_fip_run(
                     && ((s >> 16) % n as u64) as usize == to
             })
     };
-    let mut states: Vec<FipState> = (0..n)
-        .map(|i| ex.initial_state(AgentId::new(i), Value::from_bit((init_bits >> i) & 1)))
+    let inits: Vec<Value> = (0..n)
+        .map(|i| Value::from_bit((init_bits >> i) & 1))
         .collect();
+    let mut states = initial_states(&ex, &inits);
     for round in 0..rounds {
-        let outgoing: Vec<Vec<Option<FipMsg>>> = (0..n)
-            .map(|i| ex.outgoing(AgentId::new(i), &states[i], Action::Noop))
-            .collect();
-        states = (0..n)
-            .map(|j| {
-                let received: Vec<Option<FipMsg>> = (0..n)
-                    .map(|i| {
-                        if dropped(round, i, j) {
-                            None
-                        } else {
-                            outgoing[i][j].clone()
-                        }
-                    })
-                    .collect();
-                ex.update(AgentId::new(j), &states[j], Action::Noop, &received)
-            })
-            .collect();
+        states = step_round(&ex, &states, &vec![Action::Noop; n], |from, to| {
+            !dropped(round, from.index(), to.index())
+        });
         for s in &states {
             let msg = FipMsg(s.graph.clone());
             let frame = FipCodec.encode(&msg);

@@ -2,7 +2,8 @@
 //! every failure model, a randomly generated admissible scenario prints to
 //! a canonical text that re-parses to the identical [`ScenarioSpec`] — and
 //! malformed fixtures are rejected with the offending field and 1-based
-//! line named.
+//! line named. The committed `corpus/` scenarios also pin the lockstep
+//! run's traffic counters.
 
 use eba::core::corpus::ParseError;
 use eba::prelude::*;

@@ -2,10 +2,12 @@
 //! registry of the paper's named protocol stacks.
 //!
 //! The paper's notion of optimality is *relative to a context*: an
-//! information-exchange protocol `E`, the failure environment `SO(t)`
-//! (fixed by [`Params`]), and the interpretation `π` (fixed by the state
-//! components every EBA exchange exposes). [`Context`] bundles the two
-//! free choices — the exchange and the action protocol living on it — so
+//! information-exchange protocol `E`, the failure environment (`SO(t)`
+//! unless another [`FailureModel`] is selected, with `t` fixed by
+//! [`Params`]), and the interpretation `π` (fixed by the state
+//! components every EBA exchange exposes). [`Context`] bundles the
+//! free choices — the exchange, the action protocol living on it, and
+//! the failure model that judges every pattern a run may face — so
 //! that simulators, model checkers, experiments, and the benchmark take *one*
 //! value instead of re-threading `(&exchange, &protocol, …)` positionally.
 //!
@@ -336,20 +338,19 @@ pub fn validate_scenario_shape(
 
 /// The one admission check every entry point that takes a pattern from
 /// outside applies (the `Scenario` builder, the `.eba` validator, the
-/// transport's engine compiler and loopback): [`validate_scenario_shape`], then the
-/// pattern's recorded drops against its **own** [`FailureModel`] —
-/// catching, for example, a hand-built crash pattern whose sender resumes
-/// sending after its crash round (a discipline
-/// [`FailurePattern::drop_message`] cannot enforce per drop) — and
-/// against `model`, the model of the context it is to run in, through
-/// the whole `horizon`, so a crash pattern whose recorded silence ends
-/// before the run does is rejected rather than silently reviving.
+/// transport's engine compiler): [`validate_scenario_shape`], then the
+/// pattern against `model`, the model of the context it is to run in —
+/// the one judge of which patterns a run may face — through the whole
+/// `horizon` ([`FailureModel::admits_pattern_up_to`]). That catches a
+/// receive-side drop outside general omissions, a crashed sender that
+/// resumes sending, and a crash whose recorded silence ends before the
+/// run does, which would otherwise silently revive.
 ///
 /// # Errors
 ///
 /// Returns [`EbaError::InvalidInput`] listing every problem found,
-/// `; `-separated (the two model checks need a pattern of the right
-/// parameters, so a parameter mismatch is reported without them).
+/// `; `-separated (the model check needs a pattern of the right
+/// parameters, so a parameter mismatch is reported without it).
 pub fn admit_scenario(
     params: Params,
     model: FailureModel,
@@ -363,13 +364,6 @@ pub fn admit_scenario(
         .map(error_message)
         .collect();
     if pattern.params() == params {
-        if let Err(e) = pattern.model().admits_pattern(pattern) {
-            problems.push(format!(
-                "pattern: inadmissible under its own {} model ({})",
-                pattern.model(),
-                error_message(&e)
-            ));
-        }
         if let Err(e) = model.admits_pattern_up_to(pattern, horizon) {
             problems.push(format!(
                 "pattern: not admissible under the context's {model} model ({})",
@@ -486,31 +480,26 @@ mod tests {
 
     #[test]
     fn shape_validation_rejects_model_inconsistent_patterns() {
-        // A crash-model pattern whose sender revives violates the crash
-        // discipline; `drop_message` cannot see that, validation does.
+        // A sender that drops, delivers, then drops again violates the
+        // crash discipline; `drop_message` cannot see that, admission under
+        // a crash context does. The same pattern is a valid SO(t) one.
+        use crate::types::{AgentId, AgentSet};
         let p = params();
-        let faulty = crate::types::AgentSet::singleton(crate::types::AgentId::new(0));
-        let mut pat =
-            FailurePattern::new_in(FailureModel::Crash, p, faulty.complement(p.n())).unwrap();
-        pat.drop_message(
-            0,
-            crate::types::AgentId::new(0),
-            crate::types::AgentId::new(1),
-        )
-        .unwrap();
-        pat.drop_message(
-            2,
-            crate::types::AgentId::new(0),
-            crate::types::AgentId::new(1),
-        )
-        .unwrap();
-        let err = admit_scenario(p, FailureModel::SendingOmission, &pat, &[Value::One; 4], 4)
-            .unwrap_err();
+        let faulty = AgentSet::singleton(AgentId::new(0));
+        let mut pat = FailurePattern::new(p, faulty.complement(p.n())).unwrap();
+        for m in [0, 2] {
+            pat.drop_message(m, AgentId::new(0), AgentId::new(1))
+                .unwrap();
+        }
+        let inits = [Value::One; 4];
+        let err = admit_scenario(p, FailureModel::Crash, &pat, &inits, 4).unwrap_err();
         let msg = err.to_string();
         assert!(
-            msg.contains("inadmissible under its own crash model"),
+            msg.contains("not admissible under the context's crash model"),
             "{msg}"
         );
+        assert!(msg.contains("stay silent"), "{msg}");
+        assert!(admit_scenario(p, FailureModel::SendingOmission, &pat, &inits, 4).is_ok());
     }
 
     #[test]

@@ -402,22 +402,22 @@ impl ScenarioSpec {
     }
 
     /// Rebuilds the failure pattern: the nonfaulty set plus every recorded
-    /// drop, governed by the scenario's model.
+    /// drop. Whether the scenario's model admits it is
+    /// [`validate`](Self::validate)'s question.
     ///
     /// # Errors
     ///
-    /// Returns [`EbaError::InvalidPattern`] if the nonfaulty set or any
-    /// drop is inadmissible under the model.
+    /// Returns [`EbaError::InvalidPattern`] if more than `t` agents are
+    /// faulty or a drop is between two nonfaulty agents.
     pub fn to_pattern(&self) -> Result<FailurePattern, EbaError> {
-        let mut pattern = FailurePattern::new_in(self.model, self.params, self.nonfaulty)?;
+        let mut pattern = FailurePattern::new(self.params, self.nonfaulty)?;
         for &(m, from, to) in &self.drops {
             pattern.drop_message(m, from, to)?;
         }
         Ok(pattern)
     }
 
-    /// Extracts a spec from a concrete pattern (reading drops back out of
-    /// the delivery relation up to the pattern's drop horizon).
+    /// Extracts a spec from a concrete pattern and the model it runs under.
     pub fn from_pattern(
         stack: impl Into<String>,
         model: FailureModel,
@@ -426,23 +426,12 @@ impl ScenarioSpec {
         horizon: u32,
         limit: Option<usize>,
     ) -> Self {
-        let params = pattern.params();
-        let mut drops = Vec::new();
-        for m in 0..pattern.drop_horizon() {
-            for from in params.agents() {
-                for to in params.agents() {
-                    if !pattern.delivers(m, from, to) {
-                        drops.push((m, from, to));
-                    }
-                }
-            }
-        }
         ScenarioSpec {
             stack: stack.into(),
             model,
-            params,
+            params: pattern.params(),
             nonfaulty: pattern.nonfaulty(),
-            drops,
+            drops: pattern.drops().collect(),
             inits: inits.to_vec(),
             horizon,
             limit,

@@ -3,11 +3,13 @@
 //! The paper develops its optimality results for the *sending-omissions*
 //! model `SO(t)` (Section 3) and repeatedly contrasts it with crash and
 //! general-omission failures. [`FailureModel`] makes that contrast a
-//! first-class, selectable axis: every entry point that used to assume
-//! `SO(t)` — [`FailurePattern::drop_message`], the exhaustive run
-//! enumeration in `eba-sim`, the randomized `AdversarySampler` — is now
-//! governed by a model value, with [`FailureModel::SendingOmission`] as
-//! the default reproducing the pre-model behavior exactly.
+//! first-class, selectable axis of the context: a [`FailurePattern`] is
+//! just `(N, F)`, and the context's model decides which patterns a run
+//! may face — at admission, through
+//! [`admits_pattern_up_to`](FailureModel::admits_pattern_up_to) — and
+//! which choices the exhaustive enumeration in `eba-sim` and the
+//! randomized `AdversarySampler` make.
+//! [`FailureModel::SendingOmission`] is the default.
 //!
 //! The four models form a strict hierarchy of adversary power:
 //!
@@ -144,7 +146,7 @@ impl FailureModel {
     pub fn admits_faulty_count(self, faulty: usize) -> bool {
         match self {
             FailureModel::FailureFree => faulty == 0,
-            _ => true, // the `≤ t` bound is enforced by `FailurePattern::new`
+            _ => true, // the `≤ t` bound holds for every `FailurePattern`
         }
     }
 
@@ -155,10 +157,6 @@ impl FailureModel {
     /// [`Crash`](FailureModel::Crash) — once a sender drops any message
     /// it drops *all* messages in every later round up to the pattern's
     /// drop horizon.
-    ///
-    /// The check ignores the model the pattern was *built* under and
-    /// judges the recorded drops directly, so a crash-disciplined pattern
-    /// constructed under `SO(t)` passes the `Crash` check.
     ///
     /// # Errors
     ///
@@ -354,20 +352,41 @@ mod tests {
     #[test]
     fn admits_pattern_checks_crash_discipline() {
         let nf: AgentSet = [1, 2, 3].into_iter().map(a).collect();
+        let crash = FailureModel::Crash;
+
+        // A revive after a drop round is a sending omission but not a crash.
         let mut revived = FailurePattern::new(params(), nf).unwrap();
         revived.drop_message(0, a(0), a(2)).unwrap();
         revived.drop_message(1, a(0), a(1)).unwrap();
-        // A revive after a drop round is a sending omission but not a crash.
         assert!(FailureModel::SendingOmission
             .admits_pattern(&revived)
             .is_ok());
-        let err = FailureModel::Crash.admits_pattern(&revived).unwrap_err();
+        let err = crash.admits_pattern(&revived).unwrap_err();
         assert!(err.to_string().contains("stay silent"), "{err}");
 
-        let mut crash = FailurePattern::new(params(), nf).unwrap();
-        crash.drop_message(0, a(0), a(2)).unwrap();
-        crash.silence_agent(a(0), 1..3, true).unwrap();
-        assert!(FailureModel::Crash.admits_pattern(&crash).is_ok());
+        // A partial crash round (some messages still sent) is a crash in
+        // progress, and stays one when total silence follows.
+        let mut partial = FailurePattern::new(params(), nf).unwrap();
+        for to in [2, 3, 0] {
+            partial.drop_message(0, a(0), a(to)).unwrap();
+        }
+        assert!(crash.admits_pattern(&partial).is_ok());
+        partial.silence_agent(a(0), 1..3, true).unwrap();
+        assert!(crash.admits_pattern(&partial).is_ok());
+
+        // Terminal silence: everything in round 1, nothing after.
+        let mut terminal = FailurePattern::new(params(), nf).unwrap();
+        terminal.silence_agent(a(0), 1..4, true).unwrap();
+        assert!(crash.admits_pattern(&terminal).is_ok());
+
+        // Drop, deliver again, drop: an omission, not a crash.
+        let mut omission = FailurePattern::new(params(), nf).unwrap();
+        omission.drop_message(0, a(0), a(1)).unwrap();
+        omission.drop_message(2, a(0), a(1)).unwrap();
+        assert!(crash.admits_pattern(&omission).is_err());
+        assert!(FailureModel::SendingOmission
+            .admits_pattern(&omission)
+            .is_ok());
     }
 
     #[test]

@@ -1,34 +1,21 @@
-//! Failure patterns (adversaries).
+//! Failure patterns `(N, F)` (Section 3): which agents are faulty and
+//! which messages are lost. A pattern carries no failure model; the
+//! context's [`FailureModel`](super::FailureModel) judges it when a run
+//! is admitted (`admit_scenario`).
 
 use std::fmt;
 
 use crate::types::{AgentId, AgentSet, EbaError, Params};
 
-use super::FailureModel;
-
-/// Classification of a failure pattern.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum PatternClass {
-    /// No message is ever dropped (the faulty set may still be nonempty:
-    /// a faulty agent may *act* nonfaulty, cf. footnote 3 of the paper).
-    FailureFree,
-    /// Drops satisfy the crash discipline: once `F(m, i, j) = 0` for some
-    /// `j`, then `F(m', i, j') = 0` for all `m' > m` and all `j'`.
-    Crash,
-    /// General sending omissions.
-    Omission,
-}
-
 /// A failure pattern `(N, F)` from Section 3 of the paper.
 ///
 /// `N` is the set of nonfaulty agents, and `F(m, i, j)` says whether the
-/// message sent from `i` to `j` in round `m + 1` is delivered. Which
-/// drops [`drop_message`](FailurePattern::drop_message) accepts is
-/// governed by the pattern's [`FailureModel`]: the default
-/// ([`FailurePattern::new`]) is the paper's sending-omissions model
-/// `SO(t)`, which requires `|Agt − N| ≤ t` and that `F(m, i, j) = 0`
-/// only when `i` is faulty; [`FailurePattern::new_in`] selects another
-/// model (e.g. general omissions, which also admits receive-side drops).
+/// message sent from `i` to `j` in round `m + 1` is delivered. Every
+/// pattern has `|Agt − N| ≤ t` and drops only messages with a faulty
+/// endpoint; which of those drops a run may face is the context's
+/// failure model's decision, checked by
+/// [`FailureModel::admits_pattern_up_to`](super::FailureModel::admits_pattern_up_to)
+/// at admission.
 ///
 /// Drops are stored sparsely per round; rounds beyond the recorded horizon
 /// deliver everything.
@@ -43,8 +30,12 @@ pub enum PatternClass {
 /// pat.drop_message(1, AgentId::new(0), AgentId::new(2))?;
 /// assert!(pat.delivers(1, AgentId::new(0), AgentId::new(1)));
 /// assert!(!pat.delivers(1, AgentId::new(0), AgentId::new(2)));
-/// // Dropping from a nonfaulty sender violates the sending-omission model:
+/// // No model drops a message between two nonfaulty agents:
 /// assert!(pat.drop_message(0, AgentId::new(1), AgentId::new(2)).is_err());
+/// // A receive-side drop is recorded; only GO(t) admits it.
+/// pat.drop_message(0, AgentId::new(1), AgentId::new(0))?;
+/// assert!(FailureModel::GeneralOmission.admits_pattern(&pat).is_ok());
+/// assert!(FailureModel::SendingOmission.admits_pattern(&pat).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -52,56 +43,20 @@ pub enum PatternClass {
 pub struct FailurePattern {
     params: Params,
     nonfaulty: AgentSet,
-    /// The model governing which drops this pattern accepts.
-    model: FailureModel,
     /// `drops[m * n + from]` = bitmask of receivers whose round-`(m+1)`
     /// message from `from` is dropped. Grows on demand.
     drops: Vec<u128>,
 }
 
 impl FailurePattern {
-    /// Creates a sending-omissions (`SO(t)`) pattern with the given
-    /// nonfaulty set and no drops — the paper's model and the historical
-    /// behavior of this type. Use [`FailurePattern::new_in`] for another
-    /// [`FailureModel`].
+    /// Creates a pattern with the given nonfaulty set and no drops.
     ///
     /// # Errors
     ///
     /// Returns [`EbaError::InvalidPattern`] if more than `t` agents are
     /// faulty or `nonfaulty` mentions agents outside `0..n`.
     pub fn new(params: Params, nonfaulty: AgentSet) -> Result<Self, EbaError> {
-        Self::new_in(FailureModel::SendingOmission, params, nonfaulty)
-    }
-
-    /// Creates a pattern governed by `model` with the given nonfaulty set
-    /// and no drops.
-    ///
-    /// ```
-    /// use eba_core::prelude::*;
-    ///
-    /// # fn main() -> Result<(), EbaError> {
-    /// let params = Params::new(4, 1)?;
-    /// let nonfaulty = AgentSet::singleton(AgentId::new(0)).complement(4);
-    /// let mut pat =
-    ///     FailurePattern::new_in(FailureModel::GeneralOmission, params, nonfaulty)?;
-    /// // Receive-side drop: nonfaulty 1 → faulty 0 may be lost under GO(t).
-    /// pat.drop_message(0, AgentId::new(1), AgentId::new(0))?;
-    /// # Ok(())
-    /// # }
-    /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EbaError::InvalidPattern`] if more than `t` agents are
-    /// faulty, `nonfaulty` mentions agents outside `0..n`, or the model is
-    /// [`FailureModel::FailureFree`] and any agent is faulty.
-    pub fn new_in(
-        model: FailureModel,
-        params: Params,
-        nonfaulty: AgentSet,
-    ) -> Result<Self, EbaError> {
-        let all = AgentSet::full(params.n());
-        if !nonfaulty.is_subset(all) {
+        if !nonfaulty.is_subset(AgentSet::full(params.n())) {
             return Err(EbaError::InvalidPattern(format!(
                 "nonfaulty set {nonfaulty} mentions agents outside 0..{}",
                 params.n()
@@ -114,35 +69,21 @@ impl FailurePattern {
                 params.t()
             )));
         }
-        if !model.admits_faulty_count(faulty_count) {
-            return Err(EbaError::InvalidPattern(format!(
-                "the {model} model admits no faulty agents, got {faulty_count}"
-            )));
-        }
         Ok(FailurePattern {
             params,
             nonfaulty,
-            model,
             drops: Vec::new(),
         })
     }
 
     /// The failure-free pattern: all agents nonfaulty, no drops. It is
-    /// admissible in every model; the pattern itself is governed by the
-    /// default sending-omissions model (any attempted drop fails anyway,
-    /// since no agent is faulty).
+    /// admissible in every model.
     pub fn failure_free(params: Params) -> Self {
         FailurePattern {
             params,
             nonfaulty: AgentSet::full(params.n()),
-            model: FailureModel::SendingOmission,
             drops: Vec::new(),
         }
-    }
-
-    /// The model governing [`drop_message`](FailurePattern::drop_message).
-    pub fn model(&self) -> FailureModel {
-        self.model
     }
 
     /// The instance parameters.
@@ -175,32 +116,19 @@ impl FailurePattern {
         }
     }
 
-    /// Drops the message from `from` to `to` in round `m + 1`, if the
-    /// pattern's [`FailureModel`] admits that drop.
+    /// Drops the message from `from` to `to` in round `m + 1`. Whether
+    /// a model admits the drop (a receive-side drop is general-omission
+    /// only; crashes constrain whole rounds) is checked at admission.
     ///
     /// # Errors
     ///
-    /// Returns [`EbaError::InvalidPattern`] if the model rejects the drop:
-    /// under sending omissions (and crash) only faulty senders may omit
-    /// messages; under general omissions one endpoint must be faulty;
-    /// under the failure-free model no drop is ever admissible. (The crash
-    /// model's cross-round silence discipline is not checked per drop —
-    /// validate a finished pattern with
-    /// [`FailureModel::admits_pattern`].)
+    /// Returns [`EbaError::InvalidPattern`] if both endpoints are
+    /// nonfaulty: no model drops such a message.
     pub fn drop_message(&mut self, m: u32, from: AgentId, to: AgentId) -> Result<(), EbaError> {
-        if !self
-            .model
-            .admits_drop(self.is_faulty(from), self.is_faulty(to))
-        {
-            return Err(EbaError::InvalidPattern(match self.model {
-                FailureModel::GeneralOmission => {
-                    format!("cannot drop a message between nonfaulty agents {from} and {to}")
-                }
-                FailureModel::FailureFree => {
-                    format!("the failure_free model admits no drops ({from} to {to})")
-                }
-                _ => format!("cannot drop a message from nonfaulty sender {from}"),
-            }));
+        if !self.is_faulty(from) && !self.is_faulty(to) {
+            return Err(EbaError::InvalidPattern(format!(
+                "cannot drop a message between nonfaulty agents {from} and {to}"
+            )));
         }
         let n = self.params.n();
         let idx = m as usize * n + from.index();
@@ -217,7 +145,8 @@ impl FailurePattern {
     ///
     /// # Errors
     ///
-    /// Returns [`EbaError::InvalidPattern`] if `from` is nonfaulty.
+    /// Returns [`EbaError::InvalidPattern`] if `from` and one of the
+    /// receivers are both nonfaulty.
     pub fn silence_agent(
         &mut self,
         from: AgentId,
@@ -232,6 +161,18 @@ impl FailurePattern {
             }
         }
         Ok(())
+    }
+
+    /// The recorded drops as `(round, from, to)` triples, in that
+    /// lexicographic order.
+    pub fn drops(&self) -> impl Iterator<Item = (u32, AgentId, AgentId)> + '_ {
+        let n = self.params.n();
+        self.drops.iter().enumerate().flat_map(move |(idx, &mask)| {
+            let (m, from) = ((idx / n) as u32, AgentId::new(idx % n));
+            (0..n)
+                .filter(move |to| mask & (1u128 << to) != 0)
+                .map(move |to| (m, from, AgentId::new(to)))
+        })
     }
 
     /// Total number of dropped (round, from, to) triples recorded.
@@ -251,43 +192,15 @@ impl FailurePattern {
         }
         horizon
     }
-
-    /// Classifies this pattern as failure-free, crash, or general omission,
-    /// considering drops up to [`FailurePattern::drop_horizon`].
-    ///
-    /// With crash failures, once an agent drops any message in round `m + 1`
-    /// it must drop *all* messages in every later round (it may still send
-    /// to some agents during its crashing round).
-    pub fn classify(&self) -> PatternClass {
-        if self.count_drops() == 0 {
-            return PatternClass::FailureFree;
-        }
-        let horizon = self.drop_horizon();
-        for from in self.params.agents() {
-            let mut crashed = false;
-            for m in 0..horizon {
-                let dropped_any = self.params.agents().any(|to| !self.delivers(m, from, to));
-                let dropped_all = self.params.agents().all(|to| !self.delivers(m, from, to));
-                if crashed && !dropped_all {
-                    return PatternClass::Omission;
-                }
-                if dropped_any {
-                    crashed = true;
-                }
-            }
-        }
-        PatternClass::Crash
-    }
 }
 
 impl fmt::Debug for FailurePattern {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "FailurePattern {{ n: {}, t: {}, model: {}, faulty: {}, drops: {} }}",
+            "FailurePattern {{ n: {}, t: {}, faulty: {}, drops: {} }}",
             self.params.n(),
             self.params.t(),
-            self.model,
             self.faulty(),
             self.count_drops()
         )
@@ -297,6 +210,7 @@ impl fmt::Debug for FailurePattern {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failures::FailureModel;
 
     fn params() -> Params {
         Params::new(4, 2).unwrap()
@@ -316,7 +230,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(pat.classify(), PatternClass::FailureFree);
+        assert_eq!(pat.count_drops(), 0);
         assert_eq!(pat.faulty(), AgentSet::empty());
     }
 
@@ -332,42 +246,38 @@ mod tests {
         let nf: AgentSet = [1, 2, 3].into_iter().map(a).collect();
         let pat = FailurePattern::new(params(), nf).unwrap();
         assert!(pat.is_faulty(a(0)));
-        assert_eq!(pat.classify(), PatternClass::FailureFree);
+        assert_eq!(pat.count_drops(), 0);
+        assert!(FailureModel::Crash.admits_pattern(&pat).is_ok());
     }
 
     #[test]
     fn general_omission_admits_receive_side_drops() {
         let nf: AgentSet = [1, 2, 3].into_iter().map(a).collect();
-        let mut go = FailurePattern::new_in(FailureModel::GeneralOmission, params(), nf).unwrap();
-        // Receive side: nonfaulty 1 → faulty 0 may be dropped under GO(t)…
-        assert!(go.drop_message(0, a(1), a(0)).is_ok());
-        // …but the same drop is rejected by the SO(t) default…
-        let mut so = FailurePattern::new(params(), nf).unwrap();
-        let err = so.drop_message(0, a(1), a(0)).unwrap_err();
-        assert!(err.to_string().contains("nonfaulty sender"), "{err}");
-        // …and no model admits drops between two nonfaulty agents.
-        let err = go.drop_message(0, a(1), a(2)).unwrap_err();
+        let mut pat = FailurePattern::new(params(), nf).unwrap();
+        // Receive side: nonfaulty 1 → faulty 0 is recorded; GO(t) admits
+        // it and SO(t) does not.
+        pat.drop_message(0, a(1), a(0)).unwrap();
+        assert!(FailureModel::GeneralOmission.admits_pattern(&pat).is_ok());
+        let err = FailureModel::SendingOmission
+            .admits_pattern(&pat)
+            .unwrap_err();
+        assert!(err.to_string().contains("does not admit dropping"), "{err}");
+        // No model admits drops between two nonfaulty agents.
+        let err = pat.drop_message(0, a(1), a(2)).unwrap_err();
         assert!(err.to_string().contains("nonfaulty agents"), "{err}");
     }
 
     #[test]
     fn failure_free_model_admits_no_drops_or_faulty_sets() {
         let nf: AgentSet = [1, 2, 3].into_iter().map(a).collect();
-        assert!(FailurePattern::new_in(FailureModel::FailureFree, params(), nf).is_err());
-        let mut pat =
-            FailurePattern::new_in(FailureModel::FailureFree, params(), AgentSet::full(4)).unwrap();
-        let err = pat.drop_message(0, a(0), a(1)).unwrap_err();
-        assert!(err.to_string().contains("admits no drops"), "{err}");
-    }
-
-    #[test]
-    fn patterns_report_their_model() {
-        let pat = FailurePattern::failure_free(params());
-        assert_eq!(pat.model(), FailureModel::SendingOmission);
-        let nf: AgentSet = [1, 2, 3].into_iter().map(a).collect();
-        let go = FailurePattern::new_in(FailureModel::GeneralOmission, params(), nf).unwrap();
-        assert_eq!(go.model(), FailureModel::GeneralOmission);
-        assert!(format!("{go:?}").contains("general_omission"));
+        let mut pat = FailurePattern::new(params(), nf).unwrap();
+        let err = FailureModel::FailureFree.admits_pattern(&pat).unwrap_err();
+        assert!(err.to_string().contains("no faulty agents"), "{err}");
+        pat.drop_message(0, a(0), a(1)).unwrap();
+        assert!(FailureModel::FailureFree.admits_pattern(&pat).is_err());
+        // With everyone nonfaulty there is nothing to drop.
+        let mut free = FailurePattern::failure_free(params());
+        assert!(free.drop_message(0, a(0), a(1)).is_err());
     }
 
     #[test]
@@ -379,6 +289,7 @@ mod tests {
         assert!(!pat.delivers(0, a(0), a(1)));
         assert!(pat.delivers(0, a(0), a(2)));
         assert!(pat.delivers(1, a(0), a(1)));
+        assert!(FailureModel::SendingOmission.admits_pattern(&pat).is_ok());
     }
 
     #[test]
@@ -399,41 +310,32 @@ mod tests {
     }
 
     #[test]
-    fn classify_crash_vs_omission() {
-        let nf: AgentSet = [1, 2, 3].into_iter().map(a).collect();
-
-        // Crash: partial sends in round 1 (the crashing round), silent in
-        // every later recorded round. Classification only looks at rounds
-        // up to the drop horizon, so a partial final round also counts as
-        // a crash in progress.
-        let mut crash = FailurePattern::new(params(), nf).unwrap();
-        crash.drop_message(0, a(0), a(2)).unwrap();
-        crash.drop_message(0, a(0), a(3)).unwrap();
-        crash.drop_message(0, a(0), a(0)).unwrap();
-        assert_eq!(crash.classify(), PatternClass::Crash);
-        crash.silence_agent(a(0), 1..2, true).unwrap();
-        assert_eq!(crash.classify(), PatternClass::Crash);
-        // Sending again to someone in round 2 after dropping in round 1
-        // breaks the crash discipline.
-        let mut revived = FailurePattern::new(params(), nf).unwrap();
-        revived.drop_message(0, a(0), a(2)).unwrap();
-        revived.drop_message(1, a(0), a(1)).unwrap();
-        assert_eq!(revived.classify(), PatternClass::Omission);
-
-        // Omission: drop in round 1, deliver again in round 2, drop round 3.
-        let mut omis = FailurePattern::new(params(), nf).unwrap();
-        omis.drop_message(0, a(0), a(1)).unwrap();
-        omis.drop_message(2, a(0), a(1)).unwrap();
-        assert_eq!(omis.classify(), PatternClass::Omission);
-    }
-
-    #[test]
-    fn crash_classification_accepts_terminal_silence() {
-        let nf: AgentSet = [1, 2, 3].into_iter().map(a).collect();
+    fn drops_lists_exactly_what_delivers_refuses() {
+        let nf: AgentSet = [2, 3].into_iter().map(a).collect();
         let mut pat = FailurePattern::new(params(), nf).unwrap();
-        // Crashes cleanly at round 2: sends everything round 1, nothing after.
-        pat.silence_agent(a(0), 1..4, true).unwrap();
-        assert_eq!(pat.classify(), PatternClass::Crash);
+        for (m, from, to) in [
+            (3, 1, 3),
+            (0, 2, 0),
+            (0, 0, 3),
+            (1, 1, 1),
+            (0, 0, 1),
+            (3, 0, 2),
+        ] {
+            pat.drop_message(m, a(from), a(to)).unwrap();
+        }
+        let mut scan = Vec::new();
+        for m in 0..pat.drop_horizon() {
+            for from in params().agents() {
+                for to in params().agents() {
+                    if !pat.delivers(m, from, to) {
+                        scan.push((m, from, to));
+                    }
+                }
+            }
+        }
+        assert_eq!(pat.drops().collect::<Vec<_>>(), scan);
+        assert_eq!(pat.drops().count(), pat.count_drops());
+        assert_eq!(FailurePattern::failure_free(params()).drops().count(), 0);
     }
 
     #[test]

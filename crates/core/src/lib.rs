@@ -18,8 +18,8 @@
 //!   `"E_fip/P_opt@crash"`;
 //! * the pluggable failure models ([`failures`]):
 //!   [`failures::FailureModel`] (failure-free / crash / sending-omission /
-//!   general-omission), failure patterns `(N, F)` governed by a model,
-//!   and model-parameterized adversary samplers
+//!   general-omission), failure patterns `(N, F)` judged by the
+//!   context's model, and model-parameterized adversary samplers
 //!   ([`failures::AdversarySampler`]);
 //! * three information-exchange protocols from the paper ([`exchange`]):
 //!   the minimal exchange `E_min`, the basic exchange `E_basic`, and the
@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use crate::failures::{
         crash_pattern, crashed_from_start_pattern, isolation_pattern, silent_pattern,
-        AdversarySampler, FailureModel, FailurePattern, PatternClass, MODEL_NAMES,
+        AdversarySampler, FailureModel, FailurePattern, MODEL_NAMES,
     };
     pub use crate::graph::{CommGraph, EdgeLabel, FipAnalysis, PrefLabel};
     pub use crate::protocols::{ActionProtocol, NaiveZeroBiased, PBasic, PMin, POpt};

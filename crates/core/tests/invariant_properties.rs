@@ -4,6 +4,7 @@
 //! graph knowledge tables against ground truth, and the round kernel's
 //! broadcast contract.
 
+use eba_core::context::admit_scenario;
 use eba_core::exchange::{
     choose_actions, initial_states, step_round, step_round_observed, RoundObserver,
 };
@@ -226,6 +227,31 @@ proptest! {
         for from in params.agents() {
             for to in params.agents() {
                 prop_assert!(pat.delivers(h + 3, from, to));
+            }
+        }
+    }
+
+    /// Admission follows the hierarchy: a pattern sampled under `M` is
+    /// admitted under `M` and under every model that includes `M`.
+    #[test]
+    fn admission_follows_the_model_hierarchy(
+        model in 0usize..4,
+        wide in any::<bool>(),
+        seed in any::<u64>(),
+        bits in any::<u64>(),
+        p in 0.0f64..1.0,
+    ) {
+        use rand::SeedableRng;
+        let params = if wide { Params::new(5, 2) } else { Params::new(4, 1) }.unwrap();
+        let model = FailureModel::by_name(MODEL_NAMES[model]).unwrap();
+        let horizon = params.default_horizon();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let pattern = AdversarySampler::new(model, params, horizon, p).sample(&mut rng);
+        let inits = inits_from_bits(params.n(), bits);
+        for wider in MODEL_NAMES.map(|name| FailureModel::by_name(name).unwrap()) {
+            if wider.includes(model) {
+                let admitted = admit_scenario(params, wider, &pattern, &inits, horizon);
+                prop_assert!(admitted.is_ok(), "{model} pattern under {wider}: {admitted:?}");
             }
         }
     }

@@ -18,6 +18,7 @@
 
 use eba_core::context::Context;
 use eba_core::exchange::InformationExchange;
+use eba_core::failures::FailureModel;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{Action, AgentId, EbaError, Value};
 use eba_sim::enumerate::EnumRun;
@@ -166,7 +167,7 @@ where
     E: InformationExchange + Clone,
     P: ActionProtocol<E>,
 {
-    /// Wraps a context; cases run with the pattern's own model.
+    /// Wraps a context; cases run under the context's failure model.
     pub fn new(ctx: Context<E, P>) -> Self {
         EngineOracle { ctx }
     }
@@ -178,7 +179,6 @@ where
     /// Propagates simulator and system-construction failures.
     pub fn system(&self, case: &FuzzCase) -> Result<InterpretedSystem<E>, EbaError> {
         let trace = Scenario::of(&self.ctx)
-            .model(case.pattern.model())
             .pattern(case.pattern.clone())
             .inits(&case.inits)
             .horizon(case.horizon)
@@ -227,6 +227,10 @@ where
     E: InformationExchange + Clone,
     P: ActionProtocol<E>,
 {
+    fn model(&self) -> FailureModel {
+        self.ctx.model()
+    }
+
     fn check(&mut self, case: &FuzzCase) -> Result<CaseOutcome, EbaError> {
         let sys = self.system(case)?;
         let n = sys.params().n();

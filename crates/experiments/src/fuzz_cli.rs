@@ -148,22 +148,16 @@ impl StackVisitor for FuzzRunner {
 
 /// Built-in seeds when no corpus is supplied (or none of it matches):
 /// failure-free patterns over a few initial-preference mixes.
-fn default_seeds(model: FailureModel, params: Params) -> Vec<FuzzCase> {
+fn default_seeds(params: Params) -> Vec<FuzzCase> {
     let n = params.n();
-    let horizon = params.default_horizon();
-    let mut inits_mixes = vec![vec![Value::Zero; n], vec![Value::One; n]];
     let mut mixed = vec![Value::One; n];
     mixed[0] = Value::Zero;
-    inits_mixes.push(mixed);
-    inits_mixes
+    [vec![Value::Zero; n], vec![Value::One; n], mixed]
         .into_iter()
-        .filter_map(|inits| {
-            let pattern = FailurePattern::new_in(model, params, AgentSet::full(n)).ok()?;
-            Some(FuzzCase {
-                pattern,
-                inits,
-                horizon,
-            })
+        .map(|inits| FuzzCase {
+            pattern: FailurePattern::failure_free(params),
+            inits,
+            horizon: params.default_horizon(),
         })
         .collect()
 }
@@ -183,7 +177,7 @@ pub fn run(config: &FuzzCliConfig) -> Result<FuzzCliReport, EbaError> {
         seeds = corpus_seeds(dir, &stack)?;
     }
     if seeds.is_empty() {
-        seeds = default_seeds(stack.model(), params);
+        seeds = default_seeds(params);
     }
 
     stack.visit(FuzzRunner {

@@ -1,8 +1,7 @@
 //! Exhaustive enumeration of `R_{E,F,P}`: **all** runs of a context, for
-//! small instances, under any [`FailureModel`] (the paper's `SO(t)` by
-//! default; crash, general-omission, and failure-free environments via a
-//! model-carrying [`Context`] or
-//! [`Scenario::model`](crate::scenario::Scenario::model)). The entry
+//! small instances, under the context's [`FailureModel`] (the paper's
+//! `SO(t)` by default; crash, general-omission, and failure-free
+//! environments via [`Context::with_model`]). The entry
 //! points are the [`Scenario`](crate::scenario::Scenario) methods
 //! `enumerate`, `enumerate_into` and `enumerate_store`; this module is
 //! the engine behind them.
@@ -155,7 +154,7 @@ impl<E: InformationExchange> ItemRuns<E> {
     }
 }
 
-/// Streams every run of `ctx` under `model` into `sink` in the
+/// Streams every run of `ctx` under its model into `sink` in the
 /// deterministic enumeration order, returning the number of runs
 /// delivered. The per-round adversary choice space the depth-first search
 /// explores is the model's — sending-side drop subsets under `SO(t)`,
@@ -174,7 +173,6 @@ impl<E: InformationExchange> ItemRuns<E> {
 /// propagates any error the sink returns.
 pub(crate) fn stream_runs<E, P, S>(
     ctx: &Context<E, P>,
-    model: FailureModel,
     horizon: u32,
     limit: usize,
     parallelism: Parallelism,
@@ -185,7 +183,7 @@ where
     P: ActionProtocol<E> + Sync,
     S: RunSink<E>,
 {
-    let (ex, proto) = (ctx.exchange(), ctx.protocol());
+    let (ex, proto, model) = (ctx.exchange(), ctx.protocol(), ctx.model());
     let items = WorkItems::new(ex.params(), model, limit)?;
     let item = |idx: usize| {
         let (nonfaulty, inits) = items.get(idx);
@@ -776,12 +774,11 @@ mod tests {
     /// Collects the `(N, trajectory)` dedup keys of a model's run set.
     fn model_keys<E, P>(ctx: &Context<E, P>, model: FailureModel) -> Vec<(u128, Vec<Vec<E::State>>)>
     where
-        E: InformationExchange + Sync,
-        P: ActionProtocol<E> + Sync,
+        E: InformationExchange + Clone + Sync,
+        P: ActionProtocol<E> + Clone + Sync,
     {
         let mut keys = Vec::new();
-        Scenario::of(ctx)
-            .model(model)
+        Scenario::of(&ctx.clone().with_model(model))
             .horizon(4)
             .enumerate_into(&mut |run: EnumRun<E>| {
                 keys.push((run.nonfaulty.bits(), run.states));
@@ -797,8 +794,7 @@ mod tests {
         // explicitly changes nothing, run for run.
         let ctx = Context::basic(Params::new(3, 1).unwrap());
         let default = collect(&ctx, 4, Parallelism::Sequential);
-        let explicit = Scenario::of(&ctx)
-            .model(FailureModel::SendingOmission)
+        let explicit = Scenario::of(&ctx.with_model(FailureModel::SendingOmission))
             .horizon(4)
             .enumerate()
             .unwrap();

@@ -2,7 +2,8 @@
 //!
 //! The fuzzer explores the space of admissible adversaries of one scenario:
 //! starting from seed cases it mutates failure patterns and initial
-//! preferences under the scenario's [`FailureModel`], keeps mutants with a
+//! preferences under the oracle's context's [`FailureModel`] (a case
+//! carries no model of its own), keeps mutants with a
 //! *novel* coverage signature (nonfaulty footprint plus decision vector,
 //! decision rounds, and verdict), and stops at the first spec violation. The violating case is then minimized by
 //! [`shrink_case`] — greedily dropping whole rounds of omissions,
@@ -33,7 +34,7 @@ use crate::spec::{check_eba, SpecViolation};
 /// a horizon. The stack it runs on is fixed by the [`CaseOracle`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FuzzCase {
-    /// The failure pattern (carries its governing model).
+    /// The failure pattern.
     pub pattern: FailurePattern,
     /// Initial preferences, one per agent.
     pub inits: Vec<Value>,
@@ -51,22 +52,6 @@ impl FuzzCase {
             self.horizon,
             self.inits.iter().filter(|v| **v == Value::One).count(),
         )
-    }
-
-    /// The recorded drops as sorted `(round, from, to)` triples.
-    pub fn drops(&self) -> Vec<(u32, AgentId, AgentId)> {
-        let params = self.pattern.params();
-        let mut out = Vec::new();
-        for m in 0..self.pattern.drop_horizon() {
-            for from in params.agents() {
-                for to in params.agents() {
-                    if !self.pattern.delivers(m, from, to) {
-                        out.push((m, from, to));
-                    }
-                }
-            }
-        }
-        out
     }
 }
 
@@ -96,6 +81,10 @@ pub struct CaseOutcome {
 
 /// Evaluates one [`FuzzCase`] on a fixed stack.
 pub trait CaseOracle {
+    /// The failure model of the oracle's context: the one judge of which
+    /// cases the search may propose.
+    fn model(&self) -> FailureModel;
+
     /// Runs the case and reports its outcome.
     ///
     /// # Errors
@@ -116,8 +105,7 @@ where
     E: InformationExchange,
     P: ActionProtocol<E>,
 {
-    /// Wraps a context; cases are run with the pattern's own model
-    /// overriding the context's.
+    /// Wraps a context; cases run under the context's failure model.
     pub fn new(ctx: &'c Context<E, P>) -> Self {
         TraceOracle { ctx }
     }
@@ -139,9 +127,12 @@ where
     E: InformationExchange,
     P: ActionProtocol<E>,
 {
+    fn model(&self) -> FailureModel {
+        self.ctx.model()
+    }
+
     fn check(&mut self, case: &FuzzCase) -> Result<CaseOutcome, EbaError> {
         let trace = Scenario::of(self.ctx)
-            .model(case.pattern.model())
             .pattern(case.pattern.clone())
             .inits(&case.inits)
             .horizon(case.horizon)
@@ -227,11 +218,10 @@ fn signature(case: &FuzzCase, outcome: &CaseOutcome) -> Signature {
     )
 }
 
-/// Checks that a case is admissible: its pattern against its own model up
-/// to the case's horizon.
-fn admissible(case: &FuzzCase) -> bool {
-    case.pattern
-        .model()
+/// Checks that a case is admissible: its pattern against `model` up to
+/// the case's horizon.
+fn admissible(case: &FuzzCase, model: FailureModel) -> bool {
+    model
         .admits_pattern_up_to(&case.pattern, case.horizon)
         .is_ok()
 }
@@ -244,17 +234,18 @@ fn rebuild_pattern(
     nonfaulty: eba_core::types::AgentSet,
     drops: &[(u32, AgentId, AgentId)],
 ) -> Result<FailurePattern, EbaError> {
-    let mut pattern = FailurePattern::new_in(model, template.pattern.params(), nonfaulty)?;
+    let mut pattern = FailurePattern::new(template.pattern.params(), nonfaulty)?;
     for &(m, from, to) in drops {
-        let _ = pattern.drop_message(m, from, to);
+        if model.admits_drop(pattern.is_faulty(from), pattern.is_faulty(to)) {
+            pattern.drop_message(m, from, to)?;
+        }
     }
     Ok(pattern)
 }
 
-/// Applies one random mutation; returns `None` when the drawn mutation is
-/// a no-op or inadmissible (the caller retries).
-fn mutate(case: &FuzzCase, rng: &mut StdRng) -> Option<FuzzCase> {
-    let model = case.pattern.model();
+/// Applies one random mutation under `model`; returns `None` when the
+/// drawn mutation is a no-op or inadmissible (the caller retries).
+fn mutate(case: &FuzzCase, model: FailureModel, rng: &mut StdRng) -> Option<FuzzCase> {
     let params = case.pattern.params();
     let n = params.n();
     let mut next = case.clone();
@@ -277,7 +268,7 @@ fn mutate(case: &FuzzCase, rng: &mut StdRng) -> Option<FuzzCase> {
         }
         // Remove one recorded drop.
         2 => {
-            let drops = case.drops();
+            let drops: Vec<_> = case.pattern.drops().collect();
             if drops.is_empty() {
                 return None;
             }
@@ -306,10 +297,11 @@ fn mutate(case: &FuzzCase, rng: &mut StdRng) -> Option<FuzzCase> {
                 return None;
             }
             let nonfaulty = choices[rng.random_range(0..choices.len())];
-            next.pattern = rebuild_pattern(model, case, nonfaulty, &case.drops()).ok()?;
+            let drops: Vec<_> = case.pattern.drops().collect();
+            next.pattern = rebuild_pattern(model, case, nonfaulty, &drops).ok()?;
         }
     }
-    if next == *case || !admissible(&next) {
+    if next == *case || !admissible(&next, model) {
         return None;
     }
     Some(next)
@@ -333,6 +325,7 @@ pub fn fuzz<O: CaseOracle>(
             "fuzzing needs at least one seed case".into(),
         ));
     }
+    let model = oracle.model();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut seen: HashSet<Signature> = HashSet::new();
     let mut pool: Vec<FuzzCase> = Vec::new();
@@ -357,10 +350,10 @@ pub fn fuzz<O: CaseOracle>(
 
     let mut hit: Option<(FuzzCase, Violation)> = None;
     for seed in seeds {
-        if !admissible(seed) {
-            return Err(EbaError::InvalidPattern(
-                "a fuzz seed is inadmissible under its own model and horizon".into(),
-            ));
+        if !admissible(seed, model) {
+            return Err(EbaError::InvalidPattern(format!(
+                "a fuzz seed is inadmissible under the {model} model and its horizon"
+            )));
         }
         if let Some(found) = evaluate(seed.clone(), oracle, &mut seen, &mut pool, &mut cases_run)? {
             hit = Some(found);
@@ -374,7 +367,7 @@ pub fn fuzz<O: CaseOracle>(
     if hit.is_none() {
         for _ in 0..config.iterations {
             let base = &pool[rng.random_range(0..pool.len())];
-            let Some(mutant) = mutate(base, &mut rng) else {
+            let Some(mutant) = mutate(base, model, &mut rng) else {
                 continue;
             };
             if let Some(found) = evaluate(mutant, oracle, &mut seen, &mut pool, &mut cases_run)? {
@@ -408,11 +401,10 @@ pub fn fuzz<O: CaseOracle>(
 /// Proposes strictly smaller candidates for a violating case, most
 /// aggressive first: drop whole rounds of omissions, drop single
 /// omissions, lower the horizon (truncating drops past it), and flip `1`
-/// initial preferences to `0`.
-pub fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
-    let model = case.pattern.model();
+/// initial preferences to `0` — each admissible under `model`.
+pub fn shrink_candidates(case: &FuzzCase, model: FailureModel) -> Vec<FuzzCase> {
     let nonfaulty = case.pattern.nonfaulty();
-    let drops = case.drops();
+    let drops: Vec<_> = case.pattern.drops().collect();
     let mut out = Vec::new();
 
     // 1. Remove every drop in one round.
@@ -464,7 +456,7 @@ pub fn shrink_candidates(case: &FuzzCase) -> Vec<FuzzCase> {
             });
         }
     }
-    out.retain(admissible);
+    out.retain(|c| admissible(c, model));
     out
 }
 
@@ -483,7 +475,7 @@ pub fn shrink_case<O: CaseOracle>(
     let mut current = case.clone();
     let mut steps = 0usize;
     'outer: loop {
-        for cand in shrink_candidates(&current) {
+        for cand in shrink_candidates(&current, oracle.model()) {
             debug_assert!(cand.size() < current.size());
             let outcome = oracle.check(&cand)?;
             if outcome.violation.as_ref().is_some_and(|v| v.kind == kind) {
@@ -505,8 +497,7 @@ mod tests {
         // Faulty agent 0 stays silent except its round-2 message to agent
         // 2: the E_naive Agreement counterexample from the introduction.
         let nonfaulty = AgentSet::singleton(AgentId::new(0)).complement(3);
-        let mut pattern =
-            FailurePattern::new_in(FailureModel::GeneralOmission, params, nonfaulty).unwrap();
+        let mut pattern = FailurePattern::new(params, nonfaulty).unwrap();
         pattern.silence_agent(AgentId::new(0), 0..1, false).unwrap();
         pattern
             .drop_message(1, AgentId::new(0), AgentId::new(1))
@@ -558,12 +549,7 @@ mod tests {
         let params = Params::new(3, 1).unwrap();
         let ctx = Context::naive(params).with_model(FailureModel::GeneralOmission);
         let seed = FuzzCase {
-            pattern: FailurePattern::new_in(
-                FailureModel::GeneralOmission,
-                params,
-                AgentSet::full(3),
-            )
-            .unwrap(),
+            pattern: FailurePattern::failure_free(params),
             inits: vec![Value::Zero, Value::One, Value::One],
             horizon: 4,
         };

@@ -8,11 +8,14 @@
 //!
 //! Validation is [`admit_scenario`], the admission check shared with the
 //! transport cluster and the service, so errors report **every** problem
-//! at once, each naming the offending argument.
+//! at once, each naming the offending argument. The failure model is the
+//! context's: it judges the pattern given to [`run`](Scenario::run) and
+//! picks the adversary choices the enumeration explores; run a stack
+//! under another model through [`Context::with_model`].
 
 use eba_core::context::{admit_scenario, error_message, Context};
 use eba_core::exchange::InformationExchange;
-use eba_core::failures::{FailureModel, FailurePattern};
+use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{EbaError, Value};
 
@@ -51,7 +54,6 @@ const DEFAULT_ENUM_LIMIT: usize = 10_000_000;
 #[derive(Clone, Debug)]
 pub struct Scenario<'c, E, P> {
     ctx: &'c Context<E, P>,
-    model: Option<FailureModel>,
     pattern: Option<FailurePattern>,
     inits: Option<Vec<Value>>,
     horizon: Option<u32>,
@@ -72,7 +74,6 @@ where
     pub fn of(ctx: &'c Context<E, P>) -> Self {
         Scenario {
             ctx,
-            model: None,
             pattern: None,
             inits: None,
             horizon: None,
@@ -81,21 +82,10 @@ where
         }
     }
 
-    /// Overrides the failure model (defaults to the context's, which is
-    /// [`FailureModel::SendingOmission`] unless the context was built
-    /// with another). The model picks the adversary choice space
-    /// explored by the enumeration entry points and must admit the
-    /// pattern given to [`run`](Scenario::run).
-    #[must_use]
-    pub fn model(mut self, model: FailureModel) -> Self {
-        self.model = Some(model);
-        self
-    }
-
     /// Sets the failure pattern (defaults to failure-free). The pattern
-    /// must be admissible under the scenario's effective failure model —
-    /// e.g. a [`silent_pattern`](eba_core::failures::silent_pattern) is
-    /// rejected under `FailureModel::FailureFree`.
+    /// must be admissible under the context's failure model — e.g. a
+    /// [`silent_pattern`](eba_core::failures::silent_pattern) is rejected
+    /// under `FailureModel::FailureFree`.
     #[must_use]
     pub fn pattern(mut self, pattern: FailurePattern) -> Self {
         self.pattern = Some(pattern);
@@ -139,8 +129,8 @@ where
     /// Validates everything [`run`](Scenario::run) relies on, reporting
     /// **all** violations at once: missing or wrong-length initial
     /// preferences, a failure pattern built for different parameters, and
-    /// a pattern the scenario's effective failure model does not admit
-    /// through the whole horizon (see [`admit_scenario`]).
+    /// a pattern the context's failure model does not admit through the
+    /// whole horizon (see [`admit_scenario`]).
     ///
     /// # Errors
     ///
@@ -157,7 +147,7 @@ where
         let admit = |inits: &[Value]| {
             admit_scenario(
                 params,
-                self.effective_model(),
+                self.ctx.model(),
                 pattern,
                 inits,
                 self.effective_horizon(),
@@ -264,7 +254,6 @@ where
     {
         stream_runs(
             self.ctx,
-            self.effective_model(),
             self.effective_horizon(),
             self.limit,
             self.parallelism,
@@ -300,10 +289,6 @@ where
         self.pattern
             .clone()
             .unwrap_or_else(|| FailurePattern::failure_free(self.ctx.params()))
-    }
-
-    fn effective_model(&self) -> FailureModel {
-        self.model.unwrap_or_else(|| self.ctx.model())
     }
 
     fn effective_horizon(&self) -> u32 {

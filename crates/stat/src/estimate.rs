@@ -225,6 +225,28 @@ fn kind_index(kind: &'static str) -> u8 {
         .expect("registered kind") as u8
 }
 
+/// The running sums of the mixture's weights, which [`pick_stratum`]
+/// reads.
+fn cumulative_weights(strata: &[Stratum]) -> Vec<f64> {
+    strata
+        .iter()
+        .scan(0.0, |acc, s| {
+            *acc += s.weight;
+            Some(*acc)
+        })
+        .collect()
+}
+
+/// The stratum a uniform draw `r ∈ [0, 1)` selects from the running
+/// sums of the mixture's weights. Rounding can leave the last sum just
+/// below 1, so a draw beyond it belongs to the last stratum.
+fn pick_stratum(cumulative: &[f64], r: f64) -> usize {
+    cumulative
+        .iter()
+        .position(|&c| r < c)
+        .unwrap_or(cumulative.len() - 1)
+}
+
 fn mix_seed(seed: u64, block: u64) -> u64 {
     // Distinct SplitMix64 stream positions per block; `StdRng` then
     // expands each through its own SplitMix64 state initialization.
@@ -257,14 +279,7 @@ impl EstimateVisitor<'_> {
             .iter()
             .map(|s| AdversarySampler::new(model, params, self.plan.horizon, s.drop_prob))
             .collect();
-        let cumulative: Vec<f64> = self
-            .strata
-            .iter()
-            .scan(0.0, |acc, s| {
-                *acc += s.weight;
-                Some(*acc)
-            })
-            .collect();
+        let cumulative = cumulative_weights(self.strata);
         let mut rng = StdRng::seed_from_u64(mix_seed(self.plan.seed, block));
         let mut result = BlockResult {
             violations: 0,
@@ -275,7 +290,7 @@ impl EstimateVisitor<'_> {
         };
         for _ in 0..trials {
             let r: f64 = rng.random();
-            let s = cumulative.iter().position(|&c| r < c).unwrap_or(0);
+            let s = pick_stratum(&cumulative, r);
             let faulty = if self.strata[s].faulty == 0 {
                 AgentSet::empty()
             } else {
@@ -574,12 +589,9 @@ mod tests {
         // and 2 split at the time-2 deadline.
         let params = Params::new(3, 1).unwrap();
         let ctx = Context::naive(params).with_model(FailureModel::SendingOmission);
-        let mut pattern = FailurePattern::new_in(
-            FailureModel::SendingOmission,
-            params,
-            AgentSet::singleton(AgentId::new(0)).complement(3),
-        )
-        .unwrap();
+        let mut pattern =
+            FailurePattern::new(params, AgentSet::singleton(AgentId::new(0)).complement(3))
+                .unwrap();
         for (m, to) in [(0, 1), (0, 2), (1, 2)] {
             pattern
                 .drop_message(m, AgentId::new(0), AgentId::new(to))
@@ -639,6 +651,21 @@ mod tests {
                 "pattern: got a pattern built for (n = 5, t = 2) (expected (n = 3, t = 1))".into()
             )
         );
+    }
+
+    #[test]
+    fn a_draw_past_the_rounded_weights_picks_the_last_stratum() {
+        // The `estimate_basic_n16` mixture: its 13 weights sum to just
+        // under 1 in f64, and a draw in that gap is the last stratum's.
+        let strata = SampleScheme::Stratified.strata(FailureModel::SendingOmission, 4);
+        let cumulative = cumulative_weights(&strata);
+        let last = *cumulative.last().unwrap();
+        assert_eq!(last, 0.9999999999999998);
+        let r = 1.0 - f64::EPSILON / 2.0; // 1 − 2⁻⁵³, the largest draw
+        assert!(last <= r && r < 1.0);
+        assert_eq!(pick_stratum(&cumulative, r), strata.len() - 1);
+        assert_eq!(pick_stratum(&cumulative, 0.0), 0);
+        assert_eq!(pick_stratum(&cumulative, cumulative[0]), 1);
     }
 
     #[test]

@@ -37,7 +37,6 @@ pub const REFERENCE_BUDGET: u64 = 5_000_000;
 /// `sites` lists the independent drop coins; each subset `S` occurs with
 /// probability `q^|S| (1 − q)^(D − |S|)`.
 fn for_each_drop_subset<F>(
-    model: FailureModel,
     params: Params,
     faulty: AgentSet,
     sites: &[(u32, AgentId, AgentId)],
@@ -55,7 +54,7 @@ where
         if prob == 0.0 {
             continue;
         }
-        let mut pattern = FailurePattern::new_in(model, params, faulty.complement(params.n()))?;
+        let mut pattern = FailurePattern::new(params, faulty.complement(params.n()))?;
         for (i, &(m, from, to)) in sites.iter().enumerate() {
             if mask & (1 << i) != 0 {
                 pattern.drop_message(m, from, to)?;
@@ -131,21 +130,14 @@ where
             }
         }
         let assignment_prob = round_prob.powi(agents.len() as i32);
-        for_each_drop_subset(
-            FailureModel::Crash,
-            params,
-            faulty,
-            &sites,
-            q,
-            &mut |mut pattern, prob| {
-                for (a, &cr) in agents.iter().zip(&rounds) {
-                    if cr + 1 < horizon {
-                        pattern.silence_agent(*a, cr + 1..horizon, true)?;
-                    }
+        for_each_drop_subset(params, faulty, &sites, q, &mut |mut pattern, prob| {
+            for (a, &cr) in agents.iter().zip(&rounds) {
+                if cr + 1 < horizon {
+                    pattern.silence_agent(*a, cr + 1..horizon, true)?;
                 }
-                f(pattern, assignment_prob * prob)
-            },
-        )?;
+            }
+            f(pattern, assignment_prob * prob)
+        })?;
         // Advance the odometer.
         let mut i = 0;
         loop {
@@ -302,7 +294,6 @@ impl StackVisitor for ReferenceVisitor<'_> {
                     _ => {
                         let sites = drop_sites(model, params, faulty, self.plan.horizon);
                         for_each_drop_subset(
-                            model,
                             params,
                             faulty,
                             &sites,
@@ -326,6 +317,7 @@ mod tests {
     use super::*;
     use crate::estimate::estimate;
     use crate::plan::SampleScheme;
+    use eba_core::context::admit_scenario;
     use eba_sim::prelude::Parallelism;
 
     fn plan(trials: u64, scheme: SampleScheme, horizon: u32) -> TrialPlan {
@@ -390,14 +382,61 @@ mod tests {
 
     #[test]
     fn drop_site_layout_matches_the_sampler() {
+        // With every coin landing "drop", the sampler's pattern lists
+        // exactly the reference's sites, in the same order.
+        use rand::SeedableRng;
         let params = Params::new(4, 2).unwrap();
+        let horizon = 3;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xEBA);
+        for model in [FailureModel::SendingOmission, FailureModel::GeneralOmission] {
+            let sampler = AdversarySampler::new(model, params, horizon, 1.0);
+            for faulty in faulty_sets(4, 1).into_iter().chain(faulty_sets(4, 2)) {
+                let sampled: Vec<_> = sampler
+                    .sample_with_faulty(faulty, &mut rng)
+                    .drops()
+                    .collect();
+                let sites = drop_sites(model, params, faulty, horizon);
+                assert_eq!(sampled, sites, "{model} faulty {faulty}");
+            }
+        }
         let faulty = AgentSet::singleton(AgentId::new(1));
-        let so = drop_sites(FailureModel::SendingOmission, params, faulty, 2);
-        // One faulty sender, 3 receivers, 2 rounds.
-        assert_eq!(so.len(), 6);
-        let go = drop_sites(FailureModel::GeneralOmission, params, faulty, 2);
-        // Every pair touching agent 1: 3 outgoing + 3 incoming, 2 rounds.
-        assert_eq!(go.len(), 12);
         assert!(drop_sites(FailureModel::Crash, params, faulty, 2).is_empty());
+    }
+
+    #[test]
+    fn streamed_patterns_are_a_distribution_the_model_admits() {
+        let q = 0.3;
+        for n in [3, 4] {
+            let params = Params::new(n, 1).unwrap();
+            // At (4, 1) under GO(t) that is 2^12 subsets, few enough that
+            // their f64 sum stays within 1e-12 of 1.
+            let horizon = 2;
+            let inits = vec![Value::One; n];
+            for model in [
+                FailureModel::FailureFree,
+                FailureModel::Crash,
+                FailureModel::SendingOmission,
+                FailureModel::GeneralOmission,
+            ] {
+                let faulty = if model == FailureModel::FailureFree {
+                    AgentSet::empty()
+                } else {
+                    AgentSet::singleton(AgentId::new(n - 1))
+                };
+                let mut total = 0.0;
+                let mut check = |pattern: FailurePattern, prob: f64| {
+                    admit_scenario(params, model, &pattern, &inits, horizon)?;
+                    total += prob;
+                    Ok(())
+                };
+                if model == FailureModel::Crash {
+                    for_each_crash_pattern(params, faulty, horizon, q, &mut check).unwrap();
+                } else {
+                    let sites = drop_sites(model, params, faulty, horizon);
+                    for_each_drop_subset(params, faulty, &sites, q, &mut check).unwrap();
+                }
+                assert!((total - 1.0).abs() < 1e-12, "({n}, 1) {model}: {total}");
+            }
+        }
     }
 }

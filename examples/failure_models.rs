@@ -67,12 +67,12 @@ fn main() -> Result<(), EbaError> {
         FailureModel::GeneralOmission,
     ] {
         let mut count = 0usize;
-        Scenario::of(&small)
-            .model(model)
-            .enumerate_into(&mut |_run: EnumRun<BasicExchange>| {
-                count += 1;
-                Ok(())
-            })?;
+        Scenario::of(&small.with_model(model)).enumerate_into(&mut |_run: EnumRun<
+            BasicExchange,
+        >| {
+            count += 1;
+            Ok(())
+        })?;
         println!("{:<17} {count:>6} deduplicated runs", model.name());
         counts.push(count);
     }

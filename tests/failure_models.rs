@@ -37,8 +37,7 @@ impl StackVisitor for ModeledSoEqualsLegacy<'_> {
             .parallelism(Parallelism::Fixed(3))
             .enumerate()
             .unwrap();
-        let modeled = Scenario::of(ctx)
-            .model(FailureModel::SendingOmission)
+        let modeled = Scenario::of(&ctx.clone().with_model(FailureModel::SendingOmission))
             .horizon(self.horizon)
             .enumerate()
             .unwrap();
@@ -76,8 +75,8 @@ proptest! {
 }
 
 /// The acceptance criterion verbatim: on the `(3, 1)` `E_fip/P_opt`
-/// context, `Scenario::of(&ctx).model(FailureModel::SendingOmission)`
-/// enumeration is bit-for-bit identical to the default.
+/// context, enumerating `ctx.with_model(FailureModel::SendingOmission)`
+/// is bit-for-bit identical to the default.
 #[test]
 fn fip_sending_omission_context_is_bit_for_bit_identical() {
     let params = Params::new(3, 1).unwrap();
@@ -86,8 +85,7 @@ fn fip_sending_omission_context_is_bit_for_bit_identical() {
     // Stream the modeled enumeration so the two run sets are never
     // resident at once.
     let mut idx = 0usize;
-    let total = Scenario::of(&ctx)
-        .model(FailureModel::SendingOmission)
+    let total = Scenario::of(&ctx.with_model(FailureModel::SendingOmission))
         .horizon(4)
         .parallelism(Parallelism::Auto)
         .enumerate_into(&mut |run: EnumRun<FipExchange>| {
@@ -112,8 +110,7 @@ fn crash_and_general_omission_are_new_nonempty_scenario_families() {
     let ctx = Context::basic(params);
     let keys = |model: FailureModel| -> std::collections::HashSet<(u128, String)> {
         let mut set = std::collections::HashSet::new();
-        Scenario::of(&ctx)
-            .model(model)
+        Scenario::of(&ctx.with_model(model))
             .horizon(4)
             .enumerate_into(&mut |run: EnumRun<BasicExchange>| {
                 set.insert((run.nonfaulty.bits(), format!("{:?}", run.states)));
@@ -182,8 +179,7 @@ fn crash_model_rejects_patterns_that_revive_past_their_drop_horizon() {
         .run()
         .is_ok());
     // …and under SO(t), where reviving senders are legal.
-    assert!(Scenario::of(&ctx)
-        .model(FailureModel::SendingOmission)
+    assert!(Scenario::of(&ctx.with_model(FailureModel::SendingOmission))
         .pattern(short)
         .inits(&[Value::One; 4])
         .horizon(6)
@@ -200,19 +196,16 @@ fn general_omission_admits_receive_side_drops_sending_omission_rejects() {
     let nonfaulty = faulty.complement(4);
 
     // Pattern level.
-    let mut so = FailurePattern::new_in(FailureModel::SendingOmission, params, nonfaulty).unwrap();
-    assert!(so
-        .drop_message(0, AgentId::new(1), AgentId::new(0))
-        .is_err());
-    let mut go = FailurePattern::new_in(FailureModel::GeneralOmission, params, nonfaulty).unwrap();
+    let mut go = FailurePattern::new(params, nonfaulty).unwrap();
     go.drop_message(0, AgentId::new(1), AgentId::new(0))
         .unwrap();
+    assert!(FailureModel::SendingOmission.admits_pattern(&go).is_err());
+    assert!(FailureModel::GeneralOmission.admits_pattern(&go).is_ok());
 
     // End to end: the GO pattern runs in a GO scenario and is rejected
     // by the default SO(t) one.
     let ctx = Context::basic(params);
-    let ok = Scenario::of(&ctx)
-        .model(FailureModel::GeneralOmission)
+    let ok = Scenario::of(&ctx.with_model(FailureModel::GeneralOmission))
         .pattern(go.clone())
         .inits(&[Value::One; 4])
         .run();

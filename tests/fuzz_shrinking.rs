@@ -12,8 +12,7 @@ use eba::prelude::*;
 /// given: failure-free patterns over a few initial-preference mixes.
 fn benign_seeds(params: Params) -> Vec<FuzzCase> {
     let n = params.n();
-    let pattern =
-        FailurePattern::new_in(FailureModel::GeneralOmission, params, AgentSet::full(n)).unwrap();
+    let pattern = FailurePattern::failure_free(params);
     let mut mixed = vec![Value::One; n];
     mixed[0] = Value::Zero;
     [vec![Value::Zero; n], vec![Value::One; n], mixed]
@@ -120,7 +119,7 @@ fn engine_and_trace_oracles_agree_on_shrink_candidates() {
         .found
         .expect("the violation must be found");
     let mut trace = TraceOracle::new(&ctx);
-    for cand in shrink_candidates(&found.first) {
+    for cand in shrink_candidates(&found.first, FailureModel::GeneralOmission) {
         let e = engine.check(&cand).unwrap();
         let t = trace.check(&cand).unwrap();
         assert_eq!(e.decisions, t.decisions, "{cand:?}");

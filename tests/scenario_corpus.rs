@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 
 /// A random admissible scenario of the given stack/model shape: nonfaulty
 /// set drawn from the model's admissible choices, drops generated under
-/// the model's own discipline (crash = suffix silence, omissions = random
+/// the model's discipline (crash = suffix silence, omissions = random
 /// admissible single drops).
 fn random_spec(stack: &str, model: FailureModel, n: usize, seed: u64) -> ScenarioSpec {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -23,7 +23,7 @@ fn random_spec(stack: &str, model: FailureModel, n: usize, seed: u64) -> Scenari
 
     let choices = model.nonfaulty_choices(params);
     let nonfaulty = choices[rng.random_range(0..choices.len())];
-    let mut pattern = FailurePattern::new_in(model, params, nonfaulty).unwrap();
+    let mut pattern = FailurePattern::new(params, nonfaulty).unwrap();
     match model {
         FailureModel::FailureFree => {}
         FailureModel::Crash => {
@@ -38,13 +38,14 @@ fn random_spec(stack: &str, model: FailureModel, n: usize, seed: u64) -> Scenari
             }
         }
         FailureModel::SendingOmission | FailureModel::GeneralOmission => {
-            // Random single drops; `drop_message` rejects the ones the
-            // model does not admit.
+            // Random single drops, keeping the ones the model admits.
             for _ in 0..rng.random_range(0..8usize) {
                 let m = rng.random_range(0..horizon);
                 let from = AgentId::new(rng.random_range(0..n));
                 let to = AgentId::new(rng.random_range(0..n));
-                let _ = pattern.drop_message(m, from, to);
+                if model.admits_drop(pattern.is_faulty(from), pattern.is_faulty(to)) {
+                    pattern.drop_message(m, from, to).unwrap();
+                }
             }
         }
     }

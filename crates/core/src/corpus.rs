@@ -1,9 +1,10 @@
 //! The `.eba` textual scenario format: a hand-rolled parser/printer for
-//! corpus files describing one scenario each.
+//! corpus files describing one scenario each, and [`Case`], the inputs
+//! of one run.
 //!
 //! A scenario file names a registered stack, a failure model, the `(n, t)`
-//! parameters, a failure pattern (nonfaulty set plus omission drops), the
-//! initial preferences, a horizon, and an optional enumeration limit:
+//! parameters, and one [`Case`]: a failure pattern (nonfaulty set plus
+//! omission drops), the initial preferences and a horizon:
 //!
 //! ```text
 //! # whisper: agent 0 tells only agent 2 its preference
@@ -24,38 +25,57 @@
 //! so `parse ∘ print ≡ id` on [`ScenarioSpec`] values and
 //! `print ∘ parse ≡ id` on canonical text.
 //!
-//! Parse errors ([`ParseError`]) carry the 1-based source line and the
-//! offending field; [`FieldLines`] records where each field was defined so
-//! downstream admission ([`admit_scenario`], behind
-//! [`ScenarioSpec::validate`]) can be reported against the source file
-//! (see [`FieldLines::locate`]).
+//! The pattern is built while parsing, so every error of the file's own
+//! making is a [`ParseError`] carrying the 1-based source line and the
+//! offending field: too many faulty agents, a drop between two nonfaulty
+//! agents, a drop at or past the horizon. What is left to admission
+//! ([`admit_scenario`], behind [`ScenarioSpec::validate`]) — input shapes
+//! and the pattern versus the model — is relocated to the source file
+//! through [`FieldLines::locate`].
 
 use std::fmt;
 
-use crate::context::{admit_scenario, NamedStack, STACK_NAMES};
+use crate::context::{admit_scenario, error_message, NamedStack, STACK_NAMES};
 use crate::failures::{FailureModel, FailurePattern};
 use crate::types::{AgentId, AgentSet, EbaError, Params, Value};
 
-/// One parsed scenario: everything needed to rebuild a registry stack and
-/// a concrete run through the `Scenario` builder.
+/// One run's inputs, as the paper fixes a run (§3): a failure pattern
+/// `(N, F)`, the initial preferences and a horizon. The stack it runs on
+/// is named elsewhere — by a [`ScenarioSpec`], or by whoever holds the
+/// context.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Case {
+    /// The failure pattern.
+    pub pattern: FailurePattern,
+    /// Initial preferences, one per agent.
+    pub inits: Vec<Value>,
+    /// The run horizon (rounds).
+    pub horizon: u32,
+}
+
+impl Case {
+    /// The case's size in shrink order: recorded drops, then horizon,
+    /// then the number of `1` initial preferences. Shrinking only moves
+    /// strictly downward in the lexicographic order on this triple.
+    pub fn size(&self) -> (usize, u32, usize) {
+        (
+            self.pattern.count_drops(),
+            self.horizon,
+            self.inits.iter().filter(|v| **v == Value::One).count(),
+        )
+    }
+}
+
+/// One parsed scenario: a registry stack, the failure model of its
+/// environment, and the case it runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ScenarioSpec {
     /// Base stack name (an entry of [`STACK_NAMES`], unqualified).
     pub stack: String,
     /// The failure model of the scenario's environment.
     pub model: FailureModel,
-    /// The `(n, t)` parameters.
-    pub params: Params,
-    /// The nonfaulty set of the failure pattern.
-    pub nonfaulty: AgentSet,
-    /// Omission drops `(round, from, to)`, sorted and deduplicated.
-    pub drops: Vec<(u32, AgentId, AgentId)>,
-    /// Initial preferences, one per agent.
-    pub inits: Vec<Value>,
-    /// The run horizon (rounds).
-    pub horizon: u32,
-    /// Optional enumeration limit for batch runs.
-    pub limit: Option<usize>,
+    /// The run: pattern, initial preferences and horizon.
+    pub case: Case,
 }
 
 /// Source lines (1-based) of the fields of a parsed scenario, for
@@ -153,14 +173,29 @@ fn parse_num<T: std::str::FromStr>(
     })
 }
 
+/// Fills a single-valued key's slot with its line and value, refusing a
+/// second definition.
+fn once<T>(
+    slot: &mut Option<(usize, T)>,
+    line: usize,
+    field: &'static str,
+    value: T,
+) -> Result<(), ParseError> {
+    match slot.replace((line, value)) {
+        Some(_) => Err(err(line, field, "duplicate key")),
+        None => Ok(()),
+    }
+}
+
 /// Parses one `.eba` scenario file.
 ///
-/// Only the *syntactic* shape is checked here (every key well-formed,
-/// required keys present, agent indices inside `0..n`); semantic
-/// admissibility — pattern shape versus `(n, t)`, drops versus the model —
-/// is the job of [`ScenarioSpec::to_pattern`] and
-/// [`ScenarioSpec::validate`], whose errors can be relocated to the file
-/// via [`FieldLines::locate`].
+/// Every key is checked for shape (required keys present, agent indices
+/// inside `0..n`), and the failure pattern is built from the `nonfaulty`
+/// and `drop` lines, so more than `t` faulty agents, a drop between two
+/// nonfaulty agents or a drop at or past the horizon is rejected at its
+/// own line. Admissibility — input shapes versus `(n, t)`, the pattern
+/// versus the model — is [`ScenarioSpec::validate`]'s job, whose errors
+/// can be relocated to the file via [`FieldLines::locate`].
 ///
 /// # Errors
 ///
@@ -171,7 +206,6 @@ pub fn parse_scenario(text: &str) -> Result<ParsedScenario, ParseError> {
     let mut n: Option<(usize, usize)> = None;
     let mut t: Option<(usize, usize)> = None;
     let mut horizon: Option<(usize, u32)> = None;
-    let mut limit: Option<(usize, usize)> = None;
     let mut nonfaulty_raw: Option<(usize, String)> = None;
     let mut inits_raw: Option<(usize, String)> = None;
     let mut drops_raw: Vec<(usize, String)> = Vec::new();
@@ -187,60 +221,23 @@ pub fn parse_scenario(text: &str) -> Result<ParsedScenario, ParseError> {
         };
         let key = key.trim();
         let value = value.trim().to_string();
-        let dup = |field: &'static str| err(lineno, field, "duplicate key");
         match key {
-            "stack" => {
-                if stack.replace((lineno, value)).is_some() {
-                    return Err(dup("stack"));
-                }
-            }
+            "stack" => once(&mut stack, lineno, "stack", value)?,
             "model" => {
                 let parsed = FailureModel::by_name(&value)
-                    .map_err(|e| err(lineno, "model", crate::context::error_message(&e)))?;
-                if model.replace((lineno, parsed)).is_some() {
-                    return Err(dup("model"));
-                }
+                    .map_err(|e| err(lineno, "model", error_message(&e)))?;
+                once(&mut model, lineno, "model", parsed)?;
             }
-            "n" => {
-                if n.replace((lineno, parse_num(lineno, "n", &value)?))
-                    .is_some()
-                {
-                    return Err(dup("n"));
-                }
-            }
-            "t" => {
-                if t.replace((lineno, parse_num(lineno, "t", &value)?))
-                    .is_some()
-                {
-                    return Err(dup("t"));
-                }
-            }
-            "horizon" => {
-                if horizon
-                    .replace((lineno, parse_num(lineno, "horizon", &value)?))
-                    .is_some()
-                {
-                    return Err(dup("horizon"));
-                }
-            }
-            "limit" => {
-                if limit
-                    .replace((lineno, parse_num(lineno, "limit", &value)?))
-                    .is_some()
-                {
-                    return Err(dup("limit"));
-                }
-            }
-            "nonfaulty" => {
-                if nonfaulty_raw.replace((lineno, value)).is_some() {
-                    return Err(dup("nonfaulty"));
-                }
-            }
-            "inits" => {
-                if inits_raw.replace((lineno, value)).is_some() {
-                    return Err(dup("inits"));
-                }
-            }
+            "n" => once(&mut n, lineno, "n", parse_num(lineno, "n", &value)?)?,
+            "t" => once(&mut t, lineno, "t", parse_num(lineno, "t", &value)?)?,
+            "horizon" => once(
+                &mut horizon,
+                lineno,
+                "horizon",
+                parse_num(lineno, "horizon", &value)?,
+            )?,
+            "nonfaulty" => once(&mut nonfaulty_raw, lineno, "nonfaulty", value)?,
+            "inits" => once(&mut inits_raw, lineno, "inits", value)?,
             "drop" => drops_raw.push((lineno, value)),
             other => {
                 return Err(err(
@@ -248,7 +245,7 @@ pub fn parse_scenario(text: &str) -> Result<ParsedScenario, ParseError> {
                     "line",
                     format!(
                         "unknown key {other:?}; expected one of stack, model, n, t, \
-                         horizon, limit, nonfaulty, inits, drop"
+                         horizon, nonfaulty, inits, drop"
                     ),
                 ));
             }
@@ -276,8 +273,7 @@ pub fn parse_scenario(text: &str) -> Result<ParsedScenario, ParseError> {
     let (_, model) = model.ok_or_else(|| err(0, "model", "missing required key"))?;
     let (n_line, n) = n.ok_or_else(|| err(0, "n", "missing required key"))?;
     let (_, t) = t.ok_or_else(|| err(0, "t", "missing required key"))?;
-    let params =
-        Params::new(n, t).map_err(|e| err(n_line, "n", crate::context::error_message(&e)))?;
+    let params = Params::new(n, t).map_err(|e| err(n_line, "n", error_message(&e)))?;
 
     let (inits_line, inits_raw) =
         inits_raw.ok_or_else(|| err(0, "inits", "missing required key"))?;
@@ -315,75 +311,77 @@ pub fn parse_scenario(text: &str) -> Result<ParsedScenario, ParseError> {
             (lineno, set)
         }
     };
+    let mut pattern = FailurePattern::new(params, nonfaulty)
+        .map_err(|e| err(nonfaulty_line, "nonfaulty", error_message(&e)))?;
 
-    let mut drops = Vec::new();
-    let mut first_drop = 0;
+    let (horizon_line, horizon) = horizon.unwrap_or((0, params.default_horizon()));
     for (lineno, raw) in &drops_raw {
-        if first_drop == 0 {
-            first_drop = *lineno;
-        }
-        drops.extend(parse_drop(*lineno, raw, params)?);
+        parse_drop(*lineno, raw, horizon, &mut pattern)?;
     }
-    drops.sort_unstable();
-    drops.dedup();
-
-    let (horizon_line, horizon) = match horizon {
-        Some((lineno, h)) => (lineno, h),
-        None => (0, params.default_horizon()),
-    };
 
     Ok(ParsedScenario {
         spec: ScenarioSpec {
             stack,
             model,
-            params,
-            nonfaulty,
-            drops,
-            inits,
-            horizon,
-            limit: limit.map(|(_, l)| l),
+            case: Case {
+                pattern,
+                inits,
+                horizon,
+            },
         },
         lines: FieldLines {
             inits: inits_line,
             nonfaulty: nonfaulty_line,
-            first_drop,
+            first_drop: drops_raw.first().map_or(0, |(lineno, _)| *lineno),
             horizon: horizon_line,
         },
     })
 }
 
-/// Parses one `drop = round <m> from <i> to <j> [<j>...]` value.
+/// Parses one `drop = round <m> from <i> to <j> [<j>...]` value into
+/// `pattern`.
 fn parse_drop(
     lineno: usize,
     raw: &str,
-    params: Params,
-) -> Result<Vec<(u32, AgentId, AgentId)>, ParseError> {
+    horizon: u32,
+    pattern: &mut FailurePattern,
+) -> Result<(), ParseError> {
     let tokens: Vec<&str> = raw.split_whitespace().collect();
     let shape = "expected `round <m> from <i> to <j> [<j>...]`";
     if tokens.len() < 6 || tokens[0] != "round" || tokens[2] != "from" || tokens[4] != "to" {
         return Err(err(lineno, "drop", format!("{shape}, got {raw:?}")));
     }
     let round: u32 = parse_num(lineno, "drop", tokens[1])?;
+    if round >= horizon {
+        return Err(err(
+            lineno,
+            "drop",
+            format!("round {round} is at or past the horizon {horizon}"),
+        ));
+    }
+    let n = pattern.params().n();
     let agent = |token: &str| -> Result<AgentId, ParseError> {
         let i: usize = parse_num(lineno, "drop", token)?;
-        if i >= params.n() {
-            return Err(err(
-                lineno,
-                "drop",
-                format!("agent {i} is outside 0..{}", params.n()),
-            ));
+        if i >= n {
+            return Err(err(lineno, "drop", format!("agent {i} is outside 0..{n}")));
         }
         Ok(AgentId::new(i))
     };
     let from = agent(tokens[3])?;
-    let mut out = Vec::new();
     for token in &tokens[5..] {
-        out.push((round, from, agent(token)?));
+        pattern
+            .drop_message(round, from, agent(token)?)
+            .map_err(|e| err(lineno, "drop", error_message(&e)))?;
     }
-    Ok(out)
+    Ok(())
 }
 
 impl ScenarioSpec {
+    /// The `(n, t)` parameters, as the case's pattern records them.
+    pub fn params(&self) -> Params {
+        self.case.pattern.params()
+    }
+
     /// The model-qualified registry name (`"<stack>@<model>"`, or the bare
     /// base name for the default sending-omissions model), resolvable via
     /// [`NamedStack::by_name`].
@@ -398,44 +396,7 @@ impl ScenarioSpec {
     /// Returns [`EbaError::InvalidInput`] if the stack name is unknown
     /// (cannot happen for parsed specs) or the parameters are invalid.
     pub fn to_stack(&self) -> Result<NamedStack, EbaError> {
-        NamedStack::by_name(&self.qualified_stack(), self.params)
-    }
-
-    /// Rebuilds the failure pattern: the nonfaulty set plus every recorded
-    /// drop. Whether the scenario's model admits it is
-    /// [`validate`](Self::validate)'s question.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EbaError::InvalidPattern`] if more than `t` agents are
-    /// faulty or a drop is between two nonfaulty agents.
-    pub fn to_pattern(&self) -> Result<FailurePattern, EbaError> {
-        let mut pattern = FailurePattern::new(self.params, self.nonfaulty)?;
-        for &(m, from, to) in &self.drops {
-            pattern.drop_message(m, from, to)?;
-        }
-        Ok(pattern)
-    }
-
-    /// Extracts a spec from a concrete pattern and the model it runs under.
-    pub fn from_pattern(
-        stack: impl Into<String>,
-        model: FailureModel,
-        pattern: &FailurePattern,
-        inits: &[Value],
-        horizon: u32,
-        limit: Option<usize>,
-    ) -> Self {
-        ScenarioSpec {
-            stack: stack.into(),
-            model,
-            params: pattern.params(),
-            nonfaulty: pattern.nonfaulty(),
-            drops: pattern.drops().collect(),
-            inits: inits.to_vec(),
-            horizon,
-            limit,
-        }
+        NamedStack::by_name(&self.qualified_stack(), self.params())
     }
 
     /// Checks the scenario's semantic admissibility with the one
@@ -445,56 +406,56 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`to_pattern`](Self::to_pattern)'s error if the pattern
-    /// cannot be built, otherwise [`EbaError::InvalidInput`] listing
-    /// every problem found, `; `-separated; use [`FieldLines::locate`]
-    /// to report each against the source file.
+    /// Returns [`EbaError::InvalidInput`] listing every problem found,
+    /// `; `-separated; use [`FieldLines::locate`] to report each against
+    /// the source file.
     pub fn validate(&self) -> Result<(), EbaError> {
-        let pattern = self.to_pattern()?;
-        admit_scenario(self.params, self.model, &pattern, &self.inits, self.horizon)
+        let case = &self.case;
+        admit_scenario(
+            self.params(),
+            self.model,
+            &case.pattern,
+            &case.inits,
+            case.horizon,
+        )
     }
 
     /// Prints the canonical `.eba` form: fixed key order, drops sorted and
     /// grouped by `(round, sender)`, the full nonfaulty set spelled `all`.
     pub fn print(&self) -> String {
         use fmt::Write as _;
+        let Case {
+            pattern,
+            inits,
+            horizon,
+        } = &self.case;
+        let params = self.params();
         let mut out = String::new();
         let _ = writeln!(out, "stack = {}", self.stack);
         let _ = writeln!(out, "model = {}", self.model.name());
-        let _ = writeln!(out, "n = {}", self.params.n());
-        let _ = writeln!(out, "t = {}", self.params.t());
-        let _ = writeln!(out, "horizon = {}", self.horizon);
-        if let Some(limit) = self.limit {
-            let _ = writeln!(out, "limit = {limit}");
-        }
-        if self.nonfaulty == AgentSet::full(self.params.n()) {
+        let _ = writeln!(out, "n = {}", params.n());
+        let _ = writeln!(out, "t = {}", params.t());
+        let _ = writeln!(out, "horizon = {horizon}");
+        if pattern.nonfaulty() == AgentSet::full(params.n()) {
             let _ = writeln!(out, "nonfaulty = all");
         } else {
-            let agents: Vec<String> = self
-                .nonfaulty
+            let agents: Vec<String> = pattern
+                .nonfaulty()
                 .iter()
                 .map(|a| a.index().to_string())
                 .collect();
             let _ = writeln!(out, "nonfaulty = {}", agents.join(" "));
         }
-        let bits: Vec<&str> = self
-            .inits
+        let bits: Vec<&str> = inits
             .iter()
             .map(|v| if *v == Value::One { "1" } else { "0" })
             .collect();
         let _ = writeln!(out, "inits = {}", bits.join(" "));
 
-        let mut drops = self.drops.clone();
-        drops.sort_unstable();
-        drops.dedup();
-        let mut i = 0;
-        while i < drops.len() {
-            let (m, from, _) = drops[i];
-            let mut receivers = Vec::new();
-            while i < drops.len() && drops[i].0 == m && drops[i].1 == from {
-                receivers.push(drops[i].2.index().to_string());
-                i += 1;
-            }
+        let drops: Vec<_> = pattern.drops().collect();
+        for group in drops.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+            let (m, from, _) = group[0];
+            let receivers: Vec<String> = group.iter().map(|d| d.2.index().to_string()).collect();
             let _ = writeln!(
                 out,
                 "drop = round {m} from {} to {}",
@@ -537,9 +498,9 @@ mod tests {
         let spec = &parsed.spec;
         assert_eq!(spec.stack, "E_naive/P_naive");
         assert_eq!(spec.model, FailureModel::GeneralOmission);
-        assert_eq!(spec.params.n(), 3);
-        assert_eq!(spec.horizon, 4);
-        assert_eq!(spec.drops.len(), 11);
+        assert_eq!(spec.params().n(), 3);
+        assert_eq!(spec.case.horizon, 4);
+        assert_eq!(spec.case.pattern.count_drops(), 11);
         assert_eq!(parsed.lines.inits, 8);
         spec.validate().unwrap();
 
@@ -548,21 +509,6 @@ mod tests {
         assert_eq!(&reparsed, spec);
         // Canonical text is a fixpoint of print ∘ parse.
         assert_eq!(reparsed.print(), printed);
-    }
-
-    #[test]
-    fn pattern_round_trips_through_from_pattern() {
-        let spec = parse_scenario(whisper_text()).unwrap().spec;
-        let pattern = spec.to_pattern().unwrap();
-        let back = ScenarioSpec::from_pattern(
-            spec.stack.clone(),
-            spec.model,
-            &pattern,
-            &spec.inits,
-            spec.horizon,
-            spec.limit,
-        );
-        assert_eq!(back, spec);
     }
 
     #[test]

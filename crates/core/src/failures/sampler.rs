@@ -135,6 +135,9 @@ pub fn crash_pattern<R: Rng + ?Sized>(
 ///   silent (self included) afterwards;
 /// * `FailureFree` — nothing, ever.
 ///
+/// No coin is drawn for an agent's message to itself: it is dropped only
+/// in the rounds after a crash.
+///
 /// ```
 /// use eba_core::prelude::*;
 /// use rand::SeedableRng;
@@ -156,7 +159,6 @@ pub struct AdversarySampler {
     params: Params,
     horizon: u32,
     drop_prob: f64,
-    drop_self: bool,
 }
 
 impl AdversarySampler {
@@ -176,23 +178,12 @@ impl AdversarySampler {
             params,
             horizon,
             drop_prob,
-            drop_self: false,
         }
     }
 
     /// The failure model this sampler draws adversaries from.
     pub fn model(&self) -> FailureModel {
         self.model
-    }
-
-    /// Also drop faulty agents' messages to themselves (off by default).
-    /// Under [`FailureModel::Crash`] this only affects the crashing round
-    /// itself — from the round *after* the crash, self-delivery is always
-    /// lost, regardless of this setting.
-    #[must_use]
-    pub fn drop_self(mut self, yes: bool) -> Self {
-        self.drop_self = yes;
-        self
     }
 
     /// Samples a failure pattern. The faulty set size is uniform in
@@ -233,7 +224,7 @@ impl AdversarySampler {
                 for m in 0..self.horizon {
                     for from in faulty.iter() {
                         for to in self.params.agents() {
-                            if (to != from || self.drop_self) && rng.random_bool(self.drop_prob) {
+                            if to != from && rng.random_bool(self.drop_prob) {
                                 pat.drop_message(m, from, to).expect("sender is faulty");
                             }
                         }
@@ -245,10 +236,7 @@ impl AdversarySampler {
                     for from in self.params.agents() {
                         for to in self.params.agents() {
                             let endpoint_faulty = faulty.contains(from) || faulty.contains(to);
-                            if endpoint_faulty
-                                && (to != from || self.drop_self)
-                                && rng.random_bool(self.drop_prob)
-                            {
+                            if endpoint_faulty && to != from && rng.random_bool(self.drop_prob) {
                                 pat.drop_message(m, from, to).expect("endpoint is faulty");
                             }
                         }
@@ -259,7 +247,7 @@ impl AdversarySampler {
                 for from in faulty.iter() {
                     let cr = rng.random_range(0..self.horizon);
                     for to in self.params.agents() {
-                        if (to != from || self.drop_self) && rng.random_bool(self.drop_prob) {
+                        if to != from && rng.random_bool(self.drop_prob) {
                             pat.drop_message(cr, from, to).expect("sender is faulty");
                         }
                     }
@@ -385,12 +373,6 @@ mod tests {
         let pat = always.sample_with_faulty(faulty, &mut rng);
         // 4 receivers (self excluded) × 3 rounds.
         assert_eq!(pat.count_drops(), 12);
-
-        let with_self = sampler(1.0).drop_self(true);
-        assert_eq!(
-            with_self.sample_with_faulty(faulty, &mut rng).count_drops(),
-            15
-        );
     }
 
     #[test]

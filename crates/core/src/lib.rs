@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::context::{
         validate_scenario_shape, Context, NamedStack, StackVisitor, STACK_NAMES,
     };
-    pub use crate::corpus::{parse_scenario, ParsedScenario, ScenarioSpec};
+    pub use crate::corpus::{parse_scenario, Case, ParsedScenario, ScenarioSpec};
     pub use crate::exchange::{
         BasicExchange, BasicMsg, BasicState, FipExchange, FipMsg, FipState, InformationExchange,
         MinExchange, MinMsg, MinState, NaiveExchange, NaiveMsg, NaiveState,

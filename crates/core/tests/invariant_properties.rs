@@ -209,7 +209,7 @@ proptest! {
     fn pattern_drops_only_from_faulty(seed in any::<u64>(), p in 0.0f64..1.0) {
         use rand::SeedableRng;
         let params = Params::new(6, 2).unwrap();
-        let sampler = AdversarySampler::new(FailureModel::SendingOmission, params, 5, p).drop_self(true);
+        let sampler = AdversarySampler::new(FailureModel::SendingOmission, params, 5, p);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let pat = sampler.sample(&mut rng);
         prop_assert!(pat.faulty().len() <= 2);

@@ -17,12 +17,13 @@
 //! for free.
 
 use eba_core::context::Context;
+use eba_core::corpus::Case;
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::FailureModel;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{Action, AgentId, EbaError, Value};
 use eba_sim::enumerate::EnumRun;
-use eba_sim::fuzz::{CaseOracle, CaseOutcome, FuzzCase, Violation};
+use eba_sim::fuzz::{CaseOracle, CaseOutcome, Violation};
 use eba_sim::scenario::Scenario;
 use eba_sim::store::RunStore;
 
@@ -177,7 +178,7 @@ where
     /// # Errors
     ///
     /// Propagates simulator and system-construction failures.
-    pub fn system(&self, case: &FuzzCase) -> Result<InterpretedSystem<E>, EbaError> {
+    pub fn system(&self, case: &Case) -> Result<InterpretedSystem<E>, EbaError> {
         let trace = Scenario::of(&self.ctx)
             .pattern(case.pattern.clone())
             .inits(&case.inits)
@@ -201,7 +202,7 @@ where
     /// # Errors
     ///
     /// Propagates simulator and system-construction failures.
-    pub fn confirm_recursively(&self, case: &FuzzCase) -> Result<Option<Violation>, EbaError> {
+    pub fn confirm_recursively(&self, case: &Case) -> Result<Option<Violation>, EbaError> {
         let sys = self.system(case)?;
         for prop in eba_spec_properties(sys.params().n()) {
             let holds = match prop.check_at {
@@ -231,7 +232,7 @@ where
         self.ctx.model()
     }
 
-    fn check(&mut self, case: &FuzzCase) -> Result<CaseOutcome, EbaError> {
+    fn check(&mut self, case: &Case) -> Result<CaseOutcome, EbaError> {
         let sys = self.system(case)?;
         let n = sys.params().n();
         let horizon_point = sys.point(0, sys.horizon());

@@ -112,12 +112,7 @@ impl StackVisitor for RowRunner<'_> {
         E: InformationExchange + Clone + Sync + 'static,
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
-        let case = FuzzCase {
-            pattern: self.spec.to_pattern()?,
-            inits: self.spec.inits.clone(),
-            horizon: self.spec.horizon,
-        };
-        let outcome = TraceOracle::new(ctx).check(&case)?;
+        let outcome = TraceOracle::new(ctx).check(&self.spec.case)?;
         Ok((outcome.decisions, outcome.violation))
     }
 }
@@ -161,9 +156,9 @@ pub fn run(dir: &Path) -> Result<(Vec<CorpusRow>, Table), EbaError> {
         table.push(vec![
             cell(&file),
             cell(stack.qualified_name()),
-            cell(format!("({}, {})", spec.params.n(), spec.params.t())),
-            cell(spec.horizon),
-            cell(spec.drops.len()),
+            cell(format!("({}, {})", spec.params().n(), spec.params().t())),
+            cell(spec.case.horizon),
+            cell(spec.case.pattern.count_drops()),
             cell(decided.join(" ")),
             cell(&verdict),
         ]);

@@ -264,14 +264,11 @@ fn write_repros(dir: &Path, stack: &NamedStack, est: &Estimate) -> Result<Vec<Pa
         .map_err(|e| EbaError::InvalidInput(format!("--estimate-out {}: {e}", dir.display())))?;
     let mut paths = Vec::new();
     for (k, repro) in est.repros.iter().enumerate() {
-        let spec = ScenarioSpec::from_pattern(
-            stack.name(),
-            stack.model(),
-            &repro.pattern,
-            &repro.inits,
-            repro.horizon,
-            None,
-        );
+        let spec = ScenarioSpec {
+            stack: stack.name().to_string(),
+            model: stack.model(),
+            case: repro.case.clone(),
+        };
         let path = dir.join(format!("stat_{:02}_{}.eba", k + 1, repro.kind));
         std::fs::write(&path, spec.print())
             .map_err(|e| EbaError::InvalidInput(format!("{}: {e}", path.display())))?;
@@ -316,7 +313,7 @@ pub fn run_corpus(dir: &Path, config: &EstimateCliConfig) -> Result<Table, EbaEr
             trials: config.trials,
             seed: config.seed,
             confidence: config.confidence,
-            horizon: spec.horizon,
+            horizon: spec.case.horizon,
             scheme: config.scheme,
         };
         let parallelism = match config.workers {

@@ -45,7 +45,7 @@ pub struct FuzzCliReport {
 
 struct FuzzRunner {
     params: Params,
-    seeds: Vec<FuzzCase>,
+    seeds: Vec<Case>,
     config: FuzzConfig,
     out: Option<std::path::PathBuf>,
 }
@@ -59,8 +59,6 @@ impl StackVisitor for FuzzRunner {
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
         let qualified = ctx.qualified_name();
-        let base_name = ctx.name();
-        let model = ctx.model();
         let mut oracle = EngineOracle::new(ctx.clone());
         let report = fuzz(&self.seeds, &self.config, &mut oracle)?;
 
@@ -124,14 +122,11 @@ impl StackVisitor for FuzzRunner {
             }
         );
 
-        let spec = ScenarioSpec::from_pattern(
-            base_name,
-            model,
-            &found.shrunk.pattern,
-            &found.shrunk.inits,
-            found.shrunk.horizon,
-            None,
-        );
+        let spec = ScenarioSpec {
+            stack: ctx.name(),
+            model: ctx.model(),
+            case: found.shrunk,
+        };
         let _ = writeln!(text, "\nminimal scenario:\n```\n{}```", spec.print());
         if let Some(path) = &self.out {
             std::fs::write(path, spec.print()).map_err(|e| {
@@ -148,13 +143,13 @@ impl StackVisitor for FuzzRunner {
 
 /// Built-in seeds when no corpus is supplied (or none of it matches):
 /// failure-free patterns over a few initial-preference mixes.
-fn default_seeds(params: Params) -> Vec<FuzzCase> {
+fn default_seeds(params: Params) -> Vec<Case> {
     let n = params.n();
     let mut mixed = vec![Value::One; n];
     mixed[0] = Value::Zero;
     [vec![Value::Zero; n], vec![Value::One; n], mixed]
         .into_iter()
-        .map(|inits| FuzzCase {
+        .map(|inits| Case {
             pattern: FailurePattern::failure_free(params),
             inits,
             horizon: params.default_horizon(),
@@ -193,19 +188,13 @@ pub fn run(config: &FuzzCliConfig) -> Result<FuzzCliReport, EbaError> {
 
 /// Seeds from the corpus scenarios that run the selected stack at the
 /// selected parameters.
-fn corpus_seeds(dir: &Path, stack: &NamedStack) -> Result<Vec<FuzzCase>, EbaError> {
-    let scenarios = crate::corpus::load_dir(dir)?;
-    let mut seeds = Vec::new();
-    for loaded in scenarios {
-        let spec = loaded.spec;
-        if spec.qualified_stack() != stack.qualified_name() || spec.params != stack.params() {
-            continue;
-        }
-        seeds.push(FuzzCase {
-            pattern: spec.to_pattern()?,
-            inits: spec.inits.clone(),
-            horizon: spec.horizon,
-        });
-    }
-    Ok(seeds)
+fn corpus_seeds(dir: &Path, stack: &NamedStack) -> Result<Vec<Case>, EbaError> {
+    Ok(crate::corpus::load_dir(dir)?
+        .into_iter()
+        .map(|loaded| loaded.spec)
+        .filter(|spec| {
+            spec.qualified_stack() == stack.qualified_name() && spec.params() == stack.params()
+        })
+        .map(|spec| spec.case)
+        .collect())
 }

@@ -202,16 +202,8 @@ pub fn run_serve(
     let scenarios = load_dir(dir)?;
     let specs: Vec<SessionSpec> = scenarios
         .iter()
-        .map(|s| {
-            SessionSpec::from_scenario(&s.spec).map_err(|e| {
-                EbaError::InvalidInput(format!(
-                    "{}: {}",
-                    s.path.display(),
-                    eba_core::context::error_message(&e)
-                ))
-            })
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|s| SessionSpec::from_scenario(&s.spec))
+        .collect();
     let service = service_config(workers, capacity, 1);
     let report = run_service(&specs, &service)?;
     let table = summary_table(

@@ -50,20 +50,17 @@ impl SessionSpec {
     }
 
     /// Converts a parsed `.eba` scenario into a session — the bridge from
-    /// the corpus format to the service.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`EbaError::InvalidPattern`](eba_core::types::EbaError)
-    /// when the scenario's drops are inadmissible under its model.
-    pub fn from_scenario(spec: &ScenarioSpec) -> Result<Self, EbaError> {
-        Ok(SessionSpec {
-            stack: spec.qualified_stack(),
-            params: spec.params,
-            pattern: spec.to_pattern()?,
-            inits: spec.inits.clone(),
-            horizon: spec.horizon,
-        })
+    /// the corpus format to the service. Admission happens when the
+    /// engine is built.
+    pub fn from_scenario(spec: &ScenarioSpec) -> Self {
+        let case = spec.case.clone();
+        SessionSpec::new(
+            spec.qualified_stack(),
+            spec.params(),
+            case.pattern,
+            case.inits,
+            case.horizon,
+        )
     }
 
     /// Compiles the spec into a runnable engine: registry lookup, then
@@ -173,7 +170,7 @@ mod tests {
     fn from_scenario_round_trips_the_corpus_format() {
         let text = "stack = E_naive/P_naive\nmodel = general_omission\nn = 3\nt = 1\nhorizon = 4\nnonfaulty = 1 2\ninits = 0 1 1\ndrop = round 1 from 0 to 0 1\n";
         let parsed = eba_core::corpus::parse_scenario(text).unwrap();
-        let spec = SessionSpec::from_scenario(&parsed.spec).unwrap();
+        let spec = SessionSpec::from_scenario(&parsed.spec);
         assert_eq!(spec.stack, "E_naive/P_naive@general_omission");
         assert_eq!(spec.horizon, 4);
         let mut engine = spec.build_engine().unwrap();

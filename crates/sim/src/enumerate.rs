@@ -789,19 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn sending_omission_model_reproduces_the_legacy_enumeration() {
-        // A context's default model is the paper's SO(t): selecting it
-        // explicitly changes nothing, run for run.
-        let ctx = Context::basic(Params::new(3, 1).unwrap());
-        let default = collect(&ctx, 4, Parallelism::Sequential);
-        let explicit = Scenario::of(&ctx.with_model(FailureModel::SendingOmission))
-            .horizon(4)
-            .enumerate()
-            .unwrap();
-        assert_same_runs(&default, &explicit, "explicit SO(t)");
-    }
-
-    #[test]
     fn failure_free_model_enumerates_exactly_the_initial_configs() {
         // Only N = Agt and no drops: one run per initial configuration,
         // even though t > 0 admits faulty sets in the other models.

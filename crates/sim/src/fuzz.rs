@@ -1,11 +1,14 @@
 //! Coverage-guided adversary fuzzing with greedy counterexample shrinking.
 //!
-//! The fuzzer explores the space of admissible adversaries of one scenario:
-//! starting from seed cases it mutates failure patterns and initial
-//! preferences under the oracle's context's [`FailureModel`] (a case
-//! carries no model of its own), keeps mutants with a
-//! *novel* coverage signature (nonfaulty footprint plus decision vector,
-//! decision rounds, and verdict), and stops at the first spec violation. The violating case is then minimized by
+//! The fuzzer explores the space of admissible adversaries of one scenario.
+//! A candidate is a [`Case`] — pattern, initial preferences and horizon,
+//! the type a `.eba` file parses to — and the stack it runs on is fixed
+//! by the [`CaseOracle`]. Starting from seed cases it mutates failure
+//! patterns and initial preferences under the oracle's context's
+//! [`FailureModel`] (a case carries no model of its own), keeps mutants
+//! with a *novel* coverage signature (nonfaulty footprint plus decision
+//! vector, decision rounds, and verdict), and stops at the first spec
+//! violation. The violating case is then minimized by
 //! [`shrink_case`] — greedily dropping whole rounds of omissions,
 //! shrinking drop sets, lowering the horizon, and canonicalizing initial
 //! preferences toward zero — re-checking every candidate through the
@@ -20,6 +23,7 @@
 use std::collections::HashSet;
 
 use eba_core::context::Context;
+use eba_core::corpus::Case;
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::{FailureModel, FailurePattern};
 use eba_core::protocols::ActionProtocol;
@@ -29,31 +33,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::scenario::Scenario;
 use crate::spec::{check_eba, SpecViolation};
-
-/// One adversary under test: a failure pattern, initial preferences, and
-/// a horizon. The stack it runs on is fixed by the [`CaseOracle`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FuzzCase {
-    /// The failure pattern.
-    pub pattern: FailurePattern,
-    /// Initial preferences, one per agent.
-    pub inits: Vec<Value>,
-    /// The run horizon (rounds).
-    pub horizon: u32,
-}
-
-impl FuzzCase {
-    /// The case's size in shrink order: recorded drops, then horizon,
-    /// then the number of `1` initial preferences. Shrinking only moves
-    /// strictly downward in the lexicographic order on this triple.
-    pub fn size(&self) -> (usize, u32, usize) {
-        (
-            self.pattern.count_drops(),
-            self.horizon,
-            self.inits.iter().filter(|v| **v == Value::One).count(),
-        )
-    }
-}
 
 /// A spec violation as reported by an oracle: the clause kind (one of
 /// `agreement`, `validity`, `termination`, `unique_decision`,
@@ -79,7 +58,7 @@ pub struct CaseOutcome {
     pub violation: Option<Violation>,
 }
 
-/// Evaluates one [`FuzzCase`] on a fixed stack.
+/// Evaluates one [`Case`] on a fixed stack.
 pub trait CaseOracle {
     /// The failure model of the oracle's context: the one judge of which
     /// cases the search may propose.
@@ -91,7 +70,7 @@ pub trait CaseOracle {
     ///
     /// Returns [`EbaError`] if the case cannot be executed at all (an
     /// inadmissible pattern slipping past the fuzzer's own validation).
-    fn check(&mut self, case: &FuzzCase) -> Result<CaseOutcome, EbaError>;
+    fn check(&mut self, case: &Case) -> Result<CaseOutcome, EbaError>;
 }
 
 /// The simulator-backed oracle: runs the case through the lockstep
@@ -131,7 +110,7 @@ where
         self.ctx.model()
     }
 
-    fn check(&mut self, case: &FuzzCase) -> Result<CaseOutcome, EbaError> {
+    fn check(&mut self, case: &Case) -> Result<CaseOutcome, EbaError> {
         let trace = Scenario::of(self.ctx)
             .pattern(case.pattern.clone())
             .inits(&case.inits)
@@ -177,9 +156,9 @@ pub struct FoundViolation {
     /// The violated clause (of the shrunk case).
     pub violation: Violation,
     /// The first violating sample, as drawn.
-    pub first: FuzzCase,
+    pub first: Case,
     /// The greedily minimized case (same violation kind).
-    pub shrunk: FuzzCase,
+    pub shrunk: Case,
     /// Number of accepted shrink steps.
     pub shrink_steps: usize,
 }
@@ -209,7 +188,7 @@ type Signature = (
 /// the nonfaulty set is behaviorally invisible until drops are layered on
 /// top, so a purely behavioral signature would discard exactly the
 /// stepping-stone cases the search needs to keep.
-fn signature(case: &FuzzCase, outcome: &CaseOutcome) -> Signature {
+fn signature(case: &Case, outcome: &CaseOutcome) -> Signature {
     (
         case.pattern.nonfaulty().bits(),
         outcome.decisions.clone(),
@@ -220,7 +199,7 @@ fn signature(case: &FuzzCase, outcome: &CaseOutcome) -> Signature {
 
 /// Checks that a case is admissible: its pattern against `model` up to
 /// the case's horizon.
-fn admissible(case: &FuzzCase, model: FailureModel) -> bool {
+fn admissible(case: &Case, model: FailureModel) -> bool {
     model
         .admits_pattern_up_to(&case.pattern, case.horizon)
         .is_ok()
@@ -230,7 +209,7 @@ fn admissible(case: &FuzzCase, model: FailureModel) -> bool {
 /// rejects (used when the nonfaulty set changes under a mutation).
 fn rebuild_pattern(
     model: FailureModel,
-    template: &FuzzCase,
+    template: &Case,
     nonfaulty: eba_core::types::AgentSet,
     drops: &[(u32, AgentId, AgentId)],
 ) -> Result<FailurePattern, EbaError> {
@@ -245,7 +224,7 @@ fn rebuild_pattern(
 
 /// Applies one random mutation under `model`; returns `None` when the
 /// drawn mutation is a no-op or inadmissible (the caller retries).
-fn mutate(case: &FuzzCase, model: FailureModel, rng: &mut StdRng) -> Option<FuzzCase> {
+fn mutate(case: &Case, model: FailureModel, rng: &mut StdRng) -> Option<Case> {
     let params = case.pattern.params();
     let n = params.n();
     let mut next = case.clone();
@@ -316,7 +295,7 @@ fn mutate(case: &FuzzCase, model: FailureModel, rng: &mut StdRng) -> Option<Fuzz
 /// Returns [`EbaError::InvalidInput`] when `seeds` is empty, or any error
 /// the oracle reports while executing a case.
 pub fn fuzz<O: CaseOracle>(
-    seeds: &[FuzzCase],
+    seeds: &[Case],
     config: &FuzzConfig,
     oracle: &mut O,
 ) -> Result<FuzzReport, EbaError> {
@@ -328,15 +307,15 @@ pub fn fuzz<O: CaseOracle>(
     let model = oracle.model();
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut seen: HashSet<Signature> = HashSet::new();
-    let mut pool: Vec<FuzzCase> = Vec::new();
+    let mut pool: Vec<Case> = Vec::new();
     let mut cases_run = 0usize;
 
-    let evaluate = |case: FuzzCase,
+    let evaluate = |case: Case,
                     oracle: &mut O,
                     seen: &mut HashSet<Signature>,
-                    pool: &mut Vec<FuzzCase>,
+                    pool: &mut Vec<Case>,
                     cases_run: &mut usize|
-     -> Result<Option<(FuzzCase, Violation)>, EbaError> {
+     -> Result<Option<(Case, Violation)>, EbaError> {
         let outcome = oracle.check(&case)?;
         *cases_run += 1;
         if let Some(v) = outcome.violation.clone() {
@@ -348,7 +327,7 @@ pub fn fuzz<O: CaseOracle>(
         Ok(None)
     };
 
-    let mut hit: Option<(FuzzCase, Violation)> = None;
+    let mut hit: Option<(Case, Violation)> = None;
     for seed in seeds {
         if !admissible(seed, model) {
             return Err(EbaError::InvalidPattern(format!(
@@ -402,7 +381,7 @@ pub fn fuzz<O: CaseOracle>(
 /// aggressive first: drop whole rounds of omissions, drop single
 /// omissions, lower the horizon (truncating drops past it), and flip `1`
 /// initial preferences to `0` — each admissible under `model`.
-pub fn shrink_candidates(case: &FuzzCase, model: FailureModel) -> Vec<FuzzCase> {
+pub fn shrink_candidates(case: &Case, model: FailureModel) -> Vec<Case> {
     let nonfaulty = case.pattern.nonfaulty();
     let drops: Vec<_> = case.pattern.drops().collect();
     let mut out = Vec::new();
@@ -414,7 +393,7 @@ pub fn shrink_candidates(case: &FuzzCase, model: FailureModel) -> Vec<FuzzCase> 
     for round in &rounds {
         let kept: Vec<_> = drops.iter().filter(|d| d.0 != *round).copied().collect();
         if let Ok(pattern) = rebuild_pattern(model, case, nonfaulty, &kept) {
-            out.push(FuzzCase {
+            out.push(Case {
                 pattern,
                 ..case.clone()
             });
@@ -425,7 +404,7 @@ pub fn shrink_candidates(case: &FuzzCase, model: FailureModel) -> Vec<FuzzCase> 
         for victim in &drops {
             let kept: Vec<_> = drops.iter().filter(|d| *d != victim).copied().collect();
             if let Ok(pattern) = rebuild_pattern(model, case, nonfaulty, &kept) {
-                out.push(FuzzCase {
+                out.push(Case {
                     pattern,
                     ..case.clone()
                 });
@@ -437,7 +416,7 @@ pub fn shrink_candidates(case: &FuzzCase, model: FailureModel) -> Vec<FuzzCase> 
         let horizon = case.horizon - 1;
         let kept: Vec<_> = drops.iter().filter(|d| d.0 < horizon).copied().collect();
         if let Ok(pattern) = rebuild_pattern(model, case, nonfaulty, &kept) {
-            out.push(FuzzCase {
+            out.push(Case {
                 pattern,
                 inits: case.inits.clone(),
                 horizon,
@@ -449,7 +428,7 @@ pub fn shrink_candidates(case: &FuzzCase, model: FailureModel) -> Vec<FuzzCase> 
         if *v == Value::One {
             let mut inits = case.inits.clone();
             inits[i] = Value::Zero;
-            out.push(FuzzCase {
+            out.push(Case {
                 pattern: case.pattern.clone(),
                 inits,
                 horizon: case.horizon,
@@ -468,10 +447,10 @@ pub fn shrink_candidates(case: &FuzzCase, model: FailureModel) -> Vec<FuzzCase> 
 ///
 /// Propagates oracle execution errors.
 pub fn shrink_case<O: CaseOracle>(
-    case: &FuzzCase,
+    case: &Case,
     kind: &str,
     oracle: &mut O,
-) -> Result<(FuzzCase, usize), EbaError> {
+) -> Result<(Case, usize), EbaError> {
     let mut current = case.clone();
     let mut steps = 0usize;
     'outer: loop {
@@ -493,7 +472,7 @@ mod tests {
     use super::*;
     use eba_core::prelude::*;
 
-    fn whisper_case(params: Params) -> FuzzCase {
+    fn whisper_case(params: Params) -> Case {
         // Faulty agent 0 stays silent except its round-2 message to agent
         // 2: the E_naive Agreement counterexample from the introduction.
         let nonfaulty = AgentSet::singleton(AgentId::new(0)).complement(3);
@@ -503,7 +482,7 @@ mod tests {
             .drop_message(1, AgentId::new(0), AgentId::new(1))
             .unwrap();
         pattern.silence_agent(AgentId::new(0), 2..4, false).unwrap();
-        FuzzCase {
+        Case {
             pattern,
             inits: vec![Value::Zero, Value::One, Value::One],
             horizon: 4,
@@ -548,7 +527,7 @@ mod tests {
     fn fuzz_is_deterministic_in_the_seed() {
         let params = Params::new(3, 1).unwrap();
         let ctx = Context::naive(params).with_model(FailureModel::GeneralOmission);
-        let seed = FuzzCase {
+        let seed = Case {
             pattern: FailurePattern::failure_free(params),
             inits: vec![Value::Zero, Value::One, Value::One],
             horizon: 4,

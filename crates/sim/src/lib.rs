@@ -66,8 +66,8 @@ pub mod prelude {
     pub use crate::dominance::{compare_corresponding, DominanceSummary, RunComparison};
     pub use crate::enumerate::EnumRun;
     pub use crate::fuzz::{
-        fuzz, shrink_candidates, shrink_case, violation_kind, CaseOracle, CaseOutcome, FuzzCase,
-        FuzzConfig, FuzzReport, TraceOracle, Violation,
+        fuzz, shrink_candidates, shrink_case, violation_kind, CaseOracle, CaseOutcome, FuzzConfig,
+        FuzzReport, TraceOracle, Violation,
     };
     pub use crate::metrics::Metrics;
     pub use crate::render::{render_round_deliveries, render_timeline};

@@ -22,7 +22,8 @@
 //! through the epistemic layer: a one-run interpreted system per sample,
 //! checked with [`check_spec`] via [`EngineOracle`], so every exported
 //! repro carries an engine-confirmed verdict, not just the trace
-//! predicate's word.
+//! predicate's word. A repro holds its run as a [`Case`], the type the
+//! fuzzer searches over and a `.eba` file parses to.
 //!
 //! [`AdversarySampler`]: eba_core::prelude::AdversarySampler
 //! [`run_rounds`]: eba_sim::runner::run_rounds
@@ -123,12 +124,9 @@ pub struct StratumCount {
 /// engine confirmation.
 #[derive(Clone, Debug)]
 pub struct ViolatingSample {
-    /// The sampled failure pattern.
-    pub pattern: FailurePattern,
-    /// The sampled initial preferences.
-    pub inits: Vec<Value>,
-    /// The run horizon.
-    pub horizon: u32,
+    /// The sampled run: pattern, initial preferences and the plan's
+    /// horizon.
+    pub case: Case,
     /// The violated clause the trace predicate reported.
     pub kind: &'static str,
     /// Whether the epistemic layer (`check_spec` over the one-run
@@ -409,9 +407,11 @@ impl StackVisitor for EstimateVisitor<'_> {
                 }
                 seen.push(cand.signature);
                 repros.push(ViolatingSample {
-                    pattern: cand.pattern,
-                    inits: cand.inits,
-                    horizon: self.plan.horizon,
+                    case: Case {
+                        pattern: cand.pattern,
+                        inits: cand.inits,
+                        horizon: self.plan.horizon,
+                    },
                     kind: VIOLATION_KINDS[cand.kind_idx as usize],
                     engine_confirmed: false,
                 });
@@ -422,12 +422,7 @@ impl StackVisitor for EstimateVisitor<'_> {
         // interpreted system, compiled spec query, oracle semantics.
         let oracle = EngineOracle::new(ctx.clone());
         for repro in &mut repros {
-            let case = FuzzCase {
-                pattern: repro.pattern.clone(),
-                inits: repro.inits.clone(),
-                horizon: repro.horizon,
-            };
-            let sys = oracle.system(&case)?;
+            let sys = oracle.system(&repro.case)?;
             repro.engine_confirmed = !check_spec(&sys).is_empty();
         }
 
@@ -561,9 +556,8 @@ mod tests {
             assert_eq!(other.kind_counts, base.kind_counts);
             assert_eq!(other.repros.len(), base.repros.len());
             for (a, b) in base.repros.iter().zip(&other.repros) {
-                assert_eq!(a.inits, b.inits);
+                assert_eq!(a.case, b.case);
                 assert_eq!(a.kind, b.kind);
-                assert_eq!(a.pattern.nonfaulty(), b.pattern.nonfaulty());
             }
             for (a, b) in base.strata.iter().zip(&other.strata) {
                 assert_eq!(a.trials, b.trials);

@@ -84,11 +84,12 @@ fn the_loopback_reproduces_the_recorded_wire_accounting() {
             let spec = parse_scenario(&std::fs::read_to_string(path).unwrap())
                 .unwrap()
                 .spec;
+            let case = &spec.case;
             let report = run_named_cluster(
                 &spec.to_stack().unwrap(),
-                &spec.to_pattern().unwrap(),
-                &spec.inits,
-                spec.horizon,
+                &case.pattern,
+                &case.inits,
+                case.horizon,
             )
             .unwrap();
             render(name, &report)

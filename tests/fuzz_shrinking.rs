@@ -10,14 +10,14 @@ use eba::prelude::*;
 
 /// The benign starting points the `--fuzz` CLI uses when no corpus is
 /// given: failure-free patterns over a few initial-preference mixes.
-fn benign_seeds(params: Params) -> Vec<FuzzCase> {
+fn benign_seeds(params: Params) -> Vec<Case> {
     let n = params.n();
     let pattern = FailurePattern::failure_free(params);
     let mut mixed = vec![Value::One; n];
     mixed[0] = Value::Zero;
     [vec![Value::Zero; n], vec![Value::One; n], mixed]
         .into_iter()
-        .map(|inits| FuzzCase {
+        .map(|inits| Case {
             pattern: pattern.clone(),
             inits,
             horizon: params.default_horizon(),
@@ -76,25 +76,20 @@ fn fuzzing_finds_shrinks_and_confirms_the_naive_agreement_violation() {
     assert_eq!(confirmed.kind, "agreement", "{confirmed:?}");
 
     // The `.eba` repro round-trips to the same verdict.
-    let spec = ScenarioSpec::from_pattern(
-        "E_naive/P_naive",
-        FailureModel::GeneralOmission,
-        &found.shrunk.pattern,
-        &found.shrunk.inits,
-        found.shrunk.horizon,
-        None,
-    );
+    let spec = ScenarioSpec {
+        stack: "E_naive/P_naive".into(),
+        model: FailureModel::GeneralOmission,
+        case: found.shrunk.clone(),
+    };
     assert!(spec.validate().is_ok());
     let reparsed = parse_scenario(&spec.print()).unwrap().spec;
     assert_eq!(reparsed, spec);
-    let replayed = FuzzCase {
-        pattern: reparsed.to_pattern().unwrap(),
-        inits: reparsed.inits.clone(),
-        horizon: reparsed.horizon,
-    };
-    assert_eq!(replayed, found.shrunk, "the repro is the witness itself");
+    assert_eq!(
+        reparsed.case, found.shrunk,
+        "the repro is the witness itself"
+    );
     let mut trace_oracle = TraceOracle::new(&ctx);
-    let outcome = trace_oracle.check(&replayed).unwrap();
+    let outcome = trace_oracle.check(&reparsed.case).unwrap();
     assert_eq!(
         outcome.violation.as_ref().map(|v| v.kind.as_str()),
         Some("agreement"),

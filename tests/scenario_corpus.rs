@@ -59,12 +59,15 @@ fn random_spec(stack: &str, model: FailureModel, n: usize, seed: u64) -> Scenari
             }
         })
         .collect();
-    let limit = if seed.is_multiple_of(2) {
-        Some(100_000)
-    } else {
-        None
-    };
-    ScenarioSpec::from_pattern(stack, model, &pattern, &inits, horizon, limit)
+    ScenarioSpec {
+        stack: stack.into(),
+        model,
+        case: Case {
+            pattern,
+            inits,
+            horizon,
+        },
+    }
 }
 
 proptest! {
@@ -114,7 +117,7 @@ fn the_valid_fixture_parses() {
         parsed.spec.qualified_stack(),
         "E_basic/P_basic@general_omission"
     );
-    assert_eq!(parsed.spec.drops.len(), 2);
+    assert_eq!(parsed.spec.case.pattern.count_drops(), 2);
     assert!(parsed.spec.validate().is_ok());
 }
 
@@ -184,10 +187,44 @@ fn missing_required_keys_are_rejected() {
 
 #[test]
 fn unknown_keys_and_non_assignments_are_rejected() {
-    let e = reject(&format!("{VALID}speed = 11\n"));
-    assert_eq!((e.field, e.line), ("line", 8), "{e}");
+    for key in ["speed = 11", "limit = 100"] {
+        let e = reject(&format!("{VALID}{key}\n"));
+        assert_eq!((e.field, e.line), ("line", 8), "{e}");
+        assert!(e.message.contains("unknown key"), "{e}");
+    }
     let e = reject("stack E_basic/P_basic\n");
     assert_eq!((e.field, e.line), ("line", 1), "{e}");
+}
+
+/// The pattern is built while parsing, so each of its errors names the
+/// line that caused it, not the file's first drop.
+#[test]
+fn pattern_errors_name_their_own_line() {
+    // Two faulty agents for t = 1.
+    let e = reject(&VALID.replace("nonfaulty = 0 1 2", "nonfaulty = 0 1"));
+    assert_eq!((e.field, e.line), ("nonfaulty", 6), "{e}");
+    assert!(e.message.contains("exceeds t = 1"), "{e}");
+
+    // The second drop line drops a1 → a2, both nonfaulty.
+    let e = reject(&format!("{VALID}drop = round 1 from 1 to 2\n"));
+    assert_eq!((e.field, e.line), ("drop", 8), "{e}");
+    assert!(e.message.contains("between nonfaulty agents"), "{e}");
+
+    // (4, 1) runs t + 3 = 4 rounds by default: round 3 is the last one.
+    assert!(parse_scenario(&VALID.replace("round 0", "round 3")).is_ok());
+    let e = reject(&VALID.replace("round 0", "round 4"));
+    assert_eq!((e.field, e.line), ("drop", 7), "{e}");
+    assert!(e.message.contains("at or past the horizon 4"), "{e}");
+    let e = reject(&format!("{VALID}horizon = 1\ndrop = round 1 from 3 to 2\n"));
+    assert_eq!((e.field, e.line), ("drop", 9), "{e}");
+
+    // A round far past the horizon is refused before any drop row is
+    // allocated for it.
+    let e = reject(
+        "stack = E_min/P_min\nmodel = sending_omission\nn = 3\nt = 1\n\
+         inits = 0 0 0\nnonfaulty = 1 2\ndrop = round 4000000000 from 0 to 1\n",
+    );
+    assert_eq!((e.field, e.line), ("drop", 7), "{e}");
 }
 
 #[test]
@@ -205,7 +242,8 @@ fn parse_errors_render_field_and_line() {
 fn corpus_loader_relocates_semantic_errors_to_file_and_line() {
     let dir = std::env::temp_dir().join(format!("eba-corpus-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    // Too many faulty agents for t = 1: shape error on the nonfaulty line.
+    // Too many faulty agents for t = 1: a parse error on the nonfaulty
+    // line.
     let bad = "stack = E_basic/P_basic\n\
                model = general_omission\n\
                n = 4\n\
@@ -243,6 +281,16 @@ fn corpus_loader_relocates_semantic_errors_to_file_and_line() {
         msg.contains(&format!("{}:8: pattern: not admissible", path.display())),
         "{msg}"
     );
+
+    // A drop between nonfaulty agents on the second drop line is a parse
+    // error at that line, not at the first drop.
+    std::fs::write(&path, format!("{VALID}drop = round 1 from 1 to 2\n")).unwrap();
+    let err = eba::experiments::corpus::load_dir(&dir).expect_err("inadmissible corpus");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("{}:8: field `drop`", path.display())),
+        "{msg}"
+    );
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -257,10 +305,11 @@ impl StackVisitor for TrafficOf<'_> {
         E: InformationExchange + Clone + Sync + 'static,
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
+        let case = &self.0.case;
         let m = Scenario::of(ctx)
-            .pattern(self.0.to_pattern().unwrap())
-            .inits(&self.0.inits)
-            .horizon(self.0.horizon)
+            .pattern(case.pattern.clone())
+            .inits(&case.inits)
+            .horizon(case.horizon)
             .run()
             .unwrap()
             .metrics;

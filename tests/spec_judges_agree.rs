@@ -34,7 +34,7 @@ fn a_faulty_agent_deciding_an_unheld_value_violates_validity_for_every_judge() {
     let params = Params::new(3, 1).unwrap();
     let ctx = Context::new(MinExchange::new(params), ZeroAtOnce(PMin::new(params)));
     let faulty = AgentSet::singleton(AgentId::new(0));
-    let case = FuzzCase {
+    let case = Case {
         pattern: silent_pattern(params, faulty, 4).unwrap(),
         inits: vec![Value::One; 3],
         horizon: 4,

@@ -301,6 +301,55 @@ mod tests {
         );
     }
 
+    /// `check_implements` at (3, 1), horizon 4, for both programs, by
+    /// registry name: `(stack@model, runs, mismatches)`. Comparisons are
+    /// runs × 12, and `P0` and `P1` agree on every row. The `SO(t)` rows
+    /// of `E_min`, `E_basic` and `E_fip` are Thms 6.5, 6.6 and A.21; the
+    /// rest lie beyond the paper. `E_fip`'s sending-omission row is
+    /// `popt_implements_p1_in_fip_n3_t1`, and its general-omission row
+    /// (25.2M runs) is too heavy for a unit test.
+    #[test]
+    fn implements_table_at_3_1_across_models() {
+        const TABLE: [(&str, usize, usize); 14] = [
+            ("E_min/P_min@failure_free", 8, 3),
+            ("E_min/P_min@crash", 74, 0),
+            ("E_min/P_min@sending_omission", 74, 0),
+            ("E_min/P_min@general_omission", 272, 0),
+            ("E_basic/P_basic@failure_free", 8, 0),
+            ("E_basic/P_basic@crash", 95, 0),
+            ("E_basic/P_basic@sending_omission", 158, 0),
+            ("E_basic/P_basic@general_omission", 3_260, 2_952),
+            ("E_naive/P_naive@failure_free", 8, 3),
+            ("E_naive/P_naive@crash", 41, 0),
+            ("E_naive/P_naive@sending_omission", 68, 78),
+            ("E_naive/P_naive@general_omission", 104, 114),
+            ("E_fip/P_opt@failure_free", 8, 0),
+            ("E_fip/P_opt@crash", 704, 0),
+        ];
+        struct Implements;
+        impl StackVisitor for Implements {
+            type Output = [(usize, usize, usize); 2];
+            fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
+            where
+                E: InformationExchange + Clone + Sync + 'static,
+                P: ActionProtocol<E> + Clone + Sync + 'static,
+            {
+                let sys =
+                    InterpretedSystem::from_context(ctx.clone(), 4, 1_000_000, Parallelism::Auto)
+                        .unwrap();
+                [KnowledgeBasedProgram::P0, KnowledgeBasedProgram::P1].map(|program| {
+                    let report = check_implements(&sys, ctx.protocol(), program);
+                    (report.runs, report.comparisons, report.mismatches.len())
+                })
+            }
+        }
+        let params = Params::new(3, 1).unwrap();
+        for (name, runs, mismatches) in TABLE {
+            let got = NamedStack::by_name(name, params).unwrap().visit(Implements);
+            assert_eq!(got, [(runs, runs * 12, mismatches); 2], "{name}");
+        }
+    }
+
     /// Theorem 6.5 at (4, 1): a larger minimal-context instance.
     #[test]
     fn pmin_implements_p0_n4_t1() {

@@ -227,6 +227,7 @@ fn merge_agrees_with_the_model_and_is_a_join() {
 
 /// Two one-round graphs of two agents, differing in `flip`: what agent 1
 /// holds cannot come from the run agent 0's graph comes from.
+#[cfg(debug_assertions)]
 fn contradicting(flip: impl Fn(&mut CommGraph)) -> (CommGraph, CommGraph) {
     let g = |i| CommGraph::initial(2, AgentId::new(i), Value::Zero);
     let mine = g(0).receive_round(AgentId::new(0), &[Some(&g(0)), None]);

@@ -1,19 +1,12 @@
-//! The knowledge-based programs `P0` and `P1` (Sections 6 and 7).
+//! The knowledge-based programs `P0` and `P1` (Sections 6 and 7), by name.
 //!
-//! A knowledge-based program is a syntactic object — a cascade of tests on
-//! an agent's *knowledge* guarding actions — whose meaning is only fixed
-//! relative to an interpreted system: a concrete protocol `P` *implements*
-//! a knowledge-based program `P` in a context `γ` if, in the system
-//! generated by running `P` in `γ`, evaluating the knowledge tests at every
-//! reachable local state yields exactly the action `P` takes there.
-//!
-//! This module carries the programs as data (for display, documentation,
-//! and naming); their semantics — evaluation of `K_i` and `C_N` over
-//! exhaustively generated systems, and the implements-check itself — live
-//! in the `eba-epistemic` crate, which has the machinery for interpreted
-//! systems.
-
-use std::fmt;
+//! A knowledge-based program is an ordered list of rules per agent, each
+//! a test on the agent's *knowledge* guarding an action. A concrete
+//! protocol *implements* it in a context `γ` if, in the system that the
+//! protocol generates in `γ`, the first rule whose guard holds gives the
+//! protocol's action at every reachable local state. The rules are
+//! formulas, stated once in `eba-epistemic`'s `kbp::rules`, which also
+//! evaluates them over exhaustively generated systems.
 
 /// The knowledge-based programs studied in the paper.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -30,60 +23,11 @@ pub enum KnowledgeBasedProgram {
 }
 
 impl KnowledgeBasedProgram {
-    /// The program text, in the paper's notation.
-    pub fn listing(self) -> &'static str {
-        match self {
-            KnowledgeBasedProgram::P0 => {
-                "if decided_i != ⊥ then noop\n\
-                 else if init_i = 0 ∨ K_i(∃j. jdecided_j = 0) then decide_i(0)\n\
-                 else if K_i(∀j. ¬(deciding_j = 0)) then decide_i(1)\n\
-                 else noop"
-            }
-            KnowledgeBasedProgram::P1 => {
-                "if decided_i != ⊥ then noop\n\
-                 else if K_i(C_N(t-faulty ∧ no-decided_N(1) ∧ ∃0)) then decide_i(0)\n\
-                 else if K_i(C_N(t-faulty ∧ no-decided_N(0) ∧ ∃1)) then decide_i(1)\n\
-                 else if init_i = 0 ∨ K_i(∃j. jdecided_j = 0) then decide_i(0)\n\
-                 else if K_i(∀j. ¬(deciding_j = 0)) then decide_i(1)\n\
-                 else noop"
-            }
-        }
-    }
-
     /// The program's name (`"P0"` or `"P1"`).
     pub fn name(self) -> &'static str {
         match self {
             KnowledgeBasedProgram::P0 => "P0",
             KnowledgeBasedProgram::P1 => "P1",
         }
-    }
-}
-
-impl fmt::Display for KnowledgeBasedProgram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:\n{}", self.name(), self.listing())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn p1_extends_p0() {
-        // P1's listing contains every line of P0's (the common-knowledge
-        // rules are prepended).
-        let p0 = KnowledgeBasedProgram::P0.listing();
-        let p1 = KnowledgeBasedProgram::P1.listing();
-        for line in p0.lines() {
-            assert!(p1.contains(line), "P1 must contain P0 line: {line}");
-        }
-        assert!(p1.contains("C_N(t-faulty"));
-    }
-
-    #[test]
-    fn display_includes_name() {
-        let s = KnowledgeBasedProgram::P0.to_string();
-        assert!(s.starts_with("P0:"));
     }
 }

@@ -9,6 +9,8 @@
 //! knowledge-based-program checks only interrogate times where this is
 //! sound.
 
+use std::fmt;
+
 use eba_core::exchange::InformationExchange;
 use eba_core::types::{AgentId, BitSet, Value};
 
@@ -123,6 +125,50 @@ impl Formula {
     }
 }
 
+/// The paper's notation, e.g. `K_a0(¬(deciding_a1 = 0) ∧ a2 ∈ N)`. A
+/// nested `∧`/`∨` is bracketed, and so is the operand of `¬`, `◯`, `⊖`,
+/// `□` or `♦` unless it is `true`, `∃v`, or a `¬` or `K_i` form.
+impl fmt::Display for Formula {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use Formula::*;
+        let (op, g) = match self {
+            True => return f.write_str("true"),
+            InitIs(i, v) => return write!(f, "init_{i} = {v}"),
+            DecidedIs(i, None) => return write!(f, "decided_{i} = ⊥"),
+            DecidedIs(i, Some(v)) => return write!(f, "decided_{i} = {v}"),
+            TimeIs(k) => return write!(f, "time = {k}"),
+            Nonfaulty(i) => return write!(f, "{i} ∈ N"),
+            ExistsInit(v) => return write!(f, "∃{v}"),
+            JustDecided(i, v) => return write!(f, "jdecided_{i} = {v}"),
+            Deciding(i, v) => return write!(f, "deciding_{i} = {v}"),
+            And(gs) if gs.is_empty() => return f.write_str("true"),
+            Or(gs) if gs.is_empty() => return f.write_str("false"),
+            And(gs) | Or(gs) => {
+                let op = if let And(_) = self { " ∧ " } else { " ∨ " };
+                for (k, g) in gs.iter().enumerate() {
+                    let sep = if k == 0 { "" } else { op };
+                    match g {
+                        And(hs) | Or(hs) if !hs.is_empty() => write!(f, "{sep}({g})")?,
+                        _ => write!(f, "{sep}{g}")?,
+                    }
+                }
+                return Ok(());
+            }
+            Knows(i, g) => return write!(f, "K_{i}({g})"),
+            EveryoneNonfaulty(g) => return write!(f, "E_N({g})"),
+            CommonNonfaulty(g) => return write!(f, "C_N({g})"),
+            Not(g) => ("¬", g),
+            Next(g) => ("◯", g),
+            Prev(g) => ("⊖", g),
+            Henceforth(g) => ("□", g),
+            Eventually(g) => ("♦", g),
+        };
+        let bare = matches!(**g, True | ExistsInit(_) | Not(_) | Knows(..));
+        let (open, close) = if bare { ("", "") } else { ("(", ")") };
+        write!(f, "{op}{open}{g}{close}")
+    }
+}
+
 impl<E: InformationExchange> InterpretedSystem<E> {
     /// Evaluates a formula over all points of the system, through the
     /// compiled query engine: the formula is interned into a one-root
@@ -154,9 +200,9 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// engine that produced the witness. Propositions resolve through
     /// the interned [`RunStore`](eba_sim::store::RunStore): run-level
     /// facts (inits, nonfaulty membership) fill whole runs at a time,
-    /// and state-level facts (`decided`) are memoized once per
-    /// **distinct** state via [`InterpretedSystem::per_state_table`],
-    /// then looked up by `StateId` per point.
+    /// and state-level facts (`decided`) are looked up by `StateId` per
+    /// point in the table [`InterpretedSystem::decided_table`] computes
+    /// once per **distinct** state at construction.
     pub fn eval_recursive(&self, f: &Formula) -> BitSet {
         let count = self.point_count();
         match f {

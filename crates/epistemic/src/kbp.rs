@@ -1,15 +1,15 @@
-//! Semantics of the knowledge-based programs `P0` and `P1`: the action
+//! The knowledge-based programs `P0` and `P1` as rules, and the action
 //! each prescribes at every point of an interpreted system.
 //!
-//! Given a system `I` (generated by some concrete protocol), the
-//! interpretation `(P)^I` of a knowledge-based program evaluates its
-//! knowledge tests at each local state and takes the first branch that
-//! holds. A concrete protocol *implements* the program if its own action
-//! coincides with `(P)^I` everywhere — see [`crate::implements`].
+//! [`rules`] states each program once, as an ordered list of `(guard,
+//! action)` pairs per agent: the first rule whose guard holds gives the
+//! action, and `noop` where none holds. [`prescriptions`] evaluates them
+//! over a system `I` to give `(P)^I`, which [`crate::implements`] compares
+//! with a concrete protocol.
 
 use eba_core::exchange::InformationExchange;
 use eba_core::kbp::KnowledgeBasedProgram;
-use eba_core::types::{subsets_of_size, Action, AgentId, Params, Value};
+use eba_core::types::{subsets_of_size, Action, AgentId, AgentSet, BitSet, Params, Value};
 
 use crate::formula::Formula;
 use crate::query::{EvalSession, FormulaArena, NodeId, QueryPlan};
@@ -18,19 +18,58 @@ use crate::system::{InterpretedSystem, PointId};
 /// The paper's `C_N(t-faulty ∧ φ)` abbreviation:
 /// `∃A ⊆ Agt (|A| = t ∧ C_N(⋀_{i ∈ A} (i ∉ N) ∧ φ))`.
 pub fn ck_t_faulty_and(params: Params, phi: Formula) -> Formula {
-    Formula::Or(
-        subsets_of_size(params.n(), params.t())
-            .into_iter()
-            .map(|a| {
-                let mut conj: Vec<Formula> = a
-                    .iter()
-                    .map(|i| Formula::not(Formula::Nonfaulty(i)))
-                    .collect();
-                conj.push(phi.clone());
-                Formula::common_nonfaulty(Formula::And(conj))
-            })
-            .collect(),
+    let ck = |a: AgentSet| {
+        let faulty = a.iter().map(|i| Formula::not(Formula::Nonfaulty(i)));
+        Formula::common_nonfaulty(Formula::And(faulty.chain([phi.clone()]).collect()))
+    };
+    let candidates = subsets_of_size(params.n(), params.t());
+    Formula::Or(candidates.into_iter().map(ck).collect())
+}
+
+/// The body of `P1`'s decide-`v` guard:
+/// `C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)`.
+pub fn ck_guard(params: Params, v: Value) -> Formula {
+    ck_t_faulty_and(
+        params,
+        Formula::And(vec![
+            Formula::no_nonfaulty_decided(params.n(), v.other()),
+            Formula::ExistsInit(v),
+        ]),
     )
+}
+
+/// The rules of `program` for `agent`, in order: `P0`'s three (Section
+/// 6), and for `P1` (Section 7) the two `K_i(`[`ck_guard`]`(v))` rules
+/// after the first.
+pub fn rules(
+    program: KnowledgeBasedProgram,
+    params: Params,
+    agent: AgentId,
+) -> Vec<(Formula, Action)> {
+    use Value::{One, Zero};
+    let n = params.n();
+    let knows_jdec0 = Formula::knows(agent, Formula::someone_just_decided(n, Zero));
+    let mut rules = vec![
+        (Formula::not(Formula::DecidedIs(agent, None)), Action::Noop),
+        (
+            Formula::Or(vec![Formula::InitIs(agent, Zero), knows_jdec0]),
+            Action::Decide(Zero),
+        ),
+        (
+            Formula::knows(agent, Formula::nobody_deciding(n, Zero)),
+            Action::Decide(One),
+        ),
+    ];
+    if program == KnowledgeBasedProgram::P1 {
+        let ck = |v| {
+            (
+                Formula::knows(agent, ck_guard(params, v)),
+                Action::Decide(v),
+            )
+        };
+        rules.splice(1..1, Value::ALL.map(ck));
+    }
+    rules
 }
 
 /// The action a knowledge-based program prescribes for every
@@ -48,95 +87,51 @@ impl Prescriptions {
     }
 
     /// Distinct formula nodes the compiled guard plan evaluated — the
-    /// size of the shared guard DAG across all agents and both values.
+    /// size of the shared guard DAG across all agents and rules.
     pub fn evaluated_nodes(&self) -> usize {
         self.evaluated_nodes
     }
 }
 
-/// Evaluates the knowledge-based program over a system.
-///
-/// All guards — the shared test bodies *and* the per-agent `K_i`
-/// wrappers — are compiled into **one** hash-consed
-/// [`QueryPlan`] and evaluated by a single [`EvalSession`] pass: the
-/// `someone_just_decided`/`nobody_deciding` disjunctions and (for `P1`)
-/// the `C_N(t-faulty ∧ …)` towers, whose `∃A` quantifier expands into a
-/// disjunction over all `C(n, t)` faulty-set candidates, exist once in
-/// the arena no matter how many `K_i` roots mention them.
+/// Evaluates the knowledge-based program over a system: every agent's
+/// [`rules`] are interned into **one** hash-consed [`FormulaArena`] (so
+/// the `C_N(t-faulty ∧ …)` towers of `P1`, with their `C(n, t)`
+/// faulty-set candidates, exist once however many `K_i` guards mention
+/// them) and evaluated by one [`EvalSession`]; then a first-match loop
+/// picks each agent's action at every point.
 pub fn prescriptions<E: InformationExchange>(
     sys: &InterpretedSystem<E>,
     program: KnowledgeBasedProgram,
 ) -> Prescriptions {
     let params = sys.params();
-    let n = params.n();
-    let points = sys.point_count();
-
-    // Compile the guard batch: one `K_i` root per agent per guard; the
-    // arena hash-conses the bodies the roots share.
-    let agents: Vec<AgentId> = AgentId::all(n).collect();
     let mut arena = FormulaArena::new();
-    let mut known = |body: Formula| -> Vec<NodeId> {
-        let root = |i: &AgentId| arena.intern(&Formula::knows(*i, body.clone()));
-        agents.iter().map(root).collect()
-    };
-    let k_jdec0 = known(Formula::someone_just_decided(n, Value::Zero));
-    let k_nodec0 = known(Formula::nobody_deciding(n, Value::Zero));
-    let k_cks = match program {
-        KnowledgeBasedProgram::P0 => None,
-        KnowledgeBasedProgram::P1 => {
-            let ck = |v: Value| {
-                let undecided = Formula::no_nonfaulty_decided(n, v.other());
-                ck_t_faulty_and(
-                    params,
-                    Formula::And(vec![undecided, Formula::ExistsInit(v)]),
-                )
-            };
-            Some((known(ck(Value::Zero)), known(ck(Value::One))))
-        }
-    };
-    let mut roots = [&k_jdec0[..], &k_nodec0[..]].concat();
-    if let Some((k0, k1)) = &k_cks {
-        roots.extend(k0.iter().chain(k1));
-    }
+    let interned: Vec<Vec<(NodeId, Action)>> = params
+        .agents()
+        .map(|i| {
+            let intern = |(guard, action): (Formula, Action)| (arena.intern(&guard), action);
+            rules(program, params, i).into_iter().map(intern).collect()
+        })
+        .collect();
+    let roots: Vec<NodeId> = interned.iter().flatten().map(|(guard, _)| *guard).collect();
     let plan = QueryPlan::new(&arena, &roots);
     let session = EvalSession::evaluate(sys, &arena, &plan);
-
-    // The state-dependent guards (`decided`, `init`) are functions of the
-    // local state alone, so they are looked up by `StateId` per point:
-    // `decided` straight from the system's construction-time table,
-    // `init` from one pass over the distinct states.
-    let decided = sys.decided_table();
-    let init_zero = sys.per_state_table(|s| sys.exchange().init(s) == Value::Zero);
-
-    let mut actions = vec![Action::Noop; points * n];
-    for i in 0..n {
-        let agent = agents[i];
-        let k_jdec0 = session.bitset(k_jdec0[i]);
-        let k_nodec0 = session.bitset(k_nodec0[i]);
-        let k_cks = k_cks
-            .as_ref()
-            .map(|(k0, k1)| (session.bitset(k0[i]), session.bitset(k1[i])));
-        for pid in 0..points {
-            let sid = sys.state_id(pid as PointId, agent).index();
-            let act = if decided[sid].is_some() {
-                Action::Noop
-            } else if let Some((k0, _)) = k_cks.as_ref().filter(|(k0, _)| k0.contains(pid)) {
-                debug_assert!(k0.contains(pid));
-                Action::Decide(Value::Zero)
-            } else if k_cks.as_ref().is_some_and(|(_, k1)| k1.contains(pid)) {
-                Action::Decide(Value::One)
-            } else if init_zero[sid] || k_jdec0.contains(pid) {
-                Action::Decide(Value::Zero)
-            } else if k_nodec0.contains(pid) {
-                Action::Decide(Value::One)
-            } else {
-                Action::Noop
-            };
-            actions[pid * n + i] = act;
-        }
-    }
+    let guards: Vec<Vec<(&BitSet, Action)>> = interned
+        .iter()
+        .map(|agent_rules| {
+            let lookup = |(guard, action): &(NodeId, Action)| (session.bitset(*guard), *action);
+            agent_rules.iter().map(lookup).collect()
+        })
+        .collect();
+    let actions = (0..sys.point_count())
+        .flat_map(|pid| {
+            guards.iter().map(move |agent_guards| {
+                let first = agent_guards.iter().find(|(holds, _)| holds.contains(pid));
+                first.map_or(Action::Noop, |(_, action)| *action)
+            })
+        })
+        .collect();
     Prescriptions {
-        n,
+        n: params.n(),
         actions,
         evaluated_nodes: session.nodes_evaluated(),
     }
@@ -173,9 +168,98 @@ mod tests {
     }
 
     #[test]
+    fn p1_is_p0_with_the_two_common_knowledge_rules_second() {
+        let params = Params::new(4, 1).unwrap();
+        for agent in params.agents() {
+            let p0 = rules(KnowledgeBasedProgram::P0, params, agent);
+            let mut p1 = rules(KnowledgeBasedProgram::P1, params, agent);
+            let ck: Vec<_> = p1.drain(1..3).collect();
+            assert_eq!(p1, p0, "{agent}");
+            for (v, rule) in Value::ALL.into_iter().zip(ck) {
+                let expected = (
+                    Formula::knows(agent, ck_guard(params, v)),
+                    Action::Decide(v),
+                );
+                assert_eq!(rule, expected, "{agent}");
+            }
+        }
+    }
+
+    #[test]
+    fn p0_rules_render_in_the_papers_notation() {
+        let params = Params::new(3, 1).unwrap();
+        let text: Vec<String> = rules(KnowledgeBasedProgram::P0, params, AgentId::new(0))
+            .iter()
+            .map(|(guard, action)| format!("if {guard} then {action}"))
+            .collect();
+        assert_eq!(
+            text,
+            [
+                "if ¬(decided_a0 = ⊥) then noop",
+                "if init_a0 = 0 ∨ K_a0(jdecided_a0 = 0 ∨ jdecided_a1 = 0 ∨ jdecided_a2 = 0) \
+                 then decide(0)",
+                "if K_a0(¬(deciding_a0 = 0) ∧ ¬(deciding_a1 = 0) ∧ ¬(deciding_a2 = 0)) \
+                 then decide(1)",
+            ]
+        );
+    }
+
+    /// The first-match loop over the compiled session agrees, at every
+    /// `(point, agent)`, with the first rule whose guard the independent
+    /// recursive evaluator says holds.
+    #[test]
+    fn first_match_agrees_with_the_recursive_evaluator() {
+        struct FirstMatch;
+        impl StackVisitor for FirstMatch {
+            type Output = ();
+            fn visit<E, P>(self, ctx: &Context<E, P>)
+            where
+                E: InformationExchange + Clone + Sync + 'static,
+                P: ActionProtocol<E> + Clone + Sync + 'static,
+            {
+                let sys =
+                    InterpretedSystem::from_context(ctx.clone(), 4, 1_000_000, Parallelism::Auto)
+                        .unwrap();
+                let params = sys.params();
+                for program in [KnowledgeBasedProgram::P0, KnowledgeBasedProgram::P1] {
+                    let pres = prescriptions(&sys, program);
+                    for agent in params.agents() {
+                        let guards: Vec<(BitSet, Action)> = rules(program, params, agent)
+                            .into_iter()
+                            .map(|(guard, action)| (sys.eval_recursive(&guard), action))
+                            .collect();
+                        for pid in 0..sys.point_count() {
+                            let first = guards
+                                .iter()
+                                .find(|(holds, _)| holds.contains(pid))
+                                .map_or(Action::Noop, |(_, action)| *action);
+                            assert_eq!(
+                                pres.at(pid as PointId, agent),
+                                first,
+                                "{} {} point {pid} {agent}",
+                                ctx.qualified_name(),
+                                program.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        let params = Params::new(3, 1).unwrap();
+        for stack in ["E_min/P_min", "E_basic/P_basic", "E_naive/P_naive"] {
+            for model in ["sending_omission", "general_omission"] {
+                let name = format!("{stack}@{model}");
+                NamedStack::by_name(&name, params)
+                    .unwrap()
+                    .visit(FirstMatch);
+            }
+        }
+    }
+
+    #[test]
     fn p0_prescribes_zero_for_zero_initial_preference() {
         let sys = min_system(3, 1);
-        let pres = prescriptions(&sys, eba_core::kbp::KnowledgeBasedProgram::P0);
+        let pres = prescriptions(&sys, KnowledgeBasedProgram::P0);
         for r in 0..sys.run_count() {
             for i in 0..3 {
                 let agent = AgentId::new(i);
@@ -191,7 +275,7 @@ mod tests {
         // Validity built into the program: without any 0 preference no
         // point satisfies the decide-0 guards.
         let sys = min_system(3, 1);
-        let pres = prescriptions(&sys, eba_core::kbp::KnowledgeBasedProgram::P0);
+        let pres = prescriptions(&sys, KnowledgeBasedProgram::P0);
         for r in 0..sys.run_count() {
             if sys.inits(r).contains(&Value::Zero) {
                 continue;
@@ -212,8 +296,8 @@ mod tests {
         // Section 7: in γ_min agents never learn who is faulty, so the
         // common-knowledge guards never fire and P1 ≡ P0.
         let sys = min_system(3, 1);
-        let p0 = prescriptions(&sys, eba_core::kbp::KnowledgeBasedProgram::P0);
-        let p1 = prescriptions(&sys, eba_core::kbp::KnowledgeBasedProgram::P1);
+        let p0 = prescriptions(&sys, KnowledgeBasedProgram::P0);
+        let p1 = prescriptions(&sys, KnowledgeBasedProgram::P1);
         for pid in 0..sys.point_count() as u32 {
             for i in 0..3 {
                 let agent = AgentId::new(i);
@@ -226,7 +310,7 @@ mod tests {
     fn prescriptions_respect_unique_decision() {
         // Once decided (state records it), the prescription is noop.
         let sys = min_system(3, 1);
-        let pres = prescriptions(&sys, eba_core::kbp::KnowledgeBasedProgram::P0);
+        let pres = prescriptions(&sys, KnowledgeBasedProgram::P0);
         for pid in 0..sys.point_count() as u32 {
             for i in 0..3 {
                 let agent = AgentId::new(i);

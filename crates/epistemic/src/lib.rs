@@ -15,8 +15,9 @@
 //!   root formulas over the shared DAG, and an
 //!   [`EvalSession`](query::EvalSession) answering every root with a
 //!   counterexample-carrying [`Verdict`](query::Verdict) in one pass;
-//! * [`kbp`] — semantics of the knowledge-based programs `P0` and `P1`:
-//!   the action each prescribes at every point of a system;
+//! * [`kbp`] — the knowledge-based programs `P0` and `P1`, stated once as
+//!   ordered `(guard, action)` rules over formulas, and the action each
+//!   prescribes at every point of a system;
 //! * [`implements`] — the implements-check: does a concrete action
 //!   protocol agree with a knowledge-based program at every reachable
 //!   local state? This is the machine-checked form of Theorems 6.5, 6.6,
@@ -61,7 +62,7 @@ pub mod system;
 pub mod prelude {
     pub use crate::formula::Formula;
     pub use crate::implements::{check_implements, ImplementsReport, Mismatch};
-    pub use crate::kbp::{ck_t_faulty_and, prescriptions};
+    pub use crate::kbp::{ck_guard, ck_t_faulty_and, prescriptions, rules};
     pub use crate::query::{
         standard_battery, EvalSession, FormulaArena, NodeId, QueryPlan, Verdict,
     };

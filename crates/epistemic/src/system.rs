@@ -238,14 +238,6 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         &self.decided_by_state
     }
 
-    /// A table of `f` evaluated once per **distinct** state, indexed by
-    /// [`StateId::index`] — the memoization pattern the interned arena
-    /// enables: propositions over millions of points collapse to one
-    /// computation per distinct state plus an id lookup per point.
-    pub fn per_state_table<T>(&self, f: impl Fn(&E::State) -> T) -> Vec<T> {
-        self.store.arena().states().iter().map(f).collect()
-    }
-
     /// The canonical class partition of `agent`: every class sorted
     /// ascending, classes ordered by their smallest point. Class storage
     /// order is an implementation detail (the arena path orders classes
@@ -553,15 +545,15 @@ mod tests {
     }
 
     #[test]
-    fn per_state_table_agrees_with_per_point_reads() {
+    fn decided_table_agrees_with_per_point_reads() {
         let sys = small_system();
-        let decided = sys.per_state_table(|s| sys.exchange().decided(s));
+        let decided = sys.decided_table();
         for pid in 0..sys.point_count() as PointId {
             for i in 0..3 {
                 let agent = AgentId::new(i);
                 assert_eq!(
                     decided[sys.state_id(pid, agent).index()],
-                    sys.decided_at(pid, agent)
+                    sys.exchange().decided(sys.local_state(pid, agent))
                 );
             }
         }

@@ -97,14 +97,7 @@ fn prop_a2a_ck_faulty_iff_previous_distributed_knowledge() {
 fn lemma_a3_guard_is_known_to_everyone_when_it_holds() {
     let (params, sys) = fip_system();
     for v in Value::ALL {
-        let guard = ck_t_faulty_and(
-            params,
-            Formula::And(vec![
-                Formula::no_nonfaulty_decided(params.n(), v.other()),
-                Formula::ExistsInit(v),
-            ]),
-        );
-        let guard_set = sys.eval(&guard);
+        let guard_set = sys.eval(&ck_guard(params, v));
         assert!(guard_set.count() > 0, "guard({v}) never held — vacuous");
         for i in params.agents() {
             let knows = sys.knows_set(i, &guard_set);
@@ -148,14 +141,7 @@ fn common_v_graph_condition_matches_brute_force_knowledge() {
     // Brute-force sets: K_i(C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)).
     let mut truth: Vec<Vec<eba_core::types::BitSet>> = Vec::new(); // [v][agent]
     for v in Value::ALL {
-        let guard = ck_t_faulty_and(
-            params,
-            Formula::And(vec![
-                Formula::no_nonfaulty_decided(params.n(), v.other()),
-                Formula::ExistsInit(v),
-            ]),
-        );
-        let set = sys.eval(&guard);
+        let set = sys.eval(&ck_guard(params, v));
         truth.push(params.agents().map(|i| sys.knows_set(i, &set)).collect());
     }
     // Compare against the polynomial-time graph condition on a systematic

@@ -58,86 +58,52 @@ impl Default for E7Config {
     }
 }
 
-/// Runs the checks.
-pub fn run(config: E7Config) -> (Vec<E7Row>, Table) {
-    let mut rows = Vec::new();
-
-    let min_check = |n: usize, t: usize, program: KnowledgeBasedProgram| {
-        let params = Params::new(n, t).expect("valid");
-        let ctx = Context::minimal(params);
-        let proto = *ctx.protocol();
-        let sys = InterpretedSystem::from_context(
-            ctx,
-            params.default_horizon(),
-            10_000_000,
-            Parallelism::Auto,
-        )
-        .expect("enumerable");
-        let report = check_implements(&sys, &proto, program);
-        E7Row {
-            context: format!("γ_min({n},{t})"),
-            protocol: "P_min",
-            program: program.name(),
-            runs: report.runs,
-            comparisons: report.comparisons,
-            plan_nodes: report.evaluated_nodes,
-            mismatches: report.mismatches.len(),
-        }
-    };
-    let basic_check = |n: usize, t: usize, program: KnowledgeBasedProgram| {
-        let params = Params::new(n, t).expect("valid");
-        let ctx = Context::basic(params);
-        let proto = *ctx.protocol();
-        let sys = InterpretedSystem::from_context(
-            ctx,
-            params.default_horizon(),
-            10_000_000,
-            Parallelism::Auto,
-        )
-        .expect("enumerable");
-        let report = check_implements(&sys, &proto, program);
-        E7Row {
-            context: format!("γ_basic({n},{t})"),
-            protocol: "P_basic",
-            program: program.name(),
-            runs: report.runs,
-            comparisons: report.comparisons,
-            plan_nodes: report.evaluated_nodes,
-            mismatches: report.mismatches.len(),
-        }
-    };
-
-    rows.push(min_check(3, 1, KnowledgeBasedProgram::P0));
-    rows.push(min_check(3, 1, KnowledgeBasedProgram::P1));
-    rows.push(min_check(4, 1, KnowledgeBasedProgram::P0));
-    if config.include_n4_t2 {
-        rows.push(min_check(4, 2, KnowledgeBasedProgram::P0));
-    }
-    rows.push(basic_check(3, 1, KnowledgeBasedProgram::P0));
-    rows.push(basic_check(3, 1, KnowledgeBasedProgram::P1));
-    if config.include_fip {
-        let params = Params::new(3, 1).expect("valid");
-        let ctx = Context::fip(params);
-        let proto = *ctx.protocol();
-        let sys = InterpretedSystem::from_context(
-            ctx,
-            params.default_horizon(),
-            10_000_000,
-            Parallelism::Auto,
-        )
-        .expect("enumerable");
-        for program in [KnowledgeBasedProgram::P1, KnowledgeBasedProgram::P0] {
+/// Enumerates `ctx`'s system once and checks its protocol against each
+/// program; `label` names the context, e.g. `min` for `γ_min(n,t)`.
+fn check<E, P>(ctx: Context<E, P>, label: &str, programs: &[KnowledgeBasedProgram]) -> Vec<E7Row>
+where
+    E: InformationExchange + Sync,
+    P: ActionProtocol<E> + Clone + Sync,
+{
+    let params = ctx.params();
+    let proto = ctx.protocol().clone();
+    let sys = InterpretedSystem::from_context(
+        ctx,
+        params.default_horizon(),
+        10_000_000,
+        Parallelism::Auto,
+    )
+    .expect("enumerable");
+    let context = format!("γ_{label}({},{})", params.n(), params.t());
+    programs
+        .iter()
+        .map(|&program| {
             let report = check_implements(&sys, &proto, program);
-            rows.push(E7Row {
-                context: "γ_fip(3,1)".into(),
-                protocol: "P_opt",
+            E7Row {
+                context: context.clone(),
+                protocol: proto.name(),
                 program: program.name(),
                 runs: report.runs,
                 comparisons: report.comparisons,
                 plan_nodes: report.evaluated_nodes,
                 mismatches: report.mismatches.len(),
-            });
-        }
+            }
+        })
+        .collect()
+}
+
+/// Runs the checks.
+pub fn run(config: E7Config) -> (Vec<E7Row>, Table) {
+    use KnowledgeBasedProgram::{P0, P1};
+    let params = |n, t| Params::new(n, t).expect("valid");
+    let mut rows = check(Context::minimal(params(3, 1)), "min", &[P0, P1]);
+    rows.extend(check(Context::minimal(params(4, 1)), "min", &[P0]));
+    if config.include_n4_t2 {
+        rows.extend(check(Context::minimal(params(4, 2)), "min", &[P0]));
+    }
+    rows.extend(check(Context::basic(params(3, 1)), "basic", &[P0, P1]));
+    if config.include_fip {
+        rows.extend(check(Context::fip(params(3, 1)), "fip", &[P1, P0]));
     }
 
     let mut table = Table::new(

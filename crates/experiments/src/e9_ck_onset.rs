@@ -48,10 +48,10 @@ pub struct E9Row {
 }
 
 /// The first time the observer (the first nonfaulty agent) satisfies
-/// `K_i(C_N(t-faulty ∧ no-decided_N(0) ∧ ∃1))` on the silent-faulty
-/// all-ones run — the brute-force, whole-system counterpart of the
-/// `common_1` graph condition, answered through one compiled
-/// [`QueryPlan`].
+/// `K_i(`[`ck_guard`]`(1))`, i.e. `K_i(C_N(t-faulty ∧ no-decided_N(0) ∧
+/// ∃1))`, on the silent-faulty all-ones run — the brute-force,
+/// whole-system counterpart of the `common_1` graph condition, answered
+/// by the compiled query engine ([`InterpretedSystem::eval`]).
 ///
 /// The system is built at horizon 3: the onset is at time 2 and
 /// knowledge at time `m` only depends on the time-`m` state sets, which
@@ -103,19 +103,9 @@ pub fn model_checked_ck_onset(params: Params) -> Result<u32, EbaError> {
             EbaError::InvalidInput("silent run not found in the enumerated system".into())
         })?;
 
-    let guard = ck_t_faulty_and(
-        params,
-        Formula::And(vec![
-            Formula::no_nonfaulty_decided(n, Value::Zero),
-            Formula::ExistsInit(Value::One),
-        ]),
-    );
-    let mut arena = FormulaArena::new();
-    let root = arena.intern(&Formula::knows(observer, guard));
-    let plan = QueryPlan::new(&arena, &[root]);
-    let session = EvalSession::evaluate(&sys, &arena, &plan);
+    let holds = sys.eval(&Formula::knows(observer, ck_guard(params, Value::One)));
     (0..=horizon)
-        .find(|&m| session.holds_at(root, run, m))
+        .find(|&m| holds.contains(sys.point(run, m) as usize))
         .ok_or_else(|| {
             EbaError::InvalidInput("common knowledge never arose within the horizon".into())
         })

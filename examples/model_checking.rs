@@ -9,6 +9,9 @@
 //! * Thm 6.6 — `P_basic` implements `P0` in `γ_basic`;
 //! * Thm A.21 — `P_opt` implements `P1` in `γ_fip` (the headline result).
 //!
+//! It first prints both programs from their rules, and it panics (exit
+//! status 101) if any of the three theorems fails.
+//!
 //! ```text
 //! cargo run --release --example model_checking
 //! ```
@@ -18,59 +21,50 @@ use eba::epistemic::prelude::*;
 use eba::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("The knowledge-based programs under check:\n");
-    println!("{}\n", KnowledgeBasedProgram::P0);
-    println!("{}\n", KnowledgeBasedProgram::P1);
+    let params = Params::new(3, 1)?;
+    println!("The knowledge-based programs under check, for agent a0 at (3, 1):\n");
+    for program in [KnowledgeBasedProgram::P0, KnowledgeBasedProgram::P1] {
+        println!("{}:", program.name());
+        for (guard, action) in rules(program, params, AgentId::new(0)) {
+            println!("  if {guard} then {action}");
+        }
+        println!("  else noop\n");
+    }
 
     // Theorem 6.5: P_min implements P0 in γ_min(3,1).
-    let params = Params::new(3, 1)?;
     {
         let ctx = Context::minimal(params);
         let proto = *ctx.protocol();
         let sys = InterpretedSystem::from_context(ctx, 4, 10_000_000, Parallelism::Auto)?;
         let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P0);
+        assert!(report.is_ok(), "Thm 6.5: {:?}", report.mismatches.first());
         println!(
-            "Thm 6.5  γ_min(3,1):  {} runs, {} comparisons, {} mismatches — {}",
-            report.runs,
-            report.comparisons,
-            report.mismatches.len(),
-            verdict(report.is_ok()),
+            "Thm 6.5  γ_min(3,1):  {} runs, {} comparisons, 0 mismatches — VERIFIED",
+            report.runs, report.comparisons,
         );
 
         // The EBA spec over the same system, answered as ONE compiled
         // query batch: every formula is hash-consed into a shared arena,
-        // scheduled once, and answered with a counterexample-carrying
-        // verdict (all valid here, so no witnesses).
-        let mut spec = Vec::new();
-        for i in AgentId::all(3) {
-            for j in AgentId::all(3) {
-                spec.push(Formula::not(Formula::And(vec![
-                    Formula::Nonfaulty(i),
-                    Formula::Nonfaulty(j),
-                    Formula::DecidedIs(i, Some(Value::Zero)),
-                    Formula::DecidedIs(j, Some(Value::One)),
-                ])));
-            }
-            for v in Value::ALL {
-                spec.push(Formula::implies(
-                    Formula::DecidedIs(i, Some(v)),
-                    Formula::ExistsInit(v),
-                ));
-            }
-        }
+        // scheduled once, and judged where `check_spec` judges it (all
+        // valid here, so no witnesses).
+        let props = eba_spec_properties(3);
         let mut arena = FormulaArena::new();
-        let roots: Vec<NodeId> = spec.iter().map(|f| arena.intern(f)).collect();
+        let roots: Vec<NodeId> = props.iter().map(|p| arena.intern(&p.formula)).collect();
         let plan = QueryPlan::new(&arena, &roots);
         let session = EvalSession::evaluate(&sys, &arena, &plan);
-        let valid = roots.iter().filter(|r| session.verdict(**r).holds).count();
-        assert_eq!(valid, roots.len(), "the EBA spec is valid in γ_min");
+        let holds = |prop: &SpecProperty, root: NodeId| match prop.check_at {
+            CheckAt::EveryPoint => session.verdict(root).holds,
+            CheckAt::TimeZero => (0..sys.run_count()).all(|r| session.holds_at(root, r, 0)),
+        };
+        for (prop, root) in props.iter().zip(&roots) {
+            assert!(holds(prop, *root), "{} fails in γ_min", prop.name);
+        }
         println!(
             "         EBA spec:     {} formulas in one batch — {} shared nodes \
-             evaluated instead of {} naive — {}",
+             evaluated instead of {} naive — VERIFIED",
             roots.len(),
             plan.evaluated_node_count(),
             plan.naive_node_count(),
-            verdict(valid == roots.len()),
         );
 
         // A deliberately false query demonstrates the witness: the
@@ -92,12 +86,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let proto = *ctx.protocol();
         let sys = InterpretedSystem::from_context(ctx, 4, 10_000_000, Parallelism::Auto)?;
         let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P0);
+        assert!(report.is_ok(), "Thm 6.6: {:?}", report.mismatches.first());
         println!(
-            "Thm 6.6  γ_basic(3,1): {} runs, {} comparisons, {} mismatches — {}",
-            report.runs,
-            report.comparisons,
-            report.mismatches.len(),
-            verdict(report.is_ok()),
+            "Thm 6.6  γ_basic(3,1): {} runs, {} comparisons, 0 mismatches — VERIFIED",
+            report.runs, report.comparisons,
         );
     }
 
@@ -117,11 +109,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             t0.elapsed()
         );
         let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P1);
+        assert!(report.is_ok(), "Thm A.21: {:?}", report.mismatches.first());
         println!(
-            "Thm A.21 γ_fip(3,1):  {} comparisons, {} mismatches — {}",
+            "Thm A.21 γ_fip(3,1):  {} comparisons, 0 mismatches — VERIFIED",
             report.comparisons,
-            report.mismatches.len(),
-            verdict(report.is_ok()),
         );
         println!(
             "\nBy Thms 6.3 and 7.6/7.7, implementing the knowledge-based program \
@@ -129,12 +120,4 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
     Ok(())
-}
-
-fn verdict(ok: bool) -> &'static str {
-    if ok {
-        "VERIFIED"
-    } else {
-        "FAILED"
-    }
 }

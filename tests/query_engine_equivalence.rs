@@ -157,7 +157,7 @@ fn battery_plan_dedups_shared_subformulas() {
     }
 }
 
-/// The P1 guard family — the `ck_t_faulty_and` towers for both values
+/// The P1 guard family — the `ck_guard` towers for both values
 /// plus the per-agent `K_i` wrappers — shares its `¬(i ∈ N)` leaves and
 /// decided-propositions across the whole batch.
 #[test]
@@ -167,11 +167,7 @@ fn p1_guard_family_dedups_across_values_and_agents() {
     let mut arena = FormulaArena::new();
     let mut roots = Vec::new();
     for v in Value::ALL {
-        let body = Formula::And(vec![
-            Formula::no_nonfaulty_decided(n, v.other()),
-            Formula::ExistsInit(v),
-        ]);
-        let ck = ck_t_faulty_and(params, body);
+        let ck = ck_guard(params, v);
         for i in AgentId::all(n) {
             roots.push(arena.intern(&Formula::knows(i, ck.clone())));
         }

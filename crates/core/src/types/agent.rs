@@ -158,14 +158,18 @@ impl AgentSet {
         self.0 & !other.0 == 0
     }
 
-    /// Iterates over members in increasing index order.
+    /// Iterates over members in increasing index order. Each step takes
+    /// the lowest set bit and clears it, so a walk costs one step per
+    /// member, not one per possible agent.
     pub fn iter(self) -> impl Iterator<Item = AgentId> {
-        (0..AgentId::MAX_AGENTS).filter_map(move |i| {
-            if self.0 & (1u128 << i) != 0 {
-                Some(AgentId::new(i))
-            } else {
-                None
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            if bits == 0 {
+                return None;
             }
+            let lowest = bits.trailing_zeros() as u16;
+            bits &= bits - 1;
+            Some(AgentId(lowest))
         })
     }
 
@@ -302,6 +306,20 @@ mod tests {
         let s: AgentSet = [9, 1, 4].into_iter().map(AgentId::new).collect();
         let v: Vec<usize> = s.iter().map(|a| a.index()).collect();
         assert_eq!(v, vec![1, 4, 9]);
+        // The edges of a set-bit walk over a `u128`: nothing set, the
+        // lowest bit, both sides of the 64-bit half, the highest bit, and
+        // every bit.
+        for s in [
+            AgentSet::empty(),
+            AgentSet::singleton(AgentId::new(0)),
+            [63, 64].into_iter().map(AgentId::new).collect(),
+            AgentSet::singleton(AgentId::new(127)),
+            AgentSet::full(128),
+        ] {
+            assert_eq!(s.iter().count(), s.len(), "{s}");
+            assert_eq!(s.iter().collect::<AgentSet>(), s, "{s}");
+            assert!(s.iter().zip(s.iter().skip(1)).all(|(a, b)| a < b), "{s}");
+        }
     }
 
     #[test]

@@ -194,8 +194,13 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// subformula.
     ///
     /// Kept as the **independent oracle** the compiled engine is
-    /// verified against (it shares no scheduling or interning machinery
-    /// with [`EvalSession`]); [`InterpretedSystem::satisfied_at`] also
+    /// verified against: it shares no scheduling or interning machinery
+    /// with [`EvalSession`], and it computes `C_N` by iterating
+    /// `X := E_N(φ ∧ X)` from the full set until it is stable, not through
+    /// the engine's one-pass
+    /// [`common_nonfaulty_set`](InterpretedSystem::common_nonfaulty_set)
+    /// worklist. (`K_i` and `E_N` are the system's one class operation
+    /// each, shared by both.) [`InterpretedSystem::satisfied_at`] also
     /// routes through it so counterexample re-checks do not trust the
     /// engine that produced the witness. Propositions resolve through
     /// the interned [`RunStore`](eba_sim::store::RunStore): run-level
@@ -259,7 +264,22 @@ impl<E: InformationExchange> InterpretedSystem<E> {
             }
             Formula::Knows(i, g) => self.knows_set(*i, &self.eval_recursive(g)),
             Formula::EveryoneNonfaulty(g) => self.everyone_nonfaulty_set(&self.eval_recursive(g)),
-            Formula::CommonNonfaulty(g) => self.common_nonfaulty_set(&self.eval_recursive(g)),
+            Formula::CommonNonfaulty(g) => {
+                // The definition, iterated: `X := E_N(φ ∧ X)` from the
+                // full set until it is stable.
+                let inner = self.eval_recursive(g);
+                let mut x = BitSet::new(count);
+                x.fill();
+                loop {
+                    let mut arg = inner.clone();
+                    arg.intersect_with(&x);
+                    let next = self.everyone_nonfaulty_set(&arg);
+                    if next == x {
+                        break x;
+                    }
+                    x = next;
+                }
+            }
             Formula::Next(g) => {
                 let inner = self.eval_recursive(g);
                 self.points_by(|pid| {

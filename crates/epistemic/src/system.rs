@@ -29,6 +29,18 @@ pub(crate) struct AgentClasses {
     pub(crate) starts: Vec<u32>,
 }
 
+impl AgentClasses {
+    /// The points of class `c`.
+    fn span(&self, c: usize) -> &[PointId] {
+        &self.points[self.starts[c] as usize..self.starts[c + 1] as usize]
+    }
+
+    /// Every class's points, in storage order.
+    fn spans(&self) -> impl Iterator<Item = &[PointId]> {
+        (0..self.starts.len() - 1).map(|c| self.span(c))
+    }
+}
+
 /// An interpreted system: the complete set of runs of `(E, F, P)` up to a
 /// horizon, with per-agent indistinguishability classes for evaluating
 /// knowledge.
@@ -244,11 +256,10 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// by `StateId`, the oracle by state hash), so equivalence
     /// checks compare this canonical form.
     pub fn class_partition(&self, agent: AgentId) -> Vec<Vec<PointId>> {
-        let cls = &self.classes[agent.index()];
-        let mut partition: Vec<Vec<PointId>> = (0..cls.starts.len() - 1)
-            .map(|c| {
-                let mut span =
-                    cls.points[cls.starts[c] as usize..cls.starts[c + 1] as usize].to_vec();
+        let mut partition: Vec<Vec<PointId>> = self.classes[agent.index()]
+            .spans()
+            .map(|span| {
+                let mut span = span.to_vec();
                 span.sort_unstable();
                 span
             })
@@ -261,9 +272,7 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// all points the agent considers possible.
     pub fn knows_set(&self, agent: AgentId, inner: &BitSet) -> BitSet {
         let mut out = BitSet::new(self.point_count());
-        let cls = &self.classes[agent.index()];
-        for c in 0..cls.starts.len() - 1 {
-            let span = &cls.points[cls.starts[c] as usize..cls.starts[c + 1] as usize];
+        for span in self.classes[agent.index()].spans() {
             if span.iter().all(|p| inner.contains(*p as usize)) {
                 for p in span {
                     out.insert(*p as usize);
@@ -290,19 +299,58 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     }
 
     /// `C_N`: common knowledge among the nonfaulty — the greatest fixpoint
-    /// of `X = E_N(inner ∧ X)`.
+    /// of `X = E_N(inner ∧ X)`, in one worklist pass.
+    ///
+    /// A class of agent `j` is *tainted* once it holds a point outside
+    /// `inner ∧ X`. `X` starts full; a tainted `j`-class removes from `X`
+    /// each of its points whose run has `j ∈ N`, and a removed point
+    /// taints its class for every agent. When the worklist is empty, a
+    /// point is in `X` iff no agent of its `N` has a tainted class there,
+    /// i.e. `X = E_N(inner ∧ X)`; a point is only removed once it is
+    /// outside every `Y ⊆ E_N(inner ∧ Y)`, so `X` is the greatest such
+    /// set. Each `(agent, class)` is tainted at most once and each point
+    /// leaves `X` at most once: `O(n · points)`.
+    /// [`eval_recursive`](Self::eval_recursive) keeps the iteration as
+    /// the oracle this is tested against.
     pub fn common_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
+        let n = self.params().n();
+        let states = self.distinct_states();
+        // Agent `j`'s class of the points where its state is `sid` sits
+        // at `class_of[j * states + sid]`. A class id fits a `u32`: an
+        // agent has at most one class per point, and point ids are `u32`.
+        let mut class_of = vec![0u32; n * states];
+        let mut tainted: Vec<BitSet> = Vec::with_capacity(n);
+        let mut work: Vec<(usize, u32)> = Vec::new();
+        for (j, cls) in self.classes.iter().enumerate() {
+            tainted.push(BitSet::new(cls.starts.len() - 1));
+            for (c, span) in cls.spans().enumerate() {
+                let sid = self.store.state_id(j, span[0] as usize);
+                class_of[j * states + sid.index()] = c as u32;
+                if span.iter().any(|p| !inner.contains(*p as usize)) {
+                    tainted[j].insert(c);
+                    work.push((j, c as u32));
+                }
+            }
+        }
         let mut x = BitSet::new(self.point_count());
         x.fill();
-        loop {
-            let mut arg = inner.clone();
-            arg.intersect_with(&x);
-            let next = self.everyone_nonfaulty_set(&arg);
-            if next == x {
-                return x;
+        while let Some((j, c)) = work.pop() {
+            let agent = AgentId::new(j);
+            for &p in self.classes[j].span(c as usize) {
+                if !x.contains(p as usize) || !self.nonfaulty(self.run_of(p)).contains(agent) {
+                    continue;
+                }
+                x.remove(p as usize);
+                for (k, tainted_k) in tainted.iter_mut().enumerate() {
+                    let ck = class_of[k * states + self.store.state_id(k, p as usize).index()];
+                    if !tainted_k.contains(ck as usize) {
+                        tainted_k.insert(ck as usize);
+                        work.push((k, ck));
+                    }
+                }
             }
-            x = next;
         }
+        x
     }
 }
 
@@ -338,6 +386,7 @@ fn classes_from_store<E: InformationExchange>(store: &RunStore<E>) -> Vec<AgentC
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formula::Formula;
     use eba_core::prelude::*;
 
     fn small_system() -> InterpretedSystem<MinExchange> {
@@ -461,8 +510,7 @@ mod tests {
             }
             assert!(seen.iter().all(|b| *b));
             // Every class is nonempty and state-homogeneous.
-            for c in 0..cls.starts.len() - 1 {
-                let span = &cls.points[cls.starts[c] as usize..cls.starts[c + 1] as usize];
+            for span in cls.spans() {
                 assert!(!span.is_empty());
                 let agent = AgentId::new(i);
                 let s0 = sys.local_state(span[0], agent);
@@ -479,10 +527,8 @@ mod tests {
     fn classes_never_mix_times() {
         // Synchrony: indistinguishable points share their time.
         let sys = small_system();
-        for i in 0..3 {
-            let cls = &sys.classes[i];
-            for c in 0..cls.starts.len() - 1 {
-                let span = &cls.points[cls.starts[c] as usize..cls.starts[c + 1] as usize];
+        for cls in &sys.classes {
+            for span in cls.spans() {
                 let t0 = sys.time_of(span[0]);
                 assert!(span.iter().all(|p| sys.time_of(*p) == t0));
             }
@@ -531,6 +577,56 @@ mod tests {
         top.fill();
         let c = sys.common_nonfaulty_set(&top);
         assert_eq!(c.count(), sys.point_count());
+    }
+
+    /// Holds the one-pass worklist to `eval_recursive`'s iteration of
+    /// `X := E_N(φ ∧ X)` on nothing, on everything, on each `∃v`, on each
+    /// `¬(a_k ∈ N)` and on the body of each of `P1`'s towers,
+    /// `¬(a_k ∈ N) ∧ no-decided_N(1−v) ∧ ∃v`; returns how many fixpoints
+    /// were neither empty nor everything.
+    fn worklist_equals_iteration<E: InformationExchange>(sys: &InterpretedSystem<E>) -> usize {
+        let n = sys.params().n();
+        let mut phis = vec![Formula::not(Formula::True), Formula::True];
+        phis.extend(Value::ALL.map(Formula::ExistsInit));
+        for k in AgentId::all(n) {
+            let faulty = Formula::not(Formula::Nonfaulty(k));
+            phis.push(faulty.clone());
+            for v in Value::ALL {
+                phis.push(Formula::And(vec![
+                    faulty.clone(),
+                    Formula::no_nonfaulty_decided(n, v.other()),
+                    Formula::ExistsInit(v),
+                ]));
+            }
+        }
+        let mut nontrivial = 0;
+        for phi in &phis {
+            let worklist = sys.common_nonfaulty_set(&sys.eval_recursive(phi));
+            let iterated = sys.eval_recursive(&Formula::common_nonfaulty(phi.clone()));
+            assert_eq!(worklist, iterated, "C_N({phi})");
+            if 0 < worklist.count() && worklist.count() < sys.point_count() {
+                nontrivial += 1;
+            }
+        }
+        nontrivial
+    }
+
+    #[test]
+    fn worklist_common_knowledge_equals_the_iterated_fixpoint() {
+        // In this `E_min` system `C_N(∃1)` is non-trivial and shrinks if
+        // a faulty agent's tainted class removes points; only in the
+        // `E_fip` system at horizon 2 are the towers' fixpoints
+        // non-trivial, and they shrink too little unless a removal taints
+        // every agent's class.
+        assert!(worklist_equals_iteration(&small_system()) > 0);
+        let fip = InterpretedSystem::from_context(
+            Context::fip(Params::new(3, 1).unwrap()),
+            2,
+            1_000_000,
+            Parallelism::Sequential,
+        )
+        .unwrap();
+        assert!(worklist_equals_iteration(&fip) > 0);
     }
 
     #[test]

@@ -73,9 +73,14 @@ impl StackVisitor for EngineEqualsOracle {
 
         // The one-formula compatibility wrappers ride the same engine;
         // spot-check them against the oracle on the operators with the
-        // most machinery (knowledge, fixpoints, temporal).
+        // most machinery (knowledge, fixpoints, temporal). `P1`'s two
+        // guard bodies hold 2·C(n, t) `C_N` towers between them.
+        let params = ctx.params();
         for f in [
             Formula::common_nonfaulty(Formula::ExistsInit(Value::Zero)),
+            Formula::common_nonfaulty(Formula::ExistsInit(Value::One)),
+            ck_guard(params, Value::Zero),
+            ck_guard(params, Value::One),
             Formula::knows(
                 AgentId::new(0),
                 Formula::Eventually(Box::new(Formula::not(Formula::DecidedIs(

@@ -205,7 +205,7 @@ pub fn select_round<E: InformationExchange>(
 /// channel yields. The lockstep channel lends what `from` selected if the
 /// pattern delivers it — the exhaustive enumerator calls this half once
 /// per adversary choice over one shared selection; the wire engine's
-/// lends the surviving frames, decoded.
+/// lends each sender's surviving frame, decoded once per sender.
 pub fn deliver_round<'m, E: InformationExchange>(
     ex: &E,
     states: &[E::State],

@@ -2,10 +2,15 @@
 //!
 //! Section 3's global transition, at the byte level, stepped by
 //! `eba-core`'s round kernel ([`eba_core::exchange`]): `P_i` picks each
-//! agent's action, `μ_i` selects its broadcast and the codec encodes it
-//! once ([`SessionEngine::outgoing`]); the failure pattern filters the frames
-//! ([`apply_pattern`]); the kernel's channel is the surviving frames,
-//! decoded, and `δ_i` updates every state ([`SessionEngine::deliver`]).
+//! agent's action, `μ_i` selects its broadcast, and a broadcast is one
+//! frame on the wire — encoded once and shared by all its recipients
+//! ([`SessionEngine::outgoing`]); the failure pattern filters the frames
+//! ([`apply_pattern`]); each sender's surviving frame is decoded once, the
+//! kernel's channel lends that one message to every receiver it reached,
+//! and `δ_i` updates every state ([`SessionEngine::deliver`]). This is the
+//! lockstep channel plus one encode and one decode per broadcast.
+
+use std::sync::Arc;
 
 use eba_core::context::{admit_scenario, error_message, Context, NamedStack};
 use eba_core::exchange::{
@@ -19,7 +24,12 @@ use eba_core::types::{Action, AgentId, EbaError, Value};
 use crate::codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
 
 /// One round's encoded frames, indexed `[from][to]` (`None` = no message).
-pub type RoundFrames = Vec<Vec<Option<Vec<u8>>>>;
+///
+/// A broadcast is one shared frame: every `Some` in row `from` that
+/// [`SessionEngine::outgoing`] returns is a clone of one `Arc`, so the row
+/// holds one buffer however many recipients it has. A carrier may still
+/// drop any entry or replace it with a buffer of its own.
+pub type RoundFrames = Vec<Vec<Option<Arc<[u8]>>>>;
 
 /// Per-round message counters, shared by the loopback driver
 /// ([`ClusterSummary`](crate::ClusterSummary)) and the multiplexed
@@ -89,12 +99,15 @@ pub trait SessionEngine: Send {
     fn finished(&self) -> bool;
 
     /// Computes every agent's action for the current round and returns
-    /// the encoded outgoing frames `[from][to]`. Must be followed by
+    /// the outgoing frames `[from][to]`: each sender's broadcast encoded
+    /// once, one shared frame for all its recipients. Must be followed by
     /// [`deliver`](SessionEngine::deliver) for the same round.
     fn outgoing(&mut self) -> RoundFrames;
 
     /// Delivers the round's post-omission frames `[from][to]` and
-    /// advances every agent's state, ending the round.
+    /// advances every agent's state, ending the round. Each sender's
+    /// shared frame is decoded once, however many receivers it reached; a
+    /// frame replaced in transit by another buffer is decoded on its own.
     fn deliver(&mut self, frames: RoundFrames);
 
     /// Per-agent first decision round (the round *after* the acting
@@ -141,6 +154,13 @@ struct TypedEngine<E: InformationExchange, P, C> {
     /// Chosen by `outgoing`, consumed by `deliver`.
     actions: Vec<Action>,
     awaiting_delivery: bool,
+    /// Per sender, what its shared frame decoded to in the last delivered
+    /// round (`None`: no frame of its row survived). Refilled, not
+    /// reallocated, every round.
+    decoded: Vec<Option<E::Message>>,
+    /// `(from, to, message)` for every surviving frame that is not its
+    /// row's shared buffer; empty unless a carrier replaced a frame.
+    replaced: Vec<(usize, usize, E::Message)>,
     decision_rounds: Vec<Option<u32>>,
     decision_values: Vec<Option<Value>>,
     round: u32,
@@ -157,6 +177,8 @@ impl<E: InformationExchange, P: ActionProtocol<E>, C> TypedEngine<E, P, C> {
             codec,
             actions: Vec::new(),
             awaiting_delivery: false,
+            decoded: Vec::new(),
+            replaced: Vec::new(),
             decision_rounds: vec![None; n],
             decision_values: vec![None; n],
             round: 0,
@@ -193,8 +215,8 @@ where
             &mut self.decision_rounds,
             &mut self.decision_values,
         );
-        // `μ` is a broadcast: one encode per sender, its frame cloned for
-        // every recipient.
+        // `μ` is a broadcast: one encode per sender, and its recipients
+        // share that one buffer.
         let n = self.states.len();
         select_round(
             self.ctx.exchange(),
@@ -203,7 +225,7 @@ where
             &mut NoObserver,
         )
         .iter()
-        .map(|msg| vec![msg.as_ref().map(|msg| self.codec.encode(msg)); n])
+        .map(|msg| vec![msg.as_ref().map(|msg| Arc::from(self.codec.encode(msg))); n])
         .collect()
     }
 
@@ -214,23 +236,48 @@ where
             frames.len() == n && frames.iter().all(|row| row.len() == n),
             "delivery shape mismatch"
         );
-        // Row by row like `frames`, each row sized exactly. Measured on the
-        // service's pool workers: one flat buffer grown by `collect` cost
-        // `service_mixed_n3` a quarter of its throughput, and sized up
-        // front (2.5 KiB of graphs at n = 8) gave `service_fip_n8` nothing.
-        let decoded: Vec<Vec<Option<E::Message>>> = frames
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|frame| frame.as_deref().map(|bytes| self.codec.decode(bytes)))
-                    .collect()
-            })
-            .collect();
+        // Sized at the first delivery, not in `new`: a service builds its
+        // engines on the admitting thread but runs and drops them on a
+        // pool worker, and a buffer should be freed by the thread that
+        // allocated it (`eba-service`'s `open_outcome` has the reason).
+        self.decoded.clear();
+        self.decoded.reserve_exact(n);
+        self.replaced.clear();
+        // A row's first surviving frame is decoded once and stands for
+        // every frame of the row that is the same buffer; any other
+        // surviving frame carries bytes of its own and is decoded alone.
+        for (from, row) in frames.iter().enumerate() {
+            let mut surviving = row
+                .iter()
+                .enumerate()
+                .filter_map(|(to, frame)| Some((to, frame.as_ref()?)));
+            let Some((_, shared)) = surviving.next() else {
+                self.decoded.push(None);
+                continue;
+            };
+            self.decoded.push(Some(self.codec.decode(shared)));
+            for (to, frame) in surviving {
+                if !Arc::ptr_eq(frame, shared) {
+                    self.replaced.push((from, to, self.codec.decode(frame)));
+                }
+            }
+        }
         self.states = deliver_round(
             self.ctx.exchange(),
             &self.states,
             &self.actions,
-            |from, to| decoded[from.index()][to.index()].as_ref(),
+            |from, to| {
+                let (from, to) = (from.index(), to.index());
+                frames[from][to].as_ref()?;
+                match self
+                    .replaced
+                    .iter()
+                    .find(|(f, t, _)| (*f, *t) == (from, to))
+                {
+                    Some((_, _, msg)) => Some(msg),
+                    None => self.decoded[from].as_ref(),
+                }
+            },
             &mut NoObserver,
         );
         self.round += 1;
@@ -250,12 +297,14 @@ where
 mod tests {
     use super::*;
     use crate::cluster::{run_engine, ClusterSummary};
+    use eba_core::corpus::Case;
     use eba_core::exchange::BasicMsg;
-    use eba_core::failures::{AdversarySampler, FailureModel};
+    use eba_core::failures::{AdversarySampler, FailureModel, MODEL_NAMES};
     use eba_core::types::Params;
     use eba_sim::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::cell::Cell;
 
     const HORIZON: u32 = 4;
 
@@ -263,44 +312,49 @@ mod tests {
         Params::new(4, 1).unwrap()
     }
 
-    /// `cases` sampled `(pattern, inits)` pairs under `model`.
-    fn sampled(model: FailureModel, seed: u64, cases: usize) -> Vec<(FailurePattern, Vec<Value>)> {
-        let sampler = AdversarySampler::new(model, params(), HORIZON, 0.35);
+    /// `cases` sampled cases at `params` under `model`, each to the default
+    /// horizon.
+    fn sampled(model: FailureModel, params: Params, seed: u64, cases: usize) -> Vec<Case> {
+        let horizon = params.default_horizon();
+        let sampler = AdversarySampler::new(model, params, horizon, 0.35);
         let mut rng = StdRng::seed_from_u64(seed);
         (0..cases)
             .map(|_| {
                 let pattern = sampler.sample(&mut rng);
-                let bits: u32 = rng.random_range(0..16);
-                let inits = (0..4)
+                let bits: u32 = rng.random_range(0..1 << params.n());
+                let inits = (0..params.n())
                     .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
                     .collect();
-                (pattern, inits)
+                Case {
+                    pattern,
+                    inits,
+                    horizon,
+                }
             })
             .collect()
     }
 
     /// One run of `ctx` through a [`TypedEngine`] over `codec`, next to
-    /// the lockstep trace of the same scenario.
+    /// the lockstep trace of the same case.
     fn wire_and_lockstep<E, P, C>(
         ctx: &Context<E, P>,
         codec: C,
-        pattern: &FailurePattern,
-        inits: &[Value],
-    ) -> (ClusterSummary, Vec<E::State>, Trace<E>)
+        case: &Case,
+    ) -> (ClusterSummary, TypedEngine<E, P, C>, Trace<E>)
     where
         E: InformationExchange + Clone + Send,
         P: ActionProtocol<E> + Clone + Send,
         C: WireCodec<E::Message> + Send,
     {
-        let mut engine = TypedEngine::new(ctx.clone(), codec, inits, HORIZON);
-        let summary = run_engine(&mut engine, pattern);
+        let mut engine = TypedEngine::new(ctx.clone(), codec, &case.inits, case.horizon);
+        let summary = run_engine(&mut engine, &case.pattern);
         let trace = Scenario::of(ctx)
-            .pattern(pattern.clone())
-            .inits(inits)
-            .horizon(HORIZON)
+            .pattern(case.pattern.clone())
+            .inits(&case.inits)
+            .horizon(case.horizon)
             .run()
             .unwrap();
-        (summary, engine.states, trace)
+        (summary, engine, trace)
     }
 
     fn assert_equals_lockstep<E, P, C>(ctx: Context<E, P>, codec: C)
@@ -310,10 +364,10 @@ mod tests {
         C: WireCodec<E::Message> + Copy + Send,
     {
         let ctx = ctx.with_model(FailureModel::GeneralOmission);
-        for (pattern, inits) in sampled(FailureModel::GeneralOmission, 77, 40) {
-            let (summary, states, trace) = wire_and_lockstep(&ctx, codec, &pattern, &inits);
-            let what = format!("{} {inits:?} {pattern:?}", ctx.name());
-            assert_eq!(&states, trace.states.last().unwrap(), "{what}");
+        for case in sampled(FailureModel::GeneralOmission, params(), 77, 40) {
+            let (summary, engine, trace) = wire_and_lockstep(&ctx, codec, &case);
+            let what = format!("{} {case:?}", ctx.name());
+            assert_eq!(&engine.states, trace.states.last().unwrap(), "{what}");
             assert_eq!(
                 summary.decision_rounds, trace.metrics.decision_rounds,
                 "{what}"
@@ -368,13 +422,120 @@ mod tests {
         // The canary: sharing the kernel with the oracle must not blind
         // the wire-vs-lockstep comparison to what the wire path owns.
         let ctx = Context::basic(params());
-        let caught = sampled(FailureModel::SendingOmission, 77, 40)
+        let caught = sampled(FailureModel::SendingOmission, params(), 77, 40)
             .iter()
-            .filter(|(pattern, inits)| {
-                let (summary, _, trace) = wire_and_lockstep(&ctx, LossyBasicCodec, pattern, inits);
+            .filter(|case| {
+                let (summary, _, trace) = wire_and_lockstep(&ctx, LossyBasicCodec, case);
                 summary.decision_values != trace.metrics.decision_values
             })
             .count();
         assert!(caught > 0, "no sampled case exposes the lossy codec");
+    }
+
+    /// Forwards to `C`, counting the calls.
+    #[derive(Default)]
+    struct Counting<C> {
+        codec: C,
+        encodes: Cell<u64>,
+        decodes: Cell<u64>,
+    }
+
+    impl<M, C: WireCodec<M>> WireCodec<M> for Counting<C> {
+        fn encode(&self, msg: &M) -> Vec<u8> {
+            self.encodes.set(self.encodes.get() + 1);
+            self.codec.encode(msg)
+        }
+
+        fn decode(&self, bytes: &[u8]) -> M {
+            self.decodes.set(self.decodes.get() + 1);
+            self.codec.decode(bytes)
+        }
+    }
+
+    #[test]
+    fn a_broadcast_is_encoded_once_and_decoded_once_per_sender() {
+        let params = Params::new(8, 3).unwrap();
+        let n = params.n() as u64;
+        for (k, name) in MODEL_NAMES.iter().enumerate() {
+            let model = FailureModel::by_name(name).unwrap();
+            let ctx = Context::fip(params).with_model(model);
+            for case in sampled(model, params, 29 + k as u64, 3) {
+                let what = format!("{name} {case:?}");
+                let (summary, engine, trace) =
+                    wire_and_lockstep(&ctx, Counting::<FipCodec>::default(), &case);
+                assert_eq!(&engine.states, trace.states.last().unwrap(), "{what}");
+                // `E_fip` agents always broadcast: 8 senders × 6 rounds.
+                assert_eq!(
+                    engine.codec.encodes.get(),
+                    summary.frames_sent / n,
+                    "{what}"
+                );
+                assert_eq!(engine.codec.encodes.get(), 48, "{what}");
+                let reaching_someone: u64 = (0..case.horizon)
+                    .map(|round| {
+                        let reaches = |from| {
+                            params
+                                .agents()
+                                .any(|to| case.pattern.delivers(round, from, to))
+                        };
+                        params.agents().filter(|&from| reaches(from)).count() as u64
+                    })
+                    .sum();
+                assert_eq!(engine.codec.decodes.get(), reaching_someone, "{what}");
+
+                let mut engine = TypedEngine::new(ctx, FipCodec, &case.inits, case.horizon);
+                while !engine.finished() {
+                    let round = engine.round();
+                    let mut frames = engine.outgoing();
+                    for row in &frames {
+                        let mut row = row.iter().flatten();
+                        let shared = row.next().expect("every E_fip agent broadcasts");
+                        assert!(row.all(|frame| Arc::ptr_eq(frame, shared)), "{what}");
+                    }
+                    apply_pattern(round, &mut frames, &case.pattern);
+                    engine.deliver(frames);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_frame_replaced_in_transit_is_decoded_on_its_own() {
+        // Row 1's frames all share one `Init1` buffer; one of them is
+        // swapped for a `Decide(1)` frame of its own — the row's first
+        // surviving frame, then one behind it.
+        let ctx = Context::basic(params());
+        let ex = ctx.exchange();
+        let (original, replacement) = (BasicMsg::Init1, BasicMsg::Decide(Value::One));
+        let from = 1;
+        for replaced_at in [0, 2] {
+            let mut engine = TypedEngine::new(ctx, BasicCodec, &[Value::One; 4], HORIZON);
+            let mut frames = engine.outgoing();
+            let sent = frames.iter().flatten().flatten();
+            assert!(sent
+                .map(|frame| BasicCodec.decode(frame))
+                .all(|msg| msg == original));
+            frames[from][replaced_at] = Some(BasicCodec.encode(&replacement).into());
+            let (states, actions) = (engine.states.clone(), engine.actions.clone());
+            engine.deliver(frames);
+            let successor = |to: usize, heard: &BasicMsg| {
+                let mut received = vec![Some(&original); 4];
+                received[from] = Some(heard);
+                ex.update(AgentId::new(to), &states[to], actions[to], &received)
+            };
+            for to in 0..4 {
+                let heard = if to == replaced_at {
+                    &replacement
+                } else {
+                    &original
+                };
+                assert_eq!(engine.states[to], successor(to, heard), "receiver {to}");
+            }
+            assert_ne!(
+                engine.states[replaced_at],
+                successor(replaced_at, &original),
+                "the replacement must change what its receiver learns"
+            );
+        }
     }
 }

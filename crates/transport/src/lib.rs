@@ -4,12 +4,14 @@
 //! and a single-threaded loopback driver.
 //!
 //! The paper's protocols are round-synchronous; this crate realizes one
-//! round at the byte level — every agent acts and its messages are
-//! encoded ([`SessionEngine::outgoing`]), the failure pattern drops
-//! frames ([`apply_pattern`]), the survivors are decoded and every state
-//! updates ([`SessionEngine::deliver`]) — with hand-rolled wire codecs so
-//! the byte counts of Prop 8.1 are measured on actual encoded frames
-//! rather than estimated. [`run_engine`] is the one loop over an engine:
+//! round at the byte level — every agent acts and its broadcast is
+//! encoded once, one frame shared by all its recipients
+//! ([`SessionEngine::outgoing`]), the failure pattern drops frames
+//! ([`apply_pattern`]), each sender's surviving frame is decoded once and
+//! every state updates ([`SessionEngine::deliver`]) — with hand-rolled
+//! wire codecs so the byte counts of Prop 8.1 are measured on actual
+//! encoded frames rather than estimated (a shared frame counts once per
+//! recipient, as the bytes a network would carry). [`run_engine`] is the one loop over an engine:
 //! [`run_named_cluster`] calls it on the calling thread, `eba-service`
 //! once per session on a worker pool.
 //!

@@ -21,6 +21,7 @@ pub use fip::{FipExchange, FipMsg, FipState};
 pub use minimal::{MinExchange, MinMsg, MinState};
 pub use naive::{NaiveExchange, NaiveMsg, NaiveState};
 
+use std::borrow::Borrow;
 use std::fmt::Debug;
 use std::hash::Hash;
 
@@ -135,8 +136,10 @@ pub fn initial_states<E: InformationExchange>(ex: &E, inits: &[Value]) -> Vec<E:
         .collect()
 }
 
-/// `P` picks the round's actions: one `P_i(s_i)` per agent.
-pub fn choose_actions<E, P>(proto: &P, states: &[E::State]) -> Vec<Action>
+/// `P` picks the round's actions: one `P_i(s_i)` per agent. Here and in
+/// [`select_round`] and [`deliver_one`] the global state may be owned or a
+/// row of borrowed local states.
+pub fn choose_actions<E, P>(proto: &P, states: &[impl Borrow<E::State>]) -> Vec<Action>
 where
     E: InformationExchange,
     P: ActionProtocol<E> + ?Sized,
@@ -144,7 +147,7 @@ where
     states
         .iter()
         .enumerate()
-        .map(|(i, state)| proto.act(AgentId::new(i), state))
+        .map(|(i, state)| proto.act(AgentId::new(i), state.borrow()))
         .collect()
 }
 
@@ -172,7 +175,7 @@ pub fn record_decisions(
 /// then `on_send(i, j, …)` for every recipient `j` of a non-`⊥` message.
 pub fn select_round<E: InformationExchange>(
     ex: &E,
-    states: &[E::State],
+    states: &[impl Borrow<E::State>],
     actions: &[Action],
     observer: &mut impl RoundObserver<E>,
 ) -> Vec<Option<E::Message>> {
@@ -186,7 +189,7 @@ pub fn select_round<E: InformationExchange>(
         .enumerate()
         .map(|(i, (state, action))| {
             let from = AgentId::new(i);
-            let msg = ex.broadcast(from, state, *action);
+            let msg = ex.broadcast(from, state.borrow(), *action);
             if let Some(msg) = &msg {
                 for j in 0..n {
                     observer.on_send(from, AgentId::new(j), msg);
@@ -197,15 +200,51 @@ pub fn select_round<E: InformationExchange>(
         .collect()
 }
 
-/// The delivery half of the global transition: agent `to` hears
-/// `heard(from, to)` from every `from` — the channel, which has already
-/// applied the failure pattern `F` — and `δ_to` updates its state.
+/// Senders up to which [`deliver_one`] builds the received tuple on the
+/// stack; a wider round spills it to the heap.
+const INLINE_SENDERS: usize = 16;
+
+/// `δ_to` alone: agent `to`'s successor state when it hears `heard(from)`
+/// from every `from`. `δ` is a tuple of local updates — a receiver's
+/// successor depends on its own state, its action and what *it* hears —
+/// so this is the one caller of [`InformationExchange::update`]:
+/// [`deliver_round`] maps it over the receivers, and the exhaustive
+/// enumerator calls it once per drop choice of one receiver.
+pub fn deliver_one<'m, E: InformationExchange>(
+    ex: &E,
+    states: &[impl Borrow<E::State>],
+    actions: &[Action],
+    to: AgentId,
+    mut heard: impl FnMut(AgentId) -> Option<&'m E::Message>,
+) -> E::State
+where
+    E::Message: 'm,
+{
+    let n = states.len();
+    let mut inline = [None; INLINE_SENDERS];
+    let mut spilled = Vec::new();
+    let received = if n <= INLINE_SENDERS {
+        &mut inline[..n]
+    } else {
+        spilled.resize(n, None);
+        &mut spilled[..]
+    };
+    for (i, slot) in received.iter_mut().enumerate() {
+        *slot = heard(AgentId::new(i));
+    }
+    let j = to.index();
+    ex.update(to, states[j].borrow(), actions[j], received)
+}
+
+/// The delivery half of the global transition, [`deliver_one`] mapped
+/// over the receivers: agent `to` hears `heard(from, to)` from every
+/// `from` — the channel, which has already applied the failure pattern
+/// `F` — and `δ_to` updates its state.
 ///
 /// Fires `on_deliver(from, to, …)` receiver-major for every message the
 /// channel yields. The lockstep channel lends what `from` selected if the
-/// pattern delivers it — the exhaustive enumerator calls this half once
-/// per adversary choice over one shared selection; the wire engine's
-/// lends each sender's surviving frame, decoded once per sender.
+/// pattern delivers it; the wire engine's lends each sender's surviving
+/// frame, decoded once per sender.
 pub fn deliver_round<'m, E: InformationExchange>(
     ex: &E,
     states: &[E::State],
@@ -216,21 +255,16 @@ pub fn deliver_round<'m, E: InformationExchange>(
 where
     E::Message: 'm,
 {
-    let n = states.len();
-    let mut received = Vec::with_capacity(n);
-    (0..n)
+    (0..states.len())
         .map(|j| {
             let to = AgentId::new(j);
-            received.clear();
-            received.extend((0..n).map(|i| {
-                let from = AgentId::new(i);
+            deliver_one(ex, states, actions, to, |from| {
                 let msg = heard(from, to);
                 if let Some(msg) = msg {
                     observer.on_deliver(from, to, msg);
                 }
                 msg
-            }));
-            ex.update(to, &states[j], actions[j], &received)
+            })
         })
         .collect()
 }
@@ -270,4 +304,58 @@ pub fn step_round<E: InformationExchange>(
     delivers: impl Fn(AgentId, AgentId) -> bool,
 ) -> Vec<E::State> {
     step_round_observed(ex, states, actions, delivers, &mut NoObserver)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::context::Context;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Steps `ctx` over seeded random delivery matrices and checks, every
+    /// round, that each receiver's [`deliver_one`] is its entry of
+    /// [`deliver_round`].
+    fn assert_deliver_one_is_a_receiver_of_deliver_round<E, P>(ctx: Context<E, P>, seed: u64)
+    where
+        E: InformationExchange,
+        P: ActionProtocol<E>,
+    {
+        let (ex, n) = (ctx.exchange(), ctx.params().n());
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..8 {
+            let inits: Vec<Value> = (0..n)
+                .map(|_| Value::from_bit(rng.random_bool(0.5) as u8))
+                .collect();
+            let mut states = initial_states(ex, &inits);
+            for _ in 0..ctx.params().default_horizon() {
+                let actions = choose_actions(ctx.protocol(), &states);
+                let outgoing = select_round(ex, &states, &actions, &mut NoObserver);
+                let delivered: Vec<bool> = (0..n * n).map(|_| rng.random_bool(0.7)).collect();
+                let heard = |from: AgentId, to: AgentId| {
+                    let msg = outgoing[from.index()].as_ref();
+                    msg.filter(|_| delivered[from.index() * n + to.index()])
+                };
+                let next = deliver_round(ex, &states, &actions, heard, &mut NoObserver);
+                for (j, successor) in next.iter().enumerate() {
+                    let to = AgentId::new(j);
+                    let one = deliver_one(ex, &states, &actions, to, |from| heard(from, to));
+                    assert_eq!(&one, successor, "{} receiver {j}", ctx.name());
+                }
+                states = next;
+            }
+        }
+    }
+
+    #[test]
+    fn deliver_one_is_one_receiver_of_deliver_round() {
+        let params = Params::new(4, 1).unwrap();
+        assert_deliver_one_is_a_receiver_of_deliver_round(Context::minimal(params), 1);
+        assert_deliver_one_is_a_receiver_of_deliver_round(Context::basic(params), 2);
+        assert_deliver_one_is_a_receiver_of_deliver_round(Context::fip(params), 3);
+        assert_deliver_one_is_a_receiver_of_deliver_round(Context::naive(params), 4);
+        // Wider than the stack buffer: the received tuple spills.
+        let wide = Params::new(INLINE_SENDERS + 1, 4).unwrap();
+        assert_deliver_one_is_a_receiver_of_deliver_round(Context::basic(wide), 5);
+    }
 }

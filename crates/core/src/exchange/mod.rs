@@ -200,40 +200,22 @@ pub fn select_round<E: InformationExchange>(
         .collect()
 }
 
-/// Senders up to which [`deliver_one`] builds the received tuple on the
-/// stack; a wider round spills it to the heap.
-const INLINE_SENDERS: usize = 16;
-
-/// `δ_to` alone: agent `to`'s successor state when it hears `heard(from)`
-/// from every `from`. `δ` is a tuple of local updates — a receiver's
-/// successor depends on its own state, its action and what *it* hears —
-/// so this is the one caller of [`InformationExchange::update`]:
-/// [`deliver_round`] maps it over the receivers, and the exhaustive
-/// enumerator calls it once per drop choice of one receiver.
-pub fn deliver_one<'m, E: InformationExchange>(
+/// `δ_to` alone: agent `to`'s successor state when `heard[from]` is what
+/// it received from each `from` (`None` if nothing). `δ` is a tuple of
+/// local updates — a receiver's successor depends on its own state, its
+/// action and what *it* hears — so this is the one caller of
+/// [`InformationExchange::update`]: [`deliver_round`] maps it over the
+/// receivers, and the exhaustive enumerator calls it once per drop choice
+/// of one receiver. Callers fill `heard` in a buffer they reuse.
+pub fn deliver_one<E: InformationExchange>(
     ex: &E,
     states: &[impl Borrow<E::State>],
     actions: &[Action],
     to: AgentId,
-    mut heard: impl FnMut(AgentId) -> Option<&'m E::Message>,
-) -> E::State
-where
-    E::Message: 'm,
-{
-    let n = states.len();
-    let mut inline = [None; INLINE_SENDERS];
-    let mut spilled = Vec::new();
-    let received = if n <= INLINE_SENDERS {
-        &mut inline[..n]
-    } else {
-        spilled.resize(n, None);
-        &mut spilled[..]
-    };
-    for (i, slot) in received.iter_mut().enumerate() {
-        *slot = heard(AgentId::new(i));
-    }
+    heard: &[Option<&E::Message>],
+) -> E::State {
     let j = to.index();
-    ex.update(to, states[j].borrow(), actions[j], received)
+    ex.update(to, states[j].borrow(), actions[j], heard)
 }
 
 /// The delivery half of the global transition, [`deliver_one`] mapped
@@ -255,16 +237,21 @@ pub fn deliver_round<'m, E: InformationExchange>(
 where
     E::Message: 'm,
 {
-    (0..states.len())
+    let n = states.len();
+    let mut received = Vec::with_capacity(n);
+    (0..n)
         .map(|j| {
             let to = AgentId::new(j);
-            deliver_one(ex, states, actions, to, |from| {
+            received.clear();
+            received.extend((0..n).map(|i| {
+                let from = AgentId::new(i);
                 let msg = heard(from, to);
                 if let Some(msg) = msg {
                     observer.on_deliver(from, to, msg);
                 }
                 msg
-            })
+            }));
+            deliver_one(ex, states, actions, to, &received)
         })
         .collect()
 }
@@ -339,7 +326,8 @@ mod tests {
                 let next = deliver_round(ex, &states, &actions, heard, &mut NoObserver);
                 for (j, successor) in next.iter().enumerate() {
                     let to = AgentId::new(j);
-                    let one = deliver_one(ex, &states, &actions, to, |from| heard(from, to));
+                    let received: Vec<_> = AgentId::all(n).map(|from| heard(from, to)).collect();
+                    let one = deliver_one(ex, &states, &actions, to, &received);
                     assert_eq!(&one, successor, "{} receiver {j}", ctx.name());
                 }
                 states = next;
@@ -354,8 +342,5 @@ mod tests {
         assert_deliver_one_is_a_receiver_of_deliver_round(Context::basic(params), 2);
         assert_deliver_one_is_a_receiver_of_deliver_round(Context::fip(params), 3);
         assert_deliver_one_is_a_receiver_of_deliver_round(Context::naive(params), 4);
-        // Wider than the stack buffer: the received tuple spills.
-        let wide = Params::new(INLINE_SENDERS + 1, 4).unwrap();
-        assert_deliver_one_is_a_receiver_of_deliver_round(Context::basic(wide), 5);
     }
 }

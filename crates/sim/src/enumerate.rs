@@ -566,10 +566,9 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         };
         if choices > 24 {
             return Err(EbaError::InvalidInput(format!(
-                "round {} offers {choices} delivery choices{}; instance too \
+                "round {} offers {choices} delivery choices; instance too \
                  large to enumerate",
-                m + 1,
-                if crash { "" } else { " to one receiver" },
+                m + 1
             )));
         }
 
@@ -583,6 +582,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         let budget = self.limit - self.item.len();
         let mut children = 1usize;
         let mut columns: Vec<Vec<Successor<E::State>>> = Vec::with_capacity(n);
+        let mut received = Vec::with_capacity(n);
         for to in agents() {
             let senders: Vec<AgentId> = column(to).collect();
             let (mut rows, mut distinct) = (Vec::new(), HashSet::new());
@@ -593,10 +593,13 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
                     .filter(|&(bit, _)| subset & (1 << bit) != 0)
                     .map(|(_, &from)| from)
                     .collect();
-                let state = deliver_one(self.ex, current, &actions, to, |from| {
-                    let msg = outgoing[from.index()].as_ref();
-                    msg.filter(|_| !crashed.contains(from) && !dropped.contains(from))
-                });
+                let lost = dropped.union(crashed);
+                received.clear();
+                received.extend(
+                    (outgoing.iter().zip(agents()))
+                        .map(|(msg, from)| msg.as_ref().filter(|_| !lost.contains(from))),
+                );
+                let state = deliver_one(self.ex, current, &actions, to, &received);
                 let id = self.item.arena.intern(&state)?;
                 if crash || distinct.insert(id) {
                     rows.push(Successor { state, id, dropped });

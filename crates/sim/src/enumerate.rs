@@ -595,10 +595,10 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
                     .collect();
                 let lost = dropped.union(crashed);
                 received.clear();
-                received.extend(
-                    (outgoing.iter().zip(agents()))
-                        .map(|(msg, from)| msg.as_ref().filter(|_| !lost.contains(from))),
-                );
+                received.extend(agents().map(|from| {
+                    let msg = outgoing[from.index()].as_ref();
+                    msg.filter(|_| !lost.contains(from))
+                }));
                 let state = deliver_one(self.ex, current, &actions, to, &received);
                 let id = self.item.arena.intern(&state)?;
                 if crash || distinct.insert(id) {

@@ -167,6 +167,30 @@ mod tests {
         }
     }
 
+    /// The size of each program's compiled guard plan. It depends on the
+    /// rules and `(n, t)` only, so a horizon-1 failure-free system serves.
+    #[test]
+    fn plan_node_counts_are_pinned() {
+        for ((n, t), p0_nodes, p1_nodes) in [((3, 1), 29, 79), ((4, 2), 38, 110), ((8, 3), 74, 386)]
+        {
+            let params = Params::new(n, t).unwrap();
+            let ctx = Context::minimal(params).with_model(FailureModel::FailureFree);
+            let sys =
+                InterpretedSystem::from_context(ctx, 1, 1_000, Parallelism::Sequential).unwrap();
+            let nodes = |program| prescriptions(&sys, program).evaluated_nodes();
+            assert_eq!(
+                nodes(KnowledgeBasedProgram::P0),
+                p0_nodes,
+                "P0 at ({n}, {t})"
+            );
+            assert_eq!(
+                nodes(KnowledgeBasedProgram::P1),
+                p1_nodes,
+                "P1 at ({n}, {t})"
+            );
+        }
+    }
+
     #[test]
     fn p1_is_p0_with_the_two_common_knowledge_rules_second() {
         let params = Params::new(4, 1).unwrap();

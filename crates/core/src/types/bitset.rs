@@ -29,6 +29,18 @@ impl BitSet {
         }
     }
 
+    /// The set of `i` in `0..len` for which `pred(i)` holds, built a word
+    /// at a time, in increasing `i`.
+    pub fn from_fn(len: usize, mut pred: impl FnMut(usize) -> bool) -> Self {
+        let words = (0..len.div_ceil(64))
+            .map(|w| {
+                let bits = 64.min(len - w * 64);
+                (0..bits).fold(0u64, |word, b| word | u64::from(pred(w * 64 + b)) << b)
+            })
+            .collect();
+        BitSet { words, len }
+    }
+
     /// The capacity (number of addressable indices).
     pub fn capacity(&self) -> usize {
         self.len
@@ -253,6 +265,16 @@ mod tests {
             s.insert(i);
         }
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 64, 128, 199]);
+    }
+
+    #[test]
+    fn from_fn_matches_inserts() {
+        for len in [0, 1, 63, 64, 65, 200] {
+            let mut s = BitSet::new(len);
+            let keep = |i: usize| i.is_multiple_of(3) || i == 63;
+            (0..len).filter(|i| keep(*i)).for_each(|i| s.insert(i));
+            assert_eq!(BitSet::from_fn(len, keep), s, "len {len}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::fmt;
 
 use eba_core::exchange::InformationExchange;
-use eba_core::types::{AgentId, BitSet, Value};
+use eba_core::types::{subsets_of_size, AgentId, AgentSet, BitSet, Params, Value};
 
 use crate::query::{EvalSession, FormulaArena, QueryPlan};
 use crate::system::{InterpretedSystem, PointId};
@@ -53,6 +53,10 @@ pub enum Formula {
     EveryoneNonfaulty(Box<Formula>),
     /// `C_N φ` — common knowledge among the nonfaulty.
     CommonNonfaulty(Box<Formula>),
+    /// `C_N(t-faulty ∧ φ)`, with `t` the system's: the paper's shorthand
+    /// for [`t_faulty_towers`](Formula::t_faulty_towers), evaluated in one
+    /// pass ([`InterpretedSystem::common_t_faulty_set`]).
+    CommonTFaulty(Box<Formula>),
     /// `◯φ` (false at the horizon).
     Next(Box<Formula>),
     /// `⊖φ` (false at time 0).
@@ -87,6 +91,26 @@ impl Formula {
     #[must_use]
     pub fn common_nonfaulty(f: Formula) -> Formula {
         Formula::CommonNonfaulty(Box::new(f))
+    }
+
+    /// `C_N(t-faulty ∧ φ)`.
+    #[must_use]
+    pub fn common_t_faulty(f: Formula) -> Formula {
+        Formula::CommonTFaulty(Box::new(f))
+    }
+
+    /// What `C_N(t-faulty ∧ φ)` abbreviates, one `C_N` tower per faulty
+    /// set candidate: `∃A ⊆ Agt (|A| = t ∧ C_N(⋀_{i ∈ A} (i ∉ N) ∧ φ))`.
+    /// Only [`InterpretedSystem::eval_recursive`] evaluates it, as the
+    /// oracle of [`Formula::CommonTFaulty`].
+    #[must_use]
+    pub fn t_faulty_towers(params: Params, phi: Formula) -> Formula {
+        let ck = |a: AgentSet| {
+            let faulty = a.iter().map(|i| Formula::not(Formula::Nonfaulty(i)));
+            Formula::common_nonfaulty(Formula::And(faulty.chain([phi.clone()]).collect()))
+        };
+        let candidates = subsets_of_size(params.n(), params.t());
+        Formula::Or(candidates.into_iter().map(ck).collect())
     }
 
     /// `⋁_{j ∈ Agt} jdecided_j = v`.
@@ -157,6 +181,10 @@ impl fmt::Display for Formula {
             Knows(i, g) => return write!(f, "K_{i}({g})"),
             EveryoneNonfaulty(g) => return write!(f, "E_N({g})"),
             CommonNonfaulty(g) => return write!(f, "C_N({g})"),
+            CommonTFaulty(g) => match **g {
+                Or(ref hs) if !hs.is_empty() => return write!(f, "C_N(t-faulty ∧ ({g}))"),
+                _ => return write!(f, "C_N(t-faulty ∧ {g})"),
+            },
             Not(g) => ("¬", g),
             Next(g) => ("◯", g),
             Prev(g) => ("⊖", g),
@@ -202,7 +230,11 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// worklist. (`K_i` and `E_N` are the system's one class operation
     /// each, shared by both.) [`InterpretedSystem::satisfied_at`] also
     /// routes through it so counterexample re-checks do not trust the
-    /// engine that produced the witness. Propositions resolve through
+    /// engine that produced the witness. `C_N(t-faulty ∧ φ)` is expanded
+    /// into its `C(n, t)` towers ([`Formula::t_faulty_towers`]), each
+    /// iterated, rather than the engine's one
+    /// [`common_t_faulty_set`](InterpretedSystem::common_t_faulty_set)
+    /// pass. Propositions resolve through
     /// the interned [`RunStore`](eba_sim::store::RunStore): run-level
     /// facts (inits, nonfaulty membership) fill whole runs at a time,
     /// and state-level facts (`decided`) are looked up by `StateId` per
@@ -280,6 +312,9 @@ impl<E: InformationExchange> InterpretedSystem<E> {
                     x = next;
                 }
             }
+            Formula::CommonTFaulty(g) => {
+                self.eval_recursive(&Formula::t_faulty_towers(self.params(), (**g).clone()))
+            }
             Formula::Next(g) => {
                 let inner = self.eval_recursive(g);
                 self.points_by(|pid| {
@@ -312,10 +347,11 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// Whether the formula holds at the point `(run, time)`, evaluated
     /// by the **legacy recursion** — deliberately not the engine, so a
     /// [`Verdict`](crate::query::Verdict) counterexample can be
-    /// re-checked through an independent code path.
+    /// re-checked through an independent code path. Panics if `(run,
+    /// time)` is out of range ([`InterpretedSystem::point`]).
     pub fn satisfied_at(&self, f: &Formula, run: usize, time: u32) -> bool {
-        self.eval_recursive(f)
-            .contains(self.point(run, time) as usize)
+        let point = self.point(run, time) as usize;
+        self.eval_recursive(f).contains(point)
     }
 
     /// Whether the formula is valid (holds at every point) in the
@@ -339,14 +375,9 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         s
     }
 
+    /// The points where `pred` holds, built a word at a time.
     pub(crate) fn points_by(&self, pred: impl Fn(PointId) -> bool) -> BitSet {
-        let mut s = BitSet::new(self.point_count());
-        for pid in 0..self.point_count() {
-            if pred(pid as PointId) {
-                s.insert(pid);
-            }
-        }
-        s
+        BitSet::from_fn(self.point_count(), |pid| pred(pid as PointId))
     }
 }
 

@@ -90,9 +90,7 @@ where
             let pid = sys.point(r, m);
             for i in 0..n {
                 let agent = AgentId::new(i);
-                let actual = sys
-                    .action_at(pid, agent)
-                    .expect("m < horizon, action recorded");
+                let actual = sys.store().action(r, m, i);
                 debug_assert_eq!(
                     actual,
                     proto.act(agent, sys.local_state(pid, agent)),

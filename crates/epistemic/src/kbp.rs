@@ -9,33 +9,20 @@
 
 use eba_core::exchange::InformationExchange;
 use eba_core::kbp::KnowledgeBasedProgram;
-use eba_core::types::{subsets_of_size, Action, AgentId, AgentSet, BitSet, Params, Value};
+use eba_core::types::{Action, AgentId, BitSet, Params, Value};
 
 use crate::formula::Formula;
 use crate::query::{EvalSession, FormulaArena, NodeId, QueryPlan};
 use crate::system::{InterpretedSystem, PointId};
 
-/// The paper's `C_N(t-faulty ∧ φ)` abbreviation:
-/// `∃A ⊆ Agt (|A| = t ∧ C_N(⋀_{i ∈ A} (i ∉ N) ∧ φ))`.
-pub fn ck_t_faulty_and(params: Params, phi: Formula) -> Formula {
-    let ck = |a: AgentSet| {
-        let faulty = a.iter().map(|i| Formula::not(Formula::Nonfaulty(i)));
-        Formula::common_nonfaulty(Formula::And(faulty.chain([phi.clone()]).collect()))
-    };
-    let candidates = subsets_of_size(params.n(), params.t());
-    Formula::Or(candidates.into_iter().map(ck).collect())
-}
-
 /// The body of `P1`'s decide-`v` guard:
-/// `C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)`.
+/// `C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)`, one
+/// [`Formula::CommonTFaulty`] operator.
 pub fn ck_guard(params: Params, v: Value) -> Formula {
-    ck_t_faulty_and(
-        params,
-        Formula::And(vec![
-            Formula::no_nonfaulty_decided(params.n(), v.other()),
-            Formula::ExistsInit(v),
-        ]),
-    )
+    Formula::common_t_faulty(Formula::And(vec![
+        Formula::no_nonfaulty_decided(params.n(), v.other()),
+        Formula::ExistsInit(v),
+    ]))
 }
 
 /// The rules of `program` for `agent`, in order: `P0`'s three (Section
@@ -95,10 +82,9 @@ impl Prescriptions {
 
 /// Evaluates the knowledge-based program over a system: every agent's
 /// [`rules`] are interned into **one** hash-consed [`FormulaArena`] (so
-/// the `C_N(t-faulty ∧ …)` towers of `P1`, with their `C(n, t)`
-/// faulty-set candidates, exist once however many `K_i` guards mention
-/// them) and evaluated by one [`EvalSession`]; then a first-match loop
-/// picks each agent's action at every point.
+/// `P1`'s two `C_N(t-faulty ∧ …)` operators exist once however many
+/// `K_i` guards mention them) and evaluated by one [`EvalSession`]; then
+/// a first-match loop picks each agent's action at every point.
 pub fn prescriptions<E: InformationExchange>(
     sys: &InterpretedSystem<E>,
     program: KnowledgeBasedProgram,
@@ -159,7 +145,7 @@ mod tests {
     #[test]
     fn ck_t_faulty_structure() {
         let params = Params::new(4, 2).unwrap();
-        let f = ck_t_faulty_and(params, Formula::ExistsInit(Value::One));
+        let f = Formula::t_faulty_towers(params, Formula::ExistsInit(Value::One));
         // C(4, 2) = 6 disjuncts.
         match f {
             Formula::Or(disjuncts) => assert_eq!(disjuncts.len(), 6),
@@ -171,7 +157,7 @@ mod tests {
     /// rules and `(n, t)` only, so a horizon-1 failure-free system serves.
     #[test]
     fn plan_node_counts_are_pinned() {
-        for ((n, t), p0_nodes, p1_nodes) in [((3, 1), 29, 79), ((4, 2), 38, 110), ((8, 3), 74, 386)]
+        for ((n, t), p0_nodes, p1_nodes) in [((3, 1), 29, 67), ((4, 2), 38, 86), ((8, 3), 74, 162)]
         {
             let params = Params::new(n, t).unwrap();
             let ctx = Context::minimal(params).with_model(FailureModel::FailureFree);

@@ -62,7 +62,7 @@ pub mod system;
 pub mod prelude {
     pub use crate::formula::Formula;
     pub use crate::implements::{check_implements, ImplementsReport, Mismatch};
-    pub use crate::kbp::{ck_guard, ck_t_faulty_and, prescriptions, rules};
+    pub use crate::kbp::{ck_guard, prescriptions, rules};
     pub use crate::query::{
         standard_battery, EvalSession, FormulaArena, NodeId, QueryPlan, Verdict,
     };

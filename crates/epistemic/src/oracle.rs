@@ -2,7 +2,7 @@
 //! [`InterpretedSystem`]'s constructors because nothing but tests should
 //! call it: `tests/run_store_equivalence.rs` and the in-crate suites build
 //! the same system through [`InterpretedSystem::from_context`] (interned
-//! arena, one integer sort per agent) and through [`from_runs`] (a
+//! arena, one counting sort per agent) and through [`from_runs`] (a
 //! collected run vector, hash-then-group over the raw states), and
 //! require the class partitions, states and actions to agree exactly.
 
@@ -18,7 +18,13 @@ use crate::system::{AgentClasses, InterpretedSystem};
 
 /// Builds a system from pre-enumerated runs (they must all have the given
 /// horizon): classes are computed by a hash-then-group classifier over the
-/// collected run vector, independently of the arena sort.
+/// collected run vector, independently of the arena sort, and laid out
+/// by the ids the store interned.
+///
+/// # Panics
+///
+/// Panics if a hash-grouped class is not exactly the points of one
+/// `StateId`, i.e. if the classifier and the arena disagree.
 ///
 /// # Errors
 ///
@@ -41,66 +47,76 @@ pub fn from_runs<E: InformationExchange>(
         }
     }
     let n = ex.params().n();
-    let classes = classes_from_runs(&runs, horizon, n);
     let mut store = RunStore::new(n, horizon);
     for run in &runs {
         store.push_run(run)?;
     }
+    let classes = (0..n)
+        .map(|i| lay_out(classes_from_runs(&runs, horizon, i), &store, i))
+        .collect();
     Ok(InterpretedSystem::from_classes(ex, store, classes))
 }
 
-/// The classifier over a collected run vector: group points by
-/// agent-local state via hash-sort, then split hash-equal spans by exact
+/// Places each of agent `i`'s classes at the span of its one `StateId`.
+fn lay_out<E: InformationExchange>(
+    mut classes: Vec<Vec<PointId>>,
+    store: &RunStore<E>,
+    i: usize,
+) -> AgentClasses {
+    let ids = store.state_ids(i);
+    let id_of = |class: &Vec<PointId>| ids[class[0] as usize].index();
+    classes.sort_unstable_by_key(id_of);
+    let mut starts = vec![0u32; store.distinct_states() + 1];
+    for class in &classes {
+        let id = id_of(class);
+        assert!(
+            starts[id + 1] == 0 && class.iter().all(|p| ids[*p as usize].index() == id),
+            "agent {i}: a hash-grouped class is not exactly the points of state id {id}"
+        );
+        starts[id + 1] = class.len() as u32;
+    }
+    for sid in 0..store.distinct_states() {
+        starts[sid + 1] += starts[sid];
+    }
+    let points = classes.concat();
+    AgentClasses { points, starts }
+}
+
+/// The classifier over a collected run vector: group agent `i`'s points
+/// by local state via hash-sort, then split hash-equal spans by exact
 /// equality. Each state is hashed exactly once, and hash-equal spans are
-/// grouped by a single linear bucket walk.
+/// grouped by a single linear bucket walk. Each class is ascending.
 fn classes_from_runs<E: InformationExchange>(
     runs: &[EnumRun<E>],
     horizon: u32,
-    n: usize,
-) -> Vec<AgentClasses> {
+    i: usize,
+) -> Vec<Vec<PointId>> {
     let per_run = horizon as usize + 1;
-    let point_count = runs.len() * per_run;
-    (0..n)
-        .map(|i| {
-            let mut hashed: Vec<(u64, PointId)> = Vec::with_capacity(point_count);
-            for (r, run) in runs.iter().enumerate() {
-                for (m, row) in run.states.iter().enumerate() {
-                    let mut h = DefaultHasher::new();
-                    row[i].hash(&mut h);
-                    hashed.push((h.finish(), (r * per_run + m) as PointId));
+    let mut hashed: Vec<(u64, PointId)> = Vec::with_capacity(runs.len() * per_run);
+    for (r, run) in runs.iter().enumerate() {
+        for (m, row) in run.states.iter().enumerate() {
+            let mut h = DefaultHasher::new();
+            row[i].hash(&mut h);
+            hashed.push((h.finish(), (r * per_run + m) as PointId));
+        }
+    }
+    hashed.sort_unstable();
+    let state_of = |pid: PointId| &runs[pid as usize / per_run].states[pid as usize % per_run][i];
+    let mut classes = Vec::new();
+    for span in hashed.chunk_by(|a, b| a.0 == b.0) {
+        // Group the (almost always single-state) span in one linear walk
+        // over per-state buckets.
+        let mut buckets: Vec<Vec<PointId>> = Vec::with_capacity(1);
+        'points: for &(_, pid) in span {
+            for bucket in &mut buckets {
+                if state_of(bucket[0]) == state_of(pid) {
+                    bucket.push(pid);
+                    continue 'points;
                 }
             }
-            hashed.sort_unstable();
-            let state_of =
-                |pid: PointId| &runs[pid as usize / per_run].states[pid as usize % per_run][i];
-            let mut points = Vec::with_capacity(point_count);
-            let mut starts = vec![0u32];
-            let mut span_start = 0usize;
-            while span_start < hashed.len() {
-                let hash = hashed[span_start].0;
-                let mut span_end = span_start;
-                while span_end < hashed.len() && hashed[span_end].0 == hash {
-                    span_end += 1;
-                }
-                // Group the (almost always single-state) span in one
-                // linear walk over per-state buckets.
-                let mut buckets: Vec<Vec<PointId>> = Vec::with_capacity(1);
-                'points: for &(_, pid) in &hashed[span_start..span_end] {
-                    for bucket in &mut buckets {
-                        if state_of(bucket[0]) == state_of(pid) {
-                            bucket.push(pid);
-                            continue 'points;
-                        }
-                    }
-                    buckets.push(vec![pid]);
-                }
-                for bucket in buckets {
-                    points.extend_from_slice(&bucket);
-                    starts.push(points.len() as u32);
-                }
-                span_start = span_end;
-            }
-            AgentClasses { points, starts }
-        })
-        .collect()
+            buckets.push(vec![pid]);
+        }
+        classes.append(&mut buckets);
+    }
+    classes
 }

@@ -119,6 +119,8 @@ pub enum Node {
     EveryoneNonfaulty(NodeId),
     /// `C_N φ`.
     CommonNonfaulty(NodeId),
+    /// `C_N(t-faulty ∧ φ)`.
+    CommonTFaulty(NodeId),
     /// `◯φ` (false at the horizon).
     Next(NodeId),
     /// `⊖φ` (false at time 0).
@@ -145,6 +147,7 @@ impl Node {
             | Node::Knows(_, g)
             | Node::EveryoneNonfaulty(g)
             | Node::CommonNonfaulty(g)
+            | Node::CommonTFaulty(g)
             | Node::Next(g)
             | Node::Prev(g)
             | Node::Henceforth(g)
@@ -236,6 +239,7 @@ impl FormulaArena {
             Formula::Knows(i, g) => Node::Knows(*i, self.intern(g)),
             Formula::EveryoneNonfaulty(g) => Node::EveryoneNonfaulty(self.intern(g)),
             Formula::CommonNonfaulty(g) => Node::CommonNonfaulty(self.intern(g)),
+            Formula::CommonTFaulty(g) => Node::CommonTFaulty(self.intern(g)),
             Formula::Next(g) => Node::Next(self.intern(g)),
             Formula::Prev(g) => Node::Prev(self.intern(g)),
             Formula::Henceforth(g) => Node::Henceforth(self.intern(g)),
@@ -415,28 +419,24 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
                 }
                 Node::InitIs(i, v) => sys.points_where_run(|r| sys.inits(r)[i.index()] == *v),
                 Node::DecidedIs(i, v) => {
-                    let decided = sys.decided_table();
-                    sys.points_by(|pid| decided[sys.state_id(pid, *i).index()] == *v)
+                    let decided = decided_column(sys, *i);
+                    BitSet::from_fn(count, |p| decided(p) == *v)
                 }
                 Node::TimeIs(k) => sys.points_by(|pid| sys.time_of(pid) == *k),
                 Node::Nonfaulty(i) => sys.points_where_run(|r| sys.nonfaulty(r).contains(*i)),
                 Node::ExistsInit(v) => sys.points_where_run(|r| sys.inits(r).contains(v)),
                 Node::JustDecided(i, v) => {
-                    let decided = sys.decided_table();
-                    sys.points_by(|pid| {
-                        let m = sys.time_of(pid);
-                        m > 0
-                            && decided[sys.state_id(pid, *i).index()] == Some(*v)
-                            && decided[sys.state_id(pid - 1, *i).index()].is_none()
+                    let decided = decided_column(sys, *i);
+                    BitSet::from_fn(count, |p| {
+                        let m = sys.time_of(p as PointId);
+                        m > 0 && decided(p) == Some(*v) && decided(p - 1).is_none()
                     })
                 }
                 Node::Deciding(i, v) => {
-                    let decided = sys.decided_table();
-                    sys.points_by(|pid| {
-                        let m = sys.time_of(pid);
-                        m < sys.horizon()
-                            && decided[sys.state_id(pid, *i).index()].is_none()
-                            && decided[sys.state_id(pid + 1, *i).index()] == Some(*v)
+                    let decided = decided_column(sys, *i);
+                    BitSet::from_fn(count, |p| {
+                        let m = sys.time_of(p as PointId);
+                        m < sys.horizon() && decided(p).is_none() && decided(p + 1) == Some(*v)
                     })
                 }
                 Node::Not(g) => {
@@ -462,6 +462,7 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
                 Node::Knows(i, g) => sys.knows_set(*i, get(g)),
                 Node::EveryoneNonfaulty(g) => sys.everyone_nonfaulty_set(get(g)),
                 Node::CommonNonfaulty(g) => sys.common_nonfaulty_set(get(g)),
+                Node::CommonTFaulty(g) => sys.common_t_faulty_set(get(g)),
                 Node::Next(g) => {
                     let inner = get(g);
                     sys.points_by(|pid| {
@@ -524,7 +525,8 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
         std::mem::replace(&mut self.bits[slot as usize], BitSet::new(0))
     }
 
-    /// Whether the node holds at `(run, time)`.
+    /// Whether the node holds at `(run, time)`; panics if that is out of
+    /// range ([`InterpretedSystem::point`]).
     #[must_use]
     pub fn holds_at(&self, id: NodeId, run: usize, time: u32) -> bool {
         self.bitset(id).contains(self.sys.point(run, time) as usize)
@@ -548,6 +550,15 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
             }
         }
     }
+}
+
+/// `decided_i` at each point, read off `i`'s `StateId` column.
+fn decided_column<E: InformationExchange>(
+    sys: &InterpretedSystem<E>,
+    i: AgentId,
+) -> impl Fn(usize) -> Option<Value> + '_ {
+    let (ids, decided) = (sys.store().state_ids(i.index()), sys.decided_table());
+    move |p| decided[ids[p].index()]
 }
 
 impl<E: InformationExchange> InterpretedSystem<E> {
@@ -720,6 +731,16 @@ mod tests {
         let set = s.eval_recursive(&f);
         let first = (0..s.point_count()).find(|p| !set.contains(*p)).unwrap();
         assert_eq!(s.point(run, time) as usize, first);
+    }
+
+    #[test]
+    #[should_panic(expected = "point (run 74, time 0) out of range: 74 runs, horizon 4")]
+    fn holds_at_rejects_a_run_past_the_last() {
+        let s = sys();
+        let mut arena = FormulaArena::new();
+        let root = arena.intern(&Formula::True);
+        let plan = QueryPlan::new(&arena, &[root]);
+        let _ = EvalSession::evaluate(&s, &arena, &plan).holds_at(root, s.run_count(), 0);
     }
 
     #[test]

@@ -7,9 +7,10 @@
 //! point maps to a [`StateId`], so [`InterpretedSystem::from_context`]
 //! streams the enumeration straight into deduplicated storage — the full
 //! `Vec<EnumRun<E>>` never materializes — and indistinguishability
-//! classes fall out of a single integer sort per agent (equal ids ⟺
-//! equal states). The [`oracle`](crate::oracle) module keeps the original
-//! hash-then-group classifier over a collected run vector as the
+//! classes fall out of one counting sort per agent keyed by `StateId`
+//! (equal ids ⟺ equal states): agent `j`'s class at a point *is*
+//! `state_id(p, j)`. The [`oracle`](crate::oracle) module keeps the
+//! original hash-then-group classifier over a collected run vector as the
 //! independent reference the arena **classes** are verified against.
 
 use eba_core::context::Context;
@@ -22,22 +23,25 @@ use eba_sim::store::{RunStore, StateId};
 
 pub use eba_sim::store::PointId;
 
-/// Per-agent indistinguishability classes, stored flat: `points` holds all
-/// point ids grouped by class; `starts[c]..starts[c+1]` is class `c`.
+/// One agent's indistinguishability classes, keyed by [`StateId`]: the
+/// class of the points where the agent's state is `sid` is
+/// `points[starts[sid]..starts[sid + 1]]`, ascending. `starts` has
+/// `distinct_states + 1` entries; an id the agent never holds has an
+/// empty span.
 pub(crate) struct AgentClasses {
     pub(crate) points: Vec<PointId>,
     pub(crate) starts: Vec<u32>,
 }
 
 impl AgentClasses {
-    /// The points of class `c`.
-    fn span(&self, c: usize) -> &[PointId] {
-        &self.points[self.starts[c] as usize..self.starts[c + 1] as usize]
+    /// The points of the class of `sid`.
+    fn span(&self, sid: usize) -> &[PointId] {
+        &self.points[self.starts[sid] as usize..self.starts[sid + 1] as usize]
     }
 
-    /// Every class's points, in storage order.
+    /// Every id's class, empty or not, in id order.
     fn spans(&self) -> impl Iterator<Item = &[PointId]> {
-        (0..self.starts.len() - 1).map(|c| self.span(c))
+        (0..self.starts.len() - 1).map(|sid| self.span(sid))
     }
 }
 
@@ -115,9 +119,9 @@ impl<E: InformationExchange> InterpretedSystem<E> {
 
     /// Builds a system directly from an interned [`RunStore`] (e.g. one
     /// filled through [`Scenario::enumerate_store`] or a custom sink).
-    /// Indistinguishability classes are derived from a single sort of
-    /// `(StateId, PointId)` keys per agent — no hashing, no state
-    /// comparisons: two points share a class iff they share an id.
+    /// Indistinguishability classes are one counting sort of each agent's
+    /// `StateId` column — no hashing, no state comparisons: two points
+    /// share a class iff they share an id.
     ///
     /// # Errors
     ///
@@ -189,20 +193,25 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         self.store.point_count()
     }
 
-    /// The point id of `(run, time)`.
+    /// The point id of `(run, time)`. Panics if `run ≥ run_count` or
+    /// `time > horizon`, where the arithmetic would name another point.
     pub fn point(&self, run: usize, time: u32) -> PointId {
-        debug_assert!(run < self.run_count() && time <= self.horizon());
-        (run * (self.horizon() as usize + 1) + time as usize) as PointId
+        let (runs, horizon) = (self.run_count(), self.horizon());
+        assert!(
+            run < runs && time <= horizon,
+            "point (run {run}, time {time}) out of range: {runs} runs, horizon {horizon}"
+        );
+        (run * (horizon as usize + 1) + time as usize) as PointId
     }
 
-    /// The run index of a point.
+    /// The run index of a point (a `u32` division: point ids are `u32`).
     pub fn run_of(&self, point: PointId) -> usize {
-        point as usize / (self.horizon() as usize + 1)
+        (point / (self.horizon() + 1)) as usize
     }
 
     /// The time of a point.
     pub fn time_of(&self, point: PointId) -> u32 {
-        (point as usize % (self.horizon() as usize + 1)) as u32
+        point % (self.horizon() + 1)
     }
 
     /// The nonfaulty set `N` of a run.
@@ -250,50 +259,48 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         &self.decided_by_state
     }
 
-    /// The canonical class partition of `agent`: every class sorted
-    /// ascending, classes ordered by their smallest point. Class storage
-    /// order is an implementation detail (the arena path orders classes
-    /// by `StateId`, the oracle by state hash), so equivalence
-    /// checks compare this canonical form.
+    /// The class partition of `agent`: its nonempty classes, each
+    /// ascending, ordered by their smallest point — independent of how
+    /// `StateId`s were assigned, so two constructions can be compared.
     pub fn class_partition(&self, agent: AgentId) -> Vec<Vec<PointId>> {
-        let mut partition: Vec<Vec<PointId>> = self.classes[agent.index()]
-            .spans()
-            .map(|span| {
-                let mut span = span.to_vec();
-                span.sort_unstable();
-                span
-            })
+        let spans = self.classes[agent.index()].spans();
+        let mut partition: Vec<Vec<PointId>> = spans
+            .filter(|span| !span.is_empty())
+            .map(<[_]>::to_vec)
             .collect();
         partition.sort_unstable();
         partition
     }
 
     /// `K_agent`: the set of points where everything in `inner` holds at
-    /// all points the agent considers possible.
+    /// all points the agent considers possible — the points whose
+    /// `StateId` the agent holds at no point outside `inner`.
     pub fn knows_set(&self, agent: AgentId, inner: &BitSet) -> BitSet {
-        let mut out = BitSet::new(self.point_count());
-        for span in self.classes[agent.index()].spans() {
-            if span.iter().all(|p| inner.contains(*p as usize)) {
-                for p in span {
-                    out.insert(*p as usize);
-                }
+        let ids = self.store.state_ids(agent.index());
+        let mut doubted = BitSet::new(self.distinct_states());
+        let mut out = inner.clone();
+        out.invert();
+        for p in out.iter() {
+            doubted.insert(ids[p].index());
+        }
+        out.clear();
+        for (p, id) in ids.iter().enumerate() {
+            if !doubted.contains(id.index()) {
+                out.insert(p);
             }
         }
         out
     }
 
-    /// `E_N`: everyone in the (indexical) nonfaulty set knows `inner`.
+    /// `E_N`: everyone in the (indexical) nonfaulty set knows `inner`,
+    /// i.e. `⋀_j (j ∈ N ⇒ K_j inner)`, a word at a time.
     pub fn everyone_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
-        let n = self.params().n();
-        let knows: Vec<BitSet> = (0..n)
-            .map(|i| self.knows_set(AgentId::new(i), inner))
-            .collect();
         let mut out = BitSet::new(self.point_count());
-        for pid in 0..self.point_count() {
-            let nonfaulty = self.nonfaulty(self.run_of(pid as PointId));
-            if nonfaulty.iter().all(|j| knows[j.index()].contains(pid)) {
-                out.insert(pid);
-            }
+        out.fill();
+        for j in self.params().agents() {
+            let mut knows_or_faulty = self.points_where_run(|r| !self.nonfaulty(r).contains(j));
+            knows_or_faulty.union_with(&self.knows_set(j, inner));
+            out.intersect_with(&knows_or_faulty);
         }
         out
     }
@@ -308,44 +315,70 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// point is in `X` iff no agent of its `N` has a tainted class there,
     /// i.e. `X = E_N(inner ∧ X)`; a point is only removed once it is
     /// outside every `Y ⊆ E_N(inner ∧ Y)`, so `X` is the greatest such
-    /// set. Each `(agent, class)` is tainted at most once and each point
-    /// leaves `X` at most once: `O(n · points)`.
+    /// set. Each `(agent, StateId)` class is tainted at most once and each
+    /// point leaves `X` at most once: `O(n · points)`.
     /// [`eval_recursive`](Self::eval_recursive) keeps the iteration as
     /// the oracle this is tested against.
     pub fn common_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
-        let n = self.params().n();
-        let states = self.distinct_states();
-        // Agent `j`'s class of the points where its state is `sid` sits
-        // at `class_of[j * states + sid]`. A class id fits a `u32`: an
-        // agent has at most one class per point, and point ids are `u32`.
-        let mut class_of = vec![0u32; n * states];
-        let mut tainted: Vec<BitSet> = Vec::with_capacity(n);
-        let mut work: Vec<(usize, u32)> = Vec::new();
-        for (j, cls) in self.classes.iter().enumerate() {
-            tainted.push(BitSet::new(cls.starts.len() - 1));
-            for (c, span) in cls.spans().enumerate() {
-                let sid = self.store.state_id(j, span[0] as usize);
-                class_of[j * states + sid.index()] = c as u32;
-                if span.iter().any(|p| !inner.contains(*p as usize)) {
-                    tainted[j].insert(c);
-                    work.push((j, c as u32));
-                }
+        self.common_knowledge_pass(inner, false)
+    }
+
+    /// `C_N(t-faulty ∧ φ)` for `inner = φ`: the union over `|A| = t` of
+    /// `C_N(⋀_{i ∈ A} i ∉ N ∧ φ)`, in one worklist pass. As `N ≠ ∅` and
+    /// `|F| ≤ t`, tower `A`'s fixpoint lies in runs with `F = A`, so a
+    /// class holding points of two faulty sets is tainted in every tower:
+    /// the pass over `φ ∧ |F| = t` with such classes tainted from the
+    /// start is the union (docs/GUIDE.md §4).
+    /// [`eval_recursive`](Self::eval_recursive) evaluates the towers.
+    pub fn common_t_faulty_set(&self, inner: &BitSet) -> BitSet {
+        let (n, t) = (self.params().n(), self.params().t());
+        let faulty = |r| n - self.nonfaulty(r).len();
+        debug_assert!((0..self.run_count()).all(|r| faulty(r) <= t), "|F| > t");
+        let mut t_faulty = self.points_where_run(|r| faulty(r) == t);
+        t_faulty.intersect_with(inner);
+        self.common_knowledge_pass(&t_faulty, true)
+    }
+
+    /// The worklist pass of `C_N` over `inner`; with `split_faulty`, a
+    /// class whose points lie in runs of different faulty sets starts
+    /// tainted too.
+    fn common_knowledge_pass(&self, inner: &BitSet, split_faulty: bool) -> BitSet {
+        let (n, states) = (self.params().n(), self.distinct_states());
+        let ids: Vec<&[StateId]> = (0..n).map(|k| self.store.state_ids(k)).collect();
+        let nonfaulty = |p: &PointId| self.nonfaulty(self.run_of(*p));
+        // `tainted[j * states + sid]`: agent `j`'s class of `sid` is tainted.
+        let mut tainted = vec![false; n * states];
+        let mut x = inner.clone();
+        x.invert();
+        for p in x.iter() {
+            for (j, ids_j) in ids.iter().enumerate() {
+                tainted[j * states + ids_j[p].index()] = true;
             }
         }
-        let mut x = BitSet::new(self.point_count());
+        for (j, cls) in self.classes.iter().enumerate().filter(|_| split_faulty) {
+            for (sid, span) in cls.spans().enumerate() {
+                let mixed = || span.iter().any(|p| nonfaulty(p) != nonfaulty(&span[0]));
+                tainted[j * states + sid] = tainted[j * states + sid] || mixed();
+            }
+        }
+        let mut work: Vec<usize> = (0..n * states).filter(|c| tainted[*c]).collect();
         x.fill();
-        while let Some((j, c)) = work.pop() {
-            let agent = AgentId::new(j);
-            for &p in self.classes[j].span(c as usize) {
-                if !x.contains(p as usize) || !self.nonfaulty(self.run_of(p)).contains(agent) {
+        while let Some(c) = work.pop() {
+            let agent = AgentId::new(c / states);
+            for &p in self.classes[c / states].span(c % states) {
+                if !x.contains(p as usize) || !nonfaulty(&p).contains(agent) {
                     continue;
                 }
                 x.remove(p as usize);
-                for (k, tainted_k) in tainted.iter_mut().enumerate() {
-                    let ck = class_of[k * states + self.store.state_id(k, p as usize).index()];
-                    if !tainted_k.contains(ck as usize) {
-                        tainted_k.insert(ck as usize);
-                        work.push((k, ck));
+                // A point outside `inner` tainted all its classes above.
+                if !inner.contains(p as usize) {
+                    continue;
+                }
+                for (k, ids_k) in ids.iter().enumerate() {
+                    let ck = k * states + ids_k[p as usize].index();
+                    if !tainted[ck] {
+                        tainted[ck] = true;
+                        work.push(ck);
                     }
                 }
             }
@@ -354,29 +387,28 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     }
 }
 
-/// Classes from the interned store: per agent, sort packed
-/// `(StateId, PointId)` keys — a single `u64` sort — and split on id
-/// boundaries. No hashing, no state comparisons, no per-span
-/// partitioning: interning already established that equal ids are
+/// Classes from the interned store: per agent, a counting sort of its
+/// `StateId` column — count each id, take prefix sums, then place the
+/// points in increasing order, so every span is ascending. No hashing, no
+/// state comparisons: interning already established that equal ids are
 /// exactly equal states.
 fn classes_from_store<E: InformationExchange>(store: &RunStore<E>) -> Vec<AgentClasses> {
-    let point_count = store.point_count();
+    let states = store.distinct_states();
     (0..store.agents())
         .map(|i| {
-            let mut keys: Vec<u64> = (0..point_count)
-                .map(|p| (u64::from(store.state_id(i, p).raw()) << 32) | p as u64)
-                .collect();
-            keys.sort_unstable();
-            let mut points = Vec::with_capacity(point_count);
-            let mut starts = vec![0u32];
-            let mut idx = 0usize;
-            while idx < keys.len() {
-                let id = keys[idx] >> 32;
-                while idx < keys.len() && keys[idx] >> 32 == id {
-                    points.push(keys[idx] as PointId); // truncates to the low 32 bits
-                    idx += 1;
-                }
-                starts.push(points.len() as u32);
+            let ids = store.state_ids(i);
+            let mut starts = vec![0u32; states + 1];
+            for id in ids {
+                starts[id.index() + 1] += 1;
+            }
+            for sid in 0..states {
+                starts[sid + 1] += starts[sid];
+            }
+            let mut next = starts.clone();
+            let mut points = vec![0; ids.len()];
+            for (p, id) in ids.iter().enumerate() {
+                points[next[id.index()] as usize] = p as PointId;
+                next[id.index()] += 1;
             }
             AgentClasses { points, starts }
         })
@@ -509,9 +541,8 @@ mod tests {
                 seen[*p as usize] = true;
             }
             assert!(seen.iter().all(|b| *b));
-            // Every class is nonempty and state-homogeneous.
-            for span in cls.spans() {
-                assert!(!span.is_empty());
+            // Every class is state-homogeneous.
+            for span in cls.spans().filter(|span| !span.is_empty()) {
                 let agent = AgentId::new(i);
                 let s0 = sys.local_state(span[0], agent);
                 let id0 = sys.state_id(span[0], agent);
@@ -524,11 +555,41 @@ mod tests {
     }
 
     #[test]
+    fn classes_are_laid_out_by_state_id() {
+        // Both constructors: every point lies in the span of its own
+        // state id, and every span is ascending.
+        let params = Params::new(3, 1).unwrap();
+        for sys in [small_system(), reference(Context::minimal(params))] {
+            for (j, cls) in sys.classes.iter().enumerate() {
+                assert_eq!(cls.starts.len(), sys.distinct_states() + 1);
+                for span in cls.spans() {
+                    assert!(span.windows(2).all(|w| w[0] < w[1]), "agent {j}: {span:?}");
+                }
+                for p in 0..sys.point_count() as PointId {
+                    let sid = sys.state_id(p, AgentId::new(j)).index();
+                    assert!(
+                        cls.span(sid).binary_search(&p).is_ok(),
+                        "agent {j} point {p}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "point (run 0, time 5) out of range: 74 runs, horizon 4")]
+    fn satisfied_at_rejects_a_time_past_the_horizon() {
+        // Unchecked, `(run 0, time 5)` is the point `(run 1, time 0)`,
+        // where `time = 0` holds.
+        let _ = small_system().satisfied_at(&Formula::TimeIs(0), 0, 5);
+    }
+
+    #[test]
     fn classes_never_mix_times() {
         // Synchrony: indistinguishable points share their time.
         let sys = small_system();
         for cls in &sys.classes {
-            for span in cls.spans() {
+            for span in cls.spans().filter(|span| !span.is_empty()) {
                 let t0 = sys.time_of(span[0]);
                 assert!(span.iter().all(|p| sys.time_of(*p) == t0));
             }

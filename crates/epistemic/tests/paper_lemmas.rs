@@ -62,16 +62,16 @@ fn dist_t_faulty(params: Params) -> Formula {
     )
 }
 
-/// `C_N(t-faulty)` via the paper's abbreviation.
-fn ck_t_faulty(params: Params) -> Formula {
-    ck_t_faulty_and(params, Formula::True)
+/// `C_N(t-faulty)`.
+fn ck_t_faulty() -> Formula {
+    Formula::common_t_faulty(Formula::True)
 }
 
 #[test]
 fn prop_a2a_ck_faulty_iff_previous_distributed_knowledge() {
     let (params, sys) = fip_system();
     let lhs = Formula::Prev(Box::new(dist_t_faulty(params)));
-    let rhs = ck_t_faulty(params);
+    let rhs = ck_t_faulty();
     let lhs_set = sys.eval(&lhs);
     let rhs_set = sys.eval(&rhs);
     let mut checked = 0usize;
@@ -112,7 +112,7 @@ fn lemma_a3_guard_is_known_to_everyone_when_it_holds() {
 #[test]
 fn lemma_a4_everyone_decides_within_one_round_of_ck() {
     let (params, sys) = fip_system();
-    let ck = sys.eval(&ck_t_faulty(params));
+    let ck = sys.eval(&ck_t_faulty());
     let all_decided_next = Formula::And(
         params
             .agents()

@@ -30,7 +30,7 @@
 //!
 //! Interned ids also make downstream work cheaper: two points have equal
 //! local states **iff** their `StateId`s are equal, so indistinguishability
-//! classes fall out of a single integer sort and per-state computations
+//! classes fall out of a counting sort keyed by id and per-state computations
 //! (`decided`, `init`, protocol actions) can be memoized per distinct
 //! state instead of per point.
 
@@ -59,11 +59,6 @@ impl StateId {
     /// The arena slot, for indexing per-state memo tables.
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// The raw id, for packing into integer sort keys.
-    pub fn raw(self) -> u32 {
-        self.0
     }
 }
 
@@ -295,6 +290,12 @@ impl<E: InformationExchange> RunStore<E> {
     /// The interned id of `agent`'s local state at `point`.
     pub fn state_id(&self, agent: usize, point: usize) -> StateId {
         self.state_ids[agent][point]
+    }
+
+    /// `agent`'s column of the point table: the id of its local state at
+    /// every point, in point order.
+    pub fn state_ids(&self, agent: usize) -> &[StateId] {
+        &self.state_ids[agent]
     }
 
     /// `agent`'s local state at `point`, resolved through the arena.

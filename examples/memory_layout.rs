@@ -9,7 +9,7 @@
 //! ```text
 //! cargo run --release --example memory_layout -- streamed    # arena build
 //! cargo run --release --example memory_layout -- collected   # reference build
-//! cargo run --release --example memory_layout -- fip41       # (4,1) reach
+//! cargo run --release --example memory_layout -- fip41       # (4,1) reach, P0 and P1
 //! ```
 
 use eba::core::kbp::KnowledgeBasedProgram;
@@ -85,14 +85,24 @@ fn main() {
             )
             .unwrap();
             report("streamed  fip(4,1)", &sys, t0.elapsed().as_secs_f64());
-            let check = std::time::Instant::now();
-            let report = check_implements(&sys, &POpt::new(params), KnowledgeBasedProgram::P0);
-            println!(
-                "  P_opt implements P0 at (4,1): {} ({} comparisons, {:.2}s)",
-                if report.is_ok() { "yes" } else { "NO" },
-                report.comparisons,
-                check.elapsed().as_secs_f64()
-            );
+            // Thms 6.6 and A.21 at (4, 1): exit 1 on any mismatch.
+            let mut ok = true;
+            for program in [KnowledgeBasedProgram::P0, KnowledgeBasedProgram::P1] {
+                let check = std::time::Instant::now();
+                let report = check_implements(&sys, &POpt::new(params), program);
+                println!(
+                    "  P_opt implements {} at (4,1): {} ({} comparisons, {} mismatches, {:.2}s)",
+                    program.name(),
+                    if report.is_ok() { "yes" } else { "NO" },
+                    report.comparisons,
+                    report.mismatches.len(),
+                    check.elapsed().as_secs_f64()
+                );
+                ok &= report.is_ok();
+            }
+            if !ok {
+                std::process::exit(1);
+            }
         }
         other => {
             eprintln!("unknown mode {other:?}: use streamed | collected | fip41");

@@ -56,6 +56,22 @@ impl BitSet {
         self.words[i / 64] |= 1u64 << (i % 64);
     }
 
+    /// Inserts every index of `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the capacity.
+    pub fn insert_range(&mut self, range: std::ops::Range<usize>) {
+        assert!(
+            range.end <= self.len,
+            "bit range {range:?} out of range {}",
+            self.len
+        );
+        for i in range {
+            self.words[i / 64] |= 1u64 << (i % 64);
+        }
+    }
+
     /// Removes index `i`.
     pub fn remove(&mut self, i: usize) {
         assert!(i < self.len, "bit index {i} out of range {}", self.len);
@@ -275,6 +291,16 @@ mod tests {
             (0..len).filter(|i| keep(*i)).for_each(|i| s.insert(i));
             assert_eq!(BitSet::from_fn(len, keep), s, "len {len}");
         }
+    }
+
+    #[test]
+    fn insert_range_matches_inserts() {
+        let mut s = BitSet::new(200);
+        (60..130).for_each(|i| s.insert(i));
+        let mut r = BitSet::new(200);
+        r.insert_range(60..130);
+        r.insert_range(7..7);
+        assert_eq!(r, s);
     }
 
     #[test]

@@ -365,12 +365,8 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     pub(crate) fn points_where_run(&self, pred: impl Fn(usize) -> bool) -> BitSet {
         let mut s = BitSet::new(self.point_count());
         let per_run = self.horizon() as usize + 1;
-        for r in 0..self.run_count() {
-            if pred(r) {
-                for pid in r * per_run..(r + 1) * per_run {
-                    s.insert(pid);
-                }
-            }
+        for r in (0..self.run_count()).filter(|r| pred(*r)) {
+            s.insert_range(r * per_run..(r + 1) * per_run);
         }
         s
     }

@@ -108,14 +108,13 @@ pub fn prescriptions<E: InformationExchange>(
             agent_rules.iter().map(lookup).collect()
         })
         .collect();
-    let actions = (0..sys.point_count())
-        .flat_map(|pid| {
-            guards.iter().map(move |agent_guards| {
-                let first = agent_guards.iter().find(|(holds, _)| holds.contains(pid));
-                first.map_or(Action::Noop, |(_, action)| *action)
-            })
+    let mut actions = Vec::with_capacity(sys.point_count() * params.n());
+    actions.extend((0..sys.point_count()).flat_map(|pid| {
+        guards.iter().map(move |agent_guards| {
+            let first = agent_guards.iter().find(|(holds, _)| holds.contains(pid));
+            first.map_or(Action::Noop, |(_, action)| *action)
         })
-        .collect();
+    }));
     Prescriptions {
         n: params.n(),
         actions,

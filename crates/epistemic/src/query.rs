@@ -2,8 +2,8 @@
 //! evaluation sessions, and counterexample-carrying verdicts.
 //!
 //! The paper's results are answered by evaluating *families* of closely
-//! related formulas over one interpreted system — the `C_N(t-faulty ∧ …)`
-//! towers of `P1`, the per-value `someone_just_decided` /
+//! related formulas over one interpreted system — the two
+//! `C_N(t-faulty ∧ …)` guards of `P1`, the per-value `someone_just_decided` /
 //! `nobody_deciding` disjunctions of `P0`, the EBA spec validities. A
 //! recursive per-formula [`eval`](InterpretedSystem::eval) recomputes every shared
 //! subformula per root; this module compiles a *batch* instead:
@@ -17,8 +17,8 @@
 //!    evaluating each root independently.
 //! 3. [`EvalSession`] executes the plan over an [`InterpretedSystem`] in
 //!    one pass — one [`BitSet`] per distinct node, state-level
-//!    propositions resolved through the interned
-//!    [`RunStore`](eba_sim::store::RunStore)'s per-`StateId` tables,
+//!    propositions read off the interned
+//!    [`RunStore`](eba_sim::store::RunStore)'s `StateId` columns,
 //!    run-level propositions filled a whole run at a time — and answers
 //!    every root with a [`Verdict`] carrying a `(run, time)`
 //!    counterexample when the formula is not valid.
@@ -363,9 +363,9 @@ pub struct Verdict {
 /// single topological pass over an [`InterpretedSystem`].
 ///
 /// Run-level propositions (`InitIs`, `Nonfaulty`, `ExistsInit`) fill
-/// whole runs at a time; `decided`-reading propositions resolve through
-/// the system's per-distinct-state tables (one lookup per point by
-/// [`StateId`](eba_sim::store::StateId)); knowledge operators reuse the
+/// whole runs at a time; `decided`-reading propositions read each
+/// agent's [`StateId`](eba_sim::store::StateId) column into a per-state
+/// table, a word of points at a time; knowledge operators reuse the
 /// system's indistinguishability classes. Each distinct node is
 /// evaluated exactly once no matter how many roots (or enclosing
 /// formulas) share it.
@@ -409,6 +409,7 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
         let child = |bits: &[BitSet], slot_of: &[u32], id: NodeId| -> BitSet {
             bits[slot_of[id.index()] as usize].clone()
         };
+        let rest_of_run = |p: PointId| p as usize..=(p + sys.horizon() - sys.time_of(p)) as usize;
         for id in &plan.schedule {
             let get = |cid: &NodeId| &bits[plan.slot_of[cid.index()] as usize];
             let set = match arena.node(*id) {
@@ -475,19 +476,11 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
                 }
                 Node::Henceforth(g) => {
                     let inner = get(g);
-                    sys.points_by(|pid| {
-                        let run = sys.run_of(pid);
-                        (sys.time_of(pid)..=sys.horizon())
-                            .all(|m| inner.contains(sys.point(run, m) as usize))
-                    })
+                    sys.points_by(|pid| rest_of_run(pid).all(|q| inner.contains(q)))
                 }
                 Node::Eventually(g) => {
                     let inner = get(g);
-                    sys.points_by(|pid| {
-                        let run = sys.run_of(pid);
-                        (sys.time_of(pid)..=sys.horizon())
-                            .any(|m| inner.contains(sys.point(run, m) as usize))
-                    })
+                    sys.points_by(|pid| rest_of_run(pid).any(|q| inner.contains(q)))
                 }
             };
             bits.push(set);

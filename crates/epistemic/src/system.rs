@@ -277,15 +277,16 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// `StateId` the agent holds at no point outside `inner`.
     pub fn knows_set(&self, agent: AgentId, inner: &BitSet) -> BitSet {
         let ids = self.store.state_ids(agent.index());
-        let mut doubted = BitSet::new(self.distinct_states());
+        // Bit `sid` of `doubted`: `sid` is held at a point outside `inner`.
+        let mut doubted = vec![0u64; self.distinct_states().div_ceil(64)];
         let mut out = inner.clone();
         out.invert();
-        for p in out.iter() {
-            doubted.insert(ids[p].index());
+        for sid in out.iter().map(|p| ids[p].index()) {
+            doubted[sid / 64] |= 1 << (sid % 64);
         }
         out.clear();
-        for (p, id) in ids.iter().enumerate() {
-            if !doubted.contains(id.index()) {
+        for (p, sid) in ids.iter().map(|id| id.index()).enumerate() {
+            if doubted[sid / 64] >> (sid % 64) & 1 == 0 {
                 out.insert(p);
             }
         }
@@ -328,7 +329,7 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// `|F| ≤ t`, tower `A`'s fixpoint lies in runs with `F = A`, so a
     /// class holding points of two faulty sets is tainted in every tower:
     /// the pass over `φ ∧ |F| = t` with such classes tainted from the
-    /// start is the union (docs/GUIDE.md §4).
+    /// start is the union (docs/GUIDE.md §5).
     /// [`eval_recursive`](Self::eval_recursive) evaluates the towers.
     pub fn common_t_faulty_set(&self, inner: &BitSet) -> BitSet {
         let (n, t) = (self.params().n(), self.params().t());

@@ -9,7 +9,7 @@
 
 use eba_core::exchange::InformationExchange;
 use eba_core::kbp::KnowledgeBasedProgram;
-use eba_core::types::{Action, AgentId, BitSet, Params, Value};
+use eba_core::types::{Action, AgentId, Params, Value};
 
 use crate::formula::Formula;
 use crate::query::{EvalSession, FormulaArena, NodeId, QueryPlan};
@@ -84,7 +84,8 @@ impl Prescriptions {
 /// [`rules`] are interned into **one** hash-consed [`FormulaArena`] (so
 /// `P1`'s two `C_N(t-faulty ∧ …)` operators exist once however many
 /// `K_i` guards mention them) and evaluated by one [`EvalSession`]; then
-/// a first-match loop picks each agent's action at every point.
+/// each agent's rules, last to first, write their action wherever their
+/// guard holds, so the first rule that holds at a point wins.
 pub fn prescriptions<E: InformationExchange>(
     sys: &InterpretedSystem<E>,
     program: KnowledgeBasedProgram,
@@ -101,22 +102,19 @@ pub fn prescriptions<E: InformationExchange>(
     let roots: Vec<NodeId> = interned.iter().flatten().map(|(guard, _)| *guard).collect();
     let plan = QueryPlan::new(&arena, &roots);
     let session = EvalSession::evaluate(sys, &arena, &plan);
-    let guards: Vec<Vec<(&BitSet, Action)>> = interned
-        .iter()
-        .map(|agent_rules| {
-            let lookup = |(guard, action): &(NodeId, Action)| (session.bitset(*guard), *action);
-            agent_rules.iter().map(lookup).collect()
-        })
-        .collect();
-    let mut actions = Vec::with_capacity(sys.point_count() * params.n());
-    actions.extend((0..sys.point_count()).flat_map(|pid| {
-        guards.iter().map(move |agent_guards| {
-            let first = agent_guards.iter().find(|(holds, _)| holds.contains(pid));
-            first.map_or(Action::Noop, |(_, action)| *action)
-        })
-    }));
+    let n = params.n();
+    let mut actions = vec![Action::Noop; sys.point_count() * n];
+    // Last rule first: where several guards hold, the first rule writes last.
+    for (i, agent_rules) in interned.iter().enumerate() {
+        for (guard, action) in agent_rules.iter().rev() {
+            session
+                .bitset(*guard)
+                .iter()
+                .for_each(|p| actions[p * n + i] = *action);
+        }
+    }
     Prescriptions {
-        n: params.n(),
+        n,
         actions,
         evaluated_nodes: session.nodes_evaluated(),
     }
@@ -126,6 +124,7 @@ pub fn prescriptions<E: InformationExchange>(
 mod tests {
     use super::*;
     use eba_core::prelude::*;
+    use eba_core::types::BitSet;
     use eba_sim::runner::Parallelism;
 
     fn min_system(n: usize, t: usize) -> InterpretedSystem<MinExchange> {

@@ -429,15 +429,15 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
                 Node::JustDecided(i, v) => {
                     let decided = decided_column(sys, *i);
                     BitSet::from_fn(count, |p| {
-                        let m = sys.time_of(p as PointId);
-                        m > 0 && decided(p) == Some(*v) && decided(p - 1).is_none()
+                        let first = || sys.time_of(p as PointId) == 0;
+                        decided(p) == Some(*v) && !first() && decided(p - 1).is_none()
                     })
                 }
                 Node::Deciding(i, v) => {
                     let decided = decided_column(sys, *i);
                     BitSet::from_fn(count, |p| {
-                        let m = sys.time_of(p as PointId);
-                        m < sys.horizon() && decided(p).is_none() && decided(p + 1) == Some(*v)
+                        let last = || sys.time_of(p as PointId) == sys.horizon();
+                        decided(p).is_none() && !last() && decided(p + 1) == Some(*v)
                     })
                 }
                 Node::Not(g) => {

@@ -279,15 +279,24 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         let ids = self.store.state_ids(agent.index());
         // Bit `sid` of `doubted`: `sid` is held at a point outside `inner`.
         let mut doubted = vec![0u64; self.distinct_states().div_ceil(64)];
+        let mut doubt = |sid: usize| doubted[sid / 64] |= 1 << (sid % 64);
         let mut out = inner.clone();
-        out.invert();
-        for sid in out.iter().map(|p| ids[p].index()) {
-            doubted[sid / 64] |= 1 << (sid % 64);
+        if 2 * inner.count() < inner.capacity() {
+            // Mostly outside: each class stops at its first such point.
+            let spans = self.classes[agent.index()].spans().enumerate();
+            for (sid, _) in spans.filter(|(_, s)| s.iter().any(|p| !inner.contains(*p as usize))) {
+                doubt(sid);
+            }
+        } else {
+            out.invert();
+            out.iter().for_each(|p| doubt(ids[p].index()));
         }
-        out.clear();
-        for (p, sid) in ids.iter().map(|id| id.index()).enumerate() {
-            if doubted[sid / 64] >> (sid % 64) & 1 == 0 {
-                out.insert(p);
+        // `K φ ⊆ φ`: keep the points of `inner` whose id is not doubted.
+        out.clone_from(inner);
+        for p in inner.iter() {
+            let sid = ids[p].index();
+            if doubted[sid / 64] >> (sid % 64) & 1 == 1 {
+                out.remove(p);
             }
         }
         out
@@ -614,6 +623,33 @@ mod tests {
         let k1 = sys.knows_set(AgentId::new(1), &x);
         assert!(k1.is_subset(&x));
         assert!(k1.count() < x.count());
+    }
+
+    #[test]
+    fn knows_set_is_its_definition_on_sparse_and_dense_operands() {
+        // `K_i φ` is the union of `i`'s classes inside `φ`. `¬∃0` holds
+        // in one run in eight and `∃0` in the rest, so both ways of
+        // marking doubted ids run, and neither is known everywhere.
+        let sys = small_system();
+        for phi in [
+            Formula::not(Formula::ExistsInit(Value::Zero)),
+            Formula::ExistsInit(Value::Zero),
+        ] {
+            let inner = sys.eval_recursive(&phi);
+            for agent in AgentId::all(3) {
+                let mut expected = BitSet::new(sys.point_count());
+                for class in sys.class_partition(agent) {
+                    if class.iter().all(|p| inner.contains(*p as usize)) {
+                        class.iter().for_each(|p| expected.insert(*p as usize));
+                    }
+                }
+                assert_eq!(sys.knows_set(agent, &inner), expected, "K_{agent}({phi})");
+                assert!(
+                    expected.count() < inner.count(),
+                    "K_{agent}({phi}) is trivial"
+                );
+            }
+        }
     }
 
     #[test]

@@ -358,6 +358,7 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         let nonfaulty = |p: &PointId| self.nonfaulty(self.run_of(*p));
         // `tainted[j * states + sid]`: agent `j`'s class of `sid` is tainted.
         let mut tainted = vec![false; n * states];
+        // `x` is the complement of `inner` for the first scan, then `X`.
         let mut x = inner.clone();
         x.invert();
         for p in x.iter() {

@@ -29,8 +29,8 @@ use crate::system::{AgentClasses, InterpretedSystem};
 /// # Errors
 ///
 /// Returns [`EbaError::InvalidInput`] if some run's trajectory length
-/// disagrees with `horizon`, or if `runs.len() * (horizon + 1)` overflows
-/// the `u32` point-id space.
+/// disagrees with `horizon`, if `runs.len() * (horizon + 1)` overflows
+/// the `u32` point-id space, or if a run has more than `t` faulty agents.
 pub fn from_runs<E: InformationExchange>(
     ex: E,
     runs: Vec<EnumRun<E>>,
@@ -54,7 +54,7 @@ pub fn from_runs<E: InformationExchange>(
     let classes = (0..n)
         .map(|i| lay_out(classes_from_runs(&runs, horizon, i), &store, i))
         .collect();
-    Ok(InterpretedSystem::from_classes(ex, store, classes))
+    InterpretedSystem::from_classes(ex, store, classes)
 }
 
 /// Places each of agent `i`'s classes at the span of its one `StateId`.

@@ -126,36 +126,49 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// # Errors
     ///
     /// Returns [`EbaError::InvalidInput`] if the store's agent count
-    /// disagrees with the exchange's parameters.
+    /// disagrees with the exchange's parameters, or if a run has more
+    /// than `t` faulty agents — no failure model admits one, and
+    /// [`common_t_faulty_set`](Self::common_t_faulty_set) relies on it.
     pub fn from_store(ex: E, store: RunStore<E>) -> Result<Self, EbaError> {
-        if store.agents() != ex.params().n() {
-            return Err(EbaError::InvalidInput(format!(
-                "store built for {} agents, exchange has n = {}",
-                store.agents(),
-                ex.params().n()
-            )));
-        }
         // `RunStore::push_run` enforced point capacity run by run.
         let classes = classes_from_store(&store);
-        Ok(Self::from_classes(ex, store, classes))
+        Self::from_classes(ex, store, classes)
     }
 
     /// Assembles a system from a store and the class partition computed
     /// for it (by [`from_store`](Self::from_store)'s sort, or by the
-    /// [`oracle`](crate::oracle)'s classifier).
-    pub(crate) fn from_classes(ex: E, store: RunStore<E>, classes: Vec<AgentClasses>) -> Self {
+    /// [`oracle`](crate::oracle)'s classifier), with
+    /// [`from_store`](Self::from_store)'s checks.
+    pub(crate) fn from_classes(
+        ex: E,
+        store: RunStore<E>,
+        classes: Vec<AgentClasses>,
+    ) -> Result<Self, EbaError> {
+        let (n, t) = (ex.params().n(), ex.params().t());
+        if store.agents() != n {
+            return Err(EbaError::InvalidInput(format!(
+                "store built for {} agents, exchange has n = {n}",
+                store.agents()
+            )));
+        }
+        if let Some(r) = (0..store.run_count()).find(|r| store.nonfaulty(*r).len() < n - t) {
+            return Err(EbaError::InvalidInput(format!(
+                "run {r} has {} faulty agents, more than t = {t}",
+                n - store.nonfaulty(r).len()
+            )));
+        }
         let decided_by_state = store
             .arena()
             .states()
             .iter()
             .map(|s| ex.decided(s))
             .collect();
-        InterpretedSystem {
+        Ok(InterpretedSystem {
             ex,
             store,
             classes,
             decided_by_state,
-        }
+        })
     }
 
     /// The exchange protocol of the context.
@@ -279,17 +292,10 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         let ids = self.store.state_ids(agent.index());
         // Bit `sid` of `doubted`: `sid` is held at a point outside `inner`.
         let mut doubted = vec![0u64; self.distinct_states().div_ceil(64)];
-        let mut doubt = |sid: usize| doubted[sid / 64] |= 1 << (sid % 64);
         let mut out = inner.clone();
-        if 2 * inner.count() < inner.capacity() {
-            // Mostly outside: each class stops at its first such point.
-            let spans = self.classes[agent.index()].spans().enumerate();
-            for (sid, _) in spans.filter(|(_, s)| s.iter().any(|p| !inner.contains(*p as usize))) {
-                doubt(sid);
-            }
-        } else {
-            out.invert();
-            out.iter().for_each(|p| doubt(ids[p].index()));
+        out.invert();
+        for sid in out.iter().map(|p| ids[p].index()) {
+            doubted[sid / 64] |= 1 << (sid % 64);
         }
         // `K φ ⊆ φ`: keep the points of `inner` whose id is not doubted.
         out.clone_from(inner);
@@ -338,13 +344,12 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// `|F| ≤ t`, tower `A`'s fixpoint lies in runs with `F = A`, so a
     /// class holding points of two faulty sets is tainted in every tower:
     /// the pass over `φ ∧ |F| = t` with such classes tainted from the
-    /// start is the union (docs/GUIDE.md §5).
+    /// start is the union (docs/GUIDE.md §5). Construction refused any
+    /// run with `|F| > t`.
     /// [`eval_recursive`](Self::eval_recursive) evaluates the towers.
     pub fn common_t_faulty_set(&self, inner: &BitSet) -> BitSet {
         let (n, t) = (self.params().n(), self.params().t());
-        let faulty = |r| n - self.nonfaulty(r).len();
-        debug_assert!((0..self.run_count()).all(|r| faulty(r) <= t), "|F| > t");
-        let mut t_faulty = self.points_where_run(|r| faulty(r) == t);
+        let mut t_faulty = self.points_where_run(|r| n - self.nonfaulty(r).len() == t);
         t_faulty.intersect_with(inner);
         self.common_knowledge_pass(&t_faulty, true)
     }
@@ -629,8 +634,8 @@ mod tests {
     #[test]
     fn knows_set_is_its_definition_on_sparse_and_dense_operands() {
         // `K_i φ` is the union of `i`'s classes inside `φ`. `¬∃0` holds
-        // in one run in eight and `∃0` in the rest, so both ways of
-        // marking doubted ids run, and neither is known everywhere.
+        // in one run in eight and `∃0` in the rest, and neither is known
+        // everywhere.
         let sys = small_system();
         for phi in [
             Formula::not(Formula::ExistsInit(Value::Zero)),
@@ -737,6 +742,28 @@ mod tests {
             Ok(_) => panic!("horizon mismatch must be rejected"),
         };
         assert!(err.to_string().contains("horizon mismatch"), "{err}");
+    }
+
+    #[test]
+    fn stores_with_more_than_t_faulty_agents_are_rejected() {
+        // `C_N(t-faulty ∧ φ)`'s one pass is exact only if `|F| ≤ t` in
+        // every run: a hand-built run with `|F| = 2 > t` is refused.
+        let ctx = Context::minimal(Params::new(3, 1).unwrap());
+        let mut runs = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
+        runs[0].nonfaulty = AgentSet::singleton(AgentId::new(0));
+        let mut store = RunStore::new(3, 4);
+        for run in &runs {
+            store.push_run(run).unwrap();
+        }
+        let ex = ctx.into_parts().0;
+        let errors = [
+            InterpretedSystem::from_store(ex, store).err(),
+            crate::oracle::from_runs(ex, runs, 4).err(),
+        ];
+        for err in errors {
+            let err = err.expect("a run with |F| > t must be rejected");
+            assert!(err.to_string().contains("more than t = 1"), "{err}");
+        }
     }
 
     #[test]

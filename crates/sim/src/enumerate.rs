@@ -525,7 +525,9 @@ struct ItemSearch<'a, E: InformationExchange, P> {
 /// One row of a receiver's successor table: the successor, its interned
 /// id, and the senders the receiver misses to reach it.
 struct Successor<S> {
-    state: S,
+    /// `None` in the last round's tables, whose states were moved into
+    /// the arena: a child at the horizon is a run, never expanded.
+    state: Option<S>,
     id: StateId,
     dropped: AgentSet,
 }
@@ -579,6 +581,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         // child yields a run of its own, so the product of the table sizes
         // may not exceed the run budget.
         let crashed = self.faulty.difference(alive);
+        let last = m + 1 == self.item.horizon;
         let budget = self.limit - self.item.len();
         let mut children = 1usize;
         let mut columns: Vec<Vec<Successor<E::State>>> = Vec::with_capacity(n);
@@ -600,7 +603,11 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
                     msg.filter(|_| !lost.contains(from))
                 }));
                 let state = deliver_one(self.ex, current, &actions, to, &received);
-                let id = self.item.arena.intern(&state)?;
+                let (id, state) = if last {
+                    (self.item.arena.intern_owned(state)?, None)
+                } else {
+                    (self.item.arena.intern(&state)?, Some(state))
+                };
                 if crash || distinct.insert(id) {
                     rows.push(Successor { state, id, dropped });
                 }
@@ -649,8 +656,14 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
                 alive
             };
             if !crash || visited.insert((self.path[self.path.len() - n..].to_vec(), still_alive)) {
-                let child: Vec<&E::State> = rows().map(|row| &row.state).collect();
-                self.expand(&child, still_alive)?;
+                // Rows without a state are the last round's: the child is a run.
+                match rows()
+                    .map(|row| row.state.as_ref())
+                    .collect::<Option<Vec<_>>>()
+                {
+                    Some(child) => self.expand(&child, still_alive)?,
+                    None => self.commit()?,
+                }
             }
             self.path.truncate(self.path.len() - n);
             return Ok(());

@@ -36,7 +36,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use eba_core::exchange::InformationExchange;
 use eba_core::types::{Action, AgentSet, EbaError, Value};
@@ -64,13 +64,54 @@ impl StateId {
 
 /// Interns values so each distinct one is stored exactly once.
 ///
-/// The reverse index is a hash-bucket map (`hash → candidate ids`), not a
-/// `HashMap<S, StateId>`, so every state is held in memory once — in the
-/// dense `states` vector — rather than duplicated as a map key.
+/// Every state is held in memory once, in the dense `states` vector, next
+/// to the [`DefaultHasher`] hash it was interned under. The reverse index
+/// maps a hash to the first id with it, and ids that share a hash are
+/// chained through `next`, so the index has one slot per distinct hash and
+/// a new state costs 12 bytes besides itself and its index slot, with no
+/// allocation of its own. The index's key already is a hash, so the map
+/// hashes it with a pass-through hasher.
 #[derive(Clone, Debug)]
 pub struct StateArena<S> {
     states: Vec<S>,
-    index: HashMap<u64, Vec<StateId>>,
+    /// `hashes[id]`: the hash `states[id]` was interned under.
+    hashes: Vec<u64>,
+    /// `next[id]`: the next id with the same hash, or [`NO_ID`].
+    next: Vec<u32>,
+    /// The first id with each hash.
+    index: HashMap<u64, u32, BuildHasherDefault<HashIsKey>>,
+}
+
+/// The end of a hash chain; never an id, because the arena stops short of
+/// `u32::MAX` states.
+const NO_ID: u32 = u32::MAX;
+
+/// The index's hasher: its keys are already hashes, so `finish` returns
+/// the key as written.
+#[derive(Default)]
+struct HashIsKey(u64);
+
+impl Hasher for HashIsKey {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this hasher, through `write_u64`.
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
+    }
+}
+
+fn hash_of<S: Hash>(state: &S) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    state.hash(&mut hasher);
+    hasher.finish()
 }
 
 impl<S: Clone + Eq + Hash> StateArena<S> {
@@ -78,7 +119,9 @@ impl<S: Clone + Eq + Hash> StateArena<S> {
     pub fn new() -> Self {
         StateArena {
             states: Vec::new(),
-            index: HashMap::new(),
+            hashes: Vec::new(),
+            next: Vec::new(),
+            index: HashMap::default(),
         }
     }
 
@@ -89,23 +132,59 @@ impl<S: Clone + Eq + Hash> StateArena<S> {
     /// Returns [`EbaError::InvalidInput`] if the arena already holds
     /// `u32::MAX` distinct states (the id space is exhausted).
     pub fn intern(&mut self, state: &S) -> Result<StateId, EbaError> {
-        let mut h = DefaultHasher::new();
-        state.hash(&mut h);
-        let bucket = self.index.entry(h.finish()).or_default();
-        for &id in bucket.iter() {
-            if &self.states[id.index()] == state {
-                return Ok(id);
-            }
+        let hash = hash_of(state);
+        match self.find(hash, state) {
+            Some(id) => Ok(id),
+            None => self.push(hash, state.clone()),
         }
-        if self.states.len() >= u32::MAX as usize {
+    }
+
+    /// [`intern`](Self::intern) by move: `state` is dropped if the arena
+    /// already holds it.
+    pub(crate) fn intern_owned(&mut self, state: S) -> Result<StateId, EbaError> {
+        self.intern_hashed(hash_of(&state), state)
+    }
+
+    /// [`intern_owned`](Self::intern_owned) of a state whose hash is
+    /// already known, as [`into_hashed`](Self::into_hashed) hands it out.
+    pub(crate) fn intern_hashed(&mut self, hash: u64, state: S) -> Result<StateId, EbaError> {
+        debug_assert_eq!(hash, hash_of(&state), "a state moved with another hash");
+        match self.find(hash, &state) {
+            Some(id) => Ok(id),
+            None => self.push(hash, state),
+        }
+    }
+
+    fn find(&self, hash: u64, state: &S) -> Option<StateId> {
+        let mut id = *self.index.get(&hash)?;
+        while id != NO_ID {
+            if self.states[id as usize] == *state {
+                return Some(StateId(id));
+            }
+            id = self.next[id as usize];
+        }
+        None
+    }
+
+    /// Appends a state [`find`](Self::find) did not see, at the head of its
+    /// hash's chain.
+    fn push(&mut self, hash: u64, state: S) -> Result<StateId, EbaError> {
+        if self.states.len() >= NO_ID as usize {
             return Err(EbaError::InvalidInput(
                 "state arena exhausted: more than u32::MAX distinct states".into(),
             ));
         }
-        let id = StateId(self.states.len() as u32);
-        self.states.push(state.clone());
-        bucket.push(id);
-        Ok(id)
+        let id = self.states.len() as u32;
+        self.next.push(self.index.insert(hash, id).unwrap_or(NO_ID));
+        self.hashes.push(hash);
+        self.states.push(state);
+        Ok(StateId(id))
+    }
+
+    /// Moves every state out with the hash it was interned under, in id
+    /// order, each in a slot to [`take`](Option::take) it from.
+    pub(crate) fn into_hashed(self) -> Vec<Option<(u64, S)>> {
+        self.hashes.into_iter().zip(self.states).map(Some).collect()
     }
 
     /// The interned state behind `id`.
@@ -327,24 +406,31 @@ impl<E: InformationExchange> RunSink<E> for RunStore<E> {
         self.push_run(&run)
     }
 
-    /// Takes the item's id rows without re-hashing every point: each
+    /// Takes the item's id rows and moves its states in with the hashes
+    /// its worker computed, so nothing is hashed or cloned here: each
     /// item-local id is mapped to a global [`StateId`] once, at its first
     /// occurrence in run-major/time/agent order — the order
     /// [`push_run`](RunStore::push_run) interns in, so ids, arena order
     /// and columns are exactly what pushing the item's runs would build.
+    /// A state the arena already holds is dropped, a new one moved in.
     fn accept_item(&mut self, item: ItemRuns<E>) -> Result<(), EbaError> {
         if item.horizon != self.horizon || item.inits.len() != self.n {
             let rows = item.horizon as usize;
             return Err(self.shape_mismatch(rows + 1, item.inits.len(), rows));
         }
-        ensure_point_capacity(self.run_count() + item.len(), self.horizon)?;
-        let mut global: Vec<Option<StateId>> = vec![None; item.arena.len()];
+        let runs = item.len();
+        ensure_point_capacity(self.run_count() + runs, self.horizon)?;
+        let mut states = item.arena.into_hashed();
+        let mut global: Vec<Option<StateId>> = vec![None; states.len()];
         for row in item.state_ids.chunks_exact(self.n) {
             for (column, local) in self.state_ids.iter_mut().zip(row) {
                 let id = match global[local.index()] {
                     Some(id) => id,
                     None => {
-                        let id = self.arena.intern(item.arena.get(*local))?;
+                        let (hash, state) = states[local.index()]
+                            .take()
+                            .expect("an item-local id is mapped at its first occurrence only");
+                        let id = self.arena.intern_hashed(hash, state)?;
                         global[local.index()] = Some(id);
                         id
                     }
@@ -352,7 +438,7 @@ impl<E: InformationExchange> RunSink<E> for RunStore<E> {
                 column.push(id);
             }
         }
-        for _ in 0..item.len() {
+        for _ in 0..runs {
             self.nonfaulty.push(item.nonfaulty);
             self.inits.extend_from_slice(&item.inits);
         }
@@ -429,6 +515,129 @@ mod tests {
         assert_eq!(arena.len(), 2);
         assert_eq!(*arena.get(b), 9);
         assert_eq!(arena.states(), &[7, 9]);
+    }
+
+    /// A local state whose hash is a constant: every two of them collide.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    struct Colliding(u8);
+
+    impl Hash for Colliding {
+        fn hash<H: Hasher>(&self, hasher: &mut H) {
+            hasher.write_u8(0);
+        }
+    }
+
+    /// Just enough of an exchange to type a store of [`Colliding`] states.
+    struct CollidingExchange;
+
+    impl InformationExchange for CollidingExchange {
+        type State = Colliding;
+        type Message = ();
+
+        fn name(&self) -> &'static str {
+            "E_colliding"
+        }
+
+        fn params(&self) -> Params {
+            Params::new(2, 0).unwrap()
+        }
+
+        fn initial_state(&self, _: AgentId, init: Value) -> Colliding {
+            Colliding(init.as_bit())
+        }
+
+        fn broadcast(&self, _: AgentId, _: &Colliding, _: Action) -> Option<()> {
+            None
+        }
+
+        fn update(&self, _: AgentId, state: &Colliding, _: Action, _: &[Option<&()>]) -> Colliding {
+            Colliding(state.0 + 2)
+        }
+
+        fn time(&self, state: &Colliding) -> u32 {
+            u32::from(state.0 / 2)
+        }
+
+        fn init(&self, state: &Colliding) -> Value {
+            Value::from_bit(state.0 % 2)
+        }
+
+        fn decided(&self, _: &Colliding) -> Option<Value> {
+            None
+        }
+
+        fn message_bits(&self, _: &()) -> u64 {
+            0
+        }
+    }
+
+    #[test]
+    fn colliding_states_are_told_apart_along_their_chain() {
+        let mut arena = StateArena::new();
+        let ids: Vec<StateId> = [5, 3, 5, 9, 3, 0]
+            .into_iter()
+            .map(|v| arena.intern(&Colliding(v)).unwrap())
+            .collect();
+        let id = |i: u32| StateId(i);
+        assert_eq!(ids, [id(0), id(1), id(0), id(2), id(1), id(3)]);
+        assert_eq!(arena.intern_owned(Colliding(9)).unwrap(), id(2));
+        assert_eq!(arena.intern_owned(Colliding(7)).unwrap(), id(4));
+        assert_eq!(arena.len(), 5);
+        let values: Vec<u8> = arena.states().iter().map(|s| s.0).collect();
+        assert_eq!(values, [5, 3, 9, 0, 7]);
+    }
+
+    /// Two hand-built items of `(2, 0)` runs at horizon 1 over colliding
+    /// states. Each item's arena interns its states in an order other
+    /// than their first occurrence in its rows, and the second item
+    /// shares states with the first.
+    fn colliding_items() -> [ItemRuns<CollidingExchange>; 2] {
+        let item = |inits: [u8; 2], arena_order: &[u8], rows: &[[u8; 4]]| {
+            let mut arena = StateArena::new();
+            for &v in arena_order {
+                arena.intern(&Colliding(v)).unwrap();
+            }
+            let state_ids = rows
+                .iter()
+                .flatten()
+                .map(|&v| arena.intern(&Colliding(v)).unwrap())
+                .collect();
+            ItemRuns {
+                nonfaulty: AgentSet::full(2),
+                inits: inits.map(Value::from_bit).to_vec(),
+                horizon: 1,
+                arena,
+                state_ids,
+                actions: vec![Action::Noop; 2 * rows.len()],
+            }
+        };
+        [
+            item([0, 1], &[3, 2, 1, 0], &[[0, 1, 2, 3], [0, 1, 3, 2]]),
+            item([1, 1], &[9, 3, 1, 7], &[[1, 1, 3, 9], [1, 1, 7, 3]]),
+        ]
+    }
+
+    #[test]
+    fn accepting_items_of_colliding_states_builds_what_pushing_their_runs_does() {
+        let mut accepted: RunStore<CollidingExchange> = RunStore::new(2, 1);
+        let mut pushed: RunStore<CollidingExchange> = RunStore::new(2, 1);
+        for item in colliding_items() {
+            accepted.accept_item(item).unwrap();
+        }
+        for run in colliding_items().into_iter().flat_map(ItemRuns::into_runs) {
+            pushed.push_run(&run).unwrap();
+        }
+        assert_eq!(accepted.run_count(), 4);
+        assert_eq!(accepted.arena().states(), pushed.arena().states());
+        let values: Vec<u8> = accepted.arena().states().iter().map(|s| s.0).collect();
+        assert_eq!(values, [0, 1, 2, 3, 9, 7]);
+        for agent in 0..2 {
+            assert_eq!(accepted.state_ids(agent), pushed.state_ids(agent));
+        }
+        for run in 0..4 {
+            assert_eq!(accepted.nonfaulty(run), pushed.nonfaulty(run));
+            assert_eq!(accepted.inits(run), pushed.inits(run));
+        }
     }
 
     #[test]

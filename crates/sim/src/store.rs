@@ -383,8 +383,22 @@ impl<E: InformationExchange> RunStore<E> {
     }
 
     /// The action `agent` performs in round `round + 1` of `run`.
+    ///
+    /// # Panics
+    ///
+    /// If `round ≥ horizon` or `agent ≥ n`, instead of reading the entry
+    /// of another round or agent, or if `run` is out of range.
     pub fn action(&self, run: usize, round: u32, agent: usize) -> Action {
-        debug_assert!(round < self.horizon);
+        assert!(
+            round < self.horizon,
+            "round {round} is past the store's horizon {}",
+            self.horizon
+        );
+        assert!(
+            agent < self.n,
+            "agent {agent} is out of range for a store of {} agents",
+            self.n
+        );
         self.actions[(run * self.horizon as usize + round as usize) * self.n + agent]
     }
 
@@ -638,6 +652,26 @@ mod tests {
             assert_eq!(accepted.nonfaulty(run), pushed.nonfaulty(run));
             assert_eq!(accepted.inits(run), pushed.inits(run));
         }
+    }
+
+    /// The `(3, 0)` `E_min` store at horizon 3: 8 runs of 3 rounds.
+    fn min_store_3_0() -> RunStore<MinExchange> {
+        let ctx = Context::minimal(Params::new(3, 0).unwrap());
+        Scenario::of(&ctx).horizon(3).enumerate_store().unwrap()
+    }
+
+    #[test]
+    #[should_panic(expected = "round 3 is past the store's horizon 3")]
+    fn action_refuses_a_round_past_the_horizon() {
+        // Would read run 1's round-0 entry.
+        min_store_3_0().action(0, 3, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "agent 3 is out of range for a store of 3 agents")]
+    fn action_refuses_an_agent_out_of_range() {
+        // Would read agent 0's round-1 entry.
+        min_store_3_0().action(0, 0, 3);
     }
 
     #[test]

@@ -45,12 +45,14 @@
 //! One item is a depth-first search over a single mutable prefix (push a
 //! round, recurse, pop). Every successor local state is interned into an
 //! item-local [`StateArena`] as it is produced, so a global state is a
-//! vector of `n` small ids. A node's branch points are its droppable
-//! messages; receiver `j`'s *column* is the `k_j` senders whose message it
-//! may miss. The node tabulates each receiver's successors first: one
-//! [`deliver_one`] call per subset of the column, in descending subset
-//! order, so a node costs `Σ_j 2^{k_j}` updates where visiting every drop
-//! mask would cost `n · 2^{Σ_j k_j}`. A table keeps each distinct
+//! vector of `n` small ids; the last round's successors are moved in,
+//! since a child at the horizon is a run, committed without its states.
+//! A node's branch points are its droppable messages; receiver `j`'s
+//! *column* is the `k_j` senders whose message it may miss. The node
+//! tabulates each receiver's successors first: one [`deliver_one`] call
+//! per subset of the column, in descending subset order, so a node costs
+//! `Σ_j 2^{k_j}` updates where visiting every drop mask would cost
+//! `n · 2^{Σ_j k_j}`. A table keeps each distinct
 //! successor once, with the largest subset that yields it.
 //!
 //! Outside `Crash` the children of the node are exactly the product of the
@@ -86,8 +88,9 @@
 //!
 //! A finished item travels to the [`RunSink`] as an [`ItemRuns`]: id rows
 //! plus the item's arena. The interning [`RunStore`](crate::store::RunStore)
-//! takes it as is; every other sink receives the runs one at a time,
-//! materialised into [`EnumRun`]s as they are handed over. The engine
+//! takes it as is, moving the arena's states into its own with the hashes
+//! they were interned under; every other sink receives the runs one at a
+//! time, materialised into [`EnumRun`]s as they are handed over. The engine
 //! never holds the whole run set: peak residency is one item
 //! (sequential) or the reorder window (parallel) — a worker may only
 //! start item `idx` while `idx < next undelivered + window`, with

@@ -19,13 +19,14 @@
 //! ([`Scenario::enumerate_into`](crate::scenario::Scenario::enumerate_into), or
 //! [`Scenario::enumerate_store`](crate::scenario::Scenario::enumerate_store)):
 //! each finished work item arrives as rows of ids over the item's own
-//! small arena ([`ItemRuns`]) and only its distinct states are interned,
-//! so neither the full `Vec<EnumRun<E>>` nor any single `EnumRun` ever
-//! exists. Peak memory is the arena (distinct
+//! small arena ([`ItemRuns`]), and only its distinct states move into the
+//! store's arena, together with the hashes the worker interned them
+//! under, so neither the full `Vec<EnumRun<E>>` nor any single `EnumRun`
+//! ever exists. Peak memory is the arena (distinct
 //! states) plus `4`-byte ids per `(agent, point)` — for the ~98k-run
 //! `E_fip/P_opt` `(3, 1)` context that replaces ~1.47M stored
-//! full-information states with ~68k distinct ones (measured: 37 MiB
-//! peak RSS streamed vs 274 MiB collected; see
+//! full-information states with ~68k distinct ones (measured on one
+//! core: 26 MiB peak RSS streamed vs 185 MiB collected; see
 //! `examples/memory_layout.rs`).
 //!
 //! Interned ids also make downstream work cheaper: two points have equal
@@ -36,7 +37,7 @@
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
 
 use eba_core::exchange::InformationExchange;
 use eba_core::types::{Action, AgentSet, EbaError, Value};
@@ -82,12 +83,10 @@ pub struct StateArena<S> {
     index: HashMap<u64, u32, BuildHasherDefault<HashIsKey>>,
 }
 
-/// The end of a hash chain; never an id, because the arena stops short of
-/// `u32::MAX` states.
+/// The end of a hash chain (never an id: ids stay below `u32::MAX`).
 const NO_ID: u32 = u32::MAX;
 
-/// The index's hasher: its keys are already hashes, so `finish` returns
-/// the key as written.
+/// The index's hasher: its keys already are hashes.
 #[derive(Default)]
 struct HashIsKey(u64);
 
@@ -96,11 +95,8 @@ impl Hasher for HashIsKey {
         self.0
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        // Only `u64` keys reach this hasher, through `write_u64`.
-        for &byte in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
-        }
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the index is keyed by `u64` hashes, through `write_u64`");
     }
 
     fn write_u64(&mut self, key: u64) {
@@ -109,9 +105,7 @@ impl Hasher for HashIsKey {
 }
 
 fn hash_of<S: Hash>(state: &S) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    state.hash(&mut hasher);
-    hasher.finish()
+    BuildHasherDefault::<DefaultHasher>::default().hash_one(state)
 }
 
 impl<S: Clone + Eq + Hash> StateArena<S> {
@@ -133,10 +127,8 @@ impl<S: Clone + Eq + Hash> StateArena<S> {
     /// `u32::MAX` distinct states (the id space is exhausted).
     pub fn intern(&mut self, state: &S) -> Result<StateId, EbaError> {
         let hash = hash_of(state);
-        match self.find(hash, state) {
-            Some(id) => Ok(id),
-            None => self.push(hash, state.clone()),
-        }
+        self.find(hash, state)
+            .map_or_else(|| self.push(hash, state.clone()), Ok)
     }
 
     /// [`intern`](Self::intern) by move: `state` is dropped if the arena
@@ -149,10 +141,8 @@ impl<S: Clone + Eq + Hash> StateArena<S> {
     /// already known, as [`into_hashed`](Self::into_hashed) hands it out.
     pub(crate) fn intern_hashed(&mut self, hash: u64, state: S) -> Result<StateId, EbaError> {
         debug_assert_eq!(hash, hash_of(&state), "a state moved with another hash");
-        match self.find(hash, &state) {
-            Some(id) => Ok(id),
-            None => self.push(hash, state),
-        }
+        self.find(hash, &state)
+            .map_or_else(|| self.push(hash, state), Ok)
     }
 
     fn find(&self, hash: u64, state: &S) -> Option<StateId> {
@@ -166,8 +156,7 @@ impl<S: Clone + Eq + Hash> StateArena<S> {
         None
     }
 
-    /// Appends a state [`find`](Self::find) did not see, at the head of its
-    /// hash's chain.
+    /// Appends a state `find` missed, at the head of its hash's chain.
     fn push(&mut self, hash: u64, state: S) -> Result<StateId, EbaError> {
         if self.states.len() >= NO_ID as usize {
             return Err(EbaError::InvalidInput(
@@ -386,19 +375,11 @@ impl<E: InformationExchange> RunStore<E> {
     ///
     /// # Panics
     ///
-    /// If `round ≥ horizon` or `agent ≥ n`, instead of reading the entry
-    /// of another round or agent, or if `run` is out of range.
+    /// If `run`, `round` or `agent` is out of range.
     pub fn action(&self, run: usize, round: u32, agent: usize) -> Action {
-        assert!(
-            round < self.horizon,
-            "round {round} is past the store's horizon {}",
-            self.horizon
-        );
-        assert!(
-            agent < self.n,
-            "agent {agent} is out of range for a store of {} agents",
-            self.n
-        );
+        let (horizon, n) = (self.horizon, self.n);
+        assert!(round < horizon, "round {round} past horizon {horizon}");
+        assert!(agent < n, "agent {agent} out of range for {n} agents");
         self.actions[(run * self.horizon as usize + round as usize) * self.n + agent]
     }
 
@@ -441,9 +422,7 @@ impl<E: InformationExchange> RunSink<E> for RunStore<E> {
                 let id = match global[local.index()] {
                     Some(id) => id,
                     None => {
-                        let (hash, state) = states[local.index()]
-                            .take()
-                            .expect("an item-local id is mapped at its first occurrence only");
+                        let (hash, state) = states[local.index()].take().expect("moved once");
                         let id = self.arena.intern_hashed(hash, state)?;
                         global[local.index()] = Some(id);
                         id
@@ -661,14 +640,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "round 3 is past the store's horizon 3")]
+    #[should_panic(expected = "round 3 past horizon 3")]
     fn action_refuses_a_round_past_the_horizon() {
         // Would read run 1's round-0 entry.
         min_store_3_0().action(0, 3, 0);
     }
 
     #[test]
-    #[should_panic(expected = "agent 3 is out of range for a store of 3 agents")]
+    #[should_panic(expected = "agent 3 out of range for 3 agents")]
     fn action_refuses_an_agent_out_of_range() {
         // Would read agent 0's round-1 entry.
         min_store_3_0().action(0, 0, 3);

@@ -3,7 +3,7 @@
 //! a canonical text that re-parses to the identical [`ScenarioSpec`] — and
 //! malformed fixtures are rejected with the offending field and 1-based
 //! line named. The committed `corpus/` scenarios also pin the lockstep
-//! run's traffic counters.
+//! run's traffic counters and its 0-chains.
 
 use eba::core::corpus::ParseError;
 use eba::prelude::*;
@@ -348,5 +348,78 @@ fn corpus_traffic_is_pinned() {
         assert_eq!(scenario.path.file_name().unwrap(), file);
         let stack = scenario.spec.to_stack().unwrap();
         assert_eq!(stack.visit(TrafficOf(&scenario.spec)), traffic, "{file}");
+    }
+}
+
+/// One lockstep run of a scenario, reduced to its 0-chains (§6): per
+/// agent, the chain [`zero_chain_ending_at`] reconstructs (`[i_0 … i_m]`,
+/// `-` for none), then the agent [`verify_zero_chains`] reports (`-` for
+/// `Ok`).
+struct ChainsOf<'s>(&'s ScenarioSpec);
+
+impl StackVisitor for ChainsOf<'_> {
+    type Output = (String, String);
+
+    fn visit<E, P>(self, ctx: &Context<E, P>) -> (String, String)
+    where
+        E: InformationExchange + Clone + Sync + 'static,
+        P: ActionProtocol<E> + Clone + Sync + 'static,
+    {
+        let case = &self.0.case;
+        let trace = Scenario::of(ctx)
+            .pattern(case.pattern.clone())
+            .inits(&case.inits)
+            .horizon(case.horizon)
+            .run()
+            .unwrap();
+        let chains: Vec<String> = ctx
+            .params()
+            .agents()
+            .map(|a| match zero_chain_ending_at(&trace, a) {
+                Some(chain) => {
+                    let ids: Vec<String> = chain.iter().map(|a| a.index().to_string()).collect();
+                    format!("[{}]", ids.join(" "))
+                }
+                None => "-".into(),
+            })
+            .collect();
+        let verdict = match verify_zero_chains(&trace) {
+            Ok(()) => "-".into(),
+            Err(agent) => agent.index().to_string(),
+        };
+        (chains.join(" "), verdict)
+    }
+}
+
+/// The 0-chains of §6 pinned per corpus scenario as `(chains, verdict)`:
+/// each agent's [`zero_chain_ending_at`] and the agent
+/// [`verify_zero_chains`] flags, so the reconstruction's inputs can change
+/// and its answers cannot.
+#[test]
+fn corpus_zero_chains_are_pinned() {
+    const PINNED: [(&str, &str, &str); 10] = [
+        ("01_basic_failure_free.eba", "[0] [0 1] [0 2] [3]", "-"),
+        ("02_basic_silent_so.eba", "- - - -", "-"),
+        ("03_min_crash_from_start.eba", "[0] - -", "-"),
+        ("04_fip_isolation_go.eba", "[1 0] [1] [1 2] -", "-"),
+        ("05_naive_whisper_go.eba", "[0] - -", "2"),
+        ("06_naive_whisper_so.eba", "[0] - -", "2"),
+        ("07_min_so_partial.eba", "[0] [0 1] [2] [0 3]", "-"),
+        ("08_basic_go_receive.eba", "[1 0] [1] -", "-"),
+        (
+            "09_fip_so_two_faulty.eba",
+            "[2 0] [2 1] [2] [2 3] [2 4]",
+            "-",
+        ),
+        ("10_naive_failure_free.eba", "[0] [0 1] [0 2]", "-"),
+    ];
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let loaded = eba::experiments::corpus::load_dir(&corpus).unwrap();
+    assert_eq!(loaded.len(), PINNED.len());
+    for (scenario, (file, chains, verdict)) in loaded.iter().zip(PINNED) {
+        assert_eq!(scenario.path.file_name().unwrap(), file);
+        let stack = scenario.spec.to_stack().unwrap();
+        let got = stack.visit(ChainsOf(&scenario.spec));
+        assert_eq!(got, (chains.into(), verdict.into()), "{file}");
     }
 }

@@ -297,12 +297,35 @@ impl NamedStack {
     }
 }
 
+/// The longest horizon any entry point runs, in rounds. Every registry
+/// stack decides by round `t + 2 ≤ AgentId::MAX_AGENTS + 1 = 129`, so a
+/// longer run only repeats `noop`s; refusing it keeps an `.eba` file, a
+/// session spec or a trial plan from sizing a run's buffers by an
+/// arbitrary `u32`.
+pub const MAX_HORIZON: u32 = 1024;
+
+/// Refuses a horizon above [`MAX_HORIZON`], naming the `horizon` argument.
+///
+/// # Errors
+///
+/// Returns [`EbaError::InvalidInput`] for `horizon > MAX_HORIZON`.
+pub fn check_horizon(horizon: u32) -> Result<(), EbaError> {
+    if horizon > MAX_HORIZON {
+        return Err(EbaError::InvalidInput(format!(
+            "horizon: got {horizon} rounds (expected at most MAX_HORIZON = {MAX_HORIZON}: \
+             every stack decides by round t + 2)"
+        )));
+    }
+    Ok(())
+}
+
 /// Validates the shape of scenario inputs against a context's parameters
 /// in O(1), reporting **every** problem at once (not just the first):
 /// each problem names the offending argument and states the expected
-/// shape. This is the whole check of the run kernel (`eba-sim`'s
-/// `run_rounds`), whose callers sample or build their own patterns;
-/// entry points that accept a pattern from outside go through
+/// shape, and a horizon above [`MAX_HORIZON`] is one of them
+/// ([`check_horizon`]). This is the whole check of the run kernel
+/// (`eba-sim`'s `run_rounds`), whose callers sample or build their own
+/// patterns; entry points that accept a pattern from outside go through
 /// [`admit_scenario`], which starts with it.
 ///
 /// # Errors
@@ -313,6 +336,7 @@ pub fn validate_scenario_shape(
     params: Params,
     pattern: &FailurePattern,
     inits: &[Value],
+    horizon: u32,
 ) -> Result<(), EbaError> {
     let mut problems = Vec::new();
     if inits.len() != params.n() {
@@ -328,6 +352,9 @@ pub fn validate_scenario_shape(
             pattern.params(),
             params
         ));
+    }
+    if let Err(e) = check_horizon(horizon) {
+        problems.push(error_message(&e));
     }
     if problems.is_empty() {
         Ok(())
@@ -350,7 +377,8 @@ pub fn validate_scenario_shape(
 ///
 /// Returns [`EbaError::InvalidInput`] listing every problem found,
 /// `; `-separated (the model check needs a pattern of the right
-/// parameters, so a parameter mismatch is reported without it).
+/// parameters and a horizon it can walk, so a parameter mismatch or a
+/// refused horizon is reported without it).
 pub fn admit_scenario(
     params: Params,
     model: FailureModel,
@@ -358,12 +386,12 @@ pub fn admit_scenario(
     inits: &[Value],
     horizon: u32,
 ) -> Result<(), EbaError> {
-    let mut problems: Vec<String> = validate_scenario_shape(params, pattern, inits)
+    let mut problems: Vec<String> = validate_scenario_shape(params, pattern, inits, horizon)
         .err()
         .iter()
         .map(error_message)
         .collect();
-    if pattern.params() == params {
+    if pattern.params() == params && horizon <= MAX_HORIZON {
         if let Err(e) = model.admits_pattern_up_to(pattern, horizon) {
             problems.push(format!(
                 "pattern: not admissible under the context's {model} model ({})",
@@ -505,18 +533,22 @@ mod tests {
     #[test]
     fn shape_validation_reports_all_problems() {
         let pattern = FailurePattern::failure_free(Params::new(5, 1).unwrap());
-        let err = validate_scenario_shape(params(), &pattern, &[Value::One; 3]).unwrap_err();
+        let err =
+            validate_scenario_shape(params(), &pattern, &[Value::One; 3], u32::MAX).unwrap_err();
         let msg = err.to_string();
         assert!(msg.contains("inits: got 3"), "{msg}");
         assert!(msg.contains("expected n = 4"), "{msg}");
         assert!(msg.contains("pattern: got a pattern built for"), "{msg}");
         assert!(msg.contains("(n = 5, t = 1)"), "{msg}");
+        assert!(msg.contains("horizon: got 4294967295 rounds"), "{msg}");
     }
 
     #[test]
     fn shape_validation_accepts_matching_inputs() {
         let pattern = FailurePattern::failure_free(params());
-        assert!(validate_scenario_shape(params(), &pattern, &[Value::One; 4]).is_ok());
+        for horizon in [0, 4, MAX_HORIZON] {
+            assert!(validate_scenario_shape(params(), &pattern, &[Value::One; 4], horizon).is_ok());
+        }
     }
 
     #[test]

@@ -96,11 +96,13 @@ impl FieldLines {
     /// Best-effort source line for one problem reported by
     /// [`ScenarioSpec::validate`]: the
     /// problems are prefixed by the argument they concern (`inits:`,
-    /// `pattern:`) or mention the pattern's drops. Returns 0 when the
-    /// field never appeared in the file.
+    /// `horizon:`, `pattern:`) or mention the pattern's drops. Returns 0
+    /// when the field never appeared in the file.
     pub fn locate(&self, problem: &str) -> usize {
         if problem.starts_with("inits") {
             self.inits
+        } else if problem.starts_with("horizon") {
+            self.horizon
         } else if problem.contains("drop") || problem.contains("silent") {
             if self.first_drop != 0 {
                 self.first_drop

@@ -100,33 +100,6 @@ pub trait InformationExchange {
     fn message_bits(&self, msg: &Self::Message) -> u64;
 }
 
-/// Observes the message traffic of a round of the global transition: the
-/// hooks fire once per round when the actions are fixed (`on_round`), for
-/// every recipient of a non-`⊥` message selected by `μ` (`on_send`), and
-/// for every message that survives the delivery filter (`on_deliver`).
-///
-/// This is how the lockstep runner hangs its metrics accounting and
-/// delivery recording off the shared round-step routine without the
-/// routine knowing about traces.
-pub trait RoundObserver<E: InformationExchange> {
-    /// A round begins with these actions, one per agent; fired before any
-    /// of the round's `on_send`s.
-    fn on_round(&mut self, _actions: &[Action]) {}
-
-    /// A non-`⊥` message was selected for sending to `_to`.
-    fn on_send(&mut self, _from: AgentId, _to: AgentId, _msg: &E::Message) {}
-
-    /// A message passed the delivery filter and will reach `_to`.
-    fn on_deliver(&mut self, _from: AgentId, _to: AgentId, _msg: &E::Message) {}
-}
-
-/// The do-nothing [`RoundObserver`], for callers that only need the
-/// successor states.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoObserver;
-
-impl<E: InformationExchange> RoundObserver<E> for NoObserver {}
-
 /// The initial global state: agent `i` starts in `⟨0, inits[i], ⊥, …⟩`.
 pub fn initial_states<E: InformationExchange>(ex: &E, inits: &[Value]) -> Vec<E::State> {
     inits
@@ -171,32 +144,21 @@ pub fn record_decisions(
 }
 
 /// The selection half of the global transition of Section 3: entry `i` is
-/// the message agent `i` broadcasts (`None` is `⊥`). Fires `on_round` once,
-/// then `on_send(i, j, …)` for every recipient `j` of a non-`⊥` message.
+/// the message agent `i` broadcasts (`None` is `⊥`). A run's traffic is a
+/// function of its states and actions: `eba-sim`'s `Metrics::of` and
+/// 0-chain reconstruction replay this over a recorded run.
 pub fn select_round<E: InformationExchange>(
     ex: &E,
     states: &[impl Borrow<E::State>],
     actions: &[Action],
-    observer: &mut impl RoundObserver<E>,
 ) -> Vec<Option<E::Message>> {
-    let n = ex.params().n();
-    debug_assert_eq!(states.len(), n, "one state per agent");
-    debug_assert_eq!(actions.len(), n, "one action per agent");
-    observer.on_round(actions);
+    debug_assert_eq!(states.len(), ex.params().n(), "one state per agent");
+    debug_assert_eq!(actions.len(), states.len(), "one action per agent");
     states
         .iter()
         .zip(actions)
         .enumerate()
-        .map(|(i, (state, action))| {
-            let from = AgentId::new(i);
-            let msg = ex.broadcast(from, state.borrow(), *action);
-            if let Some(msg) = &msg {
-                for j in 0..n {
-                    observer.on_send(from, AgentId::new(j), msg);
-                }
-            }
-            msg
-        })
+        .map(|(i, (state, action))| ex.broadcast(AgentId::new(i), state.borrow(), *action))
         .collect()
 }
 
@@ -223,16 +185,14 @@ pub fn deliver_one<E: InformationExchange>(
 /// `from` — the channel, which has already applied the failure pattern
 /// `F` — and `δ_to` updates its state.
 ///
-/// Fires `on_deliver(from, to, …)` receiver-major for every message the
-/// channel yields. The lockstep channel lends what `from` selected if the
-/// pattern delivers it; the wire engine's lends each sender's surviving
-/// frame, decoded once per sender.
+/// The lockstep channel lends what `from` selected if the pattern
+/// delivers it; the wire engine's lends each sender's surviving frame,
+/// decoded once per sender.
 pub fn deliver_round<'m, E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
     mut heard: impl FnMut(AgentId, AgentId) -> Option<&'m E::Message>,
-    observer: &mut impl RoundObserver<E>,
 ) -> Vec<E::State>
 where
     E::Message: 'm,
@@ -243,14 +203,7 @@ where
         .map(|j| {
             let to = AgentId::new(j);
             received.clear();
-            received.extend((0..n).map(|i| {
-                let from = AgentId::new(i);
-                let msg = heard(from, to);
-                if let Some(msg) = msg {
-                    observer.on_deliver(from, to, msg);
-                }
-                msg
-            }));
+            received.extend((0..n).map(|i| heard(AgentId::new(i), to)));
             deliver_one(ex, states, actions, to, &received)
         })
         .collect()
@@ -262,35 +215,18 @@ where
 /// estimator's trials, the enumerator's branches, the wire engine's
 /// sessions, the in-crate exchange tests — goes through these halves, so
 /// they cannot drift apart.
-pub fn step_round_observed<E: InformationExchange>(
-    ex: &E,
-    states: &[E::State],
-    actions: &[Action],
-    delivers: impl Fn(AgentId, AgentId) -> bool,
-    observer: &mut impl RoundObserver<E>,
-) -> Vec<E::State> {
-    let outgoing = select_round(ex, states, actions, observer);
-    deliver_round(
-        ex,
-        states,
-        actions,
-        |from, to| {
-            outgoing[from.index()]
-                .as_ref()
-                .filter(|_| delivers(from, to))
-        },
-        observer,
-    )
-}
-
-/// [`step_round_observed`] without observation: just the successor states.
 pub fn step_round<E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
     delivers: impl Fn(AgentId, AgentId) -> bool,
 ) -> Vec<E::State> {
-    step_round_observed(ex, states, actions, delivers, &mut NoObserver)
+    let outgoing = select_round(ex, states, actions);
+    deliver_round(ex, states, actions, |from, to| {
+        outgoing[from.index()]
+            .as_ref()
+            .filter(|_| delivers(from, to))
+    })
 }
 
 #[cfg(test)]
@@ -317,13 +253,13 @@ mod tests {
             let mut states = initial_states(ex, &inits);
             for _ in 0..ctx.params().default_horizon() {
                 let actions = choose_actions(ctx.protocol(), &states);
-                let outgoing = select_round(ex, &states, &actions, &mut NoObserver);
+                let outgoing = select_round(ex, &states, &actions);
                 let delivered: Vec<bool> = (0..n * n).map(|_| rng.random_bool(0.7)).collect();
                 let heard = |from: AgentId, to: AgentId| {
                     let msg = outgoing[from.index()].as_ref();
                     msg.filter(|_| delivered[from.index() * n + to.index()])
                 };
-                let next = deliver_round(ex, &states, &actions, heard, &mut NoObserver);
+                let next = deliver_round(ex, &states, &actions, heard);
                 for (j, successor) in next.iter().enumerate() {
                     let to = AgentId::new(j);
                     let received: Vec<_> = AgentId::all(n).map(|from| heard(from, to)).collect();

@@ -1,13 +1,9 @@
 //! Property-based invariants of the core data structures (proptest):
 //! agent-set algebra, failure-pattern laws, communication-graph merge and
-//! cone laws under random delivery schedules, the soundness of the
-//! graph knowledge tables against ground truth, and the round kernel's
-//! broadcast contract.
+//! cone laws under random delivery schedules, and the soundness of the
+//! graph knowledge tables against ground truth.
 
 use eba_core::context::admit_scenario;
-use eba_core::exchange::{
-    choose_actions, initial_states, step_round, step_round_observed, RoundObserver,
-};
 use eba_core::graph::{CommGraph, ConeTable, EdgeLabel, KnowledgeTables};
 use eba_core::prelude::*;
 use proptest::prelude::*;
@@ -86,101 +82,8 @@ fn inits_from_bits(n: usize, bits: u64) -> Vec<Value> {
         .collect()
 }
 
-// ---------- helpers: the round kernel's broadcast contract ----------
-
-/// `(from, to, message)`, one per hook call.
-type Hops<M> = Vec<(AgentId, AgentId, M)>;
-
-/// Records a round's `on_send`s and `on_deliver`s in firing order.
-struct Recorder<M> {
-    sent: Hops<M>,
-    delivered: Hops<M>,
-}
-
-impl<E: InformationExchange> RoundObserver<E> for Recorder<E::Message> {
-    fn on_send(&mut self, from: AgentId, to: AgentId, msg: &E::Message) {
-        self.sent.push((from, to, msg.clone()));
-    }
-
-    fn on_deliver(&mut self, from: AgentId, to: AgentId, msg: &E::Message) {
-        self.delivered.push((from, to, msg.clone()));
-    }
-}
-
-/// Steps a stack to `round` under `pattern`, then observes that round:
-/// every non-`⊥` broadcast is `n` sends, recipient by recipient, and one
-/// delivery wherever the pattern delivers — and nothing else is.
-struct BroadcastContract<'a> {
-    pattern: &'a FailurePattern,
-    inits: &'a [Value],
-    round: u32,
-}
-
-impl StackVisitor for BroadcastContract<'_> {
-    type Output = Result<(), TestCaseError>;
-
-    fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
-    where
-        E: InformationExchange + Clone + Sync + 'static,
-        P: ActionProtocol<E> + Clone + Sync + 'static,
-    {
-        let (ex, pattern) = (ctx.exchange(), self.pattern);
-        let mut states = initial_states(ex, self.inits);
-        for m in 0..self.round {
-            let actions = choose_actions(ctx.protocol(), &states);
-            states = step_round(ex, &states, &actions, |from, to| {
-                pattern.delivers(m, from, to)
-            });
-        }
-        let actions = choose_actions(ctx.protocol(), &states);
-        let delivers = |from, to| pattern.delivers(self.round, from, to);
-        let mut seen = Recorder {
-            sent: Vec::new(),
-            delivered: Vec::new(),
-        };
-        step_round_observed(ex, &states, &actions, delivers, &mut seen);
-
-        let agents = || AgentId::all(states.len());
-        let said = |from: AgentId| ex.broadcast(from, &states[from.index()], actions[from.index()]);
-        // Sends fire sender-major, deliveries receiver-major.
-        let sent: Hops<E::Message> = agents()
-            .flat_map(|from| agents().filter_map(move |to| Some((from, to, said(from)?))))
-            .collect();
-        let delivered: Hops<E::Message> = agents()
-            .flat_map(|to| agents().filter_map(move |from| Some((from, to, said(from)?))))
-            .filter(|&(from, to, _)| delivers(from, to))
-            .collect();
-        prop_assert_eq!(seen.sent, sent, "{} sends", ctx.name());
-        prop_assert_eq!(seen.delivered, delivered, "{} deliveries", ctx.name());
-        Ok(())
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
-
-    // ---------- the round kernel ----------
-
-    #[test]
-    fn a_broadcast_is_n_sends_and_a_delivery_where_the_pattern_delivers(
-        stack in 0usize..4,
-        model in 0usize..4,
-        round in 0u32..3,
-        seed in any::<u64>(),
-        bits in any::<u64>(),
-    ) {
-        use rand::SeedableRng;
-        let params = Params::new(4, 1).unwrap();
-        let model = FailureModel::by_name(MODEL_NAMES[model]).unwrap();
-        let name = format!("{}{}", STACK_NAMES[stack], model.suffix());
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let pattern = AdversarySampler::new(model, params, 3, 0.35).sample(&mut rng);
-        NamedStack::by_name(&name, params).unwrap().visit(BroadcastContract {
-            pattern: &pattern,
-            inits: &inits_from_bits(4, bits),
-            round,
-        })?;
-    }
 
     // ---------- AgentSet algebra ----------
 

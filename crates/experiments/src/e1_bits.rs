@@ -44,6 +44,21 @@ impl E1Row {
     }
 }
 
+/// The logical bits one run of `ctx` sends: its [`Metrics`] replayed
+/// from the run and `pattern`.
+fn bits_sent<E, P>(ctx: &Context<E, P>, pattern: &FailurePattern, inits: &[Value]) -> u64
+where
+    E: InformationExchange,
+    P: ActionProtocol<E>,
+{
+    let run = Scenario::of(ctx)
+        .pattern(pattern.clone())
+        .inits(inits)
+        .run()
+        .expect("run");
+    Metrics::of(ctx.exchange(), &run, pattern).bits_sent
+}
+
 /// Runs the sweep. `configs` are `(n, t)` pairs; both scenarios (failure-
 /// free all-ones and silent-faulty all-ones) are measured for each.
 pub fn run(configs: &[(usize, usize)]) -> (Vec<E1Row>, Table) {
@@ -53,26 +68,10 @@ pub fn run(configs: &[(usize, usize)]) -> (Vec<E1Row>, Table) {
         for (scenario, pattern) in scenarios(params) {
             let inits = vec![Value::One; n];
 
-            let min_ctx = Context::minimal(params);
-            let min_trace = Scenario::of(&min_ctx)
-                .pattern(pattern.clone())
-                .inits(&inits)
-                .run()
-                .expect("run");
-
-            let basic_ctx = Context::basic(params);
-            let basic_trace = Scenario::of(&basic_ctx)
-                .pattern(pattern.clone())
-                .inits(&inits)
-                .run()
-                .expect("run");
-
             let fip_ctx = Context::fip(params);
-            let fip_trace = Scenario::of(&fip_ctx)
-                .pattern(pattern.clone())
-                .inits(&inits)
-                .run()
-                .expect("run");
+            let min_bits = bits_sent(&Context::minimal(params), &pattern, &inits);
+            let basic_bits = bits_sent(&Context::basic(params), &pattern, &inits);
+            let fip_bits = bits_sent(&fip_ctx, &pattern, &inits);
             let fip_report = run_named_cluster(
                 &NamedStack::Fip(fip_ctx),
                 &pattern,
@@ -85,9 +84,9 @@ pub fn run(configs: &[(usize, usize)]) -> (Vec<E1Row>, Table) {
                 n,
                 t,
                 scenario,
-                min_bits: min_trace.metrics.bits_sent,
-                basic_bits: basic_trace.metrics.bits_sent,
-                fip_bits: fip_trace.metrics.bits_sent,
+                min_bits,
+                basic_bits,
+                fip_bits,
                 fip_wire_bytes: fip_report.wire_bytes_sent,
             });
         }

@@ -113,19 +113,19 @@ pub fn run(ns: &[usize]) -> (Vec<E2Row>, Table) {
 
 /// (zero-holder round, max other round, unanimous zero).
 fn summarize<E: eba_core::exchange::InformationExchange>(
-    trace: &Trace<E>,
+    run: &EnumRun<E>,
     zero_at: usize,
 ) -> (u32, u32, bool) {
-    let n = trace.params.n();
-    let holder = trace
-        .decision_round(AgentId::new(zero_at))
-        .expect("0-holder decides");
-    let others = (0..n)
-        .filter(|i| *i != zero_at)
-        .map(|i| trace.decision_round(AgentId::new(i)).expect("decides"))
+    let (rounds, values) = run.decisions();
+    let holder = rounds[zero_at].expect("0-holder decides");
+    let others = rounds
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != zero_at)
+        .map(|(_, r)| r.expect("decides"))
         .max()
         .unwrap_or(0);
-    let unanimous = (0..n).all(|i| trace.decision_value(AgentId::new(i)) == Some(Value::Zero));
+    let unanimous = values.iter().all(|v| *v == Some(Value::Zero));
     (holder, others, unanimous)
 }
 

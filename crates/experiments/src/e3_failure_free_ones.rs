@@ -76,17 +76,16 @@ pub fn run(n: usize, ts: &[usize]) -> (Vec<E3Row>, Table) {
 }
 
 /// All agents decide in the same round here; return it.
-fn common_round<E: eba_core::exchange::InformationExchange>(trace: &Trace<E>) -> u32 {
-    let rounds: Vec<u32> = (0..trace.params.n())
-        .map(|i| trace.decision_round(AgentId::new(i)).expect("decides"))
-        .collect();
+fn common_round<E: eba_core::exchange::InformationExchange>(run: &EnumRun<E>) -> u32 {
+    let (rounds, values) = run.decisions();
+    let rounds: Vec<u32> = rounds.into_iter().map(|r| r.expect("decides")).collect();
     let first = rounds[0];
     assert!(
         rounds.iter().all(|r| *r == first),
         "expected a simultaneous decision, got {rounds:?}"
     );
     assert!(
-        (0..trace.params.n()).all(|i| trace.decision_value(AgentId::new(i)) == Some(Value::One)),
+        values.iter().all(|v| *v == Some(Value::One)),
         "expected a unanimous 1"
     );
     first

@@ -60,8 +60,6 @@ pub fn run(n: usize, t: usize, ks: &[usize]) -> (Vec<E4Row>, Table) {
         let pattern = silent_pattern(params, silent, params.default_horizon()).expect("k ≤ t");
         let nonfaulty = pattern.nonfaulty();
 
-        let max_nf = |m: &Metrics| m.max_decision_round(nonfaulty).expect("all decide");
-
         let pmin = Scenario::of(&min_ctx)
             .pattern(pattern.clone())
             .inits(&inits)
@@ -87,10 +85,12 @@ pub fn run(n: usize, t: usize, ks: &[usize]) -> (Vec<E4Row>, Table) {
             n,
             t,
             k,
-            pmin_round: max_nf(&pmin.metrics),
-            pbasic_round: max_nf(&pbasic.metrics),
-            popt_round: max_nf(&popt.metrics),
-            popt_no_ck_round: max_nf(&popt_no_ck.metrics),
+            pmin_round: pmin.max_decision_round(nonfaulty).expect("all decide"),
+            pbasic_round: pbasic.max_decision_round(nonfaulty).expect("all decide"),
+            popt_round: popt.max_decision_round(nonfaulty).expect("all decide"),
+            popt_no_ck_round: popt_no_ck
+                .max_decision_round(nonfaulty)
+                .expect("all decide"),
         });
     }
 

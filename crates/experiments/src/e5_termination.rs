@@ -142,22 +142,23 @@ where
         let inits: Vec<Value> = (0..n)
             .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
             .collect();
-        let trace = Scenario::of(ctx)
+        let run = Scenario::of(ctx)
             .pattern(pattern.clone())
             .inits(&inits)
             .run()
             .expect("run");
-        if check_eba(ctx.exchange(), &trace).is_err() {
+        if check_eba(ctx.exchange(), &run).is_err() {
             eba_violations += 1;
         }
-        if check_decides_by(&trace, params.decide_by_round()).is_err() {
+        if check_decides_by(&run, params.decide_by_round()).is_err() {
             eba_violations += 1;
         }
-        if check_chains && verify_zero_chains(&trace).is_err() {
+        if check_chains && verify_zero_chains(ctx.exchange(), &run, &pattern).is_err() {
             chain_violations += 1;
         }
+        let rounds = run.decisions().0;
         for a in pattern.nonfaulty().iter() {
-            if let Some(r) = trace.decision_round(a) {
+            if let Some(r) = rounds[a.index()] {
                 max_round = max_round.max(r);
                 sum_rounds += r as f64;
                 count_rounds += 1.0;

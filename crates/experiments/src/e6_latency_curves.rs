@@ -108,14 +108,12 @@ pub fn run(n: usize, t: usize, probs: &[f64], trials: u32, seed: u64) -> (Vec<E6
     (rows, table)
 }
 
-/// Mean nonfaulty decision round of one trace.
+/// Mean nonfaulty decision round of one run.
 fn mean_of<E: eba_core::exchange::InformationExchange>(
-    trace: Trace<E>,
+    run: EnumRun<E>,
     nonfaulty: AgentSet,
 ) -> f64 {
-    trace
-        .metrics
-        .mean_decision_round(nonfaulty)
+    run.mean_decision_round(nonfaulty)
         .expect("all nonfaulty decide")
 }
 

@@ -91,7 +91,7 @@ pub fn model_checked_ck_onset(params: Params) -> Result<u32, EbaError> {
     // exactly this key).
     let run = (0..sys.run_count())
         .find(|&r| {
-            sys.nonfaulty(r) == trace.nonfaulty()
+            sys.nonfaulty(r) == trace.nonfaulty
                 && sys.inits(r) == &inits[..]
                 && (0..=horizon).all(|m| {
                     let pid = sys.point(r, m);
@@ -162,11 +162,9 @@ pub fn run(configs: &[(usize, usize)]) -> (Vec<E9Row>, Table) {
             ck_onset_time,
             ck_onset_model_checked,
             popt_round: trace
-                .metrics
                 .max_decision_round(pattern.nonfaulty())
                 .expect("all decide"),
             pmin_round: pmin_trace
-                .metrics
                 .max_decision_round(pattern.nonfaulty())
                 .expect("all decide"),
         });

@@ -97,7 +97,12 @@ where
 
     let trace = Scenario::of(ctx).inits(&inits).run().expect("run");
     let failure_free_round = trace.max_decision_round(AgentSet::full(params.n()));
-    let bits_sent = trace.metrics.bits_sent;
+    let bits_sent = Metrics::of(
+        ctx.exchange(),
+        &trace,
+        &FailurePattern::failure_free(params),
+    )
+    .bits_sent;
 
     let adversary_round = representative_pattern(ctx.model(), params)
         .expect("representative adversary")
@@ -120,14 +125,7 @@ where
         .parallelism(Parallelism::Auto)
         .limit(limit)
         .enumerate_into(&mut |run: EnumRun<E>| {
-            let verdict = judge_run(
-                ctx.exchange(),
-                run.nonfaulty,
-                &run.inits,
-                &run.states,
-                &run.actions,
-            );
-            spec_ok += usize::from(verdict.is_ok());
+            spec_ok += usize::from(check_eba(ctx.exchange(), &run).is_ok());
             Ok(())
         });
     CoreMeasurements {

@@ -91,12 +91,12 @@ impl SessionSpec {
                 E: InformationExchange + Clone + Sync + 'static,
                 P: ActionProtocol<E> + Clone + Sync + 'static,
             {
-                let trace = Scenario::of(ctx)
+                let run = Scenario::of(ctx)
                     .pattern(self.0.pattern.clone())
                     .inits(&self.0.inits)
                     .horizon(self.0.horizon)
                     .run()?;
-                Ok((trace.metrics.decision_rounds, trace.metrics.decision_values))
+                Ok(run.decisions())
             }
         }
         NamedStack::by_name(&self.stack, self.params)?.visit(Lockstep(self))

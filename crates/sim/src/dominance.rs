@@ -11,10 +11,14 @@
 //! mutant-based optimality experiments (`tests/optimality_mutants.rs`;
 //! `docs/GUIDE.md` §1, the Thm 6.5 / 6.6 row).
 
+use eba_core::context::Context;
+use eba_core::corpus::Case;
 use eba_core::exchange::InformationExchange;
-use eba_core::types::AgentId;
+use eba_core::protocols::ActionProtocol;
+use eba_core::types::EbaError;
 
-use crate::trace::Trace;
+use crate::enumerate::EnumRun;
+use crate::scenario::Scenario;
 
 /// The outcome of comparing one pair of corresponding runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,30 +33,37 @@ pub enum RunComparison {
     Mixed,
 }
 
-/// Compares corresponding runs (same pattern, same initial preferences) of
-/// two action protocols over the same exchange.
+/// Runs `case` under two action protocols over the same exchange and
+/// compares the corresponding runs it yields: both share the case's
+/// pattern and initial preferences by construction.
 ///
 /// An undecided nonfaulty agent counts as deciding at round `∞` (later
 /// than any decision).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the traces disagree on pattern or initial preferences — they
-/// would not be corresponding runs.
-pub fn compare_corresponding<E: InformationExchange>(
-    left: &Trace<E>,
-    right: &Trace<E>,
-) -> RunComparison {
-    assert_eq!(left.inits, right.inits, "runs do not correspond (inits)");
-    assert_eq!(
-        left.pattern, right.pattern,
-        "runs do not correspond (failure pattern)"
+/// Returns [`EbaError::InvalidInput`] if either context refuses the case
+/// (see [`Scenario::run`]).
+pub fn compare_corresponding<E, P, Q>(
+    left: &Context<E, P>,
+    right: &Context<E, Q>,
+    case: &Case,
+) -> Result<RunComparison, EbaError>
+where
+    E: InformationExchange,
+    P: ActionProtocol<E>,
+    Q: ActionProtocol<E>,
+{
+    let rounds = |run: EnumRun<E>| run.decisions().0;
+    let (left, right) = (
+        rounds(run_case(left, case)?),
+        rounds(run_case(right, case)?),
     );
     let mut left_strict = false;
     let mut right_strict = false;
-    for a in left.nonfaulty().iter() {
-        let l = left.decision_round(a).map_or(u64::MAX, u64::from);
-        let r = right.decision_round(a).map_or(u64::MAX, u64::from);
+    for a in case.pattern.nonfaulty().iter() {
+        let l = left[a.index()].map_or(u64::MAX, u64::from);
+        let r = right[a.index()].map_or(u64::MAX, u64::from);
         if l < r {
             left_strict = true;
         }
@@ -60,12 +71,25 @@ pub fn compare_corresponding<E: InformationExchange>(
             right_strict = true;
         }
     }
-    match (left_strict, right_strict) {
+    Ok(match (left_strict, right_strict) {
         (false, false) => RunComparison::Equal,
         (true, false) => RunComparison::LeftEarlier,
         (false, true) => RunComparison::RightEarlier,
         (true, true) => RunComparison::Mixed,
-    }
+    })
+}
+
+/// One run of `case` under `ctx`.
+fn run_case<E, P>(ctx: &Context<E, P>, case: &Case) -> Result<EnumRun<E>, EbaError>
+where
+    E: InformationExchange,
+    P: ActionProtocol<E>,
+{
+    Scenario::of(ctx)
+        .pattern(case.pattern.clone())
+        .inits(&case.inits)
+        .horizon(case.horizon)
+        .run()
 }
 
 /// Aggregated comparisons over a family of corresponding runs.
@@ -115,40 +139,22 @@ impl DominanceSummary {
     }
 }
 
-/// Per-agent decision-round difference (left minus right) over one pair of
-/// corresponding runs; `None` where either side never decided.
-pub fn decision_deltas<E: InformationExchange>(
-    left: &Trace<E>,
-    right: &Trace<E>,
-) -> Vec<Option<i64>> {
-    (0..left.params.n())
-        .map(|i| {
-            let a = AgentId::new(i);
-            match (left.decision_round(a), right.decision_round(a)) {
-                (Some(l), Some(r)) => Some(l as i64 - r as i64),
-                _ => None,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
     use eba_core::prelude::*;
 
     fn params() -> Params {
         Params::new(4, 2).unwrap()
     }
 
-    /// One failure-free run of `proto` on `E_basic`.
-    fn run_on_basic<P>(proto: P, inits: &[Value]) -> Trace<BasicExchange>
-    where
-        P: ActionProtocol<BasicExchange>,
-    {
-        let ctx = Context::new(BasicExchange::new(params()), proto);
-        Scenario::of(&ctx).inits(inits).run().unwrap()
+    /// A failure-free case of the default horizon.
+    fn failure_free(inits: &[Value]) -> Case {
+        Case {
+            pattern: FailurePattern::failure_free(params()),
+            inits: inits.to_vec(),
+            horizon: params().default_horizon(),
+        }
     }
 
     /// P_basic against a deliberately slowed variant of itself: ignore the
@@ -177,21 +183,28 @@ mod tests {
 
     #[test]
     fn pbasic_dominates_its_slow_variant_on_all_ones() {
-        let inits = vec![Value::One; 4];
-        let l = run_on_basic(PBasic::new(params()), &inits);
-        let r = run_on_basic(SlowBasic(params()), &inits);
-        assert_eq!(compare_corresponding(&l, &r), RunComparison::LeftEarlier);
-        let deltas = decision_deltas(&l, &r);
+        let case = failure_free(&[Value::One; 4]);
+        let (fast, slow) = (
+            Context::basic(params()),
+            Context::new(BasicExchange::new(params()), SlowBasic(params())),
+        );
+        assert_eq!(
+            compare_corresponding(&fast, &slow, &case).unwrap(),
+            RunComparison::LeftEarlier
+        );
         // Round 2 vs round t + 2 = 4.
-        assert!(deltas.iter().all(|d| *d == Some(-2)));
+        assert_eq!(run_case(&fast, &case).unwrap().decisions().0, [Some(2); 4]);
+        assert_eq!(run_case(&slow, &case).unwrap().decisions().0, [Some(4); 4]);
     }
 
     #[test]
     fn identical_protocols_compare_equal() {
-        let inits = vec![Value::Zero, Value::One, Value::One, Value::One];
-        let l = run_on_basic(PBasic::new(params()), &inits);
-        let r = run_on_basic(PBasic::new(params()), &inits);
-        assert_eq!(compare_corresponding(&l, &r), RunComparison::Equal);
+        let case = failure_free(&[Value::Zero, Value::One, Value::One, Value::One]);
+        let ctx = Context::basic(params());
+        assert_eq!(
+            compare_corresponding(&ctx, &ctx, &case).unwrap(),
+            RunComparison::Equal
+        );
     }
 
     #[test]
@@ -205,16 +218,5 @@ mod tests {
         s.record(RunComparison::RightEarlier);
         assert!(s.incomparable());
         assert_eq!(s.total(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "do not correspond")]
-    fn mismatched_runs_panic() {
-        let l = run_on_basic(PBasic::new(params()), &[Value::One; 4]);
-        let r = run_on_basic(
-            PBasic::new(params()),
-            &[Value::Zero, Value::One, Value::One, Value::One],
-        );
-        let _ = compare_corresponding(&l, &r);
     }
 }

@@ -104,7 +104,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use eba_core::context::Context;
 use eba_core::exchange::{
-    choose_actions, deliver_one, initial_states, select_round, InformationExchange, NoObserver,
+    choose_actions, deliver_one, initial_states, select_round, InformationExchange,
 };
 use eba_core::failures::FailureModel;
 use eba_core::protocols::ActionProtocol;
@@ -114,17 +114,36 @@ use crate::runner::Parallelism;
 use crate::sink::RunSink;
 use crate::store::{StateArena, StateId};
 
-/// One enumerated run: the nonfaulty set plus the full trajectory.
+/// The one run record: the nonfaulty set plus the full trajectory. The
+/// enumerator yields one per run of the system, and
+/// [`Scenario::run`](crate::scenario::Scenario::run) returns one for a
+/// single case. Decisions are views of it (see [`crate::metrics`]);
+/// traffic and 0-chains are views of it and the pattern it ran against
+/// ([`Metrics::of`](crate::metrics::Metrics::of), [`crate::chains`]).
 #[derive(Clone, Debug)]
 pub struct EnumRun<E: InformationExchange> {
     /// The nonfaulty set `N` of the run's failure pattern.
     pub nonfaulty: AgentSet,
     /// The initial preferences.
     pub inits: Vec<Value>,
-    /// `states[m][i]` for `m ∈ 0..=horizon`.
+    /// `states[m][i]` — agent `i`'s local state at time `m`
+    /// (`0 ..= horizon`).
     pub states: Vec<Vec<E::State>>,
-    /// `actions[m][i]` for `m ∈ 0..horizon`.
+    /// `actions[m][i]` — the action agent `i` performed at time `m`, i.e.
+    /// in round `m + 1` (`0 .. horizon`).
     pub actions: Vec<Vec<Action>>,
+}
+
+impl<E: InformationExchange> EnumRun<E> {
+    /// The number of rounds the run lasted.
+    pub fn horizon(&self) -> u32 {
+        self.actions.len() as u32
+    }
+
+    /// The final state of `agent`.
+    pub fn final_state(&self, agent: AgentId) -> &E::State {
+        &self.states[self.states.len() - 1][agent.index()]
+    }
 }
 
 /// The runs of one `(N, inits)` work item, as the engine hands them to
@@ -546,7 +565,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
             return self.commit();
         }
         let actions = choose_actions(self.proto, current);
-        let outgoing = select_round(self.ex, current, &actions, &mut NoObserver);
+        let outgoing = select_round(self.ex, current, &actions);
 
         // Branch points, sender-major; receiver `to`'s column is the
         // senders of its slots.

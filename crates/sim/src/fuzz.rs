@@ -27,7 +27,7 @@ use eba_core::corpus::Case;
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::{FailureModel, FailurePattern};
 use eba_core::protocols::ActionProtocol;
-use eba_core::types::{Action, AgentId, EbaError, Value};
+use eba_core::types::{AgentId, EbaError, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -74,7 +74,7 @@ pub trait CaseOracle {
 }
 
 /// The simulator-backed oracle: runs the case through the lockstep
-/// [`Scenario`] runner and checks the trace with [`check_eba`].
+/// [`Scenario`] runner and checks the run with [`check_eba`].
 pub struct TraceOracle<'c, E, P> {
     ctx: &'c Context<E, P>,
 }
@@ -111,31 +111,21 @@ where
     }
 
     fn check(&mut self, case: &Case) -> Result<CaseOutcome, EbaError> {
-        let trace = Scenario::of(self.ctx)
+        let run = Scenario::of(self.ctx)
             .pattern(case.pattern.clone())
             .inits(&case.inits)
             .horizon(case.horizon)
             .run()?;
-        let n = case.pattern.params().n();
-        let mut decisions = vec![None; n];
-        for acts in &trace.actions {
-            for (i, act) in acts.iter().enumerate() {
-                if let Action::Decide(v) = act {
-                    if decisions[i].is_none() {
-                        decisions[i] = Some(*v);
-                    }
-                }
-            }
-        }
-        let violation = check_eba(self.ctx.exchange(), &trace)
+        let violation = check_eba(self.ctx.exchange(), &run)
             .err()
             .map(|v| Violation {
                 kind: violation_kind(&v).to_string(),
                 detail: v.to_string(),
             });
+        let (rounds, decisions) = run.decisions();
         Ok(CaseOutcome {
             decisions,
-            rounds: trace.metrics.decision_rounds.clone(),
+            rounds,
             violation,
         })
     }

@@ -9,15 +9,17 @@
 //!   enumerate a stack;
 //! * [`runner`] — the run kernel [`runner::run_rounds`]: the single loop
 //!   that executes `(context, failure pattern, initial preferences)`
-//!   round by round, observed or not;
-//! * [`trace`] — full run records: states, actions, deliveries;
-//! * [`metrics`] — decision rounds and exact message/bit accounting
-//!   (the quantities of Prop 8.1 / 8.2);
+//!   round by round and returns the run as an [`enumerate::EnumRun`],
+//!   the one run record the enumerator yields too;
+//! * [`metrics`] — views of a run: decision rounds, and exact
+//!   message/bit accounting ([`metrics::Metrics::of`], the quantities of
+//!   Prop 8.1 / 8.2) replayed from the run and its pattern;
 //! * [`spec`] — the four EBA correctness properties of Section 5, stated
 //!   once over trajectories ([`spec::judge_run`]);
 //! * [`dominance`] — the `≤_γ` comparison between action protocols over
 //!   corresponding runs;
-//! * [`chains`] — 0-chain reconstruction (Section 6);
+//! * [`chains`] — 0-chain reconstruction (Section 6) from a run and its
+//!   pattern;
 //! * [`enumerate`] — the engine behind `Scenario`'s exhaustive
 //!   generation of **all** runs `R_{E,F,P}` of a context for small
 //!   `(n, t)`, under any
@@ -39,10 +41,15 @@
 //!
 //! # fn main() -> Result<(), EbaError> {
 //! let ctx = Context::basic(Params::new(4, 1)?);
-//! let trace = Scenario::of(&ctx).inits(&[Value::One; 4]).run()?;
-//! check_eba(ctx.exchange(), &trace).expect("EBA holds");
+//! let run = Scenario::of(&ctx).inits(&[Value::One; 4]).run()?;
+//! check_eba(ctx.exchange(), &run).expect("EBA holds");
 //! // Prop 8.2(b): everyone decides 1 in round 2 with P_basic.
-//! assert!(trace.metrics.decision_rounds.iter().all(|r| *r == Some(2)));
+//! assert_eq!(run.max_decision_round(AgentSet::full(4)), Some(2));
+//! // Prop 8.1: each agent broadcasts `(init, 1)` in round 1 and its
+//! // decision in round 2, so 2n² = 32 messages of 2 bits.
+//! let pattern = FailurePattern::failure_free(ctx.params());
+//! let traffic = Metrics::of(ctx.exchange(), &run, &pattern);
+//! assert_eq!((traffic.messages_sent, traffic.bits_sent), (32, 64));
 //! # Ok(())
 //! # }
 //! ```
@@ -58,7 +65,6 @@ pub mod scenario;
 pub mod sink;
 pub mod spec;
 pub mod store;
-pub mod trace;
 
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
@@ -70,11 +76,10 @@ pub mod prelude {
         FuzzReport, TraceOracle, Violation,
     };
     pub use crate::metrics::Metrics;
-    pub use crate::render::{render_round_deliveries, render_timeline};
+    pub use crate::render::render_timeline;
     pub use crate::runner::{run_rounds, Parallelism};
     pub use crate::scenario::Scenario;
     pub use crate::sink::RunSink;
     pub use crate::spec::{check_decides_by, check_eba, judge_run, SpecViolation};
     pub use crate::store::{PointId, RunStore, StateArena, StateId};
-    pub use crate::trace::{Delivery, MsgClass, Trace};
 }

@@ -20,10 +20,9 @@ use eba_core::protocols::ActionProtocol;
 use eba_core::types::{EbaError, Value};
 
 use crate::enumerate::{stream_runs, EnumRun};
-use crate::runner::{run_rounds, Parallelism, TraceObserver};
+use crate::runner::{run_rounds, Parallelism};
 use crate::sink::RunSink;
 use crate::store::RunStore;
-use crate::trace::Trace;
 
 /// Default run limit for exhaustive enumeration (same ballpark the test
 /// suites use; override with [`Scenario::limit`]).
@@ -33,7 +32,7 @@ const DEFAULT_ENUM_LIMIT: usize = 10_000_000;
 /// initial preferences, how many rounds, how much hardware.
 ///
 /// Build one with [`Scenario::of`], override what you need, and finish
-/// with [`run`](Scenario::run) (a single trace),
+/// with [`run`](Scenario::run) (a single run),
 /// [`enumerate`](Scenario::enumerate) (all runs of the context), or
 /// [`enumerate_into`](Scenario::enumerate_into) (stream all runs through
 /// a [`RunSink`] without collecting them).
@@ -44,10 +43,10 @@ const DEFAULT_ENUM_LIMIT: usize = 10_000_000;
 ///
 /// # fn main() -> Result<(), EbaError> {
 /// let ctx = Context::basic(Params::new(4, 1)?);
-/// let trace = Scenario::of(&ctx).inits(&[Value::One; 4]).run()?;
-/// check_eba(ctx.exchange(), &trace).expect("EBA holds");
+/// let run = Scenario::of(&ctx).inits(&[Value::One; 4]).run()?;
+/// check_eba(ctx.exchange(), &run).expect("EBA holds");
 /// // Prop 8.2(b): everyone decides 1 in round 2 with P_basic.
-/// assert!(trace.metrics.decision_rounds.iter().all(|r| *r == Some(2)));
+/// assert_eq!(run.max_decision_round(AgentSet::full(4)), Some(2));
 /// # Ok(())
 /// # }
 /// ```
@@ -168,34 +167,23 @@ where
         }
     }
 
-    /// Executes one run of the scenario on the calling thread.
+    /// Executes one run of the scenario on the calling thread and returns
+    /// it: the same record the enumerator yields, whose decisions,
+    /// traffic ([`Metrics::of`](crate::metrics::Metrics::of)) and
+    /// 0-chains ([`crate::chains`]) are views of the run and the
+    /// scenario's pattern.
     ///
     /// # Errors
     ///
     /// Returns [`EbaError::InvalidInput`] (via [`validate`](Scenario::validate))
     /// listing every problem if the inputs disagree with the context's
-    /// parameters or failure model.
-    pub fn run(&self) -> Result<Trace<E>, EbaError> {
+    /// parameters or failure model, or the horizon exceeds
+    /// [`MAX_HORIZON`](eba_core::context::MAX_HORIZON).
+    pub fn run(&self) -> Result<EnumRun<E>, EbaError> {
         let pattern = self.effective_pattern();
         self.validate_with(&pattern)?;
         let inits = self.inits.as_ref().expect("validated above");
-        let mut observer = TraceObserver::new(self.ctx.exchange());
-        let run = run_rounds(
-            self.ctx,
-            &pattern,
-            inits,
-            self.effective_horizon(),
-            &mut observer,
-        )?;
-        Ok(Trace {
-            params: self.ctx.params(),
-            pattern,
-            inits: run.inits,
-            states: run.states,
-            actions: run.actions,
-            deliveries: observer.deliveries,
-            metrics: observer.metrics,
-        })
+        run_rounds(self.ctx, &pattern, inits, self.effective_horizon())
     }
 
     /// Collects every run of the context up to the horizon, deduplicated
@@ -300,6 +288,8 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Metrics;
+    use eba_core::context::MAX_HORIZON;
     use eba_core::prelude::*;
 
     fn params() -> Params {
@@ -309,8 +299,8 @@ mod tests {
     #[test]
     fn default_pattern_is_failure_free() {
         let ctx = Context::minimal(params());
-        let trace = Scenario::of(&ctx).inits(&[Value::One; 4]).run().unwrap();
-        assert_eq!(trace.nonfaulty(), AgentSet::full(4));
+        let run = Scenario::of(&ctx).inits(&[Value::One; 4]).run().unwrap();
+        assert_eq!(run.nonfaulty, AgentSet::full(4));
     }
 
     #[test]
@@ -341,16 +331,35 @@ mod tests {
     #[test]
     fn horizon_and_deliveries_flow_through() {
         let ctx = Context::minimal(params());
-        let trace = Scenario::of(&ctx)
-            .inits(&[Value::One; 4])
-            .horizon(6)
-            .run()
-            .unwrap();
-        assert_eq!(trace.horizon(), 6);
-        // One delivery record per round; all 16 messages arrive in the
-        // round everyone decides (t + 2 = 3), none in any other.
-        let per_round: Vec<usize> = trace.deliveries.iter().map(Vec::len).collect();
-        assert_eq!(per_round, [0, 0, 16, 0, 0, 0]);
+        let scenario = Scenario::of(&ctx).inits(&[Value::One; 4]).horizon(6);
+        let run = scenario.run().unwrap();
+        assert_eq!(run.horizon(), 6);
+        // All 16 messages are sent, and arrive, in the round everyone
+        // decides (t + 2 = 3): nobody speaks in any other.
+        let metrics = Metrics::of(ctx.exchange(), &run, &scenario.effective_pattern());
+        assert_eq!(
+            (metrics.messages_sent, metrics.messages_delivered),
+            (16, 16)
+        );
+        assert_eq!(run.decisions().0, [Some(3); 4]);
+    }
+
+    #[test]
+    fn a_horizon_past_the_cap_is_refused_before_running() {
+        let ctx = Context::minimal(params());
+        let scenario = Scenario::of(&ctx).inits(&[Value::One; 4]);
+        let err = scenario.clone().horizon(u32::MAX).run().unwrap_err();
+        assert!(err.to_string().contains("horizon: got 4294967295"), "{err}");
+        let err = scenario
+            .clone()
+            .horizon(MAX_HORIZON + 1)
+            .validate()
+            .unwrap_err();
+        assert!(err.to_string().contains("MAX_HORIZON"), "{err}");
+        assert_eq!(
+            scenario.horizon(MAX_HORIZON).run().unwrap().horizon(),
+            MAX_HORIZON
+        );
     }
 
     #[test]

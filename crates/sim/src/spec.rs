@@ -1,11 +1,11 @@
-//! The EBA specification of Section 5, checked on traces.
+//! The EBA specification of Section 5, checked on runs.
 
 use std::fmt;
 
 use eba_core::exchange::InformationExchange;
 use eba_core::types::{Action, AgentId, AgentSet, Value};
 
-use crate::trace::Trace;
+use crate::enumerate::EnumRun;
 
 /// A violation of one of the EBA properties.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -31,7 +31,7 @@ pub enum SpecViolation {
         /// The decided value.
         value: Value,
     },
-    /// A nonfaulty agent never decided within the trace.
+    /// A nonfaulty agent never decided within the run.
     Termination {
         /// The undecided agent.
         agent: AgentId,
@@ -83,8 +83,8 @@ impl fmt::Display for SpecViolation {
 impl std::error::Error for SpecViolation {}
 
 /// The one trajectory-level statement of the EBA specification, over the
-/// borrowed parts of a run (a [`Trace`] and an
-/// [`EnumRun`](crate::enumerate::EnumRun) both have them). The clauses
+/// borrowed parts of a run (an [`EnumRun`] has them; [`check_eba`]
+/// passes them). The clauses
 /// are checked in this order and the first violated one is returned:
 ///
 /// 1. **Unique Decision** — no agent performs a second `decide`, and a
@@ -168,20 +168,14 @@ pub fn judge_run<E: InformationExchange>(
     Ok(())
 }
 
-/// Checks the EBA specification on a trace: [`judge_run`] over the
-/// trace's nonfaulty set, initial preferences, states and actions.
+/// Checks the EBA specification on a run: [`judge_run`] over the run's
+/// nonfaulty set, initial preferences, states and actions.
 ///
 /// # Errors
 ///
 /// Returns the first violation found.
-pub fn check_eba<E: InformationExchange>(ex: &E, trace: &Trace<E>) -> Result<(), SpecViolation> {
-    judge_run(
-        ex,
-        trace.nonfaulty(),
-        &trace.inits,
-        &trace.states,
-        &trace.actions,
-    )
+pub fn check_eba<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> Result<(), SpecViolation> {
+    judge_run(ex, run.nonfaulty, &run.inits, &run.states, &run.actions)
 }
 
 /// Checks that every agent (faulty included — Prop 6.1 covers them)
@@ -192,12 +186,12 @@ pub fn check_eba<E: InformationExchange>(ex: &E, trace: &Trace<E>) -> Result<(),
 /// Returns [`SpecViolation::DecisionBound`] or
 /// [`SpecViolation::Termination`] on failure.
 pub fn check_decides_by<E: InformationExchange>(
-    trace: &Trace<E>,
+    run: &EnumRun<E>,
     bound: u32,
 ) -> Result<(), SpecViolation> {
-    for i in 0..trace.params.n() {
+    for (i, round) in run.decisions().0.into_iter().enumerate() {
         let agent = AgentId::new(i);
-        match trace.decision_round(agent) {
+        match round {
             None => return Err(SpecViolation::Termination { agent }),
             Some(round) if round > bound => {
                 return Err(SpecViolation::DecisionBound {
@@ -229,9 +223,9 @@ mod tests {
             let inits: Vec<Value> = (0..4)
                 .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
                 .collect();
-            let trace = Scenario::of(&ctx).inits(&inits).run().unwrap();
-            check_eba(ctx.exchange(), &trace).unwrap();
-            check_decides_by(&trace, 3).unwrap();
+            let run = Scenario::of(&ctx).inits(&inits).run().unwrap();
+            check_eba(ctx.exchange(), &run).unwrap();
+            check_decides_by(&run, 3).unwrap();
         }
     }
 
@@ -251,8 +245,8 @@ mod tests {
             .unwrap();
         pat.silence_agent(AgentId::new(0), 2..4, true).unwrap();
         let inits = [Value::Zero, Value::One, Value::One];
-        let trace = Scenario::of(&ctx).pattern(pat).inits(&inits).run().unwrap();
-        let err = check_eba(ctx.exchange(), &trace).unwrap_err();
+        let run = Scenario::of(&ctx).pattern(pat).inits(&inits).run().unwrap();
+        let err = check_eba(ctx.exchange(), &run).unwrap_err();
         assert!(matches!(err, SpecViolation::Agreement { .. }), "got {err}");
     }
 
@@ -260,21 +254,21 @@ mod tests {
     fn termination_violation_detected() {
         // P_min with a horizon too short to reach the deadline round.
         let ctx = Context::minimal(params());
-        let trace = Scenario::of(&ctx)
+        let run = Scenario::of(&ctx)
             .inits(&[Value::One; 4])
             .horizon(1)
             .run()
             .unwrap();
-        let err = check_eba(ctx.exchange(), &trace).unwrap_err();
+        let err = check_eba(ctx.exchange(), &run).unwrap_err();
         assert!(matches!(err, SpecViolation::Termination { .. }));
     }
 
     #[test]
     fn decision_bound_violation_detected() {
         let ctx = Context::minimal(params());
-        let trace = Scenario::of(&ctx).inits(&[Value::One; 4]).run().unwrap();
+        let run = Scenario::of(&ctx).inits(&[Value::One; 4]).run().unwrap();
         // Everyone decides in round t + 2 = 3; a bound of 2 must fail.
-        let err = check_decides_by(&trace, 2).unwrap_err();
+        let err = check_decides_by(&run, 2).unwrap_err();
         assert!(matches!(err, SpecViolation::DecisionBound { .. }));
     }
 

@@ -4,8 +4,8 @@
 //! Each trial draws a stratum from the plan's mixture, a faulty set, a
 //! failure pattern (via [`AdversarySampler`]), and uniform initial
 //! preferences; executes the stack through the simulator's run kernel
-//! ([`run_rounds`], unobserved); and judges the finished trajectory with
-//! the simulator's trajectory-level spec ([`judge_run`]) — so a trial
+//! ([`run_rounds`]); and judges the finished run with the simulator's
+//! trajectory-level spec ([`judge_run`], through [`check_eba`]) — so a trial
 //! never outlives its verdict and memory stays flat at any trial count
 //! or `n`.
 //!
@@ -28,13 +28,13 @@
 //! [`AdversarySampler`]: eba_core::prelude::AdversarySampler
 //! [`run_rounds`]: eba_sim::runner::run_rounds
 //! [`judge_run`]: eba_sim::spec::judge_run
+//! [`check_eba`]: eba_sim::spec::check_eba
 //! [`check_spec`]: eba_epistemic::spec::check_spec
 //! [`EngineOracle`]: eba_epistemic::spec::EngineOracle
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use eba_core::exchange::NoObserver;
 use eba_core::failures::random_faulty_set;
 use eba_core::prelude::*;
 use eba_epistemic::spec::{check_spec, EngineOracle};
@@ -73,16 +73,10 @@ where
     E: InformationExchange,
     P: ActionProtocol<E>,
 {
-    let run = run_rounds(ctx, pattern, inits, horizon, &mut NoObserver)?;
-    let verdict = judge_run(
-        ctx.exchange(),
-        run.nonfaulty,
-        &run.inits,
-        &run.states,
-        &run.actions,
-    )
-    .err()
-    .map(|v| violation_kind(&v));
+    let run = run_rounds(ctx, pattern, inits, horizon)?;
+    let verdict = check_eba(ctx.exchange(), &run)
+        .err()
+        .map(|v| violation_kind(&v));
     Ok((run, verdict))
 }
 
@@ -600,6 +594,17 @@ mod tests {
     }
 
     #[test]
+    fn a_horizon_past_the_cap_is_refused_before_sampling() {
+        // The sampler sizes each pattern by the plan's horizon: a huge
+        // one must be an error, not an allocation failure.
+        let stack = NamedStack::by_name("E_min/P_min", Params::new(3, 1).unwrap()).unwrap();
+        let mut huge = plan(10, SampleScheme::Uniform);
+        huge.horizon = u32::MAX;
+        let err = estimate(&stack, &huge, Parallelism::Sequential).unwrap_err();
+        assert!(err.to_string().contains("horizon: got 4294967295"), "{err}");
+    }
+
+    #[test]
     fn streamed_trials_agree_with_the_scenario_runner() {
         // A trial's trajectory is exactly the one the Scenario runner
         // produces (and judges clean) for the same case.
@@ -616,7 +621,7 @@ mod tests {
             .unwrap();
         let (run, verdict) = run_and_judge(&ctx, &pattern, &inits, 4).unwrap();
         assert_eq!(verdict, None);
-        assert_eq!(run.nonfaulty, trace.nonfaulty());
+        assert_eq!(run.nonfaulty, trace.nonfaulty);
         assert_eq!(run.states, trace.states);
         assert_eq!(run.actions, trace.actions);
     }

@@ -13,6 +13,7 @@
 //!
 //! [`AdversarySampler`]: eba_core::prelude::AdversarySampler
 
+use eba_core::context::check_horizon;
 use eba_core::prelude::{EbaError, FailureModel};
 
 /// One mixture component: adversaries with exactly `faulty` faulty agents
@@ -161,7 +162,9 @@ impl TrialPlan {
     /// # Errors
     ///
     /// Returns [`EbaError::InvalidInput`] when `trials == 0`, the horizon
-    /// is 0, or the confidence level leaves `(0, 1)`.
+    /// is 0 or above [`MAX_HORIZON`](eba_core::context::MAX_HORIZON) (the
+    /// run kernel's own check, applied before the sampler sizes a pattern
+    /// by it), or the confidence level leaves `(0, 1)`.
     pub fn validate(&self) -> Result<(), EbaError> {
         if self.trials == 0 {
             return Err(EbaError::InvalidInput("a plan needs trials > 0".into()));
@@ -169,6 +172,7 @@ impl TrialPlan {
         if self.horizon == 0 {
             return Err(EbaError::InvalidInput("a plan needs horizon > 0".into()));
         }
+        check_horizon(self.horizon)?;
         if !(self.confidence > 0.0 && self.confidence < 1.0) {
             return Err(EbaError::InvalidInput(format!(
                 "confidence {} outside (0, 1)",
@@ -254,9 +258,13 @@ mod tests {
 
     #[test]
     fn plans_validate_their_numeric_fields() {
+        use eba_core::context::MAX_HORIZON;
         assert!(TrialPlan::new(100, 4).validate().is_ok());
         assert!(TrialPlan::new(0, 4).validate().is_err());
         assert!(TrialPlan::new(10, 0).validate().is_err());
+        assert!(TrialPlan::new(10, MAX_HORIZON).validate().is_ok());
+        let err = TrialPlan::new(10, MAX_HORIZON + 1).validate().unwrap_err();
+        assert!(err.to_string().contains("horizon: got 1025"), "{err}");
         let mut bad = TrialPlan::new(10, 4);
         bad.confidence = 1.0;
         assert!(bad.validate().is_err());

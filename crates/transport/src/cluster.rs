@@ -148,8 +148,9 @@ mod tests {
                 .run()
                 .unwrap();
             let report = wire("E_basic/P_basic", &pattern, &inits).unwrap();
-            assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
-            assert_eq!(report.decision_values, trace.metrics.decision_values);
+            let (rounds, values) = trace.decisions();
+            assert_eq!(report.decision_rounds, rounds);
+            assert_eq!(report.decision_values, values);
         }
     }
 
@@ -166,8 +167,9 @@ mod tests {
             .run()
             .unwrap();
         let report = wire("E_fip/P_opt", &pattern, &inits).unwrap();
-        assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
-        assert_eq!(report.decision_values, trace.metrics.decision_values);
+        let (rounds, values) = trace.decisions();
+        assert_eq!(report.decision_rounds, rounds);
+        assert_eq!(report.decision_values, values);
     }
 
     #[test]
@@ -231,10 +233,7 @@ mod tests {
                         .horizon(4)
                         .run()
                         .expect("lockstep run");
-                    (
-                        trace.metrics.decision_rounds.clone(),
-                        trace.metrics.decision_values.clone(),
-                    )
+                    trace.decisions()
                 }
             }
             let (rounds, values) = stack.visit(Lockstep {
@@ -262,8 +261,9 @@ mod tests {
             .horizon(4)
             .run()
             .unwrap();
-        assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
-        assert_eq!(report.decision_values, trace.metrics.decision_values);
+        let (rounds, values) = trace.decisions();
+        assert_eq!(report.decision_rounds, rounds);
+        assert_eq!(report.decision_values, values);
     }
 
     #[test]

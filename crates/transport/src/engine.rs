@@ -15,7 +15,7 @@ use std::sync::Arc;
 use eba_core::context::{admit_scenario, error_message, Context, NamedStack};
 use eba_core::exchange::{
     choose_actions, deliver_round, initial_states, record_decisions, select_round,
-    InformationExchange, NoObserver,
+    InformationExchange,
 };
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
@@ -218,15 +218,10 @@ where
         // `μ` is a broadcast: one encode per sender, and its recipients
         // share that one buffer.
         let n = self.states.len();
-        select_round(
-            self.ctx.exchange(),
-            &self.states,
-            &self.actions,
-            &mut NoObserver,
-        )
-        .iter()
-        .map(|msg| vec![msg.as_ref().map(|msg| Arc::from(self.codec.encode(msg))); n])
-        .collect()
+        select_round(self.ctx.exchange(), &self.states, &self.actions)
+            .iter()
+            .map(|msg| vec![msg.as_ref().map(|msg| Arc::from(self.codec.encode(msg))); n])
+            .collect()
     }
 
     fn deliver(&mut self, frames: RoundFrames) {
@@ -278,7 +273,6 @@ where
                     None => self.decoded[from].as_ref(),
                 }
             },
-            &mut NoObserver,
         );
         self.round += 1;
         self.awaiting_delivery = false;
@@ -335,12 +329,12 @@ mod tests {
     }
 
     /// One run of `ctx` through a [`TypedEngine`] over `codec`, next to
-    /// the lockstep trace of the same case.
+    /// the lockstep run of the same case.
     fn wire_and_lockstep<E, P, C>(
         ctx: &Context<E, P>,
         codec: C,
         case: &Case,
-    ) -> (ClusterSummary, TypedEngine<E, P, C>, Trace<E>)
+    ) -> (ClusterSummary, TypedEngine<E, P, C>, EnumRun<E>)
     where
         E: InformationExchange + Clone + Send,
         P: ActionProtocol<E> + Clone + Send,
@@ -368,15 +362,11 @@ mod tests {
             let (summary, engine, trace) = wire_and_lockstep(&ctx, codec, &case);
             let what = format!("{} {case:?}", ctx.name());
             assert_eq!(&engine.states, trace.states.last().unwrap(), "{what}");
-            assert_eq!(
-                summary.decision_rounds, trace.metrics.decision_rounds,
-                "{what}"
-            );
-            assert_eq!(
-                summary.decision_values, trace.metrics.decision_values,
-                "{what}"
-            );
-            assert_eq!(summary.frames_sent, trace.metrics.messages_sent, "{what}");
+            let (rounds, values) = trace.decisions();
+            assert_eq!(summary.decision_rounds, rounds, "{what}");
+            assert_eq!(summary.decision_values, values, "{what}");
+            let traffic = Metrics::of(ctx.exchange(), &trace, &case.pattern);
+            assert_eq!(summary.frames_sent, traffic.messages_sent, "{what}");
         }
     }
 
@@ -426,7 +416,7 @@ mod tests {
             .iter()
             .filter(|case| {
                 let (summary, _, trace) = wire_and_lockstep(&ctx, LossyBasicCodec, case);
-                summary.decision_values != trace.metrics.decision_values
+                summary.decision_values != trace.decisions().1
             })
             .count();
         assert!(caught > 0, "no sampled case exposes the lossy codec");

@@ -38,12 +38,12 @@ fn failure_free_popt() -> Result<(), Box<dyn std::error::Error>> {
     // Agent 0 prefers 0, everyone else prefers 1 — and nobody fails
     // (the failure-free pattern is the Scenario default).
     let inits = vec![Value::Zero, Value::One, Value::One, Value::One, Value::One];
-    let trace = Scenario::of(&ctx).inits(&inits).run()?;
+    let run = Scenario::of(&ctx).inits(&inits).run()?;
 
     println!("== scenario 1: {} on a failure-free run ==", ctx.name());
 
     // Round-by-round state: `states[m][i]` is agent i's state at time m.
-    for (m, round_states) in trace.states.iter().enumerate() {
+    for (m, round_states) in run.states.iter().enumerate() {
         println!("  time {m}:");
         for (i, state) in round_states.iter().enumerate() {
             println!("    a{i}: {state}");
@@ -58,16 +58,16 @@ fn failure_free_popt() -> Result<(), Box<dyn std::error::Error>> {
     // full information and no failures everyone else hears the 0 in round
     // 1 and decides it in round 2 — no EBA protocol can be faster.
     for agent in params.agents() {
-        assert_eq!(trace.decision_value(agent), Some(Value::Zero));
+        assert_eq!(run.decision_value(agent), Some(Value::Zero));
         let expected = if agent == AgentId::new(0) { 1 } else { 2 };
-        assert_eq!(trace.decision_round(agent), Some(expected));
+        assert_eq!(run.decision_round(agent), Some(expected));
     }
     println!("  a0 decided 0 in round 1; everyone else in round 2 (optimal)");
 
     // The four EBA properties of Section 5 hold (Validity in its strong
     // form, faulty agents included).
-    check_eba(ctx.exchange(), &trace)?;
-    check_decides_by(&trace, params.decide_by_round())?;
+    check_eba(ctx.exchange(), &run)?;
+    check_decides_by(&run, params.decide_by_round())?;
     Ok(())
 }
 
@@ -87,21 +87,18 @@ fn lossy_pbasic() -> Result<(), Box<dyn std::error::Error>> {
         pattern.drop_message(m, AgentId::new(4), AgentId::new(2))?;
     }
 
-    let trace = Scenario::of(&ctx)
+    let run = Scenario::of(&ctx)
         .pattern(pattern.clone())
         .inits(&inits)
         .run()?;
+    let (rounds, values) = run.decisions();
 
     println!("\n== scenario 2: {} under omissions ==", ctx.name());
     for agent in params.agents() {
         println!(
             "  {agent}: decided {} in round {} ({})",
-            trace
-                .decision_value(agent)
-                .map_or("⊥".into(), |v| v.to_string()),
-            trace
-                .decision_round(agent)
-                .map_or("∞".into(), |r| r.to_string()),
+            values[agent.index()].map_or("⊥".into(), |v| v.to_string()),
+            rounds[agent.index()].map_or("∞".into(), |r| r.to_string()),
             if pattern.is_faulty(agent) {
                 "faulty"
             } else {
@@ -109,25 +106,23 @@ fn lossy_pbasic() -> Result<(), Box<dyn std::error::Error>> {
             },
         );
     }
+    // Traffic is a view of the run and its pattern (Prop 8.1's counts).
+    let traffic = Metrics::of(ctx.exchange(), &run, &pattern);
     println!(
         "  messages sent: {} ({} bits); delivered: {}",
-        trace.metrics.messages_sent, trace.metrics.bits_sent, trace.metrics.messages_delivered,
+        traffic.messages_sent, traffic.bits_sent, traffic.messages_delivered,
     );
 
     // The spec holds on every run of the context, lossy or not (Prop 6.1);
     // decisions arrive by round t + 2.
-    check_eba(ctx.exchange(), &trace)?;
-    check_decides_by(&trace, params.decide_by_round())?;
-    assert!(trace
-        .metrics
-        .decision_rounds
+    check_eba(ctx.exchange(), &run)?;
+    check_decides_by(&run, params.decide_by_round())?;
+    assert!(rounds
         .iter()
         .all(|r| r.is_some_and(|round| round <= params.decide_by_round())));
     // Agreement on the only value anyone held besides 1's majority: the 0
     // spread from agent 0, so everyone decides 0.
-    assert!(params
-        .agents()
-        .all(|a| trace.decision_value(a) == Some(Value::Zero)));
+    assert!(values.iter().all(|v| *v == Some(Value::Zero)));
     println!(
         "  EBA specification: satisfied (decisions by round t + 2 = {})",
         params.decide_by_round()
@@ -136,13 +131,15 @@ fn lossy_pbasic() -> Result<(), Box<dyn std::error::Error>> {
     // Every 0-decision is backed by a 0-chain (the paper's key safety
     // device against omission failures): an unbroken path of Decide(0)
     // messages from an agent that initially preferred 0.
-    let chain = zero_chain_ending_at(&trace, AgentId::new(3)).expect("a3 decided 0");
+    let chain = zero_chain_ending_at(ctx.exchange(), &run, &pattern, AgentId::new(3))
+        .expect("a3 decided 0");
     let rendered: Vec<String> = chain.iter().map(|a| a.to_string()).collect();
     println!("  0-chain into a3: {}", rendered.join(" → "));
     // (The Err carries the first agent whose 0-decision lacks a chain.)
-    verify_zero_chains(&trace).map_err(|a| format!("{a} decided 0 without a 0-chain"))?;
+    verify_zero_chains(ctx.exchange(), &run, &pattern)
+        .map_err(|a| format!("{a} decided 0 without a 0-chain"))?;
 
     // A compact timeline of the whole run.
-    println!("\n{}", render_timeline(&trace));
+    println!("\n{}", render_timeline(&run));
     Ok(())
 }

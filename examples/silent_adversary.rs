@@ -50,7 +50,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     rounds(
         fip_ctx.protocol().name(),
         trace
-            .metrics
             .max_decision_round(pattern.nonfaulty())
             .expect("all decide"),
     );
@@ -64,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run()?;
     rounds(
         no_ck_ctx.protocol().name(),
-        t2.metrics.max_decision_round(pattern.nonfaulty()).unwrap(),
+        t2.max_decision_round(pattern.nonfaulty()).unwrap(),
     );
     let basic_ctx = Context::basic(params);
     let basic = Scenario::of(&basic_ctx)
@@ -73,10 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run()?;
     rounds(
         "P_basic",
-        basic
-            .metrics
-            .max_decision_round(pattern.nonfaulty())
-            .unwrap(),
+        basic.max_decision_round(pattern.nonfaulty()).unwrap(),
     );
     let min_ctx = Context::minimal(params);
     let min = Scenario::of(&min_ctx)
@@ -85,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .run()?;
     rounds(
         "P_min",
-        min.metrics.max_decision_round(pattern.nonfaulty()).unwrap(),
+        min.max_decision_round(pattern.nonfaulty()).unwrap(),
     );
 
     println!("\npaper: P_fip decides in round 3; P_min and P_basic in round 12.");

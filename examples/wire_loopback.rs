@@ -51,14 +51,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Cross-check against the lockstep simulator.
-    let trace = Scenario::of(&ctx)
-        .pattern(pattern)
+    let run = Scenario::of(&ctx)
+        .pattern(pattern.clone())
         .inits(&inits)
         .horizon(horizon)
         .run()?;
-    assert_eq!(report.decision_rounds, trace.metrics.decision_rounds);
-    assert_eq!(report.decision_values, trace.metrics.decision_values);
-    assert_eq!(report.frames_sent, trace.metrics.messages_sent);
+    let (rounds, values) = run.decisions();
+    assert_eq!(report.decision_rounds, rounds);
+    assert_eq!(report.decision_values, values);
+    let traffic = Metrics::of(ctx.exchange(), &run, &pattern);
+    assert_eq!(report.frames_sent, traffic.messages_sent);
     println!("  lockstep cross-check: identical decisions and message counts ✓");
     Ok(())
 }

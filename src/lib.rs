@@ -7,8 +7,9 @@
 //! Re-exports the workspace crates under one roof:
 //!
 //! * [`core`] — protocols, exchanges, failure model, communication graphs;
-//! * [`sim`] — the lockstep round simulator, traces, metrics, EBA spec
-//!   checking, and exhaustive run enumeration;
+//! * [`sim`] — the lockstep round simulator, the one run record and its
+//!   views (decisions, traffic, 0-chains), EBA spec checking, and
+//!   exhaustive run enumeration;
 //! * [`epistemic`] — interpreted systems, the epistemic model checker, and
 //!   the knowledge-based-program implements-checker;
 //! * [`transport`] — wire codecs and the round engine that runs a stack

@@ -140,19 +140,12 @@ fn lazy_mutant_is_correct_but_strictly_dominated() {
     for nonfaulty in eba::core::failures::nonfaulty_choices(params) {
         let pattern = FailurePattern::new(params, nonfaulty).unwrap();
         for inits in eba::core::failures::init_configs(4) {
-            let a = Scenario::of(&pmin)
-                .pattern(pattern.clone())
-                .inits(&inits)
-                .horizon(horizon)
-                .run()
-                .unwrap();
-            let b = Scenario::of(&lazy)
-                .pattern(pattern.clone())
-                .inits(&inits)
-                .horizon(horizon)
-                .run()
-                .unwrap();
-            summary.record(compare_corresponding(&a, &b));
+            let case = Case {
+                pattern: pattern.clone(),
+                inits,
+                horizon,
+            };
+            summary.record(compare_corresponding(&pmin, &lazy, &case).unwrap());
         }
     }
     assert!(

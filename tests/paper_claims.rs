@@ -26,13 +26,14 @@ fn prop_8_1_pmin_sends_exactly_n_squared_bits() {
             let inits: Vec<Value> = (0..n)
                 .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
                 .collect();
-            let trace = Scenario::of(&ctx)
-                .pattern(pattern)
+            let run = Scenario::of(&ctx)
+                .pattern(pattern.clone())
                 .inits(&inits)
                 .run()
                 .unwrap();
-            assert_eq!(trace.metrics.bits_sent, (n * n) as u64);
-            assert_eq!(trace.metrics.messages_sent, (n * n) as u64);
+            let traffic = Metrics::of(ctx.exchange(), &run, &pattern);
+            assert_eq!(traffic.bits_sent, (n * n) as u64);
+            assert_eq!(traffic.messages_sent, (n * n) as u64);
         }
     }
 }

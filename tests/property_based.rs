@@ -37,7 +37,7 @@ fn so_sampler(params: Params, drop_prob: f64) -> AdversarySampler {
 }
 
 /// One run of `ctx` against `pattern` from `inits`, at the default horizon.
-fn run_on<E, P>(ctx: &Context<E, P>, pattern: &FailurePattern, inits: &[Value]) -> Trace<E>
+fn run_on<E, P>(ctx: &Context<E, P>, pattern: &FailurePattern, inits: &[Value]) -> EnumRun<E>
 where
     E: InformationExchange,
     P: ActionProtocol<E>,
@@ -64,21 +64,21 @@ proptest! {
         let (params, pattern, inits) = instance(n, t, drop_prob, seed, init_bits);
 
         let ctx = Context::minimal(params);
-        let trace = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok());
-        prop_assert!(check_decides_by(&trace, params.decide_by_round()).is_ok());
-        prop_assert!(verify_zero_chains(&trace).is_ok());
+        let run = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &run).is_ok());
+        prop_assert!(check_decides_by(&run, params.decide_by_round()).is_ok());
+        prop_assert!(verify_zero_chains(ctx.exchange(), &run, &pattern).is_ok());
 
         let ctx = Context::basic(params);
-        let trace = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok());
-        prop_assert!(check_decides_by(&trace, params.decide_by_round()).is_ok());
-        prop_assert!(verify_zero_chains(&trace).is_ok());
+        let run = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &run).is_ok());
+        prop_assert!(check_decides_by(&run, params.decide_by_round()).is_ok());
+        prop_assert!(verify_zero_chains(ctx.exchange(), &run, &pattern).is_ok());
 
         let ctx = Context::fip(params);
-        let trace = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok());
-        prop_assert!(check_decides_by(&trace, params.decide_by_round()).is_ok());
+        let run = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &run).is_ok());
+        prop_assert!(check_decides_by(&run, params.decide_by_round()).is_ok());
     }
 
     /// Corresponding-run sanity: with more information, P_opt never
@@ -93,11 +93,11 @@ proptest! {
     ) {
         let t = (n - 1) / 2;
         let (params, pattern, inits) = instance(n, t, drop_prob, seed, init_bits);
-        let min_trace = run_on(&Context::minimal(params), &pattern, &inits);
-        let fip_trace = run_on(&Context::fip(params), &pattern, &inits);
+        let min_run = run_on(&Context::minimal(params), &pattern, &inits);
+        let fip_run = run_on(&Context::fip(params), &pattern, &inits);
         for a in pattern.nonfaulty().iter() {
-            let pmin = min_trace.decision_round(a).unwrap();
-            let popt = fip_trace.decision_round(a).unwrap();
+            let pmin = min_run.decision_round(a).unwrap();
+            let popt = fip_run.decision_round(a).unwrap();
             prop_assert!(
                 popt <= pmin,
                 "{a}: P_opt decided in {popt}, P_min in {pmin}"
@@ -105,7 +105,7 @@ proptest! {
         }
     }
 
-    /// Determinism: the same instance always yields the same trace.
+    /// Determinism: the same instance always yields the same run.
     #[test]
     fn simulation_is_deterministic(
         seed in any::<u64>(),
@@ -130,22 +130,22 @@ proptest! {
     ) {
         let (params, pattern, inits) = instance(4, 1, drop_prob, seed, init_bits);
         let ctx = Context::minimal(params);
-        let trace = run_on(&ctx, &pattern, &inits);
+        let run = run_on(&ctx, &pattern, &inits);
+        let sent = Metrics::of(ctx.exchange(), &run, &pattern).messages_sent;
         let report = run_named_cluster(
-            &NamedStack::Min(ctx), &pattern, &inits, trace.horizon(),
+            &NamedStack::Min(ctx), &pattern, &inits, run.horizon(),
         ).unwrap();
-        prop_assert_eq!(&report.decision_rounds, &trace.metrics.decision_rounds);
-        prop_assert_eq!(&report.decision_values, &trace.metrics.decision_values);
-        prop_assert_eq!(report.frames_sent, trace.metrics.messages_sent);
+        prop_assert_eq!((report.decision_rounds, report.decision_values), run.decisions());
+        prop_assert_eq!(report.frames_sent, sent);
 
         let ctx = Context::basic(params);
-        let trace = run_on(&ctx, &pattern, &inits);
+        let run = run_on(&ctx, &pattern, &inits);
+        let sent = Metrics::of(ctx.exchange(), &run, &pattern).messages_sent;
         let report = run_named_cluster(
-            &NamedStack::Basic(ctx), &pattern, &inits, trace.horizon(),
+            &NamedStack::Basic(ctx), &pattern, &inits, run.horizon(),
         ).unwrap();
-        prop_assert_eq!(&report.decision_rounds, &trace.metrics.decision_rounds);
-        prop_assert_eq!(&report.decision_values, &trace.metrics.decision_values);
-        prop_assert_eq!(report.frames_sent, trace.metrics.messages_sent);
+        prop_assert_eq!((report.decision_rounds, report.decision_values), run.decisions());
+        prop_assert_eq!(report.frames_sent, sent);
     }
 
     /// Crash patterns are a special case of omission patterns: the naive
@@ -168,12 +168,12 @@ proptest! {
             .collect();
 
         let ctx = Context::naive(params);
-        let trace = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok(), "naive under crash");
+        let run = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &run).is_ok(), "naive under crash");
 
         let ctx = Context::minimal(params);
-        let trace = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &trace).is_ok(), "P_min under crash");
+        let run = run_on(&ctx, &pattern, &inits);
+        prop_assert!(check_eba(ctx.exchange(), &run).is_ok(), "P_min under crash");
     }
 
     /// Metrics bookkeeping: delivered ≤ sent, and they agree exactly on
@@ -187,11 +187,11 @@ proptest! {
         let inits: Vec<Value> = (0..n)
             .map(|i| Value::from_bit(((init_bits >> i) & 1) as u8))
             .collect();
-        let trace = Scenario::of(&Context::basic(params)).inits(&inits).run().unwrap();
-        prop_assert_eq!(trace.metrics.bits_sent, trace.metrics.bits_delivered);
-        prop_assert_eq!(trace.metrics.messages_sent, trace.metrics.messages_delivered);
-        let delivered: u64 = trace.deliveries.iter().map(|d| d.len() as u64).sum();
-        prop_assert_eq!(delivered, trace.metrics.messages_delivered);
+        let ctx = Context::basic(params);
+        let run = Scenario::of(&ctx).inits(&inits).run().unwrap();
+        let metrics = Metrics::of(ctx.exchange(), &run, &FailurePattern::failure_free(params));
+        prop_assert_eq!(metrics.bits_sent, metrics.bits_delivered);
+        prop_assert_eq!(metrics.messages_sent, metrics.messages_delivered);
     }
 }
 
@@ -212,18 +212,18 @@ fn fip_decision_matrix_matches_reality_on_random_runs() {
         let inits: Vec<Value> = (0..5)
             .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
             .collect();
-        let trace = run_on(&ctx, &pattern, &inits);
+        let run = run_on(&ctx, &pattern, &inits);
         // For every agent and time: every in-cone entry of the re-simulated
         // decision matrix equals the action actually taken.
         for observer in params.agents() {
-            let state = trace.final_state(observer);
+            let state = run.final_state(observer);
             let analysis = FipAnalysis::analyze(&state.graph, params, observer);
-            for m in 0..trace.horizon() - 1 {
+            for m in 0..run.horizon() - 1 {
                 for j in params.agents() {
                     if let Some(d) = analysis.known_action(j, m) {
                         assert_eq!(
                             d,
-                            trace.actions[m as usize][j.index()],
+                            run.actions[m as usize][j.index()],
                             "observer {observer}, d({j}, {m})"
                         );
                     }

@@ -294,6 +294,23 @@ fn corpus_loader_relocates_semantic_errors_to_file_and_line() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A horizon past `MAX_HORIZON` is refused by the admission check, at the
+/// `horizon` line, before any run buffer is sized by it.
+#[test]
+fn a_huge_horizon_is_refused_at_its_line() {
+    let dir = std::env::temp_dir().join(format!("eba-horizon-test-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("huge.eba");
+    std::fs::write(&path, format!("{VALID}horizon = 4000000000\n")).unwrap();
+    let err = eba::experiments::corpus::load_dir(&dir).expect_err("refused horizon");
+    let msg = err.to_string();
+    assert!(
+        msg.contains(&format!("{}:8: horizon: got 4000000000", path.display())),
+        "{msg}"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// One lockstep run of a scenario, reduced to its traffic counters.
 struct TrafficOf<'s>(&'s ScenarioSpec);
 
@@ -306,13 +323,13 @@ impl StackVisitor for TrafficOf<'_> {
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
         let case = &self.0.case;
-        let m = Scenario::of(ctx)
+        let run = Scenario::of(ctx)
             .pattern(case.pattern.clone())
             .inits(&case.inits)
             .horizon(case.horizon)
             .run()
-            .unwrap()
-            .metrics;
+            .unwrap();
+        let m = Metrics::of(ctx.exchange(), &run, &case.pattern);
         [
             m.messages_sent,
             m.bits_sent,
@@ -366,8 +383,9 @@ impl StackVisitor for ChainsOf<'_> {
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
         let case = &self.0.case;
-        let trace = Scenario::of(ctx)
-            .pattern(case.pattern.clone())
+        let (ex, pattern) = (ctx.exchange(), &case.pattern);
+        let run = Scenario::of(ctx)
+            .pattern(pattern.clone())
             .inits(&case.inits)
             .horizon(case.horizon)
             .run()
@@ -375,7 +393,7 @@ impl StackVisitor for ChainsOf<'_> {
         let chains: Vec<String> = ctx
             .params()
             .agents()
-            .map(|a| match zero_chain_ending_at(&trace, a) {
+            .map(|a| match zero_chain_ending_at(ex, &run, pattern, a) {
                 Some(chain) => {
                     let ids: Vec<String> = chain.iter().map(|a| a.index().to_string()).collect();
                     format!("[{}]", ids.join(" "))
@@ -383,7 +401,7 @@ impl StackVisitor for ChainsOf<'_> {
                 None => "-".into(),
             })
             .collect();
-        let verdict = match verify_zero_chains(&trace) {
+        let verdict = match verify_zero_chains(ex, &run, pattern) {
             Ok(()) => "-".into(),
             Err(agent) => agent.index().to_string(),
         };

@@ -5,7 +5,9 @@
 //!   vector equals the lockstep simulator's, and what the service derives
 //!   per session and folds per round equals a loopback run of each spec;
 //! * backpressure admits a large batch through a tiny session table
-//!   without losing or stalling anything;
+//!   without losing or stalling anything, and across pool and table
+//!   sizes admission defers exactly `sessions − capacity` times with the
+//!   table saturated and every outcome equal to its loopback run;
 //! * the deterministic seeded `--load` mix decides every admitted
 //!   session and reproduces the same decisions run over run.
 
@@ -151,6 +153,67 @@ fn backpressure_admits_a_large_batch_through_a_tiny_table() {
         "every admitted session must decide"
     );
     assert_eq!(report.oracle_mismatches, 0);
+}
+
+/// Every pool size × table size drives the same seeded 512-session (3,1)
+/// batch — all four stacks under all four models — to the same result.
+/// Admission is in spec order and retires one session per deferral, so
+/// every spec after the first `capacity` finds the table full exactly
+/// once: `deferrals == 512 − capacity`, whatever the scheduling. Each
+/// outcome equals its spec's loopback run, and the driver's per-round
+/// fold equals the sum of the loopbacks' traffic.
+#[test]
+fn admission_counts_and_outcomes_hold_across_pool_and_table_sizes() {
+    const SESSIONS: usize = 512;
+    let mut specs = Vec::with_capacity(SESSIONS);
+    for seed in 0..(SESSIONS / STACK_NAMES.len()) as u64 {
+        let model = MODEL_NAMES[seed as usize % MODEL_NAMES.len()];
+        let model = FailureModel::by_name(model).unwrap();
+        specs.extend(mixed_specs(3, 1, model, 0.4, 0x5EED ^ seed));
+    }
+    assert_eq!(specs.len(), SESSIONS);
+
+    let loopbacks: Vec<_> = specs
+        .iter()
+        .map(|spec| {
+            let stack = NamedStack::by_name(&spec.stack, spec.params).unwrap();
+            run_named_cluster(&stack, &spec.pattern, &spec.inits, spec.horizon).unwrap()
+        })
+        .collect();
+    let mut folded: Vec<RoundTraffic> = Vec::new();
+    for loopback in &loopbacks {
+        if folded.len() < loopback.round_traffic.len() {
+            folded.resize(loopback.round_traffic.len(), RoundTraffic::default());
+        }
+        for (total, round) in folded.iter_mut().zip(&loopback.round_traffic) {
+            total.absorb(round);
+        }
+    }
+
+    for workers in [1, 2, 3] {
+        for capacity in [1, 4, 64] {
+            let config = ServiceConfig {
+                workers,
+                capacity,
+                ..Default::default()
+            };
+            let report = run_service(&specs, &config).unwrap();
+            let at = format!("workers {workers}, capacity {capacity}");
+            assert_eq!(report.admitted, SESSIONS, "{at}");
+            assert_eq!(report.outcomes.len(), SESSIONS, "{at}");
+            assert_eq!(report.deferrals, (SESSIONS - capacity) as u64, "{at}");
+            assert_eq!(report.peak_in_flight, capacity, "{at}");
+            for (i, (spec_index, rounds, values)) in
+                decisions_by_spec(&report).into_iter().enumerate()
+            {
+                assert_eq!(spec_index, i, "{at}: every spec reports exactly once");
+                let loopback = &loopbacks[spec_index];
+                assert_eq!(rounds, loopback.decision_rounds, "{at}, spec {spec_index}");
+                assert_eq!(values, loopback.decision_values, "{at}, spec {spec_index}");
+            }
+            assert_eq!(report.round_traffic, folded, "{at}");
+        }
+    }
 }
 
 /// The seeded `--load` mix is a smoke of the whole CLI path: every

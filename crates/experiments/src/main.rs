@@ -46,7 +46,7 @@
 //! violating samples as `.eba` repros.
 //! `--load` pushes a deterministic seeded session mix (all stacks × all
 //! failure models, default 4096 sessions at capacity 1024) through the
-//! async multiplexed consensus service and prints its counts, wall time
+//! multiplexed consensus service and prints its counts, wall time
 //! and session-latency percentiles, oracle-checking every
 //! `--oracle-stride`-th session against the lockstep simulator.
 //! `--serve <dir>` runs every `.eba` scenario in a directory as a

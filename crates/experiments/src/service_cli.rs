@@ -287,7 +287,7 @@ mod tests {
 
     #[test]
     fn defaulted_workers_resolve_and_session_walls_are_measured() {
-        // `--workers` left at its 0 default resolves to the executor's
+        // `--workers` left at its 0 default resolves to the worker pool's
         // real thread count in the report.
         let config = LoadConfig {
             workers: 0,

@@ -5,9 +5,9 @@
 //!
 //! `eba-transport` holds the round engine and the loop that drives one
 //! session to its horizon; this crate runs arbitrarily many of those
-//! loops — each its own stack, failure pattern, and horizon — as tasks
-//! on the vendored `exec` runtime (worker-pool executor, timers, bounded
-//! async mailboxes), bounded by a session table:
+//! loops — each its own stack, failure pattern, and horizon — on scoped
+//! worker threads fed by one job channel and reporting on one completion
+//! channel (`std::sync::mpsc`), bounded by a session table:
 //!
 //! * [`SessionSpec`] describes one session and compiles
 //!   ([`SessionSpec::build_engine`]) into `eba-transport`'s type-erased
@@ -16,7 +16,7 @@
 //! * [`SessionTable`] is the dense `SessionId(u32)` arena bounding how
 //!   many sessions are live — admission control blocks (and counts a
 //!   deferral) when it is full.
-//! * [`run_service`] drives a batch: each admitted session is one task
+//! * [`run_service`] drives a batch: each admitted session is one job
 //!   that runs its engine to the horizon on a pool worker
 //!   ([`run_engine`](eba_transport::run_engine), its omissions injected
 //!   inline) and reports once; the driver folds every session's

@@ -1,39 +1,35 @@
-//! The multiplexed service runtime: sessions as run-to-completion tasks
-//! on a worker pool, admission control at the driver.
-//!
-//! Topology for a batch of specs on a pool of `workers` threads:
+//! The multiplexed service runtime: sessions run to completion on scoped
+//! worker threads, admission control at the driver.
 //!
 //! ```text
-//!   driver (block_on) ──admits──▶ session tasks (one `run_engine` each)
-//!        ▲                                  │
-//!        └──── (outcome, round traffic) ────┘
+//!   driver ──job channel──▶ `workers` threads (one `run_engine` per job)
+//!      ▲                                │
+//!      └────── completion channel ──────┘  (outcome, round traffic)
 //! ```
 //!
 //! * A failure pattern is fixed before round 1 and a stack is
-//!   deterministic, so a session has nothing to wait for between rounds:
-//!   every admitted session is one task that runs its [`SessionEngine`]
-//!   to the horizon with [`run_engine`] — omissions injected inline from
-//!   its own [`FailurePattern`] — and then makes its single send, the
-//!   [`SessionOutcome`] and its per-round [`RoundTraffic`], on the
-//!   completion mailbox.
-//! * The driver admits specs while the [`SessionTable`] has room; when it
-//!   is full it waits for a completion (counted as a *deferral* — the
-//!   backpressure signal) before admitting more, and folds each retired
-//!   session's traffic into [`ServiceReport::round_traffic`].
+//!   deterministic, so a session has nothing to wait for between rounds.
+//!   A worker takes an admitted session off the job channel, whose
+//!   receiver the workers share behind a `Mutex`, runs its
+//!   [`SessionEngine`] to the horizon with [`run_engine`] — omissions
+//!   injected inline from its spec's failure pattern — and sends back
+//!   the [`SessionOutcome`] and its per-round [`RoundTraffic`].
+//! * The driver admits specs while the [`SessionTable`] has room. A spec
+//!   that finds it full waits for one completion (a *deferral*, the
+//!   backpressure signal). Each retired session's traffic is folded into
+//!   [`ServiceReport::round_traffic`].
 //!
-//! Deadlock freedom: the completion mailbox's capacity equals the table
-//! capacity, so the at most `capacity` in-flight sessions can never
-//! block on reporting — a worker never parks inside a session. The
-//! driver additionally guards every wait with
-//! [`ServiceConfig::stall_timeout`], so a runtime bug surfaces as an
-//! error instead of a hang.
+//! Deadlock freedom: both channels are unbounded, so no send blocks, and
+//! at most `capacity` sessions are in flight. Every driver wait is
+//! bounded by [`ServiceConfig::stall_timeout`]; a panicking session is
+//! caught on its worker, so its lost completion surfaces as that error.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Mutex};
+use std::thread;
 use std::time::{Duration, Instant};
 
-use exec::{block_on, mailbox, timeout, Executor, MailboxSender};
-
 use eba_core::context::error_message;
-use eba_core::failures::FailurePattern;
 use eba_core::types::EbaError;
 use eba_sim::runner::Parallelism;
 use eba_transport::{run_engine, RoundTraffic, SessionEngine};
@@ -70,13 +66,16 @@ impl Default for ServiceConfig {
     }
 }
 
-/// What a session task reports when it is done: its outcome and its
+/// What a session reports when it is done: its outcome and its
 /// per-round traffic (index = round).
 type Completion = (SessionOutcome, Vec<RoundTraffic>);
 
+/// An admitted session: its opened record, engine, spec and admission time.
+type Job<'s> = (Completion, Box<dyn SessionEngine>, &'s SessionSpec, Instant);
+
 /// Opens a session's record at admission. Every heap buffer that outlives
-/// the task — the decision vectors here, the traffic vector beside it —
-/// is allocated by the driver and only filled by the task, so the thread
+/// the session — the decision vectors here, the traffic vector beside it —
+/// is allocated by the driver and only filled by the worker, so the thread
 /// that frees it (the driver at retirement, the caller with the report)
 /// is the thread that allocated it. Under an allocator with per-thread
 /// arenas (glibc), buffers allocated on a worker and freed by the caller
@@ -101,35 +100,35 @@ fn open_outcome(id: SessionId, spec_index: usize, spec: &SessionSpec) -> Complet
     (outcome, Vec::with_capacity(spec.horizon as usize))
 }
 
-/// A session task: run the engine to its horizon, fill in the record the
-/// driver opened, then report. The send fails only if the driver has
-/// already returned (an earlier spec failed to build, or the service
-/// stalled); the session is then simply dropped.
-async fn run_session(
-    (mut outcome, mut traffic): Completion,
-    mut engine: Box<dyn SessionEngine>,
-    pattern: FailurePattern,
-    admitted: Instant,
-    completions: MailboxSender<Completion>,
-) {
-    let run = run_engine(engine.as_mut(), &pattern);
+/// Runs a session's engine to its horizon and fills in the record the
+/// driver opened.
+fn run_session(job: Job<'_>) -> Completion {
+    let ((mut outcome, mut traffic), mut engine, SessionSpec { pattern, .. }, admitted) = job;
+    let run = run_engine(engine.as_mut(), pattern);
     outcome.decided_round = pattern
         .nonfaulty()
         .iter()
         .map(|a| run.decision_rounds[a.index()])
         .try_fold(0u32, |acc, r| r.map(|r| acc.max(r)));
-    outcome
-        .decision_values
-        .extend_from_slice(&run.decision_values);
-    outcome
-        .decision_rounds
-        .extend_from_slice(&run.decision_rounds);
+    outcome.decision_values.extend(&run.decision_values);
+    outcome.decision_rounds.extend(&run.decision_rounds);
     outcome.rounds = run.rounds;
     outcome.frames_sent = run.frames_sent;
     outcome.frames_dropped = run.round_traffic.iter().map(RoundTraffic::dropped).sum();
     traffic.extend_from_slice(&run.round_traffic);
     outcome.wall_seconds = admitted.elapsed().as_secs_f64();
-    let _ = completions.send((outcome, traffic)).await;
+    (outcome, traffic)
+}
+
+/// A worker: runs jobs until the driver closes the job channel and it is
+/// drained. A session that panics reports nothing; the worker goes on. No
+/// panic can poison the lock: it is held only across `recv`.
+fn work(jobs: &Mutex<mpsc::Receiver<Job<'_>>>, completions: &mpsc::Sender<Completion>) {
+    while let Some(job) = jobs.lock().ok().and_then(|jobs| jobs.recv().ok()) {
+        if let Ok(done) = catch_unwind(AssertUnwindSafe(|| run_session(job))) {
+            let _ = completions.send(done);
+        }
+    }
 }
 
 /// Retires one completed session: frees its slot, folds its per-round
@@ -151,15 +150,15 @@ fn retire(
     report.outcomes.push(outcome);
 }
 
-/// Runs every spec to completion on a multiplexed worker pool and returns
+/// Runs every spec to completion on a pool of worker threads and returns
 /// the aggregate [`ServiceReport`].
 ///
 /// Sessions are admitted in spec order, at most
 /// [`ServiceConfig::capacity`] in flight; each runs its stack over
-/// encoded wire frames with omissions injected from its own
-/// [`FailurePattern`]. With [`ServiceConfig::oracle_stride`] set, every
-/// `k`-th admitted session's decision vector is re-derived by the
-/// lockstep simulator (`Scenario::run`) and compared — the same
+/// encoded wire frames with omissions injected from its own failure
+/// pattern. With [`ServiceConfig::oracle_stride`] set, every `k`-th
+/// admitted session's decision vector is re-derived by the lockstep
+/// simulator (`Scenario::run`) and compared — the same
 /// oracle-confirmation discipline the fuzzer and query engine use.
 ///
 /// # Errors
@@ -176,59 +175,18 @@ pub fn run_service(
         0 => Parallelism::Auto.worker_count(),
         workers => workers,
     };
-    let capacity = config.capacity.max(1);
-    let pool = Executor::new(workers);
-    // Capacity = table capacity: at most `capacity` sessions are ever
-    // in flight, so completion sends can never block (deadlock freedom).
-    let (completion_tx, mut completion_rx) = mailbox::<Completion>(capacity);
-
-    let stall = config.stall_timeout;
-    let driver = async {
-        let mut table: SessionTable<usize> = SessionTable::with_capacity(capacity);
-        let mut report = ServiceReport::default();
-        for (spec_index, spec) in specs.iter().enumerate() {
-            let engine = spec.build_engine().map_err(|e| {
-                EbaError::InvalidInput(format!("session {spec_index}: {}", error_message(&e)))
-            })?;
-            while table.is_full() {
-                report.deferrals += 1;
-                let done = timeout(stall, completion_rx.recv()).await.map_err(|_| {
-                    EbaError::InvalidInput(format!(
-                        "service stalled: no completion within {stall:?} \
-                         with {} sessions in flight",
-                        table.len()
-                    ))
-                })?;
-                let done = done.expect("driver still holds a completion sender");
-                retire(done, &mut table, &mut report);
-            }
-            let id = table.insert(spec_index).expect("table has room");
-            let admitted = Instant::now();
-            report.admitted += 1;
-            report.peak_in_flight = report.peak_in_flight.max(table.len());
-            let _detached = pool.spawn(run_session(
-                open_outcome(id, spec_index, spec),
-                engine,
-                spec.pattern.clone(),
-                admitted,
-                completion_tx.clone(),
-            ));
-        }
-        while !table.is_empty() {
-            let done = timeout(stall, completion_rx.recv()).await.map_err(|_| {
-                EbaError::InvalidInput(format!(
-                    "service stalled during teardown: no completion within \
-                     {stall:?} with {} sessions in flight",
-                    table.len()
-                ))
-            })?;
-            let done = done.expect("driver still holds a completion sender");
-            retire(done, &mut table, &mut report);
-        }
-        Ok::<ServiceReport, EbaError>(report)
-    };
+    let (job_tx, job_rx) = mpsc::channel();
+    let jobs = Mutex::new(job_rx);
+    let (completion_tx, completion_rx) = mpsc::channel();
     let t0 = Instant::now();
-    let mut report = block_on(driver)?;
+    let mut report = thread::scope(|scope| {
+        let jobs = &jobs;
+        // Each worker gets its own completion sender; the driver keeps none.
+        for completions in vec![completion_tx; workers] {
+            scope.spawn(move || work(jobs, &completions));
+        }
+        drive(specs, config, job_tx, completion_rx)
+    })?;
     report.service_seconds = t0.elapsed().as_secs_f64();
     report.workers = workers;
 
@@ -244,6 +202,48 @@ pub fn run_service(
                 report.oracle_mismatches += 1;
             }
         }
+    }
+    Ok(report)
+}
+
+/// The driver: admits specs in order, hands each session to the workers
+/// and retires it. Its channel ends drop on return, so the workers stop.
+fn drive<'s>(
+    specs: &'s [SessionSpec],
+    config: &ServiceConfig,
+    jobs: mpsc::Sender<Job<'s>>,
+    completions: mpsc::Receiver<Completion>,
+) -> Result<ServiceReport, EbaError> {
+    let stall = config.stall_timeout;
+    let stalled = |in_flight| {
+        EbaError::InvalidInput(format!(
+            "service stalled: no completion within {stall:?} with {in_flight} sessions in flight"
+        ))
+    };
+    let next = |in_flight| {
+        completions
+            .recv_timeout(stall)
+            .map_err(|_| stalled(in_flight))
+    };
+    let mut table: SessionTable<usize> = SessionTable::with_capacity(config.capacity.max(1));
+    let mut report = ServiceReport::default();
+    for (spec_index, spec) in specs.iter().enumerate() {
+        let engine = spec.build_engine().map_err(|e| {
+            EbaError::InvalidInput(format!("session {spec_index}: {}", error_message(&e)))
+        })?;
+        if table.is_full() {
+            report.deferrals += 1;
+            retire(next(table.len())?, &mut table, &mut report);
+        }
+        let id = table.insert(spec_index).expect("table has room");
+        report.admitted += 1;
+        report.peak_in_flight = report.peak_in_flight.max(table.len());
+        let record = open_outcome(id, spec_index, spec);
+        let sent = jobs.send((record, engine, spec, Instant::now()));
+        sent.map_err(|_| stalled(table.len()))?;
+    }
+    while !table.is_empty() {
+        retire(next(table.len())?, &mut table, &mut report);
     }
     Ok(report)
 }
@@ -325,9 +325,9 @@ mod tests {
     #[test]
     fn session_walls_are_clocked_from_admission() {
         // One worker and a table as large as the batch: the driver admits
-        // all 256 sessions before the first completion, so the last
+        // all 256 sessions before it retires any, so the last
         // session to run waited behind most of the batch. A clock started
-        // at the task's first poll would read the ~10 µs a session takes
+        // when a worker picks the session up would read the ~10 µs it takes
         // to run — a hundredth of the service time, not a quarter.
         let specs: Vec<SessionSpec> = (0..256).map(|_| spec_for("E_fip/P_opt", false)).collect();
         let config = ServiceConfig {
@@ -347,6 +347,52 @@ mod tests {
             "slowest session {slowest} s of {} s",
             report.service_seconds
         );
+    }
+
+    /// An engine whose first round panics, as a session with a bug would.
+    struct Panicking;
+
+    impl SessionEngine for Panicking {
+        fn round(&self) -> u32 {
+            0
+        }
+        fn finished(&self) -> bool {
+            false
+        }
+        fn outgoing(&mut self) -> eba_transport::RoundFrames {
+            panic!("a session bug")
+        }
+        fn deliver(&mut self, _: eba_transport::RoundFrames) {}
+        fn decision_rounds(&self) -> &[Option<u32>] {
+            &[]
+        }
+        fn decision_values(&self) -> &[Option<Value>] {
+            &[]
+        }
+    }
+
+    #[test]
+    fn a_panicking_session_leaves_its_worker_serving_the_next_job() {
+        let spec = spec_for("E_fip/P_opt", false);
+        let mut table = SessionTable::with_capacity(2);
+        let (job_tx, job_rx) = mpsc::channel();
+        let (completion_tx, completion_rx) = mpsc::channel();
+        let engines: [Box<dyn SessionEngine>; 2] =
+            [Box::new(Panicking), spec.build_engine().unwrap()];
+        for (spec_index, engine) in engines.into_iter().enumerate() {
+            let record = open_outcome(table.insert(spec_index).unwrap(), spec_index, &spec);
+            let job = (record, engine, &spec, Instant::now());
+            job_tx.send(job).unwrap();
+        }
+        drop(job_tx);
+        work(&Mutex::new(job_rx), &completion_tx);
+        drop(completion_tx);
+        let done: Vec<Completion> = completion_rx.iter().collect();
+        assert_eq!(done.len(), 1, "the panicking session reports nothing");
+        let (outcome, traffic) = &done[0];
+        assert_eq!(outcome.spec_index, 1);
+        assert!(outcome.decided_round.is_some());
+        assert_eq!(traffic.len(), outcome.rounds as usize);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!   the knowledge-based-program implements-checker;
 //! * [`transport`] — wire codecs and the round engine that runs a stack
 //!   over encoded frames, with omission fault injection;
-//! * [`service`] — the async multiplexed consensus service (thousands of
+//! * [`service`] — the multiplexed consensus service (thousands of
 //!   concurrent sessions over a worker pool);
 //! * [`stat`] — the Monte Carlo statistical model checker (estimated
 //!   violation probability with Wilson / Clopper–Pearson confidence

@@ -1,4 +1,4 @@
-//! Integration tests for the async multiplexed consensus service:
+//! Integration tests for the multiplexed consensus service:
 //!
 //! * on random instances (all four stacks, all four failure models,
 //!   adversary-sampled patterns), every multiplexed session's decision

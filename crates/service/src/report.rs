@@ -66,7 +66,7 @@ pub struct ServiceReport {
     /// Cross-checked sessions whose decision vector disagreed with the
     /// oracle (must be zero; nonzero means a runtime bug).
     pub oracle_mismatches: usize,
-    /// Worker threads the executor actually ran on — the *resolved*
+    /// Worker threads the service actually ran on — the *resolved*
     /// count, not the configured one (a `workers: 0` config resolves to
     /// the machine's available parallelism).
     pub workers: usize,

@@ -9,7 +9,11 @@ use eba_core::types::Value;
 
 use crate::table::SessionId;
 
-/// The terminal record of one session, produced at graceful teardown.
+/// The terminal record of one session. The driver opens it at admission
+/// and the worker fills it in once the engine reaches its horizon. A
+/// session whose engine panicked completes with the record as it was
+/// opened: no rounds, no frames, empty decision vectors, `decided_round`
+/// `None`, and only its wall time filled in.
 #[derive(Clone, Debug)]
 pub struct SessionOutcome {
     /// The (recycled) table slot the session ran in.
@@ -20,15 +24,15 @@ pub struct SessionOutcome {
     /// Qualified stack name (`E_fip/P_opt@crash`).
     pub stack: String,
     /// Per-agent first decision round (lockstep convention: the round
-    /// after the acting round).
+    /// after the acting round); empty if the engine panicked.
     pub decision_rounds: Vec<Option<u32>>,
-    /// Per-agent decision value.
+    /// Per-agent decision value; empty if the engine panicked.
     pub decision_values: Vec<Option<Value>>,
     /// Round the session fully decided — the latest decision round over
     /// the pattern's nonfaulty agents, `None` if any of them never
     /// decided.
     pub decided_round: Option<u32>,
-    /// Rounds executed.
+    /// Rounds executed (`0` if the engine panicked).
     pub rounds: u32,
     /// Frames this session's agents sent (dropped frames included).
     pub frames_sent: u64,
@@ -64,7 +68,8 @@ pub struct ServiceReport {
     /// Sessions cross-checked against the lockstep oracle.
     pub oracle_checked: usize,
     /// Cross-checked sessions whose decision vector disagreed with the
-    /// oracle (must be zero; nonzero means a runtime bug).
+    /// oracle (must be zero; nonzero means a runtime bug, such as a
+    /// session whose engine panicked).
     pub oracle_mismatches: usize,
     /// Worker threads the service actually ran on — the *resolved*
     /// count, not the configured one (a `workers: 0` config resolves to

@@ -21,8 +21,9 @@
 //!
 //! Deadlock freedom: both channels are unbounded, so no send blocks, and
 //! at most `capacity` sessions are in flight. Every driver wait is
-//! bounded by [`ServiceConfig::stall_timeout`]; a panicking session is
-//! caught on its worker, so its lost completion surfaces as that error.
+//! bounded by [`ServiceConfig::stall_timeout`]. A session whose engine
+//! panics is caught on its worker and still completes, with its record
+//! as the driver opened it: no rounds and no decisions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};
@@ -102,8 +103,11 @@ fn open_outcome(id: SessionId, spec_index: usize, spec: &SessionSpec) -> Complet
 
 /// Runs a session's engine to its horizon and fills in the record the
 /// driver opened.
-fn run_session(job: Job<'_>) -> Completion {
-    let ((mut outcome, mut traffic), mut engine, SessionSpec { pattern, .. }, admitted) = job;
+fn run_session(
+    (outcome, traffic): &mut Completion,
+    mut engine: Box<dyn SessionEngine>,
+    SessionSpec { pattern, .. }: &SessionSpec,
+) {
     let run = run_engine(engine.as_mut(), pattern);
     outcome.decided_round = pattern
         .nonfaulty()
@@ -116,18 +120,19 @@ fn run_session(job: Job<'_>) -> Completion {
     outcome.frames_sent = run.frames_sent;
     outcome.frames_dropped = run.round_traffic.iter().map(RoundTraffic::dropped).sum();
     traffic.extend_from_slice(&run.round_traffic);
-    outcome.wall_seconds = admitted.elapsed().as_secs_f64();
-    (outcome, traffic)
 }
 
 /// A worker: runs jobs until the driver closes the job channel and it is
-/// drained. A session that panics reports nothing; the worker goes on. No
+/// drained. A session whose engine panics reports its record unfilled —
+/// no rounds, no decisions, its wall time — and the worker goes on. No
 /// panic can poison the lock: it is held only across `recv`.
 fn work(jobs: &Mutex<mpsc::Receiver<Job<'_>>>, completions: &mpsc::Sender<Completion>) {
-    while let Some(job) = jobs.lock().ok().and_then(|jobs| jobs.recv().ok()) {
-        if let Ok(done) = catch_unwind(AssertUnwindSafe(|| run_session(job))) {
-            let _ = completions.send(done);
-        }
+    while let Some((mut done, engine, spec, admitted)) =
+        jobs.lock().ok().and_then(|jobs| jobs.recv().ok())
+    {
+        let _ = catch_unwind(AssertUnwindSafe(|| run_session(&mut done, engine, spec)));
+        done.0.wall_seconds = admitted.elapsed().as_secs_f64();
+        let _ = completions.send(done);
     }
 }
 
@@ -388,8 +393,13 @@ mod tests {
         work(&Mutex::new(job_rx), &completion_tx);
         drop(completion_tx);
         let done: Vec<Completion> = completion_rx.iter().collect();
-        assert_eq!(done.len(), 1, "the panicking session reports nothing");
-        let (outcome, traffic) = &done[0];
+        assert_eq!(done.len(), 2, "the panicking session completes too");
+        let (failed, traffic) = &done[0];
+        assert_eq!((failed.spec_index, failed.rounds), (0, 0));
+        assert!(failed.decision_rounds.is_empty() && failed.decision_values.is_empty());
+        assert_eq!(failed.decided_round, None);
+        assert!(traffic.is_empty());
+        let (outcome, traffic) = &done[1];
         assert_eq!(outcome.spec_index, 1);
         assert!(outcome.decided_round.is_some());
         assert_eq!(traffic.len(), outcome.rounds as usize);

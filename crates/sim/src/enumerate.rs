@@ -34,11 +34,12 @@
 //! `(N, initial preferences)` pair — because deduplication can never merge
 //! runs across items: the dedup key contains `N`, and every exchange
 //! records the initial value in its time-0 state, so runs from different
-//! initial configurations differ in `states[0]`. With more than one
-//! worker the items are sharded across threads and handed to the sink in
-//! item order, which reproduces the sequential stream **bit for bit** —
-//! errors included: the consumer meets item errors, the run limit and
-//! sink errors at the same point of the stream as the sequential loop.
+//! initial configurations differ in `states[0]`. The items run on
+//! [`Parallelism::for_each_ordered`]: with more than one worker they are
+//! sharded across threads and handed to the sink in item order, which
+//! reproduces the sequential stream **bit for bit** — errors included:
+//! the consumer meets item errors, the run limit and sink errors at the
+//! same point of the stream as the sequential loop.
 //!
 //! # Sibling dedup
 //!
@@ -92,15 +93,14 @@
 //! they were interned under; every other sink receives the runs one at a
 //! time, materialised into [`EnumRun`]s as they are handed over. The engine
 //! never holds the whole run set: peak residency is one item
-//! (sequential) or the reorder window (parallel) — a worker may only
-//! start item `idx` while `idx < next undelivered + window`, with
-//! `window` a fixed `WINDOW_PER_WORKER` × workers, so at most `window` items
-//! are in flight or waiting, and the lowest unclaimed item is always
-//! startable. Collecting is just streaming into a `Vec`.
+//! (sequential) or the ordered map's window (parallel) — a worker may
+//! only start an item within `2 × workers` items past the last one the
+//! sink took, so at most that many items are in flight or waiting, and
+//! the lowest unclaimed item is always startable. Collecting is just
+//! streaming into a `Vec`.
 
 use std::collections::HashSet;
 use std::ops::Range;
-use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use eba_core::context::Context;
 use eba_core::exchange::{
@@ -228,7 +228,7 @@ where
         enumerate_item(ex, proto, model, horizon, nonfaulty, inits, limit)
     };
     let mut total = 0usize;
-    let mut deliver = |item_runs: Result<ItemRuns<E>, EbaError>| {
+    let deliver = |item_runs: Result<ItemRuns<E>, EbaError>| {
         // Deduplication is *not* needed across items: see the module
         // docs — their runs always differ in `N` or `states[0]`.
         let item_runs = item_runs?;
@@ -238,174 +238,8 @@ where
         }
         sink.accept_item(item_runs)
     };
-    let workers = parallelism.worker_count().min(items.len());
-    if workers <= 1 {
-        (0..items.len()).try_for_each(|idx| deliver(item(idx)))?;
-    } else {
-        let reorder = Reorder::new(workers * WINDOW_PER_WORKER);
-        run_reordered(&reorder, items.len(), workers, item, deliver)?;
-    }
+    parallelism.for_each_ordered(items.len(), item, deliver)?;
     Ok(total)
-}
-
-/// Reorder-window slots per worker: enough slack that a worker which
-/// finishes early has a next item to start while a slow neighbour holds
-/// the window's low end, small enough that the window stays a handful of
-/// items.
-const WINDOW_PER_WORKER: usize = 2;
-
-/// The bounded reorder buffer of the threaded engine: workers claim item
-/// indices in order, but only inside the window
-/// `undelivered..undelivered + slots.len()`, and park finished items in
-/// the slot `idx % slots.len()` until the consumer has taken every
-/// earlier one.
-struct Reorder<T> {
-    state: Mutex<ReorderState<T>>,
-    changed: Condvar,
-}
-
-struct ReorderState<T> {
-    /// The lowest index no worker has started.
-    unclaimed: usize,
-    /// The lowest index the consumer has not taken.
-    undelivered: usize,
-    slots: Vec<Option<T>>,
-    /// Set when the consumer is done (finished or failed) or any thread
-    /// panicked: nobody waits or claims past it.
-    stopped: bool,
-    /// Most items ever started but not yet taken by the consumer.
-    #[cfg(test)]
-    high_water: usize,
-}
-
-impl<T> Reorder<T> {
-    fn new(window: usize) -> Self {
-        Reorder {
-            state: Mutex::new(ReorderState {
-                unclaimed: 0,
-                undelivered: 0,
-                slots: (0..window).map(|_| None).collect(),
-                stopped: false,
-                #[cfg(test)]
-                high_water: 0,
-            }),
-            changed: Condvar::new(),
-        }
-    }
-
-    /// The state is a few counters updated in single assignments, valid
-    /// at every step, so a poisoned lock (a panic elsewhere, already on
-    /// its way out through the scope) is still safe to read and stop.
-    fn lock(&self) -> MutexGuard<'_, ReorderState<T>> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn wait<'a>(&self, guard: MutexGuard<'a, ReorderState<T>>) -> MutexGuard<'a, ReorderState<T>> {
-        self.changed
-            .wait(guard)
-            .unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Claims the lowest unstarted of `count` items once it is inside the
-    /// window; `None` when all are claimed or the stream stopped.
-    fn claim(&self, count: usize) -> Option<usize> {
-        let mut state = self.lock();
-        loop {
-            if state.stopped || state.unclaimed >= count {
-                return None;
-            }
-            if state.unclaimed < state.undelivered + state.slots.len() {
-                break;
-            }
-            state = self.wait(state);
-        }
-        state.unclaimed += 1;
-        #[cfg(test)]
-        {
-            state.high_water = state.high_water.max(state.unclaimed - state.undelivered);
-        }
-        Some(state.unclaimed - 1)
-    }
-
-    fn deposit(&self, idx: usize, item: T) {
-        let mut state = self.lock();
-        let window = state.slots.len();
-        // Losing an item here would silently drop runs from the stream.
-        assert!(
-            (state.undelivered..state.undelivered + window).contains(&idx),
-            "item {idx} finished outside the reorder window"
-        );
-        state.slots[idx % window] = Some(item);
-        self.changed.notify_all();
-    }
-
-    /// Blocks until the next item in index order is there and takes it,
-    /// which moves the window up by one; `None` if a worker panicked.
-    fn take_next(&self) -> Option<T> {
-        let mut state = self.lock();
-        loop {
-            let slot = state.undelivered % state.slots.len();
-            if let Some(item) = state.slots[slot].take() {
-                state.undelivered += 1;
-                self.changed.notify_all();
-                return Some(item);
-            }
-            if state.stopped {
-                return None;
-            }
-            state = self.wait(state);
-        }
-    }
-
-    fn stop(&self) {
-        self.lock().stopped = true;
-        self.changed.notify_all();
-    }
-}
-
-/// Stops the stream when its thread unwinds, so a panicking sink or
-/// exchange fails the enumeration instead of leaving the other threads
-/// parked on the window forever (the scope re-raises the panic).
-struct StopOnPanic<'a, T>(&'a Reorder<T>);
-
-impl<T> Drop for StopOnPanic<'_, T> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.stop();
-        }
-    }
-}
-
-/// Threaded streaming engine: `workers` threads `produce` the items
-/// `0..count` inside `reorder`'s window and the calling thread feeds them
-/// to `consume` in index order, stopping at its first error — the stream
-/// `(0..count).map(produce).try_for_each(consume)` yields sequentially.
-fn run_reordered<T: Send>(
-    reorder: &Reorder<T>,
-    count: usize,
-    workers: usize,
-    produce: impl Fn(usize) -> T + Sync,
-    mut consume: impl FnMut(T) -> Result<(), EbaError>,
-) -> Result<(), EbaError> {
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let _stop = StopOnPanic(reorder);
-                while let Some(idx) = reorder.claim(count) {
-                    reorder.deposit(idx, produce(idx));
-                }
-            });
-        }
-        let _stop = StopOnPanic(reorder);
-        let result = (0..count).try_for_each(|_| match reorder.take_next() {
-            Some(item) => consume(item),
-            None => Err(EbaError::InvalidInput(
-                "an enumeration worker panicked".into(),
-            )),
-        });
-        reorder.stop();
-        result
-    })
 }
 
 /// The independent shards of the search space, addressed by index in the
@@ -570,10 +404,11 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         // Branch points, sender-major; receiver `to`'s column is the
         // senders of its slots.
         let agents = || (0..n).map(AgentId::new);
-        let droppable = |from: AgentId, to: AgentId| match self.model {
-            FailureModel::GeneralOmission => self.faulty.contains(from) || self.faulty.contains(to),
-            FailureModel::Crash => alive.contains(from),
-            FailureModel::FailureFree | FailureModel::SendingOmission => self.faulty.contains(from),
+        // `alive` is the faulty senders not yet crashed: outside `Crash`,
+        // the faulty set.
+        let droppable = |from: AgentId, to: AgentId| {
+            self.model
+                .admits_drop(alive.contains(from), self.faulty.contains(to))
         };
         let slots: Vec<(AgentId, AgentId)> = agents()
             .flat_map(|from| agents().map(move |to| (from, to)))
@@ -735,7 +570,6 @@ mod tests {
     use crate::scenario::Scenario;
     use eba_core::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::mpsc;
 
     /// Collects every run of `ctx` at `horizon` on `parallelism` workers.
     fn collect<E, P>(ctx: &Context<E, P>, horizon: u32, parallelism: Parallelism) -> Vec<EnumRun<E>>
@@ -852,7 +686,7 @@ mod tests {
 
     #[test]
     fn streaming_parallel_preserves_sequential_order() {
-        // The reorder buffer must deliver runs to the sink in the exact
+        // The ordered map must deliver runs to the sink in the exact
         // sequential order even when workers finish out of order.
         let ctx = Context::basic(Params::new(3, 1).unwrap());
         let sequential = collect(&ctx, 4, Parallelism::Sequential);
@@ -1015,88 +849,6 @@ mod tests {
             let parallel = collect(&ctx, 4, parallelism);
             assert_same_runs(&sequential, &parallel, &format!("{parallelism:?}"));
         }
-    }
-
-    /// Runs 64 unit items through a 4-worker, 8-slot window with a
-    /// `produce` that reports every start; returns the delivery order
-    /// and the window's high-water mark.
-    fn reordered(
-        produce: impl Fn(usize) + Sync,
-        mut consume: impl FnMut(usize) -> Result<(), EbaError>,
-    ) -> (Result<(), EbaError>, Vec<usize>, usize) {
-        let reorder = Reorder::new(8);
-        let mut order = Vec::new();
-        let result = run_reordered(
-            &reorder,
-            64,
-            4,
-            |idx| {
-                produce(idx);
-                idx
-            },
-            |idx| {
-                order.push(idx);
-                consume(idx)
-            },
-        );
-        let high_water = reorder.lock().high_water;
-        (result, order, high_water)
-    }
-
-    #[test]
-    fn reorder_window_bounds_the_items_in_flight() {
-        // Skewed items and a slow sink, forced with channels: item 0 does
-        // not finish before items 1..8 — all the window admits — have
-        // started, and the sink does not return from item 0 before item
-        // 8 — admitted by taking item 0 — has. So the producers do run
-        // into the window, and must never get past it.
-        let (early_tx, early_rx) = mpsc::channel();
-        let (late_tx, late_rx) = mpsc::channel();
-        let early_rx = Mutex::new(early_rx);
-        let (result, order, high_water) = reordered(
-            |idx| match idx {
-                0 => (0..7).for_each(|_| early_rx.lock().unwrap().recv().unwrap()),
-                1..=7 => early_tx.send(()).unwrap(),
-                8 => late_tx.send(()).unwrap(),
-                _ => {}
-            },
-            |idx| {
-                if idx == 0 {
-                    late_rx.recv().unwrap();
-                }
-                Ok(())
-            },
-        );
-        result.unwrap();
-        assert_eq!(order, (0..64).collect::<Vec<_>>());
-        assert_eq!(high_water, 8, "the window is reached, never exceeded");
-    }
-
-    #[test]
-    fn reorder_stops_within_one_window_of_a_sink_error() {
-        let started = AtomicUsize::new(0);
-        let (result, order, high_water) = reordered(
-            |_| {
-                started.fetch_add(1, Ordering::Relaxed);
-            },
-            |idx| match idx {
-                3 => Err(EbaError::InvalidInput("sink aborted".into())),
-                _ => Ok(()),
-            },
-        );
-        assert!(result.unwrap_err().to_string().contains("sink aborted"));
-        assert_eq!(order, [0, 1, 2, 3]);
-        assert!(high_water <= 8);
-        // Items 0..=3 were taken, so at most 4..12 were ever admitted.
-        assert!(started.into_inner() <= 12);
-    }
-
-    #[test]
-    #[should_panic(expected = "sink panicked")]
-    fn reorder_survives_a_panicking_sink() {
-        // The workers parked on the full window must be released, or the
-        // scope never joins and the panic never surfaces.
-        let _ = reordered(|_| {}, |_| panic!("sink panicked"));
     }
 
     /// Forwards to `E`, counting the `δ` calls an enumeration pays.

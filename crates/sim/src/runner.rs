@@ -1,6 +1,10 @@
 //! The run kernel: the one loop that executes a run of a context against
 //! a failure pattern, following the global-transition semantics of
-//! Section 3.
+//! Section 3 — and [`Parallelism::for_each_ordered`], the one ordered
+//! parallel map that the batch engines (exhaustive enumeration, Monte
+//! Carlo estimation) run their independent work items on.
+
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use eba_core::context::{validate_scenario_shape, Context};
 use eba_core::exchange::{choose_actions, initial_states, step_round, InformationExchange};
@@ -11,10 +15,11 @@ use eba_core::types::{Action, EbaError, Value};
 use crate::enumerate::EnumRun;
 
 /// How much hardware parallelism batch work (exhaustive run enumeration,
-/// sweeps) may use. A single simulated run is always sequential — rounds
-/// are causally ordered — so this only affects APIs that process many
-/// independent runs, such as
-/// [`Scenario::enumerate`](crate::scenario::Scenario::enumerate).
+/// Monte Carlo estimation) may use. A single simulated run is always
+/// sequential — rounds are causally ordered — so this only affects APIs
+/// that process many independent runs, such as
+/// [`Scenario::enumerate`](crate::scenario::Scenario::enumerate); they all
+/// run on [`Parallelism::for_each_ordered`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Parallelism {
     /// Everything on the calling thread (the default).
@@ -38,6 +43,165 @@ impl Parallelism {
                 .map(|n| n.get())
                 .unwrap_or(1),
             Parallelism::Fixed(k) => k.max(1),
+        }
+    }
+
+    /// Feeds `produce(0)`, …, `produce(count - 1)` to `consume` in index
+    /// order and stops at its first error: the result is that of
+    /// `(0..count).map(produce).try_for_each(consume)`, which is what one
+    /// worker runs, inline. With more, scoped threads produce the items
+    /// and the calling thread consumes them. A thread claims the lowest
+    /// unclaimed index once it lies within `2 × workers` items past the
+    /// last one `consume` took, and a finished item waits in its slot
+    /// until every earlier one is taken, so the items in flight never
+    /// outgrow that window. A panic in `produce` or `consume` stops the
+    /// window and is re-raised on the calling thread.
+    pub fn for_each_ordered<T: Send, E>(
+        self,
+        count: usize,
+        produce: impl Fn(usize) -> T + Sync,
+        consume: impl FnMut(T) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let workers = self.worker_count().min(count);
+        if workers <= 1 {
+            return (0..count).map(produce).try_for_each(consume);
+        }
+        let window = Window::new(WINDOW_PER_WORKER * workers);
+        std::thread::scope(|scope| {
+            let producers: Vec<_> = (0..workers)
+                .map(|_| {
+                    scope.spawn(|| {
+                        let _stop = StopOnPanic(&window);
+                        while let Some(idx) = window.claim(count) {
+                            window.deposit(idx, produce(idx));
+                        }
+                    })
+                })
+                .collect();
+            let _stop = StopOnPanic(&window);
+            // The window runs dry only when a producer panicked.
+            let result = (0..count)
+                .map_while(|_| window.take_next())
+                .try_for_each(consume);
+            window.stop();
+            for producer in producers {
+                if let Err(panic) = producer.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
+            result
+        })
+    }
+}
+
+/// Window slots per worker: enough slack that a worker which finishes
+/// early has a next item to start while a slow neighbour holds the
+/// window's low end, small enough that the window stays a handful of
+/// items.
+const WINDOW_PER_WORKER: usize = 2;
+
+/// The bounded reorder buffer of [`Parallelism::for_each_ordered`]:
+/// producers claim indices in order, but only inside
+/// `undelivered..undelivered + slots.len()`, and park a finished item in
+/// the slot `idx % slots.len()` until the consumer has taken every
+/// earlier one.
+struct Window<T> {
+    state: Mutex<WindowState<T>>,
+    changed: Condvar,
+}
+
+struct WindowState<T> {
+    /// The lowest index no producer has claimed.
+    unclaimed: usize,
+    /// The lowest index the consumer has not taken.
+    undelivered: usize,
+    slots: Vec<Option<T>>,
+    /// Set when the consumer is done (finished or failed) or any thread
+    /// panicked: nobody waits or claims past it.
+    stopped: bool,
+}
+
+impl<T> Window<T> {
+    fn new(size: usize) -> Self {
+        Window {
+            state: Mutex::new(WindowState {
+                unclaimed: 0,
+                undelivered: 0,
+                slots: (0..size).map(|_| None).collect(),
+                stopped: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// The state is a few counters updated in single assignments, valid
+    /// at every step, so a poisoned lock (a panic elsewhere, already on
+    /// its way out through the scope) is still safe to read and stop.
+    fn lock(&self) -> MutexGuard<'_, WindowState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the state once it is `ready` or the window stopped.
+    fn wait_until(
+        &self,
+        mut ready: impl FnMut(&WindowState<T>) -> bool,
+    ) -> MutexGuard<'_, WindowState<T>> {
+        let blocked = |state: &mut WindowState<T>| !state.stopped && !ready(state);
+        self.changed
+            .wait_while(self.lock(), blocked)
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Claims the lowest unclaimed of `count` indices once it is inside
+    /// the window; `None` when all are claimed or the window stopped.
+    fn claim(&self, count: usize) -> Option<usize> {
+        let mut state = self
+            .wait_until(|s| s.unclaimed >= count || s.unclaimed < s.undelivered + s.slots.len());
+        if state.stopped || state.unclaimed >= count {
+            return None;
+        }
+        state.unclaimed += 1;
+        Some(state.unclaimed - 1)
+    }
+
+    fn deposit(&self, idx: usize, item: T) {
+        let mut state = self.lock();
+        let size = state.slots.len();
+        // Losing an item here would silently drop it from the stream.
+        assert!(
+            (state.undelivered..state.undelivered + size).contains(&idx),
+            "item {idx} finished outside the window"
+        );
+        state.slots[idx % size] = Some(item);
+        self.changed.notify_all();
+    }
+
+    /// Blocks until the next item in index order is there and takes it,
+    /// which moves the window up by one; `None` once the window stopped.
+    fn take_next(&self) -> Option<T> {
+        let mut state = self.wait_until(|s| s.slots[s.undelivered % s.slots.len()].is_some());
+        let slot = state.undelivered % state.slots.len();
+        let item = state.slots[slot].take()?;
+        state.undelivered += 1;
+        self.changed.notify_all();
+        Some(item)
+    }
+
+    fn stop(&self) {
+        self.lock().stopped = true;
+        self.changed.notify_all();
+    }
+}
+
+/// Stops the window when its thread unwinds, so a panic on either side
+/// is re-raised instead of leaving the other threads parked on the
+/// window forever.
+struct StopOnPanic<'a, T>(&'a Window<T>);
+
+impl<T> Drop for StopOnPanic<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop();
         }
     }
 }
@@ -98,11 +262,13 @@ where
 
 #[cfg(test)]
 mod tests {
+    use super::Parallelism;
     use crate::chains::zero_chain_ending_at;
     use crate::enumerate::EnumRun;
     use crate::metrics::Metrics;
     use crate::scenario::Scenario;
     use eba_core::prelude::*;
+    use std::sync::{mpsc, Mutex};
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
@@ -246,6 +412,105 @@ mod tests {
             .unwrap();
         assert_eq!(run.horizon(), 6);
         assert_eq!(run.states.len(), 7);
+    }
+
+    /// Maps 64 items on 4 workers, a window of 8, calling `produce` and
+    /// `consume` with each index. Returns the result, the order `consume`
+    /// saw, the items started and the most items ever started but not
+    /// yet returned from `consume`: the window plus the item the sink
+    /// holds.
+    fn ordered(
+        produce: impl Fn(usize) + Sync,
+        mut consume: impl FnMut(usize) -> Result<(), EbaError>,
+    ) -> (Result<(), EbaError>, Vec<usize>, usize, usize) {
+        // (started, returned from `consume`, most started but not returned)
+        let counts = Mutex::new((0, 0, 0));
+        let mut order = Vec::new();
+        let result = Parallelism::Fixed(4).for_each_ordered(
+            64,
+            |idx| {
+                {
+                    let (started, returned, high_water) = &mut *counts.lock().unwrap();
+                    *started += 1;
+                    *high_water = (*started - *returned).max(*high_water);
+                }
+                produce(idx);
+                idx
+            },
+            |idx| {
+                order.push(idx);
+                let result = consume(idx);
+                counts.lock().unwrap().1 += 1;
+                result
+            },
+        );
+        let (started, _, high_water) = counts.into_inner().unwrap();
+        (result, order, started, high_water)
+    }
+
+    #[test]
+    fn ordered_map_bounds_the_items_in_flight() {
+        // Skewed items and a slow sink, forced with channels: item 0 does
+        // not finish before items 1..8 — all the window admits — have
+        // started, and the sink does not return from item 0 before item
+        // 8 — admitted by taking item 0 — has. So the producers do run
+        // into the window, and must never get past it.
+        let (early_tx, early_rx) = mpsc::channel();
+        let (late_tx, late_rx) = mpsc::channel();
+        let early_rx = Mutex::new(early_rx);
+        let (result, order, _, high_water) = ordered(
+            |idx| match idx {
+                0 => (0..7).for_each(|_| early_rx.lock().unwrap().recv().unwrap()),
+                1..=7 => early_tx.send(()).unwrap(),
+                8 => late_tx.send(()).unwrap(),
+                _ => {}
+            },
+            |idx| {
+                if idx == 0 {
+                    late_rx.recv().unwrap();
+                }
+                Ok(())
+            },
+        );
+        result.unwrap();
+        assert_eq!(order, (0..64).collect::<Vec<_>>());
+        assert_eq!(
+            high_water,
+            2 * 4 + 1,
+            "the window is reached, never exceeded"
+        );
+    }
+
+    #[test]
+    fn ordered_map_stops_within_one_window_of_a_sink_error() {
+        let (result, order, started, high_water) = ordered(
+            |_| {},
+            |idx| match idx {
+                3 => Err(EbaError::InvalidInput("sink aborted".into())),
+                _ => Ok(()),
+            },
+        );
+        assert!(result.unwrap_err().to_string().contains("sink aborted"));
+        assert_eq!(order, [0, 1, 2, 3]);
+        assert!(high_water <= 2 * 4 + 1);
+        // Items 0..=3 were taken, so at most 4..12 were ever admitted.
+        assert!(started <= 12, "{started} items started");
+    }
+
+    #[test]
+    #[should_panic(expected = "sink panicked")]
+    fn ordered_map_reraises_a_panicking_sink() {
+        // The workers parked on the full window must be released, or the
+        // scope never joins and the panic never surfaces.
+        let _ = ordered(|_| {}, |_| panic!("sink panicked"));
+    }
+
+    #[test]
+    #[should_panic(expected = "produce panicked")]
+    fn ordered_map_reraises_a_panicking_producer() {
+        // The sink waiting on the panicked item must be released, and the
+        // producer's own panic, not the scope's, must surface.
+        let _ = ordered(|idx| assert_ne!(idx, 5, "produce panicked"), |_| Ok(()));
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!
 //! **Bit-reproducibility.** Trials are partitioned into fixed-size blocks
 //! of [`TRIAL_BLOCK`]; block `b` runs on its own `StdRng` seeded
-//! deterministically from `(plan.seed, b)`. Workers claim blocks from an
-//! atomic counter, but results are merged *by block index*, so the
-//! estimate — counts, per-stratum tallies, and exported repro samples —
-//! is identical for any worker count. Only the wall-clock differs.
+//! deterministically from `(plan.seed, b)`. The blocks run on
+//! [`Parallelism::for_each_ordered`], which hands them back *in block
+//! index* order whichever worker ran them, and each is folded into the
+//! estimate as it arrives. So the estimate — counts, per-stratum tallies,
+//! and exported repro samples — is identical for any worker count, and
+//! so is a failure: the first failing block in index order is the error
+//! returned. Only the wall-clock differs.
 //!
 //! **Rare-event confirmation.** Violating samples are deduplicated by a
 //! novelty signature (nonfaulty footprint, decision vector, violated
@@ -26,14 +29,12 @@
 //! fuzzer searches over and a `.eba` file parses to.
 //!
 //! [`AdversarySampler`]: eba_core::prelude::AdversarySampler
+//! [`Parallelism::for_each_ordered`]: eba_sim::runner::Parallelism::for_each_ordered
 //! [`run_rounds`]: eba_sim::runner::run_rounds
 //! [`judge_run`]: eba_sim::spec::judge_run
 //! [`check_eba`]: eba_sim::spec::check_eba
 //! [`check_spec`]: eba_epistemic::spec::check_spec
 //! [`EngineOracle`]: eba_epistemic::spec::EngineOracle
-
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 use eba_core::failures::random_faulty_set;
 use eba_core::prelude::*;
@@ -47,7 +48,7 @@ use crate::plan::{Stratum, TrialPlan};
 
 /// Trials per deterministic block — the unit of reproducible work
 /// distribution. Small enough that short runs still parallelize, large
-/// enough that the per-block overhead (an RNG seed, a merge slot) is
+/// enough that the per-block overhead (an RNG seed, a window slot) is
 /// noise.
 pub const TRIAL_BLOCK: u64 = 1024;
 
@@ -196,17 +197,51 @@ struct Candidate {
     kind_idx: u8,
 }
 
-/// One block's deterministic tallies.
+/// The deterministic tallies of one block, or of the blocks folded so
+/// far. Every violation has one kind, so `kind_counts` sums to the
+/// violations.
 struct BlockResult {
-    violations: u64,
     stratum_trials: Vec<u64>,
     stratum_violations: Vec<u64>,
     kind_counts: [u64; 4],
     candidates: Vec<Candidate>,
 }
 
-/// At most this many candidates are kept per block; the post-merge
-/// novelty filter discards duplicates anyway, and a violation-dense block
+impl BlockResult {
+    fn new(strata: usize) -> Self {
+        BlockResult {
+            stratum_trials: vec![0; strata],
+            stratum_violations: vec![0; strata],
+            kind_counts: [0; 4],
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Folds in the next block in index order: its tallies, and its
+    /// candidates whose novelty signature is new, up to [`MAX_REPROS`].
+    fn absorb(&mut self, block: BlockResult) {
+        add(&mut self.stratum_trials, &block.stratum_trials);
+        add(&mut self.stratum_violations, &block.stratum_violations);
+        add(&mut self.kind_counts, &block.kind_counts);
+        for cand in block.candidates {
+            let fresh = self
+                .candidates
+                .iter()
+                .all(|c| c.signature != cand.signature);
+            if fresh && self.candidates.len() < MAX_REPROS {
+                self.candidates.push(cand);
+            }
+        }
+    }
+}
+
+/// Adds `counts` into `acc`, entry by entry.
+fn add(acc: &mut [u64], counts: &[u64]) {
+    acc.iter_mut().zip(counts).for_each(|(a, c)| *a += c);
+}
+
+/// At most this many candidates are kept per block; the fold's novelty
+/// filter discards duplicates anyway, and a violation-dense block
 /// must not hoard patterns.
 const BLOCK_CANDIDATES: usize = 2;
 
@@ -273,13 +308,7 @@ impl EstimateVisitor<'_> {
             .collect();
         let cumulative = cumulative_weights(self.strata);
         let mut rng = StdRng::seed_from_u64(mix_seed(self.plan.seed, block));
-        let mut result = BlockResult {
-            violations: 0,
-            stratum_trials: vec![0; self.strata.len()],
-            stratum_violations: vec![0; self.strata.len()],
-            kind_counts: [0; 4],
-            candidates: Vec::new(),
-        };
+        let mut result = BlockResult::new(self.strata.len());
         for _ in 0..trials {
             let r: f64 = rng.random();
             let s = pick_stratum(&cumulative, r);
@@ -295,7 +324,6 @@ impl EstimateVisitor<'_> {
             result.stratum_trials[s] += 1;
             let (run, verdict) = run_and_judge(ctx, &pattern, &inits, self.plan.horizon)?;
             if let Some(kind) = verdict {
-                result.violations += 1;
                 result.stratum_violations[s] += 1;
                 let kind_idx = kind_index(kind);
                 result.kind_counts[kind_idx as usize] += 1;
@@ -330,96 +358,45 @@ impl StackVisitor for EstimateVisitor<'_> {
         E: InformationExchange + Clone + Sync + 'static,
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
-        let blocks = self.plan.trials.div_ceil(TRIAL_BLOCK);
-        let workers = self
-            .parallelism
-            .worker_count()
-            .min(usize::try_from(blocks).unwrap_or(usize::MAX))
-            .max(1);
+        let blocks = usize::try_from(self.plan.trials.div_ceil(TRIAL_BLOCK))
+            .map_err(|_| EbaError::InvalidInput("too many trials for this platform".into()))?;
+        let workers = self.parallelism.worker_count().min(blocks);
 
-        let next = AtomicU64::new(0);
-        let slots: Mutex<Vec<Option<BlockResult>>> =
-            Mutex::new((0..blocks).map(|_| None).collect());
-        let failure: Mutex<Option<EbaError>> = Mutex::new(None);
-
+        // Blocks are folded in index order as they arrive, regardless of
+        // which worker produced which; the first failing one is the error.
+        let mut total = BlockResult::new(self.strata.len());
         let t0 = std::time::Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let block = next.fetch_add(1, Ordering::Relaxed);
-                    if block >= blocks {
-                        return;
-                    }
-                    let trials = if block + 1 == blocks {
-                        self.plan.trials - block * TRIAL_BLOCK
-                    } else {
-                        TRIAL_BLOCK
-                    };
-                    match self.run_block(ctx, block, trials) {
-                        Ok(result) => {
-                            slots.lock().expect("no poisoned block slots")[block as usize] =
-                                Some(result);
-                        }
-                        Err(e) => {
-                            *failure.lock().expect("no poisoned failure slot") = Some(e);
-                            return;
-                        }
-                    }
-                });
-            }
-        });
+        self.parallelism.for_each_ordered(
+            blocks,
+            |block| {
+                let (block, first) = (block as u64, block as u64 * TRIAL_BLOCK);
+                self.run_block(ctx, block, TRIAL_BLOCK.min(self.plan.trials - first))
+            },
+            |block| block.map(|block| total.absorb(block)),
+        )?;
         let elapsed_seconds = t0.elapsed().as_secs_f64();
-        if let Some(e) = failure.into_inner().expect("no poisoned failure slot") {
-            return Err(e);
-        }
-
-        // Deterministic merge: fold the blocks in index order, regardless
-        // of which worker produced which.
-        let mut violations = 0u64;
-        let mut stratum_trials = vec![0u64; self.strata.len()];
-        let mut stratum_violations = vec![0u64; self.strata.len()];
-        let mut kind_counts = [0u64; 4];
-        let mut seen: Vec<(u128, Vec<u8>, u8)> = Vec::new();
-        let mut repros: Vec<ViolatingSample> = Vec::new();
-        for block in slots.into_inner().expect("no poisoned block slots") {
-            let block = block.ok_or_else(|| {
-                EbaError::InvalidInput("a trial block was abandoned by a failed worker".into())
-            })?;
-            violations += block.violations;
-            for (acc, v) in stratum_trials.iter_mut().zip(&block.stratum_trials) {
-                *acc += v;
-            }
-            for (acc, v) in stratum_violations.iter_mut().zip(&block.stratum_violations) {
-                *acc += v;
-            }
-            for (acc, v) in kind_counts.iter_mut().zip(&block.kind_counts) {
-                *acc += v;
-            }
-            for cand in block.candidates {
-                if repros.len() >= MAX_REPROS || seen.contains(&cand.signature) {
-                    continue;
-                }
-                seen.push(cand.signature);
-                repros.push(ViolatingSample {
-                    case: Case {
-                        pattern: cand.pattern,
-                        inits: cand.inits,
-                        horizon: self.plan.horizon,
-                    },
-                    kind: VIOLATION_KINDS[cand.kind_idx as usize],
-                    engine_confirmed: false,
-                });
-            }
-        }
 
         // Confirm the survivors through the epistemic layer: one-run
         // interpreted system, compiled spec query, oracle semantics.
         let oracle = EngineOracle::new(ctx.clone());
-        for repro in &mut repros {
-            let sys = oracle.system(&repro.case)?;
-            repro.engine_confirmed = !check_spec(&sys).is_empty();
-        }
+        let repros = total
+            .candidates
+            .into_iter()
+            .map(|cand| {
+                let case = Case {
+                    pattern: cand.pattern,
+                    inits: cand.inits,
+                    horizon: self.plan.horizon,
+                };
+                Ok(ViolatingSample {
+                    engine_confirmed: !check_spec(&oracle.system(&case)?).is_empty(),
+                    case,
+                    kind: VIOLATION_KINDS[cand.kind_idx as usize],
+                })
+            })
+            .collect::<Result<_, EbaError>>()?;
 
+        let violations = total.kind_counts.iter().sum();
         Ok(Estimate {
             stack: ctx.qualified_name(),
             n: ctx.params().n(),
@@ -435,14 +412,14 @@ impl StackVisitor for EstimateVisitor<'_> {
             strata: self
                 .strata
                 .iter()
-                .zip(stratum_trials.iter().zip(&stratum_violations))
+                .zip(total.stratum_trials.iter().zip(&total.stratum_violations))
                 .map(|(stratum, (&trials, &violations))| StratumCount {
                     stratum: *stratum,
                     trials,
                     violations,
                 })
                 .collect(),
-            kind_counts,
+            kind_counts: total.kind_counts,
             repros,
             workers,
             elapsed_seconds,

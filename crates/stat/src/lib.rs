@@ -19,7 +19,7 @@
 //!       │                                        │
 //!       │                              EnumRun ──► judge_run
 //!       │                                        │
-//!       └──► blocks × workers ──► deterministic merge ──► Estimate
+//!       └──► blocks × workers ──► fold in block order ──► Estimate
 //!                                        │
 //!                       Wilson / Clopper–Pearson intervals,
 //!                       per-stratum counts, `.eba` repros

@@ -49,15 +49,30 @@ fn the_naive_stack_estimate_brackets_the_exhaustive_verdict() {
 
 #[test]
 fn estimates_are_invariant_under_the_worker_count() {
+    // 4,096 + 17 trials: four full blocks and a partial fifth, so 64
+    // workers outnumber the blocks and the last block is short.
     let target = stack("E_naive/P_naive", 4, 1);
-    let plan = TrialPlan::new(4_096, target.params().default_horizon());
+    let plan = TrialPlan::new(4_096 + 17, target.params().default_horizon());
     let seq = estimate(&target, &plan, Parallelism::Sequential).unwrap();
-    let par = estimate(&target, &plan, Parallelism::Fixed(3)).unwrap();
-    assert_eq!(seq.violations, par.violations);
-    assert_eq!(seq.wilson.lo.to_bits(), par.wilson.lo.to_bits());
-    assert_eq!(seq.wilson.hi.to_bits(), par.wilson.hi.to_bits());
-    assert_eq!(seq.kind_counts, par.kind_counts);
-    let seq_strata: Vec<u64> = seq.strata.iter().map(|s| s.violations).collect();
-    let par_strata: Vec<u64> = par.strata.iter().map(|s| s.violations).collect();
-    assert_eq!(seq_strata, par_strata);
+    assert!(!seq.repros.is_empty());
+    for workers in [2, 3, 64] {
+        let par = estimate(&target, &plan, Parallelism::Fixed(workers)).unwrap();
+        assert_eq!(seq.trials, par.trials, "workers = {workers}");
+        assert_eq!(seq.violations, par.violations, "workers = {workers}");
+        assert_eq!(seq.wilson.lo.to_bits(), par.wilson.lo.to_bits());
+        assert_eq!(seq.wilson.hi.to_bits(), par.wilson.hi.to_bits());
+        assert_eq!(seq.kind_counts, par.kind_counts);
+        let strata = |est: &Estimate| -> Vec<(u64, u64)> {
+            est.strata
+                .iter()
+                .map(|s| (s.trials, s.violations))
+                .collect()
+        };
+        assert_eq!(strata(&seq), strata(&par), "workers = {workers}");
+        let repros = |est: &Estimate| -> Vec<(Case, &str, bool)> {
+            let repro = |r: &ViolatingSample| (r.case.clone(), r.kind, r.engine_confirmed);
+            est.repros.iter().map(repro).collect()
+        };
+        assert_eq!(repros(&seq), repros(&par), "workers = {workers}");
+    }
 }

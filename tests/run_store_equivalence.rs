@@ -287,3 +287,68 @@ fn full_fip_system_streams_with_identical_verdicts() {
     );
     assert_eq!(report.runs, legacy.run_count());
 }
+
+/// The distinct `(N, inits, global-state prefix)` nodes of a store's
+/// runs, counted post hoc from its points: `(all, below the horizon)`.
+struct PrefixNodes;
+
+impl StackVisitor for PrefixNodes {
+    type Output = (usize, usize);
+
+    fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
+    where
+        E: InformationExchange + Clone + Sync + 'static,
+        P: ActionProtocol<E> + Clone + Sync + 'static,
+    {
+        let store = Scenario::of(ctx)
+            .horizon(4)
+            .parallelism(Parallelism::Auto)
+            .enumerate_store()
+            .expect("enumerable");
+        let (n, per_run) = (store.agents(), 5);
+        let mut prefixes = std::collections::HashSet::new();
+        let mut below = 0;
+        for run in 0..store.run_count() {
+            let mut prefix = Vec::with_capacity(per_run * n);
+            for time in 0..per_run {
+                prefix.extend((0..n).map(|agent| store.state_id(agent, run * per_run + time)));
+                let key = (store.nonfaulty(run), store.inits(run).to_vec(), prefix.clone());
+                if prefixes.insert(key) && time + 1 < per_run {
+                    below += 1;
+                }
+            }
+        }
+        (prefixes.len(), below)
+    }
+}
+
+/// The prefix tree of every (3, 1) horizon-4 registry system but the
+/// 25.2M-run `E_fip@general_omission`: its distinct nodes, and those
+/// below the horizon, where a knowledge-based program is evaluated.
+#[test]
+fn prefix_tree_node_counts_are_pinned() {
+    const NODES: [(&str, usize, usize); 15] = [
+        ("E_min/P_min@failure_free", 40, 32),
+        ("E_min/P_min@crash", 307, 233),
+        ("E_min/P_min@sending_omission", 307, 233),
+        ("E_min/P_min@general_omission", 781, 509),
+        ("E_basic/P_basic@failure_free", 40, 32),
+        ("E_basic/P_basic@crash", 391, 296),
+        ("E_basic/P_basic@sending_omission", 559, 401),
+        ("E_basic/P_basic@general_omission", 5_002, 1_742),
+        ("E_naive/P_naive@failure_free", 40, 32),
+        ("E_naive/P_naive@crash", 196, 155),
+        ("E_naive/P_naive@sending_omission", 250, 182),
+        ("E_naive/P_naive@general_omission", 340, 236),
+        ("E_fip/P_opt@failure_free", 40, 32),
+        ("E_fip/P_opt@crash", 1_840, 1_136),
+        ("E_fip/P_opt@sending_omission", 112_384, 14_072),
+    ];
+    let params = Params::new(3, 1).unwrap();
+    let counts = NODES.map(|(name, _, _)| {
+        let (nodes, below) = NamedStack::by_name(name, params).unwrap().visit(PrefixNodes);
+        println!("{name}: {nodes} nodes, {below} below the horizon");
+        (name, nodes, below)
+    });
+    assert_eq!(counts, NODES);
+}

@@ -344,6 +344,30 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         }
     }
 
+    /// `K_agent` over points: the points where everything in `inner`
+    /// holds at all points the agent considers possible. It is the
+    /// engine's node operator over `inner`'s interior, lifted to points.
+    pub fn knows_set(&self, agent: AgentId, inner: &BitSet) -> BitSet {
+        self.lift(&self.knows(agent, &self.interior(inner)))
+    }
+
+    /// `E_N` over points: everyone in the (indexical) nonfaulty set knows
+    /// `inner`, i.e. `⋀_j (j ∈ N ⇒ K_j inner)`.
+    pub fn everyone_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
+        self.lift(&self.everyone(&self.interior(inner)))
+    }
+
+    /// `C_N` over points, by the engine's one worklist pass over nodes.
+    pub fn common_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
+        self.lift(&self.common(&self.interior(inner)))
+    }
+
+    /// `C_N(t-faulty ∧ φ)` over points for `inner = φ`, by the engine's
+    /// one worklist pass over nodes.
+    pub fn common_t_faulty_set(&self, inner: &BitSet) -> BitSet {
+        self.lift(&self.common_t_faulty(&self.interior(inner)))
+    }
+
     /// Whether the formula holds at the point `(run, time)`, evaluated
     /// by the **legacy recursion** — deliberately not the engine, so a
     /// [`Verdict`](crate::query::Verdict) counterexample can be

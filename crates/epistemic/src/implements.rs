@@ -69,6 +69,12 @@ impl ImplementsReport {
 /// Compares `proto`'s action with the program's prescription at every
 /// point of the system and every agent.
 ///
+/// Both are functions of the prefix-tree node, so each `(node, agent)`
+/// pair below the horizon is compared once and weighs as the runs
+/// through the node: `comparisons` counts `(point, agent)` pairs, and a
+/// disagreement is listed at each of its points, in run, time and agent
+/// order.
+///
 /// The system must have been generated by `proto` itself (the definition
 /// of implementation interprets the program in `I_{γ,P}`); the recorded
 /// actions are cross-checked against `proto.act` as a determinism guard.
@@ -82,33 +88,44 @@ where
     P: ActionProtocol<E>,
 {
     let pres = prescriptions(sys, program);
-    let n = sys.params().n();
-    let mut mismatches = Vec::new();
+    let (store, n, horizon) = (sys.store(), sys.params().n(), sys.horizon());
+    let agents = || (0..n).map(AgentId::new);
+    let differs = |x: usize, agent: AgentId| {
+        let actual = store.node_action(x, agent.index());
+        debug_assert_eq!(
+            actual,
+            proto.act(
+                agent,
+                store.arena().get(store.node_state_ids(agent.index())[x])
+            ),
+            "recorded action disagrees with the protocol (nondeterminism?)"
+        );
+        (actual != pres.at_node(x, agent)).then_some((actual, pres.at_node(x, agent)))
+    };
     let mut comparisons = 0;
-    for r in 0..sys.run_count() {
-        for m in 0..sys.horizon() {
-            let pid = sys.point(r, m);
-            for i in 0..n {
-                let agent = AgentId::new(i);
-                let actual = sys.store().action(r, m, i);
-                debug_assert_eq!(
-                    actual,
-                    proto.act(agent, sys.local_state(pid, agent)),
-                    "recorded action disagrees with the protocol (nondeterminism?)"
-                );
-                let prescribed = pres.at(pid, agent);
-                comparisons += 1;
-                if actual != prescribed {
-                    mismatches.push(Mismatch {
-                        run: r,
-                        time: m,
-                        agent,
-                        actual,
-                        prescribed,
-                    });
+    let mut disagree = vec![false; store.node_count()];
+    for x in (0..store.node_count()).filter(|x| store.depth(*x) < horizon) {
+        comparisons += n * store.runs(x).len();
+        disagree[x] = agents().any(|agent| differs(x, agent).is_some());
+    }
+    let mut mismatches = Vec::new();
+    if disagree.contains(&true) {
+        store.for_each_chain(|run, chain| {
+            for (m, &x) in chain[..horizon as usize].iter().enumerate() {
+                for agent in agents().filter(|_| disagree[x]) {
+                    if let Some((actual, prescribed)) = differs(x, agent) {
+                        let time = m as u32;
+                        mismatches.push(Mismatch {
+                            run,
+                            time,
+                            agent,
+                            actual,
+                            prescribed,
+                        });
+                    }
                 }
             }
-        }
+        });
     }
     ImplementsReport {
         comparisons,

@@ -4,8 +4,8 @@
 //! [`rules`] states each program once, as an ordered list of `(guard,
 //! action)` pairs per agent: the first rule whose guard holds gives the
 //! action, and `noop` where none holds. [`prescriptions`] evaluates them
-//! over a system `I` to give `(P)^I`, which [`crate::implements`] compares
-//! with a concrete protocol.
+//! over a system `I` to give `(P)^I`, once per node of its prefix tree,
+//! which [`crate::implements`] compares with a concrete protocol.
 
 use eba_core::exchange::InformationExchange;
 use eba_core::kbp::KnowledgeBasedProgram;
@@ -60,17 +60,23 @@ pub fn rules(
 }
 
 /// The action a knowledge-based program prescribes for every
-/// `(point, agent)` pair of a system.
-pub struct Prescriptions {
-    n: usize,
+/// `(node, agent)` pair of a system's prefix tree, and so for every
+/// `(point, agent)` pair: a guard is a present-time formula.
+pub struct Prescriptions<'s, E: InformationExchange> {
+    sys: &'s InterpretedSystem<E>,
     actions: Vec<Action>,
     evaluated_nodes: usize,
 }
 
-impl Prescriptions {
+impl<E: InformationExchange> Prescriptions<'_, E> {
     /// The prescribed action for `agent` at `point`.
     pub fn at(&self, point: PointId, agent: AgentId) -> Action {
-        self.actions[point as usize * self.n + agent.index()]
+        self.at_node(self.sys.node_of(point), agent)
+    }
+
+    /// The prescribed action for `agent` at a node of the system's store.
+    pub(crate) fn at_node(&self, node: usize, agent: AgentId) -> Action {
+        self.actions[node * self.sys.params().n() + agent.index()]
     }
 
     /// Distinct formula nodes the compiled guard plan evaluated — the
@@ -84,12 +90,12 @@ impl Prescriptions {
 /// [`rules`] are interned into **one** hash-consed [`FormulaArena`] (so
 /// `P1`'s two `C_N(t-faulty ∧ …)` operators exist once however many
 /// `K_i` guards mention them) and evaluated by one [`EvalSession`]; then
-/// each agent's rules, last to first, write their action wherever their
-/// guard holds, so the first rule that holds at a point wins.
+/// each agent's rules, last to first, write their action at every node
+/// where their guard holds, so the first rule that holds there wins.
 pub fn prescriptions<E: InformationExchange>(
     sys: &InterpretedSystem<E>,
     program: KnowledgeBasedProgram,
-) -> Prescriptions {
+) -> Prescriptions<'_, E> {
     let params = sys.params();
     let mut arena = FormulaArena::new();
     let interned: Vec<Vec<(NodeId, Action)>> = params
@@ -103,18 +109,17 @@ pub fn prescriptions<E: InformationExchange>(
     let plan = QueryPlan::new(&arena, &roots);
     let session = EvalSession::evaluate(sys, &arena, &plan);
     let n = params.n();
-    let mut actions = vec![Action::Noop; sys.point_count() * n];
+    let mut actions = vec![Action::Noop; sys.store().node_count() * n];
     // Last rule first: where several guards hold, the first rule writes last.
     for (i, agent_rules) in interned.iter().enumerate() {
         for (guard, action) in agent_rules.iter().rev() {
-            session
-                .bitset(*guard)
-                .iter()
-                .for_each(|p| actions[p * n + i] = *action);
+            for x in session.node_set(*guard).iter() {
+                actions[x * n + i] = *action;
+            }
         }
     }
     Prescriptions {
-        n,
+        sys,
         actions,
         evaluated_nodes: session.nodes_evaluated(),
     }

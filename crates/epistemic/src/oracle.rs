@@ -1,25 +1,28 @@
 //! The reference construction of an interpreted system, kept apart from
 //! [`InterpretedSystem`]'s constructors because nothing but tests should
 //! call it: `tests/run_store_equivalence.rs` and the in-crate suites build
-//! the same system through [`InterpretedSystem::from_context`] (interned
-//! arena, one counting sort per agent) and through [`from_runs`] (a
-//! collected run vector, hash-then-group over the raw states), and
-//! require the class partitions, states and actions to agree exactly.
+//! the same system through [`InterpretedSystem::from_context`] (the
+//! enumerator's prefix tree, one counting sort per agent) and through
+//! [`from_runs`] (a collected run vector pushed as one unshared chain per
+//! run, so its nodes are its points, and hash-then-group over the raw
+//! states), and require the class partitions, verdicts, states and
+//! actions to agree exactly.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use eba_core::exchange::InformationExchange;
-use eba_core::types::EbaError;
+use eba_core::types::{AgentId, EbaError};
 use eba_sim::enumerate::EnumRun;
 use eba_sim::store::{ensure_point_capacity, PointId, RunStore};
 
 use crate::system::{AgentClasses, InterpretedSystem};
 
 /// Builds a system from pre-enumerated runs (they must all have the given
-/// horizon): classes are computed by a hash-then-group classifier over the
-/// collected run vector, independently of the arena sort, and laid out
-/// by the ids the store interned.
+/// horizon): each run is one chain of nodes, so every node is a point,
+/// numbered as the point, and classes are computed by a hash-then-group
+/// classifier over the collected run vector, independently of the arena
+/// sort, and laid out by the ids the store interned.
 ///
 /// # Panics
 ///
@@ -57,13 +60,38 @@ pub fn from_runs<E: InformationExchange>(
     InterpretedSystem::from_classes(ex, store, classes)
 }
 
+impl<E: InformationExchange> InterpretedSystem<E> {
+    /// The class partition of `agent` as point sets: its nonempty
+    /// classes, each ascending, ordered by their smallest point —
+    /// independent of how nodes and `StateId`s were laid out, so two
+    /// constructions can be compared.
+    pub fn class_partition(&self, agent: AgentId) -> Vec<Vec<PointId>> {
+        let (store, per_run) = (self.store(), self.horizon() as usize + 1);
+        let points = |x: &u32| {
+            let (runs, m) = (store.runs(*x as usize), store.depth(*x as usize));
+            runs.map(move |r| (r * per_run) as PointId + m)
+        };
+        let spans = self.classes[agent.index()].spans();
+        let mut partition: Vec<Vec<PointId>> = spans
+            .filter(|span| !span.is_empty())
+            .map(|span| {
+                let mut class: Vec<PointId> = span.iter().flat_map(points).collect();
+                class.sort_unstable();
+                class
+            })
+            .collect();
+        partition.sort_unstable();
+        partition
+    }
+}
+
 /// Places each of agent `i`'s classes at the span of its one `StateId`.
 fn lay_out<E: InformationExchange>(
     mut classes: Vec<Vec<PointId>>,
     store: &RunStore<E>,
     i: usize,
 ) -> AgentClasses {
-    let ids = store.state_ids(i);
+    let ids = store.node_state_ids(i);
     let id_of = |class: &Vec<PointId>| ids[class[0] as usize].index();
     classes.sort_unstable_by_key(id_of);
     let mut starts = vec![0u32; store.distinct_states() + 1];
@@ -78,8 +106,8 @@ fn lay_out<E: InformationExchange>(
     for sid in 0..store.distinct_states() {
         starts[sid + 1] += starts[sid];
     }
-    let points = classes.concat();
-    AgentClasses { points, starts }
+    let nodes = classes.concat();
+    AgentClasses { nodes, starts }
 }
 
 /// The classifier over a collected run vector: group agent `i`'s points

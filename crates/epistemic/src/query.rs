@@ -64,6 +64,7 @@
 //! # }
 //! ```
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use eba_core::exchange::InformationExchange;
@@ -359,20 +360,54 @@ pub struct Verdict {
     pub counterexample: Option<(usize, u32)>,
 }
 
-/// One executed batch: every scheduled node's point set, computed in a
+/// A formula's truth set: over nodes when the formula is present-time,
+/// over points when it looks ahead along runs (`◯`, `□`, `♦`).
+#[derive(Clone, Debug)]
+enum Sat {
+    Nodes(BitSet),
+    Points(BitSet),
+}
+
+impl Sat {
+    /// The points of the set.
+    fn points<E: InformationExchange>(&self, sys: &InterpretedSystem<E>) -> Cow<'_, BitSet> {
+        match self {
+            Sat::Nodes(nodes) => Cow::Owned(sys.lift(nodes)),
+            Sat::Points(points) => Cow::Borrowed(points),
+        }
+    }
+
+    /// The nodes all of whose points lie in the set: all a knowledge
+    /// operator reads of its operand.
+    fn interior<E: InformationExchange>(&self, sys: &InterpretedSystem<E>) -> Cow<'_, BitSet> {
+        match self {
+            Sat::Nodes(nodes) => Cow::Borrowed(nodes),
+            Sat::Points(points) => Cow::Owned(sys.interior(points)),
+        }
+    }
+}
+
+/// One executed batch: every scheduled node's truth set, computed in a
 /// single topological pass over an [`InterpretedSystem`].
 ///
-/// Run-level propositions (`InitIs`, `Nonfaulty`, `ExistsInit`) fill
-/// whole runs at a time; `decided`-reading propositions read each
-/// agent's [`StateId`](eba_sim::store::StateId) column into a per-state
-/// table, a word of points at a time; knowledge operators reuse the
-/// system's indistinguishability classes. Each distinct node is
+/// A present-time formula has one value at all points of a node of the
+/// system's prefix tree, so it is evaluated over nodes: root-level
+/// propositions (`InitIs`, `Nonfaulty`, `ExistsInit`) fill each root's
+/// subtree, a range of nodes; `decided`-reading propositions read each
+/// agent's [`StateId`](eba_sim::store::StateId) node column into a
+/// per-state table, a word of nodes at a time; `⊖` reads the parent; and
+/// knowledge operators run over the system's node classes. Only `◯`, `□`
+/// and `♦` look ahead along runs: they and the boolean nodes above them
+/// are evaluated over points, and a knowledge operator over such an
+/// operand runs over its interior, the nodes none of whose points lies
+/// outside it: its doubted or tainted classes are seeded from the
+/// operand's complement points. Each distinct node is
 /// evaluated exactly once no matter how many roots (or enclosing
 /// formulas) share it.
 pub struct EvalSession<'s, E: InformationExchange> {
     sys: &'s InterpretedSystem<E>,
     slot_of: Vec<u32>,
-    bits: Vec<BitSet>,
+    sets: Vec<Sat>,
 }
 
 impl<'s, E: InformationExchange> EvalSession<'s, E> {
@@ -404,98 +439,125 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
             plan.slot_of.len(),
             arena.node_count()
         );
-        let count = sys.point_count();
-        let mut bits: Vec<BitSet> = Vec::with_capacity(plan.schedule.len());
-        let child = |bits: &[BitSet], slot_of: &[u32], id: NodeId| -> BitSet {
-            bits[slot_of[id.index()] as usize].clone()
-        };
-        let rest_of_run = |p: PointId| p as usize..=(p + sys.horizon() - sys.time_of(p)) as usize;
+        let (store, horizon) = (sys.store(), sys.horizon());
+        let (nodes, count) = (store.node_count(), sys.point_count());
+        let mut sets: Vec<Sat> = Vec::with_capacity(plan.schedule.len());
+        let rest_of_run = |p: PointId| p as usize..=(p + horizon - sys.time_of(p)) as usize;
         for id in &plan.schedule {
-            let get = |cid: &NodeId| &bits[plan.slot_of[cid.index()] as usize];
+            let get = |cid: &NodeId| &sets[plan.slot_of[cid.index()] as usize];
+            let points = |cid: &NodeId| get(cid).points(sys);
+            let interior = |cid: &NodeId| get(cid).interior(sys);
             let set = match arena.node(*id) {
-                Node::True => {
-                    let mut s = BitSet::new(count);
-                    s.fill();
-                    s
+                Node::True => Sat::Nodes(BitSet::from_fn(nodes, |_| true)),
+                Node::InitIs(i, v) => {
+                    Sat::Nodes(sys.nodes_where_root(|_, inits| inits[i.index()] == *v))
                 }
-                Node::InitIs(i, v) => sys.points_where_run(|r| sys.inits(r)[i.index()] == *v),
                 Node::DecidedIs(i, v) => {
                     let decided = decided_column(sys, *i);
-                    BitSet::from_fn(count, |p| decided(p) == *v)
+                    Sat::Nodes(BitSet::from_fn(nodes, |x| decided(x) == *v))
                 }
-                Node::TimeIs(k) => sys.points_by(|pid| sys.time_of(pid) == *k),
-                Node::Nonfaulty(i) => sys.points_where_run(|r| sys.nonfaulty(r).contains(*i)),
-                Node::ExistsInit(v) => sys.points_where_run(|r| sys.inits(r).contains(v)),
+                Node::TimeIs(k) => Sat::Nodes(BitSet::from_fn(nodes, |x| store.depth(x) == *k)),
+                Node::Nonfaulty(i) => {
+                    Sat::Nodes(sys.nodes_where_root(|nonfaulty, _| nonfaulty.contains(*i)))
+                }
+                Node::ExistsInit(v) => {
+                    Sat::Nodes(sys.nodes_where_root(|_, inits| inits.contains(v)))
+                }
                 Node::JustDecided(i, v) => {
                     let decided = decided_column(sys, *i);
-                    BitSet::from_fn(count, |p| {
-                        let first = || sys.time_of(p as PointId) == 0;
-                        decided(p) == Some(*v) && !first() && decided(p - 1).is_none()
-                    })
+                    Sat::Nodes(BitSet::from_fn(nodes, |x| {
+                        let before = || store.parent(x).is_some_and(|p| decided(p).is_none());
+                        decided(x) == Some(*v) && before()
+                    }))
                 }
                 Node::Deciding(i, v) => {
+                    // Below the horizon, a node's first child is the next
+                    // node, and construction checked that every child
+                    // agrees with it on `decided_i`.
                     let decided = decided_column(sys, *i);
-                    BitSet::from_fn(count, |p| {
-                        let last = || sys.time_of(p as PointId) == sys.horizon();
-                        decided(p).is_none() && !last() && decided(p + 1) == Some(*v)
-                    })
+                    Sat::Nodes(BitSet::from_fn(nodes, |x| {
+                        let next = || store.depth(x) < horizon && decided(x + 1) == Some(*v);
+                        decided(x).is_none() && next()
+                    }))
                 }
                 Node::Not(g) => {
-                    let mut s = child(&bits, &plan.slot_of, *g);
-                    s.invert();
-                    s
+                    let mut set = get(g).clone();
+                    let (Sat::Nodes(bits) | Sat::Points(bits)) = &mut set;
+                    bits.invert();
+                    set
                 }
-                Node::And(gs) => {
-                    let mut s = BitSet::new(count);
-                    s.fill();
-                    for g in gs {
-                        s.intersect_with(get(g));
+                Node::And(gs) | Node::Or(gs) => {
+                    let and = matches!(arena.node(*id), Node::And(_));
+                    let over_points = gs.iter().any(|g| matches!(get(g), Sat::Points(_)));
+                    let mut bits = BitSet::new(if over_points { count } else { nodes });
+                    if and {
+                        bits.fill();
                     }
-                    s
-                }
-                Node::Or(gs) => {
-                    let mut s = BitSet::new(count);
                     for g in gs {
-                        s.union_with(get(g));
+                        let operand = match get(g) {
+                            Sat::Nodes(x) if !over_points => Cow::Borrowed(x),
+                            sat => sat.points(sys),
+                        };
+                        if and {
+                            bits.intersect_with(&operand);
+                        } else {
+                            bits.union_with(&operand);
+                        }
                     }
-                    s
+                    if over_points {
+                        Sat::Points(bits)
+                    } else {
+                        Sat::Nodes(bits)
+                    }
                 }
-                Node::Knows(i, g) => sys.knows_set(*i, get(g)),
-                Node::EveryoneNonfaulty(g) => sys.everyone_nonfaulty_set(get(g)),
-                Node::CommonNonfaulty(g) => sys.common_nonfaulty_set(get(g)),
-                Node::CommonTFaulty(g) => sys.common_t_faulty_set(get(g)),
+                Node::Knows(i, g) => Sat::Nodes(sys.knows(*i, &interior(g))),
+                Node::EveryoneNonfaulty(g) => Sat::Nodes(sys.everyone(&interior(g))),
+                Node::CommonNonfaulty(g) => Sat::Nodes(sys.common(&interior(g))),
+                Node::CommonTFaulty(g) => Sat::Nodes(sys.common_t_faulty(&interior(g))),
+                Node::Prev(g) => match get(g) {
+                    Sat::Nodes(inner) => Sat::Nodes(BitSet::from_fn(nodes, |x| {
+                        store.parent(x).is_some_and(|p| inner.contains(p))
+                    })),
+                    Sat::Points(inner) => Sat::Points(BitSet::from_fn(count, |p| {
+                        sys.time_of(p as PointId) > 0 && inner.contains(p - 1)
+                    })),
+                },
                 Node::Next(g) => {
-                    let inner = get(g);
-                    sys.points_by(|pid| {
-                        sys.time_of(pid) < sys.horizon() && inner.contains(pid as usize + 1)
-                    })
-                }
-                Node::Prev(g) => {
-                    let inner = get(g);
-                    sys.points_by(|pid| sys.time_of(pid) > 0 && inner.contains(pid as usize - 1))
+                    let inner = points(g);
+                    Sat::Points(BitSet::from_fn(count, |p| {
+                        sys.time_of(p as PointId) < horizon && inner.contains(p + 1)
+                    }))
                 }
                 Node::Henceforth(g) => {
-                    let inner = get(g);
-                    sys.points_by(|pid| rest_of_run(pid).all(|q| inner.contains(q)))
+                    let inner = points(g);
+                    let holds = |p: usize| rest_of_run(p as PointId).all(|q| inner.contains(q));
+                    Sat::Points(BitSet::from_fn(count, holds))
                 }
                 Node::Eventually(g) => {
-                    let inner = get(g);
-                    sys.points_by(|pid| rest_of_run(pid).any(|q| inner.contains(q)))
+                    let inner = points(g);
+                    let holds = |p: usize| rest_of_run(p as PointId).any(|q| inner.contains(q));
+                    Sat::Points(BitSet::from_fn(count, holds))
                 }
             };
-            bits.push(set);
+            sets.push(set);
         }
         EvalSession {
             sys,
             slot_of: plan.slot_of.clone(),
-            bits,
+            sets,
         }
     }
 
     /// Number of distinct nodes this session evaluated.
     #[must_use]
     pub fn nodes_evaluated(&self) -> usize {
-        self.bits.len()
+        self.sets.len()
+    }
+
+    fn sat(&self, id: NodeId) -> &Sat {
+        let slot = self.slot_of[id.index()];
+        assert!(slot != u32::MAX, "node {id:?} is not in the plan");
+        &self.sets[slot as usize]
     }
 
     /// The set of points satisfying an evaluated node.
@@ -504,57 +566,112 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
     ///
     /// Panics if `id` was not part of the session's plan.
     #[must_use]
-    pub fn bitset(&self, id: NodeId) -> &BitSet {
-        let slot = self.slot_of[id.index()];
-        assert!(slot != u32::MAX, "node {id:?} is not in the plan");
-        &self.bits[slot as usize]
+    pub fn bitset(&self, id: NodeId) -> BitSet {
+        self.sat(id).points(self.sys).into_owned()
     }
 
-    /// Consumes the session, returning the owned point set of one node.
+    /// The set of prefix-tree nodes satisfying an evaluated present-time
+    /// formula, indexed like the system's [`RunStore`] nodes.
+    ///
+    /// [`RunStore`]: eba_sim::store::RunStore
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not part of the session's plan, or if it looks
+    /// ahead along runs (`◯`, `□`, `♦`), so that it has no value per node.
+    pub(crate) fn node_set(&self, id: NodeId) -> &BitSet {
+        match self.sat(id) {
+            Sat::Nodes(nodes) => nodes,
+            Sat::Points(_) => panic!("node {id:?} is not a present-time formula"),
+        }
+    }
+
+    /// Consumes the session, returning the point set of one node.
     #[must_use]
-    pub fn into_bitset(mut self, id: NodeId) -> BitSet {
-        let slot = self.slot_of[id.index()];
-        assert!(slot != u32::MAX, "node {id:?} is not in the plan");
-        std::mem::replace(&mut self.bits[slot as usize], BitSet::new(0))
+    pub fn into_bitset(self, id: NodeId) -> BitSet {
+        self.bitset(id)
     }
 
     /// Whether the node holds at `(run, time)`; panics if that is out of
     /// range ([`InterpretedSystem::point`]).
     #[must_use]
     pub fn holds_at(&self, id: NodeId, run: usize, time: u32) -> bool {
-        self.bitset(id).contains(self.sys.point(run, time) as usize)
+        let point = self.sys.point(run, time);
+        match self.sat(id) {
+            Sat::Nodes(nodes) => nodes.contains(self.sys.node_of(point)),
+            Sat::Points(points) => points.contains(point as usize),
+        }
     }
 
     /// The validity verdict for a node, with the first falsifying
-    /// `(run, time)` point as counterexample when it is not valid.
+    /// `(run, time)` point as counterexample when it is not valid. A
+    /// node's first point is its first run's, and nodes are in
+    /// pre-order, ascending in that point: the first falsifying node
+    /// holds the first falsifying point.
     #[must_use]
     pub fn verdict(&self, id: NodeId) -> Verdict {
-        match self.bitset(id).first_unset() {
-            None => Verdict {
-                holds: true,
-                counterexample: None,
-            },
-            Some(p) => {
-                let pid = p as PointId;
-                Verdict {
-                    holds: false,
-                    counterexample: Some((self.sys.run_of(pid), self.sys.time_of(pid))),
-                }
-            }
+        let (sys, store) = (self.sys, self.sys.store());
+        let counterexample = match self.sat(id) {
+            Sat::Nodes(nodes) => nodes
+                .first_unset()
+                .map(|x| (store.runs(x).start, store.depth(x))),
+            Sat::Points(points) => points.first_unset().map(|p| {
+                let p = p as PointId;
+                (sys.run_of(p), sys.time_of(p))
+            }),
+        };
+        Verdict {
+            holds: counterexample.is_none(),
+            counterexample,
         }
     }
 }
 
-/// `decided_i` at each point, read off `i`'s `StateId` column.
+/// `decided_i` at each node, read off `i`'s `StateId` node column.
 fn decided_column<E: InformationExchange>(
     sys: &InterpretedSystem<E>,
     i: AgentId,
 ) -> impl Fn(usize) -> Option<Value> + '_ {
-    let (ids, decided) = (sys.store().state_ids(i.index()), sys.decided_table());
-    move |p| decided[ids[p].index()]
+    let ids = sys.store().node_state_ids(i.index());
+    let decided = sys.decided_table();
+    move |x| decided[ids[x].index()]
 }
 
 impl<E: InformationExchange> InterpretedSystem<E> {
+    /// Calls `f(point, node)` for every point, in point order.
+    fn for_each_point(&self, mut f: impl FnMut(usize, usize)) {
+        let per_run = self.horizon() as usize + 1;
+        self.store().for_each_chain(|run, chain| {
+            for (m, x) in chain.iter().enumerate() {
+                f(run * per_run + m, *x);
+            }
+        });
+    }
+
+    /// The points of a node set.
+    pub(crate) fn lift(&self, nodes: &BitSet) -> BitSet {
+        let mut points = BitSet::new(self.point_count());
+        self.for_each_point(|p, x| {
+            if nodes.contains(x) {
+                points.insert(p);
+            }
+        });
+        points
+    }
+
+    /// The nodes all of whose points lie in `points`. A class is a union
+    /// of nodes, so this is all a knowledge operator reads of a point
+    /// set: `K_i φ` is `K_i` of `φ`'s interior.
+    pub(crate) fn interior(&self, points: &BitSet) -> BitSet {
+        let mut nodes = BitSet::from_fn(self.store().node_count(), |_| true);
+        self.for_each_point(|p, x| {
+            if !points.contains(p) {
+                nodes.remove(x);
+            }
+        });
+        nodes
+    }
+
     /// Answers one formula with a counterexample-carrying [`Verdict`]
     /// through a one-formula [`QueryPlan`]. For families of related
     /// formulas, prefer [`InterpretedSystem::query_batch`] (shared
@@ -763,5 +880,52 @@ mod tests {
             plan.evaluated_node_count(),
             plan.naive_node_count()
         );
+    }
+
+    /// `K_i ♦φ`, `E_N ◯φ`, `C_N □φ` and `C_N(t-faulty ∧ ♦φ)` for each
+    /// agent's `decided = v`: knowledge over an operand that looks ahead
+    /// along runs runs over its interior, and must equal the recursive
+    /// evaluator's point-level iteration. Returns how many results were
+    /// neither empty nor everything.
+    fn temporal_operands_agree<E: InformationExchange>(sys: &InterpretedSystem<E>) -> usize {
+        let n = sys.params().n();
+        let mut formulas = Vec::new();
+        for (i, v) in AgentId::all(n).flat_map(|i| Value::ALL.map(|v| (i, v))) {
+            let decided = || Box::new(Formula::DecidedIs(i, Some(v)));
+            formulas.extend([
+                Formula::knows(
+                    AgentId::new((i.index() + 1) % n),
+                    Formula::Eventually(decided()),
+                ),
+                Formula::EveryoneNonfaulty(Box::new(Formula::Next(decided()))),
+                Formula::common_nonfaulty(Formula::Henceforth(decided())),
+                Formula::common_t_faulty(Formula::Eventually(decided())),
+            ]);
+        }
+        let mut arena = FormulaArena::new();
+        let roots: Vec<NodeId> = formulas.iter().map(|f| arena.intern(f)).collect();
+        let plan = QueryPlan::new(&arena, &roots);
+        let session = EvalSession::evaluate(sys, &arena, &plan);
+        let mut nontrivial = 0;
+        for (f, root) in formulas.iter().zip(&roots) {
+            let points = session.bitset(*root);
+            assert_eq!(points, sys.eval_recursive(f), "{f}");
+            nontrivial += usize::from(0 < points.count() && points.count() < sys.point_count());
+        }
+        nontrivial
+    }
+
+    #[test]
+    fn knowledge_over_temporal_operands_equals_the_recursive_evaluator() {
+        let params = Params::new(3, 1).unwrap();
+        let auto = Parallelism::Auto;
+        let basic = InterpretedSystem::from_context(Context::basic(params), 4, 1_000_000, auto);
+        let fip = InterpretedSystem::from_context(Context::fip(params), 2, 1_000_000, auto);
+        let nontrivial = [
+            temporal_operands_agree(&sys()),
+            temporal_operands_agree(&basic.unwrap()),
+            temporal_operands_agree(&fip.unwrap()),
+        ];
+        assert!(nontrivial.iter().all(|count| *count > 0), "{nontrivial:?}");
     }
 }

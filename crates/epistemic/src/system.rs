@@ -1,17 +1,15 @@
 //! Interpreted systems `I = (R_{E,F,P}, π)` over exhaustively enumerated
 //! run sets.
 //!
-//! Systems are backed by an interned, columnar
-//! [`RunStore`]: each distinct local state is
-//! stored once in a [`StateArena`](eba_sim::store::StateArena) and every
-//! point maps to a [`StateId`], so [`InterpretedSystem::from_context`]
-//! streams the enumeration straight into deduplicated storage — the full
-//! `Vec<EnumRun<E>>` never materializes — and indistinguishability
-//! classes fall out of one counting sort per agent keyed by `StateId`
-//! (equal ids ⟺ equal states): agent `j`'s class at a point *is*
-//! `state_id(p, j)`. The [`oracle`](crate::oracle) module keeps the
-//! original hash-then-group classifier over a collected run vector as the
-//! independent reference the arena **classes** are verified against.
+//! A system is backed by an interned [`RunStore`], the enumerator's
+//! prefix tree, so [`InterpretedSystem::from_context`] streams the
+//! enumeration straight into deduplicated storage. Every present-time
+//! formula has one value at all points of a node, which fixes each
+//! agent's local state, `N` and the inits: knowledge is evaluated over
+//! nodes, and agent `j`'s class at a node *is* its [`StateId`] there, one
+//! counting sort per agent of the node columns. The
+//! [`oracle`](crate::oracle) module keeps a hash-then-group classifier
+//! over a collected run vector as the independent reference.
 
 use eba_core::context::Context;
 use eba_core::exchange::InformationExchange;
@@ -24,23 +22,23 @@ use eba_sim::store::{RunStore, StateId};
 pub use eba_sim::store::PointId;
 
 /// One agent's indistinguishability classes, keyed by [`StateId`]: the
-/// class of the points where the agent's state is `sid` is
-/// `points[starts[sid]..starts[sid + 1]]`, ascending. `starts` has
+/// class of the nodes where the agent's state is `sid` is
+/// `nodes[starts[sid]..starts[sid + 1]]`, ascending. `starts` has
 /// `distinct_states + 1` entries; an id the agent never holds has an
 /// empty span.
 pub(crate) struct AgentClasses {
-    pub(crate) points: Vec<PointId>,
+    pub(crate) nodes: Vec<u32>,
     pub(crate) starts: Vec<u32>,
 }
 
 impl AgentClasses {
-    /// The points of the class of `sid`.
-    fn span(&self, sid: usize) -> &[PointId] {
-        &self.points[self.starts[sid] as usize..self.starts[sid + 1] as usize]
+    /// The nodes of the class of `sid`.
+    fn span(&self, sid: usize) -> &[u32] {
+        &self.nodes[self.starts[sid] as usize..self.starts[sid + 1] as usize]
     }
 
     /// Every id's class, empty or not, in id order.
-    fn spans(&self) -> impl Iterator<Item = &[PointId]> {
+    pub(crate) fn spans(&self) -> impl Iterator<Item = &[u32]> {
         (0..self.starts.len() - 1).map(|sid| self.span(sid))
     }
 }
@@ -60,23 +58,19 @@ impl AgentClasses {
 pub struct InterpretedSystem<E: InformationExchange> {
     ex: E,
     store: RunStore<E>,
-    classes: Vec<AgentClasses>,
+    pub(crate) classes: Vec<AgentClasses>,
     /// `decided` per distinct state, computed once at construction —
     /// every `decided`-reading proposition is an id lookup.
     decided_by_state: Vec<Option<Value>>,
 }
 
 impl<E: InformationExchange> InterpretedSystem<E> {
-    /// Builds the system for a first-class [`Context`] — the registry- and
-    /// `Scenario`-friendly entry point: the context supplies both halves
-    /// of the stack *and its failure model* (knowledge is quantified over
-    /// the model's run set, so an `@crash` context yields a different —
-    /// smaller — system than the default `SO(t)` one), and the
-    /// enumeration **streams** through
-    /// [`Scenario::enumerate_store`] with the given `parallelism`: each
-    /// run is interned into the columnar [`RunStore`] on arrival, so the
-    /// run vector never materializes and peak memory is the arena of
-    /// distinct states plus one `u32` per `(agent, point)`.
+    /// Builds the system for a first-class [`Context`]: the context
+    /// supplies both halves of the stack *and its failure model*
+    /// (knowledge is quantified over the model's run set), and the
+    /// enumeration **streams** through [`Scenario::enumerate_store`] with
+    /// the given `parallelism`, so peak memory is the arena of distinct
+    /// states plus the node table.
     ///
     /// ```
     /// use eba_core::prelude::*;
@@ -87,8 +81,8 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// let ctx = Context::minimal(Params::new(3, 1)?);
     /// let sys = InterpretedSystem::from_context(ctx, 4, 1_000_000, Parallelism::Auto)?;
     /// assert!(sys.run_count() > 0);
-    /// // Interning keeps far fewer states than (agent, point) slots:
-    /// assert!(sys.distinct_states() < sys.params().n() * sys.point_count());
+    /// // Runs share their prefixes: far fewer nodes than points.
+    /// assert!(sys.store().node_count() < sys.point_count());
     /// # Ok(())
     /// # }
     /// ```
@@ -120,17 +114,19 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// Builds a system directly from an interned [`RunStore`] (e.g. one
     /// filled through [`Scenario::enumerate_store`] or a custom sink).
     /// Indistinguishability classes are one counting sort of each agent's
-    /// `StateId` column — no hashing, no state comparisons: two points
-    /// share a class iff they share an id.
+    /// `StateId` node column — no hashing, no state comparisons: two
+    /// nodes share a class iff they share an id.
     ///
     /// # Errors
     ///
     /// Returns [`EbaError::InvalidInput`] if the store's agent count
-    /// disagrees with the exchange's parameters, or if a run has more
-    /// than `t` faulty agents — no failure model admits one, and
-    /// [`common_t_faulty_set`](Self::common_t_faulty_set) relies on it.
+    /// disagrees with the exchange's parameters, if a run has more than
+    /// `t` faulty agents — no failure model admits one, and
+    /// [`common_t_faulty_set`](Self::common_t_faulty_set) relies on it —,
+    /// if a node has no run through it (it would count as a point), or
+    /// if two children of a node disagree on some `decided_i`, which
+    /// `deciding_i` reads off the node's first child.
     pub fn from_store(ex: E, store: RunStore<E>) -> Result<Self, EbaError> {
-        // `RunStore::push_run` enforced point capacity run by run.
         let classes = classes_from_store(&store);
         Self::from_classes(ex, store, classes)
     }
@@ -145,24 +141,35 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         classes: Vec<AgentClasses>,
     ) -> Result<Self, EbaError> {
         let (n, t) = (ex.params().n(), ex.params().t());
+        let invalid = |what: String| Err(EbaError::InvalidInput(what));
         if store.agents() != n {
-            return Err(EbaError::InvalidInput(format!(
+            return invalid(format!(
                 "store built for {} agents, exchange has n = {n}",
                 store.agents()
-            )));
+            ));
         }
-        if let Some(r) = (0..store.run_count()).find(|r| store.nonfaulty(*r).len() < n - t) {
-            return Err(EbaError::InvalidInput(format!(
-                "run {r} has {} faulty agents, more than t = {t}",
-                n - store.nonfaulty(r).len()
-            )));
+        if let Some((nodes, nonfaulty, _)) = store.roots().find(|root| root.1.len() < n - t) {
+            let (run, faulty) = (store.runs(nodes.start).start, n - nonfaulty.len());
+            return invalid(format!(
+                "run {run} has {faulty} faulty agents, more than t = {t}"
+            ));
         }
-        let decided_by_state = store
+        let nodes = store.node_count();
+        if let Some(x) = (0..nodes).find(|x| store.runs(*x).is_empty()) {
+            return invalid(format!("node {x} has no run through it"));
+        }
+        let decided_by_state: Vec<_> = store
             .arena()
             .states()
             .iter()
             .map(|s| ex.decided(s))
             .collect();
+        let decided = |x: usize, i: usize| decided_by_state[store.node_state_ids(i)[x].index()];
+        for (x, p) in (0..nodes).filter_map(|x| Some((x, store.parent(x)?))) {
+            if let Some(i) = (0..n).find(|i| decided(x, *i) != decided(p + 1, *i)) {
+                return invalid(format!("the children of node {p} disagree on decided_a{i}"));
+            }
+        }
         Ok(InterpretedSystem {
             ex,
             store,
@@ -227,6 +234,11 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         point % (self.horizon() + 1)
     }
 
+    /// The node of a point.
+    pub(crate) fn node_of(&self, point: PointId) -> usize {
+        self.store.node(self.run_of(point), self.time_of(point))
+    }
+
     /// The nonfaulty set `N` of a run.
     pub fn nonfaulty(&self, run: usize) -> AgentSet {
         self.store.nonfaulty(run)
@@ -272,126 +284,113 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         &self.decided_by_state
     }
 
-    /// The class partition of `agent`: its nonempty classes, each
-    /// ascending, ordered by their smallest point — independent of how
-    /// `StateId`s were assigned, so two constructions can be compared.
-    pub fn class_partition(&self, agent: AgentId) -> Vec<Vec<PointId>> {
-        let spans = self.classes[agent.index()].spans();
-        let mut partition: Vec<Vec<PointId>> = spans
-            .filter(|span| !span.is_empty())
-            .map(<[_]>::to_vec)
-            .collect();
-        partition.sort_unstable();
-        partition
-    }
-
-    /// `K_agent`: the set of points where everything in `inner` holds at
-    /// all points the agent considers possible — the points whose
-    /// `StateId` the agent holds at no point outside `inner`.
-    pub fn knows_set(&self, agent: AgentId, inner: &BitSet) -> BitSet {
-        let ids = self.store.state_ids(agent.index());
-        // Bit `sid` of `doubted`: `sid` is held at a point outside `inner`.
-        let mut doubted = vec![0u64; self.distinct_states().div_ceil(64)];
-        let mut out = inner.clone();
-        out.invert();
-        for sid in out.iter().map(|p| ids[p].index()) {
-            doubted[sid / 64] |= 1 << (sid % 64);
-        }
-        // `K φ ⊆ φ`: keep the points of `inner` whose id is not doubted.
-        out.clone_from(inner);
-        for p in inner.iter() {
-            let sid = ids[p].index();
-            if doubted[sid / 64] >> (sid % 64) & 1 == 1 {
-                out.remove(p);
+    /// The nodes of the roots whose `(N, inits)` satisfy `pred`: a root's
+    /// subtree is a range of nodes.
+    pub(crate) fn nodes_where_root(&self, pred: impl Fn(AgentSet, &[Value]) -> bool) -> BitSet {
+        let mut nodes = BitSet::new(self.store.node_count());
+        for (range, nonfaulty, inits) in self.store.roots() {
+            if pred(nonfaulty, inits) {
+                nodes.insert_range(range);
             }
         }
-        out
+        nodes
     }
 
-    /// `E_N`: everyone in the (indexical) nonfaulty set knows `inner`,
-    /// i.e. `⋀_j (j ∈ N ⇒ K_j inner)`, a word at a time.
-    pub fn everyone_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
-        let mut out = BitSet::new(self.point_count());
-        out.fill();
+    /// `K_agent` over nodes: the nodes whose `StateId` the agent holds at
+    /// no node outside `inner`.
+    pub(crate) fn knows(&self, agent: AgentId, inner: &BitSet) -> BitSet {
+        let ids = self.store.node_state_ids(agent.index());
+        let (mut doubted, mut outside) = (BitSet::new(self.distinct_states()), inner.clone());
+        outside.invert();
+        outside.iter().for_each(|x| doubted.insert(ids[x].index()));
+        BitSet::from_fn(ids.len(), |x| !doubted.contains(ids[x].index()))
+    }
+
+    /// `E_N` over nodes: everyone in the (indexical) nonfaulty set knows
+    /// `inner`, i.e. `⋀_j (j ∈ N ⇒ K_j inner)`, a word at a time.
+    pub(crate) fn everyone(&self, inner: &BitSet) -> BitSet {
+        let mut out = BitSet::from_fn(self.store.node_count(), |_| true);
         for j in self.params().agents() {
-            let mut knows_or_faulty = self.points_where_run(|r| !self.nonfaulty(r).contains(j));
-            knows_or_faulty.union_with(&self.knows_set(j, inner));
+            let mut knows_or_faulty = self.nodes_where_root(|nonfaulty, _| !nonfaulty.contains(j));
+            knows_or_faulty.union_with(&self.knows(j, inner));
             out.intersect_with(&knows_or_faulty);
         }
         out
     }
 
-    /// `C_N`: common knowledge among the nonfaulty — the greatest fixpoint
-    /// of `X = E_N(inner ∧ X)`, in one worklist pass.
+    /// `C_N` over nodes: common knowledge among the nonfaulty — the
+    /// greatest fixpoint of `X = E_N(inner ∧ X)`, in one worklist pass.
     ///
-    /// A class of agent `j` is *tainted* once it holds a point outside
+    /// A class of agent `j` is *tainted* once it holds a node outside
     /// `inner ∧ X`. `X` starts full; a tainted `j`-class removes from `X`
-    /// each of its points whose run has `j ∈ N`, and a removed point
+    /// each of its nodes whose root has `j ∈ N`, and a removed node
     /// taints its class for every agent. When the worklist is empty, a
-    /// point is in `X` iff no agent of its `N` has a tainted class there,
-    /// i.e. `X = E_N(inner ∧ X)`; a point is only removed once it is
+    /// node is in `X` iff no agent of its `N` has a tainted class there,
+    /// i.e. `X = E_N(inner ∧ X)`; a node is only removed once it is
     /// outside every `Y ⊆ E_N(inner ∧ Y)`, so `X` is the greatest such
     /// set. Each `(agent, StateId)` class is tainted at most once and each
-    /// point leaves `X` at most once: `O(n · points)`.
+    /// node leaves `X` at most once: `O(n · nodes)`.
     /// [`eval_recursive`](Self::eval_recursive) keeps the iteration as
     /// the oracle this is tested against.
-    pub fn common_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
+    pub(crate) fn common(&self, inner: &BitSet) -> BitSet {
         self.common_knowledge_pass(inner, false)
     }
 
-    /// `C_N(t-faulty ∧ φ)` for `inner = φ`: the union over `|A| = t` of
-    /// `C_N(⋀_{i ∈ A} i ∉ N ∧ φ)`, in one worklist pass. As `N ≠ ∅` and
-    /// `|F| ≤ t`, tower `A`'s fixpoint lies in runs with `F = A`, so a
-    /// class holding points of two faulty sets is tainted in every tower:
-    /// the pass over `φ ∧ |F| = t` with such classes tainted from the
-    /// start is the union (docs/GUIDE.md §5). Construction refused any
-    /// run with `|F| > t`.
+    /// `C_N(t-faulty ∧ φ)` over nodes for `inner = φ`: the union over
+    /// `|A| = t` of `C_N(⋀_{i ∈ A} i ∉ N ∧ φ)`, in one worklist pass. As
+    /// `N ≠ ∅` and `|F| ≤ t`, tower `A`'s fixpoint lies in runs with
+    /// `F = A`, so a class holding points of two faulty sets is tainted in
+    /// every tower: the pass over `φ ∧ |F| = t` with such classes tainted
+    /// from the start is the union (docs/GUIDE.md §5). Construction
+    /// refused any run with `|F| > t`.
     /// [`eval_recursive`](Self::eval_recursive) evaluates the towers.
-    pub fn common_t_faulty_set(&self, inner: &BitSet) -> BitSet {
+    pub(crate) fn common_t_faulty(&self, inner: &BitSet) -> BitSet {
         let (n, t) = (self.params().n(), self.params().t());
-        let mut t_faulty = self.points_where_run(|r| n - self.nonfaulty(r).len() == t);
+        let mut t_faulty = self.nodes_where_root(|nonfaulty, _| n - nonfaulty.len() == t);
         t_faulty.intersect_with(inner);
         self.common_knowledge_pass(&t_faulty, true)
     }
 
     /// The worklist pass of `C_N` over `inner`; with `split_faulty`, a
-    /// class whose points lie in runs of different faulty sets starts
+    /// class whose nodes lie in runs of different faulty sets starts
     /// tainted too.
     fn common_knowledge_pass(&self, inner: &BitSet, split_faulty: bool) -> BitSet {
         let (n, states) = (self.params().n(), self.distinct_states());
-        let ids: Vec<&[StateId]> = (0..n).map(|k| self.store.state_ids(k)).collect();
-        let nonfaulty = |p: &PointId| self.nonfaulty(self.run_of(*p));
+        let ids: Vec<&[StateId]> = (0..n).map(|k| self.store.node_state_ids(k)).collect();
+        // `nonfaulty[j]`: the nodes whose runs have `j ∈ N`.
+        let nonfaulty: Vec<BitSet> = (self.params().agents())
+            .map(|j| self.nodes_where_root(|nonfaulty, _| nonfaulty.contains(j)))
+            .collect();
+        let same_n = |x: u32, y: u32| {
+            let n_at = |nf: &BitSet, x: u32| nf.contains(x as usize);
+            nonfaulty.iter().all(|nf| n_at(nf, x) == n_at(nf, y))
+        };
         // `tainted[j * states + sid]`: agent `j`'s class of `sid` is tainted.
         let mut tainted = vec![false; n * states];
-        // `x` is the complement of `inner` for the first scan, then `X`.
         let mut x = inner.clone();
         x.invert();
-        for p in x.iter() {
+        for node in x.iter() {
             for (j, ids_j) in ids.iter().enumerate() {
-                tainted[j * states + ids_j[p].index()] = true;
+                tainted[j * states + ids_j[node].index()] = true;
             }
         }
         for (j, cls) in self.classes.iter().enumerate().filter(|_| split_faulty) {
             for (sid, span) in cls.spans().enumerate() {
-                let mixed = || span.iter().any(|p| nonfaulty(p) != nonfaulty(&span[0]));
+                let mixed = || span.iter().any(|x| !same_n(*x, span[0]));
                 tainted[j * states + sid] = tainted[j * states + sid] || mixed();
             }
         }
         let mut work: Vec<usize> = (0..n * states).filter(|c| tainted[*c]).collect();
         x.fill();
         while let Some(c) = work.pop() {
-            let agent = AgentId::new(c / states);
-            for &p in self.classes[c / states].span(c % states) {
-                if !x.contains(p as usize) || !nonfaulty(&p).contains(agent) {
+            for &node in self.classes[c / states].span(c % states) {
+                let node = node as usize;
+                if !x.contains(node) || !nonfaulty[c / states].contains(node) {
                     continue;
                 }
-                x.remove(p as usize);
-                // A point outside `inner` tainted all its classes above.
-                if !inner.contains(p as usize) {
-                    continue;
-                }
+                x.remove(node);
                 for (k, ids_k) in ids.iter().enumerate() {
-                    let ck = k * states + ids_k[p as usize].index();
+                    let ck = k * states + ids_k[node].index();
                     if !tainted[ck] {
                         tainted[ck] = true;
                         work.push(ck);
@@ -404,15 +403,15 @@ impl<E: InformationExchange> InterpretedSystem<E> {
 }
 
 /// Classes from the interned store: per agent, a counting sort of its
-/// `StateId` column — count each id, take prefix sums, then place the
-/// points in increasing order, so every span is ascending. No hashing, no
-/// state comparisons: interning already established that equal ids are
-/// exactly equal states.
+/// `StateId` node column — count each id, take prefix sums, then place
+/// the nodes in increasing order, so every span is ascending. No hashing,
+/// no state comparisons: interning already established that equal ids
+/// are exactly equal states.
 fn classes_from_store<E: InformationExchange>(store: &RunStore<E>) -> Vec<AgentClasses> {
     let states = store.distinct_states();
     (0..store.agents())
         .map(|i| {
-            let ids = store.state_ids(i);
+            let ids = store.node_state_ids(i);
             let mut starts = vec![0u32; states + 1];
             for id in ids {
                 starts[id.index() + 1] += 1;
@@ -421,12 +420,12 @@ fn classes_from_store<E: InformationExchange>(store: &RunStore<E>) -> Vec<AgentC
                 starts[sid + 1] += starts[sid];
             }
             let mut next = starts.clone();
-            let mut points = vec![0; ids.len()];
-            for (p, id) in ids.iter().enumerate() {
-                points[next[id.index()] as usize] = p as PointId;
+            let mut nodes = vec![0; ids.len()];
+            for (x, id) in ids.iter().enumerate() {
+                nodes[next[id.index()] as usize] = x as u32;
                 next[id.index()] += 1;
             }
-            AgentClasses { points, starts }
+            AgentClasses { nodes, starts }
         })
         .collect()
 }
@@ -436,6 +435,8 @@ mod tests {
     use super::*;
     use crate::formula::Formula;
     use eba_core::prelude::*;
+    use eba_sim::enumerate::ItemRuns;
+    use eba_sim::sink::RunSink;
 
     fn small_system() -> InterpretedSystem<MinExchange> {
         let ctx = Context::minimal(Params::new(3, 1).unwrap());
@@ -546,25 +547,24 @@ mod tests {
     }
 
     #[test]
-    fn classes_partition_points() {
+    fn classes_partition_nodes() {
         let sys = small_system();
+        let nodes = sys.store().node_count();
         for i in 0..3 {
             let cls = &sys.classes[i];
-            assert_eq!(cls.points.len(), sys.point_count());
-            let mut seen = vec![false; sys.point_count()];
-            for p in &cls.points {
-                assert!(!seen[*p as usize], "point in two classes");
-                seen[*p as usize] = true;
+            assert_eq!(cls.nodes.len(), nodes);
+            let mut seen = vec![false; nodes];
+            for x in &cls.nodes {
+                assert!(!seen[*x as usize], "node in two classes");
+                seen[*x as usize] = true;
             }
             assert!(seen.iter().all(|b| *b));
             // Every class is state-homogeneous.
+            let ids = sys.store().node_state_ids(i);
             for span in cls.spans().filter(|span| !span.is_empty()) {
-                let agent = AgentId::new(i);
-                let s0 = sys.local_state(span[0], agent);
-                let id0 = sys.state_id(span[0], agent);
-                for p in span {
-                    assert_eq!(sys.local_state(*p, agent), s0);
-                    assert_eq!(sys.state_id(*p, agent), id0, "ids mirror state equality");
+                let s0 = sys.store().arena().get(ids[span[0] as usize]);
+                for x in span {
+                    assert_eq!(sys.store().arena().get(ids[*x as usize]), s0);
                 }
             }
         }
@@ -572,8 +572,8 @@ mod tests {
 
     #[test]
     fn classes_are_laid_out_by_state_id() {
-        // Both constructors: every point lies in the span of its own
-        // state id, and every span is ascending.
+        // Both constructors: every point's node lies in the span of its
+        // own state id, and every span is ascending.
         let params = Params::new(3, 1).unwrap();
         for sys in [small_system(), reference(Context::minimal(params))] {
             for (j, cls) in sys.classes.iter().enumerate() {
@@ -583,8 +583,9 @@ mod tests {
                 }
                 for p in 0..sys.point_count() as PointId {
                     let sid = sys.state_id(p, AgentId::new(j)).index();
+                    let node = sys.node_of(p) as u32;
                     assert!(
-                        cls.span(sid).binary_search(&p).is_ok(),
+                        cls.span(sid).binary_search(&node).is_ok(),
                         "agent {j} point {p}"
                     );
                 }
@@ -604,10 +605,10 @@ mod tests {
     fn classes_never_mix_times() {
         // Synchrony: indistinguishable points share their time.
         let sys = small_system();
+        let depth = |x: &u32| sys.store().depth(*x as usize);
         for cls in &sys.classes {
             for span in cls.spans().filter(|span| !span.is_empty()) {
-                let t0 = sys.time_of(span[0]);
-                assert!(span.iter().all(|p| sys.time_of(*p) == t0));
+                assert!(span.iter().all(|x| depth(x) == depth(&span[0])));
             }
         }
     }
@@ -764,6 +765,69 @@ mod tests {
             let err = err.expect("a run with |F| > t must be rejected");
             assert!(err.to_string().contains("more than t = 1"), "{err}");
         }
+    }
+
+    /// A `(2, 0)` `E_min` item at horizon 2, built node by node: a root
+    /// whose first child carries one run, and a second child `child`
+    /// whose subtree carries a run iff `with_run`.
+    fn hand_built(child: [MinState; 2], with_run: bool) -> Result<(), EbaError> {
+        let params = Params::new(2, 0).unwrap();
+        let state = |time, decided| MinState {
+            time,
+            init: Value::Zero,
+            decided,
+            jd: None,
+        };
+        let undecided = |time| [state(time, None), state(time, None)];
+        let noop = [Action::Noop; 2];
+        let mut item = ItemRuns::new(AgentSet::full(2), vec![Value::Zero; 2], 2);
+        let root = item.push_node(None, &undecided(0), &noop)?;
+        let first = item.push_node(Some(root), &undecided(1), &noop)?;
+        item.push_node(Some(first), &undecided(2), &[])?;
+        let second = item.push_node(Some(root), &child, &noop)?;
+        if with_run {
+            item.push_node(Some(second), &child.map(|s| state(2, s.decided)), &[])?;
+        }
+        let mut store = RunStore::new(2, 2);
+        store.accept_item(item)?;
+        InterpretedSystem::from_store(MinExchange::new(params), store).map(drop)
+    }
+
+    #[test]
+    fn stores_with_a_node_no_run_passes_through_are_rejected() {
+        // Such a node would count as a point of its own for `K_i`.
+        let child = [Value::One, Value::Zero].map(|init| MinState {
+            time: 1,
+            init,
+            decided: None,
+            jd: None,
+        });
+        hand_built(child, true).unwrap();
+        let err = hand_built(child, false).unwrap_err();
+        assert!(
+            err.to_string().contains("node 3 has no run through it"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn stores_whose_siblings_disagree_on_a_decision_are_rejected() {
+        // `deciding_i` at the root reads `decided_i` off its first child.
+        let child = |decided| {
+            [decided, None].map(|decided| MinState {
+                time: 1,
+                init: Value::Zero,
+                decided,
+                jd: Some(Value::Zero),
+            })
+        };
+        hand_built(child(None), true).unwrap();
+        let err = hand_built(child(Some(Value::Zero)), true).unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("the children of node 0 disagree on decided_a0"),
+            "{err}"
+        );
     }
 
     #[test]

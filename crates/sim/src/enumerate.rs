@@ -112,7 +112,7 @@ use eba_core::types::{Action, AgentId, AgentSet, EbaError, Value};
 
 use crate::runner::Parallelism;
 use crate::sink::RunSink;
-use crate::store::{StateArena, StateId};
+use crate::store::{StateArena, StateId, NO_PARENT};
 
 /// The one run record: the nonfaulty set plus the full trajectory. The
 /// enumerator yields one per run of the system, and
@@ -147,47 +147,161 @@ impl<E: InformationExchange> EnumRun<E> {
 }
 
 /// The runs of one `(N, inits)` work item, as the engine hands them to
-/// [`RunSink::accept_item`]: trajectories are rows of ids into the
-/// item's own arena, so a state that recurs across the item's runs is
-/// stored (and was hashed) once.
+/// [`RunSink::accept_item`]: the item's prefix tree, one record per node
+/// in depth-first pre-order, over the item's own arena, so a prefix that
+/// several runs share is stored once and a state that recurs across the
+/// item is stored (and was hashed) once. A record at the horizon is a
+/// leaf, and each leaf is one run, so the runs through a node are
+/// consecutive.
+///
+/// [`ItemRuns::new`] and [`ItemRuns::push_node`] build one by hand.
 #[derive(Debug)]
 pub struct ItemRuns<E: InformationExchange> {
     pub(crate) nonfaulty: AgentSet,
     pub(crate) inits: Vec<Value>,
     pub(crate) horizon: u32,
-    /// Ids in `state_ids` index this arena; first-occurrence order.
+    /// Ids in `state_ids` index this arena.
     pub(crate) arena: StateArena<E::State>,
-    /// `(horizon + 1) · n` ids per run: run-major, then time, then agent.
+    /// Each record's parent record, [`NO_PARENT`] at the root.
+    pub(crate) parents: Vec<u32>,
+    /// `n` ids per record: each agent's state at the node.
     pub(crate) state_ids: Vec<StateId>,
-    /// `horizon · n` actions per run: run-major, then round, then agent.
+    /// `n` actions per record below the horizon, in record order: what
+    /// each agent does at the node, in the round after it.
     pub(crate) actions: Vec<Action>,
+    /// The number of leaves.
+    pub(crate) runs: usize,
 }
 
 impl<E: InformationExchange> ItemRuns<E> {
-    fn ids_per_run(&self) -> usize {
-        (self.horizon as usize + 1) * self.inits.len()
+    /// An empty item of runs with nonfaulty set `nonfaulty` and initial
+    /// preferences `inits`, at `horizon`.
+    pub fn new(nonfaulty: AgentSet, inits: Vec<Value>, horizon: u32) -> Self {
+        ItemRuns {
+            nonfaulty,
+            inits,
+            horizon,
+            arena: StateArena::new(),
+            parents: Vec::new(),
+            state_ids: Vec::new(),
+            actions: Vec::new(),
+            runs: 0,
+        }
     }
 
-    /// Number of runs in the item.
-    pub(crate) fn len(&self) -> usize {
-        self.state_ids.len() / self.ids_per_run()
+    /// Number of runs (leaves) in the item.
+    pub fn len(&self) -> usize {
+        self.runs
+    }
+
+    /// Whether the item holds no run.
+    pub fn is_empty(&self) -> bool {
+        self.runs == 0
+    }
+
+    /// The depth of record `node`: its time.
+    fn depth(&self, mut node: usize) -> u32 {
+        let mut depth = 0;
+        while self.parents[node] != NO_PARENT {
+            (node, depth) = (self.parents[node] as usize, depth + 1);
+        }
+        depth
+    }
+
+    /// Appends a node below `parent` (`None` for a root) with each
+    /// agent's state there and, below the horizon, each agent's action;
+    /// returns the node's index. A node at the horizon is a run. Nodes
+    /// come in pre-order: `parent` is the last node or an ancestor of it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EbaError::InvalidInput`] for a row of the wrong length,
+    /// a `parent` that is not on the last node's path or lies at the
+    /// horizon, or an exhausted arena.
+    pub fn push_node(
+        &mut self,
+        parent: Option<usize>,
+        states: &[E::State],
+        actions: &[Action],
+    ) -> Result<usize, EbaError> {
+        let n = self.inits.len();
+        let mut last = self.parents.len().checked_sub(1);
+        while last.is_some() && last != parent {
+            last = last
+                .map(|x| self.parents[x])
+                .filter(|&p| p != NO_PARENT)
+                .map(|p| p as usize);
+        }
+        let depth = parent.map_or(0, |p| self.depth(p) + 1);
+        let row = if depth == self.horizon { 0 } else { n };
+        if last != parent || depth > self.horizon || states.len() != n || actions.len() != row {
+            return Err(EbaError::InvalidInput(format!(
+                "node below {parent:?} at depth {depth}: expected {n} states and {row} \
+                 actions below the last node's path, got {} and {}",
+                states.len(),
+                actions.len()
+            )));
+        }
+        let ids = states
+            .iter()
+            .map(|state| self.arena.intern(state))
+            .collect::<Result<Vec<_>, _>>()?;
+        let parent = parent.map_or(NO_PARENT, |p| p as u32);
+        Ok(self.push_ids(parent, &ids, (depth < self.horizon).then_some(actions)))
+    }
+
+    /// Appends a record of interned ids; `actions` is `None` at a leaf.
+    fn push_ids(&mut self, parent: u32, ids: &[StateId], actions: Option<&[Action]>) -> usize {
+        self.parents.push(parent);
+        self.state_ids.extend_from_slice(ids);
+        match actions {
+            Some(actions) => self.actions.extend_from_slice(actions),
+            None => self.runs += 1,
+        }
+        self.parents.len() - 1
+    }
+
+    /// Drops record `node` and every record after it, a subtree no run
+    /// passes through; `actions` is the action count before `node`.
+    fn truncate(&mut self, node: usize, actions: usize) {
+        self.parents.truncate(node);
+        self.state_ids.truncate(node * self.inits.len());
+        self.actions.truncate(actions);
     }
 
     /// Materialises the runs one at a time, in enumeration order.
     pub(crate) fn into_runs(self) -> impl Iterator<Item = EnumRun<E>> {
-        let n = self.inits.len();
-        let (ids_per_run, actions_per_run) = (self.ids_per_run(), self.horizon as usize * n);
-        (0..self.len()).map(move |r| EnumRun {
-            nonfaulty: self.nonfaulty,
-            inits: self.inits.clone(),
-            states: self.state_ids[r * ids_per_run..][..ids_per_run]
-                .chunks(n)
-                .map(|row| row.iter().map(|id| self.arena.get(*id).clone()).collect())
-                .collect(),
-            actions: self.actions[r * actions_per_run..][..actions_per_run]
-                .chunks(n)
-                .map(<[Action]>::to_vec)
-                .collect(),
+        let (n, horizon) = (self.inits.len(), self.horizon as usize);
+        // Each record's depth and, below the horizon, its row of actions.
+        let mut depth: Vec<usize> = Vec::with_capacity(self.parents.len());
+        let mut action_row = Vec::with_capacity(self.parents.len());
+        let mut inner = 0;
+        for parent in &self.parents {
+            let d = self
+                .parents
+                .get(*parent as usize)
+                .map_or(0, |_| depth[*parent as usize] + 1);
+            depth.push(d);
+            action_row.push(inner);
+            inner += usize::from(d < horizon);
+        }
+        let leaves = (0..depth.len()).filter(move |x| depth[*x] == horizon);
+        leaves.map(move |leaf| {
+            let mut chain = vec![leaf; horizon + 1];
+            for m in (0..horizon).rev() {
+                chain[m] = self.parents[chain[m + 1]] as usize;
+            }
+            let states = |x: &usize| {
+                let ids = &self.state_ids[x * n..(x + 1) * n];
+                ids.iter().map(|id| self.arena.get(*id).clone()).collect()
+            };
+            let actions = |x: &usize| self.actions[action_row[*x] * n..][..n].to_vec();
+            EnumRun {
+                nonfaulty: self.nonfaulty,
+                inits: self.inits.clone(),
+                states: chain.iter().map(states).collect(),
+                actions: chain[..horizon].iter().map(actions).collect(),
+            }
         })
     }
 }
@@ -338,16 +452,9 @@ where
         model,
         faulty: nonfaulty.complement(n),
         limit,
-        item: ItemRuns {
-            nonfaulty,
-            inits,
-            horizon,
-            arena: StateArena::new(),
-            state_ids: Vec::new(),
-            actions: Vec::new(),
-        },
+        item: ItemRuns::new(nonfaulty, inits, horizon),
         path: Vec::new(),
-        acts: Vec::new(),
+        nodes: Vec::new(),
         seen: HashSet::new(),
     };
     for state in &init_states {
@@ -360,19 +467,20 @@ where
 }
 
 /// The depth-first search of one work item: the prefix under exploration
-/// as two stacks, the runs found so far, and the leaf table.
+/// as two stacks, the records emitted so far, and the leaf table.
 struct ItemSearch<'a, E: InformationExchange, P> {
     ex: &'a E,
     proto: &'a P,
     model: FailureModel,
     faulty: AgentSet,
     limit: usize,
-    /// The runs found so far; its arena interns the prefix's states too.
+    /// The records emitted so far; its arena interns the prefix's states
+    /// too.
     item: ItemRuns<E>,
     /// Ids of the prefix's global states, `n` per time step.
     path: Vec<StateId>,
-    /// Actions of the prefix's rounds, `n` per round.
-    acts: Vec<Action>,
+    /// The record of each node of the prefix but its last.
+    nodes: Vec<u32>,
     /// Trajectories already emitted (only consulted under `Crash`, and as
     /// a check of the sibling-dedup argument in debug builds).
     seen: HashSet<Vec<StateId>>,
@@ -389,12 +497,17 @@ struct Successor<S> {
 }
 
 impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
+    /// The record of the prefix's last node's parent.
+    fn parent(&self) -> u32 {
+        self.nodes.last().copied().unwrap_or(NO_PARENT)
+    }
+
     /// Explores every continuation of the prefix, whose last global
     /// state is `current`; `alive` is the set of faulty agents that have
     /// not crashed (only shrinks under [`FailureModel::Crash`]).
     fn expand(&mut self, current: &[&E::State], alive: AgentSet) -> Result<(), EbaError> {
         let n = current.len();
-        let m = (self.acts.len() / n) as u32;
+        let m = self.nodes.len() as u32;
         if m == self.item.horizon {
             return self.commit();
         }
@@ -444,14 +557,12 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         let mut columns: Vec<Vec<Successor<E::State>>> = Vec::with_capacity(n);
         let mut received = Vec::with_capacity(n);
         for to in agents() {
-            let senders: Vec<AgentId> = column(to).collect();
             let (mut rows, mut distinct) = (Vec::new(), HashSet::new());
-            for subset in (0u32..1 << senders.len()).rev() {
-                let dropped: AgentSet = senders
-                    .iter()
+            for subset in (0u32..1 << column(to).count()).rev() {
+                let dropped: AgentSet = column(to)
                     .enumerate()
                     .filter(|&(bit, _)| subset & (1 << bit) != 0)
-                    .map(|(_, &from)| from)
+                    .map(|(_, from)| from)
                     .collect();
                 let lost = dropped.union(crashed);
                 received.clear();
@@ -476,10 +587,19 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
             columns.push(rows);
         }
 
-        self.acts.extend_from_slice(&actions);
+        // The node's record, then its children's: pre-order. Under
+        // `Crash` every leaf below may be a duplicate; a node no run
+        // passes through is dropped with its subtree.
+        let (ids, runs) = (&self.path[self.path.len() - n..], self.item.len());
+        let earlier_actions = self.item.actions.len();
+        let record = self.item.push_ids(self.parent(), ids, Some(&actions));
+        self.nodes.push(record as u32);
         let mut picks: Vec<Range<usize>> = columns.iter().map(|rows| 0..rows.len()).collect();
         self.visit(&columns, &slots, &mut picks, alive, &mut HashSet::new())?;
-        self.acts.truncate(self.acts.len() - n);
+        self.nodes.pop();
+        if self.item.len() == runs {
+            self.item.truncate(record, earlier_actions);
+        }
         Ok(())
     }
 
@@ -541,7 +661,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         Ok(())
     }
 
-    /// Emits the prefix, which has reached the horizon, as a run.
+    /// Emits the prefix, which has reached the horizon, as a leaf: a run.
     fn commit(&mut self) -> Result<(), EbaError> {
         // Sibling dedup leaves duplicates only under `Crash` (module
         // docs); elsewhere the table is the debug-build check of that.
@@ -558,8 +678,8 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         if self.item.len() >= self.limit {
             return Err(limit_error(self.limit));
         }
-        self.item.state_ids.extend_from_slice(&self.path);
-        self.item.actions.extend_from_slice(&self.acts);
+        let ids = &self.path[self.path.len() - self.item.inits.len()..];
+        self.item.push_ids(self.parent(), ids, None);
         Ok(())
     }
 }

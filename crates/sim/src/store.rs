@@ -1,43 +1,32 @@
-//! Interned, columnar storage for enumerated run sets.
+//! Interned, tree-shaped storage for enumerated run sets.
 //!
-//! The epistemic model checker historically kept every enumerated run as
-//! a `Vec<Vec<E::State>>` — each point's local state cloned into its run,
-//! even though the overwhelming majority of local states repeat across
-//! runs (two runs that differ only in a late drop share every earlier
-//! state, and a single agent's view often coincides across thousands of
-//! adversary choices). [`RunStore`] deduplicates that storage:
+//! Enumerated runs repeat themselves twice over: two runs that differ only
+//! in a late drop share their whole prefix, and one agent's local state
+//! recurs across thousands of adversary choices. [`RunStore`] stores
+//! neither twice:
 //!
 //! * a [`StateArena`] interns each distinct `E::State` **once**, behind a
 //!   dense [`StateId`] (a `u32`);
-//! * a columnar point table `state_ids[agent][point]` maps every point of
-//!   the system to the interned id of that agent's local state there;
-//! * per-run metadata (`nonfaulty`, `inits`, `actions`) is kept in flat
-//!   run-major arrays.
+//! * the enumerator's prefix tree is the node table: one node per
+//!   distinct `(N, inits, global-state prefix)`, holding each agent's
+//!   `StateId` and action there, its parent and the runs through it.
 //!
-//! `RunStore` is a [`RunSink`], so it can be fed **incrementally** by the
-//! streaming enumeration engine
-//! ([`Scenario::enumerate_into`](crate::scenario::Scenario::enumerate_into), or
-//! [`Scenario::enumerate_store`](crate::scenario::Scenario::enumerate_store)):
-//! each finished work item arrives as rows of ids over the item's own
-//! small arena ([`ItemRuns`]), and only its distinct states move into the
-//! store's arena, together with the hashes the worker interned them
-//! under, so neither the full `Vec<EnumRun<E>>` nor any single `EnumRun`
-//! ever exists. Peak memory is the arena (distinct
-//! states) plus `4`-byte ids per `(agent, point)` — for the ~98k-run
-//! `E_fip/P_opt` `(3, 1)` context that replaces ~1.47M stored
-//! full-information states with ~68k distinct ones (measured on one
-//! core: 26 MiB peak RSS streamed vs 185 MiB collected; see
-//! `examples/memory_layout.rs`).
-//!
-//! Interned ids also make downstream work cheaper: two points have equal
-//! local states **iff** their `StateId`s are equal, so indistinguishability
-//! classes fall out of a counting sort keyed by id and per-state computations
-//! (`decided`, `init`, protocol actions) can be memoized per distinct
-//! state instead of per point.
+//! `RunStore` is a [`RunSink`], fed **incrementally** by the streaming
+//! enumeration engine
+//! ([`Scenario::enumerate_store`](crate::scenario::Scenario::enumerate_store)):
+//! each finished work item arrives as its tree's records over the item's
+//! own small arena ([`ItemRuns`]), and only its distinct states move into
+//! the store's arena, together with the hashes the worker interned them
+//! under, so no `EnumRun` ever exists. Two points have equal local states
+//! **iff** their `StateId`s are equal, so indistinguishability classes
+//! fall out of a counting sort of each agent's node column, and
+//! per-state computations (`decided`, protocol actions) are memoized per
+//! distinct state.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 
 use eba_core::exchange::InformationExchange;
 use eba_core::types::{Action, AgentSet, EbaError, Value};
@@ -226,13 +215,19 @@ pub fn ensure_point_capacity(runs: usize, horizon: u32) -> Result<(), EbaError> 
     }
 }
 
-/// An interned, columnar run set: the streaming-friendly backbone the
-/// epistemic layer builds interpreted systems on.
+/// The parent of a root.
+pub(crate) const NO_PARENT: u32 = u32::MAX;
+
+/// An interned run set stored as its prefix tree: the streaming-friendly
+/// backbone the epistemic layer builds interpreted systems on.
 ///
-/// Feed it runs through [`RunSink`] (the enumeration engine's items, or
-/// one [`EnumRun`] at a time) or [`RunStore::push_run`], then read points
-/// back through the accessors. Point ids follow the usual layout
-/// `run * (horizon + 1) + time`.
+/// A node is a distinct `(N, inits, global-state prefix)` and holds each
+/// agent's [`StateId`] and action there. Nodes are in depth-first
+/// pre-order, so the runs through a node are consecutive, and a run is a
+/// leaf: the point `(run, time)` is the leaf's ancestor at depth `time`.
+/// Feed it through [`RunSink`] (the enumeration engine's items, one tree
+/// per `(N, inits)`) or [`RunStore::push_run`], which appends one
+/// unshared chain per run.
 ///
 /// ```
 /// use eba_core::prelude::*;
@@ -243,8 +238,8 @@ pub fn ensure_point_capacity(runs: usize, horizon: u32) -> Result<(), EbaError> 
 /// let store: RunStore<MinExchange> = Scenario::of(&ctx).horizon(3).enumerate_store()?;
 /// assert_eq!(store.run_count(), 8); // 2^3 initial configurations
 /// assert_eq!(store.point_count(), 8 * 4);
-/// // Far fewer distinct states than (agent, point) slots:
-/// assert!(store.distinct_states() < 3 * store.point_count());
+/// // One root per initial configuration, one chain below each:
+/// assert_eq!(store.node_count(), 8 * 4);
 /// # Ok(())
 /// # }
 /// ```
@@ -253,14 +248,27 @@ pub struct RunStore<E: InformationExchange> {
     n: usize,
     horizon: u32,
     arena: StateArena<E::State>,
-    /// `state_ids[agent][point]`: columnar point table.
+    nodes: Vec<Node>,
+    /// `state_ids[agent][node]`.
     state_ids: Vec<Vec<StateId>>,
-    /// `nonfaulty[run]`.
-    nonfaulty: Vec<AgentSet>,
-    /// `inits[run * n + agent]`.
-    inits: Vec<Value>,
-    /// `actions[(run * horizon + round) * n + agent]`.
+    /// `actions[node * n + agent]`; `Noop` at the horizon.
     actions: Vec<Action>,
+    /// `leaf[run]`: the run's node at the horizon.
+    leaf: Vec<u32>,
+    /// Each root's node, whose subtree runs to the next root's, and `N`.
+    roots: Vec<(u32, AgentSet)>,
+    /// `inits[root * n + agent]`.
+    inits: Vec<Value>,
+}
+
+/// A node of a [`RunStore`]'s tree.
+#[derive(Clone, Copy, Debug)]
+struct Node {
+    parent: u32,
+    /// The time of the node's points.
+    depth: u32,
+    /// The runs through the node, `start..end`.
+    runs: (u32, u32),
 }
 
 impl<E: InformationExchange> RunStore<E> {
@@ -270,14 +278,16 @@ impl<E: InformationExchange> RunStore<E> {
             n,
             horizon,
             arena: StateArena::new(),
+            nodes: Vec::new(),
             state_ids: vec![Vec::new(); n],
-            nonfaulty: Vec::new(),
-            inits: Vec::new(),
             actions: Vec::new(),
+            leaf: Vec::new(),
+            roots: Vec::new(),
+            inits: Vec::new(),
         }
     }
 
-    /// Interns one run into the store.
+    /// Interns one run into the store, as a chain of nodes of its own.
     ///
     /// # Errors
     ///
@@ -287,32 +297,22 @@ impl<E: InformationExchange> RunStore<E> {
     /// point-id space (see [`ensure_point_capacity`]), or if the arena
     /// runs out of state ids.
     pub fn push_run(&mut self, run: &EnumRun<E>) -> Result<(), EbaError> {
-        let per_run = self.horizon as usize + 1;
-        if run.states.len() != per_run
+        if run.states.len() != self.horizon as usize + 1
             || run.states.iter().any(|row| row.len() != self.n)
             || run.actions.len() != self.horizon as usize
             || run.actions.iter().any(|row| row.len() != self.n)
             || run.inits.len() != self.n
         {
-            return Err(self.shape_mismatch(
-                run.states.len(),
-                run.states.first().map_or(0, Vec::len),
-                run.actions.len(),
-            ));
+            let agents = run.states.first().map_or(0, Vec::len);
+            return Err(self.shape_mismatch(run.states.len(), agents, run.actions.len()));
         }
-        ensure_point_capacity(self.run_count() + 1, self.horizon)?;
-        for row in &run.states {
-            for (i, state) in row.iter().enumerate() {
-                let id = self.arena.intern(state)?;
-                self.state_ids[i].push(id);
-            }
+        let mut chain = ItemRuns::new(run.nonfaulty, run.inits.clone(), self.horizon);
+        let mut parent = None;
+        for (m, states) in run.states.iter().enumerate() {
+            let actions = run.actions.get(m).map_or(&[][..], Vec::as_slice);
+            parent = Some(chain.push_node(parent, states, actions)?);
         }
-        self.nonfaulty.push(run.nonfaulty);
-        self.inits.extend_from_slice(&run.inits);
-        for row in &run.actions {
-            self.actions.extend_from_slice(row);
-        }
-        Ok(())
+        self.accept_item(chain)
     }
 
     fn shape_mismatch(&self, state_rows: usize, agents: usize, action_rows: usize) -> EbaError {
@@ -337,12 +337,17 @@ impl<E: InformationExchange> RunStore<E> {
 
     /// Number of interned runs.
     pub fn run_count(&self) -> usize {
-        self.nonfaulty.len()
+        self.leaf.len()
     }
 
     /// Total number of points, `runs * (horizon + 1)`.
     pub fn point_count(&self) -> usize {
         self.run_count() * (self.horizon as usize + 1)
+    }
+
+    /// Number of nodes, `run_count()` of them leaves at the horizon.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
     }
 
     /// Number of distinct local states across all agents and points.
@@ -355,20 +360,77 @@ impl<E: InformationExchange> RunStore<E> {
         &self.arena
     }
 
-    /// The interned id of `agent`'s local state at `point`.
-    pub fn state_id(&self, agent: usize, point: usize) -> StateId {
-        self.state_ids[agent][point]
+    /// The node of the point `(run, time)`.
+    pub fn node(&self, run: usize, time: u32) -> usize {
+        let mut node = self.leaf[run] as usize;
+        for _ in time..self.horizon {
+            node = self.nodes[node].parent as usize;
+        }
+        node
     }
 
-    /// `agent`'s column of the point table: the id of its local state at
-    /// every point, in point order.
-    pub fn state_ids(&self, agent: usize) -> &[StateId] {
+    /// The parent of `node`; `None` at a root.
+    pub fn parent(&self, node: usize) -> Option<usize> {
+        let parent = self.nodes[node].parent;
+        (parent != NO_PARENT).then_some(parent as usize)
+    }
+
+    /// The time of `node`'s points.
+    pub fn depth(&self, node: usize) -> u32 {
+        self.nodes[node].depth
+    }
+
+    /// The runs through `node`.
+    pub fn runs(&self, node: usize) -> Range<usize> {
+        let (start, end) = self.nodes[node].runs;
+        start as usize..end as usize
+    }
+
+    /// `agent`'s local state id at every node, in node order.
+    pub fn node_state_ids(&self, agent: usize) -> &[StateId] {
         &self.state_ids[agent]
+    }
+
+    /// The action `agent` performs at `node`; `Noop` at the horizon.
+    pub fn node_action(&self, node: usize, agent: usize) -> Action {
+        self.actions[node * self.n + agent]
+    }
+
+    /// Each root's subtree (a node range), nonfaulty set and initial
+    /// preferences, in node order.
+    pub fn roots(&self) -> impl Iterator<Item = (Range<usize>, AgentSet, &[Value])> + '_ {
+        let ends = self.roots[1..].iter().map(|root| root.0 as usize);
+        let ends = ends.chain([self.node_count()]);
+        let inits = self.inits.chunks_exact(self.n);
+        (self.roots.iter().zip(ends).zip(inits))
+            .map(|((root, end), inits)| (root.0 as usize..end, root.1, inits))
+    }
+
+    /// Calls `f(run, chain)` for every run in order, `chain[time]` its
+    /// node at `time`. Consecutive runs share their common prefix's walk,
+    /// so a pass costs a step per node and per run.
+    pub fn for_each_chain(&self, mut f: impl FnMut(usize, &[usize])) {
+        let mut chain = vec![usize::MAX; self.horizon as usize + 1];
+        for (run, leaf) in self.leaf.iter().enumerate() {
+            let (mut node, mut m) = (*leaf as usize, self.horizon as usize);
+            while chain[m] != node {
+                chain[m] = node;
+                let Some(up) = m.checked_sub(1) else { break };
+                (node, m) = (self.nodes[node].parent as usize, up);
+            }
+            f(run, &chain);
+        }
+    }
+
+    /// The interned id of `agent`'s local state at `point`.
+    pub fn state_id(&self, agent: usize, point: usize) -> StateId {
+        let per_run = self.horizon as usize + 1;
+        self.state_ids[agent][self.node(point / per_run, (point % per_run) as u32)]
     }
 
     /// `agent`'s local state at `point`, resolved through the arena.
     pub fn state(&self, agent: usize, point: usize) -> &E::State {
-        self.arena.get(self.state_ids[agent][point])
+        self.arena.get(self.state_id(agent, point))
     }
 
     /// The action `agent` performs in round `round + 1` of `run`.
@@ -380,44 +442,53 @@ impl<E: InformationExchange> RunStore<E> {
         let (horizon, n) = (self.horizon, self.n);
         assert!(round < horizon, "round {round} past horizon {horizon}");
         assert!(agent < n, "agent {agent} out of range for {n} agents");
-        self.actions[(run * self.horizon as usize + round as usize) * self.n + agent]
+        self.node_action(self.node(run, round), agent)
+    }
+
+    /// The index of `run`'s root.
+    fn root_of(&self, run: usize) -> usize {
+        self.roots.partition_point(|root| root.0 <= self.leaf[run]) - 1
     }
 
     /// The nonfaulty set of `run`.
     pub fn nonfaulty(&self, run: usize) -> AgentSet {
-        self.nonfaulty[run]
+        self.roots[self.root_of(run)].1
     }
 
     /// The initial preferences of `run`.
     pub fn inits(&self, run: usize) -> &[Value] {
-        &self.inits[run * self.n..(run + 1) * self.n]
+        let root = self.root_of(run);
+        &self.inits[root * self.n..(root + 1) * self.n]
     }
 }
 
 /// Interning sink: the streaming enumeration engine feeds each finished
-/// work item straight into the arena/columns.
+/// work item straight into the arena and the node table.
 impl<E: InformationExchange> RunSink<E> for RunStore<E> {
     fn accept(&mut self, run: EnumRun<E>) -> Result<(), EbaError> {
         self.push_run(&run)
     }
 
-    /// Takes the item's id rows and moves its states in with the hashes
+    /// Appends the item's records and moves its states in with the hashes
     /// its worker computed, so nothing is hashed or cloned here: each
     /// item-local id is mapped to a global [`StateId`] once, at its first
-    /// occurrence in run-major/time/agent order — the order
-    /// [`push_run`](RunStore::push_run) interns in, so ids, arena order
-    /// and columns are exactly what pushing the item's runs would build.
-    /// A state the arena already holds is dropped, a new one moved in.
+    /// occurrence in record/agent order. Pre-order meets a node at its
+    /// first run's point, so that is run-major/time/agent order, the order
+    /// [`push_run`](RunStore::push_run) interns in: ids and arena order
+    /// are exactly what pushing the item's runs would build. A state the
+    /// arena already holds is dropped, a new one moved in.
     fn accept_item(&mut self, item: ItemRuns<E>) -> Result<(), EbaError> {
         if item.horizon != self.horizon || item.inits.len() != self.n {
             let rows = item.horizon as usize;
             return Err(self.shape_mismatch(rows + 1, item.inits.len(), rows));
         }
-        let runs = item.len();
-        ensure_point_capacity(self.run_count() + runs, self.horizon)?;
+        ensure_point_capacity(self.run_count() + item.len(), self.horizon)?;
+        let base = self.node_count() as u32;
         let mut states = item.arena.into_hashed();
         let mut global: Vec<Option<StateId>> = vec![None; states.len()];
-        for row in item.state_ids.chunks_exact(self.n) {
+        let mut actions = item.actions.chunks_exact(self.n);
+        let rows = item.state_ids.chunks_exact(self.n);
+        for (node, (parent, row)) in (base..).zip(item.parents.iter().zip(rows)) {
             for (column, local) in self.state_ids.iter_mut().zip(row) {
                 let id = match global[local.index()] {
                     Some(id) => id,
@@ -430,12 +501,37 @@ impl<E: InformationExchange> RunSink<E> for RunStore<E> {
                 };
                 column.push(id);
             }
+            let (parent, depth) = match *parent {
+                NO_PARENT => {
+                    self.roots.push((node, item.nonfaulty));
+                    self.inits.extend_from_slice(&item.inits);
+                    (NO_PARENT, 0)
+                }
+                parent => (
+                    base + parent,
+                    self.nodes[(base + parent) as usize].depth + 1,
+                ),
+            };
+            let run = self.run_count() as u32;
+            self.nodes.push(Node {
+                parent,
+                depth,
+                runs: (run, run),
+            });
+            if depth < self.horizon {
+                self.actions
+                    .extend_from_slice(actions.next().expect("a row per inner node"));
+                continue;
+            }
+            // A leaf: its run passes through it and every ancestor.
+            self.actions.extend((0..self.n).map(|_| Action::Noop));
+            self.leaf.push(node);
+            let mut up = node;
+            while up != NO_PARENT {
+                self.nodes[up as usize].runs.1 = run + 1;
+                up = self.nodes[up as usize].parent;
+            }
         }
-        for _ in 0..runs {
-            self.nonfaulty.push(item.nonfaulty);
-            self.inits.extend_from_slice(&item.inits);
-        }
-        self.actions.extend_from_slice(&item.actions);
         Ok(())
     }
 }
@@ -581,16 +677,16 @@ mod tests {
     }
 
     /// Two hand-built items of `(2, 0)` runs at horizon 1 over colliding
-    /// states. Each item's arena interns its states in an order other
-    /// than their first occurrence in its rows, and the second item
-    /// shares states with the first.
+    /// states, each a root with two leaves. Each item's arena interns its
+    /// states in an order other than their first occurrence in its
+    /// records, and the second item shares states with the first.
     fn colliding_items() -> [ItemRuns<CollidingExchange>; 2] {
-        let item = |inits: [u8; 2], arena_order: &[u8], rows: &[[u8; 4]]| {
+        let item = |inits: [u8; 2], arena_order: &[u8], root: [u8; 2], leaves: [[u8; 2]; 2]| {
             let mut arena = StateArena::new();
             for &v in arena_order {
                 arena.intern(&Colliding(v)).unwrap();
             }
-            let state_ids = rows
+            let state_ids = [root, leaves[0], leaves[1]]
                 .iter()
                 .flatten()
                 .map(|&v| arena.intern(&Colliding(v)).unwrap())
@@ -600,13 +696,15 @@ mod tests {
                 inits: inits.map(Value::from_bit).to_vec(),
                 horizon: 1,
                 arena,
+                parents: vec![NO_PARENT, 0, 0],
                 state_ids,
-                actions: vec![Action::Noop; 2 * rows.len()],
+                actions: vec![Action::Noop; 6],
+                runs: 2,
             }
         };
         [
-            item([0, 1], &[3, 2, 1, 0], &[[0, 1, 2, 3], [0, 1, 3, 2]]),
-            item([1, 1], &[9, 3, 1, 7], &[[1, 1, 3, 9], [1, 1, 7, 3]]),
+            item([0, 1], &[3, 2, 1, 0], [0, 1], [[2, 3], [3, 2]]),
+            item([1, 1], &[9, 3, 1, 7], [1, 1], [[3, 9], [7, 3]]),
         ]
     }
 
@@ -621,16 +719,50 @@ mod tests {
             pushed.push_run(&run).unwrap();
         }
         assert_eq!(accepted.run_count(), 4);
+        // Two trees of a root and two leaves; four unshared chains.
+        assert_eq!((accepted.node_count(), pushed.node_count()), (6, 8));
         assert_eq!(accepted.arena().states(), pushed.arena().states());
         let values: Vec<u8> = accepted.arena().states().iter().map(|s| s.0).collect();
         assert_eq!(values, [0, 1, 2, 3, 9, 7]);
-        for agent in 0..2 {
-            assert_eq!(accepted.state_ids(agent), pushed.state_ids(agent));
+        for point in 0..accepted.point_count() {
+            for agent in 0..2 {
+                let id = |store: &RunStore<_>| store.state_id(agent, point);
+                assert_eq!(id(&accepted), id(&pushed), "agent {agent} point {point}");
+            }
         }
         for run in 0..4 {
             assert_eq!(accepted.nonfaulty(run), pushed.nonfaulty(run));
             assert_eq!(accepted.inits(run), pushed.inits(run));
+            assert_eq!(accepted.runs(accepted.node(run, 1)), run..run + 1);
         }
+        assert_eq!(accepted.runs(0), 0..2);
+        assert_eq!(accepted.runs(3), 2..4);
+    }
+
+    #[test]
+    fn push_node_refuses_a_node_off_the_last_path_or_past_the_horizon() {
+        let mut item: ItemRuns<CollidingExchange> =
+            ItemRuns::new(AgentSet::full(2), vec![Value::Zero; 2], 1);
+        let states = |v: u8| [Colliding(v), Colliding(v + 1)];
+        let noop = [Action::Noop; 2];
+        let root = item.push_node(None, &states(0), &noop).unwrap();
+        let leaf = item.push_node(Some(root), &states(2), &[]).unwrap();
+        let errors = [
+            // A leaf carries no actions.
+            item.push_node(Some(root), &states(4), &noop),
+            // Nothing lies below the horizon.
+            item.push_node(Some(leaf), &states(6), &[]),
+            // A row per agent.
+            item.push_node(Some(root), &states(4)[..1], &[]),
+        ];
+        for err in errors {
+            assert!(matches!(err, Err(EbaError::InvalidInput(_))), "{err:?}");
+        }
+        let other = item.push_node(None, &states(1), &noop).unwrap();
+        // `root` is no longer on the last node's path.
+        assert!(item.push_node(Some(root), &states(8), &[]).is_err());
+        item.push_node(Some(other), &states(8), &[]).unwrap();
+        assert_eq!((item.len(), item.parents.len()), (2, 4));
     }
 
     /// The `(3, 0)` `E_min` store at horizon 3: 8 runs of 3 rounds.

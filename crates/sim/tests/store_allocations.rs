@@ -18,13 +18,15 @@ use std::cell::Cell;
 use eba_core::prelude::*;
 use eba_sim::prelude::*;
 
-/// Measured: 555,931 (an arena that re-hashed and cloned every item
-/// state into a bucket `Vec` of its own read 917,879).
-const FIP_SO_BOUND: u64 = 555_931;
-/// Measured: 32,956 (the same older arena read 41,346).
-const FIP_CRASH_BOUND: u64 = 32_956;
-/// Measured: 29,465 (the same older arena read 33,024).
-const BASIC_GO_BOUND: u64 = 29_465;
+/// Measured: 514,020 (555,931 while each node collected its receivers'
+/// sender columns into a `Vec` and items sent run-major rows; an arena
+/// that re-hashed and cloned every item state into a bucket `Vec` of its
+/// own read 917,879).
+const FIP_SO_BOUND: u64 = 514_020;
+/// Measured: 32,851 (32,956 before; the older arena read 41,346).
+const FIP_CRASH_BOUND: u64 = 32_851;
+/// Measured: 26,908 (29,465 before; the older arena read 33,024).
+const BASIC_GO_BOUND: u64 = 26_908;
 
 /// `System`, counting the calls that hand out a block.
 struct CountingAllocator;

@@ -31,11 +31,14 @@ fn report<E: eba::core::exchange::InformationExchange>(
     sys: &InterpretedSystem<E>,
     secs: f64,
 ) {
+    let nodes = sys.store().node_count();
     println!(
-        "{label}: {} runs, {} points, {} distinct states \
-         ({:.1}% of the {} (agent, point) slots), {secs:.2}s, peak RSS {:.0} MiB",
+        "{label}: {} runs, {} points, {nodes} nodes ({} below the horizon), \
+         {} distinct states ({:.1}% of the {} (agent, point) slots), {secs:.2}s, \
+         peak RSS {:.0} MiB",
         sys.run_count(),
         sys.point_count(),
+        nodes - sys.run_count(),
         sys.distinct_states(),
         100.0 * sys.distinct_states() as f64 / (sys.params().n() * sys.point_count()) as f64,
         sys.params().n() * sys.point_count(),
@@ -100,6 +103,12 @@ fn main() {
                 );
                 ok &= report.is_ok();
             }
+            // The run-major point table peaked at 1,054 MiB in this build.
+            let peak = peak_rss_mb();
+            println!(
+                "  peak RSS {peak:.0} MiB: {:.2}x below the point table's 1,054 MiB (target >= 1.5x)",
+                1054.0 / peak
+            );
             if !ok {
                 std::process::exit(1);
             }

@@ -50,7 +50,7 @@ impl StackVisitor for EngineEqualsOracle {
         // every failing verdict must carry an oracle-confirmed witness.
         for (f, root) in battery.iter().zip(&roots) {
             let oracle = sys.eval_recursive(f);
-            assert_eq!(session.bitset(*root), &oracle, "{label}: {f:?}");
+            assert_eq!(session.bitset(*root), oracle, "{label}: {f:?}");
 
             let verdict = session.verdict(*root);
             assert_eq!(

@@ -288,12 +288,101 @@ fn full_fip_system_streams_with_identical_verdicts() {
     assert_eq!(report.runs, legacy.run_count());
 }
 
+/// The node store against the chain oracle, `oracle::from_runs`: one
+/// unshared chain of nodes per run, classes by hash-then-group. They must
+/// agree on every class partition as point sets, on every standard-battery
+/// and spec verdict with its counterexample, and on the `P0` and `P1`
+/// implements reports, mismatch order included.
+struct NodesEqualChains {
+    horizon: u32,
+}
+
+impl StackVisitor for NodesEqualChains {
+    type Output = ();
+
+    fn visit<E, P>(self, ctx: &Context<E, P>)
+    where
+        E: InformationExchange + Clone + Sync + 'static,
+        P: ActionProtocol<E> + Clone + Sync + 'static,
+    {
+        let (label, n) = (ctx.qualified_name(), ctx.params().n());
+        let (horizon, parallelism) = (self.horizon, Parallelism::Auto);
+        let nodes = InterpretedSystem::from_context(ctx.clone(), horizon, 10_000_000, parallelism)
+            .expect("node store");
+        let runs = Scenario::of(ctx)
+            .horizon(horizon)
+            .enumerate()
+            .expect("runs");
+        let chains = oracle::from_runs(ctx.exchange().clone(), runs, horizon).expect("chains");
+        assert!(
+            nodes.store().node_count() <= chains.store().node_count(),
+            "{label}"
+        );
+        assert_eq!(chains.store().node_count(), chains.point_count(), "{label}");
+        for agent in AgentId::all(n) {
+            let (a, b) = (nodes.class_partition(agent), chains.class_partition(agent));
+            assert_eq!(a, b, "{label}: {agent}'s classes");
+        }
+        let battery = standard_battery(n);
+        let verdicts = |sys: &InterpretedSystem<E>| {
+            let mut arena = FormulaArena::new();
+            let roots: Vec<NodeId> = battery.iter().map(|f| arena.intern(f)).collect();
+            let plan = QueryPlan::new(&arena, &roots);
+            let session = EvalSession::evaluate(sys, &arena, &plan);
+            roots
+                .iter()
+                .map(|root| session.verdict(*root))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(verdicts(&nodes), verdicts(&chains), "{label}: battery");
+        let spec = |sys: &InterpretedSystem<E>| {
+            let verdicts = check_spec(sys).into_iter();
+            verdicts
+                .map(|v| (v.property, v.run, v.time, v.oracle_confirmed))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(spec(&nodes), spec(&chains), "{label}: spec");
+        for program in [KnowledgeBasedProgram::P0, KnowledgeBasedProgram::P1] {
+            let a = check_implements(&nodes, ctx.protocol(), program);
+            let b = check_implements(&chains, ctx.protocol(), program);
+            let name = program.name();
+            assert_eq!(a.comparisons, b.comparisons, "{label}: {name}");
+            assert_eq!(a.mismatches, b.mismatches, "{label}: {name}");
+        }
+    }
+}
+
+/// Every (3, 1) registry system at horizon 4, `E_fip@general_omission`
+/// (25.2M runs) at horizon 2, and `SO(t)` at (4, 1) for the three
+/// stacks whose runs a collected vector holds.
+#[test]
+fn node_store_agrees_with_the_chain_oracle() {
+    let params = Params::new(3, 1).unwrap();
+    for base in STACK_NAMES {
+        for model in MODEL_NAMES {
+            let name = format!("{base}@{model}");
+            let big = name == "E_fip/P_opt@general_omission";
+            let horizon = if big { 2 } else { 4 };
+            let stack = NamedStack::by_name(&name, params).unwrap();
+            stack.visit(NodesEqualChains { horizon });
+        }
+    }
+    let params = Params::new(4, 1).unwrap();
+    for base in ["E_min/P_min", "E_basic/P_basic", "E_naive/P_naive"] {
+        let stack = NamedStack::by_name(base, params).unwrap();
+        stack.visit(NodesEqualChains {
+            horizon: params.default_horizon(),
+        });
+    }
+}
+
 /// The distinct `(N, inits, global-state prefix)` nodes of a store's
-/// runs, counted post hoc from its points: `(all, below the horizon)`.
+/// runs, counted post hoc from its points, `(all, below the horizon)`,
+/// and the same two counts of the store's node table.
 struct PrefixNodes;
 
 impl StackVisitor for PrefixNodes {
-    type Output = (usize, usize);
+    type Output = [(usize, usize); 2];
 
     fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
     where
@@ -312,21 +401,30 @@ impl StackVisitor for PrefixNodes {
             let mut prefix = Vec::with_capacity(per_run * n);
             for time in 0..per_run {
                 prefix.extend((0..n).map(|agent| store.state_id(agent, run * per_run + time)));
-                let key = (store.nonfaulty(run), store.inits(run).to_vec(), prefix.clone());
+                let key = (
+                    store.nonfaulty(run),
+                    store.inits(run).to_vec(),
+                    prefix.clone(),
+                );
                 if prefixes.insert(key) && time + 1 < per_run {
                     below += 1;
                 }
             }
         }
-        (prefixes.len(), below)
+        let inner = store.node_count() - store.run_count();
+        [(prefixes.len(), below), (store.node_count(), inner)]
     }
 }
 
 /// The prefix tree of every (3, 1) horizon-4 registry system but the
 /// 25.2M-run `E_fip@general_omission`: its distinct nodes, and those
-/// below the horizon, where a knowledge-based program is evaluated.
+/// below the horizon, where a knowledge-based program is evaluated. The
+/// store keeps exactly these nodes, except under `Crash`, where a prefix
+/// reached under two sets of not-yet-crashed agents may keep two records
+/// (`CRASH_RECORDS`).
 #[test]
 fn prefix_tree_node_counts_are_pinned() {
+    const CRASH_RECORDS: [(&str, usize, usize); 1] = [("E_basic/P_basic@crash", 394, 299)];
     const NODES: [(&str, usize, usize); 15] = [
         ("E_min/P_min@failure_free", 40, 32),
         ("E_min/P_min@crash", 307, 233),
@@ -346,8 +444,16 @@ fn prefix_tree_node_counts_are_pinned() {
     ];
     let params = Params::new(3, 1).unwrap();
     let counts = NODES.map(|(name, _, _)| {
-        let (nodes, below) = NamedStack::by_name(name, params).unwrap().visit(PrefixNodes);
-        println!("{name}: {nodes} nodes, {below} below the horizon");
+        let [(nodes, below), stored] = NamedStack::by_name(name, params)
+            .unwrap()
+            .visit(PrefixNodes);
+        println!("{name}: {nodes} nodes, {below} below the horizon; the store keeps {stored:?}");
+        let records = CRASH_RECORDS.iter().find(|row| row.0 == name);
+        assert_eq!(
+            stored,
+            records.map_or((nodes, below), |row| (row.1, row.2)),
+            "{name}"
+        );
         (name, nodes, below)
     });
     assert_eq!(counts, NODES);

@@ -442,10 +442,8 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
         let (store, horizon) = (sys.store(), sys.horizon());
         let (nodes, count) = (store.node_count(), sys.point_count());
         let mut sets: Vec<Sat> = Vec::with_capacity(plan.schedule.len());
-        let rest_of_run = |p: PointId| p as usize..=(p + horizon - sys.time_of(p)) as usize;
         for id in &plan.schedule {
             let get = |cid: &NodeId| &sets[plan.slot_of[cid.index()] as usize];
-            let points = |cid: &NodeId| get(cid).points(sys);
             let interior = |cid: &NodeId| get(cid).interior(sys);
             let set = match arena.node(*id) {
                 Node::True => Sat::Nodes(BitSet::from_fn(nodes, |_| true)),
@@ -518,26 +516,25 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
                     Sat::Nodes(inner) => Sat::Nodes(BitSet::from_fn(nodes, |x| {
                         store.parent(x).is_some_and(|p| inner.contains(p))
                     })),
-                    Sat::Points(inner) => Sat::Points(BitSet::from_fn(count, |p| {
-                        sys.time_of(p as PointId) > 0 && inner.contains(p - 1)
+                    inner => Sat::Points(along_runs(sys, inner, |run| {
+                        run.rotate_right(1);
+                        run[0] = false;
                     })),
                 },
-                Node::Next(g) => {
-                    let inner = points(g);
-                    Sat::Points(BitSet::from_fn(count, |p| {
-                        sys.time_of(p as PointId) < horizon && inner.contains(p + 1)
-                    }))
-                }
-                Node::Henceforth(g) => {
-                    let inner = points(g);
-                    let holds = |p: usize| rest_of_run(p as PointId).all(|q| inner.contains(q));
-                    Sat::Points(BitSet::from_fn(count, holds))
-                }
-                Node::Eventually(g) => {
-                    let inner = points(g);
-                    let holds = |p: usize| rest_of_run(p as PointId).any(|q| inner.contains(q));
-                    Sat::Points(BitSet::from_fn(count, holds))
-                }
+                Node::Next(g) => Sat::Points(along_runs(sys, get(g), |run| {
+                    run.rotate_left(1);
+                    run[horizon as usize] = false;
+                })),
+                Node::Henceforth(g) => Sat::Points(along_runs(sys, get(g), |run| {
+                    (0..horizon as usize)
+                        .rev()
+                        .for_each(|m| run[m] &= run[m + 1]);
+                })),
+                Node::Eventually(g) => Sat::Points(along_runs(sys, get(g), |run| {
+                    (0..horizon as usize)
+                        .rev()
+                        .for_each(|m| run[m] |= run[m + 1]);
+                })),
             };
             sets.push(set);
         }
@@ -625,6 +622,30 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
             counterexample,
         }
     }
+}
+
+/// The points of the runs' values of `sat`, each run's rewritten by `op`
+/// (a look along the run), computed in one walk over the runs' chains.
+fn along_runs<E: InformationExchange>(
+    sys: &InterpretedSystem<E>,
+    sat: &Sat,
+    op: impl Fn(&mut [bool]),
+) -> BitSet {
+    let per_run = sys.horizon() as usize + 1;
+    let (mut out, mut values) = (BitSet::new(sys.point_count()), vec![false; per_run]);
+    sys.store().for_each_chain(|run, chain| {
+        for (m, value) in values.iter_mut().enumerate() {
+            *value = match sat {
+                Sat::Nodes(nodes) => nodes.contains(chain[m]),
+                Sat::Points(points) => points.contains(run * per_run + m),
+            };
+        }
+        op(&mut values);
+        for m in (0..per_run).filter(|m| values[*m]) {
+            out.insert(run * per_run + m);
+        }
+    });
+    out
 }
 
 /// `decided_i` at each node, read off `i`'s `StateId` node column.

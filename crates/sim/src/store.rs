@@ -306,13 +306,57 @@ impl<E: InformationExchange> RunStore<E> {
             let agents = run.states.first().map_or(0, Vec::len);
             return Err(self.shape_mismatch(run.states.len(), agents, run.actions.len()));
         }
-        let mut chain = ItemRuns::new(run.nonfaulty, run.inits.clone(), self.horizon);
-        let mut parent = None;
-        for (m, states) in run.states.iter().enumerate() {
-            let actions = run.actions.get(m).map_or(&[][..], Vec::as_slice);
-            parent = Some(chain.push_node(parent, states, actions)?);
+        ensure_point_capacity(self.run_count() + 1, self.horizon)?;
+        let (mut parent, mut rows) = (NO_PARENT, run.actions.iter().map(Vec::as_slice));
+        for states in &run.states {
+            for (column, state) in self.state_ids.iter_mut().zip(states) {
+                column.push(self.arena.intern(state)?);
+            }
+            parent = self.append(parent, run.nonfaulty, &run.inits, &mut rows);
         }
-        self.accept_item(chain)
+        Ok(())
+    }
+
+    /// Appends a node below `parent`, or a root of `(nonfaulty, inits)`
+    /// at [`NO_PARENT`], whose state ids the caller pushed; below the
+    /// horizon its actions are the next of `rows`.
+    fn append<'a>(
+        &mut self,
+        parent: u32,
+        nonfaulty: AgentSet,
+        inits: &[Value],
+        rows: &mut impl Iterator<Item = &'a [Action]>,
+    ) -> u32 {
+        let node = self.node_count() as u32;
+        let depth = match parent {
+            NO_PARENT => {
+                self.roots.push((node, nonfaulty));
+                self.inits.extend_from_slice(inits);
+                0
+            }
+            parent => self.nodes[parent as usize].depth + 1,
+        };
+        let run = self.run_count() as u32;
+        let runs = (run, run);
+        self.nodes.push(Node {
+            parent,
+            depth,
+            runs,
+        });
+        if depth < self.horizon {
+            self.actions
+                .extend_from_slice(rows.next().expect("a row per inner node"));
+            return node;
+        }
+        // A leaf: its run passes through it and every ancestor.
+        self.actions.extend((0..self.n).map(|_| Action::Noop));
+        self.leaf.push(node);
+        let mut up = node;
+        while up != NO_PARENT {
+            self.nodes[up as usize].runs.1 = run + 1;
+            up = self.nodes[up as usize].parent;
+        }
+        node
     }
 
     fn shape_mismatch(&self, state_rows: usize, agents: usize, action_rows: usize) -> EbaError {
@@ -486,9 +530,8 @@ impl<E: InformationExchange> RunSink<E> for RunStore<E> {
         let base = self.node_count() as u32;
         let mut states = item.arena.into_hashed();
         let mut global: Vec<Option<StateId>> = vec![None; states.len()];
-        let mut actions = item.actions.chunks_exact(self.n);
-        let rows = item.state_ids.chunks_exact(self.n);
-        for (node, (parent, row)) in (base..).zip(item.parents.iter().zip(rows)) {
+        let mut rows = item.actions.chunks_exact(self.n);
+        for (parent, row) in item.parents.iter().zip(item.state_ids.chunks_exact(self.n)) {
             for (column, local) in self.state_ids.iter_mut().zip(row) {
                 let id = match global[local.index()] {
                     Some(id) => id,
@@ -501,36 +544,11 @@ impl<E: InformationExchange> RunSink<E> for RunStore<E> {
                 };
                 column.push(id);
             }
-            let (parent, depth) = match *parent {
-                NO_PARENT => {
-                    self.roots.push((node, item.nonfaulty));
-                    self.inits.extend_from_slice(&item.inits);
-                    (NO_PARENT, 0)
-                }
-                parent => (
-                    base + parent,
-                    self.nodes[(base + parent) as usize].depth + 1,
-                ),
+            let parent = match *parent {
+                NO_PARENT => NO_PARENT,
+                parent => base + parent,
             };
-            let run = self.run_count() as u32;
-            self.nodes.push(Node {
-                parent,
-                depth,
-                runs: (run, run),
-            });
-            if depth < self.horizon {
-                self.actions
-                    .extend_from_slice(actions.next().expect("a row per inner node"));
-                continue;
-            }
-            // A leaf: its run passes through it and every ancestor.
-            self.actions.extend((0..self.n).map(|_| Action::Noop));
-            self.leaf.push(node);
-            let mut up = node;
-            while up != NO_PARENT {
-                self.nodes[up as usize].runs.1 = run + 1;
-                up = self.nodes[up as usize].parent;
-            }
+            self.append(parent, item.nonfaulty, &item.inits, &mut rows);
         }
         Ok(())
     }

@@ -12,7 +12,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use eba_core::exchange::InformationExchange;
-use eba_core::types::{AgentId, EbaError};
+use eba_core::types::EbaError;
 use eba_sim::enumerate::EnumRun;
 use eba_sim::store::{ensure_point_capacity, PointId, RunStore};
 
@@ -58,31 +58,6 @@ pub fn from_runs<E: InformationExchange>(
         .map(|i| lay_out(classes_from_runs(&runs, horizon, i), &store, i))
         .collect();
     InterpretedSystem::from_classes(ex, store, classes)
-}
-
-impl<E: InformationExchange> InterpretedSystem<E> {
-    /// The class partition of `agent` as point sets: its nonempty
-    /// classes, each ascending, ordered by their smallest point —
-    /// independent of how nodes and `StateId`s were laid out, so two
-    /// constructions can be compared.
-    pub fn class_partition(&self, agent: AgentId) -> Vec<Vec<PointId>> {
-        let (store, per_run) = (self.store(), self.horizon() as usize + 1);
-        let points = |x: &u32| {
-            let (runs, m) = (store.runs(*x as usize), store.depth(*x as usize));
-            runs.map(move |r| (r * per_run) as PointId + m)
-        };
-        let spans = self.classes[agent.index()].spans();
-        let mut partition: Vec<Vec<PointId>> = spans
-            .filter(|span| !span.is_empty())
-            .map(|span| {
-                let mut class: Vec<PointId> = span.iter().flat_map(points).collect();
-                class.sort_unstable();
-                class
-            })
-            .collect();
-        partition.sort_unstable();
-        partition
-    }
 }
 
 /// Places each of agent `i`'s classes at the span of its one `StateId`.

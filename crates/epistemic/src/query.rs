@@ -659,40 +659,6 @@ fn decided_column<E: InformationExchange>(
 }
 
 impl<E: InformationExchange> InterpretedSystem<E> {
-    /// Calls `f(point, node)` for every point, in point order.
-    fn for_each_point(&self, mut f: impl FnMut(usize, usize)) {
-        let per_run = self.horizon() as usize + 1;
-        self.store().for_each_chain(|run, chain| {
-            for (m, x) in chain.iter().enumerate() {
-                f(run * per_run + m, *x);
-            }
-        });
-    }
-
-    /// The points of a node set.
-    pub(crate) fn lift(&self, nodes: &BitSet) -> BitSet {
-        let mut points = BitSet::new(self.point_count());
-        self.for_each_point(|p, x| {
-            if nodes.contains(x) {
-                points.insert(p);
-            }
-        });
-        points
-    }
-
-    /// The nodes all of whose points lie in `points`. A class is a union
-    /// of nodes, so this is all a knowledge operator reads of a point
-    /// set: `K_i φ` is `K_i` of `φ`'s interior.
-    pub(crate) fn interior(&self, points: &BitSet) -> BitSet {
-        let mut nodes = BitSet::from_fn(self.store().node_count(), |_| true);
-        self.for_each_point(|p, x| {
-            if !points.contains(p) {
-                nodes.remove(x);
-            }
-        });
-        nodes
-    }
-
     /// Answers one formula with a counterexample-carrying [`Verdict`]
     /// through a one-formula [`QueryPlan`]. For families of related
     /// formulas, prefer [`InterpretedSystem::query_batch`] (shared

@@ -38,7 +38,7 @@ impl AgentClasses {
     }
 
     /// Every id's class, empty or not, in id order.
-    pub(crate) fn spans(&self) -> impl Iterator<Item = &[u32]> {
+    fn spans(&self) -> impl Iterator<Item = &[u32]> {
         (0..self.starts.len() - 1).map(|sid| self.span(sid))
     }
 }
@@ -58,7 +58,7 @@ impl AgentClasses {
 pub struct InterpretedSystem<E: InformationExchange> {
     ex: E,
     store: RunStore<E>,
-    pub(crate) classes: Vec<AgentClasses>,
+    classes: Vec<AgentClasses>,
     /// `decided` per distinct state, computed once at construction —
     /// every `decided`-reading proposition is an id lookup.
     decided_by_state: Vec<Option<Value>>,
@@ -282,6 +282,63 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// proposition evaluation.
     pub fn decided_table(&self) -> &[Option<Value>] {
         &self.decided_by_state
+    }
+
+    /// The class partition of `agent` as point sets: its nonempty
+    /// classes, each ascending, ordered by their smallest point —
+    /// independent of how nodes and `StateId`s were laid out, so two
+    /// constructions can be compared.
+    pub fn class_partition(&self, agent: AgentId) -> Vec<Vec<PointId>> {
+        let (store, per_run) = (&self.store, self.horizon() as usize + 1);
+        let points = |x: &u32| {
+            let (runs, m) = (store.runs(*x as usize), store.depth(*x as usize));
+            runs.map(move |r| (r * per_run) as PointId + m)
+        };
+        let spans = self.classes[agent.index()].spans();
+        let mut partition: Vec<Vec<PointId>> = spans
+            .filter(|span| !span.is_empty())
+            .map(|span| {
+                let mut class: Vec<PointId> = span.iter().flat_map(points).collect();
+                class.sort_unstable();
+                class
+            })
+            .collect();
+        partition.sort_unstable();
+        partition
+    }
+
+    /// Calls `f(point, node)` for every point, in point order.
+    fn for_each_point(&self, mut f: impl FnMut(usize, usize)) {
+        let per_run = self.horizon() as usize + 1;
+        self.store.for_each_chain(|run, chain| {
+            for (m, x) in chain.iter().enumerate() {
+                f(run * per_run + m, *x);
+            }
+        });
+    }
+
+    /// The points of a node set.
+    pub(crate) fn lift(&self, nodes: &BitSet) -> BitSet {
+        let mut points = BitSet::new(self.point_count());
+        self.for_each_point(|p, x| {
+            if nodes.contains(x) {
+                points.insert(p);
+            }
+        });
+        points
+    }
+
+    /// The nodes all of whose points lie in `points`. A class is a union
+    /// of nodes, so this is all a knowledge operator reads of a point
+    /// set: `K_i φ` is `K_i` of `φ`'s interior.
+    pub(crate) fn interior(&self, points: &BitSet) -> BitSet {
+        let mut nodes = BitSet::from_fn(self.store.node_count(), |_| true);
+        self.for_each_point(|p, x| {
+            if !points.contains(p) {
+                nodes.remove(x);
+            }
+        });
+        nodes
     }
 
     /// The nodes of the roots whose `(N, inits)` satisfy `pred`: a root's
@@ -547,11 +604,13 @@ mod tests {
     }
 
     #[test]
-    fn classes_partition_nodes() {
+    fn classes_partition_points() {
+        // Each agent's node classes partition the nodes, and so, as
+        // point sets, the points; every class is state-homogeneous.
         let sys = small_system();
         let nodes = sys.store().node_count();
         for i in 0..3 {
-            let cls = &sys.classes[i];
+            let (agent, cls) = (AgentId::new(i), &sys.classes[i]);
             assert_eq!(cls.nodes.len(), nodes);
             let mut seen = vec![false; nodes];
             for x in &cls.nodes {
@@ -559,14 +618,20 @@ mod tests {
                 seen[*x as usize] = true;
             }
             assert!(seen.iter().all(|b| *b));
-            // Every class is state-homogeneous.
-            let ids = sys.store().node_state_ids(i);
-            for span in cls.spans().filter(|span| !span.is_empty()) {
-                let s0 = sys.store().arena().get(ids[span[0] as usize]);
-                for x in span {
-                    assert_eq!(sys.store().arena().get(ids[*x as usize]), s0);
+            let mut seen = vec![false; sys.point_count()];
+            for class in sys.class_partition(agent) {
+                let (s0, id0) = (
+                    sys.local_state(class[0], agent),
+                    sys.state_id(class[0], agent),
+                );
+                for p in class {
+                    assert!(!seen[p as usize], "point in two classes");
+                    seen[p as usize] = true;
+                    assert_eq!(sys.local_state(p, agent), s0);
+                    assert_eq!(sys.state_id(p, agent), id0, "ids mirror state equality");
                 }
             }
+            assert!(seen.iter().all(|b| *b));
         }
     }
 

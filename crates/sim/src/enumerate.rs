@@ -199,13 +199,15 @@ impl<E: InformationExchange> ItemRuns<E> {
         self.runs == 0
     }
 
+    /// Record `node` and its ancestors, up to its root.
+    fn ancestry(&self, node: usize) -> impl Iterator<Item = usize> + '_ {
+        let parent = |x: &usize| Some(self.parents[*x]).filter(|p| *p != NO_PARENT);
+        std::iter::successors(Some(node), move |x| parent(x).map(|p| p as usize))
+    }
+
     /// The depth of record `node`: its time.
-    fn depth(&self, mut node: usize) -> u32 {
-        let mut depth = 0;
-        while self.parents[node] != NO_PARENT {
-            (node, depth) = (self.parents[node] as usize, depth + 1);
-        }
-        depth
+    fn depth(&self, node: usize) -> u32 {
+        self.ancestry(node).count() as u32 - 1
     }
 
     /// Appends a node below `parent` (`None` for a root) with each
@@ -225,16 +227,15 @@ impl<E: InformationExchange> ItemRuns<E> {
         actions: &[Action],
     ) -> Result<usize, EbaError> {
         let n = self.inits.len();
-        let mut last = self.parents.len().checked_sub(1);
-        while last.is_some() && last != parent {
-            last = last
-                .map(|x| self.parents[x])
-                .filter(|&p| p != NO_PARENT)
-                .map(|p| p as usize);
-        }
+        let last = self.parents.len().checked_sub(1);
+        let on_path = |p| last.is_some_and(|last| self.ancestry(last).any(|x| x == p));
         let depth = parent.map_or(0, |p| self.depth(p) + 1);
         let row = if depth == self.horizon { 0 } else { n };
-        if last != parent || depth > self.horizon || states.len() != n || actions.len() != row {
+        if !parent.is_none_or(on_path)
+            || depth > self.horizon
+            || states.len() != n
+            || actions.len() != row
+        {
             return Err(EbaError::InvalidInput(format!(
                 "node below {parent:?} at depth {depth}: expected {n} states and {row} \
                  actions below the last node's path, got {} and {}",
@@ -271,26 +272,20 @@ impl<E: InformationExchange> ItemRuns<E> {
 
     /// Materialises the runs one at a time, in enumeration order.
     pub(crate) fn into_runs(self) -> impl Iterator<Item = EnumRun<E>> {
-        let (n, horizon) = (self.inits.len(), self.horizon as usize);
-        // Each record's depth and, below the horizon, its row of actions.
-        let mut depth: Vec<usize> = Vec::with_capacity(self.parents.len());
-        let mut action_row = Vec::with_capacity(self.parents.len());
+        let (n, horizon) = (self.inits.len(), self.horizon);
+        // The leaves, and each inner record's row of actions.
+        let (mut leaves, mut action_row) = (Vec::new(), vec![0; self.parents.len()]);
         let mut inner = 0;
-        for parent in &self.parents {
-            let d = self
-                .parents
-                .get(*parent as usize)
-                .map_or(0, |_| depth[*parent as usize] + 1);
-            depth.push(d);
-            action_row.push(inner);
-            inner += usize::from(d < horizon);
-        }
-        let leaves = (0..depth.len()).filter(move |x| depth[*x] == horizon);
-        leaves.map(move |leaf| {
-            let mut chain = vec![leaf; horizon + 1];
-            for m in (0..horizon).rev() {
-                chain[m] = self.parents[chain[m + 1]] as usize;
+        for (x, row) in action_row.iter_mut().enumerate() {
+            if self.depth(x) < horizon {
+                (*row, inner) = (inner, inner + 1);
+            } else {
+                leaves.push(x);
             }
+        }
+        leaves.into_iter().map(move |leaf| {
+            let mut chain: Vec<usize> = self.ancestry(leaf).collect();
+            chain.reverse();
             let states = |x: &usize| {
                 let ids = &self.state_ids[x * n..(x + 1) * n];
                 ids.iter().map(|id| self.arena.get(*id).clone()).collect()
@@ -300,7 +295,7 @@ impl<E: InformationExchange> ItemRuns<E> {
                 nonfaulty: self.nonfaulty,
                 inits: self.inits.clone(),
                 states: chain.iter().map(states).collect(),
-                actions: chain[..horizon].iter().map(actions).collect(),
+                actions: chain[..horizon as usize].iter().map(actions).collect(),
             }
         })
     }

@@ -196,9 +196,9 @@ impl<S: Clone + Eq + Hash> Default for StateArena<S> {
 /// Fails with [`EbaError::InvalidInput`] when a system of `runs` runs at
 /// `horizon` would overflow the `u32` [`PointId`] space.
 ///
-/// Point ids are `run * (horizon + 1) + time`, and class offsets are
-/// stored as `u32` counts of points, so both need
-/// `runs * (horizon + 1) ≤ u32::MAX`. Checked by every system
+/// Point ids are `run * (horizon + 1) + time`, and node ids and class
+/// offsets are `u32` counts of nodes, which never outnumber the points,
+/// so all need `runs * (horizon + 1) ≤ u32::MAX`. Checked by every system
 /// constructor instead of silently truncating ids.
 ///
 /// # Errors

@@ -90,31 +90,31 @@ where
     let pres = prescriptions(sys, program);
     let (store, n, horizon) = (sys.store(), sys.params().n(), sys.horizon());
     let agents = || (0..n).map(AgentId::new);
-    let differs = |x: usize, agent: AgentId| {
-        let actual = store.node_action(x, agent.index());
+    // The recorded and the prescribed action at a node, where they differ.
+    let mismatch = |x: usize, agent: AgentId| {
+        let (actual, prescribed) = (store.node_action(x, agent.index()), pres.at_node(x, agent));
+        let state = store.arena().get(store.node_state_ids(agent.index())[x]);
         debug_assert_eq!(
             actual,
-            proto.act(
-                agent,
-                store.arena().get(store.node_state_ids(agent.index())[x])
-            ),
+            proto.act(agent, state),
             "recorded action disagrees with the protocol (nondeterminism?)"
         );
-        (actual != pres.at_node(x, agent)).then_some((actual, pres.at_node(x, agent)))
+        (actual != prescribed).then_some((actual, prescribed))
     };
     let mut comparisons = 0;
-    let mut disagree = vec![false; store.node_count()];
+    // `wrong[x]`: some agent's action at node `x` is not the prescribed one.
+    let mut wrong = vec![false; store.node_count()];
     for x in (0..store.node_count()).filter(|x| store.depth(*x) < horizon) {
         comparisons += n * store.runs(x).len();
-        disagree[x] = agents().any(|agent| differs(x, agent).is_some());
+        wrong[x] = agents().any(|agent| mismatch(x, agent).is_some());
     }
     let mut mismatches = Vec::new();
-    if disagree.contains(&true) {
+    if wrong.contains(&true) {
         store.for_each_chain(|run, chain| {
-            for (m, &x) in chain[..horizon as usize].iter().enumerate() {
-                for agent in agents().filter(|_| disagree[x]) {
-                    if let Some((actual, prescribed)) = differs(x, agent) {
-                        let time = m as u32;
+            let below = (0..).zip(&chain[..horizon as usize]);
+            for (time, &x) in below.filter(|(_, x)| wrong[**x]) {
+                for agent in agents() {
+                    if let Some((actual, prescribed)) = mismatch(x, agent) {
                         mismatches.push(Mismatch {
                             run,
                             time,

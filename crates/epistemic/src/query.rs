@@ -16,12 +16,11 @@
 //!    and records how many node evaluations the batch saves over
 //!    evaluating each root independently.
 //! 3. [`EvalSession`] executes the plan over an [`InterpretedSystem`] in
-//!    one pass — one [`BitSet`] per distinct node, state-level
-//!    propositions read off the interned
-//!    [`RunStore`](eba_sim::store::RunStore)'s `StateId` columns,
-//!    run-level propositions filled a whole run at a time — and answers
-//!    every root with a [`Verdict`] carrying a `(run, time)`
-//!    counterexample when the formula is not valid.
+//!    one pass — one [`BitSet`] per distinct node, over the nodes of the
+//!    interned [`RunStore`](eba_sim::store::RunStore)'s prefix tree for
+//!    a present-time formula and over points only for what looks ahead
+//!    along runs — and answers every root with a [`Verdict`] carrying a
+//!    `(run, time)` counterexample when the formula is not valid.
 //!
 //! [`eval`](InterpretedSystem::eval), [`InterpretedSystem::valid`] and friends are thin
 //! wrappers that build a one-formula plan; the pre-engine recursion

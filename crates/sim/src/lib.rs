@@ -27,11 +27,12 @@
 //!   `eba-epistemic` to build interpreted systems; sequential or sharded
 //!   across threads with bit-for-bit identical output, collected or
 //!   streamed through a [`sink::RunSink`];
-//! * [`store`] — the interned, columnar [`store::RunStore`]: a
+//! * [`store`] — the interned [`store::RunStore`]: a
 //!   [`store::StateArena`] keeps each distinct local state once behind a
-//!   [`store::StateId`], and the store is itself a [`sink::RunSink`], so
-//!   complete run sets stream into deduplicated storage without the run
-//!   vector ever materializing.
+//!   [`store::StateId`], the store keeps the enumerator's prefix tree,
+//!   one node per distinct `(N, inits, prefix)`, and it is itself a
+//!   [`sink::RunSink`], so complete run sets stream into deduplicated
+//!   storage without the run vector ever materializing.
 //!
 //! # Example
 //!

@@ -249,12 +249,12 @@ where
         )
     }
 
-    /// Streams every run of the context into an interned, columnar
-    /// [`RunStore`] — the arena-feeding face of
+    /// Streams every run of the context into an interned [`RunStore`] —
+    /// the arena-feeding face of
     /// [`enumerate_into`](Scenario::enumerate_into): each work item
-    /// arrives as id rows and only its distinct states are interned, so
-    /// peak memory is the arena of distinct states plus one `u32` per
-    /// `(agent, point)`, never the run vector.
+    /// arrives as its prefix tree's records and only its distinct states
+    /// are interned, so peak memory is the arena of distinct states plus
+    /// the node table, never the run vector.
     ///
     /// This is what `InterpretedSystem::from_context` builds on in
     /// `eba-epistemic`.

@@ -51,8 +51,8 @@ fn main() {
     let params = Params::new(3, 1).unwrap();
     let t0 = std::time::Instant::now();
     match mode.as_str() {
-        // The tentpole path: enumeration streams into the interned
-        // columnar store; the run vector never exists.
+        // Enumeration streams into the interned store's prefix tree;
+        // the run vector never exists.
         "streamed" => {
             let sys = InterpretedSystem::from_context(
                 Context::fip(params),
@@ -103,7 +103,8 @@ fn main() {
                 );
                 ok &= report.is_ok();
             }
-            // The run-major point table peaked at 1,054 MiB in this build.
+            // The run-major point table this store replaced peaked at
+            // 1,054 MiB building this system on 2 vCPUs.
             let peak = peak_rss_mb();
             println!(
                 "  peak RSS {peak:.0} MiB: {:.2}x below the point table's 1,054 MiB (target >= 1.5x)",

@@ -415,7 +415,9 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         let (n, states) = (self.params().n(), self.distinct_states());
         let ids: Vec<&[StateId]> = (0..n).map(|k| self.store.node_state_ids(k)).collect();
         // `nonfaulty[j]`: the nodes whose runs have `j ∈ N`.
-        let nonfaulty: Vec<BitSet> = (self.params().agents())
+        let nonfaulty: Vec<BitSet> = self
+            .params()
+            .agents()
             .map(|j| self.nodes_where_root(|nonfaulty, _| nonfaulty.contains(j)))
             .collect();
         let same_n = |x: u32, y: u32| {

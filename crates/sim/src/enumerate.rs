@@ -87,8 +87,9 @@
 //!
 //! # Streaming
 //!
-//! A finished item travels to the [`RunSink`] as an [`ItemRuns`]: id rows
-//! plus the item's arena. The interning [`RunStore`](crate::store::RunStore)
+//! A finished item travels to the [`RunSink`] as an [`ItemRuns`]: its
+//! prefix tree's records of ids plus the item's arena; a node under
+//! `Crash` whose every leaf was a duplicate is dropped with its subtree. The interning [`RunStore`](crate::store::RunStore)
 //! takes it as is, moving the arena's states into its own with the hashes
 //! they were interned under; every other sink receives the runs one at a
 //! time, materialised into [`EnumRun`]s as they are handed over. The engine

@@ -7,7 +7,8 @@
 //! *fold* over the runs, so [`RunSink`] lets them receive each run as it
 //! is produced and drop it immediately: peak memory falls from the whole
 //! run set to a few work items (`(N, inits)` shards of the search space)
-//! held as rows of interned state ids, plus the one run being consumed.
+//! held as prefix trees of interned state ids, plus the one run being
+//! consumed.
 //!
 //! `Vec<EnumRun<E>>` itself is a sink (it collects), so is any
 //! `FnMut(EnumRun<E>) -> Result<(), EbaError>` closure, and so is the
@@ -66,7 +67,7 @@ pub trait RunSink<E: InformationExchange> {
     /// at a time and hands each to [`accept`](RunSink::accept). A sink
     /// that stores ids rather than states
     /// ([`RunStore`](crate::store::RunStore)) overrides it to take the
-    /// item's id rows as they are.
+    /// item's tree of ids as it is.
     ///
     /// # Errors
     ///

@@ -146,7 +146,7 @@ proptest! {
     }
 }
 
-/// The store `enumerate_store` builds from the engine's id rows against
+/// The store `enumerate_store` builds from the engine's trees against
 /// the store `push_run` builds from `enumerate()`'s materialised runs.
 struct StoreIdentity {
     horizon: u32,

@@ -2,6 +2,7 @@
 //! and point sets of interpreted systems.
 
 use std::fmt;
+use std::ops::Range;
 
 /// A fixed-capacity bitset over `0..len`.
 ///
@@ -61,15 +62,72 @@ impl BitSet {
     /// # Panics
     ///
     /// Panics if `range` reaches past the capacity.
-    pub fn insert_range(&mut self, range: std::ops::Range<usize>) {
+    pub fn insert_range(&mut self, range: Range<usize>) {
+        for (w, mask) in self.word_masks(range) {
+            self.words[w] |= mask;
+        }
+    }
+
+    /// Inserts `at + (i - from.start)` for every index `i` of `from` that
+    /// `src` holds: `src`'s bits of `from`, shifted to start at `at`, a
+    /// word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` reaches past `src`'s capacity or the shifted
+    /// range past this set's.
+    pub fn insert_shifted(&mut self, src: &BitSet, from: Range<usize>, at: usize) {
+        let to = at..at + from.len();
+        assert!(
+            from.end <= src.len && to.end <= self.len,
+            "bit ranges {from:?} → {to:?} out of range {} → {}",
+            src.len,
+            self.len
+        );
+        let mut j = at;
+        while j < to.end {
+            let fits = (to.end - j).min(64 - j % 64);
+            let i = from.start + (j - at);
+            let (w, b) = (i / 64, i % 64);
+            let high = match b {
+                0 => 0,
+                _ => src.words.get(w + 1).map_or(0, |next| next << (64 - b)),
+            };
+            let bits = (src.words[w] >> b | high) & u64::MAX >> (64 - fits);
+            self.words[j / 64] |= bits << (j % 64);
+            j += fits;
+        }
+    }
+
+    /// Whether every index of `range` is present (an empty range always
+    /// is), a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches past the capacity.
+    pub fn contains_range(&self, range: Range<usize>) -> bool {
+        self.word_masks(range)
+            .all(|(w, mask)| self.words[w] & mask == mask)
+    }
+
+    /// The words `range` touches, each with the mask of its bits in
+    /// `range`.
+    fn word_masks(&self, range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
         assert!(
             range.end <= self.len,
             "bit range {range:?} out of range {}",
             self.len
         );
-        for i in range {
-            self.words[i / 64] |= 1u64 << (i % 64);
-        }
+        let Range { start, end } = range;
+        let words = if start < end {
+            start / 64..end.div_ceil(64)
+        } else {
+            0..0
+        };
+        words.map(move |w| {
+            let (lo, hi) = (start.max(w * 64) - w * 64, end.min(w * 64 + 64) - w * 64);
+            (w, u64::MAX >> (64 - (hi - lo)) << lo)
+        })
     }
 
     /// Removes index `i`.
@@ -301,6 +359,65 @@ mod tests {
         r.insert_range(60..130);
         r.insert_range(7..7);
         assert_eq!(r, s);
+    }
+
+    /// Every range within a capacity.
+    fn ranges(len: usize) -> impl Iterator<Item = Range<usize>> {
+        (0..=len).flat_map(move |a| (a..=len).map(move |b| a..b))
+    }
+
+    #[test]
+    fn range_primitives_match_the_per_bit_reference() {
+        // Every range of every capacity up to two words and two bits.
+        for len in 0..=130 {
+            for range in ranges(len) {
+                let mut set = BitSet::new(len);
+                set.insert_range(range.clone());
+                let expected = BitSet::from_fn(len, |i| range.contains(&i));
+                assert_eq!(set, expected, "{len} {range:?}");
+            }
+            // Empty, full, full but for three bits whose gaps cross word
+            // boundaries, and every third bit.
+            let holes = [5, 70, 129];
+            let bases = [
+                BitSet::new(len),
+                BitSet::from_fn(len, |_| true),
+                BitSet::from_fn(len, |i| !holes.contains(&i)),
+                BitSet::from_fn(len, |i| i % 3 == 0),
+            ];
+            for (base, range) in bases.iter().flat_map(|b| ranges(len).map(move |r| (b, r))) {
+                let expected = range.clone().all(|i| base.contains(i));
+                assert_eq!(
+                    base.contains_range(range.clone()),
+                    expected,
+                    "{base:?} {range:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn insert_shifted_matches_the_per_bit_reference() {
+        let src = BitSet::from_fn(130, |i| i % 3 == 0 || (60..70).contains(&i));
+        for from in ranges(130) {
+            let ats = [0, 1, 63, 64, 65, 127, 130 - from.len()];
+            for at in ats.into_iter().filter(|at| at + from.len() <= 130) {
+                let mut set = BitSet::new(130);
+                set.insert(at.saturating_sub(1));
+                let mut expected = set.clone();
+                set.insert_shifted(&src, from.clone(), at);
+                for i in from.clone().filter(|i| src.contains(*i)) {
+                    expected.insert(at + i - from.start);
+                }
+                assert_eq!(set, expected, "{from:?} at {at}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "bit range 3..6 out of range 5")]
+    fn out_of_range_contains_range_panics() {
+        let _ = BitSet::new(5).contains_range(3..6);
     }
 
     #[test]

@@ -348,24 +348,30 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// holds at all points the agent considers possible. It is the
     /// engine's node operator over `inner`'s interior, lifted to points.
     pub fn knows_set(&self, agent: AgentId, inner: &BitSet) -> BitSet {
-        self.lift(&self.knows(agent, &self.interior(inner)))
+        self.over_points(inner, |nodes| self.knows(agent, nodes))
     }
 
     /// `E_N` over points: everyone in the (indexical) nonfaulty set knows
     /// `inner`, i.e. `⋀_j (j ∈ N ⇒ K_j inner)`.
     pub fn everyone_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
-        self.lift(&self.everyone(&self.interior(inner)))
+        self.over_points(inner, |nodes| self.everyone(nodes))
     }
 
     /// `C_N` over points, by the engine's one worklist pass over nodes.
     pub fn common_nonfaulty_set(&self, inner: &BitSet) -> BitSet {
-        self.lift(&self.common(&self.interior(inner)))
+        self.over_points(inner, |nodes| self.common(nodes))
     }
 
     /// `C_N(t-faulty ∧ φ)` over points for `inner = φ`, by the engine's
     /// one worklist pass over nodes.
     pub fn common_t_faulty_set(&self, inner: &BitSet) -> BitSet {
-        self.lift(&self.common_t_faulty(&self.interior(inner)))
+        self.over_points(inner, |nodes| self.common_t_faulty(nodes))
+    }
+
+    /// A node operator over the interior of a point set, lifted back to
+    /// points.
+    fn over_points(&self, inner: &BitSet, op: impl FnOnce(&BitSet) -> BitSet) -> BitSet {
+        self.points(&self.lift(&op(&self.interior(&self.layers(inner)))))
     }
 
     /// Whether the formula holds at the point `(run, time)`, evaluated
@@ -393,6 +399,24 @@ impl<E: InformationExchange> InterpretedSystem<E> {
             s.insert_range(r * per_run..(r + 1) * per_run);
         }
         s
+    }
+
+    /// The run-major point set of the engine's time layers.
+    pub(crate) fn points(&self, layers: &[BitSet]) -> BitSet {
+        let mut points = BitSet::new(self.point_count());
+        for (m, layer) in layers.iter().enumerate() {
+            layer
+                .iter()
+                .for_each(|r| points.insert(r * layers.len() + m));
+        }
+        points
+    }
+
+    /// The engine's time layers of a run-major point set.
+    pub(crate) fn layers(&self, points: &BitSet) -> Vec<BitSet> {
+        let per_run = self.horizon() as usize + 1;
+        let layer = |m| BitSet::from_fn(self.run_count(), |r| points.contains(r * per_run + m));
+        (0..per_run).map(layer).collect()
     }
 
     /// The points where `pred` holds, built a word at a time.

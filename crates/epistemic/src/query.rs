@@ -16,11 +16,14 @@
 //!    and records how many node evaluations the batch saves over
 //!    evaluating each root independently.
 //! 3. [`EvalSession`] executes the plan over an [`InterpretedSystem`] in
-//!    one pass — one [`BitSet`] per distinct node, over the nodes of the
-//!    interned [`RunStore`](eba_sim::store::RunStore)'s prefix tree for
-//!    a present-time formula and over points only for what looks ahead
-//!    along runs — and answers every root with a [`Verdict`] carrying a
-//!    `(run, time)` counterexample when the formula is not valid.
+//!    one pass — for each distinct node one [`BitSet`] over the nodes of
+//!    the interned [`RunStore`](eba_sim::store::RunStore)'s prefix tree
+//!    when the formula is present-time, and `horizon + 1` time layers of
+//!    run bitsets when it looks ahead along runs (the points at time `m`
+//!    of a synchronous system are exactly the runs), so `◯`, `□` and `♦`
+//!    are word operations on layers — and answers every root with a
+//!    [`Verdict`] carrying a `(run, time)` counterexample when the
+//!    formula is not valid.
 //!
 //! [`eval`](InterpretedSystem::eval), [`InterpretedSystem::valid`] and friends are thin
 //! wrappers that build a one-formula plan; the pre-engine recursion
@@ -70,7 +73,7 @@ use eba_core::exchange::InformationExchange;
 use eba_core::types::{AgentId, BitSet, Value};
 
 use crate::formula::Formula;
-use crate::system::{InterpretedSystem, PointId};
+use crate::system::InterpretedSystem;
 
 /// Dense handle of an interned formula node in a [`FormulaArena`].
 ///
@@ -360,19 +363,21 @@ pub struct Verdict {
 }
 
 /// A formula's truth set: over nodes when the formula is present-time,
-/// over points when it looks ahead along runs (`◯`, `□`, `♦`).
+/// and as time layers of run sets when it looks ahead along runs (`◯`,
+/// `□`, `♦`): `layers[m]` holds the runs whose point at time `m` is in
+/// the set.
 #[derive(Clone, Debug)]
 enum Sat {
     Nodes(BitSet),
-    Points(BitSet),
+    Layers(Vec<BitSet>),
 }
 
 impl Sat {
-    /// The points of the set.
-    fn points<E: InformationExchange>(&self, sys: &InterpretedSystem<E>) -> Cow<'_, BitSet> {
+    /// The time layers of the set.
+    fn layers<E: InformationExchange>(&self, sys: &InterpretedSystem<E>) -> Cow<'_, [BitSet]> {
         match self {
             Sat::Nodes(nodes) => Cow::Owned(sys.lift(nodes)),
-            Sat::Points(points) => Cow::Borrowed(points),
+            Sat::Layers(layers) => Cow::Borrowed(layers),
         }
     }
 
@@ -381,8 +386,19 @@ impl Sat {
     fn interior<E: InformationExchange>(&self, sys: &InterpretedSystem<E>) -> Cow<'_, BitSet> {
         match self {
             Sat::Nodes(nodes) => Cow::Borrowed(nodes),
-            Sat::Points(points) => Cow::Owned(sys.interior(points)),
+            Sat::Layers(layers) => Cow::Owned(sys.interior(layers)),
         }
+    }
+
+    /// The set's time layers rewritten by `op`, a look along the runs.
+    fn along<E: InformationExchange>(
+        &self,
+        sys: &InterpretedSystem<E>,
+        op: impl FnOnce(&mut [BitSet]),
+    ) -> Sat {
+        let mut layers = self.layers(sys).into_owned();
+        op(&mut layers);
+        Sat::Layers(layers)
     }
 }
 
@@ -396,13 +412,15 @@ impl Sat {
 /// agent's [`StateId`](eba_sim::store::StateId) node column into a
 /// per-state table, a word of nodes at a time; `⊖` reads the parent; and
 /// knowledge operators run over the system's node classes. Only `◯`, `□`
-/// and `♦` look ahead along runs: they and the boolean nodes above them
-/// are evaluated over points, and a knowledge operator over such an
-/// operand runs over its interior, the nodes none of whose points lies
-/// outside it: its doubted or tainted classes are seeded from the
-/// operand's complement points. Each distinct node is
-/// evaluated exactly once no matter how many roots (or enclosing
-/// formulas) share it.
+/// and `♦` look ahead along runs. The systems are synchronous, so the
+/// points at time `m` are exactly the runs: these operators and the
+/// boolean nodes above them hold one run bitset per time, lifting a node
+/// set by inserting each node's run range into its depth's layer. `◯`
+/// and `⊖` rotate the layers, `□` and `♦` fold them from the horizon
+/// down a word at a time, and a knowledge operator over such an operand
+/// runs over its interior, the nodes whose run range lies wholly in
+/// their depth's layer. Each distinct node is evaluated exactly once no
+/// matter how many roots (or enclosing formulas) share it.
 pub struct EvalSession<'s, E: InformationExchange> {
     sys: &'s InterpretedSystem<E>,
     slot_of: Vec<u32>,
@@ -438,8 +456,8 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
             plan.slot_of.len(),
             arena.node_count()
         );
-        let (store, horizon) = (sys.store(), sys.horizon());
-        let (nodes, count) = (store.node_count(), sys.point_count());
+        let (store, horizon) = (sys.store(), sys.horizon() as usize);
+        let nodes = store.node_count();
         let mut sets: Vec<Sat> = Vec::with_capacity(plan.schedule.len());
         for id in &plan.schedule {
             let get = |cid: &NodeId| &sets[plan.slot_of[cid.index()] as usize];
@@ -473,38 +491,40 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
                     // agrees with it on `decided_i`.
                     let decided = decided_column(sys, *i);
                     Sat::Nodes(BitSet::from_fn(nodes, |x| {
-                        let next = || store.depth(x) < horizon && decided(x + 1) == Some(*v);
+                        let next = || store.depth(x) < sys.horizon() && decided(x + 1) == Some(*v);
                         decided(x).is_none() && next()
                     }))
                 }
-                Node::Not(g) => {
-                    let mut set = get(g).clone();
-                    let (Sat::Nodes(bits) | Sat::Points(bits)) = &mut set;
-                    bits.invert();
-                    set
-                }
-                Node::And(gs) | Node::Or(gs) => {
-                    let and = matches!(arena.node(*id), Node::And(_));
-                    let over_points = gs.iter().any(|g| matches!(get(g), Sat::Points(_)));
-                    let mut bits = BitSet::new(if over_points { count } else { nodes });
-                    if and {
-                        bits.fill();
+                Node::Not(g) => match get(g) {
+                    Sat::Nodes(bits) => {
+                        let mut bits = bits.clone();
+                        bits.invert();
+                        Sat::Nodes(bits)
                     }
+                    sat => sat.along(sys, |layers| layers.iter_mut().for_each(BitSet::invert)),
+                },
+                Node::And(gs) | Node::Or(gs) => {
+                    // Node-set operands combine over nodes and lift once.
+                    let and = matches!(arena.node(*id), Node::And(_));
+                    let combine = |acc: &mut BitSet, operand: &BitSet| match and {
+                        true => acc.intersect_with(operand),
+                        false => acc.union_with(operand),
+                    };
+                    let (mut bits, mut layers) = (BitSet::from_fn(nodes, |_| and), Vec::new());
                     for g in gs {
-                        let operand = match get(g) {
-                            Sat::Nodes(x) if !over_points => Cow::Borrowed(x),
-                            sat => sat.points(sys),
-                        };
-                        if and {
-                            bits.intersect_with(&operand);
-                        } else {
-                            bits.union_with(&operand);
+                        match get(g) {
+                            Sat::Nodes(operand) => combine(&mut bits, operand),
+                            Sat::Layers(operand) => layers.push(operand),
                         }
                     }
-                    if over_points {
-                        Sat::Points(bits)
-                    } else {
+                    if layers.is_empty() {
                         Sat::Nodes(bits)
+                    } else {
+                        let mut out = sys.lift(&bits);
+                        for operand in layers {
+                            out.iter_mut().zip(operand).for_each(|(l, o)| combine(l, o));
+                        }
+                        Sat::Layers(out)
                     }
                 }
                 Node::Knows(i, g) => Sat::Nodes(sys.knows(*i, &interior(g))),
@@ -515,25 +535,21 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
                     Sat::Nodes(inner) => Sat::Nodes(BitSet::from_fn(nodes, |x| {
                         store.parent(x).is_some_and(|p| inner.contains(p))
                     })),
-                    inner => Sat::Points(along_runs(sys, inner, |run| {
-                        run.rotate_right(1);
-                        run[0] = false;
-                    })),
+                    inner => inner.along(sys, |layers| {
+                        layers.rotate_right(1);
+                        layers[0].clear();
+                    }),
                 },
-                Node::Next(g) => Sat::Points(along_runs(sys, get(g), |run| {
-                    run.rotate_left(1);
-                    run[horizon as usize] = false;
-                })),
-                Node::Henceforth(g) => Sat::Points(along_runs(sys, get(g), |run| {
-                    (0..horizon as usize)
-                        .rev()
-                        .for_each(|m| run[m] &= run[m + 1]);
-                })),
-                Node::Eventually(g) => Sat::Points(along_runs(sys, get(g), |run| {
-                    (0..horizon as usize)
-                        .rev()
-                        .for_each(|m| run[m] |= run[m + 1]);
-                })),
+                Node::Next(g) => get(g).along(sys, |layers| {
+                    layers.rotate_left(1);
+                    layers[horizon].clear();
+                }),
+                Node::Henceforth(g) => get(g).along(sys, |layers| {
+                    fold_down(layers, BitSet::intersect_with);
+                }),
+                Node::Eventually(g) => get(g).along(sys, |layers| {
+                    fold_down(layers, BitSet::union_with);
+                }),
             };
             sets.push(set);
         }
@@ -556,14 +572,14 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
         &self.sets[slot as usize]
     }
 
-    /// The set of points satisfying an evaluated node.
+    /// The set of points satisfying an evaluated node, run-major.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not part of the session's plan.
     #[must_use]
     pub fn bitset(&self, id: NodeId) -> BitSet {
-        self.sat(id).points(self.sys).into_owned()
+        self.sys.points(&self.sat(id).layers(self.sys))
     }
 
     /// The set of prefix-tree nodes satisfying an evaluated present-time
@@ -578,7 +594,7 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
     pub(crate) fn node_set(&self, id: NodeId) -> &BitSet {
         match self.sat(id) {
             Sat::Nodes(nodes) => nodes,
-            Sat::Points(_) => panic!("node {id:?} is not a present-time formula"),
+            Sat::Layers(_) => panic!("node {id:?} is not a present-time formula"),
         }
     }
 
@@ -595,7 +611,7 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
         let point = self.sys.point(run, time);
         match self.sat(id) {
             Sat::Nodes(nodes) => nodes.contains(self.sys.node_of(point)),
-            Sat::Points(points) => points.contains(point as usize),
+            Sat::Layers(layers) => layers[time as usize].contains(run),
         }
     }
 
@@ -603,18 +619,18 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
     /// `(run, time)` point as counterexample when it is not valid. A
     /// node's first point is its first run's, and nodes are in
     /// pre-order, ascending in that point: the first falsifying node
-    /// holds the first falsifying point.
+    /// holds the first falsifying point. Over time layers, the first
+    /// falsifying point is the least `(first unset run, m)`.
     #[must_use]
     pub fn verdict(&self, id: NodeId) -> Verdict {
-        let (sys, store) = (self.sys, self.sys.store());
+        let store = self.sys.store();
         let counterexample = match self.sat(id) {
             Sat::Nodes(nodes) => nodes
                 .first_unset()
                 .map(|x| (store.runs(x).start, store.depth(x))),
-            Sat::Points(points) => points.first_unset().map(|p| {
-                let p = p as PointId;
-                (sys.run_of(p), sys.time_of(p))
-            }),
+            Sat::Layers(layers) => (layers.iter().zip(0..))
+                .filter_map(|(layer, m)| Some((layer.first_unset()?, m)))
+                .min(),
         };
         Verdict {
             holds: counterexample.is_none(),
@@ -623,28 +639,13 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
     }
 }
 
-/// The points of the runs' values of `sat`, each run's rewritten by `op`
-/// (a look along the run), computed in one walk over the runs' chains.
-fn along_runs<E: InformationExchange>(
-    sys: &InterpretedSystem<E>,
-    sat: &Sat,
-    op: impl Fn(&mut [bool]),
-) -> BitSet {
-    let per_run = sys.horizon() as usize + 1;
-    let (mut out, mut values) = (BitSet::new(sys.point_count()), vec![false; per_run]);
-    sys.store().for_each_chain(|run, chain| {
-        for (m, value) in values.iter_mut().enumerate() {
-            *value = match sat {
-                Sat::Nodes(nodes) => nodes.contains(chain[m]),
-                Sat::Points(points) => points.contains(run * per_run + m),
-            };
-        }
-        op(&mut values);
-        for m in (0..per_run).filter(|m| values[*m]) {
-            out.insert(run * per_run + m);
-        }
-    });
-    out
+/// `□` or `♦` over time layers: each layer, from the horizon down, folded
+/// with the one after it by `op` (AND or OR), a word at a time.
+fn fold_down(layers: &mut [BitSet], op: fn(&mut BitSet, &BitSet)) {
+    for m in (1..layers.len()).rev() {
+        let (before, after) = layers.split_at_mut(m);
+        op(&mut before[m - 1], &after[0]);
+    }
 }
 
 /// `decided_i` at each node, read off `i`'s `StateId` node column.

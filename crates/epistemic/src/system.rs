@@ -62,6 +62,10 @@ pub struct InterpretedSystem<E: InformationExchange> {
     /// `decided` per distinct state, computed once at construction —
     /// every `decided`-reading proposition is an id lookup.
     decided_by_state: Vec<Option<Value>>,
+    /// The maximal blocks of consecutive leaves, as `(first node, end
+    /// node, first run)`: in pre-order a block's runs are consecutive
+    /// too, and the nodes below the horizon lie between the blocks.
+    leaf_blocks: Vec<(u32, u32, u32)>,
 }
 
 impl<E: InformationExchange> InterpretedSystem<E> {
@@ -170,11 +174,19 @@ impl<E: InformationExchange> InterpretedSystem<E> {
                 return invalid(format!("the children of node {p} disagree on decided_a{i}"));
             }
         }
+        let mut leaf_blocks: Vec<(u32, u32, u32)> = Vec::new();
+        for x in (0..nodes).filter(|x| store.depth(*x) == store.horizon()) {
+            match leaf_blocks.last_mut() {
+                Some(block) if block.1 as usize == x => block.1 += 1,
+                _ => leaf_blocks.push((x as u32, x as u32 + 1, store.runs(x).start as u32)),
+            }
+        }
         Ok(InterpretedSystem {
             ex,
             store,
             classes,
             decided_by_state,
+            leaf_blocks,
         })
     }
 
@@ -307,38 +319,33 @@ impl<E: InformationExchange> InterpretedSystem<E> {
         partition
     }
 
-    /// Calls `f(point, node)` for every point, in point order.
-    fn for_each_point(&self, mut f: impl FnMut(usize, usize)) {
-        let per_run = self.horizon() as usize + 1;
-        self.store.for_each_chain(|run, chain| {
-            for (m, x) in chain.iter().enumerate() {
-                f(run * per_run + m, *x);
+    /// The time layers of a node set: `layers[m]` holds the runs whose
+    /// point at time `m` lies in one of its nodes. A node's points are
+    /// its runs at its depth, one range of runs; a block of leaves is
+    /// copied into the horizon's layer a word at a time.
+    pub(crate) fn lift(&self, nodes: &BitSet) -> Vec<BitSet> {
+        let (store, horizon) = (&self.store, self.horizon() as usize);
+        let mut layers = vec![BitSet::new(self.run_count()); horizon + 1];
+        let mut next = 0;
+        for &(first, end, run) in &self.leaf_blocks {
+            let (first, end) = (first as usize, end as usize);
+            for x in (next..first).filter(|x| nodes.contains(*x)) {
+                layers[store.depth(x) as usize].insert_range(store.runs(x));
             }
-        });
+            layers[horizon].insert_shifted(nodes, first..end, run as usize);
+            next = end;
+        }
+        layers
     }
 
-    /// The points of a node set.
-    pub(crate) fn lift(&self, nodes: &BitSet) -> BitSet {
-        let mut points = BitSet::new(self.point_count());
-        self.for_each_point(|p, x| {
-            if nodes.contains(x) {
-                points.insert(p);
-            }
-        });
-        points
-    }
-
-    /// The nodes all of whose points lie in `points`. A class is a union
-    /// of nodes, so this is all a knowledge operator reads of a point
-    /// set: `K_i φ` is `K_i` of `φ`'s interior.
-    pub(crate) fn interior(&self, points: &BitSet) -> BitSet {
-        let mut nodes = BitSet::from_fn(self.store.node_count(), |_| true);
-        self.for_each_point(|p, x| {
-            if !points.contains(p) {
-                nodes.remove(x);
-            }
-        });
-        nodes
+    /// The nodes all of whose points lie in `layers`. A class is a union
+    /// of nodes, so this is all a knowledge operator reads of a set that
+    /// looks ahead: `K_i φ` is `K_i` of `φ`'s interior.
+    pub(crate) fn interior(&self, layers: &[BitSet]) -> BitSet {
+        let store = &self.store;
+        BitSet::from_fn(store.node_count(), |x| {
+            layers[store.depth(x) as usize].contains_range(store.runs(x))
+        })
     }
 
     /// The nodes of the roots whose `(N, inits)` satisfy `pred`: a root's

@@ -57,6 +57,18 @@ pub struct SpecProperty {
     pub check_at: CheckAt,
 }
 
+impl SpecProperty {
+    /// The formula whose validity is this clause: the formula itself when
+    /// judged at every point, `time = 0 ⇒ formula` when judged at time 0,
+    /// whose first falsifying point is `(first failing run, 0)`.
+    pub fn as_validity(&self) -> Formula {
+        match self.check_at {
+            CheckAt::EveryPoint => self.formula.clone(),
+            CheckAt::TimeZero => Formula::implies(Formula::TimeIs(0), self.formula.clone()),
+        }
+    }
+}
+
 /// The EBA spec for `n` agents: Agreement over ordered pairs, strong
 /// Validity per agent and value, bounded Termination per agent.
 pub fn eba_spec_properties(n: usize) -> Vec<SpecProperty> {
@@ -117,23 +129,21 @@ pub struct SpecVerdict {
 }
 
 /// Poses the whole EBA spec as one compiled batch over `sys` and returns
-/// every failing clause with an oracle-confirmed witness.
+/// every failing clause with an oracle-confirmed witness: each clause's
+/// [`as_validity`](SpecProperty::as_validity) is a root, and its witness
+/// is that root's first falsifying point.
 pub fn check_spec<E: InformationExchange>(sys: &InterpretedSystem<E>) -> Vec<SpecVerdict> {
     let props = eba_spec_properties(sys.params().n());
     let mut arena = FormulaArena::new();
-    let roots: Vec<NodeId> = props.iter().map(|p| arena.intern(&p.formula)).collect();
+    let roots: Vec<NodeId> = (props.iter())
+        .map(|p| arena.intern(&p.as_validity()))
+        .collect();
     let plan = QueryPlan::new(&arena, &roots);
     let session = EvalSession::evaluate(sys, &arena, &plan);
 
     let mut verdicts = Vec::new();
     for (prop, root) in props.iter().zip(&roots) {
-        let witness = match prop.check_at {
-            CheckAt::EveryPoint => session.verdict(*root).counterexample,
-            CheckAt::TimeZero => (0..sys.run_count())
-                .find(|r| !session.holds_at(*root, *r, 0))
-                .map(|r| (r, 0)),
-        };
-        let Some((run, time)) = witness else {
+        let Some((run, time)) = session.verdict(*root).counterexample else {
             continue;
         };
         let oracle_confirmed = !sys.satisfied_at(&prop.formula, run, time);

@@ -30,6 +30,13 @@ impl BitSet {
         }
     }
 
+    /// The set of every index in `0..len`.
+    pub fn full(len: usize) -> Self {
+        let mut set = BitSet::new(len);
+        set.fill();
+        set
+    }
+
     /// The set of `i` in `0..len` for which `pred(i)` holds, built a word
     /// at a time, in increasing `i`.
     pub fn from_fn(len: usize, mut pred: impl FnMut(usize) -> bool) -> Self {
@@ -313,6 +320,7 @@ mod tests {
     fn fill_respects_capacity() {
         let mut s = BitSet::new(67);
         s.fill();
+        assert_eq!(s, BitSet::full(67));
         assert_eq!(s.count(), 67);
         assert!(!s.contains(67));
         s.clear();

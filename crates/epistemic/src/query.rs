@@ -16,14 +16,11 @@
 //!    and records how many node evaluations the batch saves over
 //!    evaluating each root independently.
 //! 3. [`EvalSession`] executes the plan over an [`InterpretedSystem`] in
-//!    one pass — for each distinct node one [`BitSet`] over the nodes of
-//!    the interned [`RunStore`](eba_sim::store::RunStore)'s prefix tree
-//!    when the formula is present-time, and `horizon + 1` time layers of
-//!    run bitsets when it looks ahead along runs (the points at time `m`
-//!    of a synchronous system are exactly the runs), so `◯`, `□` and `♦`
-//!    are word operations on layers — and answers every root with a
-//!    [`Verdict`] carrying a `(run, time)` counterexample when the
-//!    formula is not valid.
+//!    one pass — per distinct node, a [`BitSet`] over the interned
+//!    [`RunStore`](eba_sim::store::RunStore)'s prefix tree for a
+//!    present-time formula, and time layers of run bitsets for one that
+//!    looks ahead along runs — and answers every root with a [`Verdict`]
+//!    carrying a `(run, time)` counterexample when it is not valid.
 //!
 //! [`eval`](InterpretedSystem::eval), [`InterpretedSystem::valid`] and friends are thin
 //! wrappers that build a one-formula plan; the pre-engine recursion
@@ -362,10 +359,9 @@ pub struct Verdict {
     pub counterexample: Option<(usize, u32)>,
 }
 
-/// A formula's truth set: over nodes when the formula is present-time,
-/// and as time layers of run sets when it looks ahead along runs (`◯`,
-/// `□`, `♦`): `layers[m]` holds the runs whose point at time `m` is in
-/// the set.
+/// A formula's truth set: over nodes when the formula is present-time;
+/// when it looks ahead along runs (`◯`, `□`, `♦`), `layers[m]` holds the
+/// runs whose point at time `m` is in the set.
 #[derive(Clone, Debug)]
 enum Sat {
     Nodes(BitSet),
@@ -412,15 +408,13 @@ impl Sat {
 /// agent's [`StateId`](eba_sim::store::StateId) node column into a
 /// per-state table, a word of nodes at a time; `⊖` reads the parent; and
 /// knowledge operators run over the system's node classes. Only `◯`, `□`
-/// and `♦` look ahead along runs. The systems are synchronous, so the
-/// points at time `m` are exactly the runs: these operators and the
-/// boolean nodes above them hold one run bitset per time, lifting a node
-/// set by inserting each node's run range into its depth's layer. `◯`
+/// and `♦` look ahead along runs: they and the boolean nodes above them
+/// hold one run bitset per time, the points at time `m` being exactly the
+/// runs. A node set lifts into its depth's layer as its run range; `◯`
 /// and `⊖` rotate the layers, `□` and `♦` fold them from the horizon
 /// down a word at a time, and a knowledge operator over such an operand
-/// runs over its interior, the nodes whose run range lies wholly in
-/// their depth's layer. Each distinct node is evaluated exactly once no
-/// matter how many roots (or enclosing formulas) share it.
+/// runs over its interior, the nodes whose run range lies wholly in their
+/// layer. Each distinct node is evaluated once however many roots share it.
 pub struct EvalSession<'s, E: InformationExchange> {
     sys: &'s InterpretedSystem<E>,
     slot_of: Vec<u32>,
@@ -463,7 +457,7 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
             let get = |cid: &NodeId| &sets[plan.slot_of[cid.index()] as usize];
             let interior = |cid: &NodeId| get(cid).interior(sys);
             let set = match arena.node(*id) {
-                Node::True => Sat::Nodes(BitSet::from_fn(nodes, |_| true)),
+                Node::True => Sat::Nodes(BitSet::full(nodes)),
                 Node::InitIs(i, v) => {
                     Sat::Nodes(sys.nodes_where_root(|_, inits| inits[i.index()] == *v))
                 }
@@ -510,7 +504,10 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
                         true => acc.intersect_with(operand),
                         false => acc.union_with(operand),
                     };
-                    let (mut bits, mut layers) = (BitSet::from_fn(nodes, |_| and), Vec::new());
+                    let (mut bits, mut layers) = (BitSet::new(nodes), Vec::new());
+                    if and {
+                        bits.fill();
+                    }
                     for g in gs {
                         match get(g) {
                             Sat::Nodes(operand) => combine(&mut bits, operand),

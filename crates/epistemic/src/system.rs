@@ -373,7 +373,7 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// `E_N` over nodes: everyone in the (indexical) nonfaulty set knows
     /// `inner`, i.e. `⋀_j (j ∈ N ⇒ K_j inner)`, a word at a time.
     pub(crate) fn everyone(&self, inner: &BitSet) -> BitSet {
-        let mut out = BitSet::from_fn(self.store.node_count(), |_| true);
+        let mut out = BitSet::full(self.store.node_count());
         for j in self.params().agents() {
             let mut knows_or_faulty = self.nodes_where_root(|nonfaulty, _| !nonfaulty.contains(j));
             knows_or_faulty.union_with(&self.knows(j, inner));

@@ -362,7 +362,6 @@ pub struct Verdict {
 /// A formula's truth set: over nodes when the formula is present-time;
 /// when it looks ahead along runs (`◯`, `□`, `♦`), `layers[m]` holds the
 /// runs whose point at time `m` is in the set.
-#[derive(Clone, Debug)]
 enum Sat {
     Nodes(BitSet),
     Layers(Vec<BitSet>),

@@ -405,9 +405,9 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     pub(crate) fn points(&self, layers: &[BitSet]) -> BitSet {
         let mut points = BitSet::new(self.point_count());
         for (m, layer) in layers.iter().enumerate() {
-            layer
-                .iter()
-                .for_each(|r| points.insert(r * layers.len() + m));
+            for r in layer.iter() {
+                points.insert(r * layers.len() + m);
+            }
         }
         points
     }

@@ -716,6 +716,7 @@ pub fn standard_battery(n: usize) -> Vec<Formula> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::PointId;
     use eba_core::prelude::*;
     use eba_sim::runner::Parallelism;
 
@@ -824,6 +825,28 @@ mod tests {
         let set = s.eval_recursive(&f);
         let first = (0..s.point_count()).find(|p| !set.contains(*p)).unwrap();
         assert_eq!(s.point(run, time) as usize, first);
+    }
+
+    #[test]
+    fn layered_counterexample_is_the_first_falsifying_point() {
+        // `∧ ♦true` holds the formula as time layers. Its first failing
+        // run at time 0 (the first with `init_a = 1`) and at later times
+        // (the first with `init_b = 1`) differ, so the least `(run, time)`
+        // is not the least `(time, run)` for one of the two orders.
+        let s = sys();
+        let init = |i| Formula::InitIs(AgentId::new(i), Value::Zero);
+        for (a, b) in [(0, 1), (1, 0)] {
+            let f = Formula::And(vec![
+                Formula::Or(vec![
+                    Formula::And(vec![Formula::TimeIs(0), init(a)]),
+                    Formula::And(vec![Formula::not(Formula::TimeIs(0)), init(b)]),
+                ]),
+                Formula::Eventually(Box::new(Formula::True)),
+            ]);
+            let first = s.eval_recursive(&f).first_unset().unwrap() as PointId;
+            let expected = Some((s.run_of(first), s.time_of(first)));
+            assert_eq!(s.query(&f).counterexample, expected, "{f}");
+        }
     }
 
     #[test]

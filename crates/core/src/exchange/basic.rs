@@ -177,7 +177,7 @@ impl InformationExchange for BasicExchange {
 
 #[cfg(test)]
 mod tests {
-    use super::super::step_round as step;
+    use super::super::test_support::step;
     use super::*;
 
     fn ex() -> BasicExchange {

@@ -134,7 +134,7 @@ impl InformationExchange for FipExchange {
 
 #[cfg(test)]
 mod tests {
-    use super::super::step_round as step;
+    use super::super::test_support::step;
     use super::*;
     use crate::graph::{EdgeLabel, PrefLabel};
 

@@ -145,7 +145,7 @@ impl InformationExchange for MinExchange {
 
 #[cfg(test)]
 mod tests {
-    use super::super::step_round as step;
+    use super::super::test_support::step;
     use super::*;
 
     fn ex() -> MinExchange {

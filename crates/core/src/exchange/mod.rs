@@ -26,7 +26,7 @@ use std::fmt::Debug;
 use std::hash::Hash;
 
 use crate::protocols::ActionProtocol;
-use crate::types::{Action, AgentId, Params, Value};
+use crate::types::{Action, AgentId, AgentSet, Params, Value};
 
 /// An information-exchange protocol for `n` agents (the `E` of a context
 /// `γ = (E, F, π)`).
@@ -101,27 +101,36 @@ pub trait InformationExchange {
 }
 
 /// The initial global state: agent `i` starts in `⟨0, inits[i], ⊥, …⟩`.
-pub fn initial_states<E: InformationExchange>(ex: &E, inits: &[Value]) -> Vec<E::State> {
-    inits
-        .iter()
-        .enumerate()
-        .map(|(i, init)| ex.initial_state(AgentId::new(i), *init))
-        .collect()
+///
+/// This and [`choose_actions`], [`select_round`] and [`deliver_round`]
+/// fill a buffer the caller owns: its old contents are dropped and its
+/// allocation reused, so a caller stepping run after run in the same
+/// buffers allocates for none of them.
+pub fn initial_states<E: InformationExchange>(ex: &E, inits: &[Value], states: &mut Vec<E::State>) {
+    states.clear();
+    states.extend(
+        inits
+            .iter()
+            .enumerate()
+            .map(|(i, init)| ex.initial_state(AgentId::new(i), *init)),
+    );
 }
 
-/// `P` picks the round's actions: one `P_i(s_i)` per agent. Here and in
-/// [`select_round`] and [`deliver_one`] the global state may be owned or a
-/// row of borrowed local states.
-pub fn choose_actions<E, P>(proto: &P, states: &[impl Borrow<E::State>]) -> Vec<Action>
+/// `P` picks the round's actions: one `P_i(s_i)` per agent, into
+/// `actions`. Here and in [`select_round`] and [`deliver_one`] the
+/// global state may be owned or a row of borrowed local states.
+pub fn choose_actions<E, P>(proto: &P, states: &[impl Borrow<E::State>], actions: &mut Vec<Action>)
 where
     E: InformationExchange,
     P: ActionProtocol<E> + ?Sized,
 {
-    states
-        .iter()
-        .enumerate()
-        .map(|(i, state)| proto.act(AgentId::new(i), state.borrow()))
-        .collect()
+    actions.clear();
+    actions.extend(
+        states
+            .iter()
+            .enumerate()
+            .map(|(i, state)| proto.act(AgentId::new(i), state.borrow())),
+    );
 }
 
 /// Folds the actions chosen in the 0-based `round` into per-agent first
@@ -143,23 +152,27 @@ pub fn record_decisions(
     }
 }
 
-/// The selection half of the global transition of Section 3: entry `i` is
-/// the message agent `i` broadcasts (`None` is `⊥`). A run's traffic is a
-/// function of its states and actions: `eba-sim`'s `Metrics::of` and
-/// 0-chain reconstruction replay this over a recorded run.
+/// The selection half of the global transition of Section 3: entry `i`
+/// of `outgoing` becomes the message agent `i` broadcasts (`None` is
+/// `⊥`). A run's traffic is a function of its states and actions:
+/// `eba-sim`'s `Metrics::of` and 0-chain reconstruction replay this over
+/// a recorded run.
 pub fn select_round<E: InformationExchange>(
     ex: &E,
     states: &[impl Borrow<E::State>],
     actions: &[Action],
-) -> Vec<Option<E::Message>> {
+    outgoing: &mut Vec<Option<E::Message>>,
+) {
     debug_assert_eq!(states.len(), ex.params().n(), "one state per agent");
     debug_assert_eq!(actions.len(), states.len(), "one action per agent");
-    states
-        .iter()
-        .zip(actions)
-        .enumerate()
-        .map(|(i, (state, action))| ex.broadcast(AgentId::new(i), state.borrow(), *action))
-        .collect()
+    outgoing.clear();
+    outgoing.extend(
+        states
+            .iter()
+            .zip(actions)
+            .enumerate()
+            .map(|(i, (state, action))| ex.broadcast(AgentId::new(i), state.borrow(), *action)),
+    );
 }
 
 /// `δ_to` alone: agent `to`'s successor state when `heard[from]` is what
@@ -181,52 +194,98 @@ pub fn deliver_one<E: InformationExchange>(
 }
 
 /// The delivery half of the global transition, [`deliver_one`] mapped
-/// over the receivers: agent `to` hears `heard(from, to)` from every
-/// `from` — the channel, which has already applied the failure pattern
-/// `F` — and `δ_to` updates its state.
+/// over the receivers into `next`: `hear(to, heard)` fills `heard[from]`
+/// with what agent `to` receives from every `from` — the channel, which
+/// has already applied the failure pattern `F` — and `δ_to` updates its
+/// state.
 ///
-/// The lockstep channel lends what `from` selected if the pattern
-/// delivers it; the wire engine's lends each sender's surviving frame,
-/// decoded once per sender.
+/// The lockstep channel ([`step_round`]) lends what `from` selected if
+/// the pattern delivers it; the wire engine's lends each sender's
+/// surviving frame, decoded once per sender.
 pub fn deliver_round<'m, E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
-    mut heard: impl FnMut(AgentId, AgentId) -> Option<&'m E::Message>,
-) -> Vec<E::State>
-where
+    mut hear: impl FnMut(AgentId, &mut [Option<&'m E::Message>]),
+    next: &mut Vec<E::State>,
+) where
     E::Message: 'm,
 {
     let n = states.len();
-    let mut received = Vec::with_capacity(n);
-    (0..n)
-        .map(|j| {
-            let to = AgentId::new(j);
-            received.clear();
-            received.extend((0..n).map(|i| heard(AgentId::new(i), to)));
-            deliver_one(ex, states, actions, to, &received)
-        })
-        .collect()
+    // At most `MAX_AGENTS` senders: a receiver's tuple fits on the stack.
+    let mut heard = [None; AgentId::MAX_AGENTS];
+    next.clear();
+    next.extend((0..n).map(|j| {
+        let to = AgentId::new(j);
+        hear(to, &mut heard[..n]);
+        deliver_one(ex, states, actions, to, &heard[..n])
+    }));
 }
 
-/// Applies one synchronous round of the global transition of Section 3:
-/// [`select_round`], then [`deliver_round`] over the lockstep channel.
-/// Every execution in the workspace — the simulator's run loop, the
-/// estimator's trials, the enumerator's branches, the wire engine's
-/// sessions, the in-crate exchange tests — goes through these halves, so
-/// they cannot drift apart.
+/// Applies one synchronous round of the global transition of Section 3
+/// over the lockstep channel: [`select_round`] into `outgoing`, then
+/// [`deliver_round`] into `next`, where `to` hears what `from` selected
+/// unless `dropped(from)` — the pattern's row for `from`, read once per
+/// round — contains `to`. Every execution in the workspace — the
+/// simulator's and the estimator's run loop, the enumerator's branches,
+/// the wire engine's sessions, the in-crate exchange tests — goes
+/// through these halves, so they cannot drift apart.
 pub fn step_round<E: InformationExchange>(
     ex: &E,
     states: &[E::State],
     actions: &[Action],
-    delivers: impl Fn(AgentId, AgentId) -> bool,
-) -> Vec<E::State> {
-    let outgoing = select_round(ex, states, actions);
-    deliver_round(ex, states, actions, |from, to| {
-        outgoing[from.index()]
-            .as_ref()
-            .filter(|_| delivers(from, to))
-    })
+    dropped: impl Fn(AgentId) -> AgentSet,
+    outgoing: &mut Vec<Option<E::Message>>,
+    next: &mut Vec<E::State>,
+) {
+    select_round(ex, states, actions, outgoing);
+    let n = states.len();
+    // Each receiver starts from every selection and loses what the rows
+    // of the senders that drop anything (each read once) take from it.
+    let mut sent = [None; AgentId::MAX_AGENTS];
+    for (slot, msg) in sent.iter_mut().zip(outgoing.iter()) {
+        *slot = msg.as_ref();
+    }
+    let (mut rows, mut lossy) = ([(0, AgentSet::empty()); AgentId::MAX_AGENTS], 0);
+    for from in AgentId::all(n) {
+        rows[lossy] = (from.index(), dropped(from));
+        lossy += usize::from(!rows[lossy].1.is_empty());
+    }
+    deliver_round(
+        ex,
+        states,
+        actions,
+        |to, heard| {
+            heard.copy_from_slice(&sent[..n]);
+            for &(from, row) in &rows[..lossy] {
+                if row.contains(to) {
+                    heard[from] = None;
+                }
+            }
+        },
+        next,
+    );
+}
+
+/// Test shorthand for the exchanges' unit tests.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+
+    /// One lockstep [`step_round`] into fresh buffers, with the channel
+    /// given per pair: `delivers(from, to)`.
+    pub fn step<E: InformationExchange>(
+        ex: &E,
+        states: &[E::State],
+        actions: &[Action],
+        delivers: impl Fn(AgentId, AgentId) -> bool,
+    ) -> Vec<E::State> {
+        let n = states.len();
+        let dropped = |from| AgentId::all(n).filter(|&to| !delivers(from, to)).collect();
+        let (mut outgoing, mut next) = (Vec::new(), Vec::new());
+        step_round(ex, states, actions, dropped, &mut outgoing, &mut next);
+        next
+    }
 }
 
 #[cfg(test)]
@@ -250,23 +309,30 @@ mod tests {
             let inits: Vec<Value> = (0..n)
                 .map(|_| Value::from_bit(rng.random_bool(0.5) as u8))
                 .collect();
-            let mut states = initial_states(ex, &inits);
+            let (mut states, mut actions, mut outgoing, mut next) =
+                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            initial_states(ex, &inits, &mut states);
             for _ in 0..ctx.params().default_horizon() {
-                let actions = choose_actions(ctx.protocol(), &states);
-                let outgoing = select_round(ex, &states, &actions);
+                choose_actions(ctx.protocol(), &states, &mut actions);
+                select_round(ex, &states, &actions, &mut outgoing);
                 let delivered: Vec<bool> = (0..n * n).map(|_| rng.random_bool(0.7)).collect();
                 let heard = |from: AgentId, to: AgentId| {
                     let msg = outgoing[from.index()].as_ref();
                     msg.filter(|_| delivered[from.index() * n + to.index()])
                 };
-                let next = deliver_round(ex, &states, &actions, heard);
+                let hear = |to, tuple: &mut [_]| {
+                    for (from, slot) in AgentId::all(n).zip(tuple) {
+                        *slot = heard(from, to);
+                    }
+                };
+                deliver_round(ex, &states, &actions, hear, &mut next);
                 for (j, successor) in next.iter().enumerate() {
                     let to = AgentId::new(j);
                     let received: Vec<_> = AgentId::all(n).map(|from| heard(from, to)).collect();
                     let one = deliver_one(ex, &states, &actions, to, &received);
                     assert_eq!(&one, successor, "{} receiver {j}", ctx.name());
                 }
-                states = next;
+                std::mem::swap(&mut states, &mut next);
             }
         }
     }

@@ -130,7 +130,7 @@ impl InformationExchange for NaiveExchange {
 
 #[cfg(test)]
 mod tests {
-    use super::super::step_round as step;
+    use super::super::test_support::step;
     use super::*;
 
     fn ex() -> NaiveExchange {

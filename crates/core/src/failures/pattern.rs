@@ -43,9 +43,10 @@ use crate::types::{AgentId, AgentSet, EbaError, Params};
 pub struct FailurePattern {
     params: Params,
     nonfaulty: AgentSet,
-    /// `drops[m * n + from]` = bitmask of receivers whose round-`(m+1)`
-    /// message from `from` is dropped. Grows on demand.
-    drops: Vec<u128>,
+    /// `drops[m * n + from]` = the receivers whose round-`(m+1)` message
+    /// from `from` is dropped. Grows on demand, and only when a row
+    /// drops something: the derived `Eq` and `Hash` see its length.
+    drops: Vec<AgentSet>,
 }
 
 impl FailurePattern {
@@ -109,11 +110,14 @@ impl FailurePattern {
     /// Whether the message from `from` to `to` sent in round `m + 1` is
     /// delivered (`F(m, from, to)` in the paper's notation).
     pub fn delivers(&self, m: u32, from: AgentId, to: AgentId) -> bool {
+        !self.dropped(m, from).contains(to)
+    }
+
+    /// The receivers whose round-`(m + 1)` message from `from` is
+    /// dropped: one row of `F`, read at once.
+    pub fn dropped(&self, m: u32, from: AgentId) -> AgentSet {
         let idx = m as usize * self.params.n() + from.index();
-        match self.drops.get(idx) {
-            Some(mask) => mask & (1u128 << to.index()) == 0,
-            None => true,
-        }
+        self.drops.get(idx).copied().unwrap_or_default()
     }
 
     /// Drops the message from `from` to `to` in round `m + 1`. Whether
@@ -125,18 +129,41 @@ impl FailurePattern {
     /// Returns [`EbaError::InvalidPattern`] if both endpoints are
     /// nonfaulty: no model drops such a message.
     pub fn drop_message(&mut self, m: u32, from: AgentId, to: AgentId) -> Result<(), EbaError> {
-        if !self.is_faulty(from) && !self.is_faulty(to) {
-            return Err(EbaError::InvalidPattern(format!(
-                "cannot drop a message between nonfaulty agents {from} and {to}"
-            )));
+        self.drop_row(m, from, AgentSet::singleton(to))
+    }
+
+    /// Drops the messages from `from` to every agent of `to` in round
+    /// `m + 1`, writing the row once; an empty `to` records nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EbaError::InvalidPattern`], recording nothing, if `from`
+    /// and some receiver in `to` are both nonfaulty.
+    pub fn drop_row(&mut self, m: u32, from: AgentId, to: AgentSet) -> Result<(), EbaError> {
+        if !self.is_faulty(from) {
+            if let Some(to) = to.intersection(self.nonfaulty).iter().next() {
+                return Err(EbaError::InvalidPattern(format!(
+                    "cannot drop a message between nonfaulty agents {from} and {to}"
+                )));
+            }
         }
-        let n = self.params.n();
-        let idx = m as usize * n + from.index();
+        if to.is_empty() {
+            return Ok(());
+        }
+        let idx = m as usize * self.params.n() + from.index();
         if idx >= self.drops.len() {
-            self.drops.resize(idx + 1, 0);
+            self.drops.resize(idx + 1, AgentSet::empty());
         }
-        self.drops[idx] |= 1u128 << to.index();
+        self.drops[idx] = self.drops[idx].union(to);
         Ok(())
+    }
+
+    /// Makes room for the rows of rounds `1..=rounds` at once, so a
+    /// sampler writing them in order moves the drops at most once.
+    pub(super) fn reserve_rounds(&mut self, rounds: u32) {
+        let rows = rounds as usize * self.params.n();
+        self.drops
+            .reserve_exact(rows.saturating_sub(self.drops.len()));
     }
 
     /// Drops every message `from` sends in rounds `m + 1` for
@@ -153,31 +180,28 @@ impl FailurePattern {
         rounds: std::ops::Range<u32>,
         include_self: bool,
     ) -> Result<(), EbaError> {
-        for m in rounds {
-            for to in self.params.agents() {
-                if to != from || include_self {
-                    self.drop_message(m, from, to)?;
-                }
-            }
+        let mut to = AgentSet::full(self.params.n());
+        if !include_self {
+            to.remove(from);
         }
-        Ok(())
+        rounds
+            .into_iter()
+            .try_for_each(|m| self.drop_row(m, from, to))
     }
 
     /// The recorded drops as `(round, from, to)` triples, in that
     /// lexicographic order.
     pub fn drops(&self) -> impl Iterator<Item = (u32, AgentId, AgentId)> + '_ {
         let n = self.params.n();
-        self.drops.iter().enumerate().flat_map(move |(idx, &mask)| {
+        self.drops.iter().enumerate().flat_map(move |(idx, &row)| {
             let (m, from) = ((idx / n) as u32, AgentId::new(idx % n));
-            (0..n)
-                .filter(move |to| mask & (1u128 << to) != 0)
-                .map(move |to| (m, from, AgentId::new(to)))
+            row.iter().map(move |to| (m, from, to))
         })
     }
 
     /// Total number of dropped (round, from, to) triples recorded.
     pub fn count_drops(&self) -> usize {
-        self.drops.iter().map(|m| m.count_ones() as usize).sum()
+        self.drops.iter().map(|row| row.len()).sum()
     }
 
     /// The last round index with any recorded drop, plus one (0 if none).
@@ -185,8 +209,8 @@ impl FailurePattern {
     pub fn drop_horizon(&self) -> u32 {
         let n = self.params.n();
         let mut horizon = 0;
-        for (idx, mask) in self.drops.iter().enumerate() {
-            if *mask != 0 {
+        for (idx, row) in self.drops.iter().enumerate() {
+            if !row.is_empty() {
                 horizon = horizon.max((idx / n) as u32 + 1);
             }
         }

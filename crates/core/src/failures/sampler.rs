@@ -4,7 +4,7 @@
 use rand::seq::IteratorRandom;
 use rand::Rng;
 
-use crate::types::{AgentSet, EbaError, Params};
+use crate::types::{AgentId, AgentSet, EbaError, Params};
 
 use super::{FailureModel, FailurePattern};
 
@@ -205,6 +205,11 @@ impl AdversarySampler {
 
     /// Samples drops for a fixed faulty set.
     ///
+    /// One coin is drawn per droppable message, in `(round, sender,
+    /// receiver)` order (under `Crash`, sender by sender: its crashing
+    /// round, then that round's coins), and each `(round, sender)` row is
+    /// written once, with [`FailurePattern::drop_row`].
+    ///
     /// # Panics
     ///
     /// Panics if `faulty` has more than `t` members (an internal contract
@@ -216,50 +221,59 @@ impl AdversarySampler {
         faulty: AgentSet,
         rng: &mut R,
     ) -> FailurePattern {
-        let mut pat = FailurePattern::new(self.params, faulty.complement(self.params.n()))
+        let n = self.params.n();
+        let mut pat = FailurePattern::new(self.params, faulty.complement(n))
             .expect("at most t faulty agents");
+        if faulty.is_empty() || self.model == FailureModel::FailureFree {
+            return pat;
+        }
+        pat.reserve_rounds(self.horizon);
+        // The row of `from`'s messages to `to` that the coins drop, one
+        // bit per coin (a coin is data, not a branch); no coin is drawn
+        // for a message to itself.
+        let coins = |rng: &mut R, from: AgentId, to: AgentSet| -> AgentSet {
+            let row = to.iter().filter(|&to| to != from).fold(0, |row, to| {
+                row | u128::from(rng.random_bool(self.drop_prob)) << to.index()
+            });
+            AgentSet::from_bits(row)
+        };
+        let everyone = AgentSet::full(n);
+        let mut write = |m: u32, from: AgentId, row: AgentSet| {
+            pat.drop_row(m, from, row).expect("endpoint is faulty");
+        };
         match self.model {
             FailureModel::FailureFree => {}
             FailureModel::SendingOmission => {
                 for m in 0..self.horizon {
                     for from in faulty.iter() {
-                        for to in self.params.agents() {
-                            if to != from && rng.random_bool(self.drop_prob) {
-                                pat.drop_message(m, from, to).expect("sender is faulty");
-                            }
-                        }
+                        write(m, from, coins(rng, from, everyone));
                     }
                 }
             }
             FailureModel::GeneralOmission => {
                 for m in 0..self.horizon {
                     for from in self.params.agents() {
-                        for to in self.params.agents() {
-                            let endpoint_faulty = faulty.contains(from) || faulty.contains(to);
-                            if endpoint_faulty && to != from && rng.random_bool(self.drop_prob) {
-                                pat.drop_message(m, from, to).expect("endpoint is faulty");
-                            }
-                        }
-                    }
-                }
-            }
-            FailureModel::Crash if self.horizon > 0 => {
-                for from in faulty.iter() {
-                    let cr = rng.random_range(0..self.horizon);
-                    for to in self.params.agents() {
-                        if to != from && rng.random_bool(self.drop_prob) {
-                            pat.drop_message(cr, from, to).expect("sender is faulty");
-                        }
-                    }
-                    if cr + 1 < self.horizon {
-                        pat.silence_agent(from, cr + 1..self.horizon, true)
-                            .expect("sender is faulty");
+                        let to = if faulty.contains(from) {
+                            everyone
+                        } else {
+                            faulty
+                        };
+                        write(m, from, coins(rng, from, to));
                     }
                 }
             }
             // Zero rounds to crash in: like the other models at
             // horizon 0, nothing is ever dropped.
-            FailureModel::Crash => {}
+            FailureModel::Crash if self.horizon == 0 => {}
+            FailureModel::Crash => {
+                for from in faulty.iter() {
+                    let cr = rng.random_range(0..self.horizon);
+                    write(cr, from, coins(rng, from, everyone));
+                    for m in cr + 1..self.horizon {
+                        write(m, from, everyone);
+                    }
+                }
+            }
         }
         pat
     }
@@ -282,7 +296,6 @@ pub fn random_faulty_set<R: Rng + ?Sized>(params: Params, k: usize, rng: &mut R)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::AgentId;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

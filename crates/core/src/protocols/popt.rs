@@ -94,7 +94,8 @@ impl ActionProtocol<FipExchange> for POpt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exchange::{step_round as step, FipExchange, InformationExchange};
+    use crate::exchange::test_support::step;
+    use crate::exchange::{FipExchange, InformationExchange};
     use crate::types::Value;
 
     fn a(i: usize) -> AgentId {

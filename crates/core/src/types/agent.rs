@@ -177,6 +177,12 @@ impl AgentSet {
     pub fn bits(self) -> u128 {
         self.0
     }
+
+    /// The set whose raw mask is `bits`: the inverse of
+    /// [`bits`](Self::bits).
+    pub const fn from_bits(bits: u128) -> AgentSet {
+        AgentSet(bits)
+    }
 }
 
 impl FromIterator<AgentId> for AgentSet {

@@ -2,8 +2,9 @@
 //! compiled query engine.
 //!
 //! This is the formula-level statement of the spec, kept independent of
-//! `eba-sim`'s trajectory-level judge (`judge_run`, behind `check_eba`) so
-//! that each cross-checks the other: the two share no code, and
+//! `eba-sim`'s trajectory-level judge (the `RunJudge` fold, behind
+//! `judge_run` and `check_eba`) so that each cross-checks the other: the
+//! two share no code, and
 //! `tests/spec_judges_agree.rs` and the fuzzer's oracle comparison hold
 //! them to the same verdicts. Agreement is posed as one clause per
 //! ordered nonfaulty pair, strong Validity per agent and value, and

@@ -64,7 +64,9 @@ fn build_chain<E: InformationExchange>(
     // whose M_0-class message reached `agent` in round m.
     let time = m as usize - 1;
     let (states, actions) = (&run.states[time], &run.actions[time]);
-    for (i, msg) in select_round(ex, states, actions).iter().enumerate() {
+    let mut outgoing = Vec::with_capacity(states.len());
+    select_round(ex, states, actions, &mut outgoing);
+    for (i, msg) in outgoing.iter().enumerate() {
         let from = AgentId::new(i);
         let m0 = msg.is_some() && actions[i] == Action::Decide(Value::Zero);
         if m0 && from != agent && pattern.delivers(m - 1, from, agent) {

@@ -441,7 +441,8 @@ where
     P: ActionProtocol<E>,
 {
     let n = ex.params().n();
-    let init_states = initial_states(ex, &inits);
+    let mut init_states = Vec::with_capacity(n);
+    initial_states(ex, &inits, &mut init_states);
     let mut search = ItemSearch {
         ex,
         proto,
@@ -507,8 +508,9 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         if m == self.item.horizon {
             return self.commit();
         }
-        let actions = choose_actions(self.proto, current);
-        let outgoing = select_round(self.ex, current, &actions);
+        let (mut actions, mut outgoing) = (Vec::with_capacity(n), Vec::with_capacity(n));
+        choose_actions(self.proto, current, &mut actions);
+        select_round(self.ex, current, &actions, &mut outgoing);
 
         // Branch points, sender-major; receiver `to`'s column is the
         // senders of its slots.

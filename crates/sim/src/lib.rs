@@ -7,15 +7,18 @@
 //! * [`scenario`] — the [`scenario::Scenario`] builder over a first-class
 //!   [`Context`](eba_core::context::Context): the one way to run or
 //!   enumerate a stack;
-//! * [`runner`] — the run kernel [`runner::run_rounds`]: the single loop
-//!   that executes `(context, failure pattern, initial preferences)`
-//!   round by round and returns the run as an [`enumerate::EnumRun`],
-//!   the one run record the enumerator yields too;
+//! * [`runner`] — the run kernel [`runner::step_rounds`]: the single
+//!   loop that executes `(context, failure pattern, initial preferences)`
+//!   round by round in caller-owned [`runner::RoundBuffers`], handing
+//!   each round to an observer; [`runner::run_rounds`] records the run
+//!   as an [`enumerate::EnumRun`], the one run record the enumerator
+//!   yields too;
 //! * [`metrics`] — views of a run: decision rounds, and exact
 //!   message/bit accounting ([`metrics::Metrics::of`], the quantities of
 //!   Prop 8.1 / 8.2) replayed from the run and its pattern;
 //! * [`spec`] — the four EBA correctness properties of Section 5, stated
-//!   once over trajectories ([`spec::judge_run`]);
+//!   once as a fold over a run's rounds ([`spec::RunJudge`]; a recorded
+//!   run is replayed through it by [`spec::judge_run`]);
 //! * [`dominance`] — the `≤_γ` comparison between action protocols over
 //!   corresponding runs;
 //! * [`chains`] — 0-chain reconstruction (Section 6) from a run and its
@@ -78,9 +81,9 @@ pub mod prelude {
     };
     pub use crate::metrics::Metrics;
     pub use crate::render::render_timeline;
-    pub use crate::runner::{run_rounds, Parallelism};
+    pub use crate::runner::{run_rounds, step_rounds, Parallelism, RoundBuffers};
     pub use crate::scenario::Scenario;
     pub use crate::sink::RunSink;
-    pub use crate::spec::{check_decides_by, check_eba, judge_run, SpecViolation};
+    pub use crate::spec::{check_decides_by, check_eba, judge_run, RunJudge, SpecViolation};
     pub use crate::store::{PointId, RunStore, StateArena, StateId};
 }

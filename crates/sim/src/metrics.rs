@@ -38,14 +38,14 @@ impl Metrics {
     pub fn of<E: InformationExchange>(ex: &E, run: &EnumRun<E>, pattern: &FailurePattern) -> Self {
         debug_assert_eq!(pattern.nonfaulty(), run.nonfaulty, "the run's own pattern");
         let n = run.inits.len();
-        let mut metrics = Metrics::default();
+        let (mut metrics, mut outgoing) = (Metrics::default(), Vec::with_capacity(n));
         for (m, (states, actions)) in run.states.iter().zip(&run.actions).enumerate() {
-            for (i, msg) in select_round(ex, states, actions).iter().enumerate() {
+            select_round(ex, states, actions, &mut outgoing);
+            for (i, msg) in outgoing.iter().enumerate() {
                 let Some(msg) = msg else { continue };
                 let bits = ex.message_bits(msg);
-                let delivered = AgentId::all(n)
-                    .filter(|to| pattern.delivers(m as u32, AgentId::new(i), *to))
-                    .count() as u64;
+                let dropped = pattern.dropped(m as u32, AgentId::new(i));
+                let delivered = AgentId::all(n).filter(|&to| !dropped.contains(to)).count() as u64;
                 metrics.messages_sent += n as u64;
                 metrics.bits_sent += n as u64 * bits;
                 metrics.messages_delivered += delivered;

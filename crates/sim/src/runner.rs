@@ -6,7 +6,7 @@
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use eba_core::context::{validate_scenario_shape, Context};
+use eba_core::context::{validate_scenario_shape, Context, MAX_HORIZON};
 use eba_core::exchange::{choose_actions, initial_states, step_round, InformationExchange};
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
@@ -206,28 +206,91 @@ impl<T> Drop for StopOnPanic<'_, T> {
     }
 }
 
-/// Executes one run of `ctx` for `horizon` rounds and returns it. Each
-/// round applies, in order: the action protocol (`P_i(s_i)`), message
-/// selection (`μ_i`), the failure pattern (`F(m, i, j)`), and the state
-/// update (`δ_i`) — exactly the global transition of Section 3, through
-/// the shared [`step_round`] routine.
+/// The buffers one lockstep run steps in, owned by the caller and
+/// reused run after run: [`step_rounds`] fills them round by round, and
+/// its observer reads them — or takes the rows it keeps, which the loop
+/// then refills in fresh allocations.
+pub struct RoundBuffers<E: InformationExchange> {
+    /// The global state: the initial one, then after each round its
+    /// successor.
+    pub states: Vec<E::State>,
+    /// The global state the round just stepped started from.
+    pub previous: Vec<E::State>,
+    /// The actions chosen in the round just stepped.
+    pub actions: Vec<Action>,
+    /// The round's broadcasts.
+    outgoing: Vec<Option<E::Message>>,
+}
+
+impl<E: InformationExchange> Default for RoundBuffers<E> {
+    fn default() -> Self {
+        RoundBuffers {
+            states: Vec::new(),
+            previous: Vec::new(),
+            actions: Vec::new(),
+            outgoing: Vec::new(),
+        }
+    }
+}
+
+/// Steps one run of `ctx` for `horizon` rounds in `buffers`, and hands
+/// each round to `observe(m, buffers)` once it is stepped: `previous`
+/// holds the global state at time `m`, `actions` what was chosen in
+/// round `m + 1`, and `states` the state at time `m + 1`. Each round
+/// applies, in order: the action protocol (`P_i(s_i)`), message
+/// selection (`μ_i`), the failure pattern (`F(m, i, j)`, one row per
+/// sender), and the state update (`δ_i`) — exactly the global transition
+/// of Section 3, through the shared [`step_round`] routine.
 ///
 /// This is the only loop over the rounds of a lockstep run in the
-/// workspace: [`Scenario::run`](crate::scenario::Scenario::run) and the
-/// statistical estimator's `judge_case` both drive it. The run it
-/// returns is the one run record; decisions, traffic
-/// ([`Metrics::of`](crate::metrics::Metrics::of)) and 0-chains
-/// ([`crate::chains`]) are views computed from it and its pattern. It
-/// checks the input shapes only ([`validate_scenario_shape`], O(1),
-/// which also refuses a horizon above
-/// [`MAX_HORIZON`](eba_core::context::MAX_HORIZON)); whether the
-/// context's failure model admits the pattern is the caller's business
-/// (`Scenario` checks it, the estimator samples admissible patterns).
+/// workspace: [`run_rounds`] is it with an observer that records the
+/// run, and the statistical estimator's trials are it with one that
+/// judges the EBA spec as the run steps. It checks the input shapes only
+/// ([`validate_scenario_shape`], O(1), which also refuses a horizon
+/// above [`MAX_HORIZON`]); whether the context's failure model admits
+/// the pattern is the caller's business (`Scenario` checks it, the
+/// estimator samples admissible patterns).
 ///
 /// # Errors
 ///
 /// Returns [`EbaError::InvalidInput`] if `inits.len() != n`, the pattern
 /// was built for different parameters, or the horizon is too long.
+pub fn step_rounds<E, P>(
+    ctx: &Context<E, P>,
+    pattern: &FailurePattern,
+    inits: &[Value],
+    horizon: u32,
+    buffers: &mut RoundBuffers<E>,
+    mut observe: impl FnMut(u32, &mut RoundBuffers<E>),
+) -> Result<(), EbaError>
+where
+    E: InformationExchange,
+    P: ActionProtocol<E>,
+{
+    let (ex, proto) = (ctx.exchange(), ctx.protocol());
+    validate_scenario_shape(ctx.params(), pattern, inits, horizon)?;
+    initial_states(ex, inits, &mut buffers.states);
+    for m in 0..horizon {
+        let b = &mut *buffers;
+        choose_actions(proto, &b.states, &mut b.actions);
+        let (dropped, next) = (|from| pattern.dropped(m, from), &mut b.previous);
+        step_round(ex, &b.states, &b.actions, dropped, &mut b.outgoing, next);
+        std::mem::swap(&mut b.states, &mut b.previous);
+        observe(m, b);
+    }
+    Ok(())
+}
+
+/// Executes one run of `ctx` for `horizon` rounds and returns it:
+/// [`step_rounds`], keeping each round's rows. The run it returns is the
+/// one run record; decisions, traffic
+/// ([`Metrics::of`](crate::metrics::Metrics::of)) and 0-chains
+/// ([`crate::chains`]) are views computed from it and its pattern.
+/// [`Scenario::run`](crate::scenario::Scenario::run) drives it.
+///
+/// # Errors
+///
+/// As [`step_rounds`].
 pub fn run_rounds<E, P>(
     ctx: &Context<E, P>,
     pattern: &FailurePattern,
@@ -238,20 +301,17 @@ where
     E: InformationExchange,
     P: ActionProtocol<E>,
 {
-    let (ex, proto) = (ctx.exchange(), ctx.protocol());
-    validate_scenario_shape(ctx.params(), pattern, inits, horizon)?;
-    let mut states: Vec<Vec<E::State>> = Vec::with_capacity(horizon as usize + 1);
-    let mut actions: Vec<Vec<Action>> = Vec::with_capacity(horizon as usize);
-    states.push(initial_states(ex, inits));
-    for m in 0..horizon {
-        let current = &states[m as usize];
-        let round_actions = choose_actions(proto, current);
-        let next = step_round(ex, current, &round_actions, |from, to| {
-            pattern.delivers(m, from, to)
-        });
-        states.push(next);
-        actions.push(round_actions);
-    }
+    // Sized before the shape check: a horizon past the cap is refused
+    // by `step_rounds`, not allocated for.
+    let rounds = horizon.min(MAX_HORIZON) as usize;
+    let mut states = Vec::with_capacity(rounds + 1);
+    let mut actions = Vec::with_capacity(rounds);
+    let mut buffers = RoundBuffers::default();
+    step_rounds(ctx, pattern, inits, horizon, &mut buffers, |_, b| {
+        states.push(std::mem::take(&mut b.previous));
+        actions.push(std::mem::take(&mut b.actions));
+    })?;
+    states.push(buffers.states);
     Ok(EnumRun {
         nonfaulty: pattern.nonfaulty(),
         inits: inits.to_vec(),

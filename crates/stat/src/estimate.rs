@@ -3,11 +3,14 @@
 //!
 //! Each trial draws a stratum from the plan's mixture, a faulty set, a
 //! failure pattern (via [`AdversarySampler`]), and uniform initial
-//! preferences; executes the stack through the simulator's run kernel
-//! ([`run_rounds`]); and judges the finished run with the simulator's
-//! trajectory-level spec ([`judge_run`], through [`check_eba`]) — so a trial
-//! never outlives its verdict and memory stays flat at any trial count
-//! or `n`.
+//! preferences; steps the stack through the simulator's run loop
+//! ([`step_rounds`]) in buffers its block owns and reuses; and judges
+//! each round as it is stepped with the simulator's statement of the
+//! spec ([`RunJudge`], the fold [`judge_run`] replays recorded runs
+//! through). No trajectory is kept — a violating trial clones its
+//! pattern, inits and final decisions, and only then — so a trial never
+//! outlives its verdict, allocates only its faulty set and its pattern's
+//! drop rows, and memory stays flat at any trial count or `n`.
 //!
 //! **Bit-reproducibility.** Trials are partitioned into fixed-size blocks
 //! of [`TRIAL_BLOCK`]; block `b` runs on its own `StdRng` seeded
@@ -30,9 +33,9 @@
 //!
 //! [`AdversarySampler`]: eba_core::prelude::AdversarySampler
 //! [`Parallelism::for_each_ordered`]: eba_sim::runner::Parallelism::for_each_ordered
-//! [`run_rounds`]: eba_sim::runner::run_rounds
+//! [`step_rounds`]: eba_sim::runner::step_rounds
+//! [`RunJudge`]: eba_sim::spec::RunJudge
 //! [`judge_run`]: eba_sim::spec::judge_run
-//! [`check_eba`]: eba_sim::spec::check_eba
 //! [`check_spec`]: eba_epistemic::spec::check_spec
 //! [`EngineOracle`]: eba_epistemic::spec::EngineOracle
 
@@ -56,33 +59,51 @@ pub const TRIAL_BLOCK: u64 = 1024;
 /// signatures per estimate.
 pub const MAX_REPROS: usize = 8;
 
-/// The violated-clause names, in the order [`judge_run`] checks them — the
+/// The violated-clause names, in the order [`RunJudge`] checks them — the
 /// fuzzer's [`violation_kind`] vocabulary, so statistical repros and fuzz
 /// repros share one taxonomy.
 pub const VIOLATION_KINDS: [&str; 4] = ["unique_decision", "agreement", "validity", "termination"];
 
-/// Executes one concrete case on the run kernel and judges it: the run,
-/// and its first violated clause (named as the fuzzer's
-/// [`violation_kind`] names it) if it has one.
-fn run_and_judge<E, P>(
-    ctx: &Context<E, P>,
-    pattern: &FailurePattern,
-    inits: &[Value],
-    horizon: u32,
-) -> Result<(EnumRun<E>, Option<&'static str>), EbaError>
-where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
-{
-    let run = run_rounds(ctx, pattern, inits, horizon)?;
-    let verdict = check_eba(ctx.exchange(), &run)
-        .err()
-        .map(|v| violation_kind(&v));
-    Ok((run, verdict))
+/// The buffers a block's trials step and judge in, reused trial after
+/// trial.
+struct Trial<E: InformationExchange> {
+    buffers: RoundBuffers<E>,
+    judge: RunJudge,
+    inits: Vec<Value>,
+}
+
+impl<E: InformationExchange> Trial<E> {
+    fn new() -> Self {
+        Trial {
+            buffers: RoundBuffers::default(),
+            judge: RunJudge::default(),
+            inits: Vec::new(),
+        }
+    }
+
+    /// Steps `ctx` against `pattern` from `self.inits` on the run kernel
+    /// and judges the run as it steps: its first violated clause, named
+    /// as the fuzzer's [`violation_kind`] names it, if it has one. The
+    /// final global state stays in `self.buffers.states`.
+    fn judge<P: ActionProtocol<E>>(
+        &mut self,
+        ctx: &Context<E, P>,
+        pattern: &FailurePattern,
+        horizon: u32,
+    ) -> Result<Option<&'static str>, EbaError> {
+        let (ex, judge, inits) = (ctx.exchange(), &mut self.judge, &self.inits);
+        judge.start(inits.len());
+        let observe = |m, b: &mut RoundBuffers<E>| {
+            judge.round(ex, m, &b.previous, &b.actions, &b.states);
+        };
+        step_rounds(ctx, pattern, inits, horizon, &mut self.buffers, observe)?;
+        let verdict = self.judge.verdict(pattern.nonfaulty(), inits);
+        Ok(verdict.err().map(|v| violation_kind(&v)))
+    }
 }
 
 /// Executes one concrete case and returns its violated clause, if any —
-/// one of [`VIOLATION_KINDS`].
+/// one of [`VIOLATION_KINDS`]. It runs as an estimator trial does.
 ///
 /// The pattern is taken as sampled: only its shape is checked, not its
 /// admissibility under the context's failure model.
@@ -101,7 +122,9 @@ where
     E: InformationExchange,
     P: ActionProtocol<E>,
 {
-    Ok(run_and_judge(ctx, pattern, inits, horizon)?.1)
+    let mut trial = Trial::new();
+    trial.inits.extend_from_slice(inits);
+    trial.judge(ctx, pattern, horizon)
 }
 
 /// Per-stratum trial/violation tallies of a finished estimate.
@@ -309,6 +332,7 @@ impl EstimateVisitor<'_> {
         let cumulative = cumulative_weights(self.strata);
         let mut rng = StdRng::seed_from_u64(mix_seed(self.plan.seed, block));
         let mut result = BlockResult::new(self.strata.len());
+        let mut trial = Trial::new();
         for _ in 0..trials {
             let r: f64 = rng.random();
             let s = pick_stratum(&cumulative, r);
@@ -318,18 +342,19 @@ impl EstimateVisitor<'_> {
                 random_faulty_set(params, self.strata[s].faulty, &mut rng)
             };
             let pattern = samplers[s].sample_with_faulty(faulty, &mut rng);
-            let inits: Vec<Value> = (0..n)
-                .map(|_| Value::from_bit(rng.random_range(0..2u8)))
-                .collect();
+            trial.inits.clear();
+            trial
+                .inits
+                .extend((0..n).map(|_| Value::from_bit(rng.random_range(0..2u8))));
             result.stratum_trials[s] += 1;
-            let (run, verdict) = run_and_judge(ctx, &pattern, &inits, self.plan.horizon)?;
-            if let Some(kind) = verdict {
+            if let Some(kind) = trial.judge(ctx, &pattern, self.plan.horizon)? {
                 result.stratum_violations[s] += 1;
                 let kind_idx = kind_index(kind);
                 result.kind_counts[kind_idx as usize] += 1;
                 if result.candidates.len() < BLOCK_CANDIDATES {
-                    let last = run.states.last().expect("nonempty trajectory");
-                    let decisions = last
+                    let decisions = trial
+                        .buffers
+                        .states
                         .iter()
                         .map(|state| match ctx.exchange().decided(state) {
                             Some(Value::Zero) => 0,
@@ -340,7 +365,7 @@ impl EstimateVisitor<'_> {
                     result.candidates.push(Candidate {
                         signature: (pattern.nonfaulty().bits(), decisions, kind_idx),
                         pattern,
-                        inits,
+                        inits: trial.inits.clone(),
                         kind_idx,
                     });
                 }
@@ -596,11 +621,27 @@ mod tests {
             .horizon(4)
             .run()
             .unwrap();
-        let (run, verdict) = run_and_judge(&ctx, &pattern, &inits, 4).unwrap();
-        assert_eq!(verdict, None);
-        assert_eq!(run.nonfaulty, trace.nonfaulty);
-        assert_eq!(run.states, trace.states);
-        assert_eq!(run.actions, trace.actions);
+        let mut trial = Trial::new();
+        trial.inits = inits;
+        let (mut previous, mut actions) = (Vec::new(), Vec::new());
+        step_rounds(
+            &ctx,
+            &pattern,
+            &trial.inits,
+            4,
+            &mut trial.buffers,
+            |_, b| {
+                previous.push(b.previous.clone());
+                actions.push(b.actions.clone());
+            },
+        )
+        .unwrap();
+        assert_eq!(previous, trace.states[..4]);
+        assert_eq!(trial.buffers.states, trace.states[4]);
+        assert_eq!(actions, trace.actions);
+        // Judged as it steps, in the buffers the last trial left behind.
+        assert_eq!(trial.judge(&ctx, &pattern, 4).unwrap(), None);
+        assert_eq!(trial.buffers.states, trace.states[4]);
     }
 
     #[test]

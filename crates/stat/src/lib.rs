@@ -15,9 +15,9 @@
 //!   TrialPlan ──► SampleScheme strata ──► AdversarySampler + inits
 //!       │               (mixture)             (one trial)
 //!       │                                        │
-//!       │                           run_rounds (the sim kernel)
-//!       │                                        │
-//!       │                              EnumRun ──► judge_run
+//!       │              step_rounds (the sim kernel, in the block's
+//!       │                        │        reused buffers)
+//!       │                  each round ──► RunJudge (the spec fold)
 //!       │                                        │
 //!       └──► blocks × workers ──► fold in block order ──► Estimate
 //!                                        │

@@ -274,14 +274,26 @@ mod tests {
         // Build nontrivial graphs by running a few lossy FIP rounds.
         let params = Params::new(4, 2).unwrap();
         let ex = FipExchange::new(params);
-        let mut states = initial_states(&ex, &[Value::Zero, Value::One, Value::One, Value::One]);
+        let inits = [Value::Zero, Value::One, Value::One, Value::One];
+        let (mut states, mut outgoing, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        initial_states(&ex, &inits, &mut states);
         for round in 0..3usize {
             // a0 and a1 drop to some receivers depending on the round,
             // for label variety.
-            states = step_round(&ex, &states, &[Action::Noop; 4], |from, to| {
-                let (i, j) = (from.index(), to.index());
-                !(i < 2 && (j + i + round).is_multiple_of(3))
-            });
+            let dropped = |from: AgentId| {
+                let i = from.index();
+                let dropped = (0..4).filter(|j| i < 2 && (j + i + round).is_multiple_of(3));
+                dropped.map(AgentId::new).collect()
+            };
+            step_round(
+                &ex,
+                &states,
+                &[Action::Noop; 4],
+                dropped,
+                &mut outgoing,
+                &mut next,
+            );
+            std::mem::swap(&mut states, &mut next);
             for s in &states {
                 let msg = FipMsg(s.graph.clone());
                 let rt = FipCodec.decode(&FipCodec.encode(&msg));

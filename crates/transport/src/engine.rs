@@ -68,12 +68,13 @@ pub fn apply_pattern(
 ) -> RoundTraffic {
     let mut traffic = RoundTraffic::default();
     for (from, row) in frames.iter_mut().enumerate() {
+        let dropped = pattern.dropped(round, AgentId::new(from));
         for (to, frame) in row.iter_mut().enumerate() {
             if frame.is_none() {
                 continue;
             }
             traffic.sent += 1;
-            if pattern.delivers(round, AgentId::new(from), AgentId::new(to)) {
+            if !dropped.contains(AgentId::new(to)) {
                 traffic.delivered += 1;
             } else {
                 *frame = None;
@@ -151,8 +152,12 @@ struct TypedEngine<E: InformationExchange, P, C> {
     ctx: Context<E, P>,
     codec: C,
     states: Vec<E::State>,
+    /// The successor states `deliver` builds, swapped with `states`.
+    next: Vec<E::State>,
     /// Chosen by `outgoing`, consumed by `deliver`.
     actions: Vec<Action>,
+    /// The messages `outgoing` selects before encoding them.
+    selected: Vec<Option<E::Message>>,
     awaiting_delivery: bool,
     /// Per sender, what its shared frame decoded to in the last delivered
     /// round (`None`: no frame of its row survived). Refilled, not
@@ -171,11 +176,15 @@ impl<E: InformationExchange, P: ActionProtocol<E>, C> TypedEngine<E, P, C> {
     /// Initial states for an admitted scenario (`inits.len() == n`).
     fn new(ctx: Context<E, P>, codec: C, inits: &[Value], horizon: u32) -> Self {
         let n = inits.len();
+        let mut states = Vec::with_capacity(n);
+        initial_states(ctx.exchange(), inits, &mut states);
         TypedEngine {
-            states: initial_states(ctx.exchange(), inits),
+            states,
+            next: Vec::new(),
             ctx,
             codec,
             actions: Vec::new(),
+            selected: Vec::new(),
             awaiting_delivery: false,
             decoded: Vec::new(),
             replaced: Vec::new(),
@@ -208,7 +217,7 @@ where
             "outgoing() called twice in a round"
         );
         self.awaiting_delivery = true;
-        self.actions = choose_actions(self.ctx.protocol(), &self.states);
+        choose_actions(self.ctx.protocol(), &self.states, &mut self.actions);
         record_decisions(
             self.round,
             &self.actions,
@@ -218,7 +227,13 @@ where
         // `μ` is a broadcast: one encode per sender, and its recipients
         // share that one buffer.
         let n = self.states.len();
-        select_round(self.ctx.exchange(), &self.states, &self.actions)
+        select_round(
+            self.ctx.exchange(),
+            &self.states,
+            &self.actions,
+            &mut self.selected,
+        );
+        self.selected
             .iter()
             .map(|msg| vec![msg.as_ref().map(|msg| Arc::from(self.codec.encode(msg))); n])
             .collect()
@@ -257,23 +272,26 @@ where
                 }
             }
         }
-        self.states = deliver_round(
+        let (decoded, replaced) = (&self.decoded, &self.replaced);
+        let heard = |from: usize, to: usize| {
+            frames[from][to].as_ref()?;
+            match replaced.iter().find(|(f, t, _)| (*f, *t) == (from, to)) {
+                Some((_, _, msg)) => Some(msg),
+                None => decoded[from].as_ref(),
+            }
+        };
+        deliver_round(
             self.ctx.exchange(),
             &self.states,
             &self.actions,
-            |from, to| {
-                let (from, to) = (from.index(), to.index());
-                frames[from][to].as_ref()?;
-                match self
-                    .replaced
-                    .iter()
-                    .find(|(f, t, _)| (*f, *t) == (from, to))
-                {
-                    Some((_, _, msg)) => Some(msg),
-                    None => self.decoded[from].as_ref(),
+            |to, tuple| {
+                for (from, slot) in tuple.iter_mut().enumerate() {
+                    *slot = heard(from, to.index());
                 }
             },
+            &mut self.next,
         );
+        std::mem::swap(&mut self.states, &mut self.next);
         self.round += 1;
         self.awaiting_delivery = false;
     }

@@ -33,11 +33,16 @@ fn roundtrip_fip_run(
     let inits: Vec<Value> = (0..n)
         .map(|i| Value::from_bit((init_bits >> i) & 1))
         .collect();
-    let mut states = initial_states(&ex, &inits);
+    let (mut states, mut outgoing, mut next) = (Vec::new(), Vec::new(), Vec::new());
+    initial_states(&ex, &inits, &mut states);
     for round in 0..rounds {
-        states = step_round(&ex, &states, &vec![Action::Noop; n], |from, to| {
-            !dropped(round, from.index(), to.index())
-        });
+        let row = |from: AgentId| {
+            let to = (0..n).filter(|&to| dropped(round, from.index(), to));
+            to.map(AgentId::new).collect()
+        };
+        let noop = vec![Action::Noop; n];
+        step_round(&ex, &states, &noop, row, &mut outgoing, &mut next);
+        std::mem::swap(&mut states, &mut next);
         for s in &states {
             let msg = FipMsg(s.graph.clone());
             let frame = FipCodec.encode(&msg);

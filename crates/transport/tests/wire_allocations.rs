@@ -19,11 +19,13 @@ use eba_transport::{named_engine, run_engine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Measured: 532.4 (an engine that cloned each frame per recipient and
-/// decoded every `(from, to)` read 1,191.1).
-const FIP_N8_BOUND: f64 = 540.0;
-/// Measured: 70.8 (the same older engine read 98.9).
-const MIXED_N3_BOUND: f64 = 73.0;
+/// Measured: 511.4 (532.4 while the kernel returned a fresh `Vec` of
+/// actions, messages and states every round; an engine that cloned each
+/// frame per recipient and decoded every `(from, to)` read 1,191.1).
+const FIP_N8_BOUND: f64 = 520.0;
+/// Measured: 57.8 (70.8 with per-round kernel `Vec`s; the older engine
+/// read 98.9).
+const MIXED_N3_BOUND: f64 = 60.0;
 
 /// `System`, counting the calls that hand out a block.
 struct CountingAllocator;

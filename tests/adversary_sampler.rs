@@ -6,10 +6,13 @@
 //! must honor the crash-silence discipline (no revival after the crash
 //! round).
 
+use std::hash::{BuildHasher, RandomState};
+
+use eba::core::failures::random_faulty_set;
 use eba::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 const MODELS: [FailureModel; 4] = [
     FailureModel::FailureFree,
@@ -18,9 +21,9 @@ const MODELS: [FailureModel; 4] = [
     FailureModel::GeneralOmission,
 ];
 
-/// The full deliverability grid of a pattern over `horizon` rounds, as a
-/// comparable value (patterns have no `Eq`; two patterns are the same
-/// adversary iff their grids and nonfaulty sets agree).
+/// The full deliverability grid of a pattern over `horizon` rounds: two
+/// patterns are the same adversary iff their grids and nonfaulty sets
+/// agree (their derived `Eq` also sees how many drop rows they store).
 fn delivery_grid(pattern: &FailurePattern, n: usize, horizon: u32) -> Vec<bool> {
     let mut grid = Vec::with_capacity(horizon as usize * n * n);
     for m in 0..horizon {
@@ -172,6 +175,107 @@ proptest! {
             let sampler = AdversarySampler::new(FailureModel::FailureFree, params, horizon, drop_prob);
             let pattern = sampler.sample_with_faulty(AgentSet::empty(), &mut rng);
             prop_assert_eq!(pattern.count_drops(), 0);
+        }
+    }
+}
+
+/// The sampler's draws message by message, with one `drop_message` per
+/// dropped message: the oracle for `AdversarySampler::sample_with_faulty`,
+/// which writes each `(round, sender)` row once.
+fn sample_per_message(
+    model: FailureModel,
+    params: Params,
+    horizon: u32,
+    drop_prob: f64,
+    faulty: AgentSet,
+    rng: &mut StdRng,
+) -> FailurePattern {
+    let mut pat = FailurePattern::new(params, faulty.complement(params.n())).unwrap();
+    match model {
+        FailureModel::FailureFree => {}
+        FailureModel::SendingOmission => {
+            for m in 0..horizon {
+                for from in faulty.iter() {
+                    for to in params.agents() {
+                        if to != from && rng.random_bool(drop_prob) {
+                            pat.drop_message(m, from, to).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        FailureModel::GeneralOmission => {
+            for m in 0..horizon {
+                for from in params.agents() {
+                    for to in params.agents() {
+                        let endpoint_faulty = faulty.contains(from) || faulty.contains(to);
+                        if endpoint_faulty && to != from && rng.random_bool(drop_prob) {
+                            pat.drop_message(m, from, to).unwrap();
+                        }
+                    }
+                }
+            }
+        }
+        FailureModel::Crash if horizon > 0 => {
+            for from in faulty.iter() {
+                let cr = rng.random_range(0..horizon);
+                for to in params.agents() {
+                    if to != from && rng.random_bool(drop_prob) {
+                        pat.drop_message(cr, from, to).unwrap();
+                    }
+                }
+                for m in cr + 1..horizon {
+                    for to in params.agents() {
+                        pat.drop_message(m, from, to).unwrap();
+                    }
+                }
+            }
+        }
+        FailureModel::Crash => {}
+    }
+    pat
+}
+
+/// Row-wise sampling draws exactly the oracle's stream: from one seed,
+/// the patterns are `==` and hash alike, and the generator's next draw
+/// agrees, for every model, size and drop level.
+#[test]
+fn row_sampling_draws_the_per_message_stream() {
+    let hasher = RandomState::new();
+    for (n, t) in [(3, 1), (8, 3), (16, 4), (128, 42)] {
+        let params = Params::new(n, t).unwrap();
+        let horizon = params.default_horizon();
+        for model in MODELS {
+            for drop_prob in [0.0, 0.25, 1.0] {
+                let sampler = AdversarySampler::new(model, params, horizon, drop_prob);
+                let seed = (n * 1_000 + t) as u64;
+                let (mut rows, mut oracle) =
+                    (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+                for k in [t, 0, 1, t / 2] {
+                    let k = if model == FailureModel::FailureFree {
+                        0
+                    } else {
+                        k
+                    };
+                    let faulty = random_faulty_set(params, k, &mut rows);
+                    assert_eq!(random_faulty_set(params, k, &mut oracle), faulty);
+                    let got = sampler.sample_with_faulty(faulty, &mut rows);
+                    let want =
+                        sample_per_message(model, params, horizon, drop_prob, faulty, &mut oracle);
+                    let at = format!("{model} at ({n}, {t}), drop {drop_prob}, {k} faulty");
+                    assert_eq!(got, want, "{at}");
+                    assert_eq!(hasher.hash_one(&got), hasher.hash_one(&want), "{at}");
+                    assert_eq!(rows.random::<u64>(), oracle.random::<u64>(), "{at}");
+                    if drop_prob == 0.0 && model != FailureModel::Crash {
+                        // No row drops anything, so none is stored.
+                        assert_eq!(
+                            got,
+                            FailurePattern::new(params, faulty.complement(n)).unwrap(),
+                            "{at}"
+                        );
+                    }
+                }
+            }
         }
     }
 }

@@ -224,7 +224,7 @@ impl AdversarySampler {
         let n = self.params.n();
         let mut pat = FailurePattern::new(self.params, faulty.complement(n))
             .expect("at most t faulty agents");
-        if faulty.is_empty() || self.model == FailureModel::FailureFree {
+        if faulty.is_empty() {
             return pat;
         }
         pat.reserve_rounds(self.horizon);
@@ -262,10 +262,7 @@ impl AdversarySampler {
                     }
                 }
             }
-            // Zero rounds to crash in: like the other models at
-            // horizon 0, nothing is ever dropped.
-            FailureModel::Crash if self.horizon == 0 => {}
-            FailureModel::Crash => {
+            FailureModel::Crash if self.horizon > 0 => {
                 for from in faulty.iter() {
                     let cr = rng.random_range(0..self.horizon);
                     write(cr, from, coins(rng, from, everyone));
@@ -274,6 +271,9 @@ impl AdversarySampler {
                     }
                 }
             }
+            // Zero rounds to crash in: like the other models at
+            // horizon 0, nothing is ever dropped.
+            FailureModel::Crash => {}
         }
         pat
     }

@@ -179,25 +179,6 @@ impl<'g> FipAnalysis<'g> {
         self.know.known_faulty(self.owner, self.graph.time())
     }
 
-    /// The length of the longest 0-chain the owner knows about
-    /// (`len_i(r, m)` of Definition A.6), or `-1` if none.
-    pub fn longest_known_zero_chain(&self) -> i64 {
-        let time = self.graph.time();
-        let n = self.params.n();
-        let cone = self.cones.cone(self.owner, time);
-        let mut len = -1i64;
-        for m in 0..time {
-            for j in 0..n {
-                if cone.contains(self.cones.vid(AgentId::new(j), m))
-                    && self.decisions[m as usize * n + j] == Some(Action::Decide(Value::Zero))
-                {
-                    len = len.max(m as i64);
-                }
-            }
-        }
-        len
-    }
-
     /// The cone table (exposed for inspection and tests).
     pub fn cones(&self) -> &ConeTable {
         &self.cones
@@ -577,9 +558,8 @@ mod tests {
         let inits = [Value::Zero, Value::One, Value::One];
         let graphs = fip_rounds_failure_free(&inits, 2);
         let analysis = FipAnalysis::analyze(&graphs[1], p, a(1));
-        // a0 decided 0 in round 1 (chain length 0); a1/a2 decided 0 in
-        // round 2 (chains of length 1).
-        assert_eq!(analysis.longest_known_zero_chain(), 1);
+        // a0 decided 0 in round 1 (a chain of length 0); a1 extends it
+        // and decides 0 in round 2.
         assert_eq!(analysis.owner_decision(), Some((Value::Zero, 2)));
     }
 

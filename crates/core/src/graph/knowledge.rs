@@ -85,13 +85,6 @@ impl KnowledgeTables {
         self.faulty[self.vid(agent, m)]
     }
 
-    /// `D(set, m) = ⋃_{k ∈ set} f(k, m)`.
-    pub fn distributed_faulty(&self, set: AgentSet, m: u32) -> AgentSet {
-        set.iter().fold(AgentSet::empty(), |acc, k| {
-            acc.union(self.known_faulty(k, m))
-        })
-    }
-
     /// Whether `v ∈ V(agent, m)`: the vertex knows some agent started with
     /// initial preference `v`.
     pub fn knows_value(&self, agent: AgentId, m: u32, v: Value) -> bool {
@@ -142,23 +135,6 @@ mod tests {
         assert!(k.known_faulty(a(2), 2).contains(a(0)));
         // At time 1 agent 2 did not know yet.
         assert!(k.known_faulty(a(2), 1).is_empty());
-    }
-
-    #[test]
-    fn distributed_faulty_unions_views() {
-        let graphs = initial_graphs(&[Value::One; 4]);
-        // a0 omits to a1; a3 omits to a2 (both faulty).
-        let r1 = fip_round(&graphs, |from, to| {
-            let drop = (from == a(0) && to == a(1)) || (from == a(3) && to == a(2));
-            !drop
-        });
-        let r2 = fip_round(&r1, |_, _| true);
-        let k = KnowledgeTables::compute(&r2[1]);
-        let nf: AgentSet = [1, 2].into_iter().map(a).collect();
-        let d = k.distributed_faulty(nf, 1);
-        assert!(d.contains(a(0)));
-        assert!(d.contains(a(3)));
-        assert_eq!(d.len(), 2);
     }
 
     #[test]

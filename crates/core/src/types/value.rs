@@ -85,11 +85,6 @@ impl Action {
             Action::Decide(v) => Some(v),
         }
     }
-
-    /// Whether this action is a decision.
-    pub fn is_decision(self) -> bool {
-        matches!(self, Action::Decide(_))
-    }
 }
 
 impl fmt::Display for Action {
@@ -122,8 +117,6 @@ mod tests {
 
     #[test]
     fn action_accessors() {
-        assert!(Action::Decide(Value::One).is_decision());
-        assert!(!Action::Noop.is_decision());
         assert_eq!(Action::default(), Action::Noop);
         assert_eq!(Action::Decide(Value::One).to_string(), "decide(1)");
         assert_eq!(Action::Noop.to_string(), "noop");

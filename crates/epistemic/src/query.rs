@@ -600,17 +600,6 @@ impl<'s, E: InformationExchange> EvalSession<'s, E> {
         self.bitset(id)
     }
 
-    /// Whether the node holds at `(run, time)`; panics if that is out of
-    /// range ([`InterpretedSystem::point`]).
-    #[must_use]
-    pub fn holds_at(&self, id: NodeId, run: usize, time: u32) -> bool {
-        let point = self.sys.point(run, time);
-        match self.sat(id) {
-            Sat::Nodes(nodes) => nodes.contains(self.sys.node_of(point)),
-            Sat::Layers(layers) => layers[time as usize].contains(run),
-        }
-    }
-
     /// The validity verdict for a node, with the first falsifying
     /// `(run, time)` point as counterexample when it is not valid. A
     /// node's first point is its first run's, and nodes are in
@@ -847,16 +836,6 @@ mod tests {
             let expected = Some((s.run_of(first), s.time_of(first)));
             assert_eq!(s.query(&f).counterexample, expected, "{f}");
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "point (run 74, time 0) out of range: 74 runs, horizon 4")]
-    fn holds_at_rejects_a_run_past_the_last() {
-        let s = sys();
-        let mut arena = FormulaArena::new();
-        let root = arena.intern(&Formula::True);
-        let plan = QueryPlan::new(&arena, &[root]);
-        let _ = EvalSession::evaluate(&s, &arena, &plan).holds_at(root, s.run_count(), 0);
     }
 
     #[test]

@@ -7,188 +7,116 @@
 //! counted on the frames the real codecs encode.
 
 use eba_core::prelude::*;
-use eba_sim::prelude::*;
 use eba_transport::run_named_cluster;
 
+use crate::claims::{pairs, paper_stacks, CheckKind, Claim, Observe};
 use crate::table::{cell, Table};
-
-/// One measured configuration.
-#[derive(Clone, Debug)]
-pub struct E1Row {
-    /// Number of agents.
-    pub n: usize,
-    /// Fault tolerance.
-    pub t: usize,
-    /// Scenario name (`failure-free` or `silent-faulty`).
-    pub scenario: &'static str,
-    /// Logical bits sent by `P_min` (must equal `n²`).
-    pub min_bits: u64,
-    /// Logical bits sent by `P_basic`.
-    pub basic_bits: u64,
-    /// Logical bits sent by `P_opt` over the FIP.
-    pub fip_bits: u64,
-    /// Wire bytes of the FIP run's encoded frames.
-    pub fip_wire_bytes: u64,
-}
-
-impl E1Row {
-    /// `basic_bits / n²` — the paper predicts `O(t)`.
-    pub fn basic_per_n2(&self) -> f64 {
-        self.basic_bits as f64 / (self.n * self.n) as f64
-    }
-
-    /// `fip_bits / (n⁴ t²)` — the paper predicts `O(1)`.
-    pub fn fip_per_n4t2(&self) -> f64 {
-        let denom = (self.n as f64).powi(4) * (self.t.max(1) as f64).powi(2);
-        self.fip_bits as f64 / denom
-    }
-}
-
-/// The logical bits one run of `ctx` sends: its [`Metrics`] replayed
-/// from the run and `pattern`.
-fn bits_sent<E, P>(ctx: &Context<E, P>, pattern: &FailurePattern, inits: &[Value]) -> u64
-where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
-{
-    let run = Scenario::of(ctx)
-        .pattern(pattern.clone())
-        .inits(inits)
-        .run()
-        .expect("run");
-    Metrics::of(ctx.exchange(), &run, pattern).bits_sent
-}
 
 /// Runs the sweep. `configs` are `(n, t)` pairs; both scenarios (failure-
 /// free all-ones and silent-faulty all-ones) are measured for each.
-pub fn run(configs: &[(usize, usize)]) -> (Vec<E1Row>, Table) {
-    let mut rows = Vec::new();
+pub fn run(configs: &[(usize, usize)]) -> Claim {
+    let mut claim = Claim::new(
+        "E1",
+        "Prop 8.1",
+        "P_min sends n² bits, P_basic ≤ 2(t+2)·n², FIP O(n⁴t²); min < basic < FIP",
+        CheckKind::SingleRuns,
+        format!("{} × 2 scenarios", pairs(configs)),
+        Table::new(
+            "E1: message complexity (Prop 8.1)",
+            "Total bits sent per run (all-ones inputs). Paper: P_min = n² exactly, \
+             P_basic = O(n²t), FIP graphs = O(n⁴t²). The normalized columns \
+             should stay bounded as n and t grow.",
+            &[
+                "n",
+                "t",
+                "scenario",
+                "P_min bits",
+                "P_basic bits",
+                "FIP bits",
+                "FIP wire bytes",
+                "basic/n²",
+                "fip/(n⁴t²)",
+            ],
+        ),
+    );
     for &(n, t) in configs {
         let params = Params::new(n, t).expect("valid config");
+        let stacks = paper_stacks(params);
+        let inits = vec![Value::One; n];
         for (scenario, pattern) in scenarios(params) {
-            let inits = vec![Value::One; n];
-
-            let fip_ctx = Context::fip(params);
-            let min_bits = bits_sent(&Context::minimal(params), &pattern, &inits);
-            let basic_bits = bits_sent(&Context::basic(params), &pattern, &inits);
-            let fip_bits = bits_sent(&fip_ctx, &pattern, &inits);
-            let fip_report = run_named_cluster(
-                &NamedStack::Fip(fip_ctx),
-                &pattern,
-                &inits,
-                params.default_horizon(),
-            )
-            .expect("wire run");
-
-            rows.push(E1Row {
-                n,
-                t,
-                scenario,
-                min_bits,
-                basic_bits,
-                fip_bits,
-                fip_wire_bytes: fip_report.wire_bytes_sent,
-            });
+            let [min, basic, fip] = stacks
+                .each_ref()
+                .map(|stack| stack.visit(Observe(&pattern, &inits)).bits_sent);
+            let wire = run_named_cluster(&stacks[2], &pattern, &inits, params.default_horizon())
+                .expect("wire run");
+            let basic_per_n2 = basic as f64 / (n * n) as f64;
+            let fip_per_n4t2 = fip as f64 / ((n as f64).powi(4) * (t.max(1) as f64).powi(2));
+            claim.row(
+                vec![
+                    cell(n),
+                    cell(t),
+                    cell(scenario),
+                    cell(min),
+                    cell(basic),
+                    cell(fip),
+                    cell(wire.wire_bytes_sent),
+                    format!("{basic_per_n2:.1}"),
+                    format!("{fip_per_n4t2:.3}"),
+                ],
+                &[
+                    ("P_min bits = n²", min == (n * n) as u64),
+                    ("P_min < P_basic < FIP bits", min < basic && basic < fip),
+                    (
+                        "basic/n² ≤ 2(t + 2)",
+                        basic_per_n2 <= 2.0 * (t as f64 + 2.0),
+                    ),
+                    ("fip/(n⁴t²) < 8 from t = 3 on", t < 3 || fip_per_n4t2 < 8.0),
+                ],
+            );
         }
     }
-
-    let mut table = Table::new(
-        "E1: message complexity (Prop 8.1)",
-        "Total bits sent per run (all-ones inputs). Paper: P_min = n² exactly, \
-         P_basic = O(n²t), FIP graphs = O(n⁴t²). The normalized columns \
-         should stay bounded as n and t grow.",
-        &[
-            "n",
-            "t",
-            "scenario",
-            "P_min bits",
-            "P_basic bits",
-            "FIP bits",
-            "FIP wire bytes",
-            "basic/n²",
-            "fip/(n⁴t²)",
-        ],
-    );
-    for r in &rows {
-        table.push(vec![
-            cell(r.n),
-            cell(r.t),
-            cell(r.scenario),
-            cell(r.min_bits),
-            cell(r.basic_bits),
-            cell(r.fip_bits),
-            cell(r.fip_wire_bytes),
-            format!("{:.1}", r.basic_per_n2()),
-            format!("{:.3}", r.fip_per_n4t2()),
-        ]);
-    }
-    (rows, table)
+    claim
 }
 
+/// The failure-free scenario, and `t` silent agents where `n − t ≥ 2`.
 fn scenarios(params: Params) -> Vec<(&'static str, FailurePattern)> {
-    let n = params.n();
-    let t = params.t();
-    let silent: AgentSet = (0..t).map(AgentId::new).collect();
-    vec![
-        ("failure-free", FailurePattern::failure_free(params)),
-        (
-            "silent-faulty",
-            silent_pattern(params, silent, params.default_horizon()).expect("t faulty"),
-        ),
-    ]
-    .into_iter()
-    .filter(|(name, _)| *name == "failure-free" || n - t >= 2)
-    .collect()
+    let mut scenarios = vec![("failure-free", FailurePattern::failure_free(params))];
+    if params.n() - params.t() >= 2 {
+        let silent: AgentSet = (0..params.t()).map(AgentId::new).collect();
+        let pattern = silent_pattern(params, silent, params.default_horizon()).expect("t faulty");
+        scenarios.push(("silent-faulty", pattern));
+    }
+    scenarios
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::assert_holds;
 
     #[test]
     fn pmin_is_exactly_n_squared() {
-        let (rows, _) = run(&[(4, 1), (6, 2)]);
-        for r in &rows {
-            assert_eq!(r.min_bits, (r.n * r.n) as u64, "{} n={}", r.scenario, r.n);
-        }
+        assert_holds(run(&[(4, 1), (6, 2)]));
     }
 
     #[test]
     fn basic_is_order_n2_t() {
-        // basic/n² grows with t but stays ≤ 2(t + 2) (≤ t+1 undecided
-        // broadcast rounds + the decision round, 2 bits per message).
-        let (rows, _) = run(&[(6, 1), (6, 2), (8, 3)]);
-        for r in &rows {
-            assert!(
-                r.basic_per_n2() <= 2.0 * (r.t as f64 + 2.0),
-                "basic/n² = {} too large at t = {}",
-                r.basic_per_n2(),
-                r.t
-            );
-        }
+        assert_holds(run(&[(6, 1), (6, 2), (8, 3)]));
     }
 
     #[test]
     fn ordering_min_below_basic_below_fip() {
-        let (rows, _) = run(&[(6, 2), (8, 3)]);
-        for r in &rows {
-            assert!(r.min_bits < r.basic_bits, "{r:?}");
-            assert!(r.basic_bits < r.fip_bits, "{r:?}");
-        }
+        assert_holds(run(&[(6, 2), (8, 3)]));
     }
 
     #[test]
     fn fip_normalization_is_bounded() {
-        let (rows, _) = run(&[(8, 3), (12, 5)]);
-        for r in &rows {
-            assert!(r.fip_per_n4t2() < 8.0, "fip/(n⁴t²) = {}", r.fip_per_n4t2());
-        }
+        assert_holds(run(&[(8, 3), (12, 5)]));
     }
 
     #[test]
     fn table_renders() {
-        let (_, table) = run(&[(4, 1)]);
-        let md = table.to_markdown();
+        let md = assert_holds(run(&[(4, 1)])).table.to_markdown();
         assert!(md.contains("E1"));
         assert!(md.lines().count() >= 6);
     }

@@ -16,147 +16,92 @@
 //! round 3.
 
 use eba_core::prelude::*;
-use eba_sim::prelude::*;
 
-use crate::table::{cell, Table};
-
-/// Decision rounds (max over nonfaulty agents) with `k` silent faulty
-/// agents.
-#[derive(Clone, Debug)]
-pub struct E4Row {
-    /// Number of agents.
-    pub n: usize,
-    /// Fault tolerance.
-    pub t: usize,
-    /// Number of silent faulty agents.
-    pub k: usize,
-    /// `P_min`'s decision round (expected `t + 2`).
-    pub pmin_round: u32,
-    /// `P_basic`'s decision round (expected `k + 2`).
-    pub pbasic_round: u32,
-    /// `P_opt`'s decision round (expected `k + 2` for `k < t`, 3 at `k = t`).
-    pub popt_round: u32,
-    /// The ablation: `P_opt` without the common-knowledge rules.
-    pub popt_no_ck_round: u32,
-}
+use crate::claims::{observe, paper_stacks, CheckKind, Claim, Observe};
+use crate::table::{cell, or_dash, Table};
 
 /// Runs the sweep `k = 1..=t` for the given `(n, t)`, all-ones inputs.
-pub fn run(n: usize, t: usize, ks: &[usize]) -> (Vec<E4Row>, Table) {
+pub fn run(n: usize, t: usize, ks: &[usize]) -> Claim {
+    let mut claim = Claim::new(
+        "E4",
+        "Example 7.1",
+        "k silent faulty, all-ones: P_basic in round k+2, P_opt in round 3 at k = t, P_min in t+2",
+        CheckKind::SingleRuns,
+        format!("({n},{t}), k ∈ {}..{}", ks[0], ks[ks.len() - 1]),
+        Table::new(
+            "E4: Example 7.1 — silent faulty agents, all-ones",
+            "Decision round of the nonfaulty agents with k silent faulty agents. \
+             Paper (k = t = 10, n = 20): P_fip decides in round 3, P_min and \
+             P_basic in round 12. The ablation column shows the common-knowledge \
+             rules are exactly what buys the round-3 decision.",
+            &[
+                "n",
+                "t",
+                "k silent",
+                "P_min",
+                "P_basic",
+                "P_opt",
+                "P_opt∖CK",
+            ],
+        ),
+    );
     let params = Params::new(n, t).expect("valid config");
     let inits = vec![Value::One; n];
-    let min_ctx = Context::minimal(params);
-    let basic_ctx = Context::basic(params);
-    let fip_ctx = Context::fip(params);
+    let stacks = paper_stacks(params);
     // The ablation is not a registered stack, but any exchange/protocol
     // pair forms a context.
     let no_ck_ctx = Context::new(
         FipExchange::new(params),
         POpt::without_common_knowledge(params),
     );
-    let mut rows = Vec::new();
     for &k in ks {
         assert!(k <= t, "cannot silence more than t agents");
         let silent: AgentSet = (0..k).map(AgentId::new).collect();
         let pattern = silent_pattern(params, silent, params.default_horizon()).expect("k ≤ t");
-        let nonfaulty = pattern.nonfaulty();
-
-        let pmin = Scenario::of(&min_ctx)
-            .pattern(pattern.clone())
-            .inits(&inits)
-            .run()
-            .expect("run");
-        let pbasic = Scenario::of(&basic_ctx)
-            .pattern(pattern.clone())
-            .inits(&inits)
-            .run()
-            .expect("run");
-        let popt = Scenario::of(&fip_ctx)
-            .pattern(pattern.clone())
-            .inits(&inits)
-            .run()
-            .expect("run");
-        let popt_no_ck = Scenario::of(&no_ck_ctx)
-            .pattern(pattern.clone())
-            .inits(&inits)
-            .run()
-            .expect("run");
-
-        rows.push(E4Row {
-            n,
-            t,
-            k,
-            pmin_round: pmin.max_decision_round(nonfaulty).expect("all decide"),
-            pbasic_round: pbasic.max_decision_round(nonfaulty).expect("all decide"),
-            popt_round: popt.max_decision_round(nonfaulty).expect("all decide"),
-            popt_no_ck_round: popt_no_ck
-                .max_decision_round(nonfaulty)
-                .expect("all decide"),
-        });
+        let [pmin, pbasic, popt] = stacks
+            .each_ref()
+            .map(|stack| stack.visit(Observe(&pattern, &inits)).max_round);
+        let ablated = observe(&no_ck_ctx, &pattern, &inits).max_round;
+        let k_plus_2 = Some(k as u32 + 2);
+        claim.row(
+            vec![
+                cell(n),
+                cell(t),
+                cell(k),
+                or_dash(pmin),
+                or_dash(pbasic),
+                or_dash(popt),
+                or_dash(ablated),
+            ],
+            &[
+                ("P_min decides in round t + 2", pmin == Some(t as u32 + 2)),
+                (
+                    "P_basic and P_opt∖CK decide in round k + 2",
+                    pbasic == k_plus_2 && ablated == k_plus_2,
+                ),
+                (
+                    "P_opt decides in round k + 2, and in round 3 at k = t",
+                    popt == if k < t { k_plus_2 } else { Some(3) },
+                ),
+            ],
+        );
     }
-
-    let mut table = Table::new(
-        "E4: Example 7.1 — silent faulty agents, all-ones",
-        "Decision round of the nonfaulty agents with k silent faulty agents. \
-         Paper (k = t = 10, n = 20): P_fip decides in round 3, P_min and \
-         P_basic in round 12. The ablation column shows the common-knowledge \
-         rules are exactly what buys the round-3 decision.",
-        &[
-            "n",
-            "t",
-            "k silent",
-            "P_min",
-            "P_basic",
-            "P_opt",
-            "P_opt∖CK",
-        ],
-    );
-    for r in &rows {
-        table.push(vec![
-            cell(r.n),
-            cell(r.t),
-            cell(r.k),
-            cell(r.pmin_round),
-            cell(r.pbasic_round),
-            cell(r.popt_round),
-            cell(r.popt_no_ck_round),
-        ]);
-    }
-    (rows, table)
-}
-
-/// The exact configuration of Example 7.1.
-pub fn example_7_1() -> E4Row {
-    let (rows, _) = run(20, 10, &[10]);
-    rows.into_iter().next().expect("one row")
+    claim
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::assert_holds;
 
     #[test]
     fn example_7_1_exact_numbers() {
-        let row = example_7_1();
-        assert_eq!(row.popt_round, 3, "P_fip decides in round 3");
-        assert_eq!(row.pmin_round, 12, "P_min decides in round 12");
-        assert_eq!(row.pbasic_round, 12, "P_basic decides in round 12");
-        assert_eq!(row.popt_no_ck_round, 12, "the CK rules are load-bearing");
+        // P_opt in round 3; P_min, P_basic and the ablation in round 12.
+        assert_holds(run(20, 10, &[10]));
     }
 
     #[test]
     fn sweep_shape_small() {
-        // n = 8, t = 3: P_basic and the ablated P_opt track k + 2; the full
-        // P_opt matches them for k < t and drops to 3 at k = t.
-        let (rows, _) = run(8, 3, &[1, 2, 3]);
-        for r in &rows {
-            assert_eq!(r.pmin_round, 5, "P_min is constant t+2: {r:?}");
-            assert_eq!(r.pbasic_round, r.k as u32 + 2, "{r:?}");
-            assert_eq!(r.popt_no_ck_round, r.k as u32 + 2, "{r:?}");
-            if r.k < r.t {
-                assert_eq!(r.popt_round, r.k as u32 + 2, "{r:?}");
-            } else {
-                assert_eq!(r.popt_round, 3, "common knowledge at k = t: {r:?}");
-            }
-        }
+        assert_holds(run(8, 3, &[1, 2, 3]));
     }
 }

@@ -18,151 +18,116 @@ use eba_core::prelude::*;
 use eba_epistemic::prelude::*;
 use eba_sim::runner::Parallelism;
 
+use crate::claims::{protocol_of, CheckKind, Claim};
 use crate::table::{cell, Table};
 
-/// Outcome of one implements-check.
-#[derive(Clone, Debug)]
-pub struct E7Row {
-    /// The context checked, e.g. `γ_min(3,1)`.
-    pub context: String,
-    /// The concrete protocol.
-    pub protocol: &'static str,
-    /// The knowledge-based program.
-    pub program: &'static str,
-    /// Runs in the interpreted system.
-    pub runs: usize,
-    /// `(point, agent)` pairs compared.
-    pub comparisons: usize,
-    /// Distinct formula nodes the program's compiled guard plan
-    /// evaluated (shared bodies and `C_N` towers counted once).
-    pub plan_nodes: usize,
-    /// Disagreements (0 = the theorem holds on this instance).
-    pub mismatches: usize,
-}
+/// One instance to check: a registered stack at `(n, t)`, and the
+/// programs to check its protocol against, in table order.
+pub type Instance = (&'static str, usize, usize, &'static [KnowledgeBasedProgram]);
 
-/// Which checks to perform.
-#[derive(Clone, Copy, Debug)]
-pub struct E7Config {
-    /// Include the (heavier) full-information check of Thm A.21.
-    pub include_fip: bool,
-    /// Include the `(4, 2)` minimal-context instance.
-    pub include_n4_t2: bool,
-}
+/// Enumerates the context's system once and checks its protocol against
+/// each program.
+struct Check(&'static [KnowledgeBasedProgram]);
 
-impl Default for E7Config {
-    fn default() -> Self {
-        E7Config {
-            include_fip: true,
-            include_n4_t2: true,
-        }
+impl StackVisitor for Check {
+    type Output = Vec<(KnowledgeBasedProgram, ImplementsReport)>;
+
+    fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
+    where
+        E: InformationExchange + Clone + Sync + 'static,
+        P: ActionProtocol<E> + Clone + Sync + 'static,
+    {
+        let sys = InterpretedSystem::from_context(
+            ctx.clone(),
+            ctx.params().default_horizon(),
+            10_000_000,
+            Parallelism::Auto,
+        )
+        .expect("enumerable");
+        self.0
+            .iter()
+            .map(|&program| (program, check_implements(&sys, ctx.protocol(), program)))
+            .collect()
     }
 }
 
-/// Enumerates `ctx`'s system once and checks its protocol against each
-/// program; `label` names the context, e.g. `min` for `γ_min(n,t)`.
-fn check<E, P>(ctx: Context<E, P>, label: &str, programs: &[KnowledgeBasedProgram]) -> Vec<E7Row>
-where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Clone + Sync,
-{
-    let params = ctx.params();
-    let proto = ctx.protocol().clone();
-    let sys = InterpretedSystem::from_context(
-        ctx,
-        params.default_horizon(),
-        10_000_000,
-        Parallelism::Auto,
-    )
-    .expect("enumerable");
-    let context = format!("γ_{label}({},{})", params.n(), params.t());
-    programs
-        .iter()
-        .map(|&program| {
-            let report = check_implements(&sys, &proto, program);
-            E7Row {
-                context: context.clone(),
-                protocol: proto.name(),
-                program: program.name(),
-                runs: report.runs,
-                comparisons: report.comparisons,
-                plan_nodes: report.evaluated_nodes,
-                mismatches: report.mismatches.len(),
-            }
-        })
-        .collect()
+/// The context's label: `γ_min(3,1)` for `E_min/P_min` at `(3, 1)`.
+fn context_label(&(stack, n, t, _): &Instance) -> String {
+    let exchange = stack.split_once('/').expect("E_x/P_y").0;
+    format!("γ_{}({n},{t})", exchange.trim_start_matches("E_"))
 }
 
 /// Runs the checks.
-pub fn run(config: E7Config) -> (Vec<E7Row>, Table) {
-    use KnowledgeBasedProgram::{P0, P1};
-    let params = |n, t| Params::new(n, t).expect("valid");
-    let mut rows = check(Context::minimal(params(3, 1)), "min", &[P0, P1]);
-    rows.extend(check(Context::minimal(params(4, 1)), "min", &[P0]));
-    if config.include_n4_t2 {
-        rows.extend(check(Context::minimal(params(4, 2)), "min", &[P0]));
-    }
-    rows.extend(check(Context::basic(params(3, 1)), "basic", &[P0, P1]));
-    if config.include_fip {
-        rows.extend(check(Context::fip(params(3, 1)), "fip", &[P1, P0]));
-    }
-
-    let mut table = Table::new(
-        "E7: implementation theorems by exhaustive model checking",
-        "Zero mismatches = the protocol implements the knowledge-based \
-         program on that instance (Thms 6.5/6.6/A.21); optimality follows \
-         by Thms 6.3 and 7.6/7.7. Note P0 ≡ P1 throughout at t = 1 (a \
-         hidden 0-chain needs more silent extenders than one faulty agent \
-         provides by the time common knowledge can first arrive).",
-        &[
-            "context",
-            "protocol",
-            "program",
-            "runs",
-            "comparisons",
-            "plan nodes",
-            "mismatches",
-        ],
+pub fn run(instances: &[Instance]) -> Claim {
+    let grid: Vec<String> = instances.iter().map(context_label).collect();
+    let mut claim = Claim::new(
+        "E7",
+        "Thms 6.5/6.6/A.21",
+        "P_min and P_basic implement P0 (≡ P1 at t = 1); P_opt implements P1",
+        CheckKind::Implements,
+        grid.join(" "),
+        Table::new(
+            "E7: implementation theorems by exhaustive model checking",
+            "Zero mismatches = the protocol implements the knowledge-based \
+             program on that instance (Thms 6.5/6.6/A.21); optimality follows \
+             by Thms 6.3 and 7.6/7.7. Note P0 ≡ P1 throughout at t = 1 (a \
+             hidden 0-chain needs more silent extenders than one faulty agent \
+             provides by the time common knowledge can first arrive).",
+            &[
+                "context",
+                "protocol",
+                "program",
+                "runs",
+                "comparisons",
+                "plan nodes",
+                "mismatches",
+            ],
+        ),
     );
-    for r in &rows {
-        table.push(vec![
-            cell(&r.context),
-            cell(r.protocol),
-            cell(r.program),
-            cell(r.runs),
-            cell(r.comparisons),
-            cell(r.plan_nodes),
-            cell(r.mismatches),
-        ]);
+    for (instance, context) in instances.iter().zip(grid) {
+        let &(name, n, t, programs) = instance;
+        let stack =
+            NamedStack::by_name(name, Params::new(n, t).expect("valid")).expect("registered");
+        for (program, report) in stack.visit(Check(programs)) {
+            claim.row(
+                vec![
+                    context.clone(),
+                    cell(protocol_of(&stack)),
+                    cell(program.name()),
+                    cell(report.runs),
+                    cell(report.comparisons),
+                    cell(report.evaluated_nodes),
+                    cell(report.mismatches.len()),
+                ],
+                &[
+                    ("zero mismatches", report.is_ok()),
+                    (
+                        "a nonempty system and guard plan",
+                        report.runs > 0 && report.comparisons > 0 && report.evaluated_nodes > 0,
+                    ),
+                ],
+            );
+        }
     }
-    (rows, table)
+    claim
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::assert_holds;
+    use KnowledgeBasedProgram::P0;
 
     #[test]
     fn light_configuration_all_pass() {
-        let (rows, _) = run(E7Config {
-            include_fip: false,
-            include_n4_t2: false,
-        });
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert_eq!(r.mismatches, 0, "{r:?}");
-            assert!(r.runs > 0 && r.comparisons > 0);
-            assert!(r.plan_nodes > 0, "{r:?}");
-        }
+        let claim = assert_holds(run(crate::claims::E7_QUICK));
+        assert_eq!(claim.table.rows.len(), 5);
     }
 
     #[test]
     fn n4_t2_minimal_context_passes() {
-        let (rows, _) = run(E7Config {
-            include_fip: false,
-            include_n4_t2: true,
-        });
-        let big = rows.iter().find(|r| r.context == "γ_min(4,2)").unwrap();
-        assert_eq!(big.mismatches, 0);
-        assert!(big.runs > 1000, "nontrivial system: {} runs", big.runs);
+        let claim = assert_holds(run(&[("E_min/P_min", 4, 2, &[P0])]));
+        let runs: usize = claim.table.rows[0][3].parse().unwrap();
+        assert!(runs > 1000, "nontrivial system: {runs} runs");
     }
 }

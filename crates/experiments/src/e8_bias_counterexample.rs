@@ -21,22 +21,8 @@ use eba_sim::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::claims::{observe, paper_stacks, protocol_of, CheckKind, Claim, Observe};
 use crate::table::{cell, Table};
-
-/// Outcome of one scenario row.
-#[derive(Clone, Debug)]
-pub struct E8Row {
-    /// Scenario name.
-    pub scenario: &'static str,
-    /// Protocol under test.
-    pub protocol: &'static str,
-    /// Number of runs (1 for the constructed runs, more for campaigns).
-    pub trials: u32,
-    /// Agreement/EBA violations observed.
-    pub violations: u32,
-    /// What the paper predicts.
-    pub expected: &'static str,
-}
 
 /// Builds the `r'` adversary: agent 0 faulty, silent except one message
 /// to agent 2 in round 2.
@@ -52,153 +38,130 @@ fn r_prime_pattern(params: Params) -> FailurePattern {
     pat
 }
 
+/// Appends one scenario row, checked against the paper's expectation.
+fn row(
+    claim: &mut Claim,
+    (scenario, protocol): (&str, &str),
+    trials: u32,
+    violations: u32,
+    (expected, ok): (&str, bool),
+) {
+    claim.row(
+        vec![
+            cell(scenario),
+            cell(protocol),
+            cell(trials),
+            cell(violations),
+            cell(expected),
+        ],
+        &[(expected, ok)],
+    );
+}
+
 /// Runs the counterexample and the control campaigns.
-pub fn run(crash_trials: u32, seed: u64) -> (Vec<E8Row>, Table) {
+pub fn run(crash_trials: u32, seed: u64) -> Claim {
+    let mut claim = Claim::new(
+        "E8",
+        "Introduction",
+        "deciding 0 on hearing a 0 breaks Agreement under omissions (r'), not under crashes",
+        CheckKind::SingleRuns,
+        format!("(3,1): r, r', {crash_trials} crash runs"),
+        Table::new(
+            "E8: the 0-biased impossibility (introduction)",
+            "The naive hear-a-0-decide-0 protocol is safe under crash failures \
+             but splits nonfaulty decisions under omissions (runs r / r'); the \
+             0-chain protocols survive the identical adversary.",
+            &[
+                "scenario",
+                "protocol",
+                "trials",
+                "violations",
+                "paper expectation",
+            ],
+        ),
+    );
     let params = Params::new(3, 1).expect("valid");
     let naive_ctx = Context::naive(params);
-    let min_ctx = Context::minimal(params);
-    let basic_ctx = Context::basic(params);
-    let mut rows = Vec::new();
 
     // Run r: naive protocol, all ones, silent faulty agent — correct.
-    {
-        let pattern = silent_pattern(params, AgentSet::singleton(AgentId::new(0)), 5).unwrap();
-        let trace = Scenario::of(&naive_ctx)
-            .pattern(pattern)
-            .inits(&[Value::One; 3])
-            .run()
-            .unwrap();
-        rows.push(E8Row {
-            scenario: "r (all-1, a0 silent)",
-            protocol: "P_naive",
-            trials: 1,
-            violations: check_eba(naive_ctx.exchange(), &trace).is_err() as u32,
-            expected: "no violation; nonfaulty decide 1 in round 3",
-        });
-    }
+    let silent = silent_pattern(params, AgentSet::singleton(AgentId::new(0)), 5).unwrap();
+    let r = observe(&naive_ctx, &silent, &[Value::One; 3]);
+    let decide_1_in_3 = r.max_round == Some(3)
+        && silent
+            .nonfaulty()
+            .iter()
+            .all(|a| r.values[a.index()] == Some(Value::One));
+    row(
+        &mut claim,
+        ("r (all-1, a0 silent)", "P_naive"),
+        1,
+        r.eba.is_err() as u32,
+        (
+            "no violation; nonfaulty decide 1 in round 3",
+            r.eba.is_ok() && decide_1_in_3,
+        ),
+    );
 
     // Run r': naive protocol violates Agreement.
-    {
-        let inits = [Value::Zero, Value::One, Value::One];
-        let trace = Scenario::of(&naive_ctx)
-            .pattern(r_prime_pattern(params))
-            .inits(&inits)
-            .run()
-            .unwrap();
-        let violated = matches!(
-            check_eba(naive_ctx.exchange(), &trace),
-            Err(SpecViolation::Agreement { .. })
-        );
-        rows.push(E8Row {
-            scenario: "r' (a0 reveals 0 late)",
-            protocol: "P_naive",
-            trials: 1,
-            violations: violated as u32,
-            expected: "AGREEMENT VIOLATED (the impossibility)",
-        });
-    }
+    let r_prime = r_prime_pattern(params);
+    let inits = [Value::Zero, Value::One, Value::One];
+    let violated = matches!(
+        observe(&naive_ctx, &r_prime, &inits).eba,
+        Err(SpecViolation::Agreement { .. })
+    );
+    row(
+        &mut claim,
+        ("r' (a0 reveals 0 late)", "P_naive"),
+        1,
+        violated as u32,
+        ("AGREEMENT VIOLATED (the impossibility)", violated),
+    );
 
     // Control: the chain-rule protocols survive the identical adversary.
-    {
-        let inits = [Value::Zero, Value::One, Value::One];
-        let trace = Scenario::of(&min_ctx)
-            .pattern(r_prime_pattern(params))
-            .inits(&inits)
-            .run()
-            .unwrap();
-        rows.push(E8Row {
-            scenario: "r' (same adversary)",
-            protocol: "P_min",
-            trials: 1,
-            violations: check_eba(min_ctx.exchange(), &trace).is_err() as u32,
-            expected: "no violation (0-chain rule)",
-        });
-        let trace = Scenario::of(&basic_ctx)
-            .pattern(r_prime_pattern(params))
-            .inits(&inits)
-            .run()
-            .unwrap();
-        rows.push(E8Row {
-            scenario: "r' (same adversary)",
-            protocol: "P_basic",
-            trials: 1,
-            violations: check_eba(basic_ctx.exchange(), &trace).is_err() as u32,
-            expected: "no violation (0-chain rule)",
-        });
+    for stack in &paper_stacks(params)[..2] {
+        let ok = stack.visit(Observe(&r_prime, &inits)).eba.is_ok();
+        row(
+            &mut claim,
+            ("r' (same adversary)", protocol_of(stack)),
+            1,
+            !ok as u32,
+            ("no violation (0-chain rule)", ok),
+        );
     }
 
     // Crash campaign: the naive protocol is correct under crash failures.
-    {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut violations = 0;
-        for _ in 0..crash_trials {
-            let faulty = AgentSet::singleton(AgentId::new(rng.random_range(0..3)));
-            let crash_round = rng.random_range(0..4);
-            let pattern = crash_pattern(params, faulty, &[crash_round], 5, &mut rng).unwrap();
-            let bits: u32 = rng.random_range(0..8);
-            let inits: Vec<Value> = (0..3)
-                .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
-                .collect();
-            let trace = Scenario::of(&naive_ctx)
-                .pattern(pattern)
-                .inits(&inits)
-                .run()
-                .unwrap();
-            if check_eba(naive_ctx.exchange(), &trace).is_err() {
-                violations += 1;
-            }
-        }
-        rows.push(E8Row {
-            scenario: "random crash adversaries",
-            protocol: "P_naive",
-            trials: crash_trials,
-            violations,
-            expected: "no violation (naive 0-bias is safe under crashes)",
-        });
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut violations = 0;
+    for _ in 0..crash_trials {
+        let faulty = AgentSet::singleton(AgentId::new(rng.random_range(0..3)));
+        let crash_round = rng.random_range(0..4);
+        let pattern = crash_pattern(params, faulty, &[crash_round], 5, &mut rng).unwrap();
+        let bits: u32 = rng.random_range(0..8);
+        let inits: Vec<Value> = (0..3)
+            .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
+            .collect();
+        violations += observe(&naive_ctx, &pattern, &inits).eba.is_err() as u32;
     }
-
-    let mut table = Table::new(
-        "E8: the 0-biased impossibility (introduction)",
-        "The naive hear-a-0-decide-0 protocol is safe under crash failures \
-         but splits nonfaulty decisions under omissions (runs r / r'); the \
-         0-chain protocols survive the identical adversary.",
-        &[
-            "scenario",
-            "protocol",
-            "trials",
-            "violations",
-            "paper expectation",
-        ],
+    row(
+        &mut claim,
+        ("random crash adversaries", "P_naive"),
+        crash_trials,
+        violations,
+        (
+            "no violation (naive 0-bias is safe under crashes)",
+            violations == 0,
+        ),
     );
-    for r in &rows {
-        table.push(vec![
-            cell(r.scenario),
-            cell(r.protocol),
-            cell(r.trials),
-            cell(r.violations),
-            cell(r.expected),
-        ]);
-    }
-    (rows, table)
+    claim
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::assert_holds;
 
     #[test]
     fn the_counterexample_behaves_as_the_paper_says() {
-        let (rows, _) = run(200, 7);
-        let by = |s: &str, p: &str| {
-            rows.iter()
-                .find(|r| r.scenario.starts_with(s) && r.protocol == p)
-                .unwrap()
-                .violations
-        };
-        assert_eq!(by("r (", "P_naive"), 0, "run r is clean");
-        assert_eq!(by("r'", "P_naive"), 1, "run r' violates Agreement");
-        assert_eq!(by("r' (same", "P_min"), 0, "P_min survives");
-        assert_eq!(by("r' (same", "P_basic"), 0, "P_basic survives");
-        assert_eq!(by("random crash", "P_naive"), 0, "crash-safe");
+        assert_holds(run(200, 7));
     }
 }

@@ -24,28 +24,8 @@ use eba_core::prelude::*;
 use eba_epistemic::prelude::*;
 use eba_sim::prelude::*;
 
-use crate::table::{cell, Table};
-
-/// Timeline of one silent-faulty configuration.
-#[derive(Clone, Debug)]
-pub struct E9Row {
-    /// Number of agents.
-    pub n: usize,
-    /// Fault tolerance = number of silent agents.
-    pub t: usize,
-    /// First time a nonfaulty agent knows all `t` faults.
-    pub faults_known_time: u32,
-    /// First time the `common_v(1)` condition holds for a nonfaulty agent.
-    pub ck_onset_time: u32,
-    /// The same onset recomputed by the batched query engine over the
-    /// complete interpreted system — `None` when the instance is too
-    /// large to enumerate exhaustively (anything beyond `(3, 1)`).
-    pub ck_onset_model_checked: Option<u32>,
-    /// `P_opt`'s decision round (expected `ck_onset_time + 1`).
-    pub popt_round: u32,
-    /// `P_min`'s decision round (expected `t + 2`).
-    pub pmin_round: u32,
-}
+use crate::claims::{observe, pairs, CheckKind, Claim};
+use crate::table::{cell, or_dash, Table};
 
 /// The first time the observer (the first nonfaulty agent) satisfies
 /// `K_i(`[`ck_guard`]`(1))`, i.e. `K_i(C_N(t-faulty ∧ no-decided_N(0) ∧
@@ -112,8 +92,32 @@ pub fn model_checked_ck_onset(params: Params) -> Result<u32, EbaError> {
 }
 
 /// Runs the silent-faulty timeline for each `(n, t)` configuration.
-pub fn run(configs: &[(usize, usize)]) -> (Vec<E9Row>, Table) {
-    let mut rows = Vec::new();
+pub fn run(configs: &[(usize, usize)]) -> Claim {
+    let mut claim = Claim::new(
+        "E9",
+        "Prop 7.2 / Lemma A.4",
+        "t silent faulty: faults known at time 1, common knowledge at 2, P_opt decides in round 3",
+        CheckKind::SingleRuns,
+        pairs(configs),
+        Table::new(
+            "E9: common-knowledge onset under silent faults (Prop 7.2)",
+            "Silent-faulty all-ones runs. The epistemic timeline is constant: \
+             every nonfaulty agent knows all t faults at time 1, common \
+             knowledge arrives at time 2, P_opt decides in round 3 — while \
+             P_min scales linearly with t. On (3, 1) the onset is also \
+             recomputed by the batched query engine over the complete \
+             interpreted system (— elsewhere: too large to enumerate).",
+            &[
+                "n",
+                "t",
+                "faults known (time)",
+                "CK onset (time)",
+                "CK onset (query engine)",
+                "P_opt round",
+                "P_min round",
+            ],
+        ),
+    );
     for &(n, t) in configs {
         assert!(t >= 1, "need at least one silent agent");
         let params = Params::new(n, t).expect("valid config");
@@ -122,124 +126,84 @@ pub fn run(configs: &[(usize, usize)]) -> (Vec<E9Row>, Table) {
         let inits = vec![Value::One; n];
         let observer = AgentId::new(t); // first nonfaulty agent
 
-        let fip_ctx = Context::fip(params);
-        let trace = Scenario::of(&fip_ctx)
+        let trace = Scenario::of(&Context::fip(params))
             .pattern(pattern.clone())
             .inits(&inits)
             .run()
             .expect("run");
-
-        let mut faults_known_time = u32::MAX;
-        let mut ck_onset_time = u32::MAX;
+        let (mut faults_known, mut ck_onset) = (None, None);
         for m in 0..=trace.horizon() {
             let state = &trace.states[m as usize][observer.index()];
             let analysis = FipAnalysis::analyze(&state.graph, params, observer);
-            if faults_known_time == u32::MAX && analysis.owner_known_faulty().len() == t {
-                faults_known_time = m;
+            if analysis.owner_known_faulty().len() == t {
+                faults_known = faults_known.or(Some(m));
             }
-            if ck_onset_time == u32::MAX && analysis.common_knowledge_holds(Value::One) {
-                ck_onset_time = m;
+            if analysis.common_knowledge_holds(Value::One) {
+                ck_onset = ck_onset.or(Some(m));
             }
         }
-
-        let min_ctx = Context::minimal(params);
-        let pmin_trace = Scenario::of(&min_ctx)
-            .pattern(pattern.clone())
-            .inits(&inits)
-            .run()
-            .expect("run");
+        let popt = trace.max_decision_round(pattern.nonfaulty());
+        let pmin = observe(&Context::minimal(params), &pattern, &inits).max_round;
 
         // On exhaustively enumerable instances, cross-check the graph
         // shortcut against the compiled query engine over the complete
         // interpreted system.
-        let ck_onset_model_checked = (n == 3 && t == 1)
+        let model_checked = (n == 3 && t == 1)
             .then(|| model_checked_ck_onset(params).expect("(3, 1) is enumerable"));
 
-        rows.push(E9Row {
-            n,
-            t,
-            faults_known_time,
-            ck_onset_time,
-            ck_onset_model_checked,
-            popt_round: trace
-                .max_decision_round(pattern.nonfaulty())
-                .expect("all decide"),
-            pmin_round: pmin_trace
-                .max_decision_round(pattern.nonfaulty())
-                .expect("all decide"),
-        });
+        claim.row(
+            vec![
+                cell(n),
+                cell(t),
+                or_dash(faults_known),
+                or_dash(ck_onset),
+                or_dash(model_checked),
+                or_dash(popt),
+                or_dash(pmin),
+            ],
+            &[
+                (
+                    "faults known at time 1, common knowledge at time 2",
+                    faults_known == Some(1) && ck_onset == Some(2),
+                ),
+                (
+                    "P_opt decides the round after the onset: round 3",
+                    popt == Some(3) && popt == ck_onset.map(|m| m + 1),
+                ),
+                ("P_min decides in round t + 2", pmin == Some(t as u32 + 2)),
+                (
+                    "the query engine finds the same onset",
+                    model_checked.is_none() || model_checked == ck_onset,
+                ),
+            ],
+        );
     }
-
-    let mut table = Table::new(
-        "E9: common-knowledge onset under silent faults (Prop 7.2)",
-        "Silent-faulty all-ones runs. The epistemic timeline is constant: \
-         every nonfaulty agent knows all t faults at time 1, common \
-         knowledge arrives at time 2, P_opt decides in round 3 — while \
-         P_min scales linearly with t. On (3, 1) the onset is also \
-         recomputed by the batched query engine over the complete \
-         interpreted system (— elsewhere: too large to enumerate).",
-        &[
-            "n",
-            "t",
-            "faults known (time)",
-            "CK onset (time)",
-            "CK onset (query engine)",
-            "P_opt round",
-            "P_min round",
-        ],
-    );
-    for r in &rows {
-        table.push(vec![
-            cell(r.n),
-            cell(r.t),
-            cell(r.faults_known_time),
-            cell(r.ck_onset_time),
-            r.ck_onset_model_checked
-                .map_or_else(|| "—".to_string(), |m| m.to_string()),
-            cell(r.popt_round),
-            cell(r.pmin_round),
-        ]);
-    }
-    (rows, table)
+    claim
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::claims::assert_holds;
 
     #[test]
     fn timeline_is_constant_across_scales() {
-        let (rows, _) = run(&[(4, 1), (6, 2), (8, 3), (12, 5)]);
-        for r in &rows {
-            assert_eq!(r.faults_known_time, 1, "{r:?}");
-            assert_eq!(r.ck_onset_time, 2, "{r:?}");
-            assert_eq!(r.popt_round, 3, "{r:?}");
-            assert_eq!(r.pmin_round, r.t as u32 + 2, "{r:?}");
-            assert!(r.ck_onset_model_checked.is_none(), "{r:?}");
-        }
+        let claim = assert_holds(run(&[(4, 1), (6, 2), (8, 3), (12, 5)]));
+        // Too large to enumerate: no query-engine onset.
+        assert!(claim.table.rows.iter().all(|r| r[4] == "—"));
     }
 
     #[test]
     fn query_engine_confirms_the_graph_shortcut_at_3_1() {
-        // The complete-system brute force (one compiled
-        // K_observer(C_N(t-faulty ∧ …)) plan) must agree with the
-        // polynomial graph condition: common knowledge at time 2.
-        let (rows, table) = run(&[(3, 1)]);
-        assert_eq!(rows.len(), 1);
-        let r = &rows[0];
-        assert_eq!(r.ck_onset_time, 2, "{r:?}");
-        assert_eq!(r.ck_onset_model_checked, Some(r.ck_onset_time), "{r:?}");
-        assert_eq!(r.popt_round, r.ck_onset_time + 1, "{r:?}");
-        assert!(table.to_markdown().contains("query engine"));
+        let claim = assert_holds(run(&[(3, 1)]));
+        assert_eq!(claim.table.rows[0][4], "2");
+        assert!(claim.table.to_markdown().contains("query engine"));
     }
 
     #[test]
     fn decision_follows_ck_within_one_round() {
         // Lemma A.4: once C_N(t-faulty) holds every agent decides by the
         // next round.
-        let (rows, _) = run(&[(6, 2), (10, 4)]);
-        for r in &rows {
-            assert_eq!(r.popt_round, r.ck_onset_time + 1, "{r:?}");
-        }
+        assert_holds(run(&[(6, 2), (10, 4)]));
     }
 }

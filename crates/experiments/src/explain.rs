@@ -1,6 +1,6 @@
 //! `--explain`: counterexample reports behind the experiments CLI.
 //!
-//! The battery and stack-summary tables report failing spec checks as a
+//! The battery tables (`--model`, `--stack`) report failing spec checks as a
 //! bare count (`E_naive/P_naive@general_omission`: 98/104 runs EBA-ok).
 //! With `--explain`, a failing row is re-examined through the compiled
 //! query engine: the EBA spec is posed as one batched

@@ -1,57 +1,51 @@
 #![warn(missing_docs)]
 
-//! Experiment harness: regenerates every table and figure of the paper's
-//! evaluation (`docs/GUIDE.md` §1 maps paper sections to modules).
+//! Experiment harness: checks the paper's claims and regenerates every
+//! table of its evaluation (`docs/GUIDE.md` §1 maps paper sections to
+//! modules).
 //!
-//! | Id | Paper source | Claim reproduced |
-//! |----|--------------|------------------|
-//! | E1 | Prop 8.1 | message complexity: `n²` / `O(n²t)` / `O(n⁴t²)` bits |
-//! | E2 | Prop 8.2(a) | failure-free with a 0: everyone decides by round 2 |
-//! | E3 | Prop 8.2(b) | failure-free all-ones: `t+2` vs round 2 |
-//! | E4 | Example 7.1 | silent faulty: P_opt round 3, P_min/P_basic round 12 |
-//! | E5 | Prop 6.1/7.3 | EBA + decide-by-`t+2` under random adversaries |
-//! | E6 | Section 8 | decision-latency curves vs omission rate |
-//! | E7 | Thms 6.5/6.6/A.21 | implements-checks by epistemic model checking |
-//! | E8 | Introduction | the 0-biased impossibility (runs `r`/`r'`) |
-//! | E9 | Prop 7.2/Lemma A.4 | common-knowledge onset and one-round decisions |
+//! The claims ledger ([`claims`]) — one [`Claim`] per experiment, each
+//! checked on every row of its table as the row is computed:
 //!
-//! Each module exposes a typed `run(…)` entry point returning both the raw
-//! records and a renderable [`table::Table`]; the `eba-experiments` binary
-//! prints all of them as markdown (the content of `EXPERIMENTS.md`).
+//! | Id | Paper source | Claim | Check |
+//! |----|--------------|-------|-------|
+//! | E1 | Prop 8.1 | `P_min` sends `n²` bits, `P_basic` ≤ `2(t+2)·n²`, FIP `O(n⁴t²)`; min < basic < FIP | single runs |
+//! | E2 | Prop 8.2(a) | failure-free with one 0: its holder decides 0 in round 1, the rest in round 2 | single runs |
+//! | E3 | Prop 8.2(b) | failure-free all-ones: `P_min` decides in round `t+2`, `P_basic` and `P_opt` in round 2 | single runs |
+//! | E4 | Example 7.1 | `k` silent faulty: `P_basic` in round `k+2`, `P_opt` in round 3 at `k = t`, `P_min` in `t+2` | single runs |
+//! | E5 | Prop 6.1 / 7.3 | random omissions: EBA holds, all decide by round `t+2`, 0-decisions are 0-chain-backed | sampled |
+//! | E6 | Section 8 | mean nonfaulty round `P_min` ≥ `P_basic` ≥ `P_opt` at every drop rate | sampled |
+//! | E7 | Thms 6.5/6.6/A.21 | `P_min` and `P_basic` implement `P0`; `P_opt` implements `P1` | implements |
+//! | E8 | Introduction | deciding 0 on hearing a 0 breaks Agreement under omissions, not under crashes | single runs |
+//! | E9 | Prop 7.2 / Lemma A.4 | `t` silent faulty: faults known at time 1, common knowledge at 2, `P_opt` decides in round 3 | single runs |
 //!
-//! The binary can also run a single registry-selected stack
-//! (`-- --stack E_basic/P_basic`, see [`stack_summary`]), exercising the
-//! string-keyed stack registry end to end: lockstep runs, the wire
-//! loopback, and a streamed exhaustive spec check — and a failure-model
-//! comparison battery (`-- --model crash`, see [`model_battery`]) that
-//! measures decision time and validity of all four stacks under a
-//! selected [`FailureModel`](eba_core::failures::FailureModel). The two
-//! flags compose: `-- --stack E_fip/P_opt --model general` summarizes one
-//! stack in one model. `--explain` re-examines failing spec rows through
-//! the compiled query engine and prints a witnessing `(run, time)`
-//! counterexample per violated property (see [`explain`]). The binary's
-//! output is verdicts and counts; performance is measured in one place,
-//! the repo's benchmark under `bench/`.
+//! The `eba-experiments` binary prints the ledger, then every claim's
+//! table as markdown (the content of `EXPERIMENTS.md`), and exits 1 if a
+//! claim broke.
 //!
-//! Every experiment drives the protocols through the first-class
-//! `Context`/`Scenario` API:
+//! The binary also runs a failure-model comparison battery
+//! (`-- --model crash`, see [`model_battery`]) that measures decision
+//! time, bits and validity of all four stacks under a selected
+//! [`FailureModel`](eba_core::failures::FailureModel); `-- --stack
+//! E_basic/P_basic` prints one registry-selected stack's row of it, and
+//! the two flags compose (`-- --stack E_fip/P_opt --model general`).
+//! `--explain` re-examines failing spec rows through the compiled query
+//! engine and prints a witnessing `(run, time)` counterexample per
+//! violated property (see [`explain`]). The binary's output is verdicts
+//! and counts; performance is measured in one place, the repo's
+//! benchmark under `bench/`.
+//!
+//! Every claim holds as it is computed:
 //!
 //! ```
-//! use eba_core::prelude::*;
-//! use eba_sim::prelude::*;
-//!
-//! # fn main() -> Result<(), EbaError> {
-//! // The scenario E4 sweeps: P_opt against Example 7.1's silent faulty.
-//! let params = Params::new(4, 1)?;
-//! let ctx = Context::fip(params);
-//! let silent = silent_pattern(params, AgentSet::singleton(AgentId::new(0)), 4)?;
-//! let nonfaulty = silent.nonfaulty();
-//! let trace = Scenario::of(&ctx).pattern(silent).inits(&[Value::One; 4]).run()?;
-//! assert_eq!(trace.max_decision_round(nonfaulty), Some(3));
-//! # Ok(())
-//! # }
+//! // Example 7.1 at (8, 3): P_opt decides in round 3 once all t agents
+//! // are silent, P_basic in round k + 2.
+//! let claim = eba_experiments::e4_silent_faulty::run(8, 3, &[1, 3]);
+//! assert!(claim.holds(), "{:?}", claim.broken);
+//! assert_eq!(claim.table.rows[1][5], "3");
 //! ```
 
+pub mod claims;
 pub mod corpus;
 pub mod e1_bits;
 pub mod e2_failure_free_zero;
@@ -67,7 +61,7 @@ pub mod explain;
 pub mod fuzz_cli;
 pub mod model_battery;
 pub mod service_cli;
-pub mod stack_summary;
 pub mod table;
 
+pub use claims::Claim;
 pub use table::Table;

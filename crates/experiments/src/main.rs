@@ -1,5 +1,7 @@
-//! Regenerates every table/figure of the paper's evaluation and prints
-//! them as markdown (the content of `EXPERIMENTS.md`).
+//! Checks the paper's claims and regenerates every table of its
+//! evaluation as markdown (the content of `EXPERIMENTS.md`): the claims
+//! ledger first, then each claim's table. Exits 1, after all output,
+//! naming each broken row, if a claim broke.
 //!
 //! Usage: `cargo run --release -p eba-experiments [--quick]`
 //!        `cargo run --release -p eba-experiments -- --stack <name> [--model <model>] [--n N] [--t T] [--explain]`
@@ -19,12 +21,12 @@
 //! `--quick` shrinks the sweeps and skips the heavyweight full-information
 //! model check (E7's γ_fip row). `--stack` selects one registered stack by
 //! name (e.g. `E_basic/P_basic`, optionally model-qualified as
-//! `E_basic/P_basic@crash`) and runs the single-stack battery instead of
-//! the full evaluation. `--model` selects a failure model (`failure_free`,
-//! `crash`, `sending_omission`, `general_omission`): combined with
-//! `--stack` it qualifies that stack; alone it runs the four-stack
-//! failure-model comparison battery. `--n`/`--t` pick the instance
-//! (default `(3, 1)`).
+//! `E_basic/P_basic@crash`) and prints its row of the failure-model
+//! battery instead of the full evaluation. `--model` selects a failure
+//! model (`failure_free`, `crash`, `sending_omission`,
+//! `general_omission`): combined with `--stack` it qualifies that stack;
+//! alone it runs the four-stack failure-model comparison battery.
+//! `--n`/`--t` pick the instance (default `(3, 1)`).
 //! `--explain` (either selected mode) re-examines rows whose spec check
 //! failed through the compiled query engine and prints one witnessing
 //! `(run, time)` counterexample per violated EBA property, with the
@@ -350,10 +352,10 @@ fn corpus(flags: &Flags) {
     println!("{}", or_die(ex::corpus::run(&dir)).1);
 }
 
-/// Whether a battery/summary row's streamed spec check found violating
-/// runs (a skipped enumeration has no verdict to explain).
-fn spec_check_failed(enumerated: &Result<usize, eba_core::types::EbaError>, ok: usize) -> bool {
-    matches!(enumerated, Ok(total) if ok < *total)
+/// Whether a battery row's streamed spec check found violating runs (a
+/// skipped enumeration has no verdict to explain).
+fn spec_check_failed(row: &ex::model_battery::ModelBatteryRow) -> bool {
+    matches!(row.enumerated_runs, Ok(total) if row.spec_ok_runs < total)
 }
 
 /// Re-examines one failing row through the compiled query engine and
@@ -366,104 +368,51 @@ fn print_explanation(stack: &str, n: usize, t: usize) {
     }
 }
 
+/// The battery's table: one stack's row (optionally qualified by
+/// `--model`), or the four stacks under `--model`.
 fn stack_or_battery(flags: &Flags) {
     let n = flags.num("--n", 3);
     let t = flags.num("--t", 1);
-    let explain = flags.has("--explain");
-    // One stack, optionally qualified by --model.
-    if let Some(stack) = flags.qualified_stack() {
-        let (summary, table) = or_die(ex::stack_summary::run(&stack, n, t));
-        println!("{table}");
-        if explain && spec_check_failed(&summary.enumerated_runs, summary.spec_ok_runs) {
-            print_explanation(&summary.stack, n, t);
+    let (rows, table) = or_die(match flags.qualified_stack() {
+        Some(stack) => ex::model_battery::run_stack(&stack, n, t),
+        None => {
+            let model = flags.value("--model").expect("--model selected this mode");
+            let model = or_die(eba_core::failures::FailureModel::by_name(model));
+            ex::model_battery::run(model, n, t)
         }
-        return;
-    }
-    // The four-stack comparison battery for one failure model.
-    let model = flags.value("--model").expect("--model selected this mode");
-    let model = or_die(eba_core::failures::FailureModel::by_name(model));
-    let (rows, table) = or_die(ex::model_battery::run(model, n, t));
+    });
     println!("{table}");
-    if explain {
-        for row in &rows {
-            if spec_check_failed(&row.enumerated_runs, row.spec_ok_runs) {
-                print_explanation(&row.stack, n, t);
-            }
+    if flags.has("--explain") {
+        for row in rows.iter().filter(|row| spec_check_failed(row)) {
+            print_explanation(&row.stack, n, t);
         }
     }
 }
 
+/// Prints the claims ledger, then every claim's table; exits 1, naming
+/// each broken row, if a claim broke.
 fn sweep(flags: &Flags) {
     let quick = flags.has("--quick");
     let t0 = std::time::Instant::now();
+    let claims = ex::claims::sweep(quick);
 
     println!("# Reproduced evaluation\n");
     println!(
         "Regenerated by `cargo run --release -p eba-experiments{}`.\n",
         if quick { " -- --quick" } else { "" }
     );
-
-    let e1_configs: &[(usize, usize)] = if quick {
-        &[(4, 1), (8, 3)]
-    } else {
-        &[(4, 1), (6, 2), (8, 3), (12, 5), (16, 7), (20, 9), (24, 11)]
-    };
-    let (_, t1) = ex::e1_bits::run(e1_configs);
-    println!("{t1}");
-
-    let e2_ns: &[usize] = if quick {
-        &[4, 6]
-    } else {
-        &[3, 4, 6, 9, 12, 16]
-    };
-    let (_, t2) = ex::e2_failure_free_zero::run(e2_ns);
-    println!("{t2}");
-
-    let e3_ts: &[usize] = if quick {
-        &[1, 3]
-    } else {
-        &[0, 1, 2, 3, 4, 5, 7, 9]
-    };
-    let (_, t3) = ex::e3_failure_free_ones::run(12, e3_ts);
-    println!("{t3}");
-
-    let (n4, t4v) = if quick { (8, 3) } else { (20, 10) };
-    let ks: Vec<usize> = (1..=t4v).collect();
-    let (_, t4) = ex::e4_silent_faulty::run(n4, t4v, &ks);
-    println!("{t4}");
-
-    let e5_configs: &[(usize, usize)] = if quick {
-        &[(4, 1)]
-    } else {
-        &[(4, 1), (5, 2), (6, 2), (7, 3)]
-    };
-    let trials = if quick { 100 } else { 1000 };
-    let (_, t5) = ex::e5_termination::run(e5_configs, trials, 0.4, 0xEBA);
-    println!("{t5}");
-
-    let probs: Vec<f64> = (0..=10).map(|i| i as f64 / 10.0).collect();
-    let e6_trials = if quick { 20 } else { 200 };
-    let (_, t6) = ex::e6_latency_curves::run(8, 3, &probs, e6_trials, 0xEBA);
-    println!("{t6}");
-
-    let (_, t7) = ex::e7_implements::run(ex::e7_implements::E7Config {
-        include_fip: !quick,
-        include_n4_t2: !quick,
-    });
-    println!("{t7}");
-
-    let (_, t8) = ex::e8_bias_counterexample::run(if quick { 100 } else { 1000 }, 0xEBA);
-    println!("{t8}");
-
-    // (3, 1) is exhaustively enumerable, so the full sweep also carries
-    // the query-engine cross-check column for that row.
-    let e9_configs: &[(usize, usize)] = if quick {
-        &[(4, 1), (6, 2)]
-    } else {
-        &[(3, 1), (4, 1), (6, 2), (8, 3), (12, 5), (16, 7), (20, 9)]
-    };
-    let (_, t9) = ex::e9_ck_onset::run(e9_configs);
-    println!("{t9}");
+    println!("{}", ex::claims::ledger(&claims));
+    println!("{}\n", ex::claims::verdict(&claims));
+    for claim in &claims {
+        println!("{}", claim.table);
+    }
 
     eprintln!("regenerated all tables in {:?}", t0.elapsed());
+    let broken: Vec<&String> = claims.iter().flat_map(|c| &c.broken).collect();
+    if !broken.is_empty() {
+        for line in broken {
+            eprintln!("error: {line}");
+        }
+        std::process::exit(1);
+    }
 }

@@ -11,12 +11,14 @@
 //! tables across `--model` invocations shows exactly which guarantees
 //! each stack keeps as the adversary grows stronger: e.g. `E_naive`
 //! violates Agreement from `sending_omission` up, while every stack is
-//! clean under `crash`.
+//! clean under `crash`. `--stack <name>` prints the same table with that
+//! stack's row only ([`run_stack`]).
 
 use eba_core::prelude::*;
 use eba_sim::prelude::*;
+use eba_transport::run_named_cluster;
 
-use crate::table::{cell, Table};
+use crate::table::{cell, or_dash, Table};
 
 /// Default run cap for the streamed exhaustive check. Large enough to
 /// cover every paper `(3, 1)` context under every model — including the
@@ -34,6 +36,10 @@ pub struct ModelBatteryRow {
     pub stack: String,
     /// Max decision round on the failure-free all-ones run.
     pub failure_free_round: Option<u32>,
+    /// Logical bits sent on that run.
+    pub bits_sent: u64,
+    /// Bytes of the encoded frames sent on the same run over the wire.
+    pub wire_bytes: u64,
     /// Max *nonfaulty* decision round against the model's representative
     /// adversary (`None` under `failure_free`, or when `t = 0`).
     pub adversary_round: Option<u32>,
@@ -48,9 +54,7 @@ pub struct ModelBatteryRow {
 /// agents, mirroring Example 7.1's silent adversary in each environment:
 /// crash-from-the-start under `crash`, silence under `sending_omission`,
 /// isolation under `general_omission`, `None` when failure-free (or the
-/// instance admits no useful faulty set). Shared with
-/// [`stack_summary`](crate::stack_summary) so `--stack X --model M` and
-/// the four-stack battery measure the same adversaries.
+/// instance admits no useful faulty set).
 pub fn representative_pattern(
     model: FailureModel,
     params: Params,
@@ -70,73 +74,10 @@ pub fn representative_pattern(
     Ok(Some(pattern))
 }
 
-/// The measurements shared by this battery and the `--stack` summary:
-/// the failure-free all-ones run, the run against the model's
-/// representative adversary, and the streamed exhaustive spec check.
-pub(crate) struct CoreMeasurements {
-    pub(crate) failure_free_round: Option<u32>,
-    /// Logical bits sent on the failure-free run (used by the `--stack`
-    /// summary table).
-    pub(crate) bits_sent: u64,
-    pub(crate) adversary_round: Option<u32>,
-    pub(crate) enumerated_runs: Result<usize, EbaError>,
-    pub(crate) spec_ok_runs: usize,
-}
-
-/// Runs the shared battery core on one concrete stack, streaming the
-/// exhaustive spec check up to `limit` deduplicated runs. Both the
-/// four-stack `--model` battery and the single-stack `--stack` summary
-/// fold over this, so their rows stay comparable by construction.
-pub(crate) fn measure_stack<E, P>(ctx: &Context<E, P>, limit: usize) -> CoreMeasurements
-where
-    E: InformationExchange + Sync,
-    P: ActionProtocol<E> + Sync,
-{
-    let params = ctx.params();
-    let inits = vec![Value::One; params.n()];
-
-    let trace = Scenario::of(ctx).inits(&inits).run().expect("run");
-    let failure_free_round = trace.max_decision_round(AgentSet::full(params.n()));
-    let bits_sent = Metrics::of(
-        ctx.exchange(),
-        &trace,
-        &FailurePattern::failure_free(params),
-    )
-    .bits_sent;
-
-    let adversary_round = representative_pattern(ctx.model(), params)
-        .expect("representative adversary")
-        .map(|pattern| {
-            let nonfaulty = pattern.nonfaulty();
-            let trace = Scenario::of(ctx)
-                .pattern(pattern)
-                .inits(&inits)
-                .run()
-                .expect("run");
-            trace.max_decision_round(nonfaulty)
-        })
-        .unwrap_or(None);
-
-    // Streamed exhaustive spec check: count runs and EBA verdicts
-    // without collecting a single trajectory. On error the partial
-    // verdict tally is meaningless, so it is discarded with the count.
-    let mut spec_ok = 0usize;
-    let streamed = Scenario::of(ctx)
-        .parallelism(Parallelism::Auto)
-        .limit(limit)
-        .enumerate_into(&mut |run: EnumRun<E>| {
-            spec_ok += usize::from(check_eba(ctx.exchange(), &run).is_ok());
-            Ok(())
-        });
-    CoreMeasurements {
-        failure_free_round,
-        bits_sent,
-        adversary_round,
-        spec_ok_runs: if streamed.is_ok() { spec_ok } else { 0 },
-        enumerated_runs: streamed,
-    }
-}
-
+/// The battery's runs on one concrete stack: the failure-free all-ones
+/// run, the run against the model's representative adversary, and the
+/// exhaustive spec check streamed up to `limit` deduplicated runs (the
+/// wire bytes are filled in by [`measure`]).
 struct Battery {
     limit: usize,
 }
@@ -149,15 +90,67 @@ impl StackVisitor for Battery {
         E: InformationExchange + Clone + Sync + 'static,
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
-        let core = measure_stack(ctx, self.limit);
+        let params = ctx.params();
+        let inits = vec![Value::One; params.n()];
+
+        let trace = Scenario::of(ctx).inits(&inits).run().expect("run");
+        let failure_free_round = trace.max_decision_round(AgentSet::full(params.n()));
+        let bits_sent = Metrics::of(
+            ctx.exchange(),
+            &trace,
+            &FailurePattern::failure_free(params),
+        )
+        .bits_sent;
+
+        let adversary_round = representative_pattern(ctx.model(), params)
+            .expect("representative adversary")
+            .and_then(|pattern| {
+                let nonfaulty = pattern.nonfaulty();
+                let trace = Scenario::of(ctx)
+                    .pattern(pattern)
+                    .inits(&inits)
+                    .run()
+                    .expect("run");
+                trace.max_decision_round(nonfaulty)
+            });
+
+        // Streamed exhaustive spec check: count runs and EBA verdicts
+        // without collecting a single trajectory. On error the partial
+        // verdict tally is meaningless, so it is discarded with the count.
+        let mut spec_ok = 0usize;
+        let streamed = Scenario::of(ctx)
+            .parallelism(Parallelism::Auto)
+            .limit(self.limit)
+            .enumerate_into(&mut |run: EnumRun<E>| {
+                spec_ok += usize::from(check_eba(ctx.exchange(), &run).is_ok());
+                Ok(())
+            });
         ModelBatteryRow {
             stack: ctx.qualified_name(),
-            failure_free_round: core.failure_free_round,
-            adversary_round: core.adversary_round,
-            spec_ok_runs: core.spec_ok_runs,
-            enumerated_runs: core.enumerated_runs,
+            failure_free_round,
+            bits_sent,
+            wire_bytes: 0,
+            adversary_round,
+            spec_ok_runs: if streamed.is_ok() { spec_ok } else { 0 },
+            enumerated_runs: streamed,
         }
     }
+}
+
+/// One stack's battery row, with the wire bytes of its failure-free
+/// all-ones run over encoded frames.
+fn measure(stack: &NamedStack, limit: usize) -> Result<ModelBatteryRow, EbaError> {
+    let params = stack.params();
+    let wire = run_named_cluster(
+        stack,
+        &FailurePattern::failure_free(params),
+        &vec![Value::One; params.n()],
+        params.default_horizon(),
+    )?;
+    Ok(ModelBatteryRow {
+        wire_bytes: wire.wire_bytes_sent,
+        ..stack.visit(Battery { limit })
+    })
 }
 
 /// Runs the four-stack battery under `model` at `(n, t)` with the
@@ -186,25 +179,58 @@ pub fn run_with_limit(
     t: usize,
     limit: usize,
 ) -> Result<(Vec<ModelBatteryRow>, Table), EbaError> {
-    let params = Params::new(n, t)?;
-    let mut rows = Vec::new();
-    for name in STACK_NAMES {
-        let qualified = format!("{name}{}", model.suffix());
-        let stack = NamedStack::by_name(&qualified, params)?;
-        rows.push(stack.visit(Battery { limit }));
-    }
+    let names = STACK_NAMES.map(|name| format!("{name}{}", model.suffix()));
+    battery(&names, n, t, limit)
+}
 
-    let or_dash = |v: Option<u32>| v.map_or_else(|| "—".to_string(), |r| r.to_string());
+/// The battery's table with one row: the stack registered under `name`
+/// (optionally model-qualified, `E_basic/P_basic@crash`) at `(n, t)`.
+///
+/// # Errors
+///
+/// Returns [`EbaError::InvalidInput`] for an unknown stack name (listing
+/// the registered ones) or [`EbaError::InvalidParams`] for invalid
+/// `(n, t)`.
+pub fn run_stack(
+    name: &str,
+    n: usize,
+    t: usize,
+) -> Result<(Vec<ModelBatteryRow>, Table), EbaError> {
+    battery(&[name.to_string()], n, t, DEFAULT_ENUM_LIMIT)
+}
+
+/// The battery over the named stacks, which share one failure model.
+fn battery(
+    names: &[String],
+    n: usize,
+    t: usize,
+    limit: usize,
+) -> Result<(Vec<ModelBatteryRow>, Table), EbaError> {
+    let params = Params::new(n, t)?;
+    let stacks = names
+        .iter()
+        .map(|name| NamedStack::by_name(name, params))
+        .collect::<Result<Vec<_>, _>>()?;
+    let rows = stacks
+        .iter()
+        .map(|stack| measure(stack, limit))
+        .collect::<Result<Vec<_>, _>>()?;
+
     let mut table = Table::new(
-        format!("Failure-model battery: {model} at (n = {n}, t = {t})"),
-        "Decision time and validity of the four registered stacks under \
-         one failure model: failure-free all-ones decision round, max \
-         nonfaulty decision round against the model's representative \
-         adversary, and a streamed exhaustive EBA spec check over the \
-         model's full run set.",
+        format!(
+            "Failure-model battery: {} at (n = {n}, t = {t})",
+            stacks[0].model()
+        ),
+        "Decision time and validity of the registered stacks under one \
+         failure model: failure-free all-ones decision round, its logical \
+         bits and the wire bytes of its encoded frames, max nonfaulty \
+         decision round against the model's representative adversary, and \
+         a streamed exhaustive EBA spec check over the model's full run set.",
         &[
             "stack",
             "failure-free round",
+            "failure-free bits",
+            "wire bytes",
             "adversary round",
             "runs (streamed)",
             "EBA-ok runs",
@@ -218,6 +244,8 @@ pub fn run_with_limit(
         table.push(vec![
             cell(&row.stack),
             or_dash(row.failure_free_round),
+            cell(row.bits_sent),
+            cell(row.wire_bytes),
             or_dash(row.adversary_round),
             runs,
             ok,
@@ -248,11 +276,36 @@ mod tests {
         assert!(table.to_markdown().contains("@crash"));
     }
 
-    // The sending-omission battery (E_naive dirty, the paper stacks
-    // clean, E_fip streaming ~98k runs) is covered by
-    // `stack_summary::tests::every_registered_stack_summarizes`, which
-    // drives the same predicate through the same engine — not repeated
-    // here to keep the debug-mode suite affordable.
+    #[test]
+    fn every_registered_stack_summarizes() {
+        // The sending-omission battery one stack at a time: E_naive
+        // dirty, the paper stacks clean, E_fip streaming ~98k runs.
+        for name in STACK_NAMES {
+            let (rows, table) = run_stack(name, 3, 1).unwrap();
+            let [row] = &rows[..] else {
+                panic!("one row for {name}")
+            };
+            assert_eq!(row.stack, name);
+            assert!(row.bits_sent > 0, "{name}");
+            assert!(row.wire_bytes > 0, "{name}");
+            let total = *row.enumerated_runs.as_ref().expect("small instance");
+            assert!(total > 0, "{name}");
+            if name == "E_naive/P_naive" {
+                // The introduction's protocol violates Agreement under
+                // omissions, so some enumerated runs must fail the spec.
+                assert!(row.spec_ok_runs < total, "{name}");
+            } else {
+                assert_eq!(row.spec_ok_runs, total, "{name}");
+            }
+            assert!(table.to_markdown().contains(name));
+        }
+    }
+
+    #[test]
+    fn unknown_stack_is_rejected_with_the_registry() {
+        let err = run_stack("E_bogus/P_bogus", 3, 1).unwrap_err();
+        assert!(err.to_string().contains("E_min/P_min"));
+    }
 
     #[test]
     fn failure_free_battery_has_no_adversary_column() {

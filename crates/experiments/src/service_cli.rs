@@ -97,7 +97,6 @@ fn service_config(workers: usize, capacity: usize, oracle_stride: usize) -> Serv
         workers,
         capacity,
         oracle_stride: (oracle_stride > 0).then_some(oracle_stride),
-        ..Default::default()
     }
 }
 

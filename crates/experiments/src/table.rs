@@ -63,6 +63,11 @@ pub fn cell(x: impl ToString) -> String {
     x.to_string()
 }
 
+/// Renders an optional cell: the value, or `—` when there is none.
+pub fn or_dash(x: Option<impl ToString>) -> String {
+    x.map_or_else(|| "—".to_string(), |x| x.to_string())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

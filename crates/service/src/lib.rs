@@ -47,7 +47,6 @@
 //!     workers: 2,
 //!     capacity: 8,
 //!     oracle_stride: Some(4),
-//!     ..Default::default()
 //! };
 //! let report = run_service(&specs, &config)?;
 //! assert_eq!(report.admitted, 16);

@@ -21,7 +21,7 @@
 //!
 //! Deadlock freedom: both channels are unbounded, so no send blocks, and
 //! at most `capacity` sessions are in flight. Every driver wait is
-//! bounded by [`ServiceConfig::stall_timeout`]. A session whose engine
+//! bounded by a 30 s stall timeout. A session whose engine
 //! panics is caught on its worker and still completes, with its record
 //! as the driver opened it: no rounds and no decisions.
 
@@ -46,9 +46,6 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Session table capacity — the maximum concurrently live sessions.
     pub capacity: usize,
-    /// How long the driver waits on a completion before declaring the
-    /// service stalled.
-    pub stall_timeout: Duration,
     /// Cross-check every `k`-th admitted session's decision vector
     /// against the lockstep simulator (`Scenario::run`: same round kernel,
     /// but no codec, frame routing, byte-level omission or session loop;
@@ -61,11 +58,14 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 0,
             capacity: 1024,
-            stall_timeout: Duration::from_secs(30),
             oracle_stride: None,
         }
     }
 }
+
+/// How long [`drive`] waits on a completion before declaring the
+/// service stalled: only an engine that never returns gets near it.
+const STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What a session reports when it is done: its outcome and its
 /// per-round traffic (index = round).
@@ -170,7 +170,7 @@ fn retire(
 ///
 /// Returns [`EbaError::InvalidInput`] when a spec fails to build (unknown
 /// stack, bad shape, inadmissible pattern — prefixed `session <i>:`),
-/// or when the service stalls ([`ServiceConfig::stall_timeout`] with no
+/// or when the service stalls (30 s with no
 /// completion, which indicates a runtime bug, not a protocol outcome).
 pub fn run_service(
     specs: &[SessionSpec],
@@ -219,15 +219,14 @@ fn drive<'s>(
     jobs: mpsc::Sender<Job<'s>>,
     completions: mpsc::Receiver<Completion>,
 ) -> Result<ServiceReport, EbaError> {
-    let stall = config.stall_timeout;
     let stalled = |in_flight| {
         EbaError::InvalidInput(format!(
-            "service stalled: no completion within {stall:?} with {in_flight} sessions in flight"
+            "service stalled: no completion within {STALL_TIMEOUT:?} with {in_flight} sessions in flight"
         ))
     };
     let next = |in_flight| {
         completions
-            .recv_timeout(stall)
+            .recv_timeout(STALL_TIMEOUT)
             .map_err(|_| stalled(in_flight))
     };
     let mut table: SessionTable<usize> = SessionTable::with_capacity(config.capacity.max(1));
@@ -288,7 +287,6 @@ mod tests {
             workers: 2,
             capacity: 4,
             oracle_stride: Some(1),
-            ..Default::default()
         };
         let report = run_service(&specs, &config).unwrap();
         assert_eq!(report.admitted, 6);
@@ -307,7 +305,6 @@ mod tests {
         let config = ServiceConfig {
             workers: 2,
             capacity: 2,
-            stall_timeout: Duration::from_secs(10),
             ..Default::default()
         };
         let report = run_service(&specs, &config).unwrap();

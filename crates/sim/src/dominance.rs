@@ -122,11 +122,6 @@ impl DominanceSummary {
         self.right_earlier == 0 && self.mixed == 0 && self.left_earlier > 0
     }
 
-    /// Whether the observations are consistent with "right dominates left".
-    pub fn right_dominates(&self) -> bool {
-        self.left_earlier == 0 && self.mixed == 0 && self.right_earlier > 0
-    }
-
     /// Whether the protocols are incomparable on the observed runs: each
     /// is strictly earlier in some run (or within one run).
     pub fn incomparable(&self) -> bool {
@@ -213,7 +208,6 @@ mod tests {
         s.record(RunComparison::Equal);
         s.record(RunComparison::LeftEarlier);
         assert!(s.left_dominates());
-        assert!(!s.right_dominates());
         assert!(!s.incomparable());
         s.record(RunComparison::RightEarlier);
         assert!(s.incomparable());

@@ -96,7 +96,6 @@ proptest! {
             workers: 2,
             capacity: 3, // smaller than the batch: admission must recycle slots
             oracle_stride: Some(1),
-            ..Default::default()
         };
         let report = run_service(&specs, &config).unwrap();
         prop_assert_eq!(report.admitted, specs.len());
@@ -140,7 +139,6 @@ fn backpressure_admits_a_large_batch_through_a_tiny_table() {
         workers: 2,
         capacity: 4,
         oracle_stride: Some(5),
-        ..Default::default()
     };
     let report = run_service(&specs, &config).unwrap();
     assert_eq!(report.admitted, specs.len());

@@ -124,13 +124,14 @@ fn general_omission_admits_receive_side_drops_sending_omission_rejects() {
 }
 
 /// Model-qualified registry names flow through the whole stack: the
-/// summary battery runs a `@crash` stack and reports its qualified name.
+/// battery runs a `@crash` stack and reports its qualified name.
 #[test]
 fn model_qualified_stack_reaches_the_experiments_battery() {
-    let (summary, table) = eba::experiments::stack_summary::run("E_min/P_min@crash", 3, 1).unwrap();
-    assert_eq!(summary.stack, "E_min/P_min@crash");
-    let total = summary.enumerated_runs.expect("small instance");
+    let (rows, table) =
+        eba::experiments::model_battery::run_stack("E_min/P_min@crash", 3, 1).unwrap();
+    assert_eq!(rows[0].stack, "E_min/P_min@crash");
+    let total = *rows[0].enumerated_runs.as_ref().expect("small instance");
     assert!(total > 0);
-    assert_eq!(summary.spec_ok_runs, total);
+    assert_eq!(rows[0].spec_ok_runs, total);
     assert!(table.to_markdown().contains("@crash"));
 }

@@ -1,6 +1,10 @@
 //! Integration tests pinning the paper's headline claims, end to end
 //! across the workspace crates.
 
+use eba::experiments::{
+    e1_bits, e2_failure_free_zero, e3_failure_free_ones, e4_silent_faulty, e5_termination,
+    e8_bias_counterexample, e9_ck_onset, Claim,
+};
 use eba::prelude::*;
 
 /// Prop 8.1: `P_min` sends exactly `n²` bits in *every* run (each agent
@@ -41,41 +45,22 @@ fn prop_8_1_pmin_sends_exactly_n_squared_bits() {
 /// Prop 8.2: failure-free decision rounds for all three protocols.
 #[test]
 fn prop_8_2_failure_free_decision_rounds() {
-    let (rows_a, _) = eba::experiments::e2_failure_free_zero::run(&[4, 7, 10]);
-    for r in &rows_a {
-        assert_eq!(r.zero_holder_round, 1);
-        assert_eq!(r.max_other_round, 2);
-        assert!(r.unanimous_zero);
-    }
-    let (rows_b, _) = eba::experiments::e3_failure_free_ones::run(10, &[0, 1, 2, 4]);
-    for r in &rows_b {
-        assert_eq!(r.pmin_round, r.t as u32 + 2);
-        assert_eq!(r.pbasic_round, 2);
-        assert_eq!(r.popt_round, 2);
-    }
+    assert_holds(e2_failure_free_zero::run(&[4, 7, 10]));
+    assert_holds(e3_failure_free_ones::run(10, &[0, 1, 2, 4]));
 }
 
 /// Example 7.1, exact: n = 20, t = 10, ten silent faulty agents, all
 /// preferences 1 — P_fip decides in round 3, P_min/P_basic in round 12.
 #[test]
 fn example_7_1_headline_numbers() {
-    let row = eba::experiments::e4_silent_faulty::example_7_1();
-    assert_eq!(row.popt_round, 3);
-    assert_eq!(row.pmin_round, 12);
-    assert_eq!(row.pbasic_round, 12);
-    assert_eq!(row.popt_no_ck_round, 12, "the CK rules are the whole story");
+    assert_holds(e4_silent_faulty::run(20, 10, &[10]));
 }
 
 /// Prop 6.1 / 7.3: every agent (faulty included) decides by round `t + 2`
 /// under heavy random omissions, and the EBA spec holds.
 #[test]
 fn termination_by_t_plus_2_under_heavy_loss() {
-    let (rows, _) = eba::experiments::e5_termination::run(&[(4, 1), (6, 2)], 250, 0.7, 62);
-    for r in &rows {
-        assert_eq!(r.eba_violations, 0, "{r:?}");
-        assert_eq!(r.chain_violations, 0, "{r:?}");
-        assert!(r.max_round <= r.bound, "{r:?}");
-    }
+    assert_holds(e5_termination::run(&[(4, 1), (6, 2)], 250, 0.7, 62));
 }
 
 /// Prop 7.2 / Lemma A.4: the common-knowledge timeline is constant in
@@ -83,15 +68,7 @@ fn termination_by_t_plus_2_under_heavy_loss() {
 /// knowledge at time 2, decision in round 3.
 #[test]
 fn common_knowledge_onset_is_constant() {
-    let (rows, _) = eba::experiments::e9_ck_onset::run(&[(5, 1), (8, 3), (14, 6)]);
-    for r in &rows {
-        assert_eq!(
-            (r.faults_known_time, r.ck_onset_time, r.popt_round),
-            (1, 2, 3),
-            "{r:?}"
-        );
-        assert_eq!(r.pmin_round, r.t as u32 + 2, "{r:?}");
-    }
+    assert_holds(e9_ck_onset::run(&[(5, 1), (8, 3), (14, 6)]));
 }
 
 /// The introduction's impossibility: the naive 0-biased protocol violates
@@ -99,28 +76,18 @@ fn common_knowledge_onset_is_constant() {
 /// survive the same adversary.
 #[test]
 fn introduction_bias_counterexample() {
-    let (rows, _) = eba::experiments::e8_bias_counterexample::run(300, 99);
-    let naive_rprime = rows
-        .iter()
-        .find(|r| r.scenario.starts_with("r'") && r.protocol == "P_naive")
-        .unwrap();
-    assert_eq!(naive_rprime.violations, 1);
-    for r in rows
-        .iter()
-        .filter(|r| r.protocol != "P_naive" || !r.scenario.starts_with("r'"))
-    {
-        assert_eq!(r.violations, 0, "{r:?}");
-    }
+    assert_holds(e8_bias_counterexample::run(300, 99));
 }
 
 /// Section 8's cost ordering on failure-free runs: min ≪ basic ≪ fip in
 /// bits, while basic already matches fip's round-2 decisions.
 #[test]
 fn section_8_cost_benefit_tradeoff() {
-    let (rows, _) = eba::experiments::e1_bits::run(&[(8, 3)]);
-    let ff = rows.iter().find(|r| r.scenario == "failure-free").unwrap();
-    assert!(ff.min_bits < ff.basic_bits && ff.basic_bits < ff.fip_bits);
-    // The decision-time side of the tradeoff:
-    let (rounds, _) = eba::experiments::e3_failure_free_ones::run(8, &[3]);
-    assert_eq!(rounds[0].pbasic_round, rounds[0].popt_round);
+    assert_holds(e1_bits::run(&[(8, 3)]));
+    assert_holds(e3_failure_free_ones::run(8, &[3]));
+}
+
+/// Panics, naming the broken rows, unless the claim holds.
+fn assert_holds(claim: Claim) {
+    assert!(claim.holds(), "{:#?}", claim.broken);
 }

@@ -71,6 +71,21 @@ fn die(msg: impl Display) -> ! {
     std::process::exit(2)
 }
 
+/// Writes one line to stdout. A reader that closed the pipe (`… | head`)
+/// wants no more output, so that ends the process quietly, exit 0, where
+/// `println!` would panic; any other write error exits 1.
+fn out(line: impl Display) {
+    use std::io::{ErrorKind, Write};
+    match writeln!(std::io::stdout(), "{line}") {
+        Ok(()) => {}
+        Err(e) if e.kind() == ErrorKind::BrokenPipe => std::process::exit(0),
+        Err(e) => {
+            eprintln!("error: writing stdout: {e}");
+            std::process::exit(1)
+        }
+    }
+}
+
 fn or_die<T, E: Display>(result: Result<T, E>) -> T {
     result.unwrap_or_else(|e| die(e))
 }
@@ -278,7 +293,7 @@ fn fuzz(flags: &Flags) {
         corpus: flags.dir("--corpus"),
         out: flags.path("--fuzz-out"),
     };
-    println!("{}", or_die(ex::fuzz_cli::run(&config)).text);
+    out(or_die(ex::fuzz_cli::run(&config)).text);
 }
 
 fn estimate(flags: &Flags) {
@@ -301,7 +316,7 @@ fn estimate(flags: &Flags) {
         out: flags.path("--estimate-out"),
     };
     if let Some(dir) = flags.dir("--corpus") {
-        println!("{}", or_die(ex::estimate_cli::run_corpus(&dir, &config)));
+        out(or_die(ex::estimate_cli::run_corpus(&dir, &config)));
         return;
     }
     let Some(stack) = flags.qualified_stack() else {
@@ -309,7 +324,7 @@ fn estimate(flags: &Flags) {
     };
     let config = ex::estimate_cli::EstimateCliConfig { stack, ..config };
     let report = or_die(ex::estimate_cli::run(&config));
-    println!("{}", report.text);
+    out(&report.text);
     if report.self_check.is_some_and(|sc| !sc.within) {
         eprintln!("error: self-check failed: estimate interval misses the exact probability");
         std::process::exit(1);
@@ -340,7 +355,7 @@ fn serve(flags: &Flags) {
 
 /// Prints a service run's table, then exits 1 if its oracle check failed.
 fn print_service_run((report, table): (eba_service::ServiceReport, ex::table::Table)) {
-    println!("{table}");
+    out(table);
     if let Err(msg) = ex::service_cli::oracle_verdict(&report) {
         eprintln!("error: {msg}");
         std::process::exit(1);
@@ -349,7 +364,7 @@ fn print_service_run((report, table): (eba_service::ServiceReport, ex::table::Ta
 
 fn corpus(flags: &Flags) {
     let dir = flags.dir("--corpus").expect("--corpus selected this mode");
-    println!("{}", or_die(ex::corpus::run(&dir)).1);
+    out(or_die(ex::corpus::run(&dir)).1);
 }
 
 /// Whether a battery row's streamed spec check found violating runs (a
@@ -363,7 +378,7 @@ fn spec_check_failed(row: &ex::model_battery::ModelBatteryRow) -> bool {
 /// run set is too large to build as an interpreted system).
 fn print_explanation(stack: &str, n: usize, t: usize) {
     match ex::explain::explain(stack, n, t, ex::explain::SYSTEM_BUILD_LIMIT) {
-        Ok(report) => println!("{report}"),
+        Ok(report) => out(report),
         Err(e) => eprintln!("--explain {stack}: skipped ({e})"),
     }
 }
@@ -381,7 +396,7 @@ fn stack_or_battery(flags: &Flags) {
             ex::model_battery::run(model, n, t)
         }
     });
-    println!("{table}");
+    out(table);
     if flags.has("--explain") {
         for row in rows.iter().filter(|row| spec_check_failed(row)) {
             print_explanation(&row.stack, n, t);
@@ -396,15 +411,15 @@ fn sweep(flags: &Flags) {
     let t0 = std::time::Instant::now();
     let claims = ex::claims::sweep(quick);
 
-    println!("# Reproduced evaluation\n");
-    println!(
+    out("# Reproduced evaluation\n");
+    out(format_args!(
         "Regenerated by `cargo run --release -p eba-experiments{}`.\n",
         if quick { " -- --quick" } else { "" }
-    );
-    println!("{}", ex::claims::ledger(&claims));
-    println!("{}\n", ex::claims::verdict(&claims));
+    ));
+    out(ex::claims::ledger(&claims));
+    out(format_args!("{}\n", ex::claims::verdict(&claims)));
     for claim in &claims {
-        println!("{}", claim.table);
+        out(&claim.table);
     }
 
     eprintln!("regenerated all tables in {:?}", t0.elapsed());

@@ -37,7 +37,8 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Per-message drop probability of the sampled adversaries.
     pub drop_prob: f64,
-    /// Worker threads (`0` = one per core).
+    /// Pool threads beside the driver, which also runs sessions while it
+    /// waits (`0` = one per core).
     pub workers: usize,
     /// Session-table capacity (the concurrency level).
     pub capacity: usize,

@@ -1,7 +1,8 @@
 //! The `eba-experiments` command line checks every flag against the
 //! selected mode's list: nothing is silently ignored.
 
-use std::process::{Command, Output};
+use std::io::Read;
+use std::process::{Command, Output, Stdio};
 
 fn run(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_eba-experiments"))
@@ -95,4 +96,24 @@ fn serve_exits_zero_on_the_oracle_clean_corpus() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(0), "{stdout}");
     assert!(stdout.contains("| 10/10 ok |"), "{stdout}");
+}
+
+#[test]
+fn a_reader_that_closes_the_pipe_early_ends_the_output_quietly() {
+    // `… --explain | head -3`: the battery's table comes first, and the
+    // pipe is closed while the explanation is still being computed.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_eba-experiments"))
+        .args(["--stack", "E_naive/P_naive", "--explain"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the binary runs");
+    let mut head = [0; 16];
+    let mut stdout = child.stdout.take().expect("stdout is piped");
+    stdout.read_exact(&mut head).expect("the table starts");
+    drop(stdout);
+    let out = child.wait_with_output().expect("the binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

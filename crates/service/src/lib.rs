@@ -1,13 +1,14 @@
 #![warn(missing_docs)]
 
 //! Multiplexed consensus service: thousands of concurrent EBA sessions,
-//! each a run-to-completion task on a fixed worker pool.
+//! each a run-to-completion task on a fixed worker pool and the caller.
 //!
 //! `eba-transport` holds the round engine and the loop that drives one
 //! session to its horizon; this crate runs arbitrarily many of those
 //! loops — each its own stack, failure pattern, and horizon — on scoped
 //! worker threads fed by one job channel and reporting on one completion
-//! channel (`std::sync::mpsc`), bounded by a session table:
+//! channel (`std::sync::mpsc`), and on the driver while it waits, bounded
+//! by a session table:
 //!
 //! * [`SessionSpec`] describes one session and compiles
 //!   ([`SessionSpec::build_engine`]) into `eba-transport`'s type-erased
@@ -17,7 +18,8 @@
 //!   many sessions are live — admission control blocks (and counts a
 //!   deferral) when it is full.
 //! * [`run_service`] drives a batch: each admitted session is one job
-//!   that runs its engine to the horizon on a pool worker
+//!   that runs its engine to the horizon on a pool worker, or on the
+//!   driver when it would otherwise wait for a completion
 //!   ([`run_engine`](eba_transport::run_engine), its omissions injected
 //!   inline) and reports once; the driver folds every session's
 //!   [`RoundTraffic`](eba_transport::RoundTraffic) — the same counters

@@ -10,10 +10,11 @@ use eba_core::types::Value;
 use crate::table::SessionId;
 
 /// The terminal record of one session. The driver opens it at admission
-/// and the worker fills it in once the engine reaches its horizon. A
-/// session whose engine panicked completes with the record as it was
-/// opened: no rounds, no frames, empty decision vectors, `decided_round`
-/// `None`, and only its wall time filled in.
+/// and the thread that runs it, a worker or the driver, fills it in once
+/// the engine reaches its horizon. A session whose engine panicked
+/// completes with the record as it was opened: no rounds, no frames,
+/// empty decision vectors, `decided_round` `None`, and only its wall time
+/// filled in.
 #[derive(Clone, Debug)]
 pub struct SessionOutcome {
     /// The (recycled) table slot the session ran in.
@@ -40,7 +41,7 @@ pub struct SessionOutcome {
     pub frames_dropped: u64,
     /// Wall-clock seconds from the session's admission (the driver's
     /// clock, taken as it enters the table) to its completion report —
-    /// includes the wait for a worker behind the sessions admitted
+    /// includes the wait for a thread behind the sessions admitted
     /// before it, so the percentiles over these reflect observed service
     /// latency, not isolated session cost.
     pub wall_seconds: f64,
@@ -71,9 +72,10 @@ pub struct ServiceReport {
     /// oracle (must be zero; nonzero means a runtime bug, such as a
     /// session whose engine panicked).
     pub oracle_mismatches: usize,
-    /// Worker threads the service actually ran on — the *resolved*
-    /// count, not the configured one (a `workers: 0` config resolves to
-    /// the machine's available parallelism).
+    /// Pool threads the service ran beside the calling thread, which also
+    /// runs sessions while it waits — the *resolved* count, not the
+    /// configured one (a `workers: 0` config resolves to the machine's
+    /// available parallelism).
     pub workers: usize,
 }
 

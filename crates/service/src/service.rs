@@ -1,10 +1,10 @@
 //! The multiplexed service runtime: sessions run to completion on scoped
-//! worker threads, admission control at the driver.
+//! worker threads and on the driver, admission control at the driver.
 //!
 //! ```text
 //!   driver ──job channel──▶ `workers` threads (one `run_engine` per job)
-//!      ▲                                │
-//!      └────── completion channel ──────┘  (outcome, round traffic)
+//!    ▲ └─ while it waits, runs queued jobs │ on its own thread too
+//!    └─────── completion channel ──────────┘  (outcome, round traffic)
 //! ```
 //!
 //! * A failure pattern is fixed before round 1 and a stack is
@@ -16,14 +16,19 @@
 //!   the [`SessionOutcome`] and its per-round [`RoundTraffic`].
 //! * The driver admits specs while the [`SessionTable`] has room. A spec
 //!   that finds it full waits for one completion (a *deferral*, the
-//!   backpressure signal). Each retired session's traffic is folded into
-//!   [`ServiceReport::round_traffic`].
+//!   backpressure signal); while it waits, and as it drains the batch, it
+//!   runs the oldest queued session itself if no completion is there, and
+//!   blocks on the workers only when none is queued. Each retired
+//!   session's traffic is folded into [`ServiceReport::round_traffic`].
 //!
 //! Deadlock freedom: both channels are unbounded, so no send blocks, and
-//! at most `capacity` sessions are in flight. Every driver wait is
-//! bounded by a 30 s stall timeout. A session whose engine
-//! panics is caught on its worker and still completes, with its record
-//! as the driver opened it: no rounds and no decisions.
+//! at most `capacity` sessions are in flight. A 30 s stall timeout bounds
+//! the driver's block on the workers: it turns a worker's session slower
+//! than that into an error once the session ends. It stops no hung engine
+//! (the pool is joined before [`run_service`] returns), and a session the
+//! driver runs has no timeout at all. A session whose engine panics is
+//! caught where it runs and still completes, with its record as the
+//! driver opened it: no rounds and no decisions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Mutex};
@@ -42,7 +47,9 @@ use crate::table::{SessionId, SessionTable};
 /// Tuning knobs for [`run_service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads in the pool (`0` = one per available core).
+    /// Worker threads in the pool (`0` = one per available core), beside
+    /// the calling thread, which also runs sessions while it waits for a
+    /// completion: `0` keeps one thread more than the cores busy.
     pub workers: usize,
     /// Session table capacity — the maximum concurrently live sessions.
     pub capacity: usize,
@@ -63,8 +70,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How long [`drive`] waits on a completion before declaring the
-/// service stalled: only an engine that never returns gets near it.
+/// How long [`drive`] blocks on the workers for a completion before
+/// declaring the service stalled. A worker's session slower than this
+/// turns into an error once it ends; a hung one hangs the call.
 const STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// What a session reports when it is done: its outcome and its
@@ -73,6 +81,9 @@ type Completion = (SessionOutcome, Vec<RoundTraffic>);
 
 /// An admitted session: its opened record, engine, spec and admission time.
 type Job<'s> = (Completion, Box<dyn SessionEngine>, &'s SessionSpec, Instant);
+
+/// The job channel's receiving end, shared by the workers and the driver.
+type Jobs<'s> = Mutex<mpsc::Receiver<Job<'s>>>;
 
 /// Opens a session's record at admission. Every heap buffer that outlives
 /// the session — the decision vectors here, the traffic vector beside it —
@@ -122,18 +133,32 @@ fn run_session(
     traffic.extend_from_slice(&run.round_traffic);
 }
 
+/// Runs one job, on a worker or on the driver, and clocks it from
+/// admission. A session whose engine panics reports its record unfilled:
+/// no rounds, no decisions, its wall time.
+fn run_job((mut done, engine, spec, admitted): Job<'_>) -> Completion {
+    let _ = catch_unwind(AssertUnwindSafe(|| run_session(&mut done, engine, spec)));
+    done.0.wall_seconds = admitted.elapsed().as_secs_f64();
+    done
+}
+
 /// A worker: runs jobs until the driver closes the job channel and it is
-/// drained. A session whose engine panics reports its record unfilled —
-/// no rounds, no decisions, its wall time — and the worker goes on. No
-/// panic can poison the lock: it is held only across `recv`.
-fn work(jobs: &Mutex<mpsc::Receiver<Job<'_>>>, completions: &mpsc::Sender<Completion>) {
-    while let Some((mut done, engine, spec, admitted)) =
-        jobs.lock().ok().and_then(|jobs| jobs.recv().ok())
-    {
-        let _ = catch_unwind(AssertUnwindSafe(|| run_session(&mut done, engine, spec)));
-        done.0.wall_seconds = admitted.elapsed().as_secs_f64();
-        let _ = completions.send(done);
+/// drained. No panic can poison the lock: it is held only across `recv`.
+fn work(jobs: &Jobs<'_>, completions: &mpsc::Sender<Completion>) {
+    while let Some(job) = jobs.lock().ok().and_then(|jobs| jobs.recv().ok()) {
+        let _ = completions.send(run_job(job));
     }
+}
+
+/// The driver's wait for one completion: one that is already there, else
+/// the oldest queued job, run on the driver's own thread, else a block on
+/// the workers. `try_lock`, because an idle worker holds the lock across
+/// its blocking `recv`; the guard drops before the job runs.
+fn next_completion(done: &mpsc::Receiver<Completion>, jobs: &Jobs<'_>) -> Option<Completion> {
+    let queued = || jobs.try_lock().ok()?.try_recv().ok();
+    (done.try_recv().ok())
+        .or_else(|| queued().map(run_job))
+        .or_else(|| done.recv_timeout(STALL_TIMEOUT).ok())
 }
 
 /// Retires one completed session: frees its slot, folds its per-round
@@ -155,8 +180,8 @@ fn retire(
     report.outcomes.push(outcome);
 }
 
-/// Runs every spec to completion on a pool of worker threads and returns
-/// the aggregate [`ServiceReport`].
+/// Runs every spec to completion on a pool of worker threads and on the
+/// calling thread, and returns the aggregate [`ServiceReport`].
 ///
 /// Sessions are admitted in spec order, at most
 /// [`ServiceConfig::capacity`] in flight; each runs its stack over
@@ -170,8 +195,9 @@ fn retire(
 ///
 /// Returns [`EbaError::InvalidInput`] when a spec fails to build (unknown
 /// stack, bad shape, inadmissible pattern — prefixed `session <i>:`),
-/// or when the service stalls (30 s with no
-/// completion, which indicates a runtime bug, not a protocol outcome).
+/// or when the driver, with no session queued for it to run, waits 30 s
+/// for a worker's completion: a slow session, once it ends. A hung engine
+/// hangs the call, since the pool is joined before it returns.
 pub fn run_service(
     specs: &[SessionSpec],
     config: &ServiceConfig,
@@ -190,7 +216,7 @@ pub fn run_service(
         for completions in vec![completion_tx; workers] {
             scope.spawn(move || work(jobs, &completions));
         }
-        drive(specs, config, job_tx, completion_rx)
+        drive(specs, config, job_tx, jobs, completion_rx)
     })?;
     report.service_seconds = t0.elapsed().as_secs_f64();
     report.workers = workers;
@@ -211,12 +237,14 @@ pub fn run_service(
     Ok(report)
 }
 
-/// The driver: admits specs in order, hands each session to the workers
-/// and retires it. Its channel ends drop on return, so the workers stop.
+/// The driver: admits specs in order, queues each session for the workers,
+/// runs queued sessions itself while it waits, and retires them. Its
+/// channel ends drop on return, so the workers stop.
 fn drive<'s>(
     specs: &'s [SessionSpec],
     config: &ServiceConfig,
     jobs: mpsc::Sender<Job<'s>>,
+    queued: &Jobs<'s>,
     completions: mpsc::Receiver<Completion>,
 ) -> Result<ServiceReport, EbaError> {
     let stalled = |in_flight| {
@@ -224,11 +252,7 @@ fn drive<'s>(
             "service stalled: no completion within {STALL_TIMEOUT:?} with {in_flight} sessions in flight"
         ))
     };
-    let next = |in_flight| {
-        completions
-            .recv_timeout(STALL_TIMEOUT)
-            .map_err(|_| stalled(in_flight))
-    };
+    let next = |in_flight| next_completion(&completions, queued).ok_or_else(|| stalled(in_flight));
     let mut table: SessionTable<usize> = SessionTable::with_capacity(config.capacity.max(1));
     let mut report = ServiceReport::default();
     for (spec_index, spec) in specs.iter().enumerate() {
@@ -376,30 +400,60 @@ mod tests {
     #[test]
     fn a_panicking_session_leaves_its_worker_serving_the_next_job() {
         let spec = spec_for("E_fip/P_opt", false);
-        let mut table = SessionTable::with_capacity(2);
-        let (job_tx, job_rx) = mpsc::channel();
-        let (completion_tx, completion_rx) = mpsc::channel();
-        let engines: [Box<dyn SessionEngine>; 2] =
-            [Box::new(Panicking), spec.build_engine().unwrap()];
-        for (spec_index, engine) in engines.into_iter().enumerate() {
-            let record = open_outcome(table.insert(spec_index).unwrap(), spec_index, &spec);
-            let job = (record, engine, &spec, Instant::now());
-            job_tx.send(job).unwrap();
+        // The same two jobs through the worker loop, then through the
+        // driver's wait with no worker to take them.
+        for on_driver in [false, true] {
+            let mut table = SessionTable::with_capacity(2);
+            let (job_tx, job_rx) = mpsc::channel();
+            let (completion_tx, completion_rx) = mpsc::channel();
+            let engines: [Box<dyn SessionEngine>; 2] =
+                [Box::new(Panicking), spec.build_engine().unwrap()];
+            for (spec_index, engine) in engines.into_iter().enumerate() {
+                let record = open_outcome(table.insert(spec_index).unwrap(), spec_index, &spec);
+                let job = (record, engine, &spec, Instant::now());
+                job_tx.send(job).unwrap();
+            }
+            drop(job_tx);
+            let jobs = Mutex::new(job_rx);
+            let done: Vec<Completion> = if on_driver {
+                (0..2)
+                    .map(|_| next_completion(&completion_rx, &jobs).unwrap())
+                    .collect()
+            } else {
+                work(&jobs, &completion_tx);
+                drop(completion_tx);
+                completion_rx.iter().collect()
+            };
+            assert_eq!(done.len(), 2, "the panicking session completes too");
+            let (failed, traffic) = &done[0];
+            assert_eq!((failed.spec_index, failed.rounds), (0, 0));
+            assert!(failed.decision_rounds.is_empty() && failed.decision_values.is_empty());
+            assert_eq!(failed.decided_round, None);
+            assert!(traffic.is_empty());
+            let (outcome, traffic) = &done[1];
+            assert_eq!(outcome.spec_index, 1);
+            assert!(outcome.decided_round.is_some());
+            assert_eq!(traffic.len(), outcome.rounds as usize);
         }
-        drop(job_tx);
-        work(&Mutex::new(job_rx), &completion_tx);
-        drop(completion_tx);
-        let done: Vec<Completion> = completion_rx.iter().collect();
-        assert_eq!(done.len(), 2, "the panicking session completes too");
-        let (failed, traffic) = &done[0];
-        assert_eq!((failed.spec_index, failed.rounds), (0, 0));
-        assert!(failed.decision_rounds.is_empty() && failed.decision_values.is_empty());
-        assert_eq!(failed.decided_round, None);
-        assert!(traffic.is_empty());
-        let (outcome, traffic) = &done[1];
-        assert_eq!(outcome.spec_index, 1);
-        assert!(outcome.decided_round.is_some());
-        assert_eq!(traffic.len(), outcome.rounds as usize);
+    }
+
+    #[test]
+    fn the_driver_runs_every_session_when_no_pool_thread_takes_one() {
+        // No worker is spawned; the unused sender keeps the completion
+        // channel open, so a driver that only waits on it stalls.
+        let specs: Vec<SessionSpec> = (0..64)
+            .map(|_| spec_for("E_basic/P_basic", false))
+            .collect();
+        let config = ServiceConfig {
+            workers: 0,
+            capacity: 4,
+            ..Default::default()
+        };
+        let (job_tx, job_rx) = mpsc::channel();
+        let (_unused, completion_rx) = mpsc::channel();
+        let report = drive(&specs, &config, job_tx, &Mutex::new(job_rx), completion_rx).unwrap();
+        assert_eq!(report.outcomes.len(), 64);
+        assert_eq!((report.deferrals, report.peak_in_flight), (60, 4));
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub struct EstimateCliConfig {
     pub scheme: SampleScheme,
     /// Run horizon; defaults to the instance's `default_horizon()`.
     pub horizon: Option<u32>,
-    /// Worker threads (`--workers`; 0 = auto).
+    /// Threads, the calling one included (`--workers`; 0 = auto).
     pub workers: usize,
     /// Cross-validate against the exact reference (`--self-check`).
     pub self_check: bool,

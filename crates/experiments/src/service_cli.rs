@@ -37,8 +37,8 @@ pub struct LoadConfig {
     pub seed: u64,
     /// Per-message drop probability of the sampled adversaries.
     pub drop_prob: f64,
-    /// Pool threads beside the driver, which also runs sessions while it
-    /// waits (`0` = one per core).
+    /// Pool threads beside the calling thread, which runs sessions too
+    /// (`0` = one per core).
     pub workers: usize,
     /// Session-table capacity (the concurrency level).
     pub capacity: usize,
@@ -167,7 +167,7 @@ pub fn oracle_verdict(report: &ServiceReport) -> Result<(), String> {
 ///
 /// # Errors
 ///
-/// Propagates [`run_service`] errors (bad spec, stalled runtime) and
+/// Propagates [`run_service`] errors (a spec that does not build) and
 /// invalid `(n, t)`.
 pub fn run_load(config: &LoadConfig) -> Result<(ServiceReport, Table), EbaError> {
     let specs = synthetic_mix(config)?;
@@ -242,13 +242,16 @@ mod tests {
             assert_eq!(x.stack, y.stack);
             assert_eq!(x.inits, y.inits);
         }
-        // All 16 stack × model combinations appear in the mix.
-        let distinct: std::collections::BTreeSet<&str> =
-            a.iter().map(|s| s.stack.as_str()).collect();
-        assert_eq!(distinct.len(), 16);
 
         let (report, _) = run_load(&config).unwrap();
         assert_eq!(report.outcomes.len(), 64);
+        // Outcomes come back in spec order, and a session's stack is its
+        // spec's: all 16 stack × model combinations ran.
+        assert!((0..64).eq(report.outcomes.iter().map(|o| o.spec_index)));
+        let distinct: std::collections::BTreeSet<&str> = (report.outcomes.iter())
+            .map(|o| a[o.spec_index].stack.as_str())
+            .collect();
+        assert_eq!(distinct.len(), 16);
         assert_eq!(report.decided_sessions(), 64);
         assert!(report.oracle_checked >= 64 / 8);
         assert_eq!(report.oracle_mismatches, 0);

@@ -1,32 +1,33 @@
 #![warn(missing_docs)]
 
 //! Multiplexed consensus service: thousands of concurrent EBA sessions,
-//! each a run-to-completion task on a fixed worker pool and the caller.
+//! each run to completion on one thread of a fixed pool or on the caller.
 //!
 //! `eba-transport` holds the round engine and the loop that drives one
 //! session to its horizon; this crate runs arbitrarily many of those
-//! loops — each its own stack, failure pattern, and horizon — on scoped
-//! worker threads fed by one job channel and reporting on one completion
-//! channel (`std::sync::mpsc`), and on the driver while it waits, bounded
-//! by a session table:
+//! loops — each its own stack, failure pattern, and horizon — on the
+//! workspace's one ordered parallel map
+//! ([`Parallelism::for_each_ordered_within`](eba_sim::runner::Parallelism::for_each_ordered_within)),
+//! whose window of `capacity` sessions is the admission bound:
 //!
 //! * [`SessionSpec`] describes one session and compiles
 //!   ([`SessionSpec::build_engine`]) into `eba-transport`'s type-erased
 //!   [`SessionEngine`] (re-exported here), stepping the stack one
 //!   synchronous round at a time over encoded wire frames.
-//! * [`SessionTable`] is the dense `SessionId(u32)` arena bounding how
-//!   many sessions are live — admission control blocks (and counts a
-//!   deferral) when it is full.
-//! * [`run_service`] drives a batch: each admitted session is one job
-//!   that runs its engine to the horizon on a pool worker, or on the
-//!   driver when it would otherwise wait for a completion
+//! * [`run_service`] drives a batch: a pool thread, or the calling thread
+//!   while the session it retires next is not done, takes the lowest spec
+//!   in the window, builds its engine, runs it to the horizon
 //!   ([`run_engine`](eba_transport::run_engine), its omissions injected
-//!   inline) and reports once; the driver folds every session's
+//!   inline) and records it; the calling thread retires the sessions in
+//!   spec order, admitting one more each time, and folds every session's
 //!   [`RoundTraffic`](eba_transport::RoundTraffic) — the same counters
-//!   the loopback `ClusterSummary` carries.
+//!   the loopback `ClusterSummary` carries. There are no channels and no
+//!   timeout: a hung engine hangs the call.
 //! * [`ServiceReport`] aggregates decisions, drop counts, backpressure
 //!   deferrals, and the verdict of sampled oracle cross-checks against
 //!   the lockstep simulator (`Scenario::run`).
+//! * [`SessionTable`], a dense `SessionId(u32)` slot arena, is not on the
+//!   service's path; it stays public for the benchmark's layer probes.
 //!
 //! ```
 //! use eba_core::prelude::*;

@@ -7,23 +7,17 @@ use eba_transport::RoundTraffic;
 
 use eba_core::types::Value;
 
-use crate::table::SessionId;
-
-/// The terminal record of one session. The driver opens it at admission
-/// and the thread that runs it, a worker or the driver, fills it in once
-/// the engine reaches its horizon. A session whose engine panicked
-/// completes with the record as it was opened: no rounds, no frames,
-/// empty decision vectors, `decided_round` `None`, and only its wall time
-/// filled in.
-#[derive(Clone, Debug)]
+/// The terminal record of one session, filled in by the thread that ran
+/// it once the engine reaches its horizon; the calling thread adds the
+/// wall time as it retires the session. A session whose engine panicked
+/// completes unfilled: no rounds, no frames, empty decision vectors,
+/// `decided_round` `None`, and only its wall time filled in.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SessionOutcome {
-    /// The (recycled) table slot the session ran in.
-    pub id: SessionId,
-    /// Index of the session's spec in the submitted batch — stable across
-    /// slot reuse, and the key for oracle cross-checks.
+    /// Index of the session's spec in the submitted batch — the one name
+    /// of a session, and the key for oracle cross-checks. Its stack is
+    /// `specs[spec_index].stack`.
     pub spec_index: usize,
-    /// Qualified stack name (`E_fip/P_opt@crash`).
-    pub stack: String,
     /// Per-agent first decision round (lockstep convention: the round
     /// after the acting round); empty if the engine panicked.
     pub decision_rounds: Vec<Option<u32>>,
@@ -39,28 +33,31 @@ pub struct SessionOutcome {
     pub frames_sent: u64,
     /// Frames the session's failure pattern suppressed.
     pub frames_dropped: u64,
-    /// Wall-clock seconds from the session's admission (the driver's
-    /// clock, taken as it enters the table) to its completion report —
-    /// includes the wait for a thread behind the sessions admitted
-    /// before it, so the percentiles over these reflect observed service
-    /// latency, not isolated session cost.
+    /// Wall-clock seconds from the session's admission (taken as it
+    /// enters the window) to the end of its run — includes the wait for a
+    /// thread behind the sessions admitted before it, so the percentiles
+    /// over these reflect observed service latency, not isolated session
+    /// cost.
     pub wall_seconds: f64,
 }
 
 /// The aggregate outcome of a [`run_service`](crate::run_service) batch.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceReport {
-    /// One outcome per admitted session, in completion order.
+    /// One outcome per admitted session, in spec order.
     pub outcomes: Vec<SessionOutcome>,
     /// Sessions admitted (equals the submitted batch when nothing errors).
     pub admitted: usize,
-    /// Times admission had to wait for a completion because the session
-    /// table was full — the backpressure counter.
+    /// Sessions whose admission waited for an earlier one to retire
+    /// because the window was full — the backpressure counter:
+    /// `specs − capacity`, or 0 when the batch fits the window.
     pub deferrals: u64,
-    /// Highest number of concurrently live sessions observed.
+    /// Most sessions admitted and not yet retired at once:
+    /// `min(specs, capacity)`, since the window fills before any session
+    /// retires.
     pub peak_in_flight: usize,
     /// Service-wide per-round sent/delivered counters (index = round),
-    /// folded from every session as the driver retires it — the same
+    /// folded from every session as the calling thread retires it — the same
     /// shape the loopback `ClusterSummary` reports per run.
     pub round_traffic: Vec<RoundTraffic>,
     /// Wall-clock seconds of the multiplexed phase (admission through
@@ -72,10 +69,10 @@ pub struct ServiceReport {
     /// oracle (must be zero; nonzero means a runtime bug, such as a
     /// session whose engine panicked).
     pub oracle_mismatches: usize,
-    /// Pool threads the service ran beside the calling thread, which also
-    /// runs sessions while it waits — the *resolved* count, not the
-    /// configured one (a `workers: 0` config resolves to the machine's
-    /// available parallelism).
+    /// Pool threads the service ran beside the calling thread, which runs
+    /// sessions too — the *resolved* count, not the configured one (a
+    /// `workers: 0` config resolves to the machine's available
+    /// parallelism).
     pub workers: usize,
 }
 
@@ -121,16 +118,10 @@ mod tests {
 
     fn outcome(spec_index: usize, decided_round: Option<u32>) -> SessionOutcome {
         SessionOutcome {
-            id: crate::SessionId::from_raw_for_tests(0),
             spec_index,
-            stack: "E_min/P_min".into(),
-            decision_rounds: vec![],
-            decision_values: vec![],
             decided_round,
             rounds: 4,
-            frames_sent: 0,
-            frames_dropped: 0,
-            wall_seconds: 0.0,
+            ..Default::default()
         }
     }
 

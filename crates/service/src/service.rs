@@ -1,39 +1,36 @@
-//! The multiplexed service runtime: sessions run to completion on scoped
-//! worker threads and on the driver, admission control at the driver.
+//! The multiplexed service runtime: each session runs to completion on
+//! one thread, and sessions retire in spec order.
 //!
 //! ```text
-//!   driver ──job channel──▶ `workers` threads (one `run_engine` per job)
-//!    ▲ └─ while it waits, runs queued jobs │ on its own thread too
-//!    └─────── completion channel ──────────┘  (outcome, round traffic)
+//!   specs ──▶ Parallelism::for_each_ordered_within(capacity, …)
+//!               produce(i): build → run_engine → record   pool threads
+//!                           → drop the engine              and the caller
+//!               consume:    admit i + capacity, retire i   the caller
 //! ```
 //!
 //! * A failure pattern is fixed before round 1 and a stack is
 //!   deterministic, so a session has nothing to wait for between rounds.
-//!   A worker takes an admitted session off the job channel, whose
-//!   receiver the workers share behind a `Mutex`, runs its
-//!   [`SessionEngine`] to the horizon with [`run_engine`] — omissions
-//!   injected inline from its spec's failure pattern — and sends back
-//!   the [`SessionOutcome`] and its per-round [`RoundTraffic`].
-//! * The driver admits specs while the [`SessionTable`] has room. A spec
-//!   that finds it full waits for one completion (a *deferral*, the
-//!   backpressure signal); while it waits, and as it drains the batch, it
-//!   runs the oldest queued session itself if no completion is there, and
-//!   blocks on the workers only when none is queued. Each retired
-//!   session's traffic is folded into [`ServiceReport::round_traffic`].
+//!   [`run_service`] is one call of the workspace's ordered parallel map,
+//!   [`Parallelism::for_each_ordered_within`], with a window of
+//!   [`ServiceConfig::capacity`] sessions: `workers` pool threads and the
+//!   calling thread each claim the lowest spec in the window that nobody
+//!   has, build its [`SessionEngine`], run it to the horizon with
+//!   [`run_engine`] — omissions injected inline from its spec's failure
+//!   pattern — fill in its [`SessionOutcome`] and drop the engine. The
+//!   calling thread retires the sessions in spec order, folding each
+//!   one's per-round [`RoundTraffic`] into [`ServiceReport::round_traffic`],
+//!   and runs sessions itself while the one it retires next is not done.
+//! * Admission is the window: spec `i` is admitted at the start when
+//!   `i < capacity`, otherwise when spec `i − capacity` retires — the
+//!   spec that waited for it is a *deferral*, the backpressure signal.
 //!
-//! Deadlock freedom: both channels are unbounded, so no send blocks, and
-//! at most `capacity` sessions are in flight. A 30 s stall timeout bounds
-//! the driver's block on the workers: it turns a worker's session slower
-//! than that into an error once the session ends. It stops no hung engine
-//! (the pool is joined before [`run_service`] returns), and a session the
-//! driver runs has no timeout at all. A session whose engine panics is
-//! caught where it runs and still completes, with its record as the
-//! driver opened it: no rounds and no decisions.
+//! A session whose engine panics is caught where it runs and completes
+//! unfilled: no rounds and no decisions. Nothing times a session out: a
+//! hung engine hangs the call, on whichever thread it runs.
 
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
-use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use eba_core::context::error_message;
 use eba_core::types::EbaError;
@@ -42,16 +39,16 @@ use eba_transport::{run_engine, RoundTraffic, SessionEngine};
 
 use crate::engine::SessionSpec;
 use crate::report::{ServiceReport, SessionOutcome};
-use crate::table::{SessionId, SessionTable};
 
 /// Tuning knobs for [`run_service`].
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Worker threads in the pool (`0` = one per available core), beside
-    /// the calling thread, which also runs sessions while it waits for a
-    /// completion: `0` keeps one thread more than the cores busy.
+    /// Pool threads beside the calling thread, which runs sessions too
+    /// (`0` = one per available core, as [`Parallelism::Auto`] resolves:
+    /// one thread more than the cores).
     pub workers: usize,
-    /// Session table capacity — the maximum concurrently live sessions.
+    /// The admission window — the maximum sessions admitted and not yet
+    /// retired (`0` is treated as 1).
     pub capacity: usize,
     /// Cross-check every `k`-th admitted session's decision vector
     /// against the lockstep simulator (`Scenario::run`: same round kernel,
@@ -70,134 +67,72 @@ impl Default for ServiceConfig {
     }
 }
 
-/// How long [`drive`] blocks on the workers for a completion before
-/// declaring the service stalled. A worker's session slower than this
-/// turns into an error once it ends; a hung one hangs the call.
-const STALL_TIMEOUT: Duration = Duration::from_secs(30);
+/// What a session reports when it is done: its outcome, its per-round
+/// traffic (index = round), and when its thread started and finished it.
+type Completion = (SessionOutcome, Vec<RoundTraffic>, Range<Instant>);
 
-/// What a session reports when it is done: its outcome and its
-/// per-round traffic (index = round).
-type Completion = (SessionOutcome, Vec<RoundTraffic>);
-
-/// An admitted session: its opened record, engine, spec and admission time.
-type Job<'s> = (Completion, Box<dyn SessionEngine>, &'s SessionSpec, Instant);
-
-/// The job channel's receiving end, shared by the workers and the driver.
-type Jobs<'s> = Mutex<mpsc::Receiver<Job<'s>>>;
-
-/// Opens a session's record at admission. Every heap buffer that outlives
-/// the session — the decision vectors here, the traffic vector beside it —
-/// is allocated by the driver and only filled by the worker, so the thread
-/// that frees it (the driver at retirement, the caller with the report)
-/// is the thread that allocated it. Under an allocator with per-thread
-/// arenas (glibc), buffers allocated on a worker and freed by the caller
-/// seed the caller's free lists with chunks of the worker's arena, and
-/// the caller's next growing `Vec`s then grow there instead of reusing
-/// its own freed memory: the process's peak RSS swung by 5 MiB from one
-/// run to the next.
-fn open_outcome(id: SessionId, spec_index: usize, spec: &SessionSpec) -> Completion {
-    let n = spec.params.n();
-    let outcome = SessionOutcome {
-        id,
-        spec_index,
-        stack: spec.stack.clone(),
-        decision_values: Vec::with_capacity(n),
-        decision_rounds: Vec::with_capacity(n),
-        decided_round: None,
-        rounds: 0,
-        frames_sent: 0,
-        frames_dropped: 0,
-        wall_seconds: 0.0,
-    };
-    (outcome, Vec::with_capacity(spec.horizon as usize))
+/// Builds spec `spec_index`'s engine and runs its session.
+fn serve(spec_index: usize, spec: &SessionSpec) -> Result<Completion, EbaError> {
+    let started = Instant::now();
+    let engine = spec.build_engine().map_err(|e| {
+        EbaError::InvalidInput(format!("session {spec_index}: {}", error_message(&e)))
+    })?;
+    let (outcome, traffic) = run_session(spec_index, engine, spec);
+    Ok((outcome, traffic, started..Instant::now()))
 }
 
-/// Runs a session's engine to its horizon and fills in the record the
-/// driver opened.
+/// Runs a session's engine to its horizon and records it. The engine is
+/// dropped on the thread that built it and ran it, so every buffer it
+/// allocated is freed there. A session whose engine panics reports its
+/// record unfilled: no rounds, no frames, no decisions.
 fn run_session(
-    (outcome, traffic): &mut Completion,
+    spec_index: usize,
     mut engine: Box<dyn SessionEngine>,
     SessionSpec { pattern, .. }: &SessionSpec,
-) {
-    let run = run_engine(engine.as_mut(), pattern);
-    outcome.decided_round = pattern
+) -> (SessionOutcome, Vec<RoundTraffic>) {
+    let run = catch_unwind(AssertUnwindSafe(|| run_engine(engine.as_mut(), pattern)));
+    let Ok(run) = run else {
+        let outcome = SessionOutcome {
+            spec_index,
+            ..Default::default()
+        };
+        return (outcome, Vec::new());
+    };
+    let decided_round = pattern
         .nonfaulty()
         .iter()
         .map(|a| run.decision_rounds[a.index()])
         .try_fold(0u32, |acc, r| r.map(|r| acc.max(r)));
-    outcome.decision_values.extend(&run.decision_values);
-    outcome.decision_rounds.extend(&run.decision_rounds);
-    outcome.rounds = run.rounds;
-    outcome.frames_sent = run.frames_sent;
-    outcome.frames_dropped = run.round_traffic.iter().map(RoundTraffic::dropped).sum();
-    traffic.extend_from_slice(&run.round_traffic);
-}
-
-/// Runs one job, on a worker or on the driver, and clocks it from
-/// admission. A session whose engine panics reports its record unfilled:
-/// no rounds, no decisions, its wall time.
-fn run_job((mut done, engine, spec, admitted): Job<'_>) -> Completion {
-    let _ = catch_unwind(AssertUnwindSafe(|| run_session(&mut done, engine, spec)));
-    done.0.wall_seconds = admitted.elapsed().as_secs_f64();
-    done
-}
-
-/// A worker: runs jobs until the driver closes the job channel and it is
-/// drained. No panic can poison the lock: it is held only across `recv`.
-fn work(jobs: &Jobs<'_>, completions: &mpsc::Sender<Completion>) {
-    while let Some(job) = jobs.lock().ok().and_then(|jobs| jobs.recv().ok()) {
-        let _ = completions.send(run_job(job));
-    }
-}
-
-/// The driver's wait for one completion: one that is already there, else
-/// the oldest queued job, run on the driver's own thread, else a block on
-/// the workers. `try_lock`, because an idle worker holds the lock across
-/// its blocking `recv`; the guard drops before the job runs.
-fn next_completion(done: &mpsc::Receiver<Completion>, jobs: &Jobs<'_>) -> Option<Completion> {
-    let queued = || jobs.try_lock().ok()?.try_recv().ok();
-    (done.try_recv().ok())
-        .or_else(|| queued().map(run_job))
-        .or_else(|| done.recv_timeout(STALL_TIMEOUT).ok())
-}
-
-/// Retires one completed session: frees its slot, folds its per-round
-/// traffic into the service-wide counters and files its outcome.
-fn retire(
-    (outcome, traffic): Completion,
-    table: &mut SessionTable<usize>,
-    report: &mut ServiceReport,
-) {
-    table.remove(outcome.id);
-    if report.round_traffic.len() < traffic.len() {
-        report
-            .round_traffic
-            .resize(traffic.len(), RoundTraffic::default());
-    }
-    for (total, round) in report.round_traffic.iter_mut().zip(&traffic) {
-        total.absorb(round);
-    }
-    report.outcomes.push(outcome);
+    let outcome = SessionOutcome {
+        spec_index,
+        decided_round,
+        rounds: run.rounds,
+        frames_sent: run.frames_sent,
+        frames_dropped: run.round_traffic.iter().map(RoundTraffic::dropped).sum(),
+        decision_rounds: run.decision_rounds,
+        decision_values: run.decision_values,
+        wall_seconds: 0.0,
+    };
+    (outcome, run.round_traffic)
 }
 
 /// Runs every spec to completion on a pool of worker threads and on the
-/// calling thread, and returns the aggregate [`ServiceReport`].
+/// calling thread, and returns the aggregate [`ServiceReport`], its
+/// outcomes in spec order.
 ///
 /// Sessions are admitted in spec order, at most
-/// [`ServiceConfig::capacity`] in flight; each runs its stack over
-/// encoded wire frames with omissions injected from its own failure
-/// pattern. With [`ServiceConfig::oracle_stride`] set, every `k`-th
-/// admitted session's decision vector is re-derived by the lockstep
+/// [`ServiceConfig::capacity`] admitted and not yet retired; each runs its
+/// stack over encoded wire frames with omissions injected from its own
+/// failure pattern. With [`ServiceConfig::oracle_stride`] set, every
+/// `k`-th admitted session's decision vector is re-derived by the lockstep
 /// simulator (`Scenario::run`) and compared — the same
 /// oracle-confirmation discipline the fuzzer and query engine use.
 ///
 /// # Errors
 ///
-/// Returns [`EbaError::InvalidInput`] when a spec fails to build (unknown
-/// stack, bad shape, inadmissible pattern — prefixed `session <i>:`),
-/// or when the driver, with no session queued for it to run, waits 30 s
-/// for a worker's completion: a slow session, once it ends. A hung engine
-/// hangs the call, since the pool is joined before it returns.
+/// Returns [`EbaError::InvalidInput`] for the first spec, in spec order,
+/// that fails to build (unknown stack, bad shape, inadmissible pattern —
+/// prefixed `session <i>:`). A hung engine hangs the call.
 pub fn run_service(
     specs: &[SessionSpec],
     config: &ServiceConfig,
@@ -206,20 +141,43 @@ pub fn run_service(
         0 => Parallelism::Auto.worker_count(),
         workers => workers,
     };
-    let (job_tx, job_rx) = mpsc::channel();
-    let jobs = Mutex::new(job_rx);
-    let (completion_tx, completion_rx) = mpsc::channel();
+    let capacity = config.capacity.max(1);
+    let mut report = ServiceReport {
+        admitted: specs.len(),
+        deferrals: specs.len().saturating_sub(capacity) as u64,
+        peak_in_flight: specs.len().min(capacity),
+        workers,
+        ..Default::default()
+    };
     let t0 = Instant::now();
-    let mut report = thread::scope(|scope| {
-        let jobs = &jobs;
-        // Each worker gets its own completion sender; the driver keeps none.
-        for completions in vec![completion_tx; workers] {
-            scope.spawn(move || work(jobs, &completions));
+    // When each session in the window was admitted: spec `i` in slot
+    // `i % capacity`, which spec `i + capacity` takes over as `i` retires.
+    // That clock is read after the window let `i + capacity` in, so the
+    // session may have started first: its start then bounds its admission.
+    let mut admitted = vec![t0; report.peak_in_flight];
+    let retire = |done: Result<Completion, EbaError>| {
+        let (mut outcome, traffic, ran) = done?;
+        let admission = &mut admitted[outcome.spec_index % capacity];
+        outcome.wall_seconds = (ran.end - ran.start.min(*admission)).as_secs_f64();
+        *admission = Instant::now();
+        if report.round_traffic.len() < traffic.len() {
+            report
+                .round_traffic
+                .resize(traffic.len(), RoundTraffic::default());
         }
-        drive(specs, config, job_tx, jobs, completion_rx)
-    })?;
+        for (total, round) in report.round_traffic.iter_mut().zip(&traffic) {
+            total.absorb(round);
+        }
+        report.outcomes.push(outcome);
+        Ok(())
+    };
+    Parallelism::Fixed(workers + 1).for_each_ordered_within(
+        capacity,
+        specs.len(),
+        |i| serve(i, &specs[i]),
+        retire,
+    )?;
     report.service_seconds = t0.elapsed().as_secs_f64();
-    report.workers = workers;
 
     if let Some(stride) = config.oracle_stride {
         let stride = stride.max(1);
@@ -233,45 +191,6 @@ pub fn run_service(
                 report.oracle_mismatches += 1;
             }
         }
-    }
-    Ok(report)
-}
-
-/// The driver: admits specs in order, queues each session for the workers,
-/// runs queued sessions itself while it waits, and retires them. Its
-/// channel ends drop on return, so the workers stop.
-fn drive<'s>(
-    specs: &'s [SessionSpec],
-    config: &ServiceConfig,
-    jobs: mpsc::Sender<Job<'s>>,
-    queued: &Jobs<'s>,
-    completions: mpsc::Receiver<Completion>,
-) -> Result<ServiceReport, EbaError> {
-    let stalled = |in_flight| {
-        EbaError::InvalidInput(format!(
-            "service stalled: no completion within {STALL_TIMEOUT:?} with {in_flight} sessions in flight"
-        ))
-    };
-    let next = |in_flight| next_completion(&completions, queued).ok_or_else(|| stalled(in_flight));
-    let mut table: SessionTable<usize> = SessionTable::with_capacity(config.capacity.max(1));
-    let mut report = ServiceReport::default();
-    for (spec_index, spec) in specs.iter().enumerate() {
-        let engine = spec.build_engine().map_err(|e| {
-            EbaError::InvalidInput(format!("session {spec_index}: {}", error_message(&e)))
-        })?;
-        if table.is_full() {
-            report.deferrals += 1;
-            retire(next(table.len())?, &mut table, &mut report);
-        }
-        let id = table.insert(spec_index).expect("table has room");
-        report.admitted += 1;
-        report.peak_in_flight = report.peak_in_flight.max(table.len());
-        let record = open_outcome(id, spec_index, spec);
-        let sent = jobs.send((record, engine, spec, Instant::now()));
-        sent.map_err(|_| stalled(table.len()))?;
-    }
-    while !table.is_empty() {
-        retire(next(table.len())?, &mut table, &mut report);
     }
     Ok(report)
 }
@@ -350,18 +269,21 @@ mod tests {
 
     #[test]
     fn session_walls_are_clocked_from_admission() {
-        // One worker and a table as large as the batch: the driver admits
-        // all 256 sessions before it retires any, so the last
-        // session to run waited behind most of the batch. A clock started
-        // when a worker picks the session up would read the ~10 µs it takes
-        // to run — a hundredth of the service time, not a quarter.
+        // One pool thread and a window as large as the batch: all 256
+        // sessions are admitted at the start, so the last session to run
+        // waited behind most of the batch. A clock started when a thread
+        // picks the session up would read the ~10 µs it takes to run — a
+        // hundredth of the service time, not a quarter.
         let specs: Vec<SessionSpec> = (0..256).map(|_| spec_for("E_fip/P_opt", false)).collect();
-        let config = ServiceConfig {
-            workers: 1,
-            capacity: specs.len(),
-            ..Default::default()
+        let run = |capacity| {
+            let config = ServiceConfig {
+                workers: 1,
+                capacity,
+                ..Default::default()
+            };
+            run_service(&specs, &config).unwrap()
         };
-        let report = run_service(&specs, &config).unwrap();
+        let report = run(specs.len());
         assert_eq!(report.deferrals, 0);
         let slowest = report
             .outcomes
@@ -371,6 +293,16 @@ mod tests {
         assert!(
             slowest >= report.service_seconds / 4.0,
             "slowest session {slowest} s of {} s",
+            report.service_seconds
+        );
+        // A window of 8: spec `i` is admitted as spec `i − 8` retires, so
+        // the median session waited behind about 8 others, not behind
+        // half the batch, as a clock left at the start would read.
+        let report = run(8);
+        let (p50, _, _) = report.latency_percentiles().unwrap();
+        assert!(
+            p50 < report.service_seconds / 4.0,
+            "median session {p50} s of {} s",
             report.service_seconds
         );
     }
@@ -398,62 +330,67 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_session_leaves_its_worker_serving_the_next_job() {
+    fn a_panicking_session_completes_unfilled_and_the_next_one_decides() {
+        // Two sessions on the two threads of the ordered map, one at a
+        // time through a window of one: whichever thread runs the
+        // panicking one, the next session still runs and decides.
         let spec = spec_for("E_fip/P_opt", false);
-        // The same two jobs through the worker loop, then through the
-        // driver's wait with no worker to take them.
-        for on_driver in [false, true] {
-            let mut table = SessionTable::with_capacity(2);
-            let (job_tx, job_rx) = mpsc::channel();
-            let (completion_tx, completion_rx) = mpsc::channel();
-            let engines: [Box<dyn SessionEngine>; 2] =
-                [Box::new(Panicking), spec.build_engine().unwrap()];
-            for (spec_index, engine) in engines.into_iter().enumerate() {
-                let record = open_outcome(table.insert(spec_index).unwrap(), spec_index, &spec);
-                let job = (record, engine, &spec, Instant::now());
-                job_tx.send(job).unwrap();
+        let mut done = Vec::new();
+        let engine = |i| -> Box<dyn SessionEngine> {
+            match i {
+                0 => Box::new(Panicking),
+                _ => spec.build_engine().unwrap(),
             }
-            drop(job_tx);
-            let jobs = Mutex::new(job_rx);
-            let done: Vec<Completion> = if on_driver {
-                (0..2)
-                    .map(|_| next_completion(&completion_rx, &jobs).unwrap())
-                    .collect()
-            } else {
-                work(&jobs, &completion_tx);
-                drop(completion_tx);
-                completion_rx.iter().collect()
-            };
-            assert_eq!(done.len(), 2, "the panicking session completes too");
-            let (failed, traffic) = &done[0];
-            assert_eq!((failed.spec_index, failed.rounds), (0, 0));
-            assert!(failed.decision_rounds.is_empty() && failed.decision_values.is_empty());
-            assert_eq!(failed.decided_round, None);
-            assert!(traffic.is_empty());
-            let (outcome, traffic) = &done[1];
-            assert_eq!(outcome.spec_index, 1);
-            assert!(outcome.decided_round.is_some());
-            assert_eq!(traffic.len(), outcome.rounds as usize);
-        }
+        };
+        Parallelism::Fixed(2)
+            .for_each_ordered_within(
+                1,
+                2,
+                |i| run_session(i, engine(i), &spec),
+                |c| {
+                    done.push(c);
+                    Ok::<_, EbaError>(())
+                },
+            )
+            .unwrap();
+        assert_eq!(done.len(), 2, "the panicking session completes too");
+        let (failed, traffic) = &done[0];
+        assert_eq!((failed.spec_index, failed.rounds), (0, 0));
+        assert!(failed.decision_rounds.is_empty() && failed.decision_values.is_empty());
+        assert_eq!(failed.decided_round, None);
+        assert!(traffic.is_empty());
+        let (outcome, traffic) = &done[1];
+        assert_eq!(outcome.spec_index, 1);
+        assert!(outcome.decided_round.is_some());
+        assert_eq!(traffic.len(), outcome.rounds as usize);
     }
 
     #[test]
-    fn the_driver_runs_every_session_when_no_pool_thread_takes_one() {
-        // No worker is spawned; the unused sender keeps the completion
-        // channel open, so a driver that only waits on it stalls.
-        let specs: Vec<SessionSpec> = (0..64)
-            .map(|_| spec_for("E_basic/P_basic", false))
+    fn one_batch_yields_equal_outcomes_on_one_and_three_workers() {
+        let specs: Vec<SessionSpec> = (0..96)
+            .map(|i| spec_for(STACK_NAMES[i % STACK_NAMES.len()], i % 3 == 0))
             .collect();
-        let config = ServiceConfig {
-            workers: 0,
-            capacity: 4,
-            ..Default::default()
+        let outcomes = |workers| {
+            let config = ServiceConfig {
+                workers,
+                capacity: 8,
+                ..Default::default()
+            };
+            let report = run_service(&specs, &config).unwrap();
+            let walls_aside = |o| SessionOutcome {
+                wall_seconds: 0.0,
+                ..o
+            };
+            report
+                .outcomes
+                .into_iter()
+                .map(walls_aside)
+                .collect::<Vec<_>>()
         };
-        let (job_tx, job_rx) = mpsc::channel();
-        let (_unused, completion_rx) = mpsc::channel();
-        let report = drive(&specs, &config, job_tx, &Mutex::new(job_rx), completion_rx).unwrap();
-        assert_eq!(report.outcomes.len(), 64);
-        assert_eq!((report.deferrals, report.peak_in_flight), (60, 4));
+        let one = outcomes(1);
+        assert_eq!(one.len(), specs.len());
+        assert!((0..specs.len()).eq(one.iter().map(|o| o.spec_index)));
+        assert_eq!(one, outcomes(3));
     }
 
     #[test]

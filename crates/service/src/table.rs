@@ -1,6 +1,9 @@
 //! The session table: a dense, capacity-bounded slot arena handing out
-//! `SessionId`s — the service's admission-control structure, mirroring the
-//! `StateArena` idiom of `eba-sim` (dense ids, index-addressed slots).
+//! `SessionId`s, in the `StateArena` idiom of `eba-sim` (dense ids,
+//! index-addressed slots). [`run_service`](crate::run_service) does not
+//! use it — its admission window is the ordered map's — and it stays
+//! public only while the benchmark's layer probes time it
+//! (`bench/src/layers.rs`).
 
 /// A dense session handle: the slot index in the [`SessionTable`].
 ///
@@ -18,11 +21,6 @@ impl SessionId {
     /// The raw id, for packing into integer keys.
     pub fn raw(self) -> u32 {
         self.0
-    }
-
-    #[cfg(test)]
-    pub(crate) fn from_raw_for_tests(raw: u32) -> Self {
-        SessionId(raw)
     }
 }
 

@@ -35,7 +35,7 @@
 //! runs across items: the dedup key contains `N`, and every exchange
 //! records the initial value in its time-0 state, so runs from different
 //! initial configurations differ in `states[0]`. The items run on
-//! [`Parallelism::for_each_ordered`]: with more than one worker they are
+//! [`Parallelism::for_each_ordered`]: with more than one thread they are
 //! sharded across threads and handed to the sink in item order, which
 //! reproduces the sequential stream **bit for bit** — errors included:
 //! the consumer meets item errors, the run limit and sink errors at the
@@ -94,10 +94,10 @@
 //! they were interned under; every other sink receives the runs one at a
 //! time, materialised into [`EnumRun`]s as they are handed over. The engine
 //! never holds the whole run set: peak residency is one item
-//! (sequential) or the ordered map's window (parallel) — a worker may
-//! only start an item within `2 × workers` items past the last one the
-//! sink took, so at most that many items are in flight or waiting, and
-//! the lowest unclaimed item is always startable. Collecting is just
+//! (sequential) or the ordered map's window (parallel) — a thread may
+//! only start an item within `2 × (threads + 1)` items past the last one
+//! the sink took, so at most that many items are in flight or waiting,
+//! and the lowest unclaimed item is always startable. Collecting is just
 //! streaming into a `Vec`.
 
 use std::collections::HashSet;

@@ -14,8 +14,8 @@ use eba_core::types::{Action, EbaError, Value};
 
 use crate::enumerate::EnumRun;
 
-/// How much hardware parallelism batch work (exhaustive run enumeration,
-/// Monte Carlo estimation) may use. A single simulated run is always
+/// How much hardware parallelism batch work (run enumeration, Monte Carlo
+/// estimation, service sessions) may use. A single simulated run is always
 /// sequential — rounds are causally ordered — so this only affects APIs
 /// that process many independent runs, such as
 /// [`Scenario::enumerate`](crate::scenario::Scenario::enumerate); they all
@@ -25,16 +25,15 @@ pub enum Parallelism {
     /// Everything on the calling thread (the default).
     #[default]
     Sequential,
-    /// One worker per available hardware thread.
+    /// One thread per available hardware thread, the calling one included.
     Auto,
-    /// Exactly this many workers (`0` is treated as `1`).
+    /// Exactly this many threads, the calling one included (`0` is `1`).
     Fixed(usize),
 }
 
 impl Parallelism {
-    /// The number of worker threads this setting resolves to on the
-    /// current machine — always at least 1; in particular, `Fixed(0)`
-    /// resolves to 1.
+    /// The threads this setting resolves to on this machine, the calling
+    /// one included: always at least 1, so `Fixed(0)` resolves to 1.
     #[must_use]
     pub fn worker_count(self) -> usize {
         match self {
@@ -46,33 +45,47 @@ impl Parallelism {
         }
     }
 
-    /// Feeds `produce(0)`, …, `produce(count - 1)` to `consume` in index
-    /// order and stops at its first error: the result is that of
-    /// `(0..count).map(produce).try_for_each(consume)`, which is what one
-    /// worker runs, inline. With more, scoped threads produce the items
-    /// and the calling thread consumes them. A thread claims the lowest
-    /// unclaimed index once it lies within `2 × workers` items past the
-    /// last one `consume` took, and a finished item waits in its slot
-    /// until every earlier one is taken, so the items in flight never
-    /// outgrow that window. A panic in `produce` or `consume` stops the
-    /// window and is re-raised on the calling thread.
+    /// [`for_each_ordered_within`](Self::for_each_ordered_within) a window
+    /// of two items per thread, plus two: slack for a thread that finishes
+    /// early while a slow one, the caller too, holds the window's low end.
     pub fn for_each_ordered<T: Send, E>(
         self,
         count: usize,
         produce: impl Fn(usize) -> T + Sync,
         consume: impl FnMut(T) -> Result<(), E>,
     ) -> Result<(), E> {
-        let workers = self.worker_count().min(count);
-        if workers <= 1 {
+        let window = 2 * (self.worker_count() + 1);
+        self.for_each_ordered_within(window, count, produce, consume)
+    }
+
+    /// Feeds `produce(0)`, …, `produce(count - 1)` to `consume` in index
+    /// order and stops at its first error: the result is that of
+    /// `(0..count).map(produce).try_for_each(consume)`, which is what one
+    /// thread runs, inline. With more, scoped threads produce the items and
+    /// the calling thread consumes them, producing the lowest unclaimed one
+    /// itself while the one it waits for is not there. An index is claimed
+    /// only within `window` items (at least one) past the last one taken,
+    /// and a finished item waits until every earlier one is taken, so the
+    /// items in flight never outgrow the window. A panic in `produce` or
+    /// `consume` stops the window and is re-raised on the calling thread.
+    pub fn for_each_ordered_within<T: Send, E>(
+        self,
+        window: usize,
+        count: usize,
+        produce: impl Fn(usize) -> T + Sync,
+        consume: impl FnMut(T) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let threads = self.worker_count().min(count);
+        if threads <= 1 {
             return (0..count).map(produce).try_for_each(consume);
         }
-        let window = Window::new(WINDOW_PER_WORKER * workers);
+        let window = Window::new(window.max(1), count);
         std::thread::scope(|scope| {
-            let producers: Vec<_> = (0..workers)
+            let producers: Vec<_> = (1..threads)
                 .map(|_| {
                     scope.spawn(|| {
                         let _stop = StopOnPanic(&window);
-                        while let Some(idx) = window.claim(count) {
+                        while let Some(idx) = window.claim() {
                             window.deposit(idx, produce(idx));
                         }
                     })
@@ -81,7 +94,7 @@ impl Parallelism {
             let _stop = StopOnPanic(&window);
             // The window runs dry only when a producer panicked.
             let result = (0..count)
-                .map_while(|_| window.take_next())
+                .map_while(|_| window.take_next(&produce))
                 .try_for_each(consume);
             window.stop();
             for producer in producers {
@@ -94,41 +107,56 @@ impl Parallelism {
     }
 }
 
-/// Window slots per worker: enough slack that a worker which finishes
-/// early has a next item to start while a slow neighbour holds the
-/// window's low end, small enough that the window stays a handful of
-/// items.
-const WINDOW_PER_WORKER: usize = 2;
-
 /// The bounded reorder buffer of [`Parallelism::for_each_ordered`]:
-/// producers claim indices in order, but only inside
-/// `undelivered..undelivered + slots.len()`, and park a finished item in
-/// the slot `idx % slots.len()` until the consumer has taken every
-/// earlier one.
+/// indices are claimed in order inside `undelivered..undelivered + size`,
+/// and an item waits in slot `idx % size` until every earlier one is taken.
 struct Window<T> {
     state: Mutex<WindowState<T>>,
     changed: Condvar,
 }
 
+type Guard<'a, T> = MutexGuard<'a, WindowState<T>>;
+
 struct WindowState<T> {
-    /// The lowest index no producer has claimed.
+    /// The lowest index no thread has claimed.
     unclaimed: usize,
     /// The lowest index the consumer has not taken.
     undelivered: usize,
+    /// One past the last index.
+    count: usize,
     slots: Vec<Option<T>>,
     /// Set when the consumer is done (finished or failed) or any thread
     /// panicked: nobody waits or claims past it.
     stopped: bool,
+    /// Threads blocked on `changed`, notified only if there are any: a
+    /// `notify_all` costs as much without a waiter.
+    waiting: usize,
+}
+
+impl<T> WindowState<T> {
+    /// Whether the lowest unclaimed index lies inside the window.
+    fn open(&self) -> bool {
+        self.unclaimed < self.count.min(self.undelivered + self.slots.len())
+    }
+
+    /// Claims the lowest unclaimed index if it is inside the window.
+    fn try_claim(&mut self) -> Option<usize> {
+        let claimed = self.open() && !self.stopped;
+        self.unclaimed += usize::from(claimed);
+        claimed.then(|| self.unclaimed - 1)
+    }
 }
 
 impl<T> Window<T> {
-    fn new(size: usize) -> Self {
+    fn new(size: usize, count: usize) -> Self {
         Window {
             state: Mutex::new(WindowState {
                 unclaimed: 0,
                 undelivered: 0,
+                count,
                 slots: (0..size).map(|_| None).collect(),
                 stopped: false,
+                waiting: 0,
             }),
             changed: Condvar::new(),
         }
@@ -137,31 +165,30 @@ impl<T> Window<T> {
     /// The state is a few counters updated in single assignments, valid
     /// at every step, so a poisoned lock (a panic elsewhere, already on
     /// its way out through the scope) is still safe to read and stop.
-    fn lock(&self) -> MutexGuard<'_, WindowState<T>> {
+    fn lock(&self) -> Guard<'_, T> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Locks the state once it is `ready` or the window stopped.
-    fn wait_until(
-        &self,
-        mut ready: impl FnMut(&WindowState<T>) -> bool,
-    ) -> MutexGuard<'_, WindowState<T>> {
-        let blocked = |state: &mut WindowState<T>| !state.stopped && !ready(state);
-        self.changed
-            .wait_while(self.lock(), blocked)
-            .unwrap_or_else(PoisonError::into_inner)
+    /// Locks the state once it is `ready` or the window stopped, counted
+    /// as a waiter while it blocks.
+    fn wait_until(&self, ready: impl Fn(&WindowState<T>) -> bool) -> Guard<'_, T> {
+        let mut state = self.lock();
+        while !state.stopped && !ready(&state) {
+            state.waiting += 1;
+            state = self
+                .changed
+                .wait(state)
+                .unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
+        }
+        state
     }
 
-    /// Claims the lowest unclaimed of `count` indices once it is inside
+    /// A producer's claim: the lowest unclaimed index, once it is inside
     /// the window; `None` when all are claimed or the window stopped.
-    fn claim(&self, count: usize) -> Option<usize> {
-        let mut state = self
-            .wait_until(|s| s.unclaimed >= count || s.unclaimed < s.undelivered + s.slots.len());
-        if state.stopped || state.unclaimed >= count {
-            return None;
-        }
-        state.unclaimed += 1;
-        Some(state.unclaimed - 1)
+    fn claim(&self) -> Option<usize> {
+        self.wait_until(|s| s.unclaimed >= s.count || s.open())
+            .try_claim()
     }
 
     fn deposit(&self, idx: usize, item: T) {
@@ -173,18 +200,31 @@ impl<T> Window<T> {
             "item {idx} finished outside the window"
         );
         state.slots[idx % size] = Some(item);
-        self.changed.notify_all();
+        if state.waiting > 0 {
+            self.changed.notify_all();
+        }
     }
 
-    /// Blocks until the next item in index order is there and takes it,
-    /// which moves the window up by one; `None` once the window stopped.
-    fn take_next(&self) -> Option<T> {
-        let mut state = self.wait_until(|s| s.slots[s.undelivered % s.slots.len()].is_some());
-        let slot = state.undelivered % state.slots.len();
-        let item = state.slots[slot].take()?;
-        state.undelivered += 1;
-        self.changed.notify_all();
-        Some(item)
+    /// Takes the next item in index order, which moves the window up by
+    /// one. While it is not there, produces the lowest unclaimed index in
+    /// the window on this thread, or blocks when every one is claimed;
+    /// `None` once the window stopped.
+    fn take_next(&self, produce: &impl Fn(usize) -> T) -> Option<T> {
+        loop {
+            let ready = |s: &WindowState<T>| s.slots[s.undelivered % s.slots.len()].is_some();
+            let mut state = self.wait_until(|s| ready(s) || s.open());
+            let slot = state.undelivered % state.slots.len();
+            if let Some(item) = state.slots[slot].take() {
+                state.undelivered += 1;
+                if state.waiting > 0 {
+                    self.changed.notify_all();
+                }
+                return Some(item);
+            }
+            let idx = state.try_claim()?;
+            drop(state);
+            self.deposit(idx, produce(idx));
+        }
     }
 
     fn stop(&self) {
@@ -329,6 +369,7 @@ mod tests {
     use crate::scenario::Scenario;
     use eba_core::prelude::*;
     use std::sync::{mpsc, Mutex};
+    use std::time::Duration;
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
@@ -474,7 +515,7 @@ mod tests {
         assert_eq!(run.states.len(), 7);
     }
 
-    /// Maps 64 items on 4 workers, a window of 8, calling `produce` and
+    /// Maps 64 items on 4 threads, a window of 10, calling `produce` and
     /// `consume` with each index. Returns the result, the order `consume`
     /// saw, the items started and the most items ever started but not
     /// yet returned from `consume`: the window plus the item the sink
@@ -511,18 +552,19 @@ mod tests {
     #[test]
     fn ordered_map_bounds_the_items_in_flight() {
         // Skewed items and a slow sink, forced with channels: item 0 does
-        // not finish before items 1..8 — all the window admits — have
+        // not finish before items 1..10 — all the window admits — have
         // started, and the sink does not return from item 0 before item
-        // 8 — admitted by taking item 0 — has. So the producers do run
-        // into the window, and must never get past it.
+        // 10 — admitted by taking item 0 — has. So the threads, the
+        // caller among them, do run into the window, and must never get
+        // past it.
         let (early_tx, early_rx) = mpsc::channel();
         let (late_tx, late_rx) = mpsc::channel();
         let early_rx = Mutex::new(early_rx);
         let (result, order, _, high_water) = ordered(
             |idx| match idx {
-                0 => (0..7).for_each(|_| early_rx.lock().unwrap().recv().unwrap()),
-                1..=7 => early_tx.send(()).unwrap(),
-                8 => late_tx.send(()).unwrap(),
+                0 => (0..9).for_each(|_| early_rx.lock().unwrap().recv().unwrap()),
+                1..=9 => early_tx.send(()).unwrap(),
+                10 => late_tx.send(()).unwrap(),
                 _ => {}
             },
             |idx| {
@@ -536,9 +578,38 @@ mod tests {
         assert_eq!(order, (0..64).collect::<Vec<_>>());
         assert_eq!(
             high_water,
-            2 * 4 + 1,
+            2 * (4 + 1) + 1,
             "the window is reached, never exceeded"
         );
+    }
+
+    #[test]
+    fn the_caller_produces_while_it_waits() {
+        // Two threads, the caller and one producer. Item 0 finishes only
+        // once item 1 has run, so whichever thread holds item 0, only the
+        // other one can run item 1: a caller that only waited for item 0
+        // would leave it to time out.
+        let (tx, rx) = mpsc::channel();
+        let rx = Mutex::new(rx);
+        let mut order = Vec::new();
+        let result = Parallelism::Fixed(2).for_each_ordered(
+            4,
+            |idx| {
+                match idx {
+                    0 => (rx.lock().unwrap().recv_timeout(Duration::from_secs(5)))
+                        .expect("item 1 ran while item 0 waited for it"),
+                    1 => tx.send(()).unwrap(),
+                    _ => {}
+                }
+                idx
+            },
+            |idx| {
+                order.push(idx);
+                Ok::<_, EbaError>(())
+            },
+        );
+        result.unwrap();
+        assert_eq!(order, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -552,9 +623,9 @@ mod tests {
         );
         assert!(result.unwrap_err().to_string().contains("sink aborted"));
         assert_eq!(order, [0, 1, 2, 3]);
-        assert!(high_water <= 2 * 4 + 1);
-        // Items 0..=3 were taken, so at most 4..12 were ever admitted.
-        assert!(started <= 12, "{started} items started");
+        assert!(high_water <= 2 * (4 + 1) + 1);
+        // Items 0..=3 were taken, so at most 4..14 were ever admitted.
+        assert!(started <= 14, "{started} items started");
     }
 
     #[test]

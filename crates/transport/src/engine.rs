@@ -109,6 +109,7 @@ pub trait SessionEngine: Send {
     /// advances every agent's state, ending the round. Each sender's
     /// shared frame is decoded once, however many receivers it reached; a
     /// frame replaced in transit by another buffer is decoded on its own.
+    /// The engine may keep the emptied rows for its next `outgoing`.
     fn deliver(&mut self, frames: RoundFrames);
 
     /// Per-agent first decision round (the round *after* the acting
@@ -166,6 +167,9 @@ struct TypedEngine<E: InformationExchange, P, C> {
     /// `(from, to, message)` for every surviving frame that is not its
     /// row's shared buffer; empty unless a carrier replaced a frame.
     replaced: Vec<(usize, usize, E::Message)>,
+    /// The last delivered round's frames, their rows emptied: the next
+    /// `outgoing` refills these rows instead of allocating new ones.
+    spare: RoundFrames,
     decision_rounds: Vec<Option<u32>>,
     decision_values: Vec<Option<Value>>,
     round: u32,
@@ -188,6 +192,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>, C> TypedEngine<E, P, C> {
             awaiting_delivery: false,
             decoded: Vec::new(),
             replaced: Vec::new(),
+            spare: Vec::new(),
             decision_rounds: vec![None; n],
             decision_values: vec![None; n],
             round: 0,
@@ -233,23 +238,22 @@ where
             &self.actions,
             &mut self.selected,
         );
-        self.selected
-            .iter()
-            .map(|msg| vec![msg.as_ref().map(|msg| Arc::from(self.codec.encode(msg))); n])
-            .collect()
+        let mut frames = std::mem::take(&mut self.spare);
+        frames.resize_with(n, Vec::new);
+        for (row, msg) in frames.iter_mut().zip(&self.selected) {
+            let frame = msg.as_ref().map(|msg| Arc::from(self.codec.encode(msg)));
+            row.resize(n, frame);
+        }
+        frames
     }
 
-    fn deliver(&mut self, frames: RoundFrames) {
+    fn deliver(&mut self, mut frames: RoundFrames) {
         assert!(self.awaiting_delivery, "deliver() without outgoing()");
         let n = self.states.len();
         assert!(
             frames.len() == n && frames.iter().all(|row| row.len() == n),
             "delivery shape mismatch"
         );
-        // Sized at the first delivery, not in `new`: a service builds its
-        // engines on the admitting thread but runs and drops them on a
-        // pool worker, and a buffer should be freed by the thread that
-        // allocated it (`eba-service`'s `open_outcome` has the reason).
         self.decoded.clear();
         self.decoded.reserve_exact(n);
         self.replaced.clear();
@@ -292,6 +296,8 @@ where
             &mut self.next,
         );
         std::mem::swap(&mut self.states, &mut self.next);
+        frames.iter_mut().for_each(Vec::clear);
+        self.spare = frames;
         self.round += 1;
         self.awaiting_delivery = false;
     }

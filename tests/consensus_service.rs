@@ -4,10 +4,11 @@
 //!   adversary-sampled patterns), every multiplexed session's decision
 //!   vector equals the lockstep simulator's, and what the service derives
 //!   per session and folds per round equals a loopback run of each spec;
-//! * backpressure admits a large batch through a tiny session table
-//!   without losing or stalling anything, and across pool and table
+//! * backpressure admits a large batch through a tiny admission window
+//!   without losing or stalling anything, and across pool and window
 //!   sizes admission defers exactly `sessions − capacity` times with the
-//!   table saturated and every outcome equal to its loopback run;
+//!   window saturated and every outcome, filed in spec order, equal to
+//!   its loopback run;
 //! * the deterministic seeded `--load` mix decides every admitted
 //!   session and reproduces the same decisions run over run.
 
@@ -52,9 +53,10 @@ fn mixed_specs(
 /// One session's decisions: `(spec index, rounds, values)`.
 type SessionDecisions = (usize, Vec<Option<u32>>, Vec<Option<Value>>);
 
-/// Outcomes keyed by submission index, independent of completion order.
+/// Each outcome's decisions with its spec index, in the order the report
+/// files them: spec order.
 fn decisions_by_spec(report: &ServiceReport) -> Vec<SessionDecisions> {
-    let mut v: Vec<_> = report
+    report
         .outcomes
         .iter()
         .map(|o| {
@@ -64,9 +66,7 @@ fn decisions_by_spec(report: &ServiceReport) -> Vec<SessionDecisions> {
                 o.decision_values.clone(),
             )
         })
-        .collect();
-    v.sort_by_key(|e| e.0);
-    v
+        .collect()
 }
 
 proptest! {
@@ -77,11 +77,11 @@ proptest! {
     /// an engine or codec bug. The `run_named_cluster` re-run below is
     /// the *same* `run_engine` loop each session ran, so it cannot catch
     /// those; it is the reference for what the service derives around
-    /// that loop. Decisions: a completion filed under the wrong spec when
-    /// slots recycle. `frames_sent`, `frames_dropped`, `rounds`: the
+    /// that loop. Decisions: a completion filed under the wrong spec as
+    /// the window moves. `frames_sent`, `frames_dropped`, `rounds`: the
     /// outcome built from the session's summary. `round_traffic`: the
-    /// driver's fold over retired sessions, against the per-round sum of
-    /// the loopbacks'.
+    /// calling thread's fold over retired sessions, against the per-round
+    /// sum of the loopbacks'.
     #[test]
     fn multiplexed_sessions_match_the_lockstep_cluster(
         n in 3usize..6,
@@ -94,7 +94,7 @@ proptest! {
         let specs = mixed_specs(n, t, model, drop_prob, seed);
         let config = ServiceConfig {
             workers: 2,
-            capacity: 3, // smaller than the batch: admission must recycle slots
+            capacity: 3, // smaller than the batch: admission must defer
             oracle_stride: Some(1),
         };
         let report = run_service(&specs, &config).unwrap();
@@ -126,8 +126,9 @@ proptest! {
     }
 }
 
-/// A 48-session batch through a 4-slot table: admission defers but never
-/// drops, the table saturates, and every admitted session still decides.
+/// A 48-session batch through a 4-session window: admission defers but
+/// never drops, the window saturates, and every admitted session still
+/// decides.
 #[test]
 fn backpressure_admits_a_large_batch_through_a_tiny_table() {
     let model = FailureModel::by_name("sending_omission").unwrap();
@@ -143,8 +144,11 @@ fn backpressure_admits_a_large_batch_through_a_tiny_table() {
     let report = run_service(&specs, &config).unwrap();
     assert_eq!(report.admitted, specs.len());
     assert_eq!(report.outcomes.len(), specs.len());
-    assert!(report.deferrals > 0, "a 4-slot table must defer admissions");
-    assert_eq!(report.peak_in_flight, 4, "the table must saturate");
+    assert!(
+        report.deferrals > 0,
+        "a 4-session window must defer admissions"
+    );
+    assert_eq!(report.peak_in_flight, 4, "the window must saturate");
     assert_eq!(
         report.decided_sessions(),
         specs.len(),
@@ -153,13 +157,13 @@ fn backpressure_admits_a_large_batch_through_a_tiny_table() {
     assert_eq!(report.oracle_mismatches, 0);
 }
 
-/// Every pool size × table size drives the same seeded 512-session (3,1)
+/// Every pool size × window size drives the same seeded 512-session (3,1)
 /// batch — all four stacks under all four models — to the same result.
-/// Admission is in spec order and retires one session per deferral, so
-/// every spec after the first `capacity` finds the table full exactly
-/// once: `deferrals == 512 − capacity`, whatever the scheduling. Each
-/// outcome equals its spec's loopback run, and the driver's per-round
-/// fold equals the sum of the loopbacks' traffic.
+/// Admission is in spec order and each retirement admits one session, so
+/// every spec after the first `capacity` waits exactly once:
+/// `deferrals == 512 − capacity`, whatever the scheduling. Each outcome,
+/// filed in spec order, equals its spec's loopback run, and the calling
+/// thread's per-round fold equals the sum of the loopbacks' traffic.
 #[test]
 fn admission_counts_and_outcomes_hold_across_pool_and_table_sizes() {
     const SESSIONS: usize = 512;
@@ -204,7 +208,7 @@ fn admission_counts_and_outcomes_hold_across_pool_and_table_sizes() {
             for (i, (spec_index, rounds, values)) in
                 decisions_by_spec(&report).into_iter().enumerate()
             {
-                assert_eq!(spec_index, i, "{at}: every spec reports exactly once");
+                assert_eq!(spec_index, i, "{at}: every spec reports once, in order");
                 let loopback = &loopbacks[spec_index];
                 assert_eq!(rounds, loopback.decision_rounds, "{at}, spec {spec_index}");
                 assert_eq!(values, loopback.decision_values, "{at}, spec {spec_index}");

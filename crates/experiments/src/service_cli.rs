@@ -248,9 +248,9 @@ mod tests {
         // Outcomes come back in spec order, and a session's stack is its
         // spec's: all 16 stack × model combinations ran.
         assert!((0..64).eq(report.outcomes.iter().map(|o| o.spec_index)));
-        let distinct: std::collections::BTreeSet<&str> = (report.outcomes.iter())
-            .map(|o| a[o.spec_index].stack.as_str())
-            .collect();
+        let stack = |o: &eba_service::SessionOutcome| a[o.spec_index].stack.as_str();
+        let distinct: std::collections::BTreeSet<&str> =
+            report.outcomes.iter().map(stack).collect();
         assert_eq!(distinct.len(), 16);
         assert_eq!(report.decided_sessions(), 64);
         assert!(report.oracle_checked >= 64 / 8);

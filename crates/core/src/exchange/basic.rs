@@ -21,7 +21,8 @@ use super::InformationExchange;
 /// let ex = BasicExchange::new(Params::new(4, 1)?);
 /// let s = ex.initial_state(AgentId::new(2), Value::One);
 /// // An undecided 1-preferring agent broadcasts (init, 1) on a noop:
-/// let out = ex.broadcast(AgentId::new(2), &s, Action::Noop);
+/// let mut out = None;
+/// ex.broadcast(AgentId::new(2), &s, Action::Noop, &mut out);
 /// assert_eq!(out, Some(BasicMsg::Init1));
 /// # Ok(())
 /// # }
@@ -100,17 +101,15 @@ impl InformationExchange for BasicExchange {
         }
     }
 
-    fn broadcast(&self, _agent: AgentId, state: &BasicState, action: Action) -> Option<BasicMsg> {
-        match action {
+    fn broadcast(&self, _: AgentId, s: &BasicState, action: Action, out: &mut Option<BasicMsg>) {
+        *out = match action {
             Action::Decide(v) => Some(BasicMsg::Decide(v)),
             // μ: broadcast (init, 1) iff the state has the form
             // ⟨m, 1, ⊥, ⊥, k⟩ — initial preference 1, undecided, no
             // decision heard.
-            Action::Noop => {
-                (state.init == Value::One && state.decided.is_none() && state.jd.is_none())
-                    .then_some(BasicMsg::Init1)
-            }
-        }
+            Action::Noop => (s.init == Value::One && s.decided.is_none() && s.jd.is_none())
+                .then_some(BasicMsg::Init1),
+        };
     }
 
     fn update(
@@ -119,7 +118,8 @@ impl InformationExchange for BasicExchange {
         state: &BasicState,
         action: Action,
         received: &[Option<&BasicMsg>],
-    ) -> BasicState {
+        next: &mut BasicState,
+    ) {
         debug_assert_eq!(received.len(), self.params.n());
         let mut jd = None;
         let mut ones = 0u16;
@@ -148,13 +148,13 @@ impl InformationExchange for BasicExchange {
         } else {
             0
         };
-        BasicState {
+        *next = BasicState {
             time: state.time + 1,
             init: state.init,
             decided,
             jd,
             ones,
-        }
+        };
     }
 
     fn time(&self, state: &BasicState) -> u32 {
@@ -188,6 +188,13 @@ mod tests {
         AgentId::new(i)
     }
 
+    /// What `s` broadcasts on a noop.
+    fn said(e: &BasicExchange, s: &BasicState) -> Option<BasicMsg> {
+        let mut out = Some(BasicMsg::Decide(Value::Zero));
+        e.broadcast(a(0), s, Action::Noop, &mut out);
+        out
+    }
+
     fn fresh(e: &BasicExchange, inits: [Value; 4]) -> Vec<BasicState> {
         inits
             .iter()
@@ -212,7 +219,7 @@ mod tests {
     fn zero_preferrer_stays_silent_on_noop() {
         let e = ex();
         let s = e.initial_state(a(0), Value::Zero);
-        assert_eq!(e.broadcast(a(0), &s, Action::Noop), None);
+        assert_eq!(said(&e, &s), None);
     }
 
     #[test]
@@ -262,7 +269,7 @@ mod tests {
             jd: None,
             ones: 0,
         };
-        assert_eq!(e.broadcast(a(0), &s, Action::Noop), None);
+        assert_eq!(said(&e, &s), None);
     }
 
     #[test]
@@ -276,7 +283,7 @@ mod tests {
             jd: Some(Value::One),
             ones: 0,
         };
-        assert_eq!(e.broadcast(a(0), &s, Action::Noop), None);
+        assert_eq!(said(&e, &s), None);
     }
 
     #[test]

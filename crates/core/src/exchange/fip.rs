@@ -5,6 +5,7 @@
 //! graphs it receives. The graph is a compact (`O(n² t)`-bit) encoding of
 //! the agent's complete view, following Moses & Tuttle.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use crate::graph::CommGraph;
@@ -21,7 +22,8 @@ use super::InformationExchange;
 /// let ex = FipExchange::new(Params::new(3, 1)?);
 /// let s = ex.initial_state(AgentId::new(0), Value::One);
 /// // A full-information agent broadcasts its graph even on a noop:
-/// let out = ex.broadcast(AgentId::new(0), &s, Action::Noop);
+/// let mut out = None;
+/// ex.broadcast(AgentId::new(0), &s, Action::Noop, &mut out);
 /// assert_eq!(out, Some(FipMsg(s.graph.clone())));
 /// # Ok(())
 /// # }
@@ -72,6 +74,13 @@ impl fmt::Display for FipState {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct FipMsg(pub CommGraph);
 
+/// `δ` merges the received messages as the graphs they are.
+impl Borrow<CommGraph> for FipMsg {
+    fn borrow(&self) -> &CommGraph {
+        &self.0
+    }
+}
+
 impl InformationExchange for FipExchange {
     type State = FipState;
     type Message = FipMsg;
@@ -93,9 +102,13 @@ impl InformationExchange for FipExchange {
         }
     }
 
-    fn broadcast(&self, _agent: AgentId, state: &FipState, _action: Action) -> Option<FipMsg> {
-        // μ_ij(s, a) = G_{i, time_i} for every action a.
-        Some(FipMsg(state.graph.clone()))
+    fn broadcast(&self, _: AgentId, state: &FipState, _: Action, out: &mut Option<FipMsg>) {
+        // μ_ij(s, a) = G_{i, time_i} for every action a, copied into the
+        // slot's own words.
+        match out {
+            Some(FipMsg(graph)) => graph.clone_from(&state.graph),
+            None => *out = Some(FipMsg(state.graph.clone())),
+        }
     }
 
     fn update(
@@ -104,15 +117,13 @@ impl InformationExchange for FipExchange {
         state: &FipState,
         action: Action,
         received: &[Option<&FipMsg>],
-    ) -> FipState {
+        next: &mut FipState,
+    ) {
         debug_assert_eq!(received.len(), self.params.n());
-        let refs: Vec<Option<&CommGraph>> = received.iter().map(|m| m.map(|FipMsg(g)| g)).collect();
-        FipState {
-            time: state.time + 1,
-            init: state.init,
-            decided: action.decided_value().or(state.decided),
-            graph: state.graph.receive_round(agent, &refs),
-        }
+        next.time = state.time + 1;
+        next.init = state.init;
+        next.decided = action.decided_value().or(state.decided);
+        state.graph.receive_round(agent, received, &mut next.graph);
     }
 
     fn time(&self, state: &FipState) -> u32 {
@@ -198,7 +209,8 @@ mod tests {
     fn message_bits_match_graph_size() {
         let e = ex();
         let s = e.initial_state(a(0), Value::One);
-        let msg = e.broadcast(a(0), &s, Action::Noop).unwrap();
-        assert_eq!(e.message_bits(&msg), s.graph.size_bits());
+        let mut msg = None;
+        e.broadcast(a(0), &s, Action::Noop, &mut msg);
+        assert_eq!(e.message_bits(&msg.unwrap()), s.graph.size_bits());
     }
 }

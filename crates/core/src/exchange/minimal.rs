@@ -19,10 +19,12 @@ use super::InformationExchange;
 /// let ex = MinExchange::new(Params::new(3, 1)?);
 /// let s = ex.initial_state(AgentId::new(0), Value::Zero);
 /// // Deciding 0 broadcasts the bit 0 to every agent (including itself):
-/// let out = ex.broadcast(AgentId::new(0), &s, Action::Decide(Value::Zero));
+/// let mut out = None;
+/// ex.broadcast(AgentId::new(0), &s, Action::Decide(Value::Zero), &mut out);
 /// assert_eq!(out, Some(MinMsg(Value::Zero)));
 /// // A noop sends nothing:
-/// assert_eq!(ex.broadcast(AgentId::new(0), &s, Action::Noop), None);
+/// ex.broadcast(AgentId::new(0), &s, Action::Noop, &mut out);
+/// assert_eq!(out, None);
 /// # Ok(())
 /// # }
 /// ```
@@ -106,8 +108,8 @@ impl InformationExchange for MinExchange {
         }
     }
 
-    fn broadcast(&self, _agent: AgentId, _state: &MinState, action: Action) -> Option<MinMsg> {
-        action.decided_value().map(MinMsg)
+    fn broadcast(&self, _: AgentId, _: &MinState, action: Action, out: &mut Option<MinMsg>) {
+        *out = action.decided_value().map(MinMsg);
     }
 
     fn update(
@@ -116,14 +118,15 @@ impl InformationExchange for MinExchange {
         state: &MinState,
         action: Action,
         received: &[Option<&MinMsg>],
-    ) -> MinState {
+        next: &mut MinState,
+    ) {
         debug_assert_eq!(received.len(), self.params.n());
-        MinState {
+        *next = MinState {
             time: state.time + 1,
             init: state.init,
             decided: action.decided_value().or(state.decided),
             jd: jd_from(received, |&MinMsg(v)| v),
-        }
+        };
     }
 
     fn time(&self, state: &MinState) -> u32 {
@@ -232,7 +235,8 @@ mod tests {
             decided: Some(Value::One),
             jd: None,
         };
-        let next = e.update(a(0), &s, Action::Noop, &[None, None, None]);
+        let mut next = s;
+        e.update(a(0), &s, Action::Noop, &[None, None, None], &mut next);
         assert_eq!(next.decided, Some(Value::One));
     }
 

@@ -56,33 +56,42 @@ pub trait InformationExchange {
     /// preference `init`.
     fn initial_state(&self, agent: AgentId, init: Value) -> Self::State;
 
-    /// The message-selection function `μ_i`: the message `agent` sends to
-    /// every agent (itself included) in the current round, given its state
-    /// and the action it is performing; `None` is `⊥` (no message).
+    /// The message-selection function `μ_i`: writes into `out` the
+    /// message `agent` sends to every agent (itself included) in the
+    /// current round, given its state and the action it is performing;
+    /// `None` is `⊥` (no message).
     ///
     /// The paper writes `μ_ij`, but in every exchange it defines `μ_ij`
     /// does not depend on `j`, so the selection is stated as what it is: a
     /// broadcast. Failure patterns may still drop it per recipient.
+    ///
+    /// `out` is the caller's slot and may hold any earlier message, which
+    /// the call overwrites, reusing its allocation where it has one.
     fn broadcast(
         &self,
         agent: AgentId,
         state: &Self::State,
         action: Action,
-    ) -> Option<Self::Message>;
+        out: &mut Option<Self::Message>,
+    );
 
-    /// The state-update function `δ_i`: the successor state given the
-    /// action performed and the tuple of received messages (entry `j`
-    /// borrows the message received from agent `j`, `None` if none).
+    /// The state-update function `δ_i`: writes into `next` the successor
+    /// state given the action performed and the tuple of received
+    /// messages (entry `j` borrows the message received from agent `j`,
+    /// `None` if none).
     ///
     /// Implementations must increment the `time` component by exactly 1 and
-    /// record a `decide` action in the `decided` component.
+    /// record a `decide` action in the `decided` component. Like `out` of
+    /// [`InformationExchange::broadcast`], `next` may hold any earlier
+    /// state, of any agent, time or run.
     fn update(
         &self,
         agent: AgentId,
         state: &Self::State,
         action: Action,
         received: &[Option<&Self::Message>],
-    ) -> Self::State;
+        next: &mut Self::State,
+    );
 
     /// The `time_i` component of a local state.
     fn time(&self, state: &Self::State) -> u32;
@@ -103,9 +112,10 @@ pub trait InformationExchange {
 /// The initial global state: agent `i` starts in `⟨0, inits[i], ⊥, …⟩`.
 ///
 /// This and [`choose_actions`], [`select_round`] and [`deliver_round`]
-/// fill a buffer the caller owns: its old contents are dropped and its
-/// allocation reused, so a caller stepping run after run in the same
-/// buffers allocates for none of them.
+/// fill a buffer the caller owns, reusing its allocation; the last two
+/// hand each entry to `μ` or `δ` as its output slot, so a caller stepping
+/// in the same buffers allocates only where a message or state outgrows
+/// its slot.
 pub fn initial_states<E: InformationExchange>(ex: &E, inits: &[Value], states: &mut Vec<E::State>) {
     states.clear();
     states.extend(
@@ -156,7 +166,7 @@ pub fn record_decisions(
 /// of `outgoing` becomes the message agent `i` broadcasts (`None` is
 /// `⊥`). A run's traffic is a function of its states and actions:
 /// `eba-sim`'s `Metrics::of` and 0-chain reconstruction replay this over
-/// a recorded run.
+/// a recorded run. Entry `i` of `outgoing` is agent `i`'s slot for `μ_i`.
 pub fn select_round<E: InformationExchange>(
     ex: &E,
     states: &[impl Borrow<E::State>],
@@ -165,39 +175,39 @@ pub fn select_round<E: InformationExchange>(
 ) {
     debug_assert_eq!(states.len(), ex.params().n(), "one state per agent");
     debug_assert_eq!(actions.len(), states.len(), "one action per agent");
-    outgoing.clear();
-    outgoing.extend(
-        states
-            .iter()
-            .zip(actions)
-            .enumerate()
-            .map(|(i, (state, action))| ex.broadcast(AgentId::new(i), state.borrow(), *action)),
-    );
+    outgoing.resize(states.len(), None);
+    let slots = outgoing.iter_mut().zip(states.iter().zip(actions));
+    for (i, (out, (state, action))) in slots.enumerate() {
+        ex.broadcast(AgentId::new(i), state.borrow(), *action, out);
+    }
 }
 
-/// `δ_to` alone: agent `to`'s successor state when `heard[from]` is what
-/// it received from each `from` (`None` if nothing). `δ` is a tuple of
-/// local updates — a receiver's successor depends on its own state, its
-/// action and what *it* hears — so this is the one caller of
-/// [`InformationExchange::update`]: [`deliver_round`] maps it over the
-/// receivers, and the exhaustive enumerator calls it once per drop choice
-/// of one receiver. Callers fill `heard` in a buffer they reuse.
+/// `δ_to` alone: writes into `next` agent `to`'s successor state when
+/// `heard[from]` is what it received from each `from` (`None` if
+/// nothing). `δ` is a tuple of local updates — a receiver's successor
+/// depends on its own state, its action and what *it* hears — so this is
+/// the one caller of [`InformationExchange::update`]: [`deliver_round`]
+/// maps it over the receivers, and the exhaustive enumerator calls it once
+/// per drop choice of one receiver, into one scratch slot. Callers fill
+/// `heard` in a buffer they reuse; `next` may hold any earlier state.
 pub fn deliver_one<E: InformationExchange>(
     ex: &E,
     states: &[impl Borrow<E::State>],
     actions: &[Action],
     to: AgentId,
     heard: &[Option<&E::Message>],
-) -> E::State {
+    next: &mut E::State,
+) {
     let j = to.index();
-    ex.update(to, states[j].borrow(), actions[j], heard)
+    ex.update(to, states[j].borrow(), actions[j], heard, next);
 }
 
 /// The delivery half of the global transition, [`deliver_one`] mapped
 /// over the receivers into `next`: `hear(to, heard)` fills `heard[from]`
 /// with what agent `to` receives from every `from` — the channel, which
-/// has already applied the failure pattern `F` — and `δ_to` updates its
-/// state.
+/// has already applied the failure pattern `F` — and `δ_to` writes its
+/// successor into entry `to` of `next` (a copy of the agent's state if
+/// `next` is short).
 ///
 /// The lockstep channel ([`step_round`]) lends what `from` selected if
 /// the pattern delivers it; the wire engine's lends each sender's
@@ -214,12 +224,13 @@ pub fn deliver_round<'m, E: InformationExchange>(
     let n = states.len();
     // At most `MAX_AGENTS` senders: a receiver's tuple fits on the stack.
     let mut heard = [None; AgentId::MAX_AGENTS];
-    next.clear();
-    next.extend((0..n).map(|j| {
+    next.truncate(n);
+    next.extend_from_slice(&states[next.len()..]);
+    for (j, slot) in next.iter_mut().enumerate() {
         let to = AgentId::new(j);
         hear(to, &mut heard[..n]);
-        deliver_one(ex, states, actions, to, &heard[..n])
-    }));
+        deliver_one(ex, states, actions, to, &heard[..n], slot);
+    }
 }
 
 /// Applies one synchronous round of the global transition of Section 3
@@ -295,26 +306,56 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// The last state of agent 0 and the last message anyone sent in a
+    /// failure-free run three rounds longer than the runs checked: what a
+    /// reused slot may still hold.
+    fn stale_slots<E, P>(ctx: &Context<E, P>) -> (E::State, Option<E::Message>)
+    where
+        E: InformationExchange,
+        P: ActionProtocol<E>,
+    {
+        let (ex, n) = (ctx.exchange(), ctx.params().n());
+        let (mut states, mut actions, mut outgoing, mut next) =
+            (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        let mut said = None;
+        initial_states(ex, &vec![Value::Zero; n], &mut states);
+        for _ in 0..ctx.params().default_horizon() + 3 {
+            choose_actions(ctx.protocol(), &states, &mut actions);
+            let no_drops = |_| AgentSet::empty();
+            step_round(ex, &states, &actions, no_drops, &mut outgoing, &mut next);
+            said = outgoing.iter().flatten().last().cloned().or(said);
+            std::mem::swap(&mut states, &mut next);
+        }
+        (states.swap_remove(0), said)
+    }
+
     /// Steps `ctx` over seeded random delivery matrices and checks, every
     /// round, that each receiver's [`deliver_one`] is its entry of
-    /// [`deliver_round`].
+    /// [`deliver_round`], and that neither `μ` nor `δ` leaks what its
+    /// output slot held before: every run starts its buffers out full of
+    /// a longer run's state and message, and every write into such a
+    /// slot must equal the same write into a fresh one.
     fn assert_deliver_one_is_a_receiver_of_deliver_round<E, P>(ctx: Context<E, P>, seed: u64)
     where
         E: InformationExchange,
         P: ActionProtocol<E>,
     {
         let (ex, n) = (ctx.exchange(), ctx.params().n());
+        let (stale_state, stale_msg) = stale_slots(&ctx);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..8 {
             let inits: Vec<Value> = (0..n)
                 .map(|_| Value::from_bit(rng.random_bool(0.5) as u8))
                 .collect();
-            let (mut states, mut actions, mut outgoing, mut next) =
-                (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+            let (mut states, mut actions, mut fresh) = (Vec::new(), Vec::new(), Vec::new());
+            let mut outgoing = vec![stale_msg.clone(); n];
+            let mut next = vec![stale_state.clone(); n];
             initial_states(ex, &inits, &mut states);
             for _ in 0..ctx.params().default_horizon() {
                 choose_actions(ctx.protocol(), &states, &mut actions);
                 select_round(ex, &states, &actions, &mut outgoing);
+                select_round(ex, &states, &actions, &mut fresh);
+                assert_eq!(outgoing, fresh, "{} μ into stale slots", ctx.name());
                 let delivered: Vec<bool> = (0..n * n).map(|_| rng.random_bool(0.7)).collect();
                 let heard = |from: AgentId, to: AgentId| {
                     let msg = outgoing[from.index()].as_ref();
@@ -329,8 +370,17 @@ mod tests {
                 for (j, successor) in next.iter().enumerate() {
                     let to = AgentId::new(j);
                     let received: Vec<_> = AgentId::all(n).map(|from| heard(from, to)).collect();
-                    let one = deliver_one(ex, &states, &actions, to, &received);
+                    let mut one = ex.initial_state(to, Value::One);
+                    deliver_one(ex, &states, &actions, to, &received, &mut one);
                     assert_eq!(&one, successor, "{} receiver {j}", ctx.name());
+                    let mut dirty = stale_state.clone();
+                    deliver_one(ex, &states, &actions, to, &received, &mut dirty);
+                    assert_eq!(
+                        dirty,
+                        one,
+                        "{} δ into a stale slot, receiver {j}",
+                        ctx.name()
+                    );
                 }
                 std::mem::swap(&mut states, &mut next);
             }

@@ -84,11 +84,11 @@ impl InformationExchange for NaiveExchange {
         }
     }
 
-    fn broadcast(&self, _agent: AgentId, state: &NaiveState, action: Action) -> Option<NaiveMsg> {
-        match action {
+    fn broadcast(&self, _: AgentId, s: &NaiveState, action: Action, out: &mut Option<NaiveMsg>) {
+        *out = match action {
             Action::Decide(v) => Some(NaiveMsg::Decide(v)),
-            Action::Noop => state.knows_zero.then_some(NaiveMsg::ZeroExists),
-        }
+            Action::Noop => s.knows_zero.then_some(NaiveMsg::ZeroExists),
+        };
     }
 
     fn update(
@@ -97,18 +97,19 @@ impl InformationExchange for NaiveExchange {
         state: &NaiveState,
         action: Action,
         received: &[Option<&NaiveMsg>],
-    ) -> NaiveState {
+        next: &mut NaiveState,
+    ) {
         debug_assert_eq!(received.len(), self.params.n());
         let heard_zero = received
             .iter()
             .flatten()
             .any(|m| matches!(m, NaiveMsg::ZeroExists | NaiveMsg::Decide(Value::Zero)));
-        NaiveState {
+        *next = NaiveState {
             time: state.time + 1,
             init: state.init,
             decided: action.decided_value().or(state.decided),
             knows_zero: state.knows_zero || heard_zero,
-        }
+        };
     }
 
     fn time(&self, state: &NaiveState) -> u32 {

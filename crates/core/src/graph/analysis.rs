@@ -34,7 +34,8 @@ use super::{CommGraph, ConeTable, EdgeLabel, KnowledgeTables};
 ///     .map(|i| CommGraph::initial(3, AgentId::new(i), inits[i]))
 ///     .collect();
 /// let refs: Vec<Option<&CommGraph>> = graphs.iter().map(Some).collect();
-/// let g0 = graphs[0].receive_round(AgentId::new(0), &refs);
+/// let mut g0 = graphs[0].clone();
+/// graphs[0].receive_round(AgentId::new(0), &refs, &mut g0);
 /// // …lets agent 0 decide 1 in round 2: it heard from everyone, so no
 /// // hidden 0-chain can exist (Corollary A.8).
 /// let analysis = FipAnalysis::analyze(&g0, params, AgentId::new(0));
@@ -84,22 +85,18 @@ impl<'g> FipAnalysis<'g> {
         let n = params.n();
         let time = graph.time();
         let mut decisions: Vec<Option<Action>> = vec![None; time as usize * n];
-        {
-            let owner_cone = cones.cone(owner, time);
-            for m in 0..time {
-                for j in 0..n {
-                    let aj = AgentId::new(j);
-                    if !owner_cone.contains(cones.vid(aj, m)) {
-                        continue;
-                    }
-                    let already = (0..m).any(|mm| {
-                        matches!(decisions[mm as usize * n + j], Some(Action::Decide(_)))
-                    });
-                    let act = popt_rule(
-                        graph, &cones, &know, &decisions, params, aj, m, already, use_ck,
-                    );
-                    decisions[m as usize * n + j] = Some(act);
+        for m in 0..time {
+            for j in 0..n {
+                let aj = AgentId::new(j);
+                if !cones.hears_from(owner, time, aj, m) {
+                    continue;
                 }
+                let already = (0..m)
+                    .any(|mm| matches!(decisions[mm as usize * n + j], Some(Action::Decide(_))));
+                let act = popt_rule(
+                    graph, &cones, &know, &decisions, params, aj, m, already, use_ck,
+                );
+                decisions[m as usize * n + j] = Some(act);
             }
         }
         FipAnalysis {
@@ -269,9 +266,16 @@ fn common_v(
     if dist.len() != t {
         return false;
     }
-    // When the distributed set reaches t, j itself knows all t faults
-    // (it heard from every agent in f̄ this round).
-    debug_assert_eq!(kf, dist, "f(j,m) must equal D(f̄, m−1) when |D| = t");
+    // j heard from every agent in f̄ this round, so it knows what they
+    // knew: D(f̄, m − 1) ⊆ f(j, m) in every model. With |D| = t that makes
+    // f(j, m) = D unless f(j, m) names more than t agents, which only a
+    // receiver that missed frames under general omission can do
+    // (`KnowledgeTables`).
+    debug_assert!(dist.is_subset(kf), "D(f̄, m−1) = {dist} ⊄ f(j,{m}) = {kf}");
+    debug_assert!(
+        kf.len() > t || kf == dist,
+        "f(j,{m}) = {kf} must equal D(f̄, m−1) = {dist} when |D| = t ≥ |f(j,{m})|"
+    );
     // Condition 2: no possibly-nonfaulty agent has decided 1 − v.
     for k in maybe_nonfaulty.iter() {
         for mm in 0..m {
@@ -327,12 +331,11 @@ fn cond1(
         return false;
     }
     let n = params.n();
-    let view = cones.cone(j, m);
     // len: the longest 0-chain j knows about — the latest known Decide(0).
     let mut len = -1i64;
     for mm in 0..m {
         for k in 0..n {
-            if view.contains(cones.vid(AgentId::new(k), mm))
+            if cones.hears_from(j, m, AgentId::new(k), mm)
                 && decisions[mm as usize * n + k] == Some(Action::Decide(Value::Zero))
             {
                 len = len.max(mm as i64);
@@ -341,8 +344,8 @@ fn cond1(
     }
     // last[k]: the latest time j heard from k; eligible[k]: k was still
     // undecided as far as j knows (no decision up to last[k]).
-    let mut last = vec![-1i64; n];
-    let mut eligible = vec![false; n];
+    let mut last = [-1i64; AgentId::MAX_AGENTS];
+    let mut eligible = [false; AgentId::MAX_AGENTS];
     for k in 0..n {
         let ak = AgentId::new(k);
         if ak == j {
@@ -572,6 +575,42 @@ mod tests {
         assert_eq!(decided[0], Some((Value::Zero, 1)));
         assert_eq!(decided[1], Some((Value::Zero, 2)));
         assert_eq!(decided[2], Some((Value::Zero, 2)));
+    }
+
+    /// Two (3,1) general-omission runs, sessions 462 and 494 of the
+    /// seed-3770 service mix, in which a receiver that missed frames
+    /// knows two agents "faulty" at t = 1, so `f(j, m)` strictly contains
+    /// `D(f̄, m − 1)` with `|D| = t`. The analysis's assertions hold, every
+    /// nonfaulty agent decides, and they agree.
+    #[test]
+    fn general_omission_receivers_may_know_more_than_t_faulty() {
+        let heads = "stack = E_fip/P_opt\nmodel = general_omission\nn = 3\nt = 1\nhorizon = 4\n";
+        let runs = [
+            "nonfaulty = 0 1\ninits = 0 1 1\ndrop = round 0 from 0 to 2\n\
+             drop = round 1 from 0 to 2\ndrop = round 1 from 1 to 2\n\
+             drop = round 2 from 2 to 0 1\ndrop = round 3 from 2 to 1\n",
+            "nonfaulty = 1 2\ninits = 0 1 1\ndrop = round 0 from 0 to 1\n\
+             drop = round 0 from 2 to 0\ndrop = round 2 from 0 to 1\n\
+             drop = round 3 from 1 to 0\n",
+        ];
+        for run in runs {
+            let case = crate::corpus::parse_scenario(&format!("{heads}{run}"))
+                .unwrap()
+                .spec
+                .case;
+            let p = case.pattern.params();
+            let delivers = |round, from, to| case.pattern.delivers(round - 1, from, to);
+            let decided = run_popt(&case.inits, p, case.horizon, delivers);
+            let nonfaulty = case.pattern.nonfaulty();
+            let values: Vec<_> = nonfaulty
+                .iter()
+                .map(|j| decided[j.index()].expect("a nonfaulty agent decides").0)
+                .collect();
+            assert!(
+                values.windows(2).all(|w| w[0] == w[1]),
+                "{run}: {decided:?}"
+            );
+        }
     }
 
     #[test]

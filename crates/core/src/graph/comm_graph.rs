@@ -1,5 +1,6 @@
 //! The communication-graph data structure.
 
+use std::borrow::Borrow;
 use std::fmt;
 
 use crate::types::{AgentId, Value};
@@ -35,12 +36,28 @@ const LOW_BITS: u64 = 0x5555_5555_5555_5555;
 /// assert_eq!(g.pref(AgentId::new(1)), PrefLabel::Known(Value::One));
 /// assert_eq!(g.pref(AgentId::new(0)), PrefLabel::Unknown);
 /// ```
-#[derive(Clone, PartialEq, Eq, Hash)]
+#[derive(PartialEq, Eq, Hash)]
 pub struct CommGraph {
     n: u16,
     time: u32,
     /// Preference words, then edge words.
     words: Vec<u64>,
+}
+
+/// By hand for `clone_from`, which copies into the target's own words.
+impl Clone for CommGraph {
+    fn clone(&self) -> Self {
+        CommGraph {
+            n: self.n,
+            time: self.time,
+            words: self.words.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        (self.n, self.time) = (source.n, source.time);
+        self.words.clone_from(&source.words);
+    }
 }
 
 /// The words that hold `labels` labels.
@@ -87,14 +104,33 @@ impl CommGraph {
     ///
     /// Panics if the word count is not that of an `(n, time)` graph or a
     /// label's symbol is `0b11`.
-    pub fn from_words(n: usize, time: u32, mut words: Vec<u64>) -> CommGraph {
+    pub fn from_words(n: usize, time: u32, words: impl IntoIterator<Item = u64>) -> CommGraph {
+        let mut graph = CommGraph {
+            n: n as u16,
+            time,
+            words: Vec::new(),
+        };
+        graph.read_words(n, time, words);
+        graph
+    }
+
+    /// [`CommGraph::from_words`] into this graph, whatever graph it held:
+    /// the words are written into its own word buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`CommGraph::from_words`].
+    pub fn read_words(&mut self, n: usize, time: u32, words: impl IntoIterator<Item = u64>) {
         let edges = time as usize * n * n;
+        (self.n, self.time) = (n as u16, time);
+        self.words.clear();
+        self.words.extend(words);
         assert_eq!(
-            words.len(),
+            self.words.len(),
             words_for(n) + words_for(edges),
             "label word count"
         );
-        let (pref_words, edge_words) = words.split_at_mut(words_for(n));
+        let (pref_words, edge_words) = self.words.split_at_mut(words_for(n));
         for (section, labels, what) in [(pref_words, n, "preference"), (edge_words, edges, "edge")]
         {
             if let Some(last) = section.last_mut().filter(|_| slot(labels).1 != 0) {
@@ -102,11 +138,6 @@ impl CommGraph {
             }
             let invalid = section.iter().any(|w| has_invalid_symbol(*w));
             assert!(!invalid, "invalid {what} label bits 3");
-        }
-        CommGraph {
-            n: n as u16,
-            time,
-            words,
         }
     }
 
@@ -211,32 +242,37 @@ impl CommGraph {
         }
     }
 
-    /// The `δ` operation of the full-information exchange: produces
-    /// `G_{owner, m+1}` from `G_{owner, m}` and the tuple of graphs received
-    /// in round `m + 1` (entry `j` is the graph sent by agent `j`, `None`
-    /// if no message arrived, which marks `j → owner` as omitted).
+    /// The `δ` operation of the full-information exchange: writes into
+    /// `next` the graph `G_{owner, m+1}` built from `G_{owner, m}` and the
+    /// tuple of graphs received in round `m + 1` (entry `j` is the graph
+    /// sent by agent `j`, `None` if no message arrived, which marks
+    /// `j → owner` as omitted) — graphs, or messages that are graphs.
+    /// `next` may hold any graph; it is overwritten in its own word
+    /// buffer.
     ///
     /// # Panics
     ///
     /// Panics if `received.len()` differs from `n` or a received graph is
     /// not at time `m` (all agents are synchronous).
-    pub fn receive_round(&self, owner: AgentId, received: &[Option<&CommGraph>]) -> CommGraph {
+    pub fn receive_round<G: Borrow<CommGraph>>(
+        &self,
+        owner: AgentId,
+        received: &[Option<&G>],
+        next: &mut CommGraph,
+    ) {
         let n = self.n();
         assert_eq!(received.len(), n, "expected one slot per agent");
         let time = self.time + 1;
         let len = words_for(n) + words_for(time as usize * n * n);
-        let mut words = Vec::with_capacity(len);
-        words.extend_from_slice(&self.words);
-        words.resize(len, 0);
-        let mut next = CommGraph {
-            n: self.n,
-            time,
-            words,
-        };
+        (next.n, next.time) = (self.n, time);
+        next.words.clear();
+        next.words.reserve(len);
+        next.words.extend_from_slice(&self.words);
+        next.words.resize(len, 0);
         #[allow(clippy::needless_range_loop)] // j is a sender id, used both as index and AgentId
         for j in 0..n {
             let from = AgentId::new(j);
-            match received[j] {
+            match received[j].map(Borrow::borrow) {
                 Some(g) => {
                     assert_eq!(g.time, self.time, "received a graph from a different round");
                     next.merge_from(g);
@@ -247,7 +283,6 @@ impl CommGraph {
                 }
             }
         }
-        next
     }
 
     /// The number of information bits in this graph: two bits per edge
@@ -301,41 +336,11 @@ impl fmt::Debug for CommGraph {
 
 #[cfg(test)]
 mod tests {
+    use super::super::test_util::{fip_round, initial_graphs};
     use super::*;
 
     fn a(i: usize) -> AgentId {
         AgentId::new(i)
-    }
-
-    /// Runs one synchronous full-information round among `n` agents with a
-    /// delivery predicate, returning the next graphs.
-    pub(crate) fn fip_round(
-        graphs: &[CommGraph],
-        delivers: impl Fn(AgentId, AgentId) -> bool,
-    ) -> Vec<CommGraph> {
-        let n = graphs.len();
-        (0..n)
-            .map(|to| {
-                let received: Vec<Option<&CommGraph>> = (0..n)
-                    .map(|from| {
-                        if delivers(a(from), a(to)) {
-                            Some(&graphs[from])
-                        } else {
-                            None
-                        }
-                    })
-                    .collect();
-                graphs[to].receive_round(a(to), &received)
-            })
-            .collect()
-    }
-
-    fn initial_graphs(inits: &[Value]) -> Vec<CommGraph> {
-        inits
-            .iter()
-            .enumerate()
-            .map(|(i, v)| CommGraph::initial(inits.len(), a(i), *v))
-            .collect()
     }
 
     #[test]

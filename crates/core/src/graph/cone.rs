@@ -9,7 +9,7 @@
 //! Agents always "hear from" their own past regardless of self-message
 //! drops, because `δ` retains the agent's own graph across rounds.
 
-use crate::types::{AgentId, BitSet};
+use crate::types::AgentId;
 
 use super::{CommGraph, EdgeLabel};
 
@@ -20,75 +20,83 @@ use super::{CommGraph, EdgeLabel};
 /// hears-from relation of the underlying run; labels outside the owner's
 /// cone are `?`, so cones of out-of-cone vertices are underapproximations
 /// and must not be used (the analysis never does).
+///
+/// The cones are one flat word table: a vertex's cone is `stride` words,
+/// one bit per vertex id, and the table is one allocation however many
+/// vertices the graph has.
 pub struct ConeTable {
     n: usize,
     time: u32,
-    /// `cones[vid(j, m)]` = the set of vertex ids `(j, m)` hears from.
-    cones: Vec<BitSet>,
+    /// Words per cone: `⌈vertices / 64⌉`.
+    stride: usize,
+    /// `words[vid(j, m) * stride..][..stride]` = the set of vertex ids
+    /// `(j, m)` hears from.
+    words: Vec<u64>,
 }
 
 impl ConeTable {
     /// Computes cones bottom-up over all vertices of `graph`.
     pub fn compute(graph: &CommGraph) -> Self {
-        let n = graph.n();
-        let time = graph.time();
+        let (n, time) = (graph.n(), graph.time());
         let vcount = (time as usize + 1) * n;
-        let mut cones: Vec<BitSet> = Vec::with_capacity(vcount);
+        let stride = vcount.div_ceil(64);
+        let mut words = vec![0; vcount * stride];
         for m in 0..=time {
             for j in 0..n {
-                let vid = Self::vid_raw(n, AgentId::new(j), m);
-                let mut cone = if m == 0 {
-                    BitSet::new(vcount)
-                } else {
+                let agent = AgentId::new(j);
+                let vid = Self::vid_raw(n, agent, m);
+                // Every vertex of time m − 1 precedes (j, m) in the table.
+                let (earlier, rest) = words.split_at_mut(vid * stride);
+                let cone = &mut rest[..stride];
+                let of = |k, m| &earlier[Self::vid_raw(n, AgentId::new(k), m) * stride..][..stride];
+                if m >= 1 {
                     // Persistence: everything known at (j, m-1) is known at
                     // (j, m).
-                    cones[Self::vid_raw(n, AgentId::new(j), m - 1)].clone()
-                };
-                cone.insert(vid);
-                if m >= 1 {
-                    for (k, label) in graph.incoming(m, AgentId::new(j)).enumerate() {
+                    cone.copy_from_slice(of(j, m - 1));
+                    for (k, label) in graph.incoming(m, agent).enumerate() {
                         if label == EdgeLabel::Delivered {
-                            let prev = Self::vid_raw(n, AgentId::new(k), m - 1);
-                            cone.union_with(&cones[prev]);
+                            cone.iter_mut().zip(of(k, m - 1)).for_each(|(w, o)| *w |= o);
                         }
                     }
                 }
-                cones.push(cone);
+                cone[vid / 64] |= 1 << (vid % 64);
             }
         }
-        ConeTable { n, time, cones }
+        ConeTable {
+            n,
+            time,
+            stride,
+            words,
+        }
     }
 
     fn vid_raw(n: usize, agent: AgentId, m: u32) -> usize {
         m as usize * n + agent.index()
     }
 
-    /// The vertex id of `(agent, m)` within this table's graph.
-    pub fn vid(&self, agent: AgentId, m: u32) -> usize {
+    fn vid(&self, agent: AgentId, m: u32) -> usize {
         debug_assert!(m <= self.time && agent.index() < self.n);
         Self::vid_raw(self.n, agent, m)
     }
 
-    /// The cone (hears-from set) of `(agent, m)`.
-    pub fn cone(&self, agent: AgentId, m: u32) -> &BitSet {
-        &self.cones[self.vid(agent, m)]
+    /// The cone (hears-from set) of `(agent, m)`, a bit per vertex id.
+    fn cone(&self, agent: AgentId, m: u32) -> &[u64] {
+        &self.words[self.vid(agent, m) * self.stride..][..self.stride]
     }
 
     /// Whether `(src, src_m)` is heard from by `(dst, dst_m)`.
     pub fn hears_from(&self, dst: AgentId, dst_m: u32, src: AgentId, src_m: u32) -> bool {
-        self.cone(dst, dst_m).contains(self.vid(src, src_m))
+        let vid = self.vid(src, src_m);
+        self.cone(dst, dst_m)[vid / 64] >> (vid % 64) & 1 != 0
     }
 
     /// The latest time `m'` such that `(src, m')` is in the cone of
     /// `(dst, m)`, or `-1` if none — `last_{dst,src}` of Definition A.6.
     pub fn last_heard(&self, dst: AgentId, m: u32, src: AgentId) -> i64 {
-        let cone = self.cone(dst, m);
-        for mm in (0..=m).rev() {
-            if cone.contains(self.vid(src, mm)) {
-                return mm as i64;
-            }
-        }
-        -1
+        (0..=m)
+            .rev()
+            .find(|&mm| self.hears_from(dst, m, src, mm))
+            .map_or(-1, i64::from)
     }
 }
 
@@ -96,17 +104,27 @@ impl ConeTable {
 mod tests {
     use super::super::test_util::{fip_round, initial_graphs};
     use super::*;
-    use crate::types::Value;
+    use crate::types::{BitSet, Value};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn a(i: usize) -> AgentId {
         AgentId::new(i)
+    }
+
+    /// The number of vertices `(agent, m)` hears from, itself included.
+    fn cone_size(t: &ConeTable, agent: AgentId, m: u32) -> usize {
+        t.cone(agent, m)
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     #[test]
     fn cone_at_time_zero_is_self() {
         let graphs = initial_graphs(&[Value::One; 3]);
         let t = ConeTable::compute(&graphs[0]);
-        assert_eq!(t.cone(a(0), 0).count(), 1);
+        assert_eq!(cone_size(&t, a(0), 0), 1);
         assert!(t.hears_from(a(0), 0, a(0), 0));
     }
 
@@ -120,7 +138,7 @@ mod tests {
         // After 2 failure-free rounds, (a1, 2) hears from every vertex at
         // times 0 and 1, plus itself at time 2 (no one's time-2 state can
         // have arrived yet): 3 + 3 + 1 = 7.
-        assert_eq!(t.cone(a(1), 2).count(), 7);
+        assert_eq!(cone_size(&t, a(1), 2), 7);
         for j in 0..3 {
             assert!(t.hears_from(a(1), 2, a(j), 0));
             assert!(t.hears_from(a(1), 2, a(j), 1));
@@ -182,15 +200,72 @@ mod tests {
         // (a1, 2) is in the owner's cone (a1 is nonfaulty). Its cone per the
         // owner's table must match the cone computed from a1's own graph.
         let inner = ConeTable::compute(&graphs[1]);
-        let from_owner = owner.cone(a(1), 2);
-        let from_inner = inner.cone(a(1), 2);
         for m in 0..=2u32 {
             for j in 0..4 {
                 assert_eq!(
-                    from_owner.contains(owner.vid(a(j), m)),
-                    from_inner.contains(inner.vid(a(j), m)),
+                    owner.hears_from(a(1), 2, a(j), m),
+                    inner.hears_from(a(1), 2, a(j), m),
                     "cone mismatch at (a{j}, {m})"
                 );
+            }
+        }
+    }
+
+    /// The cone table as it was built before it was one flat word table —
+    /// one `BitSet` per vertex, each cloned from the vertex's own past and
+    /// unioned with its delivered senders' — kept as the reference the
+    /// flat table is checked against.
+    fn bitset_cones(graph: &CommGraph) -> Vec<BitSet> {
+        let (n, time) = (graph.n(), graph.time());
+        let vcount = (time as usize + 1) * n;
+        let mut cones: Vec<BitSet> = Vec::with_capacity(vcount);
+        for m in 0..=time {
+            for j in 0..n {
+                let mut cone = match m {
+                    0 => BitSet::new(vcount),
+                    _ => cones[(m as usize - 1) * n + j].clone(),
+                };
+                cone.insert(m as usize * n + j);
+                if m >= 1 {
+                    for (k, label) in graph.incoming(m, a(j)).enumerate() {
+                        if label == EdgeLabel::Delivered {
+                            cone.union_with(&cones[(m as usize - 1) * n + k]);
+                        }
+                    }
+                }
+                cones.push(cone);
+            }
+        }
+        cones
+    }
+
+    #[test]
+    fn flat_cones_equal_the_bitset_cones_on_lossy_graphs() {
+        // 64-vertex boundaries: n = 8 at time 7 has exactly 64 vertices,
+        // n = 9 crosses into a second word at time 7, n = 33 at time 1.
+        let mut rng = StdRng::seed_from_u64(0xC0E);
+        for (n, rounds) in [(3, 4), (8, 7), (9, 7), (33, 2)] {
+            let inits: Vec<Value> = (0..n)
+                .map(|_| Value::from_bit(rng.random_range(0..2)))
+                .collect();
+            let mut graphs = initial_graphs(&inits);
+            for _ in 0..rounds {
+                let arrives: Vec<bool> = (0..n * n).map(|_| rng.random_bool(0.7)).collect();
+                graphs = fip_round(&graphs, |from, to| arrives[from.index() * n + to.index()]);
+                for g in &graphs {
+                    let (flat, reference) = (ConeTable::compute(g), bitset_cones(g));
+                    let vertices = (0..=g.time()).flat_map(|m| (0..n).map(move |j| (a(j), m)));
+                    for (v, (dst, dst_m)) in vertices.clone().enumerate() {
+                        assert_eq!(cone_size(&flat, dst, dst_m), reference[v].count());
+                        for (u, (src, src_m)) in vertices.clone().enumerate() {
+                            assert_eq!(
+                                flat.hears_from(dst, dst_m, src, src_m),
+                                reference[v].contains(u),
+                                "n = {n}: ({dst}, {dst_m}) hears from ({src}, {src_m})"
+                            );
+                        }
+                    }
+                }
             }
         }
     }

@@ -11,6 +11,16 @@
 //! All are computed bottom-up in `O(n² · m)` table operations. The values
 //! are meaningful only for vertices inside the graph owner's cone (labels
 //! elsewhere are `?`); the analysis respects this.
+//!
+//! `f` adds the sender of every omitted edge `(k, m'−1) → (j, m')`: under
+//! sending omission (the paper's model, and crash) an omission proves its
+//! sender faulty, so `f(j, m')` is a set of faulty agents of size at most
+//! `t`. Under general omission a receiver may miss frames itself, so `f`
+//! is only the set of agents `j` knows to have an omission *on some edge
+//! with it* — the sender, or `j` itself, is faulty — and can name more
+//! than `t` agents when `j` is faulty. `D(S, m')` over agents that
+//! delivered to an observer is contained in the observer's `f` in every
+//! model; the analysis asserts equality only where `|f| ≤ t`.
 
 use crate::types::{AgentId, AgentSet, Value};
 
@@ -20,10 +30,9 @@ use super::{CommGraph, EdgeLabel};
 pub struct KnowledgeTables {
     n: usize,
     time: u32,
-    /// `faulty[vid]` = `f(j, m')`.
-    faulty: Vec<AgentSet>,
-    /// `values[vid]` = bitmask: bit `v` set iff `v ∈ V(j, m')`.
-    values: Vec<u8>,
+    /// `known[vid]` = `(f(j, m'), V(j, m'))`, the values as a bitmask: bit
+    /// `v` set iff `v ∈ V(j, m')`. One table, one allocation.
+    known: Vec<(AgentSet, u8)>,
 }
 
 impl KnowledgeTables {
@@ -33,12 +42,11 @@ impl KnowledgeTables {
         let n = graph.n();
         let time = graph.time();
         let vcount = (time as usize + 1) * n;
-        let mut faulty = vec![AgentSet::empty(); vcount];
-        let mut values = vec![0u8; vcount];
+        let mut known = vec![(AgentSet::empty(), 0u8); vcount];
         // Time 0: an agent knows only its own initial value (if labeled).
         for j in 0..n {
             if let Some(v) = graph.pref(AgentId::new(j)).value() {
-                values[j] = 1 << v.as_bit();
+                known[j].1 = 1 << v.as_bit();
             }
         }
         for m in 1..=time {
@@ -46,8 +54,7 @@ impl KnowledgeTables {
                 let vid = m as usize * n + j;
                 let prev = (m as usize - 1) * n + j;
                 // Persistence.
-                let mut f = faulty[prev];
-                let mut vals = values[prev];
+                let (mut f, mut vals) = known[prev];
                 for (k, label) in graph.incoming(m, AgentId::new(j)).enumerate() {
                     match label {
                         EdgeLabel::Dropped => {
@@ -56,23 +63,17 @@ impl KnowledgeTables {
                             f.insert(AgentId::new(k));
                         }
                         EdgeLabel::Delivered => {
-                            let kprev = (m as usize - 1) * n + k;
-                            f = f.union(faulty[kprev]);
-                            vals |= values[kprev];
+                            let (kf, kvals) = known[(m as usize - 1) * n + k];
+                            f = f.union(kf);
+                            vals |= kvals;
                         }
                         EdgeLabel::Unknown => {}
                     }
                 }
-                faulty[vid] = f;
-                values[vid] = vals;
+                known[vid] = (f, vals);
             }
         }
-        KnowledgeTables {
-            n,
-            time,
-            faulty,
-            values,
-        }
+        KnowledgeTables { n, time, known }
     }
 
     fn vid(&self, agent: AgentId, m: u32) -> usize {
@@ -82,13 +83,13 @@ impl KnowledgeTables {
 
     /// `f(agent, m)`: the faulty agents known at `(agent, m)`.
     pub fn known_faulty(&self, agent: AgentId, m: u32) -> AgentSet {
-        self.faulty[self.vid(agent, m)]
+        self.known[self.vid(agent, m)].0
     }
 
     /// Whether `v ∈ V(agent, m)`: the vertex knows some agent started with
     /// initial preference `v`.
     pub fn knows_value(&self, agent: AgentId, m: u32, v: Value) -> bool {
-        self.values[self.vid(agent, m)] & (1 << v.as_bit()) != 0
+        self.known[self.vid(agent, m)].1 & (1 << v.as_bit()) != 0
     }
 }
 

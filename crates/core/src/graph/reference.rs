@@ -10,6 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::types::{AgentId, Value};
 
+use super::test_util::{fip_round, initial_graphs, received_into_fresh};
 use super::{CommGraph, EdgeLabel, PrefLabel};
 
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -133,8 +134,16 @@ fn assert_same_labels(packed: &CommGraph, model: &RefGraph) {
 }
 
 /// One lossy full-information run (any message lost with probability
-/// 0.3) stepped through both graphs: `[time][agent]`.
-fn lossy_run(n: usize, rounds: u32, rng: &mut StdRng) -> Vec<Vec<(CommGraph, RefGraph)>> {
+/// 0.3) stepped through both graphs: `[time][agent]`. Every packed
+/// successor is written into `dirty`, a slot that still holds the last
+/// graph written there — another agent's, an earlier time's, or one of a
+/// longer run at another `n` — and copied out of it.
+fn lossy_run(
+    n: usize,
+    rounds: u32,
+    rng: &mut StdRng,
+    dirty: &mut CommGraph,
+) -> Vec<Vec<(CommGraph, RefGraph)>> {
     let initial = |i| {
         let (agent, init) = (AgentId::new(i), Value::from_bit(rng.random_range(0..2)));
         let pair = (
@@ -153,11 +162,10 @@ fn lossy_run(n: usize, rounds: u32, rng: &mut StdRng) -> Vec<Vec<(CommGraph, Ref
             let packed: Vec<_> = (0..n).map(|from| heard(from).map(|g| &g.0)).collect();
             let model: Vec<_> = (0..n).map(|from| heard(from).map(|g| &g.1)).collect();
             let owner = AgentId::new(to);
-            let pair = (
-                now[to].0.receive_round(owner, &packed),
-                now[to].1.receive_round(owner, &model),
-            );
+            now[to].0.receive_round(owner, &packed, dirty);
+            let pair = (dirty.clone(), now[to].1.receive_round(owner, &model));
             assert_same_labels(&pair.0, &pair.1);
+            assert_eq!(pair.0, received_into_fresh(&now[to].0, owner, &packed));
             pair
         });
         let next = next.collect();
@@ -170,12 +178,22 @@ fn lossy_run(n: usize, rounds: u32, rng: &mut StdRng) -> Vec<Vec<(CommGraph, Ref
 /// `n > 32`, where the preferences span two words.
 const SIZES: [usize; 7] = [1, 3, 4, 5, 8, 9, 33];
 
+/// A slot for [`lossy_run`] that holds a graph of a longer run than any
+/// it is handed for.
+fn stale_slot() -> CommGraph {
+    let mut graphs = initial_graphs(&[Value::One; 9]);
+    for _ in 0..6 {
+        graphs = fip_round(&graphs, |from, to| from != to);
+    }
+    graphs.swap_remove(2)
+}
+
 #[test]
 fn packed_graph_equals_the_label_at_a_time_graph() {
     let mut rng = StdRng::seed_from_u64(0xEBA);
     for n in SIZES {
         for _ in 0..if n < 32 { 6 } else { 2 } {
-            lossy_run(n, 4, &mut rng);
+            lossy_run(n, 4, &mut rng, &mut stale_slot());
         }
     }
 }
@@ -185,7 +203,7 @@ fn merge_agrees_with_the_model_and_is_a_join() {
     let mut rng = StdRng::seed_from_u64(0xEBA + 1);
     let hasher = RandomState::new();
     for n in SIZES {
-        let run = lossy_run(n, 4, &mut rng);
+        let run = lossy_run(n, 4, &mut rng, &mut stale_slot());
         let last = run.last().unwrap();
         // Merge random earlier graphs of the run into an agent's final
         // one, in two orders.
@@ -230,8 +248,8 @@ fn merge_agrees_with_the_model_and_is_a_join() {
 #[cfg(debug_assertions)]
 fn contradicting(flip: impl Fn(&mut CommGraph)) -> (CommGraph, CommGraph) {
     let g = |i| CommGraph::initial(2, AgentId::new(i), Value::Zero);
-    let mine = g(0).receive_round(AgentId::new(0), &[Some(&g(0)), None]);
-    let mut theirs = g(1).receive_round(AgentId::new(1), &[None, None]);
+    let mine = received_into_fresh(&g(0), AgentId::new(0), &[Some(&g(0)), None]);
+    let mut theirs = received_into_fresh(&g(1), AgentId::new(1), &[None, None]);
     flip(&mut theirs);
     (mine, theirs)
 }

@@ -13,7 +13,8 @@ pub(crate) fn initial_graphs(inits: &[Value]) -> Vec<CommGraph> {
         .collect()
 }
 
-/// Runs one synchronous full-information round with a delivery predicate.
+/// Runs one synchronous full-information round with a delivery predicate,
+/// returning the next graphs.
 pub(crate) fn fip_round(
     graphs: &[CommGraph],
     delivers: impl Fn(AgentId, AgentId) -> bool,
@@ -22,17 +23,22 @@ pub(crate) fn fip_round(
     (0..n)
         .map(|to| {
             let received: Vec<Option<&CommGraph>> = (0..n)
-                .map(|from| {
-                    if delivers(AgentId::new(from), AgentId::new(to)) {
-                        Some(&graphs[from])
-                    } else {
-                        None
-                    }
-                })
+                .map(|from| delivers(AgentId::new(from), AgentId::new(to)).then_some(&graphs[from]))
                 .collect();
-            graphs[to].receive_round(AgentId::new(to), &received)
+            received_into_fresh(&graphs[to], AgentId::new(to), &received)
         })
         .collect()
+}
+
+/// [`CommGraph::receive_round`] into a fresh slot.
+pub(crate) fn received_into_fresh(
+    graph: &CommGraph,
+    owner: AgentId,
+    received: &[Option<&CommGraph>],
+) -> CommGraph {
+    let mut next = CommGraph::initial(graph.n(), owner, Value::Zero);
+    graph.receive_round(owner, received, &mut next);
+    next
 }
 
 /// Runs `rounds` failure-free full-information rounds.

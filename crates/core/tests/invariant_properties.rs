@@ -69,7 +69,9 @@ fn run_fip(inits: &[Value], sched: &Schedule) -> Vec<CommGraph> {
                         }
                     })
                     .collect();
-                graphs[to].receive_round(AgentId::new(to), &received)
+                let mut next = graphs[to].clone();
+                graphs[to].receive_round(AgentId::new(to), &received, &mut next);
+                next
             })
             .collect();
     }

@@ -23,17 +23,21 @@ use eba_service::{run_service, ServiceConfig, SessionSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Measured: 77.3 (each session's engine built, run and recorded on one
-/// thread; a release build reads 50.1). 94.1 while a driver and one
-/// worker thread handed sessions over two `mpsc` channels, the driver
-/// opened each session's record, named its stack and copied its decisions
-/// and traffic into it, and every round's frames took fresh row `Vec`s.
-const MIXED_N3_BOUND: f64 = 79.0;
-/// Measured: 479.2 (each session's engine built, run and recorded on
-/// one thread; every broadcast a fresh graph clone and a fresh frame,
-/// every successor state a fresh graph, and `P_opt`'s cones one `BitSet`
-/// per vertex).
-const FIP_N8_BOUND: f64 = 490.0;
+/// Measured: 31.5 (each session's engine built, run and recorded on one
+/// thread, μ and δ writing into the engine's slots). 77.3 while every
+/// message and successor state was fresh and two `E_fip/P_opt` sessions
+/// under general omission panicked on a debug assertion in `P_opt`'s
+/// analysis, each capturing and printing a backtrace under
+/// `RUST_BACKTRACE=1` (50.8 without the backtraces). 94.1 while a driver
+/// and one worker thread handed sessions over two `mpsc` channels, the
+/// driver opened each session's record, named its stack and copied its
+/// decisions and traffic into it, and every round's frames took fresh
+/// row `Vec`s.
+const MIXED_N3_BOUND: f64 = 33.0;
+/// Measured: 220.0 (479.2 while every broadcast was a fresh graph clone
+/// and a fresh frame, every successor state a fresh graph, and `P_opt`'s
+/// cones one `BitSet` per vertex).
+const FIP_N8_BOUND: f64 = 230.0;
 
 /// `System`, counting the calls that hand out a block.
 struct CountingAllocator;
@@ -108,6 +112,8 @@ fn allocations_per_session(specs: &[SessionSpec]) -> f64 {
     let report = run_service(specs, &config).unwrap();
     let per_session = (ALLOCATIONS.load(Ordering::Relaxed) - before) as f64 / specs.len() as f64;
     assert_eq!(report.outcomes.len(), specs.len());
+    // A session whose engine panicked completes undecided: none may.
+    assert_eq!(report.decided_sessions(), specs.len(), "a session panicked");
     per_session
 }
 

@@ -46,12 +46,13 @@
 //! One item is a depth-first search over a single mutable prefix (push a
 //! round, recurse, pop). Every successor local state is interned into an
 //! item-local [`StateArena`] as it is produced, so a global state is a
-//! vector of `n` small ids; the last round's successors are moved in,
+//! vector of `n` small ids; the last round's successors live only there,
 //! since a child at the horizon is a run, committed without its states.
 //! A node's branch points are its droppable messages; receiver `j`'s
 //! *column* is the `k_j` senders whose message it may miss. The node
 //! tabulates each receiver's successors first: one [`deliver_one`] call
-//! per subset of the column, in descending subset order, so a node costs
+//! per subset of the column, into one reused slot, in descending subset
+//! order, so a node costs
 //! `Σ_j 2^{k_j}` updates where visiting every drop mask would cost
 //! `n · 2^{Σ_j k_j}`. A table keeps each distinct
 //! successor once, with the largest subset that yields it.
@@ -486,8 +487,8 @@ struct ItemSearch<'a, E: InformationExchange, P> {
 /// One row of a receiver's successor table: the successor, its interned
 /// id, and the senders the receiver misses to reach it.
 struct Successor<S> {
-    /// `None` in the last round's tables, whose states were moved into
-    /// the arena: a child at the horizon is a run, never expanded.
+    /// `None` in the last round's tables, whose states live only in the
+    /// arena: a child at the horizon is a run, never expanded.
     state: Option<S>,
     id: StateId,
     dropped: AgentSet,
@@ -554,6 +555,10 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
         let mut children = 1usize;
         let mut columns: Vec<Vec<Successor<E::State>>> = Vec::with_capacity(n);
         let mut received = Vec::with_capacity(n);
+        // `δ_to`'s output slot, reused by every call of this node: a row
+        // the table keeps is a copy of it, and a successor already
+        // interned costs no allocation.
+        let mut slot = current[0].clone();
         for to in agents() {
             let (mut rows, mut distinct) = (Vec::new(), HashSet::new());
             for subset in (0u32..1 << column(to).count()).rev() {
@@ -568,13 +573,10 @@ impl<E: InformationExchange, P: ActionProtocol<E>> ItemSearch<'_, E, P> {
                     let msg = outgoing[from.index()].as_ref();
                     msg.filter(|_| !lost.contains(from))
                 }));
-                let state = deliver_one(self.ex, current, &actions, to, &received);
-                let (id, state) = if last {
-                    (self.item.arena.intern_owned(state)?, None)
-                } else {
-                    (self.item.arena.intern(&state)?, Some(state))
-                };
+                deliver_one(self.ex, current, &actions, to, &received, &mut slot);
+                let id = self.item.arena.intern(&slot)?;
                 if crash || distinct.insert(id) {
+                    let state = (!last).then(|| slot.clone());
                     rows.push(Successor { state, id, dropped });
                 }
                 if !crash && children.saturating_mul(rows.len()) > budget {
@@ -996,8 +998,9 @@ mod tests {
             agent: AgentId,
             state: &E::State,
             action: Action,
-        ) -> Option<E::Message> {
-            self.inner.broadcast(agent, state, action)
+            out: &mut Option<E::Message>,
+        ) {
+            self.inner.broadcast(agent, state, action, out);
         }
 
         fn update(
@@ -1006,9 +1009,10 @@ mod tests {
             state: &E::State,
             action: Action,
             received: &[Option<&E::Message>],
-        ) -> E::State {
+            next: &mut E::State,
+        ) {
             self.updates.fetch_add(1, Ordering::Relaxed);
-            self.inner.update(agent, state, action, received)
+            self.inner.update(agent, state, action, received, next);
         }
 
         fn time(&self, state: &E::State) -> u32 {

@@ -120,14 +120,9 @@ impl<S: Clone + Eq + Hash> StateArena<S> {
             .map_or_else(|| self.push(hash, state.clone()), Ok)
     }
 
-    /// [`intern`](Self::intern) by move: `state` is dropped if the arena
-    /// already holds it.
-    pub(crate) fn intern_owned(&mut self, state: S) -> Result<StateId, EbaError> {
-        self.intern_hashed(hash_of(&state), state)
-    }
-
-    /// [`intern_owned`](Self::intern_owned) of a state whose hash is
-    /// already known, as [`into_hashed`](Self::into_hashed) hands it out.
+    /// [`intern`](Self::intern) by move, of a state whose hash is already
+    /// known, as [`into_hashed`](Self::into_hashed) hands it out: `state`
+    /// is dropped if the arena already holds it.
     pub(crate) fn intern_hashed(&mut self, hash: u64, state: S) -> Result<StateId, EbaError> {
         debug_assert_eq!(hash, hash_of(&state), "a state moved with another hash");
         self.find(hash, &state)
@@ -653,12 +648,19 @@ mod tests {
             Colliding(init.as_bit())
         }
 
-        fn broadcast(&self, _: AgentId, _: &Colliding, _: Action) -> Option<()> {
-            None
+        fn broadcast(&self, _: AgentId, _: &Colliding, _: Action, out: &mut Option<()>) {
+            *out = None;
         }
 
-        fn update(&self, _: AgentId, state: &Colliding, _: Action, _: &[Option<&()>]) -> Colliding {
-            Colliding(state.0 + 2)
+        fn update(
+            &self,
+            _: AgentId,
+            s: &Colliding,
+            _: Action,
+            _: &[Option<&()>],
+            next: &mut Colliding,
+        ) {
+            *next = Colliding(s.0 + 2);
         }
 
         fn time(&self, state: &Colliding) -> u32 {
@@ -687,8 +689,12 @@ mod tests {
             .collect();
         let id = |i: u32| StateId(i);
         assert_eq!(ids, [id(0), id(1), id(0), id(2), id(1), id(3)]);
-        assert_eq!(arena.intern_owned(Colliding(9)).unwrap(), id(2));
-        assert_eq!(arena.intern_owned(Colliding(7)).unwrap(), id(4));
+        let by_move = |arena: &mut StateArena<Colliding>, v| {
+            let state = Colliding(v);
+            arena.intern_hashed(hash_of(&state), state).unwrap()
+        };
+        assert_eq!(by_move(&mut arena, 9), id(2));
+        assert_eq!(by_move(&mut arena, 7), id(4));
         assert_eq!(arena.len(), 5);
         let values: Vec<u8> = arena.states().iter().map(|s| s.0).collect();
         assert_eq!(values, [5, 3, 9, 0, 7]);

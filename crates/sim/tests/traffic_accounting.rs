@@ -33,12 +33,17 @@ impl StackVisitor for BroadcastContract<'_> {
         let (ex, pattern) = (ctx.exchange(), self.pattern);
         let run = run_rounds(ctx, pattern, self.inits, self.round + 1).unwrap();
         let agents = || AgentId::all(self.inits.len());
-        let mut hand = Metrics::default();
+        let (mut hand, mut said) = (Metrics::default(), None);
         for (m, (states, actions)) in run.states.iter().zip(&run.actions).enumerate() {
             for from in agents() {
-                let said = ex.broadcast(from, &states[from.index()], actions[from.index()]);
-                let Some(msg) = said else { continue };
-                let bits = ex.message_bits(&msg);
+                ex.broadcast(
+                    from,
+                    &states[from.index()],
+                    actions[from.index()],
+                    &mut said,
+                );
+                let Some(msg) = &said else { continue };
+                let bits = ex.message_bits(msg);
                 for to in agents() {
                     hand.messages_sent += 1;
                     hand.bits_sent += bits;

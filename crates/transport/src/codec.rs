@@ -16,18 +16,32 @@ use eba_core::types::Value;
 /// Encodes and decodes one exchange's messages to/from bytes.
 ///
 /// Codecs must be loss-free: `decode(encode(m)) == m` for every message
-/// the exchange can produce.
+/// the exchange can produce. The round engine encodes into a buffer and
+/// decodes into message slots it reuses (the `_into` methods).
 pub trait WireCodec<M> {
-    /// Encodes a message into a frame.
-    fn encode(&self, msg: &M) -> Vec<u8>;
+    /// Appends a message's frame to `out`.
+    fn encode_into(&self, msg: &M, out: &mut Vec<u8>);
 
-    /// Decodes a frame produced by [`WireCodec::encode`].
+    /// Decodes a frame produced by [`WireCodec::encode_into`].
     ///
     /// # Panics
     ///
     /// May panic on malformed frames; the transport only feeds back frames
     /// it produced.
     fn decode(&self, bytes: &[u8]) -> M;
+
+    /// Encodes a message into a fresh frame.
+    fn encode(&self, msg: &M) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode_into(msg, &mut out);
+        out
+    }
+
+    /// [`WireCodec::decode`] into `msg`, which may hold any earlier
+    /// message: a codec whose messages own memory writes into it.
+    fn decode_into(&self, bytes: &[u8], msg: &mut M) {
+        *msg = self.decode(bytes);
+    }
 }
 
 /// Codec for `E_min`: one byte carrying the decided bit.
@@ -35,8 +49,8 @@ pub trait WireCodec<M> {
 pub struct MinCodec;
 
 impl WireCodec<MinMsg> for MinCodec {
-    fn encode(&self, msg: &MinMsg) -> Vec<u8> {
-        vec![msg.0.as_bit()]
+    fn encode_into(&self, msg: &MinMsg, out: &mut Vec<u8>) {
+        out.push(msg.0.as_bit());
     }
 
     fn decode(&self, bytes: &[u8]) -> MinMsg {
@@ -50,10 +64,10 @@ impl WireCodec<MinMsg> for MinCodec {
 pub struct BasicCodec;
 
 impl WireCodec<BasicMsg> for BasicCodec {
-    fn encode(&self, msg: &BasicMsg) -> Vec<u8> {
+    fn encode_into(&self, msg: &BasicMsg, out: &mut Vec<u8>) {
         match msg {
-            BasicMsg::Decide(v) => vec![0, v.as_bit()],
-            BasicMsg::Init1 => vec![1],
+            BasicMsg::Decide(v) => out.extend_from_slice(&[0, v.as_bit()]),
+            BasicMsg::Init1 => out.push(1),
         }
     }
 
@@ -71,10 +85,10 @@ impl WireCodec<BasicMsg> for BasicCodec {
 pub struct NaiveCodec;
 
 impl WireCodec<NaiveMsg> for NaiveCodec {
-    fn encode(&self, msg: &NaiveMsg) -> Vec<u8> {
+    fn encode_into(&self, msg: &NaiveMsg, out: &mut Vec<u8>) {
         match msg {
-            NaiveMsg::Decide(v) => vec![0, v.as_bit()],
-            NaiveMsg::ZeroExists => vec![1],
+            NaiveMsg::Decide(v) => out.extend_from_slice(&[0, v.as_bit()]),
+            NaiveMsg::ZeroExists => out.push(1),
         }
     }
 
@@ -94,11 +108,26 @@ impl WireCodec<NaiveMsg> for NaiveCodec {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FipCodec;
 
+/// A frame's `(n, time)` and its label words, each section's last word
+/// zero-padded; trailing bytes are ignored.
+fn frame_words(bytes: &[u8]) -> (usize, u32, impl Iterator<Item = u64> + '_) {
+    let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
+    let time = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]);
+    let (prefs, edges) = bytes[6..].split_at(n.div_ceil(4));
+    let edges = &edges[..(time as usize * n * n).div_ceil(4)];
+    let words = prefs.chunks(8).chain(edges.chunks(8)).map(|chunk| {
+        let mut word = [0; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        u64::from_le_bytes(word)
+    });
+    (n, time, words)
+}
+
 impl WireCodec<FipMsg> for FipCodec {
-    fn encode(&self, msg: &FipMsg) -> Vec<u8> {
+    fn encode_into(&self, msg: &FipMsg, out: &mut Vec<u8>) {
         let g = &msg.0;
         let (n, edges) = (g.n(), g.time() as usize * g.n() * g.n());
-        let mut out = Vec::with_capacity(6 + 8 * (g.pref_words().len() + g.edge_words().len()));
+        out.reserve(6 + 8 * (g.pref_words().len() + g.edge_words().len()));
         out.extend_from_slice(&(n as u16).to_le_bytes());
         out.extend_from_slice(&g.time().to_le_bytes());
         for (words, labels) in [(g.pref_words(), n), (g.edge_words(), edges)] {
@@ -108,25 +137,16 @@ impl WireCodec<FipMsg> for FipCodec {
             }
             out.truncate(end);
         }
-        out
     }
 
     fn decode(&self, bytes: &[u8]) -> FipMsg {
-        let n = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        let time = u32::from_le_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]);
-        let edges = time as usize * n * n;
-        let mut words = Vec::with_capacity((n + edges) / 32 + 2);
-        let mut at = 6;
-        for labels in [n, edges] {
-            let section = &bytes[at..at + labels.div_ceil(4)];
-            at += section.len();
-            words.extend(section.chunks(8).map(|chunk| {
-                let mut word = [0; 8];
-                word[..chunk.len()].copy_from_slice(chunk);
-                u64::from_le_bytes(word)
-            }));
-        }
+        let (n, time, words) = frame_words(bytes);
         FipMsg(CommGraph::from_words(n, time, words))
+    }
+
+    fn decode_into(&self, bytes: &[u8], msg: &mut FipMsg) {
+        let (n, time, words) = frame_words(bytes);
+        msg.0.read_words(n, time, words);
     }
 }
 
@@ -209,7 +229,9 @@ mod tests {
                 .map(|to| {
                     let received: Vec<Option<&CommGraph>> =
                         (graphs.iter().map(|g| rng.random_bool(0.7).then_some(g))).collect();
-                    graphs[to].receive_round(AgentId::new(to), &received)
+                    let mut next = graphs[to].clone();
+                    graphs[to].receive_round(AgentId::new(to), &received, &mut next);
+                    next
                 })
                 .collect();
             seen.extend(graphs.iter().cloned());
@@ -305,13 +327,29 @@ mod tests {
     #[test]
     fn fip_frames_are_the_label_at_a_time_frames() {
         // Word-aligned label counts, straddling ones, and n > 32, where
-        // the preferences span two words.
+        // the preferences span two words. Each frame is also decoded into
+        // message slots and encoded into a buffer that still hold what
+        // they held, as the engine's do: a longer graph at another n, the
+        // last graph decoded, and a longer frame, emptied.
         let mut rng = StdRng::seed_from_u64(23);
+        let stale = FipMsg(
+            lossy_graphs(9, 6, &mut StdRng::seed_from_u64(31))
+                .pop()
+                .unwrap(),
+        );
+        let (mut running, mut buffer) = (stale.clone(), FipCodec.encode(&stale));
         for n in [1, 3, 4, 5, 8, 9, 33] {
             for g in lossy_graphs(n, 4, &mut rng) {
                 let frame = FipCodec.encode(&FipMsg(g.clone()));
                 assert_eq!(frame, encode_label_by_label(&g), "n = {n}, {g:?}");
                 assert_eq!(FipCodec.decode(&frame).0, g, "n = {n}");
+                let mut dirty = stale.clone();
+                FipCodec.decode_into(&frame, &mut dirty);
+                FipCodec.decode_into(&frame, &mut running);
+                assert_eq!((&dirty.0, &running.0), (&g, &g), "n = {n}");
+                buffer.clear();
+                FipCodec.encode_into(&dirty, &mut buffer);
+                assert_eq!(buffer, frame, "n = {n}");
             }
         }
     }

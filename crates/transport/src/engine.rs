@@ -153,16 +153,17 @@ struct TypedEngine<E: InformationExchange, P, C> {
     ctx: Context<E, P>,
     codec: C,
     states: Vec<E::State>,
-    /// The successor states `deliver` builds, swapped with `states`.
+    /// The successor states `deliver` writes over, swapped with `states`.
     next: Vec<E::State>,
     /// Chosen by `outgoing`, consumed by `deliver`.
     actions: Vec<Action>,
-    /// The messages `outgoing` selects before encoding them.
+    /// The messages `outgoing` selects, over the last round's.
     selected: Vec<Option<E::Message>>,
+    /// Each broadcast's bytes, before its shared frame copies them.
+    encoded: Vec<u8>,
     awaiting_delivery: bool,
-    /// Per sender, what its shared frame decoded to in the last delivered
-    /// round (`None`: no frame of its row survived). Refilled, not
-    /// reallocated, every round.
+    /// Per sender, what its shared frame last decoded to (`None` before its
+    /// first), each decode written over the one before.
     decoded: Vec<Option<E::Message>>,
     /// `(from, to, message)` for every surviving frame that is not its
     /// row's shared buffer; empty unless a carrier replaced a frame.
@@ -189,6 +190,7 @@ impl<E: InformationExchange, P: ActionProtocol<E>, C> TypedEngine<E, P, C> {
             codec,
             actions: Vec::new(),
             selected: Vec::new(),
+            encoded: Vec::new(),
             awaiting_delivery: false,
             decoded: Vec::new(),
             replaced: Vec::new(),
@@ -241,7 +243,11 @@ where
         let mut frames = std::mem::take(&mut self.spare);
         frames.resize_with(n, Vec::new);
         for (row, msg) in frames.iter_mut().zip(&self.selected) {
-            let frame = msg.as_ref().map(|msg| Arc::from(self.codec.encode(msg)));
+            let frame = msg.as_ref().map(|msg| {
+                self.encoded.clear();
+                self.codec.encode_into(msg, &mut self.encoded);
+                Arc::from(&self.encoded[..])
+            });
             row.resize(n, frame);
         }
         frames
@@ -254,22 +260,24 @@ where
             frames.len() == n && frames.iter().all(|row| row.len() == n),
             "delivery shape mismatch"
         );
-        self.decoded.clear();
-        self.decoded.reserve_exact(n);
+        self.decoded.resize(n, None);
         self.replaced.clear();
-        // A row's first surviving frame is decoded once and stands for
-        // every frame of the row that is the same buffer; any other
-        // surviving frame carries bytes of its own and is decoded alone.
+        // A row's first surviving frame is decoded once, into its sender's
+        // slot, and stands for every frame of the row that is the same
+        // buffer; any other surviving frame carries bytes of its own and is
+        // decoded alone. A row with none leaves a slot nobody reads.
         for (from, row) in frames.iter().enumerate() {
             let mut surviving = row
                 .iter()
                 .enumerate()
                 .filter_map(|(to, frame)| Some((to, frame.as_ref()?)));
             let Some((_, shared)) = surviving.next() else {
-                self.decoded.push(None);
                 continue;
             };
-            self.decoded.push(Some(self.codec.decode(shared)));
+            match &mut self.decoded[from] {
+                Some(msg) => self.codec.decode_into(shared, msg),
+                slot => *slot = Some(self.codec.decode(shared)),
+            }
             for (to, frame) in surviving {
                 if !Arc::ptr_eq(frame, shared) {
                     self.replaced.push((from, to, self.codec.decode(frame)));
@@ -419,8 +427,8 @@ mod tests {
     struct LossyBasicCodec;
 
     impl WireCodec<BasicMsg> for LossyBasicCodec {
-        fn encode(&self, msg: &BasicMsg) -> Vec<u8> {
-            BasicCodec.encode(msg)
+        fn encode_into(&self, msg: &BasicMsg, out: &mut Vec<u8>) {
+            BasicCodec.encode_into(msg, out);
         }
 
         fn decode(&self, bytes: &[u8]) -> BasicMsg {
@@ -455,14 +463,19 @@ mod tests {
     }
 
     impl<M, C: WireCodec<M>> WireCodec<M> for Counting<C> {
-        fn encode(&self, msg: &M) -> Vec<u8> {
+        fn encode_into(&self, msg: &M, out: &mut Vec<u8>) {
             self.encodes.set(self.encodes.get() + 1);
-            self.codec.encode(msg)
+            self.codec.encode_into(msg, out);
         }
 
         fn decode(&self, bytes: &[u8]) -> M {
             self.decodes.set(self.decodes.get() + 1);
             self.codec.decode(bytes)
+        }
+
+        fn decode_into(&self, bytes: &[u8], msg: &mut M) {
+            self.decodes.set(self.decodes.get() + 1);
+            self.codec.decode_into(bytes, msg);
         }
     }
 
@@ -535,7 +548,15 @@ mod tests {
             let successor = |to: usize, heard: &BasicMsg| {
                 let mut received = vec![Some(&original); 4];
                 received[from] = Some(heard);
-                ex.update(AgentId::new(to), &states[to], actions[to], &received)
+                let mut next = states[to];
+                ex.update(
+                    AgentId::new(to),
+                    &states[to],
+                    actions[to],
+                    &received,
+                    &mut next,
+                );
+                next
             };
             for to in 0..4 {
                 let heard = if to == replaced_at {

@@ -19,14 +19,19 @@ use eba_transport::{named_engine, run_engine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Measured: 466.4 (511.4 while every round's frames took `n + 1` fresh
-/// row `Vec`s, 532.4 while the kernel also returned a fresh `Vec` of
-/// actions, messages and states every round; an engine that cloned each
-/// frame per recipient and decoded every `(from, to)` read 1,191.1).
-const FIP_N8_BOUND: f64 = 476.0;
-/// Measured: 45.8 (57.8 with fresh frame rows every round, 70.8 with
-/// per-round kernel `Vec`s too; the older engine read 98.9).
-const MIXED_N3_BOUND: f64 = 47.0;
+/// Measured: 207.8 (466.4 while every broadcast was a fresh graph clone
+/// encoded into a fresh `Vec`, every decode and every successor state a
+/// fresh graph, and `P_opt`'s cones one `BitSet` per vertex; 511.4 while
+/// every round's frames also took `n + 1` fresh row `Vec`s, 532.4 while
+/// the kernel also returned a fresh `Vec` of actions, messages and states
+/// every round; an engine that cloned each frame per recipient and
+/// decoded every `(from, to)` read 1,191.1).
+const FIP_N8_BOUND: f64 = 218.0;
+/// Measured: 26.6 (45.8 with a fresh encode buffer per broadcast and a
+/// fresh successor state per receiver, 57.8 with fresh frame rows every
+/// round too, 70.8 with per-round kernel `Vec`s too; the older engine
+/// read 98.9).
+const MIXED_N3_BOUND: f64 = 28.0;
 
 /// `System`, counting the calls that hand out a block.
 struct CountingAllocator;

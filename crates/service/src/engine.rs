@@ -80,7 +80,7 @@ impl SessionSpec {
     /// The decision vectors (rounds, values) the lockstep simulator
     /// (`Scenario::run`) derives for this spec — the reference the wire
     /// path is judged against. The two share `eba-core`'s round kernel;
-    /// codecs, frame routing, omission injection on bytes and the session
+    /// codecs, frame routing, omission injection on frames and the session
     /// loop are the wire path's alone.
     pub(crate) fn lockstep_decisions(&self) -> Result<DecisionVectors, EbaError> {
         struct Lockstep<'a>(&'a SessionSpec);

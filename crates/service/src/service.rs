@@ -320,6 +320,9 @@ mod tests {
         fn outgoing(&mut self) -> eba_transport::RoundFrames {
             panic!("a session bug")
         }
+        fn frame(&self, _: usize) -> Option<&[u8]> {
+            None
+        }
         fn deliver(&mut self, _: eba_transport::RoundFrames) {}
         fn decision_rounds(&self) -> &[Option<u32>] {
             &[]

@@ -23,8 +23,10 @@ use eba_service::{run_service, ServiceConfig, SessionSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Measured: 31.5 (each session's engine built, run and recorded on one
-/// thread, μ and δ writing into the engine's slots). 77.3 while every
+/// Measured: 25.4 (each session's engine built, run and recorded on one
+/// thread, μ and δ writing into the engine's slots, a round's broadcasts
+/// encoded into one reused buffer). 31.5 while every broadcast was a
+/// fresh `Arc<[u8]>` frame. 77.3 while every
 /// message and successor state was fresh and two `E_fip/P_opt` sessions
 /// under general omission panicked on a debug assertion in `P_opt`'s
 /// analysis, each capturing and printing a backtrace under
@@ -33,11 +35,12 @@ use rand::{Rng, SeedableRng};
 /// driver opened each session's record, named its stack and copied its
 /// decisions and traffic into it, and every round's frames took fresh
 /// row `Vec`s.
-const MIXED_N3_BOUND: f64 = 33.0;
-/// Measured: 220.0 (479.2 while every broadcast was a fresh graph clone
+const MIXED_N3_BOUND: f64 = 27.0;
+/// Measured: 177.0 (220.0 while every broadcast was a fresh `Arc<[u8]>`
+/// frame; 479.2 while every broadcast was a fresh graph clone
 /// and a fresh frame, every successor state a fresh graph, and `P_opt`'s
 /// cones one `BitSet` per vertex).
-const FIP_N8_BOUND: f64 = 230.0;
+const FIP_N8_BOUND: f64 = 187.0;
 
 /// `System`, counting the calls that hand out a block.
 struct CountingAllocator;

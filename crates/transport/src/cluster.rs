@@ -36,18 +36,21 @@ pub struct ClusterSummary {
 /// plus this, and every `eba-service` session is one call of it on a pool
 /// worker.
 pub fn run_engine(engine: &mut dyn SessionEngine, pattern: &FailurePattern) -> ClusterSummary {
-    let bytes = |frames: &RoundFrames| -> u64 {
-        let frames = frames.iter().flatten().flatten();
-        frames.map(|frame| frame.len() as u64).sum()
+    // A sender's bytes cross the wire once per mark in its row.
+    let bytes = |engine: &dyn SessionEngine, frames: &RoundFrames| -> u64 {
+        let len = |from| engine.frame(from).map_or(0, <[u8]>::len);
+        let rows = frames.iter().enumerate();
+        rows.map(|(from, row)| (len(from) * row.iter().flatten().count()) as u64)
+            .sum()
     };
     let (mut wire_bytes_sent, mut wire_bytes_delivered) = (0, 0);
     let mut round_traffic = Vec::new();
     while !engine.finished() {
         let round = engine.round();
         let mut frames = engine.outgoing();
-        wire_bytes_sent += bytes(&frames);
+        wire_bytes_sent += bytes(engine, &frames);
         round_traffic.push(apply_pattern(round, &mut frames, pattern));
-        wire_bytes_delivered += bytes(&frames);
+        wire_bytes_delivered += bytes(engine, &frames);
         engine.deliver(frames);
     }
     ClusterSummary {

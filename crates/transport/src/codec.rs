@@ -26,8 +26,8 @@ pub trait WireCodec<M> {
     ///
     /// # Panics
     ///
-    /// May panic on malformed frames; the transport only feeds back frames
-    /// it produced.
+    /// May panic on malformed frames. The round engine decodes only the
+    /// bytes it encoded: a carrier moves marks, never bytes.
     fn decode(&self, bytes: &[u8]) -> M;
 
     /// Encodes a message into a fresh frame.

@@ -2,15 +2,16 @@
 //!
 //! Section 3's global transition, at the byte level, stepped by
 //! `eba-core`'s round kernel ([`eba_core::exchange`]): `P_i` picks each
-//! agent's action, `μ_i` selects its broadcast, and a broadcast is one
-//! frame on the wire — encoded once and shared by all its recipients
-//! ([`SessionEngine::outgoing`]); the failure pattern filters the frames
-//! ([`apply_pattern`]); each sender's surviving frame is decoded once, the
-//! kernel's channel lends that one message to every receiver it reached,
-//! and `δ_i` updates every state ([`SessionEngine::deliver`]). This is the
-//! lockstep channel plus one encode and one decode per broadcast.
+//! agent's action, `μ_i` selects its broadcast, which is encoded once into
+//! the round's one buffer, and each recipient gets a [`Frame`] mark
+//! ([`SessionEngine::outgoing`]); the failure pattern drops marks
+//! ([`apply_pattern`]); a sender's bytes are decoded once if any of its
+//! marks survive, the kernel's channel lends that one message to every
+//! receiver still marked, and `δ_i` updates every state
+//! ([`SessionEngine::deliver`]): the lockstep channel plus one encode and
+//! one decode per broadcast.
 
-use std::sync::Arc;
+use std::ops::Range;
 
 use eba_core::context::{admit_scenario, error_message, Context, NamedStack};
 use eba_core::exchange::{
@@ -23,13 +24,18 @@ use eba_core::types::{Action, AgentId, EbaError, Value};
 
 use crate::codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
 
-/// One round's encoded frames, indexed `[from][to]` (`None` = no message).
+/// A mark in [`RoundFrames`]: its sender's broadcast reaches its
+/// recipient. It holds no bytes (those are [`SessionEngine::frame`]), and
+/// only the engine makes one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Frame(());
+
+/// One round's frames, indexed `[from][to]` (`None` = no message).
 ///
-/// A broadcast is one shared frame: every `Some` in row `from` that
-/// [`SessionEngine::outgoing`] returns is a clone of one `Arc`, so the row
-/// holds one buffer however many recipients it has. A carrier may still
-/// drop any entry or replace it with a buffer of its own.
-pub type RoundFrames = Vec<Vec<Option<Arc<[u8]>>>>;
+/// [`SessionEngine::outgoing`] marks every recipient of a broadcast. A
+/// carrier may only drop marks: a mark on the row of a sender that sent
+/// nothing makes [`deliver`](SessionEngine::deliver) panic.
+pub type RoundFrames = Vec<Vec<Option<Frame>>>;
 
 /// Per-round message counters, shared by the loopback driver
 /// ([`ClusterSummary`](crate::ClusterSummary)) and the multiplexed
@@ -59,8 +65,8 @@ impl RoundTraffic {
 }
 
 /// Applies `pattern` to one round of frames in place — the one place
-/// omissions are injected into encoded frames: a dropped frame becomes
-/// `None`, exactly where a lossy network would lose it.
+/// omissions are injected into the wire: a dropped mark becomes `None`,
+/// exactly where a lossy network would lose the frame.
 pub fn apply_pattern(
     round: u32,
     frames: &mut RoundFrames,
@@ -69,15 +75,12 @@ pub fn apply_pattern(
     let mut traffic = RoundTraffic::default();
     for (from, row) in frames.iter_mut().enumerate() {
         let dropped = pattern.dropped(round, AgentId::new(from));
-        for (to, frame) in row.iter_mut().enumerate() {
-            if frame.is_none() {
-                continue;
-            }
+        for (to, frame) in row.iter_mut().enumerate().filter(|(_, f)| f.is_some()) {
             traffic.sent += 1;
-            if !dropped.contains(AgentId::new(to)) {
-                traffic.delivered += 1;
-            } else {
+            if dropped.contains(AgentId::new(to)) {
                 *frame = None;
+            } else {
+                traffic.delivered += 1;
             }
         }
     }
@@ -99,17 +102,23 @@ pub trait SessionEngine: Send {
     /// Whether the horizon has been reached.
     fn finished(&self) -> bool;
 
-    /// Computes every agent's action for the current round and returns
-    /// the outgoing frames `[from][to]`: each sender's broadcast encoded
-    /// once, one shared frame for all its recipients. Must be followed by
+    /// Computes every agent's action for the current round, encodes each
+    /// sender's broadcast once ([`frame`](SessionEngine::frame)), and
+    /// returns the outgoing frames `[from][to]`: a mark for every
+    /// recipient of a broadcast. Must be followed by
     /// [`deliver`](SessionEngine::deliver) for the same round.
     fn outgoing(&mut self) -> RoundFrames;
 
+    /// The bytes of `from`'s broadcast in the last
+    /// [`outgoing`](SessionEngine::outgoing) round, `None` if it sent
+    /// nothing; every mark in row `from` carries these bytes.
+    fn frame(&self, from: usize) -> Option<&[u8]>;
+
     /// Delivers the round's post-omission frames `[from][to]` and
     /// advances every agent's state, ending the round. Each sender's
-    /// shared frame is decoded once, however many receivers it reached; a
-    /// frame replaced in transit by another buffer is decoded on its own.
-    /// The engine may keep the emptied rows for its next `outgoing`.
+    /// bytes are decoded once if any mark in its row survives. The engine
+    /// may keep the rows for its next `outgoing`. Panics if `frames` is
+    /// not `n × n` or marks a row whose sender sent nothing.
     fn deliver(&mut self, frames: RoundFrames);
 
     /// Per-agent first decision round (the round *after* the acting
@@ -159,17 +168,16 @@ struct TypedEngine<E: InformationExchange, P, C> {
     actions: Vec<Action>,
     /// The messages `outgoing` selects, over the last round's.
     selected: Vec<Option<E::Message>>,
-    /// Each broadcast's bytes, before its shared frame copies them.
-    encoded: Vec<u8>,
+    /// The round's broadcasts, encoded back to back, and each sender's
+    /// span of them (`None`: it sent nothing).
+    wire: Vec<u8>,
+    spans: Vec<Option<Range<usize>>>,
     awaiting_delivery: bool,
-    /// Per sender, what its shared frame last decoded to (`None` before its
+    /// Per sender, what its bytes last decoded to (`None` before its
     /// first), each decode written over the one before.
     decoded: Vec<Option<E::Message>>,
-    /// `(from, to, message)` for every surviving frame that is not its
-    /// row's shared buffer; empty unless a carrier replaced a frame.
-    replaced: Vec<(usize, usize, E::Message)>,
-    /// The last delivered round's frames, their rows emptied: the next
-    /// `outgoing` refills these rows instead of allocating new ones.
+    /// The last delivered round's frames: the next `outgoing` refills
+    /// these rows instead of allocating new ones.
     spare: RoundFrames,
     decision_rounds: Vec<Option<u32>>,
     decision_values: Vec<Option<Value>>,
@@ -190,10 +198,10 @@ impl<E: InformationExchange, P: ActionProtocol<E>, C> TypedEngine<E, P, C> {
             codec,
             actions: Vec::new(),
             selected: Vec::new(),
-            encoded: Vec::new(),
+            wire: Vec::new(),
+            spans: Vec::new(),
             awaiting_delivery: false,
             decoded: Vec::new(),
-            replaced: Vec::new(),
             spare: Vec::new(),
             decision_rounds: vec![None; n],
             decision_values: vec![None; n],
@@ -231,8 +239,8 @@ where
             &mut self.decision_rounds,
             &mut self.decision_values,
         );
-        // `μ` is a broadcast: one encode per sender, and its recipients
-        // share that one buffer.
+        // `μ` is a broadcast: one encode per sender, into the round's one
+        // buffer, and a mark per recipient.
         let n = self.states.len();
         select_round(
             self.ctx.exchange(),
@@ -240,20 +248,28 @@ where
             &self.actions,
             &mut self.selected,
         );
+        self.wire.clear();
+        self.spans.clear();
         let mut frames = std::mem::take(&mut self.spare);
         frames.resize_with(n, Vec::new);
         for (row, msg) in frames.iter_mut().zip(&self.selected) {
-            let frame = msg.as_ref().map(|msg| {
-                self.encoded.clear();
-                self.codec.encode_into(msg, &mut self.encoded);
-                Arc::from(&self.encoded[..])
+            let span = msg.as_ref().map(|msg| {
+                let start = self.wire.len();
+                self.codec.encode_into(msg, &mut self.wire);
+                start..self.wire.len()
             });
-            row.resize(n, frame);
+            row.clear();
+            row.resize(n, span.as_ref().map(|_| Frame(())));
+            self.spans.push(span);
         }
         frames
     }
 
-    fn deliver(&mut self, mut frames: RoundFrames) {
+    fn frame(&self, from: usize) -> Option<&[u8]> {
+        Some(&self.wire[self.spans.get(from)?.clone()?])
+    }
+
+    fn deliver(&mut self, frames: RoundFrames) {
         assert!(self.awaiting_delivery, "deliver() without outgoing()");
         let n = self.states.len();
         assert!(
@@ -261,50 +277,31 @@ where
             "delivery shape mismatch"
         );
         self.decoded.resize(n, None);
-        self.replaced.clear();
-        // A row's first surviving frame is decoded once, into its sender's
-        // slot, and stands for every frame of the row that is the same
-        // buffer; any other surviving frame carries bytes of its own and is
-        // decoded alone. A row with none leaves a slot nobody reads.
+        // One decode per row with a surviving mark, into its sender's slot.
         for (from, row) in frames.iter().enumerate() {
-            let mut surviving = row
-                .iter()
-                .enumerate()
-                .filter_map(|(to, frame)| Some((to, frame.as_ref()?)));
-            let Some((_, shared)) = surviving.next() else {
-                continue;
-            };
-            match &mut self.decoded[from] {
-                Some(msg) => self.codec.decode_into(shared, msg),
-                slot => *slot = Some(self.codec.decode(shared)),
-            }
-            for (to, frame) in surviving {
-                if !Arc::ptr_eq(frame, shared) {
-                    self.replaced.push((from, to, self.codec.decode(frame)));
+            if row.iter().any(Option::is_some) {
+                let Some(span) = self.spans[from].clone() else {
+                    panic!("row {from} marks a frame, but agent {from} sent nothing this round");
+                };
+                match &mut self.decoded[from] {
+                    Some(msg) => self.codec.decode_into(&self.wire[span], msg),
+                    slot => *slot = Some(self.codec.decode(&self.wire[span])),
                 }
             }
         }
-        let (decoded, replaced) = (&self.decoded, &self.replaced);
-        let heard = |from: usize, to: usize| {
-            frames[from][to].as_ref()?;
-            match replaced.iter().find(|(f, t, _)| (*f, *t) == (from, to)) {
-                Some((_, _, msg)) => Some(msg),
-                None => decoded[from].as_ref(),
-            }
-        };
+        let decoded = &self.decoded;
         deliver_round(
             self.ctx.exchange(),
             &self.states,
             &self.actions,
             |to, tuple| {
                 for (from, slot) in tuple.iter_mut().enumerate() {
-                    *slot = heard(from, to.index());
+                    *slot = frames[from][to.index()].and(decoded[from].as_ref());
                 }
             },
             &mut self.next,
         );
         std::mem::swap(&mut self.states, &mut self.next);
-        frames.iter_mut().for_each(Vec::clear);
         self.spare = frames;
         self.round += 1;
         self.awaiting_delivery = false;
@@ -399,7 +396,41 @@ mod tests {
             assert_eq!(summary.decision_values, values, "{what}");
             let traffic = Metrics::of(ctx.exchange(), &trace, &case.pattern);
             assert_eq!(summary.frames_sent, traffic.messages_sent, "{what}");
+            let bytes = lockstep_bytes(&ctx, codec, &case, &trace);
+            let wire = (summary.wire_bytes_sent, summary.wire_bytes_delivered);
+            assert_eq!(wire, bytes, "{what}");
         }
+    }
+
+    /// `(sent, delivered)` wire bytes of the lockstep `trace`: each
+    /// selected message encoded once per `(from, to)` pair it was sent to,
+    /// and once more per pair it was delivered to.
+    fn lockstep_bytes<E, P, C>(
+        ctx: &Context<E, P>,
+        codec: C,
+        case: &Case,
+        trace: &EnumRun<E>,
+    ) -> (u64, u64)
+    where
+        E: InformationExchange,
+        P: ActionProtocol<E>,
+        C: WireCodec<E::Message>,
+    {
+        let (mut sent, mut delivered, mut selected) = (0, 0, Vec::new());
+        for (round, (states, actions)) in trace.states.iter().zip(&trace.actions).enumerate() {
+            select_round(ctx.exchange(), states, actions, &mut selected);
+            for (from, msg) in selected.iter().enumerate() {
+                let Some(msg) = msg else { continue };
+                for to in 0..states.len() {
+                    sent += codec.encode(msg).len() as u64;
+                    let (from, to) = (AgentId::new(from), AgentId::new(to));
+                    if case.pattern.delivers(round as u32, from, to) {
+                        delivered += codec.encode(msg).len() as u64;
+                    }
+                }
+            }
+        }
+        (sent, delivered)
     }
 
     #[test]
@@ -514,10 +545,12 @@ mod tests {
                 while !engine.finished() {
                     let round = engine.round();
                     let mut frames = engine.outgoing();
-                    for row in &frames {
-                        let mut row = row.iter().flatten();
-                        let shared = row.next().expect("every E_fip agent broadcasts");
-                        assert!(row.all(|frame| Arc::ptr_eq(frame, shared)), "{what}");
+                    for (from, row) in frames.iter().enumerate() {
+                        let msg = engine.selected[from].as_ref();
+                        let sent = msg.expect("every E_fip agent broadcasts");
+                        let bytes = FipCodec.encode(sent);
+                        assert_eq!(engine.frame(from), Some(&bytes[..]), "{what}");
+                        assert!(row.iter().all(Option::is_some), "{what}");
                     }
                     apply_pattern(round, &mut frames, &case.pattern);
                     engine.deliver(frames);
@@ -527,50 +560,16 @@ mod tests {
     }
 
     #[test]
-    fn a_frame_replaced_in_transit_is_decoded_on_its_own() {
-        // Row 1's frames all share one `Init1` buffer; one of them is
-        // swapped for a `Decide(1)` frame of its own — the row's first
-        // surviving frame, then one behind it.
-        let ctx = Context::basic(params());
-        let ex = ctx.exchange();
-        let (original, replacement) = (BasicMsg::Init1, BasicMsg::Decide(Value::One));
-        let from = 1;
-        for replaced_at in [0, 2] {
-            let mut engine = TypedEngine::new(ctx, BasicCodec, &[Value::One; 4], HORIZON);
-            let mut frames = engine.outgoing();
-            let sent = frames.iter().flatten().flatten();
-            assert!(sent
-                .map(|frame| BasicCodec.decode(frame))
-                .all(|msg| msg == original));
-            frames[from][replaced_at] = Some(BasicCodec.encode(&replacement).into());
-            let (states, actions) = (engine.states.clone(), engine.actions.clone());
-            engine.deliver(frames);
-            let successor = |to: usize, heard: &BasicMsg| {
-                let mut received = vec![Some(&original); 4];
-                received[from] = Some(heard);
-                let mut next = states[to];
-                ex.update(
-                    AgentId::new(to),
-                    &states[to],
-                    actions[to],
-                    &received,
-                    &mut next,
-                );
-                next
-            };
-            for to in 0..4 {
-                let heard = if to == replaced_at {
-                    &replacement
-                } else {
-                    &original
-                };
-                assert_eq!(engine.states[to], successor(to, heard), "receiver {to}");
-            }
-            assert_ne!(
-                engine.states[replaced_at],
-                successor(replaced_at, &original),
-                "the replacement must change what its receiver learns"
-            );
-        }
+    #[should_panic(expected = "row 2 marks a frame, but agent 2 sent nothing")]
+    fn a_mark_from_a_silent_sender_panics() {
+        // `E_min` agents with init 1 send nothing in round 1: a carrier
+        // that marks one of their rows asks for bytes the engine never
+        // encoded.
+        let inits = [Value::One; 4];
+        let mut engine = TypedEngine::new(Context::minimal(params()), MinCodec, &inits, HORIZON);
+        let mut frames = engine.outgoing();
+        assert!(frames.iter().flatten().all(Option::is_none));
+        frames[2][0] = Some(Frame(()));
+        engine.deliver(frames);
     }
 }

@@ -5,13 +5,15 @@
 //!
 //! The paper's protocols are round-synchronous; this crate realizes one
 //! round at the byte level — every agent acts and its broadcast is
-//! encoded once, one frame shared by all its recipients
-//! ([`SessionEngine::outgoing`]), the failure pattern drops frames
-//! ([`apply_pattern`]), each sender's surviving frame is decoded once and
-//! every state updates ([`SessionEngine::deliver`]) — with hand-rolled
-//! wire codecs so the byte counts of Prop 8.1 are measured on actual
-//! encoded frames rather than estimated (a shared frame counts once per
-//! recipient, as the bytes a network would carry). [`run_engine`] is the one loop over an engine:
+//! encoded once, into one buffer that holds the round's broadcasts
+//! ([`SessionEngine::frame`]), and each recipient gets a [`Frame`], a
+//! `Copy` mark with no bytes ([`SessionEngine::outgoing`]); the failure
+//! pattern drops marks ([`apply_pattern`]); each sender's bytes are
+//! decoded once if any of its marks survive, and every state updates
+//! ([`SessionEngine::deliver`]) — with hand-rolled wire codecs so the
+//! byte counts of Prop 8.1 are measured on actual encoded frames rather
+//! than estimated (a sender's bytes count once per mark, as the bytes a
+//! network would carry). [`run_engine`] is the one loop over an engine:
 //! [`run_named_cluster`] calls it on the calling thread, `eba-service`
 //! once per session on a worker pool.
 //!
@@ -20,7 +22,7 @@
 //! the cross-check tests enforce. Shared with the simulator: the round
 //! kernel ([`eba_core::exchange`] — `P`, `μ`, `δ` and the first-decision
 //! rule are called from there only). Independent of it: the codecs, frame
-//! routing, omission injection on bytes, and the session loop — so the
+//! routing, omission injection on frames, and the session loop — so the
 //! differential catches a codec that loses information or a loop that
 //! routes, drops or counts frames wrongly, not a kernel bug.
 //!
@@ -53,4 +55,4 @@ mod engine;
 
 pub use cluster::{run_engine, run_named_cluster, ClusterSummary};
 pub use codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
-pub use engine::{apply_pattern, named_engine, RoundFrames, RoundTraffic, SessionEngine};
+pub use engine::{apply_pattern, named_engine, Frame, RoundFrames, RoundTraffic, SessionEngine};

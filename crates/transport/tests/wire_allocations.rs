@@ -5,9 +5,10 @@
 //! wrapping `System` counts the calling thread's `alloc`, `alloc_zeroed`
 //! and `realloc` calls.
 //!
-//! A count, unlike a timing, is exact on a shared host: a per-recipient
-//! frame `clone()`, a decode per `(from, to)` instead of per sender, or a
-//! per-round buffer that grows by `realloc` moves it at once. The bounds
+//! A count, unlike a timing, is exact on a shared host: a frame allocated
+//! per broadcast or per recipient, a decode per `(from, to)` instead of
+//! per sender, or a per-round buffer that grows by `realloc` moves it at
+//! once. The bounds
 //! are measured in debug builds, which is how tier-1 runs this file; a
 //! release build allocates no more.
 
@@ -19,19 +20,22 @@ use eba_transport::{named_engine, run_engine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Measured: 207.8 (466.4 while every broadcast was a fresh graph clone
+/// Measured: 164.8 (207.8 while every broadcast was one fresh `Arc<[u8]>`
+/// frame cloned into each recipient's entry; 466.4 while every broadcast
+/// was a fresh graph clone
 /// encoded into a fresh `Vec`, every decode and every successor state a
 /// fresh graph, and `P_opt`'s cones one `BitSet` per vertex; 511.4 while
 /// every round's frames also took `n + 1` fresh row `Vec`s, 532.4 while
 /// the kernel also returned a fresh `Vec` of actions, messages and states
 /// every round; an engine that cloned each frame per recipient and
 /// decoded every `(from, to)` read 1,191.1).
-const FIP_N8_BOUND: f64 = 218.0;
-/// Measured: 26.6 (45.8 with a fresh encode buffer per broadcast and a
+const FIP_N8_BOUND: f64 = 175.0;
+/// Measured: 20.6 (26.6 with a fresh `Arc<[u8]>` frame per broadcast;
+/// 45.8 with a fresh encode buffer per broadcast and a
 /// fresh successor state per receiver, 57.8 with fresh frame rows every
 /// round too, 70.8 with per-round kernel `Vec`s too; the older engine
 /// read 98.9).
-const MIXED_N3_BOUND: f64 = 28.0;
+const MIXED_N3_BOUND: f64 = 22.0;
 
 /// `System`, counting the calls that hand out a block.
 struct CountingAllocator;

@@ -19,18 +19,17 @@ use eba_core::prelude::*;
 use eba_core::types::subsets_of_size;
 use eba_epistemic::prelude::*;
 use eba_sim::prelude::Parallelism;
+use std::sync::OnceLock;
 
-fn fip_system() -> (Params, InterpretedSystem<FipExchange>) {
+/// `γ_fip(3,1)` at horizon 4, built on first use and shared by every
+/// test here.
+fn fip_system() -> (Params, &'static InterpretedSystem<FipExchange>) {
+    static SYSTEM: OnceLock<InterpretedSystem<FipExchange>> = OnceLock::new();
     let params = Params::new(3, 1).unwrap();
-    let ex = FipExchange::new(params);
-    let proto = POpt::new(params);
-    let sys = InterpretedSystem::from_context(
-        Context::new(ex, &proto),
-        4,
-        10_000_000,
-        Parallelism::Sequential,
-    )
-    .unwrap();
+    let sys = SYSTEM.get_or_init(|| {
+        let ctx = Context::new(FipExchange::new(params), POpt::new(params));
+        InterpretedSystem::from_context(ctx, 4, 10_000_000, Parallelism::Sequential).unwrap()
+    });
     (params, sys)
 }
 

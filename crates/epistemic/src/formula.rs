@@ -209,7 +209,7 @@ impl<E: InformationExchange> InterpretedSystem<E> {
     /// The result is bit-for-bit identical to the pre-engine recursion,
     /// which survives as [`InterpretedSystem::eval_recursive`] and is
     /// compared against this wrapper across stacks × failure models ×
-    /// horizons in `tests/engines_agree.rs`.
+    /// horizons in `tests/query_engine_equivalence.rs`.
     pub fn eval(&self, f: &Formula) -> BitSet {
         let mut arena = FormulaArena::new();
         let root = arena.intern(f);

@@ -1,6 +1,6 @@
 //! The reference construction of an interpreted system, kept apart from
 //! [`InterpretedSystem`]'s constructors because nothing but tests should
-//! call it: `tests/engines_agree.rs` and the in-crate suites build
+//! call it: `tests/run_store_equivalence.rs` and the in-crate suites build
 //! the same system through [`InterpretedSystem::from_context`] (the
 //! enumerator's prefix tree, one counting sort per agent) and through
 //! [`from_runs`] (a collected run vector pushed as one unshared chain per

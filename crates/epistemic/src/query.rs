@@ -26,7 +26,7 @@
 //! wrappers that build a one-formula plan; the pre-engine recursion
 //! survives as [`InterpretedSystem::eval_recursive`], the independent
 //! oracle the engine is verified against bit-for-bit
-//! (`tests/engines_agree.rs`).
+//! (`tests/query_engine_equivalence.rs`).
 //!
 //! # Example: the EBA spec as one batch, with witnesses
 //!

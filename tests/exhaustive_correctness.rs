@@ -2,14 +2,18 @@
 //! of small contexts — all nonfaulty-set choices, all inputs, all
 //! meaningful delivery patterns (via the delivery-choice enumeration of
 //! `eba-sim`). This is stronger than randomized testing: the properties
-//! hold with certainty on these instances.
+//! hold with certainty on these instances. Every run passes two judges
+//! that must agree: the library's `judge_run`, and `check_enum_run`, a
+//! judge written out here independently of it.
 
 use eba::core::exchange::InformationExchange;
 use eba::core::protocols::ActionProtocol;
+use eba::core::types::EbaError;
 use eba::prelude::*;
 
 /// Checks the four EBA properties plus strong Validity and the `t + 2`
-/// bound directly on an enumerated run.
+/// bound directly on an enumerated run: a judge written out here,
+/// independently of `judge_run`.
 fn check_enum_run<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> Result<(), String> {
     let n = ex.params().n();
     let bound = ex.params().decide_by_round();
@@ -58,9 +62,16 @@ fn check_enum_run<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> Result<()
     Ok(())
 }
 
-/// Streams every run of the context through the spec check — no run set
-/// is ever collected, so even the ~100k-run FIP context checks in
-/// O(work item) memory.
+/// Both judges' verdict on one run, the first rejection named.
+fn both_judges<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> Result<(), EbaError> {
+    check_enum_run(ex, run).map_err(EbaError::InvalidInput)?;
+    judge_run(ex, run.nonfaulty, &run.inits, &run.states, &run.actions)
+        .map_err(|v| EbaError::InvalidInput(format!("judge_run: {v}")))
+}
+
+/// Streams every run of the context through both judges — no run set is
+/// ever collected, so even the ~100k-run FIP context checks in
+/// O(work item) memory — and returns how many runs there were.
 fn exhaustive<E, P>(ctx: Context<E, P>, horizon: u32) -> usize
 where
     E: InformationExchange + Sync,
@@ -72,9 +83,9 @@ where
         .parallelism(Parallelism::Auto)
         .enumerate_into(&mut |run: EnumRun<E>| {
             checked += 1;
-            check_enum_run(ctx.exchange(), &run).map_err(eba::core::types::EbaError::InvalidInput)
+            both_judges(ctx.exchange(), &run)
         })
-        .unwrap_or_else(|e| panic!("{e}"));
+        .unwrap_or_else(|e| panic!("{}: {e}", ctx.qualified_name()));
     assert_eq!(total, checked);
     assert!(total > 0);
     total

@@ -311,6 +311,34 @@ fn a_huge_horizon_is_refused_at_its_line() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Every corpus scenario by file name, then the (8, 3) `E_fip/P_opt`
+/// scenario of `examples/wire_loopback.rs`: three faulty agents, silent
+/// for the first two rounds.
+fn pinned_scenarios() -> Vec<(String, ScenarioSpec)> {
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let loaded = eba::experiments::corpus::load_dir(&corpus).unwrap();
+    let mut scenarios: Vec<(String, ScenarioSpec)> = loaded
+        .into_iter()
+        .map(|s| (s.path.file_name().unwrap().to_str().unwrap().into(), s.spec))
+        .collect();
+    let params = Params::new(8, 3).unwrap();
+    let faulty: AgentSet = (0..3).map(AgentId::new).collect();
+    let mut inits = vec![Value::One; 8];
+    inits[1] = Value::Zero;
+    let case = Case {
+        pattern: silent_pattern(params, faulty, 2).unwrap(),
+        inits,
+        horizon: params.default_horizon(),
+    };
+    let spec = ScenarioSpec {
+        stack: "E_fip/P_opt".into(),
+        model: FailureModel::SendingOmission,
+        case,
+    };
+    scenarios.push(("example_fip_8_3".into(), spec));
+    scenarios
+}
+
 /// One lockstep run of a scenario, reduced to its traffic counters.
 struct TrafficOf<'s>(&'s ScenarioSpec);
 
@@ -346,7 +374,7 @@ impl StackVisitor for TrafficOf<'_> {
 /// cannot.
 #[test]
 fn corpus_traffic_is_pinned() {
-    const PINNED: [(&str, [u64; 4]); 10] = [
+    const PINNED: [(&str, [u64; 4]); 11] = [
         ("01_basic_failure_free.eba", [24, 48, 24, 48]),
         ("02_basic_silent_so.eba", [44, 88, 38, 76]),
         ("03_min_crash_from_start.eba", [9, 9, 6, 6]),
@@ -357,14 +385,14 @@ fn corpus_traffic_is_pinned() {
         ("08_basic_go_receive.eba", [21, 42, 17, 34]),
         ("09_fip_so_two_faulty.eba", [125, 13750, 121, 13560]),
         ("10_naive_failure_free.eba", [30, 60, 30, 60]),
+        ("example_fip_8_3", [384, 129024, 342, 125664]),
     ];
-    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let loaded = eba::experiments::corpus::load_dir(&corpus).unwrap();
-    assert_eq!(loaded.len(), PINNED.len());
-    for (scenario, (file, traffic)) in loaded.iter().zip(PINNED) {
-        assert_eq!(scenario.path.file_name().unwrap(), file);
-        let stack = scenario.spec.to_stack().unwrap();
-        assert_eq!(stack.visit(TrafficOf(&scenario.spec)), traffic, "{file}");
+    let scenarios = pinned_scenarios();
+    assert_eq!(scenarios.len(), PINNED.len());
+    for ((name, spec), (file, traffic)) in scenarios.iter().zip(PINNED) {
+        assert_eq!(name, file);
+        let stack = spec.to_stack().unwrap();
+        assert_eq!(stack.visit(TrafficOf(spec)), traffic, "{file}");
     }
 }
 
@@ -415,7 +443,7 @@ impl StackVisitor for ChainsOf<'_> {
 /// and its answers cannot.
 #[test]
 fn corpus_zero_chains_are_pinned() {
-    const PINNED: [(&str, &str, &str); 10] = [
+    const PINNED: [(&str, &str, &str); 11] = [
         ("01_basic_failure_free.eba", "[0] [0 1] [0 2] [3]", "-"),
         ("02_basic_silent_so.eba", "- - - -", "-"),
         ("03_min_crash_from_start.eba", "[0] - -", "-"),
@@ -430,14 +458,14 @@ fn corpus_zero_chains_are_pinned() {
             "-",
         ),
         ("10_naive_failure_free.eba", "[0] [0 1] [0 2]", "-"),
+        ("example_fip_8_3", "- [1] - - - - - -", "-"),
     ];
-    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let loaded = eba::experiments::corpus::load_dir(&corpus).unwrap();
-    assert_eq!(loaded.len(), PINNED.len());
-    for (scenario, (file, chains, verdict)) in loaded.iter().zip(PINNED) {
-        assert_eq!(scenario.path.file_name().unwrap(), file);
-        let stack = scenario.spec.to_stack().unwrap();
-        let got = stack.visit(ChainsOf(&scenario.spec));
+    let scenarios = pinned_scenarios();
+    assert_eq!(scenarios.len(), PINNED.len());
+    for ((name, spec), (file, chains, verdict)) in scenarios.iter().zip(PINNED) {
+        assert_eq!(name, file);
+        let stack = spec.to_stack().unwrap();
+        let got = stack.visit(ChainsOf(spec));
         assert_eq!(got, (chains.into(), verdict.into()), "{file}");
     }
 }

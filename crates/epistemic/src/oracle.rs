@@ -1,7 +1,8 @@
 //! The reference construction of an interpreted system, kept apart from
 //! [`InterpretedSystem`]'s constructors because nothing but tests should
-//! call it: `tests/run_store_equivalence.rs` and the in-crate suites build
-//! the same system through [`InterpretedSystem::from_context`] (the
+//! call it: the exhaustive comparisons of `tests/common/mod.rs`, which
+//! `tests/engines_agree.rs` tabulates, and the in-crate suites build the
+//! same system through [`InterpretedSystem::from_context`] (the
 //! enumerator's prefix tree, one counting sort per agent) and through
 //! [`from_runs`] (a collected run vector pushed as one unshared chain per
 //! run, so its nodes are its points, and hash-then-group over the raw
@@ -36,11 +37,11 @@ use crate::system::{AgentClasses, InterpretedSystem};
 /// the `u32` point-id space, or if a run has more than `t` faulty agents.
 pub fn from_runs<E: InformationExchange>(
     ex: E,
-    runs: Vec<EnumRun<E>>,
+    runs: &[EnumRun<E>],
     horizon: u32,
 ) -> Result<InterpretedSystem<E>, EbaError> {
     ensure_point_capacity(runs.len(), horizon)?;
-    for run in &runs {
+    for run in runs {
         if run.states.len() as u32 != horizon + 1 {
             return Err(EbaError::InvalidInput(format!(
                 "run horizon mismatch: got {} states, expected horizon {} + 1",
@@ -51,11 +52,11 @@ pub fn from_runs<E: InformationExchange>(
     }
     let n = ex.params().n();
     let mut store = RunStore::new(n, horizon);
-    for run in &runs {
+    for run in runs {
         store.push_run(run)?;
     }
     let classes = (0..n)
-        .map(|i| lay_out(classes_from_runs(&runs, horizon, i), &store, i))
+        .map(|i| lay_out(classes_from_runs(runs, horizon, i), &store, i))
         .collect();
     InterpretedSystem::from_classes(ex, store, classes)
 }

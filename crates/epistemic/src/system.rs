@@ -516,7 +516,7 @@ mod tests {
         P: ActionProtocol<E> + Sync,
     {
         let runs = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
-        crate::oracle::from_runs(ctx.into_parts().0, runs, 4).unwrap()
+        crate::oracle::from_runs(ctx.into_parts().0, &runs, 4).unwrap()
     }
 
     #[test]
@@ -812,7 +812,7 @@ mod tests {
     fn from_runs_rejects_horizon_mismatches() {
         let ctx = Context::minimal(Params::new(3, 1).unwrap());
         let runs = Scenario::of(&ctx).horizon(4).enumerate().unwrap();
-        let err = match crate::oracle::from_runs(ctx.into_parts().0, runs, 3) {
+        let err = match crate::oracle::from_runs(ctx.into_parts().0, &runs, 3) {
             Err(e) => e,
             Ok(_) => panic!("horizon mismatch must be rejected"),
         };
@@ -833,7 +833,7 @@ mod tests {
         let ex = ctx.into_parts().0;
         let errors = [
             InterpretedSystem::from_store(ex, store).err(),
-            crate::oracle::from_runs(ex, runs, 4).err(),
+            crate::oracle::from_runs(ex, &runs, 4).err(),
         ];
         for err in errors {
             let err = err.expect("a run with |F| > t must be rejected");

@@ -74,7 +74,9 @@ fn main() {
                 .parallelism(Parallelism::Auto)
                 .enumerate()
                 .unwrap();
-            let sys = eba::epistemic::oracle::from_runs(FipExchange::new(params), runs, 4).unwrap();
+            let sys =
+                eba::epistemic::oracle::from_runs(FipExchange::new(params), &runs, 4).unwrap();
+            drop(runs);
             report("collected fip(3,1)", &sys, t0.elapsed().as_secs_f64());
         }
         // Newly reachable scale: the (4, 1) full-information system.

@@ -348,8 +348,7 @@ impl StackVisitor for ThreeBuilds {
         let parallelism = Parallelism::Fixed(workers);
         let nodes = InterpretedSystem::from_context(ctx.clone(), horizon, LIMIT, parallelism)
             .expect("node store");
-        let chains =
-            oracle::from_runs(ctx.exchange().clone(), runs.clone(), horizon).expect("chains");
+        let chains = oracle::from_runs(ctx.exchange().clone(), &runs, horizon).expect("chains");
         agree(&label, ctx.protocol(), &runs, &nodes, &chains);
     }
 }

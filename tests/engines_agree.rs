@@ -84,7 +84,7 @@ impl FipSo {
     fn chains(&self) -> &InterpretedSystem<FipExchange> {
         self.chains.get_or_init(|| {
             let ex = *Self::ctx().exchange();
-            oracle::from_runs(ex, self.runs().to_vec(), Self::HORIZON).expect("chains")
+            oracle::from_runs(ex, self.runs(), Self::HORIZON).expect("chains")
         })
     }
 }

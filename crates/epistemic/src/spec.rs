@@ -4,11 +4,11 @@
 //! This is the formula-level statement of the spec, kept independent of
 //! `eba-sim`'s trajectory-level judge (the `RunJudge` fold, behind
 //! `judge_run` and `check_eba`) so that each cross-checks the other: the
-//! two share no code, and
-//! `tests/spec_judges_agree.rs` and the fuzzer's oracle comparison hold
-//! them to the same verdicts. Agreement is posed as one clause per
-//! ordered nonfaulty pair, strong Validity per agent and value, and
-//! bounded Termination per agent — all interned into a single
+//! two share no code, and the case table of `tests/engines_agree.rs`
+//! (`EngineOracle` against the lockstep runner on every row) and the
+//! fuzzer's oracle comparison hold them to the same verdicts. Agreement
+//! is posed as one clause per ordered nonfaulty pair, strong Validity per
+//! agent and value, and bounded Termination per agent — all interned into a single
 //! [`FormulaArena`] batch so one [`EvalSession`] answers the whole spec
 //! with witnessing `(run, time)` counterexamples. Every engine-produced
 //! witness is re-checked through the independent recursive evaluator

@@ -1,9 +1,7 @@
-//! Integration tests for the multiplexed consensus service:
+//! Integration tests for the multiplexed consensus service (that each
+//! session's outcome equals its loopback run and the lockstep runner's is
+//! a line of `tests/engines_agree.rs`'s case table):
 //!
-//! * on random instances (all four stacks, all four failure models,
-//!   adversary-sampled patterns), every multiplexed session's decision
-//!   vector equals the lockstep simulator's, and what the service derives
-//!   per session and folds per round equals a loopback run of each spec;
 //! * backpressure admits a large batch through a tiny admission window
 //!   without losing or stalling anything, and across pool and window
 //!   sizes admission defers exactly `sessions − capacity` times with the
@@ -16,7 +14,6 @@ use eba::experiments::service_cli::{self, LoadConfig};
 use eba::prelude::*;
 use eba::service::{run_service, ServiceConfig, ServiceReport, SessionSpec};
 use eba::transport::{run_named_cluster, RoundTraffic};
-use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,63 +64,6 @@ fn decisions_by_spec(report: &ServiceReport) -> Vec<SessionDecisions> {
             )
         })
         .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// The service's built-in oracle pass compares every session with
-    /// `Scenario::run` — a different kernel with no codec, which catches
-    /// an engine or codec bug. The `run_named_cluster` re-run below is
-    /// the *same* `run_engine` loop each session ran, so it cannot catch
-    /// those; it is the reference for what the service derives around
-    /// that loop. Decisions: a completion filed under the wrong spec as
-    /// the window moves. `frames_sent`, `frames_dropped`, `rounds`: the
-    /// outcome built from the session's summary. `round_traffic`: the
-    /// calling thread's fold over retired sessions, against the per-round
-    /// sum of the loopbacks'.
-    #[test]
-    fn multiplexed_sessions_match_the_lockstep_cluster(
-        n in 3usize..6,
-        model_idx in 0usize..4,
-        seed in any::<u64>(),
-        drop_prob in 0.0f64..0.8,
-    ) {
-        let t = (n - 1) / 2;
-        let model = FailureModel::by_name(MODEL_NAMES[model_idx]).unwrap();
-        let specs = mixed_specs(n, t, model, drop_prob, seed);
-        let config = ServiceConfig {
-            workers: 2,
-            capacity: 3, // smaller than the batch: admission must defer
-            oracle_stride: Some(1),
-        };
-        let report = run_service(&specs, &config).unwrap();
-        prop_assert_eq!(report.admitted, specs.len());
-        prop_assert_eq!(report.outcomes.len(), specs.len());
-        prop_assert_eq!(report.oracle_checked, specs.len());
-        prop_assert_eq!(report.oracle_mismatches, 0);
-
-        let mut folded: Vec<RoundTraffic> = Vec::new();
-        for outcome in &report.outcomes {
-            let spec = &specs[outcome.spec_index];
-            let stack = NamedStack::by_name(&spec.stack, spec.params).unwrap();
-            let loopback =
-                run_named_cluster(&stack, &spec.pattern, &spec.inits, spec.horizon).unwrap();
-            prop_assert_eq!(&outcome.decision_rounds, &loopback.decision_rounds);
-            prop_assert_eq!(&outcome.decision_values, &loopback.decision_values);
-            prop_assert_eq!(outcome.rounds, loopback.rounds);
-            prop_assert_eq!(outcome.frames_sent, loopback.frames_sent);
-            let dropped: u64 = loopback.round_traffic.iter().map(|t| t.dropped()).sum();
-            prop_assert_eq!(outcome.frames_dropped, dropped);
-            if folded.len() < loopback.round_traffic.len() {
-                folded.resize(loopback.round_traffic.len(), RoundTraffic::default());
-            }
-            for (total, round) in folded.iter_mut().zip(&loopback.round_traffic) {
-                total.absorb(round);
-            }
-        }
-        prop_assert_eq!(&report.round_traffic, &folded);
-    }
 }
 
 /// A 48-session batch through a 4-session window: admission defers but

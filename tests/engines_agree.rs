@@ -1,6 +1,6 @@
-//! Every engine agrees with every other, on exhaustively enumerated
-//! systems. One line per pair of things compared, with the tests that
-//! compare them (`file::test`, under `tests/`):
+//! Every engine agrees with every other: on exhaustively enumerated
+//! systems, and case by case. One line per pair of things compared, with
+//! the tests that compare them (`file::test`, under `tests/`):
 //!
 //! | compared | against | what must agree | tests |
 //! |---|---|---|---|
@@ -11,8 +11,14 @@
 //! | parallel streams (`Fixed(k)`) | the sequential stream | every run, in order; the sequential stream is pinned by digest | `run_stream_order_is_pinned_for_every_worker_count`, `parallel_enumeration::*`, `scenario_registry::collecting_sink_…` |
 //! | `judge_run` | `check_enum_run`, a hand-written judge kept independent of it | every run of a correct stack passes both | `exhaustive_correctness::*` |
 //! | node store | pinned prefix-node counts | nodes, and nodes below the horizon | `prefix_tree_node_counts_are_pinned` |
+//! | `TraceOracle`, `EngineOracle` (`check_spec` on a one-run system) | the lockstep runner (`Scenario::run`, judged by `judge_run`) | decision rounds and values, verdict kind | `every_case_agrees_across_engines`, `a_faulty_agent_deciding_an_unheld_value_…` |
+//! | `judge_case`, the estimator's trial | the lockstep runner | verdict kind | the same |
+//! | the wire (`run_named_cluster`) | the lockstep runner (`Metrics::of`) | decision rounds and values, frames sent and dropped against messages, rounds run | `every_case_agrees_across_engines` |
+//! | the service (`run_service`, oracle on every session, admission deferred) | the wire | decision rounds and values, frames sent and dropped, rounds run; per-round traffic summed | the same |
+//! | the lockstep runner and the wire | the paper's promises | EBA and the t + 2 bound under `SO(t)` for `E_min`, `E_basic`, `E_fip`, with verified 0-chains for the first two; EBA under crash for `E_naive`, `E_min` | the same |
+//! | the lockstep runner and the wire, on the corpus and `examples/wire_loopback.rs` | [`PINNED`] | decisions, messages and bits (Prop 8.1), bytes, frames, per-round traffic, 0-chains (§6) | the same |
 //!
-//! The comparisons themselves are one set of functions in
+//! The exhaustive comparisons are one set of functions in
 //! `tests/common/mod.rs` — [`agree`] for the first three lines, and
 //! `engine_equals_recursion` and [`assert_streams_equal`] — over one
 //! sweep of small systems (`common::sweep`, 45 systems, each built in
@@ -26,11 +32,20 @@
 //! workers, so that comparing it with the sequential runs is also its
 //! `Fixed(16)` row. `exhaustive_correctness` and `scenario_registry`
 //! each stream it once more, through their judges, without collecting it.
+//!
+//! The case comparisons are one function, [`case_agrees`], over one list
+//! of rows, each a label, a registry stack and a case: every
+//! `corpus/*.eba` file, the (8, 3) case of `examples/wire_loopback.rs`,
+//! and seeded `AdversarySampler` and `crash_pattern` cases on every stack
+//! (443 rows). A mismatch names the row and the two engines, as in
+//! `corpus/05_naive_whisper_go.eba E_naive/P_naive@general_omission: wire
+//! rounds [1,3,3] ≠ lockstep rounds [1,3,2]`.
 
 mod common;
 
 use std::any::Any;
 use std::hash::{Hash, Hasher};
+use std::path::Path;
 use std::sync::OnceLock;
 
 use common::{agree, assert_streams_equal, collect, Battery, LIMIT};
@@ -38,7 +53,13 @@ use eba::core::exchange::InformationExchange;
 use eba::core::protocols::ActionProtocol;
 use eba::epistemic::oracle;
 use eba::epistemic::prelude::*;
+use eba::experiments::corpus::load_dir;
 use eba::prelude::*;
+use eba::service::{run_service, ServiceConfig, SessionOutcome, SessionSpec};
+use eba::stat::prelude::judge_case;
+use eba::transport::{run_named_cluster, ClusterSummary, RoundTraffic};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// The full `E_fip/P_opt` (3, 1) system under sending omissions at
 /// horizon 4: every failure pattern, 98,312 runs. Each part is built on
@@ -504,4 +525,312 @@ fn agreement_violation_carries_a_confirmed_witness() {
         }
     }
     assert!(found, "the naive protocol must violate Agreement somewhere");
+}
+
+/// One row of the case table: a label, the qualified registry stack it
+/// runs on, and the case.
+type Row = (String, String, Case);
+
+/// A case at its parameters' default horizon.
+fn case(pattern: FailurePattern, inits: Vec<Value>) -> Case {
+    let horizon = pattern.params().default_horizon();
+    Case {
+        pattern,
+        inits,
+        horizon,
+    }
+}
+
+/// The case table: every `corpus/*.eba` file, then the (8, 3)
+/// `E_fip/P_opt` case of `examples/wire_loopback.rs`, three faulty agents
+/// silent for the first two rounds — the rows [`PINNED`] pins — then
+/// seeded `AdversarySampler` cases over every model, (n, t) and drop
+/// probability, two draws each, and `crash_pattern` cases at t = 1, each
+/// case on every stack under the model it was drawn for.
+fn rows() -> Vec<Row> {
+    let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
+    let mut rows: Vec<Row> = (load_dir(&corpus).unwrap().into_iter())
+        .map(|s| {
+            (
+                format!("corpus/{}", s.path.file_name().unwrap().display()),
+                s.spec.qualified_stack(),
+                s.spec.case,
+            )
+        })
+        .collect();
+    let params = Params::new(8, 3).unwrap();
+    let mut inits = vec![Value::One; 8];
+    inits[1] = Value::Zero;
+    let pattern = silent_pattern(params, (0..3).map(AgentId::new).collect(), 2).unwrap();
+    rows.push((
+        "examples/wire_loopback.rs".into(),
+        "E_fip/P_opt".into(),
+        case(pattern, inits),
+    ));
+
+    let mut rng = StdRng::seed_from_u64(0xEBA);
+    let mut patterns = Vec::new();
+    for model in MODEL_NAMES.map(|name| FailureModel::by_name(name).unwrap()) {
+        for (n, t) in [(3, 1), (4, 1), (5, 2), (6, 2)] {
+            let params = Params::new(n, t).unwrap();
+            for p in [0.2, 0.5, 0.9] {
+                let sampler = AdversarySampler::new(model, params, params.default_horizon(), p);
+                for _ in 0..2 {
+                    patterns.push((format!("({n},{t}) p={p}"), model, sampler.sample(&mut rng)));
+                }
+            }
+        }
+    }
+    for n in 3..=5 {
+        let (params, faulty) = (Params::new(n, 1).unwrap(), rng.random_range(0..n));
+        let (horizon, faulty) = (
+            params.default_horizon(),
+            AgentSet::singleton(AgentId::new(faulty)),
+        );
+        let round = rng.random_range(0..horizon);
+        let pattern = crash_pattern(params, faulty, &[round], horizon, &mut rng).unwrap();
+        let label = format!("({n},1) crash in round {}", round + 1);
+        patterns.push((label, FailureModel::Crash, pattern));
+    }
+    for (k, (label, model, pattern)) in patterns.into_iter().enumerate() {
+        let bits = (0..pattern.params().n()).map(|_| rng.random_range(0..2));
+        let case = case(pattern, bits.map(Value::from_bit).collect());
+        for stack in STACK_NAMES {
+            let stack = format!("{stack}{}", model.suffix());
+            rows.push((format!("case {k} {label}"), stack, case.clone()));
+        }
+    }
+    rows
+}
+
+/// `[1,3,-]`: one cell per agent, `-` where it has none.
+fn cells<T: std::fmt::Display>(items: &[Option<T>]) -> String {
+    let cells: Vec<String> = items
+        .iter()
+        .map(|c| c.as_ref().map_or("-".into(), T::to_string))
+        .collect();
+    format!("[{}]", cells.join(","))
+}
+
+/// Holds engine `a` to engine `b` on every answer both give. What an
+/// engine says is `key=value` answers, space-separated; a mismatch panics
+/// with one line naming the row and the two engines.
+fn same(at: &str, (a, said_a): (&str, &str), (b, said_b): (&str, &str)) {
+    let answers = |said| str::split(said, ' ').filter_map(|kv| kv.split_once('='));
+    for (what, x) in answers(said_a) {
+        if let Some((_, y)) = answers(said_b).find(|(w, _)| *w == what) {
+            assert!(x == y, "{at}: {a} {what} {x} ≠ {b} {what} {y}");
+        }
+    }
+}
+
+/// A verdict as every judge names it: a clause kind, or `ok`.
+fn verdict(kind: Option<&str>) -> &str {
+    kind.unwrap_or("ok")
+}
+
+/// Runs a case on the lockstep runner (`Scenario::run`, judged by
+/// `judge_run`), holds `TraceOracle`, `EngineOracle` (`check_spec`) and
+/// `judge_case` to it, and asserts the verdicts the paper promises where a
+/// folded test asserted them: EBA and the t + 2 bound under `SO(t)`
+/// (0-chains too for `P_min` and `P_basic`), and EBA under crash for
+/// `P_naive` and `P_min`. Returns what the lockstep runner says, its
+/// violation, and its part of a pin line.
+struct Judges<'r>(&'r str, &'r Case);
+
+impl StackVisitor for Judges<'_> {
+    type Output = (String, Option<SpecViolation>, String);
+
+    fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
+    where
+        E: InformationExchange + Clone + Sync + 'static,
+        P: ActionProtocol<E> + Clone + Sync + 'static,
+    {
+        let Judges(at, case) = self;
+        let (ex, pattern, inits) = (ctx.exchange(), &case.pattern, &case.inits);
+        let scenario = Scenario::of(ctx).pattern(pattern.clone()).inits(inits);
+        let run = scenario.horizon(case.horizon).run().expect(at);
+        let ((rounds, values), m) = (run.decisions(), Metrics::of(ex, &run, pattern));
+        let violation = check_eba(ex, &run).err();
+        let kind = verdict(violation.as_ref().map(violation_kind));
+        let (rounds, values, horizon) = (cells(&rounds), cells(&values), run.horizon());
+        let (sent, dropped) = (m.messages_sent, m.messages_sent - m.messages_delivered);
+        let said = format!(
+            "rounds={rounds} values={values} verdict={kind} \
+             sent={sent} dropped={dropped} horizon={horizon}"
+        );
+        let lockstep = ("lockstep", said.as_str());
+        let oracles: [(&str, &mut dyn CaseOracle); 2] = [
+            ("TraceOracle", &mut TraceOracle::new(ctx)),
+            ("EngineOracle", &mut EngineOracle::new(ctx.clone())),
+        ];
+        for (engine, oracle) in oracles {
+            let o = oracle.check(case).expect(at);
+            let kind = verdict(o.violation.as_ref().map(|v| v.kind.as_str()));
+            let (rounds, values) = (cells(&o.rounds), cells(&o.decisions));
+            let said = format!("rounds={rounds} values={values} verdict={kind}");
+            same(at, (engine, &said), lockstep);
+        }
+        let kind = verdict(judge_case(ctx, pattern, inits, case.horizon).unwrap());
+        same(at, ("judge_case", &format!("verdict={kind}")), lockstep);
+
+        let flagged = verify_zero_chains(ex, &run, pattern).err();
+        let (model, name) = (ctx.model(), ctx.protocol().name());
+        if model == FailureModel::SendingOmission && matches!(name, "P_min" | "P_basic" | "P_opt") {
+            let late = check_decides_by(&run, ctx.params().decide_by_round());
+            let (fine, chained) = (violation.is_none() && late.is_ok(), flagged.is_none());
+            assert!(fine, "{at}: {violation:?} {late:?}");
+            assert!(chained || name == "P_opt", "{at}: 0-chains {flagged:?}");
+        }
+        if model == FailureModel::Crash && matches!(name, "P_naive" | "P_min") {
+            assert!(violation.is_none(), "{at}: {violation:?}");
+        }
+
+        let chain = |a| zero_chain_ending_at(ex, &run, pattern, a);
+        let ids =
+            |c: Vec<AgentId>| format!("{:?}", c.iter().map(|a| a.index()).collect::<Vec<_>>());
+        let chains: Vec<String> = (ctx.params().agents())
+            .map(|a| chain(a).map_or("-".into(), ids))
+            .collect();
+        let chains = chains.join(" ").replace(',', "");
+        let flagged = flagged.map_or("-".into(), |a| a.index().to_string());
+        let (bits, delivered) = (m.bits_sent, m.bits_delivered);
+        let facts = format!(
+            "messages={sent}/{} bits={bits}/{delivered} chains=({chains}) flagged={flagged}",
+            m.messages_delivered
+        );
+        (said, violation, facts)
+    }
+}
+
+/// What a wire run says.
+fn wire_said(wire: &ClusterSummary) -> String {
+    let dropped: u64 = wire.round_traffic.iter().map(RoundTraffic::dropped).sum();
+    let (rounds, values) = (cells(&wire.decision_rounds), cells(&wire.decision_values));
+    let (sent, horizon) = (wire.frames_sent, wire.rounds);
+    format!("rounds={rounds} values={values} sent={sent} dropped={dropped} horizon={horizon}")
+}
+
+/// What a service session says.
+fn service_said(o: &SessionOutcome) -> String {
+    let (rounds, values) = (cells(&o.decision_rounds), cells(&o.decision_values));
+    let (sent, dropped, horizon) = (o.frames_sent, o.frames_dropped, o.rounds);
+    format!("rounds={rounds} values={values} sent={sent} dropped={dropped} horizon={horizon}")
+}
+
+/// Runs one row through every engine but the service — the judges
+/// ([`Judges`]), then the wire (`run_named_cluster`), each held to the
+/// lockstep runner — and returns the row's pin line and its wire run.
+fn case_agrees((label, stack, case): &Row) -> (String, ClusterSummary) {
+    let at = &format!("{label} {stack}");
+    let stack = NamedStack::by_name(stack, case.pattern.params()).unwrap();
+    let (lockstep, _, facts) = stack.visit(Judges(at, case));
+    let wire = run_named_cluster(&stack, &case.pattern, &case.inits, case.horizon).expect(at);
+    same(at, ("wire", &wire_said(&wire)), ("lockstep", &lockstep));
+    let traffic: Vec<String> = (wire.round_traffic.iter())
+        .map(|t| format!("{}/{}", t.sent, t.delivered))
+        .collect();
+    let (rounds, values) = (cells(&wire.decision_rounds), cells(&wire.decision_values));
+    let bytes = format!("{}/{}", wire.wire_bytes_sent, wire.wire_bytes_delivered);
+    let (frames, traffic) = (wire.frames_sent, traffic.join(","));
+    let pin = format!(
+        "{label} rounds={rounds} values={values} \
+         bytes={bytes} frames={frames} traffic=[{traffic}] {facts}"
+    );
+    (pin, wire)
+}
+
+/// Each pinned row's wire and lockstep run: decision rounds and values,
+/// encoded bytes sent/delivered, frames, per-round frames sent/delivered,
+/// messages and bits sent/delivered (Prop 8.1's accounting), each agent's
+/// 0-chain (§6) and the agent `verify_zero_chains` flags.
+const PINNED: [&str; 11] = [
+    "corpus/01_basic_failure_free.eba rounds=[1,2,2,1] values=[0,0,0,0] bytes=40/40 frames=24 traffic=[16/16,8/8,0/0,0/0] messages=24/24 bits=48/48 chains=([0] [0 1] [0 2] [3]) flagged=-",
+    "corpus/02_basic_silent_so.eba rounds=[2,3,3,3] values=[1,1,1,1] bytes=60/51 frames=44 traffic=[16/13,16/13,12/12,0/0] messages=44/38 bits=88/76 chains=(- - - -) flagged=-",
+    "corpus/03_min_crash_from_start.eba rounds=[1,3,3] values=[0,1,1] bytes=9/6 frames=9 traffic=[3/0,0/0,6/6,0/0] messages=9/6 bits=9/6 chains=([0] - -) flagged=-",
+    "corpus/04_fip_isolation_go.eba rounds=[2,1,2,4] values=[0,0,0,1] bytes=832/724 frames=64 traffic=[16/10,16/10,16/16,16/16] messages=64/52 bits=3584/3296 chains=([1 0] [1] [1 2] -) flagged=-",
+    "corpus/05_naive_whisper_go.eba rounds=[1,3,3] values=[0,1,0] bytes=33/24 frames=24 traffic=[3/1,3/2,9/7,9/7] messages=24/17 bits=48/34 chains=([0] - -) flagged=2",
+    "corpus/06_naive_whisper_so.eba rounds=[1,3,3] values=[0,1,0] bytes=33/24 frames=24 traffic=[3/1,3/2,9/7,9/7] messages=24/17 bits=48/34 chains=([0] - -) flagged=2",
+    "corpus/07_min_so_partial.eba rounds=[1,2,1,2] values=[0,0,0,0] bytes=16/14 frames=16 traffic=[8/6,8/8,0/0,0/0] messages=16/14 bits=16/14 chains=([0] [0 1] [2] [0 3]) flagged=-",
+    "corpus/08_basic_go_receive.eba rounds=[2,1,4] values=[0,0,1] bytes=30/24 frames=21 traffic=[9/7,6/4,3/3,3/3] messages=21/17 bits=42/34 chains=([1 0] [1] -) flagged=-",
+    "corpus/09_fip_so_two_faulty.eba rounds=[2,2,1,2,2] values=[0,0,0,0,0] bytes=2600/2548 frames=125 traffic=[25/23,25/24,25/24,25/25,25/25] messages=125/121 bits=13750/13560 chains=([2 0] [2 1] [2] [2 3] [2 4]) flagged=-",
+    "corpus/10_naive_failure_free.eba rounds=[1,2,2] values=[0,0,0] bytes=39/39 frames=30 traffic=[3/3,9/9,9/9,9/9] messages=30/30 bits=60/60 chains=([0] [0 1] [0 2]) flagged=-",
+    "examples/wire_loopback.rs rounds=[3,1,3,3,3,3,3,3] values=[1,0,1,1,1,1,1,1] bytes=18432/17760 frames=384 traffic=[64/43,64/43,64/64,64/64,64/64,64/64] messages=384/342 bits=129024/125664 chains=(- [1] - - - - - -) flagged=-",
+];
+
+/// The case table: every row goes through every engine ([`case_agrees`]),
+/// the pinned rows read their [`PINNED`] lines, and every row is then one
+/// session of a service batch, held to its wire run.
+#[test]
+fn every_case_agrees_across_engines() {
+    let rows = rows();
+    let (pins, wires): (Vec<String>, Vec<ClusterSummary>) = rows.iter().map(case_agrees).unzip();
+    // One line per pinned row: a new corpus file must be pinned too.
+    let (got, next) = (&pins[..PINNED.len()], &rows[PINNED.len()].0);
+    let pinned = got == PINNED && !next.starts_with("corpus/");
+    assert!(pinned, "pins now read:\n{}", got.join("\n"));
+
+    let specs: Vec<SessionSpec> = (rows.iter())
+        .map(|(_, stack, case)| {
+            let (pattern, inits) = (case.pattern.clone(), case.inits.clone());
+            SessionSpec::new(stack, pattern.params(), pattern, inits, case.horizon)
+        })
+        .collect();
+    // Fewer slots than rows, so admission defers.
+    let mut config = ServiceConfig::default();
+    (config.workers, config.capacity, config.oracle_stride) = (2, 16, Some(1));
+    let report = run_service(&specs, &config).unwrap();
+    let (all, mismatches) = (specs.len(), report.oracle_mismatches);
+    let counts = (
+        report.admitted,
+        report.outcomes.len(),
+        report.oracle_checked,
+    );
+    assert_eq!((counts, mismatches), ((all, all, all), 0));
+    for outcome in &report.outcomes {
+        let ((label, stack, _), wire) = (&rows[outcome.spec_index], &wires[outcome.spec_index]);
+        let (at, service) = (format!("{label} {stack}"), service_said(outcome));
+        same(&at, ("service", &service), ("wire", &wire_said(wire)));
+    }
+    let longest = wires.iter().map(|w| w.round_traffic.len()).max().unwrap();
+    let mut folded = vec![RoundTraffic::default(); longest];
+    for wire in &wires {
+        for (total, round) in folded.iter_mut().zip(&wire.round_traffic) {
+            total.absorb(round);
+        }
+    }
+    assert_eq!(report.round_traffic, folded, "service ≠ wire");
+}
+
+/// `P_min`, except that agent 0 decides 0 at time 0 whatever it holds.
+#[derive(Clone, Copy, Debug)]
+struct ZeroAtOnce(PMin);
+
+impl ActionProtocol<MinExchange> for ZeroAtOnce {
+    fn name(&self) -> &'static str {
+        "P_min_zero_at_once"
+    }
+    fn act(&self, agent: AgentId, state: &MinState) -> Action {
+        if agent == AgentId::new(0) && state.time == 0 {
+            Action::Decide(Value::Zero)
+        } else {
+            self.0.act(agent, state)
+        }
+    }
+}
+
+/// The case-table row no registry names, so it goes through the judges
+/// only. Validity is strong: a *faulty* agent deciding a value nobody
+/// holds is a violation for every judge. Agent 0 is faulty and silent,
+/// decides 0 at time 0, and everyone (agent 0 included) starts with 1;
+/// the nonfaulty agents never hear of it and decide 1 at the deadline, so
+/// every other clause holds.
+#[test]
+fn a_faulty_agent_deciding_an_unheld_value_violates_validity_for_every_judge() {
+    let params = Params::new(3, 1).unwrap();
+    let ctx = Context::new(MinExchange::new(params), ZeroAtOnce(PMin::new(params)));
+    let pattern = silent_pattern(params, AgentSet::singleton(AgentId::new(0)), 4).unwrap();
+    let (_, violation, _) = Judges("ZeroAtOnce", &case(pattern, vec![Value::One; 3])).visit(&ctx);
+    let (agent, value) = (AgentId::new(0), Value::Zero);
+    assert_eq!(violation, Some(SpecViolation::Validity { agent, value }));
 }

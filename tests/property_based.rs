@@ -1,9 +1,9 @@
 //! Property-based tests (proptest) across the whole stack: random
-//! adversaries, random inputs, all three protocol stacks, and the
-//! wire loopback against the lockstep simulator.
+//! adversaries and random inputs. Whether each engine agrees with the
+//! lockstep runner on a case, and the verdicts the paper promises there,
+//! are `tests/engines_agree.rs`'s case table.
 
 use eba::prelude::*;
-use eba::transport::run_named_cluster;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -52,35 +52,6 @@ where
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// All three protocols satisfy EBA + the t+2 bound on random runs.
-    #[test]
-    fn eba_holds_for_all_protocols(
-        n in 3usize..7,
-        seed in any::<u64>(),
-        init_bits in any::<u64>(),
-        drop_prob in 0.0f64..1.0,
-    ) {
-        let t = (n - 1) / 2;
-        let (params, pattern, inits) = instance(n, t, drop_prob, seed, init_bits);
-
-        let ctx = Context::minimal(params);
-        let run = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &run).is_ok());
-        prop_assert!(check_decides_by(&run, params.decide_by_round()).is_ok());
-        prop_assert!(verify_zero_chains(ctx.exchange(), &run, &pattern).is_ok());
-
-        let ctx = Context::basic(params);
-        let run = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &run).is_ok());
-        prop_assert!(check_decides_by(&run, params.decide_by_round()).is_ok());
-        prop_assert!(verify_zero_chains(ctx.exchange(), &run, &pattern).is_ok());
-
-        let ctx = Context::fip(params);
-        let run = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &run).is_ok());
-        prop_assert!(check_decides_by(&run, params.decide_by_round()).is_ok());
-    }
-
     /// Corresponding-run sanity: with more information, P_opt never
     /// decides later than P_min for any nonfaulty agent (P_min's decisions
     /// are 0-chains — visible to the FIP too — or the fixed deadline).
@@ -117,63 +88,6 @@ proptest! {
         let b = run_on(&ctx, &pattern, &inits);
         prop_assert_eq!(a.states, b.states);
         prop_assert_eq!(a.actions, b.actions);
-    }
-
-    /// The wire loopback agrees with the lockstep simulator exactly (on
-    /// final states too: `eba-transport`'s
-    /// `final_states_equal_the_lockstep_trace`).
-    #[test]
-    fn transport_equals_lockstep(
-        seed in any::<u64>(),
-        init_bits in any::<u64>(),
-        drop_prob in 0.0f64..1.0,
-    ) {
-        let (params, pattern, inits) = instance(4, 1, drop_prob, seed, init_bits);
-        let ctx = Context::minimal(params);
-        let run = run_on(&ctx, &pattern, &inits);
-        let sent = Metrics::of(ctx.exchange(), &run, &pattern).messages_sent;
-        let report = run_named_cluster(
-            &NamedStack::Min(ctx), &pattern, &inits, run.horizon(),
-        ).unwrap();
-        prop_assert_eq!((report.decision_rounds, report.decision_values), run.decisions());
-        prop_assert_eq!(report.frames_sent, sent);
-
-        let ctx = Context::basic(params);
-        let run = run_on(&ctx, &pattern, &inits);
-        let sent = Metrics::of(ctx.exchange(), &run, &pattern).messages_sent;
-        let report = run_named_cluster(
-            &NamedStack::Basic(ctx), &pattern, &inits, run.horizon(),
-        ).unwrap();
-        prop_assert_eq!((report.decision_rounds, report.decision_values), run.decisions());
-        prop_assert_eq!(report.frames_sent, sent);
-    }
-
-    /// Crash patterns are a special case of omission patterns: the naive
-    /// 0-biased protocol stays correct there (introduction), and so do the
-    /// chain protocols.
-    #[test]
-    fn crash_runs_are_safe_for_everyone(
-        n in 3usize..6,
-        seed in any::<u64>(),
-        init_bits in any::<u64>(),
-        crash_round in 0u32..4,
-    ) {
-        let t = 1usize;
-        let params = Params::new(n, t).unwrap();
-        let mut rng = StdRng::seed_from_u64(seed);
-        let faulty = AgentSet::singleton(AgentId::new((seed % n as u64) as usize));
-        let pattern = crash_pattern(params, faulty, &[crash_round], 6, &mut rng).unwrap();
-        let inits: Vec<Value> = (0..n)
-            .map(|i| Value::from_bit(((init_bits >> i) & 1) as u8))
-            .collect();
-
-        let ctx = Context::naive(params);
-        let run = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &run).is_ok(), "naive under crash");
-
-        let ctx = Context::minimal(params);
-        let run = run_on(&ctx, &pattern, &inits);
-        prop_assert!(check_eba(ctx.exchange(), &run).is_ok(), "P_min under crash");
     }
 
     /// Metrics bookkeeping: delivered ≤ sent, and they agree exactly on

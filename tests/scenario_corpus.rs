@@ -2,8 +2,8 @@
 //! every failure model, a randomly generated admissible scenario prints to
 //! a canonical text that re-parses to the identical [`ScenarioSpec`] — and
 //! malformed fixtures are rejected with the offending field and 1-based
-//! line named. The committed `corpus/` scenarios also pin the lockstep
-//! run's traffic counters and its 0-chains.
+//! line named. What the committed `corpus/` scenarios run to is pinned in
+//! `tests/engines_agree.rs`'s case table.
 
 use eba::core::corpus::ParseError;
 use eba::prelude::*;
@@ -11,63 +11,23 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A random admissible scenario of the given stack/model shape: nonfaulty
-/// set drawn from the model's admissible choices, drops generated under
-/// the model's discipline (crash = suffix silence, omissions = random
-/// admissible single drops).
+/// A random admissible scenario of the given stack/model shape: `t` up
+/// to `(n - 1) / 2`, and the pattern and inputs drawn as the case table
+/// of `tests/engines_agree.rs` draws them, with `AdversarySampler`.
 fn random_spec(stack: &str, model: FailureModel, n: usize, seed: u64) -> ScenarioSpec {
     let mut rng = StdRng::seed_from_u64(seed);
-    let t = 1 + rng.random_range(0..((n - 1) / 2).max(1)) % ((n - 1) / 2).max(1);
-    let params = Params::new(n, t).unwrap();
+    let params = Params::new(n, rng.random_range(1..=(n - 1) / 2)).unwrap();
     let horizon = params.default_horizon();
-
-    let choices = model.nonfaulty_choices(params);
-    let nonfaulty = choices[rng.random_range(0..choices.len())];
-    let mut pattern = FailurePattern::new(params, nonfaulty).unwrap();
-    match model {
-        FailureModel::FailureFree => {}
-        FailureModel::Crash => {
-            // Crash discipline: each faulty agent goes (and stays) silent
-            // from some round on, self-messages included.
-            let faulty: Vec<AgentId> = params.agents().filter(|a| pattern.is_faulty(*a)).collect();
-            for a in faulty {
-                let crash_round = rng.random_range(0..=horizon);
-                pattern
-                    .silence_agent(a, crash_round..horizon, true)
-                    .unwrap();
-            }
-        }
-        FailureModel::SendingOmission | FailureModel::GeneralOmission => {
-            // Random single drops, keeping the ones the model admits.
-            for _ in 0..rng.random_range(0..8usize) {
-                let m = rng.random_range(0..horizon);
-                let from = AgentId::new(rng.random_range(0..n));
-                let to = AgentId::new(rng.random_range(0..n));
-                if model.admits_drop(pattern.is_faulty(from), pattern.is_faulty(to)) {
-                    pattern.drop_message(m, from, to).unwrap();
-                }
-            }
-        }
-    }
-
-    let inits: Vec<Value> = (0..n)
-        .map(|_| {
-            if rng.random_range(0..2u32) == 0 {
-                Value::Zero
-            } else {
-                Value::One
-            }
-        })
-        .collect();
-    ScenarioSpec {
-        stack: stack.into(),
-        model,
-        case: Case {
-            pattern,
-            inits,
-            horizon,
-        },
-    }
+    let pattern = AdversarySampler::new(model, params, horizon, 0.3).sample(&mut rng);
+    let bits = (0..n).map(|_| rng.random_range(0..2));
+    let inits = bits.map(Value::from_bit).collect();
+    let case = Case {
+        pattern,
+        inits,
+        horizon,
+    };
+    let stack = stack.into();
+    ScenarioSpec { stack, model, case }
 }
 
 proptest! {
@@ -309,163 +269,4 @@ fn a_huge_horizon_is_refused_at_its_line() {
         "{msg}"
     );
     std::fs::remove_dir_all(&dir).unwrap();
-}
-
-/// Every corpus scenario by file name, then the (8, 3) `E_fip/P_opt`
-/// scenario of `examples/wire_loopback.rs`: three faulty agents, silent
-/// for the first two rounds.
-fn pinned_scenarios() -> Vec<(String, ScenarioSpec)> {
-    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
-    let loaded = eba::experiments::corpus::load_dir(&corpus).unwrap();
-    let mut scenarios: Vec<(String, ScenarioSpec)> = loaded
-        .into_iter()
-        .map(|s| (s.path.file_name().unwrap().to_str().unwrap().into(), s.spec))
-        .collect();
-    let params = Params::new(8, 3).unwrap();
-    let faulty: AgentSet = (0..3).map(AgentId::new).collect();
-    let mut inits = vec![Value::One; 8];
-    inits[1] = Value::Zero;
-    let case = Case {
-        pattern: silent_pattern(params, faulty, 2).unwrap(),
-        inits,
-        horizon: params.default_horizon(),
-    };
-    let spec = ScenarioSpec {
-        stack: "E_fip/P_opt".into(),
-        model: FailureModel::SendingOmission,
-        case,
-    };
-    scenarios.push(("example_fip_8_3".into(), spec));
-    scenarios
-}
-
-/// One lockstep run of a scenario, reduced to its traffic counters.
-struct TrafficOf<'s>(&'s ScenarioSpec);
-
-impl StackVisitor for TrafficOf<'_> {
-    type Output = [u64; 4];
-
-    fn visit<E, P>(self, ctx: &Context<E, P>) -> [u64; 4]
-    where
-        E: InformationExchange + Clone + Sync + 'static,
-        P: ActionProtocol<E> + Clone + Sync + 'static,
-    {
-        let case = &self.0.case;
-        let run = Scenario::of(ctx)
-            .pattern(case.pattern.clone())
-            .inits(&case.inits)
-            .horizon(case.horizon)
-            .run()
-            .unwrap();
-        let m = Metrics::of(ctx.exchange(), &run, &case.pattern);
-        [
-            m.messages_sent,
-            m.bits_sent,
-            m.messages_delivered,
-            m.bits_delivered,
-        ]
-    }
-}
-
-/// The message accounting of Prop 8.1 — every recipient of a non-`⊥`
-/// message is one message sent, every delivery one delivered — pinned per
-/// corpus scenario as `[messages_sent, bits_sent, messages_delivered,
-/// bits_delivered]`, so the kernel's shape can change and the numbers
-/// cannot.
-#[test]
-fn corpus_traffic_is_pinned() {
-    const PINNED: [(&str, [u64; 4]); 11] = [
-        ("01_basic_failure_free.eba", [24, 48, 24, 48]),
-        ("02_basic_silent_so.eba", [44, 88, 38, 76]),
-        ("03_min_crash_from_start.eba", [9, 9, 6, 6]),
-        ("04_fip_isolation_go.eba", [64, 3584, 52, 3296]),
-        ("05_naive_whisper_go.eba", [24, 48, 17, 34]),
-        ("06_naive_whisper_so.eba", [24, 48, 17, 34]),
-        ("07_min_so_partial.eba", [16, 16, 14, 14]),
-        ("08_basic_go_receive.eba", [21, 42, 17, 34]),
-        ("09_fip_so_two_faulty.eba", [125, 13750, 121, 13560]),
-        ("10_naive_failure_free.eba", [30, 60, 30, 60]),
-        ("example_fip_8_3", [384, 129024, 342, 125664]),
-    ];
-    let scenarios = pinned_scenarios();
-    assert_eq!(scenarios.len(), PINNED.len());
-    for ((name, spec), (file, traffic)) in scenarios.iter().zip(PINNED) {
-        assert_eq!(name, file);
-        let stack = spec.to_stack().unwrap();
-        assert_eq!(stack.visit(TrafficOf(spec)), traffic, "{file}");
-    }
-}
-
-/// One lockstep run of a scenario, reduced to its 0-chains (§6): per
-/// agent, the chain [`zero_chain_ending_at`] reconstructs (`[i_0 … i_m]`,
-/// `-` for none), then the agent [`verify_zero_chains`] reports (`-` for
-/// `Ok`).
-struct ChainsOf<'s>(&'s ScenarioSpec);
-
-impl StackVisitor for ChainsOf<'_> {
-    type Output = (String, String);
-
-    fn visit<E, P>(self, ctx: &Context<E, P>) -> (String, String)
-    where
-        E: InformationExchange + Clone + Sync + 'static,
-        P: ActionProtocol<E> + Clone + Sync + 'static,
-    {
-        let case = &self.0.case;
-        let (ex, pattern) = (ctx.exchange(), &case.pattern);
-        let run = Scenario::of(ctx)
-            .pattern(pattern.clone())
-            .inits(&case.inits)
-            .horizon(case.horizon)
-            .run()
-            .unwrap();
-        let chains: Vec<String> = ctx
-            .params()
-            .agents()
-            .map(|a| match zero_chain_ending_at(ex, &run, pattern, a) {
-                Some(chain) => {
-                    let ids: Vec<String> = chain.iter().map(|a| a.index().to_string()).collect();
-                    format!("[{}]", ids.join(" "))
-                }
-                None => "-".into(),
-            })
-            .collect();
-        let verdict = match verify_zero_chains(ex, &run, pattern) {
-            Ok(()) => "-".into(),
-            Err(agent) => agent.index().to_string(),
-        };
-        (chains.join(" "), verdict)
-    }
-}
-
-/// The 0-chains of §6 pinned per corpus scenario as `(chains, verdict)`:
-/// each agent's [`zero_chain_ending_at`] and the agent
-/// [`verify_zero_chains`] flags, so the reconstruction's inputs can change
-/// and its answers cannot.
-#[test]
-fn corpus_zero_chains_are_pinned() {
-    const PINNED: [(&str, &str, &str); 11] = [
-        ("01_basic_failure_free.eba", "[0] [0 1] [0 2] [3]", "-"),
-        ("02_basic_silent_so.eba", "- - - -", "-"),
-        ("03_min_crash_from_start.eba", "[0] - -", "-"),
-        ("04_fip_isolation_go.eba", "[1 0] [1] [1 2] -", "-"),
-        ("05_naive_whisper_go.eba", "[0] - -", "2"),
-        ("06_naive_whisper_so.eba", "[0] - -", "2"),
-        ("07_min_so_partial.eba", "[0] [0 1] [2] [0 3]", "-"),
-        ("08_basic_go_receive.eba", "[1 0] [1] -", "-"),
-        (
-            "09_fip_so_two_faulty.eba",
-            "[2 0] [2 1] [2] [2 3] [2 4]",
-            "-",
-        ),
-        ("10_naive_failure_free.eba", "[0] [0 1] [0 2]", "-"),
-        ("example_fip_8_3", "- [1] - - - - - -", "-"),
-    ];
-    let scenarios = pinned_scenarios();
-    assert_eq!(scenarios.len(), PINNED.len());
-    for ((name, spec), (file, chains, verdict)) in scenarios.iter().zip(PINNED) {
-        assert_eq!(name, file);
-        let stack = spec.to_stack().unwrap();
-        let got = stack.visit(ChainsOf(spec));
-        assert_eq!(got, (chains.into(), verdict.into()), "{file}");
-    }
 }

@@ -37,7 +37,7 @@
 //! of rows, each a label, a registry stack and a case: every
 //! `corpus/*.eba` file, the (8, 3) case of `examples/wire_loopback.rs`,
 //! and seeded `AdversarySampler` and `crash_pattern` cases on every stack
-//! (443 rows). A mismatch names the row and the two engines, as in
+//! (491 rows). A mismatch names the row and the two engines, as in
 //! `corpus/05_naive_whisper_go.eba E_naive/P_naive@general_omission: wire
 //! rounds [1,3,3] ≠ lockstep rounds [1,3,2]`.
 
@@ -545,8 +545,9 @@ fn case(pattern: FailurePattern, inits: Vec<Value>) -> Case {
 /// `E_fip/P_opt` case of `examples/wire_loopback.rs`, three faulty agents
 /// silent for the first two rounds — the rows [`PINNED`] pins — then
 /// seeded `AdversarySampler` cases over every model, (n, t) and drop
-/// probability, two draws each, and `crash_pattern` cases at t = 1, each
-/// case on every stack under the model it was drawn for.
+/// probability, two draws each, and eight `crash_pattern` cases at each
+/// n = 3..=5, t = 1, each case on every stack under the model it was
+/// drawn for.
 fn rows() -> Vec<Row> {
     let corpus = Path::new(env!("CARGO_MANIFEST_DIR")).join("corpus");
     let mut rows: Vec<Row> = (load_dir(&corpus).unwrap().into_iter())
@@ -581,12 +582,10 @@ fn rows() -> Vec<Row> {
             }
         }
     }
-    for n in 3..=5 {
-        let (params, faulty) = (Params::new(n, 1).unwrap(), rng.random_range(0..n));
-        let (horizon, faulty) = (
-            params.default_horizon(),
-            AgentSet::singleton(AgentId::new(faulty)),
-        );
+    for n in (3..=5).flat_map(|n| [n; 8]) {
+        let params = Params::new(n, 1).unwrap();
+        let (horizon, faulty) = (params.default_horizon(), rng.random_range(0..n));
+        let faulty = AgentSet::singleton(AgentId::new(faulty));
         let round = rng.random_range(0..horizon);
         let pattern = crash_pattern(params, faulty, &[round], horizon, &mut rng).unwrap();
         let label = format!("({n},1) crash in round {}", round + 1);
@@ -678,21 +677,29 @@ impl StackVisitor for Judges<'_> {
         let (model, name) = (ctx.model(), ctx.protocol().name());
         if model == FailureModel::SendingOmission && matches!(name, "P_min" | "P_basic" | "P_opt") {
             let late = check_decides_by(&run, ctx.params().decide_by_round());
-            let (fine, chained) = (violation.is_none() && late.is_ok(), flagged.is_none());
-            assert!(fine, "{at}: {violation:?} {late:?}");
-            assert!(chained || name == "P_opt", "{at}: 0-chains {flagged:?}");
+            assert!(
+                violation.is_none() && late.is_ok(),
+                "{at}: {violation:?} {late:?}"
+            );
+            assert!(
+                flagged.is_none() || name == "P_opt",
+                "{at}: 0-chains {flagged:?}"
+            );
         }
         if model == FailureModel::Crash && matches!(name, "P_naive" | "P_min") {
             assert!(violation.is_none(), "{at}: {violation:?}");
         }
 
-        let chain = |a| zero_chain_ending_at(ex, &run, pattern, a);
-        let ids =
-            |c: Vec<AgentId>| format!("{:?}", c.iter().map(|a| a.index()).collect::<Vec<_>>());
+        let chain = |a| {
+            let ids: Vec<String> = (zero_chain_ending_at(ex, &run, pattern, a)?.into_iter())
+                .map(|a| a.index().to_string())
+                .collect();
+            Some(format!("[{}]", ids.join(" ")))
+        };
         let chains: Vec<String> = (ctx.params().agents())
-            .map(|a| chain(a).map_or("-".into(), ids))
+            .map(|a| chain(a).unwrap_or_else(|| "-".into()))
             .collect();
-        let chains = chains.join(" ").replace(',', "");
+        let chains = chains.join(" ");
         let flagged = flagged.map_or("-".into(), |a| a.index().to_string());
         let (bits, delivered) = (m.bits_sent, m.bits_delivered);
         let facts = format!(
@@ -776,17 +783,17 @@ fn every_case_agrees_across_engines() {
             SessionSpec::new(stack, pattern.params(), pattern, inits, case.horizon)
         })
         .collect();
-    // Fewer slots than rows, so admission defers.
-    let mut config = ServiceConfig::default();
-    (config.workers, config.capacity, config.oracle_stride) = (2, 16, Some(1));
+    let config = ServiceConfig {
+        workers: 2,
+        capacity: 16, // fewer slots than rows, so admission defers
+        oracle_stride: Some(1),
+    };
     let report = run_service(&specs, &config).unwrap();
-    let (all, mismatches) = (specs.len(), report.oracle_mismatches);
-    let counts = (
-        report.admitted,
-        report.outcomes.len(),
-        report.oracle_checked,
-    );
-    assert_eq!((counts, mismatches), ((all, all, all), 0));
+    let all = specs.len();
+    assert_eq!(report.admitted, all);
+    assert_eq!(report.outcomes.len(), all);
+    assert_eq!(report.oracle_checked, all);
+    assert_eq!(report.oracle_mismatches, 0);
     for outcome in &report.outcomes {
         let ((label, stack, _), wire) = (&rows[outcome.spec_index], &wires[outcome.spec_index]);
         let (at, service) = (format!("{label} {stack}"), service_said(outcome));

@@ -324,9 +324,9 @@ pub fn check_horizon(horizon: u32) -> Result<(), EbaError> {
 /// each problem names the offending argument and states the expected
 /// shape, and a horizon above [`MAX_HORIZON`] is one of them
 /// ([`check_horizon`]). This is the whole check of the run kernel
-/// (`eba-sim`'s `step_rounds`), whose callers sample or build their own
-/// patterns; entry points that accept a pattern from outside go through
-/// [`admit_scenario`], which starts with it.
+/// ([`step_rounds`](crate::exchange::step_rounds)), whose callers sample
+/// or build their own patterns; entry points that accept a pattern from
+/// outside go through [`admit_scenario`], which starts with it.
 ///
 /// # Errors
 ///

@@ -10,6 +10,9 @@
 //! while performing `decide(0)`, `decide(1)`, and any other action are
 //! drawn from three disjoint sets `M_0`, `M_1`, `M_2`, so that recipients
 //! can tell whether the sender is deciding and on what value.
+//!
+//! The round kernel sits here too: one function per step of the global
+//! transition, and [`step_rounds`], the one loop over a run's rounds.
 
 mod basic;
 mod fip;
@@ -25,8 +28,10 @@ use std::borrow::Borrow;
 use std::fmt::Debug;
 use std::hash::Hash;
 
+use crate::context::{validate_scenario_shape, Context};
+use crate::failures::FailurePattern;
 use crate::protocols::ActionProtocol;
-use crate::types::{Action, AgentId, AgentSet, Params, Value};
+use crate::types::{Action, AgentId, AgentSet, EbaError, Params, Value};
 
 /// An information-exchange protocol for `n` agents (the `E` of a context
 /// `γ = (E, F, π)`).
@@ -209,8 +214,8 @@ pub fn deliver_one<E: InformationExchange>(
 /// successor into entry `to` of `next` (a copy of the agent's state if
 /// `next` is short).
 ///
-/// The lockstep channel ([`step_round`]) lends what `from` selected if
-/// the pattern delivers it; the wire engine's lends each sender's
+/// The lockstep channel ([`Lockstep`]) lends what `from` selected if
+/// the pattern delivers it; the wire channel lends each sender's
 /// surviving frame, decoded once per sender.
 pub fn deliver_round<'m, E: InformationExchange>(
     ex: &E,
@@ -233,49 +238,142 @@ pub fn deliver_round<'m, E: InformationExchange>(
     }
 }
 
-/// Applies one synchronous round of the global transition of Section 3
-/// over the lockstep channel: [`select_round`] into `outgoing`, then
-/// [`deliver_round`] into `next`, where `to` hears what `from` selected
-/// unless `dropped(from)` — the pattern's row for `from`, read once per
-/// round — contains `to`. Every execution in the workspace — the
-/// simulator's and the estimator's run loop, the enumerator's branches,
-/// the wire engine's sessions, the in-crate exchange tests — goes
-/// through these halves, so they cannot drift apart.
+/// What carries a round's broadcasts from `μ` to `δ`, applying the
+/// failure pattern `F`: in memory ([`Lockstep`]), or encoded, as
+/// `eba-transport`'s wire channel does.
+pub trait Channel<M> {
+    /// Takes round `round`'s broadcasts onto the channel: `sent[from]` is
+    /// what `from` selected (`None` is `⊥`).
+    fn carry(&mut self, round: u32, sent: &[Option<M>]);
+
+    /// Fills `heard[from]` with what `to` receives from each `from` in
+    /// the round just carried, `sent` being what was carried.
+    fn hear<'a>(&'a self, sent: &'a [Option<M>], to: AgentId, heard: &mut [Option<&'a M>]);
+}
+
+/// The lockstep channel: `to` hears what `from` selected unless
+/// `dropped(round, from)` — `from`'s drop row, read once per round —
+/// contains `to`.
+pub struct Lockstep<D> {
+    dropped: D,
+    rows: [AgentSet; AgentId::MAX_AGENTS],
+}
+
+impl<D: Fn(u32, AgentId) -> AgentSet> Lockstep<D> {
+    /// The channel whose drop rows `dropped` gives.
+    pub fn new(dropped: D) -> Self {
+        let rows = [AgentSet::empty(); AgentId::MAX_AGENTS];
+        Lockstep { dropped, rows }
+    }
+}
+
+/// The lockstep channel of `pattern`: its rows are
+/// [`FailurePattern::dropped`].
+pub fn lockstep(pattern: &FailurePattern) -> Lockstep<impl Fn(u32, AgentId) -> AgentSet + '_> {
+    Lockstep::new(|round, from| pattern.dropped(round, from))
+}
+
+impl<M, D: Fn(u32, AgentId) -> AgentSet> Channel<M> for Lockstep<D> {
+    fn carry(&mut self, round: u32, sent: &[Option<M>]) {
+        for (from, row) in AgentId::all(sent.len()).zip(&mut self.rows) {
+            *row = (self.dropped)(round, from);
+        }
+    }
+
+    fn hear<'a>(&'a self, sent: &'a [Option<M>], to: AgentId, heard: &mut [Option<&'a M>]) {
+        for ((slot, msg), row) in heard.iter_mut().zip(sent).zip(&self.rows) {
+            *slot = msg.as_ref().filter(|_| !row.contains(to));
+        }
+    }
+}
+
+/// Applies one synchronous round, the 0-based `round`, of the global
+/// transition of Section 3 over `channel`: [`select_round`] into
+/// `outgoing`, [`Channel::carry`], then [`deliver_round`] into `next`,
+/// each receiver hearing what the channel lends it.
 pub fn step_round<E: InformationExchange>(
     ex: &E,
+    round: u32,
     states: &[E::State],
     actions: &[Action],
-    dropped: impl Fn(AgentId) -> AgentSet,
+    channel: &mut impl Channel<E::Message>,
     outgoing: &mut Vec<Option<E::Message>>,
     next: &mut Vec<E::State>,
 ) {
     select_round(ex, states, actions, outgoing);
-    let n = states.len();
-    // Each receiver starts from every selection and loses what the rows
-    // of the senders that drop anything (each read once) take from it.
-    let mut sent = [None; AgentId::MAX_AGENTS];
-    for (slot, msg) in sent.iter_mut().zip(outgoing.iter()) {
-        *slot = msg.as_ref();
+    channel.carry(round, outgoing);
+    let (channel, sent) = (&*channel, &outgoing[..]);
+    let hear = |to, heard: &mut [_]| channel.hear(sent, to, heard);
+    deliver_round(ex, states, actions, hear, next);
+}
+
+/// The buffers a run steps in, reused run after run: [`step_rounds`]
+/// fills them round by round, and its observer reads them — or takes the
+/// rows it keeps, which the loop then refills in fresh allocations.
+pub struct RoundBuffers<E: InformationExchange> {
+    /// The global state: the initial one, then after each round its
+    /// successor.
+    pub states: Vec<E::State>,
+    /// The global state the round just stepped started from.
+    pub previous: Vec<E::State>,
+    /// The actions chosen in the round just stepped.
+    pub actions: Vec<Action>,
+    /// The round's broadcasts.
+    pub outgoing: Vec<Option<E::Message>>,
+}
+
+impl<E: InformationExchange> Default for RoundBuffers<E> {
+    fn default() -> Self {
+        RoundBuffers {
+            states: Vec::new(),
+            previous: Vec::new(),
+            actions: Vec::new(),
+            outgoing: Vec::new(),
+        }
     }
-    let (mut rows, mut lossy) = ([(0, AgentSet::empty()); AgentId::MAX_AGENTS], 0);
-    for from in AgentId::all(n) {
-        rows[lossy] = (from.index(), dropped(from));
-        lossy += usize::from(!rows[lossy].1.is_empty());
+}
+
+/// The one loop over a run's rounds in the workspace: steps `ctx` for
+/// `horizon` rounds in `buffers` ([`step_round`]: `P_i`, `μ_i`, then
+/// `channel`, which applies `pattern`, then `δ_i`), and hands each round
+/// to `observe(m, buffers)`: `previous` holds the global state at time
+/// `m`, `actions` what was chosen in round `m + 1`, and `states` the
+/// state at time `m + 1`. Over the lockstep channel ([`lockstep`]) it
+/// runs `eba-sim`'s `run_rounds` and every estimator trial; over
+/// `eba-transport`'s wire channel, every loopback run and service
+/// session. It checks the input shapes only ([`validate_scenario_shape`],
+/// O(1)); whether the context's failure model admits the pattern is the
+/// caller's business.
+///
+/// # Errors
+///
+/// Returns [`EbaError::InvalidInput`] if `inits.len() != n`, the pattern
+/// was built for different parameters, or the horizon is too long.
+pub fn step_rounds<E, P>(
+    ctx: &Context<E, P>,
+    pattern: &FailurePattern,
+    inits: &[Value],
+    horizon: u32,
+    channel: &mut impl Channel<E::Message>,
+    buffers: &mut RoundBuffers<E>,
+    mut observe: impl FnMut(u32, &mut RoundBuffers<E>),
+) -> Result<(), EbaError>
+where
+    E: InformationExchange,
+    P: ActionProtocol<E>,
+{
+    let (ex, proto) = (ctx.exchange(), ctx.protocol());
+    validate_scenario_shape(ctx.params(), pattern, inits, horizon)?;
+    initial_states(ex, inits, &mut buffers.states);
+    for m in 0..horizon {
+        let b = &mut *buffers;
+        choose_actions(proto, &b.states, &mut b.actions);
+        let (states, next) = (&b.states, &mut b.previous);
+        step_round(ex, m, states, &b.actions, channel, &mut b.outgoing, next);
+        std::mem::swap(&mut b.states, &mut b.previous);
+        observe(m, b);
     }
-    deliver_round(
-        ex,
-        states,
-        actions,
-        |to, heard| {
-            heard.copy_from_slice(&sent[..n]);
-            for &(from, row) in &rows[..lossy] {
-                if row.contains(to) {
-                    heard[from] = None;
-                }
-            }
-        },
-        next,
-    );
+    Ok(())
 }
 
 /// Test shorthand for the exchanges' unit tests.
@@ -292,9 +390,10 @@ pub(crate) mod test_support {
         delivers: impl Fn(AgentId, AgentId) -> bool,
     ) -> Vec<E::State> {
         let n = states.len();
-        let dropped = |from| AgentId::all(n).filter(|&to| !delivers(from, to)).collect();
+        let dropped = |_, from| AgentId::all(n).filter(|&to| !delivers(from, to)).collect();
         let (mut outgoing, mut next) = (Vec::new(), Vec::new());
-        step_round(ex, states, actions, dropped, &mut outgoing, &mut next);
+        let channel = &mut Lockstep::new(dropped);
+        step_round(ex, 0, states, actions, channel, &mut outgoing, &mut next);
         next
     }
 }
@@ -319,10 +418,10 @@ mod tests {
             (Vec::new(), Vec::new(), Vec::new(), Vec::new());
         let mut said = None;
         initial_states(ex, &vec![Value::Zero; n], &mut states);
-        for _ in 0..ctx.params().default_horizon() + 3 {
+        let channel = &mut Lockstep::new(|_, _| AgentSet::empty());
+        for m in 0..ctx.params().default_horizon() + 3 {
             choose_actions(ctx.protocol(), &states, &mut actions);
-            let no_drops = |_| AgentSet::empty();
-            step_round(ex, &states, &actions, no_drops, &mut outgoing, &mut next);
+            step_round(ex, m, &states, &actions, channel, &mut outgoing, &mut next);
             said = outgoing.iter().flatten().last().cloned().or(said);
             std::mem::swap(&mut states, &mut next);
         }

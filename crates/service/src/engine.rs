@@ -1,9 +1,6 @@
 //! Session specs: a [`SessionSpec`] describes one EBA session (stack,
-//! pattern, inits, horizon); [`SessionSpec::build_engine`] compiles it
-//! into `eba-transport`'s type-erased [`SessionEngine`], which advances
-//! one synchronous round at a time over **encoded** wire frames, so
-//! sessions running different stacks run through the same byte-level
-//! loop (`eba_transport::run_engine`).
+//! pattern, inits, horizon), which runs over **encoded** wire frames on
+//! the same loop and wire channel whatever its stack.
 
 use eba_core::context::{Context, NamedStack, StackVisitor};
 use eba_core::corpus::ScenarioSpec;
@@ -12,7 +9,7 @@ use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
 use eba_core::types::{EbaError, Params, Value};
 use eba_sim::scenario::Scenario;
-use eba_transport::{named_engine, SessionEngine};
+use eba_transport::{named_engine, run_named_cluster, ClusterSummary, SessionEngine};
 
 /// Everything needed to run one consensus session on the service: a
 /// qualified registry stack name, the `(n, t)` parameters, the failure
@@ -50,8 +47,7 @@ impl SessionSpec {
     }
 
     /// Converts a parsed `.eba` scenario into a session — the bridge from
-    /// the corpus format to the service. Admission happens when the
-    /// engine is built.
+    /// the corpus format to the service. Admission happens when it runs.
     pub fn from_scenario(spec: &ScenarioSpec) -> Self {
         let case = spec.case.clone();
         SessionSpec::new(
@@ -63,13 +59,21 @@ impl SessionSpec {
         )
     }
 
-    /// Compiles the spec into a runnable engine: registry lookup, then
-    /// `eba-transport`'s [`named_engine`] (admission plus the stack's
-    /// wire codec).
+    /// Runs the session on this thread: registry lookup, then
+    /// `eba-transport`'s [`run_named_cluster`]. Fails on an unknown
+    /// stack, as [`run_named_cluster`] does, or as admission does.
+    pub(crate) fn run(&self) -> Result<ClusterSummary, EbaError> {
+        let stack = NamedStack::by_name(&self.stack, self.params)?;
+        run_named_cluster(&stack, &self.pattern, &self.inits, self.horizon)
+    }
+
+    /// Compiles the spec into `eba-transport`'s loop-free, one-round
+    /// adaptor ([`named_engine`]), kept for the benchmark's layer probe,
+    /// which drives it round by round; the service never builds one.
     ///
     /// # Errors
     ///
-    /// Returns [`EbaError::InvalidInput`] for unknown stacks, shape
+    /// As the session would fail to run: unknown stacks, shape
     /// mismatches, or a pattern inadmissible under the stack's failure
     /// model — every message prefixed with the qualified stack name.
     pub fn build_engine(&self) -> Result<Box<dyn SessionEngine>, EbaError> {
@@ -79,9 +83,9 @@ impl SessionSpec {
 
     /// The decision vectors (rounds, values) the lockstep simulator
     /// (`Scenario::run`) derives for this spec — the reference the wire
-    /// path is judged against. The two share `eba-core`'s round kernel;
-    /// codecs, frame routing, omission injection on frames and the session
-    /// loop are the wire path's alone.
+    /// path is judged against. The two share `eba-core`'s round kernel
+    /// and its loop; codecs, frame marking, omission injection on frames
+    /// and decoding are the wire path's alone.
     pub(crate) fn lockstep_decisions(&self) -> Result<DecisionVectors, EbaError> {
         struct Lockstep<'a>(&'a SessionSpec);
         impl StackVisitor for Lockstep<'_> {
@@ -110,7 +114,6 @@ type DecisionVectors = (Vec<Option<u32>>, Vec<Option<Value>>);
 mod tests {
     use super::*;
     use eba_core::prelude::*;
-    use eba_transport::run_engine;
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
@@ -125,8 +128,7 @@ mod tests {
         let inits = vec![Value::Zero, Value::One, Value::One, Value::One];
         for name in STACK_NAMES {
             let spec = SessionSpec::new(name, params(), pattern.clone(), inits.clone(), 4);
-            let mut engine = spec.build_engine().unwrap();
-            let run = run_engine(engine.as_mut(), &pattern);
+            let run = spec.run().unwrap();
             let (rounds, values) = spec.lockstep_decisions().unwrap();
             assert_eq!(run.decision_rounds, rounds, "{name}");
             assert_eq!(run.decision_values, values, "{name}");
@@ -173,8 +175,6 @@ mod tests {
         let spec = SessionSpec::from_scenario(&parsed.spec);
         assert_eq!(spec.stack, "E_naive/P_naive@general_omission");
         assert_eq!(spec.horizon, 4);
-        let mut engine = spec.build_engine().unwrap();
-        run_engine(engine.as_mut(), &spec.pattern);
-        assert!(engine.finished());
+        assert_eq!(spec.run().unwrap().rounds, spec.horizon);
     }
 }

@@ -3,31 +3,16 @@
 //! Multiplexed consensus service: thousands of concurrent EBA sessions,
 //! each run to completion on one thread of a fixed pool or on the caller.
 //!
-//! `eba-transport` holds the round engine and the loop that drives one
-//! session to its horizon; this crate runs arbitrarily many of those
-//! loops — each its own stack, failure pattern, and horizon — on the
-//! workspace's one ordered parallel map
-//! ([`Parallelism::for_each_ordered_within`](eba_sim::runner::Parallelism::for_each_ordered_within)),
-//! whose window of `capacity` sessions is the admission bound:
-//!
-//! * [`SessionSpec`] describes one session and compiles
-//!   ([`SessionSpec::build_engine`]) into `eba-transport`'s type-erased
-//!   [`SessionEngine`] (re-exported here), stepping the stack one
-//!   synchronous round at a time over encoded wire frames.
-//! * [`run_service`] drives a batch: a pool thread, or the calling thread
-//!   while the session it retires next is not done, takes the lowest spec
-//!   in the window, builds its engine, runs it to the horizon
-//!   ([`run_engine`](eba_transport::run_engine), its omissions injected
-//!   inline) and records it; the calling thread retires the sessions in
-//!   spec order, admitting one more each time, and folds every session's
-//!   [`RoundTraffic`](eba_transport::RoundTraffic) — the same counters
-//!   the loopback `ClusterSummary` carries. There are no channels and no
-//!   timeout: a hung engine hangs the call.
-//! * [`ServiceReport`] aggregates decisions, drop counts, backpressure
-//!   deferrals, and the verdict of sampled oracle cross-checks against
-//!   the lockstep simulator (`Scenario::run`).
-//! * [`SessionTable`], a dense `SessionId(u32)` slot arena, is not on the
-//!   service's path; it stays public for the benchmark's layer probes.
+//! A [`SessionSpec`] (a registry stack, a failure pattern, inits and a
+//! horizon) runs as `eba-transport`'s loopback does: `eba-core`'s one
+//! loop over the wire channel. [`run_service`] runs a batch on the
+//! workspace's one ordered parallel map, whose window of `capacity`
+//! sessions is the admission bound, and retires the sessions in spec
+//! order into a [`ServiceReport`]: decisions, per-round
+//! [`RoundTraffic`](eba_transport::RoundTraffic), deferrals, and sampled
+//! cross-checks against the lockstep simulator. [`SessionTable`] and
+//! [`SessionEngine`] ([`SessionSpec::build_engine`]) are not on the
+//! service's path; they stay public for the benchmark's layer probes.
 //!
 //! ```
 //! use eba_core::prelude::*;
@@ -64,7 +49,7 @@ mod report;
 mod service;
 mod table;
 
-pub use eba_transport::{RoundFrames, SessionEngine};
+pub use eba_transport::SessionEngine;
 pub use engine::SessionSpec;
 pub use report::{ServiceReport, SessionOutcome};
 pub use service::{run_service, ServiceConfig};

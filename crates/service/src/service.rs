@@ -3,39 +3,32 @@
 //!
 //! ```text
 //!   specs ──▶ Parallelism::for_each_ordered_within(capacity, …)
-//!               produce(i): build → run_engine → record   pool threads
-//!                           → drop the engine              and the caller
+//!               produce(i): admit → step_rounds over    pool threads
+//!                           the wire → record           and the caller
 //!               consume:    admit i + capacity, retire i   the caller
 //! ```
 //!
-//! * A failure pattern is fixed before round 1 and a stack is
-//!   deterministic, so a session has nothing to wait for between rounds.
-//!   [`run_service`] is one call of the workspace's ordered parallel map,
-//!   [`Parallelism::for_each_ordered_within`], with a window of
-//!   [`ServiceConfig::capacity`] sessions: `workers` pool threads and the
-//!   calling thread each claim the lowest spec in the window that nobody
-//!   has, build its [`SessionEngine`], run it to the horizon with
-//!   [`run_engine`] — omissions injected inline from its spec's failure
-//!   pattern — fill in its [`SessionOutcome`] and drop the engine. The
-//!   calling thread retires the sessions in spec order, folding each
-//!   one's per-round [`RoundTraffic`] into [`ServiceReport::round_traffic`],
-//!   and runs sessions itself while the one it retires next is not done.
-//! * Admission is the window: spec `i` is admitted at the start when
-//!   `i < capacity`, otherwise when spec `i − capacity` retires — the
-//!   spec that waited for it is a *deferral*, the backpressure signal.
-//!
-//! A session whose engine panics is caught where it runs and completes
-//! unfilled: no rounds and no decisions. Nothing times a session out: a
-//! hung engine hangs the call, on whichever thread it runs.
+//! A failure pattern is fixed before round 1 and a stack is
+//! deterministic, so a session has nothing to wait for between rounds:
+//! whichever thread claims it runs it to its horizon with `eba-transport`'s
+//! `run_named_cluster` and records it, and the calling thread retires the
+//! sessions in spec order, folding their traffic. Admission is the
+//! window: spec `i` is admitted at the start when `i < capacity`,
+//! otherwise when spec `i − capacity` retires — the spec that waited for
+//! it is a *deferral*, the backpressure signal. A session that panics is
+//! caught where it runs and completes unfilled: no rounds and no
+//! decisions. Nothing times a session out: a hung session hangs the
+//! call, on whichever thread it runs.
 
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use eba_core::context::error_message;
+use eba_core::failures::FailurePattern;
 use eba_core::types::EbaError;
 use eba_sim::runner::Parallelism;
-use eba_transport::{run_engine, RoundTraffic, SessionEngine};
+use eba_transport::{ClusterSummary, RoundTraffic};
 
 use crate::engine::SessionSpec;
 use crate::report::{ServiceReport, SessionOutcome};
@@ -51,9 +44,9 @@ pub struct ServiceConfig {
     /// retired (`0` is treated as 1).
     pub capacity: usize,
     /// Cross-check every `k`-th admitted session's decision vector
-    /// against the lockstep simulator (`Scenario::run`: same round kernel,
-    /// but no codec, frame routing, byte-level omission or session loop;
-    /// `None` = no checks, `Some(1)` = every session).
+    /// against the lockstep simulator (`Scenario::run`: the same round
+    /// kernel and loop, but no codec, frame marking, byte-level omission
+    /// or decoding; `None` = no checks, `Some(1)` = every session).
     pub oracle_stride: Option<usize>,
 }
 
@@ -71,37 +64,25 @@ impl Default for ServiceConfig {
 /// traffic (index = round), and when its thread started and finished it.
 type Completion = (SessionOutcome, Vec<RoundTraffic>, Range<Instant>);
 
-/// Builds spec `spec_index`'s engine and runs its session.
-fn serve(spec_index: usize, spec: &SessionSpec) -> Result<Completion, EbaError> {
-    let started = Instant::now();
-    let engine = spec.build_engine().map_err(|e| {
-        EbaError::InvalidInput(format!("session {spec_index}: {}", error_message(&e)))
-    })?;
-    let (outcome, traffic) = run_session(spec_index, engine, spec);
-    Ok((outcome, traffic, started..Instant::now()))
-}
-
-/// Runs a session's engine to its horizon and records it. The engine is
-/// dropped on the thread that built it and ran it, so every buffer it
-/// allocated is freed there. A session whose engine panics reports its
-/// record unfilled: no rounds, no frames, no decisions.
+/// Runs a session — `run`, on this thread, so that every buffer it
+/// allocates is freed here — and records it. A session that panics
+/// completes unfilled: no rounds, no frames, no decisions.
+///
+/// # Errors
+///
+/// What `run` returns, prefixed `session <spec_index>:`.
 fn run_session(
     spec_index: usize,
-    mut engine: Box<dyn SessionEngine>,
-    SessionSpec { pattern, .. }: &SessionSpec,
-) -> (SessionOutcome, Vec<RoundTraffic>) {
-    let run = catch_unwind(AssertUnwindSafe(|| run_engine(engine.as_mut(), pattern)));
-    let Ok(run) = run else {
-        let outcome = SessionOutcome {
-            spec_index,
-            ..Default::default()
-        };
-        return (outcome, Vec::new());
-    };
-    let decided_round = pattern
-        .nonfaulty()
-        .iter()
-        .map(|a| run.decision_rounds[a.index()])
+    pattern: &FailurePattern,
+    run: impl FnOnce() -> Result<ClusterSummary, EbaError>,
+) -> Result<Completion, EbaError> {
+    let started = Instant::now();
+    let run = catch_unwind(AssertUnwindSafe(run)).unwrap_or_else(|_| Ok(Default::default()));
+    let run = run.map_err(|e| {
+        EbaError::InvalidInput(format!("session {spec_index}: {}", error_message(&e)))
+    })?;
+    let decided_round = (pattern.nonfaulty().iter())
+        .map(|a| run.decision_rounds.get(a.index()).copied().flatten())
         .try_fold(0u32, |acc, r| r.map(|r| acc.max(r)));
     let outcome = SessionOutcome {
         spec_index,
@@ -113,7 +94,7 @@ fn run_session(
         decision_values: run.decision_values,
         wall_seconds: 0.0,
     };
-    (outcome, run.round_traffic)
+    Ok((outcome, run.round_traffic, started..Instant::now()))
 }
 
 /// Runs every spec to completion on a pool of worker threads and on the
@@ -174,7 +155,7 @@ pub fn run_service(
     Parallelism::Fixed(workers + 1).for_each_ordered_within(
         capacity,
         specs.len(),
-        |i| serve(i, &specs[i]),
+        |i| run_session(i, &specs[i].pattern, || specs[i].run()),
         retire,
     )?;
     report.service_seconds = t0.elapsed().as_secs_f64();
@@ -307,31 +288,6 @@ mod tests {
         );
     }
 
-    /// An engine whose first round panics, as a session with a bug would.
-    struct Panicking;
-
-    impl SessionEngine for Panicking {
-        fn round(&self) -> u32 {
-            0
-        }
-        fn finished(&self) -> bool {
-            false
-        }
-        fn outgoing(&mut self) -> eba_transport::RoundFrames {
-            panic!("a session bug")
-        }
-        fn frame(&self, _: usize) -> Option<&[u8]> {
-            None
-        }
-        fn deliver(&mut self, _: eba_transport::RoundFrames) {}
-        fn decision_rounds(&self) -> &[Option<u32>] {
-            &[]
-        }
-        fn decision_values(&self) -> &[Option<Value>] {
-            &[]
-        }
-    }
-
     #[test]
     fn a_panicking_session_completes_unfilled_and_the_next_one_decides() {
         // Two sessions on the two threads of the ordered map, one at a
@@ -339,17 +295,15 @@ mod tests {
         // panicking one, the next session still runs and decides.
         let spec = spec_for("E_fip/P_opt", false);
         let mut done = Vec::new();
-        let engine = |i| -> Box<dyn SessionEngine> {
-            match i {
-                0 => Box::new(Panicking),
-                _ => spec.build_engine().unwrap(),
-            }
+        let session = |i| match i {
+            0 => panic!("a session bug"),
+            _ => spec.run(),
         };
         Parallelism::Fixed(2)
             .for_each_ordered_within(
                 1,
                 2,
-                |i| run_session(i, engine(i), &spec),
+                |i| run_session(i, &spec.pattern, || session(i)).unwrap(),
                 |c| {
                     done.push(c);
                     Ok::<_, EbaError>(())
@@ -357,12 +311,12 @@ mod tests {
             )
             .unwrap();
         assert_eq!(done.len(), 2, "the panicking session completes too");
-        let (failed, traffic) = &done[0];
+        let (failed, traffic, _) = &done[0];
         assert_eq!((failed.spec_index, failed.rounds), (0, 0));
         assert!(failed.decision_rounds.is_empty() && failed.decision_values.is_empty());
         assert_eq!(failed.decided_round, None);
         assert!(traffic.is_empty());
-        let (outcome, traffic) = &done[1];
+        let (outcome, traffic, _) = &done[1];
         assert_eq!(outcome.spec_index, 1);
         assert!(outcome.decided_round.is_some());
         assert_eq!(traffic.len(), outcome.rounds as usize);

@@ -7,12 +7,13 @@
 //! * [`scenario`] — the [`scenario::Scenario`] builder over a first-class
 //!   [`Context`](eba_core::context::Context): the one way to run or
 //!   enumerate a stack;
-//! * [`runner`] — the run kernel [`runner::step_rounds`]: the single
-//!   loop that executes `(context, failure pattern, initial preferences)`
-//!   round by round in caller-owned [`runner::RoundBuffers`], handing
-//!   each round to an observer; [`runner::run_rounds`] records the run
-//!   as an [`enumerate::EnumRun`], the one run record the enumerator
-//!   yields too;
+//! * [`runner`] — [`runner::run_rounds`]: the kernel's one loop over a
+//!   run's rounds ([`step_rounds`](eba_core::exchange::step_rounds), which
+//!   executes `(context, failure pattern, initial preferences)` round by
+//!   round in caller-owned buffers, handing each round to an observer)
+//!   over the lockstep channel, recording the run as an
+//!   [`enumerate::EnumRun`], the one run record the enumerator yields
+//!   too;
 //! * [`metrics`] — views of a run: decision rounds, and exact
 //!   message/bit accounting ([`metrics::Metrics::of`], the quantities of
 //!   Prop 8.1 / 8.2) replayed from the run and its pattern;
@@ -81,9 +82,10 @@ pub mod prelude {
     };
     pub use crate::metrics::Metrics;
     pub use crate::render::render_timeline;
-    pub use crate::runner::{run_rounds, step_rounds, Parallelism, RoundBuffers};
+    pub use crate::runner::{run_rounds, Parallelism};
     pub use crate::scenario::Scenario;
     pub use crate::sink::RunSink;
     pub use crate::spec::{check_decides_by, check_eba, judge_run, RunJudge, SpecViolation};
     pub use crate::store::{PointId, RunStore, StateArena, StateId};
+    pub use eba_core::exchange::{lockstep, step_rounds, RoundBuffers};
 }

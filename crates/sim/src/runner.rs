@@ -1,16 +1,16 @@
-//! The run kernel: the one loop that executes a run of a context against
-//! a failure pattern, following the global-transition semantics of
-//! Section 3 — and [`Parallelism::for_each_ordered`], the one ordered
-//! parallel map that the batch engines (exhaustive enumeration, Monte
-//! Carlo estimation) run their independent work items on.
+//! [`run_rounds`], the kernel's one loop over a run's rounds
+//! ([`step_rounds`]) over the lockstep channel, recording the run — and
+//! [`Parallelism::for_each_ordered`], the one ordered parallel map that
+//! the batch engines (exhaustive enumeration, Monte Carlo estimation,
+//! service sessions) run their independent work items on.
 
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
-use eba_core::context::{validate_scenario_shape, Context, MAX_HORIZON};
-use eba_core::exchange::{choose_actions, initial_states, step_round, InformationExchange};
+use eba_core::context::{Context, MAX_HORIZON};
+use eba_core::exchange::{lockstep, step_rounds, InformationExchange, RoundBuffers};
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
-use eba_core::types::{Action, EbaError, Value};
+use eba_core::types::{EbaError, Value};
 
 use crate::enumerate::EnumRun;
 
@@ -246,83 +246,9 @@ impl<T> Drop for StopOnPanic<'_, T> {
     }
 }
 
-/// The buffers one lockstep run steps in, owned by the caller and
-/// reused run after run: [`step_rounds`] fills them round by round, and
-/// its observer reads them — or takes the rows it keeps, which the loop
-/// then refills in fresh allocations.
-pub struct RoundBuffers<E: InformationExchange> {
-    /// The global state: the initial one, then after each round its
-    /// successor.
-    pub states: Vec<E::State>,
-    /// The global state the round just stepped started from.
-    pub previous: Vec<E::State>,
-    /// The actions chosen in the round just stepped.
-    pub actions: Vec<Action>,
-    /// The round's broadcasts.
-    outgoing: Vec<Option<E::Message>>,
-}
-
-impl<E: InformationExchange> Default for RoundBuffers<E> {
-    fn default() -> Self {
-        RoundBuffers {
-            states: Vec::new(),
-            previous: Vec::new(),
-            actions: Vec::new(),
-            outgoing: Vec::new(),
-        }
-    }
-}
-
-/// Steps one run of `ctx` for `horizon` rounds in `buffers`, and hands
-/// each round to `observe(m, buffers)` once it is stepped: `previous`
-/// holds the global state at time `m`, `actions` what was chosen in
-/// round `m + 1`, and `states` the state at time `m + 1`. Each round
-/// applies, in order: the action protocol (`P_i(s_i)`), message
-/// selection (`μ_i`), the failure pattern (`F(m, i, j)`, one row per
-/// sender), and the state update (`δ_i`) — exactly the global transition
-/// of Section 3, through the shared [`step_round`] routine.
-///
-/// This is the only loop over the rounds of a lockstep run in the
-/// workspace: [`run_rounds`] is it with an observer that records the
-/// run, and the statistical estimator's trials are it with one that
-/// judges the EBA spec as the run steps. It checks the input shapes only
-/// ([`validate_scenario_shape`], O(1), which also refuses a horizon
-/// above [`MAX_HORIZON`]); whether the context's failure model admits
-/// the pattern is the caller's business (`Scenario` checks it, the
-/// estimator samples admissible patterns).
-///
-/// # Errors
-///
-/// Returns [`EbaError::InvalidInput`] if `inits.len() != n`, the pattern
-/// was built for different parameters, or the horizon is too long.
-pub fn step_rounds<E, P>(
-    ctx: &Context<E, P>,
-    pattern: &FailurePattern,
-    inits: &[Value],
-    horizon: u32,
-    buffers: &mut RoundBuffers<E>,
-    mut observe: impl FnMut(u32, &mut RoundBuffers<E>),
-) -> Result<(), EbaError>
-where
-    E: InformationExchange,
-    P: ActionProtocol<E>,
-{
-    let (ex, proto) = (ctx.exchange(), ctx.protocol());
-    validate_scenario_shape(ctx.params(), pattern, inits, horizon)?;
-    initial_states(ex, inits, &mut buffers.states);
-    for m in 0..horizon {
-        let b = &mut *buffers;
-        choose_actions(proto, &b.states, &mut b.actions);
-        let (dropped, next) = (|from| pattern.dropped(m, from), &mut b.previous);
-        step_round(ex, &b.states, &b.actions, dropped, &mut b.outgoing, next);
-        std::mem::swap(&mut b.states, &mut b.previous);
-        observe(m, b);
-    }
-    Ok(())
-}
-
 /// Executes one run of `ctx` for `horizon` rounds and returns it:
-/// [`step_rounds`], keeping each round's rows. The run it returns is the
+/// [`step_rounds`] over the lockstep channel ([`lockstep`]), keeping each
+/// round's rows. The run it returns is the
 /// one run record; decisions, traffic
 /// ([`Metrics::of`](crate::metrics::Metrics::of)) and 0-chains
 /// ([`crate::chains`]) are views computed from it and its pattern.
@@ -346,11 +272,19 @@ where
     let rounds = horizon.min(MAX_HORIZON) as usize;
     let mut states = Vec::with_capacity(rounds + 1);
     let mut actions = Vec::with_capacity(rounds);
-    let mut buffers = RoundBuffers::default();
-    step_rounds(ctx, pattern, inits, horizon, &mut buffers, |_, b| {
-        states.push(std::mem::take(&mut b.previous));
-        actions.push(std::mem::take(&mut b.actions));
-    })?;
+    let (channel, mut buffers) = (&mut lockstep(pattern), RoundBuffers::default());
+    step_rounds(
+        ctx,
+        pattern,
+        inits,
+        horizon,
+        channel,
+        &mut buffers,
+        |_, b| {
+            states.push(std::mem::take(&mut b.previous));
+            actions.push(std::mem::take(&mut b.actions));
+        },
+    )?;
     states.push(buffers.states);
     Ok(EnumRun {
         nonfaulty: pattern.nonfaulty(),

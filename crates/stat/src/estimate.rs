@@ -3,8 +3,9 @@
 //!
 //! Each trial draws a stratum from the plan's mixture, a faulty set, a
 //! failure pattern (via [`AdversarySampler`]), and uniform initial
-//! preferences; steps the stack through the simulator's run loop
-//! ([`step_rounds`]) in buffers its block owns and reuses; and judges
+//! preferences; steps the stack through the kernel's run loop
+//! ([`step_rounds`]) over the lockstep channel, in buffers its block owns
+//! and reuses; and judges
 //! each round as it is stepped with the simulator's statement of the
 //! spec ([`RunJudge`], the fold [`judge_run`] replays recorded runs
 //! through). No trajectory is kept — a violating trial clones its
@@ -33,7 +34,7 @@
 //!
 //! [`AdversarySampler`]: eba_core::prelude::AdversarySampler
 //! [`Parallelism::for_each_ordered`]: eba_sim::runner::Parallelism::for_each_ordered
-//! [`step_rounds`]: eba_sim::runner::step_rounds
+//! [`step_rounds`]: eba_core::exchange::step_rounds
 //! [`RunJudge`]: eba_sim::spec::RunJudge
 //! [`judge_run`]: eba_sim::spec::judge_run
 //! [`check_spec`]: eba_epistemic::spec::check_spec
@@ -96,7 +97,8 @@ impl<E: InformationExchange> Trial<E> {
         let observe = |m, b: &mut RoundBuffers<E>| {
             judge.round(ex, m, &b.previous, &b.actions, &b.states);
         };
-        step_rounds(ctx, pattern, inits, horizon, &mut self.buffers, observe)?;
+        let (channel, buffers) = (&mut lockstep(pattern), &mut self.buffers);
+        step_rounds(ctx, pattern, inits, horizon, channel, buffers, observe)?;
         let verdict = self.judge.verdict(pattern.nonfaulty(), inits);
         Ok(verdict.err().map(|v| violation_kind(&v)))
     }
@@ -629,6 +631,7 @@ mod tests {
             &pattern,
             &trial.inits,
             4,
+            &mut lockstep(&pattern),
             &mut trial.buffers,
             |_, b| {
                 previous.push(b.previous.clone());

@@ -15,8 +15,8 @@
 //!   TrialPlan ──► SampleScheme strata ──► AdversarySampler + inits
 //!       │               (mixture)             (one trial)
 //!       │                                        │
-//!       │              step_rounds (the sim kernel, in the block's
-//!       │                        │        reused buffers)
+//!       │         step_rounds (the core kernel, lockstep channel,
+//!       │                        │        the block's reused buffers)
 //!       │                  each round ──► RunJudge (the spec fold)
 //!       │                                        │
 //!       └──► blocks × workers ──► fold in block order ──► Estimate

@@ -20,7 +20,9 @@
 //! mode runs exactly this comparison against the known exhaustive
 //! verdicts at `(3, 1)` and `(4, 1)`.
 
+use eba_core::failures::init_configs;
 use eba_core::prelude::*;
+use eba_core::types::subsets_of_size;
 
 use crate::estimate::judge_case;
 use crate::plan::{Stratum, TrialPlan};
@@ -66,38 +68,29 @@ where
 }
 
 /// The independent drop sites of one stratum, mirroring the sampler's
-/// coin layout for omission models.
+/// coin layout for omission models: every `from ≠ to` pair whose drop
+/// the model admits ([`FailureModel::admits_drop`]). Crashes draw their
+/// coins per crash round ([`for_each_crash_pattern`]), so they have none
+/// here.
 fn drop_sites(
     model: FailureModel,
     params: Params,
     faulty: AgentSet,
     horizon: u32,
 ) -> Vec<(u32, AgentId, AgentId)> {
-    let mut sites = Vec::new();
-    for m in 0..horizon {
-        match model {
-            FailureModel::FailureFree | FailureModel::Crash => {}
-            FailureModel::SendingOmission => {
-                for from in faulty.iter() {
-                    for to in params.agents() {
-                        if to != from {
-                            sites.push((m, from, to));
-                        }
-                    }
-                }
-            }
-            FailureModel::GeneralOmission => {
-                for from in params.agents() {
-                    for to in params.agents() {
-                        if from != to && (faulty.contains(from) || faulty.contains(to)) {
-                            sites.push((m, from, to));
-                        }
-                    }
-                }
-            }
-        }
+    if model == FailureModel::Crash {
+        return Vec::new();
     }
-    sites
+    let pairs = params
+        .agents()
+        .flat_map(|from| params.agents().map(move |to| (from, to)));
+    let admitted = |&(from, to): &(AgentId, AgentId)| {
+        from != to && model.admits_drop(faulty.contains(from), faulty.contains(to))
+    };
+    let pairs: Vec<_> = pairs.filter(admitted).collect();
+    (0..horizon)
+        .flat_map(|m| pairs.iter().map(move |&(from, to)| (m, from, to)))
+        .collect()
 }
 
 /// Streams every crash-pattern of one stratum over a fixed faulty set:
@@ -121,14 +114,13 @@ where
     loop {
         // For this crash-round assignment, the per-agent crash-round
         // drops are independent coins over that round's messages.
-        let mut sites = Vec::new();
-        for (a, &cr) in agents.iter().zip(&rounds) {
-            for to in params.agents() {
-                if to != *a {
-                    sites.push((cr, *a, to));
-                }
-            }
-        }
+        let crash_round = |(&a, &cr): (&AgentId, &u32)| {
+            params
+                .agents()
+                .filter(move |&to| to != a)
+                .map(move |to| (cr, a, to))
+        };
+        let sites: Vec<_> = agents.iter().zip(&rounds).flat_map(crash_round).collect();
         let assignment_prob = round_prob.powi(agents.len() as i32);
         for_each_drop_subset(params, faulty, &sites, q, &mut |mut pattern, prob| {
             for (a, &cr) in agents.iter().zip(&rounds) {
@@ -152,23 +144,6 @@ where
             i += 1;
         }
     }
-}
-
-/// Every faulty set of size `k` among `n` agents.
-fn faulty_sets(n: usize, k: usize) -> Vec<AgentSet> {
-    let mut out = Vec::new();
-    for bits in 0u32..(1u32 << n) {
-        if bits.count_ones() as usize == k {
-            let mut set = AgentSet::empty();
-            for i in 0..n {
-                if bits & (1 << i) != 0 {
-                    set.insert(AgentId::new(i));
-                }
-            }
-            out.push(set);
-        }
-    }
-    out
 }
 
 /// Computes the exact probability that a trial drawn from `plan`'s
@@ -209,7 +184,7 @@ fn budget_check(
     let inits = 1u64 << n;
     let mut total: u64 = 0;
     for stratum in strata {
-        for faulty in faulty_sets(n, stratum.faulty) {
+        for faulty in subsets_of_size(n, stratum.faulty) {
             let cases = match model {
                 FailureModel::Crash => {
                     let coins = faulty.len() * (n - 1);
@@ -218,14 +193,7 @@ fn budget_check(
                         .and_then(|rounds| 1u64.checked_shl(coins as u32).map(|c| (rounds, c)))
                         .and_then(|(rounds, coins)| rounds.checked_mul(coins))
                 }
-                _ => {
-                    let sites = drop_sites(model, params, faulty, plan.horizon).len();
-                    if sites >= 63 {
-                        None
-                    } else {
-                        Some(1u64 << sites)
-                    }
-                }
+                _ => 1u64.checked_shl(drop_sites(model, params, faulty, plan.horizon).len() as u32),
             };
             total = cases
                 .and_then(|c| c.checked_mul(inits))
@@ -263,10 +231,7 @@ impl StackVisitor for ReferenceVisitor<'_> {
         let mut violation_mass = 0.0f64;
         let judge_pattern = |pattern: &FailurePattern, prob: f64| -> Result<f64, EbaError> {
             let mut mass = 0.0;
-            for bits in 0u64..(1u64 << n) {
-                let inits: Vec<Value> = (0..n)
-                    .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
-                    .collect();
+            for inits in init_configs(n) {
                 if judge_case(ctx, pattern, &inits, self.plan.horizon)?.is_some() {
                     mass += prob * init_prob;
                 }
@@ -274,7 +239,7 @@ impl StackVisitor for ReferenceVisitor<'_> {
             Ok(mass)
         };
         for stratum in self.strata {
-            let sets = faulty_sets(n, stratum.faulty);
+            let sets = subsets_of_size(n, stratum.faulty);
             let set_prob = stratum.weight / sets.len() as f64;
             for faulty in sets {
                 let mut stratum_mass = 0.0;
@@ -390,7 +355,10 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(0xEBA);
         for model in [FailureModel::SendingOmission, FailureModel::GeneralOmission] {
             let sampler = AdversarySampler::new(model, params, horizon, 1.0);
-            for faulty in faulty_sets(4, 1).into_iter().chain(faulty_sets(4, 2)) {
+            for faulty in subsets_of_size(4, 1)
+                .into_iter()
+                .chain(subsets_of_size(4, 2))
+            {
                 let sampled: Vec<_> = sampler
                     .sample_with_faulty(faulty, &mut rng)
                     .drops()

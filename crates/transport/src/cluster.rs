@@ -1,16 +1,19 @@
-//! The loopback driver: run an engine to its horizon over encoded frames
-//! on the calling thread, `outgoing → apply_pattern → deliver` per round
-//! (the synchronous rounds of Section 3), and report decisions plus the
-//! wire accounting.
+//! The loopback driver: a registry stack run to its horizon over encoded
+//! frames on the calling thread — `eba-core`'s one loop over a run's
+//! rounds ([`step_rounds`]) over the wire channel.
 
-use eba_core::context::NamedStack;
+use eba_core::context::{Context, NamedStack, MAX_HORIZON};
+use eba_core::exchange::{record_decisions, step_rounds, InformationExchange, RoundBuffers};
 use eba_core::failures::FailurePattern;
+use eba_core::protocols::ActionProtocol;
 use eba_core::types::{EbaError, Value};
 
-use crate::engine::{apply_pattern, named_engine, RoundFrames, RoundTraffic, SessionEngine};
+use crate::channel::{RoundTraffic, WireChannel};
+use crate::codec::WireCodec;
 
-/// What a loopback run decided and what it put on the wire.
-#[derive(Clone, Debug)]
+/// What a loopback run decided and what it put on the wire (by default,
+/// nothing: no rounds).
+#[derive(Clone, Debug, Default)]
 pub struct ClusterSummary {
     /// Per-agent first decision round.
     pub decision_rounds: Vec<Option<u32>>,
@@ -28,48 +31,72 @@ pub struct ClusterSummary {
     pub rounds: u32,
 }
 
-/// Runs a freshly built engine to its horizon on the calling thread,
-/// carrying each round's frames from [`outgoing`](SessionEngine::outgoing)
-/// through `pattern`'s omissions ([`apply_pattern`]) to
-/// [`deliver`](SessionEngine::deliver) and counting them on both sides —
-/// the one loop over an engine: [`run_named_cluster`] is [`named_engine`]
-/// plus this, and every `eba-service` session is one call of it on a pool
-/// worker.
-pub fn run_engine(engine: &mut dyn SessionEngine, pattern: &FailurePattern) -> ClusterSummary {
-    // A sender's bytes cross the wire once per mark in its row.
-    let bytes = |engine: &dyn SessionEngine, frames: &RoundFrames| -> u64 {
-        let len = |from| engine.frame(from).map_or(0, <[u8]>::len);
-        let rows = frames.iter().enumerate();
-        rows.map(|(from, row)| (len(from) * row.iter().flatten().count()) as u64)
-            .sum()
+/// Admits a scenario on a registry stack, then evaluates `$run` with
+/// `$ctx` bound to the stack's context and `$codec` to its wire codec —
+/// the one table pairing each [`NamedStack`] with its codec. An
+/// inadmissible scenario is an error prefixed with the qualified stack
+/// name (`E_fip/P_opt@crash`), so a battery over many stacks reports
+/// which one failed.
+#[rustfmt::skip]
+macro_rules! on_the_wire {
+    ($stack:expr, $pattern:expr, $inits:expr, $horizon:expr, |$ctx:ident, $codec:ident| $run:expr) => {{
+        use eba_core::context::{admit_scenario, error_message, NamedStack};
+        let stack: &NamedStack = $stack;
+        admit_scenario(stack.params(), stack.model(), $pattern, $inits, $horizon).map_err(|e| {
+            let name = stack.qualified_name();
+            eba_core::types::EbaError::InvalidInput(format!("{name}: {}", error_message(&e)))
+        })?;
+        match stack {
+            NamedStack::Min($ctx) => { let $codec = $crate::MinCodec; $run }
+            NamedStack::Basic($ctx) => { let $codec = $crate::BasicCodec; $run }
+            NamedStack::Fip($ctx) => { let $codec = $crate::FipCodec; $run }
+            NamedStack::Naive($ctx) => { let $codec = $crate::NaiveCodec; $run }
+        }
+    }};
+}
+pub(crate) use on_the_wire;
+
+/// Runs `ctx` from `inits` for `horizon` rounds over `channel` in
+/// `buffers`, recording each agent's first decision as the rounds step.
+pub(crate) fn run_wire<E, P, C>(
+    ctx: &Context<E, P>,
+    channel: &mut WireChannel<C, E::Message, &FailurePattern>,
+    inits: &[Value],
+    horizon: u32,
+    buffers: &mut RoundBuffers<E>,
+) -> Result<ClusterSummary, EbaError>
+where
+    E: InformationExchange,
+    P: ActionProtocol<E>,
+    C: WireCodec<E::Message>,
+{
+    let n = inits.len();
+    let (mut decision_rounds, mut decision_values) = (vec![None; n], vec![None; n]);
+    let record = |m, b: &mut RoundBuffers<E>| {
+        record_decisions(m, &b.actions, &mut decision_rounds, &mut decision_values);
     };
-    let (mut wire_bytes_sent, mut wire_bytes_delivered) = (0, 0);
-    let mut round_traffic = Vec::new();
-    while !engine.finished() {
-        let round = engine.round();
-        let mut frames = engine.outgoing();
-        wire_bytes_sent += bytes(engine, &frames);
-        round_traffic.push(apply_pattern(round, &mut frames, pattern));
-        wire_bytes_delivered += bytes(engine, &frames);
-        engine.deliver(frames);
-    }
-    ClusterSummary {
-        decision_rounds: engine.decision_rounds().to_vec(),
-        decision_values: engine.decision_values().to_vec(),
-        wire_bytes_sent,
-        wire_bytes_delivered,
+    // Sized before the shape check, as `run_rounds` sizes its rows.
+    channel.traffic.reserve(horizon.min(MAX_HORIZON) as usize);
+    let pattern = channel.drops;
+    step_rounds(ctx, pattern, inits, horizon, channel, buffers, record)?;
+    let round_traffic = std::mem::take(&mut channel.traffic);
+    Ok(ClusterSummary {
+        decision_rounds,
+        decision_values,
+        wire_bytes_sent: channel.bytes.0,
+        wire_bytes_delivered: channel.bytes.1,
         frames_sent: round_traffic.iter().map(|t| t.sent).sum(),
         round_traffic,
-        rounds: engine.round(),
-    }
+        rounds: horizon,
+    })
 }
 
-/// Runs a registry-selected stack ([`NamedStack`]) over encoded frames,
-/// through the engine [`named_engine`] pairs with its wire codec — this
-/// is how string-keyed stack selection (`-- --stack E_basic/P_basic`)
-/// reaches the transport layer. "Cluster" is a historical name, from
-/// when this ran one OS thread per agent; it is kept because `bench/`
-/// imports it.
+/// Runs a registry-selected stack ([`NamedStack`]) over encoded frames
+/// on the calling thread: admission, the stack's wire codec, then
+/// [`step_rounds`] over the wire channel — how string-keyed stack
+/// selection (`-- --stack E_basic/P_basic`) reaches the transport layer,
+/// and what every `eba-service` session runs. "Cluster" is a historical
+/// name, from when this ran one OS thread per agent; `bench/` imports it.
 ///
 /// ```
 /// use eba_core::prelude::*;
@@ -87,16 +114,18 @@ pub fn run_engine(engine: &mut dyn SessionEngine, pattern: &FailurePattern) -> C
 ///
 /// # Errors
 ///
-/// As [`named_engine`]: every shape mismatch and every drop the stack's
-/// failure model does not admit, prefixed by the qualified stack name.
+/// Every shape mismatch and every drop the stack's failure model does
+/// not admit, prefixed by the qualified stack name.
 pub fn run_named_cluster(
     stack: &NamedStack,
     pattern: &FailurePattern,
     inits: &[Value],
     horizon: u32,
 ) -> Result<ClusterSummary, EbaError> {
-    let mut engine = named_engine(stack, pattern, inits, horizon)?;
-    Ok(run_engine(engine.as_mut(), pattern))
+    on_the_wire!(stack, pattern, inits, horizon, |ctx, codec| {
+        let channel = &mut WireChannel::new(codec, pattern);
+        run_wire(ctx, channel, inits, horizon, &mut RoundBuffers::default())
+    })
 }
 
 #[cfg(test)]

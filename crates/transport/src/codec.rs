@@ -153,7 +153,7 @@ impl WireCodec<FipMsg> for FipCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use eba_core::exchange::{initial_states, step_round};
+    use eba_core::exchange::{initial_states, step_round, Lockstep};
     use eba_core::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -302,16 +302,17 @@ mod tests {
         for round in 0..3usize {
             // a0 and a1 drop to some receivers depending on the round,
             // for label variety.
-            let dropped = |from: AgentId| {
+            let dropped = |_, from: AgentId| {
                 let i = from.index();
                 let dropped = (0..4).filter(|j| i < 2 && (j + i + round).is_multiple_of(3));
                 dropped.map(AgentId::new).collect()
             };
             step_round(
                 &ex,
+                round as u32,
                 &states,
                 &[Action::Noop; 4],
-                dropped,
+                &mut Lockstep::new(dropped),
                 &mut outgoing,
                 &mut next,
             );

@@ -1,100 +1,27 @@
-//! The round engine: the one place a stack runs over **encoded** frames.
-//!
-//! Section 3's global transition, at the byte level, stepped by
-//! `eba-core`'s round kernel ([`eba_core::exchange`]): `P_i` picks each
-//! agent's action, `μ_i` selects its broadcast, which is encoded once into
-//! the round's one buffer, and each recipient gets a [`Frame`] mark
-//! ([`SessionEngine::outgoing`]); the failure pattern drops marks
-//! ([`apply_pattern`]); a sender's bytes are decoded once if any of its
-//! marks survive, the kernel's channel lends that one message to every
-//! receiver still marked, and `δ_i` updates every state
-//! ([`SessionEngine::deliver`]): the lockstep channel plus one encode and
-//! one decode per broadcast.
+//! The one-round adaptor over the wire channel, kept for `bench/`'s
+//! layer probe, which drives a session's rounds itself. It has no loop:
+//! each [`outgoing`](SessionEngine::outgoing) /
+//! [`deliver`](SessionEngine::deliver) pair is one round of `eba-core`'s
+//! kernel over the wire channel, whose drops are the marks the caller
+//! removed in between. Every run steps `eba-core`'s one loop instead.
 
-use std::ops::Range;
-
-use eba_core::context::{admit_scenario, error_message, Context, NamedStack};
+use eba_core::context::{Context, NamedStack};
 use eba_core::exchange::{
-    choose_actions, deliver_round, initial_states, record_decisions, select_round,
-    InformationExchange,
+    choose_actions, deliver_round, initial_states, record_decisions, select_round, Channel,
+    InformationExchange, RoundBuffers,
 };
 use eba_core::failures::FailurePattern;
 use eba_core::protocols::ActionProtocol;
-use eba_core::types::{Action, AgentId, EbaError, Value};
+use eba_core::types::{EbaError, Value};
 
-use crate::codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec, WireCodec};
+use crate::channel::{Frame, RoundFrames, WireChannel};
+use crate::cluster::on_the_wire;
+use crate::codec::WireCodec;
 
-/// A mark in [`RoundFrames`]: its sender's broadcast reaches its
-/// recipient. It holds no bytes (those are [`SessionEngine::frame`]), and
-/// only the engine makes one.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Frame(());
-
-/// One round's frames, indexed `[from][to]` (`None` = no message).
-///
-/// [`SessionEngine::outgoing`] marks every recipient of a broadcast. A
-/// carrier may only drop marks: a mark on the row of a sender that sent
-/// nothing makes [`deliver`](SessionEngine::deliver) panic.
-pub type RoundFrames = Vec<Vec<Option<Frame>>>;
-
-/// Per-round message counters, shared by the loopback driver
-/// ([`ClusterSummary`](crate::ClusterSummary)) and the multiplexed
-/// service (`ServiceReport` in `eba-service`), so both report comparable
-/// observability data.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RoundTraffic {
-    /// Frames the agents sent in this round (dropped frames included —
-    /// the sender did the work).
-    pub sent: u64,
-    /// Frames actually delivered in this round.
-    pub delivered: u64,
-}
-
-impl RoundTraffic {
-    /// Frames the failure pattern suppressed in this round.
-    pub fn dropped(&self) -> u64 {
-        self.sent - self.delivered
-    }
-
-    /// Accumulates another counter into this one (used when folding
-    /// per-session traffic into a service-wide total).
-    pub fn absorb(&mut self, other: &RoundTraffic) {
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-    }
-}
-
-/// Applies `pattern` to one round of frames in place — the one place
-/// omissions are injected into the wire: a dropped mark becomes `None`,
-/// exactly where a lossy network would lose the frame.
-pub fn apply_pattern(
-    round: u32,
-    frames: &mut RoundFrames,
-    pattern: &FailurePattern,
-) -> RoundTraffic {
-    let mut traffic = RoundTraffic::default();
-    for (from, row) in frames.iter_mut().enumerate() {
-        let dropped = pattern.dropped(round, AgentId::new(from));
-        for (to, frame) in row.iter_mut().enumerate().filter(|(_, f)| f.is_some()) {
-            traffic.sent += 1;
-            if dropped.contains(AgentId::new(to)) {
-                *frame = None;
-            } else {
-                traffic.delivered += 1;
-            }
-        }
-    }
-    traffic
-}
-
-/// A type-erased, resumable EBA session advancing one synchronous round
-/// per [`outgoing`](SessionEngine::outgoing) /
-/// [`deliver`](SessionEngine::deliver) pair.
-///
-/// The engine does **not** apply the failure pattern — whoever carries
-/// the frames between the two calls does, with [`apply_pattern`]:
-/// [`run_engine`](crate::run_engine), which the loopback and every
-/// service session call.
+/// A type-erased EBA session advancing one synchronous round per
+/// [`outgoing`](SessionEngine::outgoing) /
+/// [`deliver`](SessionEngine::deliver) pair; the caller drops the marks
+/// the failure pattern drops in between.
 pub trait SessionEngine: Send {
     /// The current (0-based) message round.
     fn round(&self) -> u32;
@@ -102,109 +29,61 @@ pub trait SessionEngine: Send {
     /// Whether the horizon has been reached.
     fn finished(&self) -> bool;
 
-    /// Computes every agent's action for the current round, encodes each
-    /// sender's broadcast once ([`frame`](SessionEngine::frame)), and
-    /// returns the outgoing frames `[from][to]`: a mark for every
-    /// recipient of a broadcast. Must be followed by
-    /// [`deliver`](SessionEngine::deliver) for the same round.
+    /// Acts and returns the round's frames `[from][to]`: a mark for every
+    /// recipient of a broadcast.
     fn outgoing(&mut self) -> RoundFrames;
 
-    /// The bytes of `from`'s broadcast in the last
-    /// [`outgoing`](SessionEngine::outgoing) round, `None` if it sent
-    /// nothing; every mark in row `from` carries these bytes.
-    fn frame(&self, from: usize) -> Option<&[u8]>;
-
-    /// Delivers the round's post-omission frames `[from][to]` and
-    /// advances every agent's state, ending the round. Each sender's
-    /// bytes are decoded once if any mark in its row survives. The engine
-    /// may keep the rows for its next `outgoing`. Panics if `frames` is
-    /// not `n × n` or marks a row whose sender sent nothing.
+    /// Carries the round's broadcasts to the recipients still marked in
+    /// `frames` — each encoded once, decoded once if any mark survives —
+    /// and ends the round. Panics if `frames` is not `n × n` or marks a
+    /// row whose sender sent nothing.
     fn deliver(&mut self, frames: RoundFrames);
 
-    /// Per-agent first decision round (the round *after* the acting
-    /// round, matching the lockstep runner's convention).
-    fn decision_rounds(&self) -> &[Option<u32>];
-
-    /// Per-agent decision value.
-    fn decision_values(&self) -> &[Option<Value>];
+    /// Per-agent first decision rounds and values, as the loop records
+    /// them.
+    fn decisions(&self) -> (&[Option<u32>], &[Option<Value>]);
 }
 
-/// Admits a scenario and compiles a registry stack into a runnable
-/// engine — the one table pairing each [`NamedStack`] with its wire
-/// codec.
+/// Admits a scenario and compiles a registry stack into the one-round
+/// adaptor over its wire codec.
 ///
 /// # Errors
 ///
-/// Returns [`EbaError::InvalidInput`] listing every problem
-/// [`admit_scenario`] finds, prefixed with the qualified stack name
-/// (`E_fip/P_opt@crash`) so a battery over many registry stacks reports
-/// which one failed.
+/// As [`run_named_cluster`](crate::run_named_cluster).
 pub fn named_engine(
     stack: &NamedStack,
     pattern: &FailurePattern,
     inits: &[Value],
     horizon: u32,
 ) -> Result<Box<dyn SessionEngine>, EbaError> {
-    admit_scenario(stack.params(), stack.model(), pattern, inits, horizon).map_err(|e| {
-        EbaError::InvalidInput(format!("{}: {}", stack.qualified_name(), error_message(&e)))
-    })?;
-    Ok(match stack {
-        NamedStack::Min(ctx) => Box::new(TypedEngine::new(*ctx, MinCodec, inits, horizon)),
-        NamedStack::Basic(ctx) => Box::new(TypedEngine::new(*ctx, BasicCodec, inits, horizon)),
-        NamedStack::Fip(ctx) => Box::new(TypedEngine::new(*ctx, FipCodec, inits, horizon)),
-        NamedStack::Naive(ctx) => Box::new(TypedEngine::new(*ctx, NaiveCodec, inits, horizon)),
-    })
+    let engine = on_the_wire!(stack, pattern, inits, horizon, |ctx, codec| {
+        Box::new(TypedEngine::new(*ctx, codec, inits, horizon)) as Box<dyn SessionEngine>
+    });
+    Ok(engine)
 }
 
-/// The monomorphic engine behind [`named_engine`]: one `(E, P)` stack, its
-/// codec and every agent's state, stepped by `eba-core`'s round kernel.
+/// The adaptor behind [`named_engine`]: one `(E, P)` stack, the round's
+/// buffers, the wire channel and the decisions so far.
 struct TypedEngine<E: InformationExchange, P, C> {
     ctx: Context<E, P>,
-    codec: C,
-    states: Vec<E::State>,
-    /// The successor states `deliver` writes over, swapped with `states`.
-    next: Vec<E::State>,
-    /// Chosen by `outgoing`, consumed by `deliver`.
-    actions: Vec<Action>,
-    /// The messages `outgoing` selects, over the last round's.
-    selected: Vec<Option<E::Message>>,
-    /// The round's broadcasts, encoded back to back, and each sender's
-    /// span of them (`None`: it sent nothing).
-    wire: Vec<u8>,
-    spans: Vec<Option<Range<usize>>>,
-    awaiting_delivery: bool,
-    /// Per sender, what its bytes last decoded to (`None` before its
-    /// first), each decode written over the one before.
-    decoded: Vec<Option<E::Message>>,
-    /// The last delivered round's frames: the next `outgoing` refills
-    /// these rows instead of allocating new ones.
-    spare: RoundFrames,
-    decision_rounds: Vec<Option<u32>>,
-    decision_values: Vec<Option<Value>>,
+    buffers: RoundBuffers<E>,
+    channel: WireChannel<C, E::Message, RoundFrames>,
+    decisions: (Vec<Option<u32>>, Vec<Option<Value>>),
     round: u32,
     horizon: u32,
 }
 
-impl<E: InformationExchange, P: ActionProtocol<E>, C> TypedEngine<E, P, C> {
-    /// Initial states for an admitted scenario (`inits.len() == n`).
+impl<E: InformationExchange, P: ActionProtocol<E>, C: WireCodec<E::Message>> TypedEngine<E, P, C> {
     fn new(ctx: Context<E, P>, codec: C, inits: &[Value], horizon: u32) -> Self {
-        let n = inits.len();
-        let mut states = Vec::with_capacity(n);
-        initial_states(ctx.exchange(), inits, &mut states);
+        let mut buffers = RoundBuffers::default();
+        initial_states(ctx.exchange(), inits, &mut buffers.states);
+        let (channel, n) = (WireChannel::new(codec, Vec::new()), inits.len());
+        let decisions = (vec![None; n], vec![None; n]);
         TypedEngine {
-            states,
-            next: Vec::new(),
             ctx,
-            codec,
-            actions: Vec::new(),
-            selected: Vec::new(),
-            wire: Vec::new(),
-            spans: Vec::new(),
-            awaiting_delivery: false,
-            decoded: Vec::new(),
-            spare: Vec::new(),
-            decision_rounds: vec![None; n],
-            decision_values: vec![None; n],
+            buffers,
+            channel,
+            decisions,
             round: 0,
             horizon,
         }
@@ -227,103 +106,54 @@ where
 
     fn outgoing(&mut self) -> RoundFrames {
         assert!(self.round < self.horizon, "outgoing() past the horizon");
-        assert!(
-            !self.awaiting_delivery,
-            "outgoing() called twice in a round"
-        );
-        self.awaiting_delivery = true;
-        choose_actions(self.ctx.protocol(), &self.states, &mut self.actions);
-        record_decisions(
-            self.round,
-            &self.actions,
-            &mut self.decision_rounds,
-            &mut self.decision_values,
-        );
-        // `μ` is a broadcast: one encode per sender, into the round's one
-        // buffer, and a mark per recipient.
-        let n = self.states.len();
-        select_round(
-            self.ctx.exchange(),
-            &self.states,
-            &self.actions,
-            &mut self.selected,
-        );
-        self.wire.clear();
-        self.spans.clear();
-        let mut frames = std::mem::take(&mut self.spare);
-        frames.resize_with(n, Vec::new);
-        for (row, msg) in frames.iter_mut().zip(&self.selected) {
-            let span = msg.as_ref().map(|msg| {
-                let start = self.wire.len();
-                self.codec.encode_into(msg, &mut self.wire);
-                start..self.wire.len()
-            });
+        let (b, (rounds, values)) = (&mut self.buffers, &mut self.decisions);
+        choose_actions(self.ctx.protocol(), &b.states, &mut b.actions);
+        record_decisions(self.round, &b.actions, rounds, values);
+        select_round(self.ctx.exchange(), &b.states, &b.actions, &mut b.outgoing);
+        // The last round's rows, refilled.
+        let mut rows = std::mem::take(&mut self.channel.drops);
+        rows.resize_with(b.outgoing.len(), Vec::new);
+        for (row, msg) in rows.iter_mut().zip(&b.outgoing) {
             row.clear();
-            row.resize(n, span.as_ref().map(|_| Frame(())));
-            self.spans.push(span);
+            row.resize(b.outgoing.len(), msg.as_ref().map(|_| Frame(())));
         }
-        frames
-    }
-
-    fn frame(&self, from: usize) -> Option<&[u8]> {
-        Some(&self.wire[self.spans.get(from)?.clone()?])
+        rows
     }
 
     fn deliver(&mut self, frames: RoundFrames) {
-        assert!(self.awaiting_delivery, "deliver() without outgoing()");
-        let n = self.states.len();
-        assert!(
-            frames.len() == n && frames.iter().all(|row| row.len() == n),
-            "delivery shape mismatch"
-        );
-        self.decoded.resize(n, None);
-        // One decode per row with a surviving mark, into its sender's slot.
-        for (from, row) in frames.iter().enumerate() {
-            if row.iter().any(Option::is_some) {
-                let Some(span) = self.spans[from].clone() else {
-                    panic!("row {from} marks a frame, but agent {from} sent nothing this round");
-                };
-                match &mut self.decoded[from] {
-                    Some(msg) => self.codec.decode_into(&self.wire[span], msg),
-                    slot => *slot = Some(self.codec.decode(&self.wire[span])),
-                }
+        let b = &mut self.buffers;
+        let n = b.states.len();
+        let square = frames.len() == n && frames.iter().all(|row| row.len() == n);
+        assert!(square, "delivery shape mismatch");
+        for (from, (row, msg)) in frames.iter().zip(&b.outgoing).enumerate() {
+            if msg.is_none() && row.iter().any(Option::is_some) {
+                panic!("row {from} marks a frame, but agent {from} sent nothing this round");
             }
         }
-        let decoded = &self.decoded;
-        deliver_round(
-            self.ctx.exchange(),
-            &self.states,
-            &self.actions,
-            |to, tuple| {
-                for (from, slot) in tuple.iter_mut().enumerate() {
-                    *slot = frames[from][to.index()].and(decoded[from].as_ref());
-                }
-            },
-            &mut self.next,
-        );
-        std::mem::swap(&mut self.states, &mut self.next);
-        self.spare = frames;
+        self.channel.drops = frames;
+        self.channel.carry(self.round, &b.outgoing);
+        let (channel, ex) = (&self.channel, self.ctx.exchange());
+        let hear = |to, heard: &mut [_]| channel.hear(&b.outgoing, to, heard);
+        deliver_round(ex, &b.states, &b.actions, hear, &mut b.previous);
+        std::mem::swap(&mut b.states, &mut b.previous);
         self.round += 1;
-        self.awaiting_delivery = false;
     }
 
-    fn decision_rounds(&self) -> &[Option<u32>] {
-        &self.decision_rounds
-    }
-
-    fn decision_values(&self) -> &[Option<Value>] {
-        &self.decision_values
+    fn decisions(&self) -> (&[Option<u32>], &[Option<Value>]) {
+        (&self.decisions.0, &self.decisions.1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{run_engine, ClusterSummary};
+    use crate::channel::apply_pattern;
+    use crate::cluster::{run_wire, ClusterSummary};
+    use crate::codec::{BasicCodec, FipCodec, MinCodec, NaiveCodec};
     use eba_core::corpus::Case;
     use eba_core::exchange::BasicMsg;
     use eba_core::failures::{AdversarySampler, FailureModel, MODEL_NAMES};
-    use eba_core::types::Params;
+    use eba_core::types::{AgentId, Params};
     use eba_sim::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -357,27 +187,44 @@ mod tests {
             .collect()
     }
 
-    /// One run of `ctx` through a [`TypedEngine`] over `codec`, next to
-    /// the lockstep run of the same case.
+    /// What one wire run of a case leaves: its summary, the codec and
+    /// the final global state.
+    struct Wire<E: InformationExchange, C> {
+        summary: ClusterSummary,
+        codec: C,
+        states: Vec<E::State>,
+    }
+
+    /// One run of `ctx` over the wire channel over `codec`, next to the
+    /// lockstep run of the same case.
     fn wire_and_lockstep<E, P, C>(
         ctx: &Context<E, P>,
         codec: C,
         case: &Case,
-    ) -> (ClusterSummary, TypedEngine<E, P, C>, EnumRun<E>)
+    ) -> (Wire<E, C>, EnumRun<E>)
     where
         E: InformationExchange + Clone + Send,
         P: ActionProtocol<E> + Clone + Send,
         C: WireCodec<E::Message> + Send,
     {
-        let mut engine = TypedEngine::new(ctx.clone(), codec, &case.inits, case.horizon);
-        let summary = run_engine(&mut engine, &case.pattern);
+        let (mut channel, mut buffers) = (
+            WireChannel::new(codec, &case.pattern),
+            RoundBuffers::default(),
+        );
+        let summary = run_wire(ctx, &mut channel, &case.inits, case.horizon, &mut buffers).unwrap();
+        let (codec, states) = (channel.codec, buffers.states);
         let trace = Scenario::of(ctx)
             .pattern(case.pattern.clone())
             .inits(&case.inits)
             .horizon(case.horizon)
             .run()
             .unwrap();
-        (summary, engine, trace)
+        let wire = Wire {
+            summary,
+            codec,
+            states,
+        };
+        (wire, trace)
     }
 
     fn assert_equals_lockstep<E, P, C>(ctx: Context<E, P>, codec: C)
@@ -388,9 +235,12 @@ mod tests {
     {
         let ctx = ctx.with_model(FailureModel::GeneralOmission);
         for case in sampled(FailureModel::GeneralOmission, params(), 77, 40) {
-            let (summary, engine, trace) = wire_and_lockstep(&ctx, codec, &case);
+            let (wire, trace) = wire_and_lockstep(&ctx, codec, &case);
+            let Wire {
+                summary, states, ..
+            } = wire;
             let what = format!("{} {case:?}", ctx.name());
-            assert_eq!(&engine.states, trace.states.last().unwrap(), "{what}");
+            assert_eq!(&states, trace.states.last().unwrap(), "{what}");
             let (rounds, values) = trace.decisions();
             assert_eq!(summary.decision_rounds, rounds, "{what}");
             assert_eq!(summary.decision_values, values, "{what}");
@@ -478,8 +328,8 @@ mod tests {
         let caught = sampled(FailureModel::SendingOmission, params(), 77, 40)
             .iter()
             .filter(|case| {
-                let (summary, _, trace) = wire_and_lockstep(&ctx, LossyBasicCodec, case);
-                summary.decision_values != trace.decisions().1
+                let (wire, trace) = wire_and_lockstep(&ctx, LossyBasicCodec, case);
+                wire.summary.decision_values != trace.decisions().1
             })
             .count();
         assert!(caught > 0, "no sampled case exposes the lossy codec");
@@ -519,16 +369,15 @@ mod tests {
             let ctx = Context::fip(params).with_model(model);
             for case in sampled(model, params, 29 + k as u64, 3) {
                 let what = format!("{name} {case:?}");
-                let (summary, engine, trace) =
-                    wire_and_lockstep(&ctx, Counting::<FipCodec>::default(), &case);
-                assert_eq!(&engine.states, trace.states.last().unwrap(), "{what}");
+                let (wire, trace) = wire_and_lockstep(&ctx, Counting::<FipCodec>::default(), &case);
+                assert_eq!(&wire.states, trace.states.last().unwrap(), "{what}");
                 // `E_fip` agents always broadcast: 8 senders × 6 rounds.
                 assert_eq!(
-                    engine.codec.encodes.get(),
-                    summary.frames_sent / n,
+                    wire.codec.encodes.get(),
+                    wire.summary.frames_sent / n,
                     "{what}"
                 );
-                assert_eq!(engine.codec.encodes.get(), 48, "{what}");
+                assert_eq!(wire.codec.encodes.get(), 48, "{what}");
                 let reaching_someone: u64 = (0..case.horizon)
                     .map(|round| {
                         let reaches = |from| {
@@ -539,21 +388,21 @@ mod tests {
                         params.agents().filter(|&from| reaches(from)).count() as u64
                     })
                     .sum();
-                assert_eq!(engine.codec.decodes.get(), reaching_someone, "{what}");
+                assert_eq!(wire.codec.decodes.get(), reaching_someone, "{what}");
 
                 let mut engine = TypedEngine::new(ctx, FipCodec, &case.inits, case.horizon);
                 while !engine.finished() {
                     let round = engine.round();
                     let mut frames = engine.outgoing();
-                    for (from, row) in frames.iter().enumerate() {
-                        let msg = engine.selected[from].as_ref();
+                    assert!(frames.iter().flatten().all(Option::is_some), "{what}");
+                    apply_pattern(&mut frames, |from| case.pattern.dropped(round, from));
+                    engine.deliver(frames);
+                    for from in 0..params.n() {
+                        let msg = engine.buffers.outgoing[from].as_ref();
                         let sent = msg.expect("every E_fip agent broadcasts");
                         let bytes = FipCodec.encode(sent);
-                        assert_eq!(engine.frame(from), Some(&bytes[..]), "{what}");
-                        assert!(row.iter().all(Option::is_some), "{what}");
+                        assert_eq!(engine.channel.frame(from), Some(&bytes[..]), "{what}");
                     }
-                    apply_pattern(round, &mut frames, &case.pattern);
-                    engine.deliver(frames);
                 }
             }
         }

@@ -2,7 +2,7 @@
 //! survives an encode/decode roundtrip, including communication graphs
 //! from arbitrary lossy schedules.
 
-use eba_core::exchange::{initial_states, step_round, FipMsg, InformationExchange};
+use eba_core::exchange::{initial_states, step_round, FipMsg, InformationExchange, Lockstep};
 use eba_core::prelude::*;
 use eba_transport::{FipCodec, WireCodec};
 use proptest::prelude::*;
@@ -36,12 +36,21 @@ fn roundtrip_fip_run(
     let (mut states, mut outgoing, mut next) = (Vec::new(), Vec::new(), Vec::new());
     initial_states(&ex, &inits, &mut states);
     for round in 0..rounds {
-        let row = |from: AgentId| {
+        let row = |round, from: AgentId| {
             let to = (0..n).filter(|&to| dropped(round, from.index(), to));
             to.map(AgentId::new).collect()
         };
         let noop = vec![Action::Noop; n];
-        step_round(&ex, &states, &noop, row, &mut outgoing, &mut next);
+        let channel = &mut Lockstep::new(row);
+        step_round(
+            &ex,
+            round,
+            &states,
+            &noop,
+            channel,
+            &mut outgoing,
+            &mut next,
+        );
         std::mem::swap(&mut states, &mut next);
         for s in &states {
             let msg = FipMsg(s.graph.clone());

@@ -15,6 +15,7 @@
 //! | `judge_case`, the estimator's trial | the lockstep runner | verdict kind | the same |
 //! | the wire (`run_named_cluster`) | the lockstep runner (`Metrics::of`) | decision rounds and values, frames sent and dropped against messages, rounds run | `every_case_agrees_across_engines` |
 //! | the service (`run_service`, oracle on every session, admission deferred) | the wire | decision rounds and values, frames sent and dropped, rounds run; per-round traffic summed | the same |
+//! | the one-round adaptor (`SessionSpec::build_engine`, driven as `bench/` drives it) | the wire | decision rounds and values | the same |
 //! | the lockstep runner and the wire | the paper's promises | EBA and the t + 2 bound under `SO(t)` for `E_min`, `E_basic`, `E_fip`, with verified 0-chains for the first two; EBA under crash for `E_naive`, `E_min` | the same |
 //! | the lockstep runner and the wire, on the corpus and `examples/wire_loopback.rs` | [`PINNED`] | decisions, messages and bits (Prop 8.1), bytes, frames, per-round traffic, 0-chains (§6) | the same |
 //!
@@ -725,15 +726,44 @@ fn service_said(o: &SessionOutcome) -> String {
     format!("rounds={rounds} values={values} sent={sent} dropped={dropped} horizon={horizon}")
 }
 
+/// What the one-round adaptor says when driven through a case as the
+/// benchmark's layer probe drives it: `outgoing`, the marks the pattern
+/// drops set to `None`, then `deliver`, round by round.
+fn adaptor_said(spec: &SessionSpec, at: &str) -> String {
+    let mut engine = spec.build_engine().expect(at);
+    while !engine.finished() {
+        let round = engine.round();
+        let mut frames = engine.outgoing();
+        for (from, row) in frames.iter_mut().enumerate() {
+            for (to, frame) in row.iter_mut().enumerate() {
+                if !(spec.pattern).delivers(round, AgentId::new(from), AgentId::new(to)) {
+                    *frame = None;
+                }
+            }
+        }
+        engine.deliver(frames);
+    }
+    let (rounds, values) = engine.decisions();
+    format!("rounds={} values={}", cells(rounds), cells(values))
+}
+
 /// Runs one row through every engine but the service — the judges
 /// ([`Judges`]), then the wire (`run_named_cluster`), each held to the
-/// lockstep runner — and returns the row's pin line and its wire run.
-fn case_agrees((label, stack, case): &Row) -> (String, ClusterSummary) {
-    let at = &format!("{label} {stack}");
-    let stack = NamedStack::by_name(stack, case.pattern.params()).unwrap();
+/// lockstep runner, and the one-round adaptor, held to the wire — and
+/// returns the row's pin line and its wire run.
+fn case_agrees((label, name, case): &Row) -> (String, ClusterSummary) {
+    let at = &format!("{label} {name}");
+    let stack = NamedStack::by_name(name, case.pattern.params()).unwrap();
     let (lockstep, _, facts) = stack.visit(Judges(at, case));
     let wire = run_named_cluster(&stack, &case.pattern, &case.inits, case.horizon).expect(at);
     same(at, ("wire", &wire_said(&wire)), ("lockstep", &lockstep));
+    let (pattern, inits) = (case.pattern.clone(), case.inits.clone());
+    let spec = SessionSpec::new(name, pattern.params(), pattern, inits, case.horizon);
+    same(
+        at,
+        ("adaptor", &adaptor_said(&spec, at)),
+        ("wire", &wire_said(&wire)),
+    );
     let traffic: Vec<String> = (wire.round_traffic.iter())
         .map(|t| format!("{}/{}", t.sent, t.delivered))
         .collect();

@@ -1,31 +1,7 @@
 //! Exhaustive enumeration helpers for small instances, used by the
 //! interpreted-system construction in `eba-epistemic`.
 
-use crate::types::{subsets_up_to_size, AgentSet, Params, Value};
-
-/// All admissible nonfaulty sets of the `SO(t)` model: every `N ⊆ Agt`
-/// with `|Agt − N| ≤ t`.
-///
-/// Note that a faulty set is a *choice of the environment*, independent of
-/// whether any message is actually dropped: runs in which a faulty agent
-/// acts nonfaulty are distinct from runs in which that agent is nonfaulty
-/// (footnote 3 of the paper), and both must appear in the interpreted
-/// system.
-///
-/// ```
-/// use eba_core::failures::nonfaulty_choices;
-/// use eba_core::types::Params;
-///
-/// let params = Params::new(3, 1).unwrap();
-/// // N = Agt, plus the three choices of one faulty agent.
-/// assert_eq!(nonfaulty_choices(params).len(), 4);
-/// ```
-pub fn nonfaulty_choices(params: Params) -> Vec<AgentSet> {
-    subsets_up_to_size(params.n(), params.t())
-        .into_iter()
-        .map(|faulty| faulty.complement(params.n()))
-        .collect()
-}
+use crate::types::Value;
 
 /// All `2^n` initial-preference configurations, in lexicographic order
 /// (agent 0 is the least-significant position).
@@ -54,12 +30,14 @@ pub fn init_configs(n: usize) -> impl Iterator<Item = Vec<Value>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failures::FailureModel;
+    use crate::types::Params;
 
     #[test]
     fn nonfaulty_choice_count() {
         // n = 4, t = 2: C(4,0) + C(4,1) + C(4,2) = 1 + 4 + 6 = 11.
         let params = Params::new(4, 2).unwrap();
-        let choices = nonfaulty_choices(params);
+        let choices = FailureModel::SendingOmission.nonfaulty_choices(params);
         assert_eq!(choices.len(), 11);
         for nf in &choices {
             assert!(4 - nf.len() <= 2);
@@ -69,7 +47,7 @@ mod tests {
     #[test]
     fn nonfaulty_choices_are_distinct() {
         let params = Params::new(5, 2).unwrap();
-        let choices = nonfaulty_choices(params);
+        let choices = FailureModel::SendingOmission.nonfaulty_choices(params);
         let mut seen = std::collections::HashSet::new();
         for nf in choices {
             assert!(seen.insert(nf.bits()));

@@ -15,7 +15,7 @@ mod model;
 mod pattern;
 mod sampler;
 
-pub use enumerate::{init_configs, nonfaulty_choices};
+pub use enumerate::init_configs;
 pub use model::{FailureModel, MODEL_NAMES};
 pub use pattern::FailurePattern;
 pub use sampler::{

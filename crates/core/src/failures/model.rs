@@ -27,7 +27,7 @@
 
 use std::fmt;
 
-use crate::types::{EbaError, Params};
+use crate::types::{subsets_up_to_size, AgentSet, EbaError, Params};
 
 use super::FailurePattern;
 
@@ -259,12 +259,30 @@ impl FailureModel {
 
     /// The admissible nonfaulty sets under this model: only the full
     /// agent set for [`FailureFree`](FailureModel::FailureFree), every
-    /// `N` with `|Agt − N| ≤ t` otherwise (see
-    /// [`nonfaulty_choices`](super::nonfaulty_choices)).
-    pub fn nonfaulty_choices(self, params: Params) -> Vec<crate::types::AgentSet> {
+    /// `N ⊆ Agt` with `|Agt − N| ≤ t` otherwise.
+    ///
+    /// A faulty set is a *choice of the environment*, independent of
+    /// whether any message is actually dropped: runs in which a faulty
+    /// agent acts nonfaulty are distinct from runs in which that agent is
+    /// nonfaulty (footnote 3 of the paper), and both must appear in the
+    /// interpreted system.
+    ///
+    /// ```
+    /// use eba_core::failures::FailureModel;
+    /// use eba_core::types::Params;
+    ///
+    /// let params = Params::new(3, 1).unwrap();
+    /// // N = Agt, plus the three choices of one faulty agent.
+    /// assert_eq!(FailureModel::SendingOmission.nonfaulty_choices(params).len(), 4);
+    /// assert_eq!(FailureModel::FailureFree.nonfaulty_choices(params).len(), 1);
+    /// ```
+    pub fn nonfaulty_choices(self, params: Params) -> Vec<AgentSet> {
+        let n = params.n();
         match self {
-            FailureModel::FailureFree => vec![crate::types::AgentSet::full(params.n())],
-            _ => super::nonfaulty_choices(params),
+            FailureModel::FailureFree => vec![AgentSet::full(n)],
+            _ => (subsets_up_to_size(n, params.t()).into_iter())
+                .map(|faulty| faulty.complement(n))
+                .collect(),
         }
     }
 }

@@ -258,71 +258,13 @@ mod tests {
         }
     }
 
-    /// Theorem A.21 at (3, 1): P_opt implements P1 in the full-information
-    /// context γ_fip. This is the heavyweight check (≈ 98k runs, ≈ 1.2M
-    /// comparisons) and the machine-checked core of the paper's headline
-    /// result (Cor 7.8 then gives optimality via Thms 7.6/7.7).
-    #[test]
-    fn popt_implements_p1_in_fip_n3_t1() {
-        let params = Params::new(3, 1).unwrap();
-        let ex = FipExchange::new(params);
-        let proto = POpt::new(params);
-        let sys = InterpretedSystem::from_context(
-            Context::new(ex, &proto),
-            4,
-            10_000_000,
-            Parallelism::Sequential,
-        )
-        .unwrap();
-        assert!(
-            sys.run_count() > 90_000,
-            "FIP enumeration covers all patterns"
-        );
-        let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P1);
-        assert!(
-            report.is_ok(),
-            "{} mismatches; first: {:?}",
-            report.mismatches.len(),
-            &report.mismatches[..report.mismatches.len().min(5)]
-        );
-    }
-
-    /// At `t = 1`, `P0` and `P1` coincide even under full information: a
-    /// 0-chain hidden for `m` rounds needs ≥ m silent extenders, so with a
-    /// single faulty agent `P0`'s hidden-chain rule already fires at time
-    /// 2 — exactly when common knowledge of the faulty set first becomes
-    /// possible. The Example 7.1 separation (`P1` strictly earlier)
-    /// requires `t ≥ 2`, which is beyond exhaustive-enumeration reach for
-    /// `γ_fip`; the behavioral separation is reproduced at the simulation
-    /// level in experiment E4 instead.
-    #[test]
-    fn p0_and_p1_coincide_in_fip_at_t1() {
-        let params = Params::new(3, 1).unwrap();
-        let ex = FipExchange::new(params);
-        let proto = POpt::new(params);
-        let sys = InterpretedSystem::from_context(
-            Context::new(ex, &proto),
-            4,
-            10_000_000,
-            Parallelism::Sequential,
-        )
-        .unwrap();
-        let report = check_implements(&sys, &proto, KnowledgeBasedProgram::P0);
-        assert!(
-            report.is_ok(),
-            "at t = 1 the common-knowledge rules never fire strictly first; \
-             first mismatches: {:?}",
-            &report.mismatches[..report.mismatches.len().min(5)]
-        );
-    }
-
     /// `check_implements` at (3, 1), horizon 4, for both programs, by
     /// registry name: `(stack@model, runs, mismatches)`. Comparisons are
     /// runs × 12, and `P0` and `P1` agree on every row. The `SO(t)` rows
     /// of `E_min`, `E_basic` and `E_fip` are Thms 6.5, 6.6 and A.21; the
     /// rest lie beyond the paper. `E_fip`'s sending-omission row is
-    /// `popt_implements_p1_in_fip_n3_t1`, and its general-omission row
-    /// (25.2M runs) is too heavy for a unit test.
+    /// `engines_agree`'s `full_fip_system_agrees`, and its general-omission
+    /// row (25.2M runs) is too heavy for a unit test.
     #[test]
     fn implements_table_at_3_1_across_models() {
         const TABLE: [(&str, usize, usize); 14] = [

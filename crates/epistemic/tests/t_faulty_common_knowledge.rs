@@ -3,16 +3,20 @@
 //! it into the paper's `C(n, t)` towers and iterates each to its
 //! fixpoint. This suite holds the two to each other across stacks,
 //! failure models and `(n, t)`, for every `φ` that `P1` needs, and checks
-//! the pass's precondition: no run has more than `t` faulty agents.
+//! the pass's precondition: no run has more than `t` faulty agents. Each
+//! system is built once per run of this file, and both checks read it.
 //!
 //! The two largest `E_fip` systems, (3, 1) under sending omissions
 //! (98,312 runs) and (4, 2) under crash (559,376 runs), run only without
 //! debug assertions, as the release epistemic suite does; the 25.2M-run
 //! (3, 1) general-omission one is left out.
 
+use std::sync::OnceLock;
+
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::MODEL_NAMES;
 use eba_core::prelude::*;
+use eba_core::types::BitSet;
 use eba_epistemic::prelude::*;
 use eba_sim::prelude::*;
 
@@ -59,78 +63,94 @@ fn phis(params: Params) -> Vec<Formula> {
     phis
 }
 
-/// The stack's system at its default horizon.
-fn build<E, P>(ctx: &Context<E, P>) -> InterpretedSystem<E>
-where
-    E: InformationExchange + Clone + Sync + 'static,
-    P: ActionProtocol<E> + Clone + Sync + 'static,
-{
-    let horizon = ctx.params().default_horizon();
-    InterpretedSystem::from_context(ctx.clone(), horizon, 10_000_000, Parallelism::Auto).unwrap()
+/// What one system says to both checks: the first run with more than
+/// `t` faulty agents, if any, and for each `φ` the one pass's and the
+/// towers' point sets.
+struct Answers {
+    label: String,
+    too_faulty: Option<(usize, usize)>,
+    fixpoints: Vec<(Formula, BitSet, BitSet)>,
+    points: usize,
 }
 
-struct AtMostTFaulty;
+/// Builds the stack's system at its default horizon once and answers
+/// both checks on it.
+struct Answer;
 
-impl StackVisitor for AtMostTFaulty {
-    type Output = ();
-
-    fn visit<E, P>(self, ctx: &Context<E, P>)
-    where
-        E: InformationExchange + Clone + Sync + 'static,
-        P: ActionProtocol<E> + Clone + Sync + 'static,
-    {
-        let sys = build(ctx);
-        let (n, t) = (sys.params().n(), sys.params().t());
-        for r in 0..sys.run_count() {
-            let nonfaulty = sys.nonfaulty(r).len();
-            let name = ctx.qualified_name();
-            assert!(
-                nonfaulty >= n - t,
-                "{name} ({n}, {t}) run {r}: |N| = {nonfaulty}"
-            );
-        }
-    }
-}
-
-/// Checks one pass ≡ towers for every `φ`; returns how many points each
-/// fixpoint holds, and the system's point count.
-struct OnePassEqualsTowers;
-
-impl StackVisitor for OnePassEqualsTowers {
-    type Output = (Vec<usize>, usize);
+impl StackVisitor for Answer {
+    type Output = Answers;
 
     fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
     where
         E: InformationExchange + Clone + Sync + 'static,
         P: ActionProtocol<E> + Clone + Sync + 'static,
     {
-        let sys = build(ctx);
+        let horizon = ctx.params().default_horizon();
+        let sys =
+            InterpretedSystem::from_context(ctx.clone(), horizon, 10_000_000, Parallelism::Auto)
+                .unwrap();
         let params = sys.params();
-        let label = format!("{} ({}, {})", ctx.qualified_name(), params.n(), params.t());
-        let counts = phis(params)
+        let (n, t) = (params.n(), params.t());
+        let too_faulty = (0..sys.run_count())
+            .map(|r| (r, sys.nonfaulty(r).len()))
+            .find(|(_, nonfaulty)| *nonfaulty < n - t);
+        let fixpoints = phis(params)
             .into_iter()
             .map(|phi| {
                 let one_pass = sys.eval(&Formula::common_t_faulty(phi.clone()));
                 let towers = sys.eval_recursive(&Formula::t_faulty_towers(params, phi.clone()));
-                assert_eq!(one_pass, towers, "{label}: C_N(t-faulty ∧ {phi})");
-                one_pass.count()
+                (phi, one_pass, towers)
             })
             .collect();
-        (counts, sys.point_count())
+        Answers {
+            label: format!("{} ({n}, {t})", ctx.qualified_name()),
+            too_faulty,
+            fixpoints,
+            points: sys.point_count(),
+        }
     }
+}
+
+/// Every system of [`stacks`], each built once per run of this file, with
+/// its answers to both checks: two at a time, as the two tests ran when
+/// each built its own.
+fn answers() -> &'static [(NamedStack, Answers)] {
+    static ANSWERS: OnceLock<Vec<(NamedStack, Answers)>> = OnceLock::new();
+    ANSWERS.get_or_init(|| {
+        let stacks = stacks();
+        let mut answers = Vec::new();
+        let answer = |k: usize| stacks[k].visit(Answer);
+        let done = Parallelism::Fixed(2).for_each_ordered(stacks.len(), answer, |a| {
+            answers.push(a);
+            Ok::<_, ()>(())
+        });
+        done.unwrap();
+        stacks.into_iter().zip(answers).collect()
+    })
 }
 
 #[test]
 fn every_run_has_at_most_t_faulty_agents() {
-    for stack in stacks() {
-        stack.visit(AtMostTFaulty);
+    for (_, answers) in answers() {
+        let label = &answers.label;
+        assert!(
+            answers.too_faulty.is_none(),
+            "{label}: (run, |N|) = {:?}",
+            answers.too_faulty
+        );
     }
 }
 
 #[test]
 fn one_pass_equals_the_towers() {
-    for stack in stacks() {
-        let (counts, points) = stack.visit(OnePassEqualsTowers);
+    for (stack, answers) in answers() {
+        let label = &answers.label;
+        for (phi, one_pass, towers) in &answers.fixpoints {
+            assert_eq!(one_pass, towers, "{label}: C_N(t-faulty ∧ {phi})");
+        }
+        let counts: Vec<usize> = (answers.fixpoints.iter())
+            .map(|(_, one_pass, _)| one_pass.count())
+            .collect();
         let params = stack.params();
         // The rows that show the pass is not trivially empty: `P1`'s two
         // guard bodies on the `E_fip` sending-omission systems.
@@ -141,7 +161,7 @@ fn one_pass_equals_the_towers() {
         };
         if let Some(pinned) = pinned {
             assert_eq!(
-                (counts[3..].to_vec(), points),
+                (counts[3..].to_vec(), answers.points),
                 pinned,
                 "{}",
                 stack.qualified_name()

@@ -100,23 +100,6 @@ pub struct CorpusRow {
     pub violation: Option<Violation>,
 }
 
-struct RowRunner<'s> {
-    spec: &'s ScenarioSpec,
-}
-
-impl StackVisitor for RowRunner<'_> {
-    type Output = Result<(Vec<Option<Value>>, Option<Violation>), EbaError>;
-
-    fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
-    where
-        E: InformationExchange + Clone + Sync + 'static,
-        P: ActionProtocol<E> + Clone + Sync + 'static,
-    {
-        let outcome = TraceOracle::new(ctx).check(&self.spec.case)?;
-        Ok((outcome.decisions, outcome.violation))
-    }
-}
-
 /// Runs every loaded scenario once and tabulates the outcomes.
 ///
 /// # Errors
@@ -134,8 +117,12 @@ pub fn run(dir: &Path) -> Result<(Vec<CorpusRow>, Table), EbaError> {
     );
     for loaded in scenarios {
         let spec = loaded.spec;
-        let stack = spec.to_stack()?;
-        let (decisions, violation) = stack.visit(RowRunner { spec: &spec }).map_err(|e| {
+        let mut stack = spec.to_stack()?;
+        let CaseOutcome {
+            decisions,
+            violation,
+            ..
+        } = stack.check(&spec.case).map_err(|e| {
             EbaError::InvalidInput(format!(
                 "{}: {}",
                 loaded.path.display(),

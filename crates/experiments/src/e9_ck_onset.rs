@@ -10,7 +10,7 @@
 //! The polynomial `common_v` condition used here is itself verified
 //! against brute-force `C_N` model checking over the complete (streamed,
 //! arena-backed) interpreted system in
-//! `crates/epistemic/tests/paper_lemmas.rs`, which is what licenses this
+//! `tests/fip_so/paper_lemmas.rs`, which is what licenses this
 //! experiment's graph-level shortcut at scales (`n` up to 20) no
 //! exhaustive run set could reach. On instances small enough to
 //! enumerate exhaustively (`(3, 1)`), the experiment additionally

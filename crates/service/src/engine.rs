@@ -2,13 +2,10 @@
 //! pattern, inits, horizon), which runs over **encoded** wire frames on
 //! the same loop and wire channel whatever its stack.
 
-use eba_core::context::{Context, NamedStack, StackVisitor};
+use eba_core::context::NamedStack;
 use eba_core::corpus::ScenarioSpec;
-use eba_core::exchange::InformationExchange;
 use eba_core::failures::FailurePattern;
-use eba_core::protocols::ActionProtocol;
 use eba_core::types::{EbaError, Params, Value};
-use eba_sim::scenario::Scenario;
 use eba_transport::{named_engine, run_named_cluster, ClusterSummary, SessionEngine};
 
 /// Everything needed to run one consensus session on the service: a
@@ -80,35 +77,7 @@ impl SessionSpec {
         let stack = NamedStack::by_name(&self.stack, self.params)?;
         named_engine(&stack, &self.pattern, &self.inits, self.horizon)
     }
-
-    /// The decision vectors (rounds, values) the lockstep simulator
-    /// (`Scenario::run`) derives for this spec — the reference the wire
-    /// path is judged against. The two share `eba-core`'s round kernel
-    /// and its loop; codecs, frame marking, omission injection on frames
-    /// and decoding are the wire path's alone.
-    pub(crate) fn lockstep_decisions(&self) -> Result<DecisionVectors, EbaError> {
-        struct Lockstep<'a>(&'a SessionSpec);
-        impl StackVisitor for Lockstep<'_> {
-            type Output = Result<DecisionVectors, EbaError>;
-            fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
-            where
-                E: InformationExchange + Clone + Sync + 'static,
-                P: ActionProtocol<E> + Clone + Sync + 'static,
-            {
-                let run = Scenario::of(ctx)
-                    .pattern(self.0.pattern.clone())
-                    .inits(&self.0.inits)
-                    .horizon(self.0.horizon)
-                    .run()?;
-                Ok(run.decisions())
-            }
-        }
-        NamedStack::by_name(&self.stack, self.params)?.visit(Lockstep(self))
-    }
 }
-
-/// Per-agent first decision rounds and decision values.
-type DecisionVectors = (Vec<Option<u32>>, Vec<Option<Value>>);
 
 #[cfg(test)]
 mod tests {
@@ -117,22 +86,6 @@ mod tests {
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
-    }
-
-    #[test]
-    fn engine_matches_the_lockstep_cluster_on_every_stack() {
-        // The reference is the lockstep simulator (`Scenario::run`), not
-        // the transport's loopback, which would be this engine again.
-        let faulty = AgentSet::singleton(AgentId::new(0));
-        let pattern = silent_pattern(params(), faulty, 4).unwrap();
-        let inits = vec![Value::Zero, Value::One, Value::One, Value::One];
-        for name in STACK_NAMES {
-            let spec = SessionSpec::new(name, params(), pattern.clone(), inits.clone(), 4);
-            let run = spec.run().unwrap();
-            let (rounds, values) = spec.lockstep_decisions().unwrap();
-            assert_eq!(run.decision_rounds, rounds, "{name}");
-            assert_eq!(run.decision_values, values, "{name}");
-        }
     }
 
     #[test]

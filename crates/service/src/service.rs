@@ -24,9 +24,11 @@ use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-use eba_core::context::error_message;
+use eba_core::context::{error_message, NamedStack};
+use eba_core::corpus::Case;
 use eba_core::failures::FailurePattern;
 use eba_core::types::EbaError;
+use eba_sim::fuzz::CaseOracle;
 use eba_sim::runner::Parallelism;
 use eba_transport::{ClusterSummary, RoundTraffic};
 
@@ -106,8 +108,8 @@ fn run_session(
 /// stack over encoded wire frames with omissions injected from its own
 /// failure pattern. With [`ServiceConfig::oracle_stride`] set, every
 /// `k`-th admitted session's decision vector is re-derived by the lockstep
-/// simulator (`Scenario::run`) and compared — the same
-/// oracle-confirmation discipline the fuzzer and query engine use.
+/// simulator (the stack's [`CaseOracle`], a `TraceOracle`) and compared —
+/// the same oracle-confirmation discipline the fuzzer and query engine use.
 ///
 /// # Errors
 ///
@@ -166,9 +168,17 @@ pub fn run_service(
             if outcome.spec_index % stride != 0 {
                 continue;
             }
-            let (rounds, values) = specs[outcome.spec_index].lockstep_decisions()?;
+            let spec = &specs[outcome.spec_index];
+            let case = Case {
+                pattern: spec.pattern.clone(),
+                inits: spec.inits.clone(),
+                horizon: spec.horizon,
+            };
+            let lockstep = NamedStack::by_name(&spec.stack, spec.params)?.check(&case)?;
             report.oracle_checked += 1;
-            if rounds != outcome.decision_rounds || values != outcome.decision_values {
+            if lockstep.rounds != outcome.decision_rounds
+                || lockstep.decisions != outcome.decision_values
+            {
                 report.oracle_mismatches += 1;
             }
         }

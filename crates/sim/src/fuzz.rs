@@ -22,7 +22,7 @@
 
 use std::collections::HashSet;
 
-use eba_core::context::Context;
+use eba_core::context::{Context, NamedStack, StackVisitor};
 use eba_core::corpus::Case;
 use eba_core::exchange::InformationExchange;
 use eba_core::failures::{FailureModel, FailurePattern};
@@ -128,6 +128,30 @@ where
             rounds,
             violation,
         })
+    }
+}
+
+/// A registry stack as an oracle: each case runs through the
+/// [`TraceOracle`] of the stack's context. The lockstep reference of the
+/// service's oracle pass and of the corpus battery.
+impl CaseOracle for NamedStack {
+    fn model(&self) -> FailureModel {
+        NamedStack::model(self)
+    }
+
+    fn check(&mut self, case: &Case) -> Result<CaseOutcome, EbaError> {
+        struct Check<'c>(&'c Case);
+        impl StackVisitor for Check<'_> {
+            type Output = Result<CaseOutcome, EbaError>;
+            fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
+            where
+                E: InformationExchange + Clone + Sync + 'static,
+                P: ActionProtocol<E> + Clone + Sync + 'static,
+            {
+                TraceOracle::new(ctx).check(self.0)
+            }
+        }
+        self.visit(Check(case))
     }
 }
 

@@ -132,7 +132,6 @@ pub fn run_named_cluster(
 mod tests {
     use super::*;
     use eba_core::prelude::*;
-    use eba_sim::prelude::*;
 
     fn params() -> Params {
         Params::new(4, 1).unwrap()
@@ -156,52 +155,6 @@ mod tests {
             .decision_values
             .iter()
             .all(|v| *v == Some(Value::One)));
-    }
-
-    #[test]
-    fn cluster_matches_lockstep_simulator_exactly() {
-        // Decisions here; the final states are compared in
-        // `engine::tests::final_states_equal_the_lockstep_trace`.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let ctx = Context::basic(params());
-        let sampler = AdversarySampler::new(FailureModel::SendingOmission, params(), 4, 0.35);
-        let mut rng = StdRng::seed_from_u64(77);
-        for _ in 0..40 {
-            let pattern = sampler.sample(&mut rng);
-            let bits: u32 = rng.random_range(0..16);
-            let inits: Vec<Value> = (0..4)
-                .map(|i| Value::from_bit(((bits >> i) & 1) as u8))
-                .collect();
-            let trace = Scenario::of(&ctx)
-                .pattern(pattern.clone())
-                .inits(&inits)
-                .horizon(4)
-                .run()
-                .unwrap();
-            let report = wire("E_basic/P_basic", &pattern, &inits).unwrap();
-            let (rounds, values) = trace.decisions();
-            assert_eq!(report.decision_rounds, rounds);
-            assert_eq!(report.decision_values, values);
-        }
-    }
-
-    #[test]
-    fn fip_over_the_wire_matches_simulator() {
-        let ctx = Context::fip(params());
-        let faulty = AgentSet::singleton(AgentId::new(3));
-        let pattern = silent_pattern(params(), faulty, 4).unwrap();
-        let inits = [Value::One, Value::One, Value::Zero, Value::One];
-        let trace = Scenario::of(&ctx)
-            .pattern(pattern.clone())
-            .inits(&inits)
-            .horizon(4)
-            .run()
-            .unwrap();
-        let report = wire("E_fip/P_opt", &pattern, &inits).unwrap();
-        let (rounds, values) = trace.decisions();
-        assert_eq!(report.decision_rounds, rounds);
-        assert_eq!(report.decision_values, values);
     }
 
     #[test]
@@ -235,67 +188,6 @@ mod tests {
             err.to_string().contains("pattern: got a pattern built for"),
             "{err}"
         );
-    }
-
-    #[test]
-    fn every_registered_stack_runs_over_the_wire() {
-        // The registry reaches the transport: each named stack pairs with
-        // its codec and agrees with the lockstep simulator.
-        let pattern = FailurePattern::failure_free(params());
-        let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        for name in STACK_NAMES {
-            let stack = NamedStack::by_name(name, params()).unwrap();
-            let report = run_named_cluster(&stack, &pattern, &inits, 4).unwrap();
-            assert_eq!(report.rounds, 4, "{name}");
-            assert!(report.wire_bytes_sent > 0, "{name}");
-            struct Lockstep<'a> {
-                pattern: &'a FailurePattern,
-                inits: &'a [Value],
-            }
-            impl StackVisitor for Lockstep<'_> {
-                type Output = (Vec<Option<u32>>, Vec<Option<Value>>);
-                fn visit<E, P>(self, ctx: &Context<E, P>) -> Self::Output
-                where
-                    E: InformationExchange + Clone + Sync + 'static,
-                    P: ActionProtocol<E> + Clone + Sync + 'static,
-                {
-                    let trace = Scenario::of(ctx)
-                        .pattern(self.pattern.clone())
-                        .inits(self.inits)
-                        .horizon(4)
-                        .run()
-                        .expect("lockstep run");
-                    trace.decisions()
-                }
-            }
-            let (rounds, values) = stack.visit(Lockstep {
-                pattern: &pattern,
-                inits: &inits,
-            });
-            assert_eq!(report.decision_rounds, rounds, "{name}");
-            assert_eq!(report.decision_values, values, "{name}");
-        }
-    }
-
-    #[test]
-    fn model_qualified_stacks_run_over_the_wire() {
-        // A general-omission isolation adversary runs through a
-        // `@general_omission` stack and agrees with the lockstep runner.
-        let faulty = AgentSet::singleton(AgentId::new(0));
-        let pattern = isolation_pattern(params(), faulty, 4).unwrap();
-        let inits = [Value::Zero, Value::One, Value::One, Value::One];
-        let stack = NamedStack::by_name("E_basic/P_basic@general_omission", params()).unwrap();
-        let report = run_named_cluster(&stack, &pattern, &inits, 4).unwrap();
-        let ctx = Context::basic(params()).with_model(FailureModel::GeneralOmission);
-        let trace = Scenario::of(&ctx)
-            .pattern(pattern.clone())
-            .inits(&inits)
-            .horizon(4)
-            .run()
-            .unwrap();
-        let (rounds, values) = trace.decisions();
-        assert_eq!(report.decision_rounds, rounds);
-        assert_eq!(report.decision_values, values);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! `tests/engines_agree.rs`; the suites that build small systems inline
 //! (`run_store_equivalence`, `query_engine_equivalence`,
 //! `parallel_enumeration`) read the same functions from here, so every
-//! system is compared in one way wherever it is built.
+//! system is compared in one way wherever it is built. `exhaustive_correctness`
+//! and `engines_agree` judge runs with the same two judges ([`both_judges`]).
 
 // Each test binary uses its own subset of these helpers.
 #![allow(dead_code)]
@@ -11,6 +12,7 @@
 use eba::core::exchange::InformationExchange;
 use eba::core::kbp::KnowledgeBasedProgram;
 use eba::core::protocols::ActionProtocol;
+use eba::core::types::EbaError;
 use eba::epistemic::oracle;
 use eba::epistemic::prelude::*;
 use eba::prelude::*;
@@ -64,6 +66,64 @@ pub fn assert_streams_equal<E, P>(
             "{label} h={horizon}, {k} workers"
         );
     }
+}
+
+/// Checks the four EBA properties plus strong Validity and the `t + 2`
+/// bound directly on an enumerated run: a judge written out here,
+/// independently of `judge_run`.
+pub fn check_enum_run<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> Result<(), String> {
+    let n = ex.params().n();
+    let bound = ex.params().decide_by_round();
+    let final_states = run.states.last().unwrap();
+
+    for i in 0..n {
+        let agent = AgentId::new(i);
+        // Unique decision: at most one Decide action.
+        let decisions: Vec<(usize, Value)> = run
+            .actions
+            .iter()
+            .enumerate()
+            .filter_map(|(m, acts)| acts[i].decided_value().map(|v| (m, v)))
+            .collect();
+        if decisions.len() > 1 {
+            return Err(format!("{agent} decided twice: {decisions:?}"));
+        }
+        // Termination within t + 2 — for every agent (Prop 6.1).
+        match decisions.first() {
+            None => return Err(format!("{agent} never decided")),
+            Some((m, _)) if *m as u32 + 1 > bound => {
+                return Err(format!("{agent} decided in round {} > {bound}", m + 1));
+            }
+            _ => {}
+        }
+        // Strong validity.
+        if let Some(v) = ex.decided(&final_states[i]) {
+            if !run.inits.contains(&v) {
+                return Err(format!("{agent} decided unheld value {v}"));
+            }
+        }
+    }
+    // Agreement among nonfaulty agents.
+    let mut nonfaulty_values = run
+        .nonfaulty
+        .iter()
+        .filter_map(|a| ex.decided(&final_states[a.index()]));
+    if let Some(first) = nonfaulty_values.next() {
+        if nonfaulty_values.any(|v| v != first) {
+            return Err(format!(
+                "nonfaulty agents disagree in run with N = {}",
+                run.nonfaulty
+            ));
+        }
+    }
+    Ok(())
+}
+
+/// Both judges' verdict on one run, the first rejection named.
+pub fn both_judges<E: InformationExchange>(ex: &E, run: &EnumRun<E>) -> Result<(), EbaError> {
+    check_enum_run(ex, run).map_err(EbaError::InvalidInput)?;
+    judge_run(ex, run.nonfaulty, &run.inits, &run.states, &run.actions)
+        .map_err(|v| EbaError::InvalidInput(format!("judge_run: {v}")))
 }
 
 /// The standard battery compiled into one plan.

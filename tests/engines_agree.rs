@@ -9,7 +9,10 @@
 //! | node store | chain system (`oracle::from_runs`) | class partitions, the standard battery's point sets and verdicts, `check_spec`, the `P0` and `P1` reports with mismatch order | the same |
 //! | query engine (`EvalSession`) | `eval_recursive` | point sets, verdicts, confirmed witnesses; a batch plan evaluates fewer nodes | `query_engine_equivalence::batched_evaluation_equals_legacy_recursion`, the plan and witness tests here |
 //! | parallel streams (`Fixed(k)`) | the sequential stream | every run, in order; the sequential stream is pinned by digest | `run_stream_order_is_pinned_for_every_worker_count`, `parallel_enumeration::*`, `scenario_registry::collecting_sink_…` |
-//! | `judge_run` | `check_enum_run`, a hand-written judge kept independent of it | every run of a correct stack passes both | `exhaustive_correctness::*` |
+//! | `judge_run` | `check_enum_run`, a hand-written judge kept independent of it | every run of a correct stack passes both | `exhaustive_correctness::*`, `fip_so::exhaustive_correctness::*` |
+//! | the look-ahead layers (`◯`, `□`, `♦`) of the query engine | `eval_recursive` | point sets and first counterexamples on `E_min`, `E_basic` and `E_fip` at (3, 1) | `fip_so::look_ahead_verdicts::*` |
+//! | the Section 5 spec as formula validities | every point of the system | Unique Decision, Agreement, strong Validity, Termination hold for `P_min`, `P_basic` and `P_opt`; Agreement fails for `P_naive` | `fip_so::spec_as_formulas::*` |
+//! | `P_opt`'s graph test (`FipAnalysis::common_knowledge_holds`) | `K_i(C_N(…))` evaluated on the node store | every sampled point and agent; Prop A.2(a) and Lemmas A.3 and A.4 hold | `fip_so::paper_lemmas::*` |
 //! | node store | pinned prefix-node counts | nodes, and nodes below the horizon | `prefix_tree_node_counts_are_pinned` |
 //! | `TraceOracle`, `EngineOracle` (`check_spec` on a one-run system) | the lockstep runner (`Scenario::run`, judged by `judge_run`) | decision rounds and values, verdict kind | `every_case_agrees_across_engines`, `a_faulty_agent_deciding_an_unheld_value_…` |
 //! | `judge_case`, the estimator's trial | the lockstep runner | verdict kind | the same |
@@ -29,10 +32,13 @@
 //! The (3, 1) `E_fip@SO` system at horizon 4 (98,312 runs) takes seconds
 //! to build in a debug build, so here it is one fixture, [`FIP_SO`]: each
 //! of its three builds is made once per run of this file and read by
-//! every test here that needs it, and its node store is streamed on 16
-//! workers, so that comparing it with the sequential runs is also its
-//! `Fixed(16)` row. `exhaustive_correctness` and `scenario_registry`
-//! each stream it once more, through their judges, without collecting it.
+//! every test that needs it — those here, and the suites of the
+//! `fip_so` module (`tests/fip_so/`), which check the paper's claims on
+//! it — and its node store is streamed on 16 workers, so that comparing
+//! it with the sequential runs is also its `Fixed(16)` row. No other
+//! test binary enumerates it but the two that count their own work,
+//! `eba-sim`'s `update_and_children_counts_per_pass_are_pinned` and
+//! `store_allocations`.
 //!
 //! The case comparisons are one function, [`case_agrees`], over one list
 //! of rows, each a label, a registry stack and a case: every
@@ -43,6 +49,7 @@
 //! rounds [1,3,3] ≠ lockstep rounds [1,3,2]`.
 
 mod common;
+mod fip_so;
 
 use std::any::Any;
 use std::hash::{Hash, Hasher};
@@ -113,7 +120,15 @@ impl FipSo {
 
 /// Acceptance: the full `E_fip/P_opt` (3, 1) system agrees across all
 /// three builds, the arena interns it to far fewer states than slots,
-/// and `P_opt` implements `P0` (Thm 6.6) and `P1` (Thm A.21) on it.
+/// and `P_opt` implements `P0` (Thm 6.6) and `P1` (Thm A.21) on it — the
+/// machine-checked core of the paper's headline result (≈ 1.2M
+/// comparisons per program). That it implements both says that at
+/// `t = 1` the two programs coincide: a 0-chain hidden for `m` rounds
+/// needs `m` silent extenders, so with one faulty agent `P0`'s
+/// hidden-chain rule fires at time 2, exactly when common knowledge of
+/// the faulty set first becomes possible. Example 7.1's separation needs
+/// `t ≥ 2`, beyond exhaustive reach for `γ_fip`; experiment E4 shows it
+/// in simulation.
 #[test]
 fn full_fip_system_agrees() {
     let (nodes, chains, runs) = (FIP_SO.nodes(), FIP_SO.chains(), FIP_SO.runs());

@@ -1,16 +1,18 @@
 //! The look-ahead operators `◯`, `□` and `♦` against the recursive
 //! oracle on the full horizon-4 `(3, 1)` systems of `E_min`, `E_basic`
-//! and `E_fip` under sending omissions: every root of the standard
-//! battery that looks ahead along runs, and each agent's `Termination`
-//! clause, both as stated and as the spec check judges it
-//! (`time = 0 ⇒ φ`). Each root's point set must equal
-//! `eval_recursive`'s, and its verdict must name the oracle set's first
-//! unset point in point order, read back as `(run, time)`.
+//! and `E_fip` under sending omissions (`E_fip`'s is [`FIP_SO`]'s node
+//! store): every root of the standard battery that looks ahead along
+//! runs, and each agent's `Termination` clause, both as stated and as
+//! the spec check judges it (`time = 0 ⇒ φ`). Each root's point set must
+//! equal `eval_recursive`'s, and its verdict must name the oracle set's
+//! first unset point in point order, read back as `(run, time)`.
 
-use eba_core::exchange::InformationExchange;
-use eba_core::prelude::*;
-use eba_epistemic::prelude::*;
-use eba_sim::prelude::Parallelism;
+use crate::common::LIMIT;
+use crate::FIP_SO;
+use eba::core::exchange::InformationExchange;
+use eba::core::protocols::ActionProtocol;
+use eba::epistemic::prelude::*;
+use eba::prelude::*;
 
 /// Whether `f` looks ahead along runs somewhere below its root.
 fn looks_ahead(f: &Formula) -> bool {
@@ -71,9 +73,9 @@ fn layers_agree<E: InformationExchange>(sys: &InterpretedSystem<E>) -> usize {
 fn system<E, P>(ctx: Context<E, P>) -> InterpretedSystem<E>
 where
     E: InformationExchange + Sync,
-    P: eba_core::protocols::ActionProtocol<E> + Sync,
+    P: ActionProtocol<E> + Sync,
 {
-    InterpretedSystem::from_context(ctx, 4, 10_000_000, Parallelism::Auto).unwrap()
+    InterpretedSystem::from_context(ctx, 4, LIMIT, Parallelism::Auto).unwrap()
 }
 
 #[test]
@@ -82,7 +84,7 @@ fn look_ahead_roots_equal_the_oracle_with_its_first_counterexample() {
     let refuted = [
         layers_agree(&system(Context::minimal(params))),
         layers_agree(&system(Context::basic(params))),
-        layers_agree(&system(Context::fip(params))),
+        layers_agree(FIP_SO.nodes()),
     ];
     assert!(refuted.iter().all(|count| *count > 0), "{refuted:?}");
 }

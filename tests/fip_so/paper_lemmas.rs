@@ -1,6 +1,7 @@
 //! Model-checked validation of the paper's supporting lemmas on the
-//! full-information system `γ_fip(3,1)` — these are the load-bearing
-//! steps behind Theorem A.21 and the polynomial-time `P_opt`:
+//! full-information system `γ_fip(3,1)` ([`FIP_SO`]'s node store) — these
+//! are the load-bearing steps behind Theorem A.21 and the polynomial-time
+//! `P_opt`:
 //!
 //! * **Prop A.2(a)** — `time > 0 ⇒ (⊖ dist_N(t-faulty) ⟺ C_N(t-faulty))`:
 //!   common knowledge of the faulty set arises exactly one round after
@@ -14,23 +15,15 @@
 //!   with the brute-force `K_i(C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v))`
 //!   at every point (the correctness of `P_opt`'s common-knowledge test).
 
-use eba_core::graph::FipAnalysis;
-use eba_core::prelude::*;
-use eba_core::types::subsets_of_size;
-use eba_epistemic::prelude::*;
-use eba_sim::prelude::Parallelism;
-use std::sync::OnceLock;
+use crate::{FipSo, FIP_SO};
+use eba::core::graph::FipAnalysis;
+use eba::core::types::{subsets_of_size, BitSet};
+use eba::epistemic::prelude::*;
+use eba::prelude::*;
 
-/// `γ_fip(3,1)` at horizon 4, built on first use and shared by every
-/// test here.
+/// `γ_fip(3,1)` at horizon 4: the fixture's node store.
 fn fip_system() -> (Params, &'static InterpretedSystem<FipExchange>) {
-    static SYSTEM: OnceLock<InterpretedSystem<FipExchange>> = OnceLock::new();
-    let params = Params::new(3, 1).unwrap();
-    let sys = SYSTEM.get_or_init(|| {
-        let ctx = Context::new(FipExchange::new(params), POpt::new(params));
-        InterpretedSystem::from_context(ctx, 4, 10_000_000, Parallelism::Sequential).unwrap()
-    });
-    (params, sys)
+    (FipSo::ctx().params(), FIP_SO.nodes())
 }
 
 /// `dist_N(t-faulty)`: ∃A (|A| = t ∧ ∀i∈A ∃j (j ∈ N ∧ K_j(i ∉ N))).
@@ -138,7 +131,7 @@ fn lemma_a4_everyone_decides_within_one_round_of_ck() {
 fn common_v_graph_condition_matches_brute_force_knowledge() {
     let (params, sys) = fip_system();
     // Brute-force sets: K_i(C_N(t-faulty ∧ no-decided_N(1−v) ∧ ∃v)).
-    let mut truth: Vec<Vec<eba_core::types::BitSet>> = Vec::new(); // [v][agent]
+    let mut truth: Vec<Vec<BitSet>> = Vec::new(); // [v][agent]
     for v in Value::ALL {
         let set = sys.eval(&ck_guard(params, v));
         truth.push(params.agents().map(|i| sys.knows_set(i, &set)).collect());

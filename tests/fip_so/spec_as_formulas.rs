@@ -1,13 +1,15 @@
 //! The Section 5 EBA specification, expressed in the epistemic-temporal
 //! logic and model-checked as *validities* over the complete systems of
 //! all three contexts — the formula-level counterpart of the trace-level
-//! spec checker in `eba-sim`.
+//! spec checker in `eba-sim`. The full-information context's system is
+//! [`FIP_SO`]'s node store.
 
-use eba_core::exchange::InformationExchange;
-use eba_core::prelude::*;
-use eba_core::protocols::ActionProtocol;
-use eba_epistemic::prelude::*;
-use eba_sim::prelude::Parallelism;
+use crate::common::LIMIT;
+use crate::FIP_SO;
+use eba::core::exchange::InformationExchange;
+use eba::core::protocols::ActionProtocol;
+use eba::epistemic::prelude::*;
+use eba::prelude::*;
 
 /// Checks the four EBA validities of Section 5 on a system.
 fn check_spec_validities<E: InformationExchange>(sys: &InterpretedSystem<E>) {
@@ -59,13 +61,9 @@ where
     P: ActionProtocol<E> + Sync,
 {
     let horizon = ex.params().default_horizon();
-    InterpretedSystem::from_context(
-        Context::new(ex, proto),
-        horizon,
-        10_000_000,
-        Parallelism::Sequential,
-    )
-    .expect("enumerable")
+    let parallelism = Parallelism::Sequential;
+    InterpretedSystem::from_context(Context::new(ex, proto), horizon, LIMIT, parallelism)
+        .expect("enumerable")
 }
 
 #[test]
@@ -84,8 +82,7 @@ fn eba_spec_valid_in_basic_context() {
 
 #[test]
 fn eba_spec_valid_in_fip_context() {
-    let params = Params::new(3, 1).unwrap();
-    check_spec_validities(&build(FipExchange::new(params), POpt::new(params)));
+    check_spec_validities(FIP_SO.nodes());
 }
 
 #[test]

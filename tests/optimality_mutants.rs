@@ -137,7 +137,7 @@ fn lazy_mutant_is_correct_but_strictly_dominated() {
     let lazy = Context::new(MinExchange::new(params), LazyMin(params));
     let horizon = params.default_horizon() + 1;
     let mut summary = DominanceSummary::default();
-    for nonfaulty in eba::core::failures::nonfaulty_choices(params) {
+    for nonfaulty in FailureModel::SendingOmission.nonfaulty_choices(params) {
         let pattern = FailurePattern::new(params, nonfaulty).unwrap();
         for inits in eba::core::failures::init_configs(4) {
             let case = Case {
@@ -161,7 +161,7 @@ fn pmin_and_pbasic_are_incomparable_only_in_speed_never_in_safety() {
     // with every faulty-set choice.
     let params = Params::new(4, 2).unwrap();
     let (min_ctx, basic_ctx) = (Context::minimal(params), Context::basic(params));
-    for nonfaulty in eba::core::failures::nonfaulty_choices(params) {
+    for nonfaulty in FailureModel::SendingOmission.nonfaulty_choices(params) {
         let pattern = FailurePattern::new(params, nonfaulty).unwrap();
         for inits in eba::core::failures::init_configs(4) {
             let a = Scenario::of(&min_ctx)

@@ -1,7 +1,6 @@
 //! Streaming sinks: for every worker count a collecting sink (`Vec`)
-//! reproduces the collecting enumerator run for run, and a counting sink
-//! spec-checks the full `E_fip/P_opt` `(3, 1)` context without ever
-//! materializing the run set. The registry's own test is in
+//! reproduces the collecting enumerator run for run. Closure sinks are
+//! `exhaustive_correctness`'s, and the registry's own test is in
 //! `engines_agree`.
 
 use eba::core::exchange::InformationExchange;
@@ -47,35 +46,4 @@ fn collecting_sink_reproduces_enumerate_parallel_across_worker_counts() {
     }
     let params = Params::new(3, 1).unwrap();
     assert_streaming_equals_collecting(&Context::basic(params), 4);
-}
-
-/// The acceptance check: a counting sink spec-checks the **full**
-/// `E_fip/P_opt` `(3, 1)` context at horizon 4 without materializing a
-/// `Vec` of trajectories. Its run count is the collecting enumerator's,
-/// 98,312, which `engines_agree`'s `PINNED_STREAMS` pins together with
-/// the collected stream's digest, and every run passes `judge_run`.
-#[test]
-fn counting_sink_spec_checks_full_fip_context_without_collecting() {
-    let params = Params::new(3, 1).unwrap();
-    let ctx = Context::fip(params);
-    let (mut count, mut ok) = (0usize, 0usize);
-    let total = Scenario::of(&ctx)
-        .horizon(params.default_horizon())
-        .parallelism(Parallelism::Auto)
-        .enumerate_into(&mut |run: EnumRun<FipExchange>| {
-            count += 1;
-            let verdict = judge_run(
-                ctx.exchange(),
-                run.nonfaulty,
-                &run.inits,
-                &run.states,
-                &run.actions,
-            );
-            ok += usize::from(verdict.is_ok());
-            Ok(())
-        })
-        .expect("streamed enumeration");
-    assert_eq!((total, count), (98_312, 98_312), "the full context");
-    // P_opt is correct: every run of the context satisfies the spec.
-    assert_eq!(ok, count);
 }

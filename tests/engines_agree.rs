@@ -35,10 +35,11 @@
 //! every test that needs it — those here, and the suites of the
 //! `fip_so` module (`tests/fip_so/`), which check the paper's claims on
 //! it — and its node store is streamed on 16 workers, so that comparing
-//! it with the sequential runs is also its `Fixed(16)` row. No other
-//! test binary enumerates it but the two that count their own work,
-//! `eba-sim`'s `update_and_children_counts_per_pass_are_pinned` and
-//! `store_allocations`.
+//! it with the sequential runs is also its `Fixed(16)` row. A tier-1
+//! run enumerates the system four times: the sequential stream, the node
+//! store and `PINNED_STREAMS`'s `Fixed(2)` stream here, and the one
+//! counted pass of `tests/work_counts.rs`, which pins that pass's work.
+//! A new test of the system reads the fixture.
 //!
 //! The case comparisons are one function, [`case_agrees`], over one list
 //! of rows, each a label, a registry stack and a case: every

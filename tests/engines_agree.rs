@@ -36,9 +36,11 @@
 //! `fip_so` module (`tests/fip_so/`), which check the paper's claims on
 //! it — and its node store is streamed on 16 workers, so that comparing
 //! it with the sequential runs is also its `Fixed(16)` row. A tier-1
-//! run enumerates the system four times: the sequential stream, the node
-//! store and `PINNED_STREAMS`'s `Fixed(2)` stream here, and the one
-//! counted pass of `tests/work_counts.rs`, which pins that pass's work.
+//! run enumerates the system five times: the sequential stream, the node
+//! store and `PINNED_STREAMS`'s `Fixed(2)` stream here, the counted pass
+//! of `tests/store_allocations.rs`, which pins its allocations, and that
+//! of `eba-sim`'s `update_and_children_counts_per_pass_are_pinned`, which
+//! pins its `δ` calls and children.
 //! A new test of the system reads the fixture.
 //!
 //! The case comparisons are one function, [`case_agrees`], over one list
